@@ -16,19 +16,20 @@ use crate::naming::ObjectName;
 use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_placement::ProbeView;
 use peerstripe_sim::ByteSize;
+use std::sync::Arc;
 
 /// An object fetched from a backend, returned by value.
 ///
 /// The simulator hands out `&StoredObject` internally, but a networked
 /// backend receives bytes off the wire and cannot lend references into a
-/// node's store — so the seam returns owned data.  Placement-path objects
-/// carry no payload, so the clone the sim impl performs is metadata-sized.
+/// node's store — so the seam returns owned data.  The payload is shared,
+/// so the sim impl's clone is a reference count, never a byte copy.
 #[derive(Debug, Clone)]
 pub struct FetchedBlock {
     /// The object's recorded size.
     pub size: ByteSize,
     /// The object's payload bytes, when the byte path stored any.
-    pub payload: Option<Vec<u8>>,
+    pub payload: Option<Arc<Vec<u8>>>,
 }
 
 /// The storage operations a [`PeerStripe`] client drives against its backend.
@@ -132,7 +133,7 @@ mod tests {
             .unwrap();
         let fetched = backend.fetch_block(node, &name).unwrap();
         assert_eq!(fetched.size, ByteSize::mb(1));
-        assert_eq!(fetched.payload.as_deref(), Some(&[7u8, 8, 9][..]));
+        assert_eq!(fetched.payload.as_deref(), Some(&vec![7u8, 8, 9]));
         backend.rollback_block(node, &name, ByteSize::mb(1));
         assert!(backend.fetch_block(node, &name).is_none());
     }

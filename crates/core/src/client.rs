@@ -27,12 +27,13 @@ use crate::policy::CodingPolicy;
 use crate::system::{
     BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, StorageSystem, StoreOutcome,
 };
-use peerstripe_erasure::EncodedBlock;
+use peerstripe_erasure::{DecodeError, EncodedBlock, ErasureCode};
 use peerstripe_overlay::{Id, NodeRef, Takeover};
 use peerstripe_placement::{OverlayRandom, PlacementStrategy, RepairRequest, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of a PeerStripe instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -266,16 +267,17 @@ impl<B: StorageBackend> PeerStripe<B> {
         targets: &[(ObjectName, NodeRef)],
         chunk: u32,
         chunk_size: ByteSize,
-        payloads: Option<&[Vec<u8>]>,
+        payloads: Option<Vec<Vec<u8>>>,
     ) -> Option<ChunkPlacement> {
         let block_size = self.config.coding.block_size(chunk_size);
         let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
-        for (i, (name, node)) in targets.iter().enumerate() {
-            let size = match payloads {
-                Some(p) => ByteSize::bytes(p[i].len() as u64),
+        let mut payloads = payloads.map(Vec::into_iter);
+        for (name, node) in targets {
+            let payload = payloads.as_mut().and_then(Iterator::next);
+            let size = match &payload {
+                Some(p) => ByteSize::bytes(p.len() as u64),
                 None => block_size,
             };
-            let payload = payloads.map(|p| p[i].clone());
             match self
                 .backend
                 .store_block(*node, name.key(), name.clone(), size, payload)
@@ -386,9 +388,9 @@ impl<B: StorageBackend> PeerStripe<B> {
                 let codec = self.config.coding.codec(self.config.data_path_blocks);
                 let blocks = codec.encode(chunk_data);
                 // Spread the codec's encoded blocks over the placed block objects.
-                distribute_payloads(&self.config.coding, blocks, targets.len())
+                distribute_payloads(&self.config.coding, blocks)
             });
-            match self.place_chunk(&targets, chunk_no, chunk_size, payloads.as_deref()) {
+            match self.place_chunk(&targets, chunk_no, chunk_size, payloads) {
                 Some(placement) => {
                     placed_bytes += placement.blocks.iter().map(|b| b.size).sum();
                     chunk_sizes.push(chunk_size);
@@ -455,65 +457,84 @@ impl<B: StorageBackend> PeerStripe<B> {
             return Some(Vec::new());
         }
         let codec = self.config.coding.codec(self.config.data_path_blocks);
-        let mut out = Vec::with_capacity((end - offset) as usize);
+        let mut out = vec![0u8; (end - offset) as usize];
+        let mut filled = 0usize;
         let mut chunk_start: u64 = 0;
         for chunk in &manifest.chunks {
+            let chunk_len = chunk.size.as_u64() as usize;
             let chunk_end = chunk_start + chunk.size.as_u64();
-            if chunk.size.is_zero() {
-                continue;
-            }
-            if chunk_end > offset && chunk_start < end {
-                // Gather surviving payloads for this chunk.
-                let mut encoded: Vec<EncodedBlock> = Vec::new();
-                for b in &chunk.blocks {
-                    if let Some(obj) = self.backend.fetch_block(b.node, &b.name) {
-                        if let Some(payload) = &obj.payload {
-                            for eb in unpack_payload(payload) {
-                                encoded.push(eb);
-                            }
-                        }
-                    }
-                }
-                let chunk_bytes = codec.decode(&encoded, chunk.size.as_u64() as usize).ok()?;
+            if chunk_len > 0 && chunk_end > offset && chunk_start < end {
                 let lo = offset.saturating_sub(chunk_start) as usize;
                 let hi = (end - chunk_start).min(chunk.size.as_u64()) as usize;
-                out.extend_from_slice(&chunk_bytes[lo..hi]);
+                let dst = &mut out[filled..filled + (hi - lo)];
+                if dst.len() == chunk_len {
+                    self.read_chunk(chunk, |views| codec.decode_into(views, dst))?;
+                } else {
+                    let whole =
+                        self.read_chunk(chunk, |views| decode_chunk(&*codec, views, chunk_len))?;
+                    dst.copy_from_slice(&whole[lo..hi]);
+                }
+                filled += hi - lo;
             }
             chunk_start = chunk_end;
         }
         Some(out)
     }
 
-    /// Rebuild the payload of a lost block of `chunk_no` from the chunk's
-    /// surviving blocks: decode the chunk, re-encode it, and pack exactly the
-    /// codec blocks that no live node currently holds.  Returns `None` on the
-    /// metadata-only path (no payloads stored) or when the chunk cannot be
-    /// decoded from the survivors.
-    fn regenerate_payload(&self, file: &str, chunk_no: u32) -> Option<Vec<u8>> {
-        let manifest = self.manifests.get(file)?;
-        let chunk = manifest.chunks.iter().find(|c| c.chunk == chunk_no)?;
-        let mut have: Vec<EncodedBlock> = Vec::new();
-        let mut any_payload = false;
-        for b in &chunk.blocks {
-            if let Some(obj) = self.backend.fetch_block(b.node, &b.name) {
-                if let Some(p) = &obj.payload {
-                    any_payload = true;
-                    have.extend(unpack_payload(p));
+    /// Fetch the blocks of `chunk` in manifest order and hand their codec
+    /// blocks to `decode`: first only as many payload-bearing blocks as the
+    /// chunk needs (in a healthy systematic layout those are the chunk's own
+    /// bytes, in order), then — only if `decode` says that was not enough —
+    /// every remaining block.  `None` on the metadata-only path (no payloads
+    /// stored) and when the survivors do not decode.
+    fn read_chunk<T>(
+        &self,
+        chunk: &ChunkPlacement,
+        mut decode: impl FnMut(&[(u32, &[u8])]) -> Result<T, DecodeError>,
+    ) -> Option<T> {
+        let mut holders = chunk.blocks.iter();
+        let mut payloads: Vec<Arc<Vec<u8>>> = Vec::new();
+        let mut want = chunk.min_blocks_needed;
+        loop {
+            while payloads.len() < want {
+                let Some(b) = holders.next() else { break };
+                let fetched = self.backend.fetch_block(b.node, &b.name);
+                payloads.extend(fetched.and_then(|obj| obj.payload));
+            }
+            if payloads.is_empty() {
+                return None;
+            }
+            let views: Vec<_> = payloads.iter().flat_map(|p| unpack_payload(p)).collect();
+            match decode(&views) {
+                Ok(decoded) => return Some(decoded),
+                Err(DecodeError::NotEnoughBlocks { .. } | DecodeError::Unrecoverable { .. })
+                    if holders.len() > 0 =>
+                {
+                    want = usize::MAX;
                 }
+                Err(_) => return None,
             }
         }
-        if !any_payload {
+    }
+
+    /// Rebuild the payload of the lost block at `position` of `chunk`'s block
+    /// list from the chunk's surviving blocks: decode the chunk, then
+    /// re-encode exactly the codec blocks that placement carried.  Returns
+    /// `None` on the metadata-only path (no payloads stored) or when the
+    /// chunk cannot be decoded from the survivors.
+    fn regenerate_payload(&self, chunk: &ChunkPlacement, position: usize) -> Option<Vec<u8>> {
+        let codec = self.config.coding.codec(self.config.data_path_blocks);
+        let chunk_len = chunk.size.as_u64() as usize;
+        let bytes = self.read_chunk(chunk, |views| decode_chunk(&*codec, views, chunk_len))?;
+        let total = codec.encoded_blocks();
+        let rows: Vec<u32> = (0..total)
+            .filter(|&i| placed_block_of(&self.config.coding, total, i) == position)
+            .map(|i| i as u32)
+            .collect();
+        if rows.is_empty() {
             return None;
         }
-        let codec = self.config.coding.codec(self.config.data_path_blocks);
-        let present: std::collections::BTreeSet<u32> = have.iter().map(|b| b.index).collect();
-        let missing: Vec<u32> = (0..codec.encoded_blocks() as u32)
-            .filter(|i| !present.contains(i))
-            .collect();
-        let rebuilt = codec
-            .reencode(&have, chunk.size.as_u64() as usize, &missing)
-            .ok()?;
-        Some(pack_payload(&rebuilt))
+        Some(pack_payload(&codec.encode_rows(&bytes, &rows)))
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -525,7 +546,7 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// when the inheritor has no space ("drop and recreate elsewhere").
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let mut regenerations: Vec<(String, u32, ByteSize)> = Vec::new();
+        let mut regenerations: Vec<(String, u32, usize, ByteSize)> = Vec::new();
         let mut cat_repairs: Vec<String> = Vec::new();
 
         for manifest in self.manifests.iter() {
@@ -533,13 +554,19 @@ impl<B: StorageBackend> PeerStripe<B> {
                 cat_repairs.push(manifest.name.clone());
             }
             for chunk in &manifest.chunks {
-                let lost: usize = chunk.blocks_on(failed).count();
-                if lost == 0 {
+                if chunk.blocks_on(failed).next().is_none() {
                     continue;
                 }
                 if chunk.is_recoverable(&self.backend) {
-                    for b in chunk.blocks_on(failed) {
-                        regenerations.push((manifest.name.clone(), chunk.chunk, b.size));
+                    for (position, b) in chunk.blocks.iter().enumerate() {
+                        if b.node == failed {
+                            regenerations.push((
+                                manifest.name.clone(),
+                                chunk.chunk,
+                                position,
+                                b.size,
+                            ));
+                        }
                     }
                 } else {
                     report.chunks_lost += 1;
@@ -548,21 +575,22 @@ impl<B: StorageBackend> PeerStripe<B> {
             }
         }
 
-        for (file, chunk_no, size) in regenerations {
-            let next_ecb = self
+        for (file, chunk_no, position, size) in regenerations {
+            let Some(chunk) = self
                 .manifests
                 .get(&file)
                 .and_then(|m| m.chunks.iter().find(|c| c.chunk == chunk_no))
-                .map(|c| {
-                    c.blocks
-                        .iter()
-                        .map(|b| match &b.name {
-                            ObjectName::Block { ecb, .. } => *ecb + 1,
-                            _ => 1,
-                        })
-                        .max()
-                        .unwrap_or(0)
+            else {
+                continue;
+            };
+            let next_ecb = chunk
+                .blocks
+                .iter()
+                .map(|b| match &b.name {
+                    ObjectName::Block { ecb, .. } => *ecb + 1,
+                    _ => 1,
                 })
+                .max()
                 .unwrap_or(0)
                 .max(self.config.coding.placed_blocks() as u32);
             let name = ObjectName::block(file.clone(), chunk_no, next_ecb);
@@ -570,8 +598,8 @@ impl<B: StorageBackend> PeerStripe<B> {
             // blocks of its chunk ("the newly created encoded block may not be
             // exactly the same as the one that has been lost, but it is
             // functionally equal").  The regenerated payload carries exactly the
-            // codec blocks that are no longer present on any live node.
-            let payload = self.regenerate_payload(&file, chunk_no);
+            // codec blocks the lost placement held.
+            let payload = self.regenerate_payload(chunk, position);
             let size = payload
                 .as_ref()
                 .map(|p| ByteSize::bytes(p.len() as u64))
@@ -579,18 +607,12 @@ impl<B: StorageBackend> PeerStripe<B> {
             // A rebuilt block must never collocate with a live block of its
             // own chunk — landing on an existing holder would silently shrink
             // the chunk's failure tolerance.
-            let holders: Vec<NodeRef> = self
-                .manifests
-                .get(&file)
-                .and_then(|m| m.chunks.iter().find(|c| c.chunk == chunk_no))
-                .map(|c| {
-                    c.blocks
-                        .iter()
-                        .map(|b| b.node)
-                        .filter(|&n| self.backend.is_alive(n))
-                        .collect()
-                })
-                .unwrap_or_default();
+            let holders: Vec<NodeRef> = chunk
+                .blocks
+                .iter()
+                .map(|b| b.node)
+                .filter(|&n| self.backend.is_alive(n))
+                .collect();
             // Prefer the inheritor of the failed key space; fall back to the
             // placement strategy (which applies the same exclusion, plus any
             // domain constraints).
@@ -624,13 +646,14 @@ impl<B: StorageBackend> PeerStripe<B> {
                     let domain = self.domain_of(node);
                     if let Some(m) = self.manifests.get_mut(&file) {
                         if let Some(c) = m.chunks.iter_mut().find(|c| c.chunk == chunk_no) {
-                            c.blocks.push(BlockPlacement {
+                            // The replacement takes the lost block's place, so
+                            // a chunk's block list keeps its layout order.
+                            c.blocks[position] = BlockPlacement {
                                 name,
                                 node,
                                 size,
                                 domain,
-                            });
-                            c.blocks.retain(|b| b.node != failed);
+                            };
                         }
                     }
                 }
@@ -700,34 +723,43 @@ impl<B: StorageBackend> PeerStripe<B> {
     }
 }
 
-/// Pack a codec's encoded blocks into `targets` payload groups (one per placed
-/// block object), preserving block indices for decoding.
+/// The position, in a chunk's block list, of the placed block that carries
+/// codec block `index` of `codec_blocks` — the one definition of the on-node
+/// layout, shared by the store path and by repair.
 ///
-/// The assignment preserves the placement policy's failure tolerance: for the
-/// XOR policy each parity group's members land on distinct targets (so losing
-/// one target loses at most one block per group); other policies distribute
-/// round-robin.
-fn distribute_payloads(
-    policy: &CodingPolicy,
-    blocks: Vec<EncodedBlock>,
-    targets: usize,
-) -> Vec<Vec<u8>> {
-    let mut groups: Vec<Vec<EncodedBlock>> = vec![Vec::new(); targets];
+/// The layout preserves the policy's failure tolerance and keeps reads short:
+/// Reed–Solomon rows are dealt contiguously (placed block `g` holds rows
+/// `g·k … (g+1)·k − 1`), so the first `data` placed blocks are the chunk's own
+/// bytes in order; XOR sends each parity group's members to distinct
+/// positions and every parity block to the last one (losing one position
+/// loses at most one block per group, and the leading positions hold all the
+/// data); other policies deal round-robin.
+fn placed_block_of(policy: &CodingPolicy, codec_blocks: usize, index: usize) -> usize {
+    let placed = policy.placed_blocks();
     match *policy {
-        CodingPolicy::Xor { group } if targets == group + 1 => {
-            // The codec numbers data blocks 0..n and parity blocks n..; route data
-            // block i to target i % group and every parity block to the last target.
-            let n = blocks.len() * group / (group + 1);
-            for b in blocks {
-                let idx = b.index as usize;
-                let target = if idx < n { idx % group } else { group };
-                groups[target].push(b);
+        CodingPolicy::Xor { group } => {
+            // The codec numbers data blocks 0..n and parity blocks n.. .
+            let n = codec_blocks * group / (group + 1);
+            if index < n {
+                index % group
+            } else {
+                group
             }
         }
-        _ => {
-            for (i, b) in blocks.into_iter().enumerate() {
-                groups[i % targets].push(b); // lint:allow(slice-index) -- i % targets < targets == groups.len() by construction
-            }
+        CodingPolicy::ReedSolomon { .. } => index / (codec_blocks / placed).max(1),
+        _ => index % placed,
+    }
+}
+
+/// Pack a codec's encoded blocks into one payload per placed block object,
+/// preserving block indices for decoding.
+fn distribute_payloads(policy: &CodingPolicy, blocks: Vec<EncodedBlock>) -> Vec<Vec<u8>> {
+    let mut groups: Vec<Vec<EncodedBlock>> = vec![Vec::new(); policy.placed_blocks()];
+    let codec_blocks = blocks.len();
+    for b in blocks {
+        let position = placed_block_of(policy, codec_blocks, b.index as usize);
+        if let Some(group) = groups.get_mut(position) {
+            group.push(b);
         }
     }
     groups.into_iter().map(|g| pack_payload(&g)).collect()
@@ -739,7 +771,8 @@ fn distribute_payloads(
 /// it is public so maintenance tooling (the `peerstripe-repair` regeneration
 /// executors) can rebuild block payloads outside the client.
 pub fn pack_payload(blocks: &[EncodedBlock]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let bytes: usize = blocks.iter().map(|b| 8 + b.data.len()).sum();
+    let mut out = Vec::with_capacity(4 + bytes);
     out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
     for b in blocks {
         out.extend_from_slice(&b.index.to_le_bytes());
@@ -749,28 +782,37 @@ pub fn pack_payload(blocks: &[EncodedBlock]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`pack_payload`].
-pub fn unpack_payload(payload: &[u8]) -> Vec<EncodedBlock> {
-    let mut out = Vec::new();
-    if payload.len() < 4 {
-        return out;
-    }
-    let count = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize; // lint:allow(panic) -- 4-byte window guarded by the len()<4 check above
-    let mut pos = 4;
-    for _ in 0..count {
-        if pos + 8 > payload.len() {
-            break;
-        }
-        let index = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()); // lint:allow(panic) -- 4-byte window guarded by the pos+8<=len check above
-        let len = u32::from_le_bytes(payload[pos + 4..pos + 8].try_into().unwrap()) as usize; // lint:allow(panic) -- 4-byte window guarded by the pos+8<=len check above
-        pos += 8;
-        if pos + len > payload.len() {
-            break;
-        }
-        out.push(EncodedBlock::new(index, payload[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    out
+/// Inverse of [`pack_payload`]: borrowed `(index, bytes)` views of the codec
+/// blocks in `payload`.  A payload cut short yields the blocks that are whole.
+pub fn unpack_payload(payload: &[u8]) -> Vec<(u32, &[u8])> {
+    let Some((count, mut rest)) = split_u32(payload) else {
+        return Vec::new();
+    };
+    let records = std::iter::from_fn(|| {
+        let (index, after) = split_u32(rest)?;
+        let (len, after) = split_u32(after)?;
+        let (data, after) = after.split_at_checked(len as usize)?;
+        rest = after;
+        Some((index, data))
+    });
+    records.take(count as usize).collect()
+}
+
+/// Split a little-endian `u32` off the front of `bytes`.
+fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, rest) = bytes.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*head), rest))
+}
+
+/// Decode a chunk of `chunk_len` bytes into a buffer of its own.
+fn decode_chunk(
+    codec: &dyn ErasureCode,
+    views: &[(u32, &[u8])],
+    chunk_len: usize,
+) -> Result<Vec<u8>, DecodeError> {
+    let mut out = vec![0u8; chunk_len];
+    codec.decode_into(views, &mut out)?;
+    Ok(out)
 }
 
 impl PeerStripe<StorageCluster> {
@@ -1050,6 +1092,50 @@ mod tests {
         assert_eq!(report.chunks_lost, 0);
         assert_eq!(ps.retrieve_data("volume").unwrap(), data);
         assert!(ps.is_file_available("volume"));
+    }
+
+    #[test]
+    fn payloads_unpack_to_borrowed_views_and_tolerate_truncation() {
+        let blocks = vec![
+            EncodedBlock::new(3, vec![1, 2, 3]),
+            EncodedBlock::new(9, vec![]),
+            EncodedBlock::new(4, vec![7; 5]),
+        ];
+        let packed = pack_payload(&blocks);
+        let views = unpack_payload(&packed);
+        let want: Vec<_> = blocks.iter().map(EncodedBlock::view).collect();
+        assert_eq!(views, want);
+        // Any prefix yields a prefix of the blocks: whole ones only.
+        for cut in 0..packed.len() {
+            let got = unpack_payload(&packed[..cut]);
+            assert_eq!(got, want[..got.len()], "cut at {cut}");
+        }
+        // A count far beyond the bytes present is just an empty payload.
+        assert!(unpack_payload(&u32::MAX.to_le_bytes()).is_empty());
+    }
+
+    #[test]
+    fn leading_placed_blocks_carry_the_source_rows() {
+        for policy in [
+            CodingPolicy::xor_2_3(),
+            CodingPolicy::rs_default(),
+            CodingPolicy::ReedSolomon { data: 5, parity: 3 },
+        ] {
+            let codec = policy.codec(16);
+            let total = codec.encoded_blocks();
+            let position = |i| placed_block_of(&policy, total, i);
+            assert!((0..total).all(|i| position(i) < policy.placed_blocks()));
+            assert!(
+                (0..codec.source_blocks()).all(|i| position(i) < policy.min_blocks_needed()),
+                "{}: a healthy read of the first blocks needs no decoding",
+                policy.label()
+            );
+        }
+        // Reed–Solomon rows are contiguous: RS(5, 3) scales to 20 + 12 rows,
+        // four to a placed block.
+        let rs = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+        let positions: Vec<usize> = (0..32).map(|i| placed_block_of(&rs, 32, i)).collect();
+        assert_eq!(positions, (0..32).map(|i| i / 4).collect::<Vec<_>>());
     }
 
     #[test]

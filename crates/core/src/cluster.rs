@@ -14,6 +14,7 @@ use peerstripe_placement::{ClusterView, ProbeView};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::CapacityModel;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of a storage cluster.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -182,7 +183,7 @@ impl StorageCluster {
                 StoredObject {
                     name,
                     size,
-                    payload,
+                    payload: payload.map(Arc::new),
                 },
             )
             .map_err(ClusterStoreError::Refused)?;
@@ -317,7 +318,7 @@ mod tests {
         assert!(cluster.holds(node, &name));
         let fetched = cluster.fetch_from(node, &name).unwrap();
         assert_eq!(fetched.size, ByteSize::mb(100));
-        assert_eq!(fetched.payload.as_deref(), Some(&[1u8, 2, 3][..]));
+        assert_eq!(fetched.payload.as_deref(), Some(&vec![1u8, 2, 3]));
         assert_eq!(cluster.total_used(), ByteSize::mb(100));
         // The object landed on the node its key routes to.
         assert_eq!(cluster.locate(&name), Some(node));

@@ -14,6 +14,7 @@ use crate::naming::ObjectName;
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// An object stored on a node.
 #[derive(Debug, Clone)]
@@ -22,8 +23,9 @@ pub struct StoredObject {
     pub name: ObjectName,
     /// Size charged against the node's capacity.
     pub size: ByteSize,
-    /// Optional real payload (only the byte-level data path fills this in).
-    pub payload: Option<Vec<u8>>,
+    /// Optional real payload (only the byte-level data path fills this in),
+    /// shared so a read hands out the stored bytes without copying them.
+    pub payload: Option<Arc<Vec<u8>>>,
 }
 
 /// Why a node refused to store an object.
@@ -313,12 +315,12 @@ mod tests {
         let stored = StoredObject {
             name: ObjectName::block("f", 0, 1),
             size: ByteSize::bytes(4),
-            payload: Some(vec![1, 2, 3, 4]),
+            payload: Some(Arc::new(vec![1, 2, 3, 4])),
         };
         node.store(Id(9), stored).unwrap();
         assert_eq!(
             node.get(Id(9)).unwrap().payload.as_deref(),
-            Some(&[1u8, 2, 3, 4][..])
+            Some(&vec![1u8, 2, 3, 4])
         );
     }
 }

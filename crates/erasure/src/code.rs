@@ -35,6 +35,18 @@ impl EncodedBlock {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+
+    /// The borrowed `(index, bytes)` view [`ErasureCode::decode_into`] takes.
+    pub fn view(&self) -> (u32, &[u8]) {
+        (self.index, &self.data)
+    }
+}
+
+impl From<(u32, &[u8])> for EncodedBlock {
+    /// Copy a borrowed view into an owned block.
+    fn from((index, data): (u32, &[u8])) -> Self {
+        EncodedBlock::new(index, data.to_vec())
+    }
 }
 
 /// Why a decode attempt failed.
@@ -122,17 +134,37 @@ pub trait ErasureCode: Send + Sync {
     /// Encode a chunk into blocks.
     fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock>;
 
+    /// Encode only the blocks whose indices are listed in `rows` (ascending,
+    /// deduplicated).  The default encodes everything and filters; codecs with
+    /// cheaper per-row encoding (Reed–Solomon parity rows) override this.
+    /// Indices the codec does not produce are silently absent from the result.
+    fn encode_rows(&self, chunk: &[u8], rows: &[u32]) -> Vec<EncodedBlock> {
+        self.encode(chunk)
+            .into_iter()
+            .filter(|b| rows.binary_search(&b.index).is_ok())
+            .collect()
+    }
+
+    /// Decode a chunk from borrowed `(index, bytes)` views of (a subset of)
+    /// its blocks straight into `out`, whose length is the chunk's original
+    /// length.  Every byte of `out` is overwritten on success; on error its
+    /// contents are unspecified.
+    fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError>;
+
     /// Decode a chunk of original length `chunk_len` from (a subset of) its blocks.
-    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError>;
+    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError> {
+        let views: Vec<_> = blocks.iter().map(EncodedBlock::view).collect();
+        let mut out = vec![0u8; chunk_len];
+        self.decode_into(&views, &mut out)?;
+        Ok(out)
+    }
 
     /// Regenerate only the encoded blocks listed in `missing` from the
     /// `available` survivors — the block-level repair entry point (Section 4.4:
     /// a failed participant's blocks are recreated from the surviving ones).
     ///
-    /// The default path decodes the chunk and re-encodes it, returning the
-    /// requested indices in ascending order; codecs with cheaper partial
-    /// re-encoding (e.g. Reed–Solomon parity rows) override this.  Indices not
-    /// produced by the codec are silently absent from the result.
+    /// Decodes the chunk and re-encodes the requested indices through
+    /// [`ErasureCode::encode_rows`], returning them in ascending order.
     fn reencode(
         &self,
         available: &[EncodedBlock],
@@ -143,11 +175,7 @@ pub trait ErasureCode: Send + Sync {
         let mut wanted: Vec<u32> = missing.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
-        Ok(self
-            .encode(&chunk)
-            .into_iter()
-            .filter(|b| wanted.binary_search(&b.index).is_ok())
-            .collect())
+        Ok(self.encode_rows(&chunk, &wanted))
     }
 }
 
@@ -168,17 +196,34 @@ pub fn split_into_blocks(chunk: &[u8], n: usize) -> (Vec<Vec<u8>>, usize) {
     (blocks, block_size)
 }
 
-/// Reassemble source blocks into the original chunk of length `chunk_len`.
-pub fn join_blocks(blocks: &[Vec<u8>], chunk_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(chunk_len);
-    for b in blocks {
-        out.extend_from_slice(b);
-        if out.len() >= chunk_len {
-            break;
+/// The part of `out` that source block `row` occupies when a chunk of
+/// `out.len()` bytes is cut into blocks of `block_size`: shorter than
+/// `block_size` for the last data-bearing row, empty for rows that are all
+/// padding.
+pub(crate) fn row_mut(out: &mut [u8], row: usize, block_size: usize) -> &mut [u8] {
+    let start = (row * block_size).min(out.len());
+    let end = ((row + 1) * block_size).min(out.len());
+    &mut out[start..end]
+}
+
+/// Slot the supplied block views by index (first seen wins) for a codec of
+/// `total` encoded blocks of `block_size` bytes each.  An out-of-range index
+/// or a wrong-length payload is a corrupt block.
+pub(crate) fn index_blocks<'a>(
+    blocks: &[(u32, &'a [u8])],
+    total: usize,
+    block_size: usize,
+) -> Result<Vec<Option<&'a [u8]>>, DecodeError> {
+    let mut have = vec![None; total];
+    for &(index, data) in blocks {
+        match have.get_mut(index as usize) {
+            Some(slot) if data.len() == block_size => {
+                slot.get_or_insert(data);
+            }
+            _ => return Err(DecodeError::CorruptBlock { index }),
         }
     }
-    out.truncate(chunk_len);
-    out
+    Ok(have)
 }
 
 /// XOR `src` into `dst` in place (`dst ^= src`); both must have equal length.
@@ -209,7 +254,12 @@ mod tests {
             let (blocks, size) = split_into_blocks(&data, n);
             assert_eq!(blocks.len(), n);
             assert!(blocks.iter().all(|b| b.len() == size));
-            assert_eq!(join_blocks(&blocks, data.len()), data);
+            let mut joined = vec![0xA5u8; data.len()];
+            for (i, b) in blocks.iter().enumerate() {
+                let dst = row_mut(&mut joined, i, size);
+                dst.copy_from_slice(&b[..dst.len()]);
+            }
+            assert_eq!(joined, data);
         }
     }
 
@@ -219,7 +269,7 @@ mod tests {
         assert_eq!(blocks.len(), 4);
         assert_eq!(size, 0);
         assert!(blocks.iter().all(|b| b.is_empty()));
-        assert!(join_blocks(&blocks, 0).is_empty());
+        assert!(row_mut(&mut [], 3, size).is_empty());
     }
 
     #[test]
@@ -272,6 +322,46 @@ mod tests {
         // Not enough survivors propagates the decode error.
         let too_few: Vec<EncodedBlock> = encoded[..1].to_vec();
         assert!(code.reencode(&too_few, data.len(), &[5]).is_err());
+    }
+
+    #[test]
+    fn index_blocks_slots_first_seen_and_rejects_corrupt_views() {
+        let (a, b) = ([1u8, 2], [3u8, 4]);
+        let have = index_blocks(&[(2, &a), (0, &b), (2, &b)], 3, 2).unwrap();
+        assert_eq!(have, vec![Some(&b[..]), None, Some(&a[..])]);
+        assert_eq!(
+            index_blocks(&[(3, &a)], 3, 2),
+            Err(DecodeError::CorruptBlock { index: 3 })
+        );
+        assert_eq!(
+            index_blocks(&[(1, &a[..1])], 3, 2),
+            Err(DecodeError::CorruptBlock { index: 1 }),
+            "a block of the wrong length is corrupt, not padded"
+        );
+    }
+
+    #[test]
+    fn decode_into_overwrites_a_dirty_buffer_for_every_codec() {
+        let codecs: [Box<dyn ErasureCode>; 4] = [
+            Box::new(crate::null::NullCode::new(8)),
+            Box::new(crate::xor::XorCode::new(2, 8)),
+            Box::new(crate::online::OnlineCode::with_overhead(64, 0.01, 3, 1.25)),
+            Box::new(crate::rs::ReedSolomonCode::new(5, 3)),
+        ];
+        for code in &codecs {
+            for len in [0usize, 1, 7, 999, 4096] {
+                let data: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
+                let mut blocks = code.encode(&data);
+                if code.tolerable_losses() > 0 {
+                    blocks.remove(0);
+                }
+                let views: Vec<_> = blocks.iter().map(EncodedBlock::view).collect();
+                let mut out = vec![0xA5u8; len];
+                code.decode_into(&views, &mut out).unwrap();
+                assert_eq!(out, data, "{} at {len}", code.name());
+                assert_eq!(code.decode(&blocks, len).unwrap(), data);
+            }
+        }
     }
 
     #[test]

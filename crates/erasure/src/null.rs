@@ -5,7 +5,9 @@
 //! losing any block loses data — but establishes the baseline cost of splitting
 //! and copying a chunk.
 
-use crate::code::{join_blocks, split_into_blocks, DecodeError, EncodedBlock, ErasureCode};
+use crate::code::{
+    index_blocks, row_mut, split_into_blocks, DecodeError, EncodedBlock, ErasureCode,
+};
 
 /// Pass-through codec: the chunk is split into `n` blocks and stored verbatim.
 #[derive(Debug, Clone, Copy)]
@@ -54,30 +56,21 @@ impl ErasureCode for NullCode {
             .collect()
     }
 
-    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError> {
-        if blocks.len() < self.n {
+    fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
+        let block_size = out.len().div_ceil(self.n);
+        let have = index_blocks(blocks, self.n, block_size)?;
+        let distinct = have.iter().flatten().count();
+        if distinct < self.n {
             return Err(DecodeError::NotEnoughBlocks {
-                have: blocks.len(),
+                have: distinct,
                 need: self.n,
             });
         }
-        let mut ordered: Vec<Option<&EncodedBlock>> = vec![None; self.n];
-        for b in blocks {
-            let idx = b.index as usize;
-            if idx >= self.n {
-                return Err(DecodeError::CorruptBlock { index: b.index });
-            }
-            ordered[idx] = Some(b);
+        for (i, src) in have.into_iter().flatten().enumerate() {
+            let dst = row_mut(out, i, block_size);
+            dst.copy_from_slice(&src[..dst.len()]);
         }
-        if ordered.iter().any(Option::is_none) {
-            let missing = ordered.iter().filter(|b| b.is_none()).count();
-            return Err(DecodeError::Unrecoverable { missing });
-        }
-        let data: Vec<Vec<u8>> = ordered
-            .into_iter()
-            .map(|b| b.expect("checked above").data.clone()) // lint:allow(panic) -- every slot verified Some in the missing-block scan above
-            .collect();
-        Ok(join_blocks(&data, chunk_len))
+        Ok(())
     }
 }
 
@@ -142,7 +135,7 @@ mod tests {
         blocks[1] = blocks[0].clone();
         assert!(matches!(
             code.decode(&blocks, chunk.len()),
-            Err(DecodeError::Unrecoverable { missing: 1 })
+            Err(DecodeError::NotEnoughBlocks { have: 3, need: 4 })
         ));
     }
 

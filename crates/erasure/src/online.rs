@@ -21,9 +21,7 @@
 //!    elimination over the residual constraints finishes off the rare stalls so
 //!    that decoding is deterministic whenever the received blocks span the data.
 
-use crate::code::{
-    join_blocks, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode,
-};
+use crate::code::{row_mut, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode};
 use peerstripe_sim::DetRng;
 
 /// Configuration and implementation of the online code.
@@ -211,14 +209,10 @@ impl ErasureCode for OnlineCode {
         out
     }
 
-    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError> {
+    fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
         let composite_count = self.n + self.aux_blocks();
-        let block_size = if chunk_len == 0 {
-            0
-        } else {
-            chunk_len.div_ceil(self.n)
-        };
-        if blocks.is_empty() && chunk_len > 0 {
+        let block_size = out.len().div_ceil(self.n);
+        if blocks.is_empty() && !out.is_empty() {
             return Err(DecodeError::NotEnoughBlocks {
                 have: 0,
                 need: self.min_decode_blocks(),
@@ -234,16 +228,15 @@ impl ErasureCode for OnlineCode {
             value: Vec<u8>,
         }
         let mut constraints: Vec<Constraint> = Vec::with_capacity(blocks.len() + self.aux_blocks());
-        for b in blocks {
-            let idx = b.index as usize;
-            if idx >= self.check_blocks {
-                return Err(DecodeError::CorruptBlock { index: b.index });
+        for &(index, data) in blocks {
+            if index as usize >= self.check_blocks || data.len() != block_size {
+                return Err(DecodeError::CorruptBlock { index });
             }
-            let mut value = b.data.clone();
-            value.resize(block_size, 0);
+            // The peeling pass XORs into every constraint's value, so each
+            // received block is copied once into decoder-owned state.
             constraints.push(Constraint {
-                unknowns: self.check_neighbours(idx),
-                value,
+                unknowns: self.check_neighbours(index as usize),
+                value: data.to_vec(),
             });
         }
         for a in 0..self.aux_blocks() {
@@ -374,12 +367,11 @@ impl ErasureCode for OnlineCode {
             }
             return Err(DecodeError::Unrecoverable { missing });
         }
-        let sources: Vec<Vec<u8>> = solved
-            .into_iter()
-            .take(self.n)
-            .map(|s| s.expect("checked")) // lint:allow(panic) -- first n slots verified solved before this loop
-            .collect();
-        Ok(join_blocks(&sources, chunk_len))
+        for (i, src) in solved.iter().take(self.n).flatten().enumerate() {
+            let dst = row_mut(out, i, block_size);
+            dst.copy_from_slice(&src[..dst.len()]);
+        }
+        Ok(())
     }
 }
 

@@ -30,7 +30,9 @@
 //! with **zero** thread spawns.  The streaming stage form of the same split
 //! lives in [`crate::pipeline`].
 
-use crate::code::{join_blocks, split_into_blocks, DecodeError, EncodedBlock, ErasureCode};
+use crate::code::{
+    index_blocks, row_mut, split_into_blocks, DecodeError, EncodedBlock, ErasureCode,
+};
 use crate::gf256::{self, Gf256Kernel, PreparedCoeff};
 use crate::matrix::GfMatrix;
 use crate::pipeline;
@@ -136,34 +138,6 @@ impl ReedSolomonCode {
             .chain(parity)
             .enumerate()
             .map(|(i, b)| EncodedBlock::new(i as u32, b))
-            .collect()
-    }
-
-    /// Re-encode exactly the rows in `rows` (ascending, deduplicated by the
-    /// caller) from a decoded chunk: source rows are sliced straight out of the
-    /// chunk, parity rows run only their own coefficient row — so repairing one
-    /// lost block costs one row of GF multiply-adds, not a full encode.
-    fn reencode_rows(&self, chunk: &[u8], rows: &[u32]) -> Vec<EncodedBlock> {
-        let (sources, block_size) = split_into_blocks(chunk, self.data);
-        rows.iter()
-            .filter(|&&r| (r as usize) < self.data + self.parity)
-            .map(|&r| {
-                let data = if (r as usize) < self.data {
-                    sources[r as usize].clone()
-                } else {
-                    let mut out = vec![0u8; block_size];
-                    for (j, src) in sources.iter().enumerate() {
-                        gf256::mul_add_slice_with(
-                            self.kernel,
-                            self.coef.get(r as usize - self.data, j),
-                            src,
-                            &mut out,
-                        );
-                    }
-                    out
-                };
-                EncodedBlock::new(r, data)
-            })
             .collect()
     }
 
@@ -308,66 +282,74 @@ impl ErasureCode for ReedSolomonCode {
         }
     }
 
-    /// Partial re-encode: decode once, then compute only the requested rows.
-    fn reencode(
-        &self,
-        available: &[EncodedBlock],
-        chunk_len: usize,
-        missing: &[u32],
-    ) -> Result<Vec<EncodedBlock>, DecodeError> {
-        let chunk = self.decode(available, chunk_len)?;
-        let mut wanted: Vec<u32> = missing.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        Ok(self.reencode_rows(&chunk, &wanted))
+    /// Source rows are sliced straight out of the chunk and parity rows run
+    /// only their own coefficient row — so repairing one lost block costs one
+    /// row of GF multiply-adds, not a full encode.
+    fn encode_rows(&self, chunk: &[u8], rows: &[u32]) -> Vec<EncodedBlock> {
+        let block_size = chunk.len().div_ceil(self.data);
+        // Source row `j` as stored in the chunk: short (or empty) where the
+        // encoder would zero-pad, and zeros contribute nothing to a parity row.
+        let source = |j: usize| {
+            let start = (j * block_size).min(chunk.len());
+            &chunk[start..((j + 1) * block_size).min(chunk.len())]
+        };
+        rows.iter()
+            .map(|&r| r as usize)
+            .filter(|&r| r < self.data + self.parity)
+            .map(|r| {
+                let mut out = vec![0u8; block_size];
+                if r < self.data {
+                    let src = source(r);
+                    out[..src.len()].copy_from_slice(src);
+                } else {
+                    for j in 0..self.data {
+                        let src = source(j);
+                        let coeff = self.coef.get(r - self.data, j);
+                        gf256::mul_add_slice_with(self.kernel, coeff, src, &mut out[..src.len()]);
+                    }
+                }
+                EncodedBlock::new(r as u32, out)
+            })
+            .collect()
     }
 
-    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError> {
-        if chunk_len == 0 {
-            return Ok(Vec::new());
+    fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
+        if out.is_empty() {
+            return Ok(());
         }
         let total = self.data + self.parity;
-        let block_size = chunk_len.div_ceil(self.data);
-        // First-seen payload per encoded-block index.
-        let mut have: Vec<Option<&EncodedBlock>> = vec![None; total];
-        let mut distinct = 0usize;
-        for b in blocks {
-            let idx = b.index as usize;
-            if idx >= total {
-                return Err(DecodeError::CorruptBlock { index: b.index });
-            }
-            if have[idx].is_none() {
-                have[idx] = Some(b);
-                distinct += 1;
-            }
-        }
+        let block_size = out.len().div_ceil(self.data);
+        let have = index_blocks(blocks, total, block_size)?;
+        let distinct = have.iter().flatten().count();
         if distinct < self.data {
             return Err(DecodeError::NotEnoughBlocks {
                 have: distinct,
                 need: self.data,
             });
         }
-        let normalise = |b: &EncodedBlock| {
-            let mut v = b.data.clone();
-            v.resize(block_size, 0);
-            v
-        };
-        // Fast path: all source blocks survived — the code is systematic.
-        if have[..self.data].iter().all(Option::is_some) {
-            let sources: Vec<Vec<u8>> = have[..self.data]
-                .iter()
-                .map(|b| normalise(b.expect("checked"))) // lint:allow(panic) -- all data rows verified Some on the branch condition
-                .collect();
-            return Ok(join_blocks(&sources, chunk_len));
+        // The code is systematic: surviving source rows are the chunk's own
+        // bytes, copied into place with no field arithmetic.
+        for (j, src) in have.iter().take(self.data).enumerate() {
+            if let Some(src) = src {
+                let dst = row_mut(out, j, block_size);
+                dst.copy_from_slice(&src[..dst.len()]);
+            }
+        }
+        let lost: Vec<usize> = (0..self.data).filter(|&j| have[j].is_none()).collect();
+        if lost.is_empty() {
+            return Ok(());
         }
         // Pick `data` surviving rows — source rows first (identity rows keep
         // the decode matrix sparse), then parity rows to fill up.
-        let mut chosen: Vec<usize> = (0..self.data).filter(|&i| have[i].is_some()).collect();
-        chosen.extend((self.data..total).filter(|&i| have[i].is_some()));
-        chosen.truncate(self.data);
+        let chosen: Vec<(usize, &[u8])> = have
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, b)| b.map(|b| (idx, b)))
+            .take(self.data)
+            .collect();
         // Decode matrix: the chosen rows of the systematic encode matrix.
         let mut dec = GfMatrix::zero(self.data, self.data);
-        for (r, &idx) in chosen.iter().enumerate() {
+        for (r, &(idx, _)) in chosen.iter().enumerate() {
             if idx < self.data {
                 dec.set(r, idx, 1);
             } else {
@@ -379,26 +361,19 @@ impl ErasureCode for ReedSolomonCode {
         let Some(inv) = dec.invert() else {
             // Mathematically unreachable for a Vandermonde-derived code; kept
             // as a defensive error rather than a panic on corrupted input.
-            let missing = (0..self.data).filter(|&i| have[i].is_none()).count();
-            return Err(DecodeError::Unrecoverable { missing });
+            return Err(DecodeError::Unrecoverable {
+                missing: lost.len(),
+            });
         };
-        let received: Vec<Vec<u8>> = chosen
-            .iter()
-            .map(|&idx| normalise(have[idx].expect("chosen rows exist"))) // lint:allow(panic) -- chosen only collects indices with have[idx].is_some()
-            .collect();
-        let mut sources: Vec<Vec<u8>> = Vec::with_capacity(self.data);
-        for (j, surviving) in have.iter().enumerate().take(self.data) {
-            if let Some(b) = surviving {
-                sources.push(normalise(b));
-                continue;
+        for j in lost {
+            let dst = row_mut(out, j, block_size);
+            dst.fill(0);
+            for (i, (_, received)) in chosen.iter().enumerate() {
+                let src = &received[..dst.len()];
+                gf256::mul_add_slice_with(self.kernel, inv.get(j, i), src, dst);
             }
-            let mut out = vec![0u8; block_size];
-            for (i, rec) in received.iter().enumerate() {
-                gf256::mul_add_slice_with(self.kernel, inv.get(j, i), rec, &mut out);
-            }
-            sources.push(out);
         }
-        Ok(join_blocks(&sources, chunk_len))
+        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@
 //! blocks plus one parity block, a 50 % storage overhead (Table 2).
 
 use crate::code::{
-    join_blocks, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode,
+    index_blocks, row_mut, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode,
 };
 
 /// Parity-check erasure code over groups of `group` source blocks.
@@ -101,64 +101,47 @@ impl ErasureCode for XorCode {
         out
     }
 
-    fn decode(&self, blocks: &[EncodedBlock], chunk_len: usize) -> Result<Vec<u8>, DecodeError> {
-        let total = self.encoded_blocks();
-        // Group the available blocks.
-        let mut by_index: Vec<Option<&EncodedBlock>> = vec![None; total];
-        for b in blocks {
-            let idx = b.index as usize;
-            if idx >= total {
-                return Err(DecodeError::CorruptBlock { index: b.index });
-            }
-            by_index[idx] = Some(b);
-        }
-        let block_size = blocks.first().map(|b| b.len()).unwrap_or(0);
-        let mut sources: Vec<Option<Vec<u8>>> = vec![None; self.source];
-        for (idx, b) in by_index.iter().enumerate().take(self.source) {
-            if let Some(b) = b {
-                sources[idx] = Some(b.data.clone());
-            }
-        }
-        // Recover missing source blocks group by group using the parity block.
+    fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
+        let block_size = out.len().div_ceil(self.source);
+        let have = index_blocks(blocks, self.encoded_blocks(), block_size)?;
+        let distinct = have.iter().flatten().count();
+        // Copy surviving source blocks into place and rebuild each group's
+        // single missing one from the group's parity block.
         let mut missing_total = 0usize;
         for g in 0..self.groups() {
             let range = g * self.group..(g + 1) * self.group;
-            let missing: Vec<usize> = range.clone().filter(|i| sources[*i].is_none()).collect();
-            match missing.len() {
-                0 => {}
-                1 => {
-                    let parity_idx = self.source + g;
-                    let Some(parity) = by_index[parity_idx] else {
-                        missing_total += 1;
-                        continue;
-                    };
-                    let mut rec = parity.data.clone();
-                    rec.resize(block_size, 0);
-                    for i in range {
-                        if i != missing[0] {
-                            if let Some(src) = &sources[i] {
-                                xor_into(&mut rec, src);
-                            }
-                        }
-                    }
-                    sources[missing[0]] = Some(rec);
+            for i in range.clone() {
+                if let Some(src) = have[i] {
+                    let dst = row_mut(out, i, block_size);
+                    dst.copy_from_slice(&src[..dst.len()]);
                 }
-                k => missing_total += k,
+            }
+            let lost: Vec<usize> = range.clone().filter(|&i| have[i].is_none()).collect();
+            let parity = have.get(self.source + g).copied().flatten();
+            match (lost.as_slice(), parity) {
+                ([], _) => {}
+                (&[lost], Some(parity)) => {
+                    let dst = row_mut(out, lost, block_size);
+                    dst.copy_from_slice(&parity[..dst.len()]);
+                    for src in range.filter_map(|i| have[i]) {
+                        xor_into(dst, &src[..dst.len()]);
+                    }
+                }
+                (lost, _) => missing_total += lost.len(),
             }
         }
-        if missing_total > 0 {
-            if blocks.len() < self.min_decode_blocks() {
-                return Err(DecodeError::NotEnoughBlocks {
-                    have: blocks.len(),
-                    need: self.min_decode_blocks(),
-                });
-            }
-            return Err(DecodeError::Unrecoverable {
+        if missing_total == 0 {
+            Ok(())
+        } else if distinct < self.min_decode_blocks() {
+            Err(DecodeError::NotEnoughBlocks {
+                have: distinct,
+                need: self.min_decode_blocks(),
+            })
+        } else {
+            Err(DecodeError::Unrecoverable {
                 missing: missing_total,
-            });
+            })
         }
-        let data: Vec<Vec<u8>> = sources.into_iter().map(|s| s.expect("recovered")).collect(); // lint:allow(panic) -- recovery loop above fills every missing source slot
-        Ok(join_blocks(&data, chunk_len))
     }
 }
 

@@ -20,8 +20,8 @@
 
 use crate::scale::Scale;
 use peerstripe_erasure::{
-    measure_code, CodeCost, ErasureCode, Gf256Kernel, NullCode, OnlineCode, ReedSolomonCode,
-    XorCode,
+    measure_code, CodeCost, EncodedBlock, ErasureCode, Gf256Kernel, NullCode, OnlineCode,
+    ReedSolomonCode, XorCode,
 };
 use peerstripe_sim::{ByteSize, DetRng};
 use std::time::Instant;
@@ -297,8 +297,11 @@ pub fn run_rs_sweep(config: &RsSweepConfig) -> RsSweep {
 /// `scalar` kernel (serial), the `nibble64` kernel (serial and parallel), and
 /// the streaming stripe pipeline, require all four block sets byte-identical,
 /// then decode exactly-minimal random subsets under *both* kernels and
-/// require 100 % recovery.  `Ok` carries a human-readable summary; `Err`
-/// names the first failing point.
+/// require 100 % recovery.  Every decode runs twice — the owning
+/// [`ErasureCode::decode`] and the borrowed [`ErasureCode::decode_into`] over
+/// a dirty buffer — and the two must agree; the same holds for the Null, XOR
+/// and online codecs at every chunk size.  `Ok` carries a human-readable
+/// summary; `Err` names the first failing point.
 pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
     let config = RsSweepConfig::at_scale(scale, seed);
     let mut rng = DetRng::new(seed ^ 0x5eed_c0de);
@@ -333,6 +336,8 @@ pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
                     .collect();
                 for code in [&scalar_code, &fast_code] {
                     let kernel = code.kernel();
+                    decode_into_agrees(code, &subset, chunk.len())
+                        .map_err(|e| format!("{label}: {kernel} trial {trial}: {e}"))?;
                     match code.decode(&subset, chunk.len()) {
                         Ok(decoded) if decoded == chunk => decodes += 1,
                         Ok(_) => {
@@ -351,11 +356,50 @@ pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
             points += 1;
         }
     }
+    // The other codecs, each with one random block lost (the Null code
+    // tolerates none): the borrowed decode must agree with the owning one
+    // whatever the answer is.
+    for &chunk_size in &config.chunk_sizes {
+        let chunk: Vec<u8> = (0..chunk_size.as_u64())
+            .map(|_| rng.next_u32() as u8)
+            .collect();
+        let codecs: [Box<dyn ErasureCode>; 3] = [
+            Box::new(NullCode::new(16)),
+            Box::new(XorCode::new(2, 16)),
+            Box::new(OnlineCode::with_overhead(64, 0.01, 3, 1.25)),
+        ];
+        for code in &codecs {
+            let mut blocks = code.encode(&chunk);
+            if code.tolerable_losses() > 0 {
+                blocks.swap_remove(rng.index(blocks.len()));
+            }
+            decode_into_agrees(code.as_ref(), &blocks, chunk.len())
+                .map_err(|e| format!("{} @ {chunk_size}: {e}", code.name()))?;
+        }
+    }
     Ok(format!(
         "rs-check ok: {points} points × 4 encode paths byte-identical, \
-         {decodes} minimal-subset decodes recovered (scalar + nibble64, lane {})",
+         {decodes} minimal-subset decodes recovered (scalar + nibble64, lane {}), \
+         decode_into == decode for every codec",
         Gf256Kernel::Nibble64.lane_label()
     ))
+}
+
+/// `decode_into` over a buffer full of stale bytes must give exactly what
+/// `decode` gives: the same chunk or the same error.
+fn decode_into_agrees(
+    code: &dyn ErasureCode,
+    blocks: &[EncodedBlock],
+    chunk_len: usize,
+) -> Result<(), String> {
+    let views: Vec<_> = blocks.iter().map(EncodedBlock::view).collect();
+    let mut dirty = vec![0xA5u8; chunk_len];
+    let borrowed = code.decode_into(&views, &mut dirty).map(|()| dirty);
+    if borrowed == code.decode(blocks, chunk_len) {
+        Ok(())
+    } else {
+        Err("decode_into disagrees with decode".to_string())
+    }
 }
 
 #[cfg(test)]

@@ -518,7 +518,7 @@ mod tests {
         .unwrap();
         let fetched = gw.fetch_block(node, &name).unwrap();
         assert_eq!(fetched.size, ByteSize::mb(1));
-        assert_eq!(fetched.payload.as_deref(), Some(&[1u8, 2, 3][..]));
+        assert_eq!(fetched.payload.as_deref(), Some(&vec![1u8, 2, 3]));
         gw.rollback_block(node, &name, ByteSize::mb(1));
         assert!(gw.fetch_block(node, &name).is_none());
         for n in nodes {

@@ -13,6 +13,7 @@ use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// The wire operations a node instruments, as metric label values.
 /// `get_stats` is deliberately absent: a stats scrape must not perturb the
@@ -283,7 +284,7 @@ impl NodeService {
                 StoredObject {
                     name,
                     size,
-                    payload,
+                    payload: payload.map(Arc::new),
                 },
             ) {
                 Ok(()) => Response::Stored,
@@ -308,7 +309,7 @@ impl NodeService {
                     .map(|(_, obj)| RepairBlock {
                         name: obj.name.clone(),
                         size: obj.size,
-                        payload: obj.payload.clone(),
+                        payload: obj.payload.as_deref().cloned(),
                     })
                     .collect();
                 Response::RepairBlocks { blocks }
@@ -364,7 +365,7 @@ mod tests {
         assert_eq!(
             svc.handle(Request::FetchBlock { name: name.clone() }),
             Response::Block {
-                block: Some((ByteSize::mb(2), Some(vec![5, 6])))
+                block: Some((ByteSize::mb(2), Some(Arc::new(vec![5, 6]))))
             }
         );
         assert_eq!(

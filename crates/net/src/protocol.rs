@@ -28,6 +28,7 @@ use peerstripe_telemetry::RegistryExport;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// First two header bytes of every frame: `"PS"` little-endian.
 pub const MAGIC: u16 = 0x5053;
@@ -305,8 +306,10 @@ pub enum Response {
     /// Reply to [`Request::FetchBlock`]; `None` when the node does not hold
     /// the object.
     Block {
-        /// The found block's size and payload.
-        block: Option<(ByteSize, Option<Vec<u8>>)>,
+        /// The found block's size and payload.  The payload is shared with
+        /// the node's store, so a reply is written from the stored bytes
+        /// without copying them first.
+        block: Option<(ByteSize, Option<Arc<Vec<u8>>>)>,
     },
     /// Reply to [`Request::RepairRead`]: every matching block on the node.
     RepairBlocks {
@@ -456,17 +459,29 @@ fn write_frame(w: &mut impl Write, kind: u8, meta: &str, payload: &[u8]) -> Resu
     if meta_len + payload_len > MAX_FRAME {
         return Err(WireError::Oversized(meta_len + payload_len));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-    header[2] = VERSION;
-    header[3] = kind;
-    header[4..8].copy_from_slice(&(meta_len as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(meta.as_bytes())?;
+    // Header and meta leave in one write: on a no-delay socket every write
+    // is a segment, and most frames have no payload at all.
+    let mut head = Vec::with_capacity(HEADER_LEN + meta.len());
+    head.extend_from_slice(&MAGIC.to_le_bytes());
+    head.extend_from_slice(&[VERSION, kind]);
+    head.extend_from_slice(&(meta_len as u32).to_le_bytes());
+    head.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    head.extend_from_slice(meta.as_bytes());
+    w.write_all(&head)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// Read exactly `len` body bytes into a fresh buffer.  The bytes land in the
+/// buffer's spare capacity, which is never zeroed first; a stream that ends
+/// early is [`WireError::Truncated`], never a short buffer.
+fn read_section(r: &mut impl Read, len: u64) -> Result<Vec<u8>, WireError> {
+    let mut buf = Vec::with_capacity(len as usize);
+    if r.take(len).read_to_end(&mut buf)? as u64 != len {
+        return Err(WireError::Truncated);
+    }
+    Ok(buf)
 }
 
 /// Read one raw frame: validated header, then `(kind, meta, payload)`.
@@ -486,12 +501,9 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, String, Vec<u8>), WireError> {
     if meta_len + payload_len > MAX_FRAME {
         return Err(WireError::Oversized(meta_len + payload_len));
     }
-    let mut meta_bytes = vec![0u8; meta_len as usize];
-    r.read_exact(&mut meta_bytes)?;
-    let meta = String::from_utf8(meta_bytes)
+    let meta = String::from_utf8(read_section(r, meta_len)?)
         .map_err(|_| WireError::Body("meta section is not UTF-8".to_string()))?;
-    let mut payload = vec![0u8; payload_len as usize];
-    r.read_exact(&mut payload)?;
+    let payload = read_section(r, payload_len)?;
     Ok((kind, meta, payload))
 }
 
@@ -627,7 +639,7 @@ pub fn write_response_traced(
         Response::Stored => write_frame(w, kind::STORED, &render_meta(None, rid)?, &[]),
         Response::Block { block } => {
             let (found, size, payload) = match block {
-                Some((size, payload)) => (true, *size, payload.as_deref()),
+                Some((size, payload)) => (true, *size, payload.as_ref().map(|p| p.as_slice())),
                 None => (false, ByteSize::ZERO, None),
             };
             let meta = render_meta(
@@ -707,7 +719,7 @@ fn read_response_body(
             Ok(Response::Block {
                 block: m
                     .found
-                    .then_some((m.size, m.has_payload.then_some(payload))),
+                    .then_some((m.size, m.has_payload.then(|| Arc::new(payload)))),
             })
         }
         kind::REPAIR_BLOCKS => {
@@ -951,7 +963,7 @@ mod tests {
             Response::Stored,
             Response::Block { block: None },
             Response::Block {
-                block: Some((ByteSize::mb(1), Some(vec![9, 8, 7]))),
+                block: Some((ByteSize::mb(1), Some(Arc::new(vec![9, 8, 7])))),
             },
             Response::Block {
                 block: Some((ByteSize::mb(1), None)),

@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(
             call(&mut conn, &Request::FetchBlock { name }).unwrap(),
             Response::Block {
-                block: Some((ByteSize::mb(1), Some(vec![42; 16])))
+                block: Some((ByteSize::mb(1), Some(Arc::new(vec![42; 16]))))
             }
         );
         node.stop().unwrap();

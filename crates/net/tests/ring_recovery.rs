@@ -6,7 +6,7 @@
 //! stack over the TCP gateway, kills one daemon with a real signal, reads
 //! the file back degraded, runs the repair path, and reads it again.
 
-use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
+use peerstripe_core::{ChunkPlacement, CodingPolicy, FileManifest, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{GatewayConfig, LocalRing, RingGateway};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::ClusterView;
@@ -40,6 +40,12 @@ fn test_bytes(len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
+/// The size of every placed block, chunk by chunk, in manifest order.
+fn block_sizes(manifest: &FileManifest) -> Vec<Vec<ByteSize>> {
+    let sizes = |c: &ChunkPlacement| c.blocks.iter().map(|b| b.size).collect();
+    manifest.chunks.iter().map(sizes).collect()
+}
+
 #[test]
 fn file_survives_a_real_node_kill_via_degraded_read_and_repair() {
     let mut ring = spawn_ring();
@@ -49,18 +55,17 @@ fn file_survives_a_real_node_kill_via_degraded_read_and_repair() {
     assert!(client.store_data(FILE, &data).is_stored());
     assert_eq!(client.retrieve_data(FILE).as_deref(), Some(&data[..]));
 
-    // Kill a daemon that actually holds blocks of the file (overlay-random
-    // placement need not touch every node). The gateway still routes to it
-    // until the failure is declared.
+    // Kill a daemon that holds two blocks of one chunk (overlay-random
+    // placement on eight nodes collocates some) and no more of any chunk than
+    // the code tolerates losing: repair must then rebuild two placements of
+    // one chunk.  The gateway still routes to it until the failure is
+    // declared.
     let manifest = client.manifest(FILE).expect("manifests are tracked");
+    let held = |n: NodeRef| manifest.chunks.iter().map(move |c| c.blocks_on(n).count());
     let victim: NodeRef = (0..NODES)
-        .find(|&n| {
-            manifest
-                .chunks
-                .iter()
-                .any(|c| c.blocks_on(n).next().is_some())
-        })
-        .expect("at least one node holds a block");
+        .find(|&n| held(n).any(|h| h == 2) && held(n).all(|h| h <= 3))
+        .expect("some node holds two blocks of a chunk");
+    let sizes_before = block_sizes(manifest);
     ring.kill(victim).expect("killing the victim daemon");
     assert!(!ring.is_running(victim));
 
@@ -88,6 +93,12 @@ fn file_survives_a_real_node_kill_via_degraded_read_and_repair() {
     // Post-repair the file reads back whole, and availability agrees.
     assert_eq!(client.retrieve_data(FILE).as_deref(), Some(&data[..]));
     assert!(client.is_file_available(FILE));
+
+    // Every replacement took its lost block's place and is one block's
+    // worth: no empty object, none carrying two placements' codec blocks.
+    let manifest = client.manifest(FILE).expect("manifests are tracked");
+    assert!(manifest.all_blocks().all(|b| b.node != victim));
+    assert_eq!(block_sizes(manifest), sizes_before);
 
     // The gateway's telemetry saw the whole story: store/fetch RPCs plus the
     // errors from talking to the killed daemon.

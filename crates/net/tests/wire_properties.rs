@@ -16,6 +16,7 @@ use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::MetricsRegistry;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Encode a request to bytes.
 fn encode_request(req: &Request) -> Vec<u8> {
@@ -68,7 +69,7 @@ proptest! {
             block: match shape {
                 0 => None,
                 1 => Some((ByteSize::bytes(size), None)),
-                _ => Some((ByteSize::bytes(size), Some(payload))),
+                _ => Some((ByteSize::bytes(size), Some(Arc::new(payload)))),
             },
         };
         let bytes = encode_response(&resp);
@@ -116,6 +117,31 @@ proptest! {
         let cut = (cut_seed as usize) % (bytes.len() - 1) + 1; // 1..len
         let err = read_request(&mut bytes[..cut].to_vec().as_slice()).unwrap_err();
         prop_assert!(err.is_transport(), "cut at {} gave {:?}", cut, err);
+    }
+
+    /// A frame that delivers fewer payload bytes than its header declares is
+    /// `Truncated` — the un-zeroed read never hands back a short or padded
+    /// payload — for requests and responses alike, wherever the cut falls.
+    #[test]
+    fn short_payloads_are_truncated_not_padded(
+        payload in proptest::collection::vec(any::<u8>(), 1..2048),
+        missing_seed in any::<u64>(),
+    ) {
+        let missing = (missing_seed as usize) % payload.len() + 1; // 1..=len
+        let name = ObjectName::block("t", 0, 0);
+        let req = encode_request(&Request::StoreBlock {
+            key: name.key(),
+            name,
+            size: ByteSize::kb(1),
+            payload: Some(payload.clone()),
+        });
+        let err = read_request(&mut &req[..req.len() - missing]).unwrap_err();
+        prop_assert!(matches!(err, WireError::Truncated), "request: {:?}", err);
+        let resp = encode_response(&Response::Block {
+            block: Some((ByteSize::kb(1), Some(Arc::new(payload)))),
+        });
+        let err = read_response(&mut &resp[..resp.len() - missing]).unwrap_err();
+        prop_assert!(matches!(err, WireError::Truncated), "response: {:?}", err);
     }
 
     /// A header whose combined length fields exceed MAX_FRAME is rejected

@@ -56,7 +56,7 @@ impl RegenerationExecutor {
         for placement in &chunk.blocks {
             if let Some(object) = backend.fetch_block(placement.node, &placement.name) {
                 if let Some(payload) = &object.payload {
-                    blocks.extend(unpack_payload(payload));
+                    blocks.extend(unpack_payload(payload).into_iter().map(EncodedBlock::from));
                 }
             }
         }
@@ -251,7 +251,7 @@ mod tests {
                 .expect("blocks were missing");
             // The rebuilt payload plus the survivors decode the chunk exactly.
             let mut blocks = executor.surviving_blocks(ps.cluster(), &chunk);
-            blocks.extend(unpack_payload(&payload));
+            blocks.extend(unpack_payload(&payload).into_iter().map(EncodedBlock::from));
             let decoded = executor
                 .codec()
                 .decode(&blocks, chunk.size.as_u64() as usize)

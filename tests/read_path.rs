@@ -1,0 +1,309 @@
+//! The byte read path, judged from outside the client: a backend wrapper
+//! that counts `fetch_block` calls and can make chosen blocks unreadable
+//! shows how many blocks a read pulls, that every loss pattern a policy
+//! tolerates still reads back the stored bytes (and one more loss reads
+//! nothing, never wrong bytes), and that repair hands each replacement
+//! exactly the lost placement's codec blocks, in its place.
+
+use peerstripe::core::client::unpack_payload;
+use peerstripe::core::{
+    ClusterConfig, ClusterStoreError, CodingPolicy, FetchedBlock, ObjectName, PeerStripe,
+    PeerStripeConfig, StorageBackend, StorageCluster,
+};
+use peerstripe::overlay::{Id, NodeRef};
+use peerstripe::placement::{ClusterView, ProbeView};
+use peerstripe::sim::{ByteSize, DetRng};
+use peerstripe::trace::CapacityModel;
+use proptest::prelude::*;
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
+/// The simulator behind a wrapper that counts `fetch_block` calls and
+/// answers `None` for every block whose key is in `lost`.
+struct Probe {
+    inner: StorageCluster,
+    fetches: Cell<usize>,
+    lost: BTreeSet<Id>,
+}
+
+impl ClusterView for Probe {
+    fn route_quiet(&self, key: Id) -> Option<NodeRef> {
+        self.inner.route_quiet(key)
+    }
+    fn is_alive(&self, node: NodeRef) -> bool {
+        self.inner.is_alive(node)
+    }
+    fn can_store(&self, node: NodeRef, size: ByteSize) -> bool {
+        self.inner.can_store(node, size)
+    }
+    fn report_of(&self, node: NodeRef) -> ByteSize {
+        self.inner.report_of(node)
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn alive_nodes(&self) -> Vec<NodeRef> {
+        self.inner.alive_nodes()
+    }
+}
+
+impl ProbeView for Probe {
+    fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)> {
+        self.inner.probe(key)
+    }
+}
+
+impl StorageBackend for Probe {
+    fn route_lookup(&mut self, key: Id) -> Option<NodeRef> {
+        self.inner.route_lookup(key)
+    }
+    fn store_block(
+        &mut self,
+        node: NodeRef,
+        key: Id,
+        name: ObjectName,
+        size: ByteSize,
+        payload: Option<Vec<u8>>,
+    ) -> Result<NodeRef, ClusterStoreError> {
+        self.inner.store_block(node, key, name, size, payload)
+    }
+    fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock> {
+        self.fetches.set(self.fetches.get() + 1);
+        if self.lost.contains(&name.key()) {
+            return None;
+        }
+        self.inner.fetch_block(node, name)
+    }
+    fn rollback_block(&mut self, node: NodeRef, name: &ObjectName, size: ByteSize) {
+        self.inner.rollback_block(node, name, size)
+    }
+    fn replica_targets(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)> {
+        self.inner.replica_targets(key, k)
+    }
+}
+
+const POLICIES: [CodingPolicy; 5] = [
+    CodingPolicy::None,
+    CodingPolicy::Xor { group: 2 },
+    CodingPolicy::Online {
+        placed: 6,
+        tolerable: 2,
+        overhead: 1.03,
+    },
+    CodingPolicy::ReedSolomon { data: 4, parity: 2 },
+    CodingPolicy::ReedSolomon { data: 5, parity: 3 },
+];
+
+/// A client over `nodes` simulated nodes that cuts files into chunks of at
+/// most 16 KiB, so modest files span several chunks.
+fn client(coding: CodingPolicy, nodes: usize, seed: u64) -> PeerStripe<Probe> {
+    let inner = ClusterConfig {
+        nodes,
+        capacity: CapacityModel::Fixed(ByteSize::mb(64)),
+        report_fraction: 1.0,
+        track_objects: true,
+    }
+    .build(&mut DetRng::new(seed));
+    let probe = Probe {
+        inner,
+        fetches: Cell::new(0),
+        lost: BTreeSet::new(),
+    };
+    let config = PeerStripeConfig {
+        coding,
+        max_chunk_size: Some(ByteSize::kb(16)),
+        ..PeerStripeConfig::default()
+    };
+    PeerStripe::new(probe, config)
+}
+
+fn seeded(len: usize, seed: u64) -> Vec<u8> {
+    let mut rng = DetRng::new(seed);
+    (0..len).map(|_| rng.next_u32() as u8).collect()
+}
+
+/// Make exactly the placed blocks at `positions` of every chunk unreadable.
+fn lose_positions(ps: &mut PeerStripe<Probe>, file: &str, positions: &[usize]) {
+    let lost: BTreeSet<Id> = ps
+        .manifest(file)
+        .expect("stored")
+        .chunks
+        .iter()
+        .flat_map(|c| positions.iter().filter_map(|&p| c.blocks.get(p)))
+        .map(|b| b.name.key())
+        .collect();
+    ps.backend_mut().lost = lost;
+}
+
+/// `fetch_block` calls one full read of `file` issues.
+fn fetches_of_read(ps: &PeerStripe<Probe>, file: &str, want: &[u8]) -> usize {
+    let before = ps.backend().fetches.get();
+    assert_eq!(ps.retrieve_data(file).as_deref(), Some(want));
+    ps.backend().fetches.get() - before
+}
+
+/// Every subset of `0..n` with exactly `k` members.
+fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+    (0u32..1 << n)
+        .filter(|mask| mask.count_ones() as usize == k)
+        .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+        .collect()
+}
+
+proptest! {
+    // Each case walks every loss pattern of every policy on a stored file.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// For arbitrary file lengths, every loss pattern a policy tolerates
+    /// reads back the stored bytes — whole and over an unaligned range — and
+    /// every pattern one loss beyond that reads nothing rather than anything
+    /// wrong.  The online code's recovery is probabilistic (at the byte
+    /// path's 16 source blocks, weakly so): under loss it may read nothing,
+    /// but what it reads must still be right.
+    #[test]
+    fn reads_survive_exactly_the_losses_the_policy_tolerates(
+        len in 1usize..40_000,
+        offset_frac in 0.0f64..1.0,
+        range_len in 1u64..30_000,
+        seed in any::<u64>(),
+    ) {
+        let data = seeded(len, seed);
+        let offset = (offset_frac * len as f64) as usize;
+        let range_end = (offset + range_len as usize).min(len);
+        for coding in POLICIES {
+            let mut ps = client(coding, 24, 77);
+            prop_assert!(ps.store_data("f", &data).is_stored());
+            let placed = coding.placed_blocks();
+            for losses in 0..=coding.tolerable_losses() {
+                let certain = losses == 0 || !matches!(coding, CodingPolicy::Online { .. });
+                for pattern in subsets(placed, losses) {
+                    lose_positions(&mut ps, "f", &pattern);
+                    let whole = ps.retrieve_data("f");
+                    let range = ps.retrieve_range_data("f", offset as u64, range_len);
+                    prop_assert!(
+                        whole.as_deref() == Some(&data[..]) || (!certain && whole.is_none()),
+                        "{} lost {:?}", coding.label(), &pattern
+                    );
+                    prop_assert!(
+                        range.as_deref() == Some(&data[offset..range_end])
+                            || (!certain && range.is_none()),
+                        "{} lost {:?}, range {}+{}", coding.label(), &pattern, offset, range_len
+                    );
+                }
+            }
+            for pattern in subsets(placed, coding.tolerable_losses() + 1) {
+                lose_positions(&mut ps, "f", &pattern);
+                prop_assert_eq!(
+                    ps.retrieve_data("f"), None,
+                    "{} lost {:?}", coding.label(), &pattern
+                );
+                prop_assert_eq!(ps.retrieve_range_data("f", offset as u64, range_len), None);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_healthy_read_fetches_only_the_blocks_a_chunk_needs() {
+    let data = seeded(50_000, 1);
+    for coding in POLICIES {
+        let mut ps = client(coding, 24, 78);
+        assert!(ps.store_data("f", &data).is_stored());
+        let chunks = ps.manifest("f").unwrap().chunks.len();
+        assert!(chunks >= 3, "several chunks");
+        let healthy = fetches_of_read(&ps, "f", &data);
+        if matches!(coding, CodingPolicy::Online { .. }) {
+            // Probabilistic: the first `min_blocks_needed` blocks may not
+            // decode, and then the read goes on to the rest.
+            assert!(healthy >= chunks * coding.min_blocks_needed());
+            assert!(healthy <= chunks * coding.placed_blocks());
+            continue;
+        }
+        assert_eq!(
+            healthy,
+            chunks * coding.min_blocks_needed(),
+            "{}: healthy read",
+            coding.label()
+        );
+        // With dead holders inside the tolerance a read may go on to the
+        // remaining blocks, but never asks for a block twice.
+        for losses in 1..=coding.tolerable_losses() {
+            for pattern in subsets(coding.placed_blocks(), losses) {
+                lose_positions(&mut ps, "f", &pattern);
+                let fetches = fetches_of_read(&ps, "f", &data);
+                assert!(
+                    fetches <= chunks * coding.placed_blocks(),
+                    "{}: {fetches} fetches with {pattern:?} lost",
+                    coding.label()
+                );
+            }
+        }
+    }
+}
+
+/// The codec-block indices stored under `name` on `node`.
+fn stored_rows(ps: &PeerStripe<Probe>, node: NodeRef, name: &ObjectName) -> Vec<u32> {
+    let object = ps.backend().inner.fetch_from(node, name).expect("stored");
+    let payload = object.payload.as_ref().expect("byte path");
+    unpack_payload(payload).iter().map(|&(i, _)| i).collect()
+}
+
+#[test]
+fn repair_rebuilds_each_lost_placement_in_its_place() {
+    // RS(4, 2) on nine nodes: six blocks a chunk, and some node holds two
+    // blocks of one chunk — the case in which a repair used to pack both
+    // placements' codec blocks into one replacement and leave the other empty.
+    let coding = CodingPolicy::rs_default();
+    let mut ps = client(coding, 9, 79);
+    let data = seeded(60_000, 2);
+    assert!(ps.store_data("f", &data).is_stored());
+    let before = ps.manifest("f").unwrap().clone();
+    let held = |n: NodeRef| before.chunks.iter().map(move |c| c.blocks_on(n).count());
+    let victim = (0..9)
+        .find(|&n| held(n).any(|h| h == 2) && held(n).all(|h| h <= coding.tolerable_losses()))
+        .expect("some node holds two blocks of a chunk");
+    let rows_before: Vec<Vec<Vec<u32>>> = before
+        .chunks
+        .iter()
+        .map(|c| {
+            c.blocks
+                .iter()
+                .map(|b| stored_rows(&ps, b.node, &b.name))
+                .collect()
+        })
+        .collect();
+
+    let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
+    let lost: usize = held(victim).sum();
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!(report.blocks_regenerated as usize, lost);
+    assert_eq!(report.chunks_lost, 0);
+
+    let after = ps.manifest("f").unwrap().clone();
+    for ((was, now), rows) in before.chunks.iter().zip(&after.chunks).zip(&rows_before) {
+        assert_eq!(
+            was.blocks.len(),
+            now.blocks.len(),
+            "no block added or dropped"
+        );
+        for ((old, new), rows) in was.blocks.iter().zip(&now.blocks).zip(rows) {
+            assert_eq!(old.size, new.size, "a replacement is one block's worth");
+            assert_eq!(
+                &stored_rows(&ps, new.node, &new.name),
+                rows,
+                "same codec blocks"
+            );
+            if old.node == victim {
+                assert_ne!(new.node, victim);
+                assert_ne!(new.name, old.name, "a replacement gets a fresh name");
+            } else {
+                assert_eq!((new.node, &new.name), (old.node, &old.name));
+            }
+        }
+    }
+    // The layout order survived, so a healthy read is still a short read.
+    assert_eq!(
+        fetches_of_read(&ps, "f", &data),
+        after.chunks.len() * coding.min_blocks_needed()
+    );
+}
