@@ -1,11 +1,13 @@
-//! Benches the Reed–Solomon encode kernels: the serial `scalar` reference
-//! kernel vs the serial wide-lane `nibble64` kernel vs the column-stripe
-//! parallel path at 1–4 MB chunks (the ≥5× single-core kernel speedup at
-//! 1 MB is an acceptance gate), with the online code's encode at the same
-//! chunk sizes as the paper's point of comparison.
+//! Benches the Reed–Solomon encode into caller-owned row buffers (the
+//! `RowArena` the `rs_encode` snapshot measures through): the `scalar`
+//! reference kernel vs the wide-lane `nibble64` kernel on one thread vs
+//! `nibble64` with a column-span worker per CPU at 1–4 MB chunks (the ≥5×
+//! single-core kernel speedup at 1 MB is an acceptance gate), with the online
+//! code's encode at the same chunk sizes as the paper's point of comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use peerstripe_erasure::{ErasureCode, Gf256Kernel, OnlineCode, ReedSolomonCode};
+use peerstripe_experiments::coding::{cpus, RowArena};
 use peerstripe_sim::{ByteSize, DetRng};
 use std::time::Duration;
 
@@ -15,7 +17,7 @@ fn chunk(size: ByteSize, seed: u64) -> Vec<u8> {
 }
 
 /// RS(64, 96): 64 data + 32 parity blocks, 50 % parity work per byte — the
-/// regime where both the kernel speedup and the column-stripe split pay off.
+/// regime where both the kernel speedup and the column-span split pay off.
 fn bench_rs_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("rs_encode");
     group
@@ -26,14 +28,15 @@ fn bench_rs_kernels(c: &mut Criterion) {
     let fast = ReedSolomonCode::new(64, 32).with_kernel(Gf256Kernel::Nibble64);
     for mb in [1u64, 2, 4] {
         let data = chunk(ByteSize::mb(mb), mb);
+        let mut arena = RowArena::new(&fast, data.len());
         group.bench_function(format!("serial_scalar/{mb}MB"), |b| {
-            b.iter(|| scalar.encode_serial(&data))
+            b.iter(|| arena.encode(&scalar, &data, 1))
         });
         group.bench_function(format!("serial_nibble64/{mb}MB"), |b| {
-            b.iter(|| fast.encode_serial(&data))
+            b.iter(|| arena.encode(&fast, &data, 1))
         });
         group.bench_function(format!("parallel/{mb}MB"), |b| {
-            b.iter(|| fast.parallel_encode(&data))
+            b.iter(|| arena.encode(&fast, &data, cpus()))
         });
     }
     group.finish();

@@ -50,7 +50,10 @@ pub struct PeerStripeConfig {
     /// Whether to record per-file manifests (needed for availability/recovery
     /// experiments and for retrieval; disabled to bound memory in huge sweeps).
     pub track_manifests: bool,
-    /// Number of source blocks per chunk used by the byte-level data path codec.
+    /// Number of source blocks per chunk the byte-level data path's Null, XOR
+    /// and online codecs cut a chunk into (XOR rounds up to a multiple of its
+    /// group).  Reed–Solomon ignores it and codes at the policy's native
+    /// `(data, parity)`: one codec row per placed block.
     pub data_path_blocks: usize,
 }
 
@@ -115,6 +118,105 @@ pub struct PeerStripe<B: StorageBackend = StorageCluster> {
     metrics: StoreMetrics,
     placement: Box<dyn PlacementStrategy>,
     topology: Option<Topology>,
+    byte_path: BytePath,
+}
+
+/// Parity work (bytes of the trailing, redundancy-bearing payloads of a
+/// chunk) at and above which the store path encodes those payloads on a
+/// scoped worker while the calling thread pushes the leading ones.
+const OVERLAP_MIN_BYTES: usize = 1 << 20;
+
+/// What the byte path needs of the coding policy, built once per client.
+struct BytePath {
+    codec: Box<dyn ErasureCode>,
+    /// The codec rows each placed block carries ([`placed_block_of`]
+    /// inverted, rows ascending).
+    rows_of: Vec<Vec<u32>>,
+    /// How many leading placed blocks a healthy read needs — in a systematic
+    /// layout the chunk's own bytes; the blocks after them are its redundancy.
+    lead: usize,
+}
+
+impl BytePath {
+    fn new(config: &PeerStripeConfig) -> Self {
+        let codec = config.coding.codec(config.data_path_blocks);
+        let total = codec.encoded_blocks();
+        let mut rows_of = vec![Vec::new(); config.coding.placed_blocks()];
+        for index in 0..total {
+            if let Some(rows) = rows_of.get_mut(placed_block_of(&config.coding, total, index)) {
+                rows.push(index as u32);
+            }
+        }
+        BytePath {
+            codec,
+            lead: config.coding.min_blocks_needed().min(rows_of.len()),
+            rows_of,
+        }
+    }
+
+    /// Encode rows `rows_of[i]` of `chunk` straight into `payloads[i]`, in the
+    /// [`pack_payload`] format: each payload is allocated once at its exact
+    /// size, its `[count][index, len]` headers are written, and the codec
+    /// fills the row slots in place.
+    fn fill_payloads(&self, chunk: &[u8], rows_of: &[Vec<u32>], payloads: &mut [Vec<u8>]) {
+        let block_size = self.codec.block_size(chunk.len());
+        let mut rows: Vec<u32> = Vec::new();
+        let mut slots: Vec<&mut [u8]> = Vec::new();
+        for (block_rows, payload) in rows_of.iter().zip(payloads.iter_mut()) {
+            *payload = vec![0u8; 4 + block_rows.len() * (8 + block_size)];
+            let (count, records) = payload.split_at_mut(4);
+            count.copy_from_slice(&(block_rows.len() as u32).to_le_bytes());
+            for (&index, record) in block_rows
+                .iter()
+                .zip(records.chunks_exact_mut(8 + block_size))
+            {
+                let (header, slot) = record.split_at_mut(8);
+                header[..4].copy_from_slice(&index.to_le_bytes());
+                header[4..].copy_from_slice(&(block_size as u32).to_le_bytes());
+                rows.push(index);
+                slots.push(slot);
+            }
+        }
+        self.codec.encode_rows_into(chunk, &rows, &mut slots);
+    }
+
+    /// Encode `chunk` into one payload per placed block and hand each, in
+    /// placement order, to `push`; stops at the first refusal.
+    ///
+    /// When the trailing, redundancy-bearing payloads are `overlap_min_bytes`
+    /// or more, one scoped worker computes them while this thread fills (a
+    /// bounded copy for a systematic code) and pushes the leading blocks; the
+    /// worker is joined before the first trailing block is pushed, and also
+    /// when a leading push is refused.
+    fn encode_and_push<E>(
+        &self,
+        chunk: &[u8],
+        overlap_min_bytes: usize,
+        mut push: impl FnMut(usize, Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (lead_rows, tail_rows) = self.rows_of.split_at(self.lead);
+        let tail_bytes =
+            tail_rows.iter().map(Vec::len).sum::<usize>() * self.codec.block_size(chunk.len());
+        let mut payloads = vec![Vec::new(); self.rows_of.len()];
+        let mut push_all = |first: usize, payloads: &mut [Vec<u8>]| {
+            payloads
+                .iter_mut()
+                .enumerate()
+                .try_for_each(|(i, p)| push(first + i, std::mem::take(p)))
+        };
+        if tail_bytes == 0 || tail_bytes < overlap_min_bytes {
+            self.fill_payloads(chunk, &self.rows_of, &mut payloads);
+            return push_all(0, &mut payloads);
+        }
+        let (lead_payloads, tail_payloads) = payloads.split_at_mut(self.lead);
+        // Leaving the scope joins the worker (and re-raises its panic).
+        std::thread::scope(|s| {
+            s.spawn(|| self.fill_payloads(chunk, tail_rows, tail_payloads));
+            self.fill_payloads(chunk, lead_rows, lead_payloads);
+            push_all(0, lead_payloads)
+        })?;
+        push_all(self.lead, tail_payloads)
+    }
 }
 
 impl<B: StorageBackend> PeerStripe<B> {
@@ -136,6 +238,7 @@ impl<B: StorageBackend> PeerStripe<B> {
     ) -> Self {
         PeerStripe {
             backend,
+            byte_path: BytePath::new(&config),
             config,
             manifests: ManifestStore::new(),
             metrics: StoreMetrics::new(),
@@ -259,43 +362,53 @@ impl<B: StorageBackend> PeerStripe<B> {
         (targets, chunk_size.min(remaining))
     }
 
-    /// Place the blocks of a chunk on their probed targets.  On any refusal the
-    /// chunk is rolled back and treated as zero-sized (the capacity changed
-    /// between the probe and the store, Section 4.3).
+    /// Place the blocks of a chunk on their probed targets; on the byte path
+    /// `data` is the chunk's bytes, encoded straight into the payloads that
+    /// are pushed.  On any refusal the chunk is rolled back and treated as
+    /// zero-sized (the capacity changed between the probe and the store,
+    /// Section 4.3).
     fn place_chunk(
         &mut self,
         targets: &[(ObjectName, NodeRef)],
         chunk: u32,
         chunk_size: ByteSize,
-        payloads: Option<Vec<Vec<u8>>>,
+        data: Option<&[u8]>,
     ) -> Option<ChunkPlacement> {
         let block_size = self.config.coding.block_size(chunk_size);
         let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
-        let mut payloads = payloads.map(Vec::into_iter);
-        for (name, node) in targets {
-            let payload = payloads.as_mut().and_then(Iterator::next);
+        let (backend, topology) = (&mut self.backend, &self.topology);
+        let mut push = |position: usize, payload: Option<Vec<u8>>| -> Result<(), ()> {
+            let (name, node) = targets.get(position).ok_or(())?;
             let size = match &payload {
                 Some(p) => ByteSize::bytes(p.len() as u64),
                 None => block_size,
             };
-            match self
-                .backend
+            backend
                 .store_block(*node, name.key(), name.clone(), size, payload)
-            {
-                Ok(_) => placed.push(BlockPlacement {
-                    name: name.clone(),
-                    node: *node,
-                    size,
-                    domain: self.domain_of(*node),
-                }),
-                Err(_) => {
-                    // Roll back the blocks already placed for this chunk.
-                    for b in &placed {
-                        self.backend.rollback_block(b.node, &b.name, b.size);
-                    }
-                    return None;
-                }
+                .map_err(|_| ())?;
+            placed.push(BlockPlacement {
+                name: name.clone(),
+                node: *node,
+                size,
+                domain: topology.as_ref().and_then(|t| t.domain_of(*node)),
+            });
+            Ok(())
+        };
+        let outcome = match data {
+            Some(bytes) => {
+                self.byte_path
+                    .encode_and_push(bytes, OVERLAP_MIN_BYTES, |position, payload| {
+                        push(position, Some(payload))
+                    })
             }
+            None => (0..targets.len()).try_for_each(|position| push(position, None)),
+        };
+        if outcome.is_err() {
+            // Roll back the blocks already placed for this chunk.
+            for b in &placed {
+                self.backend.rollback_block(b.node, &b.name, b.size);
+            }
+            return None;
         }
         Some(ChunkPlacement {
             chunk,
@@ -380,17 +493,13 @@ impl<B: StorageBackend> PeerStripe<B> {
                 chunk_no += 1;
                 continue;
             }
-            // Byte path: cut and encode the actual chunk payload.
-            let payloads: Option<Vec<Vec<u8>>> = data.map(|bytes| {
+            // Byte path: cut the actual chunk payload.
+            let chunk_data = data.map(|bytes| {
                 let start = offset as usize;
                 let end = (offset + chunk_size.as_u64()) as usize;
-                let chunk_data = &bytes[start..end.min(bytes.len())];
-                let codec = self.config.coding.codec(self.config.data_path_blocks);
-                let blocks = codec.encode(chunk_data);
-                // Spread the codec's encoded blocks over the placed block objects.
-                distribute_payloads(&self.config.coding, blocks)
+                &bytes[start..end.min(bytes.len())]
             });
-            match self.place_chunk(&targets, chunk_no, chunk_size, payloads) {
+            match self.place_chunk(&targets, chunk_no, chunk_size, chunk_data) {
                 Some(placement) => {
                     placed_bytes += placement.blocks.iter().map(|b| b.size).sum();
                     chunk_sizes.push(chunk_size);
@@ -456,7 +565,7 @@ impl<B: StorageBackend> PeerStripe<B> {
         if offset >= manifest.size.as_u64() {
             return Some(Vec::new());
         }
-        let codec = self.config.coding.codec(self.config.data_path_blocks);
+        let codec = &*self.byte_path.codec;
         let mut out = vec![0u8; (end - offset) as usize];
         let mut filled = 0usize;
         let mut chunk_start: u64 = 0;
@@ -471,7 +580,7 @@ impl<B: StorageBackend> PeerStripe<B> {
                     self.read_chunk(chunk, |views| codec.decode_into(views, dst))?;
                 } else {
                     let whole =
-                        self.read_chunk(chunk, |views| decode_chunk(&*codec, views, chunk_len))?;
+                        self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?;
                     dst.copy_from_slice(&whole[lo..hi]);
                 }
                 filled += hi - lo;
@@ -519,22 +628,19 @@ impl<B: StorageBackend> PeerStripe<B> {
 
     /// Rebuild the payload of the lost block at `position` of `chunk`'s block
     /// list from the chunk's surviving blocks: decode the chunk, then
-    /// re-encode exactly the codec blocks that placement carried.  Returns
-    /// `None` on the metadata-only path (no payloads stored) or when the
-    /// chunk cannot be decoded from the survivors.
+    /// re-encode exactly the codec blocks that placement carried, straight
+    /// into the replacement payload.  Returns `None` on the metadata-only
+    /// path (no payloads stored) or when the chunk cannot be decoded from the
+    /// survivors.
     fn regenerate_payload(&self, chunk: &ChunkPlacement, position: usize) -> Option<Vec<u8>> {
-        let codec = self.config.coding.codec(self.config.data_path_blocks);
+        let rows = self.byte_path.rows_of.get(position..=position)?;
+        let codec = &*self.byte_path.codec;
         let chunk_len = chunk.size.as_u64() as usize;
-        let bytes = self.read_chunk(chunk, |views| decode_chunk(&*codec, views, chunk_len))?;
-        let total = codec.encoded_blocks();
-        let rows: Vec<u32> = (0..total)
-            .filter(|&i| placed_block_of(&self.config.coding, total, i) == position)
-            .map(|i| i as u32)
-            .collect();
-        if rows.is_empty() {
-            return None;
-        }
-        Some(pack_payload(&codec.encode_rows(&bytes, &rows)))
+        let bytes = self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?;
+        let mut payload = Vec::new();
+        self.byte_path
+            .fill_payloads(&bytes, rows, std::slice::from_mut(&mut payload));
+        Some(payload)
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -728,9 +834,9 @@ impl<B: StorageBackend> PeerStripe<B> {
 /// layout, shared by the store path and by repair.
 ///
 /// The layout preserves the policy's failure tolerance and keeps reads short:
-/// Reed–Solomon rows are dealt contiguously (placed block `g` holds rows
-/// `g·k … (g+1)·k − 1`), so the first `data` placed blocks are the chunk's own
-/// bytes in order; XOR sends each parity group's members to distinct
+/// Reed–Solomon codes at its native geometry, one row per placed block, so
+/// the first `data` placed blocks are the chunk's own bytes in order; XOR
+/// sends each parity group's members to distinct
 /// positions and every parity block to the last one (losing one position
 /// loses at most one block per group, and the leading positions hold all the
 /// data); other policies deal round-robin.
@@ -746,23 +852,9 @@ fn placed_block_of(policy: &CodingPolicy, codec_blocks: usize, index: usize) -> 
                 group
             }
         }
-        CodingPolicy::ReedSolomon { .. } => index / (codec_blocks / placed).max(1),
+        CodingPolicy::ReedSolomon { .. } => index,
         _ => index % placed,
     }
-}
-
-/// Pack a codec's encoded blocks into one payload per placed block object,
-/// preserving block indices for decoding.
-fn distribute_payloads(policy: &CodingPolicy, blocks: Vec<EncodedBlock>) -> Vec<Vec<u8>> {
-    let mut groups: Vec<Vec<EncodedBlock>> = vec![Vec::new(); policy.placed_blocks()];
-    let codec_blocks = blocks.len();
-    for b in blocks {
-        let position = placed_block_of(policy, codec_blocks, b.index as usize);
-        if let Some(group) = groups.get_mut(position) {
-            group.push(b);
-        }
-    }
-    groups.into_iter().map(|g| pack_payload(&g)).collect()
 }
 
 /// Serialise a group of encoded blocks into one payload: `[count][index, len, bytes]*`.
@@ -1131,11 +1223,88 @@ mod tests {
                 policy.label()
             );
         }
-        // Reed–Solomon rows are contiguous: RS(5, 3) scales to 20 + 12 rows,
-        // four to a placed block.
+        // Reed–Solomon codes natively: RS(5, 3) is 5 + 3 rows, one to a
+        // placed block, whatever `data_path_blocks` says.
         let rs = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
-        let positions: Vec<usize> = (0..32).map(|i| placed_block_of(&rs, 32, i)).collect();
-        assert_eq!(positions, (0..32).map(|i| i / 4).collect::<Vec<_>>());
+        let positions: Vec<usize> = (0..8).map(|i| placed_block_of(&rs, 8, i)).collect();
+        assert_eq!(positions, (0..8).collect::<Vec<_>>());
+    }
+
+    /// The payloads `encode_and_push` hands out for `chunk`, in push order.
+    fn pushed_payloads(path: &BytePath, min: usize, chunk: &[u8]) -> Vec<Vec<u8>> {
+        let mut pushed = Vec::new();
+        let outcome: Result<(), ()> = path.encode_and_push(chunk, min, |position, p| {
+            assert_eq!(position, pushed.len(), "placement order");
+            pushed.push(p);
+            Ok(())
+        });
+        assert!(outcome.is_ok());
+        pushed
+    }
+
+    #[test]
+    fn payloads_built_in_place_equal_packed_encode_with_the_worker_on_and_off() {
+        let policies = [
+            CodingPolicy::None,
+            CodingPolicy::xor_2_3(),
+            CodingPolicy::online_default(),
+            CodingPolicy::rs_default(),
+            CodingPolicy::ReedSolomon { data: 5, parity: 3 },
+        ];
+        // Shorter than `data` bytes, not divisible by it, around a tile
+        // boundary, plus arbitrary lengths.
+        let mut rng = DetRng::new(0x5eed);
+        let mut lengths = vec![1usize, 2, 3, 4, 5, 7, 16, 17, 4096, 81_919, 81_920, 81_921];
+        lengths.extend((0..24).map(|_| 1 + rng.index(200_000)));
+        for policy in policies {
+            let config = PeerStripeConfig::default().with_coding(policy);
+            let path = BytePath::new(&config);
+            let total = path.codec.encoded_blocks();
+            for &len in &lengths {
+                let chunk: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                // The reference: encode into owned blocks, group them by the
+                // layout function, pack each group.
+                let mut groups = vec![Vec::new(); policy.placed_blocks()];
+                for b in path.codec.encode(&chunk) {
+                    groups[placed_block_of(&policy, total, b.index as usize)].push(b);
+                }
+                let want: Vec<Vec<u8>> = groups.iter().map(|g| pack_payload(g)).collect();
+                for (min, worker) in [(0, "on"), (usize::MAX, "off")] {
+                    let got = pushed_payloads(&path, min, &chunk);
+                    assert!(
+                        got == want,
+                        "{} at {len} bytes, worker {worker}",
+                        policy.label()
+                    );
+                    assert!(got.iter().all(|p| p.len() == p.capacity()), "sized exactly");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_push_stops_the_chunk_with_the_worker_on_and_off() {
+        let config = PeerStripeConfig::default()
+            .with_coding(CodingPolicy::ReedSolomon { data: 5, parity: 3 });
+        let path = BytePath::new(&config);
+        let chunk = vec![7u8; 50_000];
+        for min in [0, usize::MAX] {
+            // Refusals at a leading block (worker still running) and at the
+            // first trailing one (worker already joined).
+            for refuse_at in [2usize, 5] {
+                let mut seen = Vec::new();
+                let outcome = path.encode_and_push(&chunk, min, |position, _| {
+                    seen.push(position);
+                    if position == refuse_at {
+                        Err(position)
+                    } else {
+                        Ok(())
+                    }
+                });
+                assert_eq!(outcome, Err(refuse_at));
+                assert_eq!(seen, (0..=refuse_at).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -193,8 +193,15 @@ impl CodingPolicy {
         }
     }
 
-    /// Build the matching byte-level codec for the real-data path, dividing each
-    /// chunk into `source_blocks` blocks.
+    /// Build the matching byte-level codec for the real-data path.
+    ///
+    /// The Null, XOR and online codecs divide each chunk into `source_blocks`
+    /// blocks (XOR rounds up to a multiple of its group size) and deal them
+    /// over the policy's placed blocks.  Reed–Solomon codes at its native
+    /// geometry whatever `source_blocks` says — `data` source rows and
+    /// `parity` parity rows, one codec row per placed block — so any `data`
+    /// of the `data + parity` placed blocks decode and a lost placed block
+    /// is exactly one row to rebuild.
     pub fn codec(&self, source_blocks: usize) -> Box<dyn ErasureCode> {
         match *self {
             CodingPolicy::None => Box::new(NullCode::new(source_blocks)),
@@ -221,16 +228,7 @@ impl CodingPolicy {
                 ))
             }
             CodingPolicy::ReedSolomon { data, parity } => {
-                // Scale the (data, parity) geometry to at least `source_blocks`
-                // source blocks while staying inside GF(256)'s 256-block cap.
-                // Any `k·data` of the `k·(data + parity)` codec blocks decode,
-                // so losing `parity` of the `data + parity` placed objects —
-                // each holding every k-th codec block round-robin — loses at
-                // most `k·parity` codec blocks and recovery stays certain.
-                let k = source_blocks
-                    .div_ceil(data)
-                    .clamp(1, (256 / (data + parity)).max(1));
-                Box::new(ReedSolomonCode::new(k * data, k * parity))
+                Box::new(ReedSolomonCode::new(data, parity))
             }
         }
     }
@@ -297,17 +295,21 @@ mod tests {
         // Reed-Solomon is optimal: the codec decodes from exactly its data
         // blocks, with certainty — min_decode_blocks == source_blocks...
         let rs = CodingPolicy::rs_default().codec(16);
-        assert_eq!(rs.source_blocks(), 16);
+        assert_eq!(rs.source_blocks(), 4, "native geometry, not scaled");
         assert_eq!(rs.min_decode_blocks(), rs.source_blocks());
-        assert_eq!(rs.encoded_blocks(), 24, "4:2 geometry scaled by k = 4");
+        assert_eq!(rs.encoded_blocks(), 6, "one codec row per placed block");
         // ...in contrast to the online code, whose (1 + ε)·n' decode bound
         // needs strictly more than n blocks (and only probabilistically).
         let online = CodingPolicy::online_default().codec(16);
         assert!(online.min_decode_blocks() > online.source_blocks());
-        // The RS geometry scales down to stay within GF(256)'s 256-block cap.
-        let big = CodingPolicy::rs_default().codec(1024);
-        assert!(big.encoded_blocks() <= 256);
-        assert_eq!(big.min_decode_blocks(), big.source_blocks());
+        // The RS geometry is the policy's own for every `source_blocks`.
+        for source_blocks in [1, 16, 1024] {
+            let policy = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+            let rs = policy.codec(source_blocks);
+            assert_eq!(rs.encoded_blocks(), policy.placed_blocks());
+            assert_eq!(rs.min_decode_blocks(), policy.min_blocks_needed());
+            assert_eq!(rs.tolerable_losses(), policy.tolerable_losses());
+        }
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl std::error::Error for DecodeError {}
 /// A chunk erasure codec.
 ///
 /// Implementations are parameterised by the number of source blocks `n` the
-/// chunk is divided into; [`ErasureCode::encode`] splits and pads internally, so
-/// callers only handle whole chunks.
+/// chunk is divided into; [`ErasureCode::encode_rows_into`] reads the rows out
+/// of the chunk and pads internally, so callers only handle whole chunks.
 pub trait ErasureCode: Send + Sync {
     /// Human-readable codec name as used in the paper's tables ("Null", "XOR", "Online").
     fn name(&self) -> &'static str;
@@ -131,18 +131,43 @@ pub trait ErasureCode: Send + Sync {
         self.encoded_blocks() as f64 / self.source_blocks() as f64
     }
 
-    /// Encode a chunk into blocks.
-    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock>;
+    /// Size of every encoded block of a chunk of `chunk_len` bytes: the chunk
+    /// cut into [`ErasureCode::source_blocks`] equal rows, the last one padded.
+    fn block_size(&self, chunk_len: usize) -> usize {
+        chunk_len.div_ceil(self.source_blocks())
+    }
 
-    /// Encode only the blocks whose indices are listed in `rows` (ascending,
-    /// deduplicated).  The default encodes everything and filters; codecs with
-    /// cheaper per-row encoding (Reed–Solomon parity rows) override this.
-    /// Indices the codec does not produce are silently absent from the result.
+    /// The one encode body of a codec: write encoded block `rows[i]` of
+    /// `chunk` into `out[i]`, for every `i`.
+    ///
+    /// Source rows are read straight out of `chunk` — a short or absent tail
+    /// row is implicit zero padding — and every byte of every `out[i]` is
+    /// overwritten, so the caller may hand in dirty buffers (for instance the
+    /// row slots of a wire payload).  Each `out[i]` must be
+    /// [`ErasureCode::block_size`] bytes long and `out` as long as `rows`; an
+    /// index the codec does not produce yields an all-zero row.
+    fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]);
+
+    /// Encode only the blocks whose indices are listed in `rows`, each into a
+    /// buffer of its own.  Indices the codec does not produce are silently
+    /// absent from the result.
     fn encode_rows(&self, chunk: &[u8], rows: &[u32]) -> Vec<EncodedBlock> {
-        self.encode(chunk)
-            .into_iter()
-            .filter(|b| rows.binary_search(&b.index).is_ok())
-            .collect()
+        let block_size = self.block_size(chunk.len());
+        let total = self.encoded_blocks() as u32;
+        let rows: Vec<u32> = rows.iter().copied().filter(|&r| r < total).collect();
+        let mut blocks: Vec<EncodedBlock> = rows
+            .iter()
+            .map(|&r| EncodedBlock::new(r, vec![0u8; block_size]))
+            .collect();
+        let mut out: Vec<&mut [u8]> = blocks.iter_mut().map(|b| b.data.as_mut_slice()).collect();
+        self.encode_rows_into(chunk, &rows, &mut out);
+        blocks
+    }
+
+    /// Encode a chunk into all of its blocks.
+    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
+        let rows: Vec<u32> = (0..self.encoded_blocks() as u32).collect();
+        self.encode_rows(chunk, &rows)
     }
 
     /// Decode a chunk from borrowed `(index, bytes)` views of (a subset of)
@@ -179,21 +204,21 @@ pub trait ErasureCode: Send + Sync {
     }
 }
 
-/// Split a chunk into `n` equal-size source blocks, zero-padding the last one.
-///
-/// Returns `(blocks, block_size)`.  An empty chunk yields `n` empty blocks.
-pub fn split_into_blocks(chunk: &[u8], n: usize) -> (Vec<Vec<u8>>, usize) {
-    assert!(n > 0, "cannot split into zero blocks");
-    let block_size = chunk.len().div_ceil(n);
-    let mut blocks = Vec::with_capacity(n);
-    for i in 0..n {
-        let start = (i * block_size).min(chunk.len());
-        let end = ((i + 1) * block_size).min(chunk.len());
-        let mut b = chunk[start..end].to_vec();
-        b.resize(block_size, 0);
-        blocks.push(b);
-    }
-    (blocks, block_size)
+/// Source row `row` of a chunk cut into rows of `block_size`, as it lies in
+/// the chunk: shorter than `block_size` for the last data-bearing row, empty
+/// for rows that are all padding.
+pub(crate) fn source_row(chunk: &[u8], row: usize, block_size: usize) -> &[u8] {
+    let start = (row * block_size).min(chunk.len());
+    let end = ((row + 1) * block_size).min(chunk.len());
+    &chunk[start..end]
+}
+
+/// Overwrite `dst` with `src` followed by zero padding (`src` is no longer
+/// than `dst`).
+pub(crate) fn copy_padded(src: &[u8], dst: &mut [u8]) {
+    let (head, tail) = dst.split_at_mut(src.len());
+    head.copy_from_slice(src);
+    tail.fill(0);
 }
 
 /// The part of `out` that source block `row` occupies when a chunk of
@@ -231,15 +256,13 @@ pub(crate) fn index_blocks<'a>(
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     // Process a word at a time; the tail is handled bytewise.
-    let words = dst.len() / 8;
-    for i in 0..words {
-        let range = i * 8..i * 8 + 8;
-        let a = u64::from_ne_bytes(dst[range.clone()].try_into().unwrap()); // lint:allow(panic) -- 8-byte window: i < words == dst.len()/8
-        let b = u64::from_ne_bytes(src[range.clone()].try_into().unwrap()); // lint:allow(panic) -- 8-byte window: src.len() asserted equal to dst.len()
-        dst[range].copy_from_slice(&(a ^ b).to_ne_bytes());
+    let (dst_words, dst_tail) = dst.as_chunks_mut::<8>();
+    let (src_words, src_tail) = src.as_chunks::<8>();
+    for (d, s) in dst_words.iter_mut().zip(src_words) {
+        *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(*s)).to_ne_bytes();
     }
-    for i in words * 8..dst.len() {
-        dst[i] ^= src[i];
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
+        *d ^= s;
     }
 }
 
@@ -248,37 +271,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_and_join_round_trip() {
+    fn source_rows_tile_the_chunk_and_pad_with_zeros() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        for n in [1, 2, 3, 7, 16, 100, 1000, 1024] {
-            let (blocks, size) = split_into_blocks(&data, n);
-            assert_eq!(blocks.len(), n);
-            assert!(blocks.iter().all(|b| b.len() == size));
+        for n in [1usize, 2, 3, 7, 16, 100, 1000, 1024] {
+            let size = data.len().div_ceil(n);
             let mut joined = vec![0xA5u8; data.len()];
-            for (i, b) in blocks.iter().enumerate() {
-                let dst = row_mut(&mut joined, i, size);
-                dst.copy_from_slice(&b[..dst.len()]);
+            for i in 0..n {
+                let src = source_row(&data, i, size);
+                let mut padded = vec![0xA5u8; size];
+                copy_padded(src, &mut padded);
+                assert_eq!(&padded[..src.len()], src);
+                assert!(padded[src.len()..].iter().all(|&b| b == 0));
+                row_mut(&mut joined, i, size).copy_from_slice(src);
             }
             assert_eq!(joined, data);
         }
+        assert_eq!(source_row(&[1, 2, 3, 4, 5], 1, 3), &[4, 5]);
+        assert!(source_row(&[], 3, 0).is_empty());
+        assert!(row_mut(&mut [], 3, 0).is_empty());
     }
 
     #[test]
-    fn split_empty_chunk() {
-        let (blocks, size) = split_into_blocks(&[], 4);
-        assert_eq!(blocks.len(), 4);
-        assert_eq!(size, 0);
-        assert!(blocks.iter().all(|b| b.is_empty()));
-        assert!(row_mut(&mut [], 3, size).is_empty());
-    }
-
-    #[test]
-    fn split_pads_with_zeros() {
-        let data = vec![1u8, 2, 3, 4, 5];
-        let (blocks, size) = split_into_blocks(&data, 2);
-        assert_eq!(size, 3);
-        assert_eq!(blocks[0], vec![1, 2, 3]);
-        assert_eq!(blocks[1], vec![4, 5, 0]);
+    fn encode_rows_into_overwrites_dirty_rows_and_matches_encode_for_every_codec() {
+        let codecs: [Box<dyn ErasureCode>; 4] = [
+            Box::new(crate::null::NullCode::new(8)),
+            Box::new(crate::xor::XorCode::new(2, 8)),
+            Box::new(crate::online::OnlineCode::with_overhead(64, 0.01, 3, 1.25)),
+            Box::new(crate::rs::ReedSolomonCode::new(5, 3)),
+        ];
+        for code in &codecs {
+            // Shorter than one byte a row, not divisible, and comfortable.
+            for len in [0usize, 1, 3, 7, 999, 4096] {
+                let data: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
+                let encoded = code.encode(&data);
+                assert_eq!(encoded.len(), code.encoded_blocks());
+                let size = code.block_size(len);
+                // Every other row, last first, plus one the codec lacks.
+                let mut rows: Vec<u32> = (0..code.encoded_blocks() as u32).step_by(2).collect();
+                rows.reverse();
+                rows.push(u32::MAX);
+                let mut bufs = vec![vec![0xA5u8; size]; rows.len()];
+                let mut out: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+                code.encode_rows_into(&data, &rows, &mut out);
+                for (r, buf) in rows.iter().zip(&bufs) {
+                    match encoded.get(*r as usize) {
+                        Some(b) => assert_eq!(buf, &b.data, "{} row {r} at {len}", code.name()),
+                        None => assert!(buf.iter().all(|&b| b == 0)),
+                    }
+                }
+                let picked = code.encode_rows(&data, &rows);
+                assert_eq!(picked.len(), rows.len() - 1, "unknown row absent");
+                assert!(picked.iter().all(|b| *b == encoded[b.index as usize]));
+            }
+        }
     }
 
     #[test]

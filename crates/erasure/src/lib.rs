@@ -18,10 +18,14 @@
 //!   paper's Section 4.2 trade-off discussion weighs the online code against.
 //!   Built on [`gf256`] field kernels (wide-lane split-nibble `nibble64` by
 //!   default, with the scalar reference kernel selectable via
-//!   [`gf256::Gf256Kernel`]) and [`matrix`] linear algebra, with cache-blocked
-//!   parity application and a chunk-granular column-stripe parallel encode
-//!   ([`pipeline`] streams stripes to downstream placement/dissemination
-//!   stages).
+//!   [`gf256::Gf256Kernel`]) and [`matrix`] linear algebra; encode, degraded
+//!   decode and repair all run through one cache-blocked tile loop.
+//!
+//! Every codec has exactly one encode body,
+//! [`ErasureCode::encode_rows_into`]: it reads source rows straight out of the
+//! caller's chunk and writes the requested encoded rows into caller-owned
+//! buffers.  [`ErasureCode::encode`], [`ErasureCode::encode_rows`] and
+//! [`ErasureCode::reencode`] are provided wrappers that allocate the buffers.
 //!
 //! [`measure`] provides the timing/size harness behind Table 2, including
 //! decode timing from an exactly-minimal block subset.
@@ -35,7 +39,6 @@ pub mod matrix;
 pub mod measure;
 pub mod null;
 pub mod online;
-pub mod pipeline;
 pub mod rs;
 pub mod xor;
 
@@ -45,6 +48,5 @@ pub use matrix::GfMatrix;
 pub use measure::{measure_code, CodeCost};
 pub use null::NullCode;
 pub use online::OnlineCode;
-pub use pipeline::EncodedStripe;
 pub use rs::ReedSolomonCode;
 pub use xor::XorCode;

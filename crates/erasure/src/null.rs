@@ -5,9 +5,7 @@
 //! losing any block loses data — but establishes the baseline cost of splitting
 //! and copying a chunk.
 
-use crate::code::{
-    index_blocks, row_mut, split_into_blocks, DecodeError, EncodedBlock, ErasureCode,
-};
+use crate::code::{copy_padded, index_blocks, row_mut, source_row, DecodeError, ErasureCode};
 
 /// Pass-through codec: the chunk is split into `n` blocks and stored verbatim.
 #[derive(Debug, Clone, Copy)]
@@ -47,13 +45,13 @@ impl ErasureCode for NullCode {
         self.n
     }
 
-    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        let (blocks, _) = split_into_blocks(chunk, self.n);
-        blocks
-            .into_iter()
-            .enumerate()
-            .map(|(i, data)| EncodedBlock::new(i as u32, data))
-            .collect()
+    fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
+        let block_size = self.block_size(chunk.len());
+        for (&r, dst) in rows.iter().zip(out.iter_mut()) {
+            // Rows past `n` do not exist: an empty source, so all zeros.
+            let row = (r as usize).min(self.n);
+            copy_padded(source_row(chunk, row, block_size), dst);
+        }
     }
 
     fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
@@ -77,6 +75,7 @@ impl ErasureCode for NullCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::EncodedBlock;
 
     fn sample_chunk(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 % 256) as u8).collect()

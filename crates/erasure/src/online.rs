@@ -21,7 +21,7 @@
 //!    elimination over the residual constraints finishes off the rare stalls so
 //!    that decoding is deterministic whenever the received blocks span the data.
 
-use crate::code::{row_mut, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode};
+use crate::code::{row_mut, source_row, xor_into, DecodeError, ErasureCode};
 use peerstripe_sim::DetRng;
 
 /// Configuration and implementation of the online code.
@@ -185,28 +185,35 @@ impl ErasureCode for OnlineCode {
         ((1.0 + self.epsilon) * (self.n + self.aux_blocks()) as f64).ceil() as usize
     }
 
-    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        let (sources, block_size) = split_into_blocks(chunk, self.n);
+    fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
+        let block_size = self.block_size(chunk.len());
+        // Source rows as they lie in the chunk: a short tail is zero padding,
+        // and zeros contribute nothing to an XOR.
+        let sources: Vec<&[u8]> = (0..self.n)
+            .map(|i| source_row(chunk, i, block_size))
+            .collect();
         // Outer code: build auxiliary blocks.
-        let aux_count = self.aux_blocks();
-        let mut aux = vec![vec![0u8; block_size]; aux_count];
+        let mut aux = vec![vec![0u8; block_size]; self.aux_blocks()];
         for (i, src) in sources.iter().enumerate() {
             for a in self.aux_assignment(i) {
-                xor_into(&mut aux[a], src);
+                xor_into(&mut aux[a][..src.len()], src);
             }
         }
         // Composite message view used by the inner code.
-        let composite: Vec<&Vec<u8>> = sources.iter().chain(aux.iter()).collect();
-        // Inner code: generate check blocks.
-        let mut out = Vec::with_capacity(self.check_blocks);
-        for c in 0..self.check_blocks {
-            let mut data = vec![0u8; block_size];
-            for neighbour in self.check_neighbours(c) {
-                xor_into(&mut data, composite[neighbour]);
+        let composite: Vec<&[u8]> = sources
+            .into_iter()
+            .chain(aux.iter().map(Vec::as_slice))
+            .collect();
+        // Inner code: generate the requested check blocks.
+        for (&c, dst) in rows.iter().zip(out.iter_mut()) {
+            dst.fill(0);
+            if (c as usize) < self.check_blocks {
+                for neighbour in self.check_neighbours(c as usize) {
+                    let src = composite[neighbour];
+                    xor_into(&mut dst[..src.len()], src);
+                }
             }
-            out.push(EncodedBlock::new(c as u32, data));
         }
-        out
     }
 
     fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
@@ -378,6 +385,7 @@ impl ErasureCode for OnlineCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::EncodedBlock;
 
     fn sample_chunk(len: usize, seed: u64) -> Vec<u8> {
         let mut rng = DetRng::new(seed);

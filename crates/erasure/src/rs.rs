@@ -13,43 +13,37 @@
 //! form ([`GfMatrix::systematic`]): the first `data` encoded blocks are the
 //! source blocks verbatim and every `data`-row submatrix stays invertible.
 //!
-//! # Encode engine
+//! # One tile loop
 //!
-//! Parity generation runs on the [`gf256`] slice kernels (selectable via
-//! [`ReedSolomonCode::with_kernel`]; the wide-lane `nibble64` kernel is the
-//! default) and is **cache-blocked**: every coefficient's kernel tables are
-//! prepared once per encode ([`gf256::PreparedCoeff`]), then the parity
-//! columns are walked in L1-sized tiles ([`TILE_BYTES`]) with the source tile
-//! reused across all parity rows while it is hot.  Parallelism is
-//! **chunk-granular** rather than parity-row-granular: workers own disjoint
-//! *column stripes* of every parity block (so a single stripe touches each
-//! cache line once, and the split does not degenerate when `parity <
-//! workers`).  [`ReedSolomonCode::encode_with_workers`] exposes the worker
-//! count; [`ReedSolomonCode::parallel_encode`] sizes it from
-//! `available_parallelism()` and — on a 1-CPU host — takes the serial path
-//! with **zero** thread spawns.  The streaming stage form of the same split
-//! lives in [`crate::pipeline`].
+//! Every byte Reed–Solomon produces — an encoded row on the store path, a
+//! lost row on a degraded read, a regenerated row on repair — is a linear
+//! combination of source rows, and all of them run through one loop,
+//! [`combine_span`]: each coefficient's [`gf256`] kernel tables are prepared
+//! once per call ([`gf256::PreparedCoeff`]), then the output columns are
+//! walked in L1-sized tiles ([`TILE_BYTES`]) with the source tiles reused
+//! across all output rows while they are hot.  Source rows are read where
+//! they lie (the caller's chunk, the fetched payloads) and output rows are
+//! written where they are wanted (the caller's payload or read buffer):
+//! nothing is split, copied aside or allocated per row.
+//!
+//! [`ErasureCode::encode_rows_into`] runs the loop on the calling thread;
+//! [`ReedSolomonCode::encode_with_workers`] is the same loop with a worker
+//! count — workers own disjoint *column spans* of every output row, so the
+//! split does not degenerate when there are fewer rows than workers.
 
-use crate::code::{
-    index_blocks, row_mut, split_into_blocks, DecodeError, EncodedBlock, ErasureCode,
-};
-use crate::gf256::{self, Gf256Kernel, PreparedCoeff};
+use crate::code::{index_blocks, source_row, DecodeError, ErasureCode};
+use crate::gf256::{Gf256Kernel, PreparedCoeff};
 use crate::matrix::GfMatrix;
-use crate::pipeline;
 use std::ops::Range;
 
-/// Parity workloads at least this large (parity rows × block size) are sharded
-/// over threads by the default [`ErasureCode::encode`] path.
-pub const DEFAULT_PARALLEL_MIN_BYTES: usize = 1 << 20;
+/// Tile width (in bytes) of the combine loop.  One source tile per data row
+/// plus one output tile must fit in L1/L2 alongside the kernel tables; 16 KiB
+/// keeps that well under typical 256 KiB L2 slices while amortising loop
+/// overhead.
+const TILE_BYTES: usize = 16 * 1024;
 
-/// Tile width (in bytes) for cache-blocked parity application.  One source
-/// tile plus one parity tile per row must fit in L1/L2 alongside the kernel
-/// tables; 16 KiB keeps `tile × (1 + parity_rows_in_flight)` well under
-/// typical 256 KiB L2 slices while amortising loop overhead.
-pub(crate) const TILE_BYTES: usize = 16 * 1024;
-
-/// Workers get at least this many parity columns each; below that the spawn
-/// and join overhead outweighs the arithmetic.
+/// Workers get at least this many columns each; below that the spawn and
+/// join overhead outweighs the arithmetic.
 const MIN_WORKER_SPAN_BYTES: usize = 4 * 1024;
 
 /// Systematic Reed–Solomon code: `data` source blocks, `parity` parity blocks,
@@ -61,7 +55,6 @@ pub struct ReedSolomonCode {
     /// The bottom `parity × data` rows of the systematic encode matrix; the
     /// top `data` rows are the identity and are never materialised.
     coef: GfMatrix,
-    parallel_min_bytes: usize,
     kernel: Gf256Kernel,
 }
 
@@ -85,16 +78,8 @@ impl ReedSolomonCode {
             data,
             parity,
             coef: enc.select_rows(&parity_rows),
-            parallel_min_bytes: DEFAULT_PARALLEL_MIN_BYTES,
             kernel: Gf256Kernel::best(),
         }
-    }
-
-    /// Override the parity-workload size (in bytes) above which the default
-    /// encode path goes parallel.  `usize::MAX` forces serial encoding.
-    pub fn with_parallel_threshold(mut self, bytes: usize) -> Self {
-        self.parallel_min_bytes = bytes;
-        self
     }
 
     /// Pin the GF(256) slice kernel (default: [`Gf256Kernel::best`]).  The
@@ -120,102 +105,72 @@ impl ReedSolomonCode {
         self.parity
     }
 
-    /// Prepare every parity coefficient's kernel tables once, so the tiled
-    /// loops below never rebuild them per tile.
-    pub(crate) fn prepared_parity_matrix(&self) -> Vec<Vec<PreparedCoeff>> {
-        (0..self.parity)
-            .map(|r| {
-                (0..self.data)
-                    .map(|j| PreparedCoeff::new(self.kernel, self.coef.get(r, j)))
-                    .collect()
-            })
-            .collect()
+    /// Kernel tables for one row of coefficients over the data rows.
+    fn prepare(&self, coeffs: impl Iterator<Item = u8>) -> Vec<PreparedCoeff> {
+        coeffs.map(|c| PreparedCoeff::new(self.kernel, c)).collect()
     }
 
-    fn assemble(&self, sources: Vec<Vec<u8>>, parity: Vec<Vec<u8>>) -> Vec<EncodedBlock> {
-        sources
-            .into_iter()
-            .chain(parity)
-            .enumerate()
-            .map(|(i, b)| EncodedBlock::new(i as u32, b))
-            .collect()
-    }
-
-    /// Encode on the calling thread only.
-    pub fn encode_serial(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        self.encode_with_workers(chunk, 1)
-    }
-
-    /// Encode with parity columns sharded over up to `workers`
-    /// `std::thread::scope` workers (chunk-granular column stripes).
-    ///
-    /// Produces bit-identical output to [`ReedSolomonCode::encode_serial`]
-    /// for every worker count.  `workers <= 1` runs entirely on the calling
-    /// thread — zero spawns (pinned by a spawn-counting test) — and the
-    /// effective worker count is capped so every stripe keeps at least a few
-    /// KiB of parity columns.
-    pub fn encode_with_workers(&self, chunk: &[u8], workers: usize) -> Vec<EncodedBlock> {
-        let (sources, block_size) = split_into_blocks(chunk, self.data);
-        let prepared = self.prepared_parity_matrix();
-        let mut parity: Vec<Vec<u8>> = (0..self.parity).map(|_| vec![0u8; block_size]).collect();
-        let workers = workers.clamp(1, block_size.div_ceil(MIN_WORKER_SPAN_BYTES).max(1));
-        if workers <= 1 {
-            let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            apply_parity_stripe(&prepared, &sources, 0..block_size, &mut outs);
-            return self.assemble(sources, parity);
+    /// Encoded row `r` as coefficients over the data rows: a unit vector for
+    /// a source row (the code is systematic), the row's parity coefficients
+    /// otherwise, all zeros for a row the code does not have.
+    fn row_coeffs(&self, r: usize) -> Vec<PreparedCoeff> {
+        if r < self.data {
+            self.prepare((0..self.data).map(|j| u8::from(j == r)))
+        } else if r < self.data + self.parity {
+            self.prepare(self.coef.row(r - self.data).iter().copied())
+        } else {
+            self.prepare((0..self.data).map(|_| 0))
         }
-        let spans = column_spans(block_size, workers);
-        // Split every parity row at the span boundaries and regroup the
-        // pieces per worker: job `w` owns columns `spans[w]` of ALL rows.
-        let mut jobs: Vec<Vec<&mut [u8]>> = spans
-            .iter()
-            .map(|_| Vec::with_capacity(self.parity))
+    }
+
+    /// [`ErasureCode::encode_rows_into`] with the columns of every output row
+    /// sharded over up to `workers` `std::thread::scope` workers.
+    ///
+    /// The output is bit-identical for every worker count.  `workers <= 1`
+    /// runs entirely on the calling thread, and the effective worker count is
+    /// capped so every span keeps at least a few KiB of columns.
+    pub fn encode_with_workers(
+        &self,
+        chunk: &[u8],
+        rows: &[u32],
+        out: &mut [&mut [u8]],
+        workers: usize,
+    ) {
+        let block_size = self.block_size(chunk.len());
+        let coeffs: Vec<_> = rows.iter().map(|&r| self.row_coeffs(r as usize)).collect();
+        let sources: Vec<&[u8]> = (0..self.data)
+            .map(|j| source_row(chunk, j, block_size))
             .collect();
-        for row in parity.iter_mut() {
-            let mut rest: &mut [u8] = row.as_mut_slice();
+        let workers = workers.clamp(1, block_size.div_ceil(MIN_WORKER_SPAN_BYTES).max(1));
+        if workers == 1 {
+            combine_span(&coeffs, &sources, 0..block_size, out);
+            return;
+        }
+        // Split every output row at the span boundaries and regroup the
+        // pieces per worker: job `w` owns columns `spans[w]` of ALL rows.
+        let spans = column_spans(block_size, workers);
+        let mut jobs: Vec<Vec<&mut [u8]>> = spans.iter().map(|_| Vec::new()).collect();
+        for row in out.iter_mut() {
+            let mut rest: &mut [u8] = row;
             for (job, span) in jobs.iter_mut().zip(&spans) {
-                let (piece, tail) = rest.split_at_mut(span.len());
+                let (piece, tail) = rest.split_at_mut(span.len().min(rest.len()));
                 job.push(piece);
                 rest = tail;
             }
         }
-        let sources_ref = &sources;
-        let prepared_ref = &prepared;
+        let (coeffs, sources) = (&coeffs, &sources);
+        // The scope joins every worker and re-raises a worker's panic.
         std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .zip(spans)
-                .map(|(mut outs, span)| {
-                    pipeline::note_spawn();
-                    s.spawn(move || apply_parity_stripe(prepared_ref, sources_ref, span, &mut outs))
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("parity worker panicked"); // lint:allow(panic) -- worker panic is unrecoverable; propagate it to the caller
+            for (mut outs, span) in jobs.into_iter().zip(spans) {
+                s.spawn(move || combine_span(coeffs, sources, span, &mut outs));
             }
         });
-        self.assemble(sources, parity)
     }
-
-    /// Encode with the worker count sized from `available_parallelism()`.
-    ///
-    /// On a single-CPU host this is exactly [`ReedSolomonCode::encode_serial`]
-    /// — no threads are spawned.
-    pub fn parallel_encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        self.encode_with_workers(chunk, available_workers())
-    }
-}
-
-/// `available_parallelism()`, defaulting to 1 when the host cannot say.
-pub(crate) fn available_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Split `0..block_size` into `workers` contiguous column spans (the first
 /// `block_size % workers` spans one byte larger).
-pub(crate) fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize>> {
+fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize>> {
     let per = block_size / workers;
     let rem = block_size % workers;
     let mut spans = Vec::with_capacity(workers);
@@ -228,27 +183,50 @@ pub(crate) fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize
     spans
 }
 
-/// Accumulate every parity row's coefficients over columns `cols` of the
-/// source blocks, cache-blocked: tiles are outermost so one source tile is
-/// streamed through all parity rows while it is hot in L1/L2.
+/// The tile loop: overwrite columns `cols` of every output row with that
+/// row's combination `Σ coeffs[row][j] · sources[j]`, cache-blocked — tiles
+/// are outermost, so the source tiles are streamed through all output rows
+/// while they are hot in L1/L2.
 ///
-/// `outs[r]` is the slice of parity row `r` covering exactly `cols` (workers
-/// hand in disjoint `split_at_mut` views of the full rows); it must be
-/// zero-initialised.
-pub(crate) fn apply_parity_stripe(
-    prepared: &[Vec<PreparedCoeff>],
-    sources: &[Vec<u8>],
+/// `outs[row]` is the piece of output row `row` that starts at column
+/// `cols.start`.  Rows need not be full length on either side: a source
+/// shorter than `cols.end` is zero beyond its end (the encoder's padding),
+/// and an output that ends early is simply not written past its end (the
+/// decoder's last, short data row).
+fn combine_span(
+    coeffs: &[Vec<PreparedCoeff>],
+    sources: &[&[u8]],
     cols: Range<usize>,
     outs: &mut [&mut [u8]],
 ) {
-    debug_assert_eq!(prepared.len(), outs.len());
+    debug_assert_eq!(coeffs.len(), outs.len());
     let mut tile_start = cols.start;
     while tile_start < cols.end {
         let tile_end = (tile_start + TILE_BYTES).min(cols.end);
-        for (row, out) in prepared.iter().zip(outs.iter_mut()) {
-            let dst = &mut out[tile_start - cols.start..tile_end - cols.start];
+        for (row, out) in coeffs.iter().zip(outs.iter_mut()) {
+            let lo = (tile_start - cols.start).min(out.len());
+            let hi = (tile_end - cols.start).min(out.len());
+            let dst = &mut out[lo..hi];
+            let mut untouched = true;
             for (coeff, src) in row.iter().zip(sources) {
-                coeff.mul_add(&src[tile_start..tile_end], dst);
+                if coeff.is_zero() {
+                    continue;
+                }
+                let end = (tile_start + dst.len()).min(src.len());
+                let src = &src[tile_start.min(end)..end];
+                let (head, tail) = dst.split_at_mut(src.len());
+                if untouched {
+                    // The first term overwrites: no zero-fill pass, and a
+                    // source row of the systematic part is a plain copy.
+                    coeff.mul(src, head);
+                    tail.fill(0);
+                    untouched = false;
+                } else {
+                    coeff.mul_add(src, head);
+                }
+            }
+            if untouched {
+                dst.fill(0);
             }
         }
         tile_start = tile_end;
@@ -273,44 +251,11 @@ impl ErasureCode for ReedSolomonCode {
         self.data
     }
 
-    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        let block_size = chunk.len().div_ceil(self.data);
-        if self.parity >= 2 && self.parity * block_size >= self.parallel_min_bytes {
-            self.parallel_encode(chunk)
-        } else {
-            self.encode_serial(chunk)
-        }
-    }
-
-    /// Source rows are sliced straight out of the chunk and parity rows run
+    /// Source rows are copied straight out of the chunk and parity rows run
     /// only their own coefficient row — so repairing one lost block costs one
     /// row of GF multiply-adds, not a full encode.
-    fn encode_rows(&self, chunk: &[u8], rows: &[u32]) -> Vec<EncodedBlock> {
-        let block_size = chunk.len().div_ceil(self.data);
-        // Source row `j` as stored in the chunk: short (or empty) where the
-        // encoder would zero-pad, and zeros contribute nothing to a parity row.
-        let source = |j: usize| {
-            let start = (j * block_size).min(chunk.len());
-            &chunk[start..((j + 1) * block_size).min(chunk.len())]
-        };
-        rows.iter()
-            .map(|&r| r as usize)
-            .filter(|&r| r < self.data + self.parity)
-            .map(|r| {
-                let mut out = vec![0u8; block_size];
-                if r < self.data {
-                    let src = source(r);
-                    out[..src.len()].copy_from_slice(src);
-                } else {
-                    for j in 0..self.data {
-                        let src = source(j);
-                        let coeff = self.coef.get(r - self.data, j);
-                        gf256::mul_add_slice_with(self.kernel, coeff, src, &mut out[..src.len()]);
-                    }
-                }
-                EncodedBlock::new(r as u32, out)
-            })
-            .collect()
+    fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
+        self.encode_with_workers(chunk, rows, out, 1);
     }
 
     fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
@@ -318,7 +263,7 @@ impl ErasureCode for ReedSolomonCode {
             return Ok(());
         }
         let total = self.data + self.parity;
-        let block_size = out.len().div_ceil(self.data);
+        let block_size = self.block_size(out.len());
         let have = index_blocks(blocks, total, block_size)?;
         let distinct = have.iter().flatten().count();
         if distinct < self.data {
@@ -329,14 +274,15 @@ impl ErasureCode for ReedSolomonCode {
         }
         // The code is systematic: surviving source rows are the chunk's own
         // bytes, copied into place with no field arithmetic.
-        for (j, src) in have.iter().take(self.data).enumerate() {
+        for (dst, src) in out.chunks_mut(block_size).zip(&have) {
             if let Some(src) = src {
-                let dst = row_mut(out, j, block_size);
                 dst.copy_from_slice(&src[..dst.len()]);
             }
         }
-        let lost: Vec<usize> = (0..self.data).filter(|&j| have[j].is_none()).collect();
-        if lost.is_empty() {
+        // Rows that are all padding have no place in `out` and are never
+        // rebuilt.
+        let lost = |j: &usize| have[*j].is_none();
+        if !(0..out.len().div_ceil(block_size)).any(|j| lost(&j)) {
             return Ok(());
         }
         // Pick `data` surviving rows — source rows first (identity rows keep
@@ -353,26 +299,26 @@ impl ErasureCode for ReedSolomonCode {
             if idx < self.data {
                 dec.set(r, idx, 1);
             } else {
-                for c in 0..self.data {
-                    dec.set(r, c, self.coef.get(idx - self.data, c));
-                }
+                dec.row_mut(r)
+                    .copy_from_slice(self.coef.row(idx - self.data));
             }
         }
         let Some(inv) = dec.invert() else {
             // Mathematically unreachable for a Vandermonde-derived code; kept
             // as a defensive error rather than a panic on corrupted input.
             return Err(DecodeError::Unrecoverable {
-                missing: lost.len(),
+                missing: (0..self.data).filter(lost).count(),
             });
         };
-        for j in lost {
-            let dst = row_mut(out, j, block_size);
-            dst.fill(0);
-            for (i, (_, received)) in chosen.iter().enumerate() {
-                let src = &received[..dst.len()];
-                gf256::mul_add_slice_with(self.kernel, inv.get(j, i), src, dst);
-            }
-        }
+        // Lost row `j` is row `j` of the inverse over the chosen rows.
+        let sources: Vec<&[u8]> = chosen.iter().map(|&(_, b)| b).collect();
+        let (coeffs, mut outs): (Vec<_>, Vec<&mut [u8]>) = out
+            .chunks_mut(block_size)
+            .enumerate()
+            .filter(|(j, _)| lost(j))
+            .map(|(j, dst)| (self.prepare(inv.row(j).iter().copied()), dst))
+            .unzip();
+        combine_span(&coeffs, &sources, 0..block_size, &mut outs);
         Ok(())
     }
 }
@@ -380,6 +326,7 @@ impl ErasureCode for ReedSolomonCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::EncodedBlock;
     use peerstripe_sim::DetRng;
 
     fn sample_chunk(len: usize, seed: u64) -> Vec<u8> {
@@ -459,61 +406,40 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parallel_encode_matches_serial() {
-        let code = ReedSolomonCode::new(16, 8);
-        for len in [0usize, 1, 1_000, 100_000, 1 << 20] {
-            let chunk = sample_chunk(len, 6);
-            assert_eq!(
-                code.parallel_encode(&chunk),
-                code.encode_serial(&chunk),
-                "len {len}"
-            );
-        }
+    /// All rows of `chunk` through the worker-count form of the tile loop,
+    /// into buffers full of stale bytes.
+    fn encode_striped(code: &ReedSolomonCode, chunk: &[u8], workers: usize) -> Vec<EncodedBlock> {
+        let rows: Vec<u32> = (0..code.encoded_blocks() as u32).collect();
+        let mut blocks: Vec<EncodedBlock> = rows
+            .iter()
+            .map(|&r| EncodedBlock::new(r, vec![0xA5; code.block_size(chunk.len())]))
+            .collect();
+        let mut out: Vec<&mut [u8]> = blocks.iter_mut().map(|b| b.data.as_mut_slice()).collect();
+        code.encode_with_workers(chunk, &rows, &mut out, workers);
+        blocks
     }
 
     #[test]
-    fn every_worker_count_matches_serial() {
+    fn every_worker_count_matches_one_thread() {
         // Column striping must be invisible in the output for any split,
         // including worker counts above the span cap and above block_size.
-        let code = ReedSolomonCode::new(5, 3);
-        let chunk = sample_chunk(300_000, 11);
-        let serial = code.encode_serial(&chunk);
-        for workers in [2usize, 3, 4, 7, 64] {
-            assert_eq!(
-                code.encode_with_workers(&chunk, workers),
-                serial,
-                "workers {workers}"
-            );
+        for (code, len) in [
+            (ReedSolomonCode::new(5, 3), 300_000),
+            (ReedSolomonCode::new(16, 8), 1 << 20),
+            (ReedSolomonCode::new(4, 2), 1_000),
+            (ReedSolomonCode::new(4, 2), 1),
+            (ReedSolomonCode::new(4, 2), 0),
+        ] {
+            let chunk = sample_chunk(len, 11);
+            let serial = code.encode(&chunk);
+            for workers in [0usize, 1, 2, 3, 4, 7, 64] {
+                assert_eq!(
+                    encode_striped(&code, &chunk, workers),
+                    serial,
+                    "len {len}, workers {workers}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn single_worker_spawns_no_threads() {
-        // The 1-CPU degenerate case: workers <= 1 must run entirely on the
-        // calling thread.  The spawn counter is thread-local, so parallel
-        // test execution cannot perturb it.
-        let code = ReedSolomonCode::new(8, 4);
-        let chunk = sample_chunk(1 << 20, 12);
-        let before = pipeline::spawned_workers();
-        let blocks = code.encode_with_workers(&chunk, 1);
-        assert_eq!(pipeline::spawned_workers(), before, "serial path spawned");
-        assert_eq!(blocks, code.encode_serial(&chunk));
-        // And the threaded path does spawn (counted from this thread).
-        let threaded = code.encode_with_workers(&chunk, 2);
-        assert_eq!(pipeline::spawned_workers(), before + 2);
-        assert_eq!(threaded, blocks);
-    }
-
-    #[test]
-    fn tiny_blocks_do_not_spawn() {
-        // The span cap folds sub-4KiB parity blocks back to the serial path
-        // even when many workers are requested.
-        let code = ReedSolomonCode::new(4, 2);
-        let chunk = sample_chunk(1_000, 13);
-        let before = pipeline::spawned_workers();
-        let _ = code.encode_with_workers(&chunk, 8);
-        assert_eq!(pipeline::spawned_workers(), before);
     }
 
     #[test]
@@ -521,17 +447,39 @@ mod tests {
         let chunk = sample_chunk(200_000, 14);
         let reference = ReedSolomonCode::new(8, 4)
             .with_kernel(Gf256Kernel::Scalar)
-            .encode_serial(&chunk);
+            .encode(&chunk);
         for kernel in Gf256Kernel::ALL {
             let code = ReedSolomonCode::new(8, 4).with_kernel(kernel);
             assert_eq!(code.kernel(), kernel);
-            assert_eq!(code.encode_serial(&chunk), reference, "kernel {kernel}");
+            assert_eq!(code.encode(&chunk), reference, "kernel {kernel}");
             assert_eq!(
-                code.encode_with_workers(&chunk, 3),
+                encode_striped(&code, &chunk, 3),
                 reference,
                 "kernel {kernel} striped"
             );
         }
+    }
+
+    #[test]
+    fn source_rows_are_the_chunk_and_short_tails_are_zero_padded() {
+        // 13 bytes over 5 rows of 3: rows 0..3 full, row 4 one byte + padding.
+        let code = ReedSolomonCode::new(5, 3);
+        let chunk = sample_chunk(13, 17);
+        let blocks = code.encode(&chunk);
+        for (j, b) in blocks.iter().take(5).enumerate() {
+            let src = &chunk[(j * 3).min(13)..((j + 1) * 3).min(13)];
+            assert_eq!(&b.data[..src.len()], src, "row {j}");
+            assert!(
+                b.data[src.len()..].iter().all(|&x| x == 0),
+                "row {j} padding"
+            );
+        }
+        // A chunk shorter than `data` bytes: one byte a row, the rest padding.
+        let blocks = code.encode(&chunk[..2]);
+        assert_eq!(blocks[0].data, [chunk[0]]);
+        assert_eq!(blocks[1].data, [chunk[1]]);
+        assert!(blocks[2..5].iter().all(|b| b.data == [0]));
+        assert_eq!(code.decode(&blocks[3..], 2).unwrap(), &chunk[..2]);
     }
 
     #[test]
@@ -559,14 +507,6 @@ mod tests {
         let a = scalar.reencode(&surviving, chunk.len(), &[0, 7]).unwrap();
         let b = fast.reencode(&surviving, chunk.len(), &[0, 7]).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn default_encode_goes_parallel_only_above_threshold() {
-        // Identical results either way; this pins the dispatch boundary.
-        let code = ReedSolomonCode::new(8, 4).with_parallel_threshold(usize::MAX);
-        let chunk = sample_chunk(1 << 21, 7);
-        assert_eq!(code.encode(&chunk), code.encode_serial(&chunk));
     }
 
     #[test]

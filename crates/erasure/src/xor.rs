@@ -6,7 +6,7 @@
 //! blocks plus one parity block, a 50 % storage overhead (Table 2).
 
 use crate::code::{
-    index_blocks, row_mut, split_into_blocks, xor_into, DecodeError, EncodedBlock, ErasureCode,
+    copy_padded, index_blocks, row_mut, source_row, xor_into, DecodeError, ErasureCode,
 };
 
 /// Parity-check erasure code over groups of `group` source blocks.
@@ -84,21 +84,25 @@ impl ErasureCode for XorCode {
         self.encoded_blocks() - 1
     }
 
-    fn encode(&self, chunk: &[u8]) -> Vec<EncodedBlock> {
-        let (blocks, block_size) = split_into_blocks(chunk, self.source);
-        let mut out: Vec<EncodedBlock> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| EncodedBlock::new(i as u32, b.clone()))
-            .collect();
-        for g in 0..self.groups() {
-            let mut parity = vec![0u8; block_size];
-            for b in &blocks[g * self.group..(g + 1) * self.group] {
-                xor_into(&mut parity, b);
+    fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
+        let block_size = self.block_size(chunk.len());
+        let source = |i: usize| source_row(chunk, i, block_size);
+        for (&r, dst) in rows.iter().zip(out.iter_mut()) {
+            let r = r as usize;
+            if r < self.source {
+                copy_padded(source(r), dst);
+            } else if r < self.encoded_blocks() {
+                // Parity of group `g`: its first member, then the rest XORed in.
+                let first = (r - self.source) * self.group;
+                copy_padded(source(first), dst);
+                for i in first + 1..first + self.group {
+                    let src = source(i);
+                    xor_into(&mut dst[..src.len()], src);
+                }
+            } else {
+                dst.fill(0);
             }
-            out.push(EncodedBlock::new((self.source + g) as u32, parity));
         }
-        out
     }
 
     fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
@@ -148,6 +152,7 @@ impl ErasureCode for XorCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::EncodedBlock;
     use peerstripe_sim::DetRng;
 
     fn sample_chunk(len: usize, seed: u64) -> Vec<u8> {

@@ -6,8 +6,8 @@
 //! `detector_decide.rs` and `placement_decide.rs` exactly (same deployment,
 //! same churn, same decide loop) — plus a `wire_roundtrip` snapshot covering
 //! the networked path's frame encode/decode and an `rs_encode` snapshot
-//! covering erasure-encode throughput (scalar vs `nibble64` kernel vs
-//! parallel) — but run each measurement a handful of times and keep the best —
+//! covering in-place erasure-encode throughput (scalar vs `nibble64` kernel vs
+//! a worker per CPU) — but run each measurement a handful of times and keep the best —
 //! good enough to catch an order-of-magnitude regression without criterion's
 //! multi-minute statistics.  Numbers are machine-dependent by nature; the
 //! committed files record the machine-independent *shape* (events processed,
@@ -16,6 +16,7 @@
 //! This file is on the linter's `WALL_CLOCK_EXEMPT` list: measuring elapsed
 //! wall time is its whole job.  Nothing here feeds simulation results.
 
+use crate::coding::{cpus, RowArena};
 use crate::Scale;
 use peerstripe_core::{
     ClusterConfig, CodingPolicy, ObjectName, PeerStripe, PeerStripeConfig, StorageSystem,
@@ -95,6 +96,18 @@ impl BenchSnapshot {
         let _ = writeln!(out, "  \"benchmark\": \"{}\",", self.name);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"captured_with\": \"repro bench-snapshot\",");
+        // The capture machine: throughput rows mean nothing without it.
+        let _ = writeln!(out, "  \"cpus\": {},", cpus());
+        let _ = writeln!(
+            out,
+            "  \"lane\": \"{}\",",
+            peerstripe_erasure::Gf256Kernel::Nibble64.lane_label()
+        );
+        let _ = writeln!(
+            out,
+            "  \"rustc\": \"{}\",",
+            env!("PEERSTRIPE_RUSTC_VERSION")
+        );
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let comma = if i + 1 == self.rows.len() { "" } else { "," };
@@ -407,14 +420,16 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
     }
 }
 
-/// Reed–Solomon encode throughput: serial `scalar` kernel vs serial
-/// `nibble64` kernel vs the column-stripe parallel path, at RS(5, 3) and
-/// RS(8, 4) over 1 MB and 4 MB chunks (mirrors `rs_encode.rs`).  `per_sec`
-/// is source **bytes** per second; all three paths are cross-checked for
-/// byte-identical blocks before any number is recorded, so a kernel bug
-/// fails the snapshot rather than polluting it.
+/// Reed–Solomon encode throughput into caller-owned row buffers
+/// ([`RowArena`], the store path's shape): `scalar` kernel vs `nibble64`
+/// kernel on one thread vs `nibble64` with a column-span worker per CPU, at
+/// RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks (`rs_encode.rs` benches
+/// the same three through the same arena).  `per_sec` is source **bytes**
+/// per second; all three are cross-checked against the blocks
+/// `ErasureCode::encode` returns before any number is recorded, so a kernel
+/// bug fails the snapshot rather than polluting it.
 pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
-    use peerstripe_erasure::{Gf256Kernel, ReedSolomonCode};
+    use peerstripe_erasure::{ErasureCode, Gf256Kernel, ReedSolomonCode};
     let mut rows = Vec::new();
     for (data, parity) in [(5usize, 3usize), (8, 4)] {
         let scalar = ReedSolomonCode::new(data, parity).with_kernel(Gf256Kernel::Scalar);
@@ -423,22 +438,25 @@ pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
             let size = ByteSize::mb(mb);
             let mut rng = DetRng::new(config.seed);
             let chunk: Vec<u8> = (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect();
-            let reference = scalar.encode_serial(&chunk);
-            assert_eq!(reference, fast.encode_serial(&chunk), "kernel mismatch");
-            assert_eq!(reference, fast.parallel_encode(&chunk), "parallel mismatch");
-            let paths: [(&str, &dyn Fn() -> Vec<peerstripe_erasure::EncodedBlock>); 3] = [
-                ("serial_scalar", &|| scalar.encode_serial(&chunk)),
-                ("serial_nibble64", &|| fast.encode_serial(&chunk)),
-                ("parallel", &|| fast.parallel_encode(&chunk)),
+            let reference = scalar.encode(&chunk);
+            let mut arena = RowArena::new(&fast, chunk.len());
+            let paths = [
+                ("serial_scalar", &scalar, 1),
+                ("serial_nibble64", &fast, 1),
+                ("parallel", &fast, cpus()),
             ];
-            for (label, encode) in paths {
+            for (label, code, workers) in paths {
+                // Untimed first: the arena's pages are faulted in once, as a
+                // payload's are, not once per measured encode.
+                arena.encode(code, &chunk, workers);
                 let mut best = 0.0f64;
                 for _ in 0..REPS {
                     let started = Instant::now();
-                    std::hint::black_box(encode());
+                    arena.encode(code, &chunk, workers);
                     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
                     best = best.max(size.as_u64() as f64 / elapsed);
                 }
+                assert!(arena.holds(&reference), "{label} differs from encode()");
                 rows.push(BenchRow {
                     id: format!("rs_{data}p{parity}/{mb}_mb/{label}"),
                     work_units: size.as_u64(),

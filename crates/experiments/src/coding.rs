@@ -9,14 +9,14 @@
 //! separates optimal from sub-optimal codecs.
 //!
 //! [`run_rs_sweep`] sweeps Reed–Solomon (data, parity) geometries over chunk
-//! sizes and reports scalar-serial / vectorized-serial / parallel encode
-//! throughput side by side (the `scalar` reference kernel vs the wide-lane
-//! `nibble64` kernel vs the column-stripe threaded path), minimal-subset
-//! decode throughput, and minimal-subset recovery rates (always 100 % — the
-//! optimality property the sub-optimal codecs cannot offer).  Every sweep
-//! point also cross-checks that all three encode paths emit byte-identical
-//! blocks; [`run_rs_check`] packages that cross-check (plus recovery) as a
-//! pass/fail gate for CI.
+//! sizes and reports encode throughput into caller-owned row buffers
+//! ([`RowArena`]) side by side — the `scalar` reference kernel, the wide-lane
+//! `nibble64` kernel, and `nibble64` with one column-span worker per CPU —
+//! plus minimal-subset decode throughput and minimal-subset recovery rates
+//! (always 100 % — the optimality property the sub-optimal codecs cannot
+//! offer).  Every sweep point also cross-checks that all three emit
+//! byte-identical blocks; [`run_rs_check`] packages that cross-check (plus
+//! recovery) as a pass/fail gate for CI.
 
 use crate::scale::Scale;
 use peerstripe_erasure::{
@@ -25,6 +25,43 @@ use peerstripe_erasure::{
 };
 use peerstripe_sim::{ByteSize, DetRng};
 use std::time::Instant;
+
+/// Caller-owned buffers for every encoded row of one chunk size — the store
+/// path's shape: allocate once, then encode in place as often as wanted.
+/// The sweep, the `rs_encode` snapshot and the criterion bench all measure
+/// Reed–Solomon through this one definition.
+#[derive(Debug, Clone)]
+pub struct RowArena {
+    rows: Vec<u32>,
+    bufs: Vec<Vec<u8>>,
+}
+
+impl RowArena {
+    /// Buffers for all rows `code` makes of a chunk of `chunk_len` bytes.
+    pub fn new(code: &dyn ErasureCode, chunk_len: usize) -> Self {
+        let rows: Vec<u32> = (0..code.encoded_blocks() as u32).collect();
+        // Stale bytes, not zeros: the encode must overwrite every one.
+        let bufs = vec![vec![0xA5u8; code.block_size(chunk_len)]; rows.len()];
+        RowArena { rows, bufs }
+    }
+
+    /// Encode every row of `chunk` into the arena through the tile loop
+    /// with `workers` column-span workers.
+    pub fn encode(&mut self, code: &ReedSolomonCode, chunk: &[u8], workers: usize) {
+        let mut out: Vec<&mut [u8]> = self.bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        code.encode_with_workers(chunk, &self.rows, &mut out, workers);
+    }
+
+    /// True when the arena holds exactly `blocks`, in index order.
+    pub fn holds(&self, blocks: &[EncodedBlock]) -> bool {
+        self.bufs.len() == blocks.len() && self.bufs.iter().zip(blocks).all(|(a, b)| *a == b.data)
+    }
+}
+
+/// One worker per CPU, 1 when the host cannot say.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// One row of Table 2.
 #[derive(Debug, Clone)]
@@ -114,6 +151,10 @@ pub fn run_table2(config: &CodingConfig) -> Table2 {
     let rs = table2_rs_code(config.blocks);
 
     let codes: Vec<&dyn ErasureCode> = vec![&null, &xor, &online, &rs];
+    // Every overhead below is relative to the NULL row, which is measured
+    // first: one discarded pass keeps the process's start-up (the heap's
+    // first growth and trim) out of the baseline.
+    measure_code(&null, config.chunk_size, 1, config.seed);
     let costs: Vec<CodeCost> = codes
         .iter()
         .map(|c| measure_code(*c, config.chunk_size, config.runs, config.seed))
@@ -156,12 +197,12 @@ pub struct RsSweepRow {
     pub parity: usize,
     /// Chunk size encoded.
     pub chunk_size: ByteSize,
-    /// Serial encode throughput with the `scalar` reference kernel, MB/s of
+    /// In-place encode throughput with the `scalar` reference kernel, MB/s of
     /// source data — the pre-vectorization baseline.
     pub scalar_mb_s: f64,
-    /// Serial encode throughput with the wide-lane `nibble64` kernel, MB/s.
+    /// In-place encode throughput with the wide-lane `nibble64` kernel, MB/s.
     pub encode_mb_s: f64,
-    /// Parallel (column-stripe) encode throughput, `nibble64` kernel, MB/s.
+    /// `nibble64` with one column-span worker per CPU, MB/s.
     pub parallel_encode_mb_s: f64,
     /// Decode throughput from exactly-minimal random subsets, MB/s.
     pub decode_mb_s: f64,
@@ -226,9 +267,10 @@ impl RsSweepConfig {
 
 /// Run the Reed–Solomon (data, parity) sweep.
 ///
-/// Every point encodes with the scalar reference kernel, the wide-lane
-/// `nibble64` kernel, and the column-stripe parallel path, and asserts all
-/// three emit byte-identical blocks before any throughput is reported.
+/// Every point encodes in place with the scalar reference kernel, the
+/// wide-lane `nibble64` kernel, and `nibble64` with a worker per CPU, and
+/// asserts all three emit the blocks [`ErasureCode::encode`] returns before
+/// any throughput is reported.
 pub fn run_rs_sweep(config: &RsSweepConfig) -> RsSweep {
     let mut rng = DetRng::new(config.seed);
     let mut rows = Vec::new();
@@ -240,24 +282,23 @@ pub fn run_rs_sweep(config: &RsSweepConfig) -> RsSweep {
                 .map(|_| rng.next_u32() as u8)
                 .collect();
             let mb = chunk.len() as f64 / (1 << 20) as f64;
-
-            let mut scalar_s = f64::INFINITY;
-            let mut serial_s = f64::INFINITY;
-            let mut parallel_s = f64::INFINITY;
-            let mut blocks = Vec::new();
+            let blocks = code.encode(&chunk);
+            let mut arena = RowArena::new(&code, chunk.len());
+            let mut best_s = [f64::INFINITY; 3];
             for _ in 0..config.runs.max(1) {
-                let start = Instant::now();
-                let scalar_blocks = scalar_code.encode_serial(&chunk);
-                scalar_s = scalar_s.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                blocks = code.encode_serial(&chunk);
-                serial_s = serial_s.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                let par = code.parallel_encode(&chunk);
-                parallel_s = parallel_s.min(start.elapsed().as_secs_f64());
-                assert_eq!(scalar_blocks, blocks, "scalar vs nibble64 kernel mismatch");
-                assert_eq!(par, blocks, "parallel vs serial encode mismatch");
+                let paths = [
+                    (&scalar_code, 1, "scalar"),
+                    (&code, 1, "nibble64"),
+                    (&code, cpus(), "workers"),
+                ];
+                for (best, (code, workers, label)) in best_s.iter_mut().zip(paths) {
+                    let start = Instant::now();
+                    arena.encode(code, &chunk, workers);
+                    *best = best.min(start.elapsed().as_secs_f64());
+                    assert!(arena.holds(&blocks), "{label} differs from encode()");
+                }
             }
+            let [scalar_s, serial_s, parallel_s] = best_s;
 
             let mut recovered = 0usize;
             let mut decode_s_total = 0.0;
@@ -293,15 +334,17 @@ pub fn run_rs_sweep(config: &RsSweepConfig) -> RsSweep {
 
 /// The CI kernel-consistency gate behind `repro rs-check`.
 ///
-/// For every geometry × chunk size of the scale's sweep, encode with the
-/// `scalar` kernel (serial), the `nibble64` kernel (serial and parallel), and
-/// the streaming stripe pipeline, require all four block sets byte-identical,
-/// then decode exactly-minimal random subsets under *both* kernels and
-/// require 100 % recovery.  Every decode runs twice — the owning
+/// For every geometry × chunk size of the scale's sweep: the `scalar` kernel
+/// is the oracle; the `nibble64` kernel must return the same blocks from
+/// [`ErasureCode::encode`], and [`ErasureCode::encode_rows_into`] over dirty
+/// caller-owned buffers must write those same bytes for every worker count.
+/// Then exactly-minimal random subsets are decoded under *both* kernels with
+/// 100 % recovery required.  Every decode runs twice — the owning
 /// [`ErasureCode::decode`] and the borrowed [`ErasureCode::decode_into`] over
-/// a dirty buffer — and the two must agree; the same holds for the Null, XOR
-/// and online codecs at every chunk size.  `Ok` carries a human-readable
-/// summary; `Err` names the first failing point.
+/// a dirty buffer — and the two must agree; for the Null, XOR and online
+/// codecs at every chunk size the same holds, and their
+/// `encode_rows_into` must match `encode` as well.  `Ok` carries a
+/// human-readable summary; `Err` names the first failing point.
 pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
     let config = RsSweepConfig::at_scale(scale, seed);
     let mut rng = DetRng::new(seed ^ 0x5eed_c0de);
@@ -315,18 +358,18 @@ pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
             let chunk: Vec<u8> = (0..chunk_size.as_u64())
                 .map(|_| rng.next_u32() as u8)
                 .collect();
-            let reference = scalar_code.encode_serial(&chunk);
-            let fast = fast_code.encode_serial(&chunk);
-            if fast != reference {
+            let reference = scalar_code.encode(&chunk);
+            if fast_code.encode(&chunk) != reference {
                 return Err(format!("{label}: scalar vs nibble64 blocks differ"));
             }
-            let parallel = fast_code.encode_with_workers(&chunk, 4);
-            if parallel != reference {
-                return Err(format!("{label}: parallel encode differs from serial"));
-            }
-            let striped = fast_code.encode_via_stripes(&chunk, 1 << 14, 3);
-            if striped != reference {
-                return Err(format!("{label}: stripe pipeline differs from serial"));
+            for workers in CHECKED_WORKERS {
+                let mut arena = RowArena::new(&fast_code, chunk.len());
+                arena.encode(&fast_code, &chunk, workers);
+                if !arena.holds(&reference) {
+                    return Err(format!(
+                        "{label}: encode_rows_into with {workers} workers differs from encode"
+                    ));
+                }
             }
             for trial in 0..config.subset_trials.max(1) {
                 let subset: Vec<_> = rng
@@ -370,6 +413,15 @@ pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
         ];
         for code in &codecs {
             let mut blocks = code.encode(&chunk);
+            let mut arena = RowArena::new(code.as_ref(), chunk.len());
+            let mut out: Vec<&mut [u8]> = arena.bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            code.encode_rows_into(&chunk, &arena.rows, &mut out);
+            if !arena.holds(&blocks) {
+                return Err(format!(
+                    "{} @ {chunk_size}: encode_rows_into differs from encode",
+                    code.name()
+                ));
+            }
             if code.tolerable_losses() > 0 {
                 blocks.swap_remove(rng.index(blocks.len()));
             }
@@ -378,12 +430,16 @@ pub fn run_rs_check(scale: Scale, seed: u64) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "rs-check ok: {points} points × 4 encode paths byte-identical, \
-         {decodes} minimal-subset decodes recovered (scalar + nibble64, lane {}), \
-         decode_into == decode for every codec",
+        "rs-check ok: {points} points × (scalar oracle, nibble64, {} worker counts in place) \
+         byte-identical, {decodes} minimal-subset decodes recovered (scalar + nibble64, lane {}), \
+         encode_rows_into == encode and decode_into == decode for every codec",
+        CHECKED_WORKERS.len(),
         Gf256Kernel::Nibble64.lane_label()
     ))
 }
+
+/// Worker counts `rs-check` runs the in-place encode with.
+const CHECKED_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// `decode_into` over a buffer full of stale bytes must give exactly what
 /// `decode` gives: the same chunk or the same error.

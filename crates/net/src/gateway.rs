@@ -29,7 +29,7 @@ use peerstripe_telemetry::{CounterHandle, HistogramHandle, MetricsRegistry, Regi
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 use std::time::Duration;
 
 /// One daemon the gateway can reach.
@@ -81,6 +81,27 @@ struct OpHandles {
     latency: HistogramHandle,
 }
 
+/// Size of the one buffer the first gateway of a process allocates and frees,
+/// untouched — a hint that keeps glibc from handing the client's heap back to the
+/// kernel between operations.
+///
+/// glibc derives its mmap threshold, and a trim threshold of twice that, from
+/// the largest mmapped buffer the process has freed so far.  A networked
+/// client streams block-sized buffers through the allocator — a store's
+/// payloads, a fetch's reply frames, the read's result — and when a file is
+/// one chunk, what one read frees (the result plus `data` blocks of it) is
+/// almost exactly twice the largest buffer it ever freed.  Whether the free
+/// top of the heap then crosses the trim threshold after every operation, to
+/// be returned and faulted back in by the next one, or never, came down to
+/// where an unrelated small allocation happened to sit: on the benchmark's
+/// 1 MiB-file ring the same binary ran either at 100 `brk` calls a run or at
+/// 2 000 a second with three times the page faults (fetch +35 %, degraded
+/// fetch +90 %, repair +40 %).  Freeing one buffer just under glibc's 32 MiB
+/// cap for these thresholds settles it once: block buffers come from the
+/// heap, and the heap keeps them.  The pages are never touched, so it costs
+/// no memory, and an allocator without such thresholds ignores it.
+const HEAP_HYSTERESIS_BYTES: usize = (32 << 20) - (64 << 10);
+
 /// How many finished RPCs the gateway's op log retains.
 const GATEWAY_OP_LOG_CAPACITY: usize = 4096;
 
@@ -113,6 +134,14 @@ impl RingGateway {
     /// Build a gateway over the given endpoints. No connection is made until
     /// the first RPC.
     pub fn connect(endpoints: &[NodeEndpoint], config: GatewayConfig) -> RingGateway {
+        // See `HEAP_HYSTERESIS_BYTES`: reserved and released once a process,
+        // never touched.
+        static HEAP_HINT: Once = Once::new();
+        HEAP_HINT.call_once(|| {
+            drop(std::hint::black_box(Vec::<u8>::with_capacity(
+                HEAP_HYSTERESIS_BYTES,
+            )));
+        });
         let mut ring = IdRing::new();
         let mut addr_map = BTreeMap::new();
         let mut ids = BTreeMap::new();
@@ -227,30 +256,26 @@ impl RingGateway {
         req: &Request,
         rid: Option<u64>,
     ) -> Result<Response, WireError> {
-        let mut conns = lock(&self.conns);
-        let mut fresh = false;
-        let mut stream = match conns.remove(&node) {
-            Some(s) => s,
-            None => {
-                fresh = true;
-                self.dial(node)?
-            }
+        // The pool lock is held only to take a stream out and to put it
+        // back, never across a dial or a round trip: RPCs to different nodes
+        // overlap, and a dead endpoint stalls nobody but its own caller.
+        let pooled = lock(&self.conns).remove(&node);
+        let fresh = pooled.is_none();
+        let mut stream = match pooled {
+            Some(stream) => stream,
+            None => self.dial(node)?,
         };
-        match call_traced(&mut stream, req, rid) {
-            Ok((resp, _)) => {
-                conns.insert(node, stream);
-                Ok(resp)
-            }
+        let (resp, _) = match call_traced(&mut stream, req, rid) {
             Err(e) if e.is_transport() && !fresh => {
                 // The pooled connection went stale (daemon restarted, idle
                 // timeout); re-dial once.
-                let mut stream = self.dial(node)?;
-                let (resp, _) = call_traced(&mut stream, req, rid)?;
-                conns.insert(node, stream);
-                Ok(resp)
+                stream = self.dial(node)?;
+                call_traced(&mut stream, req, rid)
             }
-            Err(e) => Err(e),
-        }
+            outcome => outcome,
+        }?;
+        lock(&self.conns).insert(node, stream);
+        Ok(resp)
     }
 
     /// Scrape one daemon's stats.  Deliberately uninstrumented and untraced:
@@ -583,6 +608,61 @@ mod tests {
         for n in nodes {
             n.stop().unwrap();
         }
+    }
+
+    #[test]
+    fn rpcs_to_different_nodes_do_not_wait_for_each_other() {
+        use crate::protocol::{read_request_traced, write_response_traced};
+        use std::sync::mpsc;
+        // Node 0 is a stub that reads a request and then withholds its reply
+        // until it is told to answer (or two seconds pass); node 1 is a real
+        // daemon.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stub_addr = listener.local_addr().unwrap();
+        let (got_request, request_seen) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let stub = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let (_, rid) = read_request_traced(&mut conn).unwrap();
+            got_request.send(()).unwrap();
+            let in_time = released.recv_timeout(Duration::from_secs(2)).is_ok();
+            let pong = Response::Pong {
+                node: Id::hash("stub"),
+            };
+            write_response_traced(&mut conn, &pong, rid).unwrap();
+            in_time
+        });
+        let service = NodeService::new(&NodeConfig::named("node-1", ByteSize::mb(64)));
+        let real = NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
+            .unwrap()
+            .spawn();
+        let endpoints = [
+            NodeEndpoint {
+                node: 0,
+                id: Id::hash("stub"),
+                addr: stub_addr,
+            },
+            NodeEndpoint {
+                node: 1,
+                id: Id::hash("node-1"),
+                addr: real.local_addr(),
+            },
+        ];
+        let gw = RingGateway::connect(&endpoints, GatewayConfig::default());
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| gw.ping(0));
+            request_seen.recv().unwrap();
+            // The stub's reply is outstanding; an RPC to the other node must
+            // complete meanwhile.  Only then is the stub allowed to answer.
+            assert!(gw.ping(1));
+            release.send(()).unwrap();
+            assert!(slow.join().unwrap(), "the withheld RPC still completes");
+        });
+        assert!(
+            stub.join().unwrap(),
+            "the second node's RPC waited for the first node's reply"
+        );
+        real.stop().unwrap();
     }
 
     #[test]

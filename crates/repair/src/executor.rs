@@ -30,7 +30,8 @@ pub struct RegenerationExecutor {
 impl RegenerationExecutor {
     /// Build the executor for a coding policy, dividing each chunk into
     /// `source_blocks` codec blocks (must match the deployment's
-    /// `data_path_blocks` so indices line up).
+    /// `data_path_blocks` so indices line up; Reed–Solomon codes at the
+    /// policy's native geometry whatever it says).
     pub fn new(policy: &CodingPolicy, source_blocks: usize) -> Self {
         RegenerationExecutor {
             codec: policy.codec(source_blocks),
@@ -65,7 +66,9 @@ impl RegenerationExecutor {
 
     /// Rebuild every codec block of `chunk` that no live node currently holds,
     /// returning them packed as one replacement block-object payload (the
-    /// format [`pack_payload`] defines), or the decode error when the
+    /// format [`pack_payload`] defines) — for Reed–Solomon, which codes one
+    /// row per placed block, a single lost placement is exactly one row and
+    /// the replacement is that block again — or the decode error when the
     /// survivors are insufficient — including `NotEnoughBlocks` when every
     /// holder is gone.  `Ok(None)` means nothing is missing, or the deployment
     /// is placement-only (live holders exist but carry no payloads).

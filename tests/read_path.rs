@@ -1,9 +1,10 @@
-//! The byte read path, judged from outside the client: a backend wrapper
-//! that counts `fetch_block` calls and can make chosen blocks unreadable
-//! shows how many blocks a read pulls, that every loss pattern a policy
-//! tolerates still reads back the stored bytes (and one more loss reads
-//! nothing, never wrong bytes), and that repair hands each replacement
-//! exactly the lost placement's codec blocks, in its place.
+//! The byte path, judged from outside the client: a backend wrapper that
+//! counts `fetch_block` calls, can make chosen blocks unreadable and can
+//! refuse a chosen `store_block` shows how many blocks a read pulls, that
+//! every loss pattern a policy tolerates still reads back the stored bytes
+//! (and one more loss reads nothing, never wrong bytes), that repair hands
+//! each replacement exactly the lost placement's codec blocks, in its place,
+//! and that a chunk refused part-way is rolled back whole.
 
 use peerstripe::core::client::unpack_payload;
 use peerstripe::core::{
@@ -18,12 +19,16 @@ use proptest::prelude::*;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
-/// The simulator behind a wrapper that counts `fetch_block` calls and
-/// answers `None` for every block whose key is in `lost`.
+/// The simulator behind a wrapper that counts `fetch_block` calls, answers
+/// `None` for every block whose key is in `lost`, and refuses the
+/// `refuse_store`-th payload-carrying `store_block` (counted from 1).
 struct Probe {
     inner: StorageCluster,
     fetches: Cell<usize>,
     lost: BTreeSet<Id>,
+    payload_stores: usize,
+    refuse_store: Option<usize>,
+    rolled_back: Vec<ObjectName>,
 }
 
 impl ClusterView for Probe {
@@ -65,6 +70,10 @@ impl StorageBackend for Probe {
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
+        self.payload_stores += usize::from(payload.is_some());
+        if payload.is_some() && self.refuse_store == Some(self.payload_stores) {
+            return Err(ClusterStoreError::NoLiveNodes);
+        }
         self.inner.store_block(node, key, name, size, payload)
     }
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock> {
@@ -75,6 +84,7 @@ impl StorageBackend for Probe {
         self.inner.fetch_block(node, name)
     }
     fn rollback_block(&mut self, node: NodeRef, name: &ObjectName, size: ByteSize) {
+        self.rolled_back.push(name.clone());
         self.inner.rollback_block(node, name, size)
     }
     fn replica_targets(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)> {
@@ -97,6 +107,15 @@ const POLICIES: [CodingPolicy; 5] = [
 /// A client over `nodes` simulated nodes that cuts files into chunks of at
 /// most 16 KiB, so modest files span several chunks.
 fn client(coding: CodingPolicy, nodes: usize, seed: u64) -> PeerStripe<Probe> {
+    client_with_chunks(coding, nodes, seed, Some(ByteSize::kb(16)))
+}
+
+fn client_with_chunks(
+    coding: CodingPolicy,
+    nodes: usize,
+    seed: u64,
+    max_chunk_size: Option<ByteSize>,
+) -> PeerStripe<Probe> {
     let inner = ClusterConfig {
         nodes,
         capacity: CapacityModel::Fixed(ByteSize::mb(64)),
@@ -108,10 +127,13 @@ fn client(coding: CodingPolicy, nodes: usize, seed: u64) -> PeerStripe<Probe> {
         inner,
         fetches: Cell::new(0),
         lost: BTreeSet::new(),
+        payload_stores: 0,
+        refuse_store: None,
+        rolled_back: Vec::new(),
     };
     let config = PeerStripeConfig {
         coding,
-        max_chunk_size: Some(ByteSize::kb(16)),
+        max_chunk_size,
         ..PeerStripeConfig::default()
     };
     PeerStripe::new(probe, config)
@@ -306,4 +328,42 @@ fn repair_rebuilds_each_lost_placement_in_its_place() {
         fetches_of_read(&ps, "f", &data),
         after.chunks.len() * coding.min_blocks_needed()
     );
+}
+
+#[test]
+fn a_chunk_refused_part_way_is_rolled_back_whole_and_stored_again() {
+    // RS(5, 3), one chunk a file.  The small file encodes on the calling
+    // thread; the 4 MiB one computes its three parity blocks on a scoped
+    // worker while the five data blocks are pushed.  Refusing the 3rd push
+    // catches that worker mid-flight, refusing the 6th — the first parity
+    // block — comes right after it was joined.
+    let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+    for len in [20_000usize, 4 << 20] {
+        for refuse_at in [3usize, 6] {
+            let mut ps = client_with_chunks(coding, 24, 80, None);
+            ps.backend_mut().refuse_store = Some(refuse_at);
+            let data = seeded(len, refuse_at as u64);
+            assert!(ps.store_data("f", &data).is_stored());
+
+            // Chunk 0 was refused: the blocks placed before the refusal —
+            // exactly those, in order — were rolled back, and the chunk is
+            // recorded as zero-sized.
+            let placed_before: Vec<ObjectName> = (0..refuse_at as u32 - 1)
+                .map(|ecb| ObjectName::block("f", 0, ecb))
+                .collect();
+            assert_eq!(ps.backend().rolled_back, placed_before);
+            let manifest = ps.manifest("f").unwrap().clone();
+            assert!(manifest.chunks[0].size.is_zero() && manifest.chunks[0].blocks.is_empty());
+            // Chunk 1 carries the file; nothing of chunk 0 is left behind.
+            assert_eq!(manifest.chunks[1].blocks.len(), coding.placed_blocks());
+            let held: u64 = manifest.all_blocks().map(|b| b.size.as_u64()).sum();
+            let cats = manifest.cat_nodes.len() as u64;
+            let used = ps.backend().inner.total_used().as_u64();
+            assert!(
+                used >= held && used - held <= 64 * cats.max(1),
+                "{used} bytes used, {held} in placed blocks"
+            );
+            assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+        }
+    }
 }
