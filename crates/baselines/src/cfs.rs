@@ -126,7 +126,7 @@ impl StorageSystem for Cfs {
                     break 'blocks;
                 };
                 // One routed lookup per placement attempt (accounting only).
-                let _ = self.cluster.overlay_mut().route(name.key());
+                let _ = self.cluster.locate(&name);
                 if !self.cluster.node(primary).can_store(this_block) {
                     continue;
                 }

@@ -1,11 +1,14 @@
 //! Benchmarks placement decision throughput: chunk-placement plans and repair
-//! target picks per second for every strategy at 1 000 and 10 000 nodes.
+//! target picks per second for every strategy at 1 000, 10 000 and 100 000
+//! nodes.
 //!
 //! `overlay-random` is a pure routing walk (O(log n) per block);
-//! `domain-spread` adds per-domain accounting with an O(nodes) fallback scan
-//! when the routed domain is over-used; `capacity-weighted` is O(nodes) per
-//! draw by construction.  This bench is the regression guard for keeping the
-//! store path's decision cost negligible next to the transfer it sizes.
+//! `domain-spread` adds per-domain accounting and, when the routed domain is
+//! over-used, a fallback over the cluster's per-domain index (O(domains) on
+//! the store path, a count over one tier of domains on the repair path);
+//! `capacity-weighted` is O(nodes) per draw by construction.  This bench is
+//! the regression guard for keeping the store path's decision cost
+//! negligible next to the transfer it sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use peerstripe_core::ClusterConfig;
@@ -23,10 +26,13 @@ fn bench_placement_decide(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(5));
-    for nodes in [1_000usize, 10_000] {
+    for nodes in [1_000usize, 10_000, 100_000] {
         let mut rng = DetRng::new(7);
-        let base = ClusterConfig::scaled(nodes).build(&mut rng);
+        let mut base = ClusterConfig::scaled(nodes).build(&mut rng);
         let topology = Topology::synthetic(nodes, 4, 8, 7);
+        // Handed over the way a client or the engine does it, so strategies
+        // find the cluster's per-domain index.
+        base.adopt_topology(&topology);
         for kind in StrategyKind::ALL {
             // Chunk-placement planning: one 8-block plan per iteration, fresh
             // keys per chunk (the store path's hot decision).

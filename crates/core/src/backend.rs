@@ -14,7 +14,7 @@
 use crate::cluster::{ClusterStoreError, StorageCluster};
 use crate::naming::ObjectName;
 use peerstripe_overlay::{Id, NodeRef};
-use peerstripe_placement::ProbeView;
+use peerstripe_placement::{ProbeView, Topology};
 use peerstripe_sim::ByteSize;
 use std::sync::Arc;
 
@@ -65,11 +65,17 @@ pub trait StorageBackend: ProbeView {
     /// The `k` ring members numerically closest to `key` (leaf-set targets
     /// for CAT replication).  No lookup message is charged.
     fn replica_targets(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)>;
+
+    /// Told once, by the client that will place blocks with it, which
+    /// failure-domain topology decisions are made under.  A backend that can
+    /// answer per-domain questions faster knowing it (the simulator indexes
+    /// its nodes by domain) prepares here; the default does nothing.
+    fn adopt_topology(&mut self, _topology: &Topology) {}
 }
 
 impl StorageBackend for StorageCluster {
     fn route_lookup(&mut self, key: Id) -> Option<NodeRef> {
-        self.overlay_mut().route(key)
+        self.route(key)
     }
 
     fn store_block(
@@ -96,6 +102,10 @@ impl StorageBackend for StorageCluster {
 
     fn replica_targets(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)> {
         self.overlay().ring().k_closest(key, k)
+    }
+
+    fn adopt_topology(&mut self, topology: &Topology) {
+        StorageCluster::adopt_topology(self, topology);
     }
 }
 

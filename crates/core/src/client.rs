@@ -231,11 +231,14 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// strategies cap each chunk at the coding policy's tolerable losses per
     /// domain, and every placed block's domain is recorded in the manifest.
     pub fn with_placement(
-        backend: B,
+        mut backend: B,
         config: PeerStripeConfig,
         placement: Box<dyn PlacementStrategy>,
         topology: Option<Topology>,
     ) -> Self {
+        if let Some(topology) = &topology {
+            backend.adopt_topology(topology);
+        }
         PeerStripe {
             backend,
             byte_path: BytePath::new(&config),

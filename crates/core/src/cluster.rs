@@ -10,7 +10,7 @@
 use crate::naming::ObjectName;
 use crate::storage::{NodeStoreError, StorageNode, StoredObject};
 use peerstripe_overlay::{Id, NodeRef, OverlaySim, Takeover};
-use peerstripe_placement::{ClusterView, ProbeView};
+use peerstripe_placement::{ClusterView, DomainIndex, NodeState, ProbeView, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::CapacityModel;
 use serde::{Deserialize, Serialize};
@@ -64,7 +64,11 @@ impl ClusterConfig {
             .into_iter()
             .map(|c| StorageNode::new(c, self.report_fraction, self.track_objects))
             .collect();
-        StorageCluster { overlay, nodes }
+        StorageCluster {
+            overlay,
+            nodes,
+            index: None,
+        }
     }
 }
 
@@ -78,21 +82,30 @@ pub enum ClusterStoreError {
 }
 
 /// The shared storage pool all systems in the evaluation run on.
+///
+/// Once a failure-domain topology has been handed to it
+/// ([`StorageCluster::adopt_topology`]) the cluster also keeps a
+/// [`DomainIndex`] of its nodes, which it lends to placement strategies.
+/// Nothing outside the cluster can change a node's space or liveness — the
+/// overlay and the nodes are reachable read-only — so every such change goes
+/// through a method below that brings the node's index slot up to date.
 #[derive(Debug, Clone)]
 pub struct StorageCluster {
     overlay: OverlaySim,
     nodes: Vec<StorageNode>,
+    index: Option<DomainIndex>,
 }
+
+// Sweeps clone a base cluster into worker threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync + Clone>() {}
+    shareable::<StorageCluster>();
+};
 
 impl StorageCluster {
     /// Read-only access to the overlay.
     pub fn overlay(&self) -> &OverlaySim {
         &self.overlay
-    }
-
-    /// Mutable access to the overlay (churn scripting, lookup accounting).
-    pub fn overlay_mut(&mut self) -> &mut OverlaySim {
-        &mut self.overlay
     }
 
     /// Number of nodes (live and failed).
@@ -105,9 +118,43 @@ impl StorageCluster {
         &self.nodes[node]
     }
 
-    /// Mutable storage state of a node.
-    pub fn node_mut(&mut self, node: NodeRef) -> &mut StorageNode {
-        &mut self.nodes[node]
+    /// Serve placement decisions made with `topology` from a per-domain
+    /// index, kept current from here on.  A topology that does not cover
+    /// exactly this cluster's nodes gets no index (decisions walk the
+    /// cluster, as they do for any topology other than the adopted one);
+    /// adopting the topology already served changes nothing.
+    pub fn adopt_topology(&mut self, topology: &Topology) {
+        if !self.index.as_ref().is_some_and(|ix| ix.serves(topology)) {
+            self.index =
+                DomainIndex::build(topology, self.nodes.len(), |node| self.node_state(node));
+        }
+    }
+
+    fn node_state(&self, node: NodeRef) -> NodeState {
+        let storage = &self.nodes[node];
+        NodeState {
+            alive: self.overlay.is_alive(node),
+            report: storage.report_capacity(),
+            free: storage.free(),
+        }
+    }
+
+    /// Bring a node's index slot up to date after its space or liveness
+    /// changed.
+    fn sync(&mut self, node: NodeRef) {
+        if let Some(mut index) = self.index.take() {
+            index.update(node, self.node_state(node));
+            self.index = Some(index);
+        }
+    }
+
+    /// True if the maintained index equals one built from scratch now (or
+    /// there is none) — the consistency check tests and the maintenance
+    /// engine's debug builds lean on.
+    pub fn index_is_consistent(&self) -> bool {
+        self.index
+            .as_ref()
+            .is_none_or(|index| index.rebuilt(|node| self.node_state(node)).as_ref() == Some(index))
     }
 
     /// Total contributed capacity across all nodes (live and failed).
@@ -146,6 +193,12 @@ impl StorageCluster {
         Some((target, self.nodes[target].report_capacity()))
     }
 
+    /// Route a key to the node currently responsible for it, charging one
+    /// lookup message.
+    pub fn route(&mut self, key: Id) -> Option<NodeRef> {
+        self.overlay.route(key)
+    }
+
     /// Store an object at the node its key routes to.
     ///
     /// One routed lookup message is charged; the data transfer itself happens
@@ -157,10 +210,7 @@ impl StorageCluster {
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
         let key = name.key();
-        let target = self
-            .overlay
-            .route(key)
-            .ok_or(ClusterStoreError::NoLiveNodes)?;
+        let target = self.route(key).ok_or(ClusterStoreError::NoLiveNodes)?;
         self.store_object_at(target, key, name, size, payload)
     }
 
@@ -187,13 +237,14 @@ impl StorageCluster {
                 },
             )
             .map_err(ClusterStoreError::Refused)?;
+        self.sync(node);
         Ok(node)
     }
 
     /// Route a lookup for an object and return the node currently responsible
     /// for its key (charging a lookup message).
     pub fn locate(&mut self, name: &ObjectName) -> Option<NodeRef> {
-        self.overlay.route(name.key())
+        self.route(name.key())
     }
 
     /// Fetch an object from a specific node (requires object tracking).
@@ -211,13 +262,16 @@ impl StorageCluster {
 
     /// Remove an object from a node, freeing its space.
     pub fn remove_from(&mut self, node: NodeRef, name: &ObjectName) -> Option<ByteSize> {
-        self.nodes[node].remove(name.key())
+        let removed = self.nodes[node].remove(name.key());
+        self.sync(node);
+        removed
     }
 
     /// Release an object's space when it cannot be identified by key (nodes
     /// running without per-object tracking).  Used by store rollback.
     pub fn release_at(&mut self, node: NodeRef, size: ByteSize) {
         self.nodes[node].release(size);
+        self.sync(node);
     }
 
     /// Roll back a stored object: remove it if tracked, otherwise release its size.
@@ -225,17 +279,33 @@ impl StorageCluster {
         if self.nodes[node].remove(name.key()).is_none() {
             self.nodes[node].release(size);
         }
+        self.sync(node);
     }
 
-    /// Fail a node: its identifier leaves the overlay and its disk contents are
-    /// gone.  Returns the key-space takeover description for recovery.
+    /// Charge `size` bytes to a node without storing an identified object
+    /// (regenerated blocks tracked in a ledger rather than as node objects).
+    /// Fails like a store when the space is not there.
+    pub fn reserve(&mut self, node: NodeRef, size: ByteSize) -> Result<(), NodeStoreError> {
+        self.nodes[node].reserve(size)?;
+        self.sync(node);
+        Ok(())
+    }
+
+    /// Drop everything a node stores; its capacity stays, so it can serve as
+    /// an empty contributor.
+    pub fn wipe(&mut self, node: NodeRef) {
+        self.nodes[node].wipe();
+        self.sync(node);
+    }
+
+    /// Fail a node: its identifier leaves the overlay and its disk contents
+    /// are unreachable.  Returns the key-space takeover description for
+    /// recovery.  The stored objects are kept, so recovery code can inspect
+    /// what was lost; wiping ([`StorageCluster::wipe`]) is the caller's
+    /// decision once the loss has been accounted.
     pub fn fail_node(&mut self, node: NodeRef) -> Option<Takeover> {
         let takeover = self.overlay.fail(node);
-        if takeover.is_some() {
-            // Keep the stored objects around so recovery code can inspect what
-            // was lost (the node itself is unreachable); wiping is the caller's
-            // decision once the loss has been accounted.
-        }
+        self.sync(node);
         takeover
     }
 
@@ -245,7 +315,18 @@ impl StorageCluster {
         count: usize,
         rng: &mut DetRng,
     ) -> Vec<(NodeRef, Option<Takeover>)> {
-        self.overlay.fail_random(count, rng)
+        let failed = self.overlay.fail_random(count, rng);
+        for &(node, _) in &failed {
+            self.sync(node);
+        }
+        failed
+    }
+
+    /// Bring a failed node back into the overlay under its old identifier,
+    /// with whatever it still stores.
+    pub fn rejoin(&mut self, node: NodeRef) {
+        self.overlay.rejoin(node);
+        self.sync(node);
     }
 }
 
@@ -274,6 +355,10 @@ impl ClusterView for StorageCluster {
 
     fn alive_nodes(&self) -> Vec<NodeRef> {
         self.overlay.alive_nodes().collect()
+    }
+
+    fn domain_index(&self) -> Option<&DomainIndex> {
+        self.index.as_ref()
     }
 }
 
@@ -380,6 +465,30 @@ mod tests {
         assert!(cluster.utilization() > 0.0);
         cluster.fail_node(node);
         assert_eq!(cluster.total_used(), ByteSize::ZERO);
+    }
+
+    #[test]
+    fn an_index_exists_exactly_for_an_adopted_topology_over_these_nodes() {
+        let mut cluster = small_cluster(8);
+        assert!(cluster.domain_index().is_none(), "no topology, no index");
+        let topology = Topology::uniform_groups(100, 10);
+        cluster.adopt_topology(&topology);
+        assert!(cluster.domain_index().unwrap().serves(&topology));
+        // Space and liveness changes reach it.
+        let name = ObjectName::chunk("x", 0);
+        let node = cluster.store_object(name, ByteSize::mb(500), None).unwrap();
+        cluster.fail_node((node + 1) % 100);
+        assert!(cluster.index_is_consistent());
+        // An equal topology built apart is not the adopted one.
+        assert!(!cluster
+            .domain_index()
+            .unwrap()
+            .serves(&Topology::uniform_groups(100, 10)));
+        // Neither a larger topology nor one that leaves nodes out is indexed.
+        cluster.adopt_topology(&Topology::uniform_groups(120, 10));
+        assert!(cluster.domain_index().is_none());
+        cluster.adopt_topology(&Topology::uniform_groups(90, 10));
+        assert!(cluster.domain_index().is_none());
     }
 
     #[test]

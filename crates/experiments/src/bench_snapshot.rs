@@ -291,12 +291,19 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
 
 /// Placement decision throughput: chunk-placement plans and repair-target
 /// picks per second for every strategy (mirrors `placement_decide.rs`).
+///
+/// Measured at the configured node counts and one decade past the largest,
+/// so each strategy's rows read as a curve with three points.  The cluster
+/// adopts the topology the way a client or the engine hands it over, so
+/// strategies that use the cluster's per-domain index find it.
 pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     let mut rows = Vec::new();
-    for &nodes in &config.node_counts {
+    let next_decade = config.node_counts.iter().max().map(|&top| top * 10);
+    for nodes in config.node_counts.iter().copied().chain(next_decade) {
         let mut rng = DetRng::new(7);
-        let base = ClusterConfig::scaled(nodes).build(&mut rng);
+        let mut base = ClusterConfig::scaled(nodes).build(&mut rng);
         let topology = Topology::synthetic(nodes, 4, 8, 7);
+        base.adopt_topology(&topology);
         for kind in StrategyKind::ALL {
             // Chunk-placement planning: one 8-block plan per pass, fresh keys
             // per chunk (the store path's hot decision).
@@ -667,8 +674,8 @@ mod tests {
             seed: 7,
         };
         let snapshot = run_placement_decide_snapshot(&config);
-        // plan_chunk + repair_targets per strategy.
-        assert_eq!(snapshot.rows.len(), 2 * StrategyKind::ALL.len());
+        // plan_chunk + repair_targets per strategy, at 60 and 600 nodes.
+        assert_eq!(snapshot.rows.len(), 2 * 2 * StrategyKind::ALL.len());
         for row in &snapshot.rows {
             assert!(row.per_sec > 0.0, "{row:?}");
         }

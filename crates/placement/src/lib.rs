@@ -20,7 +20,11 @@
 //! * [`SpreadReport`] — accounting of the diversity a deployment actually
 //!   achieved (worst per-domain concentration, cap violations);
 //! * [`ClusterView`] / [`ProbeView`] — the narrow cluster interface the
-//!   strategies consult, implemented by `peerstripe_core::StorageCluster`.
+//!   strategies consult, implemented by `peerstripe_core::StorageCluster`;
+//! * [`DomainIndex`] — per-node liveness, report and free room laid out by
+//!   domain, with each domain's freest member cached, which a cluster keeps
+//!   current and lends to [`DomainSpread`] so its decisions stop walking
+//!   every node.
 //!
 //! `peerstripe-core` routes the client's chunk placement and recovery
 //! re-placement through these strategies; `peerstripe-repair` routes the
@@ -32,10 +36,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod index;
 pub mod report;
 pub mod strategy;
 pub mod topology;
 
+pub use index::{DomainIndex, NodeState};
 pub use report::SpreadReport;
 pub use strategy::{
     CapacityWeighted, ClusterView, DomainSpread, OverlayRandom, PlacementStrategy, ProbeView,

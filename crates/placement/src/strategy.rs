@@ -21,6 +21,7 @@
 //! traits (implemented by `peerstripe_core::StorageCluster`), so this crate
 //! stays below `core` in the dependency order.
 
+use crate::index::DomainIndex;
 use crate::topology::Topology;
 use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::{ByteSize, DetRng};
@@ -42,6 +43,13 @@ pub trait ClusterView {
     fn node_count(&self) -> usize;
     /// The currently live nodes.
     fn alive_nodes(&self) -> Vec<NodeRef>;
+    /// The per-domain index this view keeps current, if it keeps one.  A view
+    /// that answers each question from somewhere else — the gateway asks a
+    /// daemon — has none, and strategies then walk it node by node; either
+    /// way a decision comes out the same.
+    fn domain_index(&self) -> Option<&DomainIndex> {
+        None
+    }
 }
 
 /// A [`ClusterView`] that can also issue routed `getCapacity` probes, which
@@ -168,9 +176,9 @@ impl DomainSpread {
 
     /// The best store-path target outside the saturated domains: domains with
     /// the fewest blocks of this chunk first (round-robin), the freest
-    /// eligible node within, ties broken by node index for determinism.  The
-    /// greedy freest-node pick self-balances here because every placed block
-    /// charges its node's capacity immediately.
+    /// eligible node within, ties broken by domain order and then member
+    /// order for determinism.  The greedy freest-node pick self-balances here
+    /// because every placed block charges its node's capacity immediately.
     fn fallback(
         view: &dyn ClusterView,
         topology: &Topology,
@@ -178,6 +186,9 @@ impl DomainSpread {
         chosen: &[NodeRef],
         cap: usize,
     ) -> Option<(NodeRef, ByteSize)> {
+        if let Some(index) = view.domain_index().filter(|index| index.serves(topology)) {
+            return Self::fallback_indexed(index, counts, chosen, cap);
+        }
         let mut best: Option<(usize, ByteSize, NodeRef)> = None;
         for (d, domain) in topology.domains() {
             let used = counts[d as usize];
@@ -204,6 +215,28 @@ impl DomainSpread {
         best.map(|(_, report, node)| (node, report))
     }
 
+    /// [`DomainSpread::fallback`] over each domain's cached freest member
+    /// instead of its members: the least-used tier that has any candidate
+    /// decides, the largest report within it, the first domain on a tie.
+    fn fallback_indexed(
+        index: &DomainIndex,
+        counts: &[usize],
+        chosen: &[NodeRef],
+        cap: usize,
+    ) -> Option<(NodeRef, ByteSize)> {
+        tiers(counts, cap).into_iter().find_map(|used| {
+            let mut best: Option<(NodeRef, ByteSize)> = None;
+            for d in domains_at(counts, used) {
+                if let Some((node, report)) = index.freest_in(d, chosen) {
+                    if best.is_none_or(|(_, br)| report > br) {
+                        best = Some((node, report));
+                    }
+                }
+            }
+            best
+        })
+    }
+
     /// One repair-path target: a uniformly random eligible node of the
     /// least-used domains.  Random within the domain tier — unlike the store
     /// path, repair reservations only charge capacity at transfer completion,
@@ -218,6 +251,9 @@ impl DomainSpread {
         cap: usize,
         rng: &mut DetRng,
     ) -> Option<NodeRef> {
+        if let Some(index) = view.domain_index().filter(|index| index.serves(topology)) {
+            return Self::repair_pick_indexed(index, counts, chosen, request, cap, rng);
+        }
         let mut best_used = usize::MAX;
         let mut pool: Vec<NodeRef> = Vec::new();
         for (d, domain) in topology.domains() {
@@ -243,6 +279,56 @@ impl DomainSpread {
         }
         rng.choose(&pool).copied()
     }
+
+    /// [`DomainSpread::repair_pick`] without building the pool: count the
+    /// eligible members of the least-used tier that has any, draw one position
+    /// (the draw `rng.choose` makes over the pool), and walk to it.  The count
+    /// stays inside one tier unless that tier is wholly down, full, or holding
+    /// the chunk already.
+    fn repair_pick_indexed(
+        index: &DomainIndex,
+        counts: &[usize],
+        chosen: &[NodeRef],
+        request: &RepairRequest<'_>,
+        cap: usize,
+        rng: &mut DetRng,
+    ) -> Option<NodeRef> {
+        let size = request.size;
+        let barred = index.barred(size, request.holders.iter().chain(chosen).copied());
+        let (tier, total) = tiers(counts, cap).into_iter().find_map(|used| {
+            let tier: Vec<(usize, usize)> = domains_at(counts, used)
+                .map(|d| (d, index.eligible_in(d, size, &barred)))
+                .collect();
+            let total: usize = tier.iter().map(|&(_, eligible)| eligible).sum();
+            (total > 0).then_some((tier, total))
+        })?;
+        let mut k = rng.index(total);
+        for (d, eligible) in tier {
+            if k < eligible {
+                return index.nth_eligible_in(d, size, &barred, k);
+            }
+            k -= eligible;
+        }
+        None
+    }
+}
+
+/// The distinct per-domain block counts below `cap`, least first: the tiers a
+/// round-robin over the domains works through.
+fn tiers(counts: &[usize], cap: usize) -> Vec<usize> {
+    let mut tiers: Vec<usize> = counts.iter().copied().filter(|&used| used < cap).collect();
+    tiers.sort_unstable();
+    tiers.dedup();
+    tiers
+}
+
+/// The domains of one tier, in domain order.
+fn domains_at(counts: &[usize], used: usize) -> impl Iterator<Item = usize> + '_ {
+    counts
+        .iter()
+        .enumerate()
+        .filter(move |&(_, &count)| count == used)
+        .map(|(d, _)| d)
 }
 
 impl PlacementStrategy for DomainSpread {

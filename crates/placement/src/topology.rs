@@ -98,9 +98,15 @@ pub struct Domain {
 }
 
 /// The site → domain → node hierarchy with per-node domain lookup.
+///
+/// Immutable once built, and its domain list is shared by every clone — which
+/// is what lets a [`crate::DomainIndex`] tell in one pointer comparison
+/// whether a decision is being made with the topology it was built for
+/// ([`crate::DomainIndex::serves`]); two topologies built separately are
+/// never the same to it, even when equal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    domains: Vec<Domain>,
+    pub(crate) domains: Arc<Vec<Domain>>,
     /// Domain of every node, indexed by [`NodeRef`]; `None` for nodes outside
     /// the modelled hierarchy (late joiners, untracked contributors).
     domain_of: Vec<Option<DomainId>>,
@@ -130,7 +136,7 @@ impl Topology {
             }
         }
         Topology {
-            domains,
+            domains: Arc::new(domains),
             domain_of,
             sites,
         }

@@ -296,7 +296,16 @@ impl MaintenanceEngine {
         engine
             .queue
             .schedule_at(engine.sample_period, MaintenanceEvent::Sample);
+        engine.adopt_topology();
         engine
+    }
+
+    /// Hand the placement topology to the cluster, which indexes its nodes by
+    /// domain for it and keeps that index current through the churn.
+    fn adopt_topology(&mut self) {
+        if let Some(topology) = &self.topology {
+            self.cluster.adopt_topology(topology);
+        }
     }
 
     /// Route rebuilt-block placement through an explicit strategy (and
@@ -310,6 +319,7 @@ impl MaintenanceEngine {
         self.placement = strategy;
         if topology.is_some() {
             self.topology = topology;
+            self.adopt_topology();
         }
         self
     }
@@ -374,6 +384,10 @@ impl MaintenanceEngine {
             self.profiler.end(Phase::EventDispatch, token);
         });
         self.queue = queue;
+        debug_assert!(
+            self.cluster.index_is_consistent(),
+            "the cluster's placement index drifted from its nodes"
+        );
     }
 
     /// The metrics accumulated so far.

@@ -286,7 +286,7 @@ impl MaintenanceEngine {
         if self.permanent[node] || self.cluster.overlay().is_alive(node) {
             return;
         }
-        self.cluster.overlay_mut().rejoin(node);
+        self.cluster.rejoin(node);
         self.detector.node_up(node, now);
         if self.tracing() {
             let false_declaration = self.declared[node];
@@ -322,7 +322,7 @@ impl MaintenanceEngine {
             // rejoins as an empty contributor — including its capacity
             // accounting, or the orphaned objects would pin space forever and
             // starve placement on exactly the nodes that churn the most.
-            self.cluster.node_mut(node).wipe();
+            self.cluster.wipe(node);
             self.declared[node] = false;
             self.metrics.false_declarations += 1;
             // Every repair byte attributed to this node's written-off blocks
@@ -483,8 +483,7 @@ impl MaintenanceEngine {
                 // The target must still be alive and still have the space it
                 // had at scheduling time; the reservation charges its capacity
                 // so future can_store probes see regenerated blocks.
-                if self.cluster.overlay().is_alive(node)
-                    && self.cluster.node_mut(node).reserve(size).is_ok()
+                if self.cluster.overlay().is_alive(node) && self.cluster.reserve(node, size).is_ok()
                 {
                     self.ledger.place_block(chunk, node, size);
                     self.chunk_block_up(chunk);

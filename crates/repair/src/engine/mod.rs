@@ -432,6 +432,56 @@ mod tests {
     }
 
     #[test]
+    fn the_cluster_index_survives_grouped_churn() {
+        use peerstripe_placement::{ClusterView, DomainSpread, Topology};
+        // The `sim_churn_10k` benchmark cell at its smoke scale: domain-spread
+        // placement of 8-of-4 online-coded chunks, 48 h between a domain's
+        // outages, 12 h outages, a 4 h permanence timeout.
+        let nodes = 1_000;
+        let topology = Topology::uniform_groups(nodes, 100);
+        let cluster = ClusterConfig::scaled(nodes).build(&mut DetRng::new(42));
+        let coding = CodingPolicy::Online {
+            placed: 8,
+            tolerable: 4,
+            overhead: 1.03,
+        };
+        let mut ps = PeerStripe::with_placement(
+            cluster,
+            PeerStripeConfig::default().with_coding(coding),
+            Box::new(DomainSpread::new()),
+            Some(topology.clone()),
+        );
+        for i in 0..200 {
+            let _ = ps.store_file(&FileRecord::new(format!("file-{i}"), ByteSize::gb(2)));
+        }
+        assert!(ps.cluster().index_is_consistent(), "after the deployment");
+        let manifests = ps.manifests().clone();
+        let churn = ChurnProcess {
+            sessions: SessionModel::Synthetic {
+                mean_session_secs: 24.0 * 3_600.0,
+                mean_downtime_secs: 2.0 * 3_600.0,
+            },
+            permanent_fraction: 0.002,
+            grouped: Some(crate::GroupedChurn::new(topology.clone(), 48.0, 12.0)),
+        };
+        let mut cfg = config(RepairPolicy::Eager, 4.0 * 3_600.0);
+        cfg.bandwidth = BandwidthBudget::symmetric(ByteSize::mb(4));
+        let mut engine = MaintenanceEngine::new(ps.into_cluster(), &manifests, churn, cfg, 42)
+            .with_placement(Box::new(DomainSpread::new()), Some(topology.clone()));
+        engine.run_for(SimTime::from_secs(6 * 3_600));
+        let report = engine.report();
+        assert!(report.group_outages > 0 && report.blocks_regenerated > 0);
+        let cluster = engine.cluster();
+        assert!(
+            cluster
+                .domain_index()
+                .is_some_and(|ix| ix.serves(&topology)),
+            "repair targets came from the index"
+        );
+        assert!(cluster.index_is_consistent(), "after the churn");
+    }
+
+    #[test]
     fn run_for_composes() {
         let mut a = engine(RepairPolicy::Eager, 0.05, 17);
         let mut b = engine(RepairPolicy::Eager, 0.05, 17);

@@ -4,17 +4,19 @@
 use peerstripe::core::churn::{AvailabilityTracker, RegenerationSim};
 use peerstripe::core::{
     ChunkAllocationTable, ClusterConfig, CodingPolicy, ObjectName, PeerStripe, PeerStripeConfig,
-    StorageSystem,
+    StorageCluster, StorageSystem,
 };
 use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, XorCode};
-use peerstripe::overlay::{Id, IdRing};
-use peerstripe::placement::{DomainSpread, Topology};
+use peerstripe::overlay::{Id, IdRing, NodeRef};
+use peerstripe::placement::{
+    ClusterView, DomainSpread, PlacementStrategy, ProbeView, RepairRequest, Topology,
+};
 use peerstripe::repair::{
     ChurnProcess, DeclarationVerdict, DetectionKind, DetectionPolicy, DetectorConfig, GroupedChurn,
     MaintenanceEngine, OutageAware, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
 use peerstripe::sim::{ByteSize, DetRng, OnlineStats, SimTime};
-use peerstripe::trace::{CapacityModel, FileRecord};
+use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace};
 use proptest::prelude::*;
 
 proptest! {
@@ -820,6 +822,208 @@ proptest! {
             "cancellations cannot exceed holds: {report:?}"
         );
         prop_assert!(engine.accounting_is_consistent(), "accounting must balance");
+    }
+}
+
+// ---- placement index ------------------------------------------------------
+
+/// A cluster seen through the `ClusterView` questions alone: it lends no
+/// index, so `DomainSpread` walks it node by node.  That walk is the
+/// reference the indexed decisions must equal.
+struct Walked(StorageCluster);
+
+impl ClusterView for Walked {
+    fn route_quiet(&self, key: Id) -> Option<NodeRef> {
+        self.0.route_quiet(key)
+    }
+    fn is_alive(&self, node: NodeRef) -> bool {
+        self.0.is_alive(node)
+    }
+    fn can_store(&self, node: NodeRef, size: ByteSize) -> bool {
+        self.0.can_store(node, size)
+    }
+    fn report_of(&self, node: NodeRef) -> ByteSize {
+        self.0.report_of(node)
+    }
+    fn node_count(&self) -> usize {
+        ClusterView::node_count(&self.0)
+    }
+    fn alive_nodes(&self) -> Vec<NodeRef> {
+        self.0.alive_nodes()
+    }
+}
+
+impl ProbeView for Walked {
+    fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)> {
+        self.0.probe(key)
+    }
+}
+
+/// One store-path and one repair-path decision on `cluster`, through its
+/// index and through the walk; both must agree on everything observable.
+fn assert_decisions_match(cluster: &mut StorageCluster, topology: &Topology, rng: &mut DetRng) {
+    let nodes = ClusterView::node_count(cluster);
+    prop_assert!(
+        cluster
+            .domain_index()
+            .is_some_and(|index| index.serves(topology)),
+        "the adopted topology is served from the index"
+    );
+    let mut walked = Walked(cluster.clone());
+    // Caps from "one block a domain" (saturates at once) to "no cap".
+    let cap = [1, 2, 3, usize::MAX][rng.index(4)];
+
+    let keys: Vec<Id> = (0..1 + rng.index(8)).map(|_| Id::random(rng)).collect();
+    let indexed = DomainSpread::new().plan_chunk(cluster, Some(topology), &keys, cap);
+    let scanned = DomainSpread::new().plan_chunk(&mut walked, Some(topology), &keys, cap);
+    prop_assert_eq!(
+        indexed,
+        scanned,
+        "plan_chunk, {} keys, cap {}",
+        keys.len(),
+        cap
+    );
+
+    // Holders: dead, repeated and plain ones alike.
+    let mut holders: Vec<NodeRef> = (0..rng.index(9)).map(|_| rng.index(nodes)).collect();
+    if let (Some(&first), true) = (holders.first(), rng.chance(0.3)) {
+        holders.push(first);
+    }
+    let size = [
+        ByteSize::ZERO,
+        ByteSize::kb(1),
+        ByteSize::mb(1 + rng.index(40) as u64),
+        ByteSize::gb(100),
+    ][rng.index(4)];
+    let request = RepairRequest {
+        want: 1 + rng.index(4),
+        size,
+        holders: &holders,
+        domain_cap: cap,
+    };
+    let seed = rng.next_u64();
+    let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+    let indexed = DomainSpread::new().repair_targets(&*cluster, Some(topology), &request, &mut a);
+    let scanned = DomainSpread::new().repair_targets(&walked, Some(topology), &request, &mut b);
+    prop_assert_eq!(indexed, scanned, "repair_targets for {:?}", request);
+    prop_assert_eq!(a.next_u64(), b.next_u64(), "the draws consumed");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `DomainSpread` decides the same with and without the cluster's index —
+    /// targets, reports and the caller's random stream — across every way a
+    /// node's space or liveness can change, and the index the cluster
+    /// maintained through all of it equals one rebuilt from scratch.
+    #[test]
+    fn indexed_decisions_equal_the_scan(
+        topology_kind in 0usize..3,
+        half_reports in any::<bool>(),
+        equal_disks in any::<bool>(),
+        seed in any::<u64>(),
+        steps in 20usize..80,
+    ) {
+        let nodes = 72;
+        let topology = match topology_kind {
+            0 => Topology::uniform_groups(nodes, 2 + (seed % 11) as usize),
+            1 => Topology::synthetic(nodes, 2, 1 + (seed % 5) as usize, seed),
+            _ => Topology::from_sessions(
+                &SessionTrace::synthetic_desktop_grid(nodes, seed),
+                1 + (seed % 4) as usize,
+            ),
+        };
+        let mut rng = DetRng::new(seed ^ 0x1d3);
+        let mut cluster = ClusterConfig {
+            nodes,
+            capacity: if equal_disks {
+                CapacityModel::Fixed(ByteSize::mb(48))
+            } else {
+                CapacityModel::Uniform { lo: ByteSize::mb(1), hi: ByteSize::mb(96) }
+            },
+            report_fraction: if half_reports { 0.5 } else { 1.0 },
+            track_objects: true,
+        }
+        .build(&mut rng);
+        cluster.adopt_topology(&topology);
+
+        // What the sequence has put on the nodes, so it can take it off again.
+        let mut objects: Vec<(NodeRef, ObjectName, ByteSize)> = Vec::new();
+        let mut reserved: Vec<(NodeRef, ByteSize)> = Vec::new();
+        // Half the sequence lands on one domain, so that it is often wholly
+        // down or wholly full while its neighbours are not.
+        let busy: Vec<NodeRef> = topology
+            .domains()
+            .map(|(_, domain)| domain.members.clone())
+            .find(|members| !members.is_empty())
+            .unwrap_or_default();
+        for step in 0..steps {
+            let node = match rng.choose(&busy) {
+                Some(&member) if rng.chance(0.5) => member,
+                _ => rng.index(nodes),
+            };
+            match rng.index(10) {
+                0..=1 => {
+                    let name = ObjectName::block("f", step as u32, 0);
+                    let size = ByteSize::mb(1 + rng.index(32) as u64);
+                    if cluster.store_object_at(node, name.key(), name.clone(), size, None).is_ok() {
+                        objects.push((node, name, size));
+                    }
+                }
+                2 => {
+                    // To the last byte: a full node reports zero (no
+                    // store-path target) yet still has room for nothing.
+                    let size = cluster.node(node).free();
+                    if cluster.reserve(node, size).is_ok() {
+                        reserved.push((node, size));
+                    }
+                }
+                3 if !objects.is_empty() => {
+                    let (node, name, size) = objects.swap_remove(rng.index(objects.len()));
+                    if rng.chance(0.5) {
+                        prop_assert_eq!(cluster.remove_from(node, &name), Some(size));
+                    } else {
+                        cluster.rollback_object(node, &name, size);
+                    }
+                }
+                4 => {
+                    let size = ByteSize::mb(1 + rng.index(32) as u64);
+                    if cluster.reserve(node, size).is_ok() {
+                        reserved.push((node, size));
+                    }
+                }
+                5 if !reserved.is_empty() => {
+                    let (node, size) = reserved.swap_remove(rng.index(reserved.len()));
+                    cluster.release_at(node, size);
+                }
+                6 => {
+                    cluster.wipe(node);
+                    objects.retain(|(n, ..)| *n != node);
+                    reserved.retain(|(n, _)| *n != node);
+                }
+                7 => {
+                    if rng.chance(0.7) {
+                        cluster.fail_node(node);
+                    } else {
+                        cluster.fail_random(1 + rng.index(6), &mut rng);
+                    }
+                }
+                8 if rng.chance(0.3) => {
+                    // A whole domain goes down.
+                    let domain = rng.index(topology.domain_count()) as u32;
+                    for &member in topology.members(domain) {
+                        cluster.fail_node(member);
+                    }
+                }
+                _ => {
+                    if !cluster.is_alive(node) {
+                        cluster.rejoin(node);
+                    }
+                }
+            }
+            assert_decisions_match(&mut cluster, &topology, &mut rng);
+        }
+        prop_assert!(cluster.index_is_consistent(), "maintained index == rebuilt index");
     }
 }
 
