@@ -85,7 +85,7 @@ fn bench_table3_regeneration(c: &mut Criterion) {
         b.iter_batched(
             || deploy(CodingPolicy::online_default(), 150, 150 * 10, 9),
             |mut ps| {
-                let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::mb(512), 60.0);
+                let mut sim = RegenerationSim::build(ps.manifests());
                 let mut rng = DetRng::new(10);
                 sim.fail_fraction(ps.cluster_mut(), 0.10, &mut rng)
             },

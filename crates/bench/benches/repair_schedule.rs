@@ -6,61 +6,9 @@
 //! for that property.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use peerstripe_core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
-use peerstripe_repair::{
-    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, MaintenanceEngine, RepairConfig,
-    RepairPolicy, SessionModel,
-};
-use peerstripe_sim::{ByteSize, DetRng, SimTime};
-use peerstripe_trace::TraceConfig;
+use peerstripe_experiments::bench_snapshot::{deploy, engine_of};
+use peerstripe_sim::SimTime;
 use std::time::Duration;
-
-/// A deployed cluster + manifests, cloneable per measurement batch.
-fn deploy(
-    nodes: usize,
-    seed: u64,
-) -> (
-    peerstripe_core::StorageCluster,
-    peerstripe_core::ManifestStore,
-) {
-    let mut rng = DetRng::new(seed);
-    let cluster = ClusterConfig::scaled(nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(
-        cluster,
-        PeerStripeConfig::default().with_coding(CodingPolicy::online_default()),
-    );
-    // A light per-node load keeps bench setup fast while exercising the same
-    // per-event code paths as the full sweep.
-    let trace = TraceConfig::scaled(nodes * 2).generate(seed ^ 0xc0de);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    let manifests = ps.manifests().clone();
-    (ps.into_cluster(), manifests)
-}
-
-fn engine_of(
-    cluster: peerstripe_core::StorageCluster,
-    manifests: &peerstripe_core::ManifestStore,
-    seed: u64,
-) -> MaintenanceEngine {
-    let churn = ChurnProcess {
-        sessions: SessionModel::Synthetic {
-            mean_session_secs: 8.0 * 3_600.0,
-            mean_downtime_secs: 4.0 * 3_600.0,
-        },
-        permanent_fraction: 0.01,
-        grouped: None,
-    };
-    let config = RepairConfig {
-        policy: RepairPolicy::Eager,
-        detector: DetectorConfig::default_desktop_grid().with_timeout(24.0 * 3_600.0),
-        detection: DetectionKind::PerNodeTimeout,
-        bandwidth: BandwidthBudget::symmetric(ByteSize::mb(4)),
-        sample_period_secs: 3_600.0,
-    };
-    MaintenanceEngine::new(cluster, manifests, churn, config, seed)
-}
 
 /// Events/sec of the maintenance engine driving 24 h of churn.
 fn bench_repair_schedule(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! The backend seam: the narrow storage interface the [`PeerStripe`] client
-//! (and the `peerstripe-repair` regeneration executor) drive.
+//! drives.
 //!
 //! Everything the store / retrieve / recover paths need from the world is
 //! captured here: capacity probes (via [`ProbeView`]), block placement and

@@ -8,15 +8,13 @@
 //!   per-chunk surviving-block counter indexed by node — so the sweep is linear
 //!   in the number of placed blocks rather than quadratic.
 //! * **Table 3** fails 10 % / 20 % of the nodes *with* recovery: the neighbours
-//!   that inherit a failed node's key space regenerate its lost blocks, with a
-//!   delay proportional to the amount of data being recovered.
-//!   [`RegenerationSim`] models that pipeline, accounting regenerated and lost
-//!   bytes per failure.
+//!   that inherit a failed node's key space regenerate its lost blocks.
+//!   [`RegenerationSim`] accounts regenerated and lost bytes per failure.
 
 use crate::cluster::StorageCluster;
 use crate::system::ManifestStore;
 use peerstripe_overlay::NodeRef;
-use peerstripe_sim::{ByteSize, DetRng, OnlineStats, RateLimiter, SimTime};
+use peerstripe_sim::{ByteSize, DetRng, OnlineStats};
 use std::collections::BTreeMap;
 
 /// Incremental tracker of file availability as nodes fail (no recovery).
@@ -309,43 +307,18 @@ pub struct RegenerationReport {
 ///
 /// A thin adapter over [`DamageLedger`]: each failure removes the node's blocks
 /// from the ledger, writes off chunks that fall below their decode threshold,
-/// and regenerates the rest onto live nodes, charging the regenerated bytes
-/// against a single recovery pipeline ([`RateLimiter`]) whose drain time makes
-/// the recovery delay proportional to the recovered data, as in the paper.
-/// The continuous-time engine in `peerstripe-repair` supersedes this for
-/// durability-over-time studies; this adapter remains the single-wave Table 3
-/// accounting.
+/// and regenerates the rest onto live nodes.  Recovery is instantaneous: the
+/// continuous-time engine in `peerstripe-repair` is where repairs take time
+/// and bandwidth; this adapter remains the single-wave Table 3 accounting.
 pub struct RegenerationSim {
     ledger: DamageLedger,
-    /// The shared recovery pipeline lost blocks are regenerated through.
-    pipeline: RateLimiter,
-    /// Seconds between consecutive node failures.
-    failure_interval: f64,
-    now: SimTime,
 }
 
 impl RegenerationSim {
     /// Build the simulation from stored manifests.
-    ///
-    /// `regen_rate` is the recovery bandwidth in bytes/second (the paper makes
-    /// the recovery delay proportional to the recovered data), with zero
-    /// meaning *unconstrained* recovery (no backlog ever accrues);
-    /// `failure_interval` is the time between consecutive failures, so a slow
-    /// recovery pipeline can still be busy when the next failure arrives.
-    pub fn build(
-        manifests: &ManifestStore,
-        regen_rate: ByteSize,
-        failure_interval_secs: f64,
-    ) -> Self {
+    pub fn build(manifests: &ManifestStore) -> Self {
         RegenerationSim {
             ledger: DamageLedger::build(manifests),
-            pipeline: if regen_rate.is_zero() {
-                RateLimiter::unlimited()
-            } else {
-                RateLimiter::new(regen_rate)
-            },
-            failure_interval: failure_interval_secs,
-            now: SimTime::ZERO,
         }
     }
 
@@ -359,11 +332,6 @@ impl RegenerationSim {
         &self.ledger
     }
 
-    /// How long after the latest failure the regeneration pipeline stays busy.
-    pub fn backlog(&self) -> SimTime {
-        self.pipeline.backlog(self.now)
-    }
-
     /// Fail one node: regenerate what can be regenerated onto live nodes chosen
     /// through the cluster, and account what is lost.
     pub fn fail_node(
@@ -372,7 +340,6 @@ impl RegenerationSim {
         cluster: &mut StorageCluster,
         rng: &mut DetRng,
     ) -> FailureAccount {
-        self.now += SimTime::from_secs_f64(self.failure_interval);
         let mut account = FailureAccount::default();
         let mut regen_batch: Vec<(u32, ByteSize)> = Vec::new();
         for loss in self.ledger.remove_node(node) {
@@ -402,9 +369,6 @@ impl RegenerationSim {
                 // but the chunk is not lost either (online codes let us retry).
             }
         }
-        // Queue this batch behind earlier work: the pipeline's drain time is
-        // what makes closely spaced failures see a busy recovery path.
-        self.pipeline.reserve(account.regenerated, self.now);
         account
     }
 
@@ -598,29 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn regeneration_pipeline_backlog_grows_with_work() {
-        let mut ps = loaded_system(CodingPolicy::online_default(), 33);
-        let mut rng = DetRng::new(34);
-        // 1 MB/s recovery with failures every second: the pipeline cannot keep up.
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::mb(1), 1.0);
-        let report = sim.fail_fraction(ps.cluster_mut(), 0.05, &mut rng);
-        assert!(report.data_regenerated > ByteSize::ZERO);
-        let expected_secs = report.data_regenerated.as_u64() as f64
-            / ByteSize::mb(1).as_u64() as f64
-            - report.nodes_failed as f64;
-        assert!(
-            sim.backlog().as_secs_f64() >= expected_secs.max(0.0) - 1e-6,
-            "backlog {} too small for {} regenerated",
-            sim.backlog(),
-            report.data_regenerated
-        );
-    }
-
-    #[test]
     fn regeneration_limits_data_loss() {
         let mut ps = loaded_system(CodingPolicy::online_default(), 6);
         let mut rng = DetRng::new(7);
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::gb(1), 30.0);
+        let mut sim = RegenerationSim::build(ps.manifests());
         let tracked = sim.tracked_bytes();
         let report = sim.fail_fraction(ps.cluster_mut(), 0.10, &mut rng);
         assert_eq!(report.nodes_failed, 12);
@@ -640,7 +585,7 @@ mod tests {
     fn without_coding_regeneration_cannot_help() {
         let mut ps = loaded_system(CodingPolicy::None, 8);
         let mut rng = DetRng::new(9);
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::gb(1), 30.0);
+        let mut sim = RegenerationSim::build(ps.manifests());
         let report = sim.fail_fraction(ps.cluster_mut(), 0.20, &mut rng);
         // A lost single-copy chunk cannot be regenerated, so every failed node's
         // data is simply gone.

@@ -97,7 +97,8 @@ pub struct RecoveryReport {
     pub blocks_regenerated: u64,
     /// Bytes of encoded blocks regenerated.
     pub bytes_regenerated: ByteSize,
-    /// Number of chunks that could not be recovered (too many blocks lost).
+    /// Number of chunks that could not be recovered: too few live holders,
+    /// or the blocks fetched from them did not decode.
     pub chunks_lost: u64,
     /// Bytes of user data in unrecoverable chunks.
     pub bytes_lost: ByteSize,
@@ -579,11 +580,15 @@ impl<B: StorageBackend> PeerStripe<B> {
                 let lo = offset.saturating_sub(chunk_start) as usize;
                 let hi = (end - chunk_start).min(chunk.size.as_u64()) as usize;
                 let dst = &mut out[filled..filled + (hi - lo)];
+                // `.ok()??`: a read has no bytes to give for an undecodable
+                // chunk, nor for a metadata-only one.
                 if dst.len() == chunk_len {
-                    self.read_chunk(chunk, |views| codec.decode_into(views, dst))?;
+                    self.read_chunk(chunk, |views| codec.decode_into(views, dst))
+                        .ok()??;
                 } else {
-                    let whole =
-                        self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?;
+                    let whole = self
+                        .read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))
+                        .ok()??;
                     dst.copy_from_slice(&whole[lo..hi]);
                 }
                 filled += hi - lo;
@@ -597,34 +602,48 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// blocks to `decode`: first only as many payload-bearing blocks as the
     /// chunk needs (in a healthy systematic layout those are the chunk's own
     /// bytes, in order), then — only if `decode` says that was not enough —
-    /// every remaining block.  `None` on the metadata-only path (no payloads
-    /// stored) and when the survivors do not decode.
+    /// every remaining block.
+    ///
+    /// `Ok(None)` is the metadata-only path and nothing else: holders answer
+    /// and none of them carries a payload.  A chunk whose fetched blocks do
+    /// not decode, or none of whose holders answers (an untracked simulator
+    /// cluster answers for no object), is the decode error.
     fn read_chunk<T>(
         &self,
         chunk: &ChunkPlacement,
         mut decode: impl FnMut(&[(u32, &[u8])]) -> Result<T, DecodeError>,
-    ) -> Option<T> {
+    ) -> Result<Option<T>, DecodeError> {
         let mut holders = chunk.blocks.iter();
         let mut payloads: Vec<Arc<Vec<u8>>> = Vec::new();
+        let mut answered = false;
         let mut want = chunk.min_blocks_needed;
         loop {
             while payloads.len() < want {
                 let Some(b) = holders.next() else { break };
                 let fetched = self.backend.fetch_block(b.node, &b.name);
+                answered |= fetched.is_some();
                 payloads.extend(fetched.and_then(|obj| obj.payload));
             }
             if payloads.is_empty() {
-                return None;
+                // Every holder has been asked by now.
+                return if answered {
+                    Ok(None)
+                } else {
+                    Err(DecodeError::NotEnoughBlocks {
+                        have: 0,
+                        need: chunk.min_blocks_needed,
+                    })
+                };
             }
             let views: Vec<_> = payloads.iter().flat_map(|p| unpack_payload(p)).collect();
             match decode(&views) {
-                Ok(decoded) => return Some(decoded),
+                Ok(decoded) => return Ok(Some(decoded)),
                 Err(DecodeError::NotEnoughBlocks { .. } | DecodeError::Unrecoverable { .. })
                     if holders.len() > 0 =>
                 {
                     want = usize::MAX;
                 }
-                Err(_) => return None,
+                Err(e) => return Err(e),
             }
         }
     }
@@ -632,18 +651,29 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// Rebuild the payload of the lost block at `position` of `chunk`'s block
     /// list from the chunk's surviving blocks: decode the chunk, then
     /// re-encode exactly the codec blocks that placement carried, straight
-    /// into the replacement payload.  Returns `None` on the metadata-only
-    /// path (no payloads stored) or when the chunk cannot be decoded from the
-    /// survivors.
-    fn regenerate_payload(&self, chunk: &ChunkPlacement, position: usize) -> Option<Vec<u8>> {
-        let rows = self.byte_path.rows_of.get(position..=position)?;
+    /// into the replacement payload.  `Ok(None)` only on the metadata-only
+    /// path (holders answer, no payloads stored: the replacement is a size);
+    /// a chunk the survivors do not decode is the error [`Self::read_chunk`]
+    /// gives, never a payload-less replacement.
+    fn regenerate_payload(
+        &self,
+        chunk: &ChunkPlacement,
+        position: usize,
+    ) -> Result<Option<Vec<u8>>, DecodeError> {
         let codec = &*self.byte_path.codec;
         let chunk_len = chunk.size.as_u64() as usize;
-        let bytes = self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?;
+        let Some(bytes) = self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?
+        else {
+            return Ok(None);
+        };
+        let rows = self.byte_path.rows_of.get(position..=position);
+        let rows = rows.ok_or(DecodeError::CorruptBlock {
+            index: position as u32,
+        })?;
         let mut payload = Vec::new();
         self.byte_path
             .fill_payloads(&bytes, rows, std::slice::from_mut(&mut payload));
-        Some(payload)
+        Ok(Some(payload))
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -653,6 +683,11 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// block "may not be exactly the same … but it is functionally equal") and
     /// are placed on the takeover inheritor, falling back to normal DHT placement
     /// when the inheritor has no space ("drop and recreate elsewhere").
+    ///
+    /// A chunk that has enough live holders but whose blocks cannot be fetched
+    /// and decoded is not repaired: nothing is stored for it, its manifest
+    /// entry stays as it was, and it is counted once in `chunks_lost` /
+    /// `bytes_lost`, like a chunk with too few live holders.
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         let mut regenerations: Vec<(String, u32, usize, ByteSize)> = Vec::new();
@@ -684,7 +719,13 @@ impl<B: StorageBackend> PeerStripe<B> {
             }
         }
 
+        let mut undecodable: Option<(String, u32)> = None;
         for (file, chunk_no, position, size) in regenerations {
+            // A chunk found undecodable is counted once; its other lost
+            // blocks (listed right after) would meet the same survivors.
+            if matches!(&undecodable, Some((f, c)) if *f == file && *c == chunk_no) {
+                continue;
+            }
             let Some(chunk) = self
                 .manifests
                 .get(&file)
@@ -708,7 +749,12 @@ impl<B: StorageBackend> PeerStripe<B> {
             // exactly the same as the one that has been lost, but it is
             // functionally equal").  The regenerated payload carries exactly the
             // codec blocks the lost placement held.
-            let payload = self.regenerate_payload(chunk, position);
+            let Ok(payload) = self.regenerate_payload(chunk, position) else {
+                report.chunks_lost += 1;
+                report.bytes_lost += chunk.size;
+                undecodable = Some((file, chunk_no));
+                continue;
+            };
             let size = payload
                 .as_ref()
                 .map(|p| ByteSize::bytes(p.len() as u64))
@@ -862,9 +908,9 @@ fn placed_block_of(policy: &CodingPolicy, codec_blocks: usize, index: usize) -> 
 
 /// Serialise a group of encoded blocks into one payload: `[count][index, len, bytes]*`.
 ///
-/// This is the on-node payload format of every block object PeerStripe places;
-/// it is public so maintenance tooling (the `peerstripe-repair` regeneration
-/// executors) can rebuild block payloads outside the client.
+/// This is the on-node payload format of every block object PeerStripe places.
+/// The store and repair paths write it in place (`BytePath::fill_payloads`);
+/// this is the reference they are tested against.
 pub fn pack_payload(blocks: &[EncodedBlock]) -> Vec<u8> {
     let bytes: usize = blocks.iter().map(|b| 8 + b.data.len()).sum();
     let mut out = Vec::with_capacity(4 + bytes);

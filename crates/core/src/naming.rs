@@ -81,24 +81,6 @@ impl ObjectName {
         }
     }
 
-    /// The file this object belongs to.
-    pub fn file(&self) -> &str {
-        match self {
-            ObjectName::Chunk { file, .. }
-            | ObjectName::Block { file, .. }
-            | ObjectName::Cat { file }
-            | ObjectName::WholeFile { file, .. } => file,
-        }
-    }
-
-    /// The chunk number, if the object is chunk-scoped.
-    pub fn chunk_no(&self) -> Option<u32> {
-        match self {
-            ObjectName::Chunk { chunk, .. } | ObjectName::Block { chunk, .. } => Some(*chunk),
-            _ => None,
-        }
-    }
-
     /// Render the canonical textual form (`file_chunk`, `file_chunk_ecb`,
     /// `file.CAT`, `file#salt`).
     pub fn render(&self) -> String {
@@ -187,6 +169,7 @@ mod tests {
         );
         // "stores it in the p2p storage under the name filename.CAT"
         assert_eq!(ObjectName::cat("myTestFile").render(), "myTestFile.CAT");
+        assert_eq!(format!("{}", ObjectName::chunk("f", 1)), "f_1");
     }
 
     #[test]
@@ -229,15 +212,6 @@ mod tests {
             }
         }
         assert_eq!(keys.len(), 100, "block keys must not collide");
-    }
-
-    #[test]
-    fn accessors() {
-        let b = ObjectName::block("f", 2, 5);
-        assert_eq!(b.file(), "f");
-        assert_eq!(b.chunk_no(), Some(2));
-        assert_eq!(ObjectName::cat("f").chunk_no(), None);
-        assert_eq!(format!("{}", ObjectName::chunk("f", 1)), "f_1");
     }
 
     #[test]

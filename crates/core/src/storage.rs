@@ -176,11 +176,6 @@ impl StorageNode {
         self.objects.get(&key)
     }
 
-    /// Iterate over the stored objects (requires object tracking).
-    pub fn objects(&self) -> impl Iterator<Item = (&Id, &StoredObject)> {
-        self.objects.iter()
-    }
-
     /// Drop every stored object (a failed node's disk contents are gone); the
     /// capacity itself is retained so the node could rejoin empty.
     pub fn wipe(&mut self) {

@@ -42,13 +42,6 @@ impl EncodedBlock {
     }
 }
 
-impl From<(u32, &[u8])> for EncodedBlock {
-    /// Copy a borrowed view into an owned block.
-    fn from((index, data): (u32, &[u8])) -> Self {
-        EncodedBlock::new(index, data.to_vec())
-    }
-}
-
 /// Why a decode attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {

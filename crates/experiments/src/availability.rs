@@ -142,9 +142,7 @@ pub fn run_regeneration(config: &ChurnConfig) -> Vec<Table3Row> {
         let mut ps = deploy(config, CodingPolicy::online_default());
         let total_data = ps.metrics().bytes_stored;
         let mut rng = DetRng::new(config.seed ^ 0x7ab1e3);
-        // Recovery bandwidth and failure spacing: the recovery delay is
-        // proportional to the recovered data, as in the paper.
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::mb(512), 60.0);
+        let mut sim = RegenerationSim::build(ps.manifests());
         let report = sim.fail_fraction(ps.cluster_mut(), fraction, &mut rng);
         let mut per_failure = OnlineStats::new();
         per_failure.merge(&report.per_failure);

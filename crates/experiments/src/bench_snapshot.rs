@@ -2,9 +2,10 @@
 //! hot paths the criterion benches guard, written as small JSON files under
 //! `benchmarks/` so perf regressions show up in review as a diff.
 //!
-//! The snapshots mirror `crates/bench/benches/repair_schedule.rs`,
-//! `detector_decide.rs` and `placement_decide.rs` exactly (same deployment,
-//! same churn, same decide loop) — plus a `wire_roundtrip` snapshot covering
+//! The `repair_schedule` workload is defined here once ([`deploy`],
+//! [`engine_of`]) and the criterion bench of that name imports it; the other
+//! snapshots mirror `crates/bench/benches/detector_decide.rs` and
+//! `placement_decide.rs` exactly (same deployment, same decide loop) — plus a `wire_roundtrip` snapshot covering
 //! the networked path's frame encode/decode and an `rs_encode` snapshot
 //! covering in-place erasure-encode throughput (scalar vs `nibble64` kernel vs
 //! a worker per CPU) — but run each measurement a handful of times and keep the best —
@@ -122,9 +123,10 @@ impl BenchSnapshot {
     }
 }
 
-/// Deploy a cluster with a light per-node file load (mirrors
-/// `repair_schedule.rs::deploy`).
-fn deploy(
+/// The `repair_schedule` workload's deployment: a cluster under a light
+/// per-node file load, which keeps setup fast while exercising the same
+/// per-event code paths as the full sweep.
+pub fn deploy(
     nodes: usize,
     seed: u64,
 ) -> (
@@ -145,9 +147,8 @@ fn deploy(
     (ps.into_cluster(), manifests)
 }
 
-/// Build the maintenance engine the bench drives (mirrors
-/// `repair_schedule.rs::engine_of`).
-fn engine_of(
+/// The maintenance engine the `repair_schedule` workload drives for 24 h.
+pub fn engine_of(
     cluster: peerstripe_core::StorageCluster,
     manifests: &peerstripe_core::ManifestStore,
     seed: u64,

@@ -29,9 +29,9 @@
 //!   monitor                 scrape a localhost ring's node stats for N rounds
 //!                           and emit a cluster-health report
 //!   rs-check                GF(256) kernel-consistency gate: encode with the
-//!                           scalar and nibble64 kernels (serial, parallel,
-//!                           stripe pipeline), fail on any block mismatch or
-//!                           minimal-subset recovery failure
+//!                           scalar and nibble64 kernels (owned blocks, and in
+//!                           place with 1/2/4 workers), fail on any block
+//!                           mismatch or minimal-subset recovery failure
 //! ```
 
 use peerstripe_experiments::cli::run_experiment_with;

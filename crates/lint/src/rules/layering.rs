@@ -76,7 +76,6 @@ pub fn builtin_policy() -> LayerPolicy {
             &[
                 "peerstripe-sim",
                 "peerstripe-overlay",
-                "peerstripe-erasure",
                 "peerstripe-trace",
                 "peerstripe-placement",
                 "peerstripe-core",
@@ -356,5 +355,6 @@ mod tests {
         assert!(policy.allowed.contains_key("peerstripe"));
         assert!(policy.allowed["peerstripe-sim"].is_empty());
         assert!(!policy.allowed["peerstripe-core"].contains("peerstripe-repair"));
+        assert!(!policy.allowed["peerstripe-repair"].contains("peerstripe-erasure"));
     }
 }

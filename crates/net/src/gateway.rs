@@ -4,10 +4,10 @@
 //! `peerstripe-node` daemons and implements the exact cluster-facing traits
 //! the simulator does — [`ClusterView`], [`ProbeView`], and
 //! [`StorageBackend`] — by translating each call into a framed RPC.  The
-//! `PeerStripe` client, the placement strategies, and the repair executor
-//! drive it unchanged: the store path probes capacities over real sockets,
-//! the retrieve path pulls block bytes off the wire, and recovery reads
-//! surviving blocks from live daemons.
+//! `PeerStripe` client and the placement strategies drive it unchanged: the
+//! store path probes capacities over real sockets, the retrieve path pulls
+//! block bytes off the wire, and recovery reads surviving blocks from live
+//! daemons the same way.
 //!
 //! Connections are pooled per node and transparently re-dialed once after a
 //! transport error.  Every RPC is counted and its wall-clock latency recorded
@@ -15,9 +15,7 @@
 //! `gateway_rpc_latency_ms`, labelled by operation), which the ring harness
 //! exports into its JSON report.
 
-use crate::protocol::{
-    NodeStats, OpLogEntry, RemoteError, RepairBlock, Request, Response, WireError,
-};
+use crate::protocol::{NodeStats, OpLogEntry, RemoteError, Request, Response, WireError};
 use crate::server::call_traced;
 use peerstripe_core::{
     ClusterStoreError, FetchedBlock, NodeStoreError, ObjectName, StorageBackend,
@@ -70,7 +68,6 @@ const OPS: &[&str] = &[
     "get_capacity",
     "store_block",
     "fetch_block",
-    "repair_read",
     "remove_block",
     "shutdown",
 ];
@@ -313,30 +310,6 @@ impl RingGateway {
             self.rpc(node, "ping", &Request::Ping),
             Ok(Response::Pong { .. })
         )
-    }
-
-    /// Read every surviving block of `(file, chunk)` held by `node` — the
-    /// bulk regeneration read.
-    pub fn repair_read(
-        &self,
-        node: NodeRef,
-        file: &str,
-        chunk: u32,
-    ) -> Result<Vec<RepairBlock>, WireError> {
-        match self.rpc(
-            node,
-            "repair_read",
-            &Request::RepairRead {
-                file: file.to_string(),
-                chunk,
-            },
-        )? {
-            Response::RepairBlocks { blocks } => Ok(blocks),
-            Response::Error(e) => Err(WireError::Body(e.to_string())),
-            other => Err(WireError::Body(format!(
-                "unexpected reply to RepairRead: {other:?}"
-            ))),
-        }
     }
 
     /// Ask one daemon to shut down gracefully.

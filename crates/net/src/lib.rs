@@ -4,16 +4,15 @@
 //! this crate turns the reproduction into a system.  It has three layers:
 //!
 //! * [`protocol`] — a small length-prefixed framed wire format for the
-//!   paper's §3 primitives (`getCapacity` probes, block store/fetch, repair
-//!   reads) with a versioned header, a max-frame limit, and serde-backed
-//!   message bodies;
+//!   paper's §3 primitives (`getCapacity` probes, block store/fetch) with a
+//!   versioned header, a max-frame limit, and serde-backed message bodies;
 //! * [`node`] + [`server`] — the `peerstripe-node` daemon: one node's
 //!   contributed store served over TCP by a thread-per-connection server
 //!   with per-connection timeouts and graceful shutdown;
 //! * [`gateway`] — a [`RingGateway`] implementing the same cluster-facing
 //!   traits as the simulator (`ClusterView` / `ProbeView` /
-//!   `StorageBackend`), so the `PeerStripe` client, the placement
-//!   strategies, and the repair stack drive live daemons unchanged.
+//!   `StorageBackend`), so the `PeerStripe` client — store, read and
+//!   repair — and the placement strategies drive live daemons unchanged.
 //!
 //! [`ring`] spawns localhost rings of real daemon processes for experiments
 //! and tests; `repro ring` stores and recovers a file across such a ring
@@ -43,8 +42,7 @@ pub use gateway::{GatewayConfig, NodeEndpoint, RingGateway, LATENCY_BUCKETS_MS};
 pub use monitor::{ClusterMonitor, MonitorConfig, NodeHealth};
 pub use node::{NodeConfig, NodeService};
 pub use protocol::{
-    NodeStats, OpLogEntry, RemoteError, RepairBlock, Request, Response, WireError, MAX_FRAME,
-    VERSION,
+    NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
 };
 pub use ring::{node_binary, LocalRing};
 pub use server::{NodeServer, RunningNode, ServerConfig};

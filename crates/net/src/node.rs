@@ -7,7 +7,7 @@
 //! sockets by the daemon.
 
 use crate::gateway::LATENCY_BUCKETS_MS;
-use crate::protocol::{NodeStats, OpLogEntry, RemoteError, RepairBlock, Request, Response};
+use crate::protocol::{NodeStats, OpLogEntry, RemoteError, Request, Response};
 use peerstripe_core::{NodeStoreError, StoredObject};
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
@@ -23,7 +23,6 @@ const OPS: &[&str] = &[
     "get_capacity",
     "store_block",
     "fetch_block",
-    "repair_read",
     "remove_block",
     "shutdown",
 ];
@@ -161,7 +160,6 @@ impl NodeService {
             Request::GetCapacity => "get_capacity",
             Request::StoreBlock { .. } => "store_block",
             Request::FetchBlock { .. } => "fetch_block",
-            Request::RepairRead { .. } => "repair_read",
             Request::RemoveBlock { .. } => "remove_block",
             Request::Shutdown => "shutdown",
             Request::GetStats => "get_stats",
@@ -194,11 +192,6 @@ impl NodeService {
             Response::Block {
                 block: Some((_, Some(p))),
             } => p.len() as u64,
-            Response::RepairBlocks { blocks } => blocks
-                .iter()
-                .filter_map(|b| b.payload.as_ref())
-                .map(|p| p.len() as u64)
-                .sum(),
             _ => 0,
         }
     }
@@ -299,21 +292,6 @@ impl NodeService {
                     .get(name.key())
                     .map(|obj| (obj.size, obj.payload.clone())),
             },
-            Request::RepairRead { file, chunk } => {
-                let blocks = self
-                    .store
-                    .objects()
-                    .filter(|(_, obj)| {
-                        obj.name.file() == file && obj.name.chunk_no() == Some(chunk)
-                    })
-                    .map(|(_, obj)| RepairBlock {
-                        name: obj.name.clone(),
-                        size: obj.size,
-                        payload: obj.payload.as_deref().cloned(),
-                    })
-                    .collect();
-                Response::RepairBlocks { blocks }
-            }
             Request::RemoveBlock { name, size } => {
                 if self.store.remove(name.key()).is_none() {
                     self.store.release(size);
@@ -395,29 +373,6 @@ mod tests {
             }),
             Response::Error(RemoteError::InsufficientSpace)
         );
-    }
-
-    #[test]
-    fn repair_read_returns_exactly_the_chunks_blocks() {
-        let mut svc = service();
-        for (file, chunk, ecb) in [("f", 0, 0), ("f", 0, 1), ("f", 1, 0), ("g", 0, 0)] {
-            let name = ObjectName::block(file, chunk, ecb);
-            svc.handle(Request::StoreBlock {
-                key: name.key(),
-                name,
-                size: ByteSize::kb(1),
-                payload: Some(vec![ecb as u8]),
-            });
-        }
-        let resp = svc.handle(Request::RepairRead {
-            file: "f".to_string(),
-            chunk: 0,
-        });
-        let Response::RepairBlocks { blocks } = resp else {
-            panic!("expected RepairBlocks");
-        };
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks.iter().all(|b| b.name.file() == "f"));
     }
 
     #[test]

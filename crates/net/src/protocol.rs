@@ -16,10 +16,10 @@
 //! without allocating for it.
 //!
 //! The message set is the paper's §3 primitive set: `GetCapacity` (the
-//! `getCapacity` probe), `StoreBlock` (chunk store), `FetchBlock` (retrieval),
-//! and `RepairRead` (bulk read of a chunk's surviving blocks for
-//! regeneration), plus `Ping`, `RemoveBlock` (store rollback), `Shutdown`,
-//! and typed error replies.
+//! `getCapacity` probe), `StoreBlock` (chunk store) and `FetchBlock`
+//! (retrieval, and the reads a regeneration starts from), plus `Ping`,
+//! `RemoveBlock` (store rollback), `Shutdown`, `GetStats` and typed error
+//! replies.
 
 use peerstripe_core::ObjectName;
 use peerstripe_overlay::Id;
@@ -41,6 +41,7 @@ pub const MAX_FRAME: u64 = 16 * 1024 * 1024;
 pub const HEADER_LEN: usize = 12;
 
 /// Frame kind bytes. Requests have the high bit clear, responses set.
+/// `0x05` / `0x85` belonged to a retired verb and stay unassigned.
 pub mod kind {
     /// Liveness check request.
     pub const PING: u8 = 0x01;
@@ -50,8 +51,6 @@ pub mod kind {
     pub const STORE_BLOCK: u8 = 0x03;
     /// Fetch one block request.
     pub const FETCH_BLOCK: u8 = 0x04;
-    /// Bulk-read a chunk's blocks for regeneration.
-    pub const REPAIR_READ: u8 = 0x05;
     /// Remove a block (store rollback).
     pub const REMOVE_BLOCK: u8 = 0x06;
     /// Ask the daemon to shut down gracefully.
@@ -66,8 +65,6 @@ pub mod kind {
     pub const STORED: u8 = 0x83;
     /// Reply to [`FETCH_BLOCK`].
     pub const BLOCK: u8 = 0x84;
-    /// Reply to [`REPAIR_READ`].
-    pub const REPAIR_BLOCKS: u8 = 0x85;
     /// Reply to [`REMOVE_BLOCK`].
     pub const REMOVED: u8 = 0x86;
     /// Reply to [`SHUTDOWN`].
@@ -182,14 +179,6 @@ pub enum Request {
         /// The object's name.
         name: ObjectName,
     },
-    /// Read every surviving block of `(file, chunk)` this node holds — the
-    /// bulk read regeneration starts from.
-    RepairRead {
-        /// The file the chunk belongs to.
-        file: String,
-        /// The chunk number.
-        chunk: u32,
-    },
     /// Undo a store: remove the object, or release `size` reserved bytes if
     /// the object is not tracked.
     RemoveBlock {
@@ -273,17 +262,6 @@ pub struct NodeStats {
     pub op_log: Vec<OpLogEntry>,
 }
 
-/// One block returned by a [`Request::RepairRead`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairBlock {
-    /// The block's name.
-    pub name: ObjectName,
-    /// The block's recorded size.
-    pub size: ByteSize,
-    /// The block's payload bytes, when the byte path stored any.
-    pub payload: Option<Vec<u8>>,
-}
-
 /// A reply a node daemon sends back to the gateway.
 ///
 /// `PartialEq` only (no `Eq`): [`Response::Stats`] carries float-valued
@@ -310,11 +288,6 @@ pub enum Response {
         /// the node's store, so a reply is written from the stored bytes
         /// without copying them first.
         block: Option<(ByteSize, Option<Arc<Vec<u8>>>)>,
-    },
-    /// Reply to [`Request::RepairRead`]: every matching block on the node.
-    RepairBlocks {
-        /// The surviving blocks, in stored-key order.
-        blocks: Vec<RepairBlock>,
     },
     /// The block was removed (or its space released).
     Removed,
@@ -346,12 +319,6 @@ struct FetchBlockMeta {
 }
 
 #[derive(Serialize, Deserialize)]
-struct RepairReadMeta {
-    file: String,
-    chunk: u32,
-}
-
-#[derive(Serialize, Deserialize)]
 struct RemoveBlockMeta {
     name: ObjectName,
     size: ByteSize,
@@ -372,20 +339,6 @@ struct BlockMeta {
     found: bool,
     size: ByteSize,
     has_payload: bool,
-}
-
-#[derive(Serialize, Deserialize)]
-struct RepairBlockMeta {
-    name: ObjectName,
-    size: ByteSize,
-    /// Length of this block's slice of the frame payload; `None` when the
-    /// block carries no payload (metadata-only path).
-    payload_len: Option<u64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct RepairBlocksMeta {
-    blocks: Vec<RepairBlockMeta>,
 }
 
 /// The meta-JSON key an optional request id travels under.  Request ids make
@@ -542,14 +495,6 @@ pub fn write_request_traced(
             meta_value(&FetchBlockMeta { name: name.clone() }),
             &[],
         ),
-        Request::RepairRead { file, chunk } => (
-            kind::REPAIR_READ,
-            meta_value(&RepairReadMeta {
-                file: file.clone(),
-                chunk: *chunk,
-            }),
-            &[],
-        ),
         Request::RemoveBlock { name, size } => (
             kind::REMOVE_BLOCK,
             meta_value(&RemoveBlockMeta {
@@ -590,13 +535,6 @@ pub fn read_request_traced(r: &mut impl Read) -> Result<(Request, Option<u64>), 
         kind::FETCH_BLOCK => {
             let m: FetchBlockMeta = parse_meta(&meta)?;
             Request::FetchBlock { name: m.name }
-        }
-        kind::REPAIR_READ => {
-            let m: RepairReadMeta = parse_meta(&meta)?;
-            Request::RepairRead {
-                file: m.file,
-                chunk: m.chunk,
-            }
         }
         kind::REMOVE_BLOCK => {
             let m: RemoveBlockMeta = parse_meta(&meta)?;
@@ -652,24 +590,6 @@ pub fn write_response_traced(
             )?;
             write_frame(w, kind::BLOCK, &meta, payload.unwrap_or(&[]))
         }
-        Response::RepairBlocks { blocks } => {
-            let mut joined = Vec::new();
-            let metas: Vec<RepairBlockMeta> = blocks
-                .iter()
-                .map(|b| {
-                    if let Some(p) = &b.payload {
-                        joined.extend_from_slice(p);
-                    }
-                    RepairBlockMeta {
-                        name: b.name.clone(),
-                        size: b.size,
-                        payload_len: b.payload.as_ref().map(|p| p.len() as u64),
-                    }
-                })
-                .collect();
-            let meta = render_meta(meta_value(&RepairBlocksMeta { blocks: metas }), rid)?;
-            write_frame(w, kind::REPAIR_BLOCKS, &meta, &joined)
-        }
         Response::Removed => write_frame(w, kind::REMOVED, &render_meta(None, rid)?, &[]),
         Response::ShuttingDown => {
             write_frame(w, kind::SHUTTING_DOWN, &render_meta(None, rid)?, &[])
@@ -721,35 +641,6 @@ fn read_response_body(
                     .found
                     .then_some((m.size, m.has_payload.then(|| Arc::new(payload)))),
             })
-        }
-        kind::REPAIR_BLOCKS => {
-            let m: RepairBlocksMeta = parse_meta(meta)?;
-            let declared: u64 = m.blocks.iter().filter_map(|b| b.payload_len).sum();
-            if declared != payload.len() as u64 {
-                return Err(WireError::Body(format!(
-                    "repair payload lengths sum to {declared} but frame carries {}",
-                    payload.len()
-                )));
-            }
-            let mut offset = 0usize;
-            let mut blocks = Vec::with_capacity(m.blocks.len());
-            for b in m.blocks {
-                let slice = match b.payload_len {
-                    Some(len) => {
-                        let len = len as usize;
-                        let part = payload[offset..offset + len].to_vec();
-                        offset += len;
-                        Some(part)
-                    }
-                    None => None,
-                };
-                blocks.push(RepairBlock {
-                    name: b.name,
-                    size: b.size,
-                    payload: slice,
-                });
-            }
-            Ok(Response::RepairBlocks { blocks })
         }
         kind::REMOVED => Ok(Response::Removed),
         kind::SHUTTING_DOWN => Ok(Response::ShuttingDown),
@@ -803,10 +694,6 @@ mod tests {
             },
             Request::FetchBlock {
                 name: ObjectName::cat("f"),
-            },
-            Request::RepairRead {
-                file: "f".to_string(),
-                chunk: 3,
             },
             Request::RemoveBlock {
                 name: ObjectName::block("f", 0, 0),
@@ -968,25 +855,6 @@ mod tests {
             Response::Block {
                 block: Some((ByteSize::mb(1), None)),
             },
-            Response::RepairBlocks {
-                blocks: vec![
-                    RepairBlock {
-                        name: ObjectName::block("f", 0, 0),
-                        size: ByteSize::kb(1),
-                        payload: Some(vec![1, 2]),
-                    },
-                    RepairBlock {
-                        name: ObjectName::block("f", 0, 1),
-                        size: ByteSize::kb(1),
-                        payload: None,
-                    },
-                    RepairBlock {
-                        name: ObjectName::block("f", 0, 2),
-                        size: ByteSize::kb(1),
-                        payload: Some(vec![3, 4, 5]),
-                    },
-                ],
-            },
             Response::Removed,
             Response::ShuttingDown,
             Response::Error(RemoteError::InsufficientSpace),
@@ -1091,31 +959,6 @@ mod tests {
         assert!(matches!(
             write_request(&mut buf, &req),
             Err(WireError::Oversized(_))
-        ));
-    }
-
-    #[test]
-    fn repair_payload_length_mismatch_is_rejected() {
-        let mut buf = Vec::new();
-        write_response(
-            &mut buf,
-            &Response::RepairBlocks {
-                blocks: vec![RepairBlock {
-                    name: ObjectName::block("f", 0, 0),
-                    size: ByteSize::kb(1),
-                    payload: Some(vec![1, 2, 3, 4]),
-                }],
-            },
-        )
-        .unwrap();
-        // Corrupt the payload length in the frame header: shrink by one byte
-        // and drop the final payload byte so the frame still reads fully.
-        let payload_len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        buf[8..12].copy_from_slice(&(payload_len - 1).to_le_bytes());
-        buf.pop();
-        assert!(matches!(
-            read_response(&mut Cursor::new(buf)),
-            Err(WireError::Body(_))
         ));
     }
 }

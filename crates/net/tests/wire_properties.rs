@@ -9,8 +9,7 @@ use peerstripe_net::protocol::{
     write_request_traced, write_response, write_response_traced, HEADER_LEN, MAGIC,
 };
 use peerstripe_net::{
-    NodeStats, OpLogEntry, RemoteError, RepairBlock, Request, Response, WireError, MAX_FRAME,
-    VERSION,
+    NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
 };
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
@@ -72,29 +71,6 @@ proptest! {
                 _ => Some((ByteSize::bytes(size), Some(Arc::new(payload)))),
             },
         };
-        let bytes = encode_response(&resp);
-        prop_assert_eq!(read_response(&mut bytes.as_slice()).unwrap(), resp);
-    }
-
-    /// RepairBlocks responses carry several blocks' payloads concatenated in
-    /// one frame and must reassemble them at the declared boundaries.
-    #[test]
-    fn repair_blocks_round_trip_multi_payload_frames(
-        file in "[a-z]{1,8}",
-        chunk in 0u32..16,
-        lens in proptest::collection::vec(0usize..512, 0..8),
-        fill in any::<u8>(),
-    ) {
-        let blocks: Vec<RepairBlock> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| RepairBlock {
-                name: ObjectName::block(file.clone(), chunk, i as u32),
-                size: ByteSize::bytes(len as u64),
-                payload: Some(vec![fill.wrapping_add(i as u8); len]),
-            })
-            .collect();
-        let resp = Response::RepairBlocks { blocks };
         let bytes = encode_response(&resp);
         prop_assert_eq!(read_response(&mut bytes.as_slice()).unwrap(), resp);
     }
@@ -172,38 +148,39 @@ proptest! {
     }
 
     /// Unknown kind bytes are a typed protocol error on both decode paths,
-    /// and response kinds never parse as requests (or vice versa).
+    /// and response kinds never parse as requests (or vice versa).  `0x05` /
+    /// `0x85` — the retired repair-read verb, never reassigned — are unknown
+    /// kinds like any other, and nothing laxer.
     #[test]
-    fn unknown_and_mismatched_kinds_are_typed_errors(kind_byte in any::<u8>()) {
+    fn unknown_and_mismatched_kinds_are_typed_errors(drawn in any::<u8>()) {
+        const RETIRED: [u8; 2] = [0x05, 0x85];
         let request_kinds = [
             kind::PING, kind::GET_CAPACITY, kind::STORE_BLOCK, kind::FETCH_BLOCK,
-            kind::REPAIR_READ, kind::REMOVE_BLOCK, kind::SHUTDOWN, kind::GET_STATS,
+            kind::REMOVE_BLOCK, kind::SHUTDOWN, kind::GET_STATS,
         ];
         let response_kinds = [
             kind::PONG, kind::CAPACITY, kind::STORED, kind::BLOCK,
-            kind::REPAIR_BLOCKS, kind::REMOVED, kind::SHUTTING_DOWN, kind::STATS, kind::ERROR,
+            kind::REMOVED, kind::SHUTTING_DOWN, kind::STATS, kind::ERROR,
         ];
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC.to_le_bytes());
-        header.push(VERSION);
-        header.push(kind_byte);
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        if !request_kinds.contains(&kind_byte) {
-            let err = read_request(&mut header.as_slice()).unwrap_err();
-            prop_assert!(
-                matches!(err, WireError::UnknownKind(k) if k == kind_byte)
-                    || matches!(err, WireError::Body(_)),
-                "request decode of kind {:#x} gave {:?}", kind_byte, err
-            );
-        }
-        if !response_kinds.contains(&kind_byte) {
-            let err = read_response(&mut header.as_slice()).unwrap_err();
-            prop_assert!(
-                matches!(err, WireError::UnknownKind(k) if k == kind_byte)
-                    || matches!(err, WireError::Body(_)),
-                "response decode of kind {:#x} gave {:?}", kind_byte, err
-            );
+        for kind_byte in [drawn, RETIRED[0], RETIRED[1]] {
+            let mut header = Vec::with_capacity(HEADER_LEN);
+            header.extend_from_slice(&MAGIC.to_le_bytes());
+            header.push(VERSION);
+            header.push(kind_byte);
+            header.extend_from_slice(&0u32.to_le_bytes());
+            header.extend_from_slice(&0u32.to_le_bytes());
+            let typed = |err: &WireError| {
+                matches!(err, WireError::UnknownKind(k) if *k == kind_byte)
+                    || (matches!(err, WireError::Body(_)) && !RETIRED.contains(&kind_byte))
+            };
+            if !request_kinds.contains(&kind_byte) {
+                let err = read_request(&mut header.as_slice()).unwrap_err();
+                prop_assert!(typed(&err), "request decode of kind {:#x} gave {:?}", kind_byte, err);
+            }
+            if !response_kinds.contains(&kind_byte) {
+                let err = read_response(&mut header.as_slice()).unwrap_err();
+                prop_assert!(typed(&err), "response decode of kind {:#x} gave {:?}", kind_byte, err);
+            }
         }
     }
 

@@ -22,18 +22,14 @@
 //!   *eagerly* (on first confirmed loss) or *lazily* (only when a chunk's
 //!   surviving blocks sink to `needed + k_min`), and charges every transfer
 //!   against per-node upload/download [`peerstripe_sim::RateLimiter`] budgets
-//!   so concurrent repairs queue and interfere;
-//! * **regeneration executors** ([`RegenerationExecutor`]) that rebuild the
-//!   actual block payloads through the erasure codecs' partial re-encode
-//!   entry point on byte-carrying deployments, and re-place them as fresh
-//!   block objects through the overlay placement path.
+//!   so concurrent repairs queue and interfere.
 //!
-//! Damage bookkeeping is shared with `peerstripe-core` through
-//! [`peerstripe_core::DamageLedger`], so the single-wave Table 3 sweep
-//! (`RegenerationSim`) and this engine answer "what did that failure cost"
-//! identically.  The `repro repair-sweep` experiment sweeps policy ×
-//! detection-timeout × bandwidth over this engine at up to the paper's
-//! 10 000-node scale.
+//! The engine plans *when* and *where* blocks are rebuilt, in sizes; block
+//! payloads are rebuilt in one place only, the client's
+//! `PeerStripe::handle_node_failure`.  Damage bookkeeping is shared with
+//! `peerstripe-core` through [`peerstripe_core::DamageLedger`].  The `repro
+//! repair-sweep` experiment sweeps policy × detection-timeout × bandwidth
+//! over this engine at up to the paper's 10 000-node scale.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,7 +37,6 @@
 pub mod config;
 pub mod detection;
 pub mod engine;
-pub mod executor;
 pub mod scheduler;
 
 pub use config::{
@@ -53,5 +48,4 @@ pub use detection::{
     PendingDeclaration, PerNodeTimeout,
 };
 pub use engine::{MaintenanceEngine, MaintenanceEvent, MaintenanceReport};
-pub use executor::RegenerationExecutor;
 pub use scheduler::{PlannedRepair, RepairScheduler};

@@ -15,8 +15,8 @@
 //!   and desktop-grid simulators.
 //! * [`rate`] — FIFO bandwidth budgets over virtual time, used by the repair
 //!   subsystem to make concurrent regenerations queue and interfere.
-//! * [`stats`] — online statistics (Welford), histograms, x/y series and formatted
-//!   tables used to report the paper's figures and tables.
+//! * [`stats`] — online statistics (Welford), x/y series and formatted tables
+//!   used to report the paper's figures and tables.
 //!
 //! Nothing in this crate knows about storage or overlays; it is a pure substrate.
 

@@ -5,8 +5,7 @@
 //! of completing instantaneously.  [`RateLimiter`] models one such budget as a
 //! single-server FIFO pipe: a reservation of `b` bytes at time `t` starts when
 //! the pipe drains (`max(t, busy_until)`) and occupies it for `b / rate`
-//! seconds.  The same abstraction backs the regeneration backlog of
-//! `RegenerationSim` (the Table 3 pipeline).
+//! seconds.
 
 use crate::bytesize::ByteSize;
 use crate::event::SimTime;
@@ -31,27 +30,13 @@ impl RateLimiter {
     /// Create a limiter draining `rate` bytes per second.
     ///
     /// Panics if the rate is zero (a pipe that never drains deadlocks every
-    /// simulation built on it); use [`RateLimiter::unlimited`] for the
-    /// infinite-bandwidth case.
+    /// simulation built on it).
     pub fn new(rate: ByteSize) -> Self {
         assert!(!rate.is_zero(), "rate limiter needs a positive rate");
         RateLimiter {
             bytes_per_sec: rate.as_u64() as f64,
             busy_until: SimTime::ZERO,
         }
-    }
-
-    /// A limiter with infinite bandwidth: every transfer is instantaneous.
-    pub fn unlimited() -> Self {
-        RateLimiter {
-            bytes_per_sec: f64::INFINITY,
-            busy_until: SimTime::ZERO,
-        }
-    }
-
-    /// True if this limiter never delays a transfer.
-    pub fn is_unlimited(&self) -> bool {
-        self.bytes_per_sec.is_infinite()
     }
 
     /// The time at which the currently reserved work drains.
@@ -61,11 +46,7 @@ impl RateLimiter {
 
     /// How long a transfer of `bytes` occupies the pipe (independent of queueing).
     pub fn transfer_time(&self, bytes: ByteSize) -> SimTime {
-        if self.is_unlimited() {
-            SimTime::ZERO
-        } else {
-            SimTime::from_secs_f64(bytes.as_u64() as f64 / self.bytes_per_sec)
-        }
+        SimTime::from_secs_f64(bytes.as_u64() as f64 / self.bytes_per_sec)
     }
 
     /// Pending work as a duration: how long after `now` the pipe stays busy.
@@ -123,18 +104,6 @@ mod tests {
         let r = rl.reserve(ByteSize::kb(256), later);
         assert_eq!(r.start, later);
         assert_eq!(r.done, later + SimTime::from_millis(500));
-    }
-
-    #[test]
-    fn unlimited_never_delays() {
-        let mut rl = RateLimiter::unlimited();
-        assert!(rl.is_unlimited());
-        let now = SimTime::from_secs(5);
-        let r = rl.reserve(ByteSize::tb(100), now);
-        assert_eq!(r.start, now);
-        assert_eq!(r.done, now);
-        assert_eq!(rl.transfer_time(ByteSize::tb(1)), SimTime::ZERO);
-        assert!(rl.is_idle(now));
     }
 
     #[test]

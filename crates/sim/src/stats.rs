@@ -7,7 +7,6 @@
 //! * [`OnlineStats`] — single-pass mean / standard deviation (Welford), used for
 //!   the chunk-count/size statistics of Table 1 and the regeneration statistics
 //!   of Table 3;
-//! * [`Histogram`] — fixed-bin counting for distribution inspection;
 //! * [`Series`] and [`Figure`] — named x/y curves, with CSV/gnuplot-friendly dumps;
 //! * [`TableBuilder`] — aligned plain-text tables matching the paper's layout.
 
@@ -136,67 +135,6 @@ impl OnlineStats {
     }
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)`; out-of-range samples are clamped
-/// into the first/last bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram must have at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let idx = ((x - self.lo) / width).floor();
-        let idx = idx.clamp(0.0, (self.bins.len() - 1) as f64) as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile (0 ≤ q ≤ 1) from the binned data.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return self.lo;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut cum = 0;
-        for (i, c) in self.bins.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
-}
-
 /// A single named x/y curve, one per scheme per figure.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
 pub struct Series {
@@ -225,25 +163,14 @@ impl Series {
         self.points.last().map(|p| p.1)
     }
 
-    /// Maximum y value, `None` when empty.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.1)
-            .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.max(y))))
-    }
-
     /// Linear interpolation of y at `x`; clamps outside the observed x range.
     pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
+        let (&(x_lo, y_lo), &(x_hi, y_hi)) = (self.points.first()?, self.points.last()?);
+        if x <= x_lo {
+            return Some(y_lo);
         }
-        if x <= self.points[0].0 {
-            return Some(self.points[0].1);
-        }
-        // lint:allow(slice-index) -- points verified non-empty by the is_empty check above
-        if x >= self.points[self.points.len() - 1].0 {
-            return Some(self.points[self.points.len() - 1].1); // lint:allow(slice-index) -- points verified non-empty by the is_empty check above
+        if x >= x_hi {
+            return Some(y_hi);
         }
         for w in self.points.windows(2) {
             let (x0, y0) = w[0];
@@ -466,24 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_quantile() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        assert_eq!(h.total(), 100);
-        assert!(h.bins().iter().all(|&c| c == 10));
-        let median = h.quantile(0.5);
-        assert!((median - 45.0).abs() <= 10.0);
-        // Out-of-range values clamp into edge bins.
-        h.push(-5.0);
-        h.push(500.0);
-        assert_eq!(h.total(), 102);
-        assert_eq!(h.bins()[0], 11);
-        assert_eq!(h.bins()[9], 11);
-    }
-
-    #[test]
     fn series_interpolation() {
         let mut s = Series::new("test");
         s.push(0.0, 0.0);
@@ -492,7 +401,6 @@ mod tests {
         assert_eq!(s.interpolate(-1.0), Some(0.0));
         assert_eq!(s.interpolate(20.0), Some(100.0));
         assert_eq!(s.last_y(), Some(100.0));
-        assert_eq!(s.max_y(), Some(100.0));
         assert_eq!(Series::new("empty").interpolate(1.0), None);
     }
 

@@ -60,7 +60,7 @@ fn main() {
     for fraction in [0.10, 0.20] {
         let mut ps = deploy(CodingPolicy::online_default(), nodes, files, seed);
         let stored = ps.metrics().bytes_stored;
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::mb(512), 60.0);
+        let mut sim = RegenerationSim::build(ps.manifests());
         let mut rng = DetRng::new(seed ^ 0x7ab1e);
         let report = sim.fail_fraction(ps.cluster_mut(), fraction, &mut rng);
         println!(

@@ -365,7 +365,7 @@ proptest! {
                 .store_file(&FileRecord::new(format!("f{i}"), ByteSize::mb(200)))
                 .is_stored());
         }
-        let mut sim = RegenerationSim::build(ps.manifests(), ByteSize::mb(256), 30.0);
+        let mut sim = RegenerationSim::build(ps.manifests());
         let tracked_before = sim.tracked_bytes();
         let mut fail_rng = DetRng::new(failure_seed);
         let mut total_lost = ByteSize::ZERO;

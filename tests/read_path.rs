@@ -4,30 +4,33 @@
 //! every loss pattern a policy tolerates still reads back the stored bytes
 //! (and one more loss reads nothing, never wrong bytes), that repair hands
 //! each replacement exactly the lost placement's codec blocks, in its place,
+//! that a repair which cannot rebuild a chunk says so and stores nothing,
 //! and that a chunk refused part-way is rolled back whole.
 
 use peerstripe::core::client::unpack_payload;
 use peerstripe::core::{
-    ClusterConfig, ClusterStoreError, CodingPolicy, FetchedBlock, ObjectName, PeerStripe,
-    PeerStripeConfig, StorageBackend, StorageCluster,
+    ChunkPlacement, ClusterConfig, ClusterStoreError, CodingPolicy, FetchedBlock, ObjectName,
+    PeerStripe, PeerStripeConfig, StorageBackend, StorageCluster, StorageSystem,
 };
 use peerstripe::overlay::{Id, NodeRef};
 use peerstripe::placement::{ClusterView, ProbeView};
 use peerstripe::sim::{ByteSize, DetRng};
-use peerstripe::trace::CapacityModel;
+use peerstripe::trace::{CapacityModel, FileRecord};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// The simulator behind a wrapper that counts `fetch_block` calls, answers
-/// `None` for every block whose key is in `lost`, and refuses the
-/// `refuse_store`-th payload-carrying `store_block` (counted from 1).
+/// `None` for every block whose key is in `lost`, refuses the
+/// `refuse_store`-th payload-carrying `store_block` (counted from 1), and
+/// while `payloads_only` is set fails on any `store_block` without a payload.
 struct Probe {
     inner: StorageCluster,
     fetches: Cell<usize>,
     lost: BTreeSet<Id>,
     payload_stores: usize,
     refuse_store: Option<usize>,
+    payloads_only: bool,
     rolled_back: Vec<ObjectName>,
 }
 
@@ -70,6 +73,10 @@ impl StorageBackend for Probe {
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
+        assert!(
+            payload.is_some() || !self.payloads_only,
+            "{name}: a byte-path repair stored a block without its payload"
+        );
         self.payload_stores += usize::from(payload.is_some());
         if payload.is_some() && self.refuse_store == Some(self.payload_stores) {
             return Err(ClusterStoreError::NoLiveNodes);
@@ -110,25 +117,29 @@ fn client(coding: CodingPolicy, nodes: usize, seed: u64) -> PeerStripe<Probe> {
     client_with_chunks(coding, nodes, seed, Some(ByteSize::kb(16)))
 }
 
+fn cluster(nodes: usize, seed: u64) -> StorageCluster {
+    ClusterConfig {
+        nodes,
+        capacity: CapacityModel::Fixed(ByteSize::mb(64)),
+        report_fraction: 1.0,
+        track_objects: true,
+    }
+    .build(&mut DetRng::new(seed))
+}
+
 fn client_with_chunks(
     coding: CodingPolicy,
     nodes: usize,
     seed: u64,
     max_chunk_size: Option<ByteSize>,
 ) -> PeerStripe<Probe> {
-    let inner = ClusterConfig {
-        nodes,
-        capacity: CapacityModel::Fixed(ByteSize::mb(64)),
-        report_fraction: 1.0,
-        track_objects: true,
-    }
-    .build(&mut DetRng::new(seed));
     let probe = Probe {
-        inner,
+        inner: cluster(nodes, seed),
         fetches: Cell::new(0),
         lost: BTreeSet::new(),
         payload_stores: 0,
         refuse_store: None,
+        payloads_only: false,
         rolled_back: Vec::new(),
     };
     let config = PeerStripeConfig {
@@ -270,64 +281,181 @@ fn stored_rows(ps: &PeerStripe<Probe>, node: NodeRef, name: &ObjectName) -> Vec<
     unpack_payload(payload).iter().map(|&(i, _)| i).collect()
 }
 
+/// A node of the nine that holds as many blocks of some chunk as `coding`
+/// tolerates losing, and of no chunk more.
+fn victim_at_the_tolerance(ps: &PeerStripe<Probe>, coding: CodingPolicy) -> NodeRef {
+    let chunks = &ps.manifest("f").expect("stored").chunks;
+    let held = |n: NodeRef| chunks.iter().map(move |c| c.blocks_on(n).count());
+    let most = coding.tolerable_losses();
+    (0..9)
+        .find(|&n| held(n).any(|h| h == most) && held(n).all(|h| h <= most))
+        .expect("some node holds exactly the tolerable number of blocks of a chunk")
+}
+
 #[test]
 fn repair_rebuilds_each_lost_placement_in_its_place() {
-    // RS(4, 2) on nine nodes: six blocks a chunk, and some node holds two
+    // Nine nodes.  RS(4, 2): six blocks a chunk, and the victim holds two
     // blocks of one chunk — the case in which a repair used to pack both
     // placements' codec blocks into one replacement and leave the other empty.
-    let coding = CodingPolicy::rs_default();
-    let mut ps = client(coding, 9, 79);
-    let data = seeded(60_000, 2);
-    assert!(ps.store_data("f", &data).is_stored());
-    let before = ps.manifest("f").unwrap().clone();
-    let held = |n: NodeRef| before.chunks.iter().map(move |c| c.blocks_on(n).count());
-    let victim = (0..9)
-        .find(|&n| held(n).any(|h| h == 2) && held(n).all(|h| h <= coding.tolerable_losses()))
-        .expect("some node holds two blocks of a chunk");
-    let rows_before: Vec<Vec<Vec<u32>>> = before
-        .chunks
-        .iter()
-        .map(|c| {
-            c.blocks
-                .iter()
-                .map(|b| stored_rows(&ps, b.node, &b.name))
-                .collect()
-        })
-        .collect();
+    // XOR(2, 3): each placed block carries eight of the 24 codec blocks.  The
+    // online arm waits for ROADMAP's "The paper's own code must work": its
+    // byte path does not decode every single loss the policy tolerates.
+    for (coding, seed) in [
+        (CodingPolicy::rs_default(), 79),
+        (CodingPolicy::xor_2_3(), 81),
+    ] {
+        let mut ps = client(coding, 9, seed);
+        let data = seeded(60_000, 2);
+        assert!(ps.store_data("f", &data).is_stored());
+        let before = ps.manifest("f").unwrap().clone();
+        let victim = victim_at_the_tolerance(&ps, coding);
+        let rows_before: Vec<Vec<Vec<u32>>> = before
+            .chunks
+            .iter()
+            .map(|c| {
+                c.blocks
+                    .iter()
+                    .map(|b| stored_rows(&ps, b.node, &b.name))
+                    .collect()
+            })
+            .collect();
 
-    let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
-    let lost: usize = held(victim).sum();
-    let report = ps.handle_node_failure(victim, &takeover);
-    assert_eq!(report.blocks_regenerated as usize, lost);
-    assert_eq!(report.chunks_lost, 0);
+        let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
+        let lost = before.all_blocks().filter(|b| b.node == victim).count();
+        ps.backend_mut().payloads_only = true;
+        let report = ps.handle_node_failure(victim, &takeover);
+        assert_eq!(report.blocks_regenerated as usize, lost);
+        assert_eq!(report.chunks_lost, 0);
 
-    let after = ps.manifest("f").unwrap().clone();
-    for ((was, now), rows) in before.chunks.iter().zip(&after.chunks).zip(&rows_before) {
-        assert_eq!(
-            was.blocks.len(),
-            now.blocks.len(),
-            "no block added or dropped"
-        );
-        for ((old, new), rows) in was.blocks.iter().zip(&now.blocks).zip(rows) {
-            assert_eq!(old.size, new.size, "a replacement is one block's worth");
+        let after = ps.manifest("f").unwrap().clone();
+        for ((was, now), rows) in before.chunks.iter().zip(&after.chunks).zip(&rows_before) {
             assert_eq!(
-                &stored_rows(&ps, new.node, &new.name),
-                rows,
-                "same codec blocks"
+                was.blocks.len(),
+                now.blocks.len(),
+                "no block added or dropped"
             );
-            if old.node == victim {
-                assert_ne!(new.node, victim);
-                assert_ne!(new.name, old.name, "a replacement gets a fresh name");
-            } else {
-                assert_eq!((new.node, &new.name), (old.node, &old.name));
+            for ((old, new), rows) in was.blocks.iter().zip(&now.blocks).zip(rows) {
+                assert_eq!(old.size, new.size, "a replacement is one block's worth");
+                assert_eq!(
+                    &stored_rows(&ps, new.node, &new.name),
+                    rows,
+                    "same codec blocks"
+                );
+                if old.node == victim {
+                    assert_ne!(new.node, victim);
+                    assert_ne!(new.name, old.name, "a replacement gets a fresh name");
+                } else {
+                    assert_eq!((new.node, &new.name), (old.node, &old.name));
+                }
             }
         }
+        // The layout order survived, so a healthy read is still a short read.
+        assert_eq!(
+            fetches_of_read(&ps, "f", &data),
+            after.chunks.len() * coding.min_blocks_needed(),
+            "{}",
+            coding.label()
+        );
     }
-    // The layout order survived, so a healthy read is still a short read.
-    assert_eq!(
-        fetches_of_read(&ps, "f", &data),
-        after.chunks.len() * coding.min_blocks_needed()
-    );
+}
+
+/// Objects held by the live nodes of the nine.
+fn live_objects(ps: &PeerStripe<Probe>) -> u64 {
+    let cluster = &ps.backend().inner;
+    (0..9)
+        .filter(|&n| cluster.is_alive(n))
+        .map(|n| cluster.node(n).object_count())
+        .sum()
+}
+
+#[test]
+fn a_repair_that_cannot_rebuild_says_so_and_stores_nothing() {
+    // RS(4, 2): the victim takes two blocks of one chunk with it, and one
+    // live holder of that chunk fails its fetch — three blocks out of reach,
+    // one past the tolerance, though enough holders are alive.
+    let coding = CodingPolicy::rs_default();
+    let mut ps = client(coding, 9, 79);
+    let data = seeded(60_000, 3);
+    assert!(ps.store_data("f", &data).is_stored());
+    let before = ps.manifest("f").unwrap().clone();
+    let victim = victim_at_the_tolerance(&ps, coding);
+    let stuck = before
+        .chunks
+        .iter()
+        .find(|c| c.blocks_on(victim).count() == 2)
+        .expect("the victim holds two blocks of a chunk");
+    let refusing = stuck.blocks.iter().find(|b| b.node != victim).unwrap();
+    let lost = before.all_blocks().filter(|b| b.node == victim).count() as u64;
+
+    let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
+    ps.backend_mut().lost = BTreeSet::from([refusing.name.key()]);
+    ps.backend_mut().payloads_only = true;
+    let objects = live_objects(&ps);
+    let report = ps.handle_node_failure(victim, &takeover);
+    // The stuck chunk: counted once although two of its blocks were due,
+    // nothing stored for it, its manifest entry untouched.  The others:
+    // repaired as ever.
+    assert_eq!(report.blocks_regenerated, lost - 2);
+    assert_eq!((report.chunks_lost, report.bytes_lost), (1, stuck.size));
+    assert_eq!(live_objects(&ps), objects + report.blocks_regenerated);
+    let placed = |c: &ChunkPlacement| -> Vec<(ObjectName, NodeRef, ByteSize)> {
+        let blocks = c.blocks.iter();
+        blocks.map(|b| (b.name.clone(), b.node, b.size)).collect()
+    };
+    let entry =
+        |ps: &PeerStripe<Probe>| placed(&ps.manifest("f").unwrap().chunks[stuck.chunk as usize]);
+    assert_eq!(entry(&ps), placed(stuck));
+    assert_eq!(ps.retrieve_data("f"), None);
+
+    // The holder answers again: the same call now rebuilds both blocks.
+    ps.backend_mut().lost.clear();
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!((report.blocks_regenerated, report.chunks_lost), (2, 0));
+    assert!(entry(&ps).iter().all(|&(_, node, _)| node != victim));
+    assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+
+    // Too few live holders reads the same in the report: three more nodes
+    // down, and the chunk is a loss, not a repair.
+    let holders: BTreeSet<NodeRef> = entry(&ps).iter().map(|&(_, node, _)| node).collect();
+    let mut last = None;
+    for &node in holders.iter().take(3) {
+        last = Some((node, ps.backend_mut().inner.fail_node(node).unwrap()));
+    }
+    let (node, takeover) = last.expect("three holders");
+    let objects = live_objects(&ps);
+    let report = ps.handle_node_failure(node, &takeover);
+    assert!(report.chunks_lost >= 1 && report.bytes_lost >= stuck.size);
+    assert_eq!(live_objects(&ps), objects + report.blocks_regenerated);
+    assert!(entry(&ps).iter().any(|&(_, at, _)| at == node));
+}
+
+#[test]
+fn a_placement_only_repair_stores_sizes_and_counts_them() {
+    // The other way to rebuild no payload: holders answer and none carries
+    // one.  That is no loss — the replacement is a size, and it is counted.
+    let config = PeerStripeConfig::default().with_coding(CodingPolicy::rs_default());
+    let mut ps = PeerStripe::new(cluster(9, 79), config);
+    assert!(ps
+        .store_file(&FileRecord::new("f", ByteSize::kb(60)))
+        .is_stored());
+    let before = ps.manifest("f").unwrap().clone();
+    let victim = before.chunks[0].blocks[0].node;
+    let lost = before.all_blocks().filter(|b| b.node == victim).count();
+
+    let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!(report.blocks_regenerated as usize, lost);
+    assert_eq!((report.chunks_lost, report.bytes_lost), (0, ByteSize::ZERO));
+    let after = ps.manifest("f").unwrap();
+    for (old, new) in before.all_blocks().zip(after.all_blocks()) {
+        assert_eq!(old.size, new.size);
+        assert_eq!(old.node == victim, new.name != old.name);
+        let object = ps
+            .cluster()
+            .fetch_from(new.node, &new.name)
+            .expect("stored");
+        assert_eq!((object.size, object.payload.is_none()), (new.size, true));
+    }
 }
 
 #[test]
