@@ -24,15 +24,12 @@ pub struct AvailabilityTracker {
     chunk_alive: Vec<u32>,
     chunk_needed: Vec<u32>,
     chunk_file: Vec<u32>,
-    chunk_size: Vec<ByteSize>,
     /// Per file: number of chunks currently unrecoverable.
     file_failed_chunks: Vec<u32>,
     /// node -> indices of chunks with one block on that node (repeated per block).
     node_index: BTreeMap<NodeRef, Vec<u32>>,
     files_total: usize,
     files_unavailable: usize,
-    bytes_total: ByteSize,
-    bytes_unavailable: ByteSize,
 }
 
 impl AvailabilityTracker {
@@ -42,19 +39,15 @@ impl AvailabilityTracker {
             chunk_alive: Vec::new(),
             chunk_needed: Vec::new(),
             chunk_file: Vec::new(),
-            chunk_size: Vec::new(),
             file_failed_chunks: Vec::new(),
             node_index: BTreeMap::new(),
             files_total: 0,
             files_unavailable: 0,
-            bytes_total: ByteSize::ZERO,
-            bytes_unavailable: ByteSize::ZERO,
         };
         for manifest in manifests.iter() {
             let file_idx = tracker.file_failed_chunks.len() as u32;
             tracker.file_failed_chunks.push(0);
             tracker.files_total += 1;
-            tracker.bytes_total += manifest.size;
             for chunk in &manifest.chunks {
                 if chunk.size.is_zero() {
                     continue;
@@ -63,7 +56,6 @@ impl AvailabilityTracker {
                 tracker.chunk_alive.push(chunk.blocks.len() as u32);
                 tracker.chunk_needed.push(chunk.min_blocks_needed as u32);
                 tracker.chunk_file.push(file_idx);
-                tracker.chunk_size.push(chunk.size);
                 for block in &chunk.blocks {
                     tracker
                         .node_index
@@ -95,13 +87,8 @@ impl AvailabilityTracker {
         }
     }
 
-    /// Bytes of user data in files that are currently unavailable.
-    pub fn bytes_unavailable(&self) -> ByteSize {
-        self.bytes_unavailable
-    }
-
     /// Process the failure of a node (all blocks it held are lost, no recovery).
-    pub fn fail_node(&mut self, node: NodeRef, file_sizes: &[ByteSize]) {
+    pub fn fail_node(&mut self, node: NodeRef) {
         let Some(chunks) = self.node_index.remove(&node) else {
             return;
         };
@@ -115,17 +102,9 @@ impl AvailabilityTracker {
                 self.file_failed_chunks[fi] += 1;
                 if self.file_failed_chunks[fi] == 1 {
                     self.files_unavailable += 1;
-                    self.bytes_unavailable += file_sizes.get(fi).copied().unwrap_or(ByteSize::ZERO);
                 }
             }
         }
-    }
-
-    /// The per-file sizes in the order files were indexed at build time; callers
-    /// pass this back into [`AvailabilityTracker::fail_node`] so the tracker does
-    /// not need to own a copy.
-    pub fn file_sizes(manifests: &ManifestStore) -> Vec<ByteSize> {
-        manifests.iter().map(|m| m.size).collect()
     }
 }
 
@@ -452,14 +431,13 @@ mod tests {
     fn tracker_matches_direct_recomputation() {
         let mut ps = loaded_system(CodingPolicy::xor_2_3(), 1);
         let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let file_sizes = AvailabilityTracker::file_sizes(ps.manifests());
         assert_eq!(tracker.files_total(), 40);
         assert_eq!(tracker.files_unavailable(), 0);
         let mut rng = DetRng::new(2);
         for _ in 0..30 {
             let node = ps.cluster().overlay().random_alive(&mut rng).unwrap();
             ps.cluster_mut().fail_node(node);
-            tracker.fail_node(node, &file_sizes);
+            tracker.fail_node(node);
             // Ground truth: recompute availability from the manifests.
             let direct = ps
                 .manifests()
@@ -482,11 +460,10 @@ mod tests {
         ] {
             let mut ps = large_loaded_system(coding, 3);
             let mut tracker = AvailabilityTracker::build(ps.manifests());
-            let file_sizes = AvailabilityTracker::file_sizes(ps.manifests());
             let mut rng = DetRng::new(4);
             let victims = ps.cluster_mut().fail_random(40, &mut rng);
             for (node, _) in victims {
-                tracker.fail_node(node, &file_sizes);
+                tracker.fail_node(node);
             }
             unavailable.push(tracker.files_unavailable());
         }
@@ -505,8 +482,7 @@ mod tests {
     fn unknown_node_failure_is_a_noop() {
         let ps = loaded_system(CodingPolicy::None, 5);
         let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let sizes = AvailabilityTracker::file_sizes(ps.manifests());
-        tracker.fail_node(999_999, &sizes);
+        tracker.fail_node(999_999);
         assert_eq!(tracker.files_unavailable(), 0);
     }
 

@@ -7,12 +7,12 @@
 //! **Table 3** fails 10 % / 20 % of the nodes *with* recovery enabled and
 //! reports the data lost and the data regenerated, per failure and in total.
 
+use crate::deployment::Deployment;
 use crate::scale::Scale;
 use peerstripe_core::churn::{AvailabilityTracker, RegenerationSim};
-use peerstripe_core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
+use peerstripe_core::CodingPolicy;
 use peerstripe_sim::stats::Figure;
-use peerstripe_sim::{ByteSize, DetRng, OnlineStats, Series};
-use peerstripe_trace::TraceConfig;
+use peerstripe_sim::{ByteSize, DetRng, Series};
 
 /// Configuration of the churn experiments.
 #[derive(Debug, Clone)]
@@ -40,18 +40,6 @@ impl ChurnConfig {
             seed,
         }
     }
-}
-
-/// Build a PeerStripe deployment with the trace distributed under a coding policy.
-fn deploy(config: &ChurnConfig, coding: CodingPolicy) -> PeerStripe {
-    let mut rng = DetRng::new(config.seed);
-    let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
-    let trace = TraceConfig::scaled(config.files).generate(config.seed ^ 0xc0de);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    ps
 }
 
 /// Result of the Figure 10 sweep.
@@ -89,20 +77,19 @@ pub fn run_availability(config: &ChurnConfig) -> AvailabilityResult {
     let mut curves = Vec::new();
     let mut finals = Vec::new();
     for policy in policies {
-        let mut ps = deploy(config, policy);
-        let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let file_sizes = AvailabilityTracker::file_sizes(ps.manifests());
+        let mut deployed = Deployment::oblivious(config.nodes, config.files, config.seed, policy);
+        let mut tracker = AvailabilityTracker::build(&deployed.manifests);
         // The same failure order is used for every policy (fresh RNG per policy).
         let mut rng = DetRng::new(config.seed ^ 0xfa11);
         let mut series = Series::new(policy.label());
         let sample_every = (config.failures / config.samples.max(1)).max(1);
         series.push(0.0, 0.0);
         for i in 0..config.failures {
-            let Some(node) = ps.cluster().overlay().random_alive(&mut rng) else {
+            let Some(node) = deployed.cluster.overlay().random_alive(&mut rng) else {
                 break;
             };
-            ps.cluster_mut().fail_node(node);
-            tracker.fail_node(node, &file_sizes);
+            deployed.cluster.fail_node(node);
+            tracker.fail_node(node);
             if (i + 1) % sample_every == 0 || i + 1 == config.failures {
                 series.push((i + 1) as f64, tracker.unavailable_pct());
             }
@@ -139,13 +126,16 @@ pub struct Table3Row {
 pub fn run_regeneration(config: &ChurnConfig) -> Vec<Table3Row> {
     let mut rows = Vec::new();
     for fraction in [0.10, 0.20] {
-        let mut ps = deploy(config, CodingPolicy::online_default());
-        let total_data = ps.metrics().bytes_stored;
+        let mut deployed = Deployment::oblivious(
+            config.nodes,
+            config.files,
+            config.seed,
+            CodingPolicy::online_default(),
+        );
+        let total_data = deployed.useful_bytes();
         let mut rng = DetRng::new(config.seed ^ 0x7ab1e3);
-        let mut sim = RegenerationSim::build(ps.manifests());
-        let report = sim.fail_fraction(ps.cluster_mut(), fraction, &mut rng);
-        let mut per_failure = OnlineStats::new();
-        per_failure.merge(&report.per_failure);
+        let mut sim = RegenerationSim::build(&deployed.manifests);
+        let report = sim.fail_fraction(&mut deployed.cluster, fraction, &mut rng);
         rows.push(Table3Row {
             failed_fraction: fraction,
             nodes_failed: report.nodes_failed,

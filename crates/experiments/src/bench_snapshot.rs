@@ -1,16 +1,14 @@
-//! `repro bench-snapshot` — one-shot, in-process perf snapshots of the two
-//! hot paths the criterion benches guard, written as small JSON files under
-//! `benchmarks/` so perf regressions show up in review as a diff.
-//!
-//! The `repair_schedule` workload is defined here once ([`deploy`],
-//! [`engine_of`]) and the criterion bench of that name imports it; the other
-//! snapshots mirror `crates/bench/benches/detector_decide.rs` and
-//! `placement_decide.rs` exactly (same deployment, same decide loop) — plus a `wire_roundtrip` snapshot covering
-//! the networked path's frame encode/decode and an `rs_encode` snapshot
-//! covering in-place erasure-encode throughput (scalar vs `nibble64` kernel vs
-//! a worker per CPU) — but run each measurement a handful of times and keep the best —
-//! good enough to catch an order-of-magnitude regression without criterion's
-//! multi-minute statistics.  Numbers are machine-dependent by nature; the
+//! `repro bench-snapshot` — one-shot, in-process perf snapshots of five hot
+//! paths, written as small JSON files under `benchmarks/` so perf regressions
+//! show up in review as a diff and `--check` can gate them in CI:
+//! `repair_schedule` (maintenance-engine event throughput), `detector_decide`
+//! and `placement_decide` (decision throughput per policy / strategy),
+//! `wire_roundtrip` (the networked path's frame encode/decode) and
+//! `rs_encode` (in-place erasure-encode throughput, scalar vs `nibble64`
+//! kernel vs a worker per CPU).  Each workload is defined here and nowhere
+//! else.  Every measurement is the best of a handful of short passes
+//! ([`best_rate`]) — good enough to catch an order-of-magnitude regression
+//! in seconds.  Numbers are machine-dependent by nature; the
 //! committed files record the machine-independent *shape* (events processed,
 //! verdict counts) next to the throughput observed when they were captured.
 //!
@@ -18,46 +16,73 @@
 //! wall time is its whole job.  Nothing here feeds simulation results.
 
 use crate::coding::{cpus, RowArena};
+use crate::deployment::{Cell, Deployment};
 use crate::Scale;
-use peerstripe_core::{
-    ClusterConfig, CodingPolicy, ObjectName, PeerStripe, PeerStripeConfig, StorageSystem,
-};
+use peerstripe_core::{ClusterConfig, CodingPolicy, ObjectName};
 use peerstripe_net::protocol::{read_request_traced, write_request_traced};
 use peerstripe_net::Request;
 use peerstripe_overlay::Id;
 use peerstripe_placement::{RepairRequest, StrategyKind, Topology};
 use peerstripe_repair::{
-    BandwidthBudget, ChurnProcess, DeclarationVerdict, DetectionKind, DetectionPolicy,
-    DetectorConfig, MaintenanceEngine, OutageAware, OutageAwareConfig, PerNodeTimeout,
-    RepairConfig, RepairPolicy, SessionModel,
+    DeclarationVerdict, DetectionPolicy, DetectorConfig, OutageAware, OutageAwareConfig,
+    PerNodeTimeout,
 };
 use peerstripe_sim::{ByteSize, DetRng, SimTime};
-use peerstripe_trace::TraceConfig;
 use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Domain size used by the detector benches (matches `detector_decide.rs`).
+/// Domain size of the detector snapshot's topology.
 const GROUP_SIZE: usize = 25;
-/// Measurement repetitions per configuration; the best run is kept.
+/// Timed passes per measurement; the best one is kept.
 const REPS: usize = 3;
-/// Blocks per chunk in the placement bench (matches `placement_decide.rs`).
+/// Seconds a pass keeps repeating a sub-millisecond operation.
+const PASS_SECS: f64 = 0.1;
+/// Pass length for an operation long enough to be timed on its own.
+const ONCE: f64 = 0.0;
+/// Blocks per chunk in the placement snapshot.
 const BLOCKS_PER_CHUNK: usize = 8;
-/// Per-domain block cap in the placement bench (matches `placement_decide.rs`).
+/// Per-domain block cap in the placement snapshot.
 const DOMAIN_CAP: usize = 4;
+
+/// The best rate of [`REPS`] timed passes, in work units per second.  Each
+/// pass takes a fresh `setup()` outside the clock, then calls `work` — which
+/// returns the units it completed — until `pass_secs` have elapsed.
+fn best_rate<S>(
+    pass_secs: f64,
+    mut setup: impl FnMut() -> S,
+    mut work: impl FnMut(&mut S) -> u64,
+) -> f64 {
+    let mut best = 0.0f64;
+    for _ in 0..REPS {
+        let mut state = setup();
+        let started = Instant::now();
+        let mut units = 0u64;
+        let elapsed = loop {
+            units += work(&mut state);
+            let elapsed = started.elapsed().as_secs_f64();
+            if elapsed >= pass_secs {
+                break elapsed;
+            }
+        };
+        best = best.max(units as f64 / elapsed.max(1e-9));
+    }
+    best
+}
 
 /// Parameters of a snapshot run.
 #[derive(Debug, Clone)]
 pub struct BenchSnapshotConfig {
-    /// Node counts to measure at (the benches use 1 000 and 10 000).
+    /// Node counts to measure at (the committed files use 1 000 and 10 000).
     pub node_counts: Vec<usize>,
     /// Deployment / churn seed.
     pub seed: u64,
 }
 
 impl BenchSnapshotConfig {
-    /// The configuration matching the committed criterion benches.
+    /// The node counts of a scale; every scale above `small` measures the
+    /// rows the committed `benchmarks/BENCH_*.json` files hold.
     pub fn at_scale(scale: Scale, seed: u64) -> Self {
         let node_counts = match scale {
             Scale::Small => vec![200, 1_000],
@@ -81,7 +106,7 @@ pub struct BenchRow {
 /// A named collection of rows, renderable as JSON.
 #[derive(Debug, Clone)]
 pub struct BenchSnapshot {
-    /// Snapshot name (`repair_schedule` or `detector_decide`).
+    /// Snapshot name; the file is `BENCH_<name>.json`.
     pub name: String,
     /// Seed the deployment and churn used.
     pub seed: u64,
@@ -123,74 +148,33 @@ impl BenchSnapshot {
     }
 }
 
-/// The `repair_schedule` workload's deployment: a cluster under a light
-/// per-node file load, which keeps setup fast while exercising the same
-/// per-event code paths as the full sweep.
-pub fn deploy(
-    nodes: usize,
-    seed: u64,
-) -> (
-    peerstripe_core::StorageCluster,
-    peerstripe_core::ManifestStore,
-) {
-    let mut rng = DetRng::new(seed);
-    let cluster = ClusterConfig::scaled(nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(
-        cluster,
-        PeerStripeConfig::default().with_coding(CodingPolicy::online_default()),
-    );
-    let trace = TraceConfig::scaled(nodes * 2).generate(seed ^ 0xc0de);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    let manifests = ps.manifests().clone();
-    (ps.into_cluster(), manifests)
-}
-
-/// The maintenance engine the `repair_schedule` workload drives for 24 h.
-pub fn engine_of(
-    cluster: peerstripe_core::StorageCluster,
-    manifests: &peerstripe_core::ManifestStore,
-    seed: u64,
-) -> MaintenanceEngine {
-    let churn = ChurnProcess {
-        sessions: SessionModel::Synthetic {
-            mean_session_secs: 8.0 * 3_600.0,
-            mean_downtime_secs: 4.0 * 3_600.0,
-        },
-        permanent_fraction: 0.01,
-        grouped: None,
-    };
-    let config = RepairConfig {
-        policy: RepairPolicy::Eager,
-        detector: DetectorConfig::default_desktop_grid().with_timeout(24.0 * 3_600.0),
-        detection: DetectionKind::PerNodeTimeout,
-        bandwidth: BandwidthBudget::symmetric(ByteSize::mb(4)),
-        sample_period_secs: 3_600.0,
-    };
-    MaintenanceEngine::new(cluster, manifests, churn, config, seed)
-}
-
-/// Maintenance-engine event throughput over 24 h of churn.
+/// Maintenance-engine event throughput over 24 h of churn (1 % of departures
+/// permanent, 24 h permanence timeout), on a cluster under a light per-node
+/// file load: fast to set up, same per-event code paths as the full sweep.
 pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
+    let cell = Cell::independent(0.01, 24.0, 24.0);
     let mut rows = Vec::new();
     for &nodes in &config.node_counts {
-        let (cluster, manifests) = deploy(nodes, config.seed);
-        let mut best_per_sec = 0.0f64;
+        let deployment = Deployment::oblivious(
+            nodes,
+            nodes * 2,
+            config.seed,
+            CodingPolicy::online_default(),
+        );
         let mut work_units = 0u64;
-        for _ in 0..REPS {
-            let mut engine = engine_of(cluster.clone(), &manifests, config.seed);
-            let started = Instant::now();
-            engine.run_for(SimTime::from_secs(24 * 3_600));
-            let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-            let events = engine.events_processed();
-            work_units = events;
-            best_per_sec = best_per_sec.max(events as f64 / elapsed);
-        }
+        let per_sec = best_rate(
+            ONCE,
+            || deployment.engine(&cell),
+            |engine| {
+                engine.run_for(cell.horizon);
+                work_units = engine.events_processed();
+                work_units
+            },
+        );
         rows.push(BenchRow {
             id: format!("churn_24h/{nodes}_nodes"),
             work_units,
-            per_sec: best_per_sec,
+            per_sec,
         });
     }
     BenchSnapshot {
@@ -200,8 +184,8 @@ pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
     }
 }
 
-/// Clustered-downtime setup shared by the decide rows (mirrors
-/// `detector_decide.rs::take_half_down`).
+/// Clustered-downtime setup shared by the decide rows: half of every domain
+/// down at t = 1000, the outage-aware worst case (it keeps re-classifying).
 fn take_half_down(
     policy: &mut dyn DetectionPolicy,
     nodes: usize,
@@ -240,11 +224,11 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
         for (label, mut policy) in policies {
             let pendings = take_half_down(policy.as_mut(), nodes);
             // Decide throughput: one verdict per down node per pass.
-            let mut best = 0.0f64;
-            for _ in 0..REPS {
-                let started = Instant::now();
-                let mut verdicts = 0u64;
-                while started.elapsed().as_secs_f64() < 0.1 {
+            let per_sec = best_rate(
+                PASS_SECS,
+                || (),
+                |_| {
+                    let mut verdicts = 0u64;
                     for (i, p) in pendings.iter().enumerate() {
                         match policy.decide(i * 2, p.generation, p.declare_at) {
                             DeclarationVerdict::Declare
@@ -252,34 +236,32 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
                             | DeclarationVerdict::Cancel => verdicts += 1,
                         }
                     }
-                }
-                best = best.max(verdicts as f64 / started.elapsed().as_secs_f64());
-            }
+                    verdicts
+                },
+            );
             rows.push(BenchRow {
                 id: format!("decide/{label}/{nodes}_nodes"),
                 work_units: pendings.len() as u64,
-                per_sec: best,
+                per_sec,
             });
             // Departure bookkeeping: a down/up cycle per node per pass.
-            let mut best = 0.0f64;
             let mut t = 2_000u64;
-            for _ in 0..REPS {
-                let started = Instant::now();
-                let mut cycles = 0u64;
-                while started.elapsed().as_secs_f64() < 0.1 {
+            let per_sec = best_rate(
+                PASS_SECS,
+                || (),
+                |_| {
                     t += 1;
                     for node in 0..nodes {
                         let _ = policy.node_down(node, SimTime::from_secs(t));
                         policy.node_up(node, SimTime::from_secs(t + 1));
-                        cycles += 1;
                     }
-                }
-                best = best.max(cycles as f64 / started.elapsed().as_secs_f64());
-            }
+                    nodes as u64
+                },
+            );
             rows.push(BenchRow {
                 id: format!("down_up/{label}/{nodes}_nodes"),
                 work_units: nodes as u64,
-                per_sec: best,
+                per_sec,
             });
         }
     }
@@ -291,7 +273,7 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
 }
 
 /// Placement decision throughput: chunk-placement plans and repair-target
-/// picks per second for every strategy (mirrors `placement_decide.rs`).
+/// picks per second for every strategy.
 ///
 /// Measured at the configured node counts and one decade past the largest,
 /// so each strategy's rows read as a curve with three points.  The cluster
@@ -308,58 +290,48 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
         for kind in StrategyKind::ALL {
             // Chunk-placement planning: one 8-block plan per pass, fresh keys
             // per chunk (the store path's hot decision).
-            let mut best = 0.0f64;
-            for _ in 0..REPS {
-                let mut cluster = base.clone();
-                let mut strategy = kind.build(7);
-                let mut chunk = 0u64;
-                let started = Instant::now();
-                let mut plans = 0u64;
-                while started.elapsed().as_secs_f64() < 0.1 {
-                    chunk += 1;
+            let per_sec = best_rate(
+                PASS_SECS,
+                || (base.clone(), kind.build(7), 0u64),
+                |(cluster, strategy, chunk)| {
+                    *chunk += 1;
                     let keys: Vec<Id> = (0..BLOCKS_PER_CHUNK as u64)
                         .map(|ecb| Id::hash(&format!("bench-file_{chunk}_{ecb}")))
                         .collect();
                     let _ = strategy
-                        .plan_chunk(&mut cluster, Some(&topology), &keys, DOMAIN_CAP)
+                        .plan_chunk(cluster, Some(&topology), &keys, DOMAIN_CAP)
                         .map(|picks| picks.len());
-                    plans += 1;
-                }
-                best = best.max(plans as f64 / started.elapsed().as_secs_f64());
-            }
+                    1
+                },
+            );
             rows.push(BenchRow {
                 id: format!("plan_chunk/{}/{nodes}_nodes", kind.label()),
                 work_units: BLOCKS_PER_CHUNK as u64,
-                per_sec: best,
+                per_sec,
             });
             // Repair targeting: one replacement pick against a half-placed
             // chunk (the maintenance engine's hot decision).
-            let mut best = 0.0f64;
-            for _ in 0..REPS {
-                let cluster = base.clone();
-                let mut strategy = kind.build(7);
-                let mut pick_rng = DetRng::new(11);
-                let holders: Vec<usize> = (0..BLOCKS_PER_CHUNK - 1).map(|i| i * 7).collect();
-                let request = RepairRequest {
-                    want: 1,
-                    size: ByteSize::mb(8),
-                    holders: &holders,
-                    domain_cap: DOMAIN_CAP,
-                };
-                let started = Instant::now();
-                let mut picks = 0u64;
-                while started.elapsed().as_secs_f64() < 0.1 {
+            let holders: Vec<usize> = (0..BLOCKS_PER_CHUNK - 1).map(|i| i * 7).collect();
+            let request = RepairRequest {
+                want: 1,
+                size: ByteSize::mb(8),
+                holders: &holders,
+                domain_cap: DOMAIN_CAP,
+            };
+            let per_sec = best_rate(
+                PASS_SECS,
+                || (kind.build(7), DetRng::new(11)),
+                |(strategy, pick_rng)| {
                     let _ = strategy
-                        .repair_targets(&cluster, Some(&topology), &request, &mut pick_rng)
+                        .repair_targets(&base, Some(&topology), &request, pick_rng)
                         .len();
-                    picks += 1;
-                }
-                best = best.max(picks as f64 / started.elapsed().as_secs_f64());
-            }
+                    1
+                },
+            );
             rows.push(BenchRow {
                 id: format!("repair_targets/{}/{nodes}_nodes", kind.label()),
                 work_units: 1,
-                per_sec: best,
+                per_sec,
             });
         }
     }
@@ -379,28 +351,26 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
 /// frames-per-second collapse.
 pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     fn roundtrip_row(id: String, work_units: u64, req: &Request) -> BenchRow {
-        let mut best = 0.0f64;
-        for _ in 0..REPS {
-            let mut buf: Vec<u8> = Vec::with_capacity(512 * 1024);
-            let started = Instant::now();
-            let mut frames = 0u64;
-            while started.elapsed().as_secs_f64() < 0.1 {
+        let per_sec = best_rate(
+            PASS_SECS,
+            || (Vec::<u8>::with_capacity(512 * 1024), 0u64),
+            |(buf, frames)| {
                 buf.clear();
                 // lint:allow(panic) -- writing to a Vec cannot fail and the bench frames stay far under MAX_FRAME
-                write_request_traced(&mut buf, req, Some(frames)).expect("in-memory frame write");
+                write_request_traced(buf, req, Some(*frames)).expect("in-memory frame write");
                 let mut frame = buf.as_slice();
                 // lint:allow(panic) -- decoding the bytes this bench just encoded cannot fail
                 let (decoded, rid) = read_request_traced(&mut frame).expect("frame read");
-                assert_eq!(rid, Some(frames), "request id must survive the roundtrip");
+                assert_eq!(rid, Some(*frames), "request id must survive the roundtrip");
                 std::hint::black_box(decoded);
-                frames += 1;
-            }
-            best = best.max(frames as f64 / started.elapsed().as_secs_f64());
-        }
+                *frames += 1;
+                1
+            },
+        );
         BenchRow {
             id,
             work_units,
-            per_sec: best,
+            per_sec,
         }
     }
 
@@ -431,8 +401,7 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
 /// Reed–Solomon encode throughput into caller-owned row buffers
 /// ([`RowArena`], the store path's shape): `scalar` kernel vs `nibble64`
 /// kernel on one thread vs `nibble64` with a column-span worker per CPU, at
-/// RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks (`rs_encode.rs` benches
-/// the same three through the same arena).  `per_sec` is source **bytes**
+/// RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks.  `per_sec` is source **bytes**
 /// per second; all three are cross-checked against the blocks
 /// `ErasureCode::encode` returns before any number is recorded, so a kernel
 /// bug fails the snapshot rather than polluting it.
@@ -457,18 +426,19 @@ pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
                 // Untimed first: the arena's pages are faulted in once, as a
                 // payload's are, not once per measured encode.
                 arena.encode(code, &chunk, workers);
-                let mut best = 0.0f64;
-                for _ in 0..REPS {
-                    let started = Instant::now();
-                    arena.encode(code, &chunk, workers);
-                    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-                    best = best.max(size.as_u64() as f64 / elapsed);
-                }
+                let per_sec = best_rate(
+                    ONCE,
+                    || (),
+                    |_| {
+                        arena.encode(code, &chunk, workers);
+                        size.as_u64()
+                    },
+                );
                 assert!(arena.holds(&reference), "{label} differs from encode()");
                 rows.push(BenchRow {
                     id: format!("rs_{data}p{parity}/{mb}_mb/{label}"),
                     work_units: size.as_u64(),
-                    per_sec: best,
+                    per_sec,
                 });
             }
         }
@@ -500,10 +470,6 @@ pub fn write_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<Vec<P
 #[derive(Debug, Clone, Deserialize)]
 struct SnapshotFile {
     benchmark: String,
-    #[allow(dead_code)]
-    seed: u64,
-    #[allow(dead_code)]
-    captured_with: String,
     rows: Vec<SnapshotFileRow>,
 }
 
@@ -511,83 +477,15 @@ struct SnapshotFile {
 #[derive(Debug, Clone, Deserialize)]
 struct SnapshotFileRow {
     id: String,
-    #[allow(dead_code)]
-    work_units: u64,
     per_sec: f64,
 }
 
 /// The fraction of a committed row's throughput a fresh measurement must
-/// reach for `check_repair_schedule` to pass.  Generous on purpose: the
+/// reach for [`check_snapshots`] to pass.  Generous on purpose: the
 /// committed numbers are machine-dependent, so only an order-of-magnitude
 /// collapse (e.g. tracing overhead leaking into the `NullTracer` hot path)
 /// should fail the check.
 pub const CHECK_TOLERANCE: f64 = 0.5;
-
-/// Compare one freshly measured snapshot against its committed
-/// `BENCH_<name>.json` under `dir`: a row fails when it reaches less than
-/// `tolerance` of its committed throughput.  Appends per-row lines to
-/// `report` and failure messages to `failures`.
-fn check_one_snapshot(
-    dir: &Path,
-    fresh: &BenchSnapshot,
-    tolerance: f64,
-    report: &mut String,
-    failures: &mut Vec<String>,
-) -> Result<(), String> {
-    let path = dir.join(format!("BENCH_{}.json", fresh.name));
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let committed: SnapshotFile =
-        serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if committed.benchmark != fresh.name {
-        return Err(format!(
-            "{} is a '{}' snapshot, expected {}",
-            path.display(),
-            committed.benchmark,
-            fresh.name
-        ));
-    }
-    for row in &fresh.rows {
-        let Some(baseline) = committed.rows.iter().find(|r| r.id == row.id) else {
-            let _ = writeln!(
-                report,
-                "{}/{}: no committed baseline (skipped)",
-                fresh.name, row.id
-            );
-            continue;
-        };
-        let ratio = if baseline.per_sec > 0.0 {
-            row.per_sec / baseline.per_sec
-        } else {
-            1.0
-        };
-        let _ = writeln!(
-            report,
-            "{}/{}: {:.0}/s vs committed {:.0}/s ({:.2}x)",
-            fresh.name, row.id, row.per_sec, baseline.per_sec, ratio
-        );
-        if ratio < tolerance {
-            failures.push(format!(
-                "{}/{} regressed to {:.2}x of the committed throughput",
-                fresh.name, row.id, ratio
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Re-measure the `repair_schedule` snapshot (the engine hot path, with the
-/// default `NullTracer`) and compare against the committed
-/// `BENCH_repair_schedule.json` under `dir`.  Returns a per-row report, or an
-/// error naming every row that fell below [`CHECK_TOLERANCE`] of its
-/// committed throughput.
-pub fn check_repair_schedule(dir: &Path, config: &BenchSnapshotConfig) -> Result<String, String> {
-    check_against(
-        dir,
-        &[run_repair_schedule_snapshot(config)],
-        CHECK_TOLERANCE,
-    )
-}
 
 /// Re-measure **all five** committed snapshots — `repair_schedule`,
 /// `detector_decide`, `placement_decide`, `wire_roundtrip`, and `rs_encode`
@@ -611,13 +509,53 @@ fn measure_all(config: &BenchSnapshotConfig) -> [BenchSnapshot; 5] {
     ]
 }
 
-/// Compare measured snapshots against the committed ones under `dir` at the
-/// given tolerance: the per-row report, or the report plus every failing row.
+/// Compare measured snapshots against the committed `BENCH_<name>.json`
+/// files under `dir`: a row fails when it reaches less than `tolerance` of
+/// its committed throughput.  The per-row report, or the report plus every
+/// failing row.
 fn check_against(dir: &Path, fresh: &[BenchSnapshot], tolerance: f64) -> Result<String, String> {
     let mut report = String::new();
     let mut failures = Vec::new();
     for snapshot in fresh {
-        check_one_snapshot(dir, snapshot, tolerance, &mut report, &mut failures)?;
+        let path = dir.join(format!("BENCH_{}.json", snapshot.name));
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let committed: SnapshotFile =
+            serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
+        if committed.benchmark != snapshot.name {
+            return Err(format!(
+                "{} is a '{}' snapshot, expected {}",
+                path.display(),
+                committed.benchmark,
+                snapshot.name
+            ));
+        }
+        for row in &snapshot.rows {
+            let Some(baseline) = committed.rows.iter().find(|r| r.id == row.id) else {
+                let _ = writeln!(
+                    report,
+                    "{}/{}: no committed baseline (skipped)",
+                    snapshot.name, row.id
+                );
+                continue;
+            };
+            let ratio = if baseline.per_sec > 0.0 {
+                row.per_sec / baseline.per_sec
+            } else {
+                1.0
+            };
+            let _ = writeln!(
+                report,
+                "{}/{}: {:.0}/s vs committed {:.0}/s ({:.2}x)",
+                snapshot.name, row.id, row.per_sec, baseline.per_sec, ratio
+            );
+            if ratio < tolerance {
+                failures.push(format!(
+                    "{}/{} regressed to {:.2}x of the committed throughput",
+                    snapshot.name, row.id, ratio
+                ));
+            }
+        }
     }
     if failures.is_empty() {
         Ok(report)
@@ -796,6 +734,7 @@ mod tests {
             seed: 7,
         };
         let dir = std::env::temp_dir().join("bench_check_missing_dir_nonexistent");
-        assert!(check_repair_schedule(&dir, &config).is_err());
+        let fresh = [run_repair_schedule_snapshot(&config)];
+        assert!(check_against(&dir, &fresh, CHECK_TOLERANCE).is_err());
     }
 }

@@ -28,8 +28,8 @@ use std::time::Instant;
 
 /// Caller-owned buffers for every encoded row of one chunk size — the store
 /// path's shape: allocate once, then encode in place as often as wanted.
-/// The sweep, the `rs_encode` snapshot and the criterion bench all measure
-/// Reed–Solomon through this one definition.
+/// The sweep and the `rs_encode` snapshot both measure Reed–Solomon through
+/// this one definition.
 #[derive(Debug, Clone)]
 pub struct RowArena {
     rows: Vec<u32>,

@@ -20,7 +20,7 @@ pub struct CondorConfig {
 
 impl CondorConfig {
     /// Configuration for a given scale: the paper sweep is 1–128 GB; smaller
-    /// scales stop earlier so tests and benches stay fast.
+    /// scales stop earlier so tests stay fast.
     pub fn at_scale(scale: Scale, seed: u64) -> Self {
         let sizes = match scale {
             Scale::Small => vec![ByteSize::gb(1), ByteSize::gb(2), ByteSize::gb(4)],

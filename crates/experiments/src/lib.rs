@@ -18,7 +18,7 @@
 //! | Table 4 (Condor bigCopy)       | [`condor::run_table4`] | `table4` |
 //!
 //! Every driver is parameterised by [`scale::Scale`]: `small` for tests and
-//! benches, `medium` for the default `repro` run, `paper` for the published
+//! CI, `medium` for the default `repro` run, `paper` for the published
 //! parameters (10 000 nodes, 1.2 M files).
 //!
 //! Beyond the paper's figures, [`ring_cmd`] (`repro ring`) drives the same
@@ -33,6 +33,7 @@ pub mod bench_snapshot;
 pub mod cli;
 pub mod coding;
 pub mod condor;
+mod deployment;
 pub mod monitor_cmd;
 pub mod multicast_fig;
 pub mod placement_sweep;

@@ -15,19 +15,17 @@
 //! chunk below its decode threshold, while `overlay-random` loses files at
 //! exactly the chunks its placement over-concentrated.
 
+use crate::deployment::{joined, render_sweep_json, Cell, Deployment, SWEEP_CODING};
 use crate::scale::Scale;
-use peerstripe_core::{
-    ClusterConfig, CodingPolicy, ManifestStore, PeerStripe, PeerStripeConfig, StorageSystem,
-};
+use peerstripe_core::ManifestStore;
 use peerstripe_placement::{SpreadReport, StrategyKind, Topology};
 use peerstripe_repair::{
-    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, GroupedChurn, MaintenanceEngine,
+    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, GroupedChurn, MaintenanceReport,
     OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
-use peerstripe_sim::{ByteSize, DetRng, SimTime};
-use peerstripe_telemetry::{MetricsRegistry, RegistryExport, RunManifest};
-use peerstripe_trace::{SessionTrace, TraceConfig};
-use serde::Serialize;
+use peerstripe_sim::{ByteSize, SimTime};
+use peerstripe_telemetry::{MetricsRegistry, RunManifest};
+use peerstripe_trace::{SessionTrace, Trace, TraceConfig};
 
 /// Configuration of the placement sweep.
 #[derive(Debug, Clone)]
@@ -107,16 +105,77 @@ impl PlacementSweepConfig {
             seed,
         }
     }
-}
 
-/// The redundancy the sweep deploys with: 8 placed blocks per chunk of which
-/// any 4 recover it, i.e. 4 tolerable losses — so the domain cap is 4 and a
-/// domain-spread chunk survives any single-domain outage by construction.
-fn sweep_coding() -> CodingPolicy {
-    CodingPolicy::Online {
-        placed: 8,
-        tolerable: 4,
-        overhead: 1.03,
+    /// The files every cell deploys.
+    pub(crate) fn trace(&self) -> Trace {
+        TraceConfig::scaled(self.files).generate(self.seed ^ 0xd0a7)
+    }
+
+    /// The trace placed by `kind` over `topology`: the same cluster build and
+    /// the same files for every strategy, only the placement decisions differ.
+    pub(crate) fn deploy(
+        &self,
+        trace: &Trace,
+        kind: StrategyKind,
+        topology: &Topology,
+    ) -> Deployment {
+        Deployment::place(
+            self.nodes,
+            self.seed,
+            SWEEP_CODING,
+            kind,
+            Some(topology),
+            trace,
+        )
+    }
+
+    /// The (group size, outage interval) of the sweep's first cell — the one
+    /// the detector axis and the `placement-outage` trace scenario run at.
+    pub(crate) fn first_cell(&self) -> (usize, f64) {
+        (
+            self.group_sizes.first().copied().unwrap_or(25),
+            self.outage_interval_hours.first().copied().unwrap_or(48.0),
+        )
+    }
+
+    /// The cell at (`topology`, `interval_hours`, `detection`): the sweep's
+    /// light independent churn plus whole-domain outages of `topology` every
+    /// `interval_hours` on average, under eager repair.
+    pub(crate) fn cell(
+        &self,
+        topology: &Topology,
+        interval_hours: f64,
+        detection: DetectionKind,
+    ) -> Cell {
+        Cell {
+            churn: ChurnProcess {
+                sessions: SessionModel::Synthetic {
+                    mean_session_secs: self.mean_session_hours * 3_600.0,
+                    mean_downtime_secs: self.mean_downtime_hours * 3_600.0,
+                },
+                permanent_fraction: self.permanent_fraction,
+                grouped: Some(GroupedChurn::new(
+                    topology.clone(),
+                    interval_hours,
+                    self.outage_downtime_hours,
+                )),
+            },
+            repair: self.repair(detection),
+            horizon: SimTime::from_secs_f64(self.sim_hours * 3_600.0),
+        }
+    }
+
+    /// The repair configuration every cell runs with; only the detection
+    /// policy differs, and only on the detector axis.
+    fn repair(&self, detection: DetectionKind) -> RepairConfig {
+        RepairConfig {
+            policy: RepairPolicy::Eager,
+            detector: DetectorConfig::default_desktop_grid()
+                .with_timeout(self.timeout_hours * 3_600.0),
+            detection,
+            bandwidth: BandwidthBudget::symmetric(self.bandwidth),
+            sample_period_secs: 1_800.0,
+        }
     }
 }
 
@@ -129,20 +188,9 @@ pub struct PlacementSweepRow {
     pub group_size: usize,
     /// Mean hours between outages per domain.
     pub outage_interval_hours: f64,
-    /// Files the deployment stored (strategies may fail different stores).
-    pub files_total: u64,
-    /// Files permanently lost over the run.
-    pub files_lost: u64,
-    /// Mean sampled availability percentage.
-    pub availability_mean_pct: f64,
-    /// Lowest sampled availability percentage.
-    pub availability_min_pct: f64,
-    /// Total repair traffic.
-    pub repair_bytes: ByteSize,
-    /// Repair traffic per useful byte protected.
-    pub repair_per_useful_byte: f64,
-    /// Whole-domain outages the run drew.
-    pub group_outages: u64,
+    /// What the maintenance engine reported at the horizon (strategies may
+    /// fail different stores, so `files_total` differs between rows).
+    pub report: MaintenanceReport,
     /// Worst per-domain block concentration of any chunk at deploy time.
     pub max_in_one_domain: usize,
     /// Chunks whose placement exceeded the domain cap — each one is a chunk a
@@ -152,36 +200,15 @@ pub struct PlacementSweepRow {
     pub mean_distinct_domains: f64,
 }
 
-/// One detector-axis configuration's outcome: a detection policy driven over
-/// a grouped topology at fixed (domain-spread) placement.
+/// One detector-axis configuration's outcome: a detection policy (named by
+/// `report.detector`: `per-node` or `outage-aware(θ=…)`) driven over a
+/// grouped topology at fixed (domain-spread) placement.
 #[derive(Debug, Clone)]
 pub struct DetectorSweepRow {
-    /// Detection policy label (`per-node` or `outage-aware(θ=…)`).
-    pub detector: String,
     /// Topology label (`groups(n)` synthetic or `sessions(n)` trace-derived).
     pub topology: String,
-    /// Files the deployment stored.
-    pub files_total: u64,
-    /// Files permanently lost over the run.
-    pub files_lost: u64,
-    /// Mean sampled availability percentage.
-    pub availability_mean_pct: f64,
-    /// Total repair traffic.
-    pub repair_bytes: ByteSize,
-    /// Repair traffic per useful byte protected.
-    pub repair_per_useful_byte: f64,
-    /// Repair traffic spent regenerating blocks of nodes that later returned.
-    pub wasted_repair_bytes: ByteSize,
-    /// Wasted repair traffic as a percentage of all repair traffic.
-    pub wasted_pct: f64,
-    /// Nodes declared dead that later returned.
-    pub false_declarations: u64,
-    /// Down periods held at least once by the outage classifier.
-    pub declarations_held: u64,
-    /// Held declarations cancelled by the node returning.
-    pub held_cancelled: u64,
-    /// Whole-domain outages the run drew.
-    pub group_outages: u64,
+    /// What the maintenance engine reported at the horizon.
+    pub report: MaintenanceReport,
 }
 
 /// The sweep result.
@@ -214,16 +241,7 @@ impl PlacementSweep {
     /// JSON export: the [`RunManifest`] header followed by the labelled
     /// metrics-registry contents.
     pub fn render_json(&self) -> String {
-        #[derive(Serialize)]
-        struct Export {
-            manifest: RunManifest,
-            metrics: RegistryExport,
-        }
-        serde_json::to_string(&Export {
-            manifest: self.manifest.clone(),
-            metrics: self.registry.export(),
-        })
-        .unwrap_or_default()
+        render_sweep_json(&self.manifest, &self.registry)
     }
 
     /// Matched `(oblivious, domain-spread)` row index pairs at the same group
@@ -259,10 +277,10 @@ impl PlacementSweep {
         let (mut lost_o, mut lost_d) = (0u64, 0u64);
         let (mut unavail_o, mut unavail_d) = (0.0f64, 0.0f64);
         for &(o, d) in &pairs {
-            lost_o += self.rows[o].files_lost;
-            lost_d += self.rows[d].files_lost;
-            unavail_o += 100.0 - self.rows[o].availability_mean_pct;
-            unavail_d += 100.0 - self.rows[d].availability_mean_pct;
+            lost_o += self.rows[o].report.files_lost;
+            lost_d += self.rows[d].report.files_lost;
+            unavail_o += 100.0 - self.rows[o].report.availability_mean_pct;
+            unavail_d += 100.0 - self.rows[d].report.availability_mean_pct;
         }
         lost_d < lost_o || (lost_d == lost_o && unavail_d < unavail_o)
     }
@@ -272,11 +290,13 @@ impl PlacementSweep {
     pub fn detector_pairs(&self) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for (i, base) in self.detector_rows.iter().enumerate() {
-            if base.detector != "per-node" {
+            if base.report.detector != "per-node" {
                 continue;
             }
             for (j, aware) in self.detector_rows.iter().enumerate() {
-                if aware.detector.starts_with("outage-aware") && aware.topology == base.topology {
+                if aware.report.detector.starts_with("outage-aware")
+                    && aware.topology == base.topology
+                {
                     pairs.push((i, j));
                 }
             }
@@ -304,8 +324,9 @@ impl PlacementSweep {
             pairs.iter().any(|&(base, aware)| {
                 let (b, a) = (&self.detector_rows[base], &self.detector_rows[aware]);
                 b.topology == *topology
-                    && a.repair_bytes.as_u64().saturating_mul(2) <= b.repair_bytes.as_u64()
-                    && a.files_lost <= b.files_lost
+                    && a.report.repair_bytes.as_u64().saturating_mul(2)
+                        <= b.report.repair_bytes.as_u64()
+                    && a.report.files_lost <= b.report.files_lost
             })
         })
     }
@@ -332,13 +353,13 @@ fn measure_spread(manifests: &ManifestStore, cap: usize) -> SpreadReport {
 /// awareness saves.
 fn run_detector_axis(
     config: &PlacementSweepConfig,
-    trace: &peerstripe_trace::Trace,
+    trace: &Trace,
     registry: &mut MetricsRegistry,
 ) -> Vec<DetectorSweepRow> {
     if config.detector_thetas.is_empty() {
         return Vec::new();
     }
-    let group_size = config.group_sizes.first().copied().unwrap_or(25);
+    let (group_size, interval_hours) = config.first_cell();
     let session_trace = SessionTrace::synthetic_desktop_grid(config.nodes, config.seed ^ 0x5e55);
     let session_topology =
         Topology::from_sessions(&session_trace, config.session_domains_per_class);
@@ -348,10 +369,6 @@ fn run_detector_axis(
     // session/downtime lengths — unequal domain sizes, class-correlated
     // outages) that ROADMAP calls out.  The individual-churn model is held
     // fixed so the detector comparison stays outage-dominated on both.
-    let sessions = SessionModel::Synthetic {
-        mean_session_secs: config.mean_session_hours * 3_600.0,
-        mean_downtime_secs: config.mean_downtime_hours * 3_600.0,
-    };
     let topologies: Vec<(String, Topology)> = vec![
         (
             format!("groups({group_size})"),
@@ -368,81 +385,20 @@ fn run_detector_axis(
             OutageAwareConfig::default_desktop_grid().with_threshold(theta),
         ));
     }
-    let interval_hours = config
-        .outage_interval_hours
-        .first()
-        .copied()
-        .unwrap_or(48.0);
 
     let mut rows = Vec::new();
     for (label, topology) in topologies {
         // One domain-spread deployment per topology, shared by every detector.
-        let mut rng = DetRng::new(config.seed);
-        let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
-        let mut ps = PeerStripe::with_placement(
-            cluster,
-            PeerStripeConfig::default().with_coding(sweep_coding()),
-            StrategyKind::DomainSpread.build(config.seed),
-            Some(topology.clone()),
-        );
-        for file in &trace.files {
-            let _ = ps.store_file(file);
-        }
-        let manifests = ps.manifests().clone();
-        let base_cluster = ps.into_cluster();
-
-        for detection in &detectors {
-            let churn = ChurnProcess {
-                sessions: sessions.clone(),
-                permanent_fraction: config.permanent_fraction,
-                grouped: Some(GroupedChurn::new(
-                    topology.clone(),
-                    interval_hours,
-                    config.outage_downtime_hours,
-                )),
-            };
-            let repair = RepairConfig {
-                policy: RepairPolicy::Eager,
-                detector: DetectorConfig::default_desktop_grid()
-                    .with_timeout(config.timeout_hours * 3_600.0),
-                detection: *detection,
-                bandwidth: BandwidthBudget::symmetric(config.bandwidth),
-                sample_period_secs: 1_800.0,
-            };
-            let mut engine = MaintenanceEngine::new(
-                base_cluster.clone(),
-                &manifests,
-                churn,
-                repair,
-                config.seed,
-            )
-            .with_placement(
-                StrategyKind::DomainSpread.build(config.seed),
-                Some(topology.clone()),
+        let deployment = config.deploy(trace, StrategyKind::DomainSpread, &topology);
+        for &detection in &detectors {
+            let report = deployment.run_cell(
+                &config.cell(&topology, interval_hours, detection),
+                registry,
+                &[("detector", detection.label()), ("topology", label.clone())],
             );
-            engine.run_for(SimTime::from_secs_f64(config.sim_hours * 3_600.0));
-            let report = engine.report();
-            let cell = [
-                ("detector".to_string(), report.detector.clone()),
-                ("topology".to_string(), label.clone()),
-            ];
-            let labels: Vec<(&str, &str)> =
-                cell.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            engine.metrics().fill_registry(registry, &labels);
             rows.push(DetectorSweepRow {
-                detector: report.detector.clone(),
                 topology: label.clone(),
-                files_total: report.files_total,
-                files_lost: report.files_lost,
-                availability_mean_pct: report.availability_mean_pct,
-                repair_bytes: report.repair_bytes,
-                repair_per_useful_byte: report.repair_per_useful_byte,
-                wasted_repair_bytes: report.wasted_repair_bytes,
-                wasted_pct: 100.0 * report.wasted_repair_fraction(),
-                false_declarations: report.false_declarations,
-                declarations_held: report.declarations_held,
-                held_cancelled: report.held_cancelled,
-                group_outages: report.group_outages,
+                report,
             });
         }
     }
@@ -450,12 +406,12 @@ fn run_detector_axis(
 }
 
 /// Run the sweep.  Per group size and strategy the trace is deployed once;
-/// per outage rate the maintenance engine runs over a clone of that
+/// per outage rate the maintenance engine runs over a copy of that
 /// deployment, seeded identically across strategies so every configuration
 /// faces the same outage schedule and the same independent churn.
 pub fn run_placement_sweep(config: &PlacementSweepConfig) -> PlacementSweep {
-    let cap = sweep_coding().tolerable_losses();
-    let trace = TraceConfig::scaled(config.files).generate(config.seed ^ 0xd0a7);
+    let cap = SWEEP_CODING.tolerable_losses();
+    let trace = config.trace();
     let mut rows = Vec::new();
     let mut useful_bytes = ByteSize::ZERO;
     let mut manifest = RunManifest::new(
@@ -465,112 +421,48 @@ pub fn run_placement_sweep(config: &PlacementSweepConfig) -> PlacementSweep {
     );
     manifest.push("files", config.files.to_string());
     manifest.push("sim_hours", format!("{}", config.sim_hours));
-    {
-        // The effective repair/detector configuration every cell runs with;
-        // only the grouped-churn topology axis varies below.
-        let representative = RepairConfig {
-            policy: RepairPolicy::Eager,
-            detector: DetectorConfig::default_desktop_grid()
-                .with_timeout(config.timeout_hours * 3_600.0),
-            detection: DetectionKind::PerNodeTimeout,
-            bandwidth: BandwidthBudget::symmetric(config.bandwidth),
-            sample_period_secs: 1_800.0,
-        };
-        manifest.extend(representative.manifest_entries());
-    }
-    let strategies: Vec<&str> = config.strategies.iter().map(|k| k.label()).collect();
-    manifest.push("sweep.strategies", strategies.join(","));
-    let group_sizes: Vec<String> = config.group_sizes.iter().map(|g| g.to_string()).collect();
-    manifest.push("sweep.group_sizes", group_sizes.join(","));
-    let intervals: Vec<String> = config
-        .outage_interval_hours
-        .iter()
-        .map(|h| format!("{h}"))
-        .collect();
-    manifest.push("sweep.outage_interval_hours", intervals.join(","));
-    let thetas: Vec<String> = config
-        .detector_thetas
-        .iter()
-        .map(|t| format!("{t}"))
-        .collect();
-    manifest.push("sweep.detector_thetas", thetas.join(","));
+    // The repair/detector configuration of every main-axis cell; only the
+    // grouped-churn topology varies below.
+    manifest.extend(
+        config
+            .repair(DetectionKind::PerNodeTimeout)
+            .manifest_entries(),
+    );
+    manifest.push(
+        "sweep.strategies",
+        joined(config.strategies.iter().map(|k| k.label())),
+    );
+    manifest.push("sweep.group_sizes", joined(&config.group_sizes));
+    manifest.push(
+        "sweep.outage_interval_hours",
+        joined(&config.outage_interval_hours),
+    );
+    manifest.push("sweep.detector_thetas", joined(&config.detector_thetas));
     let mut registry = MetricsRegistry::new();
 
     for &group_size in &config.group_sizes {
         let topology = Topology::uniform_groups(config.nodes, group_size);
         for &kind in &config.strategies {
-            // Deploy: same cluster build and same trace per strategy; only
-            // the placement decisions differ.
-            let mut rng = DetRng::new(config.seed);
-            let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
-            let mut ps = PeerStripe::with_placement(
-                cluster,
-                PeerStripeConfig::default().with_coding(sweep_coding()),
-                kind.build(config.seed),
-                Some(topology.clone()),
-            );
-            for file in &trace.files {
-                let _ = ps.store_file(file);
-            }
-            let manifests = ps.manifests().clone();
-            let base_cluster = ps.into_cluster();
-            let spread = measure_spread(&manifests, cap);
+            let deployment = config.deploy(&trace, kind, &topology);
+            let spread = measure_spread(&deployment.manifests, cap);
             if kind == StrategyKind::OverlayRandom {
-                useful_bytes = manifests.iter().map(|m| m.size).sum();
+                useful_bytes = deployment.useful_bytes();
             }
-
             for &interval_hours in &config.outage_interval_hours {
-                let churn = ChurnProcess {
-                    sessions: SessionModel::Synthetic {
-                        mean_session_secs: config.mean_session_hours * 3_600.0,
-                        mean_downtime_secs: config.mean_downtime_hours * 3_600.0,
-                    },
-                    permanent_fraction: config.permanent_fraction,
-                    grouped: Some(GroupedChurn::new(
-                        topology.clone(),
-                        interval_hours,
-                        config.outage_downtime_hours,
-                    )),
-                };
-                let repair = RepairConfig {
-                    policy: RepairPolicy::Eager,
-                    detector: DetectorConfig::default_desktop_grid()
-                        .with_timeout(config.timeout_hours * 3_600.0),
-                    detection: DetectionKind::PerNodeTimeout,
-                    bandwidth: BandwidthBudget::symmetric(config.bandwidth),
-                    sample_period_secs: 1_800.0,
-                };
-                // Repair re-placement goes through the same strategy that
-                // deployed the data, over the same topology.
-                let mut engine = MaintenanceEngine::new(
-                    base_cluster.clone(),
-                    &manifests,
-                    churn,
-                    repair,
-                    config.seed,
-                )
-                .with_placement(kind.build(config.seed), Some(topology.clone()));
-                engine.run_for(SimTime::from_secs_f64(config.sim_hours * 3_600.0));
-                let report = engine.report();
-                let cell = [
-                    ("strategy".to_string(), kind.label().to_string()),
-                    ("group_size".to_string(), group_size.to_string()),
-                    ("interval_h".to_string(), format!("{interval_hours}")),
-                ];
-                let labels: Vec<(&str, &str)> =
-                    cell.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                engine.metrics().fill_registry(&mut registry, &labels);
+                let report = deployment.run_cell(
+                    &config.cell(&topology, interval_hours, DetectionKind::PerNodeTimeout),
+                    &mut registry,
+                    &[
+                        ("strategy", kind.label().to_string()),
+                        ("group_size", group_size.to_string()),
+                        ("interval_h", interval_hours.to_string()),
+                    ],
+                );
                 rows.push(PlacementSweepRow {
                     strategy: kind,
                     group_size,
                     outage_interval_hours: interval_hours,
-                    files_total: report.files_total,
-                    files_lost: report.files_lost,
-                    availability_mean_pct: report.availability_mean_pct,
-                    availability_min_pct: report.availability_min_pct,
-                    repair_bytes: report.repair_bytes,
-                    repair_per_useful_byte: report.repair_per_useful_byte,
-                    group_outages: report.group_outages,
+                    report,
                     max_in_one_domain: spread.max_in_one_domain,
                     cap_violations: spread.cap_violations,
                     mean_distinct_domains: spread.mean_distinct_domains(),
@@ -647,15 +539,15 @@ mod tests {
         assert!(spread.max_in_one_domain <= sweep.domain_cap);
         // ...and under whole-domain outages with an aggressive timeout that
         // concentration is exactly what loses files.
-        assert!(oblivious.group_outages > 0);
+        assert!(oblivious.report.group_outages > 0);
         assert!(
             sweep.domain_spread_beats_oblivious(),
             "domain-spread must not lose more than oblivious: {:#?}",
             sweep.rows
         );
         for row in &sweep.rows {
-            assert!(row.files_total > 0);
-            assert!((0.0..=100.0).contains(&row.availability_mean_pct));
+            assert!(row.report.files_total > 0);
+            assert!((0.0..=100.0).contains(&row.report.availability_mean_pct));
         }
     }
 
@@ -669,16 +561,16 @@ mod tests {
         let b = run_placement_sweep(&config);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.strategy, rb.strategy);
-            assert_eq!(ra.files_lost, rb.files_lost);
-            assert_eq!(ra.repair_bytes, rb.repair_bytes);
-            assert_eq!(ra.group_outages, rb.group_outages);
+            assert_eq!(ra.report.files_lost, rb.report.files_lost);
+            assert_eq!(ra.report.repair_bytes, rb.report.repair_bytes);
+            assert_eq!(ra.report.group_outages, rb.report.group_outages);
             assert_eq!(ra.cap_violations, rb.cap_violations);
         }
         for (ra, rb) in a.detector_rows.iter().zip(&b.detector_rows) {
-            assert_eq!(ra.detector, rb.detector);
-            assert_eq!(ra.repair_bytes, rb.repair_bytes);
-            assert_eq!(ra.wasted_repair_bytes, rb.wasted_repair_bytes);
-            assert_eq!(ra.files_lost, rb.files_lost);
+            assert_eq!(ra.report.detector, rb.report.detector);
+            assert_eq!(ra.report.repair_bytes, rb.report.repair_bytes);
+            assert_eq!(ra.report.wasted_repair_bytes, rb.report.wasted_repair_bytes);
+            assert_eq!(ra.report.files_lost, rb.report.files_lost);
         }
         assert_eq!(a.registry.export(), b.registry.export());
         assert_eq!(a.render_json(), b.render_json());
@@ -703,27 +595,27 @@ mod tests {
                 sweep
                     .registry
                     .find_counter("maintenance_files_lost_total", &labels),
-                Some(row.files_lost),
+                Some(row.report.files_lost),
                 "{labels:?}"
             );
             assert_eq!(
                 sweep
                     .registry
                     .find_counter("maintenance_group_outages_total", &labels),
-                Some(row.group_outages),
+                Some(row.report.group_outages),
                 "{labels:?}"
             );
         }
         for row in &sweep.detector_rows {
             let labels: [(&str, &str); 2] = [
-                ("detector", row.detector.as_str()),
+                ("detector", row.report.detector.as_str()),
                 ("topology", row.topology.as_str()),
             ];
             assert_eq!(
                 sweep
                     .registry
                     .find_counter("maintenance_wasted_repair_bytes_total", &labels),
-                Some(row.wasted_repair_bytes.as_u64()),
+                Some(row.report.wasted_repair_bytes.as_u64()),
                 "{labels:?}"
             );
         }
@@ -748,12 +640,12 @@ mod tests {
             "the trace-derived from_sessions topology must be swept"
         );
         for row in &sweep.detector_rows {
-            assert!(row.group_outages > 0, "outages must fire: {row:?}");
+            assert!(row.report.group_outages > 0, "outages must fire: {row:?}");
         }
         let per_node = &sweep.detector_rows[0];
-        assert_eq!(per_node.detector, "per-node");
+        assert_eq!(per_node.report.detector, "per-node");
         assert!(
-            per_node.wasted_repair_bytes > ByteSize::ZERO,
+            per_node.report.wasted_repair_bytes > ByteSize::ZERO,
             "the aggressive timeout must waste traffic: {per_node:?}"
         );
         assert!(

@@ -10,18 +10,14 @@
 //! aggressive timeouts stop costing traffic for nodes that were coming back
 //! anyway.
 
+use crate::deployment::{joined, render_sweep_json, Cell, Deployment, SWEEP_CODING};
 use crate::scale::Scale;
-use peerstripe_core::{
-    ClusterConfig, CodingPolicy, DamageLedger, PeerStripe, PeerStripeConfig, StorageSystem,
-};
 use peerstripe_repair::{
-    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, MaintenanceEngine, RepairConfig,
+    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, MaintenanceReport, RepairConfig,
     RepairPolicy, SessionModel,
 };
-use peerstripe_sim::{ByteSize, DetRng, SimTime};
-use peerstripe_telemetry::{MetricsRegistry, RegistryExport, RunManifest};
-use peerstripe_trace::TraceConfig;
-use serde::Serialize;
+use peerstripe_sim::{ByteSize, SimTime};
+use peerstripe_telemetry::{MetricsRegistry, RunManifest};
 
 /// Configuration of the repair sweep.
 #[derive(Debug, Clone)]
@@ -78,19 +74,6 @@ impl RepairSweepConfig {
     }
 }
 
-/// The redundancy the sweep deploys with: 8 placed blocks per chunk of which
-/// any 4 recover it.  Lazy repair needs slack between full redundancy and the
-/// decode threshold to batch within — the regime durability-oriented
-/// maintenance systems actually run at — while the paper's default 6/4 online
-/// geometry leaves a margin-0 lazy policy nothing to wait with.
-fn sweep_coding() -> CodingPolicy {
-    CodingPolicy::Online {
-        placed: 8,
-        tolerable: 4,
-        overhead: 1.03,
-    }
-}
-
 /// One swept configuration's outcome.
 #[derive(Debug, Clone)]
 pub struct RepairSweepRow {
@@ -100,22 +83,8 @@ pub struct RepairSweepRow {
     pub timeout_hours: f64,
     /// Symmetric per-node bandwidth budget.
     pub bandwidth: ByteSize,
-    /// Files permanently lost.
-    pub files_lost: u64,
-    /// Mean sampled availability percentage.
-    pub availability_mean_pct: f64,
-    /// Lowest sampled availability percentage.
-    pub availability_min_pct: f64,
-    /// Total repair traffic.
-    pub repair_bytes: ByteSize,
-    /// Repair traffic per useful byte protected.
-    pub repair_per_useful_byte: f64,
-    /// Nodes declared dead that later returned.
-    pub false_declarations: u64,
-    /// Permanent node failures the run drew.
-    pub permanent_failures: u64,
-    /// Events the engine processed.
-    pub events: u64,
+    /// What the maintenance engine reported at the horizon.
+    pub report: MaintenanceReport,
 }
 
 /// The sweep result.
@@ -143,16 +112,7 @@ impl RepairSweep {
     /// JSON export: the [`RunManifest`] header followed by the labelled
     /// metrics-registry contents.
     pub fn render_json(&self) -> String {
-        #[derive(Serialize)]
-        struct Export {
-            manifest: RunManifest,
-            metrics: RegistryExport,
-        }
-        serde_json::to_string(&Export {
-            manifest: self.manifest.clone(),
-            metrics: self.registry.export(),
-        })
-        .unwrap_or_default()
+        render_sweep_json(&self.manifest, &self.registry)
     }
 
     /// Matched eager/lazy pairs at the same timeout and bandwidth:
@@ -180,32 +140,30 @@ impl RepairSweep {
     /// durability — the trade-off the sweep exists to demonstrate.
     pub fn lazy_beats_eager_somewhere(&self) -> bool {
         self.matched_pairs().iter().any(|&(e, l)| {
-            self.rows[l].repair_per_useful_byte < self.rows[e].repair_per_useful_byte
-                && self.rows[l].files_lost <= self.rows[e].files_lost
+            let (eager, lazy) = (&self.rows[e].report, &self.rows[l].report);
+            lazy.repair_per_useful_byte < eager.repair_per_useful_byte
+                && lazy.files_lost <= eager.files_lost
         })
     }
 }
 
-/// Deploy the trace once, then run the engine over a cloned cluster/ledger per
-/// swept configuration, so every configuration faces the same initial
+/// One cell's repair configuration: the swept policy, permanence timeout and
+/// symmetric bandwidth under per-node detection with hourly samples.
+fn cell_repair(policy: RepairPolicy, timeout_hours: f64, bandwidth: ByteSize) -> RepairConfig {
+    RepairConfig {
+        policy,
+        detector: DetectorConfig::default_desktop_grid().with_timeout(timeout_hours * 3_600.0),
+        detection: DetectionKind::PerNodeTimeout,
+        bandwidth: BandwidthBudget::symmetric(bandwidth),
+        sample_period_secs: 3_600.0,
+    }
+}
+
+/// Deploy the trace once, then run the engine over a copy of the deployment
+/// per swept configuration, so every configuration faces the same initial
 /// placement (and, with the same seed, the same churn process).
 pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
-    let mut rng = DetRng::new(config.seed);
-    let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(
-        cluster,
-        PeerStripeConfig::default().with_coding(sweep_coding()),
-    );
-    let trace = TraceConfig::scaled(config.files).generate(config.seed ^ 0xc0de);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    let manifests = ps.manifests().clone();
-    let base_cluster = ps.into_cluster();
-    // What is under maintenance is a property of the deployment, not of any
-    // swept configuration.
-    let deployed = DamageLedger::build(&manifests);
-
+    let deployment = Deployment::oblivious(config.nodes, config.files, config.seed, SWEEP_CODING);
     let churn = ChurnProcess {
         sessions: SessionModel::Synthetic {
             mean_session_secs: config.mean_session_hours * 3_600.0,
@@ -230,73 +188,43 @@ pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
     ) {
         // The first cell's effective repair/detector configuration; the swept
         // axes below say how the other cells differ.
-        let representative = RepairConfig {
-            policy,
-            detector: DetectorConfig::default_desktop_grid().with_timeout(timeout_hours * 3_600.0),
-            detection: DetectionKind::PerNodeTimeout,
-            bandwidth: BandwidthBudget::symmetric(bandwidth),
-            sample_period_secs: 3_600.0,
-        };
-        manifest.extend(representative.manifest_entries());
+        manifest.extend(cell_repair(policy, timeout_hours, bandwidth).manifest_entries());
     }
     manifest.extend(churn.manifest_entries());
-    let policies: Vec<String> = config.policies.iter().map(|p| p.label()).collect();
-    manifest.push("sweep.policies", policies.join(","));
-    let timeouts: Vec<String> = config
-        .timeouts_hours
-        .iter()
-        .map(|t| format!("{t}"))
-        .collect();
-    manifest.push("sweep.timeouts_hours", timeouts.join(","));
-    let bandwidths: Vec<String> = config
-        .bandwidths
-        .iter()
-        .map(|b| b.as_u64().to_string())
-        .collect();
-    manifest.push("sweep.bandwidths", bandwidths.join(","));
+    manifest.push(
+        "sweep.policies",
+        joined(config.policies.iter().map(|p| p.label())),
+    );
+    manifest.push("sweep.timeouts_hours", joined(&config.timeouts_hours));
+    manifest.push(
+        "sweep.bandwidths",
+        joined(config.bandwidths.iter().map(|b| b.as_u64())),
+    );
     let mut registry = MetricsRegistry::new();
 
     let mut rows = Vec::new();
     for &bandwidth in &config.bandwidths {
         for &timeout_hours in &config.timeouts_hours {
             for &policy in &config.policies {
-                let repair = RepairConfig {
-                    policy,
-                    detector: DetectorConfig::default_desktop_grid()
-                        .with_timeout(timeout_hours * 3_600.0),
-                    detection: DetectionKind::PerNodeTimeout,
-                    bandwidth: BandwidthBudget::symmetric(bandwidth),
-                    sample_period_secs: 3_600.0,
+                let cell = Cell {
+                    churn: churn.clone(),
+                    repair: cell_repair(policy, timeout_hours, bandwidth),
+                    horizon,
                 };
-                let mut engine = MaintenanceEngine::new(
-                    base_cluster.clone(),
-                    &manifests,
-                    churn.clone(),
-                    repair,
-                    config.seed,
+                let report = deployment.run_cell(
+                    &cell,
+                    &mut registry,
+                    &[
+                        ("policy", policy.label()),
+                        ("timeout_h", timeout_hours.to_string()),
+                        ("bandwidth", bandwidth.as_u64().to_string()),
+                    ],
                 );
-                engine.run_for(horizon);
-                let cell = [
-                    ("policy".to_string(), policy.label()),
-                    ("timeout_h".to_string(), format!("{timeout_hours}")),
-                    ("bandwidth".to_string(), bandwidth.as_u64().to_string()),
-                ];
-                let labels: Vec<(&str, &str)> =
-                    cell.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                engine.metrics().fill_registry(&mut registry, &labels);
-                let report = engine.report();
                 rows.push(RepairSweepRow {
                     policy,
                     timeout_hours,
                     bandwidth,
-                    files_lost: report.files_lost,
-                    availability_mean_pct: report.availability_mean_pct,
-                    availability_min_pct: report.availability_min_pct,
-                    repair_bytes: report.repair_bytes,
-                    repair_per_useful_byte: report.repair_per_useful_byte,
-                    false_declarations: report.false_declarations,
-                    permanent_failures: report.permanent_failures,
-                    events: report.events,
+                    report,
                 });
             }
         }
@@ -304,8 +232,10 @@ pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
     RepairSweep {
         rows,
         nodes: config.nodes,
-        files_total: deployed.file_count() as u64,
-        useful_bytes: deployed.tracked_bytes(),
+        // What is under maintenance is a property of the deployment, not of
+        // any swept configuration.
+        files_total: deployment.manifests.len() as u64,
+        useful_bytes: deployment.useful_bytes(),
         sim_hours: config.sim_hours,
         manifest,
         registry,
@@ -342,14 +272,14 @@ mod tests {
         assert!(sweep.files_total > 0);
         assert!(!sweep.matched_pairs().is_empty());
         for row in &sweep.rows {
-            assert!(row.events > 0);
-            assert!((0.0..=100.0).contains(&row.availability_mean_pct));
+            assert!(row.report.events > 0);
+            assert!((0.0..=100.0).contains(&row.report.availability_mean_pct));
             // Eager repairs every confirmed loss, so with permanent failures in
             // the run it must spend traffic; a lazy row may legitimately spend
             // nothing (no chunk sank to its threshold).
             if row.policy == RepairPolicy::Eager {
-                assert!(row.permanent_failures > 0, "{row:?}");
-                assert!(row.repair_bytes > ByteSize::ZERO, "{row:?}");
+                assert!(row.report.permanent_failures > 0, "{row:?}");
+                assert!(row.report.repair_bytes > ByteSize::ZERO, "{row:?}");
             }
         }
         assert!(
@@ -364,10 +294,10 @@ mod tests {
         let a = run_repair_sweep(&small_config());
         let b = run_repair_sweep(&small_config());
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.repair_bytes, rb.repair_bytes);
-            assert_eq!(ra.files_lost, rb.files_lost);
-            assert_eq!(ra.events, rb.events);
-            assert_eq!(ra.false_declarations, rb.false_declarations);
+            assert_eq!(ra.report.repair_bytes, rb.report.repair_bytes);
+            assert_eq!(ra.report.files_lost, rb.report.files_lost);
+            assert_eq!(ra.report.events, rb.report.events);
+            assert_eq!(ra.report.false_declarations, rb.report.false_declarations);
         }
         assert_eq!(a.registry.export(), b.registry.export());
         assert_eq!(a.render_json(), b.render_json());
@@ -393,21 +323,21 @@ mod tests {
                 sweep
                     .registry
                     .find_counter("maintenance_files_lost_total", &labels),
-                Some(row.files_lost),
+                Some(row.report.files_lost),
                 "{labels:?}"
             );
             assert_eq!(
                 sweep
                     .registry
                     .find_counter("maintenance_repair_bytes_total", &labels),
-                Some(row.repair_bytes.as_u64()),
+                Some(row.report.repair_bytes.as_u64()),
                 "{labels:?}"
             );
             assert_eq!(
                 sweep
                     .registry
                     .find_counter("maintenance_false_declarations_total", &labels),
-                Some(row.false_declarations),
+                Some(row.report.false_declarations),
                 "{labels:?}"
             );
         }

@@ -200,14 +200,14 @@ pub fn render_repair_sweep(sweep: &RepairSweep) -> String {
             row.policy.label(),
             format!("{:.0}h", row.timeout_hours),
             format!("{}/s", row.bandwidth),
-            format!("{}", row.files_lost),
-            format!("{:.1}%", row.availability_mean_pct),
-            format!("{:.1}%", row.availability_min_pct),
-            format!("{}", row.repair_bytes),
-            format!("{:.4}", row.repair_per_useful_byte),
-            format!("{}", row.false_declarations),
-            format!("{}", row.permanent_failures),
-            format!("{}", row.events),
+            format!("{}", row.report.files_lost),
+            format!("{:.1}%", row.report.availability_mean_pct),
+            format!("{:.1}%", row.report.availability_min_pct),
+            format!("{}", row.report.repair_bytes),
+            format!("{:.4}", row.report.repair_per_useful_byte),
+            format!("{}", row.report.false_declarations),
+            format!("{}", row.report.permanent_failures),
+            format!("{}", row.report.events),
         ]);
     }
     let mut out = t.render();
@@ -215,8 +215,8 @@ pub fn render_repair_sweep(sweep: &RepairSweep) -> String {
     for (e, l) in sweep.matched_pairs() {
         let eager = &sweep.rows[e];
         let lazy = &sweep.rows[l];
-        let ratio = if eager.repair_per_useful_byte > 0.0 {
-            lazy.repair_per_useful_byte / eager.repair_per_useful_byte
+        let ratio = if eager.report.repair_per_useful_byte > 0.0 {
+            lazy.report.repair_per_useful_byte / eager.report.repair_per_useful_byte
         } else {
             1.0
         };
@@ -227,8 +227,8 @@ pub fn render_repair_sweep(sweep: &RepairSweep) -> String {
             lazy.timeout_hours,
             lazy.bandwidth,
             ratio,
-            lazy.files_lost,
-            eager.files_lost,
+            lazy.report.files_lost,
+            eager.report.files_lost,
         );
     }
     out
@@ -263,16 +263,16 @@ pub fn render_placement_sweep(sweep: &PlacementSweep) -> String {
             row.strategy.label().to_string(),
             format!("{}", row.group_size),
             format!("{:.0}h", row.outage_interval_hours),
-            format!("{}", row.files_total),
-            format!("{}", row.files_lost),
-            format!("{:.1}%", row.availability_mean_pct),
-            format!("{:.1}%", row.availability_min_pct),
-            format!("{}", row.repair_bytes),
-            format!("{:.4}", row.repair_per_useful_byte),
+            format!("{}", row.report.files_total),
+            format!("{}", row.report.files_lost),
+            format!("{:.1}%", row.report.availability_mean_pct),
+            format!("{:.1}%", row.report.availability_min_pct),
+            format!("{}", row.report.repair_bytes),
+            format!("{:.4}", row.report.repair_per_useful_byte),
             format!("{}", row.max_in_one_domain),
             format!("{}", row.cap_violations),
             format!("{:.1}", row.mean_distinct_domains),
-            format!("{}", row.group_outages),
+            format!("{}", row.report.group_outages),
         ]);
     }
     let mut out = t.render();
@@ -286,10 +286,10 @@ pub fn render_placement_sweep(sweep: &PlacementSweep) -> String {
              {:.1}% vs {:.1}% mean availability, {} vs {} over-concentrated chunks",
             spread.group_size,
             spread.outage_interval_hours,
-            spread.files_lost,
-            oblivious.files_lost,
-            spread.availability_mean_pct,
-            oblivious.availability_mean_pct,
+            spread.report.files_lost,
+            oblivious.report.files_lost,
+            spread.report.availability_mean_pct,
+            oblivious.report.availability_mean_pct,
             spread.cap_violations,
             oblivious.cap_violations,
         );
@@ -297,7 +297,10 @@ pub fn render_placement_sweep(sweep: &PlacementSweep) -> String {
     let pairs = sweep.matched_pairs();
     if !pairs.is_empty() {
         let total = |pick: fn(&(usize, usize)) -> usize| -> u64 {
-            pairs.iter().map(|p| sweep.rows[pick(p)].files_lost).sum()
+            pairs
+                .iter()
+                .map(|p| sweep.rows[pick(p)].report.files_lost)
+                .sum()
         };
         let _ = writeln!(
             out,
@@ -338,19 +341,19 @@ fn render_detector_axis(sweep: &PlacementSweep) -> String {
     );
     for row in &sweep.detector_rows {
         t.row(&[
-            row.detector.clone(),
+            row.report.detector.clone(),
             row.topology.clone(),
-            format!("{}", row.files_total),
-            format!("{}", row.files_lost),
-            format!("{:.1}%", row.availability_mean_pct),
-            format!("{}", row.repair_bytes),
-            format!("{:.4}", row.repair_per_useful_byte),
-            format!("{}", row.wasted_repair_bytes),
-            format!("{:.1}%", row.wasted_pct),
-            format!("{}", row.false_declarations),
-            format!("{}", row.declarations_held),
-            format!("{}", row.held_cancelled),
-            format!("{}", row.group_outages),
+            format!("{}", row.report.files_total),
+            format!("{}", row.report.files_lost),
+            format!("{:.1}%", row.report.availability_mean_pct),
+            format!("{}", row.report.repair_bytes),
+            format!("{:.4}", row.report.repair_per_useful_byte),
+            format!("{}", row.report.wasted_repair_bytes),
+            format!("{:.1}%", 100.0 * row.report.wasted_repair_fraction()),
+            format!("{}", row.report.false_declarations),
+            format!("{}", row.report.declarations_held),
+            format!("{}", row.report.held_cancelled),
+            format!("{}", row.report.group_outages),
         ]);
     }
     let mut out = t.render();
@@ -358,26 +361,26 @@ fn render_detector_axis(sweep: &PlacementSweep) -> String {
     for (base, aware) in sweep.detector_pairs() {
         let b = &sweep.detector_rows[base];
         let a = &sweep.detector_rows[aware];
-        let ratio = if a.repair_bytes.is_zero() {
+        let ratio = if a.report.repair_bytes.is_zero() {
             f64::INFINITY
         } else {
-            b.repair_bytes.as_u64() as f64 / a.repair_bytes.as_u64() as f64
+            b.report.repair_bytes.as_u64() as f64 / a.report.repair_bytes.as_u64() as f64
         };
         let _ = writeln!(
             out,
             "{} vs per-node @ {}: {:.4} vs {:.4} repair/useful ({:.1}x less), \
              {} vs {} files lost, wasted {:.1}% vs {:.1}%, {} held / {} cancelled",
-            a.detector,
+            a.report.detector,
             a.topology,
-            a.repair_per_useful_byte,
-            b.repair_per_useful_byte,
+            a.report.repair_per_useful_byte,
+            b.report.repair_per_useful_byte,
             ratio,
-            a.files_lost,
-            b.files_lost,
-            a.wasted_pct,
-            b.wasted_pct,
-            a.declarations_held,
-            a.held_cancelled,
+            a.report.files_lost,
+            b.report.files_lost,
+            100.0 * a.report.wasted_repair_fraction(),
+            100.0 * b.report.wasted_repair_fraction(),
+            a.report.declarations_held,
+            a.report.held_cancelled,
         );
     }
     out

@@ -2,7 +2,7 @@
 //!
 //! The paper's simulations use 10 000 nodes and a 1.2 M-file trace.  Running at
 //! that scale takes minutes and a few gigabytes of memory, which is fine for the
-//! `repro` binary but not for `cargo test` / `cargo bench`.  [`Scale`] selects a
+//! `repro` binary but not for `cargo test` or CI.  [`Scale`] selects a
 //! consistent set of population sizes: the capacity and file-size distributions
 //! are identical at every scale, and the ratio of offered data to total capacity
 //! (the quantity that drives the failure and utilization curves) is preserved,
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Predefined experiment scales.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Tiny runs for unit tests and Criterion benches (hundreds of nodes).
+    /// Tiny runs for unit tests and CI (hundreds of nodes).
     Small,
     /// Medium runs for the default `repro` invocation (a thousand nodes).
     Medium,

@@ -14,26 +14,21 @@
 //!
 //! Two scenarios are built in:
 //!
-//! * `placement-outage` (default): one placement-sweep cell — oblivious
-//!   `overlay-random` placement over uniform failure domains with grouped
-//!   churn and an aggressive permanence timeout, the regime where every lost
-//!   file traces back to a whole-domain outage.
+//! * `placement-outage` (default): the placement sweep's first
+//!   `overlay-random` cell — oblivious placement over uniform failure domains
+//!   with grouped churn and an aggressive permanence timeout, the regime
+//!   where every lost file traces back to a whole-domain outage.
 //! * `repair-mini`: a tiny fixed-size independent-churn run, small enough to
 //!   keep a byte-identical golden trace under `tests/golden/`.
 
+use crate::deployment::{Cell, Deployment, SWEEP_CODING};
 use crate::placement_sweep::PlacementSweepConfig;
 use crate::scale::Scale;
-use peerstripe_core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe_placement::{StrategyKind, Topology};
-use peerstripe_repair::{
-    BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, GroupedChurn, MaintenanceEngine,
-    RepairConfig, RepairPolicy, SessionModel,
-};
-use peerstripe_sim::{ByteSize, DetRng, SimTime};
+use peerstripe_repair::{DetectionKind, MaintenanceEngine};
 use peerstripe_telemetry::{
     JsonlTracer, RunManifest, TraceEvent, TraceOutput, TraceRecord, Tracer,
 };
-use peerstripe_trace::TraceConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -67,172 +62,92 @@ pub struct TraceArtifacts {
     pub metrics_json: String,
 }
 
-/// The redundancy traced scenarios deploy with: 8 placed blocks per chunk of
-/// which any 4 recover it — the same geometry the repair and placement sweeps
-/// use, so traces are directly comparable to sweep rows.
-fn trace_coding() -> CodingPolicy {
-    CodingPolicy::Online {
-        placed: 8,
-        tolerable: 4,
-        overhead: 1.03,
-    }
-}
-
 /// Run the named scenario with the JSONL tracer attached.
 pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
-    match config.scenario.as_str() {
-        "placement-outage" => Ok(run_placement_outage(config)),
-        "repair-mini" => Ok(run_repair_mini(config)),
-        other => Err(format!(
-            "unknown trace scenario '{other}' (expected one of {SCENARIOS:?})"
-        )),
-    }
-}
-
-/// Drain the finished engine into [`TraceArtifacts`].
-fn finish(mut engine: MaintenanceEngine, profile: bool) -> TraceArtifacts {
-    let profile_text = profile.then(|| engine.profiler().render_text());
+    let mut engine = match config.scenario.as_str() {
+        "placement-outage" => placement_outage(config),
+        "repair-mini" => repair_mini(config),
+        other => {
+            return Err(format!(
+                "unknown trace scenario '{other}' (expected one of {SCENARIOS:?})"
+            ))
+        }
+    };
+    let profile_text = config.profile.then(|| engine.profiler().render_text());
     let metrics_json = engine.metrics_registry().render_json();
     let jsonl = match engine.finish_trace() {
         TraceOutput::Jsonl(jsonl) => jsonl,
         _ => String::new(),
     };
-    TraceArtifacts {
+    Ok(TraceArtifacts {
         records: jsonl.lines().count() as u64,
         jsonl,
         profile_text,
         metrics_json,
-    }
+    })
 }
 
-/// The default scenario: one placement-sweep cell (first group size, first
-/// outage interval) under oblivious placement — grouped churn, aggressive
-/// timeout, domain-concentrated chunks, so losses happen and every one of
-/// them is caused by an outage-provoked declaration wave.
-fn run_placement_outage(cmd: &TraceCmdConfig) -> TraceArtifacts {
+/// Run `cell` over `deployment` with a JSONL tracer whose first record is
+/// `manifest` completed with the cell's repair and churn configuration.
+fn run_traced(
+    cmd: &TraceCmdConfig,
+    deployment: &Deployment,
+    cell: &Cell,
+    mut manifest: RunManifest,
+) -> MaintenanceEngine {
+    manifest.extend(cell.repair.manifest_entries());
+    manifest.extend(cell.churn.manifest_entries());
+    let mut tracer = JsonlTracer::new();
+    tracer.record(TraceEvent {
+        t_ns: 0,
+        record: TraceRecord::Manifest(manifest),
+    });
+    let mut engine = deployment
+        .engine(cell)
+        .with_tracer(Box::new(tracer))
+        .with_profiling(cmd.profile);
+    engine.run_for(cell.horizon);
+    engine
+}
+
+/// The default scenario: the placement sweep's (overlay-random, first group
+/// size, first outage interval) cell — grouped churn, aggressive timeout,
+/// domain-concentrated chunks, so losses happen and every one of them is
+/// caused by an outage-provoked declaration wave.
+fn placement_outage(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     let config = PlacementSweepConfig::at_scale(cmd.scale, cmd.seed);
-    let group_size = config.group_sizes.first().copied().unwrap_or(25);
-    let interval_hours = config
-        .outage_interval_hours
-        .first()
-        .copied()
-        .unwrap_or(48.0);
+    let (group_size, interval_hours) = config.first_cell();
     let kind = StrategyKind::OverlayRandom;
     let topology = Topology::uniform_groups(config.nodes, group_size);
-    let trace = TraceConfig::scaled(config.files).generate(cmd.seed ^ 0xd0a7);
-
-    let mut rng = DetRng::new(cmd.seed);
-    let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
-    let mut ps = PeerStripe::with_placement(
-        cluster,
-        PeerStripeConfig::default().with_coding(trace_coding()),
-        kind.build(cmd.seed),
-        Some(topology.clone()),
-    );
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    let manifests = ps.manifests().clone();
-    let cluster = ps.into_cluster();
-
-    let churn = ChurnProcess {
-        sessions: SessionModel::Synthetic {
-            mean_session_secs: config.mean_session_hours * 3_600.0,
-            mean_downtime_secs: config.mean_downtime_hours * 3_600.0,
-        },
-        permanent_fraction: config.permanent_fraction,
-        grouped: Some(GroupedChurn::new(
-            topology.clone(),
-            interval_hours,
-            config.outage_downtime_hours,
-        )),
-    };
-    let repair = RepairConfig {
-        policy: RepairPolicy::Eager,
-        detector: DetectorConfig::default_desktop_grid()
-            .with_timeout(config.timeout_hours * 3_600.0),
-        detection: DetectionKind::PerNodeTimeout,
-        bandwidth: BandwidthBudget::symmetric(config.bandwidth),
-        sample_period_secs: 1_800.0,
-    };
+    let deployment = config.deploy(&config.trace(), kind, &topology);
 
     let mut manifest = RunManifest::new("placement-outage", cmd.seed, &cmd.scale.to_string());
     manifest.push("nodes", config.nodes.to_string());
-    manifest.push("files", trace.files.len().to_string());
+    manifest.push("files", config.files.to_string());
     manifest.push("sim_hours", format!("{}", config.sim_hours));
     manifest.push("placement.strategy", kind.label().to_string());
     manifest.push("placement.group_size", group_size.to_string());
-    manifest.extend(repair.manifest_entries());
-    manifest.extend(churn.manifest_entries());
-    let mut tracer = JsonlTracer::new();
-    tracer.record(TraceEvent {
-        t_ns: 0,
-        record: TraceRecord::Manifest(manifest),
-    });
-
-    let mut engine = MaintenanceEngine::new(cluster, &manifests, churn, repair, cmd.seed)
-        .with_placement(kind.build(cmd.seed), Some(topology))
-        .with_tracer(Box::new(tracer))
-        .with_profiling(cmd.profile);
-    engine.run_for(SimTime::from_secs_f64(config.sim_hours * 3_600.0));
-    finish(engine, cmd.profile)
+    let cell = config.cell(&topology, interval_hours, DetectionKind::PerNodeTimeout);
+    run_traced(cmd, &deployment, &cell, manifest)
 }
 
-/// The golden-fixture scenario: a fixed tiny deployment (48 nodes, 200 files,
-/// 24 virtual hours) under independent churn with a high permanent-departure
+/// The golden-fixture scenario: a fixed tiny deployment (40 nodes, 60 files,
+/// 15 virtual hours) under independent churn with a high permanent-departure
 /// rate, so declarations, repairs and a handful of losses all appear in a
 /// trace small enough to commit byte-for-byte.
-fn run_repair_mini(cmd: &TraceCmdConfig) -> TraceArtifacts {
+fn repair_mini(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     let nodes = 40;
     let files = 60;
     let sim_hours = 15.0;
-
-    let mut rng = DetRng::new(cmd.seed);
-    let cluster = ClusterConfig::scaled(nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(
-        cluster,
-        PeerStripeConfig::default().with_coding(trace_coding()),
-    );
-    let trace = TraceConfig::scaled(files).generate(cmd.seed ^ 0xc0de);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    let manifests = ps.manifests().clone();
-    let cluster = ps.into_cluster();
-
-    let churn = ChurnProcess {
-        sessions: SessionModel::Synthetic {
-            mean_session_secs: 8.0 * 3_600.0,
-            mean_downtime_secs: 4.0 * 3_600.0,
-        },
-        permanent_fraction: 0.05,
-        grouped: None,
-    };
-    let repair = RepairConfig {
-        policy: RepairPolicy::Eager,
-        detector: DetectorConfig::default_desktop_grid().with_timeout(6.0 * 3_600.0),
-        detection: DetectionKind::PerNodeTimeout,
-        bandwidth: BandwidthBudget::symmetric(ByteSize::mb(4)),
-        sample_period_secs: 3_600.0,
-    };
+    let deployment = Deployment::oblivious(nodes, files, cmd.seed, SWEEP_CODING);
+    // 5 % of departures permanent, against a 6 h permanence timeout.
+    let cell = Cell::independent(0.05, 6.0, sim_hours);
 
     let mut manifest = RunManifest::new("repair-mini", cmd.seed, "fixed");
     manifest.push("nodes", nodes.to_string());
-    manifest.push("files", trace.files.len().to_string());
+    manifest.push("files", files.to_string());
     manifest.push("sim_hours", format!("{sim_hours}"));
-    manifest.extend(repair.manifest_entries());
-    manifest.extend(churn.manifest_entries());
-    let mut tracer = JsonlTracer::new();
-    tracer.record(TraceEvent {
-        t_ns: 0,
-        record: TraceRecord::Manifest(manifest),
-    });
-
-    let mut engine = MaintenanceEngine::new(cluster, &manifests, churn, repair, cmd.seed)
-        .with_tracer(Box::new(tracer))
-        .with_profiling(cmd.profile);
-    engine.run_for(SimTime::from_secs_f64(sim_hours * 3_600.0));
-    finish(engine, cmd.profile)
+    run_traced(cmd, &deployment, &cell, manifest)
 }
 
 /// One lost file with its full causal chain.
@@ -584,6 +499,41 @@ mod tests {
         // Renders don't panic and carry the headline.
         assert!(render_summary_text(&summary).contains("repair-mini"));
         assert!(render_summary_json(&summary).contains("\"scenario\""));
+    }
+
+    #[test]
+    fn placement_outage_is_the_sweeps_first_oblivious_cell() {
+        let mut cmd = mini();
+        cmd.scenario = "placement-outage".to_string();
+        let traced = placement_outage(&cmd).report();
+        assert!(traced.group_outages > 0 && !traced.repair_bytes.is_zero());
+
+        let config = PlacementSweepConfig::at_scale(cmd.scale, cmd.seed);
+        let sweep = crate::placement_sweep::run_placement_sweep(&config);
+        let row = sweep
+            .rows
+            .iter()
+            .find(|r| {
+                r.strategy == StrategyKind::OverlayRandom
+                    && Some(&r.group_size) == config.group_sizes.first()
+                    && Some(&r.outage_interval_hours) == config.outage_interval_hours.first()
+            })
+            .expect("the sweep has the cell");
+        let swept = &row.report;
+        assert_eq!(
+            (
+                swept.files_lost,
+                swept.repair_bytes,
+                swept.group_outages,
+                swept.events
+            ),
+            (
+                traced.files_lost,
+                traced.repair_bytes,
+                traced.group_outages,
+                traced.events
+            )
+        );
     }
 
     #[test]

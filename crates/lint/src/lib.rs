@@ -37,7 +37,7 @@ use source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Crates whose state feeds simulation results: unordered collections are
-/// forbidden here (`erasure` works on byte math, `experiments`/`bench` render
+/// forbidden here (`erasure` works on byte math, `experiments` renders
 /// reports from already-deterministic inputs, `lint` is this crate).
 const SIM_FACING_CRATES: &[&str] = &[
     "peerstripe-core",
@@ -52,11 +52,9 @@ const SIM_FACING_CRATES: &[&str] = &[
     "peerstripe-telemetry",
 ];
 
-/// Files allowed to read the host clock: encode/decode throughput measurement
-/// and the perf-snapshot helper.  (The criterion benches under
-/// `crates/bench/benches/` are not linted at all — only `src/` trees are.)
+/// Files allowed to read the host clock: encode/decode throughput
+/// measurement, the perf-snapshot helper and the phase profiler.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
-    "crates/bench/",
     "crates/erasure/src/measure.rs",
     "crates/experiments/src/coding.rs",
     "crates/experiments/src/bench_snapshot.rs",

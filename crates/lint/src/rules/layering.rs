@@ -127,23 +127,6 @@ pub fn builtin_policy() -> LayerPolicy {
                 "peerstripe-net",
             ],
         )
-        .allow(
-            "peerstripe-bench",
-            &[
-                "peerstripe-sim",
-                "peerstripe-trace",
-                "peerstripe-overlay",
-                "peerstripe-erasure",
-                "peerstripe-multicast",
-                "peerstripe-placement",
-                "peerstripe-core",
-                "peerstripe-repair",
-                "peerstripe-baselines",
-                "peerstripe-gridsim",
-                "peerstripe-experiments",
-                "peerstripe-telemetry",
-            ],
-        )
         // The facade re-exports everything below it by design.
         .allow(
             "peerstripe",

@@ -39,12 +39,11 @@ fn main() {
     ] {
         let mut ps = deploy(coding, nodes, files, seed);
         let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let sizes = AvailabilityTracker::file_sizes(ps.manifests());
         let mut rng = DetRng::new(seed ^ 0xfa11);
         for _ in 0..failures {
             if let Some(node) = ps.cluster().overlay().random_alive(&mut rng) {
                 ps.cluster_mut().fail_node(node);
-                tracker.fail_node(node, &sizes);
+                tracker.fail_node(node);
             }
         }
         println!(

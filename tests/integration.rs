@@ -102,10 +102,9 @@ fn availability_ordering_matches_figure_10() {
             let _ = ps.store_file(f);
         }
         let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let sizes = AvailabilityTracker::file_sizes(ps.manifests());
         let mut fail_rng = DetRng::new(7);
         for (node, _) in ps.cluster_mut().fail_random(nodes / 10, &mut fail_rng) {
-            tracker.fail_node(node, &sizes);
+            tracker.fail_node(node);
         }
         unavailable.push(tracker.unavailable_pct());
     }

@@ -419,7 +419,6 @@ proptest! {
                 .is_stored());
         }
         let mut tracker = AvailabilityTracker::build(ps.manifests());
-        let sizes = AvailabilityTracker::file_sizes(ps.manifests());
         let mut last_pct = tracker.unavailable_pct();
         prop_assert_eq!(last_pct, 0.0);
         for f in failures {
@@ -429,7 +428,7 @@ proptest! {
             if node < ps.cluster().node_count() {
                 ps.cluster_mut().fail_node(node);
             }
-            tracker.fail_node(node, &sizes);
+            tracker.fail_node(node);
             let pct = tracker.unavailable_pct();
             prop_assert!((0.0..=100.0).contains(&pct), "pct {pct}");
             prop_assert!(pct >= last_pct - 1e-12, "pct must not decrease");
