@@ -194,6 +194,27 @@ fn placement_sweep_per_node_output_matches_pre_refactor_golden() {
     );
 }
 
+/// Figure 10 and Table 3 are pinned whole: the golden files are `repro fig10`
+/// and `repro table3 --scale small --seed 42` as printed (two header lines,
+/// then the experiment's section), so a change to the block bookkeeping under
+/// either cannot move a digit unnoticed.
+#[test]
+fn availability_outputs_match_their_golden_captures() {
+    for experiment in ["fig10", "table3"] {
+        let path = format!(
+            "{}/tests/golden/{experiment}_small_seed42.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let golden = std::fs::read_to_string(&path).expect("golden capture present");
+        let body: String = golden.lines().skip(2).map(|l| format!("{l}\n")).collect();
+        let report = run_experiment(experiment, Scale::Small, 42).expect("known experiment");
+        assert_eq!(
+            report, body,
+            "{experiment} diverged from its golden capture {path}"
+        );
+    }
+}
+
 /// Smoke for `examples/outage_aware_detection.rs`: the per-node vs
 /// outage-aware comparison the example walks through must keep demonstrating
 /// the saving — same logic, smaller cluster.
