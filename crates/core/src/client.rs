@@ -82,12 +82,6 @@ impl PeerStripeConfig {
         self.coding = coding;
         self
     }
-
-    /// Disable manifest tracking.
-    pub fn without_manifests(mut self) -> Self {
-        self.track_manifests = false;
-        self
-    }
 }
 
 /// Outcome of regenerating the blocks lost with a failed node (Section 4.4).
@@ -261,11 +255,6 @@ impl<B: StorageBackend> PeerStripe<B> {
         &mut self.backend
     }
 
-    /// Consume the system and return its backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// The manifest of a stored file, if manifests are being tracked.
     pub fn manifest(&self, name: &str) -> Option<&FileManifest> {
         self.manifests.get(name)
@@ -291,11 +280,6 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// The failure-domain topology placement consults, if any.
     pub fn topology(&self) -> Option<&Topology> {
         self.topology.as_ref()
-    }
-
-    /// The name of the placement strategy in use.
-    pub fn placement_name(&self) -> &'static str {
-        self.placement.name()
     }
 
     /// The per-domain block cap placement enforces for each chunk: with a
@@ -1402,7 +1386,6 @@ mod tests {
             Box::new(DomainSpread::new()),
             Some(topo.clone()),
         );
-        assert_eq!(ps.placement_name(), "domain-spread");
         assert_eq!(ps.domain_cap(), 2, "RS(4, 6) tolerates two losses");
         for i in 0..8 {
             assert!(ps

@@ -49,12 +49,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Disable per-object tracking (memory-bounded mode for huge sweeps).
-    pub fn without_object_tracking(mut self) -> Self {
-        self.track_objects = false;
-        self
-    }
-
     /// Build the cluster.
     pub fn build(&self, rng: &mut DetRng) -> StorageCluster {
         let mut overlay_rng = rng.fork("overlay");

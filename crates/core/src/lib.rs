@@ -19,7 +19,7 @@
 //!   by the simulator here and by live TCP daemons in `peerstripe-net`;
 //! * [`client`] — the [`PeerStripe`] system itself (store, retrieve, recover);
 //! * [`system`] — the [`StorageSystem`] trait and placement manifests;
-//! * [`churn`] — availability tracking and regeneration sweeps (Figure 10, Table 3);
+//! * [`ledger`] — the block ledger: holders, liveness, availability and loss (Figure 10, Table 3);
 //! * [`metrics`] — store metrics behind Figures 7–9 and Table 1.
 
 #![warn(missing_docs)]
@@ -27,9 +27,9 @@
 
 pub mod backend;
 pub mod cat;
-pub mod churn;
 pub mod client;
 pub mod cluster;
+pub mod ledger;
 pub mod metrics;
 pub mod naming;
 pub mod policy;
@@ -38,9 +38,9 @@ pub mod system;
 
 pub use backend::{FetchedBlock, StorageBackend};
 pub use cat::{ChunkAllocationTable, ChunkExtent};
-pub use churn::{DamageLedger, NodeLoss};
 pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};
 pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
+pub use ledger::{DamageLedger, NodeLoss};
 pub use metrics::{MaintenanceMetrics, MaintenanceSample, StoreMetrics};
 pub use naming::ObjectName;
 pub use policy::CodingPolicy;

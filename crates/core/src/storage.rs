@@ -183,12 +183,6 @@ impl StorageNode {
         self.used = ByteSize::ZERO;
         self.object_count = 0;
     }
-
-    /// Change the fraction of free space reported by `getCapacity`.
-    pub fn set_report_fraction(&mut self, fraction: f64) {
-        assert!((0.0..=1.0).contains(&fraction));
-        self.report_fraction = fraction;
-    }
 }
 
 #[cfg(test)]
@@ -277,8 +271,6 @@ mod tests {
         // A report does not reserve: a store can still consume the space.
         node.store(Id(1), obj("a", ByteSize::gb(9))).unwrap();
         assert_eq!(node.report_capacity(), ByteSize::mb(512));
-        node.set_report_fraction(1.0);
-        assert_eq!(node.report_capacity(), ByteSize::gb(1));
     }
 
     #[test]

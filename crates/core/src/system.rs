@@ -104,15 +104,6 @@ impl FileManifest {
         self.chunks.iter().all(|c| c.is_recoverable(view))
     }
 
-    /// Total bytes of user data covered by recoverable chunks.
-    pub fn recoverable_bytes<V: ClusterView + ?Sized>(&self, view: &V) -> ByteSize {
-        self.chunks
-            .iter()
-            .filter(|c| c.is_recoverable(view))
-            .map(|c| c.size)
-            .sum()
-    }
-
     /// Every placed block of the file (all chunks).
     pub fn all_blocks(&self) -> impl Iterator<Item = &BlockPlacement> {
         self.chunks.iter().flat_map(|c| c.blocks.iter())
@@ -271,7 +262,6 @@ mod tests {
         assert!(m.is_available(&cluster), "one loss tolerated");
         cluster.fail_node(1);
         assert!(!m.is_available(&cluster), "two losses exceed tolerance");
-        assert_eq!(m.recoverable_bytes(&cluster), ByteSize::ZERO);
     }
 
     #[test]

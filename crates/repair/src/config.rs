@@ -111,12 +111,6 @@ impl ChurnProcess {
         }
     }
 
-    /// Add a correlated grouped-churn mode.
-    pub fn with_grouped(mut self, grouped: GroupedChurn) -> Self {
-        self.grouped = Some(grouped);
-        self
-    }
-
     /// Flattened `key = value` entries for a
     /// [`peerstripe_telemetry::RunManifest`].
     pub fn manifest_entries(&self) -> Vec<(String, String)> {
@@ -316,12 +310,6 @@ impl RepairConfig {
             bandwidth: BandwidthBudget::symmetric(ByteSize::mb(1)),
             sample_period_secs: 3_600.0,
         }
-    }
-
-    /// Use the given repair policy.
-    pub fn with_policy(mut self, policy: RepairPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Use the given failure-detection policy.

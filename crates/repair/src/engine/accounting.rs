@@ -1,11 +1,11 @@
-//! Incremental availability/durability accounting and the wasted-repair
-//! attribution ledger.
+//! Chunk write-offs and the wasted-repair attribution ledger.
 //!
-//! Availability is tracked per event in O(blocks touched): every chunk keeps
-//! a live-block counter, every file a failed-chunk counter, and the engine a
-//! single unavailable-file total.  [`MaintenanceEngine::accounting_is_consistent`]
-//! recomputes everything from scratch and is the oracle the property tests
-//! compare against.
+//! Availability itself is not kept here: the live-block, failed-chunk and
+//! unavailable-file counts live in [`peerstripe_core::DamageLedger`], which
+//! the engine tells about every departure, return, declaration and placed
+//! block.  [`MaintenanceEngine::accounting_is_consistent`] has the ledger
+//! recompute them against the overlay's liveness and is the oracle the
+//! property tests compare against.
 //!
 //! [`WriteOffAccounting`] answers the question the outage-aware detector
 //! exists for: *how much repair traffic did we spend regenerating blocks of
@@ -100,77 +100,13 @@ impl WriteOffAccounting {
 }
 
 impl MaintenanceEngine {
-    /// Verify the engine's incremental availability accounting against a full
-    /// recomputation from the ledger and the overlay: per-chunk live-block
-    /// counters, per-file failed-chunk counters, and the unavailable-file
-    /// total must all balance.  O(blocks); used by the grouped-churn
-    /// conservation property tests.
+    /// Verify the ledger's incremental availability accounting against a full
+    /// recomputation from its holder lists and the overlay's liveness (see
+    /// [`peerstripe_core::DamageLedger::is_consistent`]).  O(blocks); used by
+    /// the grouped-churn conservation property tests.
     pub fn accounting_is_consistent(&self) -> bool {
-        let mut failed_chunks = vec![0u32; self.ledger.file_count()];
-        for chunk in 0..self.ledger.chunk_count() as u32 {
-            let ci = chunk as usize;
-            let fi = self.ledger.file_of(chunk) as usize;
-            if self.ledger.is_lost(chunk) {
-                // Lost chunks freeze their availability accounting; they stay
-                // failed forever.
-                failed_chunks[fi] += 1;
-                continue;
-            }
-            let alive = self
-                .ledger
-                .blocks(chunk)
-                .iter()
-                .filter(|(n, _)| self.cluster.overlay().is_alive(*n))
-                .count() as u32;
-            if alive != self.alive_blocks[ci] {
-                return false;
-            }
-            if alive < self.ledger.needed(chunk) as u32 {
-                failed_chunks[fi] += 1;
-            }
-        }
-        let unavailable = failed_chunks.iter().filter(|&&c| c > 0).count() as u64;
-        failed_chunks
-            .iter()
-            .zip(&self.file_failed_chunks)
-            .all(|(recomputed, tracked)| recomputed == tracked)
-            && unavailable == self.files_unavailable
-    }
-
-    /// A block of `chunk` went offline (its holder departed).
-    pub(super) fn chunk_block_down(&mut self, chunk: u32) {
-        let ci = chunk as usize;
-        if self.ledger.is_lost(chunk) {
-            return;
-        }
-        let needed = self.ledger.needed(chunk) as u32;
-        let was_ok = self.alive_blocks[ci] >= needed;
-        self.alive_blocks[ci] = self.alive_blocks[ci].saturating_sub(1);
-        if was_ok && self.alive_blocks[ci] < needed {
-            let fi = self.ledger.file_of(chunk) as usize;
-            self.file_failed_chunks[fi] += 1;
-            if self.file_failed_chunks[fi] == 1 {
-                self.files_unavailable += 1;
-            }
-        }
-    }
-
-    /// A block of `chunk` came (back) online.
-    pub(super) fn chunk_block_up(&mut self, chunk: u32) {
-        let ci = chunk as usize;
-        if self.ledger.is_lost(chunk) {
-            return;
-        }
-        let needed = self.ledger.needed(chunk) as u32;
-        let was_ok = self.alive_blocks[ci] >= needed;
-        self.alive_blocks[ci] += 1;
-        if !was_ok && self.alive_blocks[ci] >= needed {
-            let fi = self.ledger.file_of(chunk) as usize;
-            self.file_failed_chunks[fi] = self.file_failed_chunks[fi].saturating_sub(1);
-            if self.file_failed_chunks[fi] == 0 {
-                self.files_unavailable = self.files_unavailable.saturating_sub(1);
-            }
-        }
+        self.ledger
+            .is_consistent(|node| self.cluster.overlay().is_alive(node))
     }
 
     /// `chunk` fell below its decode threshold with its lost blocks written
@@ -183,11 +119,8 @@ impl MaintenanceEngine {
         if self.ledger.is_lost(chunk) {
             return;
         }
-        self.ledger.mark_lost(chunk);
+        let file_newly_lost = self.ledger.mark_lost(chunk);
         self.writeoffs.chunk_lost(chunk);
-        let fi = self.ledger.file_of(chunk) as usize;
-        self.file_lost_chunks[fi] += 1;
-        let file_newly_lost = self.file_lost_chunks[fi] == 1;
         self.metrics
             .record_loss(self.ledger.chunk_size(chunk), file_newly_lost);
         if self.tracing() {
@@ -214,8 +147,5 @@ impl MaintenanceEngine {
                 );
             }
         }
-        // A lost chunk is unavailable forever; freeze it into the availability
-        // accounting (it was already below threshold — losing placed blocks
-        // implies losing live ones — so nothing to transition here).
     }
 }

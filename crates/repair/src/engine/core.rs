@@ -142,15 +142,10 @@ pub struct MaintenanceEngine {
     pub(super) sample_period: SimTime,
     pub(super) rng: DetRng,
     // Per chunk, indexed like the ledger.
-    pub(super) alive_blocks: Vec<u32>,
     pub(super) in_flight: Vec<u32>,
     pub(super) target_blocks: Vec<u32>,
     pub(super) block_size: Vec<ByteSize>,
     pub(super) retry_pending: Vec<bool>,
-    // Per file.
-    pub(super) file_failed_chunks: Vec<u32>,
-    pub(super) file_lost_chunks: Vec<u32>,
-    pub(super) files_unavailable: u64,
     // Per node.
     pub(super) permanent: Vec<bool>,
     pub(super) declared: Vec<bool>,
@@ -201,12 +196,10 @@ impl MaintenanceEngine {
         let ledger = DamageLedger::build(manifests);
         let nodes = cluster.node_count();
         let chunks = ledger.chunk_count();
-        let mut alive_blocks = Vec::with_capacity(chunks);
         let mut target_blocks = Vec::with_capacity(chunks);
         let mut block_size = Vec::with_capacity(chunks);
         for c in 0..chunks as u32 {
             let blocks = ledger.blocks(c);
-            alive_blocks.push(blocks.len() as u32);
             target_blocks.push(blocks.len() as u32);
             block_size.push(
                 blocks
@@ -237,9 +230,6 @@ impl MaintenanceEngine {
             scheduler: RepairScheduler::new(nodes, config.bandwidth, config.policy),
             sample_period: SimTime::from_secs_f64(config.sample_period_secs),
             queue: EventQueue::new(),
-            file_failed_chunks: vec![0; ledger.file_count()],
-            file_lost_chunks: vec![0; ledger.file_count()],
-            files_unavailable: 0,
             in_flight: vec![0; chunks],
             retry_pending: vec![false; chunks],
             permanent: vec![false; nodes],
@@ -263,7 +253,6 @@ impl MaintenanceEngine {
             cluster,
             ledger,
             churn,
-            alive_blocks,
             target_blocks,
             block_size,
             rng: rng.fork("engine"),
@@ -440,7 +429,7 @@ impl MaintenanceEngine {
 
     /// Files currently unavailable.
     pub fn files_unavailable(&self) -> u64 {
-        self.files_unavailable
+        self.ledger.files_unavailable() as u64
     }
 
     /// The failure-detection policy's label.
@@ -456,7 +445,7 @@ impl MaintenanceEngine {
             events: self.queue.processed(),
             files_total: self.ledger.file_count() as u64,
             files_lost: self.metrics.files_lost,
-            files_unavailable: self.files_unavailable,
+            files_unavailable: self.files_unavailable(),
             availability_mean_pct: self.metrics.mean_availability_pct(),
             availability_min_pct: self.metrics.min_availability_pct(),
             repair_bytes: self.metrics.repair_bytes,

@@ -127,9 +127,7 @@ impl MaintenanceEngine {
                 },
             );
         }
-        for chunk in self.ledger.chunks_on(node).to_vec() {
-            self.chunk_block_down(chunk);
-        }
+        self.ledger.node_down(node);
         self.down_outage[node] = None;
         if self.tracing() {
             let domain = self.topology.as_ref().and_then(|t| t.domain_of(node));
@@ -176,9 +174,7 @@ impl MaintenanceEngine {
             self.cluster.fail_node(node);
             self.down_outage[node] = Some(outage);
             self.metrics.group_departures += 1;
-            for chunk in self.ledger.chunks_on(node).to_vec() {
-                self.chunk_block_down(chunk);
-            }
+            self.ledger.node_down(node);
             // The detection policy decides what the correlated absence means:
             // the per-node timeout starts counting exactly as for any other
             // departure, while the outage-aware policy will notice at
@@ -287,6 +283,7 @@ impl MaintenanceEngine {
             return;
         }
         self.cluster.rejoin(node);
+        self.ledger.node_up(node);
         self.detector.node_up(node, now);
         if self.tracing() {
             let false_declaration = self.declared[node];
@@ -331,14 +328,10 @@ impl MaintenanceEngine {
             let wasted = self.writeoffs.settle_false_return(node);
             self.metrics.wasted_repair_bytes += wasted;
         } else {
-            let chunks = self.ledger.chunks_on(node).to_vec();
-            for &chunk in &chunks {
-                self.chunk_block_up(chunk);
-            }
             // Redundancy (and decode sources) came back: deferred repairs of
             // the chunks this node participates in may be able to run now.
             let mut seen = std::collections::BTreeSet::new();
-            for chunk in chunks {
+            for chunk in self.ledger.chunks_on(node).to_vec() {
                 if seen.insert(chunk) {
                     self.maybe_repair(q, now, chunk);
                 }
@@ -486,7 +479,6 @@ impl MaintenanceEngine {
                 if self.cluster.overlay().is_alive(node) && self.cluster.reserve(node, size).is_ok()
                 {
                     self.ledger.place_block(chunk, node, size);
-                    self.chunk_block_up(chunk);
                     placed += 1;
                     let wasted = self
                         .writeoffs
@@ -525,7 +517,7 @@ impl MaintenanceEngine {
         self.metrics.record_sample(
             peerstripe_core::MaintenanceSample {
                 at: now,
-                files_unavailable: self.files_unavailable,
+                files_unavailable: self.files_unavailable(),
                 files_lost: self.metrics.files_lost,
                 repair_bytes: self.metrics.repair_bytes,
                 repairs_in_flight: self.scheduler.in_flight(),
@@ -534,13 +526,13 @@ impl MaintenanceEngine {
         );
         self.registry.set(
             self.counters.files_unavailable,
-            self.files_unavailable as f64,
+            self.files_unavailable() as f64,
         );
         if self.tracing() {
             self.trace(
                 now,
                 TraceRecord::Sample {
-                    files_unavailable: self.files_unavailable,
+                    files_unavailable: self.files_unavailable(),
                     files_lost: self.metrics.files_lost,
                     repair_bytes: self.metrics.repair_bytes.as_u64(),
                     repairs_in_flight: self.scheduler.in_flight(),

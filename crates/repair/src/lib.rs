@@ -26,8 +26,11 @@
 //!
 //! The engine plans *when* and *where* blocks are rebuilt, in sizes; block
 //! payloads are rebuilt in one place only, the client's
-//! `PeerStripe::handle_node_failure`.  Damage bookkeeping is shared with
-//! `peerstripe-core` through [`peerstripe_core::DamageLedger`].  The `repro
+//! `PeerStripe::handle_node_failure`.  Damage and availability bookkeeping
+//! is shared with `peerstripe-core` through [`peerstripe_core::DamageLedger`]:
+//! the engine tells the ledger who went down, came back, was written off or
+//! received a block, and reads files-unavailable back from it — the same
+//! counts Figure 10 and Table 3 are drawn from.  The `repro
 //! repair-sweep` experiment sweeps policy × detection-timeout × bandwidth
 //! over this engine at up to the paper's 10 000-node scale.
 

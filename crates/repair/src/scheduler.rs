@@ -67,11 +67,6 @@ impl RepairScheduler {
         self.scheduled_blocks
     }
 
-    /// How long after `now` a node's upload pipe stays busy.
-    pub fn upload_backlog(&self, node: NodeRef, now: SimTime) -> SimTime {
-        self.upload[node].backlog(now)
-    }
-
     /// Charge the transfers for rebuilding `targets.len()` blocks of `chunk`
     /// (each of `block_size`) on `targets[0]`, reading one block from every
     /// node in `sources`.
@@ -165,7 +160,6 @@ mod tests {
         // still draining the first: it cannot finish before second 4.
         let second = s.schedule(1, ByteSize::mb(2), &[1], &[2], now);
         assert_eq!(second.done_at, SimTime::from_secs(4));
-        assert!(s.upload_backlog(1, now) == SimTime::from_secs(4));
         // An unrelated pair of nodes is unaffected.
         let third = s.schedule(2, ByteSize::mb(2), &[5], &[6], now);
         assert_eq!(third.done_at, SimTime::from_secs(2));

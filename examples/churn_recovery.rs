@@ -5,21 +5,12 @@
 //!
 //! Run with: `cargo run --release --example churn_recovery`
 
-use peerstripe::core::churn::{AvailabilityTracker, RegenerationSim};
-use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
-use peerstripe::sim::{ByteSize, DetRng};
+use peerstripe::core::{
+    ClusterConfig, CodingPolicy, DamageLedger, PeerStripe, PeerStripeConfig, StorageSystem,
+};
+use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
+use peerstripe::sim::DetRng;
 use peerstripe::trace::TraceConfig;
-
-fn deploy(coding: CodingPolicy, nodes: usize, files: usize, seed: u64) -> PeerStripe {
-    let mut rng = DetRng::new(seed);
-    let cluster = ClusterConfig::scaled(nodes).build(&mut rng);
-    let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
-    let trace = TraceConfig::scaled(files).generate(seed ^ 0xabc);
-    for file in &trace.files {
-        let _ = ps.store_file(file);
-    }
-    ps
-}
 
 fn main() {
     let nodes = 400;
@@ -32,43 +23,51 @@ fn main() {
         "{} nodes, {} files, failing {} nodes one by one\n",
         nodes, files, failures
     );
+    let trace = TraceConfig::scaled(files).generate(seed ^ 0xabc);
     for coding in [
         CodingPolicy::None,
         CodingPolicy::xor_2_3(),
         CodingPolicy::online_default(),
     ] {
-        let mut ps = deploy(coding, nodes, files, seed);
-        let mut tracker = AvailabilityTracker::build(ps.manifests());
+        let cluster = ClusterConfig::scaled(nodes).build(&mut DetRng::new(seed));
+        let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
+        for file in &trace.files {
+            let _ = ps.store_file(file);
+        }
+        // The ledger indexes every placed block by its holder; telling it a
+        // node went down costs one step per block that node holds.
+        let mut ledger = DamageLedger::build(ps.manifests());
         let mut rng = DetRng::new(seed ^ 0xfa11);
-        for _ in 0..failures {
-            if let Some(node) = ps.cluster().overlay().random_alive(&mut rng) {
-                ps.cluster_mut().fail_node(node);
-                tracker.fail_node(node);
-            }
+        for (node, _) in ps.cluster_mut().fail_random(failures, &mut rng) {
+            ledger.node_down(node);
         }
         println!(
             "  {:<14} {:>6.2}% of files unavailable ({} of {})",
             coding.label(),
-            tracker.unavailable_pct(),
-            tracker.files_unavailable(),
-            tracker.files_total()
+            ledger.unavailable_pct(),
+            ledger.files_unavailable(),
+            ledger.file_count()
         );
+        assert!(ledger.is_consistent(|n| ps.cluster().overlay().is_alive(n)));
     }
 
     println!("\n== Regeneration under churn (Table 3 in miniature) ==");
-    for fraction in [0.10, 0.20] {
-        let mut ps = deploy(CodingPolicy::online_default(), nodes, files, seed);
-        let stored = ps.metrics().bytes_stored;
-        let mut sim = RegenerationSim::build(ps.manifests());
-        let mut rng = DetRng::new(seed ^ 0x7ab1e);
-        let report = sim.fail_fraction(ps.cluster_mut(), fraction, &mut rng);
+    let config = ChurnConfig {
+        nodes,
+        files,
+        failures,
+        samples: 1,
+        seed,
+    };
+    for row in run_regeneration(&config) {
         println!(
             "  fail {:>2.0}% of nodes: {} regenerated ({} per failure on average), {} of {} user data lost",
-            fraction * 100.0,
-            report.data_regenerated,
-            ByteSize::bytes(report.per_failure.mean() as u64),
-            report.data_lost,
-            stored,
+            row.failed_fraction * 100.0,
+            row.data_regenerated,
+            row.regen_per_failure_mean,
+            row.data_lost,
+            row.total_data,
         );
+        assert!(row.data_lost < row.total_data);
     }
 }

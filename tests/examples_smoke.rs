@@ -168,6 +168,15 @@ fn repro_placement_sweep_at_small_scale() {
     assert!(dispatched.contains("Placement sweep"));
 }
 
+/// A `repro <experiment> --scale small --seed 42` capture under
+/// `tests/golden/`, minus the binary's header (its first two lines): what
+/// `run_experiment` returns for the same experiment.
+fn golden_body(file: &str) -> String {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(path).expect("golden capture present");
+    golden.lines().skip(2).map(|l| format!("{l}\n")).collect()
+}
+
 /// The per-node detection path is byte-identical to the pre-refactor engine:
 /// the golden file was captured from `repro placement-sweep --scale small
 /// --seed 42` *before* detection became pluggable, and the placement-strategy
@@ -175,15 +184,9 @@ fn repro_placement_sweep_at_small_scale() {
 /// byte for byte.  The refactor adds the detector axis strictly below it.
 #[test]
 fn placement_sweep_per_node_output_matches_pre_refactor_golden() {
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/placement_sweep_small_seed42.txt"
-    ))
-    .expect("golden capture present");
-    // Strip the repro binary's header (first two lines); the remainder is the
-    // rendered placement-sweep section exactly as the seed-42 small run
+    // The rendered placement-sweep section exactly as the seed-42 small run
     // produced it pre-refactor.
-    let body: String = golden.lines().skip(2).map(|l| format!("{l}\n")).collect();
+    let body = golden_body("placement_sweep_small_seed42.txt");
     assert!(!body.is_empty(), "golden file must carry the table");
     let report = run_experiment("placement-sweep", Scale::Small, 42)
         .expect("placement-sweep is a known experiment");
@@ -201,16 +204,11 @@ fn placement_sweep_per_node_output_matches_pre_refactor_golden() {
 #[test]
 fn availability_outputs_match_their_golden_captures() {
     for experiment in ["fig10", "table3"] {
-        let path = format!(
-            "{}/tests/golden/{experiment}_small_seed42.txt",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let golden = std::fs::read_to_string(&path).expect("golden capture present");
-        let body: String = golden.lines().skip(2).map(|l| format!("{l}\n")).collect();
+        let body = golden_body(&format!("{experiment}_small_seed42.txt"));
         let report = run_experiment(experiment, Scale::Small, 42).expect("known experiment");
         assert_eq!(
             report, body,
-            "{experiment} diverged from its golden capture {path}"
+            "{experiment} diverged from its golden capture"
         );
     }
 }

@@ -2,8 +2,9 @@
 //! and the paper's headline qualitative claims at small scale.
 
 use peerstripe::baselines::{Cfs, CfsConfig, Past, PastConfig};
-use peerstripe::core::churn::AvailabilityTracker;
-use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
+use peerstripe::core::{
+    ClusterConfig, CodingPolicy, DamageLedger, PeerStripe, PeerStripeConfig, StorageSystem,
+};
 use peerstripe::multicast::{BulletConfig, BulletSim, MulticastTree};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord, TraceConfig};
@@ -101,12 +102,12 @@ fn availability_ordering_matches_figure_10() {
         for f in &trace.files {
             let _ = ps.store_file(f);
         }
-        let mut tracker = AvailabilityTracker::build(ps.manifests());
+        let mut ledger = DamageLedger::build(ps.manifests());
         let mut fail_rng = DetRng::new(7);
         for (node, _) in ps.cluster_mut().fail_random(nodes / 10, &mut fail_rng) {
-            tracker.fail_node(node);
+            ledger.node_down(node);
         }
-        unavailable.push(tracker.unavailable_pct());
+        unavailable.push(ledger.unavailable_pct());
     }
     assert!(
         unavailable[0] > unavailable[1],
