@@ -144,11 +144,13 @@ pub fn run_regeneration(config: &ChurnConfig) -> Vec<Table3Row> {
 /// with instantaneous recovery.  A chunk that keeps enough blocks has each
 /// block it lost regenerated onto the live node a random key routes to (the
 /// takeover inheritors are the numerically closest survivors, which a random
-/// probe approximates; any live node with space works for this accounting);
-/// a block whose target has no room is not re-drawn — the redundancy stays
-/// unrestored, but the chunk is not lost either.  A chunk that falls below
-/// its decode threshold is written off.  The continuous-time engine in
-/// `peerstripe-repair` is where repairs take time and bandwidth.
+/// probe approximates), under the rules every other repair path applies: the
+/// target must not already hold a block of the chunk, and the block is
+/// charged to its capacity.  A refused block is not re-drawn — the
+/// redundancy stays unrestored, but the chunk is not lost either.  A chunk
+/// that falls below its decode threshold is written off.  The
+/// continuous-time engine in `peerstripe-repair` is where repairs take time
+/// and bandwidth.
 fn fail_wave(
     deployed: &mut Deployment,
     ledger: &mut DamageLedger,
@@ -173,11 +175,11 @@ fn fail_wave(
                 continue;
             }
             for size in loss.lost {
-                let target = cluster
-                    .overlay()
-                    .route_quiet(Id::random(rng))
-                    .filter(|n| cluster.node(*n).can_store(size));
-                if let Some(target) = target {
+                let Some(target) = cluster.overlay().route_quiet(Id::random(rng)) else {
+                    continue;
+                };
+                let holds = ledger.blocks(loss.chunk).iter().any(|(n, _)| *n == target);
+                if !holds && cluster.reserve(target, size).is_ok() {
                     ledger.place_block(loss.chunk, target, size);
                     regenerated += size;
                 }
@@ -291,6 +293,31 @@ mod tests {
             .sum();
         assert_eq!(written_off, row.data_lost);
         assert!(ledger.is_consistent(|n| deployed.cluster.overlay().is_alive(n)));
+    }
+
+    /// Regeneration plays by the rules of the real repair paths: every
+    /// regenerated block is charged to its target's capacity, and none lands
+    /// on a node that already holds a block of its chunk.
+    #[test]
+    fn regenerated_blocks_are_charged_and_never_collocated() {
+        let used = |d: &Deployment| -> ByteSize {
+            (0..d.cluster.node_count())
+                .map(|n| d.cluster.node(n).used())
+                .sum()
+        };
+        let collocated = |ledger: &DamageLedger| -> usize {
+            (0..ledger.chunk_count() as u32)
+                .map(|c| {
+                    let holders: std::collections::BTreeSet<NodeRef> =
+                        ledger.blocks(c).iter().map(|(n, _)| *n).collect();
+                    ledger.blocks(c).len() - holders.len()
+                })
+                .sum()
+        };
+        let before = Deployment::oblivious(120, 120 * 8, 6, CodingPolicy::online_default());
+        let (row, ledger, after) = wave(CodingPolicy::online_default(), 0.20);
+        assert_eq!(used(&after), used(&before) + row.data_regenerated);
+        assert!(collocated(&ledger) <= collocated(&DamageLedger::build(&before.manifests)));
     }
 
     #[test]
