@@ -9,6 +9,15 @@
 //! `peerstripe-node` daemons over TCP — so the placement, erasure, and repair
 //! stacks run unchanged against real processes.
 //!
+//! A block is fetched one of two ways.  [`StorageBackend::fetch_block`]
+//! returns the object by value, payload shared; every backend implements it,
+//! and wrappers that count or time fetches see each one there.
+//! [`StorageBackend::fetch_block_into`] is the read path's verb: the payload
+//! goes into buffers the caller owns, so a fetched row is written once, where
+//! the read's result holds it.  It is provided — `fetch_block` and a copy —
+//! and only a backend that can do better (the gateway reads the reply off the
+//! socket into the caller's buffer) overrides it.
+//!
 //! [`PeerStripe`]: crate::client::PeerStripe
 
 use crate::cluster::{ClusterStoreError, StorageCluster};
@@ -30,6 +39,19 @@ pub struct FetchedBlock {
     pub size: ByteSize,
     /// The object's payload bytes, when the byte path stored any.
     pub payload: Option<Arc<Vec<u8>>>,
+}
+
+/// Why [`StorageBackend::fetch_block_into`] landed nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FetchMiss {
+    /// No object came back: the holder is dead or unreachable, or does not
+    /// hold it.
+    Absent,
+    /// The holder has the object, stored as a size with no bytes (the
+    /// placement path).
+    SizeOnly,
+    /// The object's payload is shorter than the `head` asked for.
+    Short,
 }
 
 /// The storage operations a [`PeerStripe`] client drives against its backend.
@@ -57,6 +79,31 @@ pub trait StorageBackend: ProbeView {
 
     /// Fetch an object from a specific node, by value.
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock>;
+
+    /// Fetch an object's payload into buffers the caller owns: its first
+    /// `head.len()` bytes into `head`, the rest appended to `tail` — a read
+    /// hands in the record header's length and its result, so a row lands
+    /// where the caller reads it.  On a miss `tail` keeps its length.
+    ///
+    /// The provided body is [`StorageBackend::fetch_block`] and a copy; a
+    /// backend that receives the bytes itself (a socket) overrides it to put
+    /// them in `tail`'s spare capacity directly.
+    fn fetch_block_into(
+        &self,
+        node: NodeRef,
+        name: &ObjectName,
+        head: &mut [u8],
+        tail: &mut Vec<u8>,
+    ) -> Result<(), FetchMiss> {
+        let block = self.fetch_block(node, name).ok_or(FetchMiss::Absent)?;
+        let payload = block.payload.ok_or(FetchMiss::SizeOnly)?;
+        let (first, rest) = payload
+            .split_at_checked(head.len())
+            .ok_or(FetchMiss::Short)?;
+        head.copy_from_slice(first);
+        tail.extend_from_slice(rest);
+        Ok(())
+    }
 
     /// Undo a store: remove the object if the node tracks it, otherwise
     /// release its reserved space.
@@ -146,6 +193,40 @@ mod tests {
         assert_eq!(fetched.payload.as_deref(), Some(&vec![7u8, 8, 9]));
         backend.rollback_block(node, &name, ByteSize::mb(1));
         assert!(backend.fetch_block(node, &name).is_none());
+    }
+
+    #[test]
+    fn fetch_block_into_splits_the_payload_and_types_its_misses() {
+        let mut backend = cluster();
+        let name = ObjectName::block("f", 0, 1);
+        let sized = ObjectName::block("f", 0, 2);
+        let node = backend.route_lookup(name.key()).unwrap();
+        let size = ByteSize::kb(1);
+        let payload = Some(vec![1, 2, 3, 4, 5]);
+        let stored = backend.store_block(node, name.key(), name.clone(), size, payload);
+        stored.unwrap();
+        let stored = backend.store_block(node, sized.key(), sized.clone(), size, None);
+        stored.unwrap();
+
+        let mut tail = vec![9u8];
+        let mut head = [0u8; 2];
+        assert_eq!(
+            backend.fetch_block_into(node, &name, &mut head, &mut tail),
+            Ok(())
+        );
+        assert_eq!((head, &tail[..]), ([1, 2], &[9u8, 3, 4, 5][..]));
+        // Every miss leaves `tail` as it was.
+        let missing = ObjectName::block("f", 0, 3);
+        for (object, head_len, miss) in [
+            (&missing, 2, FetchMiss::Absent),
+            (&sized, 2, FetchMiss::SizeOnly),
+            (&name, 6, FetchMiss::Short),
+        ] {
+            let mut head = vec![0u8; head_len];
+            let fetched = backend.fetch_block_into(node, object, &mut head, &mut tail);
+            assert_eq!(fetched, Err(miss));
+            assert_eq!(tail, [9, 3, 4, 5]);
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use peerstripe_placement::{OverlayRandom, PlacementStrategy, RepairRequest, Topo
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of a PeerStripe instance.
@@ -130,6 +131,22 @@ struct BytePath {
     /// How many leading placed blocks a healthy read needs — in a systematic
     /// layout the chunk's own bytes; the blocks after them are its redundancy.
     lead: usize,
+    /// Whether leading placed block `i` carries source row `i` and nothing
+    /// else, for every `i`: the chunk's rows, whole and in order.
+    rows_in_order: bool,
+}
+
+/// Bytes of the `[count][index][len]` words in front of a payload's first row.
+const ROW_HEADER_BYTES: usize = 12;
+
+/// The header of a payload that carries row `index`, `len` bytes long, alone.
+fn row_header(index: usize, len: usize) -> [u8; ROW_HEADER_BYTES] {
+    let mut header = [0u8; ROW_HEADER_BYTES];
+    let words = [1, index as u32, len as u32];
+    for (word, value) in header.chunks_exact_mut(4).zip(words) {
+        word.copy_from_slice(&value.to_le_bytes());
+    }
+    header
 }
 
 impl BytePath {
@@ -142,11 +159,26 @@ impl BytePath {
                 rows.push(index as u32);
             }
         }
+        let lead = config.coding.min_blocks_needed().min(rows_of.len());
         BytePath {
+            rows_in_order: lead == codec.source_blocks()
+                && rows_of[..lead].iter().zip(0u32..).all(|(r, i)| r == &[i]),
             codec,
-            lead: config.coding.min_blocks_needed().min(rows_of.len()),
+            lead,
             rows_of,
         }
+    }
+
+    /// The row size of `chunk` if a read may land its rows in place: the
+    /// layout puts the source rows, one each and in order, in the leading
+    /// blocks, and the manifest says those blocks were stored with their
+    /// bytes (a size-only block of the placement path is a row's size
+    /// without its header).
+    fn row_size_in_place(&self, chunk: &ChunkPlacement) -> Option<usize> {
+        let block_size = self.codec.block_size(chunk.size.as_u64() as usize);
+        let stored = ByteSize::bytes((ROW_HEADER_BYTES + block_size) as u64);
+        let rows = chunk.blocks.get(..self.lead)?;
+        (self.rows_in_order && rows.iter().all(|b| b.size == stored)).then_some(block_size)
     }
 
     /// Encode rows `rows_of[i]` of `chunk` straight into `payloads[i]`, in the
@@ -540,63 +572,146 @@ impl<B: StorageBackend> PeerStripe<B> {
         self.retrieve_range_data(name, 0, size.as_u64())
     }
 
-    /// Retrieve a byte range `[offset, offset + len)` of a stored file.
+    /// Retrieve a byte range `[offset, offset + len)` of a stored file,
+    /// clamped to the file's end.
     ///
     /// Only the chunks overlapping the range are touched (Section 4.1: partial
     /// access retrieves only the chunks containing the requested portion).
     pub fn retrieve_range_data(&self, name: &str, offset: u64, len: u64) -> Option<Vec<u8>> {
         let manifest = self.manifest(name)?;
-        if len == 0 {
+        let end = offset.saturating_add(len).min(manifest.size.as_u64());
+        if offset >= end {
             return Some(Vec::new());
         }
-        let end = offset.checked_add(len)?.min(manifest.size.as_u64());
-        if offset >= manifest.size.as_u64() {
-            return Some(Vec::new());
-        }
-        let codec = &*self.byte_path.codec;
-        let mut out = vec![0u8; (end - offset) as usize];
-        let mut filled = 0usize;
+        // Allocated once and never grown: rows land whole, so a chunk's last
+        // row may bring padding — fewer bytes than the chunk has rows, cut
+        // off before the next chunk lands.
+        let padding = self.byte_path.codec.source_blocks();
+        let mut out = Vec::with_capacity((end - offset) as usize + padding);
         let mut chunk_start: u64 = 0;
         for chunk in &manifest.chunks {
-            let chunk_len = chunk.size.as_u64() as usize;
             let chunk_end = chunk_start + chunk.size.as_u64();
-            if chunk_len > 0 && chunk_end > offset && chunk_start < end {
+            if !chunk.size.is_zero() && chunk_end > offset && chunk_start < end {
                 let lo = offset.saturating_sub(chunk_start) as usize;
-                let hi = (end - chunk_start).min(chunk.size.as_u64()) as usize;
-                let dst = &mut out[filled..filled + (hi - lo)];
-                // `.ok()??`: a read has no bytes to give for an undecodable
-                // chunk, nor for a metadata-only one.
-                if dst.len() == chunk_len {
-                    self.read_chunk(chunk, |views| codec.decode_into(views, dst))
-                        .ok()??;
-                } else {
-                    let whole = self
-                        .read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))
-                        .ok()??;
-                    dst.copy_from_slice(&whole[lo..hi]);
+                let hi = (end.min(chunk_end) - chunk_start) as usize;
+                // A read has no bytes to give for an undecodable chunk, nor
+                // for a metadata-only one.
+                if !self.read_chunk_into(chunk, lo..hi, &mut out).ok()? {
+                    return None;
                 }
-                filled += hi - lo;
             }
             chunk_start = chunk_end;
         }
         Some(out)
     }
 
-    /// Fetch the blocks of `chunk` in manifest order and hand their codec
-    /// blocks to `decode`: first only as many payload-bearing blocks as the
-    /// chunk needs (in a healthy systematic layout those are the chunk's own
-    /// bytes, in order), then — only if `decode` says that was not enough —
-    /// every remaining block.
+    /// The one chunk reader: append bytes `range` (non-empty) of `chunk` to
+    /// `out`, fetching in manifest order and no block twice.
     ///
-    /// `Ok(None)` is the metadata-only path and nothing else: holders answer
+    /// Where the layout allows ([`BytePath::row_size_in_place`]) only the
+    /// rows the range overlaps are fetched, each landing where it is read
+    /// ([`Self::land_rows`]); any other chunk is fetched and decoded whole
+    /// ([`Self::decode_whole`]).  A whole chunk is written straight into
+    /// `out`, which then needs spare room for the chunk and its last row's
+    /// padding to stay where it is; part of one is cut out of a buffer of
+    /// its own.
+    ///
+    /// `Ok(false)` is the metadata-only path and nothing else: holders answer
     /// and none of them carries a payload.  A chunk whose fetched blocks do
     /// not decode, or none of whose holders answers (an untracked simulator
-    /// cluster answers for no object), is the decode error.
-    fn read_chunk<T>(
+    /// cluster answers for no object), is the decode error.  Either way
+    /// `out` is as it was.
+    fn read_chunk_into(
         &self,
         chunk: &ChunkPlacement,
-        mut decode: impl FnMut(&[(u32, &[u8])]) -> Result<T, DecodeError>,
-    ) -> Result<Option<T>, DecodeError> {
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, DecodeError> {
+        let land = |dst: &mut Vec<u8>| match self.byte_path.row_size_in_place(chunk) {
+            Some(block_size) => self.land_rows(chunk, block_size, &range, dst).map(Some),
+            None => Ok(self.decode_whole(chunk, dst)?.then_some(range.start)),
+        };
+        if range.len() as u64 == chunk.size.as_u64() {
+            let base = out.len();
+            let landed = land(out)?.is_some();
+            out.truncate(base + if landed { range.len() } else { 0 });
+            return Ok(landed);
+        }
+        let mut aside = Vec::new();
+        let Some(skip) = land(&mut aside)? else {
+            return Ok(false);
+        };
+        out.extend_from_slice(&aside[skip..skip + range.len()]);
+        Ok(true)
+    }
+
+    /// Append to `dst` the rows of `chunk`, `block_size` bytes each, that
+    /// `range` overlaps, and return how many of the appended bytes precede
+    /// `range.start`.
+    ///
+    /// Each row is fetched into its place.  A miss — a dead or absent holder,
+    /// a block that is not that row alone — leaves a hole and the remaining
+    /// rows still land in place; then just as many of the chunk's other
+    /// blocks are fetched as make up `min_blocks_needed`, and the holes are
+    /// rebuilt where they are.  On an error `dst` is as it was.
+    fn land_rows(
+        &self,
+        chunk: &ChunkPlacement,
+        block_size: usize,
+        range: &Range<usize>,
+        dst: &mut Vec<u8>,
+    ) -> Result<usize, DecodeError> {
+        let base = dst.len();
+        let (first, last) = (range.start / block_size, (range.end - 1) / block_size);
+        let wanted = last + 1 - first;
+        dst.reserve(wanted * block_size);
+        let mut holes = Vec::new();
+        for row in first..=last {
+            // Zeros under the holes so far: the next row lands behind them.
+            dst.resize(base + (row - first) * block_size, 0);
+            let block = &chunk.blocks[row];
+            let mut head = [0u8; ROW_HEADER_BYTES];
+            let fetched = self
+                .backend
+                .fetch_block_into(block.node, &block.name, &mut head, dst);
+            let end = base + (row + 1 - first) * block_size;
+            if fetched.is_err() || head != row_header(row, block_size) || dst.len() != end {
+                dst.truncate(end - block_size);
+                holes.push(row);
+            }
+        }
+        if !holes.is_empty() {
+            dst.resize(base + wanted * block_size, 0);
+            let short = (chunk.min_blocks_needed + holes.len()).saturating_sub(wanted);
+            let unasked = chunk.blocks[..first]
+                .iter()
+                .chain(&chunk.blocks[last + 1..]);
+            let mut others: Vec<Arc<Vec<u8>>> = Vec::with_capacity(short);
+            for block in unasked {
+                if others.len() == short {
+                    break;
+                }
+                let fetched = self.backend.fetch_block(block.node, &block.name);
+                others.extend(fetched.and_then(|object| object.payload));
+            }
+            let views: Vec<_> = others.iter().flat_map(|p| unpack_payload(p)).collect();
+            let codec = &self.byte_path.codec;
+            let rebuilt = codec.rebuild_rows(first, &mut dst[base..], block_size, &holes, &views);
+            if let Err(e) = rebuilt {
+                dst.truncate(base);
+                return Err(e);
+            }
+        }
+        Ok(range.start - first * block_size)
+    }
+
+    /// Append all of `chunk` to `dst`, whatever its layout: fetch only as
+    /// many payload-bearing blocks as the chunk needs, decode, and — only if
+    /// the decoder says that was not enough — go on to every remaining block.
+    /// `Ok(false)` when holders answer and none carries a payload; `dst` is
+    /// then, and on an error, as it was.
+    fn decode_whole(&self, chunk: &ChunkPlacement, dst: &mut Vec<u8>) -> Result<bool, DecodeError> {
+        let base = dst.len();
         let mut holders = chunk.blocks.iter();
         let mut payloads: Vec<Arc<Vec<u8>>> = Vec::new();
         let mut answered = false;
@@ -611,7 +726,7 @@ impl<B: StorageBackend> PeerStripe<B> {
             if payloads.is_empty() {
                 // Every holder has been asked by now.
                 return if answered {
-                    Ok(None)
+                    Ok(false)
                 } else {
                     Err(DecodeError::NotEnoughBlocks {
                         have: 0,
@@ -620,36 +735,38 @@ impl<B: StorageBackend> PeerStripe<B> {
                 };
             }
             let views: Vec<_> = payloads.iter().flat_map(|p| unpack_payload(p)).collect();
-            match decode(&views) {
-                Ok(decoded) => return Ok(Some(decoded)),
+            dst.resize(base + chunk.size.as_u64() as usize, 0);
+            match self.byte_path.codec.decode_into(&views, &mut dst[base..]) {
+                Ok(()) => return Ok(true),
                 Err(DecodeError::NotEnoughBlocks { .. } | DecodeError::Unrecoverable { .. })
                     if holders.len() > 0 =>
                 {
                     want = usize::MAX;
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    dst.truncate(base);
+                    return Err(e);
+                }
             }
         }
     }
 
     /// Rebuild the payload of the lost block at `position` of `chunk`'s block
-    /// list from the chunk's surviving blocks: decode the chunk, then
+    /// list from the chunk's surviving blocks: read the chunk, then
     /// re-encode exactly the codec blocks that placement carried, straight
     /// into the replacement payload.  `Ok(None)` only on the metadata-only
     /// path (holders answer, no payloads stored: the replacement is a size);
-    /// a chunk the survivors do not decode is the error [`Self::read_chunk`]
-    /// gives, never a payload-less replacement.
+    /// a chunk the survivors do not decode is the error
+    /// [`Self::read_chunk_into`] gives, never a payload-less replacement.
     fn regenerate_payload(
         &self,
         chunk: &ChunkPlacement,
         position: usize,
     ) -> Result<Option<Vec<u8>>, DecodeError> {
-        let codec = &*self.byte_path.codec;
-        let chunk_len = chunk.size.as_u64() as usize;
-        let Some(bytes) = self.read_chunk(chunk, |views| decode_chunk(codec, views, chunk_len))?
-        else {
+        let mut bytes = Vec::new();
+        if !self.read_chunk_into(chunk, 0..chunk.size.as_u64() as usize, &mut bytes)? {
             return Ok(None);
-        };
+        }
         let rows = self.byte_path.rows_of.get(position..=position);
         let rows = rows.ok_or(DecodeError::CorruptBlock {
             index: position as u32,
@@ -929,17 +1046,6 @@ fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
     Some((u32::from_le_bytes(*head), rest))
 }
 
-/// Decode a chunk of `chunk_len` bytes into a buffer of its own.
-fn decode_chunk(
-    codec: &dyn ErasureCode,
-    views: &[(u32, &[u8])],
-    chunk_len: usize,
-) -> Result<Vec<u8>, DecodeError> {
-    let mut out = vec![0u8; chunk_len];
-    codec.decode_into(views, &mut out)?;
-    Ok(out)
-}
-
 impl PeerStripe<StorageCluster> {
     /// Consume the system and return its cluster (for re-use between phases).
     pub fn into_cluster(self) -> StorageCluster {
@@ -1172,6 +1278,22 @@ mod tests {
     }
 
     #[test]
+    fn a_range_to_the_end_may_spell_its_length_as_far_as_it_likes() {
+        // `offset + len` past `u64::MAX` is a range that ends with the file.
+        let mut ps = system(25, ByteSize::mb(200), 9);
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        assert!(ps.store_data("blob", &data).is_stored());
+        for offset in [0usize, 1, 9_999] {
+            assert_eq!(
+                ps.retrieve_range_data("blob", offset as u64, u64::MAX),
+                Some(data[offset..].to_vec())
+            );
+        }
+        let past = ps.retrieve_range_data("blob", u64::MAX, u64::MAX);
+        assert_eq!(past, Some(Vec::new()));
+    }
+
+    #[test]
     fn byte_path_survives_tolerable_failures_with_coding() {
         let mut ps = PeerStripe::new(
             cluster(40, ByteSize::mb(200), 10),
@@ -1255,6 +1377,19 @@ mod tests {
                 "{}: a healthy read of the first blocks needs no decoding",
                 policy.label()
             );
+        }
+        // Whether a read may land rows in place is read off the same table:
+        // Reed–Solomon's leading blocks are the source rows, one each and in
+        // order; XOR and the rest deal several rows to a block.
+        for (policy, in_order) in [
+            (CodingPolicy::rs_default(), true),
+            (CodingPolicy::ReedSolomon { data: 5, parity: 3 }, true),
+            (CodingPolicy::xor_2_3(), false),
+            (CodingPolicy::online_default(), false),
+            (CodingPolicy::None, false),
+        ] {
+            let path = BytePath::new(&PeerStripeConfig::default().with_coding(policy));
+            assert_eq!(path.rows_in_order, in_order, "{}", policy.label());
         }
         // Reed–Solomon codes natively: RS(5, 3) is 5 + 3 rows, one to a
         // placed block, whatever `data_path_blocks` says.

@@ -36,7 +36,7 @@ pub mod policy;
 pub mod storage;
 pub mod system;
 
-pub use backend::{FetchedBlock, StorageBackend};
+pub use backend::{FetchMiss, FetchedBlock, StorageBackend};
 pub use cat::{ChunkAllocationTable, ChunkExtent};
 pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};
 pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};

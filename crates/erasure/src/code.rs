@@ -177,6 +177,49 @@ pub trait ErasureCode: Send + Sync {
         Ok(out)
     }
 
+    /// Rebuild, in place, source rows of a chunk that a read has landed where
+    /// the caller reads them — for a systematic codec, whose encoded blocks
+    /// `0..source_blocks()` are the chunk's own rows.
+    ///
+    /// `rows` holds consecutive source rows of the chunk, each a whole
+    /// `block_size` (non-zero) bytes, starting with row `first`; the rows
+    /// listed in `holes` (chunk row numbers) could not be fetched and hold
+    /// anything.  `others` are further blocks of the chunk: source rows that
+    /// lie outside `rows`, and redundancy.  On success every hole holds its
+    /// row, padding included, and no other byte of `rows` has changed.
+    ///
+    /// The provided body decodes the chunk aside and copies the holes out of
+    /// it; a codec that can compute a lost row straight into its place
+    /// overrides it.
+    fn rebuild_rows(
+        &self,
+        first: usize,
+        rows: &mut [u8],
+        block_size: usize,
+        holes: &[usize],
+        others: &[(u32, &[u8])],
+    ) -> Result<(), DecodeError> {
+        let mut views = others.to_vec();
+        for (row, bytes) in (first..).zip(rows.chunks(block_size)) {
+            if !holes.contains(&row) {
+                views.push((row as u32, bytes));
+            }
+        }
+        let mut chunk = vec![0u8; self.source_blocks() * block_size];
+        self.decode_into(&views, &mut chunk)?;
+        for &hole in holes {
+            let src = chunk.get(hole * block_size..(hole + 1) * block_size);
+            let dst = hole
+                .checked_sub(first)
+                .and_then(|r| rows.get_mut(r * block_size..(r + 1) * block_size));
+            match (src, dst) {
+                (Some(src), Some(dst)) => dst.copy_from_slice(src),
+                _ => return Err(DecodeError::CorruptBlock { index: hole as u32 }),
+            }
+        }
+        Ok(())
+    }
+
     /// Regenerate only the encoded blocks listed in `missing` from the
     /// `available` survivors — the block-level repair entry point (Section 4.4:
     /// a failed participant's blocks are recreated from the surviving ones).
@@ -398,6 +441,86 @@ mod tests {
                 code.decode_into(&views, &mut out).unwrap();
                 assert_eq!(out, data, "{} at {len}", code.name());
                 assert_eq!(code.decode(&blocks, len).unwrap(), data);
+            }
+        }
+    }
+
+    /// A codec seen through the trait's provided bodies only.
+    struct Provided(Box<dyn ErasureCode>);
+
+    impl ErasureCode for Provided {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn source_blocks(&self) -> usize {
+            self.0.source_blocks()
+        }
+        fn encoded_blocks(&self) -> usize {
+            self.0.encoded_blocks()
+        }
+        fn min_decode_blocks(&self) -> usize {
+            self.0.min_decode_blocks()
+        }
+        fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
+            self.0.encode_rows_into(chunk, rows, out)
+        }
+        fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
+            self.0.decode_into(blocks, out)
+        }
+    }
+
+    #[test]
+    fn rebuild_rows_fills_the_holes_of_every_window_and_touches_nothing_else() {
+        // Reed–Solomon's in-place body, the provided body over the same
+        // code, and the provided body over XOR (one loss a group).
+        let codecs: [(Box<dyn ErasureCode>, usize); 3] = [
+            (Box::new(crate::rs::ReedSolomonCode::new(5, 3)), 3),
+            (
+                Box::new(Provided(Box::new(crate::rs::ReedSolomonCode::new(5, 3)))),
+                3,
+            ),
+            (
+                Box::new(Provided(Box::new(crate::xor::XorCode::new(2, 6)))),
+                1,
+            ),
+        ];
+        for (code, most) in &codecs {
+            let k = code.source_blocks();
+            for len in [1usize, 4, 7, 999, 4096] {
+                let data: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
+                let blocks = code.encode(&data);
+                let size = code.block_size(len);
+                for first in 0..k {
+                    for last in first..k {
+                        let whole: Vec<u8> = blocks[first..=last]
+                            .iter()
+                            .flat_map(|b| b.data.iter().copied())
+                            .collect();
+                        let others: Vec<_> = blocks
+                            .iter()
+                            .filter(|b| !(first..=last).contains(&(b.index as usize)))
+                            .map(EncodedBlock::view)
+                            .collect();
+                        // Holes: the leading 1..=most rows of the window.
+                        for lose in 1..=(*most).min(last + 1 - first) {
+                            let holes: Vec<usize> = (first..first + lose).collect();
+                            let mut rows = whole.clone();
+                            rows[..lose * size].fill(0xA5);
+                            code.rebuild_rows(first, &mut rows, size, &holes, &others)
+                                .unwrap();
+                            assert_eq!(rows, whole, "{} rows {first}..={last}", code.name());
+                        }
+                    }
+                }
+                // Too few other blocks is the decoder's error, and a hole
+                // outside the window is a corrupt request.
+                let mut rows = blocks[0].data.clone();
+                assert!(code.rebuild_rows(0, &mut rows, size, &[0], &[]).is_err());
+                let others: Vec<_> = blocks[1..].iter().map(EncodedBlock::view).collect();
+                assert_eq!(
+                    code.rebuild_rows(0, &mut rows, size, &[1], &others),
+                    Err(DecodeError::CorruptBlock { index: 1 })
+                );
             }
         }
     }

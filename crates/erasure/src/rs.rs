@@ -166,6 +166,65 @@ impl ReedSolomonCode {
             }
         });
     }
+
+    /// Overwrite each `(j, dst)` of `lost` with source row `j` of the chunk,
+    /// computed from the encoded rows in `have` (slotted by index) — the
+    /// decode half of [`combine_span`], shared by a decode into a buffer of
+    /// its own and a rebuild in place.  A `dst` shorter than `block_size`
+    /// (the chunk's last, short row) is written to its end.
+    fn rebuild(
+        &self,
+        have: &[Option<&[u8]>],
+        lost: Vec<(usize, &mut [u8])>,
+        block_size: usize,
+    ) -> Result<(), DecodeError> {
+        let distinct = have.iter().flatten().count();
+        if distinct < self.data {
+            return Err(DecodeError::NotEnoughBlocks {
+                have: distinct,
+                need: self.data,
+            });
+        }
+        if let Some(&(j, _)) = lost.iter().find(|(j, _)| *j >= self.data) {
+            return Err(DecodeError::CorruptBlock { index: j as u32 });
+        }
+        if lost.is_empty() {
+            return Ok(());
+        }
+        // Pick `data` surviving rows — source rows first (identity rows keep
+        // the decode matrix sparse), then parity rows to fill up.
+        let chosen: Vec<(usize, &[u8])> = have
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, b)| b.map(|b| (idx, b)))
+            .take(self.data)
+            .collect();
+        // Decode matrix: the chosen rows of the systematic encode matrix.
+        let mut dec = GfMatrix::zero(self.data, self.data);
+        for (r, &(idx, _)) in chosen.iter().enumerate() {
+            if idx < self.data {
+                dec.set(r, idx, 1);
+            } else {
+                dec.row_mut(r)
+                    .copy_from_slice(self.coef.row(idx - self.data));
+            }
+        }
+        let Some(inv) = dec.invert() else {
+            // Mathematically unreachable for a Vandermonde-derived code; kept
+            // as a defensive error rather than a panic on corrupted input.
+            return Err(DecodeError::Unrecoverable {
+                missing: lost.len(),
+            });
+        };
+        // Lost row `j` is row `j` of the inverse over the chosen rows.
+        let sources: Vec<&[u8]> = chosen.iter().map(|&(_, b)| b).collect();
+        let (coeffs, mut outs): (Vec<_>, Vec<&mut [u8]>) = lost
+            .into_iter()
+            .map(|(j, dst)| (self.prepare(inv.row(j).iter().copied()), dst))
+            .unzip();
+        combine_span(&coeffs, &sources, 0..block_size, &mut outs);
+        Ok(())
+    }
 }
 
 /// Split `0..block_size` into `workers` contiguous column spans (the first
@@ -262,64 +321,44 @@ impl ErasureCode for ReedSolomonCode {
         if out.is_empty() {
             return Ok(());
         }
-        let total = self.data + self.parity;
         let block_size = self.block_size(out.len());
-        let have = index_blocks(blocks, total, block_size)?;
-        let distinct = have.iter().flatten().count();
-        if distinct < self.data {
-            return Err(DecodeError::NotEnoughBlocks {
-                have: distinct,
-                need: self.data,
-            });
-        }
+        let have = index_blocks(blocks, self.data + self.parity, block_size)?;
         // The code is systematic: surviving source rows are the chunk's own
-        // bytes, copied into place with no field arithmetic.
-        for (dst, src) in out.chunks_mut(block_size).zip(&have) {
-            if let Some(src) = src {
-                dst.copy_from_slice(&src[..dst.len()]);
+        // bytes, copied into place with no field arithmetic.  Rows that are
+        // all padding have no place in `out` and are never rebuilt.
+        let mut lost = Vec::new();
+        for (j, dst) in out.chunks_mut(block_size).enumerate() {
+            match have[j] {
+                Some(src) => dst.copy_from_slice(&src[..dst.len()]),
+                None => lost.push((j, dst)),
             }
         }
-        // Rows that are all padding have no place in `out` and are never
-        // rebuilt.
-        let lost = |j: &usize| have[*j].is_none();
-        if !(0..out.len().div_ceil(block_size)).any(|j| lost(&j)) {
-            return Ok(());
-        }
-        // Pick `data` surviving rows — source rows first (identity rows keep
-        // the decode matrix sparse), then parity rows to fill up.
-        let chosen: Vec<(usize, &[u8])> = have
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| b.map(|b| (idx, b)))
-            .take(self.data)
-            .collect();
-        // Decode matrix: the chosen rows of the systematic encode matrix.
-        let mut dec = GfMatrix::zero(self.data, self.data);
-        for (r, &(idx, _)) in chosen.iter().enumerate() {
-            if idx < self.data {
-                dec.set(r, idx, 1);
-            } else {
-                dec.row_mut(r)
-                    .copy_from_slice(self.coef.row(idx - self.data));
+        self.rebuild(&have, lost, block_size)
+    }
+
+    /// Fetched source rows are `have` rows where they already lie: nothing is
+    /// copied, and a lost row is combined straight into its hole.
+    fn rebuild_rows(
+        &self,
+        first: usize,
+        rows: &mut [u8],
+        block_size: usize,
+        holes: &[usize],
+        others: &[(u32, &[u8])],
+    ) -> Result<(), DecodeError> {
+        let mut have = index_blocks(others, self.data + self.parity, block_size)?;
+        let mut lost = Vec::with_capacity(holes.len());
+        for (j, row) in (first..).zip(rows.chunks_mut(block_size)) {
+            if holes.contains(&j) {
+                lost.push((j, row));
+            } else if let Some(slot) = have.get_mut(j) {
+                *slot = Some(row);
             }
         }
-        let Some(inv) = dec.invert() else {
-            // Mathematically unreachable for a Vandermonde-derived code; kept
-            // as a defensive error rather than a panic on corrupted input.
-            return Err(DecodeError::Unrecoverable {
-                missing: (0..self.data).filter(lost).count(),
-            });
-        };
-        // Lost row `j` is row `j` of the inverse over the chosen rows.
-        let sources: Vec<&[u8]> = chosen.iter().map(|&(_, b)| b).collect();
-        let (coeffs, mut outs): (Vec<_>, Vec<&mut [u8]>) = out
-            .chunks_mut(block_size)
-            .enumerate()
-            .filter(|(j, _)| lost(j))
-            .map(|(j, dst)| (self.prepare(inv.row(j).iter().copied()), dst))
-            .unzip();
-        combine_span(&coeffs, &sources, 0..block_size, &mut outs);
-        Ok(())
+        if let Some(&hole) = holes.iter().find(|h| lost.iter().all(|(j, _)| j != *h)) {
+            return Err(DecodeError::CorruptBlock { index: hole as u32 });
+        }
+        self.rebuild(&have, lost, block_size)
     }
 }
 

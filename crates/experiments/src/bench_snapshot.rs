@@ -19,8 +19,11 @@ use crate::coding::{cpus, RowArena};
 use crate::deployment::{Cell, Deployment};
 use crate::Scale;
 use peerstripe_core::{ClusterConfig, CodingPolicy, ObjectName};
-use peerstripe_net::protocol::{read_request_traced, write_request_traced};
-use peerstripe_net::Request;
+use peerstripe_net::protocol::{
+    read_block_reply_into, read_request_traced, read_response, write_request_traced,
+    write_response_traced, BlockReply,
+};
+use peerstripe_net::{Request, Response};
 use peerstripe_overlay::Id;
 use peerstripe_placement::{RepairRequest, StrategyKind, Topology};
 use peerstripe_repair::{
@@ -31,6 +34,7 @@ use peerstripe_sim::{ByteSize, DetRng, SimTime};
 use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Domain size of the detector snapshot's topology.
@@ -349,6 +353,12 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
 /// `RingGateway::rpc` and the node server do per RPC, minus the socket — so
 /// a regression here (e.g. an extra copy in the meta/rid path) shows up as a
 /// frames-per-second collapse.
+///
+/// Two more rows time the reply side of a read, per block: a 256 KiB `Block`
+/// reply taken off an in-memory stream into a buffer of its own
+/// (`block_reply`: `read_response`, what a repair's fetches do) and into
+/// capacity the caller reserved (`block_reply_into`: `read_block_reply_into`,
+/// a row landing in a read's result).
 pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     fn roundtrip_row(id: String, work_units: u64, req: &Request) -> BenchRow {
         let per_sec = best_rate(
@@ -374,22 +384,61 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
         }
     }
 
+    let payload_of = |size: ByteSize| -> Vec<u8> {
+        let mut rng = DetRng::new(config.seed);
+        (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect()
+    };
     let mut rows = vec![roundtrip_row("ping".to_string(), 0, &Request::Ping)];
     for kib in [1u64, 16, 256] {
         let size = ByteSize::kb(kib);
-        let mut rng = DetRng::new(config.seed);
-        let payload: Vec<u8> = (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect();
         let req = Request::StoreBlock {
             key: Id::hash("bench-wire/0_0"),
             name: ObjectName::block("bench-wire", 0, 0),
             size,
-            payload: Some(payload),
+            payload: Some(payload_of(size)),
         };
         rows.push(roundtrip_row(
             format!("store_block/{kib}_kib"),
             size.as_u64(),
             &req,
         ));
+    }
+
+    let size = ByteSize::kb(256);
+    let block = Response::Block {
+        block: Some((size, Some(Arc::new(payload_of(size))))),
+    };
+    let mut reply = Vec::new();
+    let written = write_response_traced(&mut reply, &block, Some(1));
+    assert!(written.is_ok(), "in-memory frame write");
+    let fresh = best_rate(
+        PASS_SECS,
+        || (),
+        |()| {
+            let read = read_response(&mut reply.as_slice()).ok();
+            assert_eq!(read.as_ref(), Some(&block), "frame read");
+            std::hint::black_box(read);
+            1
+        },
+    );
+    let into = best_rate(
+        PASS_SECS,
+        || Vec::<u8>::with_capacity(size.as_u64() as usize),
+        |tail| {
+            tail.clear();
+            let mut head = [0u8; 12];
+            let read = read_block_reply_into(&mut reply.as_slice(), &mut head, tail).ok();
+            assert_eq!(read, Some(BlockReply::Landed), "frame read");
+            std::hint::black_box((&head, &tail));
+            1
+        },
+    );
+    for (id, per_sec) in [("block_reply", fresh), ("block_reply_into", into)] {
+        rows.push(BenchRow {
+            id: format!("{id}/256_kib"),
+            work_units: size.as_u64(),
+            per_sec,
+        });
     }
     BenchSnapshot {
         name: "wire_roundtrip".to_string(),
@@ -638,7 +687,9 @@ mod tests {
                 "ping",
                 "store_block/1_kib",
                 "store_block/16_kib",
-                "store_block/256_kib"
+                "store_block/256_kib",
+                "block_reply/256_kib",
+                "block_reply_into/256_kib"
             ]
         );
         for row in &snapshot.rows {

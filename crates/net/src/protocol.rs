@@ -15,6 +15,12 @@
 //! unsupported version, or a body larger than [`MAX_FRAME`] rejects the frame
 //! without allocating for it.
 //!
+//! A frame is read into buffers of its own ([`read_request`],
+//! [`read_response`]) with one exception: [`read_block_reply_into`] reads the
+//! payload of a `Block` reply — the one large thing a read receives —
+//! straight off the stream into a buffer the caller owns, so a fetched block
+//! is written once, where it is read.  The bytes on the wire are the same.
+//!
 //! The message set is the paper's §3 primitive set: `GetCapacity` (the
 //! `getCapacity` probe), `StoreBlock` (chunk store) and `FetchBlock`
 //! (retrieval, and the reads a regeneration starts from), plus `Ping`,
@@ -439,6 +445,13 @@ fn read_section(r: &mut impl Read, len: u64) -> Result<Vec<u8>, WireError> {
 
 /// Read one raw frame: validated header, then `(kind, meta, payload)`.
 fn read_frame(r: &mut impl Read) -> Result<(u8, String, Vec<u8>), WireError> {
+    let (kind, meta, payload_len) = read_frame_head(r)?;
+    Ok((kind, meta, read_section(r, payload_len)?))
+}
+
+/// Read a frame up to its payload: validated header and meta section, as
+/// `(kind, meta, payload_len)`.  The payload's bytes are the caller's to read.
+fn read_frame_head(r: &mut impl Read) -> Result<(u8, String, u64), WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let magic = u16::from_le_bytes([header[0], header[1]]);
@@ -456,8 +469,7 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, String, Vec<u8>), WireError> {
     }
     let meta = String::from_utf8(read_section(r, meta_len)?)
         .map_err(|_| WireError::Body("meta section is not UTF-8".to_string()))?;
-    let payload = read_section(r, payload_len)?;
-    Ok((kind, meta, payload))
+    Ok((kind, meta, payload_len))
 }
 
 /// Serialize and write one request frame (untraced).
@@ -617,6 +629,66 @@ pub fn read_response_traced(r: &mut impl Read) -> Result<(Response, Option<u64>)
     let (meta, rid) = split_meta(&meta)?;
     let resp = read_response_body(kind_byte, &meta, payload)?;
     Ok((resp, rid))
+}
+
+/// What [`read_block_reply_into`] found in the reply to a `FetchBlock`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BlockReply {
+    /// A block with a payload, which now lies in the caller's buffers.
+    Landed,
+    /// A block whose payload is shorter than the caller's `head`; its bytes
+    /// were read off the stream and dropped.
+    Short,
+    /// Any reply without a block payload — no such block, a size-only block,
+    /// an error — parsed whole.
+    Other(Response),
+}
+
+impl BlockReply {
+    /// The parsed reply, when no payload was taken out of it.
+    pub fn response(&self) -> Option<&Response> {
+        match self {
+            BlockReply::Other(resp) => Some(resp),
+            BlockReply::Landed | BlockReply::Short => None,
+        }
+    }
+}
+
+/// Read the reply to a `FetchBlock`, and if it is a block with a payload read
+/// that straight off the stream into the caller's buffers: the first
+/// `head.len()` bytes into `head`, the rest appended to `tail`'s spare
+/// capacity (grown if short, never zeroed first).  No reply buffer is
+/// allocated.  Any other reply is parsed as [`read_response`] would.
+///
+/// On every error `tail` keeps the length it had; a stream that ends inside
+/// the payload is [`WireError::Truncated`], as for any frame.
+pub fn read_block_reply_into(
+    r: &mut impl Read,
+    head: &mut [u8],
+    tail: &mut Vec<u8>,
+) -> Result<BlockReply, WireError> {
+    let (kind_byte, meta, payload_len) = read_frame_head(r)?;
+    let (meta, _rid) = split_meta(&meta)?;
+    if kind_byte == kind::BLOCK {
+        let m: BlockMeta = parse_meta(&meta)?;
+        if m.found && m.has_payload {
+            let Some(rest) = payload_len.checked_sub(head.len() as u64) else {
+                // Consumed all the same: the stream stays frame-aligned.
+                read_section(r, payload_len)?;
+                return Ok(BlockReply::Short);
+            };
+            r.read_exact(head)?;
+            let prior = tail.len();
+            let read = r.take(rest).read_to_end(tail);
+            if !matches!(read, Ok(n) if n as u64 == rest) {
+                tail.truncate(prior);
+                return Err(read.err().map_or(WireError::Truncated, WireError::from));
+            }
+            return Ok(BlockReply::Landed);
+        }
+    }
+    let payload = read_section(r, payload_len)?;
+    read_response_body(kind_byte, &meta, payload).map(BlockReply::Other)
 }
 
 fn read_response_body(
@@ -865,6 +937,59 @@ mod tests {
         ];
         for resp in resps {
             assert_eq!(roundtrip_response(resp.clone()), resp);
+        }
+    }
+
+    #[test]
+    fn block_replies_land_in_the_callers_buffers_or_parse_whole() {
+        let payload: Vec<u8> = (0..200u8).collect();
+        let with_payload = Response::Block {
+            block: Some((ByteSize::mb(1), Some(Arc::new(payload.clone())))),
+        };
+        let mut frame = Vec::new();
+        write_response_traced(&mut frame, &with_payload, Some(7)).unwrap();
+        // Two replies back to back: the reader stops at the frame's end.
+        let mut stream = frame.repeat(2);
+        write_response(&mut stream, &Response::Stored).unwrap();
+
+        // The head is split off, the rest appended behind what `tail` holds.
+        let mut r = stream.as_slice();
+        let (mut head, mut tail) = ([0u8; 12], vec![0xEE]);
+        let reply = read_block_reply_into(&mut r, &mut head, &mut tail).unwrap();
+        assert_eq!(reply, BlockReply::Landed);
+        assert_eq!(head[..], payload[..12]);
+        assert_eq!((tail[0], &tail[1..]), (0xEE, &payload[12..]));
+        // A payload shorter than the head is read past, landing nothing.
+        let mut long_head = [0u8; 201];
+        let reply = read_block_reply_into(&mut r, &mut long_head, &mut tail).unwrap();
+        assert_eq!(reply, BlockReply::Short);
+        assert_eq!(tail.len(), 1 + 188);
+        assert_eq!(read_response(&mut r).unwrap(), Response::Stored);
+        assert!(r.is_empty());
+
+        // Replies without a block payload come back parsed.
+        for resp in [
+            Response::Block { block: None },
+            Response::Block {
+                block: Some((ByteSize::mb(1), None)),
+            },
+            Response::Error(RemoteError::BadRequest {
+                detail: "nope".to_string(),
+            }),
+        ] {
+            let mut bytes = Vec::new();
+            write_response(&mut bytes, &resp).unwrap();
+            let reply = read_block_reply_into(&mut bytes.as_slice(), &mut head, &mut tail);
+            assert_eq!(reply.unwrap(), BlockReply::Other(resp));
+            assert_eq!(tail.len(), 1 + 188);
+        }
+
+        // Cut anywhere, the frame is a transport error and `tail` is as long
+        // as it was — also when part of the payload had already landed.
+        for cut in 0..frame.len() {
+            let err = read_block_reply_into(&mut &frame[..cut], &mut head, &mut tail).unwrap_err();
+            assert!(matches!(err, WireError::Truncated), "cut at {cut}: {err:?}");
+            assert_eq!(tail.len(), 1 + 188, "cut at {cut}");
         }
     }
 

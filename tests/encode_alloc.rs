@@ -1,82 +1,21 @@
-//! Allocation budget of the store path's encode, pinned with a counting
-//! global allocator: a chunk's bytes land directly in the payloads that are
-//! pushed, so storing a 4 MiB RS(5, 3) chunk makes one large allocation per
-//! placed block and nothing else that grows with the chunk.
+//! Allocation budget of the store path's encode, pinned with the counting
+//! global allocator of `counting_alloc`: a chunk's bytes land directly in the
+//! payloads that are pushed, so storing a 4 MiB RS(5, 3) chunk makes one
+//! large allocation per placed block and nothing else that grows with the
+//! chunk.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! running beside it would be counted too.
 
-#![allow(unsafe_code)]
+mod counting_alloc;
 
+use counting_alloc::{counted, Counting};
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::CapacityModel;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Allocations of at least this many bytes are "large": far above every
-/// name, manifest entry and coefficient table, far below a block of the
-/// chunks measured here.
-const LARGE: usize = 64 * 1024;
-
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static SMALL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static SMALL_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn note(size: usize) {
-        if size >= LARGE {
-            LARGE_ALLOCS.fetch_add(1, Relaxed);
-        } else {
-            SMALL_ALLOCS.fetch_add(1, Relaxed);
-            SMALL_BYTES.fetch_add(size, Relaxed);
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(new_size);
-        // SAFETY: `ptr` and `layout` are the caller's, passed through as is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` are the caller's, passed through as is.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// `(large allocations, small allocations, small bytes)` made by `f`.
-fn counted(f: impl FnOnce()) -> (usize, usize, usize) {
-    let before = (
-        LARGE_ALLOCS.load(Relaxed),
-        SMALL_ALLOCS.load(Relaxed),
-        SMALL_BYTES.load(Relaxed),
-    );
-    f();
-    (
-        LARGE_ALLOCS.load(Relaxed) - before.0,
-        SMALL_ALLOCS.load(Relaxed) - before.1,
-        SMALL_BYTES.load(Relaxed) - before.2,
-    )
-}
 
 fn seeded(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = DetRng::new(seed);

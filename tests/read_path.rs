@@ -1,11 +1,14 @@
 //! The byte path, judged from outside the client: a backend wrapper that
-//! counts `fetch_block` calls, can make chosen blocks unreadable and can
-//! refuse a chosen `store_block` shows how many blocks a read pulls, that
-//! every loss pattern a policy tolerates still reads back the stored bytes
-//! (and one more loss reads nothing, never wrong bytes), that repair hands
-//! each replacement exactly the lost placement's codec blocks, in its place,
-//! that a repair which cannot rebuild a chunk says so and stores nothing,
-//! and that a chunk refused part-way is rolled back whole.
+//! records every `fetch_block` call, can make chosen blocks unreadable and can
+//! refuse a chosen `store_block` shows which blocks a read pulls — the rows
+//! it overlaps, each once, and past a miss only as many more as make up the
+//! chunk — that every loss pattern a policy tolerates still reads back the
+//! stored bytes, whole and in part (and one more loss reads nothing, never
+//! wrong bytes), that repair hands each replacement exactly the lost
+//! placement's codec blocks, in its place, that a repair which cannot
+//! rebuild a chunk says so and stores nothing, and that a chunk refused
+//! part-way is rolled back whole.  The wrapper implements `fetch_block` only,
+//! so the read path's `fetch_block_into` reaches it through the provided body.
 
 use peerstripe::core::client::unpack_payload;
 use peerstripe::core::{
@@ -17,16 +20,16 @@ use peerstripe::placement::{ClusterView, ProbeView};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
 use proptest::prelude::*;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-/// The simulator behind a wrapper that counts `fetch_block` calls, answers
-/// `None` for every block whose key is in `lost`, refuses the
+/// The simulator behind a wrapper that records the key of every `fetch_block`
+/// call, answers `None` for every block whose key is in `lost`, refuses the
 /// `refuse_store`-th payload-carrying `store_block` (counted from 1), and
 /// while `payloads_only` is set fails on any `store_block` without a payload.
 struct Probe {
     inner: StorageCluster,
-    fetches: Cell<usize>,
+    fetched: RefCell<Vec<Id>>,
     lost: BTreeSet<Id>,
     payload_stores: usize,
     refuse_store: Option<usize>,
@@ -84,7 +87,7 @@ impl StorageBackend for Probe {
         self.inner.store_block(node, key, name, size, payload)
     }
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock> {
-        self.fetches.set(self.fetches.get() + 1);
+        self.fetched.borrow_mut().push(name.key());
         if self.lost.contains(&name.key()) {
             return None;
         }
@@ -135,7 +138,7 @@ fn client_with_chunks(
 ) -> PeerStripe<Probe> {
     let probe = Probe {
         inner: cluster(nodes, seed),
-        fetches: Cell::new(0),
+        fetched: RefCell::new(Vec::new()),
         lost: BTreeSet::new(),
         payload_stores: 0,
         refuse_store: None,
@@ -168,11 +171,36 @@ fn lose_positions(ps: &mut PeerStripe<Probe>, file: &str, positions: &[usize]) {
     ps.backend_mut().lost = lost;
 }
 
+/// What one read asked the backend for: how many blocks, and how many of
+/// those were unreadable.  No block may be asked for twice.
+struct Asked {
+    fetches: usize,
+    misses: usize,
+}
+
+/// Run `read` and report the `fetch_block` calls it issued.
+fn asked<T>(ps: &PeerStripe<Probe>, read: impl FnOnce(&PeerStripe<Probe>) -> T) -> (T, Asked) {
+    ps.backend().fetched.borrow_mut().clear();
+    let got = read(ps);
+    let fetched = ps.backend().fetched.borrow();
+    let distinct: BTreeSet<&Id> = fetched.iter().collect();
+    assert_eq!(distinct.len(), fetched.len(), "a block was fetched twice");
+    let misses = fetched
+        .iter()
+        .filter(|key| ps.backend().lost.contains(key))
+        .count();
+    let asked = Asked {
+        fetches: fetched.len(),
+        misses,
+    };
+    (got, asked)
+}
+
 /// `fetch_block` calls one full read of `file` issues.
 fn fetches_of_read(ps: &PeerStripe<Probe>, file: &str, want: &[u8]) -> usize {
-    let before = ps.backend().fetches.get();
-    assert_eq!(ps.retrieve_data(file).as_deref(), Some(want));
-    ps.backend().fetches.get() - before
+    let (got, asked) = asked(ps, |ps| ps.retrieve_data(file));
+    assert_eq!(got.as_deref(), Some(want));
+    asked.fetches
 }
 
 /// Every subset of `0..n` with exactly `k` members.
@@ -183,57 +211,165 @@ fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// The file sizes a policy's reads are walked over: around the number of
+/// rows a chunk is cut into (a chunk with fewer bytes than rows), around one
+/// 16 KiB chunk, and several chunks.
+fn sizes(coding: CodingPolicy) -> Vec<usize> {
+    let (k, chunk) = (coding.data_blocks(), ByteSize::kb(16).as_u64() as usize);
+    let mut sizes = vec![
+        1,
+        k - 1,
+        k,
+        k + 1,
+        chunk - 1,
+        chunk,
+        chunk + 1,
+        2 * chunk + 4321,
+    ];
+    sizes.retain(|&len| len > 0);
+    sizes.sort_unstable();
+    sizes.dedup();
+    sizes
+}
+
+/// What reading bytes `from..to` of the stored file costs in `fetch_block`
+/// calls when every block answers, and the most it may cost, misses aside,
+/// when some do not.  Per chunk touched: Reed–Solomon's rows lie one to a
+/// block, in order, so a healthy read fetches the rows its bytes overlap;
+/// every other layout fetches `min_blocks_needed` blocks and decodes.  Past
+/// a miss either fetches on until it holds `min_blocks_needed` blocks.
+fn read_costs(
+    ps: &PeerStripe<Probe>,
+    coding: CodingPolicy,
+    from: usize,
+    to: usize,
+) -> (usize, usize) {
+    let (mut healthy, mut most, mut start) = (0, 0, 0);
+    for chunk in &ps.manifest("f").expect("stored").chunks {
+        let len = chunk.size.as_u64() as usize;
+        let (lo, hi) = (from.max(start), to.min(start + len));
+        if lo < hi {
+            healthy += match coding {
+                CodingPolicy::ReedSolomon { data, .. } => {
+                    let row = len.div_ceil(data);
+                    (hi - start - 1) / row - (lo - start) / row + 1
+                }
+                _ => coding.min_blocks_needed(),
+            };
+            most += coding.min_blocks_needed();
+        }
+        start += len;
+    }
+    (healthy, most)
+}
+
 proptest! {
-    // Each case walks every loss pattern of every policy on a stored file.
+    // Each case walks every loss pattern of every policy over eight files.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For arbitrary file lengths, every loss pattern a policy tolerates
-    /// reads back the stored bytes — whole and over an unaligned range — and
-    /// every pattern one loss beyond that reads nothing rather than anything
-    /// wrong.  The online code's recovery is probabilistic (at the byte
-    /// path's 16 source blocks, weakly so): under loss it may read nothing,
-    /// but what it reads must still be right.
+    /// For file sizes around a chunk's row count and around a chunk, every
+    /// loss pattern a policy tolerates reads back the stored bytes — whole
+    /// and over an arbitrary range — asking for no block twice, for exactly
+    /// the blocks a healthy read needs when nothing is lost, and for at most
+    /// `min_blocks_needed` a chunk plus the misses when something is.  Every
+    /// pattern one loss beyond that reads nothing — or, where the bytes asked
+    /// for lie clear of the lost rows, the right bytes — never anything wrong.  The online code's recovery is probabilistic (at the
+    /// byte path's 16 source blocks, weakly so): under loss it may read
+    /// nothing and may fetch on, but what it reads must still be right.
     #[test]
     fn reads_survive_exactly_the_losses_the_policy_tolerates(
-        len in 1usize..40_000,
         offset_frac in 0.0f64..1.0,
         range_len in 1u64..30_000,
         seed in any::<u64>(),
     ) {
-        let data = seeded(len, seed);
-        let offset = (offset_frac * len as f64) as usize;
-        let range_end = (offset + range_len as usize).min(len);
         for coding in POLICIES {
-            let mut ps = client(coding, 24, 77);
-            prop_assert!(ps.store_data("f", &data).is_stored());
-            let placed = coding.placed_blocks();
-            for losses in 0..=coding.tolerable_losses() {
-                let certain = losses == 0 || !matches!(coding, CodingPolicy::Online { .. });
-                for pattern in subsets(placed, losses) {
-                    lose_positions(&mut ps, "f", &pattern);
-                    let whole = ps.retrieve_data("f");
-                    let range = ps.retrieve_range_data("f", offset as u64, range_len);
-                    prop_assert!(
-                        whole.as_deref() == Some(&data[..]) || (!certain && whole.is_none()),
-                        "{} lost {:?}", coding.label(), &pattern
-                    );
-                    prop_assert!(
-                        range.as_deref() == Some(&data[offset..range_end])
-                            || (!certain && range.is_none()),
-                        "{} lost {:?}, range {}+{}", coding.label(), &pattern, offset, range_len
-                    );
+            let online = matches!(coding, CodingPolicy::Online { .. });
+            for len in sizes(coding) {
+                let data = seeded(len, seed ^ len as u64);
+                let from = (offset_frac * len as f64) as usize;
+                let to = (from + range_len as usize).min(len);
+                let mut ps = client(coding, 24, 77);
+                prop_assert!(ps.store_data("f", &data).is_stored());
+                let whole_costs = read_costs(&ps, coding, 0, len);
+                let part_costs = read_costs(&ps, coding, from, to);
+                let placed = coding.placed_blocks();
+                for losses in 0..=coding.tolerable_losses() {
+                    for pattern in subsets(placed, losses) {
+                        lose_positions(&mut ps, "f", &pattern);
+                        let whole = asked(&ps, |ps| ps.retrieve_data("f"));
+                        let part = asked(&ps, |ps| {
+                            ps.retrieve_range_data("f", from as u64, range_len)
+                        });
+                        let reads = [
+                            (whole, &data[..], whole_costs),
+                            (part, &data[from..to], part_costs),
+                        ];
+                        for ((got, asked), want, (healthy, most)) in reads {
+                            let context = format!(
+                                "{} at {len} bytes, lost {pattern:?}, {} bytes read",
+                                coding.label(),
+                                want.len()
+                            );
+                            prop_assert!(
+                                got.as_deref() == Some(want)
+                                    || (online && losses > 0 && got.is_none()),
+                                "{}", context
+                            );
+                            if !online {
+                                prop_assert!(losses > 0 || asked.fetches == healthy, "{}", context);
+                                prop_assert!(asked.fetches <= most + asked.misses, "{}", context);
+                            }
+                        }
+                    }
                 }
-            }
-            for pattern in subsets(placed, coding.tolerable_losses() + 1) {
-                lose_positions(&mut ps, "f", &pattern);
-                prop_assert_eq!(
-                    ps.retrieve_data("f"), None,
-                    "{} lost {:?}", coding.label(), &pattern
-                );
-                prop_assert_eq!(ps.retrieve_range_data("f", offset as u64, range_len), None);
+                for pattern in subsets(placed, coding.tolerable_losses() + 1) {
+                    lose_positions(&mut ps, "f", &pattern);
+                    // A chunk too short to fill all its rows is clear of the
+                    // ones that are all padding: its healthy read skips them.
+                    let whole = ps.retrieve_data("f");
+                    let clear = whole_costs.0 < whole_costs.1 && whole.as_deref() == Some(&data[..]);
+                    prop_assert!(
+                        whole.is_none() || clear,
+                        "{} at {} bytes, lost {:?}", coding.label(), len, &pattern
+                    );
+                    let part = ps.retrieve_range_data("f", from as u64, range_len);
+                    prop_assert!(part.is_none() || part.as_deref() == Some(&data[from..to]));
+                }
             }
         }
     }
+}
+
+#[test]
+fn a_range_read_fetches_the_rows_it_overlaps() {
+    // One RS(5, 3) chunk of 50 000 bytes: five rows of 10 000, one to a block.
+    let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+    let mut ps = client_with_chunks(coding, 24, 82, None);
+    let data = seeded(50_000, 4);
+    assert!(ps.store_data("f", &data).is_stored());
+    assert_eq!(ps.manifest("f").unwrap().chunks.len(), 1);
+    let range = |ps: &PeerStripe<Probe>, from: usize, len: usize| {
+        let (got, asked) = asked(ps, |ps| {
+            ps.retrieve_range_data("f", from as u64, len as u64)
+        });
+        assert_eq!(
+            got.as_deref(),
+            Some(&data[from..from + len]),
+            "{from}+{len}"
+        );
+        asked.fetches
+    };
+    assert_eq!(range(&ps, 24_000, 100), 1, "inside row 2");
+    assert_eq!(range(&ps, 19_999, 2), 2, "across the rows 1 | 2 boundary");
+    assert_eq!(range(&ps, 1, 49_998), 5, "spanning the chunk");
+    // Row 2 unreadable: the same 100 bytes cost the miss and a chunk's worth
+    // of other blocks, and a range clear of row 2 costs what it did.
+    lose_positions(&mut ps, "f", &[2]);
+    assert_eq!(range(&ps, 24_000, 100), 1 + 5);
+    assert_eq!(range(&ps, 30_000, 100), 1);
+    // To the end of the file, however the length is spelled.
+    let tail = ps.retrieve_range_data("f", 49_000, u64::MAX);
+    assert_eq!(tail.as_deref(), Some(&data[49_000..]));
 }
 
 #[test]
