@@ -23,13 +23,14 @@ use crate::cat::ChunkAllocationTable;
 use crate::cluster::StorageCluster;
 use crate::metrics::StoreMetrics;
 use crate::naming::ObjectName;
+use crate::planner::{self, Damage, RepairPlanner, Verdict};
 use crate::policy::CodingPolicy;
 use crate::system::{
     BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, StorageSystem, StoreOutcome,
 };
 use peerstripe_erasure::{DecodeError, EncodedBlock, ErasureCode};
 use peerstripe_overlay::{Id, NodeRef, Takeover};
-use peerstripe_placement::{OverlayRandom, PlacementStrategy, RepairRequest, Topology};
+use peerstripe_placement::{OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
 use serde::{Deserialize, Serialize};
@@ -319,11 +320,12 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// chunk than the coding policy tolerates losing (so losing a whole
     /// domain can never make the chunk unrecoverable).
     pub fn domain_cap(&self) -> usize {
-        if self.topology.is_some() {
-            self.config.coding.tolerable_losses().max(1)
-        } else {
-            usize::MAX
-        }
+        let coding = &self.config.coding;
+        planner::domain_cap(
+            self.topology.as_ref(),
+            coding.placed_blocks(),
+            coding.min_blocks_needed(),
+        )
     }
 
     /// The domain a node belongs to under the configured topology.
@@ -751,39 +753,44 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
     }
 
-    /// Rebuild the payload of the lost block at `position` of `chunk`'s block
-    /// list from the chunk's surviving blocks: read the chunk, then
-    /// re-encode exactly the codec blocks that placement carried, straight
-    /// into the replacement payload.  `Ok(None)` only on the metadata-only
-    /// path (holders answer, no payloads stored: the replacement is a size);
-    /// a chunk the survivors do not decode is the error
+    /// Rebuild the payloads of the lost blocks at positions `lost` of
+    /// `chunk`'s block list from the chunk's surviving blocks: read the chunk
+    /// once, then re-encode exactly the codec blocks each placement carried,
+    /// straight into its replacement payload.  `Ok(None)` only on the
+    /// metadata-only path (holders answer, no payloads stored: a replacement
+    /// is a size); a chunk the survivors do not decode is the error
     /// [`Self::read_chunk_into`] gives, never a payload-less replacement.
-    fn regenerate_payload(
+    fn regenerate_payloads(
         &self,
         chunk: &ChunkPlacement,
-        position: usize,
-    ) -> Result<Option<Vec<u8>>, DecodeError> {
+        lost: &[usize],
+    ) -> Result<Option<Vec<Vec<u8>>>, DecodeError> {
         let mut bytes = Vec::new();
         if !self.read_chunk_into(chunk, 0..chunk.size.as_u64() as usize, &mut bytes)? {
             return Ok(None);
         }
-        let rows = self.byte_path.rows_of.get(position..=position);
-        let rows = rows.ok_or(DecodeError::CorruptBlock {
-            index: position as u32,
-        })?;
-        let mut payload = Vec::new();
-        self.byte_path
-            .fill_payloads(&bytes, rows, std::slice::from_mut(&mut payload));
-        Ok(Some(payload))
+        let rows_of = |&position: &usize| {
+            let rows = self.byte_path.rows_of.get(position).cloned();
+            rows.ok_or(DecodeError::CorruptBlock {
+                index: position as u32,
+            })
+        };
+        let rows = lost.iter().map(rows_of).collect::<Result<Vec<_>, _>>()?;
+        let mut payloads = vec![Vec::new(); lost.len()];
+        self.byte_path.fill_payloads(&bytes, &rows, &mut payloads);
+        Ok(Some(payloads))
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
     /// the surviving blocks of each affected chunk (Section 4.4).
     ///
+    /// Which chunks can be rebuilt and where their blocks may go is the
+    /// planner's decision ([`crate::planner`]); the bytes are this function's.
     /// Regenerated blocks get a fresh ECB number (the paper notes the recreated
     /// block "may not be exactly the same … but it is functionally equal") and
-    /// are placed on the takeover inheritor, falling back to normal DHT placement
-    /// when the inheritor has no space ("drop and recreate elsewhere").
+    /// the takeover inheritors of their keys are offered as preferred targets,
+    /// with normal placement as the fall-back when an inheritor may not take
+    /// one ("drop and recreate elsewhere").
     ///
     /// A chunk that has enough live holders but whose blocks cannot be fetched
     /// and decoded is not repaired: nothing is stored for it, its manifest
@@ -791,49 +798,47 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// `bytes_lost`, like a chunk with too few live holders.
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let mut regenerations: Vec<(String, u32, usize, ByteSize)> = Vec::new();
+        let mut damaged: Vec<(String, usize)> = Vec::new();
         let mut cat_repairs: Vec<String> = Vec::new();
-
         for manifest in self.manifests.iter() {
             if manifest.cat_nodes.contains(&failed) {
                 cat_repairs.push(manifest.name.clone());
             }
-            for chunk in &manifest.chunks {
-                if chunk.blocks_on(failed).next().is_none() {
-                    continue;
-                }
-                if chunk.is_recoverable(&self.backend) {
-                    for (position, b) in chunk.blocks.iter().enumerate() {
-                        if b.node == failed {
-                            regenerations.push((
-                                manifest.name.clone(),
-                                chunk.chunk,
-                                position,
-                                b.size,
-                            ));
-                        }
-                    }
-                } else {
-                    report.chunks_lost += 1;
-                    report.bytes_lost += chunk.size;
+            for (index, chunk) in manifest.chunks.iter().enumerate() {
+                if chunk.blocks_on(failed).next().is_some() {
+                    damaged.push((manifest.name.clone(), index));
                 }
             }
         }
 
-        let mut undecodable: Option<(String, u32)> = None;
-        for (file, chunk_no, position, size) in regenerations {
-            // A chunk found undecodable is counted once; its other lost
-            // blocks (listed right after) would meet the same survivors.
-            if matches!(&undecodable, Some((f, c)) if *f == file && *c == chunk_no) {
-                continue;
-            }
-            let Some(chunk) = self
-                .manifests
-                .get(&file)
-                .and_then(|m| m.chunks.iter().find(|c| c.chunk == chunk_no))
-            else {
+        for (file, index) in damaged {
+            let Some(chunk) = self.manifests.get(&file).map(|m| &m.chunks[index]) else {
                 continue;
             };
+            let lost: Vec<usize> = (0..chunk.blocks.len())
+                .filter(|&position| chunk.blocks[position].node == failed)
+                .collect();
+            let mut damage = Damage::of_placement(chunk, failed);
+            // Byte path: rebuild the lost blocks' payloads from one read of
+            // the chunk; each carries exactly the codec blocks the lost
+            // placement held.
+            let payloads = match damage.verdict(&self.backend) {
+                Verdict::Rebuild => self.regenerate_payloads(chunk, &lost).ok(),
+                Verdict::WriteOff | Verdict::Defer => None,
+            };
+            let Some(payloads) = payloads else {
+                report.chunks_lost += 1;
+                report.bytes_lost += chunk.size;
+                continue;
+            };
+            let sizes: Vec<ByteSize> = match &payloads {
+                Some(payloads) => {
+                    let sizes = payloads.iter().map(|p| ByteSize::bytes(p.len() as u64));
+                    sizes.collect()
+                }
+                None => lost.iter().map(|&p| chunk.blocks[p].size).collect(),
+            };
+            damage.block_size = sizes.iter().copied().max().unwrap_or(ByteSize::ZERO);
             let next_ecb = chunk
                 .blocks
                 .iter()
@@ -844,74 +849,50 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .max()
                 .unwrap_or(0)
                 .max(self.config.coding.placed_blocks() as u32);
-            let name = ObjectName::block(file.clone(), chunk_no, next_ecb);
-            // Byte path: rebuild the lost block's payload from the surviving
-            // blocks of its chunk ("the newly created encoded block may not be
-            // exactly the same as the one that has been lost, but it is
-            // functionally equal").  The regenerated payload carries exactly the
-            // codec blocks the lost placement held.
-            let Ok(payload) = self.regenerate_payload(chunk, position) else {
-                report.chunks_lost += 1;
-                report.bytes_lost += chunk.size;
-                undecodable = Some((file, chunk_no));
-                continue;
-            };
-            let size = payload
-                .as_ref()
-                .map(|p| ByteSize::bytes(p.len() as u64))
-                .unwrap_or(size);
-            // A rebuilt block must never collocate with a live block of its
-            // own chunk — landing on an existing holder would silently shrink
-            // the chunk's failure tolerance.
-            let holders: Vec<NodeRef> = chunk
-                .blocks
-                .iter()
-                .map(|b| b.node)
-                .filter(|&n| self.backend.is_alive(n))
+            let names: Vec<ObjectName> = (next_ecb..)
+                .take(lost.len())
+                .map(|ecb| ObjectName::block(file.clone(), chunk.chunk, ecb))
                 .collect();
-            // Prefer the inheritor of the failed key space; fall back to the
-            // placement strategy (which applies the same exclusion, plus any
-            // domain constraints).
-            let inheritor = takeover.inheritor_of(name.key()).1;
-            let target = if self.backend.can_store(inheritor, size)
-                && self.backend.is_alive(inheritor)
-                && !holders.contains(&inheritor)
+            let inheritors: Vec<NodeRef> = names
+                .iter()
+                .map(|name| takeover.inheritor_of(name.key()).1)
+                .collect();
+            let mut rng = DetRng::new(names[0].key().seed());
+            let targets = RepairPlanner {
+                strategy: self.placement.as_mut(),
+                topology: self.topology.as_ref(),
+            }
+            .targets(&self.backend, &damage, lost.len(), &inheritors, &mut rng);
+
+            let mut payloads = payloads.map(Vec::into_iter);
+            let mut replaced: Vec<(usize, BlockPlacement)> = Vec::new();
+            for (((position, name), size), node) in
+                lost.into_iter().zip(names).zip(sizes).zip(targets)
             {
-                Some(inheritor)
-            } else {
-                let mut rng = DetRng::new(name.key().seed());
-                let request = RepairRequest {
-                    want: 1,
-                    size,
-                    holders: &holders,
-                    domain_cap: self.domain_cap(),
-                };
-                self.placement
-                    .repair_targets(&self.backend, self.topology.as_ref(), &request, &mut rng)
-                    .into_iter()
-                    .next()
-            };
-            if let Some(node) = target {
-                if self
-                    .backend
-                    .store_block(node, name.key(), name.clone(), size, payload)
-                    .is_ok()
-                {
+                let payload = payloads.as_mut().and_then(Iterator::next);
+                let holders = damage.holders.iter().copied();
+                let stored = planner::commit(&mut self.backend, holders, node, |backend| {
+                    let stored = backend.store_block(node, name.key(), name.clone(), size, payload);
+                    stored.is_ok()
+                });
+                if stored {
                     report.blocks_regenerated += 1;
                     report.bytes_regenerated += size;
                     let domain = self.domain_of(node);
-                    if let Some(m) = self.manifests.get_mut(&file) {
-                        if let Some(c) = m.chunks.iter_mut().find(|c| c.chunk == chunk_no) {
-                            // The replacement takes the lost block's place, so
-                            // a chunk's block list keeps its layout order.
-                            c.blocks[position] = BlockPlacement {
-                                name,
-                                node,
-                                size,
-                                domain,
-                            };
-                        }
-                    }
+                    let block = BlockPlacement {
+                        name,
+                        node,
+                        size,
+                        domain,
+                    };
+                    replaced.push((position, block));
+                }
+            }
+            if let Some(m) = self.manifests.get_mut(&file) {
+                // A replacement takes the lost block's place, so a chunk's
+                // block list keeps its layout order.
+                for (position, block) in replaced {
+                    m.chunks[index].blocks[position] = block;
                 }
             }
         }

@@ -19,6 +19,7 @@
 //! [`DamageLedger::is_consistent`] recomputes them from the holder lists,
 //! which is the oracle the property tests compare against.
 
+use crate::planner::Damage;
 use crate::system::ManifestStore;
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::ByteSize;
@@ -57,6 +58,12 @@ struct Holder {
 pub struct DamageLedger {
     chunk_blocks: Vec<Vec<(NodeRef, ByteSize)>>,
     chunk_needed: Vec<usize>,
+    /// Per chunk: how many blocks it was stored with, and the size of one.
+    chunk_placed: Vec<u32>,
+    chunk_block_size: Vec<ByteSize>,
+    /// Per chunk: the targets of its rebuilds still in flight, one entry per
+    /// promised block.
+    chunk_promised: Vec<Vec<NodeRef>>,
     chunk_size: Vec<ByteSize>,
     chunk_file: Vec<u32>,
     chunk_lost: Vec<bool>,
@@ -93,6 +100,12 @@ impl DamageLedger {
                     ledger.holder_mut(*node).chunks.push(chunk_idx);
                 }
                 ledger.chunk_live.push(blocks.len() as u32);
+                ledger.chunk_placed.push(blocks.len() as u32);
+                let first = blocks.first().map(|(_, size)| *size);
+                ledger
+                    .chunk_block_size
+                    .push(first.unwrap_or_else(|| ByteSize::bytes(1)));
+                ledger.chunk_promised.push(Vec::new());
                 ledger.chunk_blocks.push(blocks);
                 ledger.chunk_needed.push(chunk.min_blocks_needed);
                 ledger.chunk_size.push(chunk.size);
@@ -128,6 +141,41 @@ impl DamageLedger {
     /// Minimum number of surviving blocks the chunk needs.
     pub fn needed(&self, chunk: u32) -> usize {
         self.chunk_needed[chunk as usize]
+    }
+
+    /// What the repair planner reads of the chunk: the holders of its
+    /// registered blocks, the targets promised one, its decode threshold and
+    /// the geometry it was stored with.
+    pub fn damage(&self, chunk: u32) -> Damage {
+        let ci = chunk as usize;
+        Damage {
+            holders: self.chunk_blocks[ci].iter().map(|(n, _)| *n).collect(),
+            promised: self.chunk_promised[ci].clone(),
+            needed: self.chunk_needed[ci],
+            placed: self.chunk_placed[ci] as usize,
+            block_size: self.chunk_block_size[ci],
+        }
+    }
+
+    /// Rebuilt blocks of `chunk` are on their way to `targets`: until each
+    /// arrives ([`DamageLedger::withdraw`]) the planner keeps further blocks
+    /// of the chunk off those nodes.
+    pub fn promise(&mut self, chunk: u32, targets: impl IntoIterator<Item = NodeRef>) {
+        self.chunk_promised[chunk as usize].extend(targets);
+    }
+
+    /// The block promised to `target` arrived, or never will: forget one
+    /// promise of `chunk` to it, if there is one.
+    pub fn withdraw(&mut self, chunk: u32, target: NodeRef) {
+        let promised = &mut self.chunk_promised[chunk as usize];
+        if let Some(at) = promised.iter().position(|n| *n == target) {
+            promised.remove(at);
+        }
+    }
+
+    /// Size of one block of the chunk, as it was stored.
+    pub fn block_size(&self, chunk: u32) -> ByteSize {
+        self.chunk_block_size[chunk as usize]
     }
 
     /// User bytes covered by the chunk.
@@ -207,7 +255,9 @@ impl DamageLedger {
     }
 
     /// Register a freshly placed (regenerated) block; it counts as live unless
-    /// its holder is down.
+    /// its holder is down.  Bookkeeping only: whether the block may land there
+    /// is [`crate::planner::commit_rebuilt`]'s to say, the one caller outside
+    /// tests.
     pub fn place_block(&mut self, chunk: u32, node: NodeRef, size: ByteSize) {
         self.chunk_blocks[chunk as usize].push((node, size));
         let holder = self.holder_mut(node);

@@ -20,6 +20,7 @@
 //! * [`client`] — the [`PeerStripe`] system itself (store, retrieve, recover);
 //! * [`system`] — the [`StorageSystem`] trait and placement manifests;
 //! * [`ledger`] — the block ledger: holders, liveness, availability and loss (Figure 10, Table 3);
+//! * [`planner`] — the repair decision: which lost blocks are rebuilt, and where (Section 4.4);
 //! * [`metrics`] — store metrics behind Figures 7–9 and Table 1.
 
 #![warn(missing_docs)]
@@ -32,6 +33,7 @@ pub mod cluster;
 pub mod ledger;
 pub mod metrics;
 pub mod naming;
+pub mod planner;
 pub mod policy;
 pub mod storage;
 pub mod system;
@@ -43,6 +45,7 @@ pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
 pub use ledger::{DamageLedger, NodeLoss};
 pub use metrics::{MaintenanceMetrics, MaintenanceSample, StoreMetrics};
 pub use naming::ObjectName;
+pub use planner::{commit_rebuilt, Damage, RepairPlanner, Verdict};
 pub use policy::CodingPolicy;
 pub use storage::{NodeStoreError, StorageNode, StoredObject};
 pub use system::{

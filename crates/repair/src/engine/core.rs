@@ -6,9 +6,11 @@ use super::events::MaintenanceEvent;
 use crate::config::{ChurnProcess, RepairConfig};
 use crate::detection::DetectionPolicy;
 use crate::scheduler::RepairScheduler;
-use peerstripe_core::{DamageLedger, MaintenanceMetrics, ManifestStore, StorageCluster};
+use peerstripe_core::{
+    DamageLedger, MaintenanceMetrics, ManifestStore, RepairPlanner, StorageCluster, Verdict,
+};
 use peerstripe_overlay::NodeRef;
-use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, RepairRequest, Topology};
+use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, DetRng, EventQueue, SimTime};
 use peerstripe_telemetry::{
@@ -141,10 +143,7 @@ pub struct MaintenanceEngine {
     pub(super) churn: ChurnProcess,
     pub(super) sample_period: SimTime,
     pub(super) rng: DetRng,
-    // Per chunk, indexed like the ledger.
-    pub(super) in_flight: Vec<u32>,
-    pub(super) target_blocks: Vec<u32>,
-    pub(super) block_size: Vec<ByteSize>,
+    /// Per chunk, indexed like the ledger: a deferred-repair retry is queued.
     pub(super) retry_pending: Vec<bool>,
     // Per node.
     pub(super) permanent: Vec<bool>,
@@ -196,18 +195,6 @@ impl MaintenanceEngine {
         let ledger = DamageLedger::build(manifests);
         let nodes = cluster.node_count();
         let chunks = ledger.chunk_count();
-        let mut target_blocks = Vec::with_capacity(chunks);
-        let mut block_size = Vec::with_capacity(chunks);
-        for c in 0..chunks as u32 {
-            let blocks = ledger.blocks(c);
-            target_blocks.push(blocks.len() as u32);
-            block_size.push(
-                blocks
-                    .first()
-                    .map(|(_, s)| *s)
-                    .unwrap_or_else(|| ByteSize::bytes(1)),
-            );
-        }
         let mut rng = DetRng::new(seed).fork("maintenance");
         let group_count = churn
             .grouped
@@ -230,7 +217,6 @@ impl MaintenanceEngine {
             scheduler: RepairScheduler::new(nodes, config.bandwidth, config.policy),
             sample_period: SimTime::from_secs_f64(config.sample_period_secs),
             queue: EventQueue::new(),
-            in_flight: vec![0; chunks],
             retry_pending: vec![false; chunks],
             permanent: vec![false; nodes],
             declared: vec![false; nodes],
@@ -253,8 +239,6 @@ impl MaintenanceEngine {
             cluster,
             ledger,
             churn,
-            target_blocks,
-            block_size,
             rng: rng.fork("engine"),
         };
         // Every node starts up, already partway through a session: the first
@@ -477,72 +461,57 @@ impl MaintenanceEngine {
     }
 
     /// Decide whether (and how much) to regenerate for `chunk`, and charge the
-    /// transfers.  Defers silently when decode sources or placement targets are
-    /// not currently available — the next return/declaration/completion event
-    /// touching the chunk retries.
+    /// transfers.  What may be rebuilt and where is the planner's call
+    /// ([`peerstripe_core::planner`]); how many blocks now, from which
+    /// uploaders and at what bandwidth cost is decided here.  Defers
+    /// silently when decode sources or placement targets are not currently
+    /// available — the next return/declaration/completion event touching the
+    /// chunk retries.
     pub(super) fn maybe_repair(
         &mut self,
         q: &mut EventQueue<MaintenanceEvent>,
         now: SimTime,
         chunk: u32,
     ) {
-        let ci = chunk as usize;
         if self.ledger.is_lost(chunk) {
             return;
         }
-        let needed = self.ledger.needed(chunk);
-        let placed = self.ledger.blocks(chunk).len();
+        let damage = self.ledger.damage(chunk);
         let want = self.scheduler.policy().blocks_wanted(
-            placed,
-            self.in_flight[ci] as usize,
-            needed,
-            self.target_blocks[ci] as usize,
+            damage.holders.len(),
+            damage.promised.len(),
+            damage.needed,
+            damage.placed,
         );
         if want == 0 {
             return;
         }
-        // Decode sources: `needed` distinct live holders of the chunk's blocks.
-        let mut sources: Vec<NodeRef> = Vec::with_capacity(needed);
-        for (node, _) in self.ledger.blocks(chunk) {
-            if self.cluster.overlay().is_alive(*node) && !sources.contains(node) {
-                sources.push(*node);
-                if sources.len() == needed {
-                    break;
+        // Decode sources.  The scheduler's transfer model reads one block
+        // from each uploader, so beyond the planner's threshold it wants
+        // `needed` *distinct* live holders.
+        let mut sources: Vec<NodeRef> = Vec::with_capacity(damage.needed);
+        if damage.verdict(&self.cluster) == Verdict::Rebuild {
+            for node in &damage.holders {
+                if self.cluster.overlay().is_alive(*node) && !sources.contains(node) {
+                    sources.push(*node);
+                    if sources.len() == damage.needed {
+                        break;
+                    }
                 }
             }
         }
-        if sources.len() < needed {
+        if sources.len() < damage.needed {
             // Not decodable right now: retry at the next probe boundary (a
             // holder returning earlier also retries).
             self.schedule_retry(q, chunk);
             return;
         }
-        // Placement targets through the placement strategy: a rebuilt block
-        // never collocates with a registered block of its chunk, and with a
-        // topology in play, domains already at the chunk's block cap are
-        // excluded (so repair re-placement preserves the original spread).
-        let size = self.block_size[ci];
-        let holders: Vec<NodeRef> = self.ledger.blocks(chunk).iter().map(|(n, _)| *n).collect();
-        let domain_cap = if self.topology.is_some() {
-            (self.target_blocks[ci] as usize)
-                .saturating_sub(needed)
-                .max(1)
-        } else {
-            usize::MAX
-        };
-        let request = RepairRequest {
-            want,
-            size,
-            holders: &holders,
-            domain_cap,
-        };
         let token = self.profiler.begin();
-        let targets = self.placement.repair_targets(
-            &self.cluster,
-            self.topology.as_ref(),
-            &request,
-            &mut self.rng,
-        );
+        let targets = RepairPlanner {
+            strategy: self.placement.as_mut(),
+            topology: self.topology.as_ref(),
+        }
+        .targets(&self.cluster, &damage, want, &[], &mut self.rng);
         self.profiler.end(Phase::Placement, token);
         if self.tracing() {
             let strategy = self.placement.name().to_string();
@@ -563,9 +532,9 @@ impl MaintenanceEngine {
         let token = self.profiler.begin();
         let plan = self
             .scheduler
-            .schedule(chunk, size, &sources, &targets, now);
+            .schedule(chunk, damage.block_size, &sources, &targets, now);
         self.profiler.end(Phase::Scheduler, token);
-        self.in_flight[ci] += plan.placements.len() as u32;
+        self.ledger.promise(chunk, targets);
         if self.tracing() {
             self.trace(
                 now,

@@ -4,6 +4,7 @@
 
 use super::core::MaintenanceEngine;
 use crate::detection::DeclarationVerdict;
+use peerstripe_core::{commit_rebuilt, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, EventQueue, SimTime};
@@ -446,10 +447,9 @@ impl MaintenanceEngine {
                     },
                 );
             }
-            if loss.survivors < self.ledger.needed(loss.chunk) {
-                self.write_off(now, loss.chunk, node);
-            } else {
-                self.maybe_repair(q, now, loss.chunk);
+            match self.ledger.damage(loss.chunk).verdict(&self.cluster) {
+                Verdict::WriteOff => self.write_off(now, loss.chunk, node),
+                Verdict::Defer | Verdict::Rebuild => self.maybe_repair(q, now, loss.chunk),
             }
         }
     }
@@ -464,34 +464,26 @@ impl MaintenanceEngine {
     ) {
         let blocks = placements.len() as u64;
         self.scheduler.complete(blocks);
-        let ci = chunk as usize;
-        self.in_flight[ci] = self.in_flight[ci].saturating_sub(blocks as u32);
         // Each rebuilt block carries an equal share of the repair's traffic
         // for the wasted-repair attribution.
         let share = ByteSize::bytes(traffic.as_u64() / blocks.max(1));
         let mut placed = 0u64;
         let mut dropped = 0u64;
-        if !self.ledger.is_lost(chunk) {
-            for (node, size) in placements {
-                // The target must still be alive and still have the space it
-                // had at scheduling time; the reservation charges its capacity
-                // so future can_store probes see regenerated blocks.
-                if self.cluster.overlay().is_alive(node) && self.cluster.reserve(node, size).is_ok()
-                {
-                    self.ledger.place_block(chunk, node, size);
-                    placed += 1;
-                    let wasted = self
-                        .writeoffs
-                        .block_regenerated(chunk, share, &self.declared);
-                    self.metrics.wasted_repair_bytes += wasted;
-                } else {
-                    self.metrics.repairs_dropped += 1;
-                    dropped += 1;
-                }
+        for (node, _) in placements {
+            // The planner's commit: the target must still be alive and still
+            // have the space it had at scheduling time, and the chunk must
+            // not have been written off meanwhile; the block is charged to
+            // the node's capacity so future can_store probes see it.
+            if commit_rebuilt(&mut self.ledger, &mut self.cluster, chunk, node) {
+                placed += 1;
+                let wasted = self
+                    .writeoffs
+                    .block_regenerated(chunk, share, &self.declared);
+                self.metrics.wasted_repair_bytes += wasted;
+            } else {
+                self.metrics.repairs_dropped += 1;
+                dropped += 1;
             }
-        } else {
-            self.metrics.repairs_dropped += blocks;
-            dropped = blocks;
         }
         // The transfers happened whether or not every placement stuck.
         self.metrics.record_repair(traffic, placed);
