@@ -1524,6 +1524,73 @@ mod tests {
     }
 
     #[test]
+    fn an_inheritor_in_a_domain_at_the_cap_is_passed_over() {
+        use peerstripe_placement::{DomainSpread, Topology};
+        // Four domains of ten, RS(4, 2): six blocks spread 2-2-1-1, cap 2.
+        let topo = Topology::uniform_groups(40, 10);
+        let mut ps = PeerStripe::with_placement(
+            cluster(40, ByteSize::gb(1), 14),
+            PeerStripeConfig::default().with_coding(CodingPolicy::rs_default()),
+            Box::new(DomainSpread::new()),
+            Some(topo.clone()),
+        );
+        assert!(ps
+            .store_file(&FileRecord::new("f", ByteSize::mb(100)))
+            .is_stored());
+        let chunk = ps.manifest("f").unwrap().chunks[0].clone();
+        let in_domain = |d| chunk.blocks.iter().filter(|b| b.domain == Some(d)).count();
+        // Lose a block of a domain that holds one, so a domain holding two
+        // stays at the cap; its members that hold nothing of the chunk would
+        // pass every test but the cap.
+        let alone = |b: &BlockPlacement| b.domain.is_some_and(|d| in_domain(d) == 1);
+        let position = chunk.blocks.iter().position(alone).expect("2-2-1-1");
+        let victim = chunk.blocks[position].node;
+        let full = (0..4).find(|&d| in_domain(d) == 2).expect("2-2-1-1");
+        let inheritor = *topo
+            .members(full)
+            .iter()
+            .find(|&&n| chunk.blocks.iter().all(|b| b.node != n))
+            .unwrap();
+        ps.cluster_mut().fail_node(victim).unwrap();
+        let id = Id::hash("the inheritor");
+        let takeover = Takeover {
+            failed: id,
+            predecessor: (id, inheritor),
+            successor: (id, inheritor),
+        };
+        let report = ps.handle_node_failure(victim, &takeover);
+        assert_eq!((report.blocks_regenerated, report.chunks_lost), (1, 0));
+        let rebuilt = &ps.manifest("f").unwrap().chunks[0].blocks[position];
+        assert_ne!(rebuilt.node, victim);
+        assert_ne!(rebuilt.node, inheritor, "its domain already holds two");
+        assert_ne!(rebuilt.domain, Some(full));
+        // The same inheritor is taken where the cap allows it: no topology.
+        let mut ps = PeerStripe::new(
+            cluster(40, ByteSize::gb(1), 14),
+            PeerStripeConfig::default().with_coding(CodingPolicy::rs_default()),
+        );
+        assert!(ps
+            .store_file(&FileRecord::new("f", ByteSize::mb(100)))
+            .is_stored());
+        let chunk = ps.manifest("f").unwrap().chunks[0].clone();
+        let victim = chunk.blocks[0].node;
+        let inheritor = (0..40)
+            .find(|n| chunk.blocks.iter().all(|b| b.node != *n))
+            .unwrap();
+        ps.cluster_mut().fail_node(victim).unwrap();
+        let takeover = Takeover {
+            failed: id,
+            predecessor: (id, inheritor),
+            successor: (id, inheritor),
+        };
+        ps.handle_node_failure(victim, &takeover);
+        assert_eq!(
+            ps.manifest("f").unwrap().chunks[0].blocks[0].node,
+            inheritor
+        );
+    }
+
+    #[test]
     fn oblivious_placement_leaves_domains_unrecorded() {
         let mut ps = system(30, ByteSize::gb(1), 15);
         assert!(ps

@@ -336,6 +336,26 @@ impl DamageLedger {
             && failed.iter().filter(|&&c| c > 0).count() == self.files_unavailable
     }
 
+    /// Blocks that regeneration put on a node beside another block of their
+    /// chunk: per chunk and holder, the blocks it holds now beyond one — or
+    /// beyond what it held in `stored`, the ledger as built, where the store
+    /// itself had put more than one there.  The planner's exclusion set and
+    /// commit keep this at zero; O(blocks), an oracle like
+    /// [`DamageLedger::is_consistent`].
+    pub fn collocated_since(&self, stored: &DamageLedger) -> usize {
+        let held = |blocks: &[(NodeRef, ByteSize)], node: NodeRef| {
+            blocks.iter().filter(|(n, _)| *n == node).count()
+        };
+        let mut gained = 0;
+        for (now, then) in self.chunk_blocks.iter().zip(&stored.chunk_blocks) {
+            let holders: BTreeSet<NodeRef> = now.iter().map(|(n, _)| *n).collect();
+            for node in holders {
+                gained += held(now, node).saturating_sub(held(then, node).max(1));
+            }
+        }
+        gained
+    }
+
     fn chunk_ok(&self, ci: usize) -> bool {
         !self.chunk_lost[ci] && self.chunk_live[ci] as usize >= self.chunk_needed[ci]
     }

@@ -121,8 +121,8 @@ impl RepairPlanner<'_> {
         preferred: &[NodeRef],
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
-        // As the engine always drew: promised targets are not yet excluded.
-        let excluded = damage.holders.clone();
+        let mut excluded = damage.holders.clone();
+        excluded.extend(&damage.promised);
         let request = RepairRequest {
             want,
             size: damage.block_size,
@@ -143,9 +143,7 @@ pub fn commit<V: ClusterView>(
     target: NodeRef,
     charge: impl FnOnce(&mut V) -> bool,
 ) -> bool {
-    // As the engine always committed: the holder test is not yet asked.
-    let _ = &mut holders;
-    view.is_alive(target) && charge(view)
+    view.is_alive(target) && !holders.any(|holder| holder == target) && charge(view)
 }
 
 /// Rule 4 over a ledger and the simulated cluster: the block of `chunk`
@@ -169,4 +167,283 @@ pub fn commit_rebuilt(
         ledger.place_block(chunk, target, size);
     }
     landed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{PeerStripe, PeerStripeConfig};
+    use crate::cluster::ClusterConfig;
+    use crate::policy::CodingPolicy;
+    use crate::system::StorageSystem;
+    use peerstripe_placement::StrategyKind;
+    use peerstripe_trace::{CapacityModel, FileRecord};
+
+    const NODES: usize = 36;
+    const CODINGS: [CodingPolicy; 5] = [
+        CodingPolicy::None,
+        CodingPolicy::Xor { group: 2 },
+        CodingPolicy::Online {
+            placed: 6,
+            tolerable: 2,
+            overhead: 1.03,
+        },
+        CodingPolicy::ReedSolomon { data: 4, parity: 2 },
+        CodingPolicy::ReedSolomon { data: 5, parity: 3 },
+    ];
+
+    /// Twelve 60 MB files on `nodes` 1 GB contributors, and their ledger.
+    fn stored(coding: CodingPolicy, nodes: usize, seed: u64) -> (PeerStripe, DamageLedger) {
+        let cluster = ClusterConfig {
+            nodes,
+            capacity: CapacityModel::Fixed(ByteSize::gb(1)),
+            report_fraction: 1.0,
+            track_objects: true,
+        }
+        .build(&mut DetRng::new(seed));
+        let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
+        for i in 0..12 {
+            let file = FileRecord::new(format!("f{i}"), ByteSize::mb(60));
+            assert!(ps.store_file(&file).is_stored());
+        }
+        let ledger = DamageLedger::build(ps.manifests());
+        (ps, ledger)
+    }
+
+    /// Every seed, coding, strategy and topology choice the properties walk.
+    fn cases() -> impl Iterator<Item = (u64, CodingPolicy, StrategyKind, Option<Topology>)> {
+        (0..6u64).flat_map(|seed| {
+            CODINGS.into_iter().flat_map(move |coding| {
+                StrategyKind::ALL.into_iter().flat_map(move |kind| {
+                    let grouped = Topology::uniform_groups(NODES, 3 + (seed as usize % 4) * 3);
+                    [None, Some(grouped)].map(|topology| (seed, coding, kind, topology))
+                })
+            })
+        })
+    }
+
+    /// Knock a deployment about: some nodes merely down, some declared and
+    /// removed, some targets promised, one node filled to the brim.
+    fn damaged(
+        coding: CodingPolicy,
+        seed: u64,
+        topology: Option<&Topology>,
+    ) -> (StorageCluster, DamageLedger, DetRng) {
+        let (ps, mut ledger) = stored(coding, NODES, seed);
+        let mut cluster = ps.into_cluster();
+        if let Some(topology) = topology {
+            cluster.adopt_topology(topology);
+        }
+        let mut rng = DetRng::new(seed ^ 0x9e37);
+        for _ in 0..2 + rng.index(6) {
+            let node = rng.index(NODES);
+            cluster.fail_node(node);
+            if rng.chance(0.5) {
+                ledger.node_down(node);
+            } else {
+                ledger.remove_node(node);
+            }
+        }
+        for _ in 0..rng.index(12) {
+            let chunk = rng.index(ledger.chunk_count()) as u32;
+            ledger.promise(chunk, [rng.index(NODES)]);
+        }
+        let full = rng.index(NODES);
+        let free = cluster.node(full).free();
+        cluster.reserve(full, free).unwrap();
+        (cluster, ledger, rng)
+    }
+
+    #[test]
+    fn the_verdict_is_the_threshold_and_nothing_else() {
+        let mut seen = [0usize; 3];
+        for (seed, coding, _, _) in cases() {
+            let (cluster, ledger, _) = damaged(coding, seed, None);
+            for chunk in 0..ledger.chunk_count() as u32 {
+                let registered = ledger.blocks(chunk).len();
+                let alive = |(n, _): &&(NodeRef, ByteSize)| cluster.is_alive(*n);
+                let live = ledger.blocks(chunk).iter().filter(alive).count();
+                let needed = ledger.needed(chunk);
+                let verdict = ledger.damage(chunk).verdict(&cluster);
+                assert_eq!(verdict == Verdict::WriteOff, registered < needed);
+                assert_eq!(
+                    verdict == Verdict::Defer,
+                    live < needed && needed <= registered
+                );
+                seen[verdict as usize] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 20), "each verdict met: {seen:?}");
+    }
+
+    #[test]
+    fn no_target_is_dead_a_holder_promised_or_over_the_cap() {
+        let mut drawn = 0;
+        let mut preferred_taken = 0;
+        for (seed, coding, kind, topology) in cases() {
+            let (cluster, ledger, mut rng) = damaged(coding, seed, topology.as_ref());
+            let mut strategy = kind.build(seed);
+            // Only a strategy that spreads over domains counts them.
+            let caps = topology.is_some() && kind != StrategyKind::OverlayRandom;
+            for chunk in 0..ledger.chunk_count() as u32 {
+                let damage = ledger.damage(chunk);
+                if damage.verdict(&cluster) != Verdict::Rebuild {
+                    continue;
+                }
+                let want = 1 + rng.index(3);
+                let preferred: Vec<NodeRef> = (0..rng.index(4)).map(|_| rng.index(NODES)).collect();
+                let targets = RepairPlanner {
+                    strategy: strategy.as_mut(),
+                    topology: topology.as_ref(),
+                }
+                .targets(&cluster, &damage, want, &preferred, &mut rng);
+                assert!(targets.len() <= want);
+                let cap = domain_cap(topology.as_ref(), damage.placed, damage.needed);
+                let in_domain_of = |node: NodeRef, nodes: &[NodeRef]| {
+                    let domain = |n: NodeRef| topology.as_ref().and_then(|t| t.domain_of(n));
+                    let same = |n: &&NodeRef| domain(**n) == domain(node);
+                    nodes.iter().filter(same).count()
+                };
+                for (i, &target) in targets.iter().enumerate() {
+                    let label = format!("{} / {} / seed {seed}", coding.label(), kind.label());
+                    assert!(cluster.is_alive(target), "{label}: dead target");
+                    assert!(cluster.can_store(target, damage.block_size), "{label}");
+                    assert!(!damage.holders.contains(&target), "{label}: a holder");
+                    assert!(!damage.promised.contains(&target), "{label}: promised");
+                    assert!(!targets[..i].contains(&target), "{label}: drawn twice");
+                    if caps {
+                        let held = in_domain_of(target, &damage.holders)
+                            + in_domain_of(target, &damage.promised)
+                            + in_domain_of(target, &targets);
+                        assert!(held <= cap, "{label}: {held} blocks in a domain, cap {cap}");
+                    }
+                }
+                // A preferred candidate is taken only through the same test;
+                // the ones that pass it come first, in the order offered.
+                let taken = targets.iter().take_while(|t| preferred.contains(t)).count();
+                preferred_taken += taken;
+                drawn += targets.len() - taken;
+            }
+        }
+        assert!(
+            drawn > 500 && preferred_taken > 200,
+            "{drawn} / {preferred_taken}"
+        );
+    }
+
+    #[test]
+    fn a_preferred_candidate_that_passes_is_taken_first() {
+        let (ps, ledger) = stored(CodingPolicy::rs_default(), NODES, 1);
+        let mut cluster = ps.into_cluster();
+        let victim = ledger.blocks(0)[0].0;
+        cluster.fail_node(victim);
+        let mut ledger = ledger;
+        ledger.remove_node(victim);
+        let damage = ledger.damage(0);
+        let good = (0..NODES)
+            .find(|n| cluster.is_alive(*n) && !damage.holders.contains(n))
+            .unwrap();
+        for kind in StrategyKind::ALL {
+            let mut strategy = kind.build(1);
+            let mut planner = RepairPlanner {
+                strategy: strategy.as_mut(),
+                topology: None,
+            };
+            // The dead victim and a holder are passed over, the good one taken.
+            let preferred = [victim, damage.holders[0], good];
+            let mut rng = DetRng::new(2);
+            let targets = planner.targets(&cluster, &damage, 1, &preferred, &mut rng);
+            assert_eq!(targets, vec![good], "{}", kind.label());
+            assert_eq!(rng.next_u64(), DetRng::new(2).next_u64(), "nothing drawn");
+        }
+    }
+
+    #[test]
+    fn a_refused_commit_changes_nothing() {
+        let (ps, mut ledger) = stored(CodingPolicy::rs_default(), NODES, 2);
+        let mut cluster = ps.into_cluster();
+        let holder = ledger.blocks(0)[0].0;
+        let dead = (0..NODES).find(|n| !ledger.damage(0).holders.contains(n));
+        let dead = dead.unwrap();
+        cluster.fail_node(dead);
+        ledger.node_down(dead);
+        let full = (0..NODES)
+            .find(|n| *n != dead && !ledger.damage(0).holders.contains(n))
+            .unwrap();
+        let free = cluster.node(full).free();
+        cluster.reserve(full, free).unwrap();
+        ledger.mark_lost(1);
+        let lost_target = (0..NODES)
+            .find(|n| cluster.is_alive(*n) && !ledger.damage(1).holders.contains(n))
+            .unwrap();
+        for (chunk, target, why) in [
+            (0, holder, "a holder"),
+            (0, dead, "a dead node"),
+            (0, full, "a full node"),
+            (1, lost_target, "a written-off chunk"),
+        ] {
+            ledger.promise(chunk, [target]);
+            let blocks = ledger.blocks(chunk).to_vec();
+            let used = cluster.node(target).used();
+            assert!(
+                !commit_rebuilt(&mut ledger, &mut cluster, chunk, target),
+                "{why} took a block"
+            );
+            assert_eq!(ledger.blocks(chunk), &blocks[..], "{why}");
+            assert_eq!(cluster.node(target).used(), used, "{why}");
+            assert!(
+                ledger.damage(chunk).promised.is_empty(),
+                "the promise is settled"
+            );
+            assert!(ledger.is_consistent(|n| cluster.is_alive(n)));
+        }
+        // And one that is let through is registered and charged.
+        let holders = ledger.damage(0).holders;
+        let good = (0..NODES).find(|n| {
+            cluster.is_alive(*n) && cluster.can_store(*n, ByteSize::mb(64)) && !holders.contains(n)
+        });
+        let good = good.expect("a live non-holder with room");
+        let used = cluster.node(good).used();
+        assert!(commit_rebuilt(&mut ledger, &mut cluster, 0, good));
+        assert_eq!(ledger.blocks(0).last(), Some(&(good, ledger.block_size(0))));
+        assert_eq!(cluster.node(good).used(), used + ledger.block_size(0));
+    }
+
+    #[test]
+    fn a_ledger_and_a_manifest_write_off_the_same_chunks() {
+        // Eight nodes: the store collocates blocks often enough that one
+        // failure takes some chunks under their threshold.
+        let mut written_off = 0;
+        for coding in CODINGS {
+            for seed in 0..4 {
+                let (mut ps, mut ledger) = stored(coding, 8, seed);
+                let victim = DetRng::new(seed).index(8);
+                ps.cluster_mut().fail_node(victim);
+                // Chunks in ledger order: every non-empty chunk of every file.
+                let chunks = ps.manifests().iter().flat_map(|m| &m.chunks);
+                let chunks: Vec<&ChunkPlacement> = chunks.filter(|c| !c.size.is_zero()).collect();
+                let from_manifest: Vec<u32> = (0u32..)
+                    .zip(&chunks)
+                    .filter(|(_, c)| c.blocks_on(victim).next().is_some())
+                    .filter(|(_, c)| {
+                        Damage::of_placement(c, victim).verdict(ps.cluster()) == Verdict::WriteOff
+                    })
+                    .map(|(index, _)| index)
+                    .collect();
+                let losses = ledger.remove_node(victim);
+                let from_ledger: Vec<u32> = losses
+                    .iter()
+                    .map(|loss| loss.chunk)
+                    .filter(|&c| ledger.damage(c).verdict(ps.cluster()) == Verdict::WriteOff)
+                    .collect();
+                assert_eq!(from_ledger, from_manifest, "{} seed {seed}", coding.label());
+                for loss in &losses {
+                    let of_placement = Damage::of_placement(chunks[loss.chunk as usize], victim);
+                    assert_eq!(ledger.damage(loss.chunk), of_placement);
+                }
+                written_off += from_ledger.len();
+            }
+        }
+        assert!(written_off > 10, "only {written_off} write-offs compared");
+    }
 }

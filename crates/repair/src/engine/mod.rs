@@ -38,7 +38,7 @@ mod tests {
     };
     use crate::detection::{DetectionKind, OutageAwareConfig};
     use peerstripe_core::{
-        ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem,
+        ClusterConfig, CodingPolicy, DamageLedger, PeerStripe, PeerStripeConfig, StorageSystem,
     };
     use peerstripe_sim::{ByteSize, DetRng, SimTime};
     use peerstripe_trace::{CapacityModel, FileRecord};
@@ -479,6 +479,51 @@ mod tests {
             "repair targets came from the index"
         );
         assert!(cluster.index_is_consistent(), "after the churn");
+    }
+
+    /// Slow pipes, quick declarations and fourteen nodes for six-block
+    /// chunks: a second declaration routinely hits a chunk while its first
+    /// rebuild is still in flight, and there are few nodes to put a block on.
+    fn crowded(policy: RepairPolicy, seed: u64) -> (MaintenanceEngine, DamageLedger) {
+        let ps = loaded(14, 12, seed);
+        let manifests = ps.manifests().clone();
+        let mut config = config(policy, 1_800.0);
+        config.bandwidth = BandwidthBudget::symmetric(ByteSize::kb(64));
+        let churn = ChurnProcess {
+            sessions: SessionModel::Synthetic {
+                mean_session_secs: 6.0 * 3_600.0,
+                mean_downtime_secs: 3_600.0,
+            },
+            permanent_fraction: 0.0,
+            grouped: None,
+        };
+        let engine = MaintenanceEngine::new(ps.into_cluster(), &manifests, churn, config, seed);
+        (engine, DamageLedger::build(&manifests))
+    }
+
+    #[test]
+    fn overlapping_rebuilds_of_a_chunk_never_share_a_node() {
+        // Before the planner excluded promised targets and its commit asked
+        // whether the target holds a block, this run registered rebuilt
+        // blocks beside each other and beside registered ones.
+        for policy in [RepairPolicy::Eager, RepairPolicy::Lazy { margin: 1 }] {
+            let mut rebuilt = 0;
+            for seed in [3, 4, 5] {
+                let (mut engine, stored) = crowded(policy, seed);
+                engine.run_for(SimTime::from_secs(72 * 3_600));
+                let report = engine.report();
+                rebuilt += report.blocks_regenerated;
+                assert!(report.false_declarations > 0, "{report:?}");
+                assert_eq!(
+                    engine.ledger().collocated_since(&stored),
+                    0,
+                    "{} seed {seed}: a rebuilt block landed beside another block of its chunk",
+                    policy.label()
+                );
+                assert!(engine.accounting_is_consistent());
+            }
+            assert!(rebuilt > 50, "{}: only {rebuilt} blocks", policy.label());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, Xo
 use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
 use peerstripe::overlay::{Id, IdRing, NodeRef};
 use peerstripe::placement::{
-    ClusterView, DomainSpread, PlacementStrategy, ProbeView, RepairRequest, Topology,
+    ClusterView, DomainSpread, PlacementStrategy, ProbeView, RepairRequest, StrategyKind, Topology,
 };
 use peerstripe::repair::{
     ChurnProcess, DeclarationVerdict, DetectionKind, DetectionPolicy, DetectorConfig, GroupedChurn,
@@ -628,8 +628,14 @@ proptest! {
             bandwidth: peerstripe::repair::BandwidthBudget::symmetric(ByteSize::mb(4)),
             sample_period_secs: 3_600.0,
         };
-        let mut engine =
-            MaintenanceEngine::new(ps.into_cluster(), &manifests, churn, config, seed);
+        let cluster = ps.into_cluster();
+        let mut engine = MaintenanceEngine::new(
+            cluster.clone(),
+            &manifests,
+            churn.clone(),
+            config.clone(),
+            seed,
+        );
         engine.run_for(SimTime::from_secs(48 * 3_600));
         let report = engine.report();
         prop_assert!(report.group_outages > 0, "outages must fire: {report:?}");
@@ -653,6 +659,28 @@ proptest! {
                 );
             }
         }
+
+        // The same churn with every outage declared, rebuilds that outlast
+        // the next outage, and any strategy and policy: every block the
+        // engine registers lands on a node that held no block of its chunk.
+        let strategy = StrategyKind::ALL[(seed % 3) as usize];
+        let config = RepairConfig {
+            policy: [RepairPolicy::Eager, RepairPolicy::Lazy { margin: 1 }][(seed >> 8) as usize % 2],
+            detector: DetectorConfig::default_desktop_grid().with_timeout(1_800.0),
+            bandwidth: peerstripe::repair::BandwidthBudget::symmetric(ByteSize::kb(256)),
+            ..config
+        };
+        let mut engine = MaintenanceEngine::new(cluster, &manifests, churn, config, seed)
+            .with_placement(strategy.build(seed), None);
+        engine.run_for(SimTime::from_secs(48 * 3_600));
+        prop_assert!(engine.report().false_declarations > 0, "outages must be declared");
+        prop_assert_eq!(
+            engine.ledger().collocated_since(&DamageLedger::build(&manifests)),
+            0,
+            "{} put a rebuilt block beside another block of its chunk",
+            strategy.label()
+        );
+        prop_assert!(engine.accounting_is_consistent(), "accounting must balance");
     }
 
     /// Outage-aware liveness bound: however the topology, threshold and hold
@@ -843,8 +871,14 @@ proptest! {
             bandwidth: peerstripe::repair::BandwidthBudget::symmetric(ByteSize::mb(4)),
             sample_period_secs: 3_600.0,
         };
-        let mut engine =
-            MaintenanceEngine::new(ps.into_cluster(), &manifests, churn, config, seed);
+        let cluster = ps.into_cluster();
+        let mut engine = MaintenanceEngine::new(
+            cluster.clone(),
+            &manifests,
+            churn.clone(),
+            config.clone(),
+            seed,
+        );
         engine.run_for(SimTime::from_secs(48 * 3_600));
         let report = engine.report();
         prop_assert!(report.group_outages > 0, "outages must fire: {report:?}");

@@ -495,6 +495,54 @@ fn repair_rebuilds_each_lost_placement_in_its_place() {
     }
 }
 
+#[test]
+fn a_repair_reads_a_damaged_chunk_once() {
+    // RS(5, 3) on nine nodes: the victim holds two blocks of some chunk.
+    // Rebuilding both costs one read of that chunk — its five rows plus one
+    // more block for each row that was on the victim — not one read a block.
+    let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+    let mut ps = client(coding, 9, 79);
+    let data = seeded(60_000, 4);
+    assert!(ps.store_data("f", &data).is_stored());
+    let before = ps.manifest("f").unwrap().clone();
+    let held = |n: NodeRef| before.chunks.iter().map(move |c| c.blocks_on(n).count());
+    let victim = (0..9)
+        .find(|&n| held(n).any(|h| h == 2) && held(n).all(|h| h <= 3))
+        .expect("some node holds two blocks of a chunk");
+
+    let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
+    ps.backend().fetched.borrow_mut().clear();
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!(report.chunks_lost, 0);
+    assert!(report.blocks_regenerated >= 2);
+    let fetched = ps.backend().fetched.borrow().clone();
+    for chunk in &before.chunks {
+        let on_victim = chunk.blocks_on(victim).count();
+        let asked = chunk.blocks.iter().map(|b| b.name.key());
+        let asked = asked.filter(|key| fetched.contains(key)).count();
+        let fetches = fetched
+            .iter()
+            .filter(|key| chunk.blocks.iter().any(|b| b.name.key() == **key))
+            .count();
+        assert_eq!(
+            fetches, asked,
+            "chunk {}: a block fetched twice",
+            chunk.chunk
+        );
+        let most = if on_victim == 0 {
+            0
+        } else {
+            coding.min_blocks_needed() + on_victim
+        };
+        assert!(
+            fetches <= most,
+            "chunk {}: {fetches} fetches to rebuild {on_victim} block(s)",
+            chunk.chunk
+        );
+    }
+    assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+}
+
 /// Objects held by the live nodes of the nine.
 fn live_objects(ps: &PeerStripe<Probe>) -> u64 {
     let cluster = &ps.backend().inner;
