@@ -18,6 +18,14 @@
 //! a failure costs one step per block the node holds — and
 //! [`DamageLedger::is_consistent`] recomputes them from the holder lists,
 //! which is the oracle the property tests compare against.
+//!
+//! The ledger keeps the books; it decides nothing.  Whether a chunk is
+//! written off, deferred or rebuilt, which nodes a rebuilt block may go to
+//! and whether it is registered on arrival are the four rules of
+//! [`crate::planner`], their single owner, which reads a chunk's state here
+//! ([`DamageLedger::damage`]: holders, promised targets, threshold and placed
+//! geometry) and writes back through [`DamageLedger::promise`] and
+//! [`crate::planner::commit_rebuilt`].
 
 use crate::planner::Damage;
 use crate::system::ManifestStore;

@@ -6,11 +6,14 @@
 //!
 //! **Table 3** fails 10 % / 20 % of the nodes *with* recovery enabled and
 //! reports the data lost and the data regenerated, per failure and in total.
+//! What is lost, what is rebuilt and where it lands is decided by
+//! [`peerstripe_core::planner`], the single owner of those rules.
 
 use crate::deployment::Deployment;
 use crate::scale::Scale;
-use peerstripe_core::{CodingPolicy, DamageLedger};
-use peerstripe_overlay::{Id, NodeRef};
+use peerstripe_core::{commit_rebuilt, CodingPolicy, DamageLedger, RepairPlanner, Verdict};
+use peerstripe_overlay::NodeRef;
+use peerstripe_placement::OverlayRandom;
 use peerstripe_sim::stats::Figure;
 use peerstripe_sim::{ByteSize, DetRng, OnlineStats, Series};
 
@@ -141,16 +144,14 @@ pub fn run_regeneration(config: &ChurnConfig) -> Vec<Table3Row> {
 }
 
 /// Table 3's single wave: fail `fraction` of the live nodes one after another
-/// with instantaneous recovery.  A chunk that keeps enough blocks has each
-/// block it lost regenerated onto the live node a random key routes to (the
-/// takeover inheritors are the numerically closest survivors, which a random
-/// probe approximates), under the rules every other repair path applies: the
-/// target must not already hold a block of the chunk, and the block is
-/// charged to its capacity.  A refused block is not re-drawn — the
-/// redundancy stays unrestored, but the chunk is not lost either.  A chunk
-/// that falls below its decode threshold is written off.  The
-/// continuous-time engine in `peerstripe-repair` is where repairs take time
-/// and bandwidth.
+/// with instantaneous recovery.  What is written off, which blocks are
+/// rebuilt and where they may land is the repair planner's decision
+/// ([`peerstripe_core::planner`]), made exactly as for the maintenance engine
+/// and the client; this loop only removes the node, asks for one target per
+/// lost block, commits, and adds up.  A block the planner finds no target
+/// for, or whose commit is refused, is not re-drawn — the redundancy stays
+/// unrestored, but the chunk is not lost either.  The continuous-time engine
+/// in `peerstripe-repair` is where repairs take time and bandwidth.
 fn fail_wave(
     deployed: &mut Deployment,
     ledger: &mut DamageLedger,
@@ -162,6 +163,10 @@ fn fail_wave(
     let nodes_failed = ((order.len() as f64) * fraction).round() as usize;
     rng.shuffle(&mut order);
     order.truncate(nodes_failed);
+    let mut planner = RepairPlanner {
+        strategy: &mut OverlayRandom::new(),
+        topology: None,
+    };
     let mut data_lost = ByteSize::ZERO;
     let mut data_regenerated = ByteSize::ZERO;
     let mut per_failure = OnlineStats::new();
@@ -169,19 +174,20 @@ fn fail_wave(
         cluster.fail_node(node);
         let mut regenerated = ByteSize::ZERO;
         for loss in ledger.remove_node(node) {
-            if loss.survivors < ledger.needed(loss.chunk) {
-                ledger.mark_lost(loss.chunk);
-                data_lost += ledger.chunk_size(loss.chunk);
-                continue;
-            }
-            for size in loss.lost {
-                let Some(target) = cluster.overlay().route_quiet(Id::random(rng)) else {
-                    continue;
-                };
-                let holds = ledger.blocks(loss.chunk).iter().any(|(n, _)| *n == target);
-                if !holds && cluster.reserve(target, size).is_ok() {
-                    ledger.place_block(loss.chunk, target, size);
-                    regenerated += size;
+            let damage = ledger.damage(loss.chunk);
+            match damage.verdict(cluster) {
+                Verdict::WriteOff => {
+                    ledger.mark_lost(loss.chunk);
+                    data_lost += ledger.chunk_size(loss.chunk);
+                }
+                Verdict::Defer => {}
+                Verdict::Rebuild => {
+                    let want = loss.lost.len();
+                    for target in planner.targets(cluster, &damage, want, &[], rng) {
+                        if commit_rebuilt(ledger, cluster, loss.chunk, target) {
+                            regenerated += damage.block_size;
+                        }
+                    }
                 }
             }
         }
@@ -297,7 +303,7 @@ mod tests {
 
     /// Regeneration plays by the rules of the real repair paths: every
     /// regenerated block is charged to its target's capacity, and none lands
-    /// on a node that already holds a block of its chunk.
+    /// beside another block of its chunk.
     #[test]
     fn regenerated_blocks_are_charged_and_never_collocated() {
         let used = |d: &Deployment| -> ByteSize {
@@ -305,19 +311,13 @@ mod tests {
                 .map(|n| d.cluster.node(n).used())
                 .sum()
         };
-        let collocated = |ledger: &DamageLedger| -> usize {
-            (0..ledger.chunk_count() as u32)
-                .map(|c| {
-                    let holders: std::collections::BTreeSet<NodeRef> =
-                        ledger.blocks(c).iter().map(|(n, _)| *n).collect();
-                    ledger.blocks(c).len() - holders.len()
-                })
-                .sum()
-        };
         let before = Deployment::oblivious(120, 120 * 8, 6, CodingPolicy::online_default());
         let (row, ledger, after) = wave(CodingPolicy::online_default(), 0.20);
         assert_eq!(used(&after), used(&before) + row.data_regenerated);
-        assert!(collocated(&ledger) <= collocated(&DamageLedger::build(&before.manifests)));
+        assert_eq!(
+            ledger.collocated_since(&DamageLedger::build(&before.manifests)),
+            0
+        );
     }
 
     #[test]
