@@ -158,10 +158,10 @@ impl DamageLedger {
         let ci = chunk as usize;
         Damage {
             holders: self.chunk_blocks[ci].iter().map(|(n, _)| *n).collect(),
-            promised: self.chunk_promised[ci].clone(),
-            needed: self.chunk_needed[ci],
-            placed: self.chunk_placed[ci] as usize,
-            block_size: self.chunk_block_size[ci],
+            promised: self.promised(chunk).to_vec(),
+            needed: self.needed(chunk),
+            placed: self.placed(chunk),
+            block_size: self.block_size(chunk),
         }
     }
 
@@ -179,6 +179,16 @@ impl DamageLedger {
         if let Some(at) = promised.iter().position(|n| *n == target) {
             promised.remove(at);
         }
+    }
+
+    /// How many blocks the chunk was stored with.
+    pub fn placed(&self, chunk: u32) -> usize {
+        self.chunk_placed[chunk as usize] as usize
+    }
+
+    /// The targets of the chunk's rebuilds still in flight.
+    pub fn promised(&self, chunk: u32) -> &[NodeRef] {
+        &self.chunk_promised[chunk as usize]
     }
 
     /// Size of one block of the chunk, as it was stored.

@@ -121,12 +121,17 @@ impl RepairPlanner<'_> {
         preferred: &[NodeRef],
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
-        let mut excluded = damage.holders.clone();
-        excluded.extend(&damage.promised);
+        let both;
+        let excluded = if damage.promised.is_empty() {
+            &damage.holders
+        } else {
+            both = [&damage.holders[..], &damage.promised[..]].concat();
+            &both
+        };
         let request = RepairRequest {
             want,
             size: damage.block_size,
-            holders: &excluded,
+            holders: excluded,
             preferred,
             domain_cap: domain_cap(self.topology, damage.placed, damage.needed),
         };

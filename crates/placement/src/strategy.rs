@@ -149,10 +149,11 @@ impl PlacementStrategy for OverlayRandom {
         // Random-key probes to live nodes with space that do not already hold
         // a block of the chunk (keeping the failure independence of the
         // original spread).
+        // The capacity question last: over a gateway it is an RPC.
         let fits = |candidate: NodeRef, targets: &[NodeRef]| {
-            view.can_store(candidate, request.size)
-                && !request.holders.contains(&candidate)
+            !request.holders.contains(&candidate)
                 && !targets.contains(&candidate)
+                && view.can_store(candidate, request.size)
         };
         let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
         for &candidate in request.preferred {
@@ -276,9 +277,9 @@ impl DomainSpread {
             }
             let eligible = domain.members.iter().copied().filter(|&node| {
                 view.is_alive(node)
-                    && view.can_store(node, request.size)
                     && !request.holders.contains(&node)
                     && !chosen.contains(&node)
+                    && view.can_store(node, request.size)
             });
             let mut eligible = eligible.peekable();
             if eligible.peek().is_none() {
@@ -421,9 +422,9 @@ impl PlacementStrategy for DomainSpread {
             if targets.len() < request.want
                 && counts[d as usize] < cap
                 && view.is_alive(candidate)
-                && view.can_store(candidate, request.size)
                 && !request.holders.contains(&candidate)
                 && !targets.contains(&candidate)
+                && view.can_store(candidate, request.size)
             {
                 counts[d as usize] += 1;
                 targets.push(candidate);

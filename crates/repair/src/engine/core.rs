@@ -476,16 +476,16 @@ impl MaintenanceEngine {
         if self.ledger.is_lost(chunk) {
             return;
         }
-        let damage = self.ledger.damage(chunk);
         let want = self.scheduler.policy().blocks_wanted(
-            damage.holders.len(),
-            damage.promised.len(),
-            damage.needed,
-            damage.placed,
+            self.ledger.blocks(chunk).len(),
+            self.ledger.promised(chunk).len(),
+            self.ledger.needed(chunk),
+            self.ledger.placed(chunk),
         );
         if want == 0 {
             return;
         }
+        let damage = self.ledger.damage(chunk);
         // Decode sources.  The scheduler's transfer model reads one block
         // from each uploader, so beyond the planner's threshold it wants
         // `needed` *distinct* live holders.

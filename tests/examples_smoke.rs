@@ -280,10 +280,11 @@ fn outage_aware_detection_example_logic() {
     assert!(aware.files_lost <= per_node.files_lost);
 }
 
-/// Smoke test mirroring `examples/network_ring.rs`: store a file through the
-/// TCP gateway against eight live node servers, take one away, and verify
-/// the degraded read and the repair path — the same client/placement/erasure
-/// stack as the simulator, over real sockets.
+/// The socket path's tier-1 coverage, the cycle `repro ring` runs with
+/// rid-joined telemetry: store a file through the TCP gateway against eight
+/// live node servers, take one away, and verify the degraded read and the
+/// repair path — the same client/placement/erasure stack as the simulator,
+/// over real sockets.
 ///
 /// Uses the real `peerstripe-node` daemon processes when the binary is built
 /// (CI builds it first); otherwise serves the same wire protocol from
