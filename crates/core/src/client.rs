@@ -23,7 +23,7 @@ use crate::cat::ChunkAllocationTable;
 use crate::cluster::StorageCluster;
 use crate::metrics::StoreMetrics;
 use crate::naming::ObjectName;
-use crate::planner::{self, Damage, RepairPlanner, Verdict};
+use crate::planner::{self, Damage, Verdict};
 use crate::policy::CodingPolicy;
 use crate::system::{
     BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, StorageSystem, StoreOutcome,
@@ -136,6 +136,9 @@ struct BytePath {
     /// else, for every `i`: the chunk's rows, whole and in order.
     rows_in_order: bool,
 }
+
+/// A rebuilt block: its size, and its payload unless it is stored as a size.
+type Replacement = (ByteSize, Option<Vec<u8>>);
 
 /// Bytes of the `[count][index][len]` words in front of a payload's first row.
 const ROW_HEADER_BYTES: usize = 12;
@@ -326,11 +329,6 @@ impl<B: StorageBackend> PeerStripe<B> {
             coding.placed_blocks(),
             coding.min_blocks_needed(),
         )
-    }
-
-    /// The domain a node belongs to under the configured topology.
-    fn domain_of(&self, node: NodeRef) -> Option<peerstripe_placement::DomainId> {
-        self.topology.as_ref().and_then(|t| t.domain_of(node))
     }
 
     /// Object name for one placed block of a chunk under the current policy.
@@ -753,32 +751,30 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
     }
 
-    /// Rebuild the payloads of the lost blocks at positions `lost` of
-    /// `chunk`'s block list from the chunk's surviving blocks: read the chunk
-    /// once, then re-encode exactly the codec blocks each placement carried,
-    /// straight into its replacement payload.  `Ok(None)` only on the
-    /// metadata-only path (holders answer, no payloads stored: a replacement
-    /// is a size); a chunk the survivors do not decode is the error
+    /// One replacement for each lost block at positions `lost` of `chunk`'s
+    /// block list — its size, and its payload unless the chunk was stored as
+    /// sizes (holders answer, none carries bytes) — from one read of the
+    /// chunk: each payload re-encodes exactly the codec blocks the lost
+    /// placement carried.  A chunk the survivors do not decode is the error
     /// [`Self::read_chunk_into`] gives, never a payload-less replacement.
-    fn regenerate_payloads(
+    fn rebuild_blocks(
         &self,
         chunk: &ChunkPlacement,
         lost: &[usize],
-    ) -> Result<Option<Vec<Vec<u8>>>, DecodeError> {
+    ) -> Result<Vec<Replacement>, DecodeError> {
         let mut bytes = Vec::new();
         if !self.read_chunk_into(chunk, 0..chunk.size.as_u64() as usize, &mut bytes)? {
-            return Ok(None);
+            return Ok(lost.iter().map(|&p| (chunk.blocks[p].size, None)).collect());
         }
-        let rows_of = |&position: &usize| {
-            let rows = self.byte_path.rows_of.get(position).cloned();
-            rows.ok_or(DecodeError::CorruptBlock {
-                index: position as u32,
-            })
+        let rows_of = |&p: &usize| {
+            let rows = self.byte_path.rows_of.get(p).cloned();
+            rows.ok_or(DecodeError::CorruptBlock { index: p as u32 })
         };
         let rows = lost.iter().map(rows_of).collect::<Result<Vec<_>, _>>()?;
         let mut payloads = vec![Vec::new(); lost.len()];
         self.byte_path.fill_payloads(&bytes, &rows, &mut payloads);
-        Ok(Some(payloads))
+        let sized = |p: Vec<u8>| (ByteSize::bytes(p.len() as u64), Some(p));
+        Ok(payloads.into_iter().map(sized).collect())
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -789,8 +785,7 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// Regenerated blocks get a fresh ECB number (the paper notes the recreated
     /// block "may not be exactly the same … but it is functionally equal") and
     /// the takeover inheritors of their keys are offered as preferred targets,
-    /// with normal placement as the fall-back when an inheritor may not take
-    /// one ("drop and recreate elsewhere").
+    /// with normal placement as the fall-back ("drop and recreate elsewhere").
     ///
     /// A chunk that has enough live holders but whose blocks cannot be fetched
     /// and decoded is not repaired: nothing is stored for it, its manifest
@@ -819,26 +814,17 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .filter(|&position| chunk.blocks[position].node == failed)
                 .collect();
             let mut damage = Damage::of_placement(chunk, failed);
-            // Byte path: rebuild the lost blocks' payloads from one read of
-            // the chunk; each carries exactly the codec blocks the lost
-            // placement held.
-            let payloads = match damage.verdict(&self.backend) {
-                Verdict::Rebuild => self.regenerate_payloads(chunk, &lost).ok(),
+            let rebuilt = match damage.verdict(&self.backend) {
+                Verdict::Rebuild => self.rebuild_blocks(chunk, &lost).ok(),
                 Verdict::WriteOff | Verdict::Defer => None,
             };
-            let Some(payloads) = payloads else {
+            let Some(replacements) = rebuilt else {
                 report.chunks_lost += 1;
                 report.bytes_lost += chunk.size;
                 continue;
             };
-            let sizes: Vec<ByteSize> = match &payloads {
-                Some(payloads) => {
-                    let sizes = payloads.iter().map(|p| ByteSize::bytes(p.len() as u64));
-                    sizes.collect()
-                }
-                None => lost.iter().map(|&p| chunk.blocks[p].size).collect(),
-            };
-            damage.block_size = sizes.iter().copied().max().unwrap_or(ByteSize::ZERO);
+            let largest = replacements.iter().map(|(size, _)| *size).max();
+            damage.block_size = largest.unwrap_or(ByteSize::ZERO);
             let next_ecb = chunk
                 .blocks
                 .iter()
@@ -858,27 +844,24 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .map(|name| takeover.inheritor_of(name.key()).1)
                 .collect();
             let mut rng = DetRng::new(names[0].key().seed());
-            let targets = RepairPlanner {
-                strategy: self.placement.as_mut(),
-                topology: self.topology.as_ref(),
-            }
-            .targets(&self.backend, &damage, lost.len(), &inheritors, &mut rng);
+            let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
+            let view = &self.backend;
+            let targets =
+                damage.targets(strategy, topology, view, lost.len(), &inheritors, &mut rng);
 
-            let mut payloads = payloads.map(Vec::into_iter);
             let mut replaced: Vec<(usize, BlockPlacement)> = Vec::new();
-            for (((position, name), size), node) in
-                lost.into_iter().zip(names).zip(sizes).zip(targets)
+            for (((position, name), (size, payload)), node) in
+                lost.into_iter().zip(names).zip(replacements).zip(targets)
             {
-                let payload = payloads.as_mut().and_then(Iterator::next);
-                let holders = damage.holders.iter().copied();
-                let stored = planner::commit(&mut self.backend, holders, node, |backend| {
+                let beside = damage.holders.iter().copied();
+                let stored = planner::commit(&mut self.backend, beside, node, |backend| {
                     let stored = backend.store_block(node, name.key(), name.clone(), size, payload);
                     stored.is_ok()
                 });
                 if stored {
                     report.blocks_regenerated += 1;
                     report.bytes_regenerated += size;
-                    let domain = self.domain_of(node);
+                    let domain = self.topology.as_ref().and_then(|t| t.domain_of(node));
                     let block = BlockPlacement {
                         name,
                         node,

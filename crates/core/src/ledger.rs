@@ -19,13 +19,11 @@
 //! [`DamageLedger::is_consistent`] recomputes them from the holder lists,
 //! which is the oracle the property tests compare against.
 //!
-//! The ledger keeps the books; it decides nothing.  Whether a chunk is
-//! written off, deferred or rebuilt, which nodes a rebuilt block may go to
-//! and whether it is registered on arrival are the four rules of
-//! [`crate::planner`], their single owner, which reads a chunk's state here
-//! ([`DamageLedger::damage`]: holders, promised targets, threshold and placed
-//! geometry) and writes back through [`DamageLedger::promise`] and
-//! [`crate::planner::commit_rebuilt`].
+//! The ledger keeps the books and decides nothing: what is written off,
+//! deferred or rebuilt, where a rebuilt block may go and whether it is
+//! registered on arrival are the rules of [`crate::planner`], their single
+//! owner, which reads a chunk here ([`DamageLedger::damage`]) and writes back
+//! through [`DamageLedger::promise`] and [`crate::planner::commit_rebuilt`].
 
 use crate::planner::Damage;
 use crate::system::ManifestStore;
@@ -39,10 +37,8 @@ use std::collections::BTreeSet;
 pub struct NodeLoss {
     /// The affected chunk's index in the ledger.
     pub chunk: u32,
-    /// Sizes of the blocks the chunk held on the failed node.
-    pub lost: Vec<ByteSize>,
-    /// Number of blocks the chunk still has registered after the removal.
-    pub survivors: usize,
+    /// Number of blocks the chunk held on the failed node.
+    pub blocks: usize,
 }
 
 /// What the ledger knows about one node.
@@ -67,10 +63,8 @@ pub struct DamageLedger {
     chunk_blocks: Vec<Vec<(NodeRef, ByteSize)>>,
     chunk_needed: Vec<usize>,
     /// Per chunk: how many blocks it was stored with, and the size of one.
-    chunk_placed: Vec<u32>,
-    chunk_block_size: Vec<ByteSize>,
-    /// Per chunk: the targets of its rebuilds still in flight, one entry per
-    /// promised block.
+    chunk_geometry: Vec<(u32, ByteSize)>,
+    /// Per chunk: the targets of its rebuilds still in flight, one per block.
     chunk_promised: Vec<Vec<NodeRef>>,
     chunk_size: Vec<ByteSize>,
     chunk_file: Vec<u32>,
@@ -108,11 +102,8 @@ impl DamageLedger {
                     ledger.holder_mut(*node).chunks.push(chunk_idx);
                 }
                 ledger.chunk_live.push(blocks.len() as u32);
-                ledger.chunk_placed.push(blocks.len() as u32);
-                let first = blocks.first().map(|(_, size)| *size);
-                ledger
-                    .chunk_block_size
-                    .push(first.unwrap_or_else(|| ByteSize::bytes(1)));
+                let size = blocks.first().map_or(ByteSize::bytes(1), |(_, size)| *size);
+                ledger.chunk_geometry.push((blocks.len() as u32, size));
                 ledger.chunk_promised.push(Vec::new());
                 ledger.chunk_blocks.push(blocks);
                 ledger.chunk_needed.push(chunk.min_blocks_needed);
@@ -151,9 +142,7 @@ impl DamageLedger {
         self.chunk_needed[chunk as usize]
     }
 
-    /// What the repair planner reads of the chunk: the holders of its
-    /// registered blocks, the targets promised one, its decode threshold and
-    /// the geometry it was stored with.
+    /// What the repair planner reads of the chunk.
     pub fn damage(&self, chunk: u32) -> Damage {
         let ci = chunk as usize;
         Damage {
@@ -165,9 +154,8 @@ impl DamageLedger {
         }
     }
 
-    /// Rebuilt blocks of `chunk` are on their way to `targets`: until each
-    /// arrives ([`DamageLedger::withdraw`]) the planner keeps further blocks
-    /// of the chunk off those nodes.
+    /// Rebuilt blocks of `chunk` are on their way to `targets`, which the
+    /// planner keeps further blocks of the chunk off until each arrives.
     pub fn promise(&mut self, chunk: u32, targets: impl IntoIterator<Item = NodeRef>) {
         self.chunk_promised[chunk as usize].extend(targets);
     }
@@ -183,7 +171,7 @@ impl DamageLedger {
 
     /// How many blocks the chunk was stored with.
     pub fn placed(&self, chunk: u32) -> usize {
-        self.chunk_placed[chunk as usize] as usize
+        self.chunk_geometry[chunk as usize].0 as usize
     }
 
     /// The targets of the chunk's rebuilds still in flight.
@@ -193,7 +181,7 @@ impl DamageLedger {
 
     /// Size of one block of the chunk, as it was stored.
     pub fn block_size(&self, chunk: u32) -> ByteSize {
-        self.chunk_block_size[chunk as usize]
+        self.chunk_geometry[chunk as usize].1
     }
 
     /// User bytes covered by the chunk.
@@ -273,9 +261,8 @@ impl DamageLedger {
     }
 
     /// Register a freshly placed (regenerated) block; it counts as live unless
-    /// its holder is down.  Bookkeeping only: whether the block may land there
-    /// is [`crate::planner::commit_rebuilt`]'s to say, the one caller outside
-    /// tests.
+    /// its holder is down.  Whether it may land there is for
+    /// [`crate::planner::commit_rebuilt`] to say, the one caller outside tests.
     pub fn place_block(&mut self, chunk: u32, node: NodeRef, size: ByteSize) {
         self.chunk_blocks[chunk as usize].push((node, size));
         let holder = self.holder_mut(node);
@@ -303,21 +290,15 @@ impl DamageLedger {
                 // removal (a node can hold several blocks of one chunk).
                 continue;
             }
-            let lost: Vec<ByteSize> = self.chunk_blocks[ci]
-                .iter()
-                .filter(|(n, _)| *n == node)
-                .map(|(_, s)| *s)
-                .collect();
+            let before = self.chunk_blocks[ci].len();
             self.chunk_blocks[ci].retain(|(n, _)| *n != node);
-            if was_up {
-                for _ in &lost {
-                    self.block_moved(chunk_idx, false);
-                }
+            let blocks = before - self.chunk_blocks[ci].len();
+            for _ in 0..if was_up { blocks } else { 0 } {
+                self.block_moved(chunk_idx, false);
             }
             losses.push(NodeLoss {
                 chunk: chunk_idx,
-                lost,
-                survivors: self.chunk_blocks[ci].len(),
+                blocks,
             });
         }
         losses
@@ -355,10 +336,9 @@ impl DamageLedger {
     }
 
     /// Blocks that regeneration put on a node beside another block of their
-    /// chunk: per chunk and holder, the blocks it holds now beyond one — or
-    /// beyond what it held in `stored`, the ledger as built, where the store
-    /// itself had put more than one there.  The planner's exclusion set and
-    /// commit keep this at zero; O(blocks), an oracle like
+    /// chunk: those a node holds beyond one, or beyond what it held in
+    /// `stored` — the ledger as built — where the store itself had put more
+    /// there.  The planner keeps this at zero; O(blocks), an oracle like
     /// [`DamageLedger::is_consistent`].
     pub fn collocated_since(&self, stored: &DamageLedger) -> usize {
         let held = |blocks: &[(NodeRef, ByteSize)], node: NodeRef| {
@@ -366,10 +346,8 @@ impl DamageLedger {
         };
         let mut gained = 0;
         for (now, then) in self.chunk_blocks.iter().zip(&stored.chunk_blocks) {
-            let holders: BTreeSet<NodeRef> = now.iter().map(|(n, _)| *n).collect();
-            for node in holders {
-                gained += held(now, node).saturating_sub(held(then, node).max(1));
-            }
+            let over = |i: &usize| held(&now[..=*i], now[*i].0) > held(then, now[*i].0).max(1);
+            gained += (0..now.len()).filter(over).count();
         }
         gained
     }
@@ -573,10 +551,9 @@ mod tests {
         let held = ledger.chunks_on(node).to_vec();
         let losses = ledger.remove_node(node);
         assert!(!losses.is_empty());
-        let removed_blocks: usize = losses.iter().map(|l| l.lost.len()).sum();
+        let removed_blocks: usize = losses.iter().map(|l| l.blocks).sum();
         assert_eq!(removed_blocks, held.len(), "one loss entry per held block");
         for loss in &losses {
-            assert_eq!(loss.survivors, ledger.blocks(loss.chunk).len());
             assert!(ledger.blocks(loss.chunk).iter().all(|(n, _)| *n != node));
         }
         // The removed blocks no longer count as live, wherever the node is.

@@ -45,7 +45,7 @@ pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
 pub use ledger::{DamageLedger, NodeLoss};
 pub use metrics::{MaintenanceMetrics, MaintenanceSample, StoreMetrics};
 pub use naming::ObjectName;
-pub use planner::{commit_rebuilt, Damage, RepairPlanner, Verdict};
+pub use planner::{commit_rebuilt, Damage, Verdict};
 pub use policy::CodingPolicy;
 pub use storage::{NodeStoreError, StorageNode, StoredObject};
 pub use system::{

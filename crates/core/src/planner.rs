@@ -1,30 +1,25 @@
 //! The repair planner: which lost blocks are rebuilt, and where.
 //!
 //! "Failed participants trigger regeneration of the lost blocks" (Section
-//! 4.4) is one decision, made here for everything that repairs — the
-//! continuous-time engine of `peerstripe-repair`, the client's
-//! [`handle_node_failure`], and Table 3's failure wave.  Four rules, each
-//! stated once:
+//! 4.4) is one decision, made here for everything that repairs: the engine
+//! of `peerstripe-repair`, the client's [`handle_node_failure`] and Table 3's
+//! failure wave.  Four rules, each stated once:
 //!
-//! 1. **The threshold** ([`Damage::verdict`]).  A chunk with fewer registered
-//!    blocks than it needs to decode is written off; one with enough
-//!    registered but too few of them on live nodes waits; any other is
-//!    rebuilt.
-//! 2. **The exclusion set** ([`RepairPlanner::targets`]).  A rebuilt block
-//!    goes to no node that holds a registered block of its chunk, nor to one
-//!    already promised a block of it by a rebuild still in flight.
-//! 3. **The domain cap** ([`domain_cap`]).  Under a topology no failure
-//!    domain may hold more blocks of a chunk than the chunk can lose.
-//! 4. **The commit** ([`commit`]).  A rebuilt block is registered only if its
-//!    target is alive, holds no block of the chunk, and accepts the charge;
+//! 1. **Threshold** ([`Damage::verdict`]): fewer registered blocks than the
+//!    chunk needs — written off; too few of them on live nodes — deferred;
+//!    otherwise rebuilt.
+//! 2. **Exclusion** ([`Damage::targets`]): no rebuilt block goes to a holder
+//!    of a registered block of its chunk, nor to a node a rebuild still in
+//!    flight has promised one.
+//! 3. **Domain cap** ([`domain_cap`]): under a topology no failure domain
+//!    holds more blocks of a chunk than the chunk can lose.
+//! 4. **Commit** ([`commit`]): a rebuilt block is registered only if its
+//!    target is alive, holds no block of the chunk and accepts the charge;
 //!    otherwise it is skipped — never re-drawn.
 //!
-//! *Where* within those rules is the [`PlacementStrategy`]'s choice; the
-//! planner builds the one [`RepairRequest`] and hands it over.  A caller may
-//! offer preferred candidates (the client's takeover inheritors); they ride
-//! in the request and pass the test a drawn target passes.  *When* a repair
-//! runs, what it costs in bandwidth and what bytes it moves stay with the
-//! callers.
+//! *Where* within those rules is the [`PlacementStrategy`]'s choice, made on
+//! the one [`RepairRequest`] built here.  *When* a repair runs, what it costs
+//! and what bytes it moves stay with the callers.
 //!
 //! [`handle_node_failure`]: crate::client::PeerStripe::handle_node_failure
 
@@ -35,9 +30,8 @@ use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{ClusterView, PlacementStrategy, RepairRequest, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 
-/// What the planner reads of one damaged chunk, whoever keeps its books: a
-/// [`DamageLedger`] ([`DamageLedger::damage`]) or a client's manifest
-/// ([`Damage::of_placement`]).
+/// What the planner reads of one damaged chunk, from a ledger
+/// ([`DamageLedger::damage`]) or a client's manifest ([`Damage::of_placement`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Damage {
     /// The holder of every block still registered, one entry per block (the
@@ -58,8 +52,7 @@ pub struct Damage {
 pub enum Verdict {
     /// Fewer registered blocks than the chunk needs: the data is gone.
     WriteOff,
-    /// Enough registered blocks, too few of them on live nodes: not
-    /// decodable now, may be again when a holder returns.
+    /// Too few of the registered blocks are on live nodes right now.
     Defer,
     /// Decodable: lost blocks can be rebuilt.
     Rebuild,
@@ -89,59 +82,58 @@ impl Damage {
             Verdict::Rebuild
         }
     }
-}
 
-/// Rule 3: the most blocks of one chunk a failure domain may hold — what the
-/// chunk can lose and still decode, so that losing a whole domain never
-/// loses the chunk.  Without a topology there are no domains to cap.
-pub fn domain_cap(topology: Option<&Topology>, placed: usize, needed: usize) -> usize {
-    match topology {
-        Some(_) => placed.saturating_sub(needed).max(1),
-        None => usize::MAX,
-    }
-}
-
-/// The strategy and topology rebuilt blocks are placed with.
-pub struct RepairPlanner<'a> {
-    /// Where, within the rules.
-    pub strategy: &'a mut dyn PlacementStrategy,
-    /// The failure domains the cap is counted over, if any.
-    pub topology: Option<&'a Topology>,
-}
-
-impl RepairPlanner<'_> {
     /// Rules 2 and 3: up to `want` targets for rebuilt blocks of a chunk
-    /// whose verdict is [`Verdict::Rebuild`], `preferred` candidates first.
-    /// The only draws are the strategy's, on `rng`.
+    /// whose verdict is [`Verdict::Rebuild`].  `preferred` candidates come
+    /// first, each taken only if it passes what a drawn target must — alive,
+    /// room, outside the exclusion set, its domain under the cap; `strategy`
+    /// draws the rest, and its draws on `rng` are the only ones.
     pub fn targets(
-        &mut self,
+        &self,
+        strategy: &mut dyn PlacementStrategy,
+        topology: Option<&Topology>,
         view: &dyn ClusterView,
-        damage: &Damage,
         want: usize,
         preferred: &[NodeRef],
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
-        let both;
-        let excluded = if damage.promised.is_empty() {
-            &damage.holders
-        } else {
-            both = [&damage.holders[..], &damage.promised[..]].concat();
-            &both
-        };
-        let request = RepairRequest {
-            want,
-            size: damage.block_size,
-            holders: excluded,
-            preferred,
-            domain_cap: domain_cap(self.topology, damage.placed, damage.needed),
-        };
-        self.strategy
-            .repair_targets(view, self.topology, &request, rng)
+        let mut excluded = [&self.holders[..], &self.promised[..]].concat();
+        let cap = domain_cap(topology, self.placed, self.needed);
+        let domain = |node: NodeRef| topology.and_then(|t| t.domain_of(node));
+        let mut targets = Vec::with_capacity(want);
+        for &candidate in preferred {
+            let beside = |n: &&NodeRef| domain(**n).is_some() && domain(**n) == domain(candidate);
+            if targets.len() < want
+                && view.is_alive(candidate)
+                && !excluded.contains(&candidate)
+                && excluded.iter().filter(beside).count() < cap
+                && view.can_store(candidate, self.block_size)
+            {
+                excluded.push(candidate);
+                targets.push(candidate);
+            }
+        }
+        if targets.len() < want {
+            let request = RepairRequest {
+                want: want - targets.len(),
+                size: self.block_size,
+                holders: &excluded,
+                domain_cap: cap,
+            };
+            targets.extend(strategy.repair_targets(view, topology, &request, rng));
+        }
+        targets
     }
 }
 
-/// Rule 4: a rebuilt block lands on `target` only if the node is alive,
-/// is not among the chunk's `holders`, and accepts the `charge`.
+/// Rule 3: the most blocks of one chunk a failure domain may hold — what the
+/// chunk can lose and still decode.  No topology, no domains to cap.
+pub fn domain_cap(topology: Option<&Topology>, placed: usize, needed: usize) -> usize {
+    topology.map_or(usize::MAX, |_| placed.saturating_sub(needed).max(1))
+}
+
+/// Rule 4: a rebuilt block lands on `target` only if the node is alive, is
+/// not among the chunk's `holders`, and accepts the `charge`.
 pub fn commit<V: ClusterView>(
     view: &mut V,
     mut holders: impl Iterator<Item = NodeRef>,
@@ -152,9 +144,8 @@ pub fn commit<V: ClusterView>(
 }
 
 /// Rule 4 over a ledger and the simulated cluster: the block of `chunk`
-/// promised to `target` arrives.  Registered and charged to the node's
-/// capacity if [`commit`] lets it; dropped if not, or if the chunk was
-/// written off while the block was on its way.
+/// promised to `target` arrives, and is registered and charged to the node
+/// if [`commit`] lets it and the chunk was not written off on the way.
 pub fn commit_rebuilt(
     ledger: &mut DamageLedger,
     cluster: &mut StorageCluster,
@@ -164,10 +155,8 @@ pub fn commit_rebuilt(
     ledger.withdraw(chunk, target);
     let size = ledger.block_size(chunk);
     let holders = ledger.blocks(chunk).iter().map(|(node, _)| *node);
-    let landed = !ledger.is_lost(chunk)
-        && commit(cluster, holders, target, |cluster| {
-            cluster.reserve(target, size).is_ok()
-        });
+    let reserve = |cluster: &mut StorageCluster| cluster.reserve(target, size).is_ok();
+    let landed = !ledger.is_lost(chunk) && commit(cluster, holders, target, reserve);
     if landed {
         ledger.place_block(chunk, target, size);
     }
@@ -181,7 +170,7 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::policy::CodingPolicy;
     use crate::system::StorageSystem;
-    use peerstripe_placement::StrategyKind;
+    use peerstripe_placement::{Domain, StrategyKind};
     use peerstripe_trace::{CapacityModel, FileRecord};
 
     const NODES: usize = 36;
@@ -288,7 +277,7 @@ mod tests {
         for (seed, coding, kind, topology) in cases() {
             let (cluster, ledger, mut rng) = damaged(coding, seed, topology.as_ref());
             let mut strategy = kind.build(seed);
-            // Only a strategy that spreads over domains counts them.
+            // Only a strategy that spreads over domains caps what it draws.
             let caps = topology.is_some() && kind != StrategyKind::OverlayRandom;
             for chunk in 0..ledger.chunk_count() as u32 {
                 let damage = ledger.damage(chunk);
@@ -297,12 +286,16 @@ mod tests {
                 }
                 let want = 1 + rng.index(3);
                 let preferred: Vec<NodeRef> = (0..rng.index(4)).map(|_| rng.index(NODES)).collect();
-                let targets = RepairPlanner {
-                    strategy: strategy.as_mut(),
-                    topology: topology.as_ref(),
-                }
-                .targets(&cluster, &damage, want, &preferred, &mut rng);
+                let targets = damage.targets(
+                    strategy.as_mut(),
+                    topology.as_ref(),
+                    &cluster,
+                    want,
+                    &preferred,
+                    &mut rng,
+                );
                 assert!(targets.len() <= want);
+                let taken = targets.iter().take_while(|t| preferred.contains(t)).count();
                 let cap = domain_cap(topology.as_ref(), damage.placed, damage.needed);
                 let in_domain_of = |node: NodeRef, nodes: &[NodeRef]| {
                     let domain = |n: NodeRef| topology.as_ref().and_then(|t| t.domain_of(n));
@@ -319,13 +312,13 @@ mod tests {
                     if caps {
                         let held = in_domain_of(target, &damage.holders)
                             + in_domain_of(target, &damage.promised)
-                            + in_domain_of(target, &targets);
-                        assert!(held <= cap, "{label}: {held} blocks in a domain, cap {cap}");
+                            + in_domain_of(target, &targets[..i]);
+                        assert!(
+                            held < cap,
+                            "{label}: {held} blocks in its domain, cap {cap}"
+                        );
                     }
                 }
-                // A preferred candidate is taken only through the same test;
-                // the ones that pass it come first, in the order offered.
-                let taken = targets.iter().take_while(|t| preferred.contains(t)).count();
                 preferred_taken += taken;
                 drawn += targets.len() - taken;
             }
@@ -350,16 +343,28 @@ mod tests {
             .unwrap();
         for kind in StrategyKind::ALL {
             let mut strategy = kind.build(1);
-            let mut planner = RepairPlanner {
-                strategy: strategy.as_mut(),
-                topology: None,
-            };
             // The dead victim and a holder are passed over, the good one taken.
             let preferred = [victim, damage.holders[0], good];
             let mut rng = DetRng::new(2);
-            let targets = planner.targets(&cluster, &damage, 1, &preferred, &mut rng);
+            let targets =
+                damage.targets(strategy.as_mut(), None, &cluster, 1, &preferred, &mut rng);
             assert_eq!(targets, vec![good], "{}", kind.label());
             assert_eq!(rng.next_u64(), DetRng::new(2).next_u64(), "nothing drawn");
+            // Under a topology that puts it beside two holders — RS(4, 2)'s
+            // cap — it is passed over, whatever the strategy caps itself.
+            let crowded = vec![damage.holders[0], damage.holders[1], good];
+            let rest = (0..NODES).filter(|n| !crowded.contains(n)).collect();
+            let domain = |label: &str, members| Domain {
+                label: label.to_string(),
+                site: 0,
+                members,
+            };
+            let topology =
+                Topology::from_domains(vec![domain("crowded", crowded), domain("rest", rest)]);
+            let topology = Some(&topology);
+            let targets =
+                damage.targets(strategy.as_mut(), topology, &cluster, 1, &[good], &mut rng);
+            assert!(!targets.contains(&good), "{}", kind.label());
         }
     }
 

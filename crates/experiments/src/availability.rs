@@ -11,7 +11,7 @@
 
 use crate::deployment::Deployment;
 use crate::scale::Scale;
-use peerstripe_core::{commit_rebuilt, CodingPolicy, DamageLedger, RepairPlanner, Verdict};
+use peerstripe_core::{commit_rebuilt, CodingPolicy, DamageLedger, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::OverlayRandom;
 use peerstripe_sim::stats::Figure;
@@ -145,13 +145,11 @@ pub fn run_regeneration(config: &ChurnConfig) -> Vec<Table3Row> {
 
 /// Table 3's single wave: fail `fraction` of the live nodes one after another
 /// with instantaneous recovery.  What is written off, which blocks are
-/// rebuilt and where they may land is the repair planner's decision
-/// ([`peerstripe_core::planner`]), made exactly as for the maintenance engine
-/// and the client; this loop only removes the node, asks for one target per
-/// lost block, commits, and adds up.  A block the planner finds no target
-/// for, or whose commit is refused, is not re-drawn — the redundancy stays
-/// unrestored, but the chunk is not lost either.  The continuous-time engine
-/// in `peerstripe-repair` is where repairs take time and bandwidth.
+/// rebuilt and where they land is the repair planner's decision
+/// ([`peerstripe_core::planner`]), as for the maintenance engine and the
+/// client; this loop removes the node, asks for one target per lost block,
+/// commits and adds up.  A block with no target, or refused at commit, is not
+/// re-drawn: the redundancy stays unrestored, the chunk is not lost.
 fn fail_wave(
     deployed: &mut Deployment,
     ledger: &mut DamageLedger,
@@ -163,10 +161,6 @@ fn fail_wave(
     let nodes_failed = ((order.len() as f64) * fraction).round() as usize;
     rng.shuffle(&mut order);
     order.truncate(nodes_failed);
-    let mut planner = RepairPlanner {
-        strategy: &mut OverlayRandom::new(),
-        topology: None,
-    };
     let mut data_lost = ByteSize::ZERO;
     let mut data_regenerated = ByteSize::ZERO;
     let mut per_failure = OnlineStats::new();
@@ -182,8 +176,8 @@ fn fail_wave(
                 }
                 Verdict::Defer => {}
                 Verdict::Rebuild => {
-                    let want = loss.lost.len();
-                    for target in planner.targets(cluster, &damage, want, &[], rng) {
+                    let strategy = &mut OverlayRandom::new();
+                    for target in damage.targets(strategy, None, cluster, loss.blocks, &[], rng) {
                         if commit_rebuilt(ledger, cluster, loss.chunk, target) {
                             regenerated += damage.block_size;
                         }

@@ -320,7 +320,6 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
                 want: 1,
                 size: ByteSize::mb(8),
                 holders: &holders,
-                preferred: &[],
                 domain_cap: DOMAIN_CAP,
             };
             let per_sec = best_rate(

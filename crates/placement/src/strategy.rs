@@ -66,14 +66,9 @@ pub struct RepairRequest<'a> {
     pub want: usize,
     /// Size each target must be able to store.
     pub size: ByteSize,
-    /// Nodes a rebuilt block must not land on: the holders of the chunk's
-    /// registered blocks, and the targets already promised one — a rebuilt
-    /// block must never collocate with another block of its own chunk.
+    /// Holders of the chunk's registered blocks and targets already promised
+    /// one: a rebuilt block never collocates with another block of its chunk.
     pub holders: &'a [NodeRef],
-    /// Candidates the caller would rather see chosen (the takeover inheritors
-    /// of Section 4.4), tried in order before anything is drawn.  Each passes
-    /// the test a drawn target passes, or is passed over.
-    pub preferred: &'a [NodeRef],
     /// Maximum blocks of this chunk any single failure domain may hold
     /// (`usize::MAX` disables the constraint).
     pub domain_cap: usize,
@@ -149,26 +144,17 @@ impl PlacementStrategy for OverlayRandom {
         // Random-key probes to live nodes with space that do not already hold
         // a block of the chunk (keeping the failure independence of the
         // original spread).
-        // The capacity question last: over a gateway it is an RPC.
-        let fits = |candidate: NodeRef, targets: &[NodeRef]| {
-            !request.holders.contains(&candidate)
-                && !targets.contains(&candidate)
-                && view.can_store(candidate, request.size)
-        };
         let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
-        for &candidate in request.preferred {
-            if targets.len() < request.want && view.is_alive(candidate) && fits(candidate, &targets)
-            {
-                targets.push(candidate);
-            }
-        }
         let mut attempts = 0;
         while targets.len() < request.want && attempts < request.want * 8 {
             attempts += 1;
             let Some(candidate) = view.route_quiet(Id::random(rng)) else {
                 break;
             };
-            if fits(candidate, &targets) {
+            if !request.holders.contains(&candidate)
+                && !targets.contains(&candidate)
+                && view.can_store(candidate, request.size)
+            {
                 targets.push(candidate);
             }
         }
@@ -413,23 +399,6 @@ impl PlacementStrategy for DomainSpread {
             }
         }
         let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
-        for &candidate in request.preferred {
-            // A drawn target is a live member with room, of a domain under
-            // the cap, that neither holds a block of the chunk nor was chosen.
-            let Some(d) = topology.domain_of(candidate) else {
-                continue;
-            };
-            if targets.len() < request.want
-                && counts[d as usize] < cap
-                && view.is_alive(candidate)
-                && !request.holders.contains(&candidate)
-                && !targets.contains(&candidate)
-                && view.can_store(candidate, request.size)
-            {
-                counts[d as usize] += 1;
-                targets.push(candidate);
-            }
-        }
         while targets.len() < request.want {
             let Some(node) =
                 Self::repair_pick(view, topology, &counts, &targets, request, cap, rng)
@@ -459,70 +428,46 @@ impl CapacityWeighted {
             rng: DetRng::new(seed).fork("capacity-weighted"),
         }
     }
-}
 
-/// What stays the same across the weighted draws of one decision.
-struct Weighing<'a> {
-    view: &'a dyn ClusterView,
-    topology: Option<&'a Topology>,
-    exclude: &'a [NodeRef],
-    cap: usize,
-    min_size: ByteSize,
-}
-
-impl Weighing<'_> {
-    /// Per-domain block counts, `holders` already counted.
-    fn counts(&self, holders: &[NodeRef]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.topology.map_or(0, Topology::domain_count)];
-        for &holder in holders {
-            self.take(&mut counts, holder);
-        }
-        counts
-    }
-
-    /// Count a block on `node` against its domain.
-    fn take(&self, counts: &mut [usize], node: NodeRef) {
-        if let Some(d) = self.topology.and_then(|t| t.domain_of(node)) {
-            counts[d as usize] += 1;
-        }
-    }
-
-    /// The weight `node` is drawn with — its report — or `None` when it may
-    /// not be drawn: chosen or excluded, in a domain at the cap, or reporting
-    /// less than the block needs.
-    fn weight(&self, counts: &[usize], chosen: &[NodeRef], node: NodeRef) -> Option<ByteSize> {
-        if chosen.contains(&node) || self.exclude.contains(&node) {
-            return None;
-        }
-        if let (Some(t), true) = (self.topology, self.cap != usize::MAX) {
-            if t.domain_of(node)
-                .is_some_and(|d| counts[d as usize] >= self.cap)
-            {
-                return None;
-            }
-        }
-        let report = self.view.report_of(node);
-        (!report.is_zero() && report >= self.min_size).then_some(report)
-    }
-
-    /// One weighted draw over the eligible nodes, counted against its domain.
+    /// One weighted draw over the eligible nodes.
+    #[allow(clippy::too_many_arguments)]
     fn draw(
-        &self,
+        view: &dyn ClusterView,
+        topology: Option<&Topology>,
         counts: &mut [usize],
         chosen: &[NodeRef],
+        exclude: &[NodeRef],
+        cap: usize,
+        min_size: ByteSize,
         rng: &mut DetRng,
     ) -> Option<(NodeRef, ByteSize)> {
         let mut eligible: Vec<(NodeRef, ByteSize)> = Vec::new();
         let mut total = 0u128;
-        for node in self.view.alive_nodes() {
-            if let Some(report) = self.weight(counts, chosen, node) {
-                total += report.as_u64() as u128;
-                eligible.push((node, report));
+        for node in view.alive_nodes() {
+            if chosen.contains(&node) || exclude.contains(&node) {
+                continue;
             }
+            if let (Some(t), true) = (topology, cap != usize::MAX) {
+                if let Some(d) = t.domain_of(node) {
+                    if counts[d as usize] >= cap {
+                        continue;
+                    }
+                }
+            }
+            let report = view.report_of(node);
+            if report.is_zero() || report < min_size {
+                continue;
+            }
+            total += report.as_u64() as u128;
+            eligible.push((node, report));
+        }
+        if eligible.is_empty() {
+            return None;
         }
         // Float rounding can push x to (or past) the exact weight sum, so the
-        // walk may run off the end; the last eligible node is the fallback.
-        let mut pick = *eligible.last()?;
+        // walk may run off the end; the last eligible node is the fallback,
+        // and the domain bookkeeping below covers both outcomes.
+        let mut pick = *eligible.last().expect("non-empty"); // lint:allow(panic) -- eligible verified non-empty before the weighted walk
         let mut x = (rng.next_f64() * total as f64) as u128;
         for &(node, report) in &eligible {
             let w = report.as_u64() as u128;
@@ -532,7 +477,11 @@ impl Weighing<'_> {
             }
             x -= w;
         }
-        self.take(counts, pick.0);
+        if let Some(t) = topology {
+            if let Some(d) = t.domain_of(pick.0) {
+                counts[d as usize] += 1;
+            }
+        }
         Some(pick)
     }
 }
@@ -549,18 +498,20 @@ impl PlacementStrategy for CapacityWeighted {
         keys: &[Id],
         domain_cap: usize,
     ) -> Option<Vec<(NodeRef, ByteSize)>> {
-        let weighing = Weighing {
-            view,
-            topology,
-            exclude: &[],
-            cap: domain_cap,
-            min_size: ByteSize::ZERO,
-        };
-        let mut counts = weighing.counts(&[]);
+        let mut counts = vec![0usize; topology.map(Topology::domain_count).unwrap_or(0)];
         let mut chosen: Vec<NodeRef> = Vec::with_capacity(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         for _ in keys {
-            let (node, report) = weighing.draw(&mut counts, &chosen, &mut self.rng)?;
+            let (node, report) = Self::draw(
+                view,
+                topology,
+                &mut counts,
+                &chosen,
+                &[],
+                domain_cap,
+                ByteSize::ZERO,
+                &mut self.rng,
+            )?;
             chosen.push(node);
             out.push((node, report));
         }
@@ -574,26 +525,24 @@ impl PlacementStrategy for CapacityWeighted {
         request: &RepairRequest<'_>,
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
-        let weighing = Weighing {
-            view,
-            topology,
-            exclude: request.holders,
-            cap: request.domain_cap,
-            min_size: request.size,
-        };
-        let mut counts = weighing.counts(request.holders);
-        let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
-        for &candidate in request.preferred {
-            if targets.len() < request.want
-                && view.is_alive(candidate)
-                && weighing.weight(&counts, &targets, candidate).is_some()
-            {
-                weighing.take(&mut counts, candidate);
-                targets.push(candidate);
+        let mut counts = vec![0usize; topology.map(Topology::domain_count).unwrap_or(0)];
+        for &holder in request.holders {
+            if let Some(d) = topology.and_then(|t| t.domain_of(holder)) {
+                counts[d as usize] += 1;
             }
         }
+        let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
         while targets.len() < request.want {
-            let Some((node, _)) = weighing.draw(&mut counts, &targets, rng) else {
+            let Some((node, _)) = Self::draw(
+                view,
+                topology,
+                &mut counts,
+                &targets,
+                request.holders,
+                request.domain_cap,
+                request.size,
+                rng,
+            ) else {
                 break;
             };
             targets.push(node);
@@ -726,7 +675,6 @@ mod tests {
                 want: 1,
                 size: ByteSize::mb(1),
                 holders: &holders,
-                preferred: &[],
                 domain_cap: usize::MAX,
             },
             &mut rng,
@@ -787,7 +735,6 @@ mod tests {
                 want: 1,
                 size: ByteSize::kb(1),
                 holders: &[],
-                preferred: &[],
                 domain_cap: 2,
             },
             &mut DetRng::new(1),
@@ -810,7 +757,6 @@ mod tests {
                 want: 2,
                 size: ByteSize::mb(1),
                 holders: &holders,
-                preferred: &[],
                 domain_cap: 2,
             },
             &mut DetRng::new(1),

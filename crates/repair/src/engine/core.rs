@@ -6,9 +6,7 @@ use super::events::MaintenanceEvent;
 use crate::config::{ChurnProcess, RepairConfig};
 use crate::detection::DetectionPolicy;
 use crate::scheduler::RepairScheduler;
-use peerstripe_core::{
-    DamageLedger, MaintenanceMetrics, ManifestStore, RepairPlanner, StorageCluster, Verdict,
-};
+use peerstripe_core::{DamageLedger, MaintenanceMetrics, ManifestStore, StorageCluster, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
@@ -461,12 +459,11 @@ impl MaintenanceEngine {
     }
 
     /// Decide whether (and how much) to regenerate for `chunk`, and charge the
-    /// transfers.  What may be rebuilt and where is the planner's call
+    /// transfers: what may be rebuilt and where is the planner's call
     /// ([`peerstripe_core::planner`]); how many blocks now, from which
-    /// uploaders and at what bandwidth cost is decided here.  Defers
-    /// silently when decode sources or placement targets are not currently
-    /// available — the next return/declaration/completion event touching the
-    /// chunk retries.
+    /// uploaders and at what cost is decided here.  Defers silently when
+    /// decode sources or targets are not available — the next return,
+    /// declaration or completion touching the chunk retries.
     pub(super) fn maybe_repair(
         &mut self,
         q: &mut EventQueue<MaintenanceEvent>,
@@ -507,11 +504,8 @@ impl MaintenanceEngine {
             return;
         }
         let token = self.profiler.begin();
-        let targets = RepairPlanner {
-            strategy: self.placement.as_mut(),
-            topology: self.topology.as_ref(),
-        }
-        .targets(&self.cluster, &damage, want, &[], &mut self.rng);
+        let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
+        let targets = damage.targets(strategy, topology, &self.cluster, want, &[], &mut self.rng);
         self.profiler.end(Phase::Placement, token);
         if self.tracing() {
             let strategy = self.placement.name().to_string();
@@ -532,15 +526,15 @@ impl MaintenanceEngine {
         let token = self.profiler.begin();
         let plan = self
             .scheduler
-            .schedule(chunk, damage.block_size, &sources, &targets, now);
+            .schedule(damage.block_size, &sources, &targets, now);
         self.profiler.end(Phase::Scheduler, token);
-        self.ledger.promise(chunk, targets);
+        self.ledger.promise(chunk, targets.iter().copied());
         if self.tracing() {
             self.trace(
                 now,
                 TraceRecord::RepairScheduled {
                     chunk,
-                    blocks: plan.placements.len(),
+                    blocks: targets.len(),
                     traffic: plan.traffic.as_u64(),
                     done_at_ns: plan.done_at.as_nanos(),
                 },
@@ -550,7 +544,7 @@ impl MaintenanceEngine {
             plan.done_at,
             MaintenanceEvent::RepairDone {
                 chunk,
-                placements: plan.placements,
+                targets,
                 traffic: plan.traffic,
             },
         );

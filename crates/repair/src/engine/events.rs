@@ -58,7 +58,7 @@ pub enum MaintenanceEvent {
         /// The repaired chunk.
         chunk: u32,
         /// Where the rebuilt blocks land.
-        placements: Vec<(NodeRef, ByteSize)>,
+        targets: Vec<NodeRef>,
         /// Network bytes the repair moved.
         traffic: ByteSize,
     },
@@ -97,9 +97,9 @@ impl MaintenanceEngine {
             }
             MaintenanceEvent::RepairDone {
                 chunk,
-                placements,
+                targets,
                 traffic,
-            } => self.on_repair_done(q, now, chunk, placements, traffic),
+            } => self.on_repair_done(q, now, chunk, targets, traffic),
             MaintenanceEvent::RetryRepair(chunk) => {
                 self.retry_pending[chunk as usize] = false;
                 self.maybe_repair(q, now, chunk);
@@ -365,35 +365,13 @@ impl MaintenanceEngine {
         match verdict {
             DeclarationVerdict::Cancel => {
                 self.registry.inc(self.counters.verdict_cancel, 1);
-                if self.tracing() {
-                    let outage = self.down_outage[node];
-                    self.trace(
-                        now,
-                        TraceRecord::DeclarationVerdict {
-                            node,
-                            generation,
-                            verdict: "cancel".to_string(),
-                            outage,
-                        },
-                    );
-                }
+                self.trace_verdict(now, node, generation, "cancel");
                 return;
             }
             DeclarationVerdict::Hold { until } => {
                 debug_assert!(until > now, "holds must move forward");
                 self.registry.inc(self.counters.verdict_hold, 1);
-                if self.tracing() {
-                    let outage = self.down_outage[node];
-                    self.trace(
-                        now,
-                        TraceRecord::DeclarationVerdict {
-                            node,
-                            generation,
-                            verdict: "hold".to_string(),
-                            outage,
-                        },
-                    );
-                }
+                self.trace_verdict(now, node, generation, "hold");
                 if !self.hold_active[node] {
                     self.hold_active[node] = true;
                     self.metrics.declarations_held += 1;
@@ -408,33 +386,20 @@ impl MaintenanceEngine {
             let wait = now.saturating_sub(since).as_secs_f64();
             self.registry.observe(self.counters.declaration_wait, wait);
         }
-        if self.tracing() {
-            let outage = self.down_outage[node];
-            self.trace(
-                now,
-                TraceRecord::DeclarationVerdict {
-                    node,
-                    generation,
-                    verdict: "declare".to_string(),
-                    outage,
-                },
-            );
-            if self.hold_active[node] {
-                self.trace(
-                    now,
-                    TraceRecord::HoldReleased {
-                        node,
-                        declared: true,
-                    },
-                );
-            }
+        self.trace_verdict(now, node, generation, "declare");
+        if self.tracing() && self.hold_active[node] {
+            let released = TraceRecord::HoldReleased {
+                node,
+                declared: true,
+            };
+            self.trace(now, released);
         }
         // A held declaration released past its cap (or an absence that
         // stopped looking correlated) is a declaration like any other.
         self.hold_active[node] = false;
         self.declared[node] = true;
         for loss in self.ledger.remove_node(node) {
-            for _ in 0..loss.lost.len() {
+            for _ in 0..loss.blocks {
                 self.writeoffs.block_written_off(loss.chunk, node);
             }
             if self.tracing() {
@@ -443,7 +408,7 @@ impl MaintenanceEngine {
                     TraceRecord::BlocksWrittenOff {
                         chunk: loss.chunk,
                         node,
-                        blocks: loss.lost.len(),
+                        blocks: loss.blocks,
                     },
                 );
             }
@@ -454,26 +419,38 @@ impl MaintenanceEngine {
         }
     }
 
+    /// Trace the detection policy's verdict on `node`'s declaration.
+    fn trace_verdict(&mut self, now: SimTime, node: NodeRef, generation: u64, verdict: &str) {
+        if self.tracing() {
+            let record = TraceRecord::DeclarationVerdict {
+                node,
+                generation,
+                verdict: verdict.to_string(),
+                outage: self.down_outage[node],
+            };
+            self.trace(now, record);
+        }
+    }
+
     fn on_repair_done(
         &mut self,
         q: &mut EventQueue<MaintenanceEvent>,
         now: SimTime,
         chunk: u32,
-        placements: Vec<(NodeRef, ByteSize)>,
+        targets: Vec<NodeRef>,
         traffic: ByteSize,
     ) {
-        let blocks = placements.len() as u64;
+        let blocks = targets.len() as u64;
         self.scheduler.complete(blocks);
         // Each rebuilt block carries an equal share of the repair's traffic
         // for the wasted-repair attribution.
         let share = ByteSize::bytes(traffic.as_u64() / blocks.max(1));
         let mut placed = 0u64;
         let mut dropped = 0u64;
-        for (node, _) in placements {
-            // The planner's commit: the target must still be alive and still
-            // have the space it had at scheduling time, and the chunk must
-            // not have been written off meanwhile; the block is charged to
-            // the node's capacity so future can_store probes see it.
+        for node in targets {
+            // The planner's commit: alive, still no holder, still room (the
+            // block is charged to the node, so later can_store probes see
+            // it), and the chunk not written off meanwhile.
             if commit_rebuilt(&mut self.ledger, &mut self.cluster, chunk, node) {
                 placed += 1;
                 let wasted = self

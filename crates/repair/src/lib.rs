@@ -24,19 +24,18 @@
 //!   against per-node upload/download [`peerstripe_sim::RateLimiter`] budgets
 //!   so concurrent repairs queue and interfere.
 //!
-//! The engine decides *when* blocks are rebuilt — detection, how many
-//! blocks now, from which uploaders, at what bandwidth cost, and when to
-//! retry — in sizes.  *Which* chunks are rebuilt, written off or deferred,
-//! *where* a rebuilt block may land and whether it is registered on arrival
-//! is one decision owned by [`peerstripe_core::planner`], which the client's
+//! The engine decides *when* blocks are rebuilt — detection, how many now,
+//! from which uploaders, at what bandwidth cost, when to retry — in sizes.
+//! *Which* chunks are rebuilt, written off or deferred, *where* a rebuilt
+//! block may land and whether it is registered on arrival is one decision
+//! owned by [`peerstripe_core::planner`], which the client's
 //! `PeerStripe::handle_node_failure` (the one place block payloads are
-//! rebuilt) and Table 3 call too.  Damage and availability bookkeeping
-//! is shared with `peerstripe-core` through [`peerstripe_core::DamageLedger`]:
-//! the engine tells the ledger who went down, came back or was written off
-//! and which targets it promised a block, and reads files-unavailable back
-//! from it — the same counts Figure 10 and Table 3 are drawn from.  The `repro
-//! repair-sweep` experiment sweeps policy × detection-timeout × bandwidth
-//! over this engine at up to the paper's 10 000-node scale.
+//! rebuilt) and Table 3 call too.  Bookkeeping is shared through
+//! [`peerstripe_core::DamageLedger`]: the engine tells it who went down, came
+//! back or was written off and which targets were promised a block, and reads
+//! files-unavailable back — the counts Figure 10 and Table 3 are drawn from.
+//! The `repro repair-sweep` experiment sweeps policy × detection-timeout ×
+//! bandwidth over this engine at up to the paper's 10 000-node scale.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -16,14 +16,9 @@ use crate::config::{BandwidthBudget, RepairPolicy};
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::{ByteSize, RateLimiter, SimTime};
 
-/// A scheduled regeneration: where the rebuilt blocks will land and when.
-#[derive(Debug, Clone)]
+/// A scheduled regeneration: what it moves and when it is done.
+#[derive(Debug, Clone, Copy)]
 pub struct PlannedRepair {
-    /// The chunk being repaired.
-    pub chunk: u32,
-    /// `(node, block size)` for every block being rebuilt; the first entry is
-    /// the rebuilder itself.
-    pub placements: Vec<(NodeRef, ByteSize)>,
     /// Network bytes this repair moves (decode reads + pushed blocks).
     pub traffic: ByteSize,
     /// When the last transfer drains.
@@ -67,12 +62,11 @@ impl RepairScheduler {
         self.scheduled_blocks
     }
 
-    /// Charge the transfers for rebuilding `targets.len()` blocks of `chunk`
+    /// Charge the transfers for rebuilding `targets.len()` blocks of a chunk
     /// (each of `block_size`) on `targets[0]`, reading one block from every
     /// node in `sources`.
     pub fn schedule(
         &mut self,
-        chunk: u32,
         block_size: ByteSize,
         sources: &[NodeRef],
         targets: &[NodeRef],
@@ -99,8 +93,6 @@ impl RepairScheduler {
         self.in_flight_blocks += targets.len() as u64;
         self.scheduled_blocks += targets.len() as u64;
         PlannedRepair {
-            chunk,
-            placements: targets.iter().map(|&t| (t, block_size)).collect(),
             traffic,
             done_at: done,
         }
@@ -126,10 +118,9 @@ mod tests {
         let now = SimTime::from_secs(0);
         // 4 sources of 1 MB each: sources upload in parallel (1 s each), the
         // rebuilder downloads 4 MB serially (4 s) — the bottleneck.
-        let plan = s.schedule(0, ByteSize::mb(1), &[1, 2, 3, 4], &[0], now);
+        let plan = s.schedule(ByteSize::mb(1), &[1, 2, 3, 4], &[0], now);
         assert_eq!(plan.done_at, SimTime::from_secs(4));
         assert_eq!(plan.traffic, ByteSize::mb(4));
-        assert_eq!(plan.placements, vec![(0, ByteSize::mb(1))]);
         assert_eq!(s.in_flight(), 1);
         s.complete(1);
         assert_eq!(s.in_flight(), 0);
@@ -141,12 +132,12 @@ mod tests {
         // Rebuilding two blocks in one batch: 4 MB of reads + 1 MB push,
         // versus 8 MB of reads for two eager single-block repairs.
         let mut batched = scheduler(ByteSize::mb(1));
-        let plan = batched.schedule(0, ByteSize::mb(1), &[1, 2, 3, 4], &[0, 5], SimTime::ZERO);
+        let plan = batched.schedule(ByteSize::mb(1), &[1, 2, 3, 4], &[0, 5], SimTime::ZERO);
         assert_eq!(plan.traffic, ByteSize::mb(5));
-        assert_eq!(plan.placements.len(), 2);
+        assert_eq!(batched.in_flight(), 2);
         let mut eager = scheduler(ByteSize::mb(1));
-        let a = eager.schedule(0, ByteSize::mb(1), &[1, 2, 3, 4], &[0], SimTime::ZERO);
-        let b = eager.schedule(0, ByteSize::mb(1), &[1, 2, 3, 4], &[5], SimTime::ZERO);
+        let a = eager.schedule(ByteSize::mb(1), &[1, 2, 3, 4], &[0], SimTime::ZERO);
+        let b = eager.schedule(ByteSize::mb(1), &[1, 2, 3, 4], &[5], SimTime::ZERO);
         assert_eq!(a.traffic + b.traffic, ByteSize::mb(8));
     }
 
@@ -154,14 +145,14 @@ mod tests {
     fn concurrent_repairs_queue_on_shared_budgets() {
         let mut s = scheduler(ByteSize::mb(1));
         let now = SimTime::ZERO;
-        let first = s.schedule(0, ByteSize::mb(2), &[1], &[0], now);
+        let first = s.schedule(ByteSize::mb(2), &[1], &[0], now);
         assert_eq!(first.done_at, SimTime::from_secs(2));
         // The second repair reads from the same source, whose upload pipe is
         // still draining the first: it cannot finish before second 4.
-        let second = s.schedule(1, ByteSize::mb(2), &[1], &[2], now);
+        let second = s.schedule(ByteSize::mb(2), &[1], &[2], now);
         assert_eq!(second.done_at, SimTime::from_secs(4));
         // An unrelated pair of nodes is unaffected.
-        let third = s.schedule(2, ByteSize::mb(2), &[5], &[6], now);
+        let third = s.schedule(ByteSize::mb(2), &[5], &[6], now);
         assert_eq!(third.done_at, SimTime::from_secs(2));
     }
 }

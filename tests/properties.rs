@@ -973,7 +973,6 @@ fn assert_decisions_match(cluster: &mut StorageCluster, topology: &Topology, rng
         want: 1 + rng.index(4),
         size,
         holders: &holders,
-        preferred: &[],
         domain_cap: cap,
     };
     let seed = rng.next_u64();
