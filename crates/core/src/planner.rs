@@ -100,28 +100,30 @@ impl Damage {
         let mut excluded = [&self.holders[..], &self.promised[..]].concat();
         let cap = domain_cap(topology, self.placed, self.needed);
         let domain = |node: NodeRef| topology.and_then(|t| t.domain_of(node));
-        let mut targets = Vec::with_capacity(want);
+        let mut taken = Vec::new();
         for &candidate in preferred {
             let beside = |n: &&NodeRef| domain(**n).is_some() && domain(**n) == domain(candidate);
-            if targets.len() < want
+            if taken.len() < want
                 && view.is_alive(candidate)
                 && !excluded.contains(&candidate)
                 && excluded.iter().filter(beside).count() < cap
                 && view.can_store(candidate, self.block_size)
             {
                 excluded.push(candidate);
-                targets.push(candidate);
+                taken.push(candidate);
             }
         }
-        if targets.len() < want {
-            let request = RepairRequest {
-                want: want - targets.len(),
-                size: self.block_size,
-                holders: &excluded,
-                domain_cap: cap,
-            };
-            targets.extend(strategy.repair_targets(view, topology, &request, rng));
+        if taken.len() == want {
+            return taken;
         }
+        let request = RepairRequest {
+            want: want - taken.len(),
+            size: self.block_size,
+            holders: &excluded,
+            domain_cap: cap,
+        };
+        let mut targets = strategy.repair_targets(view, topology, &request, rng);
+        targets.splice(0..0, taken);
         targets
     }
 }
