@@ -843,7 +843,10 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .iter()
                 .map(|name| takeover.inheritor_of(name.key()).1)
                 .collect();
-            let mut rng = DetRng::new(names[0].key().seed());
+            let Some(newest) = names.last() else {
+                continue;
+            };
+            let mut rng = DetRng::new(newest.key().seed());
             let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
             let view = &self.backend;
             let targets =
