@@ -843,10 +843,8 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .iter()
                 .map(|name| takeover.inheritor_of(name.key()).1)
                 .collect();
-            let Some(newest) = names.last() else {
-                continue;
-            };
-            let mut rng = DetRng::new(newest.key().seed());
+            let newest = names.last().map_or(0, |name| name.key().seed());
+            let mut rng = DetRng::new(newest);
             let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
             let view = &self.backend;
             let targets =

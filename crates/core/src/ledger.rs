@@ -20,10 +20,10 @@
 //! which is the oracle the property tests compare against.
 //!
 //! The ledger keeps the books and decides nothing: what is written off,
-//! deferred or rebuilt, where a rebuilt block may go and whether it is
-//! registered on arrival are the rules of [`crate::planner`], their single
-//! owner, which reads a chunk here ([`DamageLedger::damage`]) and writes back
-//! through [`DamageLedger::promise`] and [`crate::planner::commit_rebuilt`].
+//! deferred or rebuilt, and where a rebuilt block may land, are the rules of
+//! [`crate::planner`], their single owner, which reads a chunk here through
+//! [`DamageLedger::damage`] and writes back through [`DamageLedger::promise`]
+//! and [`crate::planner::commit_rebuilt`].
 
 use crate::planner::Damage;
 use crate::system::ManifestStore;
@@ -154,14 +154,12 @@ impl DamageLedger {
         }
     }
 
-    /// Rebuilt blocks of `chunk` are on their way to `targets`, which the
-    /// planner keeps further blocks of the chunk off until each arrives.
+    /// Rebuilt blocks of `chunk` are on their way to `targets`.
     pub fn promise(&mut self, chunk: u32, targets: impl IntoIterator<Item = NodeRef>) {
         self.chunk_promised[chunk as usize].extend(targets);
     }
 
-    /// The block promised to `target` arrived, or never will: forget one
-    /// promise of `chunk` to it, if there is one.
+    /// The block of `chunk` promised to `target` arrived, or never will.
     pub fn withdraw(&mut self, chunk: u32, target: NodeRef) {
         let promised = &mut self.chunk_promised[chunk as usize];
         if let Some(at) = promised.iter().position(|n| *n == target) {

@@ -34,10 +34,9 @@ use peerstripe_sim::{ByteSize, DetRng};
 /// ([`DamageLedger::damage`]) or a client's manifest ([`Damage::of_placement`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Damage {
-    /// The holder of every block still registered, one entry per block (the
-    /// failed node's are gone; a holder that is merely down is listed).
+    /// The holder of every block still registered, down or up, one per block.
     pub holders: Vec<NodeRef>,
-    /// The targets of rebuilds still in flight, one entry per promised block.
+    /// The targets of rebuilds still in flight, one per promised block.
     pub promised: Vec<NodeRef>,
     /// Blocks the chunk needs to decode.
     pub needed: usize,
@@ -146,8 +145,8 @@ pub fn commit<V: ClusterView>(
 }
 
 /// Rule 4 over a ledger and the simulated cluster: the block of `chunk`
-/// promised to `target` arrives, and is registered and charged to the node
-/// if [`commit`] lets it and the chunk was not written off on the way.
+/// promised to `target` arrives, and is registered and charged to the node if
+/// [`commit`] lets it and the chunk was not written off on the way.
 pub fn commit_rebuilt(
     ledger: &mut DamageLedger,
     cluster: &mut StorageCluster,
