@@ -324,11 +324,8 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// domain can never make the chunk unrecoverable).
     pub fn domain_cap(&self) -> usize {
         let coding = &self.config.coding;
-        planner::domain_cap(
-            self.topology.as_ref(),
-            coding.placed_blocks(),
-            coding.min_blocks_needed(),
-        )
+        let (placed, needed) = (coding.placed_blocks(), coding.min_blocks_needed());
+        planner::domain_cap(self.topology.as_ref(), placed, needed)
     }
 
     /// Object name for one placed block of a chunk under the current policy.
@@ -843,6 +840,8 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .iter()
                 .map(|name| takeover.inheritor_of(name.key()).1)
                 .collect();
+            // Inheritors are taken in name order, so whatever is left to draw
+            // for includes the newest name: its key seeds the draws.
             let newest = names.last().map_or(0, |name| name.key().seed());
             let mut rng = DetRng::new(newest);
             let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());

@@ -155,8 +155,8 @@ impl DamageLedger {
     }
 
     /// Rebuilt blocks of `chunk` are on their way to `targets`.
-    pub fn promise(&mut self, chunk: u32, targets: impl IntoIterator<Item = NodeRef>) {
-        self.chunk_promised[chunk as usize].extend(targets);
+    pub fn promise(&mut self, chunk: u32, targets: &[NodeRef]) {
+        self.chunk_promised[chunk as usize].extend_from_slice(targets);
     }
 
     /// The block of `chunk` promised to `target` arrived, or never will.
@@ -291,8 +291,8 @@ impl DamageLedger {
             let before = self.chunk_blocks[ci].len();
             self.chunk_blocks[ci].retain(|(n, _)| *n != node);
             let blocks = before - self.chunk_blocks[ci].len();
-            for _ in 0..if was_up { blocks } else { 0 } {
-                self.block_moved(chunk_idx, false);
+            if was_up {
+                (0..blocks).for_each(|_| self.block_moved(chunk_idx, false));
             }
             losses.push(NodeLoss {
                 chunk: chunk_idx,

@@ -241,7 +241,7 @@ mod tests {
         }
         for _ in 0..rng.index(12) {
             let chunk = rng.index(ledger.chunk_count()) as u32;
-            ledger.promise(chunk, [rng.index(NODES)]);
+            ledger.promise(chunk, &[rng.index(NODES)]);
         }
         let full = rng.index(NODES);
         let free = cluster.node(full).free();
@@ -393,7 +393,7 @@ mod tests {
             (0, full, "a full node"),
             (1, lost_target, "a written-off chunk"),
         ] {
-            ledger.promise(chunk, [target]);
+            ledger.promise(chunk, &[target]);
             let blocks = ledger.blocks(chunk).to_vec();
             let used = cluster.node(target).used();
             assert!(

@@ -528,7 +528,7 @@ impl MaintenanceEngine {
             .scheduler
             .schedule(damage.block_size, &sources, &targets, now);
         self.profiler.end(Phase::Scheduler, token);
-        self.ledger.promise(chunk, targets.iter().copied());
+        self.ledger.promise(chunk, &targets);
         if self.tracing() {
             self.trace(
                 now,
