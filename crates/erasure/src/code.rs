@@ -423,11 +423,12 @@ mod tests {
 
     #[test]
     fn decode_into_overwrites_a_dirty_buffer_for_every_codec() {
-        let codecs: [Box<dyn ErasureCode>; 4] = [
+        let codecs: [Box<dyn ErasureCode>; 5] = [
             Box::new(crate::null::NullCode::new(8)),
             Box::new(crate::xor::XorCode::new(2, 8)),
             Box::new(crate::online::OnlineCode::with_overhead(64, 0.01, 3, 1.25)),
             Box::new(crate::rs::ReedSolomonCode::new(5, 3)),
+            Box::new(crate::rs::ReedSolomonCode::new(5, 3).with_kernel(crate::Gf256Kernel::Scalar)),
         ];
         for code in &codecs {
             for len in [0usize, 1, 7, 999, 4096] {
@@ -441,6 +442,19 @@ mod tests {
                 code.decode_into(&views, &mut out).unwrap();
                 assert_eq!(out, data, "{} at {len}", code.name());
                 assert_eq!(code.decode(&blocks, len).unwrap(), data);
+                if code.tolerable_losses() > 0 && len > 0 {
+                    // Fewer blocks than sources decode under no codec: the
+                    // borrowed decode fails exactly as the owning one does.
+                    let few = &blocks[blocks.len() + 1 - code.source_blocks()..];
+                    let views: Vec<_> = few.iter().map(EncodedBlock::view).collect();
+                    let err = code.decode(few, len).unwrap_err();
+                    assert_eq!(
+                        code.decode_into(&views, &mut out),
+                        Err(err),
+                        "{} at {len}",
+                        code.name()
+                    );
+                }
             }
         }
     }

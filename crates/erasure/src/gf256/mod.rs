@@ -153,16 +153,7 @@ impl Gf256Kernel {
         Gf256Kernel::Nibble64
     }
 
-    /// Parse a kernel name as used on CLI surfaces (`scalar` / `nibble64`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "scalar" => Some(Gf256Kernel::Scalar),
-            "nibble64" => Some(Gf256Kernel::Nibble64),
-            _ => None,
-        }
-    }
-
-    /// The kernel's CLI/report name (`scalar` / `nibble64`).
+    /// The kernel's report name (`scalar` / `nibble64`).
     pub fn label(self) -> &'static str {
         match self {
             Gf256Kernel::Scalar => "scalar",
@@ -413,12 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parse_and_labels_round_trip() {
+    fn kernel_labels_and_lanes() {
         for kernel in Gf256Kernel::ALL {
-            assert_eq!(Gf256Kernel::parse(kernel.label()), Some(kernel));
             assert_eq!(kernel.to_string(), kernel.label());
         }
-        assert_eq!(Gf256Kernel::parse("simd"), None);
         assert_eq!(Gf256Kernel::best(), Gf256Kernel::Nibble64);
         assert_eq!(Gf256Kernel::Scalar.lane_label(), "scalar");
         assert!(["swar64", "ssse3", "avx2"].contains(&Gf256Kernel::Nibble64.lane_label()));

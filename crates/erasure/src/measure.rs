@@ -14,7 +14,6 @@
 
 use crate::code::ErasureCode;
 use peerstripe_sim::{ByteSize, DetRng, OnlineStats};
-use peerstripe_telemetry::{Phase, PhaseProfiler};
 use std::time::Instant;
 
 /// Measured cost of one erasure code on a fixed-size chunk.
@@ -142,23 +141,6 @@ pub fn measure_code(
     }
 }
 
-/// [`measure_code`] with the whole measurement attributed to the
-/// [`Phase::Codec`] bucket of `profiler`, so codec benchmarking shows up in
-/// the same per-phase profile as the engine's dispatch/detector/scheduler/
-/// placement phases.
-pub fn measure_code_profiled(
-    code: &dyn ErasureCode,
-    chunk_size: ByteSize,
-    runs: usize,
-    seed: u64,
-    profiler: &mut PhaseProfiler,
-) -> CodeCost {
-    let token = profiler.begin();
-    let cost = measure_code(code, chunk_size, runs, seed);
-    profiler.end(Phase::Codec, token);
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,23 +199,6 @@ mod tests {
             );
             assert!(cost.decode_min_ms >= 0.0);
         }
-    }
-
-    #[test]
-    fn profiled_measurement_lands_in_codec_phase() {
-        let mut profiler = PhaseProfiler::new(true);
-        let cost = measure_code_profiled(&NullCode::new(16), ByteSize::kb(16), 1, 7, &mut profiler);
-        assert_eq!(cost.name, "Null");
-        assert_eq!(profiler.phase_calls(Phase::Codec), 1);
-        assert!(profiler.phase_nanos(Phase::Codec) > 0);
-        assert_eq!(profiler.phase_calls(Phase::EventDispatch), 0);
-
-        // A disabled profiler stays empty but the measurement still runs.
-        let mut off = PhaseProfiler::new(false);
-        let cost = measure_code_profiled(&NullCode::new(16), ByteSize::kb(16), 1, 7, &mut off);
-        assert_eq!(cost.name, "Null");
-        assert_eq!(profiler.phase_calls(Phase::Codec), 1);
-        assert_eq!(off.phase_nanos(Phase::Codec), 0);
     }
 
     #[test]

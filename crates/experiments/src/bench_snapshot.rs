@@ -15,10 +15,10 @@
 //! This file is on the linter's `WALL_CLOCK_EXEMPT` list: measuring elapsed
 //! wall time is its whole job.  Nothing here feeds simulation results.
 
-use crate::coding::{cpus, RowArena};
 use crate::deployment::{Cell, Deployment};
 use crate::Scale;
 use peerstripe_core::{ClusterConfig, CodingPolicy, ObjectName};
+use peerstripe_erasure::{EncodedBlock, ErasureCode, Gf256Kernel, ReedSolomonCode};
 use peerstripe_net::protocol::{
     read_block_reply_into, read_request_traced, read_response, write_request_traced,
     write_response_traced, BlockReply,
@@ -131,7 +131,7 @@ impl BenchSnapshot {
         let _ = writeln!(
             out,
             "  \"lane\": \"{}\",",
-            peerstripe_erasure::Gf256Kernel::Nibble64.lane_label()
+            Gf256Kernel::Nibble64.lane_label()
         );
         let _ = writeln!(
             out,
@@ -447,6 +447,40 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
     }
 }
 
+/// One worker per CPU, 1 when the host cannot say.
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Caller-owned buffers for every encoded row of one chunk size — the store
+/// path's shape: allocate once, then encode in place as often as wanted.
+struct RowArena {
+    rows: Vec<u32>,
+    bufs: Vec<Vec<u8>>,
+}
+
+impl RowArena {
+    /// Buffers for all rows `code` makes of a chunk of `chunk_len` bytes.
+    fn new(code: &ReedSolomonCode, chunk_len: usize) -> Self {
+        let rows: Vec<u32> = (0..code.encoded_blocks() as u32).collect();
+        // Stale bytes, not zeros: the encode must overwrite every one.
+        let bufs = vec![vec![0xA5u8; code.block_size(chunk_len)]; rows.len()];
+        RowArena { rows, bufs }
+    }
+
+    /// Encode every row of `chunk` into the arena through the tile loop
+    /// with `workers` column-span workers.
+    fn encode(&mut self, code: &ReedSolomonCode, chunk: &[u8], workers: usize) {
+        let mut out: Vec<&mut [u8]> = self.bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        code.encode_with_workers(chunk, &self.rows, &mut out, workers);
+    }
+
+    /// True when the arena holds exactly `blocks`, in index order.
+    fn holds(&self, blocks: &[EncodedBlock]) -> bool {
+        self.bufs.len() == blocks.len() && self.bufs.iter().zip(blocks).all(|(a, b)| *a == b.data)
+    }
+}
+
 /// Reed–Solomon encode throughput into caller-owned row buffers
 /// ([`RowArena`], the store path's shape): `scalar` kernel vs `nibble64`
 /// kernel on one thread vs `nibble64` with a column-span worker per CPU, at
@@ -455,7 +489,6 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
 /// `ErasureCode::encode` returns before any number is recorded, so a kernel
 /// bug fails the snapshot rather than polluting it.
 pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
-    use peerstripe_erasure::{ErasureCode, Gf256Kernel, ReedSolomonCode};
     let mut rows = Vec::new();
     for (data, parity) in [(5usize, 3usize), (8, 4)] {
         let scalar = ReedSolomonCode::new(data, parity).with_kernel(Gf256Kernel::Scalar);

@@ -11,7 +11,7 @@
 //!   fig7 fig8 fig9 table1   file-insertion comparison (PAST vs CFS vs PeerStripe)
 //!   fig10                   availability under node failures (coding policies)
 //!   table2                  erasure-code cost (Null / XOR / Online / Reed-Solomon)
-//!   rs-sweep                Reed-Solomon (n, m) sweep: throughput + minimal-subset recovery
+//!   rs-sweep                Reed-Solomon (n, m) sweep: encode/decode throughput + minimal-subset recovery
 //!   table3                  data lost & regenerated under 10% / 20% churn
 //!   repair-sweep            continuous churn: repair policy × timeout × bandwidth
 //!   placement-sweep         grouped churn: placement strategy × domain size × outage rate
@@ -25,13 +25,8 @@
 //!   trace                   run a named scenario with the JSONL tracer attached
 //!   trace-summary           digest a .jsonl trace into causal loss breakdowns
 //!   ring                    spawn localhost peerstripe-node daemons, store and
-//!                           recover a file through a real node kill
-//!   monitor                 scrape a localhost ring's node stats for N rounds
-//!                           and emit a cluster-health report
-//!   rs-check                GF(256) kernel-consistency gate: encode with the
-//!                           scalar and nibble64 kernels (owned blocks, and in
-//!                           place with 1/2/4 workers), fail on any block
-//!                           mismatch or minimal-subset recovery failure
+//!                           recover a file through a real node kill, and
+//!                           report cluster health scraped before and after
 //! ```
 
 use peerstripe_experiments::cli::run_experiment_with;
@@ -54,8 +49,6 @@ struct Args {
     check: bool,
     /// `repro trace-summary FILE`: the trailing positional path.
     path: Option<std::path::PathBuf>,
-    /// `repro monitor --rounds N`
-    rounds: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -68,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
     let mut profile = false;
     let mut check = false;
     let mut path = None;
-    let mut rounds = 2usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -94,14 +86,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--profile" => profile = true,
             "--check" => check = true,
-            "--rounds" => {
-                let value = args.next().ok_or("--rounds needs a value")?;
-                rounds = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("bad round count '{value}'"))?;
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -123,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
         profile,
         check,
         path,
-        rounds,
     })
 }
 
@@ -134,9 +117,7 @@ fn usage() -> String {
                 repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N] [--check]\n\
                 repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--profile] [--out DIR]\n\
                 repro trace-summary FILE [--format text|json]\n\
-                repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]\n\
-                repro monitor [--rounds N] [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]\n\
-                repro rs-check [--scale small|medium|paper] [--seed N]",
+                repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]",
         peerstripe_experiments::cli::EXPERIMENTS.join("|"),
         peerstripe_experiments::trace_cmd::SCENARIOS.join("|"),
     )
@@ -299,8 +280,9 @@ fn run_trace(args: &Args) -> ! {
 
 /// `repro ring`: spawn a localhost ring of real daemons, store a file
 /// through the gateway, kill one daemon, and verify degraded read + repair.
-/// Writes the JSON report (with per-RPC latency telemetry) when `--out` is
-/// given.
+/// Writes the JSON report (per-RPC telemetry and cluster health) when
+/// `--out` is given.  Exits 1 on a lost chunk, an unattributed RPC, or a
+/// node the scrapes flag (never reached, or a survivor gone stale).
 fn run_ring(args: &Args) -> ! {
     let config = peerstripe_experiments::ring_cmd::RingCmdConfig::at_scale(args.scale, args.seed);
     eprintln!(
@@ -346,86 +328,21 @@ fn run_ring(args: &Args) -> ! {
             report.unattributed_rpcs, report.gateway_rpcs_logged
         );
     }
+    let unhealthy = report.unhealthy_nodes();
+    if !unhealthy.is_empty() {
+        eprintln!("repro ring: unhealthy nodes: {}", unhealthy.join(" "));
+    }
     std::process::exit(
-        if report.recovered && report.chunks_lost == 0 && report.unattributed_rpcs == 0 {
+        if report.recovered
+            && report.chunks_lost == 0
+            && report.unattributed_rpcs == 0
+            && unhealthy.is_empty()
+        {
             0
         } else {
             1
         },
     );
-}
-
-/// `repro monitor`: spawn a localhost ring, run a small workload, scrape
-/// every daemon's stats for N rounds, and emit the cluster-health report.
-/// Exits nonzero when any node was unreachable in every round.
-fn run_monitor(args: &Args) -> ! {
-    let mut config =
-        peerstripe_experiments::monitor_cmd::MonitorCmdConfig::at_scale(args.scale, args.seed);
-    config.rounds = args.rounds;
-    eprintln!(
-        "# spawning {} localhost daemons, scraping stats for {} rounds",
-        config.nodes, config.rounds
-    );
-    let report = match peerstripe_experiments::monitor_cmd::run_monitor(&config) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("repro monitor: {msg}");
-            std::process::exit(2);
-        }
-    };
-    if args.json {
-        println!(
-            "{}",
-            peerstripe_experiments::monitor_cmd::render_monitor_json(&report)
-        );
-    } else {
-        print!(
-            "{}",
-            peerstripe_experiments::monitor_cmd::render_monitor_text(&report)
-        );
-    }
-    if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("repro monitor: create {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-        let file = dir.join(format!(
-            "cluster_health_{}_seed{}.json",
-            args.scale, args.seed
-        ));
-        if let Err(e) = std::fs::write(
-            &file,
-            peerstripe_experiments::monitor_cmd::render_monitor_json(&report),
-        ) {
-            eprintln!("repro monitor: write {}: {e}", file.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote {}", file.display());
-    }
-    if !report.unreachable.is_empty() {
-        eprintln!(
-            "repro monitor: unreachable nodes: {}",
-            report.unreachable.join(" ")
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `repro rs-check`: the GF(256) kernel-consistency gate (run in CI at
-/// `--scale small`).  Exit 0 only when every encode path agrees byte for
-/// byte and every minimal-subset decode recovers under both kernels.
-fn run_rs_check(args: &Args) -> ! {
-    match peerstripe_experiments::coding::run_rs_check(args.scale, args.seed) {
-        Ok(summary) => {
-            println!("{summary}");
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("repro rs-check: {msg}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// `repro trace-summary FILE`: digest an existing trace.
@@ -477,8 +394,6 @@ fn main() {
         "trace" => run_trace(&args),
         "trace-summary" => run_trace_summary(&args),
         "ring" => run_ring(&args),
-        "monitor" => run_monitor(&args),
-        "rs-check" => run_rs_check(&args),
         _ => {}
     }
     println!(

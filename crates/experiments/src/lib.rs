@@ -8,8 +8,8 @@
 //! | Figure 9 (utilization)         | [`storesim::run_store_comparison`] | `fig9` |
 //! | Table 1 (chunk statistics)     | [`storesim::StoreComparison::table1`] | `table1` |
 //! | Figure 10 (availability)       | [`availability::run_availability`] | `fig10` |
-//! | Table 2 (erasure-code cost)    | [`coding::run_table2`] | `table2` |
-//! | RS (n, m) sweep (optimal code) | [`coding::run_rs_sweep`] | `rs-sweep` |
+//! | Table 2 (erasure-code cost)    | [`coding::run_table2`] (cells through `measure_code`) | `table2` |
+//! | RS (n, m) sweep (optimal code) | [`coding::run_rs_sweep`] (cells through `measure_code`) | `rs-sweep` |
 //! | Table 3 (churn regeneration)   | [`availability::run_regeneration`] | `table3` |
 //! | Continuous churn & repair policies | [`repair_sweep::run_repair_sweep`] | `repair-sweep` |
 //! | Grouped churn & placement strategies | [`placement_sweep::run_placement_sweep`] | `placement-sweep` |
@@ -23,7 +23,8 @@
 //!
 //! Beyond the paper's figures, [`ring_cmd`] (`repro ring`) drives the same
 //! client/placement/erasure stack against a localhost ring of real
-//! `peerstripe-node` daemon processes over TCP.
+//! `peerstripe-node` daemon processes over TCP, and reports the ring's
+//! cluster health from a scrape before the kill and one after the repair.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,7 +35,6 @@ pub mod cli;
 pub mod coding;
 pub mod condor;
 mod deployment;
-pub mod monitor_cmd;
 pub mod multicast_fig;
 pub mod placement_sweep;
 pub mod repair_sweep;

@@ -97,15 +97,19 @@ pub fn render_table2(t2: &Table2) -> String {
         ],
     );
     for row in &t2.rows {
+        let encode_overhead = t2
+            .rows
+            .first()
+            .map_or(0.0, |null| row.time_overhead_pct(null));
         t.row(&[
-            row.code.to_string(),
+            row.name.to_string(),
             format!("{}", row.encoded_size),
-            format!("{:.0}%", row.size_overhead_pct),
+            format!("{:.0}%", row.size_overhead_pct()),
             format!("{:.1}", row.encode_ms),
-            format!("{:.0}%", row.encode_overhead_pct),
+            format!("{encode_overhead:.0}%"),
             format!("{:.1}", row.decode_ms),
             format!("{:.1}", row.decode_min_ms),
-            format!("{:.0}%", row.min_recovery_pct),
+            format!("{:.0}%", row.min_subset_recovery_pct()),
         ]);
     }
     t.render()
@@ -114,26 +118,27 @@ pub fn render_table2(t2: &Table2) -> String {
 /// Render the Reed–Solomon (data, parity) sweep.
 pub fn render_rs_sweep(sweep: &RsSweep) -> String {
     let mut t = TableBuilder::new(
-        "ReedSolomon sweep: serial/vectorized/parallel encode, decode, recovery",
+        "ReedSolomon sweep: encode, decode, minimal-subset decode and recovery",
         &[
             "RS(n, m)",
             "Chunk",
-            "Scalar (MB/s)",
-            "Nibble64 (MB/s)",
-            "Par. encode (MB/s)",
+            "Encode (MB/s)",
+            "Decode (MB/s)",
             "Min-decode (MB/s)",
             "Recovery",
         ],
     );
     for row in &sweep.rows {
+        let cost = &row.cost;
+        let mb = cost.chunk_size.as_u64() as f64 / (1 << 20) as f64;
+        let mb_s = |ms: f64| format!("{:.0}", mb / (ms / 1e3).max(1e-9));
         t.row(&[
             format!("RS({}, {})", row.data, row.data + row.parity),
-            format!("{}", row.chunk_size),
-            format!("{:.0}", row.scalar_mb_s),
-            format!("{:.0}", row.encode_mb_s),
-            format!("{:.0}", row.parallel_encode_mb_s),
-            format!("{:.0}", row.decode_mb_s),
-            format!("{:.0}%", row.recovery_pct),
+            format!("{}", cost.chunk_size),
+            mb_s(cost.encode_ms),
+            mb_s(cost.decode_ms),
+            mb_s(cost.decode_min_ms),
+            format!("{:.0}%", cost.min_subset_recovery_pct()),
         ]);
     }
     t.render()
@@ -474,16 +479,14 @@ mod tests {
         let sweep = run_rs_sweep(&RsSweepConfig {
             geometries: vec![(4, 2), (8, 4)],
             chunk_sizes: vec![ByteSize::kb(64)],
-            runs: 1,
-            subset_trials: 2,
+            runs: 2,
             seed: 2,
         });
         let text = render_rs_sweep(&sweep);
         assert!(text.contains("ReedSolomon"));
         assert!(text.contains("RS(4, 6)"));
         assert!(text.contains("RS(8, 12)"));
-        assert!(text.contains("Scalar (MB/s)"));
-        assert!(text.contains("Nibble64 (MB/s)"));
+        assert!(text.contains("Encode (MB/s)"));
         assert!(text.contains("100%"));
     }
 

@@ -3,18 +3,22 @@
 //! Spawns a localhost ring of real `peerstripe-node` daemon processes,
 //! drives the unchanged `PeerStripe` client + placement + erasure stack
 //! against them through the TCP gateway, kills one daemon, and verifies the
-//! file survives a degraded read and the repair path.  The report carries
-//! the gateway's per-RPC counters and latency histograms, so the run doubles
-//! as a localhost RPC benchmark.
+//! file survives a degraded read and the repair path.  A [`ClusterMonitor`]
+//! scrapes every daemon once before the kill and once after the repair, so
+//! the report is also the ring's cluster-health report: per-node
+//! reachability and occupancy, and per-op calls, errors and p50 / p99 from
+//! both sides of the wire.
 
 use crate::Scale;
 use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
-use peerstripe_net::{node_binary, GatewayConfig, LocalRing, NodeStats, RingGateway};
+use peerstripe_net::{
+    node_binary, ClusterMonitor, GatewayConfig, LocalRing, MonitorConfig, NodeHealth, NodeStats,
+};
 use peerstripe_overlay::NodeRef;
-use peerstripe_sim::{ByteSize, DetRng};
-use peerstripe_telemetry::{HistogramExport, RegistryExport};
+use peerstripe_sim::{ByteSize, DetRng, TableBuilder};
+use peerstripe_telemetry::RegistryExport;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Parameters of one `repro ring` run.
 #[derive(Debug, Clone)]
@@ -47,29 +51,92 @@ impl RingCmdConfig {
     }
 }
 
-/// One operation's aggregated RPC telemetry.
+/// One operation's calls, errors and latency quantiles, from one side of
+/// the wire.
 #[derive(Debug, Clone, Serialize)]
-pub struct RpcStat {
+pub struct OpStat {
     /// Wire operation name (`store_block`, `fetch_block`, ...).
     pub op: String,
-    /// RPCs issued.
+    /// Calls observed.
     pub calls: u64,
-    /// RPCs that failed (transport or protocol).
-    pub errors: u64,
-    /// Mean round-trip latency in milliseconds.
-    pub mean_ms: f64,
+    /// Calls that failed; `None` on a daemon, which counts its refusals by
+    /// kind, not by op (their total is the node table's errors column).
+    pub errors: Option<u64>,
+    /// Estimated median latency in milliseconds (bucket upper edge).
+    pub p50_ms: f64,
+    /// Estimated 99th-percentile latency in milliseconds.
+    pub p99_ms: f64,
 }
 
-/// One daemon's server-side view of the run.
+/// The metric names one side of the wire records its calls under.
+struct OpMetrics {
+    calls: &'static str,
+    errors: Option<&'static str>,
+    latency: &'static str,
+}
+
+const GATEWAY_METRICS: OpMetrics = OpMetrics {
+    calls: "gateway_rpc_total",
+    errors: Some("gateway_rpc_errors"),
+    latency: "gateway_rpc_latency_ms",
+};
+
+const NODE_METRICS: OpMetrics = OpMetrics {
+    calls: "node_requests_total",
+    errors: None,
+    latency: "node_request_latency_ms",
+};
+
+/// Per-op rows of a registry export, in op order; ops never called are
+/// dropped.
+fn op_stats(export: &RegistryExport, names: &OpMetrics) -> Vec<OpStat> {
+    fn op_of(labels: &[(String, String)]) -> Option<&str> {
+        labels
+            .iter()
+            .find(|(k, _)| k == "op")
+            .map(|(_, v)| v.as_str())
+    }
+    let count = |name: &str, op: &str| -> u64 {
+        export
+            .counters
+            .iter()
+            .filter(|c| c.name == name && op_of(&c.labels) == Some(op))
+            .map(|c| c.value)
+            .sum()
+    };
+    export
+        .counters
+        .iter()
+        .filter(|c| c.name == names.calls && c.value > 0)
+        .filter_map(|c| op_of(&c.labels))
+        .map(|op| {
+            let latency = export
+                .histograms
+                .iter()
+                .find(|h| h.name == names.latency && op_of(&h.labels) == Some(op));
+            let quantile = |q| latency.map_or(0.0, |h| h.quantile(q));
+            OpStat {
+                op: op.to_string(),
+                calls: count(names.calls, op),
+                errors: names.errors.map(|name| count(name, op)),
+                p50_ms: quantile(0.5),
+                p99_ms: quantile(0.99),
+            }
+        })
+        .collect()
+}
+
+/// One daemon as the cluster monitor last saw it.
 #[derive(Debug, Clone, Serialize)]
-pub struct NodeSideStats {
-    /// The node's reference.
-    pub node: NodeRef,
-    /// The node's name under the `node-<i>` convention.
-    pub name: String,
-    /// The daemon's own stats snapshot — for the killed victim, the last
-    /// scrape taken before the SIGKILL; for survivors, a post-repair scrape.
-    pub stats: NodeStats,
+pub struct NodeRow {
+    /// Scrape health: live, stale (answered before, not in the latest
+    /// round — the victim) or unreachable (never answered).
+    pub health: NodeHealth,
+    /// Server-side per-op rows of `stats`.
+    pub ops: Vec<OpStat>,
+    /// The latest snapshot — the victim's is the one taken before the kill;
+    /// `None` when no round reached the node.
+    pub stats: Option<NodeStats>,
 }
 
 /// Everything one `repro ring` run measured.
@@ -95,12 +162,15 @@ pub struct RingReport {
     pub chunks_lost: u64,
     /// Whether every read returned the original bytes.
     pub recovered: bool,
-    /// Per-operation RPC counters and mean latencies.
-    pub rpc: Vec<RpcStat>,
-    /// Full metrics-registry export (counters + latency histograms).
+    /// Daemons the scrape round before the kill reached (all of them).
+    pub reached_before_kill: usize,
+    /// The gateway's per-op rows.
+    pub gateway_ops: Vec<OpStat>,
+    /// The gateway's full metrics-registry export (counters + histograms).
     pub metrics: RegistryExport,
-    /// Every daemon's server-side stats (victim scraped pre-kill).
-    pub node_stats: Vec<NodeSideStats>,
+    /// Every daemon, in node order: one scrape round before the kill, one
+    /// after the repair.
+    pub node_health: Vec<NodeRow>,
     /// RPCs the gateway logged (shutdowns excluded by construction).
     pub gateway_rpcs_logged: u64,
     /// Successful gateway RPCs whose request id joins no node op-log entry.
@@ -109,29 +179,25 @@ pub struct RingReport {
     pub unattributed_rpcs: u64,
 }
 
-/// Scrape `nodes` into `snapshots`, overwriting earlier scrapes per node.
-fn scrape_into(
-    gateway: &RingGateway,
-    nodes: impl Iterator<Item = NodeRef>,
-    snapshots: &mut BTreeMap<NodeRef, NodeStats>,
-) -> Result<(), String> {
-    for node in nodes {
-        let stats = gateway
-            .get_stats(node)
-            .map_err(|e| format!("scraping node {node}: {e}"))?;
-        snapshots.insert(node, stats);
+impl RingReport {
+    /// Names of the nodes the scrapes flag: never reached, or a survivor
+    /// that stopped answering.  Only the victim may be stale.
+    pub fn unhealthy_nodes(&self) -> Vec<&str> {
+        self.node_health
+            .iter()
+            .map(|n| &n.health)
+            .filter(|h| h.unreachable || (h.stale && h.node != self.victim))
+            .map(|h| h.name.as_str())
+            .collect()
     }
-    Ok(())
 }
 
 /// Count successful gateway op-log entries whose request id appears in no
 /// node op log — the networked analogue of the unattributed-loss check.
-fn unattributed_count(
-    gateway_log: &[peerstripe_net::OpLogEntry],
-    snapshots: &BTreeMap<NodeRef, NodeStats>,
-) -> u64 {
-    let node_rids: BTreeSet<u64> = snapshots
-        .values()
+fn unattributed_count(gateway_log: &[peerstripe_net::OpLogEntry], nodes: &[NodeRow]) -> u64 {
+    let node_rids: BTreeSet<u64> = nodes
+        .iter()
+        .filter_map(|n| n.stats.as_ref())
         .flat_map(|s| s.op_log.iter().filter_map(|e| e.request_id))
         .collect();
     gateway_log
@@ -152,54 +218,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 fn file_bytes(size: ByteSize, seed: u64) -> Vec<u8> {
     let mut rng = DetRng::new(seed);
     (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect()
-}
-
-/// Aggregate the gateway's registry export into per-op rows.
-fn rpc_stats(export: &RegistryExport) -> Vec<RpcStat> {
-    let op_of = |labels: &[(String, String)]| {
-        labels
-            .iter()
-            .find(|(k, _)| k == "op")
-            .map(|(_, v)| v.clone())
-    };
-    let hist_for = |op: &str| -> Option<&HistogramExport> {
-        export
-            .histograms
-            .iter()
-            .find(|h| h.name == "gateway_rpc_latency_ms" && op_of(&h.labels).as_deref() == Some(op))
-    };
-    let count_for = |name: &str, op: &str| -> u64 {
-        export
-            .counters
-            .iter()
-            .filter(|c| c.name == name && op_of(&c.labels).as_deref() == Some(op))
-            .map(|c| c.value)
-            .sum()
-    };
-    let mut ops: Vec<String> = export
-        .counters
-        .iter()
-        .filter(|c| c.name == "gateway_rpc_total")
-        .filter_map(|c| op_of(&c.labels))
-        .collect();
-    ops.sort();
-    ops.dedup();
-    ops.into_iter()
-        .map(|op| {
-            let calls = count_for("gateway_rpc_total", &op);
-            let mean_ms = hist_for(&op)
-                .filter(|h| h.count > 0)
-                .map(|h| h.sum / h.count as f64)
-                .unwrap_or(0.0);
-            RpcStat {
-                errors: count_for("gateway_rpc_errors", &op),
-                calls,
-                mean_ms,
-                op,
-            }
-        })
-        .filter(|s| s.calls > 0)
-        .collect()
 }
 
 /// Run the full store → kill → degraded read → repair → read cycle against
@@ -247,11 +265,11 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
             })
             .ok_or("no node holds any block")?
     };
-    // Scrape every daemon before the kill: the SIGKILL takes the victim's op
+    // One scrape round before the kill: the SIGKILL takes the victim's op
     // log and counters with it, so its server-side story must be captured
     // while it is still alive.
-    let mut snapshots: BTreeMap<NodeRef, NodeStats> = BTreeMap::new();
-    scrape_into(client.backend(), 0..config.nodes, &mut snapshots)?;
+    let mut monitor = ClusterMonitor::new(&ring.endpoints(), MonitorConfig::default());
+    let reached_before_kill = monitor.scrape_round();
     ring.kill(victim).map_err(|e| format!("kill: {e}"))?;
 
     let (degraded, degraded_fetch_ms) = timed(|| client.retrieve_data(name));
@@ -266,26 +284,28 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
     let (reread, _) = timed(|| client.retrieve_data(name));
     let recovered = whole_ok && degraded_ok && reread.as_deref() == Some(&data[..]);
 
-    // Re-scrape the survivors: their logs now also cover the degraded read
-    // and repair traffic.  The victim keeps its pre-kill snapshot.
-    scrape_into(
-        client.backend(),
-        (0..config.nodes).filter(|&n| n != victim),
-        &mut snapshots,
-    )?;
-
-    let export = client.backend().export_metrics();
-    let rpc = rpc_stats(&export);
-    let gateway_log = client.backend().op_log();
-    let unattributed_rpcs = unattributed_count(&gateway_log, &snapshots);
-    let node_stats = snapshots
+    // One round after the repair: the survivors' logs now also cover the
+    // degraded read and the repair; the victim fails it, keeps its pre-kill
+    // snapshot and shows as stale.
+    monitor.scrape_round();
+    let node_health: Vec<NodeRow> = monitor
+        .health()
         .into_iter()
-        .map(|(node, stats)| NodeSideStats {
-            node,
-            name: format!("node-{node}"),
-            stats,
+        .map(|health| {
+            let stats = monitor.latest(health.node).cloned();
+            NodeRow {
+                ops: stats
+                    .as_ref()
+                    .map_or_else(Vec::new, |s| op_stats(&s.metrics, &NODE_METRICS)),
+                health,
+                stats,
+            }
         })
         .collect();
+
+    let export = client.backend().export_metrics();
+    let gateway_log = client.backend().op_log();
+    let unattributed_rpcs = unattributed_count(&gateway_log, &node_health);
 
     // Gracefully shut the survivors down (the ring's Drop kills whatever is
     // left).
@@ -306,12 +326,24 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
         blocks_regenerated: report.blocks_regenerated,
         chunks_lost: report.chunks_lost,
         recovered,
-        rpc,
+        reached_before_kill,
+        gateway_ops: op_stats(&export, &GATEWAY_METRICS),
         metrics: export,
-        node_stats,
+        node_health,
         gateway_rpcs_logged: gateway_log.len() as u64,
         unattributed_rpcs,
     })
+}
+
+/// A node's scrape status, as the report prints it.
+fn status(health: &NodeHealth) -> &'static str {
+    if health.unreachable {
+        "unreachable"
+    } else if health.stale {
+        "stale"
+    } else {
+        "live"
+    }
 }
 
 /// Human-readable report.
@@ -332,38 +364,65 @@ pub fn render_ring_text(report: &RingReport) -> String {
         report.blocks_regenerated, report.chunks_lost, report.recovered
     ));
     out.push_str(&format!(
-        "  {} gateway RPCs logged, {} unattributed\n",
-        report.gateway_rpcs_logged, report.unattributed_rpcs
+        "  {} of {} daemons reached before the kill; {} gateway RPCs logged, {} unattributed\n\n",
+        report.reached_before_kill,
+        report.nodes,
+        report.gateway_rpcs_logged,
+        report.unattributed_rpcs
     ));
-    out.push_str("  op             calls  errors  mean ms\n");
-    for stat in &report.rpc {
-        out.push_str(&format!(
-            "  {:<14} {:>5}  {:>6}  {:>7.3}\n",
-            stat.op, stat.calls, stat.errors, stat.mean_ms
-        ));
+
+    let mut nodes = TableBuilder::new(
+        "Daemons after the repair (the victim as scraped before the kill)",
+        &[
+            "node", "status", "used", "capacity", "objects", "reqs", "errors", "slow",
+        ],
+    );
+    let mut ops = TableBuilder::new(
+        "Per-op RPCs: the gateway, then each daemon's server side",
+        &["side", "op", "calls", "errors", "p50 ms", "p99 ms"],
+    );
+    let mut op_rows = |side: &str, stats: &[OpStat]| {
+        for s in stats {
+            ops.row(&[
+                side.to_string(),
+                s.op.clone(),
+                s.calls.to_string(),
+                s.errors.map_or("-".to_string(), |e| e.to_string()),
+                format!("{:.3}", s.p50_ms),
+                format!("{:.3}", s.p99_ms),
+            ]);
+        }
+    };
+    op_rows("gateway", &report.gateway_ops);
+    for row in &report.node_health {
+        let mut cells = vec![row.health.name.clone(), status(&row.health).to_string()];
+        match &row.stats {
+            Some(s) => {
+                let sum = |name: &str| -> u64 {
+                    s.metrics
+                        .counters
+                        .iter()
+                        .filter(|c| c.name == name)
+                        .map(|c| c.value)
+                        .sum()
+                };
+                cells.extend([
+                    s.used.to_string(),
+                    s.capacity.to_string(),
+                    s.objects.to_string(),
+                    sum("node_requests_total").to_string(),
+                    sum("node_errors_total").to_string(),
+                    sum("node_slow_requests_total").to_string(),
+                ]);
+            }
+            None => cells.extend(std::iter::repeat_n("-".to_string(), 6)),
+        }
+        nodes.row(&cells);
+        op_rows(&row.health.name, &row.ops);
     }
-    out.push_str("  node      used / capacity   objects  reqs  errors  slow\n");
-    for ns in &report.node_stats {
-        let sum_counter = |name: &str| -> u64 {
-            ns.stats
-                .metrics
-                .counters
-                .iter()
-                .filter(|c| c.name == name)
-                .map(|c| c.value)
-                .sum()
-        };
-        out.push_str(&format!(
-            "  {:<8} {:>6} / {:>8}  {:>7}  {:>4}  {:>6}  {:>4}\n",
-            ns.name,
-            ns.stats.used.to_string(),
-            ns.stats.capacity.to_string(),
-            ns.stats.objects,
-            sum_counter("node_requests_total"),
-            sum_counter("node_errors_total"),
-            sum_counter("node_slow_requests_total"),
-        ));
-    }
+    out.push_str(&nodes.render());
+    out.push('\n');
+    out.push_str(&ops.render());
     out
 }
 
@@ -375,6 +434,17 @@ pub fn render_ring_json(report: &RingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Where each column of a rendered table line starts: after a run of
+    /// two or more spaces (a cell may hold a single space, `51.21 KB`).
+    fn column_starts(line: &str) -> Vec<usize> {
+        let b = line.as_bytes();
+        (0..b.len())
+            .filter(|&i| {
+                b[i] != b' ' && (i == 0 || (i >= 2 && b[i - 1] == b' ' && b[i - 2] == b' '))
+            })
+            .collect()
+    }
 
     #[test]
     fn small_ring_stores_and_recovers() {
@@ -388,24 +458,66 @@ mod tests {
         assert!(report.recovered);
         assert_eq!(report.chunks_lost, 0);
         assert!(report.blocks_regenerated > 0);
-        assert!(report
-            .rpc
-            .iter()
-            .any(|s| s.op == "store_block" && s.calls > 0));
-        // Server-side stats cover every daemon, and every logged RPC joins a
-        // node op-log entry by request id (or failed with an error kind).
-        assert_eq!(report.node_stats.len(), report.nodes);
         assert!(report.gateway_rpcs_logged > 0);
+        // Every logged RPC joins a node op-log entry by request id (or failed
+        // with an error kind).
         assert_eq!(report.unattributed_rpcs, 0);
-        let victim_stats = report
-            .node_stats
+
+        // Cluster health: every daemon answered before the kill; afterwards
+        // exactly the victim is stale, holding its pre-kill op log.
+        assert_eq!(report.reached_before_kill, report.nodes);
+        assert_eq!(report.node_health.len(), report.nodes);
+        assert!(report.unhealthy_nodes().is_empty());
+        for row in &report.node_health {
+            let h = &row.health;
+            assert!(!h.unreachable, "{}", h.name);
+            assert_eq!(h.stale, h.node == report.victim, "{}", h.name);
+            assert_eq!(h.scrapes, if h.stale { 1 } else { 2 }, "{}", h.name);
+            let stats = row.stats.as_ref().expect("every node was scraped");
+            if h.stale {
+                assert!(!stats.op_log.is_empty(), "the victim's pre-kill op log");
+            }
+        }
+
+        // Per-op rows on both sides of the wire saw the stores; quantiles
+        // come from the shared bucket edges.
+        let stored = |ops: &[OpStat]| ops.iter().any(|r| r.op == "store_block" && r.calls > 0);
+        assert!(stored(&report.gateway_ops));
+        assert!(report.node_health.iter().any(|n| stored(&n.ops)));
+        assert!(report.gateway_ops.iter().all(|r| r.errors.is_some()));
+        for row in report
+            .gateway_ops
             .iter()
-            .find(|ns| ns.node == report.victim)
-            .expect("the victim's pre-kill scrape is in the report");
-        assert!(!victim_stats.stats.op_log.is_empty());
+            .chain(report.node_health.iter().flat_map(|n| &n.ops))
+        {
+            assert!(row.p50_ms <= row.p99_ms, "{row:?}");
+        }
+
         let json = render_ring_json(&report);
         assert!(json.contains("gateway_rpc_latency_ms"), "{json}");
         assert!(json.contains("node_requests_total"), "{json}");
-        assert!(!render_ring_text(&report).is_empty());
+        assert!(json.contains("\"stale\":true"), "{json}");
+
+        // Both tables are aligned: every row starts its columns where the
+        // header does.
+        let text = render_ring_text(&report);
+        let lines: Vec<&str> = text.lines().collect();
+        let mut tables = 0;
+        for (i, line) in lines.iter().enumerate() {
+            if !line.starts_with("---") {
+                continue;
+            }
+            tables += 1;
+            let header = column_starts(lines[i - 1]);
+            let rows: Vec<&&str> = lines[i + 1..]
+                .iter()
+                .take_while(|l| !l.is_empty())
+                .collect();
+            assert!(!rows.is_empty(), "{text}");
+            for row in rows {
+                assert_eq!(column_starts(row), header, "{row}\n{text}");
+            }
+        }
+        assert_eq!(tables, 2, "{text}");
     }
 }

@@ -56,7 +56,6 @@ const SIM_FACING_CRATES: &[&str] = &[
 /// measurement, the perf-snapshot helper and the phase profiler.
 const WALL_CLOCK_EXEMPT: &[&str] = &[
     "crates/erasure/src/measure.rs",
-    "crates/experiments/src/coding.rs",
     "crates/experiments/src/bench_snapshot.rs",
     "crates/telemetry/src/profile.rs",
 ];

@@ -47,10 +47,7 @@ pub fn builtin_policy() -> LayerPolicy {
         .allow("peerstripe-telemetry", &[])
         .allow("peerstripe-trace", &["peerstripe-sim"])
         .allow("peerstripe-overlay", &["peerstripe-sim"])
-        .allow(
-            "peerstripe-erasure",
-            &["peerstripe-sim", "peerstripe-telemetry"],
-        )
+        .allow("peerstripe-erasure", &["peerstripe-sim"])
         .allow("peerstripe-lint", &[])
         .allow(
             "peerstripe-multicast",

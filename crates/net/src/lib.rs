@@ -22,7 +22,8 @@
 //! RPC carries a request id that the node echoes and records in its own
 //! bounded op log, each [`NodeService`] keeps per-op metrics a `GetStats`
 //! frame exposes, and [`monitor`] scrapes a whole ring into one node-labelled
-//! registry (`repro monitor` drives it against a `LocalRing`).
+//! registry (`repro ring` scrapes its `LocalRing` with it before the kill and
+//! after the repair).
 //!
 //! The crate is deliberately *not* in the deterministic-simulation set: it
 //! touches wall clocks and sockets, and says so via audited lint waivers

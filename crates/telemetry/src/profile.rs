@@ -25,18 +25,15 @@ pub enum Phase {
     Scheduler,
     /// Placement-target selection (`PlacementStrategy::repair_targets`).
     Placement,
-    /// Erasure encode/decode work.
-    Codec,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 4] = [
         Phase::EventDispatch,
         Phase::DetectorDecide,
         Phase::Scheduler,
         Phase::Placement,
-        Phase::Codec,
     ];
 
     /// Stable label for reports and metric labels.
@@ -46,7 +43,6 @@ impl Phase {
             Phase::DetectorDecide => "detector_decide",
             Phase::Scheduler => "scheduler",
             Phase::Placement => "placement",
-            Phase::Codec => "codec",
         }
     }
 
@@ -65,8 +61,8 @@ pub struct ProfToken(Option<Instant>);
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     enabled: bool,
-    nanos: [u64; 5],
-    calls: [u64; 5],
+    nanos: [u64; 4],
+    calls: [u64; 4],
 }
 
 impl PhaseProfiler {
@@ -180,19 +176,19 @@ mod tests {
             prof.end(Phase::Placement, token);
         }
         assert_eq!(prof.phase_calls(Phase::Placement), 3);
-        assert_eq!(prof.phase_calls(Phase::Codec), 0);
+        assert_eq!(prof.phase_calls(Phase::Scheduler), 0);
     }
 
     #[test]
     fn merge_adds_counts() {
         let mut a = PhaseProfiler::new(true);
         let t = a.begin();
-        a.end(Phase::Codec, t);
+        a.end(Phase::Scheduler, t);
         let mut b = PhaseProfiler::new(true);
         let t = b.begin();
-        b.end(Phase::Codec, t);
+        b.end(Phase::Scheduler, t);
         a.merge(&b);
-        assert_eq!(a.phase_calls(Phase::Codec), 2);
+        assert_eq!(a.phase_calls(Phase::Scheduler), 2);
     }
 
     #[test]
