@@ -265,7 +265,7 @@ mod tests {
             .store_file(&FileRecord::new("big", ByteSize::gb(2)))
             .is_stored());
         let manifest = cfs.manifest("big").unwrap();
-        let nodes: std::collections::HashSet<_> = manifest.all_blocks().map(|b| b.node).collect();
+        let nodes: std::collections::BTreeSet<_> = manifest.all_blocks().map(|b| b.node).collect();
         assert!(nodes.len() > 10, "blocks must be spread over many nodes");
     }
 

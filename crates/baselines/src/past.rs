@@ -237,7 +237,7 @@ mod tests {
             .is_stored());
         let manifest = past.manifest("r").unwrap();
         assert_eq!(manifest.chunks[0].blocks.len(), 3);
-        let nodes: std::collections::HashSet<_> =
+        let nodes: std::collections::BTreeSet<_> =
             manifest.chunks[0].blocks.iter().map(|b| b.node).collect();
         assert_eq!(nodes.len(), 3, "replicas on distinct nodes");
         // Any single replica suffices.

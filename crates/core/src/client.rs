@@ -1141,7 +1141,7 @@ mod tests {
             .is_stored());
         let manifest = ps.manifest("f").unwrap();
         assert_eq!(manifest.cat_nodes.len(), ps.config().cat_replicas);
-        let unique: std::collections::HashSet<_> = manifest.cat_nodes.iter().collect();
+        let unique: std::collections::BTreeSet<_> = manifest.cat_nodes.iter().collect();
         assert_eq!(
             unique.len(),
             manifest.cat_nodes.len(),
@@ -1605,7 +1605,7 @@ mod tests {
                 .map(|b| b.node)
                 .filter(|&n| cluster.overlay().is_alive(n))
                 .collect();
-            let unique: std::collections::HashSet<_> = nodes.iter().collect();
+            let unique: std::collections::BTreeSet<_> = nodes.iter().collect();
             unique.len() == nodes.len()
         };
         let clean_before: Vec<u32> = ps

@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn distinct_blocks_get_distinct_keys() {
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = std::collections::BTreeSet::new();
         for chunk in 0..10 {
             for ecb in 0..10 {
                 keys.insert(ObjectName::block("bigfile", chunk, ecb).key());

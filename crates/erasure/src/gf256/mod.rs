@@ -63,7 +63,7 @@ const fn build_tables() -> ([u8; 512], [u8; 256]) {
     // Double the antilog table: log a + log b ≤ 508 < 510.
     let mut j = 255;
     while j < 510 {
-        exp[j] = exp[j - 255]; // lint:allow(slice-index) -- j in 255..510, j-255 < 255 < EXP.len()==510
+        exp[j] = exp[j - 255]; // j in 255..510, j-255 < 255 < EXP.len()==510
         j += 1;
     }
     (exp, log)
@@ -81,7 +81,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
     } else {
-        EXP[LOG[a as usize] as usize + LOG[b as usize] as usize] // lint:allow(slice-index) -- log a + log b <= 508 < EXP.len()==510
+        EXP[LOG[a as usize] as usize + LOG[b as usize] as usize] // log a + log b <= 508 < EXP.len()==510
     }
 }
 
@@ -89,7 +89,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 #[inline]
 pub fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no inverse in GF(256)");
-    EXP[255 - LOG[a as usize] as usize] // lint:allow(slice-index) -- LOG[a] <= 255 so 255-LOG[a] <= 255 < EXP.len()
+    EXP[255 - LOG[a as usize] as usize] // LOG[a] <= 255 so 255-LOG[a] <= 255 < EXP.len()
 }
 
 /// Field division `a / b`.  Panics when `b` is zero.
@@ -99,7 +99,7 @@ pub fn div(a: u8, b: u8) -> u8 {
     if a == 0 {
         0
     } else {
-        EXP[LOG[a as usize] as usize + 255 - LOG[b as usize] as usize] // lint:allow(slice-index) -- log a + 255 - log b <= 509 < EXP.len()==510
+        EXP[LOG[a as usize] as usize + 255 - LOG[b as usize] as usize] // log a + 255 - log b <= 509 < EXP.len()==510
     }
 }
 
@@ -111,7 +111,7 @@ pub fn pow(a: u8, e: usize) -> u8 {
     } else if a == 0 {
         0
     } else {
-        EXP[(LOG[a as usize] as usize * e) % 255] // lint:allow(slice-index) -- x % 255 < 255 < EXP.len()
+        EXP[(LOG[a as usize] as usize * e) % 255] // x % 255 < 255 < EXP.len()
     }
 }
 
@@ -123,7 +123,7 @@ fn mul_row(c: u8) -> [u8; 256] {
     let mut row = [0u8; 256];
     let mut x = 1usize;
     while x < 256 {
-        row[x] = EXP[lc + LOG[x] as usize]; // lint:allow(slice-index) -- lc + log x <= 508 < EXP.len()==510
+        row[x] = EXP[lc + LOG[x] as usize]; // lc + log x <= 508 < EXP.len()==510
         x += 1;
     }
     row

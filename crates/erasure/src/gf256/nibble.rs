@@ -131,6 +131,10 @@ fn tail<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
 /// unit, but each nibble table is linear in its 4 input bits, so the lookup
 /// unrolls into four broadcast-mask column XORs: for input bit `i`, every
 /// byte of the lane with that bit set absorbs the byte constant `c·2^i`.
+#[expect(
+    clippy::expect_used,
+    reason = "chunks_exact(8) / chunks_exact_mut(8) yield exactly 8-byte windows"
+)]
 fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     const LSB: u64 = 0x0101_0101_0101_0101;
     // Column `i` is `c·2^i` broadcast to all 8 lane bytes; bits 0..4 come out
@@ -148,7 +152,6 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     let (src_wide, src_tail) = src.split_at(n);
     let (dst_wide, dst_tail) = dst.split_at_mut(n);
     for (d, s) in dst_wide.chunks_exact_mut(8).zip(src_wide.chunks_exact(8)) {
-        // lint:allow(panic) -- chunks_exact(8) yields exactly 8-byte windows
         let x = u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
         let mut product = 0u64;
         for (i, &c) in col.iter().enumerate() {
@@ -157,7 +160,6 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
             product ^= mask & c;
         }
         if ACC {
-            // lint:allow(panic) -- chunks_exact_mut(8) yields exactly 8-byte windows
             product ^= u64::from_le_bytes((&*d).try_into().expect("8-byte chunk"));
         }
         d.copy_from_slice(&product.to_le_bytes());
@@ -172,10 +174,13 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
 /// This module is the workspace's one sanctioned `unsafe` island: the
 /// `unsafe` here covers (a) calling `#[target_feature]` functions after
 /// runtime detection and (b) unaligned SIMD loads/stores inside bounds
-/// established by the loop — each site carries its SAFETY argument, audited
-/// by `repro lint`'s unsafe-audit family.
+/// established by the loop — each site carries its SAFETY argument, which
+/// `clippy::undocumented_unsafe_blocks` requires.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // deny-override: SIMD needs pointer loads/stores; see module docs
+#[expect(
+    unsafe_code,
+    reason = "SIMD needs target-feature calls and pointer loads/stores"
+)]
 mod x86 {
     use super::{tail, NibbleTables};
     use std::arch::x86_64::{

@@ -66,13 +66,13 @@ impl GfMatrix {
     /// Entry at `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> u8 {
-        self.data[r * self.cols + c] // lint:allow(slice-index) -- r*cols+c < rows*cols == data.len(), the matrix invariant
+        self.data[r * self.cols + c] // r*cols+c < rows*cols == data.len(), the matrix invariant
     }
 
     /// Set the entry at `(r, c)`.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: u8) {
-        self.data[r * self.cols + c] = v; // lint:allow(slice-index) -- r*cols+c < rows*cols == data.len(), the matrix invariant
+        self.data[r * self.cols + c] = v; // r*cols+c < rows*cols == data.len(), the matrix invariant
     }
 
     /// Row `r` as a slice.

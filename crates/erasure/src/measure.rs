@@ -11,6 +11,10 @@
 //! of the encoded blocks — which separates optimal codecs (Reed–Solomon:
 //! always succeeds) from sub-optimal ones (online: succeeds only with high
 //! probability at its `(1 + ε)·n'` bound).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timing encode/decode in wall time is this harness's whole job"
+)]
 
 use crate::code::ErasureCode;
 use peerstripe_sim::{ByteSize, DetRng, OnlineStats};
@@ -103,9 +107,13 @@ pub fn measure_code(
         encoded_size = ByteSize::bytes(blocks.iter().map(|b| b.len() as u64).sum());
 
         let start = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "measurement harness: a codec failing its own roundtrip must abort the run"
+        )]
         let decoded = code
             .decode(&blocks, chunk.len())
-            .expect("decoding from the full block set must succeed"); // lint:allow(panic) -- measurement harness: a codec failing its own roundtrip must abort the run
+            .expect("decoding from the full block set must succeed");
         decode_stats.push(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(decoded.len(), chunk.len());
 

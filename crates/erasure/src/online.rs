@@ -119,17 +119,18 @@ impl OnlineCode {
             cum += rho_i;
             cdf.push(cum.min(1.0));
         }
-        let last = cdf.last_mut().expect("non-empty cdf"); // lint:allow(panic) -- cdf has >= 1 entry: degree 1 is always pushed
+        #[expect(
+            clippy::expect_used,
+            reason = "cdf has >= 1 entry: degree 1 is always pushed"
+        )]
+        let last = cdf.last_mut().expect("non-empty cdf");
         *last = 1.0;
         cdf
     }
 
     fn sample_degree(&self, rng: &mut DetRng) -> usize {
         let u = rng.next_f64();
-        match self
-            .degree_cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite probabilities")) // lint:allow(panic) -- cdf entries are finite by construction (no NaN to compare)
-        {
+        match self.degree_cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i + 1,
             Err(i) => (i + 1).min(self.degree_cdf.len()),
         }
@@ -307,7 +308,7 @@ impl ErasureCode for OnlineCode {
             let residual_vars: Vec<usize> = (0..composite_count)
                 .filter(|&v| solved[v].is_none())
                 .collect();
-            let var_pos: std::collections::HashMap<usize, usize> = residual_vars
+            let var_pos: std::collections::BTreeMap<usize, usize> = residual_vars
                 .iter()
                 .enumerate()
                 .map(|(pos, &v)| (v, pos))

@@ -70,9 +70,13 @@ impl ReedSolomonCode {
             "GF(256) Reed-Solomon supports at most 256 blocks, got {}",
             data + parity
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "Vandermonde top square over distinct points is provably invertible"
+        )]
         let enc = GfMatrix::vandermonde(data + parity, data)
             .systematic()
-            .expect("top square of a Vandermonde matrix is invertible"); // lint:allow(panic) -- Vandermonde top square over distinct points is provably invertible
+            .expect("top square of a Vandermonde matrix is invertible");
         let parity_rows: Vec<usize> = (data..data + parity).collect();
         ReedSolomonCode {
             data,

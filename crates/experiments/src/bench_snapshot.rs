@@ -12,8 +12,12 @@
 //! committed files record the machine-independent *shape* (events processed,
 //! verdict counts) next to the throughput observed when they were captured.
 //!
-//! This file is on the linter's `WALL_CLOCK_EXEMPT` list: measuring elapsed
-//! wall time is its whole job.  Nothing here feeds simulation results.
+//! Measuring elapsed wall time is this file's whole job, so it reads the host
+//! clock; nothing here feeds simulation results.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "perf snapshots measure wall time; nothing here feeds simulation results"
+)]
 
 use crate::deployment::{Cell, Deployment};
 use crate::Scale;
@@ -366,10 +370,16 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
             || (Vec::<u8>::with_capacity(512 * 1024), 0u64),
             |(buf, frames)| {
                 buf.clear();
-                // lint:allow(panic) -- writing to a Vec cannot fail and the bench frames stay far under MAX_FRAME
+                #[expect(
+                    clippy::expect_used,
+                    reason = "writing to a Vec cannot fail and the bench frames stay far under MAX_FRAME"
+                )]
                 write_request_traced(buf, req, Some(*frames)).expect("in-memory frame write");
                 let mut frame = buf.as_slice();
-                // lint:allow(panic) -- decoding the bytes this bench just encoded cannot fail
+                #[expect(
+                    clippy::expect_used,
+                    reason = "decoding the bytes this bench just encoded cannot fail"
+                )]
                 let (decoded, rid) = read_request_traced(&mut frame).expect("frame read");
                 assert_eq!(rid, Some(*frames), "request id must survive the roundtrip");
                 std::hint::black_box(decoded);

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro <experiment> [--scale small|medium|paper] [--seed N]
-//! repro lint [--format text|json]
 //! repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N]
 //! repro trace [--scenario NAME] [--scale ...] [--seed N] [--profile] [--out DIR]
 //! repro trace-summary FILE [--format text|json]
@@ -20,7 +19,6 @@
 //!   all                     everything above
 //!
 //! tooling:
-//!   lint                    run the workspace determinism & panic-safety linter
 //!   bench-snapshot          capture BENCH_*.json perf snapshots under benchmarks/
 //!   trace                   run a named scenario with the JSONL tracer attached
 //!   trace-summary           digest a .jsonl trace into causal loss breakdowns
@@ -37,7 +35,7 @@ struct Args {
     experiment: String,
     scale: Scale,
     seed: u64,
-    /// `repro lint --format json`
+    /// `--format json` (`repro ring`, `repro trace-summary`)
     json: bool,
     /// `repro bench-snapshot --out DIR` / `repro trace --out DIR`
     out_dir: Option<std::path::PathBuf>,
@@ -113,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     format!(
         "usage: repro <{}|all> [--scale small|medium|paper] [--seed N]\n\
-                repro lint [--format text|json]\n\
                 repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N] [--check]\n\
                 repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--profile] [--out DIR]\n\
                 repro trace-summary FILE [--format text|json]\n\
@@ -123,42 +120,22 @@ fn usage() -> String {
     )
 }
 
-/// The workspace root: walk up from the current directory, falling back to
-/// the location this crate was compiled from (covers `cargo run` from
-/// anywhere inside the tree and from the target dir).
+/// The workspace root: walk up from the current directory to the first
+/// `Cargo.toml` whose `[workspace]` lists `members` (`bench/`'s stand-alone
+/// empty `[workspace]` does not count), falling back to the location this
+/// crate was compiled from (covers `cargo run` from anywhere inside the tree
+/// and from the target dir).
 fn workspace_root() -> Result<std::path::PathBuf, String> {
     let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
-    if let Some(root) = peerstripe_lint::find_workspace_root(&cwd) {
-        return Ok(root);
-    }
     let compiled_from = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    peerstripe_lint::find_workspace_root(compiled_from)
+    cwd.ancestors()
+        .chain(compiled_from.ancestors())
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.starts_with("members")))
+        })
+        .map(std::path::Path::to_path_buf)
         .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))
-}
-
-/// `repro lint`: run the workspace linter; exit 0 only when clean.
-fn run_lint(json: bool) -> ! {
-    let root = match workspace_root() {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("repro lint: {msg}");
-            std::process::exit(2);
-        }
-    };
-    match peerstripe_lint::run_workspace(&root) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text(false));
-            }
-            std::process::exit(if report.is_clean() { 0 } else { 1 });
-        }
-        Err(msg) => {
-            eprintln!("repro lint: {msg}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// `repro bench-snapshot`: write BENCH_*.json under `<root>/benchmarks/`.
@@ -389,7 +366,6 @@ fn main() {
         }
     };
     match args.experiment.as_str() {
-        "lint" => run_lint(args.json),
         "bench-snapshot" => run_bench_snapshot(&args),
         "trace" => run_trace(&args),
         "trace-summary" => run_trace_summary(&args),

@@ -209,7 +209,11 @@ fn unattributed_count(gateway_log: &[peerstripe_net::OpLogEntry], nodes: &[NodeR
 
 /// Milliseconds elapsed while running `f`, paired with its result.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = std::time::Instant::now(); // lint:allow(wall-clock) -- the ring harness measures real store/fetch latency on live TCP daemons
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the ring harness measures real store/fetch latency on live TCP daemons"
+    )]
+    let start = std::time::Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64() * 1e3)
 }

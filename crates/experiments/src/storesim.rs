@@ -84,11 +84,15 @@ pub struct StoreComparison {
 
 impl StoreComparison {
     /// Look up a run by system kind.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_store_comparison always produces all three systems"
+    )]
     pub fn run(&self, kind: SystemKind) -> &SystemRun {
         self.runs
             .iter()
             .find(|r| r.kind == kind)
-            .expect("all three systems present") // lint:allow(panic) -- run_store_comparison always produces all three systems
+            .expect("all three systems present")
     }
 
     /// Figure 7: failed stores vs. files inserted.
@@ -172,7 +176,12 @@ pub fn run_store_comparison(config: &StoreSimConfig) -> StoreComparison {
             ));
         }
         for (i, handle) in handles {
-            runs[i] = Some(handle.join().expect("system run panicked")); // lint:allow(panic) -- worker panic is unrecoverable; propagate it to the caller
+            #[expect(
+                clippy::expect_used,
+                reason = "worker panic is unrecoverable; propagate it to the caller"
+            )]
+            let run = handle.join().expect("system run panicked");
+            runs[i] = Some(run);
         }
     });
     // The three clusters are identically seeded; recompute the shared capacity once.

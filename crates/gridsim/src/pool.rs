@@ -79,13 +79,21 @@ impl CondorPool {
     }
 
     /// Borrow the contributed-storage cluster.
+    #[expect(
+        clippy::expect_used,
+        reason = "cluster is Some until take_cluster; callers uphold the protocol"
+    )]
     pub fn cluster(&self) -> &StorageCluster {
-        self.cluster.as_ref().expect("cluster present until taken") // lint:allow(panic) -- cluster is Some until take_cluster; callers uphold the protocol
+        self.cluster.as_ref().expect("cluster present until taken")
     }
 
     /// Take ownership of the cluster to hand it to a storage system.
+    #[expect(
+        clippy::expect_used,
+        reason = "single handoff point; taking twice is a caller bug worth aborting on"
+    )]
     pub fn take_cluster(&mut self) -> StorageCluster {
-        self.cluster.take().expect("cluster already taken") // lint:allow(panic) -- single handoff point; taking twice is a caller bug worth aborting on
+        self.cluster.take().expect("cluster already taken")
     }
 
     /// Aggregate contributed capacity of the pool.

@@ -187,7 +187,7 @@ mod tests {
         let engine = RanSub::with_fraction(tree.len(), 0.1);
         let mut rng = DetRng::new(3);
         let leaf = 62; // right-most leaf
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let views = engine.epoch(&tree, &mut rng);
             seen.extend(views.view(leaf).iter().copied());

@@ -10,6 +10,7 @@
 //! The daemon announces `listening on ADDR` on stdout once bound (the ring
 //! harness parses this to learn ephemeral ports), then serves forever.  A
 //! `Shutdown` request drains in-flight connections and exits the process.
+#![deny(clippy::indexing_slicing)]
 
 use peerstripe_net::{NodeConfig, NodeServer, NodeService, ServerConfig};
 use peerstripe_overlay::Id;

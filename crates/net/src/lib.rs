@@ -31,6 +31,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// This crate decodes bytes off the wire: no index may panic on them.
+#![deny(clippy::indexing_slicing)]
 
 pub mod gateway;
 pub mod monitor;

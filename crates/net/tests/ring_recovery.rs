@@ -5,6 +5,7 @@
 //! a file through the unchanged `PeerStripe` client + placement + erasure
 //! stack over the TCP gateway, kills one daemon with a real signal, reads
 //! the file back degraded, runs the repair path, and reads it again.
+#![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe_core::{ChunkPlacement, CodingPolicy, FileManifest, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{GatewayConfig, LocalRing, RingGateway};

@@ -2,6 +2,7 @@
 //! round-trip exactly, and corrupted frames — truncations, oversized length
 //! fields, unknown kind bytes — must be rejected with typed errors rather
 //! than panics or mis-parses.
+#![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe_core::ObjectName;
 use peerstripe_net::protocol::{

@@ -182,7 +182,7 @@ mod tests {
         assert_ne!(Id::hash("file_1_0"), Id::hash("file_1_1"));
         assert_ne!(Id::hash("a"), Id::hash("b"));
         // Uniformity smoke test: top digit should take many values across keys.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..200 {
             seen.insert(Id::hash(&format!("chunk_{i}")).digit(0));
         }
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn hash_collision_free_over_many_names() {
-        let mut set = std::collections::HashSet::new();
+        let mut set = std::collections::BTreeSet::new();
         for i in 0..100_000u32 {
             set.insert(Id::hash(&format!("testImageFile_{i}_3")));
         }
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn random_ids_unique() {
         let mut rng = DetRng::new(5);
-        let mut set = std::collections::HashSet::new();
+        let mut set = std::collections::BTreeSet::new();
         for _ in 0..10_000 {
             set.insert(Id::random(&mut rng));
         }

@@ -231,7 +231,7 @@ impl OverlaySim {
             .filter(|&&c| c != from)
             .map(|&c| (origin.distance(&self.nodes[c].coord), c))
             .collect();
-        with_dist.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap()); // lint:allow(panic) -- coordinate distances are finite, never NaN
+        with_dist.sort_by(|a, b| a.0.total_cmp(&b.0));
         with_dist.into_iter().take(k).map(|(_, c)| c).collect()
     }
 

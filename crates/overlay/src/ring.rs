@@ -136,7 +136,11 @@ impl IdRing {
             let du = up.map(|(id, _)| key.distance(id)).unwrap_or(u128::MAX);
             let dd = down.map(|(id, _)| key.distance(id)).unwrap_or(u128::MAX);
             let pick_up = du <= dd;
-            let (id, node) = if pick_up { up.unwrap() } else { down.unwrap() }; // lint:allow(panic) -- picked side is non-None: du/dd are MAX only when that side is exhausted
+            #[expect(
+                clippy::unwrap_used,
+                reason = "picked side is non-None: du/dd are MAX only when that side is exhausted"
+            )]
+            let (id, node) = if pick_up { up.unwrap() } else { down.unwrap() };
             if taken.insert(id) {
                 result.push((id, node));
             } else if taken.len() >= n {

@@ -243,7 +243,7 @@ impl Topology {
             }
             let mut split: Vec<Vec<NodeRef>> = vec![Vec::new(); domains_per_class];
             for (i, node) in members.into_iter().enumerate() {
-                split[i % domains_per_class].push(node); // lint:allow(slice-index) -- i % domains_per_class < domains_per_class == split.len()
+                split[i % domains_per_class].push(node); // i % domains_per_class < domains_per_class == split.len()
             }
             for (g, members) in split.into_iter().enumerate() {
                 if members.is_empty() {
@@ -377,7 +377,7 @@ mod tests {
         // Each domain is capacity-homogeneous: the two disk generations never
         // share a lab (20 small + 20 large disks over 4 labs of 10).
         for (_, d) in topo.domains() {
-            let caps_in: std::collections::HashSet<u64> =
+            let caps_in: std::collections::BTreeSet<u64> =
                 d.members.iter().map(|&n| caps[n].as_u64()).collect();
             assert_eq!(caps_in.len(), 1, "{}: mixed procurement rounds", d.label);
         }

@@ -171,8 +171,11 @@ impl DetectionPolicy for OutageAware {
         if !self.tracker.confirm(node, generation) {
             return DeclarationVerdict::Cancel;
         }
-        // confirm() guarantees the node is down.
-        let down_at = self.tracker.down_since(node).expect("confirmed down"); // lint:allow(panic) -- confirm() above guarantees the node is tracked down
+        #[expect(
+            clippy::expect_used,
+            reason = "confirm() above guarantees the node is tracked down"
+        )]
+        let down_at = self.tracker.down_since(node).expect("confirmed down");
         let deadline = self.hold_deadline(down_at);
         if now >= deadline || !self.outage_classified(node) {
             // Past the hard cap, or the absence no longer looks correlated

@@ -200,8 +200,7 @@ impl Zipf {
     /// Draw a rank in `1..=n`.
     pub fn sample_rank(&self, rng: &mut DetRng) -> usize {
         let u = rng.next_f64();
-        // lint:allow(panic) -- cdf entries are finite probabilities, never NaN
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i + 1,
             Err(i) => (i + 1).min(self.cdf.len()),
         }

@@ -235,7 +235,11 @@ impl<E> EventQueue<E> {
             if t > deadline {
                 break;
             }
-            let (t, e) = self.pop().expect("peeked event must pop"); // lint:allow(panic) -- pop follows a successful peek on the same queue
+            #[expect(
+                clippy::expect_used,
+                reason = "pop follows a successful peek on the same queue"
+            )]
+            let (t, e) = self.pop().expect("peeked event must pop");
             handler(self, t, e);
         }
         self.processed - start

@@ -13,10 +13,9 @@
 //!   entirely), [`JsonlTracer`] renders one JSON line per event, and
 //!   [`RingBufferTracer`] keeps a bounded tail for huge runs.
 //! * [`profile`] — per-phase wall-clock profiling.  The *only* module in the
-//!   sim-facing tree sanctioned to read the host clock (`repro lint` exempts
-//!   `crates/telemetry/src/profile.rs` the same way it exempts
-//!   `bench_snapshot`); everything else merely carries the opaque tokens it
-//!   hands out.
+//!   sim-facing tree sanctioned to read the host clock (a module-level
+//!   `#![expect(clippy::disallowed_methods)]`, as in `bench_snapshot`);
+//!   everything else merely carries the opaque tokens it hands out.
 //!
 //! Nothing in this crate touches simulation state: a registry, tracer or
 //! profiler can be bolted onto any engine without changing its results, and

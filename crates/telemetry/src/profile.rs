@@ -1,15 +1,20 @@
 //! Per-phase wall-clock profiling.
 //!
 //! This module is the *only* sim-facing code sanctioned to read the host
-//! clock: `repro lint` exempts `crates/telemetry/src/profile.rs` from the
-//! `wall-clock` rule exactly as it exempts `bench_snapshot.rs`.  Everything
-//! else merely carries the opaque [`ProfToken`]s handed out here — passing an
-//! `Instant` around is legal under the rule; *creating* one is not.
+//! clock: it carries a module-level `#![expect]` for
+//! `clippy::disallowed_methods` (which lists `Instant::now`), as
+//! `bench_snapshot.rs` does.  Everything else merely carries the opaque
+//! [`ProfToken`]s handed out here — passing an `Instant` around is legal under
+//! the lint; *creating* one is not.
 //!
 //! Wall time never feeds simulation state: the profiler accumulates
 //! per-[`Phase`] elapsed nanoseconds off to the side, and a disabled profiler
 //! (the default) hands out empty tokens so instrumented code pays only a
 //! branch.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the profiler's job is wall time, kept off to the side of simulation state"
+)]
 
 use crate::metrics::MetricsRegistry;
 use std::time::Instant;

@@ -175,8 +175,12 @@ impl Trace {
     }
 
     /// Serialise to JSON (one object; used to snapshot workloads for experiments).
+    #[expect(
+        clippy::expect_used,
+        reason = "serialising owned plain data cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialisation cannot fail") // lint:allow(panic) -- serialising owned plain data cannot fail
+        serde_json::to_string(self).expect("trace serialisation cannot fail")
     }
 
     /// Parse a trace from JSON.

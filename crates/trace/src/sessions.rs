@@ -69,15 +69,23 @@ impl SessionTrace {
     }
 
     /// Draw one session length.
+    #[expect(
+        clippy::expect_used,
+        reason = "sessions verified non-empty at trace construction"
+    )]
     pub fn sample_session(&self, rng: &mut DetRng) -> f64 {
         *rng.choose(&self.sessions)
-            .expect("non-empty by construction") // lint:allow(panic) -- sessions verified non-empty at trace construction
+            .expect("non-empty by construction")
     }
 
     /// Draw one downtime length.
+    #[expect(
+        clippy::expect_used,
+        reason = "downtimes verified non-empty at trace construction"
+    )]
     pub fn sample_downtime(&self, rng: &mut DetRng) -> f64 {
         *rng.choose(&self.downtimes)
-            .expect("non-empty by construction") // lint:allow(panic) -- downtimes verified non-empty at trace construction
+            .expect("non-empty by construction")
     }
 
     /// Mean session length in seconds.
@@ -99,8 +107,11 @@ impl SessionTrace {
     }
 
     /// Serialise to JSON (for snapshotting harvested availability traces).
+    #[expect(
+        clippy::expect_used,
+        reason = "serialising owned plain data cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // lint:allow(panic) -- serialising owned plain data cannot fail
         serde_json::to_string(self).expect("session trace serialisation cannot fail")
     }
 

@@ -7,6 +7,10 @@
 //! compares what stays retrievable.
 //!
 //! Run with `cargo run --example failure_domains`.
+#![expect(
+    clippy::unwrap_used,
+    reason = "an example stops at the first failed step"
+)]
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::placement::{PlacementStrategy, SpreadReport, StrategyKind, Topology};

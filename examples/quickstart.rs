@@ -2,6 +2,11 @@
 //! participant could hold, read part of it back, and survive a failure.
 //!
 //! Run with: `cargo run --example quickstart`
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "an example stops at the first failed step"
+)]
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::sim::{ByteSize, DetRng};
@@ -52,7 +57,7 @@ fn main() {
         manifest
             .all_blocks()
             .map(|b| b.node)
-            .collect::<std::collections::HashSet<_>>()
+            .collect::<std::collections::BTreeSet<_>>()
             .len(),
         manifest.cat_nodes.len()
     );

@@ -32,7 +32,7 @@ impl Counting {
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "a global allocator is an unsafe impl")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::note(layout.size());

@@ -1,12 +1,14 @@
 //! Seed-stability regression tests: the same experiment at the same seed must
 //! render byte-identical reports within one process.
 //!
-//! This is the dynamic counterpart of `repro lint`'s static determinism rules:
-//! the linter forbids the *sources* of nondeterminism (RandomState iteration,
-//! wall clocks, ambient RNGs), and this test catches whatever slips past it —
-//! an unordered sort key, address-dependent hashing, a stray global.  The two
-//! sweeps exercised here traverse every layer the linter marks sim-facing:
-//! churn, detection, repair, placement, overlay and reporting.
+//! This is the dynamic counterpart of the static determinism lints in
+//! `[workspace.lints]` / `clippy.toml`: those forbid the *sources* of
+//! nondeterminism (RandomState iteration, wall clocks), and this test catches
+//! whatever slips past them — an unordered sort key, address-dependent
+//! hashing, a stray global.  The two sweeps exercised here traverse every
+//! sim-facing layer: churn, detection, repair, placement, overlay and
+//! reporting.
+#![expect(clippy::panic, reason = "test helpers fail by panicking")]
 
 use peerstripe_experiments::cli::run_experiment;
 use peerstripe_experiments::Scale;

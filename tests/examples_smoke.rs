@@ -2,6 +2,7 @@
 //! fail → recover walkthrough must keep succeeding on a small cluster, so the
 //! shipped example cannot silently rot. (`cargo build --examples` keeps the
 //! other examples compiling; this exercises the quickstart *logic*.)
+#![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::experiments::cli::run_experiment;

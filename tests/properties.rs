@@ -60,7 +60,7 @@ proptest! {
         let encoded = code.encode(&data);
         // Drop one block from every group, chosen by the fuzzed seed.
         let mut rng = DetRng::new(drop_choice);
-        let mut dropped = std::collections::HashSet::new();
+        let mut dropped = std::collections::BTreeSet::new();
         for g in 0..code.groups() {
             let members: Vec<u32> = encoded
                 .iter()
@@ -247,7 +247,7 @@ proptest! {
         for w in closest.windows(2) {
             prop_assert!(key.distance(w[0].0) <= key.distance(w[1].0));
         }
-        let unique: std::collections::HashSet<_> = closest.iter().map(|(id, _)| *id).collect();
+        let unique: std::collections::BTreeSet<_> = closest.iter().map(|(id, _)| *id).collect();
         prop_assert_eq!(unique.len(), closest.len());
         prop_assert_eq!(closest[0].0, ring.route(key).unwrap().0);
     }
@@ -530,7 +530,7 @@ proptest! {
             }
             let manifest = ps.manifest(&format!("f{i}")).unwrap();
             for chunk in manifest.chunks.iter().filter(|c| !c.size.is_zero()) {
-                let mut counts = std::collections::HashMap::new();
+                let mut counts = std::collections::BTreeMap::new();
                 for b in &chunk.blocks {
                     prop_assert_eq!(b.domain, topo.domain_of(b.node), "recorded domain");
                     if let Some(d) = b.domain {

@@ -9,6 +9,7 @@
 //! rebuild a chunk says so and stores nothing, and that a chunk refused
 //! part-way is rolled back whole.  The wrapper implements `fetch_block` only,
 //! so the read path's `fetch_block_into` reaches it through the provided body.
+#![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe::core::client::unpack_payload;
 use peerstripe::core::{
