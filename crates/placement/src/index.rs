@@ -12,6 +12,15 @@
 //! [`DomainIndex::update`] wherever a node's space or liveness changes;
 //! strategies borrow it through `ClusterView::domain_index`.
 //!
+//! The repair path needs no walk either while every live member of a domain
+//! has room for the block, which each domain's cached *tightest* member (the
+//! least free room) tells at once.  Domains are contiguous runs of slots, so
+//! one Fenwick tree over the slots' liveness (Fenwick, *A new data structure
+//! for cumulative frequency tables*, SP&E 1994) counts a domain's live members
+//! with two prefix sums and finds its `k`-th by one descent, each O(log n).
+//! A domain with a member too full for the block is counted by a pass over its
+//! slots, as before.
+//!
 //! The index answers exactly what the scan over the same cluster answers —
 //! same node, same report, same order within a pool — so a decision does not
 //! depend on whether a view keeps one.
@@ -43,8 +52,8 @@ struct Freest {
     report: ByteSize,
 }
 
-/// Per-node state laid out by failure domain, with each domain's freest
-/// member cached.  See the [module docs](self).
+/// Per-node state laid out by failure domain, with each domain's freest and
+/// tightest members cached.  See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainIndex {
     /// The indexed topology's domain list: its identity, and the member
@@ -58,8 +67,14 @@ pub struct DomainIndex {
     alive: Vec<bool>,
     report: Vec<ByteSize>,
     free: Vec<ByteSize>,
+    /// Fenwick tree over `alive`, one-based: entry `i` counts the live slots
+    /// in `i - lowbit(i)..i`; entry 0 is unused.
+    live: Vec<usize>,
     /// Per domain.
     freest: Vec<Option<Freest>>,
+    /// Per domain: the slot of its live member with the least free room, the
+    /// first in member order on ties.
+    tightest: Vec<Option<usize>>,
 }
 
 impl DomainIndex {
@@ -95,7 +110,9 @@ impl DomainIndex {
             alive: Vec::with_capacity(nodes),
             report: Vec::with_capacity(nodes),
             free: Vec::with_capacity(nodes),
+            live: Vec::new(),
             freest: Vec::with_capacity(domains.len()),
+            tightest: Vec::with_capacity(domains.len()),
             domains,
         };
         for d in 0..index.domains.len() {
@@ -113,6 +130,18 @@ impl DomainIndex {
             }
             index.spans.push(start..index.alive.len());
             index.freest.push(index.scan_freest(d));
+            index.tightest.push(index.scan_tightest(d));
+        }
+        // The tree in one pass: each entry, once complete, adds itself to the
+        // next entry whose range covers it.
+        let slots = index.alive.len();
+        index.live = vec![0; slots + 1];
+        for i in 1..=slots {
+            index.live[i] += usize::from(index.alive[i - 1]);
+            let up = i + lowbit(i);
+            if up <= slots {
+                index.live[up] += index.live[i];
+            }
         }
         Some(index)
     }
@@ -122,16 +151,35 @@ impl DomainIndex {
         Arc::ptr_eq(&self.domains, &topology.domains)
     }
 
-    /// Record a node's new state.  O(1), except that a domain's cached
-    /// freest member is re-derived over the domain when that very member
-    /// shrinks or leaves.
+    /// Record a node's new state.  O(1), plus O(log n) when its liveness
+    /// flips, except that a domain's cached members are re-derived over the
+    /// domain when that very member leaves, or changes the wrong way: the
+    /// freest when it shrinks, the tightest when it grows.
     pub fn update(&mut self, node: NodeRef, state: NodeState) {
         let Some(&(d, slot)) = self.home.get(node) else {
             return;
         };
+        let was_free = self.free[slot];
+        if self.alive[slot] != state.alive {
+            self.count_live(slot, state.alive);
+        }
         self.alive[slot] = state.alive;
         self.report[slot] = state.report;
         self.free[slot] = state.free;
+        let free = state.free;
+        match self.tightest[d] {
+            Some(least) if least == slot => {
+                if !state.alive || free > was_free {
+                    self.tightest[d] = self.scan_tightest(d);
+                }
+            }
+            least => {
+                let ahead = |b: usize| free < self.free[b] || (free == self.free[b] && slot < b);
+                if state.alive && least.is_none_or(ahead) {
+                    self.tightest[d] = Some(slot);
+                }
+            }
+        }
         let report = state.report;
         let counts = state.alive && !report.is_zero();
         match self.freest[d] {
@@ -198,6 +246,61 @@ impl DomainIndex {
         })
     }
 
+    /// Derive a domain's tightest member from its slots (`min_by_key` keeps
+    /// the first of equal keys, as the tie rule asks).
+    fn scan_tightest(&self, domain: usize) -> Option<usize> {
+        self.spans[domain]
+            .clone()
+            .filter(|&slot| self.alive[slot])
+            .min_by_key(|&slot| self.free[slot])
+    }
+
+    /// Add a slot that came up to the live-slot tree, or take one that went
+    /// down out of it.
+    fn count_live(&mut self, slot: usize, alive: bool) {
+        let mut i = slot + 1;
+        while i < self.live.len() {
+            if alive {
+                self.live[i] += 1;
+            } else {
+                self.live[i] -= 1;
+            }
+            i += lowbit(i);
+        }
+    }
+
+    /// How many of the slots before `slot` are live.
+    fn live_before(&self, slot: usize) -> usize {
+        let (mut i, mut live) = (slot, 0);
+        while i > 0 {
+            live += self.live[i];
+            i -= lowbit(i);
+        }
+        live
+    }
+
+    /// The slot of the `rank`-th live slot (from zero), or the slot count if
+    /// fewer are live.
+    fn nth_live(&self, rank: usize) -> usize {
+        let slots = self.live.len() - 1;
+        let (mut at, mut rest) = (0, rank);
+        let mut step = slots.checked_ilog2().map_or(0, |bits| 1 << bits);
+        while step > 0 {
+            if at + step <= slots && self.live[at + step] <= rest {
+                at += step;
+                rest -= self.live[at];
+            }
+            step >>= 1;
+        }
+        at
+    }
+
+    /// True if every live member of `domain` has room for a block of `size`:
+    /// then its live members are exactly the ones that can take the block.
+    fn all_fit(&self, domain: usize, size: ByteSize) -> bool {
+        self.tightest[domain].is_none_or(|slot| size <= self.free[slot])
+    }
+
     /// The slots of `nodes` that [`DomainIndex::eligible_in`] would otherwise
     /// count for a block of `size`, each once however often its node repeats.
     pub fn barred(&self, size: ByteSize, nodes: impl IntoIterator<Item = NodeRef>) -> Vec<usize> {
@@ -213,19 +316,27 @@ impl DomainIndex {
     }
 
     /// How many members of `domain` are live with room for a block of `size`,
-    /// not counting the `barred` slots.
+    /// not counting the `barred` slots (from [`DomainIndex::barred`] for the
+    /// same `size`).  Two prefix sums while every live member has room, a
+    /// pass over the domain's slots otherwise.
     pub fn eligible_in(&self, domain: usize, size: ByteSize, barred: &[usize]) -> usize {
         let span = self.spans[domain].clone();
-        let open: usize = self.alive[span.clone()]
-            .iter()
-            .zip(&self.free[span.clone()])
-            .map(|(&alive, &free)| usize::from(alive & (size <= free)))
-            .sum();
+        let open: usize = if self.all_fit(domain, size) {
+            self.live_before(span.end) - self.live_before(span.start)
+        } else {
+            self.alive[span.clone()]
+                .iter()
+                .zip(&self.free[span.clone()])
+                .map(|(&alive, &free)| usize::from(alive & (size <= free)))
+                .sum()
+        };
         open - barred.iter().filter(|slot| span.contains(slot)).count()
     }
 
     /// The `k`-th (from zero, in member order) of the members
-    /// [`DomainIndex::eligible_in`] counts.
+    /// [`DomainIndex::eligible_in`] counts.  While every live member has
+    /// room, the `k + b`-th live member of the domain, where `b` counts the
+    /// barred slots at or before it: one descent per barred slot it passes.
     pub fn nth_eligible_in(
         &self,
         domain: usize,
@@ -233,17 +344,40 @@ impl DomainIndex {
         barred: &[usize],
         k: usize,
     ) -> Option<NodeRef> {
-        self.spans[domain]
-            .clone()
-            .zip(&self.domains[domain].members)
-            .filter(|(slot, _)| self.has_room(*slot, size) && !barred.contains(slot))
-            .nth(k)
-            .map(|(_, &node)| node)
+        let span = self.spans[domain].clone();
+        let members = &self.domains[domain].members;
+        if !self.all_fit(domain, size) {
+            return span
+                .zip(members)
+                .filter(|(slot, _)| self.has_room(*slot, size) && !barred.contains(slot))
+                .nth(k)
+                .map(|(_, &node)| node);
+        }
+        // `passed` only grows, and stops at the least fixed point: the count
+        // of barred slots before the answer, which is then not barred itself.
+        let first = self.live_before(span.start) + k;
+        let mut passed = 0;
+        loop {
+            let slot = self.nth_live(first + passed);
+            let through = barred
+                .iter()
+                .filter(|&&b| span.start <= b && b <= slot)
+                .count();
+            if through == passed {
+                return members.get(slot.checked_sub(span.start)?).copied();
+            }
+            passed = through;
+        }
     }
 
     fn has_room(&self, slot: usize, size: ByteSize) -> bool {
         self.alive[slot] && size <= self.free[slot]
     }
+}
+
+/// The lowest set bit of `i`: how many slots a Fenwick entry `i` covers.
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
 }
 
 #[cfg(test)]
@@ -317,5 +451,183 @@ mod tests {
         );
         let rebuilt = index.rebuilt(|node| state(node != 2, if node == 2 { 10 } else { 0 }));
         assert_eq!(rebuilt.as_ref(), Some(&index));
+    }
+
+    /// Three domains of six, member order shuffled against node order, and
+    /// the node states kept beside the index so the queries can be checked
+    /// against their definition.
+    struct Fixture {
+        topology: Topology,
+        states: Vec<NodeState>,
+        index: DomainIndex,
+    }
+
+    impl Fixture {
+        fn new(free_mb: impl Fn(NodeRef) -> u64) -> Self {
+            let members = [
+                vec![5, 0, 12, 3, 9, 7],
+                vec![1, 14, 2, 17, 6, 10],
+                vec![4, 8, 11, 13, 15, 16],
+            ];
+            let topology = Topology::from_domains(
+                members
+                    .into_iter()
+                    .map(|members| Domain {
+                        label: "lab".into(),
+                        site: 0,
+                        members,
+                    })
+                    .collect(),
+            );
+            let states: Vec<NodeState> = (0..18).map(|n| state(true, free_mb(n))).collect();
+            let index = DomainIndex::build(&topology, 18, |n| states[n]).unwrap();
+            Fixture {
+                topology,
+                states,
+                index,
+            }
+        }
+
+        fn set(&mut self, node: NodeRef, state: NodeState) {
+            self.states[node] = state;
+            self.index.update(node, state);
+            assert_eq!(
+                self.index.rebuilt(|n| self.states[n]).as_ref(),
+                Some(&self.index),
+                "maintained == rebuilt after updating node {node}"
+            );
+        }
+
+        fn down(&mut self, node: NodeRef) {
+            let was = self.states[node];
+            self.set(
+                node,
+                NodeState {
+                    alive: false,
+                    ..was
+                },
+            );
+        }
+
+        /// `eligible_in` and every `nth_eligible_in`, for each domain, equal
+        /// the brute-force list: members in member order that are live, have
+        /// room, and are not `barred_nodes`.
+        fn check(&self, size: ByteSize, barred_nodes: &[NodeRef]) {
+            let barred = self.index.barred(size, barred_nodes.iter().copied());
+            for (d, domain) in self.topology.domains() {
+                let d = d as usize;
+                let want: Vec<NodeRef> = domain
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|n| {
+                        let s = self.states[*n];
+                        s.alive && size <= s.free && !barred_nodes.contains(n)
+                    })
+                    .collect();
+                assert_eq!(
+                    self.index.eligible_in(d, size, &barred),
+                    want.len(),
+                    "domain {d}, size {size}, barred {barred_nodes:?}"
+                );
+                for k in 0..want.len() + 2 {
+                    assert_eq!(
+                        self.index.nth_eligible_in(d, size, &barred, k),
+                        want.get(k).copied(),
+                        "domain {d}, k {k}, size {size}, barred {barred_nodes:?}"
+                    );
+                }
+            }
+        }
+
+        fn tightest(&self, domain: usize) -> Option<NodeRef> {
+            let slot = self.index.tightest[domain]?;
+            Some(self.topology.members(domain as u32)[slot - self.index.spans[domain].start])
+        }
+    }
+
+    #[test]
+    fn barred_edges_and_runs_are_skipped() {
+        let fixture = Fixture::new(|n| 10 + n as u64);
+        let size = ByteSize::mb(1);
+        assert!((0..3).all(|d| fixture.index.all_fit(d, size)), "fast arm");
+        fixture.check(size, &[]);
+        // Both edges of domain 0, an adjacent run of three in domain 1, and
+        // domain 2's first member with its last two; nodes repeat.
+        fixture.check(size, &[5, 7, 14, 2, 17, 4, 15, 16, 2, 5]);
+        // Everything but the middle of domain 2, and all but the last of 0.
+        fixture.check(size, &[4, 8, 11, 15, 16, 5, 0, 12, 3, 9]);
+    }
+
+    #[test]
+    fn empty_and_wholly_barred_domains_yield_nothing() {
+        let mut fixture = Fixture::new(|_| 10);
+        for node in [5, 0, 12, 3, 9, 7] {
+            fixture.down(node);
+        }
+        fixture.down(14);
+        fixture.down(6);
+        let size = ByteSize::mb(1);
+        assert!((0..3).all(|d| fixture.index.all_fit(d, size)), "fast arm");
+        // Domain 0 is wholly down; domain 1's live members are all barred.
+        let barred_nodes = [1, 2, 17, 10];
+        fixture.check(size, &barred_nodes);
+        let barred = fixture.index.barred(size, barred_nodes);
+        for d in 0..2 {
+            assert_eq!(fixture.index.eligible_in(d, size, &barred), 0);
+            assert_eq!(fixture.index.nth_eligible_in(d, size, &barred, 0), None);
+        }
+    }
+
+    #[test]
+    fn a_member_without_room_takes_the_scan() {
+        let mut fixture = Fixture::new(|n| if n == 17 { 2 } else { 10 });
+        // Too full for the block, but down: it does not count.
+        fixture.set(0, state(false, 0));
+        let size = ByteSize::mb(3);
+        assert!(fixture.index.all_fit(0, size));
+        assert!(!fixture.index.all_fit(1, size), "node 17 is live and full");
+        fixture.check(size, &[]);
+        fixture.check(size, &[1, 10, 17, 5, 7]);
+        fixture.check(ByteSize::mb(2), &[1, 10]);
+    }
+
+    #[test]
+    fn room_exactly_the_size_takes_the_fast_arm() {
+        let fixture = Fixture::new(|n| if n == 2 { 4 } else { 10 });
+        let exact = ByteSize::mb(4);
+        assert_eq!(fixture.tightest(1), Some(2));
+        assert!(fixture.index.all_fit(1, exact), "size <= room");
+        fixture.check(exact, &[14, 17]);
+        let over = exact + ByteSize::bytes(1);
+        assert!(!fixture.index.all_fit(1, over));
+        fixture.check(over, &[14, 17]);
+    }
+
+    #[test]
+    fn the_tightest_member_follows_every_update() {
+        let mut fixture = Fixture::new(|_| 10);
+        assert_eq!(fixture.tightest(2), Some(4), "tie: member order");
+        fixture.set(13, state(true, 6));
+        assert_eq!(fixture.tightest(2), Some(13), "shrinks past the rest");
+        fixture.set(13, state(true, 3));
+        assert_eq!(fixture.tightest(2), Some(13), "shrinks further");
+        fixture.set(15, state(true, 3));
+        assert_eq!(fixture.tightest(2), Some(13), "tie: the earlier member");
+        fixture.set(13, state(true, 5));
+        assert_eq!(fixture.tightest(2), Some(15), "grows past another");
+        fixture.set(15, state(true, 3));
+        assert_eq!(fixture.tightest(2), Some(15), "a no-op update");
+        fixture.down(15);
+        assert_eq!(fixture.tightest(2), Some(13), "leaves");
+        fixture.set(15, state(true, 3));
+        assert_eq!(fixture.tightest(2), Some(15), "rejoins");
+        fixture.check(ByteSize::mb(3), &[8, 15]);
+        fixture.check(ByteSize::mb(4), &[8]);
+        for node in [4, 8, 11, 13, 15, 16] {
+            fixture.down(node);
+        }
+        assert_eq!(fixture.tightest(2), None, "the domain is down");
+        fixture.check(ByteSize::mb(1), &[]);
     }
 }

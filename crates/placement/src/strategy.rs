@@ -282,9 +282,10 @@ impl DomainSpread {
 
     /// [`DomainSpread::repair_pick`] without building the pool: count the
     /// eligible members of the least-used tier that has any, draw one position
-    /// (the draw `rng.choose` makes over the pool), and walk to it.  The count
-    /// stays inside one tier unless that tier is wholly down, full, or holding
-    /// the chunk already.
+    /// (the draw `rng.choose` makes over the pool), and find the member there.
+    /// The count stays inside one tier unless that tier is wholly down, full,
+    /// or holding the chunk already; see [`DomainIndex::eligible_in`] for what
+    /// one domain's count costs.
     fn repair_pick_indexed(
         index: &DomainIndex,
         counts: &[usize],
@@ -603,10 +604,12 @@ mod tests {
 
     /// A toy cluster: node i is live unless failed, free space per node, and
     /// routing maps a key to `key % nodes` (live-adjusted by linear probing).
+    /// It lends an index once [`MockView::lend_index`] has built one.
     struct MockView {
         free: Vec<ByteSize>,
         alive: Vec<bool>,
         probes: u64,
+        index: Option<DomainIndex>,
     }
 
     impl MockView {
@@ -616,7 +619,16 @@ mod tests {
                 free,
                 alive: vec![true; n],
                 probes: 0,
+                index: None,
             }
+        }
+
+        fn lend_index(&mut self, topology: &Topology) {
+            self.index = DomainIndex::build(topology, self.free.len(), |n| crate::NodeState {
+                alive: self.alive[n],
+                report: self.free[n],
+                free: self.free[n],
+            });
         }
     }
 
@@ -641,6 +653,9 @@ mod tests {
         }
         fn alive_nodes(&self) -> Vec<NodeRef> {
             (0..self.free.len()).filter(|&n| self.alive[n]).collect()
+        }
+        fn domain_index(&self) -> Option<&DomainIndex> {
+            self.index.as_ref()
         }
     }
 
@@ -772,6 +787,31 @@ mod tests {
         for t in &targets {
             assert_eq!(topo.domain_of(*t), Some(1), "domain 0 is at cap");
         }
+    }
+
+    #[test]
+    fn domain_spread_indexed_repair_draws_nothing_when_nothing_is_eligible() {
+        // Domain 1 is wholly down and domain 0's live members all hold the
+        // chunk: every tier counts zero, so no position is drawn.
+        let topo = Topology::uniform_groups(6, 3);
+        let mut view = MockView::new(vec![ByteSize::mb(10); 6]);
+        view.alive[3..].fill(false);
+        view.lend_index(&topo);
+        assert!(view.domain_index().is_some_and(|index| index.serves(&topo)));
+        let mut rng = DetRng::new(4);
+        let targets = DomainSpread::new().repair_targets(
+            &view,
+            Some(&topo),
+            &RepairRequest {
+                want: 2,
+                size: ByteSize::mb(1),
+                holders: &[0, 1, 2],
+                domain_cap: usize::MAX,
+            },
+            &mut rng,
+        );
+        assert!(targets.is_empty());
+        assert_eq!(rng.next_u64(), DetRng::new(4).next_u64(), "no draw");
     }
 
     #[test]

@@ -990,8 +990,8 @@ proptest! {
 
     /// `DomainSpread` decides the same with and without the cluster's index —
     /// targets, reports and the caller's random stream — across every way a
-    /// node's space or liveness can change, and the index the cluster
-    /// maintained through all of it equals one rebuilt from scratch.
+    /// node's space or liveness can change, and after every step the index the
+    /// cluster maintained equals one rebuilt from scratch.
     #[test]
     fn indexed_decisions_equal_the_scan(
         topology_kind in 0usize..3,
@@ -1038,7 +1038,7 @@ proptest! {
                 Some(&member) if rng.chance(0.5) => member,
                 _ => rng.index(nodes),
             };
-            match rng.index(10) {
+            match rng.index(11) {
                 0..=1 => {
                     let name = ObjectName::block("f", step as u32, 0);
                     let size = ByteSize::mb(1 + rng.index(32) as u64);
@@ -1091,15 +1091,28 @@ proptest! {
                         cluster.fail_node(member);
                     }
                 }
+                9 => {
+                    // A whole domain goes down, is decided over while its
+                    // span is empty, and comes back.
+                    let domain = rng.index(topology.domain_count()) as u32;
+                    for &member in topology.members(domain) {
+                        cluster.fail_node(member);
+                    }
+                    prop_assert!(cluster.index_is_consistent(), "step {} (domain down)", step);
+                    assert_decisions_match(&mut cluster, &topology, &mut rng);
+                    for &member in topology.members(domain) {
+                        cluster.rejoin(member);
+                    }
+                }
                 _ => {
                     if !cluster.is_alive(node) {
                         cluster.rejoin(node);
                     }
                 }
             }
+            prop_assert!(cluster.index_is_consistent(), "maintained index == rebuilt index, step {}", step);
             assert_decisions_match(&mut cluster, &topology, &mut rng);
         }
-        prop_assert!(cluster.index_is_consistent(), "maintained index == rebuilt index");
     }
 }
 
