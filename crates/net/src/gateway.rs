@@ -9,20 +9,31 @@
 //! block bytes off the wire, and recovery reads surviving blocks from live
 //! daemons the same way.
 //!
-//! A read's blocks arrive through `fetch_block_into`, the one backend verb
-//! the gateway overrides: the `Block` reply's payload is read off the socket
-//! into the buffer the client hands in — its result — so a fetched row is
-//! written once and no reply buffer is allocated.  `fetch_block` (a reply
+//! A read's blocks arrive through `fetch_block_into`, the one
+//! [`StorageBackend`] verb the gateway overrides: the `Block` reply's
+//! payload is read off the socket into the buffer the client hands in — its
+//! result — so a fetched row is written once and no reply buffer is
+//! allocated.  `fetch_block` (a reply
 //! read into a buffer of its own, payload shared out) serves the blocks a
 //! degraded read or a repair decodes from.  Both are the same `FetchBlock`
 //! frame to the daemon and the same `fetch_block` operation in the metrics
 //! and the op log.
 //!
-//! Connections are pooled per node and transparently re-dialed once after a
-//! transport error.  Every RPC is counted and its wall-clock latency recorded
-//! in a [`MetricsRegistry`] (`gateway_rpc_total`, `gateway_rpc_errors`,
-//! `gateway_rpc_latency_ms`, labelled by operation), which the ring harness
-//! exports into its JSON report.
+//! A chunk's capacity probes go out as one wave: `probe_all`, the one
+//! [`ProbeView`] verb the gateway overrides, routes every key, writes one
+//! `GetCapacity` to each distinct daemon, and only then reads the replies, so
+//! a chunk waits about one round trip for its probes instead of one a block,
+//! and keys that land on the same daemon share its answer.
+//!
+//! Every instrumented RPC is two halves: `send` (stream from the pool or a
+//! fresh dial, request id, clock, frame written) and `finish` (reply read, a
+//! stale pooled stream re-dialled once, metrics and op log, stream pooled
+//! again).  A single RPC is one then the other; a wave is every send, then
+//! every finish.  Connections are pooled per node, and only a stream whose
+//! reply was read to its end goes back.  Every RPC is counted and its
+//! wall-clock latency recorded in a [`MetricsRegistry`] (`gateway_rpc_total`,
+//! `gateway_rpc_errors`, `gateway_rpc_latency_ms`, labelled by operation),
+//! which the ring harness exports into its JSON report.
 
 use crate::protocol::{
     read_block_reply_into, read_response, write_request_traced, BlockReply, NodeStats, OpLogEntry,
@@ -142,6 +153,26 @@ pub struct RingGateway {
     op_log: Mutex<VecDeque<OpLogEntry>>,
 }
 
+/// A request written on a connection, or the error writing it hit.
+struct Sent {
+    stream: Result<TcpStream, WireError>,
+    /// The stream came from the pool, so a transport error on it may only
+    /// mean it went stale: worth one re-dial.
+    pooled: bool,
+}
+
+/// An instrumented RPC whose request is out and whose reply is not yet read:
+/// [`RingGateway::send`] starts one, [`RingGateway::finish`] ends it.
+struct InFlight<'r> {
+    node: NodeRef,
+    op: &'static str,
+    /// Kept for the one resend a stale pooled stream earns.
+    req: &'r Request,
+    rid: u64,
+    start: std::time::Instant,
+    sent: Sent,
+}
+
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     // Poisoning only marks a panicked peer thread; the maps stay usable.
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -234,12 +265,8 @@ impl RingGateway {
         self.rpc_reading(node, op, req, read_response, |resp| Some(resp))
     }
 
-    /// One RPC against `node`: pooled connection, one transparent re-dial
-    /// after a transport error, latency and outcome recorded under `op`, and
-    /// a fresh request id assigned so the node's op log can attribute the
-    /// call back to this gateway entry.  `read` takes the reply off the
-    /// stream, and `parsed` shows the [`Response`] in what it read, if it
-    /// kept one, for the outcome's label.
+    /// One instrumented RPC against `node`: [`RingGateway::send`], then
+    /// [`RingGateway::finish`].
     fn rpc_reading<R>(
         &self,
         node: NodeRef,
@@ -248,13 +275,53 @@ impl RingGateway {
         read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
+        let call = self.send(node, op, req);
+        self.finish(call, read, parsed)
+    }
+
+    /// The first half of an instrumented RPC: a fresh request id, so the
+    /// node's op log can attribute the call back to this gateway entry, the
+    /// clock started, and the request written on `node`'s pooled connection
+    /// or a freshly dialled one.  A failed dial or write is left for
+    /// [`RingGateway::finish`] to act on and record.
+    fn send<'r>(&self, node: NodeRef, op: &'static str, req: &'r Request) -> InFlight<'r> {
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
         #[expect(
             clippy::disallowed_methods,
             reason = "measuring real RPC latency on the network path is the point of the gateway histograms"
         )]
         let start = std::time::Instant::now();
-        let result = self.rpc_uninstrumented(node, req, Some(rid), read);
+        let sent = self.write_pooled(node, req, Some(rid));
+        InFlight {
+            node,
+            op,
+            req,
+            rid,
+            start,
+            sent,
+        }
+    }
+
+    /// The second half: the reply read (a stale pooled stream re-dialled
+    /// once), latency and outcome recorded under the call's op, and the
+    /// stream pooled again.  `read` takes the reply off the stream, and
+    /// `parsed` shows the [`Response`] in what it read, if it kept one, for
+    /// the outcome's label.
+    fn finish<R>(
+        &self,
+        call: InFlight<'_>,
+        read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
+        parsed: fn(&R) -> Option<&Response>,
+    ) -> Result<R, WireError> {
+        let InFlight {
+            node,
+            op,
+            req,
+            rid,
+            start,
+            sent,
+        } = call;
+        let result = self.read_pooled(node, req, Some(rid), sent, read);
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let kind = Self::outcome_kind(result.as_ref().map(parsed));
         if let Some(h) = self.handles.get(op) {
@@ -287,36 +354,48 @@ impl RingGateway {
         result
     }
 
-    fn rpc_uninstrumented<R>(
-        &self,
-        node: NodeRef,
-        req: &Request,
-        rid: Option<u64>,
-        mut read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
-    ) -> Result<R, WireError> {
+    /// Write `req` on `node`'s pooled connection, or on a fresh one.
+    fn write_pooled(&self, node: NodeRef, req: &Request, rid: Option<u64>) -> Sent {
         // The pool lock is held only to take a stream out and to put it
         // back, never across a dial or a round trip: RPCs to different nodes
         // overlap, and a dead endpoint stalls nobody but its own caller.
         let pooled = lock(&self.conns).remove(&node);
-        let fresh = pooled.is_none();
-        let mut stream = match pooled {
-            Some(stream) => stream,
-            None => self.dial(node)?,
+        let was_pooled = pooled.is_some();
+        let stream = pooled
+            .map_or_else(|| self.dial(node), Ok)
+            .and_then(|mut stream| {
+                write_request_traced(&mut stream, req, rid)?;
+                Ok(stream)
+            });
+        Sent {
+            stream,
+            pooled: was_pooled,
+        }
+    }
+
+    /// Read the reply to what [`RingGateway::write_pooled`] sent.  A pooled
+    /// stream that fails in transport went stale (daemon restarted, idle
+    /// timeout), so the request goes again, once, on a fresh one.  Only a
+    /// stream whose reply was read to its end goes back to the pool.
+    fn read_pooled<R>(
+        &self,
+        node: NodeRef,
+        req: &Request,
+        rid: Option<u64>,
+        sent: Sent,
+        mut read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
+    ) -> Result<R, WireError> {
+        let mut reply_on = |mut stream: TcpStream| -> Result<(R, TcpStream), WireError> {
+            Ok((read(&mut stream)?, stream))
         };
-        let mut call = |stream: &mut TcpStream| {
-            write_request_traced(stream, req, rid)?;
-            read(stream)
-        };
-        let reply = match call(&mut stream) {
-            Err(e) if e.is_transport() && !fresh => {
-                // The pooled connection went stale (daemon restarted, idle
-                // timeout); re-dial once.
-                stream = self.dial(node)?;
-                call(&mut stream)
+        let (reply, stream) = match sent.stream.and_then(&mut reply_on) {
+            Err(e) if e.is_transport() && sent.pooled => {
+                let mut stream = self.dial(node)?;
+                write_request_traced(&mut stream, req, rid)?;
+                reply_on(stream)?
             }
-            outcome => outcome,
-        }?;
-        // Only a stream whose reply was read to its end goes back.
+            outcome => outcome?,
+        };
         lock(&self.conns).insert(node, stream);
         Ok(reply)
     }
@@ -325,7 +404,9 @@ impl RingGateway {
     /// observation must not change the op counts, latencies, or logs it
     /// reads, so repeated scrapes of an idle ring are byte-identical.
     pub fn get_stats(&self, node: NodeRef) -> Result<NodeStats, WireError> {
-        match self.rpc_uninstrumented(node, &Request::GetStats, None, read_response)? {
+        let req = Request::GetStats;
+        let sent = self.write_pooled(node, &req, None);
+        match self.read_pooled(node, &req, None, sent, read_response)? {
             Response::Stats { stats } => Ok(*stats),
             Response::Error(e) => Err(WireError::Body(e.to_string())),
             other => Err(WireError::Body(format!(
@@ -341,7 +422,14 @@ impl RingGateway {
 
     /// Probe one node's capacity over the wire, refreshing the report cache.
     fn capacity_rpc(&self, node: NodeRef) -> Option<ByteSize> {
-        match self.rpc(node, "get_capacity", &Request::GetCapacity) {
+        let req = Request::GetCapacity;
+        self.capacity_reply(self.send(node, "get_capacity", &req))
+    }
+
+    /// Finish a capacity probe, refreshing the report cache.
+    fn capacity_reply(&self, probe: InFlight<'_>) -> Option<ByteSize> {
+        let node = probe.node;
+        match self.finish(probe, read_response, |resp| Some(resp)) {
             Ok(Response::Capacity { free }) => {
                 lock(&self.reports).insert(node, free);
                 Some(free)
@@ -444,6 +532,32 @@ impl ProbeView for RingGateway {
         let (_, node) = self.ring.route(key)?;
         let free = self.capacity_rpc(node)?;
         Some((node, free))
+    }
+
+    /// One wave: every key routed, each distinct daemon probed once, and
+    /// every `GetCapacity` written before the first reply is read.  A daemon
+    /// whose dial or read fails answers `None` for its own keys only.
+    fn probe_all(&mut self, keys: &[Id]) -> Vec<Option<(NodeRef, ByteSize)>> {
+        let routed: Vec<Option<NodeRef>> = keys.iter().map(|&key| self.route_quiet(key)).collect();
+        let mut nodes: Vec<NodeRef> = Vec::with_capacity(keys.len());
+        for &node in routed.iter().flatten() {
+            if !nodes.contains(&node) {
+                nodes.push(node);
+            }
+        }
+        let req = Request::GetCapacity;
+        let wave: Vec<InFlight<'_>> = nodes
+            .iter()
+            .map(|&node| self.send(node, "get_capacity", &req))
+            .collect();
+        let free: BTreeMap<NodeRef, ByteSize> = wave
+            .into_iter()
+            .filter_map(|probe| Some((probe.node, self.capacity_reply(probe)?)))
+            .collect();
+        routed
+            .into_iter()
+            .map(|node| node.and_then(|node| Some((node, *free.get(&node)?))))
+            .collect()
     }
 }
 
@@ -781,6 +895,150 @@ mod tests {
         assert_eq!(gw.report_of(node), ByteSize::mb(64));
         assert!(gw.can_store(node, ByteSize::mb(1)));
         assert!(!gw.can_store(node, ByteSize::gb(1)));
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    fn keys(n: usize) -> Vec<Id> {
+        (0..n).map(|i| Id::hash(&format!("wave-key-{i}"))).collect()
+    }
+
+    /// The request ids of every op-log entry node `n` holds for `op`.
+    fn node_rids(gw: &RingGateway, n: NodeRef, op: &str) -> Vec<Option<u64>> {
+        let log = gw.get_stats(n).unwrap().op_log;
+        log.iter()
+            .filter(|e| e.op == op)
+            .map(|e| e.request_id)
+            .collect()
+    }
+
+    #[test]
+    fn a_probe_wave_asks_each_distinct_daemon_once_and_joins_every_node_log() {
+        let (nodes, mut gw) = ring_of(4);
+        let keys = keys(24);
+        let mut routed: Vec<NodeRef> = keys.iter().filter_map(|&k| gw.route_quiet(k)).collect();
+        routed.sort_unstable();
+        routed.dedup();
+        assert!(routed.len() > 1, "the keys spread over several daemons");
+
+        let answers = gw.probe_all(&keys);
+        assert_eq!(answers.len(), keys.len());
+        assert!(answers.iter().all(Option::is_some));
+        assert_eq!(rpcs(&gw, "get_capacity"), routed.len() as u64);
+        let mut logged = Vec::new();
+        for n in 0..4 {
+            let rids = node_rids(&gw, n, "get_capacity");
+            assert_eq!(rids.len(), usize::from(routed.contains(&n)), "node {n}");
+            logged.extend(rids);
+        }
+        let wave = gw.op_log();
+        assert_eq!(wave.len(), routed.len());
+        assert!(wave
+            .iter()
+            .all(|e| e.is_ok() && logged.contains(&e.request_id)));
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_probe_wave_answers_what_per_key_probes_answer_and_refreshes_reports() {
+        let (nodes, mut gw) = ring_of(3);
+        let keys = keys(12);
+        let first = gw.probe_all(&keys);
+        // Space taken behind the cache's back: only a probe can see it.
+        let (node, _) = first[0].unwrap();
+        let name = ObjectName::block("f", 0, 0);
+        gw.store_block(node, name.key(), name, ByteSize::mb(5), None)
+            .unwrap();
+        assert_eq!(gw.report_of(node), ByteSize::mb(64));
+
+        let wave = gw.probe_all(&keys);
+        assert_eq!(gw.report_of(node), ByteSize::mb(59));
+        let one_by_one: Vec<_> = keys.iter().map(|&k| gw.probe(k)).collect();
+        assert_eq!(wave, one_by_one);
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_stopped_daemon_answers_none_for_its_own_keys_only() {
+        let (mut nodes, mut gw) = ring_of(4);
+        let keys = keys(24);
+        // Every daemon's stream is pooled by a first wave.
+        assert!(gw.probe_all(&keys).iter().all(Option::is_some));
+        // Stopped without telling the gateway: its pooled stream is severed.
+        let dead = gw.route_quiet(keys[0]).unwrap();
+        nodes.remove(dead).stop().unwrap();
+
+        let answers = gw.probe_all(&keys);
+        for (&key, answer) in keys.iter().zip(&answers) {
+            let node = gw.route_quiet(key).unwrap();
+            assert_eq!(answer.is_none(), node == dead, "key {key:?} on node {node}");
+        }
+        let pooled: Vec<NodeRef> = lock(&gw.conns).keys().copied().collect();
+        let live: Vec<NodeRef> = (0..4).filter(|&n| n != dead).collect();
+        assert_eq!(pooled, live, "every stream whose reply was read went back");
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    /// A stub daemon that answers `GetCapacity` with `free`: `answers[i]`
+    /// requests on the i-th connection it accepts, then it closes that
+    /// connection.
+    fn capacity_stub(
+        free: ByteSize,
+        answers: Vec<usize>,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        use crate::protocol::{read_request_traced, write_response_traced};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            for count in answers {
+                let (mut conn, _) = listener.accept().unwrap();
+                for _ in 0..count {
+                    let (req, rid) = read_request_traced(&mut conn).unwrap();
+                    assert_eq!(req, Request::GetCapacity);
+                    write_response_traced(&mut conn, &Response::Capacity { free }, rid).unwrap();
+                }
+            }
+        });
+        (addr, stub)
+    }
+
+    #[test]
+    fn a_wave_redials_a_closed_pooled_stream_once_and_counts_one_rpc() {
+        let free = ByteSize::mb(7);
+        let (addr, stub) = capacity_stub(free, vec![1, 1]);
+        let mut gw = stub_gateway(addr);
+        let keys = keys(8);
+        // The first probe pools a stream, which the stub then closes.
+        assert_eq!(gw.probe(keys[0]), Some((0, free)));
+        let answers = gw.probe_all(&keys);
+        assert!(answers.iter().all(|a| *a == Some((0, free))));
+        stub.join().unwrap();
+        assert_eq!(rpcs(&gw, "get_capacity"), 2);
+        assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
+    }
+
+    #[test]
+    fn a_wave_over_failed_nodes_or_no_keys_costs_no_rpc() {
+        let (nodes, mut gw) = ring_of(3);
+        assert!(gw.probe_all(&[]).is_empty());
+        gw.mark_failed(1).unwrap();
+        let answers = gw.probe_all(&keys(12));
+        assert!(answers.iter().all(|a| a.is_some_and(|(node, _)| node != 1)));
+        assert!(node_rids(&gw, 1, "get_capacity").is_empty());
+        let before = rpcs(&gw, "get_capacity");
+        // The last node leaves no neighbour to take over: no takeover.
+        gw.mark_failed(0).unwrap();
+        assert!(gw.mark_failed(2).is_none());
+        assert!(gw.alive_nodes().is_empty());
+        assert_eq!(gw.probe_all(&keys(12)), vec![None; 12]);
+        assert_eq!(rpcs(&gw, "get_capacity"), before);
         for n in nodes {
             n.stop().unwrap();
         }

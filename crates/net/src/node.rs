@@ -296,10 +296,11 @@ impl NodeService {
                     .get(name.key())
                     .map(|obj| (obj.size, obj.payload.clone())),
             },
-            Request::RemoveBlock { name, size } => {
-                if self.store.remove(name.key()).is_none() {
-                    self.store.release(size);
-                }
+            // The store tracks every object it holds, so a remove of one it
+            // does not hold — a resend of a remove already applied — frees
+            // nothing.
+            Request::RemoveBlock { name, .. } => {
+                self.store.remove(name.key());
                 Response::Removed
             }
             // The server layer intercepts Shutdown before dispatch; answering
@@ -380,20 +381,30 @@ mod tests {
     }
 
     #[test]
-    fn rollback_of_an_unknown_object_releases_reserved_space() {
+    fn removing_a_block_the_node_does_not_hold_frees_nothing() {
         let mut svc = service();
-        // Reserve space as an untracked charge, then roll it back by size.
-        let name = ObjectName::block("f", 0, 0);
-        svc.handle(Request::StoreBlock {
-            key: name.key(),
-            name: name.clone(),
-            size: ByteSize::mb(1),
-            payload: None,
-        });
-        svc.handle(Request::RemoveBlock {
-            name: ObjectName::block("other", 0, 0),
-            size: ByteSize::mb(1),
-        });
-        assert_eq!(svc.store().used(), ByteSize::ZERO);
+        let sizes = [ByteSize::mb(1), ByteSize::mb(2), ByteSize::mb(3)];
+        let names: Vec<ObjectName> = (0..3).map(|i| ObjectName::block("f", 0, i)).collect();
+        for (name, &size) in names.iter().zip(&sizes) {
+            let store = Request::StoreBlock {
+                key: name.key(),
+                name: name.clone(),
+                size,
+                payload: None,
+            };
+            assert_eq!(svc.handle(store), Response::Stored);
+        }
+        // Block 0 removed twice (a resent rollback), then a name never stored.
+        let removes = [
+            (names[0].clone(), sizes[0]),
+            (names[0].clone(), sizes[0]),
+            (ObjectName::block("other", 0, 0), ByteSize::mb(4)),
+        ];
+        for (name, size) in removes {
+            let reply = svc.handle(Request::RemoveBlock { name, size });
+            assert_eq!(reply, Response::Removed);
+        }
+        assert_eq!(svc.store().object_count(), 2);
+        assert_eq!(svc.store().used(), sizes[1] + sizes[2]);
     }
 }

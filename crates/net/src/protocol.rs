@@ -185,12 +185,14 @@ pub enum Request {
         /// The object's name.
         name: ObjectName,
     },
-    /// Undo a store: remove the object, or release `size` reserved bytes if
-    /// the object is not tracked.
+    /// Undo a store: remove the object.  A daemon tracks every object it
+    /// stores, so removing one it does not hold changes nothing and is still
+    /// answered `Removed`; a resent remove is harmless.
     RemoveBlock {
         /// The object's name.
         name: ObjectName,
-        /// Size to release when the object itself is unknown.
+        /// The size the store charged.  The daemon frees what its own record
+        /// of the object says, never this.
         size: ByteSize,
     },
     /// Ask the daemon to finish in-flight requests and exit.

@@ -20,6 +20,12 @@
 //! Strategies see the cluster through the [`ClusterView`] / [`ProbeView`]
 //! traits (implemented by `peerstripe_core::StorageCluster`), so this crate
 //! stays below `core` in the dependency order.
+//!
+//! The store path asks for a chunk's `getCapacity` probes all at once
+//! ([`ProbeView::probe_all`]) before it makes any decision, so a view that
+//! can overlap them — the networked gateway — pays about one round trip a
+//! chunk instead of one a block.  A decision reads only the answers, never
+//! the order they arrived in.
 
 use crate::index::DomainIndex;
 use crate::topology::Topology;
@@ -54,9 +60,22 @@ pub trait ClusterView {
 
 /// A [`ClusterView`] that can also issue routed `getCapacity` probes, which
 /// are charged as overlay lookups (the client store path).
+///
+/// A store asks for a chunk's probes together, through
+/// [`ProbeView::probe_all`], before deciding anything.  The simulator keeps
+/// the provided body, one [`ProbeView::probe`] a key in key order; the
+/// networked gateway overrides it to put every probe on the wire before it
+/// reads the first reply.
 pub trait ProbeView: ClusterView {
     /// Route a key and probe the responsible node's capacity (one lookup).
     fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)>;
+
+    /// Probe every key's responsible node: one answer per key, in key
+    /// order, each what [`ProbeView::probe`] would have answered for it.
+    /// `None` is a key that routes nowhere or a node that did not answer.
+    fn probe_all(&mut self, keys: &[Id]) -> Vec<Option<(NodeRef, ByteSize)>> {
+        keys.iter().map(|&key| self.probe(key)).collect()
+    }
 }
 
 /// What a repair re-placement asks of a strategy.
@@ -127,11 +146,7 @@ impl PlacementStrategy for OverlayRandom {
         keys: &[Id],
         _domain_cap: usize,
     ) -> Option<Vec<(NodeRef, ByteSize)>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            out.push(view.probe(key)?);
-        }
-        Some(out)
+        view.probe_all(keys).into_iter().collect()
     }
 
     fn repair_targets(
@@ -351,14 +366,13 @@ impl PlacementStrategy for DomainSpread {
         let mut counts = vec![0usize; topology.domain_count()];
         let mut chosen: Vec<NodeRef> = Vec::with_capacity(keys.len());
         let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
+        for routed in view.probe_all(keys) {
             // Prefer the overlay's own answer (it keeps the DHT's lookup
             // semantics and load spread) while it lands in a least-used
             // domain: true round-robin, so a chunk's blocks balance over the
             // domains instead of merely staying under the cap — which keeps
             // chunks recoverable even through *overlapping* domain outages.
             let min_used = counts.iter().copied().min().unwrap_or(0);
-            let routed = view.probe(key);
             let pick = match routed {
                 Some((node, report))
                     if !report.is_zero()
@@ -604,12 +618,18 @@ mod tests {
 
     /// A toy cluster: node i is live unless failed, free space per node, and
     /// routing maps a key to `key % nodes` (live-adjusted by linear probing).
-    /// It lends an index once [`MockView::lend_index`] has built one.
+    /// It lends an index once [`MockView::lend_index`] has built one, and
+    /// with `wave` set answers `probe_all` the way the gateway does.
     struct MockView {
         free: Vec<ByteSize>,
         alive: Vec<bool>,
         probes: u64,
         index: Option<DomainIndex>,
+        /// `probe_all` probes each distinct routed node once, in reverse
+        /// node order, instead of key by key.
+        wave: bool,
+        /// `probe_all` calls so far.
+        waves: u64,
     }
 
     impl MockView {
@@ -620,6 +640,8 @@ mod tests {
                 alive: vec![true; n],
                 probes: 0,
                 index: None,
+                wave: false,
+                waves: 0,
             }
         }
 
@@ -664,10 +686,115 @@ mod tests {
             self.probes += 1;
             self.route_quiet(key).map(|n| (n, self.free[n]))
         }
+
+        fn probe_all(&mut self, keys: &[Id]) -> Vec<Option<(NodeRef, ByteSize)>> {
+            self.waves += 1;
+            if !self.wave {
+                return keys.iter().map(|&key| self.probe(key)).collect();
+            }
+            let routed: Vec<Option<NodeRef>> = keys.iter().map(|&k| self.route_quiet(k)).collect();
+            let mut nodes: Vec<NodeRef> = routed.iter().flatten().copied().collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let mut replies = std::collections::BTreeMap::new();
+            for &node in nodes.iter().rev() {
+                self.probes += 1;
+                replies.insert(node, self.free[node]);
+            }
+            routed
+                .into_iter()
+                .map(|node| node.map(|n| (n, replies[&n])))
+                .collect()
+        }
     }
 
     fn keys(n: usize) -> Vec<Id> {
         (0..n as u128).map(Id).collect()
+    }
+
+    /// The placed-block counts of every coding: none, XOR(2,3), online and
+    /// RS(4,2), RS(5,3).
+    const PLACED_BLOCKS: [usize; 4] = [1, 3, 6, 8];
+
+    /// Chunk `chunk`'s block keys, hashed so that some share a node.
+    fn chunk_keys(chunk: usize, blocks: usize) -> Vec<Id> {
+        (0..blocks)
+            .map(|b| Id::hash(&format!("file/{chunk}/{b}")))
+            .collect()
+    }
+
+    /// 12 nodes in 4 domains of 3: one failed, some full, the rest uneven.
+    fn uneven_view() -> MockView {
+        let free = [0, 40, 3, 0, 0, 9, 12, 1, 0, 25, 6, 0].map(ByteSize::mb);
+        let mut view = MockView::new(free.to_vec());
+        view.alive[6] = false;
+        view
+    }
+
+    #[test]
+    fn a_chunk_plan_does_not_depend_on_the_order_probe_replies_arrive_in() {
+        let topo = Topology::uniform_groups(12, 3);
+        let strategies = [StrategyKind::OverlayRandom, StrategyKind::DomainSpread];
+        let topologies = [None, Some(&topo)];
+        let mut planned = 0;
+        for (kind, blocks, topology) in strategies
+            .iter()
+            .flat_map(|k| PLACED_BLOCKS.map(|b| (k, b)))
+            .flat_map(|(k, b)| topologies.map(|t| (k, b, t)))
+        {
+            for (cap, indexed, chunk) in [1, 2, usize::MAX]
+                .into_iter()
+                .flat_map(|cap| [false, true].map(|i| (cap, i)))
+                .flat_map(|(cap, i)| (0..16).map(move |c| (cap, i, c)))
+            {
+                let keys = chunk_keys(chunk, blocks);
+                let mut serial = uneven_view();
+                let mut wave = uneven_view();
+                wave.wave = true;
+                if let (Some(t), true) = (topology, indexed) {
+                    serial.lend_index(t);
+                    wave.lend_index(t);
+                }
+                let expected = kind.build(1).plan_chunk(&mut serial, topology, &keys, cap);
+                let got = kind.build(1).plan_chunk(&mut wave, topology, &keys, cap);
+                let case = format!("{} {blocks} blocks, chunk {chunk}, cap {cap}", kind.label());
+                assert_eq!(got, expected, "{case}");
+                planned += usize::from(expected.is_some());
+
+                let mut routed: Vec<NodeRef> =
+                    keys.iter().filter_map(|&k| wave.route_quiet(k)).collect();
+                routed.sort_unstable();
+                routed.dedup();
+                // One wave a planned chunk (none when refused up front): a
+                // probe a key by default, a probe a distinct node in a wave.
+                assert_eq!(wave.waves, serial.waves, "{case}");
+                assert_eq!(serial.probes, serial.waves * keys.len() as u64, "{case}");
+                assert_eq!(wave.probes, wave.waves * routed.len() as u64, "{case}");
+            }
+        }
+        // Every overlay-random chunk places; so do some domain-spread ones.
+        assert!(planned > 768, "{planned} chunks placed");
+    }
+
+    #[test]
+    fn a_chunk_plan_asks_for_its_probes_once() {
+        let topo = Topology::uniform_groups(12, 3);
+        for kind in [StrategyKind::OverlayRandom, StrategyKind::DomainSpread] {
+            let mut strategy = kind.build(1);
+            let mut view = uneven_view();
+            for chunk in 0..10 {
+                strategy.plan_chunk(&mut view, Some(&topo), &chunk_keys(chunk, 8), 2);
+            }
+            assert_eq!(view.waves, 10, "{}", kind.label());
+            // The default answers key by key: one lookup a key, as ever.
+            assert_eq!(view.probes, 80, "{}", kind.label());
+        }
+        // Without a topology domain spreading refuses before it probes.
+        let mut view = uneven_view();
+        assert!(DomainSpread::new()
+            .plan_chunk(&mut view, None, &chunk_keys(0, 8), 2)
+            .is_none());
+        assert_eq!((view.waves, view.probes), (0, 0));
     }
 
     #[test]

@@ -342,6 +342,27 @@ fn network_ring_store_kill_recover() {
     let mut rng = DetRng::new(42);
     let data: Vec<u8> = (0..128 * 1024).map(|_| rng.next_u64() as u8).collect();
     assert!(storage.store_data("telemetry.parquet", &data).is_stored());
+
+    // The store's RPCs: one capacity probe per distinct daemon its one
+    // chunk's eight keys route to (the probes go out as one wave), then the
+    // eight blocks and two CAT copies.
+    let rpcs = |storage: &PeerStripe<RingGateway>, op: &str| -> u64 {
+        let export = storage.backend().export_metrics();
+        export
+            .counters
+            .iter()
+            .filter(|c| c.name == "gateway_rpc_total" && c.labels.iter().any(|(_, v)| v == op))
+            .map(|c| c.value)
+            .sum()
+    };
+    let manifest = storage.manifest("telemetry.parquet").expect("manifest");
+    assert_eq!(manifest.chunks.len(), 1);
+    let mut targets: Vec<usize> = manifest.all_blocks().map(|b| b.node).collect();
+    targets.sort_unstable();
+    targets.dedup();
+    assert_eq!(rpcs(&storage, "get_capacity"), targets.len() as u64);
+    assert_eq!(rpcs(&storage, "store_block"), 8 + 2);
+
     assert_eq!(
         storage.retrieve_data("telemetry.parquet").as_deref(),
         Some(&data[..])
