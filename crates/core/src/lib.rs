@@ -43,7 +43,7 @@ pub use cat::{ChunkAllocationTable, ChunkExtent};
 pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};
 pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
 pub use ledger::{DamageLedger, NodeLoss};
-pub use metrics::{MaintenanceMetrics, MaintenanceSample, StoreMetrics};
+pub use metrics::StoreMetrics;
 pub use naming::ObjectName;
 pub use planner::{commit_rebuilt, Damage, Verdict};
 pub use policy::CodingPolicy;

@@ -3,15 +3,11 @@
 //! The evaluation reports, as files are inserted: the number and the total size
 //! of failed stores (Figures 7 and 8), the overall capacity utilization
 //! (Figure 9), and the distribution of chunk counts and chunk sizes (Table 1).
-//! [`StoreMetrics`] accumulates all of these in one pass.
-//!
-//! [`MaintenanceMetrics`] is the continuous-time counterpart: the repair
-//! subsystem samples availability/durability over virtual time and accumulates
-//! repair-traffic counters, so a churn run can report "repair bytes spent per
-//! useful byte protected" next to the durability it bought.
+//! [`StoreMetrics`] accumulates all of these in one pass.  A churn run's
+//! account — repair traffic, losses, availability over time — is the repair
+//! engine's `MaintenanceReport`.
 
-use peerstripe_sim::{ByteSize, OnlineStats, SimTime};
-use peerstripe_telemetry::MetricsRegistry;
+use peerstripe_sim::{ByteSize, OnlineStats};
 
 /// Counters and distributions describing a sequence of file stores.
 #[derive(Debug, Clone, Default)]
@@ -112,204 +108,6 @@ impl StoreMetrics {
     }
 }
 
-/// One periodic health sample taken by the maintenance engine.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintenanceSample {
-    /// Virtual time of the sample.
-    pub at: SimTime,
-    /// Files with at least one chunk currently unretrievable (live blocks below
-    /// the decode threshold); recovers when transient nodes return.
-    pub files_unavailable: u64,
-    /// Files permanently lost so far (a chunk fell below its threshold with no
-    /// surviving copies to regenerate from); never recovers.
-    pub files_lost: u64,
-    /// Cumulative repair traffic so far.
-    pub repair_bytes: ByteSize,
-    /// Repairs in flight at the sample time.
-    pub repairs_in_flight: u64,
-}
-
-/// Time-series durability/availability/repair-traffic counters accumulated by
-/// the event-driven maintenance engine (`peerstripe-repair`).
-#[derive(Debug, Clone)]
-pub struct MaintenanceMetrics {
-    /// Periodic samples in virtual-time order.
-    pub samples: Vec<MaintenanceSample>,
-    /// Distribution of the availability percentage across samples.
-    pub availability_pct: OnlineStats,
-    /// Cumulative repair traffic (blocks read for decoding + blocks written).
-    pub repair_bytes: ByteSize,
-    /// Individual block regenerations completed.
-    pub blocks_regenerated: u64,
-    /// Regenerations abandoned because their target died before completion.
-    pub repairs_dropped: u64,
-    /// Nodes whose departure turned out permanent (disk contents gone).
-    pub permanent_failures: u64,
-    /// Transient departures (the node eventually returns with its data).
-    pub transient_departures: u64,
-    /// Correlated whole-group outage events drawn by the grouped churn mode
-    /// (a lab powering down, a switch dying).
-    pub group_outages: u64,
-    /// Individual node departures caused by group outages (each outage takes
-    /// down every live member of its failure domain at once).
-    pub group_departures: u64,
-    /// Nodes declared dead by the failure detector that later returned — the
-    /// cost of an aggressive permanence timeout.
-    pub false_declarations: u64,
-    /// Repair traffic spent regenerating blocks of nodes that later returned:
-    /// the byte bill of false declarations, and the saving an outage-aware
-    /// detector buys.  Always ≤ `repair_bytes`.
-    pub wasted_repair_bytes: ByteSize,
-    /// Down periods whose declaration the detection policy held at least once
-    /// (correlated absence classified as an outage).
-    pub declarations_held: u64,
-    /// Held declarations cancelled by the node returning before the hold cap
-    /// — write-offs (and their regeneration waves) that never happened.
-    pub held_cancelled: u64,
-    /// Files written off as permanently lost.
-    pub files_lost: u64,
-    /// User bytes in permanently lost chunks.
-    pub bytes_lost: ByteSize,
-}
-
-impl Default for MaintenanceMetrics {
-    fn default() -> Self {
-        MaintenanceMetrics {
-            samples: Vec::new(),
-            // `OnlineStats::new()`, not the derived default: the accumulator's
-            // min/max tracking needs its infinity sentinels.
-            availability_pct: OnlineStats::new(),
-            repair_bytes: ByteSize::ZERO,
-            blocks_regenerated: 0,
-            repairs_dropped: 0,
-            permanent_failures: 0,
-            transient_departures: 0,
-            group_outages: 0,
-            group_departures: 0,
-            false_declarations: 0,
-            wasted_repair_bytes: ByteSize::ZERO,
-            declarations_held: 0,
-            held_cancelled: 0,
-            files_lost: 0,
-            bytes_lost: ByteSize::ZERO,
-        }
-    }
-}
-
-impl MaintenanceMetrics {
-    /// Create empty metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one periodic health sample.
-    pub fn record_sample(&mut self, sample: MaintenanceSample, files_total: u64) {
-        if files_total > 0 {
-            let available = files_total.saturating_sub(sample.files_unavailable);
-            self.availability_pct
-                .push(100.0 * available as f64 / files_total as f64);
-        }
-        self.samples.push(sample);
-    }
-
-    /// Charge completed regeneration traffic.
-    pub fn record_repair(&mut self, traffic: ByteSize, blocks: u64) {
-        self.repair_bytes += traffic;
-        self.blocks_regenerated += blocks;
-    }
-
-    /// Record a chunk (and optionally its file) becoming permanently lost.
-    pub fn record_loss(&mut self, user_bytes: ByteSize, file_newly_lost: bool) {
-        self.bytes_lost += user_bytes;
-        if file_newly_lost {
-            self.files_lost += 1;
-        }
-    }
-
-    /// Mean availability percentage across all samples (100 when never sampled).
-    pub fn mean_availability_pct(&self) -> f64 {
-        if self.availability_pct.count() == 0 {
-            100.0
-        } else {
-            self.availability_pct.mean()
-        }
-    }
-
-    /// Lowest sampled availability percentage (100 when never sampled).
-    pub fn min_availability_pct(&self) -> f64 {
-        self.availability_pct.min().unwrap_or(100.0)
-    }
-
-    /// Repair traffic spent per useful byte protected — the maintenance
-    /// efficiency metric the policy sweep compares eager and lazy repair on.
-    pub fn repair_bytes_per_useful_byte(&self, useful: ByteSize) -> f64 {
-        if useful.is_zero() {
-            0.0
-        } else {
-            self.repair_bytes.as_u64() as f64 / useful.as_u64() as f64
-        }
-    }
-
-    /// Export every counter into a [`MetricsRegistry`] under the given label
-    /// set — the bridge from the engine's bespoke struct onto the shared
-    /// telemetry registry, so sweeps can merge per-cell metrics (labelled by
-    /// policy/strategy/domain) into one deterministic JSON export.
-    pub fn fill_registry(&self, registry: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        let counters: [(&str, u64); 13] = [
-            ("maintenance_repair_bytes_total", self.repair_bytes.as_u64()),
-            (
-                "maintenance_blocks_regenerated_total",
-                self.blocks_regenerated,
-            ),
-            ("maintenance_repairs_dropped_total", self.repairs_dropped),
-            (
-                "maintenance_permanent_failures_total",
-                self.permanent_failures,
-            ),
-            (
-                "maintenance_transient_departures_total",
-                self.transient_departures,
-            ),
-            ("maintenance_group_outages_total", self.group_outages),
-            ("maintenance_group_departures_total", self.group_departures),
-            (
-                "maintenance_false_declarations_total",
-                self.false_declarations,
-            ),
-            (
-                "maintenance_wasted_repair_bytes_total",
-                self.wasted_repair_bytes.as_u64(),
-            ),
-            (
-                "maintenance_declarations_held_total",
-                self.declarations_held,
-            ),
-            ("maintenance_held_cancelled_total", self.held_cancelled),
-            ("maintenance_files_lost_total", self.files_lost),
-            ("maintenance_bytes_lost_total", self.bytes_lost.as_u64()),
-        ];
-        for (name, value) in counters {
-            let handle = registry.counter(name, labels);
-            registry.inc(handle, value);
-        }
-        let gauges: [(&str, f64); 3] = [
-            (
-                "maintenance_availability_mean_pct",
-                self.mean_availability_pct(),
-            ),
-            (
-                "maintenance_availability_min_pct",
-                self.min_availability_pct(),
-            ),
-            ("maintenance_samples", self.samples.len() as f64),
-        ];
-        for (name, value) in gauges {
-            let handle = registry.gauge(name, labels);
-            registry.set(handle, value);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,45 +151,6 @@ mod tests {
         assert_eq!(m.failed_bytes_pct(), 0.0);
         assert_eq!(m.mean_chunks_per_file(), 0.0);
         assert_eq!(m.mean_chunk_size(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn maintenance_metrics_accumulate_and_bound() {
-        let mut m = MaintenanceMetrics::new();
-        assert_eq!(m.mean_availability_pct(), 100.0);
-        assert_eq!(m.min_availability_pct(), 100.0);
-        m.record_sample(
-            MaintenanceSample {
-                at: SimTime::from_secs(60),
-                files_unavailable: 10,
-                files_lost: 0,
-                repair_bytes: ByteSize::mb(5),
-                repairs_in_flight: 2,
-            },
-            100,
-        );
-        m.record_sample(
-            MaintenanceSample {
-                at: SimTime::from_secs(120),
-                files_unavailable: 0,
-                files_lost: 1,
-                repair_bytes: ByteSize::mb(9),
-                repairs_in_flight: 0,
-            },
-            100,
-        );
-        assert_eq!(m.samples.len(), 2);
-        assert!((m.mean_availability_pct() - 95.0).abs() < 1e-9);
-        assert_eq!(m.min_availability_pct(), 90.0);
-        m.record_repair(ByteSize::mb(9), 3);
-        assert_eq!(m.blocks_regenerated, 3);
-        m.record_loss(ByteSize::mb(200), true);
-        m.record_loss(ByteSize::mb(100), false);
-        assert_eq!(m.files_lost, 1);
-        assert_eq!(m.bytes_lost, ByteSize::mb(300));
-        // 9 MB of repair for 300 MB of useful data = 0.03.
-        assert!((m.repair_bytes_per_useful_byte(ByteSize::mb(300)) - 0.03).abs() < 1e-9);
-        assert_eq!(m.repair_bytes_per_useful_byte(ByteSize::ZERO), 0.0);
     }
 
     #[test]

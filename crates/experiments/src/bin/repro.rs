@@ -3,7 +3,7 @@
 //! ```text
 //! repro <experiment> [--scale small|medium|paper] [--seed N]
 //! repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N]
-//! repro trace [--scenario NAME] [--scale ...] [--seed N] [--profile] [--out DIR]
+//! repro trace [--scenario NAME] [--scale ...] [--seed N] [--out DIR]
 //! repro trace-summary FILE [--format text|json]
 //!
 //! experiments:
@@ -20,7 +20,9 @@
 //!
 //! tooling:
 //!   bench-snapshot          capture BENCH_*.json perf snapshots under benchmarks/
-//!   trace                   run a named scenario with the JSONL tracer attached
+//!   trace                   run a named scenario with the JSONL tracer attached;
+//!                           writes the trace, its summary and the engine's
+//!                           metrics registry
 //!   trace-summary           digest a .jsonl trace into causal loss breakdowns
 //!   ring                    spawn localhost peerstripe-node daemons, store and
 //!                           recover a file through a real node kill, and
@@ -41,8 +43,6 @@ struct Args {
     out_dir: Option<std::path::PathBuf>,
     /// `repro trace --scenario NAME`
     scenario: String,
-    /// `repro trace --profile`
-    profile: bool,
     /// `repro bench-snapshot --check`
     check: bool,
     /// `repro trace-summary FILE`: the trailing positional path.
@@ -56,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
     let mut json = false;
     let mut out_dir = None;
     let mut scenario = "placement-outage".to_string();
-    let mut profile = false;
     let mut check = false;
     let mut path = None;
     let mut args = std::env::args().skip(1);
@@ -82,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
             "--scenario" => {
                 scenario = args.next().ok_or("--scenario needs a value")?;
             }
-            "--profile" => profile = true,
             "--check" => check = true,
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -102,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         json,
         out_dir,
         scenario,
-        profile,
         check,
         path,
     })
@@ -112,7 +109,7 @@ fn usage() -> String {
     format!(
         "usage: repro <{}|all> [--scale small|medium|paper] [--seed N]\n\
                 repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N] [--check]\n\
-                repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--profile] [--out DIR]\n\
+                repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--out DIR]\n\
                 repro trace-summary FILE [--format text|json]\n\
                 repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]",
         peerstripe_experiments::cli::EXPERIMENTS.join("|"),
@@ -206,7 +203,6 @@ fn run_trace(args: &Args) -> ! {
         scenario: args.scenario.clone(),
         scale: args.scale,
         seed: args.seed,
-        profile: args.profile,
     };
     let artifacts = match peerstripe_experiments::trace_cmd::run_trace(&config) {
         Ok(a) => a,
@@ -249,9 +245,6 @@ fn run_trace(args: &Args) -> ! {
         "\n{}",
         peerstripe_experiments::trace_cmd::render_summary_text(&summary)
     );
-    if let Some(profile) = &artifacts.profile_text {
-        print!("\nper-phase wall-clock profile:\n{profile}");
-    }
     std::process::exit(0);
 }
 

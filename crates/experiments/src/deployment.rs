@@ -2,7 +2,8 @@
 //! load a file trace onto a fresh cluster, keep what was placed, and start a
 //! maintenance engine over a copy of it.  The sweeps, the `repro trace`
 //! scenarios, Fig 10 / Table 3 and the `repair_schedule` snapshot all deploy
-//! through [`Deployment`], so a call site states only its own cell.
+//! through [`Deployment`], so a call site states only its own cell.  A cell's
+//! outcome is its engine's [`MaintenanceReport`].
 
 use peerstripe_core::{
     ClusterConfig, CodingPolicy, ManifestStore, PeerStripe, PeerStripeConfig, StorageCluster,
@@ -14,9 +15,7 @@ use peerstripe_repair::{
     RepairConfig, SessionModel,
 };
 use peerstripe_sim::{ByteSize, DetRng, SimTime};
-use peerstripe_telemetry::{MetricsRegistry, RegistryExport, RunManifest};
 use peerstripe_trace::{Trace, TraceConfig};
-use serde::Serialize;
 
 /// The redundancy the sweeps and traced scenarios deploy with: 8 placed
 /// blocks per chunk of which any 4 recover it.  Four tolerable losses give
@@ -139,39 +138,10 @@ impl Deployment {
         .with_placement(self.kind.build(self.seed), self.topology.clone())
     }
 
-    /// Run `cell` to its horizon and add its maintenance counters to
-    /// `registry` under the labels that name it.
-    pub(crate) fn run_cell(
-        &self,
-        cell: &Cell,
-        registry: &mut MetricsRegistry,
-        labels: &[(&str, String)],
-    ) -> MaintenanceReport {
+    /// Run `cell` to its horizon.
+    pub(crate) fn run_cell(&self, cell: &Cell) -> MaintenanceReport {
         let mut engine = self.engine(cell);
         engine.run_for(cell.horizon);
-        let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        engine.metrics().fill_registry(registry, &labels);
         engine.report()
     }
-}
-
-/// A swept axis as its manifest entry: the values, comma-separated.
-pub(crate) fn joined<T: ToString>(values: impl IntoIterator<Item = T>) -> String {
-    let values: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
-    values.join(",")
-}
-
-/// A sweep's JSON export: the [`RunManifest`] header followed by the labelled
-/// metrics-registry contents.
-pub(crate) fn render_sweep_json(manifest: &RunManifest, registry: &MetricsRegistry) -> String {
-    #[derive(Serialize)]
-    struct Export {
-        manifest: RunManifest,
-        metrics: RegistryExport,
-    }
-    serde_json::to_string(&Export {
-        manifest: manifest.clone(),
-        metrics: registry.export(),
-    })
-    .unwrap_or_default()
 }

@@ -15,7 +15,7 @@
 //! chunk below its decode threshold, while `overlay-random` loses files at
 //! exactly the chunks its placement over-concentrated.
 
-use crate::deployment::{joined, render_sweep_json, Cell, Deployment, SWEEP_CODING};
+use crate::deployment::{Cell, Deployment, SWEEP_CODING};
 use crate::scale::Scale;
 use peerstripe_core::ManifestStore;
 use peerstripe_placement::{SpreadReport, StrategyKind, Topology};
@@ -24,7 +24,6 @@ use peerstripe_repair::{
     OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
 use peerstripe_sim::{ByteSize, SimTime};
-use peerstripe_telemetry::{MetricsRegistry, RunManifest};
 use peerstripe_trace::{SessionTrace, Trace, TraceConfig};
 
 /// Configuration of the placement sweep.
@@ -229,21 +228,9 @@ pub struct PlacementSweep {
     pub sim_hours: f64,
     /// The per-domain block cap domain-aware strategies enforced.
     pub domain_cap: usize,
-    /// The effective configuration, emitted as the header of the JSON export.
-    pub manifest: RunManifest,
-    /// Every cell's maintenance counters on the shared telemetry registry:
-    /// main-axis cells labelled by `strategy`/`group_size`/`interval_h`,
-    /// detector-axis cells by `detector`/`topology`.
-    pub registry: MetricsRegistry,
 }
 
 impl PlacementSweep {
-    /// JSON export: the [`RunManifest`] header followed by the labelled
-    /// metrics-registry contents.
-    pub fn render_json(&self) -> String {
-        render_sweep_json(&self.manifest, &self.registry)
-    }
-
     /// Matched `(oblivious, domain-spread)` row index pairs at the same group
     /// size and outage rate.
     pub fn matched_pairs(&self) -> Vec<(usize, usize)> {
@@ -351,11 +338,7 @@ fn measure_spread(manifests: &ManifestStore, cap: usize) -> SpreadReport {
 /// are held fixed so the only variable is *when the detector declares*, and
 /// the repair bill (total and wasted) isolates what correlated-absence
 /// awareness saves.
-fn run_detector_axis(
-    config: &PlacementSweepConfig,
-    trace: &Trace,
-    registry: &mut MetricsRegistry,
-) -> Vec<DetectorSweepRow> {
+fn run_detector_axis(config: &PlacementSweepConfig, trace: &Trace) -> Vec<DetectorSweepRow> {
     if config.detector_thetas.is_empty() {
         return Vec::new();
     }
@@ -391,14 +374,9 @@ fn run_detector_axis(
         // One domain-spread deployment per topology, shared by every detector.
         let deployment = config.deploy(trace, StrategyKind::DomainSpread, &topology);
         for &detection in &detectors {
-            let report = deployment.run_cell(
-                &config.cell(&topology, interval_hours, detection),
-                registry,
-                &[("detector", detection.label()), ("topology", label.clone())],
-            );
             rows.push(DetectorSweepRow {
                 topology: label.clone(),
-                report,
+                report: deployment.run_cell(&config.cell(&topology, interval_hours, detection)),
             });
         }
     }
@@ -414,31 +392,6 @@ pub fn run_placement_sweep(config: &PlacementSweepConfig) -> PlacementSweep {
     let trace = config.trace();
     let mut rows = Vec::new();
     let mut useful_bytes = ByteSize::ZERO;
-    let mut manifest = RunManifest::new(
-        "placement-sweep",
-        config.seed,
-        &format!("{} nodes", config.nodes),
-    );
-    manifest.push("files", config.files.to_string());
-    manifest.push("sim_hours", format!("{}", config.sim_hours));
-    // The repair/detector configuration of every main-axis cell; only the
-    // grouped-churn topology varies below.
-    manifest.extend(
-        config
-            .repair(DetectionKind::PerNodeTimeout)
-            .manifest_entries(),
-    );
-    manifest.push(
-        "sweep.strategies",
-        joined(config.strategies.iter().map(|k| k.label())),
-    );
-    manifest.push("sweep.group_sizes", joined(&config.group_sizes));
-    manifest.push(
-        "sweep.outage_interval_hours",
-        joined(&config.outage_interval_hours),
-    );
-    manifest.push("sweep.detector_thetas", joined(&config.detector_thetas));
-    let mut registry = MetricsRegistry::new();
 
     for &group_size in &config.group_sizes {
         let topology = Topology::uniform_groups(config.nodes, group_size);
@@ -449,15 +402,11 @@ pub fn run_placement_sweep(config: &PlacementSweepConfig) -> PlacementSweep {
                 useful_bytes = deployment.useful_bytes();
             }
             for &interval_hours in &config.outage_interval_hours {
-                let report = deployment.run_cell(
-                    &config.cell(&topology, interval_hours, DetectionKind::PerNodeTimeout),
-                    &mut registry,
-                    &[
-                        ("strategy", kind.label().to_string()),
-                        ("group_size", group_size.to_string()),
-                        ("interval_h", interval_hours.to_string()),
-                    ],
-                );
+                let report = deployment.run_cell(&config.cell(
+                    &topology,
+                    interval_hours,
+                    DetectionKind::PerNodeTimeout,
+                ));
                 rows.push(PlacementSweepRow {
                     strategy: kind,
                     group_size,
@@ -485,13 +434,11 @@ pub fn run_placement_sweep(config: &PlacementSweepConfig) -> PlacementSweep {
     });
     PlacementSweep {
         rows,
-        detector_rows: run_detector_axis(config, &trace, &mut registry),
+        detector_rows: run_detector_axis(config, &trace),
         nodes: config.nodes,
         useful_bytes,
         sim_hours: config.sim_hours,
         domain_cap: cap,
-        manifest,
-        registry,
     }
 }
 
@@ -572,57 +519,6 @@ mod tests {
             assert_eq!(ra.report.wasted_repair_bytes, rb.report.wasted_repair_bytes);
             assert_eq!(ra.report.files_lost, rb.report.files_lost);
         }
-        assert_eq!(a.registry.export(), b.registry.export());
-        assert_eq!(a.render_json(), b.render_json());
-    }
-
-    #[test]
-    fn registry_carries_both_axes_and_balances_with_rows() {
-        let mut config = small_config();
-        config.detector_thetas = vec![0.5];
-        let sweep = run_placement_sweep(&config);
-        for row in &sweep.rows {
-            let (group, interval) = (
-                row.group_size.to_string(),
-                format!("{}", row.outage_interval_hours),
-            );
-            let labels: [(&str, &str); 3] = [
-                ("strategy", row.strategy.label()),
-                ("group_size", group.as_str()),
-                ("interval_h", interval.as_str()),
-            ];
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_files_lost_total", &labels),
-                Some(row.report.files_lost),
-                "{labels:?}"
-            );
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_group_outages_total", &labels),
-                Some(row.report.group_outages),
-                "{labels:?}"
-            );
-        }
-        for row in &sweep.detector_rows {
-            let labels: [(&str, &str); 2] = [
-                ("detector", row.report.detector.as_str()),
-                ("topology", row.topology.as_str()),
-            ];
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_wasted_repair_bytes_total", &labels),
-                Some(row.report.wasted_repair_bytes.as_u64()),
-                "{labels:?}"
-            );
-        }
-        let json = sweep.render_json();
-        assert!(json.starts_with("{\"manifest\""), "{}", &json[..40]);
-        assert_eq!(sweep.manifest.get("repair.policy"), Some("eager"));
-        assert!(sweep.manifest.get("sweep.strategies").is_some());
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! aggressive timeouts stop costing traffic for nodes that were coming back
 //! anyway.
 
-use crate::deployment::{joined, render_sweep_json, Cell, Deployment, SWEEP_CODING};
+use crate::deployment::{Cell, Deployment, SWEEP_CODING};
 use crate::scale::Scale;
 use peerstripe_repair::{
     BandwidthBudget, ChurnProcess, DetectionKind, DetectorConfig, MaintenanceReport, RepairConfig,
     RepairPolicy, SessionModel,
 };
 use peerstripe_sim::{ByteSize, SimTime};
-use peerstripe_telemetry::{MetricsRegistry, RunManifest};
 
 /// Configuration of the repair sweep.
 #[derive(Debug, Clone)]
@@ -101,20 +100,9 @@ pub struct RepairSweep {
     pub useful_bytes: ByteSize,
     /// Virtual hours simulated per configuration.
     pub sim_hours: f64,
-    /// The effective configuration, emitted as the header of the JSON export.
-    pub manifest: RunManifest,
-    /// Every cell's maintenance counters on the shared telemetry registry,
-    /// labelled by `policy`/`timeout_h`/`bandwidth`.
-    pub registry: MetricsRegistry,
 }
 
 impl RepairSweep {
-    /// JSON export: the [`RunManifest`] header followed by the labelled
-    /// metrics-registry contents.
-    pub fn render_json(&self) -> String {
-        render_sweep_json(&self.manifest, &self.registry)
-    }
-
     /// Matched eager/lazy pairs at the same timeout and bandwidth:
     /// `(eager, lazy)` row index pairs.
     pub fn matched_pairs(&self) -> Vec<(usize, usize)> {
@@ -174,34 +162,6 @@ pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
     };
     let horizon = SimTime::from_secs_f64(config.sim_hours * 3_600.0);
 
-    let mut manifest = RunManifest::new(
-        "repair-sweep",
-        config.seed,
-        &format!("{} nodes", config.nodes),
-    );
-    manifest.push("files", config.files.to_string());
-    manifest.push("sim_hours", format!("{}", config.sim_hours));
-    if let (Some(&policy), Some(&timeout_hours), Some(&bandwidth)) = (
-        config.policies.first(),
-        config.timeouts_hours.first(),
-        config.bandwidths.first(),
-    ) {
-        // The first cell's effective repair/detector configuration; the swept
-        // axes below say how the other cells differ.
-        manifest.extend(cell_repair(policy, timeout_hours, bandwidth).manifest_entries());
-    }
-    manifest.extend(churn.manifest_entries());
-    manifest.push(
-        "sweep.policies",
-        joined(config.policies.iter().map(|p| p.label())),
-    );
-    manifest.push("sweep.timeouts_hours", joined(&config.timeouts_hours));
-    manifest.push(
-        "sweep.bandwidths",
-        joined(config.bandwidths.iter().map(|b| b.as_u64())),
-    );
-    let mut registry = MetricsRegistry::new();
-
     let mut rows = Vec::new();
     for &bandwidth in &config.bandwidths {
         for &timeout_hours in &config.timeouts_hours {
@@ -211,20 +171,11 @@ pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
                     repair: cell_repair(policy, timeout_hours, bandwidth),
                     horizon,
                 };
-                let report = deployment.run_cell(
-                    &cell,
-                    &mut registry,
-                    &[
-                        ("policy", policy.label()),
-                        ("timeout_h", timeout_hours.to_string()),
-                        ("bandwidth", bandwidth.as_u64().to_string()),
-                    ],
-                );
                 rows.push(RepairSweepRow {
                     policy,
                     timeout_hours,
                     bandwidth,
-                    report,
+                    report: deployment.run_cell(&cell),
                 });
             }
         }
@@ -237,8 +188,6 @@ pub fn run_repair_sweep(config: &RepairSweepConfig) -> RepairSweep {
         files_total: deployment.manifests.len() as u64,
         useful_bytes: deployment.useful_bytes(),
         sim_hours: config.sim_hours,
-        manifest,
-        registry,
     }
 }
 
@@ -299,56 +248,5 @@ mod tests {
             assert_eq!(ra.report.events, rb.report.events);
             assert_eq!(ra.report.false_declarations, rb.report.false_declarations);
         }
-        assert_eq!(a.registry.export(), b.registry.export());
-        assert_eq!(a.render_json(), b.render_json());
-    }
-
-    #[test]
-    fn registry_balances_with_rows_and_manifest_leads_the_json() {
-        let sweep = run_repair_sweep(&small_config());
-        // Every cell's labelled registry counters must balance the row's
-        // bespoke accounting exactly — the port, not a reimplementation.
-        for row in &sweep.rows {
-            let (timeout, bandwidth) = (
-                format!("{}", row.timeout_hours),
-                row.bandwidth.as_u64().to_string(),
-            );
-            let policy = row.policy.label();
-            let labels: [(&str, &str); 3] = [
-                ("policy", policy.as_str()),
-                ("timeout_h", timeout.as_str()),
-                ("bandwidth", bandwidth.as_str()),
-            ];
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_files_lost_total", &labels),
-                Some(row.report.files_lost),
-                "{labels:?}"
-            );
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_repair_bytes_total", &labels),
-                Some(row.report.repair_bytes.as_u64()),
-                "{labels:?}"
-            );
-            assert_eq!(
-                sweep
-                    .registry
-                    .find_counter("maintenance_false_declarations_total", &labels),
-                Some(row.report.false_declarations),
-                "{labels:?}"
-            );
-        }
-        // The manifest header leads the JSON export and names the swept axes.
-        let json = sweep.render_json();
-        assert!(json.starts_with("{\"manifest\""), "{}", &json[..40]);
-        assert_eq!(
-            sweep.manifest.get("sweep.policies"),
-            Some("eager,lazy(k=2),lazy(k=0)")
-        );
-        assert_eq!(sweep.manifest.get("repair.policy"), Some("eager"));
-        assert!(sweep.manifest.get("churn.sessions").is_some());
     }
 }

@@ -5,7 +5,8 @@
 //! A trace is one maintenance-engine run with every telemetry emission point
 //! enabled: the first line is the [`RunManifest`] header (effective repair,
 //! detector and churn configuration), every following line one
-//! [`TraceRecord`] stamped with sim time.  [`summarize`] replays the record
+//! [`TraceRecord`] stamped with sim time.  The run's [`MaintenanceReport`]
+//! and its live metrics registry ride along.  [`summarize`] replays the record
 //! stream and attributes each lost file to the declaration that wrote its
 //! chunk off and — transitively, via the engine's `down_outage` bookkeeping —
 //! to the group outage that provoked the declaration.  That closes the causal
@@ -25,7 +26,7 @@ use crate::deployment::{Cell, Deployment, SWEEP_CODING};
 use crate::placement_sweep::PlacementSweepConfig;
 use crate::scale::Scale;
 use peerstripe_placement::{StrategyKind, Topology};
-use peerstripe_repair::{DetectionKind, MaintenanceEngine};
+use peerstripe_repair::{DetectionKind, MaintenanceEngine, MaintenanceReport};
 use peerstripe_telemetry::{
     JsonlTracer, RunManifest, TraceEvent, TraceOutput, TraceRecord, Tracer,
 };
@@ -44,8 +45,6 @@ pub struct TraceCmdConfig {
     pub scale: Scale,
     /// Master seed.
     pub seed: u64,
-    /// Enable wall-clock per-phase profiling alongside the trace.
-    pub profile: bool,
 }
 
 /// What one trace run produced.
@@ -55,10 +54,11 @@ pub struct TraceArtifacts {
     pub jsonl: String,
     /// Number of records in the trace.
     pub records: u64,
-    /// Rendered per-phase wall-clock profile, when profiling was enabled.
-    pub profile_text: Option<String>,
-    /// The engine's metrics-registry export (counters/gauges/histograms),
-    /// rendered as JSON.
+    /// The engine's account of the run.
+    pub report: MaintenanceReport,
+    /// The engine's live metrics registry (verdict counters, repair-traffic
+    /// and declaration-wait histograms, unavailable-files gauge), rendered as
+    /// JSON.
     pub metrics_json: String,
 }
 
@@ -73,16 +73,16 @@ pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
             ))
         }
     };
-    let profile_text = config.profile.then(|| engine.profiler().render_text());
-    let metrics_json = engine.metrics_registry().render_json();
+    let report = engine.report();
+    let metrics_json = engine.registry().render_json();
     let jsonl = match engine.finish_trace() {
         TraceOutput::Jsonl(jsonl) => jsonl,
-        _ => String::new(),
+        TraceOutput::None => String::new(),
     };
     Ok(TraceArtifacts {
         records: jsonl.lines().count() as u64,
         jsonl,
-        profile_text,
+        report,
         metrics_json,
     })
 }
@@ -90,7 +90,6 @@ pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
 /// Run `cell` over `deployment` with a JSONL tracer whose first record is
 /// `manifest` completed with the cell's repair and churn configuration.
 fn run_traced(
-    cmd: &TraceCmdConfig,
     deployment: &Deployment,
     cell: &Cell,
     mut manifest: RunManifest,
@@ -102,10 +101,7 @@ fn run_traced(
         t_ns: 0,
         record: TraceRecord::Manifest(manifest),
     });
-    let mut engine = deployment
-        .engine(cell)
-        .with_tracer(Box::new(tracer))
-        .with_profiling(cmd.profile);
+    let mut engine = deployment.engine(cell).with_tracer(Box::new(tracer));
     engine.run_for(cell.horizon);
     engine
 }
@@ -128,7 +124,7 @@ fn placement_outage(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     manifest.push("placement.strategy", kind.label().to_string());
     manifest.push("placement.group_size", group_size.to_string());
     let cell = config.cell(&topology, interval_hours, DetectionKind::PerNodeTimeout);
-    run_traced(cmd, &deployment, &cell, manifest)
+    run_traced(&deployment, &cell, manifest)
 }
 
 /// The golden-fixture scenario: a fixed tiny deployment (40 nodes, 60 files,
@@ -147,7 +143,7 @@ fn repair_mini(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     manifest.push("nodes", nodes.to_string());
     manifest.push("files", files.to_string());
     manifest.push("sim_hours", format!("{sim_hours}"));
-    run_traced(cmd, &deployment, &cell, manifest)
+    run_traced(&deployment, &cell, manifest)
 }
 
 /// One lost file with its full causal chain.
@@ -468,7 +464,6 @@ mod tests {
             scenario: "repair-mini".to_string(),
             scale: Scale::Small,
             seed: 42,
-            profile: false,
         }
     }
 
@@ -548,17 +543,5 @@ mod tests {
     #[test]
     fn headerless_trace_is_rejected() {
         assert!(summarize("").is_err());
-    }
-
-    #[test]
-    fn profiling_rides_along_without_changing_the_trace() {
-        let plain = run_trace(&mini()).unwrap();
-        let mut config = mini();
-        config.profile = true;
-        let profiled = run_trace(&config).unwrap();
-        assert_eq!(plain.jsonl, profiled.jsonl);
-        assert!(plain.profile_text.is_none());
-        let text = profiled.profile_text.unwrap();
-        assert!(text.contains("event_dispatch"), "{text}");
     }
 }

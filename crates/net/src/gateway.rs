@@ -227,11 +227,6 @@ impl RingGateway {
         }
     }
 
-    /// The overlay id of a node reference.
-    pub fn id_of(&self, node: NodeRef) -> Option<Id> {
-        self.ids.get(&node).copied()
-    }
-
     /// Dial a node fresh.
     fn dial(&self, node: NodeRef) -> Result<TcpStream, WireError> {
         let addr = self
@@ -470,11 +465,6 @@ impl RingGateway {
     /// Snapshot of the per-RPC telemetry.
     pub fn export_metrics(&self) -> RegistryExport {
         lock(&self.metrics).export()
-    }
-
-    /// Merge the gateway's telemetry into another registry.
-    pub fn merge_metrics_into(&self, target: &mut MetricsRegistry) {
-        target.merge(&lock(&self.metrics));
     }
 
     /// Total RPCs issued, across operations (for quick report lines).

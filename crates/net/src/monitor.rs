@@ -1,25 +1,22 @@
-//! Cluster-wide scraping: one merged view over every daemon's stats.
+//! Cluster-wide scraping: every daemon's latest stats and its health.
 //!
 //! A [`ClusterMonitor`] polls each node in an endpoint table with a
 //! `GetStats` frame — a fresh dial per scrape, so the monitor sees exactly
 //! what a new client would — and keeps the latest [`NodeStats`] snapshot per
-//! node.  [`ClusterMonitor::merged_registry`] folds the latest snapshots into
-//! one [`MetricsRegistry`] whose every series carries a `("node", name)`
-//! label, so per-node rates and latencies sit side by side in one export.
+//! node ([`ClusterMonitor::latest`]).
 //!
 //! Health is judged per node from scrape history: a node that has never
 //! answered is **unreachable**; one that answered before but failed its
 //! latest scrape is **stale** (it may be briefly overloaded or freshly
 //! dead — the distinction matters to a dashboard).  Scraping is read-only by
 //! construction: `GetStats` is excluded from node-side instrumentation, so
-//! repeated scrapes of an idle ring render byte-identical JSON — the
+//! repeated scrapes of an idle ring return byte-identical snapshots — the
 //! determinism the monitor tests pin down.
 
 use crate::gateway::NodeEndpoint;
 use crate::protocol::{NodeStats, Request, Response};
 use crate::server::call;
 use peerstripe_overlay::{Id, NodeRef};
-use peerstripe_telemetry::MetricsRegistry;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::net::TcpStream;
@@ -67,7 +64,7 @@ struct ScrapeState {
     latest: Option<NodeStats>,
 }
 
-/// Scrapes every daemon's `Stats` and merges them into one labelled view.
+/// Scrapes every daemon's `Stats` and judges each node's health from them.
 pub struct ClusterMonitor {
     states: BTreeMap<NodeRef, ScrapeState>,
     timeout: Duration,
@@ -177,26 +174,6 @@ impl ClusterMonitor {
     pub fn latest(&self, node: NodeRef) -> Option<&NodeStats> {
         self.states.get(&node).and_then(|s| s.latest.as_ref())
     }
-
-    /// Merge the latest snapshot of every scraped node into one registry,
-    /// each series labelled `("node", "node-<i>")`.  Built from the latest
-    /// snapshots only (not accumulated across rounds), so two scrapes of an
-    /// idle ring merge to the same registry.
-    pub fn merged_registry(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for (node, state) in &self.states {
-            if let Some(stats) = &state.latest {
-                let name = format!("node-{node}");
-                merged.absorb_export(&stats.metrics, &[("node", &name)]);
-            }
-        }
-        merged
-    }
-
-    /// The merged registry as one line of deterministic JSON.
-    pub fn render_merged_json(&self) -> String {
-        self.merged_registry().render_json()
-    }
 }
 
 #[cfg(test)]
@@ -229,22 +206,18 @@ mod tests {
     fn two_scrapes_of_an_idle_ring_render_byte_identical_json() {
         let (nodes, endpoints) = ring_of(3);
         let mut monitor = ClusterMonitor::new(&endpoints, MonitorConfig::default());
+        let snapshots = |monitor: &ClusterMonitor| -> Vec<String> {
+            (0..3)
+                .map(|i| serde_json::to_string(monitor.latest(i).unwrap()).unwrap())
+                .collect()
+        };
         assert_eq!(monitor.scrape_round(), 3);
-        let first = monitor.render_merged_json();
+        let first = snapshots(&monitor);
         assert_eq!(monitor.scrape_round(), 3);
-        let second = monitor.render_merged_json();
+        let second = snapshots(&monitor);
         assert_eq!(first, second, "scraping must not perturb what it reads");
         assert!(monitor.unreachable().is_empty());
         assert!(monitor.stale().is_empty());
-        // Every node's series carry the node label.
-        let merged = monitor.merged_registry();
-        for i in 0..3 {
-            let name = format!("node-{i}");
-            assert_eq!(
-                merged.find_counter("node_requests_total", &[("op", "ping"), ("node", &name)]),
-                Some(0)
-            );
-        }
         for n in nodes {
             n.stop().unwrap();
         }

@@ -53,7 +53,6 @@ pub struct NodeServer {
 pub struct RunningNode {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    service: Arc<Mutex<NodeService>>,
     handle: std::thread::JoinHandle<io::Result<()>>,
 }
 
@@ -138,12 +137,10 @@ impl NodeServer {
     pub fn spawn(self) -> RunningNode {
         let addr = self.addr;
         let shutdown = Arc::clone(&self.shutdown);
-        let service = Arc::clone(&self.service);
         let handle = std::thread::spawn(move || self.run());
         RunningNode {
             addr,
             shutdown,
-            service,
             handle,
         }
     }
@@ -153,11 +150,6 @@ impl RunningNode {
     /// The address the server is listening on.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Inspect the node's service state (used by in-process ring reports).
-    pub fn with_service<T>(&self, f: impl FnOnce(&NodeService) -> T) -> T {
-        f(&lock(&self.service))
     }
 
     /// Raise the shutdown flag, unblock the accept loop, and join the server
@@ -220,17 +212,6 @@ fn serve_connection(
 pub fn call(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
     crate::protocol::write_request(stream, req)?;
     crate::protocol::read_response(stream)
-}
-
-/// One round-trip RPC carrying a request id; returns the reply and the id it
-/// echoed (absent on [`Response::Error`] replies, which are never traced).
-pub fn call_traced(
-    stream: &mut TcpStream,
-    req: &Request,
-    rid: Option<u64>,
-) -> Result<(Response, Option<u64>), WireError> {
-    crate::protocol::write_request_traced(stream, req, rid)?;
-    crate::protocol::read_response_traced(stream)
 }
 
 #[cfg(test)]
@@ -308,7 +289,11 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(node.with_service(|s| s.store().object_count()), 16);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let Response::Stats { stats } = call(&mut conn, &Request::GetStats).unwrap() else {
+            panic!("expected Stats");
+        };
+        assert_eq!(stats.objects, 16);
         node.stop().unwrap();
     }
 
@@ -334,14 +319,18 @@ mod tests {
     fn request_ids_echo_through_a_live_server_and_land_in_the_op_log() {
         let node = start();
         let mut conn = TcpStream::connect(node.local_addr()).unwrap();
-        let (resp, rid) = call_traced(&mut conn, &Request::Ping, Some(7)).unwrap();
+        let mut rpc = |req: &Request, rid: Option<u64>| {
+            crate::protocol::write_request_traced(&mut conn, req, rid).unwrap();
+            crate::protocol::read_response_traced(&mut conn).unwrap()
+        };
+        let (resp, rid) = rpc(&Request::Ping, Some(7));
         assert_eq!(rid, Some(7));
         assert!(matches!(resp, Response::Pong { .. }));
         // Untraced calls stay untraced.
-        let (_, rid) = call_traced(&mut conn, &Request::Ping, None).unwrap();
+        let (_, rid) = rpc(&Request::Ping, None);
         assert_eq!(rid, None);
         // The scrape sees both pings, attributed exactly as sent.
-        let (resp, rid) = call_traced(&mut conn, &Request::GetStats, Some(8)).unwrap();
+        let (resp, rid) = rpc(&Request::GetStats, Some(8));
         assert_eq!(rid, Some(8));
         let Response::Stats { stats } = resp else {
             panic!("expected Stats");

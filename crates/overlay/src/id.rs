@@ -15,12 +15,6 @@ use std::fmt;
 /// Number of bits in an identifier.
 pub const ID_BITS: u32 = 128;
 
-/// Pastry digit width `b`; digits are base `2^b` (16, i.e. hex digits).
-pub const DIGIT_BITS: u32 = 4;
-
-/// Number of digits in an identifier (`ID_BITS / DIGIT_BITS`).
-pub const NUM_DIGITS: u32 = ID_BITS / DIGIT_BITS;
-
 /// A 128-bit identifier in the circular overlay id space.
 ///
 /// Used both for node identifiers (`nodeId`) and object keys (chunk names,
@@ -101,62 +95,6 @@ impl Id {
         let e = other.0.wrapping_sub(self.0);
         d.min(e)
     }
-
-    /// Clockwise (increasing-id, wrapping) distance from `self` to `other`.
-    #[inline]
-    pub fn clockwise_distance(self, other: Id) -> u128 {
-        other.0.wrapping_sub(self.0)
-    }
-
-    /// The `i`-th digit (base `2^DIGIT_BITS`), counting from the most significant
-    /// digit (`i = 0`) — the order in which Pastry prefix routing consumes digits.
-    #[inline]
-    pub fn digit(self, i: u32) -> u8 {
-        debug_assert!(i < NUM_DIGITS);
-        let shift = ID_BITS - DIGIT_BITS * (i + 1);
-        ((self.0 >> shift) & ((1 << DIGIT_BITS) - 1) as u128) as u8
-    }
-
-    /// Length (in digits) of the shared most-significant-digit prefix of two ids.
-    pub fn shared_prefix_digits(self, other: Id) -> u32 {
-        let x = self.0 ^ other.0;
-        if x == 0 {
-            return NUM_DIGITS;
-        }
-        let lz = x.leading_zeros();
-        lz / DIGIT_BITS
-    }
-
-    /// Replace the digit at position `i` with `d`, zeroing all less significant
-    /// digits.  Used to compute the lower bound of the id range whose members
-    /// share the first `i` digits with `self` and have digit `d` at position `i`.
-    pub fn with_digit_floor(self, i: u32, d: u8) -> Id {
-        debug_assert!(i < NUM_DIGITS);
-        debug_assert!(u32::from(d) < (1 << DIGIT_BITS));
-        let shift = ID_BITS - DIGIT_BITS * (i + 1);
-        let keep_mask: u128 = if i == 0 {
-            0
-        } else {
-            !0u128 << (ID_BITS - DIGIT_BITS * i)
-        };
-        Id((self.0 & keep_mask) | ((d as u128) << shift))
-    }
-
-    /// The inclusive upper bound of the id range described by
-    /// [`Id::with_digit_floor`]: same prefix and digit, all remaining digits maxed.
-    pub fn with_digit_ceil(self, i: u32, d: u8) -> Id {
-        let floor = self.with_digit_floor(i, d).0;
-        let shift = ID_BITS - DIGIT_BITS * (i + 1);
-        let fill: u128 = if shift == 0 { 0 } else { (1u128 << shift) - 1 };
-        Id(floor | fill)
-    }
-
-    /// Midpoint of the clockwise arc from `self` to `other`; used when a failed
-    /// node's key range is split between its two immediate neighbours.
-    pub fn midpoint_clockwise(self, other: Id) -> Id {
-        let span = self.clockwise_distance(other);
-        Id(self.0.wrapping_add(span / 2))
-    }
 }
 
 impl fmt::Debug for Id {
@@ -181,14 +119,15 @@ mod tests {
         assert_eq!(Id::hash("file_1_0"), Id::hash("file_1_0"));
         assert_ne!(Id::hash("file_1_0"), Id::hash("file_1_1"));
         assert_ne!(Id::hash("a"), Id::hash("b"));
-        // Uniformity smoke test: top digit should take many values across keys.
+        // Uniformity smoke test: the top four bits should take many values
+        // across keys.
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..200 {
-            seen.insert(Id::hash(&format!("chunk_{i}")).digit(0));
+            seen.insert(Id::hash(&format!("chunk_{i}")).0 >> (ID_BITS - 4));
         }
         assert!(
             seen.len() >= 14,
-            "top digits should be well spread, got {}",
+            "top bits should be well spread, got {}",
             seen.len()
         );
     }
@@ -210,64 +149,6 @@ mod tests {
         assert_eq!(b.distance(a), 16);
         assert_eq!(a.distance(a), 0);
         assert_eq!(Id(0).distance(Id(u128::MAX / 2)), u128::MAX / 2);
-    }
-
-    #[test]
-    fn clockwise_distance_wraps() {
-        let a = Id(u128::MAX - 1);
-        let b = Id(3);
-        assert_eq!(a.clockwise_distance(b), 5);
-        assert_eq!(b.clockwise_distance(a), u128::MAX - 4);
-    }
-
-    #[test]
-    fn digits_round_trip() {
-        let id = Id(0xABCD_EF01_2345_6789_ABCD_EF01_2345_6789);
-        assert_eq!(id.digit(0), 0xA);
-        assert_eq!(id.digit(1), 0xB);
-        assert_eq!(id.digit(7), 0x1);
-        assert_eq!(id.digit(NUM_DIGITS - 1), 0x9);
-    }
-
-    #[test]
-    fn shared_prefix_digits_cases() {
-        let a = Id(0xAB00_0000_0000_0000_0000_0000_0000_0000);
-        let b = Id(0xAB10_0000_0000_0000_0000_0000_0000_0000);
-        assert_eq!(a.shared_prefix_digits(b), 2);
-        assert_eq!(a.shared_prefix_digits(a), NUM_DIGITS);
-        let c = Id(0x0B00_0000_0000_0000_0000_0000_0000_0000);
-        assert_eq!(a.shared_prefix_digits(c), 0);
-    }
-
-    #[test]
-    fn digit_floor_and_ceil_bound_the_range() {
-        let key = Id(0xABCD_0000_0000_0000_0000_0000_0000_1234);
-        let floor = key.with_digit_floor(2, 0x7);
-        let ceil = key.with_digit_ceil(2, 0x7);
-        assert_eq!(floor.digit(0), 0xA);
-        assert_eq!(floor.digit(1), 0xB);
-        assert_eq!(floor.digit(2), 0x7);
-        assert!(floor <= ceil);
-        // Every id in [floor, ceil] shares the 3-digit prefix A,B,7.
-        assert_eq!(ceil.digit(2), 0x7);
-        assert_eq!(ceil.0 - floor.0, (1u128 << (ID_BITS - 12)) - 1);
-        // Digit position 0 keeps nothing of the original id.
-        let f0 = key.with_digit_floor(0, 0x3);
-        assert_eq!(f0.digit(0), 0x3);
-        assert_eq!(f0.0 & ((1u128 << 124) - 1), 0);
-    }
-
-    #[test]
-    fn midpoint_splits_arc() {
-        let a = Id(100);
-        let b = Id(200);
-        assert_eq!(a.midpoint_clockwise(b), Id(150));
-        // Wrapping arc.
-        let c = Id(u128::MAX - 9);
-        let d = Id(10);
-        let mid = c.midpoint_clockwise(d);
-        // The clockwise arc from MAX-9 to 10 spans 20 ids; its midpoint wraps to 0.
-        assert_eq!(mid, Id((u128::MAX - 9).wrapping_add(10)));
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! is mapped to the live node with the numerically closest identifier.  This
 //! crate reproduces the pieces of Pastry the evaluation depends on:
 //!
-//! * [`id::Id`] — the circular identifier space, digit arithmetic and hashing;
-//! * [`ring::IdRing`] — live-membership ring with routing, replica-set, leaf-set
-//!   and failure-takeover queries;
-//! * [`routing`] — greedy prefix routing (hop counting) and proximity-aware
-//!   routing tables;
+//! * [`id::Id`] — the circular identifier space and hashing;
+//! * [`ring::IdRing`] — live-membership ring with key-to-node routing
+//!   (numerically closest live id), replica-set, leaf-set and
+//!   failure-takeover queries;
 //! * [`node`] — participants with synthetic network coordinates (the proximity
 //!   metric behind Pastry's locality properties);
 //! * [`network::OverlaySim`] — the node-population simulator with join/failure
-//!   churn and traffic statistics, standing in for FreePastry's simulator mode.
+//!   churn and lookup counts, standing in for FreePastry's simulator mode.
+//!
+//! Routing is modelled by its result, not its path: every experiment charges
+//! a lookup by count, so no hop-by-hop prefix routing is simulated.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,10 +25,8 @@ pub mod id;
 pub mod network;
 pub mod node;
 pub mod ring;
-pub mod routing;
 
 pub use id::Id;
 pub use network::{OverlaySim, OverlayStats};
 pub use node::{Coord, NodeInfo};
 pub use ring::{IdRing, LeafSet, NodeRef, Takeover};
-pub use routing::RoutingTable;

@@ -11,8 +11,7 @@
 use crate::id::Id;
 use crate::node::{Coord, NodeInfo};
 use crate::ring::{IdRing, LeafSet, NodeRef, Takeover};
-use crate::routing::{route_hops, RoutingTable};
-use peerstripe_sim::{DetRng, OnlineStats};
+use peerstripe_sim::DetRng;
 
 /// Statistics about overlay traffic accumulated by a simulation run.
 #[derive(Debug, Clone, Default)]
@@ -23,8 +22,6 @@ pub struct OverlayStats {
     pub joins: u64,
     /// Number of node failures processed.
     pub failures: u64,
-    /// Distribution of hop counts for lookups routed with hop accounting.
-    pub hops: OnlineStats,
 }
 
 /// A simulated structured overlay of contributory nodes.
@@ -174,17 +171,6 @@ impl OverlaySim {
         self.ring.route(key).map(|(_, n)| n)
     }
 
-    /// Route a key and also record the number of overlay hops the lookup takes
-    /// from `from`.  Used where lookup latency matters (Condor case study).
-    pub fn route_with_hops(&mut self, from: NodeRef, key: Id) -> Option<(NodeRef, usize)> {
-        self.stats.lookups += 1;
-        let from_id = self.nodes[from].id;
-        let target = self.ring.route(key).map(|(_, n)| n)?;
-        let hops = route_hops(&self.ring, from_id, key);
-        self.stats.hops.push(hops as f64);
-        Some((target, hops))
-    }
-
     /// The `k` live nodes numerically closest to a key (replica targets).
     pub fn k_closest(&self, key: Id, k: usize) -> Vec<NodeRef> {
         self.ring
@@ -213,11 +199,6 @@ impl OverlaySim {
         self.nodes[a].coord.distance(&self.nodes[b].coord)
     }
 
-    /// One-way latency in milliseconds between two nodes.
-    pub fn latency_ms(&self, a: NodeRef, b: NodeRef) -> f64 {
-        self.nodes[a].coord.latency_ms(&self.nodes[b].coord)
-    }
-
     /// From `candidates`, the `k` nodes closest (by proximity) to `from`.
     pub fn closest_by_proximity(
         &self,
@@ -233,11 +214,6 @@ impl OverlaySim {
             .collect();
         with_dist.sort_by(|a, b| a.0.total_cmp(&b.0));
         with_dist.into_iter().take(k).map(|(_, c)| c).collect()
-    }
-
-    /// Build the proximity-aware routing table of a live node.
-    pub fn routing_table(&self, node: NodeRef, max_rows: u32) -> RoutingTable {
-        RoutingTable::build(self.nodes[node].id, &self.ring, &self.nodes, max_rows)
     }
 
     /// A uniformly random live node, if any.
@@ -312,19 +288,6 @@ mod tests {
         let new_root = sim.route_quiet(key).unwrap();
         let inheritor = takeover.inheritor_of(key).1;
         assert_eq!(new_root, inheritor);
-    }
-
-    #[test]
-    fn route_with_hops_accumulates_stats() {
-        let mut rng = DetRng::new(6);
-        let mut sim = OverlaySim::new(1000, &mut rng);
-        let from = sim.random_alive(&mut rng).unwrap();
-        for i in 0..20 {
-            sim.route_with_hops(from, Id::hash(&format!("f{i}")))
-                .unwrap();
-        }
-        assert_eq!(sim.stats().hops.count(), 20);
-        assert!(sim.stats().hops.mean() < 10.0);
     }
 
     #[test]

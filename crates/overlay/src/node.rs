@@ -45,14 +45,6 @@ impl Coord {
         let dy = dy.min(1.0 - dy);
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Map the proximity distance onto a one-way network latency in milliseconds.
-    ///
-    /// The unit-torus diameter (≈ 0.707) maps to ~100 ms, a wide-area spread;
-    /// a small constant floor models the local stack/switch latency.
-    pub fn latency_ms(&self, other: &Coord) -> f64 {
-        0.5 + self.distance(other) * 140.0
-    }
 }
 
 /// State of one overlay participant.
@@ -108,15 +100,6 @@ mod tests {
             let d = a.distance(&b);
             assert!((0.0..=0.7072).contains(&d));
         }
-    }
-
-    #[test]
-    fn latency_has_floor_and_grows_with_distance() {
-        let a = Coord::new(0.0, 0.0);
-        let near = Coord::new(0.01, 0.0);
-        let far = Coord::new(0.5, 0.5);
-        assert!(a.latency_ms(&a) >= 0.5);
-        assert!(a.latency_ms(&near) < a.latency_ms(&far));
     }
 
     #[test]

@@ -73,14 +73,6 @@ impl IdRing {
         self.members.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Iterate over members whose ids lie in the inclusive range `[lo, hi]`.
-    ///
-    /// Ranges are constructed from digit prefixes (see `Id::with_digit_floor` /
-    /// `with_digit_ceil`) and therefore never wrap around the ring.
-    pub fn iter_range(&self, lo: Id, hi: Id) -> impl Iterator<Item = (Id, NodeRef)> + '_ {
-        self.members.range(lo..=hi).map(|(k, v)| (*k, *v))
-    }
-
     /// The first member at or after `key` (wrapping to the smallest id).
     pub fn successor(&self, key: Id) -> Option<(Id, NodeRef)> {
         self.members

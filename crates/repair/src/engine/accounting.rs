@@ -121,8 +121,9 @@ impl MaintenanceEngine {
         }
         let file_newly_lost = self.ledger.mark_lost(chunk);
         self.writeoffs.chunk_lost(chunk);
-        self.metrics
-            .record_loss(self.ledger.chunk_size(chunk), file_newly_lost);
+        if file_newly_lost {
+            self.report.files_lost += 1;
+        }
         if self.tracing() {
             let file = self.ledger.file_of(chunk);
             let outage = self.down_outage.get(cause).copied().flatten();

@@ -6,18 +6,21 @@ use super::events::MaintenanceEvent;
 use crate::config::{ChurnProcess, RepairConfig};
 use crate::detection::DetectionPolicy;
 use crate::scheduler::RepairScheduler;
-use peerstripe_core::{DamageLedger, MaintenanceMetrics, ManifestStore, StorageCluster, Verdict};
+use peerstripe_core::{DamageLedger, ManifestStore, StorageCluster, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
-use peerstripe_sim::{ByteSize, DetRng, EventQueue, SimTime};
+use peerstripe_sim::{ByteSize, DetRng, EventQueue, OnlineStats, SimTime};
 use peerstripe_telemetry::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, NullTracer, Phase, PhaseProfiler,
-    TraceEvent, TraceOutput, TraceRecord, Tracer,
+    CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, NullTracer, TraceEvent,
+    TraceOutput, TraceRecord, Tracer,
 };
 
-/// Aggregate outcome of a maintenance run.
-#[derive(Debug, Clone)]
+/// Aggregate outcome of a maintenance run: the engine's one account of it.
+/// The engine tallies the counters onto its own copy as events happen;
+/// [`MaintenanceEngine::report`] fills in the rest from the queue, the
+/// ledger and the availability samples.
+#[derive(Debug, Clone, Default)]
 pub struct MaintenanceReport {
     /// Virtual time the engine has reached.
     pub sim_time: SimTime,
@@ -76,12 +79,12 @@ impl MaintenanceReport {
     }
 }
 
-/// Handles into the engine's live [`MetricsRegistry`]: registered once at
+/// Handles into the engine's live [`MetricsRegistry`], which holds what the
+/// [`MaintenanceReport`] does not say: verdict counts and the distributions
+/// of repair traffic and declaration waits.  Registered once at
 /// construction, so hot-path updates are array writes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct EngineCounters {
-    /// `engine_events_total` — every event the dispatcher handles.
-    pub(super) events: CounterHandle,
     /// `engine_declaration_verdicts_total{verdict=declare|hold|cancel}`.
     pub(super) verdict_declare: CounterHandle,
     pub(super) verdict_hold: CounterHandle,
@@ -98,7 +101,6 @@ impl EngineCounters {
     fn new(registry: &mut MetricsRegistry) -> Self {
         const HOUR: f64 = 3_600.0;
         EngineCounters {
-            events: registry.counter("engine_events_total", &[]),
             verdict_declare: registry.counter(
                 "engine_declaration_verdicts_total",
                 &[("verdict", "declare")],
@@ -158,13 +160,16 @@ pub struct MaintenanceEngine {
     pub(super) placement: Box<dyn PlacementStrategy>,
     pub(super) topology: Option<Topology>,
     pub(super) writeoffs: WriteOffAccounting,
-    pub(super) metrics: MaintenanceMetrics,
+    /// The run's counters, tallied as events happen; [`Self::report`] adds
+    /// the derived fields.
+    pub(super) report: MaintenanceReport,
+    /// Sampled availability percentages.
+    pub(super) availability: OnlineStats,
     pub(super) horizon: SimTime,
-    // Telemetry: structured trace sink, live registry, per-phase profiler.
+    // Telemetry: structured trace sink and live registry.
     pub(super) tracer: Box<dyn Tracer>,
     pub(super) registry: MetricsRegistry,
     pub(super) counters: EngineCounters,
-    pub(super) profiler: PhaseProfiler,
     /// Per node: the outage id of the group outage that took it down, `None`
     /// for individual departures — links declarations (and the losses they
     /// cause) back to their causal outage in the trace.
@@ -225,12 +230,12 @@ impl MaintenanceEngine {
             placement: Box::new(OverlayRandom::new()),
             topology,
             writeoffs: WriteOffAccounting::new(chunks, nodes),
-            metrics: MaintenanceMetrics::new(),
+            report: MaintenanceReport::default(),
+            availability: OnlineStats::new(),
             horizon: SimTime::ZERO,
             tracer: Box::new(NullTracer),
             registry,
             counters,
-            profiler: PhaseProfiler::new(false),
             down_outage: vec![None; nodes],
             group_outage_id: vec![0; group_count],
             next_outage_id: 0,
@@ -317,13 +322,6 @@ impl MaintenanceEngine {
         self
     }
 
-    /// Enable (or disable) per-phase wall-clock profiling.  Wall time never
-    /// feeds simulation state; a disabled profiler costs one branch per scope.
-    pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.profiler = PhaseProfiler::new(enabled);
-        self
-    }
-
     /// Take the accumulated trace, swapping a [`NullTracer`] back in.
     pub fn finish_trace(&mut self) -> TraceOutput {
         std::mem::replace(&mut self.tracer, Box::new(NullTracer)).finish()
@@ -349,11 +347,7 @@ impl MaintenanceEngine {
         self.horizon += duration;
         let deadline = self.horizon;
         let mut queue = std::mem::take(&mut self.queue);
-        queue.run_until(deadline, |q, now, event| {
-            let token = self.profiler.begin();
-            self.handle(q, now, event);
-            self.profiler.end(Phase::EventDispatch, token);
-        });
+        queue.run_until(deadline, |q, now, event| self.handle(q, now, event));
         self.queue = queue;
         debug_assert!(
             self.cluster.index_is_consistent(),
@@ -361,32 +355,11 @@ impl MaintenanceEngine {
         );
     }
 
-    /// The metrics accumulated so far.
-    pub fn metrics(&self) -> &MaintenanceMetrics {
-        &self.metrics
-    }
-
-    /// The live hot-path metrics registry (event/verdict counters, repair
-    /// traffic and declaration-wait histograms).
+    /// The live metrics registry: declaration-verdict counters, the
+    /// repair-traffic and declaration-wait histograms, and the
+    /// unavailable-files gauge.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// The per-phase wall-clock profiler.
-    pub fn profiler(&self) -> &PhaseProfiler {
-        &self.profiler
-    }
-
-    /// One registry combining the live hot-path metrics, the aggregate
-    /// [`MaintenanceMetrics`] counters, and (when profiling is on) the
-    /// per-phase timing gauges.
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut registry = self.registry.clone();
-        self.metrics.fill_registry(&mut registry, &[]);
-        if self.profiler.is_enabled() {
-            self.profiler.fill_registry(&mut registry);
-        }
-        registry
     }
 
     /// The block ledger (current placements and losses).
@@ -419,30 +392,31 @@ impl MaintenanceEngine {
         self.detector.label()
     }
 
-    /// Summarise the run.
+    /// Summarise the run: the tallied counters, plus what the queue, the
+    /// ledger and the availability samples say (100 % before any sample).
     pub fn report(&self) -> MaintenanceReport {
         let useful = self.ledger.tracked_bytes();
+        let repair_per_useful_byte = if useful.is_zero() {
+            0.0
+        } else {
+            self.report.repair_bytes.as_u64() as f64 / useful.as_u64() as f64
+        };
+        let availability_mean_pct = if self.availability.count() == 0 {
+            100.0
+        } else {
+            self.availability.mean()
+        };
         MaintenanceReport {
             sim_time: self.queue.now(),
             events: self.queue.processed(),
             files_total: self.ledger.file_count() as u64,
-            files_lost: self.metrics.files_lost,
             files_unavailable: self.files_unavailable(),
-            availability_mean_pct: self.metrics.mean_availability_pct(),
-            availability_min_pct: self.metrics.min_availability_pct(),
-            repair_bytes: self.metrics.repair_bytes,
-            wasted_repair_bytes: self.metrics.wasted_repair_bytes,
-            blocks_regenerated: self.metrics.blocks_regenerated,
+            availability_mean_pct,
+            availability_min_pct: self.availability.min().unwrap_or(100.0),
             useful_bytes: useful,
-            repair_per_useful_byte: self.metrics.repair_bytes_per_useful_byte(useful),
-            permanent_failures: self.metrics.permanent_failures,
-            transient_departures: self.metrics.transient_departures,
-            group_outages: self.metrics.group_outages,
-            group_departures: self.metrics.group_departures,
-            false_declarations: self.metrics.false_declarations,
-            declarations_held: self.metrics.declarations_held,
-            held_cancelled: self.metrics.held_cancelled,
+            repair_per_useful_byte,
             detector: self.detector.label(),
+            ..self.report.clone()
         }
     }
 
@@ -503,10 +477,8 @@ impl MaintenanceEngine {
             self.schedule_retry(q, chunk);
             return;
         }
-        let token = self.profiler.begin();
         let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
         let targets = damage.targets(strategy, topology, &self.cluster, want, &[], &mut self.rng);
-        self.profiler.end(Phase::Placement, token);
         if self.tracing() {
             let strategy = self.placement.name().to_string();
             self.trace(
@@ -523,11 +495,9 @@ impl MaintenanceEngine {
             self.schedule_retry(q, chunk);
             return;
         }
-        let token = self.profiler.begin();
         let plan = self
             .scheduler
             .schedule(damage.block_size, &sources, &targets, now);
-        self.profiler.end(Phase::Scheduler, token);
         self.ledger.promise(chunk, &targets);
         if self.tracing() {
             self.trace(

@@ -8,7 +8,7 @@ use peerstripe_core::{commit_rebuilt, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, EventQueue, SimTime};
-use peerstripe_telemetry::{Phase, TraceRecord};
+use peerstripe_telemetry::TraceRecord;
 
 /// Events the maintenance engine processes.
 #[derive(Debug, Clone)]
@@ -76,7 +76,6 @@ impl MaintenanceEngine {
         now: SimTime,
         event: MaintenanceEvent,
     ) {
-        self.registry.inc(self.counters.events, 1);
         match event {
             MaintenanceEvent::Depart { node, session } => {
                 if session == self.session_gen[node] {
@@ -116,9 +115,9 @@ impl MaintenanceEngine {
         if self.rng.next_f64() < self.churn.permanent_fraction {
             // The disk is gone; the node never returns.
             self.permanent[node] = true;
-            self.metrics.permanent_failures += 1;
+            self.report.permanent_failures += 1;
         } else {
-            self.metrics.transient_departures += 1;
+            self.report.transient_departures += 1;
             let downtime = self.churn.sessions.sample_downtime(&mut self.rng);
             q.schedule_after(
                 SimTime::from_secs_f64(downtime),
@@ -174,7 +173,7 @@ impl MaintenanceEngine {
             self.session_gen[node] += 1;
             self.cluster.fail_node(node);
             self.down_outage[node] = Some(outage);
-            self.metrics.group_departures += 1;
+            self.report.group_departures += 1;
             self.ledger.node_down(node);
             // The detection policy decides what the correlated absence means:
             // the per-node timeout starts counting exactly as for any other
@@ -190,7 +189,7 @@ impl MaintenanceEngine {
             );
             taken.push(node);
         }
-        self.metrics.group_outages += 1;
+        self.report.group_outages += 1;
         if self.tracing() {
             self.trace(
                 now,
@@ -312,7 +311,7 @@ impl MaintenanceEngine {
             // bump above killed the pending DeclareDead, and no blocks were
             // ever written off — the regeneration wave never started.
             self.hold_active[node] = false;
-            self.metrics.held_cancelled += 1;
+            self.report.held_cancelled += 1;
         }
         if self.declared[node] {
             // Falsely written off: the node is back, but its blocks were
@@ -322,12 +321,12 @@ impl MaintenanceEngine {
             // starve placement on exactly the nodes that churn the most.
             self.cluster.wipe(node);
             self.declared[node] = false;
-            self.metrics.false_declarations += 1;
+            self.report.false_declarations += 1;
             // Every repair byte attributed to this node's written-off blocks
             // is now known to have been wasted — and repairs for the still
             // missing ones will be too.
             let wasted = self.writeoffs.settle_false_return(node);
-            self.metrics.wasted_repair_bytes += wasted;
+            self.report.wasted_repair_bytes += wasted;
         } else {
             // Redundancy (and decode sources) came back: deferred repairs of
             // the chunks this node participates in may be able to run now.
@@ -359,10 +358,7 @@ impl MaintenanceEngine {
         node: NodeRef,
         generation: u64,
     ) {
-        let token = self.profiler.begin();
-        let verdict = self.detector.decide(node, generation, now);
-        self.profiler.end(Phase::DetectorDecide, token);
-        match verdict {
+        match self.detector.decide(node, generation, now) {
             DeclarationVerdict::Cancel => {
                 self.registry.inc(self.counters.verdict_cancel, 1);
                 self.trace_verdict(now, node, generation, "cancel");
@@ -374,7 +370,7 @@ impl MaintenanceEngine {
                 self.trace_verdict(now, node, generation, "hold");
                 if !self.hold_active[node] {
                     self.hold_active[node] = true;
-                    self.metrics.declarations_held += 1;
+                    self.report.declarations_held += 1;
                 }
                 q.schedule_at(until, MaintenanceEvent::DeclareDead { node, generation });
                 return;
@@ -456,14 +452,14 @@ impl MaintenanceEngine {
                 let wasted = self
                     .writeoffs
                     .block_regenerated(chunk, share, &self.declared);
-                self.metrics.wasted_repair_bytes += wasted;
+                self.report.wasted_repair_bytes += wasted;
             } else {
-                self.metrics.repairs_dropped += 1;
                 dropped += 1;
             }
         }
         // The transfers happened whether or not every placement stuck.
-        self.metrics.record_repair(traffic, placed);
+        self.report.repair_bytes += traffic;
+        self.report.blocks_regenerated += placed;
         self.registry
             .observe(self.counters.repair_traffic, traffic.as_u64() as f64);
         if self.tracing() {
@@ -483,27 +479,21 @@ impl MaintenanceEngine {
     }
 
     fn on_sample(&mut self, q: &mut EventQueue<MaintenanceEvent>, now: SimTime) {
-        self.metrics.record_sample(
-            peerstripe_core::MaintenanceSample {
-                at: now,
-                files_unavailable: self.files_unavailable(),
-                files_lost: self.metrics.files_lost,
-                repair_bytes: self.metrics.repair_bytes,
-                repairs_in_flight: self.scheduler.in_flight(),
-            },
-            self.ledger.file_count() as u64,
-        );
-        self.registry.set(
-            self.counters.files_unavailable,
-            self.files_unavailable() as f64,
-        );
+        let (unavailable, files) = (self.files_unavailable(), self.ledger.file_count() as u64);
+        if files > 0 {
+            let available = files.saturating_sub(unavailable);
+            self.availability
+                .push(100.0 * available as f64 / files as f64);
+        }
+        self.registry
+            .set(self.counters.files_unavailable, unavailable as f64);
         if self.tracing() {
             self.trace(
                 now,
                 TraceRecord::Sample {
-                    files_unavailable: self.files_unavailable(),
-                    files_lost: self.metrics.files_lost,
-                    repair_bytes: self.metrics.repair_bytes.as_u64(),
+                    files_unavailable: unavailable,
+                    files_lost: self.report.files_lost,
+                    repair_bytes: self.report.repair_bytes.as_u64(),
                     repairs_in_flight: self.scheduler.in_flight(),
                 },
             );

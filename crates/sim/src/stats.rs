@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Single-pass mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -22,6 +22,14 @@ pub struct OnlineStats {
     min: f64,
     max: f64,
     sum: f64,
+}
+
+/// The empty accumulator: the same as [`OnlineStats::new`], whose min/max
+/// sentinels are ±∞ so the first observation sets both.
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -369,6 +377,23 @@ mod tests {
         s.push(3.5);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.std_dev(), 0.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let (default, new) = (OnlineStats::default(), OnlineStats::new());
+        assert_eq!(default.count(), new.count());
+        assert_eq!(default.mean(), new.mean());
+        assert_eq!(default.min(), new.min());
+        assert_eq!(default.max(), new.max());
+        let mut s = OnlineStats::default();
+        s.push(5.0);
+        s.push(7.0);
+        assert_eq!(s.min(), Some(5.0));
+        assert_eq!(s.max(), Some(7.0));
+        let mut negative = OnlineStats::default();
+        negative.push(-3.0);
+        assert_eq!(negative.max(), Some(-3.0));
     }
 
     #[test]

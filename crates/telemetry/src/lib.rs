@@ -1,7 +1,7 @@
 //! `peerstripe-telemetry` — the workspace's shared observability substrate.
 //!
 //! Every sim-facing crate may depend on this one; it depends only on the
-//! vendored serde.  Three pillars:
+//! vendored serde.  Two pillars:
 //!
 //! * [`metrics`] — a deterministic [`MetricsRegistry`] of counters, gauges and
 //!   fixed-bucket histograms keyed by `(name, ordered label set)`.  Handles
@@ -10,27 +10,19 @@
 //! * [`trace`] — sim-time structured event tracing.  Engines emit typed
 //!   [`TraceRecord`]s through a [`Tracer`]; [`NullTracer`] is the zero-cost
 //!   default (`enabled()` is `false`, so call sites skip record construction
-//!   entirely), [`JsonlTracer`] renders one JSON line per event, and
-//!   [`RingBufferTracer`] keeps a bounded tail for huge runs.
-//! * [`profile`] — per-phase wall-clock profiling.  The *only* module in the
-//!   sim-facing tree sanctioned to read the host clock (a module-level
-//!   `#![expect(clippy::disallowed_methods)]`, as in `bench_snapshot`);
-//!   everything else merely carries the opaque tokens it hands out.
+//!   entirely) and [`JsonlTracer`] renders one JSON line per event.
 //!
-//! Nothing in this crate touches simulation state: a registry, tracer or
-//! profiler can be bolted onto any engine without changing its results, and
-//! the determinism tests assert exactly that.
+//! Nothing in this crate touches simulation state: a registry or tracer can
+//! be bolted onto any engine without changing its results, and the
+//! determinism tests assert exactly that.
 
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
 pub use metrics::{
     CounterExport, CounterHandle, GaugeHandle, Histogram, HistogramExport, HistogramHandle,
     MetricsRegistry, RegistryExport,
 };
-pub use profile::{Phase, PhaseProfiler, ProfToken};
 pub use trace::{
-    JsonlTracer, NullTracer, RingBufferTracer, RunManifest, TraceEvent, TraceOutput, TraceRecord,
-    Tracer,
+    JsonlTracer, NullTracer, RunManifest, TraceEvent, TraceOutput, TraceRecord, Tracer,
 };

@@ -297,89 +297,6 @@ impl MetricsRegistry {
         self.slots.is_empty()
     }
 
-    /// Fold `other` into `self`: counters add, gauges take `other`'s value
-    /// (last write wins), histograms merge when their bucket edges agree and
-    /// are skipped otherwise.  Merging is associative and commutative for
-    /// counters and compatible histograms, which the property tests rely on.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (key, slot) in &other.slots {
-            match slot {
-                Slot::Counter(v) => {
-                    let idx = self.register(key.clone(), Slot::Counter(0));
-                    if let Some((_, Slot::Counter(mine))) = self.slots.get_mut(idx) {
-                        *mine += v;
-                    }
-                }
-                Slot::Gauge(v) => {
-                    let idx = self.register(key.clone(), Slot::Gauge(0.0));
-                    if let Some((_, Slot::Gauge(mine))) = self.slots.get_mut(idx) {
-                        *mine = *v;
-                    }
-                }
-                Slot::Histogram(h) => {
-                    let idx =
-                        self.register(key.clone(), Slot::Histogram(Histogram::new(h.bounds())));
-                    if let Some((_, Slot::Histogram(mine))) = self.slots.get_mut(idx) {
-                        let _ = mine.merge(h);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fold an exported snapshot into `self`, adding `extra` labels to every
-    /// metric — how a monitor merges per-node exports into one registry whose
-    /// series carry a `("node", name)` label.  Counters add, gauges take the
-    /// export's value, histograms merge when bucket edges agree (and are
-    /// skipped otherwise), exactly like [`MetricsRegistry::merge`].
-    pub fn absorb_export(&mut self, export: &RegistryExport, extra: &[(&str, &str)]) {
-        let with_extra = |labels: &[(String, String)]| -> Vec<(String, String)> {
-            let mut out: Vec<(String, String)> = labels.to_vec();
-            out.extend(extra.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            out.sort();
-            out
-        };
-        for c in &export.counters {
-            let key = MetricKey {
-                name: c.name.clone(),
-                labels: with_extra(&c.labels),
-                kind: Kind::Counter,
-            };
-            let idx = self.register(key, Slot::Counter(0));
-            if let Some((_, Slot::Counter(mine))) = self.slots.get_mut(idx) {
-                *mine += c.value;
-            }
-        }
-        for g in &export.gauges {
-            let key = MetricKey {
-                name: g.name.clone(),
-                labels: with_extra(&g.labels),
-                kind: Kind::Gauge,
-            };
-            let idx = self.register(key, Slot::Gauge(0.0));
-            if let Some((_, Slot::Gauge(mine))) = self.slots.get_mut(idx) {
-                *mine = g.value;
-            }
-        }
-        for h in &export.histograms {
-            let key = MetricKey {
-                name: h.name.clone(),
-                labels: with_extra(&h.labels),
-                kind: Kind::Histogram,
-            };
-            let incoming = Histogram {
-                bounds: h.bounds.clone(),
-                counts: h.bucket_counts.clone(),
-                count: h.count,
-                sum: h.sum,
-            };
-            let idx = self.register(key, Slot::Histogram(Histogram::new(&h.bounds)));
-            if let Some((_, Slot::Histogram(mine))) = self.slots.get_mut(idx) {
-                let _ = mine.merge(&incoming);
-            }
-        }
-    }
-
     /// Snapshot the registry into serializable export records, in key order.
     pub fn export(&self) -> RegistryExport {
         let mut export = RegistryExport::default();
@@ -567,31 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_adds_counters_and_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        let ca = a.counter("n", &[("x", "1")]);
-        a.inc(ca, 2);
-        let ha = a.histogram("h", &[], &[10.0]);
-        a.observe(ha, 3.0);
-
-        let mut b = MetricsRegistry::new();
-        let cb = b.counter("n", &[("x", "1")]);
-        b.inc(cb, 5);
-        let hb = b.histogram("h", &[], &[10.0]);
-        b.observe(hb, 30.0);
-        let only_b = b.gauge("g", &[]);
-        b.set(only_b, 4.0);
-
-        a.merge(&b);
-        assert_eq!(a.find_counter("n", &[("x", "1")]), Some(7));
-        assert_eq!(a.find_gauge("g", &[]), Some(4.0));
-        let h = a
-            .find_histogram("h", &[])
-            .map(|h| (h.count(), h.bucket_counts().to_vec()));
-        assert_eq!(h, Some((2, vec![1, 1])));
-    }
-
-    #[test]
     fn export_is_deterministic_and_round_trips() {
         let mut reg = MetricsRegistry::new();
         // Register in one order...
@@ -605,34 +497,6 @@ mod tests {
 
         let back: RegistryExport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, reg.export());
-    }
-
-    #[test]
-    fn absorb_export_adds_the_extra_labels_and_accumulates() {
-        let mut node = MetricsRegistry::new();
-        let c = node.counter("reqs", &[("op", "ping")]);
-        node.inc(c, 3);
-        let h = node.histogram("lat", &[], &[1.0, 10.0]);
-        node.observe(h, 0.5);
-        node.observe(h, 5.0);
-        let g = node.gauge("occ", &[]);
-        node.set(g, 42.0);
-        let export = node.export();
-
-        let mut merged = MetricsRegistry::new();
-        merged.absorb_export(&export, &[("node", "node-0")]);
-        merged.absorb_export(&export, &[("node", "node-0")]);
-        assert_eq!(
-            merged.find_counter("reqs", &[("op", "ping"), ("node", "node-0")]),
-            Some(6)
-        );
-        assert_eq!(merged.find_gauge("occ", &[("node", "node-0")]), Some(42.0));
-        let hist = merged
-            .find_histogram("lat", &[("node", "node-0")])
-            .map(|h| (h.count(), h.bucket_counts().to_vec()));
-        assert_eq!(hist, Some((4, vec![2, 2, 0])));
-        // The unlabelled originals were not created.
-        assert_eq!(merged.find_counter("reqs", &[("op", "ping")]), None);
     }
 
     #[test]

@@ -5,19 +5,16 @@
 //! `enabled()` returns `false`, and every emission site checks that flag
 //! before even constructing the record, so an untraced run does no extra
 //! work.  [`JsonlTracer`] buffers one JSON line per event (file IO stays in
-//! the CLI, keeping the engine deterministic and side-effect free);
-//! [`RingBufferTracer`] keeps only the most recent events for huge runs where
-//! a full trace would not fit in memory.
+//! the CLI, keeping the engine deterministic and side-effect free).
 //!
 //! Records use plain integer ids (node, chunk, file, domain, outage) rather
 //! than the workspace's newtypes: this crate sits below every sim crate, and
 //! the flat encoding is what `repro trace-summary` parses back.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The effective configuration of a run, emitted as the first record of every
-/// trace (and embedded in sweep JSON) so outputs are self-describing.
+/// trace so a trace describes itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Scenario or experiment name.
@@ -222,13 +219,6 @@ pub enum TraceOutput {
     None,
     /// The full trace as JSONL text.
     Jsonl(String),
-    /// The retained tail of events, plus how many were dropped.
-    Ring {
-        /// The retained most-recent events, oldest first.
-        events: Vec<TraceEvent>,
-        /// Events dropped because the buffer was full.
-        dropped: u64,
-    },
 }
 
 /// The sink engines emit trace events into.
@@ -297,62 +287,6 @@ impl Tracer for JsonlTracer {
     }
 }
 
-/// Keeps only the most recent `capacity` events — bounded memory for runs
-/// whose full trace would not fit.
-#[derive(Debug, Clone)]
-pub struct RingBufferTracer {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingBufferTracer {
-    /// A ring buffer retaining at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferTracer {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Events dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Tracer for RingBufferTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    fn finish(self: Box<Self>) -> TraceOutput {
-        TraceOutput::Ring {
-            events: self.events.into_iter().collect(),
-            dropped: self.dropped,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,20 +350,6 @@ mod tests {
         for line in text.lines() {
             let _: TraceEvent = serde_json::from_str(line).unwrap();
         }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_the_tail() {
-        let mut tracer = RingBufferTracer::new(2);
-        tracer.record(sample_event(1));
-        tracer.record(sample_event(2));
-        tracer.record(sample_event(3));
-        assert_eq!(tracer.dropped(), 1);
-        let TraceOutput::Ring { events, dropped } = Box::new(tracer).finish() else {
-            panic!("expected ring output");
-        };
-        assert_eq!(dropped, 1);
-        assert_eq!(events.iter().map(|e| e.t_ns).collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]

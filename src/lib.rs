@@ -19,7 +19,7 @@
 //! * [`baselines`](peerstripe_baselines) — PAST and CFS comparison systems;
 //! * [`gridsim`](peerstripe_gridsim) — the Condor `bigCopy` case study;
 //! * [`experiments`](peerstripe_experiments) — drivers for every table/figure;
-//! * [`telemetry`](peerstripe_telemetry) — metrics registry, event tracing, profiling;
+//! * [`telemetry`](peerstripe_telemetry) — metrics registry and event tracing;
 //! * [`sim`](peerstripe_sim) — deterministic RNG, distributions, statistics.
 //!
 //! ## Quick start

@@ -1,6 +1,7 @@
 //! Telemetry acceptance tests: the trace layer must be deterministic, inert
-//! (attaching a tracer cannot perturb the simulation), and causally complete
-//! (every lost file traces to a concrete declaration and outage).
+//! (attaching a tracer cannot perturb the simulation), causally complete
+//! (every lost file traces to a concrete declaration and outage), and agree
+//! with the engine's report on every count both of them keep.
 //!
 //! The golden fixture under `tests/golden/` pins the exact JSONL byte stream
 //! of the `repair-mini` scenario at seed 42 — any change to event ordering,
@@ -15,7 +16,7 @@ use peerstripe::repair::{
     RepairPolicy, SessionModel,
 };
 use peerstripe::sim::{ByteSize, DetRng, SimTime};
-use peerstripe::telemetry::{JsonlTracer, NullTracer, Tracer};
+use peerstripe::telemetry::{JsonlTracer, NullTracer, TraceEvent, TraceRecord, Tracer};
 use peerstripe::trace::TraceConfig;
 
 fn trace_config(scenario: &str, seed: u64) -> TraceCmdConfig {
@@ -23,7 +24,6 @@ fn trace_config(scenario: &str, seed: u64) -> TraceCmdConfig {
         scenario: scenario.to_string(),
         scale: Scale::Small,
         seed,
-        profile: false,
     }
 }
 
@@ -121,8 +121,8 @@ fn tracer_choice_does_not_perturb_the_engine() {
         jsonl_report.blocks_regenerated
     );
     assert_eq!(
-        null_run.metrics_registry().render_json(),
-        jsonl_run.metrics_registry().render_json(),
+        null_run.registry().render_json(),
+        jsonl_run.registry().render_json(),
         "metrics registry must not depend on the tracer"
     );
     // And the recording tracer did actually record.
@@ -134,33 +134,45 @@ fn tracer_choice_does_not_perturb_the_engine() {
     }
 }
 
-/// The registry port of `MaintenanceMetrics` is an accounting identity, not
-/// an approximation: every exported counter equals the report field it
-/// mirrors, which the engine's `WriteOffAccounting` keeps balanced.
+/// The report and the trace are two accounts of one run, and where both keep
+/// a count they must agree: tallies on the report, records in the JSONL.
 #[test]
-fn registry_counters_balance_with_the_report() {
-    let engine = engine_with(Box::new(NullTracer));
-    let report = engine.report();
-    let registry = engine.metrics_registry();
-    let counter = |name: &str| {
-        registry
-            .find_counter(name, &[])
-            .unwrap_or_else(|| panic!("counter '{name}' missing from the registry"))
-    };
-    assert_eq!(counter("maintenance_files_lost_total"), report.files_lost);
-    assert_eq!(
-        counter("maintenance_repair_bytes_total"),
-        report.repair_bytes.as_u64()
-    );
-    assert_eq!(
-        counter("maintenance_blocks_regenerated_total"),
-        report.blocks_regenerated
-    );
-    assert_eq!(
-        counter("maintenance_wasted_repair_bytes_total"),
-        report.wasted_repair_bytes.as_u64()
-    );
-    assert!(report.files_lost > 0, "scenario too quiet to exercise loss");
+fn the_report_agrees_with_the_trace() {
+    for scenario in ["repair-mini", "placement-outage"] {
+        let artifacts = trace_cmd::run_trace(&trace_config(scenario, 42)).expect("known scenario");
+        let (mut traffic, mut placed, mut files_lost, mut false_declarations, mut outages) =
+            (0, 0, 0, 0, 0);
+        for line in artifacts.jsonl.lines() {
+            let event: TraceEvent = serde_json::from_str(line).expect("trace parses");
+            match event.record {
+                TraceRecord::RepairCompleted {
+                    traffic: t,
+                    placed: p,
+                    ..
+                } => {
+                    traffic += t;
+                    placed += p;
+                }
+                TraceRecord::FileLost { .. } => files_lost += 1,
+                TraceRecord::NodeReturn {
+                    false_declaration: true,
+                    ..
+                } => false_declarations += 1,
+                TraceRecord::OutageStart { .. } => outages += 1,
+                _ => {}
+            }
+        }
+        let report = &artifacts.report;
+        assert_eq!(report.repair_bytes.as_u64(), traffic, "{scenario}");
+        assert_eq!(report.blocks_regenerated, placed, "{scenario}");
+        assert_eq!(report.files_lost, files_lost, "{scenario}");
+        assert_eq!(report.false_declarations, false_declarations, "{scenario}");
+        assert_eq!(report.group_outages, outages, "{scenario}");
+        assert!(
+            report.blocks_regenerated > 0 && report.files_lost > 0,
+            "'{scenario}' too quiet to exercise repair and loss: {report:?}"
+        );
+    }
 }
 
 /// Acceptance: in the grouped-churn placement scenario every lost file is

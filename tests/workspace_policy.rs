@@ -16,7 +16,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Committed ceiling on `#[expect(` / `#![expect(` lines in library code.
-const WAIVER_CEILING: usize = 26;
+const WAIVER_CEILING: usize = 25;
 
 /// The allowed internal dependency edges: crate → the `peerstripe-*` crates
 /// it may depend on, named without the prefix (`peerstripe` is the facade).
@@ -33,7 +33,7 @@ const LAYERS: &[(&str, &[&str])] = &[
     ("erasure", &["sim"]),
     ("multicast", &["sim", "overlay"]),
     ("placement", &["sim", "overlay", "trace"]),
-    ("core", &["sim", "overlay", "erasure", "trace", "placement", "telemetry"]),
+    ("core", &["sim", "overlay", "erasure", "trace", "placement"]),
     ("repair", &["sim", "overlay", "trace", "placement", "core", "telemetry"]),
     ("baselines", &["sim", "trace", "core"]),
     ("gridsim", &["sim", "trace", "core", "baselines"]),
