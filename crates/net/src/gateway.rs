@@ -782,12 +782,14 @@ mod tests {
         }
     }
 
-    /// A stub daemon that answers `FetchBlock`s from a script: one list per
-    /// connection it accepts, one `(payload, cut)` per request on it.  With
+    /// A stub daemon that answers every request with a `Block` from a
+    /// script: one list per connection it accepts, one `(payload, cut)` per
+    /// request on it.  Each reply's header says protocol `version`.  With
     /// `cut` the reply stops after that many bytes and the stub's sending
     /// side is closed; the connection then ends.  Returns how many requests
     /// arrived on a connection after its reply was cut.
     fn stub_daemon(
+        version: u8,
         script: Vec<Vec<(Vec<u8>, Option<usize>)>>,
     ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
         use crate::protocol::{read_request_traced, write_response_traced};
@@ -803,6 +805,7 @@ mod tests {
                     let block = Some((ByteSize::kb(1), Some(std::sync::Arc::new(payload))));
                     let mut reply = Vec::new();
                     write_response_traced(&mut reply, &Response::Block { block }, rid).unwrap();
+                    reply[2] = version;
                     let Some(cut) = cut else {
                         conn.write_all(&reply).unwrap();
                         continue;
@@ -833,11 +836,14 @@ mod tests {
         let payload = |i: usize| row_payload(&rows[i]);
         // The second reply stops in the middle of its payload, the third
         // before its first byte (the daemon went away between two calls).
-        let (addr, stub) = stub_daemon(vec![
-            vec![(payload(0), None), (payload(1), Some(50_000))],
-            vec![(payload(1), None), (payload(2), Some(0))],
-            vec![(payload(2), None)],
-        ]);
+        let (addr, stub) = stub_daemon(
+            crate::protocol::VERSION,
+            vec![
+                vec![(payload(0), None), (payload(1), Some(50_000))],
+                vec![(payload(1), None), (payload(2), Some(0))],
+                vec![(payload(2), None)],
+            ],
+        );
         let gw = stub_gateway(addr);
         let name = ObjectName::block("f", 0, 0);
         let mut tail = Vec::new();
@@ -857,10 +863,13 @@ mod tests {
     #[test]
     fn a_reply_cut_short_on_a_fresh_connection_is_a_miss_and_the_connection_is_dropped() {
         let row = vec![7u8; 100_000];
-        let (addr, stub) = stub_daemon(vec![
-            vec![(row_payload(&row), Some(60_000))],
-            vec![(row_payload(&row), None)],
-        ]);
+        let (addr, stub) = stub_daemon(
+            crate::protocol::VERSION,
+            vec![
+                vec![(row_payload(&row), Some(60_000))],
+                vec![(row_payload(&row), None)],
+            ],
+        );
         let gw = stub_gateway(addr);
         let name = ObjectName::block("f", 0, 0);
         let mut tail = vec![0xEE];
@@ -874,6 +883,40 @@ mod tests {
         assert_eq!(gw.fetch_block_into(0, &name, &mut head, &mut tail), Ok(()));
         assert_eq!(&tail[1..], &row[..]);
         assert_eq!(stub.join().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_daemon_of_another_protocol_version_fails_typed_and_nothing_is_pooled() {
+        // A daemon that speaks protocol v1: every reply's header says so.
+        let row = row_payload(&[5u8; 64]);
+        let (addr, stub) = stub_daemon(1, vec![vec![(row.clone(), None)], vec![(row, None)]]);
+        let mut gw = stub_gateway(addr);
+        let name = ObjectName::block("f", 0, 0);
+        let (mut head, mut tail) = ([0u8; 12], Vec::new());
+        let fetched = gw.fetch_block_into(0, &name, &mut head, &mut tail);
+        assert_eq!(fetched, Err(FetchMiss::Absent));
+        assert!(tail.is_empty());
+        let payload = Some(vec![5u8; 64]);
+        let stored = gw.store_block(0, name.key(), name, ByteSize::kb(1), payload);
+        assert!(matches!(stored, Err(ClusterStoreError::NoLiveNodes)));
+        // Neither stream went back: each RPC dialled its own connection.
+        assert!(lock(&gw.conns).is_empty());
+        assert_eq!(stub.join().unwrap(), 0);
+
+        let export = gw.export_metrics();
+        let version_errors: Vec<(String, u64)> = export
+            .counters
+            .iter()
+            .filter(|c| {
+                c.name == "gateway_rpc_errors"
+                    && c.labels
+                        .contains(&("kind".to_string(), "version".to_string()))
+            })
+            .filter_map(|c| Some((c.labels.iter().find(|l| l.0 == "op")?.1.clone(), c.value)))
+            .collect();
+        let expected = [("fetch_block", 1), ("store_block", 1)];
+        assert_eq!(version_errors, expected.map(|(op, n)| (op.to_string(), n)));
+        assert!(gw.op_log().iter().all(|e| e.outcome == "version"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`protocol`] — a small length-prefixed framed wire format for the
 //!   paper's §3 primitives (`getCapacity` probes, block store/fetch) with a
-//!   versioned header, a max-frame limit, and serde-backed message bodies;
+//!   versioned header, a max-frame limit, and a fixed binary meta record
+//!   per message kind;
 //! * [`node`] + [`server`] — the `peerstripe-node` daemon: one node's
 //!   contributed store served over TCP by a thread-per-connection server
 //!   with per-connection timeouts and graceful shutdown;

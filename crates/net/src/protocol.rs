@@ -5,15 +5,41 @@
 //!
 //! ```text
 //! [magic u16 LE][version u8][kind u8][meta_len u32 LE][payload_len u32 LE]
-//! [meta: meta_len bytes of JSON][payload: payload_len bytes, raw]
+//! [meta: meta_len bytes, the kind's record][payload: payload_len bytes, raw]
 //! ```
 //!
-//! The JSON *meta* section carries the typed message fields (names, keys,
-//! sizes) through the vendored serde; block *payload* bytes ride the raw
-//! payload section so a stored block is never base64-inflated or JSON-escaped.
-//! The header is validated before any body byte is trusted: bad magic, an
-//! unsupported version, or a body larger than [`MAX_FRAME`] rejects the frame
-//! without allocating for it.
+//! The *meta* is one fixed binary record per kind; block *payload* bytes ride
+//! the raw payload section.  The header is validated before any body byte is
+//! trusted: bad magic, another [`VERSION`] (nothing is negotiated), or a body
+//! larger than [`MAX_FRAME`] rejects the frame without allocating for it.
+//!
+//! Every record starts with the request id: `0` (untraced), or `1` then the
+//! id as a `u64`.  Every reply echoes its request's, error replies included.
+//! The kind's fields follow in a fixed order.  Integers are little-endian; an
+//! `Id` is its `u128`, a `ByteSize` a `u64`, a flag one byte (0 or 1), and a
+//! *string* a `u32` length plus that many UTF-8 bytes.
+//!
+//! | Kind | Fields after the request id |
+//! |---|---|
+//! | `Ping`, `GetCapacity`, `Shutdown`, `GetStats`, `Stored`, `Removed`, `ShuttingDown` | — |
+//! | `StoreBlock` | key `Id`, *name*, size `ByteSize`, has-payload flag |
+//! | `FetchBlock` | *name* |
+//! | `RemoveBlock` | *name*, size `ByteSize` |
+//! | `Pong` | node `Id` |
+//! | `Capacity` | free `ByteSize` |
+//! | `Block` | found flag, size `ByteSize`, has-payload flag (a miss: 0, 0, 0) |
+//! | `Error` | tag: `0` insufficient space, `1` already stored, `2` bad request, then its detail string |
+//! | `Stats` | the [`NodeStats`] as a JSON string |
+//!
+//! A *name* is a tag, the file as a string, then the variant's `u32`s: `0`
+//! chunk (chunk), `1` block (chunk, ecb), `2` CAT (none), `3` whole file
+//! (salt).  `Stats` is the one kind whose fields are JSON: it is the
+//! monitor's scrape, not a data RPC, and its metrics export is open-ended.
+//!
+//! A reader dispatches on the kind byte first, so an unknown kind is
+//! [`WireError::UnknownKind`] whatever its meta.  It then consumes the record
+//! exactly: a short record, a trailing byte, an unknown tag, a flag byte
+//! other than 0 or 1, or a string that is not UTF-8 is a [`WireError::Body`].
 //!
 //! A frame is read into buffers of its own ([`read_request`],
 //! [`read_response`]) with one exception: [`read_block_reply_into`] reads the
@@ -31,7 +57,6 @@ use peerstripe_core::ObjectName;
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -39,7 +64,7 @@ use std::sync::Arc;
 /// First two header bytes of every frame: `"PS"` little-endian.
 pub const MAGIC: u16 = 0x5053;
 /// Wire protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Maximum accepted frame body (meta + payload), guarding both sides against
 /// a corrupt or hostile length field.
 pub const MAX_FRAME: u64 = 16 * 1024 * 1024;
@@ -202,7 +227,7 @@ pub enum Request {
 }
 
 /// Why a node refused a request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteError {
     /// The node does not have the space (`StoreBlock`).
     InsufficientSpace,
@@ -310,128 +335,216 @@ pub enum Response {
     Error(RemoteError),
 }
 
-// Per-variant meta records: the kind byte discriminates the message, so each
-// frame's JSON carries only that variant's fields.
+/// A frame's header and meta record, built in one buffer so both leave in
+/// one write.  Each field method appends one field of the module docs' layout.
+struct Record(Vec<u8>);
 
-#[derive(Serialize, Deserialize)]
-struct StoreBlockMeta {
-    key: Id,
-    name: ObjectName,
-    size: ByteSize,
-    has_payload: bool,
-}
+impl Record {
+    /// A frame of kind `kind_byte` whose record so far is the id prefix.
+    fn new(kind_byte: u8, rid: Option<u64>) -> Record {
+        let mut buf = Vec::with_capacity(HEADER_LEN + 64);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&[VERSION, kind_byte]);
+        buf.extend_from_slice(&[0; 8]);
+        rid.into_iter()
+            .fold(Record(buf).flag(rid.is_some()), Record::u64)
+    }
 
-#[derive(Serialize, Deserialize)]
-struct FetchBlockMeta {
-    name: ObjectName,
-}
+    fn bytes(mut self, bytes: &[u8]) -> Record {
+        self.0.extend_from_slice(bytes);
+        self
+    }
 
-#[derive(Serialize, Deserialize)]
-struct RemoveBlockMeta {
-    name: ObjectName,
-    size: ByteSize,
-}
+    fn tag(self, tag: u8) -> Record {
+        self.bytes(&[tag])
+    }
 
-#[derive(Serialize, Deserialize)]
-struct PongMeta {
-    node: Id,
-}
+    fn flag(self, on: bool) -> Record {
+        self.tag(u8::from(on))
+    }
 
-#[derive(Serialize, Deserialize)]
-struct CapacityMeta {
-    free: ByteSize,
-}
+    fn u32(self, v: u32) -> Record {
+        self.bytes(&v.to_le_bytes())
+    }
 
-#[derive(Serialize, Deserialize)]
-struct BlockMeta {
-    found: bool,
-    size: ByteSize,
-    has_payload: bool,
-}
+    fn u64(self, v: u64) -> Record {
+        self.bytes(&v.to_le_bytes())
+    }
 
-/// The meta-JSON key an optional request id travels under.  Request ids make
-/// every RPC correlatable between the gateway's and the node's op logs; a
-/// frame without the key is simply untraced, so old and new peers interoperate
-/// (the typed meta parsers ignore unknown fields).
-const RID_KEY: &str = "rid";
+    fn id(self, id: Id) -> Record {
+        self.bytes(&id.0.to_le_bytes())
+    }
 
-/// Render a frame's meta section: the message's typed fields as a JSON
-/// object (or `None` for field-less messages), with the optional request id
-/// spliced in as an extra `"rid"` field.  Untraced field-less frames keep the
-/// zero-byte meta section older peers expect.
-fn render_meta(meta: Option<Value>, rid: Option<u64>) -> Result<String, WireError> {
-    let value = match (meta, rid) {
-        (None, None) => return Ok(String::new()),
-        (Some(v), None) => v,
-        (meta, Some(id)) => {
-            let mut fields = match meta {
-                Some(Value::Obj(fields)) => fields,
-                None => Vec::new(),
-                Some(_) => {
-                    return Err(WireError::Body(
-                        "request ids require an object-shaped meta".to_string(),
-                    ))
-                }
-            };
-            fields.push((RID_KEY.to_string(), Value::Num(id.to_string())));
-            Value::Obj(fields)
+    fn size(self, size: ByteSize) -> Record {
+        self.u64(size.as_u64())
+    }
+
+    /// A string longer than `u32::MAX` bytes would wrap its length field,
+    /// but its frame is refused as oversized first.
+    fn string(self, s: &str) -> Record {
+        self.u32(s.len() as u32).bytes(s.as_bytes())
+    }
+
+    fn name(self, name: &ObjectName) -> Record {
+        match name {
+            ObjectName::Chunk { file, chunk } => self.tag(0).string(file).u32(*chunk),
+            ObjectName::Block { file, chunk, ecb } => {
+                self.tag(1).string(file).u32(*chunk).u32(*ecb)
+            }
+            ObjectName::Cat { file } => self.tag(2).string(file),
+            ObjectName::WholeFile { file, salt } => self.tag(3).string(file).u32(*salt),
         }
-    };
-    serde_json::to_string(&value).map_err(|e| WireError::Body(e.to_string()))
-}
-
-/// Parse a frame's meta section and strip the optional request id out of it,
-/// leaving the typed fields for the per-kind parsers.  Non-object metas (the
-/// error reply's enum encoding) pass through untouched and untraced.
-fn split_meta(meta: &str) -> Result<(Value, Option<u64>), WireError> {
-    if meta.is_empty() {
-        return Ok((Value::Obj(Vec::new()), None));
     }
-    let value: Value = serde_json::from_str(meta).map_err(|e| WireError::Body(e.to_string()))?;
-    let Value::Obj(mut fields) = value else {
-        return Ok((value, None));
-    };
-    let rid = match fields.iter().position(|(k, _)| k == RID_KEY) {
-        Some(i) => match fields.remove(i).1 {
-            Value::Num(n) => Some(
-                n.parse::<u64>()
-                    .map_err(|_| WireError::Body(format!("bad request id {n:?}")))?,
-            ),
-            Value::Null => None,
-            _ => return Err(WireError::Body("request id is not a number".to_string())),
-        },
-        None => None,
-    };
-    Ok((Value::Obj(fields), rid))
-}
 
-fn meta_value<T: Serialize>(meta: &T) -> Option<Value> {
-    Some(meta.to_value())
-}
-
-fn parse_meta<T: Deserialize>(v: &Value) -> Result<T, WireError> {
-    T::from_value(v).map_err(|e| WireError::Body(e.to_string()))
-}
-
-/// Write one raw frame.
-fn write_frame(w: &mut impl Write, kind: u8, meta: &str, payload: &[u8]) -> Result<(), WireError> {
-    let meta_len = meta.len() as u64;
-    let payload_len = payload.len() as u64;
-    if meta_len + payload_len > MAX_FRAME {
-        return Err(WireError::Oversized(meta_len + payload_len));
+    fn error(self, error: &RemoteError) -> Record {
+        match error {
+            RemoteError::InsufficientSpace => self.tag(0),
+            RemoteError::AlreadyStored => self.tag(1),
+            RemoteError::BadRequest { detail } => self.tag(2).string(detail),
+        }
     }
-    // Header and meta leave in one write: on a no-delay socket every write
-    // is a segment, and most frames have no payload at all.
-    let mut head = Vec::with_capacity(HEADER_LEN + meta.len());
-    head.extend_from_slice(&MAGIC.to_le_bytes());
-    head.extend_from_slice(&[VERSION, kind]);
-    head.extend_from_slice(&(meta_len as u32).to_le_bytes());
-    head.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    head.extend_from_slice(meta.as_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+
+    /// Fill in the header's lengths and write the frame.
+    fn write(mut self, w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+        let meta_len = (self.0.len() - HEADER_LEN) as u64;
+        let payload_len = payload.len() as u64;
+        if meta_len + payload_len > MAX_FRAME {
+            return Err(WireError::Oversized(meta_len + payload_len));
+        }
+        // Both fit a u32 now: as one LE u64 they are the header's two fields.
+        let lengths = meta_len | payload_len << 32;
+        if let Some(field) = self.0.get_mut(4..HEADER_LEN) {
+            field.copy_from_slice(&lengths.to_le_bytes());
+        }
+        // Header and record leave in one write: on a no-delay socket every
+        // write is a segment, and most frames have no payload at all.
+        w.write_all(&self.0)?;
+        w.write_all(payload)?;
+        w.flush()?;
+        Ok(())
+    }
+}
+
+/// A meta record being consumed front to back, one field of the module docs'
+/// layout a call; every way a record can be wrong is a [`WireError::Body`].
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    fn short(&self, wanted: usize) -> WireError {
+        WireError::Body(format!(
+            "a {wanted}-byte field runs past the meta record's end"
+        ))
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (field, rest) = self.0.split_first_chunk().ok_or_else(|| self.short(N))?;
+        self.0 = rest;
+        Ok(*field)
+    }
+
+    fn tag(&mut self) -> Result<u8, WireError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn flag(&mut self) -> Result<bool, WireError> {
+        match self.tag()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::Body(format!("bad flag byte {other}"))),
+        }
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn id(&mut self) -> Result<Id, WireError> {
+        self.array().map(|b| Id(u128::from_le_bytes(b)))
+    }
+
+    fn size(&mut self) -> Result<ByteSize, WireError> {
+        self.u64().map(ByteSize::bytes)
+    }
+
+    fn rid(&mut self) -> Result<Option<u64>, WireError> {
+        self.flag()?.then(|| self.u64()).transpose()
+    }
+
+    fn string(&mut self) -> Result<&'a str, WireError> {
+        let len = self.u32()? as usize;
+        let (bytes, rest) = self
+            .0
+            .split_at_checked(len)
+            .ok_or_else(|| self.short(len))?;
+        self.0 = rest;
+        std::str::from_utf8(bytes).map_err(|e| WireError::Body(format!("string is not UTF-8: {e}")))
+    }
+
+    fn name(&mut self) -> Result<ObjectName, WireError> {
+        Ok(match self.tag()? {
+            0 => ObjectName::Chunk {
+                file: self.string()?.to_owned(),
+                chunk: self.u32()?,
+            },
+            1 => ObjectName::Block {
+                file: self.string()?.to_owned(),
+                chunk: self.u32()?,
+                ecb: self.u32()?,
+            },
+            2 => ObjectName::Cat {
+                file: self.string()?.to_owned(),
+            },
+            3 => ObjectName::WholeFile {
+                file: self.string()?.to_owned(),
+                salt: self.u32()?,
+            },
+            other => return Err(WireError::Body(format!("unknown name tag {other}"))),
+        })
+    }
+
+    fn error(&mut self) -> Result<RemoteError, WireError> {
+        Ok(match self.tag()? {
+            0 => RemoteError::InsufficientSpace,
+            1 => RemoteError::AlreadyStored,
+            2 => RemoteError::BadRequest {
+                detail: self.string()?.to_owned(),
+            },
+            other => return Err(WireError::Body(format!("unknown error tag {other}"))),
+        })
+    }
+
+    /// A `Block` reply's fields: found, size, has-payload.
+    fn block(&mut self) -> Result<(bool, ByteSize, bool), WireError> {
+        Ok((self.flag()?, self.size()?, self.flag()?))
+    }
+
+    fn end(self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(WireError::Body(format!("{n} bytes trail the meta record"))),
+        }
+    }
+}
+
+/// One kind's fields, parsed off its record after the id prefix; the
+/// frame's payload is handed in for the kinds that carry one.
+type Parse<T> = fn(&mut Fields<'_>, Vec<u8>) -> Result<T, WireError>;
+
+/// Consume a record exactly: the id prefix, then the kind's fields.
+fn decode<T>(
+    parse: Parse<T>,
+    meta: &[u8],
+    payload: Vec<u8>,
+) -> Result<(T, Option<u64>), WireError> {
+    let mut fields = Fields(meta);
+    let rid = fields.rid()?;
+    let message = parse(&mut fields, payload)?;
+    fields.end()?;
+    Ok((message, rid))
 }
 
 /// Read exactly `len` body bytes into a fresh buffer.  The bytes land in the
@@ -445,15 +558,9 @@ fn read_section(r: &mut impl Read, len: u64) -> Result<Vec<u8>, WireError> {
     Ok(buf)
 }
 
-/// Read one raw frame: validated header, then `(kind, meta, payload)`.
-fn read_frame(r: &mut impl Read) -> Result<(u8, String, Vec<u8>), WireError> {
-    let (kind, meta, payload_len) = read_frame_head(r)?;
-    Ok((kind, meta, read_section(r, payload_len)?))
-}
-
 /// Read a frame up to its payload: validated header and meta section, as
 /// `(kind, meta, payload_len)`.  The payload's bytes are the caller's to read.
-fn read_frame_head(r: &mut impl Read) -> Result<(u8, String, u64), WireError> {
+fn read_frame_head(r: &mut impl Read) -> Result<(u8, Vec<u8>, u64), WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let magic = u16::from_le_bytes([header[0], header[1]]);
@@ -469,9 +576,7 @@ fn read_frame_head(r: &mut impl Read) -> Result<(u8, String, u64), WireError> {
     if meta_len + payload_len > MAX_FRAME {
         return Err(WireError::Oversized(meta_len + payload_len));
     }
-    let meta = String::from_utf8(read_section(r, meta_len)?)
-        .map_err(|_| WireError::Body("meta section is not UTF-8".to_string()))?;
-    Ok((kind, meta, payload_len))
+    Ok((kind, read_section(r, meta_len)?, payload_len))
 }
 
 /// Serialize and write one request frame (untraced).
@@ -486,42 +591,29 @@ pub fn write_request_traced(
     req: &Request,
     rid: Option<u64>,
 ) -> Result<(), WireError> {
-    let (kind_byte, meta, payload): (u8, Option<Value>, &[u8]) = match req {
-        Request::Ping => (kind::PING, None, &[]),
-        Request::GetCapacity => (kind::GET_CAPACITY, None, &[]),
+    let record = |kind_byte| Record::new(kind_byte, rid);
+    match req {
+        Request::Ping => record(kind::PING).write(w, &[]),
+        Request::GetCapacity => record(kind::GET_CAPACITY).write(w, &[]),
         Request::StoreBlock {
             key,
             name,
             size,
             payload,
-        } => (
-            kind::STORE_BLOCK,
-            meta_value(&StoreBlockMeta {
-                key: *key,
-                name: name.clone(),
-                size: *size,
-                has_payload: payload.is_some(),
-            }),
-            payload.as_deref().unwrap_or(&[]),
-        ),
-        Request::FetchBlock { name } => (
-            kind::FETCH_BLOCK,
-            meta_value(&FetchBlockMeta { name: name.clone() }),
-            &[],
-        ),
-        Request::RemoveBlock { name, size } => (
-            kind::REMOVE_BLOCK,
-            meta_value(&RemoveBlockMeta {
-                name: name.clone(),
-                size: *size,
-            }),
-            &[],
-        ),
-        Request::Shutdown => (kind::SHUTDOWN, None, &[]),
-        Request::GetStats => (kind::GET_STATS, None, &[]),
-    };
-    let meta = render_meta(meta, rid)?;
-    write_frame(w, kind_byte, &meta, payload)
+        } => record(kind::STORE_BLOCK)
+            .id(*key)
+            .name(name)
+            .size(*size)
+            .flag(payload.is_some())
+            .write(w, payload.as_deref().unwrap_or(&[])),
+        Request::FetchBlock { name } => record(kind::FETCH_BLOCK).name(name).write(w, &[]),
+        Request::RemoveBlock { name, size } => record(kind::REMOVE_BLOCK)
+            .name(name)
+            .size(*size)
+            .write(w, &[]),
+        Request::Shutdown => record(kind::SHUTDOWN).write(w, &[]),
+        Request::GetStats => record(kind::GET_STATS).write(w, &[]),
+    }
 }
 
 /// Read and parse one request frame, dropping any request id.
@@ -532,36 +624,35 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, WireError> {
 /// Read and parse one request frame along with the optional request id the
 /// sender threaded through the meta (`None` = untraced).
 pub fn read_request_traced(r: &mut impl Read) -> Result<(Request, Option<u64>), WireError> {
-    let (kind_byte, meta, payload) = read_frame(r)?;
-    let (meta, rid) = split_meta(&meta)?;
-    let req = match kind_byte {
-        kind::PING => Request::Ping,
-        kind::GET_CAPACITY => Request::GetCapacity,
-        kind::STORE_BLOCK => {
-            let m: StoreBlockMeta = parse_meta(&meta)?;
-            Request::StoreBlock {
-                key: m.key,
-                name: m.name,
-                size: m.size,
-                payload: m.has_payload.then_some(payload),
-            }
-        }
-        kind::FETCH_BLOCK => {
-            let m: FetchBlockMeta = parse_meta(&meta)?;
-            Request::FetchBlock { name: m.name }
-        }
-        kind::REMOVE_BLOCK => {
-            let m: RemoveBlockMeta = parse_meta(&meta)?;
-            Request::RemoveBlock {
-                name: m.name,
-                size: m.size,
-            }
-        }
-        kind::SHUTDOWN => Request::Shutdown,
-        kind::GET_STATS => Request::GetStats,
+    let (kind_byte, meta, payload_len) = read_frame_head(r)?;
+    let payload = read_section(r, payload_len)?;
+    decode(request_fields(kind_byte)?, &meta, payload)
+}
+
+/// The parser of a request kind's fields, or [`WireError::UnknownKind`].
+fn request_fields(kind_byte: u8) -> Result<Parse<Request>, WireError> {
+    Ok(match kind_byte {
+        kind::PING => |_, _| Ok(Request::Ping),
+        kind::GET_CAPACITY => |_, _| Ok(Request::GetCapacity),
+        kind::STORE_BLOCK => |f, payload| {
+            Ok(Request::StoreBlock {
+                key: f.id()?,
+                name: f.name()?,
+                size: f.size()?,
+                payload: f.flag()?.then_some(payload),
+            })
+        },
+        kind::FETCH_BLOCK => |f, _| Ok(Request::FetchBlock { name: f.name()? }),
+        kind::REMOVE_BLOCK => |f, _| {
+            Ok(Request::RemoveBlock {
+                name: f.name()?,
+                size: f.size()?,
+            })
+        },
+        kind::SHUTDOWN => |_, _| Ok(Request::Shutdown),
+        kind::GET_STATS => |_, _| Ok(Request::GetStats),
         other => return Err(WireError::UnknownKind(other)),
-    };
-    Ok((req, rid))
+    })
 }
 
 /// Serialize and write one response frame (untraced).
@@ -570,52 +661,33 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireErr
 }
 
 /// Serialize and write one response frame, echoing the request id of the
-/// request it answers.  Error replies stay untraced on the wire: their meta
-/// is the error enum's encoding, not an extendable object — the caller
-/// already knows which request the reply answers (one in flight per
-/// connection).
+/// request it answers.
 pub fn write_response_traced(
     w: &mut impl Write,
     resp: &Response,
     rid: Option<u64>,
 ) -> Result<(), WireError> {
+    let record = |kind_byte| Record::new(kind_byte, rid);
     match resp {
-        Response::Pong { node } => {
-            let meta = render_meta(meta_value(&PongMeta { node: *node }), rid)?;
-            write_frame(w, kind::PONG, &meta, &[])
-        }
-        Response::Capacity { free } => {
-            let meta = render_meta(meta_value(&CapacityMeta { free: *free }), rid)?;
-            write_frame(w, kind::CAPACITY, &meta, &[])
-        }
-        Response::Stored => write_frame(w, kind::STORED, &render_meta(None, rid)?, &[]),
+        Response::Pong { node } => record(kind::PONG).id(*node).write(w, &[]),
+        Response::Capacity { free } => record(kind::CAPACITY).size(*free).write(w, &[]),
+        Response::Stored => record(kind::STORED).write(w, &[]),
         Response::Block { block } => {
-            let (found, size, payload) = match block {
-                Some((size, payload)) => (true, *size, payload.as_ref().map(|p| p.as_slice())),
-                None => (false, ByteSize::ZERO, None),
-            };
-            let meta = render_meta(
-                meta_value(&BlockMeta {
-                    found,
-                    size,
-                    has_payload: payload.is_some(),
-                }),
-                rid,
-            )?;
-            write_frame(w, kind::BLOCK, &meta, payload.unwrap_or(&[]))
+            let payload = block.as_ref().and_then(|(_, payload)| payload.as_deref());
+            record(kind::BLOCK)
+                .flag(block.is_some())
+                .size(block.as_ref().map_or(ByteSize::ZERO, |(size, _)| *size))
+                .flag(payload.is_some())
+                .write(w, payload.map_or(&[], Vec::as_slice))
         }
-        Response::Removed => write_frame(w, kind::REMOVED, &render_meta(None, rid)?, &[]),
-        Response::ShuttingDown => {
-            write_frame(w, kind::SHUTTING_DOWN, &render_meta(None, rid)?, &[])
-        }
+        Response::Removed => record(kind::REMOVED).write(w, &[]),
+        Response::ShuttingDown => record(kind::SHUTTING_DOWN).write(w, &[]),
         Response::Stats { stats } => {
-            let meta = render_meta(meta_value(stats.as_ref()), rid)?;
-            write_frame(w, kind::STATS, &meta, &[])
+            let json = serde_json::to_string(stats.as_ref())
+                .map_err(|e| WireError::Body(e.to_string()))?;
+            record(kind::STATS).string(&json).write(w, &[])
         }
-        Response::Error(e) => {
-            let meta = render_meta(meta_value(e), None)?;
-            write_frame(w, kind::ERROR, &meta, &[])
-        }
+        Response::Error(e) => record(kind::ERROR).error(e).write(w, &[]),
     }
 }
 
@@ -625,12 +697,11 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
 }
 
 /// Read and parse one response frame along with the optional request id the
-/// responder echoed (`None` = untraced; error replies are always untraced).
+/// responder echoed (`None` = untraced).
 pub fn read_response_traced(r: &mut impl Read) -> Result<(Response, Option<u64>), WireError> {
-    let (kind_byte, meta, payload) = read_frame(r)?;
-    let (meta, rid) = split_meta(&meta)?;
-    let resp = read_response_body(kind_byte, &meta, payload)?;
-    Ok((resp, rid))
+    let (kind_byte, meta, payload_len) = read_frame_head(r)?;
+    let payload = read_section(r, payload_len)?;
+    decode(response_fields(kind_byte)?, &meta, payload)
 }
 
 /// What [`read_block_reply_into`] found in the reply to a `FetchBlock`.
@@ -670,10 +741,12 @@ pub fn read_block_reply_into(
     tail: &mut Vec<u8>,
 ) -> Result<BlockReply, WireError> {
     let (kind_byte, meta, payload_len) = read_frame_head(r)?;
-    let (meta, _rid) = split_meta(&meta)?;
     if kind_byte == kind::BLOCK {
-        let m: BlockMeta = parse_meta(&meta)?;
-        if m.found && m.has_payload {
+        let mut fields = Fields(&meta);
+        fields.rid()?;
+        let (found, _, has_payload) = fields.block()?;
+        fields.end()?;
+        if found && has_payload {
             let Some(rest) = payload_len.checked_sub(head.len() as u64) else {
                 // Consumed all the same: the stream stays frame-aligned.
                 read_section(r, payload_len)?;
@@ -690,46 +763,33 @@ pub fn read_block_reply_into(
         }
     }
     let payload = read_section(r, payload_len)?;
-    read_response_body(kind_byte, &meta, payload).map(BlockReply::Other)
+    let (resp, _rid) = decode(response_fields(kind_byte)?, &meta, payload)?;
+    Ok(BlockReply::Other(resp))
 }
 
-fn read_response_body(
-    kind_byte: u8,
-    meta: &Value,
-    payload: Vec<u8>,
-) -> Result<Response, WireError> {
-    match kind_byte {
-        kind::PONG => {
-            let m: PongMeta = parse_meta(meta)?;
-            Ok(Response::Pong { node: m.node })
-        }
-        kind::CAPACITY => {
-            let m: CapacityMeta = parse_meta(meta)?;
-            Ok(Response::Capacity { free: m.free })
-        }
-        kind::STORED => Ok(Response::Stored),
-        kind::BLOCK => {
-            let m: BlockMeta = parse_meta(meta)?;
+/// The parser of a response kind's fields, or [`WireError::UnknownKind`].
+fn response_fields(kind_byte: u8) -> Result<Parse<Response>, WireError> {
+    Ok(match kind_byte {
+        kind::PONG => |f, _| Ok(Response::Pong { node: f.id()? }),
+        kind::CAPACITY => |f, _| Ok(Response::Capacity { free: f.size()? }),
+        kind::STORED => |_, _| Ok(Response::Stored),
+        kind::BLOCK => |f, payload| {
+            let (found, size, has_payload) = f.block()?;
             Ok(Response::Block {
-                block: m
-                    .found
-                    .then_some((m.size, m.has_payload.then(|| Arc::new(payload)))),
+                block: found.then(|| (size, has_payload.then(|| Arc::new(payload)))),
             })
-        }
-        kind::REMOVED => Ok(Response::Removed),
-        kind::SHUTTING_DOWN => Ok(Response::ShuttingDown),
-        kind::STATS => {
-            let stats: NodeStats = parse_meta(meta)?;
+        },
+        kind::REMOVED => |_, _| Ok(Response::Removed),
+        kind::SHUTTING_DOWN => |_, _| Ok(Response::ShuttingDown),
+        kind::STATS => |f, _| {
+            let stats = serde_json::from_str(f.string()?).map(Box::new);
             Ok(Response::Stats {
-                stats: Box::new(stats),
+                stats: stats.map_err(|e| WireError::Body(e.to_string()))?,
             })
-        }
-        kind::ERROR => {
-            let e: RemoteError = parse_meta(meta)?;
-            Ok(Response::Error(e))
-        }
-        other => Err(WireError::UnknownKind(other)),
-    }
+        },
+        kind::ERROR => |f, _| Ok(Response::Error(f.error()?)),
+        other => return Err(WireError::UnknownKind(other)),
+    })
 }
 
 #[cfg(test)]
@@ -831,7 +891,7 @@ mod tests {
     #[test]
     fn request_ids_round_trip_on_every_kind() {
         let reqs = vec![
-            Request::Ping, // field-less: the meta object exists only for the id
+            Request::Ping, // field-less: the record is the id prefix alone
             Request::GetStats,
             Request::StoreBlock {
                 key: Id::hash("k"),
@@ -874,8 +934,9 @@ mod tests {
     fn absent_request_id_reads_as_untraced() {
         let mut buf = Vec::new();
         write_request(&mut buf, &Request::Ping).unwrap();
-        // Untraced field-less frames keep the zero-byte meta of protocol v1.
-        assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 0);
+        // An untraced field-less frame's record is the one-byte id prefix.
+        assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 1);
+        assert_eq!(buf[HEADER_LEN..], [0]);
         let (req, rid) = read_request_traced(&mut Cursor::new(buf)).unwrap();
         assert_eq!(req, Request::Ping);
         assert_eq!(rid, None);
@@ -899,17 +960,190 @@ mod tests {
     }
 
     #[test]
-    fn error_replies_are_never_traced() {
-        let mut buf = Vec::new();
-        write_response_traced(
-            &mut buf,
-            &Response::Error(RemoteError::InsufficientSpace),
-            Some(7),
-        )
-        .unwrap();
-        let (resp, rid) = read_response_traced(&mut Cursor::new(buf)).unwrap();
-        assert_eq!(resp, Response::Error(RemoteError::InsufficientSpace));
-        assert_eq!(rid, None, "error metas cannot carry a request id");
+    fn error_replies_echo_the_request_id() {
+        for rid in [Some(7), None] {
+            let mut buf = Vec::new();
+            let refusal = Response::Error(RemoteError::InsufficientSpace);
+            write_response_traced(&mut buf, &refusal, rid).unwrap();
+            let (resp, got) = read_response_traced(&mut Cursor::new(buf)).unwrap();
+            assert_eq!(resp, refusal);
+            assert_eq!(got, rid);
+        }
+    }
+
+    #[test]
+    fn a_bad_flag_tag_or_string_is_a_body_error() {
+        let (mut store, mut refusal, mut block) = (Vec::new(), Vec::new(), Vec::new());
+        let req = Request::StoreBlock {
+            key: Id::hash("k"),
+            name: ObjectName::block("f", 2, 1),
+            size: ByteSize::kb(1),
+            payload: None,
+        };
+        write_request_traced(&mut store, &req, Some(7)).unwrap();
+        let resp = Response::Error(RemoteError::InsufficientSpace);
+        write_response(&mut refusal, &resp).unwrap();
+        write_response(&mut block, &Response::Block { block: None }).unwrap();
+        // (frame, meta offset, byte): the id flag, the has-payload flag, the
+        // name tag, the file name's one byte, the error tag, the found flag.
+        let edits = [
+            (&store, 0, 2),
+            (&store, 47, 2),
+            (&store, 25, 4),
+            (&store, 30, 0xff),
+            (&refusal, 1, 3),
+            (&block, 1, 2),
+        ];
+        for (bytes, at, byte) in edits {
+            let mut bad = bytes.clone();
+            bad[HEADER_LEN + at] = byte;
+            let read = match bad[3] {
+                kind::STORE_BLOCK => read_request(&mut bad.as_slice()).map(drop),
+                _ => read_response(&mut bad.as_slice()).map(drop),
+            };
+            assert!(
+                matches!(read, Err(WireError::Body(_))),
+                "meta byte {at} = {byte:#x}: {read:?}"
+            );
+        }
+    }
+
+    /// Lowercase hex of `bytes`, to compare with a literal written with
+    /// spaces between its fields.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame of every kind, with fixed fields and request id
+    /// `0x0807060504030201`, byte for byte.  A change here is a change of
+    /// the wire layout: it must come with a new [`VERSION`].
+    #[test]
+    fn every_kind_writes_the_pinned_v2_layout() {
+        const RID: Option<u64> = Some(0x0807_0605_0403_0201);
+        let id = Id(0x0f0e_0d0c_0b0a_0908_0706_0504_0302_0100);
+        let size = ByteSize::kb(1);
+        let request = |req: Request| {
+            let mut buf = Vec::new();
+            write_request_traced(&mut buf, &req, RID).unwrap();
+            buf
+        };
+        let response = |resp: Response| {
+            let mut buf = Vec::new();
+            write_response_traced(&mut buf, &resp, RID).unwrap();
+            buf
+        };
+        // magic, version, kind, meta length, payload length | request id | fields | payload
+        let frames = [
+            (
+                request(Request::Ping),
+                "5350 02 01 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                request(Request::GetCapacity),
+                "5350 02 02 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                request(Request::StoreBlock {
+                    key: id,
+                    name: ObjectName::block("f", 2, 1),
+                    size,
+                    payload: Some(vec![0xaa, 0xbb]),
+                }),
+                "5350 02 03 30000000 02000000 | 01 0102030405060708 \
+                 | 000102030405060708090a0b0c0d0e0f 01 01000000 66 02000000 01000000 \
+                 0004000000000000 01 | aabb",
+            ),
+            (
+                request(Request::FetchBlock {
+                    name: ObjectName::chunk("f", 3),
+                }),
+                "5350 02 04 13000000 00000000 | 01 0102030405060708 | 00 01000000 66 03000000",
+            ),
+            (
+                request(Request::FetchBlock {
+                    name: ObjectName::whole_file("f", 4),
+                }),
+                "5350 02 04 13000000 00000000 | 01 0102030405060708 | 03 01000000 66 04000000",
+            ),
+            (
+                request(Request::RemoveBlock {
+                    name: ObjectName::cat("f"),
+                    size,
+                }),
+                "5350 02 06 17000000 00000000 | 01 0102030405060708 \
+                 | 02 01000000 66 0004000000000000",
+            ),
+            (
+                request(Request::Shutdown),
+                "5350 02 07 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                request(Request::GetStats),
+                "5350 02 08 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                response(Response::Pong { node: id }),
+                "5350 02 81 19000000 00000000 | 01 0102030405060708 \
+                 | 000102030405060708090a0b0c0d0e0f",
+            ),
+            (
+                response(Response::Capacity { free: size }),
+                "5350 02 82 11000000 00000000 | 01 0102030405060708 | 0004000000000000",
+            ),
+            (
+                response(Response::Stored),
+                "5350 02 83 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                response(Response::Block {
+                    block: Some((size, Some(Arc::new(vec![0xaa, 0xbb])))),
+                }),
+                "5350 02 84 13000000 02000000 | 01 0102030405060708 \
+                 | 01 0004000000000000 01 | aabb",
+            ),
+            (
+                response(Response::Block { block: None }),
+                "5350 02 84 13000000 00000000 | 01 0102030405060708 | 00 0000000000000000 00",
+            ),
+            (
+                response(Response::Removed),
+                "5350 02 86 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                response(Response::ShuttingDown),
+                "5350 02 87 09000000 00000000 | 01 0102030405060708",
+            ),
+            (
+                response(Response::Error(RemoteError::InsufficientSpace)),
+                "5350 02 ff 0a000000 00000000 | 01 0102030405060708 | 00",
+            ),
+            (
+                response(Response::Error(RemoteError::BadRequest {
+                    detail: "no".to_string(),
+                })),
+                "5350 02 ff 10000000 00000000 | 01 0102030405060708 | 02 02000000 6e6f",
+            ),
+        ];
+        for (frame, expected) in frames {
+            let expected: String = expected.chars().filter(char::is_ascii_hexdigit).collect();
+            assert_eq!(hex(&frame), expected);
+        }
+
+        // `Stats`: the same prefix, then its JSON as a string.
+        let stats = sample_stats();
+        let json = serde_json::to_string(&stats).unwrap();
+        let frame = response(Response::Stats {
+            stats: Box::new(stats),
+        });
+        let (head, text) = frame.split_at(HEADER_LEN + 9 + 4);
+        let meta_len = (9 + 4 + json.len()) as u32;
+        let expected = format!(
+            "53500288{}00000000010102030405060708{}",
+            hex(&meta_len.to_le_bytes()),
+            hex(&(json.len() as u32).to_le_bytes())
+        );
+        assert_eq!(hex(head), expected);
+        assert_eq!(text, json.as_bytes());
     }
 
     #[test]

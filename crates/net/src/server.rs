@@ -367,4 +367,27 @@ mod tests {
         assert!(rest.is_empty());
         node.stop().unwrap();
     }
+
+    #[test]
+    fn a_request_of_another_protocol_version_gets_a_typed_error_reply() {
+        use std::io::{Read, Write};
+        let node = start();
+        let mut conn = TcpStream::connect(node.local_addr()).unwrap();
+        // An untraced protocol-v1 `Ping`: a header and no meta.
+        let mut header = [0u8; crate::protocol::HEADER_LEN];
+        header[0..2].copy_from_slice(&crate::protocol::MAGIC.to_le_bytes());
+        header[2] = 1;
+        header[3] = crate::protocol::kind::PING;
+        conn.write_all(&header).unwrap();
+        let Response::Error(RemoteError::BadRequest { detail }) =
+            crate::protocol::read_response(&mut conn).unwrap()
+        else {
+            panic!("expected a BadRequest reply");
+        };
+        assert!(detail.contains("version 1"), "{detail}");
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "the connection closed after the reply");
+        node.stop().unwrap();
+    }
 }

@@ -1,13 +1,14 @@
 //! Property-based tests over the framed wire format: arbitrary payloads must
 //! round-trip exactly, and corrupted frames — truncations, oversized length
-//! fields, unknown kind bytes — must be rejected with typed errors rather
-//! than panics or mis-parses.
+//! fields, unknown kind bytes, cut or padded or arbitrary meta records — must
+//! be rejected with typed errors rather than panics or mis-parses.
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe_core::ObjectName;
 use peerstripe_net::protocol::{
-    kind, read_request, read_request_traced, read_response, read_response_traced, write_request,
-    write_request_traced, write_response, write_response_traced, HEADER_LEN, MAGIC,
+    kind, read_block_reply_into, read_request, read_request_traced, read_response,
+    read_response_traced, write_request, write_request_traced, write_response,
+    write_response_traced, HEADER_LEN, MAGIC,
 };
 use peerstripe_net::{
     NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
@@ -32,8 +33,193 @@ fn encode_response(resp: &Response) -> Vec<u8> {
     buf
 }
 
+/// One request of every kind; the named ones cover every name tag.
+fn every_request(payload: Vec<u8>) -> Vec<Request> {
+    vec![
+        Request::Ping,
+        Request::GetCapacity,
+        Request::StoreBlock {
+            key: Id::hash("k"),
+            name: ObjectName::block("f", 2, 1),
+            size: ByteSize::kb(1),
+            payload: Some(payload),
+        },
+        Request::StoreBlock {
+            key: Id::hash("k"),
+            name: ObjectName::chunk("f", 2),
+            size: ByteSize::kb(1),
+            payload: None,
+        },
+        Request::FetchBlock {
+            name: ObjectName::whole_file("f", 3),
+        },
+        Request::RemoveBlock {
+            name: ObjectName::cat("f"),
+            size: ByteSize::kb(1),
+        },
+        Request::Shutdown,
+        Request::GetStats,
+    ]
+}
+
+/// One response of every kind; `Block` and `Error` in each of their shapes.
+fn every_response(payload: Vec<u8>) -> Vec<Response> {
+    let stats = NodeStats {
+        node: Id::hash("node-p"),
+        capacity: ByteSize::mb(64),
+        used: ByteSize::kb(3),
+        objects: 1,
+        metrics: MetricsRegistry::new().export(),
+        op_log: Vec::new(),
+    };
+    vec![
+        Response::Pong {
+            node: Id::hash("n"),
+        },
+        Response::Capacity {
+            free: ByteSize::mb(3),
+        },
+        Response::Stored,
+        Response::Block { block: None },
+        Response::Block {
+            block: Some((ByteSize::kb(1), None)),
+        },
+        Response::Block {
+            block: Some((ByteSize::kb(1), Some(Arc::new(payload)))),
+        },
+        Response::Removed,
+        Response::ShuttingDown,
+        Response::Stats {
+            stats: Box::new(stats),
+        },
+        Response::Error(RemoteError::InsufficientSpace),
+        Response::Error(RemoteError::AlreadyStored),
+        Response::Error(RemoteError::BadRequest {
+            detail: "nope".to_string(),
+        }),
+    ]
+}
+
+/// A frame's header, meta record and payload.
+fn split_frame(frame: &[u8]) -> (&[u8], &[u8], &[u8]) {
+    let meta_len = u32::from_le_bytes(frame[4..8].try_into().expect("a 4-byte field")) as usize;
+    let (header, body) = frame.split_at(HEADER_LEN);
+    let (meta, payload) = body.split_at(meta_len);
+    (header, meta, payload)
+}
+
+/// `header`'s frame with `meta` as its record, the length fields kept true.
+fn reframe(header: &[u8], meta: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut frame = header[..4].to_vec();
+    frame.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(meta);
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Read `frame` as a request or a response, as its kind byte says, and as a
+/// reply to a `FetchBlock` too when it is a response: every reading.
+fn read_every_way(frame: &[u8]) -> Vec<Result<(), WireError>> {
+    if frame[3] & 0x80 == 0 {
+        return vec![read_request(&mut &frame[..]).map(drop)];
+    }
+    let (mut head, mut tail) = ([0u8; 4], Vec::new());
+    vec![
+        read_response(&mut &frame[..]).map(drop),
+        read_block_reply_into(&mut &frame[..], &mut head, &mut tail).map(drop),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every strict prefix of a valid meta record, and the record plus one
+    /// trailing byte, is a typed `Body` error on every kind — the header's
+    /// lengths kept true, so the record itself is what is wrong.
+    #[test]
+    fn cut_or_padded_meta_records_are_body_errors(
+        traced in any::<bool>(),
+        rid in any::<u64>(),
+        extra in any::<u8>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let rid = traced.then_some(rid);
+        let mut frames = Vec::new();
+        for req in every_request(payload.clone()) {
+            let mut frame = Vec::new();
+            write_request_traced(&mut frame, &req, rid).unwrap();
+            frames.push(frame);
+        }
+        for resp in every_response(payload.clone()) {
+            let mut frame = Vec::new();
+            write_response_traced(&mut frame, &resp, rid).unwrap();
+            frames.push(frame);
+        }
+        for frame in &frames {
+            let (header, meta, payload) = split_frame(frame);
+            let mut padded = meta.to_vec();
+            padded.push(extra);
+            let bad = (0..meta.len()).map(|cut| &meta[..cut]).chain([&padded[..]]);
+            for record in bad {
+                for read in read_every_way(&reframe(header, record, payload)) {
+                    prop_assert!(
+                        matches!(read, Err(WireError::Body(_))),
+                        "kind {:#x}, record {:?} of {:?}: {:?}", header[3], record, meta, read
+                    );
+                }
+            }
+        }
+    }
+
+    /// Arbitrary bytes as the meta record of every known kind never panic a
+    /// reader: each parses or is a typed `Body` error.  Half the records
+    /// start with a valid untraced prefix, so the kind's fields see the
+    /// arbitrary bytes too.
+    #[test]
+    fn arbitrary_meta_records_parse_or_are_body_errors(
+        record in proptest::collection::vec(any::<u8>(), 0..64),
+        prefixed in any::<bool>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let meta = if prefixed { [&[0u8][..], &record].concat() } else { record };
+        let kinds = [
+            kind::PING, kind::GET_CAPACITY, kind::STORE_BLOCK, kind::FETCH_BLOCK,
+            kind::REMOVE_BLOCK, kind::SHUTDOWN, kind::GET_STATS,
+            kind::PONG, kind::CAPACITY, kind::STORED, kind::BLOCK,
+            kind::REMOVED, kind::SHUTTING_DOWN, kind::STATS, kind::ERROR,
+        ];
+        for kind_byte in kinds {
+            let header = [&MAGIC.to_le_bytes()[..], &[VERSION, kind_byte]].concat();
+            for read in read_every_way(&reframe(&header, &meta, &payload)) {
+                prop_assert!(
+                    matches!(read, Ok(()) | Err(WireError::Body(_))),
+                    "kind {:#x}, record {:?}: {:?}", kind_byte, meta, read
+                );
+            }
+        }
+    }
+
+    /// The request id — or its absence — round-trips on every request and
+    /// response kind, error replies included.
+    #[test]
+    fn request_ids_round_trip_on_every_kind(
+        traced in any::<bool>(),
+        rid in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let rid = traced.then_some(rid);
+        for req in every_request(payload.clone()) {
+            let mut frame = Vec::new();
+            write_request_traced(&mut frame, &req, rid).unwrap();
+            prop_assert_eq!(read_request_traced(&mut frame.as_slice()).unwrap(), (req, rid));
+        }
+        for resp in every_response(payload.clone()) {
+            let mut frame = Vec::new();
+            write_response_traced(&mut frame, &resp, rid).unwrap();
+            prop_assert_eq!(read_response_traced(&mut frame.as_slice()).unwrap(), (resp, rid));
+        }
+    }
 
     /// StoreBlock requests round-trip through the wire format for arbitrary
     /// names, keys, sizes, and payload bytes.
