@@ -131,10 +131,6 @@ fn tail<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
 /// unit, but each nibble table is linear in its 4 input bits, so the lookup
 /// unrolls into four broadcast-mask column XORs: for input bit `i`, every
 /// byte of the lane with that bit set absorbs the byte constant `c·2^i`.
-#[expect(
-    clippy::expect_used,
-    reason = "chunks_exact(8) / chunks_exact_mut(8) yield exactly 8-byte windows"
-)]
 fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     const LSB: u64 = 0x0101_0101_0101_0101;
     // Column `i` is `c·2^i` broadcast to all 8 lane bytes; bits 0..4 come out
@@ -148,11 +144,10 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
         };
         *c = (product as u64) * LSB;
     }
-    let n = src.len() - src.len() % 8;
-    let (src_wide, src_tail) = src.split_at(n);
-    let (dst_wide, dst_tail) = dst.split_at_mut(n);
-    for (d, s) in dst_wide.chunks_exact_mut(8).zip(src_wide.chunks_exact(8)) {
-        let x = u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+    let (src_wide, src_tail) = src.as_chunks::<8>();
+    let (dst_wide, dst_tail) = dst.as_chunks_mut::<8>();
+    for (d, s) in dst_wide.iter_mut().zip(src_wide) {
+        let x = u64::from_le_bytes(*s);
         let mut product = 0u64;
         for (i, &c) in col.iter().enumerate() {
             // 0x00 or 0xff per byte, selecting the column where bit i is set.
@@ -160,9 +155,9 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
             product ^= mask & c;
         }
         if ACC {
-            product ^= u64::from_le_bytes((&*d).try_into().expect("8-byte chunk"));
+            product ^= u64::from_le_bytes(*d);
         }
-        d.copy_from_slice(&product.to_le_bytes());
+        *d = product.to_le_bytes();
     }
     tail::<ACC>(t, src_tail, dst_tail);
 }

@@ -119,12 +119,9 @@ impl OnlineCode {
             cum += rho_i;
             cdf.push(cum.min(1.0));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "cdf has >= 1 entry: degree 1 is always pushed"
-        )]
-        let last = cdf.last_mut().expect("non-empty cdf");
-        *last = 1.0;
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
         cdf
     }
 

@@ -25,26 +25,16 @@
 //! they lie (the caller's chunk, the fetched payloads) and output rows are
 //! written where they are wanted (the caller's payload or read buffer):
 //! nothing is split, copied aside or allocated per row.
-//!
-//! [`ErasureCode::encode_rows_into`] runs the loop on the calling thread;
-//! [`ReedSolomonCode::encode_with_workers`] is the same loop with a worker
-//! count — workers own disjoint *column spans* of every output row, so the
-//! split does not degenerate when there are fewer rows than workers.
 
 use crate::code::{index_blocks, source_row, DecodeError, ErasureCode};
 use crate::gf256::{Gf256Kernel, PreparedCoeff};
 use crate::matrix::GfMatrix;
-use std::ops::Range;
 
 /// Tile width (in bytes) of the combine loop.  One source tile per data row
 /// plus one output tile must fit in L1/L2 alongside the kernel tables; 16 KiB
 /// keeps that well under typical 256 KiB L2 slices while amortising loop
 /// overhead.
 const TILE_BYTES: usize = 16 * 1024;
-
-/// Workers get at least this many columns each; below that the spawn and
-/// join overhead outweighs the arithmetic.
-const MIN_WORKER_SPAN_BYTES: usize = 4 * 1024;
 
 /// Systematic Reed–Solomon code: `data` source blocks, `parity` parity blocks,
 /// any `data` of the `data + parity` encoded blocks decode.
@@ -94,11 +84,6 @@ impl ReedSolomonCode {
         self
     }
 
-    /// The GF(256) slice kernel this code encodes and decodes with.
-    pub fn kernel(&self) -> Gf256Kernel {
-        self.kernel
-    }
-
     /// Number of data blocks (also the decode threshold).
     pub fn data(&self) -> usize {
         self.data
@@ -125,50 +110,6 @@ impl ReedSolomonCode {
         } else {
             self.prepare((0..self.data).map(|_| 0))
         }
-    }
-
-    /// [`ErasureCode::encode_rows_into`] with the columns of every output row
-    /// sharded over up to `workers` `std::thread::scope` workers.
-    ///
-    /// The output is bit-identical for every worker count.  `workers <= 1`
-    /// runs entirely on the calling thread, and the effective worker count is
-    /// capped so every span keeps at least a few KiB of columns.
-    pub fn encode_with_workers(
-        &self,
-        chunk: &[u8],
-        rows: &[u32],
-        out: &mut [&mut [u8]],
-        workers: usize,
-    ) {
-        let block_size = self.block_size(chunk.len());
-        let coeffs: Vec<_> = rows.iter().map(|&r| self.row_coeffs(r as usize)).collect();
-        let sources: Vec<&[u8]> = (0..self.data)
-            .map(|j| source_row(chunk, j, block_size))
-            .collect();
-        let workers = workers.clamp(1, block_size.div_ceil(MIN_WORKER_SPAN_BYTES).max(1));
-        if workers == 1 {
-            combine_span(&coeffs, &sources, 0..block_size, out);
-            return;
-        }
-        // Split every output row at the span boundaries and regroup the
-        // pieces per worker: job `w` owns columns `spans[w]` of ALL rows.
-        let spans = column_spans(block_size, workers);
-        let mut jobs: Vec<Vec<&mut [u8]>> = spans.iter().map(|_| Vec::new()).collect();
-        for row in out.iter_mut() {
-            let mut rest: &mut [u8] = row;
-            for (job, span) in jobs.iter_mut().zip(&spans) {
-                let (piece, tail) = rest.split_at_mut(span.len().min(rest.len()));
-                job.push(piece);
-                rest = tail;
-            }
-        }
-        let (coeffs, sources) = (&coeffs, &sources);
-        // The scope joins every worker and re-raises a worker's panic.
-        std::thread::scope(|s| {
-            for (mut outs, span) in jobs.into_iter().zip(spans) {
-                s.spawn(move || combine_span(coeffs, sources, span, &mut outs));
-            }
-        });
     }
 
     /// Overwrite each `(j, dst)` of `lost` with source row `j` of the chunk,
@@ -226,49 +167,33 @@ impl ReedSolomonCode {
             .into_iter()
             .map(|(j, dst)| (self.prepare(inv.row(j).iter().copied()), dst))
             .unzip();
-        combine_span(&coeffs, &sources, 0..block_size, &mut outs);
+        combine_span(&coeffs, &sources, block_size, &mut outs);
         Ok(())
     }
 }
 
-/// Split `0..block_size` into `workers` contiguous column spans (the first
-/// `block_size % workers` spans one byte larger).
-fn column_spans(block_size: usize, workers: usize) -> Vec<Range<usize>> {
-    let per = block_size / workers;
-    let rem = block_size % workers;
-    let mut spans = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = per + usize::from(w < rem);
-        spans.push(start..start + len);
-        start += len;
-    }
-    spans
-}
-
-/// The tile loop: overwrite columns `cols` of every output row with that
-/// row's combination `Σ coeffs[row][j] · sources[j]`, cache-blocked — tiles
-/// are outermost, so the source tiles are streamed through all output rows
-/// while they are hot in L1/L2.
+/// The tile loop: overwrite the first `block_size` columns of every output
+/// row with that row's combination `Σ coeffs[row][j] · sources[j]`,
+/// cache-blocked — tiles are outermost, so the source tiles are streamed
+/// through all output rows while they are hot in L1/L2.
 ///
-/// `outs[row]` is the piece of output row `row` that starts at column
-/// `cols.start`.  Rows need not be full length on either side: a source
-/// shorter than `cols.end` is zero beyond its end (the encoder's padding),
-/// and an output that ends early is simply not written past its end (the
-/// decoder's last, short data row).
+/// Rows need not be full length on either side: a source shorter than
+/// `block_size` is zero beyond its end (the encoder's padding), and an output
+/// that ends early is simply not written past its end (the decoder's last,
+/// short data row).
 fn combine_span(
     coeffs: &[Vec<PreparedCoeff>],
     sources: &[&[u8]],
-    cols: Range<usize>,
+    block_size: usize,
     outs: &mut [&mut [u8]],
 ) {
     debug_assert_eq!(coeffs.len(), outs.len());
-    let mut tile_start = cols.start;
-    while tile_start < cols.end {
-        let tile_end = (tile_start + TILE_BYTES).min(cols.end);
+    let mut tile_start = 0;
+    while tile_start < block_size {
+        let tile_end = (tile_start + TILE_BYTES).min(block_size);
         for (row, out) in coeffs.iter().zip(outs.iter_mut()) {
-            let lo = (tile_start - cols.start).min(out.len());
-            let hi = (tile_end - cols.start).min(out.len());
+            let lo = tile_start.min(out.len());
+            let hi = tile_end.min(out.len());
             let dst = &mut out[lo..hi];
             let mut untouched = true;
             for (coeff, src) in row.iter().zip(sources) {
@@ -318,7 +243,12 @@ impl ErasureCode for ReedSolomonCode {
     /// only their own coefficient row — so repairing one lost block costs one
     /// row of GF multiply-adds, not a full encode.
     fn encode_rows_into(&self, chunk: &[u8], rows: &[u32], out: &mut [&mut [u8]]) {
-        self.encode_with_workers(chunk, rows, out, 1);
+        let block_size = self.block_size(chunk.len());
+        let coeffs: Vec<_> = rows.iter().map(|&r| self.row_coeffs(r as usize)).collect();
+        let sources: Vec<&[u8]> = (0..self.data)
+            .map(|j| source_row(chunk, j, block_size))
+            .collect();
+        combine_span(&coeffs, &sources, block_size, out);
     }
 
     fn decode_into(&self, blocks: &[(u32, &[u8])], out: &mut [u8]) -> Result<(), DecodeError> {
@@ -449,56 +379,23 @@ mod tests {
         ));
     }
 
-    /// All rows of `chunk` through the worker-count form of the tile loop,
-    /// into buffers full of stale bytes.
-    fn encode_striped(code: &ReedSolomonCode, chunk: &[u8], workers: usize) -> Vec<EncodedBlock> {
-        let rows: Vec<u32> = (0..code.encoded_blocks() as u32).collect();
-        let mut blocks: Vec<EncodedBlock> = rows
-            .iter()
-            .map(|&r| EncodedBlock::new(r, vec![0xA5; code.block_size(chunk.len())]))
-            .collect();
-        let mut out: Vec<&mut [u8]> = blocks.iter_mut().map(|b| b.data.as_mut_slice()).collect();
-        code.encode_with_workers(chunk, &rows, &mut out, workers);
-        blocks
-    }
-
-    #[test]
-    fn every_worker_count_matches_one_thread() {
-        // Column striping must be invisible in the output for any split,
-        // including worker counts above the span cap and above block_size.
-        for (code, len) in [
-            (ReedSolomonCode::new(5, 3), 300_000),
-            (ReedSolomonCode::new(16, 8), 1 << 20),
-            (ReedSolomonCode::new(4, 2), 1_000),
-            (ReedSolomonCode::new(4, 2), 1),
-            (ReedSolomonCode::new(4, 2), 0),
-        ] {
-            let chunk = sample_chunk(len, 11);
-            let serial = code.encode(&chunk);
-            for workers in [0usize, 1, 2, 3, 4, 7, 64] {
-                assert_eq!(
-                    encode_striped(&code, &chunk, workers),
-                    serial,
-                    "len {len}, workers {workers}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn kernels_produce_identical_blocks() {
         let chunk = sample_chunk(200_000, 14);
         let reference = ReedSolomonCode::new(8, 4)
             .with_kernel(Gf256Kernel::Scalar)
             .encode(&chunk);
+        let rows: Vec<u32> = (0..reference.len() as u32).collect();
         for kernel in Gf256Kernel::ALL {
             let code = ReedSolomonCode::new(8, 4).with_kernel(kernel);
-            assert_eq!(code.kernel(), kernel);
             assert_eq!(code.encode(&chunk), reference, "kernel {kernel}");
-            assert_eq!(
-                encode_striped(&code, &chunk, 3),
-                reference,
-                "kernel {kernel} striped"
+            // Into buffers full of stale bytes: every one must be overwritten.
+            let mut bufs = vec![vec![0xA5u8; code.block_size(chunk.len())]; rows.len()];
+            let mut out: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            code.encode_rows_into(&chunk, &rows, &mut out);
+            assert!(
+                bufs.iter().zip(&reference).all(|(a, b)| *a == b.data),
+                "kernel {kernel} into dirty buffers"
             );
         }
     }

@@ -5,10 +5,9 @@
 //! and `placement_decide` (decision throughput per policy / strategy),
 //! `wire_roundtrip` (the networked path's frame encode/decode) and
 //! `rs_encode` (in-place erasure-encode throughput, scalar vs `nibble64`
-//! kernel vs a worker per CPU).  Each workload is defined here and nowhere
-//! else.  Every measurement is the best of a handful of short passes
-//! ([`best_rate`]) — good enough to catch an order-of-magnitude regression
-//! in seconds.  Numbers are machine-dependent by nature; the
+//! kernel).  Each workload is defined here and nowhere else.  Every
+//! measurement is the best of a handful of short passes ([`best_rate`]) —
+//! good enough to catch an order-of-magnitude regression in seconds.  Numbers are machine-dependent by nature; the
 //! committed files record the machine-independent *shape* (events processed,
 //! verdict counts) next to the throughput observed when they were captured.
 //!
@@ -457,7 +456,8 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
     }
 }
 
-/// One worker per CPU, 1 when the host cannot say.
+/// The capture host's CPU count for the snapshot header, 1 when the host
+/// cannot say.
 fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -478,11 +478,10 @@ impl RowArena {
         RowArena { rows, bufs }
     }
 
-    /// Encode every row of `chunk` into the arena through the tile loop
-    /// with `workers` column-span workers.
-    fn encode(&mut self, code: &ReedSolomonCode, chunk: &[u8], workers: usize) {
+    /// Encode every row of `chunk` into the arena.
+    fn encode(&mut self, code: &ReedSolomonCode, chunk: &[u8]) {
         let mut out: Vec<&mut [u8]> = self.bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        code.encode_with_workers(chunk, &self.rows, &mut out, workers);
+        code.encode_rows_into(chunk, &self.rows, &mut out);
     }
 
     /// True when the arena holds exactly `blocks`, in index order.
@@ -493,9 +492,8 @@ impl RowArena {
 
 /// Reed–Solomon encode throughput into caller-owned row buffers
 /// ([`RowArena`], the store path's shape): `scalar` kernel vs `nibble64`
-/// kernel on one thread vs `nibble64` with a column-span worker per CPU, at
-/// RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks.  `per_sec` is source **bytes**
-/// per second; all three are cross-checked against the blocks
+/// kernel, at RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks.  `per_sec` is
+/// source **bytes** per second; both are cross-checked against the blocks
 /// `ErasureCode::encode` returns before any number is recorded, so a kernel
 /// bug fails the snapshot rather than polluting it.
 pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
@@ -509,20 +507,15 @@ pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
             let chunk: Vec<u8> = (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect();
             let reference = scalar.encode(&chunk);
             let mut arena = RowArena::new(&fast, chunk.len());
-            let paths = [
-                ("serial_scalar", &scalar, 1),
-                ("serial_nibble64", &fast, 1),
-                ("parallel", &fast, cpus()),
-            ];
-            for (label, code, workers) in paths {
+            for (label, code) in [("serial_scalar", &scalar), ("serial_nibble64", &fast)] {
                 // Untimed first: the arena's pages are faulted in once, as a
                 // payload's are, not once per measured encode.
-                arena.encode(code, &chunk, workers);
+                arena.encode(code, &chunk);
                 let per_sec = best_rate(
                     ONCE,
                     || (),
                     |_| {
-                        arena.encode(code, &chunk, workers);
+                        arena.encode(code, &chunk);
                         size.as_u64()
                     },
                 );
@@ -744,20 +737,20 @@ mod tests {
     }
 
     #[test]
-    fn rs_encode_snapshot_covers_both_kernels_and_parallel() {
+    fn rs_encode_snapshot_covers_both_kernels() {
         let config = BenchSnapshotConfig {
             node_counts: vec![50],
             seed: 7,
         };
         let snapshot = run_rs_encode_snapshot(&config);
         assert_eq!(snapshot.name, "rs_encode");
-        // 2 geometries × 2 chunk sizes × 3 encode paths.
-        assert_eq!(snapshot.rows.len(), 12);
+        // 2 geometries × 2 chunk sizes × 2 kernels.
+        assert_eq!(snapshot.rows.len(), 8);
         let ids: Vec<_> = snapshot.rows.iter().map(|r| r.id.as_str()).collect();
         for needle in [
             "rs_5p3/1_mb/serial_scalar",
             "rs_5p3/4_mb/serial_nibble64",
-            "rs_8p4/1_mb/parallel",
+            "rs_8p4/1_mb/serial_nibble64",
             "rs_8p4/4_mb/serial_scalar",
         ] {
             assert!(ids.contains(&needle), "missing {needle} in {ids:?}");
@@ -765,6 +758,38 @@ mod tests {
         for row in &snapshot.rows {
             assert!(row.per_sec > 0.0, "{row:?}");
         }
+    }
+
+    /// `--check` skips a committed row nobody measures, so an orphaned row
+    /// would otherwise go unnoticed: a snapshot whose row ids do not depend
+    /// on the scale must measure exactly the rows its committed file holds.
+    fn assert_committed_rows_are_measured(snapshot: &BenchSnapshot) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../benchmarks")
+            .join(format!("BENCH_{}.json", snapshot.name));
+        let committed: SnapshotFile =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let committed: Vec<_> = committed.rows.iter().map(|r| r.id.as_str()).collect();
+        let measured: Vec<_> = snapshot.rows.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(committed, measured, "{}", path.display());
+    }
+
+    #[test]
+    fn committed_rs_encode_rows_are_the_measured_rows() {
+        let config = BenchSnapshotConfig {
+            node_counts: vec![50],
+            seed: 7,
+        };
+        assert_committed_rows_are_measured(&run_rs_encode_snapshot(&config));
+    }
+
+    #[test]
+    fn committed_wire_roundtrip_rows_are_the_measured_rows() {
+        let config = BenchSnapshotConfig {
+            node_counts: vec![50],
+            seed: 7,
+        };
+        assert_committed_rows_are_measured(&run_wire_roundtrip_snapshot(&config));
     }
 
     #[test]

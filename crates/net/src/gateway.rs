@@ -125,9 +125,12 @@ struct OpHandles {
 /// frames, so a healthy read frees one buffer, not twice the largest; a store
 /// still streams one payload per placed block, and a degraded read or a
 /// repair still fetches the blocks it decodes from into frames of their own.
-/// With the hint skipped, four alternating 10 s runs on the 16 MiB-file ring
-/// and one on the 1 MiB-file ring showed no difference either way.  That is
-/// not the ten clean benchmark pairs deleting it wants, so it stays.
+/// Measured against a build with the hint deleted (alternating 20 s untraced
+/// benchmark pairs, seed 42, 2-vCPU VM): the 16 MiB- and 1 MiB-file rings
+/// were flat over 10 pairs each, every end-to-end median within
+/// −3.3 … +1.9 %.  The 256 KiB-file ring without the hint fell into the
+/// bimodal slow mode above in 4 of 6 passes, and with it in none: store
+/// median +21 %, fetch +29 %.  So it stays.
 const HEAP_HYSTERESIS_BYTES: usize = (32 << 20) - (64 << 10);
 
 /// How many finished RPCs the gateway's op log retains.

@@ -315,15 +315,6 @@ impl Topology {
             }),
         }
     }
-
-    /// Size of the largest domain.
-    pub fn max_domain_size(&self) -> usize {
-        self.domains
-            .iter()
-            .map(|d| d.members.len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

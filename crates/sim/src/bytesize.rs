@@ -64,11 +64,6 @@ impl ByteSize {
         ByteSize((mb.max(0.0) * MB as f64).round() as u64)
     }
 
-    /// Construct from a fractional number of gibibytes (clamped at zero).
-    pub fn gb_f64(gb: f64) -> Self {
-        ByteSize((gb.max(0.0) * GB as f64).round() as u64)
-    }
-
     /// Raw byte count.
     #[inline]
     pub const fn as_u64(self) -> u64 {

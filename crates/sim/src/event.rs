@@ -235,11 +235,7 @@ impl<E> EventQueue<E> {
             if t > deadline {
                 break;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "pop follows a successful peek on the same queue"
-            )]
-            let (t, e) = self.pop().expect("peeked event must pop");
+            let Some((t, e)) = self.pop() else { break };
             handler(self, t, e);
         }
         self.processed - start

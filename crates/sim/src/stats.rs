@@ -56,27 +56,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -284,13 +263,6 @@ impl TableBuilder {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -394,27 +366,6 @@ mod tests {
         let mut negative = OnlineStats::default();
         negative.push(-3.0);
         assert_eq!(negative.max(), Some(-3.0));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..400] {
-            a.push(x);
-        }
-        for &x in &data[400..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
     }
 
     #[test]

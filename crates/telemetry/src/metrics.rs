@@ -61,24 +61,6 @@ impl Histogram {
         self.sum += value;
     }
 
-    /// Fold `other` into `self`.  Fails (leaving `self` untouched) when the
-    /// bucket edges differ — merging histograms of different shapes would
-    /// silently misbucket.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "histogram bucket edges differ: {:?} vs {:?}",
-                self.bounds, other.bounds
-            ));
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        Ok(())
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -240,14 +222,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The histogram behind a handle, if any.
-    pub fn histogram_value(&self, handle: HistogramHandle) -> Option<&Histogram> {
-        match self.slots.get(handle.0) {
-            Some((_, Slot::Histogram(h))) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Look a counter up by name/labels without registering it.
     pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let key = MetricKey {
@@ -257,32 +231,6 @@ impl MetricsRegistry {
         };
         match self.index.get(&key).and_then(|&i| self.slots.get(i)) {
             Some((_, Slot::Counter(v))) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Look a gauge up by name/labels without registering it.
-    pub fn find_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: canon_labels(labels),
-            kind: Kind::Gauge,
-        };
-        match self.index.get(&key).and_then(|&i| self.slots.get(i)) {
-            Some((_, Slot::Gauge(v))) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Look a histogram up by name/labels without registering it.
-    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: canon_labels(labels),
-            kind: Kind::Histogram,
-        };
-        match self.index.get(&key).and_then(|&i| self.slots.get(i)) {
-            Some((_, Slot::Histogram(h))) => Some(h),
             _ => None,
         }
     }
@@ -467,20 +415,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 106.5).abs() < 1e-9);
         assert!((h.mean() - 26.625).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_merge_requires_matching_bounds() {
-        let mut a = Histogram::new(&[1.0, 2.0]);
-        let mut b = Histogram::new(&[1.0, 2.0]);
-        a.observe(0.5);
-        b.observe(1.5);
-        assert!(a.merge(&b).is_ok());
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.bucket_counts(), &[1, 1, 0]);
-        let c = Histogram::new(&[1.0]);
-        assert!(a.merge(&c).is_err());
-        assert_eq!(a.count(), 2, "failed merge leaves self untouched");
     }
 
     #[test]

@@ -177,15 +177,14 @@ proptest! {
     /// Reed–Solomon blocks are kernel-independent: the wide kernel encodes
     /// the bytes the scalar oracle does, each kernel decodes the other's
     /// blocks from an arbitrary minimal subset, and `encode_rows_into` over
-    /// dirty caller-owned buffers writes what `encode` returns for any worker
-    /// count — so stored artifacts never depend on the encoding host.
+    /// dirty caller-owned buffers writes what `encode` returns — so stored
+    /// artifacts never depend on the encoding host.
     #[test]
     fn rs_round_trips_identically_across_kernels(
-        // Long enough that the 4 KiB-per-worker floor leaves several workers.
+        // Long enough that a row can span two of the encode loop's 16 KiB tiles.
         data in proptest::collection::vec(any::<u8>(), 1..40_000),
         n in 2usize..7,
         parity in 1usize..4,
-        workers in 2usize..5,
         subset_seed in any::<u64>(),
     ) {
         use peerstripe::erasure::Gf256Kernel;
@@ -194,12 +193,10 @@ proptest! {
         let encoded = scalar.encode(&data);
         prop_assert_eq!(&encoded, &fast.encode(&data));
         let rows: Vec<u32> = (0..encoded.len() as u32).collect();
-        for workers in [1, workers] {
-            let mut bufs = vec![vec![0xA5u8; fast.block_size(data.len())]; rows.len()];
-            let mut out: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            fast.encode_with_workers(&data, &rows, &mut out, workers);
-            prop_assert!(bufs.iter().zip(&encoded).all(|(a, b)| *a == b.data), "{} workers", workers);
-        }
+        let mut bufs = vec![vec![0xA5u8; fast.block_size(data.len())]; rows.len()];
+        let mut out: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        fast.encode_rows_into(&data, &rows, &mut out);
+        prop_assert!(bufs.iter().zip(&encoded).all(|(a, b)| *a == b.data));
         // An arbitrary minimal subset decodes under both kernels.
         let mut rng = DetRng::new(subset_seed);
         let subset: Vec<_> = rng
@@ -1113,64 +1110,5 @@ proptest! {
             prop_assert!(cluster.index_is_consistent(), "maintained index == rebuilt index, step {}", step);
             assert_decisions_match(&mut cluster, &topology, &mut rng);
         }
-    }
-}
-
-// ---- telemetry ----------------------------------------------------------
-
-/// Build a histogram over the standard byte-size buckets from fuzzed samples.
-fn histogram_of(samples: &[f64]) -> peerstripe::telemetry::Histogram {
-    let mut h = peerstripe::telemetry::Histogram::new(&[1e2, 1e4, 1e6, 1e8]);
-    for &s in samples {
-        h.observe(s);
-    }
-    h
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Histogram merge is commutative and associative over same-bucket
-    /// histograms: sweep cells can be aggregated in any order (or grouping)
-    /// without changing the exported distribution.
-    #[test]
-    fn histogram_merge_is_order_free(
-        a in proptest::collection::vec(0.0f64..1e9, 0..64),
-        b in proptest::collection::vec(0.0f64..1e9, 0..64),
-        c in proptest::collection::vec(0.0f64..1e9, 0..64),
-    ) {
-        let (ha, hb, hc) = (histogram_of(&a), histogram_of(&b), histogram_of(&c));
-
-        // Commutativity: a ∪ b == b ∪ a.
-        let mut ab = ha.clone();
-        prop_assert!(ab.merge(&hb).is_ok());
-        let mut ba = hb.clone();
-        prop_assert!(ba.merge(&ha).is_ok());
-        prop_assert_eq!(ab.bucket_counts(), ba.bucket_counts());
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert!((ab.sum() - ba.sum()).abs() <= 1e-6 * ab.sum().abs().max(1.0));
-
-        // Associativity: (a ∪ b) ∪ c == a ∪ (b ∪ c).
-        let mut left = ab;
-        prop_assert!(left.merge(&hc).is_ok());
-        let mut bc = hb.clone();
-        prop_assert!(bc.merge(&hc).is_ok());
-        let mut right = ha.clone();
-        prop_assert!(right.merge(&bc).is_ok());
-        prop_assert_eq!(left.bucket_counts(), right.bucket_counts());
-        prop_assert_eq!(left.count(), right.count());
-        prop_assert!((left.sum() - right.sum()).abs() <= 1e-6 * left.sum().abs().max(1.0));
-
-        // And the merged totals are exactly the sample counts.
-        prop_assert_eq!(left.count(), (a.len() + b.len() + c.len()) as u64);
-    }
-
-    /// Merging histograms with different bucket layouts must refuse rather
-    /// than silently mis-bin.
-    #[test]
-    fn histogram_merge_rejects_mismatched_buckets(samples in proptest::collection::vec(0.0f64..1e6, 1..16)) {
-        let mut h = histogram_of(&samples);
-        let other = peerstripe::telemetry::Histogram::new(&[1.0, 2.0]);
-        prop_assert!(h.merge(&other).is_err());
     }
 }
