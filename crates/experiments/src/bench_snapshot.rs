@@ -174,7 +174,7 @@ pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
             || deployment.engine(&cell),
             |engine| {
                 engine.run_for(cell.horizon);
-                work_units = engine.events_processed();
+                work_units = engine.report().events;
                 work_units
             },
         );

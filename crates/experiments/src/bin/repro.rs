@@ -21,8 +21,7 @@
 //! tooling:
 //!   bench-snapshot          capture BENCH_*.json perf snapshots under benchmarks/
 //!   trace                   run a named scenario with the JSONL tracer attached;
-//!                           writes the trace, its summary and the engine's
-//!                           metrics registry
+//!                           writes the trace and its summary
 //!   trace-summary           digest a .jsonl trace into causal loss breakdowns
 //!   ring                    spawn localhost peerstripe-node daemons, store and
 //!                           recover a file through a real node kill, and
@@ -186,8 +185,8 @@ fn run_bench_snapshot(args: &Args) -> ! {
     }
 }
 
-/// `repro trace`: run a scenario with the JSONL tracer and write the trace,
-/// its summary, and the metrics-registry export next to each other.
+/// `repro trace`: run a scenario with the JSONL tracer and write the trace
+/// and its summary next to each other.
 fn run_trace(args: &Args) -> ! {
     let dir = match &args.out_dir {
         Some(dir) => dir.clone(),
@@ -228,10 +227,6 @@ fn run_trace(args: &Args) -> ! {
         (
             dir.join(format!("{stem}.summary.json")),
             peerstripe_experiments::trace_cmd::render_summary_json(&summary),
-        ),
-        (
-            dir.join(format!("{stem}.metrics.json")),
-            artifacts.metrics_json.clone(),
         ),
     ];
     for (file, contents) in &writes {

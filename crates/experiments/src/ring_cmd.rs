@@ -378,7 +378,7 @@ pub fn render_ring_text(report: &RingReport) -> String {
     let mut nodes = TableBuilder::new(
         "Daemons after the repair (the victim as scraped before the kill)",
         &[
-            "node", "status", "used", "capacity", "objects", "reqs", "errors", "slow",
+            "node", "status", "used", "capacity", "objects", "reqs", "errors",
         ],
     );
     let mut ops = TableBuilder::new(
@@ -416,10 +416,9 @@ pub fn render_ring_text(report: &RingReport) -> String {
                     s.objects.to_string(),
                     sum("node_requests_total").to_string(),
                     sum("node_errors_total").to_string(),
-                    sum("node_slow_requests_total").to_string(),
                 ]);
             }
-            None => cells.extend(std::iter::repeat_n("-".to_string(), 6)),
+            None => cells.extend(std::iter::repeat_n("-".to_string(), 5)),
         }
         nodes.row(&cells);
         op_rows(&row.health.name, &row.ops);

@@ -6,7 +6,7 @@
 //! enabled: the first line is the [`RunManifest`] header (effective repair,
 //! detector and churn configuration), every following line one
 //! [`TraceRecord`] stamped with sim time.  The run's [`MaintenanceReport`]
-//! and its live metrics registry ride along.  [`summarize`] replays the record
+//! rides along.  [`summarize`] replays the record
 //! stream and attributes each lost file to the declaration that wrote its
 //! chunk off and — transitively, via the engine's `down_outage` bookkeeping —
 //! to the group outage that provoked the declaration.  That closes the causal
@@ -56,10 +56,6 @@ pub struct TraceArtifacts {
     pub records: u64,
     /// The engine's account of the run.
     pub report: MaintenanceReport,
-    /// The engine's live metrics registry (verdict counters, repair-traffic
-    /// and declaration-wait histograms, unavailable-files gauge), rendered as
-    /// JSON.
-    pub metrics_json: String,
 }
 
 /// Run the named scenario with the JSONL tracer attached.
@@ -74,7 +70,6 @@ pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
         }
     };
     let report = engine.report();
-    let metrics_json = engine.registry().render_json();
     let jsonl = match engine.finish_trace() {
         TraceOutput::Jsonl(jsonl) => jsonl,
         TraceOutput::None => String::new(),
@@ -83,7 +78,6 @@ pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
         records: jsonl.lines().count() as u64,
         jsonl,
         report,
-        metrics_json,
     })
 }
 
@@ -487,10 +481,6 @@ mod tests {
         assert_eq!(summary.records, artifacts.records);
         assert!(summary.declarations > 0, "{summary:#?}");
         assert!(summary.repairs_scheduled > 0);
-        // Registry export rides along.
-        assert!(artifacts
-            .metrics_json
-            .contains("engine_repair_traffic_bytes"));
         // Renders don't panic and carry the headline.
         assert!(render_summary_text(&summary).contains("repair-mini"));
         assert!(render_summary_json(&summary).contains("\"scenario\""));

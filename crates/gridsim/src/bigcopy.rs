@@ -80,13 +80,12 @@ pub fn run_bigcopy(
     seed: u64,
 ) -> BigCopyResult {
     let net = pool_config.network;
-    let mut pool = pool_config.build(seed);
     let file = FileRecord::new("bigCopy.out", size);
 
     match scheme {
         BigCopyScheme::WholeFile => {
             // Original Condor: the copy lands on the submission machine's disk.
-            let fits = size <= pool.submit_machine_disk();
+            let fits = size <= pool_config.submit_machine_disk;
             BigCopyResult {
                 size,
                 succeeded: fits,
@@ -100,9 +99,8 @@ pub fn run_bigcopy(
             }
         }
         BigCopyScheme::FixedChunks => {
-            let cluster = pool.take_cluster();
             let mut cfs = Cfs::new(
-                cluster,
+                pool_config.build(seed),
                 CfsConfig {
                     // "enough retries were made … to ensure that all blocks can
                     // be stored" — give the baseline a deep retry budget.
@@ -124,9 +122,8 @@ pub fn run_bigcopy(
             }
         }
         BigCopyScheme::VaryingChunks => {
-            let cluster = pool.take_cluster();
             let mut ps = PeerStripe::new(
-                cluster,
+                pool_config.build(seed),
                 PeerStripeConfig {
                     zero_chunk_limit: 64,
                     track_manifests: true,

@@ -6,8 +6,8 @@
 //!
 //! * [`network::NetworkModel`] — bulk-transfer, per-lookup and interposition
 //!   cost model for the 100 Mb/s pool;
-//! * [`pool`] — the Condor-like pool ([`pool::CondorPool`]) and the I/O
-//!   interposition shim ([`pool::VfsClient`]) with its chunk-location cache;
+//! * [`pool`] — the Condor-like pool ([`pool::PoolConfig`]), which builds the
+//!   workers' contributed storage;
 //! * [`bigcopy`] — the `bigCopy` application and the Table 4 driver comparing
 //!   whole-file, fixed-chunk, and varying-chunk back-ends.
 
@@ -20,4 +20,4 @@ pub mod pool;
 
 pub use bigcopy::{run_bigcopy, table4, table4_sizes, BigCopyResult, BigCopyScheme, Table4Row};
 pub use network::NetworkModel;
-pub use pool::{CondorPool, PoolConfig, VfsClient, VfsStats};
+pub use pool::PoolConfig;

@@ -10,6 +10,8 @@
 //! The daemon announces `listening on ADDR` on stdout once bound (the ring
 //! harness parses this to learn ephemeral ports), then serves forever.  A
 //! `Shutdown` request drains in-flight connections and exits the process.
+//! A `GetStats` request returns the node's one account of itself, its
+//! `NodeStats`.
 #![deny(clippy::indexing_slicing)]
 
 use peerstripe_net::{NodeConfig, NodeServer, NodeService, ServerConfig};
@@ -24,23 +26,21 @@ struct Args {
     capacity: ByteSize,
     report_fraction: f64,
     read_timeout: Duration,
-    op_log_capacity: usize,
-    slow_ms: f64,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: peerstripe-node [--listen ADDR] [--id NAME] [--capacity-mb N] \
-         [--report-fraction F] [--read-timeout-ms N] [--op-log N] [--slow-ms F]\n\
+         [--report-fraction F] [--read-timeout-ms N]\n\
          \n\
-         Serves one node's contributed storage over framed TCP.\n\
+         Serves one node's contributed storage over framed TCP; a GetStats\n\
+         scrape returns its capacity, use, per-op metrics and last 1024\n\
+         requests with their durations.\n\
          --listen          bind address (default 127.0.0.1:0 = ephemeral port)\n\
          --id              node name, hashed into the overlay id space (default node-0)\n\
          --capacity-mb     contributed capacity in MiB (default 256)\n\
          --report-fraction fraction of free space getCapacity advertises (default 1.0)\n\
-         --read-timeout-ms idle-connection read timeout (default 30000)\n\
-         --op-log          recent requests kept for GetStats scrapes (default 1024)\n\
-         --slow-ms         threshold flagging a request slow (default 100)"
+         --read-timeout-ms idle-connection read timeout (default 30000)"
     );
     std::process::exit(2)
 }
@@ -53,8 +53,6 @@ fn parse_args() -> Args {
         capacity: defaults.capacity,
         report_fraction: defaults.report_fraction,
         read_timeout: Duration::from_secs(30),
-        op_log_capacity: defaults.op_log_capacity,
-        slow_ms: defaults.slow_ms,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -80,14 +78,6 @@ fn parse_args() -> Args {
                 Ok(ms) => args.read_timeout = Duration::from_millis(ms),
                 Err(_) => usage(),
             },
-            "--op-log" => match value("--op-log").parse::<usize>() {
-                Ok(n) if n > 0 => args.op_log_capacity = n,
-                _ => usage(),
-            },
-            "--slow-ms" => match value("--slow-ms").parse::<f64>() {
-                Ok(f) if f >= 0.0 => args.slow_ms = f,
-                _ => usage(),
-            },
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown flag {other}");
@@ -104,8 +94,6 @@ fn main() {
         id: args.id,
         capacity: args.capacity,
         report_fraction: args.report_fraction,
-        op_log_capacity: args.op_log_capacity,
-        slow_ms: args.slow_ms,
     });
     let config = ServerConfig {
         read_timeout: args.read_timeout,

@@ -136,6 +136,9 @@ const HEAP_HYSTERESIS_BYTES: usize = (32 << 20) - (64 << 10);
 /// How many finished RPCs the gateway's op log retains.
 const GATEWAY_OP_LOG_CAPACITY: usize = 4096;
 
+/// How many finished requests a node's op log retains.
+pub(crate) const NODE_OP_LOG_CAPACITY: usize = 1024;
+
 /// The networked backend: a membership ring over live node daemons.
 pub struct RingGateway {
     endpoints: BTreeMap<NodeRef, SocketAddr>,
@@ -346,7 +349,6 @@ impl RingGateway {
                 op: op.to_string(),
                 duration_ms: elapsed_ms,
                 outcome: kind.unwrap_or("ok").to_string(),
-                slow: false,
             });
         }
         result

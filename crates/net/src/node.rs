@@ -5,13 +5,18 @@
 //! Keeping the service separate from the TCP plumbing means the exact same
 //! request handling is exercised in-process by unit tests and over real
 //! sockets by the daemon.
+//!
+//! A node's one account of itself is its [`NodeStats`]: capacity, used and
+//! objects from the store, per-op request counters, latency histograms and
+//! typed-error counters from its registry, and a bounded op log whose
+//! per-request durations are the record of slow requests.
 
-use crate::gateway::LATENCY_BUCKETS_MS;
+use crate::gateway::{LATENCY_BUCKETS_MS, NODE_OP_LOG_CAPACITY};
 use crate::protocol::{NodeStats, OpLogEntry, RemoteError, Request, Response};
 use peerstripe_core::{NodeStoreError, StoredObject};
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
-use peerstripe_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
+use peerstripe_telemetry::{CounterHandle, HistogramHandle, MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -40,11 +45,6 @@ pub struct NodeConfig {
     pub capacity: ByteSize,
     /// Fraction of free space a `getCapacity` reply advertises (Section 4.3).
     pub report_fraction: f64,
-    /// How many finished requests the recent-request log retains.
-    pub op_log_capacity: usize,
-    /// Requests slower than this many milliseconds are flagged slow (in the
-    /// op log and the `node_slow_requests_total` counter).
-    pub slow_ms: f64,
 }
 
 impl NodeConfig {
@@ -56,8 +56,6 @@ impl NodeConfig {
             id: Id::hash(name),
             capacity,
             report_fraction: 1.0,
-            op_log_capacity: 1024,
-            slow_ms: 100.0,
         }
     }
 }
@@ -70,8 +68,8 @@ struct OpHandles {
 
 /// The request handler a daemon serves: one node's storage and identity,
 /// plus its own observability: a metrics registry (per-op counters and
-/// latency histograms, byte counters, an occupancy gauge, typed-error
-/// counters) and a bounded log of recent requests.
+/// latency histograms, typed-error counters) and a bounded log of recent
+/// requests.
 #[derive(Debug)]
 pub struct NodeService {
     id: Id,
@@ -79,13 +77,7 @@ pub struct NodeService {
     metrics: MetricsRegistry,
     op_handles: BTreeMap<&'static str, OpHandles>,
     error_handles: BTreeMap<&'static str, CounterHandle>,
-    bytes_in: CounterHandle,
-    bytes_out: CounterHandle,
-    slow_total: CounterHandle,
-    occupancy: GaugeHandle,
     op_log: VecDeque<OpLogEntry>,
-    op_log_capacity: usize,
-    slow_ms: f64,
 }
 
 impl NodeService {
@@ -113,44 +105,19 @@ impl NodeService {
                 metrics.counter("node_errors_total", &[("kind", kind)]),
             );
         }
-        let bytes_in = metrics.counter("node_bytes_in_total", &[]);
-        let bytes_out = metrics.counter("node_bytes_out_total", &[]);
-        let slow_total = metrics.counter("node_slow_requests_total", &[]);
-        let occupancy = metrics.gauge("node_store_occupancy_bytes", &[]);
         NodeService {
             id: config.id,
             store: peerstripe_core::StorageNode::new(config.capacity, config.report_fraction, true),
             metrics,
             op_handles,
             error_handles,
-            bytes_in,
-            bytes_out,
-            slow_total,
-            occupancy,
             op_log: VecDeque::new(),
-            op_log_capacity: config.op_log_capacity.max(1),
-            slow_ms: config.slow_ms,
         }
-    }
-
-    /// The node's overlay identifier.
-    pub fn id(&self) -> Id {
-        self.id
     }
 
     /// The node's store (for inspection in tests and reports).
     pub fn store(&self) -> &peerstripe_core::StorageNode {
         &self.store
-    }
-
-    /// The node's metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The recent-request log, oldest first.
-    pub fn op_log(&self) -> impl Iterator<Item = &OpLogEntry> {
-        self.op_log.iter()
     }
 
     /// The wire label of a request, for metrics and the op log.
@@ -173,26 +140,6 @@ impl NodeService {
             Response::Error(RemoteError::AlreadyStored) => "already_stored",
             Response::Error(RemoteError::BadRequest { .. }) => "bad_request",
             _ => "ok",
-        }
-    }
-
-    /// Payload bytes a request carries into the node.
-    fn payload_in(req: &Request) -> u64 {
-        match req {
-            Request::StoreBlock {
-                payload: Some(p), ..
-            } => p.len() as u64,
-            _ => 0,
-        }
-    }
-
-    /// Payload bytes a response carries out of the node.
-    fn payload_out(resp: &Response) -> u64 {
-        match resp {
-            Response::Block {
-                block: Some((_, Some(p))),
-            } => p.len() as u64,
-            _ => 0,
         }
     }
 
@@ -225,7 +172,6 @@ impl NodeService {
             };
         }
         let op = Self::op_name(&req);
-        let in_bytes = Self::payload_in(&req);
         #[expect(
             clippy::disallowed_methods,
             reason = "node-side request latency is real service time on the network path"
@@ -234,7 +180,6 @@ impl NodeService {
         let resp = self.handle_inner(req);
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let outcome = Self::outcome_of(&resp);
-        let slow = elapsed_ms > self.slow_ms;
         if let Some(h) = self.op_handles.get(op) {
             self.metrics.inc(h.total, 1);
             self.metrics.observe(h.latency, elapsed_ms);
@@ -244,14 +189,7 @@ impl NodeService {
                 self.metrics.inc(h, 1);
             }
         }
-        self.metrics.inc(self.bytes_in, in_bytes);
-        self.metrics.inc(self.bytes_out, Self::payload_out(&resp));
-        if slow {
-            self.metrics.inc(self.slow_total, 1);
-        }
-        self.metrics
-            .set(self.occupancy, self.store.used().as_u64() as f64);
-        if self.op_log.len() == self.op_log_capacity {
+        if self.op_log.len() == NODE_OP_LOG_CAPACITY {
             self.op_log.pop_front();
         }
         self.op_log.push_back(OpLogEntry {
@@ -259,7 +197,6 @@ impl NodeService {
             op: op.to_string(),
             duration_ms: elapsed_ms,
             outcome: outcome.to_string(),
-            slow,
         });
         resp
     }
@@ -406,5 +343,22 @@ mod tests {
         }
         assert_eq!(svc.store().object_count(), 2);
         assert_eq!(svc.store().used(), sizes[1] + sizes[2]);
+    }
+
+    #[test]
+    fn the_op_log_keeps_the_newest_requests() {
+        let mut svc = service();
+        let total = NODE_OP_LOG_CAPACITY + 5;
+        for rid in 0..total as u64 {
+            assert!(matches!(
+                svc.handle_traced(Request::Ping, Some(rid)),
+                Response::Pong { .. }
+            ));
+        }
+        let log = svc.stats().op_log;
+        assert_eq!(log.len(), NODE_OP_LOG_CAPACITY);
+        let kept: Vec<Option<u64>> = log.iter().map(|e| e.request_id).collect();
+        let newest: Vec<Option<u64>> = (5..total as u64).map(Some).collect();
+        assert_eq!(kept, newest, "oldest first, the first five evicted");
     }
 }

@@ -260,12 +260,11 @@ pub struct OpLogEntry {
     pub request_id: Option<u64>,
     /// Wire operation name (`store_block`, `fetch_block`, ...).
     pub op: String,
-    /// How long handling took, in milliseconds.
+    /// How long handling took, in milliseconds: the record of slow
+    /// requests, at whatever threshold a reader picks.
     pub duration_ms: f64,
     /// `"ok"` or a typed error kind (`insufficient_space`, ...).
     pub outcome: String,
-    /// True when `duration_ms` crossed the node's slow-request threshold.
-    pub slow: bool,
 }
 
 impl OpLogEntry {
@@ -275,8 +274,8 @@ impl OpLogEntry {
     }
 }
 
-/// A node daemon's self-reported observability snapshot: identity, store
-/// occupancy, the full metrics-registry export, and the tail of its
+/// A node daemon's one account of itself: identity, capacity and what is
+/// stored against it, the metrics-registry export, and the tail of its
 /// recent-request log.  Carried by [`Response::Stats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeStats {
@@ -289,7 +288,7 @@ pub struct NodeStats {
     /// Objects currently stored.
     pub objects: u64,
     /// The node's metrics registry (per-op counters, latency histograms,
-    /// byte counters, occupancy gauge, typed-error counters).
+    /// typed-error counters).
     pub metrics: RegistryExport,
     /// The bounded recent-request log, oldest first.
     pub op_log: Vec<OpLogEntry>,
@@ -328,7 +327,7 @@ pub enum Response {
     ShuttingDown,
     /// Reply to [`Request::GetStats`]: the node's observability snapshot.
     Stats {
-        /// Metrics, occupancy, and the recent-request log.
+        /// Capacity, use, metrics, and the recent-request log.
         stats: Box<NodeStats>,
     },
     /// The request was refused.
@@ -859,21 +858,18 @@ mod tests {
                     op: "store_block".to_string(),
                     duration_ms: 0.31,
                     outcome: "ok".to_string(),
-                    slow: false,
                 },
                 OpLogEntry {
                     request_id: None,
                     op: "fetch_block".to_string(),
                     duration_ms: 120.5,
                     outcome: "ok".to_string(),
-                    slow: true,
                 },
                 OpLogEntry {
                     request_id: Some(9),
                     op: "store_block".to_string(),
                     duration_ms: 0.02,
                     outcome: "insufficient_space".to_string(),
-                    slow: false,
                 },
             ],
         }

@@ -429,15 +429,11 @@ proptest! {
         let ops = ["ping", "store_block", "fetch_block"];
         let op_log = entries
             .iter()
-            .map(|seed| {
-                let slow = seed & 2 != 0;
-                OpLogEntry {
-                    request_id: (seed & 1 == 0).then_some(seed >> 3),
-                    op: ops[(*seed as usize >> 2) % ops.len()].to_string(),
-                    duration_ms: (seed >> 16) as f64 / 128.0,
-                    outcome: if slow { "bad_request" } else { "ok" }.to_string(),
-                    slow,
-                }
+            .map(|seed| OpLogEntry {
+                request_id: (seed & 1 == 0).then_some(seed >> 3),
+                op: ops[(*seed as usize >> 2) % ops.len()].to_string(),
+                duration_ms: (seed >> 16) as f64 / 128.0,
+                outcome: if seed & 2 != 0 { "bad_request" } else { "ok" }.to_string(),
             })
             .collect();
         let resp = Response::Stats {

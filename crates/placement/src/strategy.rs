@@ -479,17 +479,10 @@ impl CapacityWeighted {
             total += report.as_u64() as u128;
             eligible.push((node, report));
         }
-        if eligible.is_empty() {
-            return None;
-        }
         // Float rounding can push x to (or past) the exact weight sum, so the
         // walk may run off the end; the last eligible node is the fallback,
         // and the domain bookkeeping below covers both outcomes.
-        #[expect(
-            clippy::expect_used,
-            reason = "eligible verified non-empty before the weighted walk"
-        )]
-        let mut pick = *eligible.last().expect("non-empty");
+        let mut pick = *eligible.last()?;
         let mut x = (rng.next_f64() * total as f64) as u128;
         for &(node, report) in &eligible {
             let w = report.as_u64() as u128;

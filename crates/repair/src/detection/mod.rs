@@ -82,9 +82,6 @@ pub trait DetectionPolicy: std::fmt::Debug + Send {
     /// [`node_down`]: DetectionPolicy::node_down
     fn decide(&mut self, node: NodeRef, generation: u64, now: SimTime) -> DeclarationVerdict;
 
-    /// Since when the node has been down, if it is.
-    fn down_since(&self, node: NodeRef) -> Option<SimTime>;
-
     /// Short label for sweep tables and reports.
     fn label(&self) -> String;
 }
@@ -160,10 +157,11 @@ impl DownTracker {
         self.generation[node] += 1;
     }
 
-    /// True if the node is still down *and* the declaration belongs to the
-    /// current down period (not a stale event from before a return).
-    pub(crate) fn confirm(&self, node: NodeRef, generation: u64) -> bool {
-        self.down_since[node].is_some() && self.generation[node] == generation
+    /// The start of the node's current down period, if it is still down
+    /// *and* the declaration belongs to that period (not a stale event from
+    /// before a return).
+    pub(crate) fn confirm(&self, node: NodeRef, generation: u64) -> Option<SimTime> {
+        self.down_since[node].filter(|_| self.generation[node] == generation)
     }
 
     pub(crate) fn down_since(&self, node: NodeRef) -> Option<SimTime> {

@@ -168,14 +168,9 @@ impl DetectionPolicy for OutageAware {
     }
 
     fn decide(&mut self, node: NodeRef, generation: u64, now: SimTime) -> DeclarationVerdict {
-        if !self.tracker.confirm(node, generation) {
+        let Some(down_at) = self.tracker.confirm(node, generation) else {
             return DeclarationVerdict::Cancel;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "confirm() above guarantees the node is tracked down"
-        )]
-        let down_at = self.tracker.down_since(node).expect("confirmed down");
+        };
         let deadline = self.hold_deadline(down_at);
         if now >= deadline || !self.outage_classified(node) {
             // Past the hard cap, or the absence no longer looks correlated
@@ -184,10 +179,6 @@ impl DetectionPolicy for OutageAware {
         }
         let until = (now + SimTime::from_secs_f64(self.outage.hold_period_secs)).min(deadline);
         DeclarationVerdict::Hold { until }
-    }
-
-    fn down_since(&self, node: NodeRef) -> Option<SimTime> {
-        self.tracker.down_since(node)
     }
 
     fn label(&self) -> String {

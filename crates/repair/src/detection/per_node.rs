@@ -38,7 +38,7 @@ impl PerNodeTimeout {
     /// True if the node is still down *and* the declaration belongs to the
     /// current down period (not a stale event from before a return).
     pub fn confirm(&self, node: NodeRef, generation: u64) -> bool {
-        self.tracker.confirm(node, generation)
+        self.tracker.confirm(node, generation).is_some()
     }
 }
 
@@ -57,15 +57,11 @@ impl DetectionPolicy for PerNodeTimeout {
     }
 
     fn decide(&mut self, node: NodeRef, generation: u64, _now: SimTime) -> DeclarationVerdict {
-        if self.tracker.confirm(node, generation) {
+        if self.confirm(node, generation) {
             DeclarationVerdict::Declare
         } else {
             DeclarationVerdict::Cancel
         }
-    }
-
-    fn down_since(&self, node: NodeRef) -> Option<SimTime> {
-        self.tracker.down_since(node)
     }
 
     fn label(&self) -> String {
@@ -97,7 +93,10 @@ mod tests {
         assert_eq!(pending.detected_at, SimTime::from_secs(310));
         // Declaration waits for the permanence timeout (250 + 1000).
         assert_eq!(pending.declare_at, SimTime::from_secs(1250));
-        assert_eq!(d.down_since(0), Some(SimTime::from_secs(250)));
+        assert_eq!(
+            d.tracker.confirm(0, pending.generation),
+            Some(SimTime::from_secs(250))
+        );
     }
 
     #[test]
@@ -124,7 +123,10 @@ mod tests {
         assert!(d.confirm(2, pending.generation));
         d.node_up(2, SimTime::from_secs(60));
         assert!(!d.confirm(2, pending.generation), "stale generation");
-        assert_eq!(d.down_since(2), None);
+        assert!(
+            !d.confirm(2, pending.generation + 1),
+            "an up node has no down period"
+        );
         // A fresh down period gets a fresh generation.
         let second = d.node_down(2, SimTime::from_secs(500));
         assert_ne!(second.generation, pending.generation);

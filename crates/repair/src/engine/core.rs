@@ -11,10 +11,7 @@ use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, DetRng, EventQueue, OnlineStats, SimTime};
-use peerstripe_telemetry::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, NullTracer, TraceEvent,
-    TraceOutput, TraceRecord, Tracer,
-};
+use peerstripe_telemetry::{NullTracer, TraceEvent, TraceOutput, TraceRecord, Tracer};
 
 /// Aggregate outcome of a maintenance run: the engine's one account of it.
 /// The engine tallies the counters onto its own copy as events happen;
@@ -79,60 +76,6 @@ impl MaintenanceReport {
     }
 }
 
-/// Handles into the engine's live [`MetricsRegistry`], which holds what the
-/// [`MaintenanceReport`] does not say: verdict counts and the distributions
-/// of repair traffic and declaration waits.  Registered once at
-/// construction, so hot-path updates are array writes.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct EngineCounters {
-    /// `engine_declaration_verdicts_total{verdict=declare|hold|cancel}`.
-    pub(super) verdict_declare: CounterHandle,
-    pub(super) verdict_hold: CounterHandle,
-    pub(super) verdict_cancel: CounterHandle,
-    /// `engine_repair_traffic_bytes` — per completed repair.
-    pub(super) repair_traffic: HistogramHandle,
-    /// `engine_declaration_wait_secs` — down-period length at declaration.
-    pub(super) declaration_wait: HistogramHandle,
-    /// `engine_files_unavailable` — refreshed at every sample.
-    pub(super) files_unavailable: GaugeHandle,
-}
-
-impl EngineCounters {
-    fn new(registry: &mut MetricsRegistry) -> Self {
-        const HOUR: f64 = 3_600.0;
-        EngineCounters {
-            verdict_declare: registry.counter(
-                "engine_declaration_verdicts_total",
-                &[("verdict", "declare")],
-            ),
-            verdict_hold: registry
-                .counter("engine_declaration_verdicts_total", &[("verdict", "hold")]),
-            verdict_cancel: registry.counter(
-                "engine_declaration_verdicts_total",
-                &[("verdict", "cancel")],
-            ),
-            repair_traffic: registry.histogram(
-                "engine_repair_traffic_bytes",
-                &[],
-                &[1e6, 4e6, 16e6, 64e6, 256e6, 1e9],
-            ),
-            declaration_wait: registry.histogram(
-                "engine_declaration_wait_secs",
-                &[],
-                &[
-                    HOUR,
-                    4.0 * HOUR,
-                    12.0 * HOUR,
-                    24.0 * HOUR,
-                    48.0 * HOUR,
-                    168.0 * HOUR,
-                ],
-            ),
-            files_unavailable: registry.gauge("engine_files_unavailable", &[]),
-        }
-    }
-}
-
 /// The event-driven churn & repair engine.
 pub struct MaintenanceEngine {
     pub(super) cluster: StorageCluster,
@@ -166,10 +109,8 @@ pub struct MaintenanceEngine {
     /// Sampled availability percentages.
     pub(super) availability: OnlineStats,
     pub(super) horizon: SimTime,
-    // Telemetry: structured trace sink and live registry.
+    /// Structured trace sink.
     pub(super) tracer: Box<dyn Tracer>,
-    pub(super) registry: MetricsRegistry,
-    pub(super) counters: EngineCounters,
     /// Per node: the outage id of the group outage that took it down, `None`
     /// for individual departures — links declarations (and the losses they
     /// cause) back to their causal outage in the trace.
@@ -213,8 +154,6 @@ impl MaintenanceEngine {
             .as_ref()
             .map(|t| t.domain_view())
             .unwrap_or_else(DomainView::unaffiliated);
-        let mut registry = MetricsRegistry::new();
-        let counters = EngineCounters::new(&mut registry);
         let mut engine = MaintenanceEngine {
             detector: config.detection.build(nodes, config.detector, view),
             scheduler: RepairScheduler::new(nodes, config.bandwidth, config.policy),
@@ -234,8 +173,6 @@ impl MaintenanceEngine {
             availability: OnlineStats::new(),
             horizon: SimTime::ZERO,
             tracer: Box::new(NullTracer),
-            registry,
-            counters,
             down_outage: vec![None; nodes],
             group_outage_id: vec![0; group_count],
             next_outage_id: 0,
@@ -355,13 +292,6 @@ impl MaintenanceEngine {
         );
     }
 
-    /// The live metrics registry: declaration-verdict counters, the
-    /// repair-traffic and declaration-wait histograms, and the
-    /// unavailable-files gauge.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// The block ledger (current placements and losses).
     pub fn ledger(&self) -> &DamageLedger {
         &self.ledger
@@ -370,26 +300,6 @@ impl MaintenanceEngine {
     /// The cluster under maintenance.
     pub fn cluster(&self) -> &StorageCluster {
         &self.cluster
-    }
-
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.processed()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Files currently unavailable.
-    pub fn files_unavailable(&self) -> u64 {
-        self.ledger.files_unavailable() as u64
-    }
-
-    /// The failure-detection policy's label.
-    pub fn detector_label(&self) -> String {
-        self.detector.label()
     }
 
     /// Summarise the run: the tallied counters, plus what the queue, the
@@ -410,7 +320,7 @@ impl MaintenanceEngine {
             sim_time: self.queue.now(),
             events: self.queue.processed(),
             files_total: self.ledger.file_count() as u64,
-            files_unavailable: self.files_unavailable(),
+            files_unavailable: self.ledger.files_unavailable() as u64,
             availability_mean_pct,
             availability_min_pct: self.availability.min().unwrap_or(100.0),
             useful_bytes: useful,

@@ -360,13 +360,11 @@ impl MaintenanceEngine {
     ) {
         match self.detector.decide(node, generation, now) {
             DeclarationVerdict::Cancel => {
-                self.registry.inc(self.counters.verdict_cancel, 1);
                 self.trace_verdict(now, node, generation, "cancel");
                 return;
             }
             DeclarationVerdict::Hold { until } => {
                 debug_assert!(until > now, "holds must move forward");
-                self.registry.inc(self.counters.verdict_hold, 1);
                 self.trace_verdict(now, node, generation, "hold");
                 if !self.hold_active[node] {
                     self.hold_active[node] = true;
@@ -376,11 +374,6 @@ impl MaintenanceEngine {
                 return;
             }
             DeclarationVerdict::Declare => {}
-        }
-        self.registry.inc(self.counters.verdict_declare, 1);
-        if let Some(since) = self.detector.down_since(node) {
-            let wait = now.saturating_sub(since).as_secs_f64();
-            self.registry.observe(self.counters.declaration_wait, wait);
         }
         self.trace_verdict(now, node, generation, "declare");
         if self.tracing() && self.hold_active[node] {
@@ -460,8 +453,6 @@ impl MaintenanceEngine {
         // The transfers happened whether or not every placement stuck.
         self.report.repair_bytes += traffic;
         self.report.blocks_regenerated += placed;
-        self.registry
-            .observe(self.counters.repair_traffic, traffic.as_u64() as f64);
         if self.tracing() {
             self.trace(
                 now,
@@ -479,14 +470,13 @@ impl MaintenanceEngine {
     }
 
     fn on_sample(&mut self, q: &mut EventQueue<MaintenanceEvent>, now: SimTime) {
-        let (unavailable, files) = (self.files_unavailable(), self.ledger.file_count() as u64);
+        let unavailable = self.ledger.files_unavailable() as u64;
+        let files = self.ledger.file_count() as u64;
         if files > 0 {
             let available = files.saturating_sub(unavailable);
             self.availability
                 .push(100.0 * available as f64 / files as f64);
         }
-        self.registry
-            .set(self.counters.files_unavailable, unavailable as f64);
         if self.tracing() {
             self.trace(
                 now,

@@ -556,8 +556,8 @@ mod tests {
         floored.run_for(SimTime::from_secs(24 * 3_600));
         fast.run_for(SimTime::from_secs(24 * 3_600));
         assert_eq!(
-            floored.detector_label(),
-            fast.detector_label(),
+            floored.report().detector,
+            fast.report().detector,
             "same policy either way"
         );
         assert!(

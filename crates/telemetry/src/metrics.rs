@@ -1,5 +1,5 @@
-//! A deterministic metrics registry: counters, gauges and fixed-bucket
-//! histograms keyed by `(name, ordered label set)`.
+//! A deterministic metrics registry: counters and fixed-bucket histograms
+//! keyed by `(name, ordered label set)`.
 //!
 //! Registration is the slow path: the key map is a `BTreeMap`, so lookups are
 //! `O(log n)` and iteration order — hence JSON export order — is stable across
@@ -7,7 +7,10 @@
 //! returns a copyable handle that indexes straight into a slot vector, so an
 //! increment is a bounds-checked array write.  Handles from one registry used
 //! against another (or against the wrong metric kind) are silently ignored
-//! rather than panicking — the engine must never die for its instruments.
+//! rather than panicking — a daemon must never die for its instruments.
+//!
+//! The ring gateway and each `peerstripe-node` daemon keep one registry; a
+//! daemon exports it inside its `NodeStats`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -16,10 +19,6 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterHandle(usize);
 
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeHandle(usize);
-
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramHandle(usize);
@@ -27,7 +26,7 @@ pub struct HistogramHandle(usize);
 /// A fixed-bucket histogram: `bounds` are inclusive upper edges, plus an
 /// implicit overflow bucket, so `counts.len() == bounds.len() + 1`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
     count: u64,
@@ -38,7 +37,7 @@ impl Histogram {
     /// A histogram with the given inclusive upper bucket edges (must be
     /// sorted ascending; an unsorted slice still counts totals correctly but
     /// buckets observations at the first edge that fits).
-    pub fn new(bounds: &[f64]) -> Self {
+    fn new(bounds: &[f64]) -> Self {
         Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
@@ -48,7 +47,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn observe(&mut self, value: f64) {
+    fn observe(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -60,43 +59,13 @@ impl Histogram {
         self.count += 1;
         self.sum += value;
     }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// The inclusive upper bucket edges.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// Metric kinds share one namespace map; the discriminant keeps a counter and
-/// a gauge of the same name from colliding.
+/// a histogram of the same name from colliding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
     Counter,
-    Gauge,
     Histogram,
 }
 
@@ -110,7 +79,6 @@ struct MetricKey {
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(u64),
-    Gauge(f64),
     Histogram(Histogram),
 }
 
@@ -159,16 +127,6 @@ impl MetricsRegistry {
         CounterHandle(self.register(key, Slot::Counter(0)))
     }
 
-    /// Get or create the gauge `(name, labels)`.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: canon_labels(labels),
-            kind: Kind::Gauge,
-        };
-        GaugeHandle(self.register(key, Slot::Gauge(0.0)))
-    }
-
     /// Get or create the histogram `(name, labels)` with the given bucket
     /// edges (ignored if the histogram already exists).
     pub fn histogram(
@@ -192,13 +150,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set a gauge.
-    pub fn set(&mut self, handle: GaugeHandle, value: f64) {
-        if let Some((_, Slot::Gauge(v))) = self.slots.get_mut(handle.0) {
-            *v = value;
-        }
-    }
-
     /// Record one histogram observation.
     pub fn observe(&mut self, handle: HistogramHandle, value: f64) {
         if let Some((_, Slot::Histogram(h))) = self.slots.get_mut(handle.0) {
@@ -212,37 +163,6 @@ impl MetricsRegistry {
             Some((_, Slot::Counter(v))) => *v,
             _ => 0,
         }
-    }
-
-    /// Current value of a gauge (0 for a foreign handle).
-    pub fn gauge_value(&self, handle: GaugeHandle) -> f64 {
-        match self.slots.get(handle.0) {
-            Some((_, Slot::Gauge(v))) => *v,
-            _ => 0.0,
-        }
-    }
-
-    /// Look a counter up by name/labels without registering it.
-    pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: canon_labels(labels),
-            kind: Kind::Counter,
-        };
-        match self.index.get(&key).and_then(|&i| self.slots.get(i)) {
-            Some((_, Slot::Counter(v))) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Registered metrics of all kinds.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Snapshot the registry into serializable export records, in key order.
@@ -259,11 +179,6 @@ impl MetricsRegistry {
                     labels,
                     value: *v,
                 }),
-                Slot::Gauge(v) => export.gauges.push(GaugeExport {
-                    name: key.name.clone(),
-                    labels,
-                    value: *v,
-                }),
                 Slot::Histogram(h) => export.histograms.push(HistogramExport {
                     name: key.name.clone(),
                     labels,
@@ -276,11 +191,6 @@ impl MetricsRegistry {
         }
         export
     }
-
-    /// The export as one line of deterministic JSON.
-    pub fn render_json(&self) -> String {
-        serde_json::to_string(&self.export()).unwrap_or_default()
-    }
 }
 
 /// Exported counter state.
@@ -292,17 +202,6 @@ pub struct CounterExport {
     pub labels: Vec<(String, String)>,
     /// Accumulated count.
     pub value: u64,
-}
-
-/// Exported gauge state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeExport {
-    /// Metric name.
-    pub name: String,
-    /// Canonicalised (sorted) label set.
-    pub labels: Vec<(String, String)>,
-    /// Last set value.
-    pub value: f64,
 }
 
 /// Exported histogram state.
@@ -351,8 +250,6 @@ impl HistogramExport {
 pub struct RegistryExport {
     /// All counters, in `(name, labels)` order.
     pub counters: Vec<CounterExport>,
-    /// All gauges, in `(name, labels)` order.
-    pub gauges: Vec<GaugeExport>,
     /// All histograms, in `(name, labels)` order.
     pub histograms: Vec<HistogramExport>,
 }
@@ -362,19 +259,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip_through_handles() {
+    fn counters_round_trip_through_handles() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("events_total", &[("kind", "depart")]);
-        let g = reg.gauge("files_unavailable", &[]);
         reg.inc(c, 3);
         reg.inc(c, 2);
-        reg.set(g, 7.0);
         assert_eq!(reg.counter_value(c), 5);
-        assert_eq!(reg.gauge_value(g), 7.0);
         // Re-registration returns the same slot.
         let c2 = reg.counter("events_total", &[("kind", "depart")]);
         assert_eq!(c, c2);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.export().counters.len(), 1);
     }
 
     #[test]
@@ -384,23 +278,23 @@ mod tests {
         let b = reg.counter("m", &[("b", "2"), ("a", "1")]);
         assert_eq!(a, b);
         reg.inc(a, 1);
-        assert_eq!(reg.find_counter("m", &[("b", "2"), ("a", "1")]), Some(1));
+        assert_eq!(reg.counter_value(b), 1);
     }
 
     #[test]
     fn kinds_do_not_collide_and_foreign_handles_are_ignored() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("x", &[]);
-        let g = reg.gauge("x", &[]);
+        let h = reg.histogram("x", &[], &[1.0]);
         reg.inc(c, 1);
-        reg.set(g, 2.0);
+        reg.observe(h, 2.0);
         assert_eq!(reg.counter_value(c), 1);
-        assert_eq!(reg.gauge_value(g), 2.0);
+        assert_eq!(reg.export().histograms.len(), 1);
 
         let mut other = MetricsRegistry::new();
-        let h = other.histogram("h", &[], &[1.0]);
-        // `h` indexes slot 0 of `other`; in `reg` slot 0 is a counter.
-        reg.observe(h, 5.0);
+        let foreign = other.histogram("h", &[], &[1.0]);
+        // `foreign` indexes slot 0 of `other`; in `reg` slot 0 is a counter.
+        reg.observe(foreign, 5.0);
         assert_eq!(reg.counter_value(c), 1, "wrong-kind write is a no-op");
     }
 
@@ -411,10 +305,9 @@ mod tests {
         h.observe(1.0); // inclusive upper edge
         h.observe(5.0);
         h.observe(100.0);
-        assert_eq!(h.bucket_counts(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 106.5).abs() < 1e-9);
-        assert!((h.mean() - 26.625).abs() < 1e-9);
+        assert_eq!(h.counts, [2, 1, 1]);
+        assert_eq!(h.count, 4);
+        assert!((h.sum - 106.5).abs() < 1e-9);
     }
 
     #[test]
@@ -425,7 +318,7 @@ mod tests {
         let a = reg.counter("a_first", &[]);
         reg.inc(z, 1);
         reg.inc(a, 2);
-        let json = reg.render_json();
+        let json = serde_json::to_string(&reg.export()).unwrap();
         // ...export comes out in key order regardless.
         assert!(json.find("a_first").unwrap() < json.find("z_last").unwrap());
 
@@ -435,22 +328,16 @@ mod tests {
 
     #[test]
     fn histogram_export_quantiles_report_bucket_upper_edges() {
-        let mut h = Histogram::new(&[1.0, 10.0, 100.0]);
+        let mut reg = MetricsRegistry::new();
+        let h = reg.histogram("h", &[], &[1.0, 10.0, 100.0]);
         for _ in 0..90 {
-            h.observe(0.5);
+            reg.observe(h, 0.5);
         }
         for _ in 0..9 {
-            h.observe(5.0);
+            reg.observe(h, 5.0);
         }
-        h.observe(50.0);
-        let he = HistogramExport {
-            name: "h".into(),
-            labels: vec![],
-            count: h.count(),
-            sum: h.sum(),
-            bounds: h.bounds().to_vec(),
-            bucket_counts: h.bucket_counts().to_vec(),
-        };
+        reg.observe(h, 50.0);
+        let he = &reg.export().histograms[0];
         assert_eq!(he.quantile(0.5), 1.0);
         assert_eq!(he.quantile(0.99), 10.0);
         assert_eq!(he.quantile(1.0), 100.0);
