@@ -343,16 +343,16 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// placement strategy and derive the chunk size from their capacity
     /// reports.
     ///
-    /// Returns the selected `(name, node)` pairs and the achievable chunk
-    /// size, which is zero when any selected node reports no space — or when
-    /// the strategy refuses the chunk outright (e.g. domain-aware placement
-    /// cannot satisfy its spread constraint right now).
+    /// Returns the selected `(name, key, node)` triples and the achievable
+    /// chunk size, which is zero when any selected node reports no space — or
+    /// when the strategy refuses the chunk outright (e.g. domain-aware
+    /// placement cannot satisfy its spread constraint right now).
     fn plan_chunk(
         &mut self,
         file: &str,
         chunk: u32,
         remaining: ByteSize,
-    ) -> (Vec<(ObjectName, NodeRef)>, ByteSize) {
+    ) -> (Vec<(ObjectName, Id, NodeRef)>, ByteSize) {
         let m = self.config.coding.placed_blocks();
         let names: Vec<ObjectName> = (0..m as u32)
             .map(|ecb| self.block_name(file, chunk, ecb))
@@ -368,9 +368,9 @@ impl<B: StorageBackend> PeerStripe<B> {
         debug_assert_eq!(picks.len(), names.len());
         let mut min_report = ByteSize(u64::MAX);
         let mut targets = Vec::with_capacity(m);
-        for (name, (node, report)) in names.into_iter().zip(picks) {
+        for ((name, key), (node, report)) in names.into_iter().zip(keys).zip(picks) {
             min_report = min_report.min(report);
-            targets.push((name, node));
+            targets.push((name, key, node));
         }
         let mut chunk_size = self.config.coding.chunk_size_for_report(min_report);
         if let Some(cap) = self.config.max_chunk_size {
@@ -386,7 +386,7 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// Section 4.3).
     fn place_chunk(
         &mut self,
-        targets: &[(ObjectName, NodeRef)],
+        targets: &[(ObjectName, Id, NodeRef)],
         chunk: u32,
         chunk_size: ByteSize,
         data: Option<&[u8]>,
@@ -395,13 +395,13 @@ impl<B: StorageBackend> PeerStripe<B> {
         let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
         let (backend, topology) = (&mut self.backend, &self.topology);
         let mut push = |position: usize, payload: Option<Vec<u8>>| -> Result<(), ()> {
-            let (name, node) = targets.get(position).ok_or(())?;
+            let (name, key, node) = targets.get(position).ok_or(())?;
             let size = match &payload {
                 Some(p) => ByteSize::bytes(p.len() as u64),
                 None => block_size,
             };
             backend
-                .store_block(*node, name.key(), name.clone(), size, payload)
+                .store_block(*node, *key, name.clone(), size, payload)
                 .map_err(|_| ())?;
             placed.push(BlockPlacement {
                 name: name.clone(),
@@ -447,17 +447,18 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// Store the CAT object and its replicas; returns the nodes holding copies.
     fn store_cat(&mut self, file: &str, cat: &ChunkAllocationTable) -> Vec<NodeRef> {
         let name = ObjectName::cat(file);
+        let key = name.key();
         let size = cat.serialized_size();
         let mut nodes = Vec::new();
         // Primary copy at the key's root, replicas on the numerically closest
         // neighbours (the leaf-set replication of Section 4.4).
         let replicas = self.config.cat_replicas.max(1);
-        let targets = self.backend.replica_targets(name.key(), replicas);
+        let targets = self.backend.replica_targets(key, replicas);
         for (i, (_, node)) in targets.into_iter().enumerate() {
             // Each copy is an independent object so per-node keys stay unique;
             // only the primary charge a lookup (the replicas ride the leaf set).
             if i == 0 {
-                let _ = self.backend.route_lookup(name.key());
+                let _ = self.backend.route_lookup(key);
             }
             if self
                 .backend

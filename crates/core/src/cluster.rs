@@ -136,9 +136,9 @@ impl StorageCluster {
     /// Bring a node's index slot up to date after its space or liveness
     /// changed.
     fn sync(&mut self, node: NodeRef) {
-        if let Some(mut index) = self.index.take() {
-            index.update(node, self.node_state(node));
-            self.index = Some(index);
+        let state = self.node_state(node);
+        if let Some(index) = self.index.as_mut() {
+            index.update(node, state);
         }
     }
 

@@ -12,7 +12,7 @@
 //! them) and distinct blocks must get distinct names (so they land on different
 //! nodes with high probability).
 
-use peerstripe_overlay::Id;
+use peerstripe_overlay::{Id, IdHasher};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -139,10 +139,47 @@ impl ObjectName {
     }
 
     /// The overlay key this object is routed by (the SHA-1 of the paper, our
-    /// deterministic 128-bit hash).
+    /// deterministic 128-bit hash): the hash of [`ObjectName::render`]'s
+    /// form, fed to the hasher piece by piece rather than built first.
     pub fn key(&self) -> Id {
-        Id::hash(&self.render())
+        let mut hasher = IdHasher::default();
+        match self {
+            ObjectName::Chunk { file, chunk } => {
+                hasher.write(file.as_bytes());
+                write_number(&mut hasher, b"_", *chunk);
+            }
+            ObjectName::Block { file, chunk, ecb } => {
+                hasher.write(file.as_bytes());
+                write_number(&mut hasher, b"_", *chunk);
+                write_number(&mut hasher, b"_", *ecb);
+            }
+            ObjectName::Cat { file } => {
+                hasher.write(file.as_bytes());
+                hasher.write(b".CAT");
+            }
+            ObjectName::WholeFile { file, salt } => {
+                hasher.write(file.as_bytes());
+                write_number(&mut hasher, b"#", *salt);
+            }
+        }
+        hasher.finish()
     }
+}
+
+/// Feed `separator`, then `n` in decimal as `format!` writes it.
+fn write_number(hasher: &mut IdHasher, separator: &[u8], mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    hasher.write(separator);
+    hasher.write(&digits[at..]);
 }
 
 impl fmt::Display for ObjectName {
@@ -212,6 +249,33 @@ mod tests {
             }
         }
         assert_eq!(keys.len(), 100, "block keys must not collide");
+    }
+
+    #[test]
+    fn a_key_is_the_hash_of_the_rendered_name() {
+        // File names either side of the hasher's 8-byte words, and one whose
+        // characters take several bytes each.
+        let files = [
+            "",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "0123456789abcdef",
+            "données-λ",
+        ];
+        for file in files {
+            for n in [0, 9, 10, u32::MAX] {
+                for name in [
+                    ObjectName::chunk(file, n),
+                    ObjectName::block(file, n, 0),
+                    ObjectName::block(file, 10, n),
+                    ObjectName::cat(file),
+                    ObjectName::whole_file(file, n),
+                ] {
+                    assert_eq!(name.key(), Id::hash(&name.render()), "{name:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,8 @@ const ONCE: f64 = 0.0;
 const BLOCKS_PER_CHUNK: usize = 8;
 /// Per-domain block cap in the placement snapshot.
 const DOMAIN_CAP: usize = 4;
+/// Size of each block the placement snapshot's `store_chunk` rows commit.
+const BLOCK_SIZE: ByteSize = ByteSize::mb(8);
 
 /// The best rate of [`REPS`] timed passes, in work units per second.  Each
 /// pass takes a fresh `setup()` outside the clock, then calls `work` — which
@@ -279,8 +281,9 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
     }
 }
 
-/// Placement decision throughput: chunk-placement plans and repair-target
-/// picks per second for every strategy.
+/// Placement decision throughput: chunk-placement plans, the same plans
+/// with their block stores committed, and repair-target picks per second
+/// for every strategy.
 ///
 /// Measured at the configured node counts and one decade past the largest,
 /// so each strategy's rows read as a curve with three points.  The cluster
@@ -313,6 +316,31 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
             );
             rows.push(BenchRow {
                 id: format!("plan_chunk/{}/{nodes}_nodes", kind.label()),
+                work_units: BLOCKS_PER_CHUNK as u64,
+                per_sec,
+            });
+            // The same plan with its commit: the blocks stored on the picked
+            // nodes, whose shrinking reports the index then takes in.
+            let per_sec = best_rate(
+                PASS_SECS,
+                || (base.clone(), kind.build(7), 0u32),
+                |(cluster, strategy, chunk)| {
+                    *chunk += 1;
+                    let names: Vec<ObjectName> = (0..BLOCKS_PER_CHUNK as u32)
+                        .map(|ecb| ObjectName::block("bench-file", *chunk, ecb))
+                        .collect();
+                    let keys: Vec<Id> = names.iter().map(ObjectName::key).collect();
+                    let picks = strategy.plan_chunk(cluster, Some(&topology), &keys, DOMAIN_CAP);
+                    for ((name, key), (node, _)) in
+                        names.into_iter().zip(keys).zip(picks.into_iter().flatten())
+                    {
+                        let _ = cluster.store_object_at(node, key, name, BLOCK_SIZE, None);
+                    }
+                    1
+                },
+            );
+            rows.push(BenchRow {
+                id: format!("store_chunk/{}/{nodes}_nodes", kind.label()),
                 work_units: BLOCKS_PER_CHUNK as u64,
                 per_sec,
             });
@@ -698,14 +726,16 @@ mod tests {
             seed: 7,
         };
         let snapshot = run_placement_decide_snapshot(&config);
-        // plan_chunk + repair_targets per strategy, at 60 and 600 nodes.
-        assert_eq!(snapshot.rows.len(), 2 * 2 * StrategyKind::ALL.len());
+        // plan_chunk + store_chunk + repair_targets per strategy, at 60 and
+        // 600 nodes.
+        assert_eq!(snapshot.rows.len(), 2 * 3 * StrategyKind::ALL.len());
         for row in &snapshot.rows {
             assert!(row.per_sec > 0.0, "{row:?}");
         }
         let json = snapshot.render_json();
         assert!(json.contains("\"benchmark\": \"placement_decide\""));
         assert!(json.contains("plan_chunk/overlay-random/60_nodes"));
+        assert!(json.contains("store_chunk/domain-spread/600_nodes"));
     }
 
     #[test]

@@ -52,27 +52,9 @@ impl Id {
 
     /// Hash arbitrary bytes into the id space.
     pub fn hash_bytes(data: &[u8]) -> Id {
-        #[inline]
-        fn mix(mut h: u64) -> u64 {
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-            h ^= h >> 33;
-            h
-        }
-        let mut h1: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut h2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-        for chunk in data.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            let v = u64::from_le_bytes(buf);
-            h1 = mix(h1 ^ v).rotate_left(27).wrapping_mul(0x1000_0000_01B3);
-            h2 = mix(h2.wrapping_add(v)).rotate_left(31) ^ h1;
-        }
-        h1 = mix(h1 ^ data.len() as u64);
-        h2 = mix(h2 ^ (data.len() as u64).rotate_left(32));
-        Id(((h1 as u128) << 64) | h2 as u128)
+        let mut hasher = IdHasher::default();
+        hasher.write(data);
+        hasher.finish()
     }
 
     /// Draw a uniformly random identifier (used for node id assignment).
@@ -95,6 +77,85 @@ impl Id {
         let e = other.0.wrapping_sub(self.0);
         d.min(e)
     }
+}
+
+/// [`Id::hash_bytes`] fed in pieces: the bytes of every [`IdHasher::write`],
+/// taken together, hash to the id `Id::hash_bytes` gives their concatenation.
+/// A caller that knows a name's parts hashes them without building the name.
+///
+/// The input is read as little-endian 8-byte words, the last one zero-padded,
+/// each mixed into two 64-bit lanes; the total length is mixed in last.
+#[derive(Debug, Clone)]
+pub struct IdHasher {
+    h1: u64,
+    h2: u64,
+    /// The bytes of the word being filled; the first `len % 8` are written.
+    word: [u8; 8],
+    len: u64,
+}
+
+impl Default for IdHasher {
+    fn default() -> Self {
+        IdHasher {
+            h1: 0x9E37_79B9_7F4A_7C15,
+            h2: 0xC2B2_AE3D_27D4_EB4F,
+            word: [0; 8],
+            len: 0,
+        }
+    }
+}
+
+impl IdHasher {
+    /// Append bytes to the input.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        let filled = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if filled > 0 {
+            let take = bytes.len().min(8 - filled);
+            self.word[filled..filled + take].copy_from_slice(&bytes[..take]);
+            if filled + take < 8 {
+                return;
+            }
+            self.mix_word(self.word);
+            bytes = &bytes[take..];
+        }
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.mix_word(word);
+        }
+        self.word[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// The id of everything written.
+    pub fn finish(mut self) -> Id {
+        let filled = (self.len % 8) as usize;
+        if filled > 0 {
+            let mut last = [0u8; 8];
+            last[..filled].copy_from_slice(&self.word[..filled]);
+            self.mix_word(last);
+        }
+        let h1 = mix(self.h1 ^ self.len);
+        let h2 = mix(self.h2 ^ self.len.rotate_left(32));
+        Id(((h1 as u128) << 64) | h2 as u128)
+    }
+
+    fn mix_word(&mut self, word: [u8; 8]) {
+        let v = u64::from_le_bytes(word);
+        self.h1 = mix(self.h1 ^ v)
+            .rotate_left(27)
+            .wrapping_mul(0x1000_0000_01B3);
+        self.h2 = mix(self.h2.wrapping_add(v)).rotate_left(31) ^ self.h1;
+    }
+}
+
+#[inline]
+fn mix(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^= h >> 33;
+    h
 }
 
 impl fmt::Debug for Id {
@@ -130,6 +191,36 @@ mod tests {
             "top bits should be well spread, got {}",
             seen.len()
         );
+    }
+
+    #[test]
+    fn ids_are_pinned_and_streaming_changes_none() {
+        // Every stored object's key derives from these; a change moves every
+        // placement and golden.
+        let pinned = [
+            ("", 0x9ca066f1a4ab2eea0ff2e69699c4857e),
+            ("a", 0xaf55306f8edb209b76109791ae322b8a),
+            ("file_1_0", 0xa65818140fb85839a36c60fe8ff6756a),
+            ("0123456789abcdef", 0x99683965fa81ecc8b998f72911f2cc94),
+            ("données-λ_4294967295_9", 0x97108ff35b0337126d037182c9ff6381),
+        ];
+        for (name, id) in pinned {
+            assert_eq!(Id::hash(name), Id(id), "{name:?}");
+        }
+        // Any split of the input into writes hashes as the whole.
+        let data: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..data.len() {
+            let whole = Id::hash_bytes(&data[..len]);
+            for a in 0..=len {
+                for b in a..=len {
+                    let mut hasher = IdHasher::default();
+                    hasher.write(&data[..a]);
+                    hasher.write(&data[a..b]);
+                    hasher.write(&data[b..len]);
+                    assert_eq!(hasher.finish(), whole, "len {len}, split {a}/{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod network;
 pub mod node;
 pub mod ring;
 
-pub use id::Id;
+pub use id::{Id, IdHasher};
 pub use network::{OverlaySim, OverlayStats};
 pub use node::{Coord, NodeInfo};
 pub use ring::{IdRing, LeafSet, NodeRef, Takeover};

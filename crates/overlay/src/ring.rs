@@ -96,12 +96,7 @@ impl IdRing {
     /// Ties (exactly equidistant neighbours) resolve to the clockwise successor,
     /// which keeps the mapping deterministic.
     pub fn route(&self, key: Id) -> Option<(Id, NodeRef)> {
-        if self.members.is_empty() {
-            return None;
-        }
-        if let Some(node) = self.members.get(&key) {
-            return Some((key, *node));
-        }
+        // A member equal to the key is its successor, at distance 0.
         let succ = self.successor(key)?;
         let pred = self.predecessor(key)?;
         if succ.0 == pred.0 {
@@ -369,6 +364,19 @@ mod tests {
         );
         // Wrap-around: a key near the top of the space is closest to Id(100).
         assert_eq!(ring.route(Id(u128::MAX - 5)).unwrap().0, Id(100));
+    }
+
+    #[test]
+    fn a_member_id_routes_to_that_member() {
+        let ring = ring_with(&[100, 200, 300, u128::MAX]);
+        for (node, id) in [100, 200, 300, u128::MAX].into_iter().enumerate() {
+            assert_eq!(ring.route(Id(id)), Some((Id(id), node)));
+        }
+        // Equidistant from two members, also across the wrap: clockwise wins.
+        assert_eq!(ring.route(Id(150)), Some((Id(200), 1)));
+        let ring = ring_with(&[u128::MAX, 1]);
+        assert_eq!(ring.route(Id(0)), Some((Id(1), 1)));
+        assert_eq!(ring_with(&[7]).route(Id(7)), Some((Id(7), 0)));
     }
 
     #[test]

@@ -7,19 +7,31 @@
 //! one node at a time, either costs a walk over the whole cluster.  A
 //! [`DomainIndex`] holds the answers instead: every node of the topology has a
 //! slot — liveness, current `getCapacity` report, free room — laid out domain
-//! by domain in the topology's own member order, and each domain caches its
-//! freest member.  The cluster that owns the index calls
-//! [`DomainIndex::update`] wherever a node's space or liveness changes;
-//! strategies borrow it through `ClusterView::domain_index`.
+//! by domain in the topology's own member order.  The cluster that owns the
+//! index calls [`DomainIndex::update`] wherever a node's space or liveness
+//! changes; strategies borrow it through `ClusterView::domain_index`.
+//!
+//! A domain's freest member is the root of a max tree over the domain's slots
+//! in member order.  A leaf packs a live member's report above its inverted
+//! slot, `(report << 64) | (u64::MAX - slot)`, and is zero for a member that
+//! is down or reports nothing; so the largest leaf is the largest report, and
+//! on a tie the first member, exactly what a scan over the domain picks.  An
+//! update climbs from its leaf while an entry changes: O(log d) at most for a
+//! domain of `d`, and about two levels on a simulated day of churn.  A store
+//! that fills a domain's freest member, which every fallback pick does, costs
+//! that climb instead of a rescan of the domain.
 //!
 //! The repair path needs no walk either while every live member of a domain
 //! has room for the block, which each domain's cached *tightest* member (the
-//! least free room) tells at once.  Domains are contiguous runs of slots, so
-//! one Fenwick tree over the slots' liveness (Fenwick, *A new data structure
-//! for cumulative frequency tables*, SP&E 1994) counts a domain's live members
-//! with two prefix sums and finds its `k`-th by one descent, each O(log n).
-//! A domain with a member too full for the block is counted by a pass over its
-//! slots, as before.
+//! least free room) tells at once.  That cache is re-derived over the domain
+//! when its member grows or leaves, which happens about fifty times a
+//! simulated day and never on the store path, so it keeps a plain cache
+//! rather than charge every update a second climb.  Domains are contiguous
+//! runs of slots, so one Fenwick tree over the slots' liveness (Fenwick, *A
+//! new data structure for cumulative frequency tables*, SP&E 1994) counts a
+//! domain's live members with two prefix sums and finds its `k`-th by one
+//! descent, each O(log n).  A domain with a member too full for the block is
+//! counted by a pass over its slots, as before.
 //!
 //! The index answers exactly what the scan over the same cluster answers —
 //! same node, same report, same order within a pool — so a decision does not
@@ -43,17 +55,9 @@ pub struct NodeState {
     pub free: ByteSize,
 }
 
-/// A domain's freest live member with a non-zero report; the first member in
-/// member order wins ties, as in the scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Freest {
-    slot: usize,
-    node: NodeRef,
-    report: ByteSize,
-}
-
-/// Per-node state laid out by failure domain, with each domain's freest and
-/// tightest members cached.  See the [module docs](self).
+/// Per-node state laid out by failure domain, with each domain's freest member
+/// at the root of a max tree and its tightest member cached.  See the
+/// [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainIndex {
     /// The indexed topology's domain list: its identity, and the member
@@ -70,8 +74,11 @@ pub struct DomainIndex {
     /// Fenwick tree over `alive`, one-based: entry `i` counts the live slots
     /// in `i - lowbit(i)..i`; entry 0 is unused.
     live: Vec<usize>,
-    /// Per domain.
-    freest: Vec<Option<Freest>>,
+    /// Per domain: a max tree over its slots' [`leaf`](Self::leaf)s, one-based
+    /// (entry 1 is the root, entry `i` the larger of `2i` and `2i + 1`), its
+    /// leaves from entry `len / 2` on in member order, zero-padded to a power
+    /// of two; entry 0 is unused.
+    freest: Vec<Vec<u128>>,
     /// Per domain: the slot of its live member with the least free room, the
     /// first in member order on ties.
     tightest: Vec<Option<usize>>,
@@ -129,7 +136,7 @@ impl DomainIndex {
                 index.free.push(free);
             }
             index.spans.push(start..index.alive.len());
-            index.freest.push(index.scan_freest(d));
+            index.freest.push(index.max_tree(d));
             index.tightest.push(index.scan_tightest(d));
         }
         // The tree in one pass: each entry, once complete, adds itself to the
@@ -152,9 +159,10 @@ impl DomainIndex {
     }
 
     /// Record a node's new state.  O(1), plus O(log n) when its liveness
-    /// flips, except that a domain's cached members are re-derived over the
-    /// domain when that very member leaves, or changes the wrong way: the
-    /// freest when it shrinks, the tightest when it grows.
+    /// flips, plus a climb of its domain's max tree that stops at the first
+    /// entry that does not change (O(log d) at most for a domain of `d`).  A
+    /// domain's tightest member is re-derived over the domain when that very
+    /// member leaves or grows.
     pub fn update(&mut self, node: NodeRef, state: NodeState) {
         let Some(&(d, slot)) = self.home.get(node) else {
             return;
@@ -180,33 +188,36 @@ impl DomainIndex {
                 }
             }
         }
-        let report = state.report;
-        let counts = state.alive && !report.is_zero();
-        match self.freest[d] {
-            Some(best) if best.slot == slot => {
-                self.freest[d] = if counts && report >= best.report {
-                    Some(Freest { report, ..best })
-                } else {
-                    self.scan_freest(d)
-                };
+        let leaf = self.leaf(slot);
+        let tree = &mut self.freest[d];
+        let mut i = tree.len() / 2 + (slot - self.spans[d].start);
+        if tree[i] == leaf {
+            return;
+        }
+        tree[i] = leaf;
+        while i > 1 {
+            i /= 2;
+            let most = tree[2 * i].max(tree[2 * i + 1]);
+            if tree[i] == most {
+                break;
             }
-            best => {
-                let ahead = |b: Freest| report > b.report || (report == b.report && slot < b.slot);
-                if counts && best.is_none_or(ahead) {
-                    self.freest[d] = Some(Freest { slot, node, report });
-                }
-            }
+            tree[i] = most;
         }
     }
 
     /// The freest live member of `domain` outside `chosen`, with its report;
-    /// `None` when no such member reports any space.  The cached answer,
-    /// unless the cached member is itself in `chosen`: then the best of the
-    /// rest, by a walk over the domain.
+    /// `None` when no such member reports any space.  The domain tree's root,
+    /// unless that member is itself in `chosen`: then the best of the rest,
+    /// by a walk over the domain.
     pub fn freest_in(&self, domain: usize, chosen: &[NodeRef]) -> Option<(NodeRef, ByteSize)> {
-        let best = self.freest[domain]?;
-        if !chosen.contains(&best.node) {
-            return Some((best.node, best.report));
+        let root = self.freest[domain][1];
+        if root == 0 {
+            return None;
+        }
+        let at = (u64::MAX - root as u64) as usize - self.spans[domain].start;
+        let best = *self.domains[domain].members.get(at)?;
+        if !chosen.contains(&best) {
+            return Some((best, ByteSize((root >> 64) as u64)));
         }
         let mut rest: Option<(NodeRef, ByteSize)> = None;
         for (slot, &node) in self.spans[domain]
@@ -225,25 +236,29 @@ impl DomainIndex {
         rest
     }
 
-    /// Derive a domain's freest member from its slots: the largest report
-    /// among the live members (a branch-free pass, this runs whenever the
-    /// cached member shrinks), then the first member that has it.
-    fn scan_freest(&self, domain: usize) -> Option<Freest> {
+    /// A slot's leaf in its domain's max tree: the report above the inverted
+    /// slot for a live member that reports space, so that the larger report
+    /// and then the earlier slot win; zero otherwise.
+    fn leaf(&self, slot: usize) -> u128 {
+        if self.alive[slot] && !self.report[slot].is_zero() {
+            (u128::from(self.report[slot].as_u64()) << 64) | u128::from(u64::MAX - slot as u64)
+        } else {
+            0
+        }
+    }
+
+    /// Build a domain's max tree from its slots.
+    fn max_tree(&self, domain: usize) -> Vec<u128> {
         let span = self.spans[domain].clone();
-        let alive = &self.alive[span.clone()];
-        let reports = &self.report[span.clone()];
-        let report = alive
-            .iter()
-            .zip(reports)
-            .map(|(&alive, &report)| if alive { report } else { ByteSize::ZERO })
-            .max()
-            .filter(|most| !most.is_zero())?;
-        let at = (0..alive.len()).find(|&at| alive[at] && reports[at] == report)?;
-        Some(Freest {
-            slot: span.start + at,
-            node: *self.domains[domain].members.get(at)?,
-            report,
-        })
+        let leaves = span.len().next_power_of_two();
+        let mut tree = vec![0; 2 * leaves];
+        for (at, slot) in span.enumerate() {
+            tree[leaves + at] = self.leaf(slot);
+        }
+        for i in (1..leaves).rev() {
+            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
+        }
+        tree
     }
 
     /// Derive a domain's tightest member from its slots (`min_by_key` keeps

@@ -22,9 +22,9 @@
 //! * [`ClusterView`] / [`ProbeView`] — the narrow cluster interface the
 //!   strategies consult, implemented by `peerstripe_core::StorageCluster`;
 //! * [`DomainIndex`] — per-node liveness, report and free room laid out by
-//!   domain, with each domain's freest member cached, which a cluster keeps
-//!   current and lends to [`DomainSpread`] so its decisions stop walking
-//!   every node.
+//!   domain, with each domain's freest member at the root of a max tree,
+//!   which a cluster keeps current and lends to [`DomainSpread`] so its
+//!   decisions stop walking every node.
 //!
 //! `peerstripe-core` routes the client's chunk placement and recovery
 //! re-placement through these strategies; `peerstripe-repair` routes the

@@ -230,7 +230,7 @@ impl DomainSpread {
         best.map(|(_, report, node)| (node, report))
     }
 
-    /// [`DomainSpread::fallback`] over each domain's cached freest member
+    /// [`DomainSpread::fallback`] over each domain's indexed freest member
     /// instead of its members: the least-used tier that has any candidate
     /// decides, the largest report within it, the first domain on a tie.
     fn fallback_indexed(

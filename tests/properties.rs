@@ -9,7 +9,8 @@ use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, Xo
 use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
 use peerstripe::overlay::{Id, IdRing, NodeRef};
 use peerstripe::placement::{
-    ClusterView, DomainSpread, PlacementStrategy, ProbeView, RepairRequest, StrategyKind, Topology,
+    ClusterView, Domain, DomainIndex, DomainSpread, NodeState, PlacementStrategy, ProbeView,
+    RepairRequest, StrategyKind, Topology,
 };
 use peerstripe::repair::{
     ChurnProcess, DeclarationVerdict, DetectionKind, DetectionPolicy, DetectorConfig, GroupedChurn,
@@ -1109,6 +1110,80 @@ proptest! {
             }
             prop_assert!(cluster.index_is_consistent(), "maintained index == rebuilt index, step {}", step);
             assert_decisions_match(&mut cluster, &topology, &mut rng);
+        }
+    }
+}
+
+/// A domain's freest member by its definition: the live member with the
+/// largest non-zero report, the first in member order on ties, and none of
+/// `chosen`.
+fn freest_by_scan(
+    domain: &Domain,
+    states: &[NodeState],
+    chosen: &[NodeRef],
+) -> Option<(NodeRef, ByteSize)> {
+    let mut best: Option<(NodeRef, ByteSize)> = None;
+    for &node in &domain.members {
+        let NodeState { alive, report, .. } = states[node];
+        if alive
+            && !report.is_zero()
+            && !chosen.contains(&node)
+            && best.is_none_or(|(_, most)| report > most)
+        {
+            best = Some((node, report));
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each domain's freest member, read off its max tree, is the scan's
+    /// answer after every update: liveness flips, reports that grow, shrink,
+    /// equal another's or drop to zero.  So is the best of the rest once that
+    /// member is chosen, and the maintained index equals a rebuild.
+    #[test]
+    fn the_freest_member_is_the_scan_after_every_update(
+        nodes in 1usize..90,
+        group in 1usize..40,
+        seed in any::<u64>(),
+        steps in 1usize..120,
+    ) {
+        let topology = Topology::uniform_groups(nodes, group);
+        let mut rng = DetRng::new(seed);
+        // Few report levels, so equal reports are common.
+        let draw = |rng: &mut DetRng| {
+            let report = ByteSize::mb([0, 1, 2, 5][rng.index(4)]);
+            NodeState { alive: rng.chance(0.8), report, free: report }
+        };
+        let mut states: Vec<NodeState> = (0..nodes).map(|_| draw(&mut rng)).collect();
+        let mut index = DomainIndex::build(&topology, nodes, |n| states[n]).unwrap();
+        for step in 0..steps {
+            let node = rng.index(nodes);
+            let was = states[node];
+            states[node] = match rng.index(4) {
+                0 => NodeState { alive: !was.alive, ..was },
+                1 => NodeState { report: ByteSize::ZERO, ..was },
+                2 => {
+                    let other = states[rng.index(nodes)];
+                    NodeState { report: other.report, free: other.free, ..was }
+                }
+                _ => draw(&mut rng),
+            };
+            index.update(node, states[node]);
+            for (d, domain) in topology.domains() {
+                let freest = freest_by_scan(domain, &states, &[]);
+                prop_assert_eq!(index.freest_in(d as usize, &[]), freest, "step {}, domain {}", step, d);
+                if let Some((best, _)) = freest {
+                    prop_assert_eq!(
+                        index.freest_in(d as usize, &[best]),
+                        freest_by_scan(domain, &states, &[best]),
+                        "step {}, domain {} without {}", step, d, best
+                    );
+                }
+            }
+            prop_assert_eq!(index.rebuilt(|n| states[n]).as_ref(), Some(&index), "step {}", step);
         }
     }
 }
