@@ -2,14 +2,14 @@
 //! against in the paper.
 //!
 //! CFS chops every file into fixed-size blocks, names each block by a hash, and
-//! stores it on the successor of its key, replicating on the following `k`
-//! successors.  Large files therefore always find *somewhere* to put each small
+//! stores it on the successor of its key; the paper's simulations keep one
+//! copy.  Large files therefore always find *somewhere* to put each small
 //! block — but the number of blocks (and hence DHT lookups) grows linearly with
 //! the file size, and a single unplaceable block fails the whole file
 //! (Section 3 of the paper quantifies how quickly that compounds).
 //!
 //! The paper's simulations use a 4 MB block size "to reduce unnecessary DHT
-//! look-ups" (the classic CFS value is 8 KB); both are provided as constructors.
+//! look-ups" (the classic CFS value is 8 KB).
 
 use peerstripe_core::{
     BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, ObjectName, StorageCluster,
@@ -26,9 +26,6 @@ pub struct CfsConfig {
     pub block_size: ByteSize,
     /// Number of placement retries per block (rehash with a new salt).
     pub retries_per_block: u32,
-    /// Number of copies of each block (stored on consecutive successors).  The
-    /// paper's simulations use 1.
-    pub replicas: usize,
     /// Whether per-file manifests are recorded (adds one placement record per
     /// block, so large sweeps turn this off).
     pub track_manifests: bool,
@@ -40,16 +37,7 @@ impl CfsConfig {
         CfsConfig {
             block_size: ByteSize::mb(4),
             retries_per_block: 5,
-            replicas: 1,
             track_manifests: true,
-        }
-    }
-
-    /// The classic CFS configuration: 8 KB blocks.
-    pub fn classic() -> Self {
-        CfsConfig {
-            block_size: ByteSize::kb(8),
-            ..Self::paper_simulation()
         }
     }
 }
@@ -115,51 +103,32 @@ impl StorageSystem for Cfs {
                 // CFS identifies blocks by content hash; retries are modelled by
                 // salting the name, which maps the block to a different successor.
                 let name = ObjectName::block(&file.name, block_no as u32, salt);
-                // CFS places a block on the successor of its key and replicates it
-                // on the following successors (Chord semantics).
-                let successors = self
-                    .cluster
-                    .overlay()
-                    .ring()
-                    .successors(name.key(), self.config.replicas.max(1));
-                let Some(&(_, primary)) = successors.first() else {
+                let key = name.key();
+                // CFS places a block on the successor of its key (Chord
+                // semantics).
+                let Some((_, node)) = self.cluster.overlay().ring().successor(key) else {
                     break 'blocks;
                 };
                 // One routed lookup per placement attempt (accounting only).
                 let _ = self.cluster.locate(&name);
-                if !self.cluster.node(primary).can_store(this_block) {
+                if self
+                    .cluster
+                    .store_object_at(node, key, name.clone(), this_block, None)
+                    .is_err()
+                {
                     continue;
                 }
-                let mut placed: Vec<BlockPlacement> = Vec::new();
-                for (i, (_, node)) in successors.into_iter().enumerate() {
-                    let key =
-                        ObjectName::block(format!("{}#rep{i}", file.name), block_no as u32, salt)
-                            .key();
-                    if self
-                        .cluster
-                        .store_object_at(node, key, name.clone(), this_block, None)
-                        .is_ok()
-                    {
-                        placed.push(BlockPlacement {
-                            name: name.clone(),
-                            node,
-                            size: this_block,
-                            domain: None,
-                        });
-                    } else if i == 0 {
-                        placed.clear();
-                        break;
-                    }
-                }
-                if placed.is_empty() {
-                    continue;
-                }
-                placed_bytes += placed.iter().map(|p| p.size).sum();
+                placed_bytes += this_block;
                 chunk_sizes.push(this_block);
                 placements.push(ChunkPlacement {
                     chunk: block_no as u32,
                     size: this_block,
-                    blocks: placed,
+                    blocks: vec![BlockPlacement {
+                        name,
+                        node,
+                        size: this_block,
+                        domain: None,
+                    }],
                     min_blocks_needed: 1,
                 });
                 remaining -= this_block;
@@ -168,8 +137,8 @@ impl StorageSystem for Cfs {
             // A single unplaceable block fails the whole file; roll back.
             for placement in &placements {
                 for b in &placement.blocks {
-                    // Replica copies were stored under salted keys; releasing by
-                    // size keeps the accounting exact regardless of tracking mode.
+                    // Releasing by size keeps the accounting exact regardless of
+                    // tracking mode.
                     self.cluster.release_at(b.node, b.size);
                 }
             }
@@ -228,7 +197,6 @@ mod tests {
         ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(capacity),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)
@@ -301,20 +269,32 @@ mod tests {
     }
 
     #[test]
-    fn replication_uses_successors() {
+    fn each_block_is_placed_once_on_its_keys_successor() {
         let mut cfs = Cfs::new(
             cluster(30, ByteSize::gb(1), 5),
-            CfsConfig {
-                replicas: 3,
-                ..CfsConfig::paper_simulation()
-            },
+            CfsConfig::paper_simulation(),
         );
         assert!(cfs
-            .store_file(&FileRecord::new("r", ByteSize::mb(4)))
+            .store_file(&FileRecord::new("r", ByteSize::mb(10)))
             .is_stored());
         let manifest = cfs.manifest("r").unwrap();
-        assert_eq!(manifest.chunks[0].blocks.len(), 3);
-        assert_eq!(cfs.metrics().bytes_placed, ByteSize::mb(12));
+        assert_eq!(manifest.chunks.len(), 3);
+        for (i, chunk) in manifest.chunks.iter().enumerate() {
+            let name = ObjectName::block("r", i as u32, 0);
+            let (_, successor) = cfs
+                .cluster()
+                .overlay()
+                .ring()
+                .successor(name.key())
+                .unwrap();
+            assert_eq!(chunk.blocks.len(), 1);
+            assert_eq!(
+                (chunk.blocks[0].node, &chunk.blocks[0].name),
+                (successor, &name)
+            );
+            assert!(cfs.cluster().node(successor).has(name.key()));
+        }
+        assert_eq!(cfs.metrics().bytes_placed, ByteSize::mb(10));
     }
 
     #[test]
@@ -331,11 +311,5 @@ mod tests {
             lookups_large >= 9 * lookups_small,
             "a 10x bigger file needs ~10x the lookups ({lookups_small} vs {lookups_large})"
         );
-    }
-
-    #[test]
-    fn classic_config_uses_8kb_blocks() {
-        assert_eq!(CfsConfig::classic().block_size, ByteSize::kb(8));
-        assert_eq!(CfsConfig::paper_simulation().block_size, ByteSize::mb(4));
     }
 }

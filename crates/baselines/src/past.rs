@@ -2,8 +2,8 @@
 //! against in the paper.
 //!
 //! PAST stores each file *in its entirety* on the node whose identifier is
-//! numerically closest to the file's key, with `k` replicas on the key's
-//! neighbours.  When the chosen node lacks space, PAST retries by rehashing the
+//! numerically closest to the file's key; the paper's simulations keep one
+//! copy.  When the chosen node lacks space, PAST retries by rehashing the
 //! file name with a new salt, which maps the file to a different node
 //! (Section 3 of the paper).  The consequence the paper highlights: no file
 //! larger than the free space of some single node can ever be stored, and as
@@ -13,7 +13,6 @@ use peerstripe_core::{
     BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, ObjectName, StorageCluster,
     StorageSystem, StoreMetrics, StoreOutcome,
 };
-use peerstripe_sim::ByteSize;
 use peerstripe_trace::FileRecord;
 use serde::{Deserialize, Serialize};
 
@@ -22,9 +21,6 @@ use serde::{Deserialize, Serialize};
 pub struct PastConfig {
     /// Number of salted retries after the first placement attempt fails.
     pub retries: u32,
-    /// Total number of copies stored (primary + leaf-set replicas).  The paper's
-    /// simulations use a replication factor of 1.
-    pub replicas: usize,
     /// Whether per-file manifests are recorded.
     pub track_manifests: bool,
 }
@@ -33,7 +29,6 @@ impl Default for PastConfig {
     fn default() -> Self {
         PastConfig {
             retries: 5,
-            replicas: 1,
             track_manifests: true,
         }
     }
@@ -83,42 +78,17 @@ impl StorageSystem for Past {
             if report < file.size {
                 continue;
             }
-            // Primary copy plus replicas on the numerically closest neighbours.
-            let targets = self
+            // A refusal (space consumed since the probe) is treated like a
+            // failed probe: re-salt.
+            if self
                 .cluster
-                .overlay()
-                .ring()
-                .k_closest(name.key(), self.config.replicas.max(1));
-            let mut placed: Vec<BlockPlacement> = Vec::new();
-            for (i, (_, node)) in targets.into_iter().enumerate() {
-                let key = ObjectName::whole_file(format!("{}#rep{i}", file.name), salt).key();
-                let ok = self
-                    .cluster
-                    .store_object_at(node, key, name.clone(), file.size, None)
-                    .is_ok();
-                if ok {
-                    placed.push(BlockPlacement {
-                        name: name.clone(),
-                        node,
-                        size: file.size,
-                        domain: None,
-                    });
-                } else if i == 0 {
-                    // The primary itself refused (space consumed since the
-                    // probe): treat the attempt like a failed probe and re-salt.
-                    placed.clear();
-                    break;
-                }
-                // A refused replica is tolerated: PAST degrades the replication
-                // factor rather than failing the insert.
-            }
-            if placed.is_empty() {
+                .store_object_at(primary, name.key(), name.clone(), file.size, None)
+                .is_err()
+            {
                 continue;
             }
-            debug_assert_eq!(placed[0].node, primary);
-            let placed_bytes: ByteSize = placed.iter().map(|p| p.size).sum();
             self.metrics
-                .record_success(file.size, &[file.size], placed_bytes);
+                .record_success(file.size, &[file.size], file.size);
             if self.config.track_manifests {
                 self.manifests.insert(FileManifest {
                     name: file.name.clone(),
@@ -126,7 +96,12 @@ impl StorageSystem for Past {
                     chunks: vec![ChunkPlacement {
                         chunk: 0,
                         size: file.size,
-                        blocks: placed,
+                        blocks: vec![BlockPlacement {
+                            name,
+                            node: primary,
+                            size: file.size,
+                            domain: None,
+                        }],
                         min_blocks_needed: 1,
                     }],
                     cat_nodes: Vec::new(),
@@ -168,7 +143,7 @@ impl StorageSystem for Past {
 mod tests {
     use super::*;
     use peerstripe_core::ClusterConfig;
-    use peerstripe_sim::DetRng;
+    use peerstripe_sim::{ByteSize, DetRng};
     use peerstripe_trace::CapacityModel;
 
     fn cluster(nodes: usize, capacity: ByteSize, seed: u64) -> StorageCluster {
@@ -176,7 +151,6 @@ mod tests {
         ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(capacity),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)
@@ -224,26 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn replication_places_extra_copies() {
-        let mut past = Past::new(
-            cluster(30, ByteSize::gb(1), 4),
-            PastConfig {
-                replicas: 3,
-                ..PastConfig::default()
-            },
-        );
+    fn a_file_is_placed_once_on_the_node_its_probe_reached() {
+        let mut past = Past::new(cluster(30, ByteSize::gb(1), 4), PastConfig::default());
+        let name = ObjectName::whole_file("r", 0);
+        let probed = past.cluster().overlay().route_quiet(name.key()).unwrap();
         assert!(past
             .store_file(&FileRecord::new("r", ByteSize::mb(100)))
             .is_stored());
-        let manifest = past.manifest("r").unwrap();
-        assert_eq!(manifest.chunks[0].blocks.len(), 3);
-        let nodes: std::collections::BTreeSet<_> =
-            manifest.chunks[0].blocks.iter().map(|b| b.node).collect();
-        assert_eq!(nodes.len(), 3, "replicas on distinct nodes");
-        // Any single replica suffices.
-        assert_eq!(manifest.chunks[0].min_blocks_needed, 1);
-        // bytes placed = 3x the file size.
-        assert_eq!(past.metrics().bytes_placed, ByteSize::mb(300));
+        let blocks = &past.manifest("r").unwrap().chunks[0].blocks;
+        assert_eq!(blocks.len(), 1);
+        assert_eq!((blocks[0].node, &blocks[0].name), (probed, &name));
+        assert!(past.cluster().node(probed).has(name.key()));
+        assert_eq!(past.metrics().bytes_placed, ByteSize::mb(100));
     }
 
     #[test]

@@ -168,7 +168,6 @@ mod tests {
         ClusterConfig {
             nodes: 30,
             capacity: CapacityModel::Fixed(ByteSize::mb(100)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)

@@ -83,11 +83,6 @@ impl ChunkAllocationTable {
         self.extents.len()
     }
 
-    /// Number of chunks that actually hold data.
-    pub fn data_chunk_count(&self) -> usize {
-        self.extents.iter().filter(|e| !e.is_empty()).count()
-    }
-
     /// Total file size described by the CAT.
     pub fn file_size(&self) -> ByteSize {
         ByteSize::bytes(self.extents.last().map(|e| e.end).unwrap_or(0))
@@ -192,7 +187,6 @@ mod tests {
     fn push_builds_contiguous_extents() {
         let cat = sample_cat();
         assert_eq!(cat.chunk_count(), 4);
-        assert_eq!(cat.data_chunk_count(), 3);
         assert_eq!(cat.file_size(), ByteSize::mb(35));
         let e = cat.extent(1).unwrap();
         assert_eq!(e.start, ByteSize::mb(5).as_u64());

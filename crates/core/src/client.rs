@@ -37,6 +37,10 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Total number of CAT copies kept: the primary at the CAT key's root and a
+/// replica on its closest leaf-set neighbour (Section 4.4).
+const CAT_REPLICAS: usize = 2;
+
 /// Configuration of a PeerStripe instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PeerStripeConfig {
@@ -45,8 +49,6 @@ pub struct PeerStripeConfig {
     /// Maximum number of consecutive zero-sized chunks before a store fails
     /// (the paper's simulations use 5).
     pub zero_chunk_limit: u32,
-    /// Total number of CAT copies kept (primary + replicas on leaf-set neighbours).
-    pub cat_replicas: usize,
     /// Optional upper bound on chunk size (the Section 4.5 trade-off knob).
     pub max_chunk_size: Option<ByteSize>,
     /// Whether to record per-file manifests (needed for availability/recovery
@@ -64,7 +66,6 @@ impl Default for PeerStripeConfig {
         PeerStripeConfig {
             coding: CodingPolicy::None,
             zero_chunk_limit: 5,
-            cat_replicas: 2,
             max_chunk_size: None,
             track_manifests: true,
             data_path_blocks: 16,
@@ -452,8 +453,7 @@ impl<B: StorageBackend> PeerStripe<B> {
         let mut nodes = Vec::new();
         // Primary copy at the key's root, replicas on the numerically closest
         // neighbours (the leaf-set replication of Section 4.4).
-        let replicas = self.config.cat_replicas.max(1);
-        let targets = self.backend.replica_targets(key, replicas);
+        let targets = self.backend.replica_targets(key, CAT_REPLICAS);
         for (i, (_, node)) in targets.into_iter().enumerate() {
             // Each copy is an independent object so per-node keys stay unique;
             // only the primary charge a lookup (the replicas ride the leaf set).
@@ -882,9 +882,8 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
 
         for file in cat_repairs {
-            let replicas = self.config.cat_replicas.max(1);
             let cat_key = ObjectName::cat(&file).key();
-            let candidates = self.backend.replica_targets(cat_key, replicas + 1);
+            let candidates = self.backend.replica_targets(cat_key, CAT_REPLICAS + 1);
             if let Some(m) = self.manifests.get_mut(&file) {
                 m.cat_nodes.retain(|n| *n != failed);
                 for (_, node) in candidates {
@@ -1060,7 +1059,6 @@ mod tests {
         ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(capacity),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)
@@ -1141,7 +1139,7 @@ mod tests {
             .store_file(&FileRecord::new("f", ByteSize::mb(100)))
             .is_stored());
         let manifest = ps.manifest("f").unwrap();
-        assert_eq!(manifest.cat_nodes.len(), ps.config().cat_replicas);
+        assert_eq!(manifest.cat_nodes.len(), CAT_REPLICAS);
         let unique: std::collections::BTreeSet<_> = manifest.cat_nodes.iter().collect();
         assert_eq!(
             unique.len(),

@@ -23,8 +23,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Distribution of contributed capacity.
     pub capacity: CapacityModel,
-    /// Fraction of free space reported per `getCapacity` probe.
-    pub report_fraction: f64,
     /// Whether nodes keep per-object bookkeeping (needed for availability,
     /// retrieval, and recovery experiments; off for the largest insert sweeps).
     pub track_objects: bool,
@@ -36,7 +34,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes: 10_000,
             capacity: CapacityModel::paper_desktop_grid(),
-            report_fraction: 1.0,
             track_objects: true,
         }
     }
@@ -56,7 +53,7 @@ impl ClusterConfig {
         let capacities = self.capacity.sample(self.nodes, rng);
         let nodes = capacities
             .into_iter()
-            .map(|c| StorageNode::new(c, self.report_fraction, self.track_objects))
+            .map(|c| StorageNode::new(c, self.track_objects))
             .collect();
         StorageCluster {
             overlay,
@@ -125,11 +122,9 @@ impl StorageCluster {
     }
 
     fn node_state(&self, node: NodeRef) -> NodeState {
-        let storage = &self.nodes[node];
         NodeState {
             alive: self.overlay.is_alive(node),
-            report: storage.report_capacity(),
-            free: storage.free(),
+            free: self.nodes[node].free(),
         }
     }
 
@@ -184,7 +179,7 @@ impl StorageCluster {
     /// The report is *not* a reservation.
     pub fn get_capacity(&mut self, key: Id) -> Option<(NodeRef, ByteSize)> {
         let target = self.overlay.route(key)?;
-        Some((target, self.nodes[target].report_capacity()))
+        Some((target, self.nodes[target].free()))
     }
 
     /// Route a key to the node currently responsible for it, charging one
@@ -340,7 +335,7 @@ impl ClusterView for StorageCluster {
     }
 
     fn report_of(&self, node: NodeRef) -> ByteSize {
-        self.nodes[node].report_capacity()
+        self.nodes[node].free()
     }
 
     fn node_count(&self) -> usize {
@@ -371,7 +366,6 @@ mod tests {
         ClusterConfig {
             nodes: 100,
             capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)

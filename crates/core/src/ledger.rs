@@ -427,7 +427,6 @@ mod tests {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);

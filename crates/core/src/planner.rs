@@ -192,7 +192,6 @@ mod tests {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut DetRng::new(seed));
@@ -357,7 +356,6 @@ mod tests {
             let rest = (0..NODES).filter(|n| !crowded.contains(n)).collect();
             let domain = |label: &str, members| Domain {
                 label: label.to_string(),
-                site: 0,
                 members,
             };
             let topology =

@@ -349,7 +349,7 @@ mod tests {
             let per_block = policy.block_size(chunk);
             let recoverable = per_block * policy.min_blocks_needed() as u64;
             assert!(
-                recoverable >= chunk.scale(0.99),
+                recoverable.as_u64() >= chunk.as_u64() / 100 * 99,
                 "{}: {recoverable} cannot cover {chunk}",
                 policy.label()
             );

@@ -4,10 +4,8 @@
 //! contributed capacity, the space in use, and (optionally) the objects stored,
 //! and implements the node-local policies the paper describes:
 //!
-//! * `getCapacity` replies report the free space a node is willing to devote to
-//!   one block — optionally only a fraction of the free space, so a node can
-//!   serve several simultaneous stores (Section 4.3);
-//! * the space is *not reserved* by a report; a later store can still fail if
+//! * a `getCapacity` reply reports the node's free space (Section 4.3);
+//! * the space is *not reserved* by a reply; a later store can still fail if
 //!   the space was consumed in the meantime.
 
 use crate::naming::ObjectName;
@@ -57,7 +55,6 @@ impl std::error::Error for NodeStoreError {}
 pub struct StorageNode {
     capacity: ByteSize,
     used: ByteSize,
-    report_fraction: f64,
     objects: BTreeMap<Id, StoredObject>,
     track_objects: bool,
     object_count: u64,
@@ -66,17 +63,13 @@ pub struct StorageNode {
 impl StorageNode {
     /// Create a node contributing `capacity` bytes.
     ///
-    /// `report_fraction` controls how much of the free space a `getCapacity`
-    /// reply advertises (1.0 = everything, the configuration used in the paper's
-    /// simulations).  `track_objects` enables per-object bookkeeping (needed for
-    /// availability and recovery experiments; disabled for the very large
-    /// store-throughput sweeps to bound memory).
-    pub fn new(capacity: ByteSize, report_fraction: f64, track_objects: bool) -> Self {
-        assert!((0.0..=1.0).contains(&report_fraction));
+    /// `track_objects` enables per-object bookkeeping (needed for availability
+    /// and recovery experiments; disabled for the very large store-throughput
+    /// sweeps to bound memory).
+    pub fn new(capacity: ByteSize, track_objects: bool) -> Self {
         StorageNode {
             capacity,
             used: ByteSize::ZERO,
-            report_fraction,
             objects: BTreeMap::new(),
             track_objects,
             object_count: 0,
@@ -93,7 +86,9 @@ impl StorageNode {
         self.used
     }
 
-    /// Free space remaining.
+    /// Free space remaining: also the reply to a `getCapacity` probe, the
+    /// largest block this node accepts right now.  The space is *not*
+    /// reserved.
     pub fn free(&self) -> ByteSize {
         self.capacity.saturating_sub(self.used)
     }
@@ -106,13 +101,6 @@ impl StorageNode {
     /// Number of objects stored (counted even when object tracking is off).
     pub fn object_count(&self) -> u64 {
         self.object_count
-    }
-
-    /// The reply to a `getCapacity` probe: the maximum block size this node is
-    /// willing to accept right now.  May be zero (full or unwilling).  The space
-    /// is *not* reserved.
-    pub fn report_capacity(&self) -> ByteSize {
-        self.free().scale(self.report_fraction)
     }
 
     /// True if an object of the given size fits right now.
@@ -199,7 +187,7 @@ mod tests {
 
     #[test]
     fn store_and_accounting() {
-        let mut node = StorageNode::new(ByteSize::gb(10), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(10), true);
         assert_eq!(node.free(), ByteSize::gb(10));
         node.store(Id(1), obj("a", ByteSize::gb(4))).unwrap();
         assert_eq!(node.used(), ByteSize::gb(4));
@@ -212,7 +200,7 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_duplicate_stores() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         assert_eq!(
             node.store(Id(1), obj("big", ByteSize::gb(2))),
             Err(NodeStoreError::InsufficientSpace)
@@ -231,7 +219,7 @@ mod tests {
             node.store(Id(1), obj("big", ByteSize::gb(2)))?;
             Ok(())
         }
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         let err = try_store(&mut node).unwrap_err();
         assert!(err.to_string().contains("insufficient free space"));
         assert_eq!(
@@ -242,7 +230,7 @@ mod tests {
 
     #[test]
     fn reserve_charges_space_without_an_object() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         node.reserve(ByteSize::mb(600)).unwrap();
         assert_eq!(node.used(), ByteSize::mb(600));
         assert_eq!(node.object_count(), 1);
@@ -256,7 +244,7 @@ mod tests {
 
     #[test]
     fn remove_frees_space() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         node.store(Id(7), obj("x", ByteSize::mb(300))).unwrap();
         assert_eq!(node.remove(Id(7)), Some(ByteSize::mb(300)));
         assert_eq!(node.used(), ByteSize::ZERO);
@@ -265,17 +253,27 @@ mod tests {
     }
 
     #[test]
-    fn report_capacity_respects_fraction_and_is_not_a_reservation() {
-        let mut node = StorageNode::new(ByteSize::gb(10), 0.5, true);
-        assert_eq!(node.report_capacity(), ByteSize::gb(5));
-        // A report does not reserve: a store can still consume the space.
-        node.store(Id(1), obj("a", ByteSize::gb(9))).unwrap();
-        assert_eq!(node.report_capacity(), ByteSize::mb(512));
+    fn a_probe_answers_free_space_and_is_not_a_reservation() {
+        let mut cluster = crate::ClusterConfig {
+            nodes: 1,
+            capacity: peerstripe_trace::CapacityModel::Fixed(ByteSize::gb(10)),
+            track_objects: true,
+        }
+        .build(&mut peerstripe_sim::DetRng::new(1));
+        let (node, report) = cluster.get_capacity(Id(1)).unwrap();
+        assert_eq!(report, ByteSize::gb(10));
+        // A report does not reserve: a store can still consume the space, and
+        // the next probe answers what is left.
+        cluster
+            .store_object(ObjectName::chunk("a", 0), ByteSize::gb(9), None)
+            .unwrap();
+        assert_eq!(cluster.get_capacity(Id(1)), Some((node, ByteSize::gb(1))));
+        assert_eq!(cluster.node(node).free(), ByteSize::gb(1));
     }
 
     #[test]
     fn untracked_mode_only_counts_bytes() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, false);
+        let mut node = StorageNode::new(ByteSize::gb(1), false);
         node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
         node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
         assert_eq!(node.used(), ByteSize::mb(200));
@@ -286,7 +284,7 @@ mod tests {
 
     #[test]
     fn wipe_clears_everything() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
         node.store(Id(2), obj("b", ByteSize::mb(200))).unwrap();
         node.wipe();
@@ -298,7 +296,7 @@ mod tests {
 
     #[test]
     fn payloads_are_preserved() {
-        let mut node = StorageNode::new(ByteSize::gb(1), 1.0, true);
+        let mut node = StorageNode::new(ByteSize::gb(1), true);
         let stored = StoredObject {
             name: ObjectName::block("f", 0, 1),
             size: ByteSize::bytes(4),

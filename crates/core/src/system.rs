@@ -224,7 +224,6 @@ mod tests {
         ClusterConfig {
             nodes: 20,
             capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)

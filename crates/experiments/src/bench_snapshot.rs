@@ -390,42 +390,14 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
 /// (`block_reply`: `read_response`, what a repair's fetches do) and into
 /// capacity the caller reserved (`block_reply_into`: `read_block_reply_into`,
 /// a row landing in a read's result).
-pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
-    fn roundtrip_row(id: String, work_units: u64, req: &Request) -> BenchRow {
-        let per_sec = best_rate(
-            PASS_SECS,
-            || (Vec::<u8>::with_capacity(512 * 1024), 0u64),
-            |(buf, frames)| {
-                buf.clear();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "writing to a Vec cannot fail and the bench frames stay far under MAX_FRAME"
-                )]
-                write_request_traced(buf, req, Some(*frames)).expect("in-memory frame write");
-                let mut frame = buf.as_slice();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "decoding the bytes this bench just encoded cannot fail"
-                )]
-                let (decoded, rid) = read_request_traced(&mut frame).expect("frame read");
-                assert_eq!(rid, Some(*frames), "request id must survive the roundtrip");
-                std::hint::black_box(decoded);
-                *frames += 1;
-                1
-            },
-        );
-        BenchRow {
-            id,
-            work_units,
-            per_sec,
-        }
-    }
-
+///
+/// A row whose frame cannot be written or read back is an error naming it.
+pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> Result<BenchSnapshot, String> {
     let payload_of = |size: ByteSize| -> Vec<u8> {
         let mut rng = DetRng::new(config.seed);
         (0..size.as_u64()).map(|_| rng.next_u64() as u8).collect()
     };
-    let mut rows = vec![roundtrip_row("ping".to_string(), 0, &Request::Ping)];
+    let mut rows = vec![roundtrip_row("ping".to_string(), 0, &Request::Ping)?];
     for kib in [1u64, 16, 256] {
         let size = ByteSize::kb(kib);
         let req = Request::StoreBlock {
@@ -438,7 +410,7 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
             format!("store_block/{kib}_kib"),
             size.as_u64(),
             &req,
-        ));
+        )?);
     }
 
     let size = ByteSize::kb(256);
@@ -477,10 +449,49 @@ pub fn run_wire_roundtrip_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsho
             per_sec,
         });
     }
-    BenchSnapshot {
+    Ok(BenchSnapshot {
         name: "wire_roundtrip".to_string(),
         seed: config.seed,
         rows,
+    })
+}
+
+/// One traced write of `req` into a reusable in-memory buffer and one traced
+/// read back per pass, timed by [`best_rate`]; the first wire error (or a
+/// request id lost on the way) fails the row.
+fn roundtrip_row(id: String, work_units: u64, req: &Request) -> Result<BenchRow, String> {
+    let mut failed = None;
+    let per_sec = best_rate(
+        PASS_SECS,
+        || (Vec::<u8>::with_capacity(512 * 1024), 0u64),
+        |(buf, frames)| {
+            buf.clear();
+            let read = write_request_traced(buf, req, Some(*frames))
+                .and_then(|()| read_request_traced(&mut buf.as_slice()));
+            match read {
+                Ok((decoded, rid)) if rid == Some(*frames) => {
+                    std::hint::black_box(decoded);
+                    *frames += 1;
+                    1
+                }
+                Ok(_) => {
+                    failed.get_or_insert_with(|| "the request id was lost".to_string());
+                    0
+                }
+                Err(e) => {
+                    failed.get_or_insert_with(|| e.to_string());
+                    0
+                }
+            }
+        },
+    );
+    match failed {
+        Some(e) => Err(format!("wire_roundtrip/{id}: {e}")),
+        None => Ok(BenchRow {
+            id,
+            work_units,
+            per_sec,
+        }),
     }
 }
 
@@ -570,7 +581,7 @@ pub fn run_rs_encode_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
 pub fn write_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<Vec<PathBuf>, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let mut written = Vec::new();
-    for snapshot in measure_all(config) {
+    for snapshot in measure_all(config)? {
         let path = dir.join(format!("BENCH_{}.json", snapshot.name));
         std::fs::write(&path, snapshot.render_json())
             .map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -608,18 +619,18 @@ pub const CHECK_TOLERANCE: f64 = 0.5;
 /// row below [`CHECK_TOLERANCE`] of its committed throughput fails the
 /// check.
 pub fn check_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<String, String> {
-    check_against(dir, &measure_all(config), CHECK_TOLERANCE)
+    check_against(dir, &measure_all(config)?, CHECK_TOLERANCE)
 }
 
 /// Freshly measure all five snapshots.
-fn measure_all(config: &BenchSnapshotConfig) -> [BenchSnapshot; 5] {
-    [
+fn measure_all(config: &BenchSnapshotConfig) -> Result<[BenchSnapshot; 5], String> {
+    Ok([
         run_repair_schedule_snapshot(config),
         run_detector_decide_snapshot(config),
         run_placement_decide_snapshot(config),
-        run_wire_roundtrip_snapshot(config),
+        run_wire_roundtrip_snapshot(config)?,
         run_rs_encode_snapshot(config),
-    ]
+    ])
 }
 
 /// Compare measured snapshots against the committed `BENCH_<name>.json`
@@ -744,7 +755,7 @@ mod tests {
             node_counts: vec![50],
             seed: 7,
         };
-        let snapshot = run_wire_roundtrip_snapshot(&config);
+        let snapshot = run_wire_roundtrip_snapshot(&config).unwrap();
         assert_eq!(snapshot.name, "wire_roundtrip");
         let ids: Vec<_> = snapshot.rows.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(
@@ -764,6 +775,20 @@ mod tests {
         // Bigger payloads cannot roundtrip more frames per second than the
         // header-only control row.
         assert!(snapshot.rows[0].per_sec >= snapshot.rows[3].per_sec);
+    }
+
+    #[test]
+    fn a_frame_over_the_limit_fails_its_row_instead_of_panicking() {
+        let size = peerstripe_net::MAX_FRAME + 1;
+        let req = Request::StoreBlock {
+            key: Id::hash("bench-wire/0_0"),
+            name: ObjectName::block("bench-wire", 0, 0),
+            size: ByteSize::bytes(size),
+            payload: Some(vec![0; size as usize]),
+        };
+        let err = roundtrip_row("too_big".to_string(), size, &req).unwrap_err();
+        assert!(err.starts_with("wire_roundtrip/too_big: "), "{err}");
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]
@@ -819,7 +844,7 @@ mod tests {
             node_counts: vec![50],
             seed: 7,
         };
-        assert_committed_rows_are_measured(&run_wire_roundtrip_snapshot(&config));
+        assert_committed_rows_are_measured(&run_wire_roundtrip_snapshot(&config).unwrap());
     }
 
     #[test]
@@ -850,7 +875,7 @@ mod tests {
         // One measurement serves both checks, with the tolerance injected:
         // zero first (every row is reported, machine jitter cannot fail it),
         // then 0.01 against a baseline inflated ten-thousand-fold.
-        let fresh = measure_all(&config);
+        let fresh = measure_all(&config).unwrap();
         let report = check_against(&dir, &fresh, 0.0).unwrap();
         for needle in [
             "repair_schedule/churn_24h/50_nodes",

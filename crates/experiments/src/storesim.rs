@@ -20,7 +20,8 @@ use peerstripe_sim::stats::Figure;
 use peerstripe_sim::{ByteSize, DetRng, Series};
 use peerstripe_trace::{Trace, TraceConfig};
 
-/// Which of the three systems a result row belongs to.
+/// Which of the three systems a result row belongs to; the discriminant is
+/// the row's index in [`StoreComparison::runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SystemKind {
     /// PAST-style whole-file placement.
@@ -32,6 +33,9 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every system, in [`StoreComparison::runs`] order.
+    const ALL: [SystemKind; 3] = [SystemKind::Past, SystemKind::Cfs, SystemKind::PeerStripe];
+
     /// Legend label used in the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
@@ -73,7 +77,7 @@ pub struct SystemRun {
 #[derive(Debug, Clone)]
 pub struct StoreComparison {
     /// One run per system, in `[PAST, CFS, PeerStripe]` order.
-    pub runs: Vec<SystemRun>,
+    pub runs: [SystemRun; 3],
     /// Number of files offered.
     pub files_offered: usize,
     /// Total bytes offered.
@@ -84,15 +88,8 @@ pub struct StoreComparison {
 
 impl StoreComparison {
     /// Look up a run by system kind.
-    #[expect(
-        clippy::expect_used,
-        reason = "run_store_comparison always produces all three systems"
-    )]
     pub fn run(&self, kind: SystemKind) -> &SystemRun {
-        self.runs
-            .iter()
-            .find(|r| r.kind == kind)
-            .expect("all three systems present")
+        &self.runs[kind as usize]
     }
 
     /// Figure 7: failed stores vs. files inserted.
@@ -164,32 +161,23 @@ pub fn run_store_comparison(config: &StoreSimConfig) -> StoreComparison {
     let trace = TraceConfig::scaled(config.files).generate(config.seed ^ 0x7ace);
     let bytes_offered = trace.total_size();
 
-    let kinds = [SystemKind::Past, SystemKind::Cfs, SystemKind::PeerStripe];
-    let mut runs: Vec<Option<SystemRun>> = vec![None, None, None];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, kind) in kinds.iter().enumerate() {
-            let trace = &trace;
-            handles.push((
-                i,
-                scope.spawn(move || run_single_system(*kind, config, trace)),
-            ));
-        }
-        for (i, handle) in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "worker panic is unrecoverable; propagate it to the caller"
-            )]
-            let run = handle.join().expect("system run panicked");
-            runs[i] = Some(run);
-        }
+    let trace = &trace;
+    let runs = std::thread::scope(|scope| {
+        SystemKind::ALL
+            .map(|kind| scope.spawn(move || run_single_system(kind, config, trace)))
+            .map(|handle| {
+                // A worker's panic is the caller's: re-raise it as it was.
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
     });
     // The three clusters are identically seeded; recompute the shared capacity once.
     let mut rng = DetRng::new(config.seed);
     let cluster = ClusterConfig::scaled(config.nodes).build(&mut rng);
 
     StoreComparison {
-        runs: runs.into_iter().map(Option::unwrap).collect(),
+        runs,
         files_offered: config.files,
         bytes_offered,
         capacity: cluster.total_capacity(),
@@ -212,7 +200,6 @@ pub fn run_single_system(kind: SystemKind, config: &StoreSimConfig, trace: &Trac
                 // failure level is only reachable without a deep retry budget.
                 retries: 0,
                 track_manifests: false,
-                ..PastConfig::default()
             },
         )),
         SystemKind::Cfs => Box::new(Cfs::new(

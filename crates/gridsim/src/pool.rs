@@ -49,7 +49,6 @@ impl PoolConfig {
         ClusterConfig {
             nodes: self.machines,
             capacity: self.contributed,
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng)

@@ -129,11 +129,6 @@ impl BulletSim {
         }
     }
 
-    /// Number of packets currently held by a tree slot.
-    pub fn packets_held(&self, slot: usize) -> usize {
-        self.counts[slot]
-    }
-
     /// True when every node holds every packet.
     pub fn is_complete(&self) -> bool {
         self.counts.iter().all(|&c| c == self.config.packets)
@@ -335,7 +330,7 @@ mod tests {
     #[test]
     fn source_is_never_counted_as_a_receiver() {
         let sim = BulletSim::new(paper_tree(), small_config(0.1));
-        assert_eq!(sim.packets_held(0), 200);
+        assert_eq!(sim.counts[0], 200);
         let stats = sim.stats(0);
         assert_eq!(stats.max, 0, "receivers start empty");
     }

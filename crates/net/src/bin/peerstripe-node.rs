@@ -24,14 +24,13 @@ struct Args {
     listen: String,
     id: Id,
     capacity: ByteSize,
-    report_fraction: f64,
     read_timeout: Duration,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: peerstripe-node [--listen ADDR] [--id NAME] [--capacity-mb N] \
-         [--report-fraction F] [--read-timeout-ms N]\n\
+         [--read-timeout-ms N]\n\
          \n\
          Serves one node's contributed storage over framed TCP; a GetStats\n\
          scrape returns its capacity, use, per-op metrics and last 1024\n\
@@ -39,7 +38,6 @@ fn usage() -> ! {
          --listen          bind address (default 127.0.0.1:0 = ephemeral port)\n\
          --id              node name, hashed into the overlay id space (default node-0)\n\
          --capacity-mb     contributed capacity in MiB (default 256)\n\
-         --report-fraction fraction of free space getCapacity advertises (default 1.0)\n\
          --read-timeout-ms idle-connection read timeout (default 30000)"
     );
     std::process::exit(2)
@@ -51,7 +49,6 @@ fn parse_args() -> Args {
         listen: "127.0.0.1:0".to_string(),
         id: defaults.id,
         capacity: defaults.capacity,
-        report_fraction: defaults.report_fraction,
         read_timeout: Duration::from_secs(30),
     };
     let mut it = std::env::args().skip(1);
@@ -69,10 +66,6 @@ fn parse_args() -> Args {
             "--capacity-mb" => match value("--capacity-mb").parse::<u64>() {
                 Ok(mb) => args.capacity = ByteSize::mb(mb),
                 Err(_) => usage(),
-            },
-            "--report-fraction" => match value("--report-fraction").parse::<f64>() {
-                Ok(f) if (0.0..=1.0).contains(&f) => args.report_fraction = f,
-                _ => usage(),
             },
             "--read-timeout-ms" => match value("--read-timeout-ms").parse::<u64>() {
                 Ok(ms) => args.read_timeout = Duration::from_millis(ms),
@@ -93,7 +86,6 @@ fn main() {
     let service = NodeService::new(&NodeConfig {
         id: args.id,
         capacity: args.capacity,
-        report_fraction: args.report_fraction,
     });
     let config = ServerConfig {
         read_timeout: args.read_timeout,

@@ -43,8 +43,6 @@ pub struct NodeConfig {
     pub id: Id,
     /// Contributed capacity.
     pub capacity: ByteSize,
-    /// Fraction of free space a `getCapacity` reply advertises (Section 4.3).
-    pub report_fraction: f64,
 }
 
 impl NodeConfig {
@@ -55,7 +53,6 @@ impl NodeConfig {
         NodeConfig {
             id: Id::hash(name),
             capacity,
-            report_fraction: 1.0,
         }
     }
 }
@@ -107,7 +104,7 @@ impl NodeService {
         }
         NodeService {
             id: config.id,
-            store: peerstripe_core::StorageNode::new(config.capacity, config.report_fraction, true),
+            store: peerstripe_core::StorageNode::new(config.capacity, true),
             metrics,
             op_handles,
             error_handles,
@@ -206,7 +203,7 @@ impl NodeService {
         match req {
             Request::Ping => Response::Pong { node: self.id },
             Request::GetCapacity => Response::Capacity {
-                free: self.store.report_capacity(),
+                free: self.store.free(),
             },
             Request::StoreBlock {
                 key,

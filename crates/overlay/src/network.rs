@@ -18,10 +18,6 @@ use peerstripe_sim::DetRng;
 pub struct OverlayStats {
     /// Number of `lookUp` / `getCapacity`-style routed messages issued.
     pub lookups: u64,
-    /// Number of node joins processed.
-    pub joins: u64,
-    /// Number of node failures processed.
-    pub failures: u64,
 }
 
 /// A simulated structured overlay of contributory nodes.
@@ -60,11 +56,6 @@ impl OverlaySim {
         self.nodes.len()
     }
 
-    /// Number of currently live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Access a node's info.
     pub fn node(&self, node: NodeRef) -> &NodeInfo {
         &self.nodes[node]
@@ -85,11 +76,6 @@ impl OverlaySim {
         &self.stats
     }
 
-    /// Reset traffic statistics (e.g. between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = OverlayStats::default();
-    }
-
     /// Direct access to the id ring (read-only).
     pub fn ring(&self) -> &IdRing {
         &self.ring
@@ -104,7 +90,6 @@ impl OverlaySim {
                 let node_ref = self.nodes.len();
                 self.nodes.push(NodeInfo::new(id, Coord::random(rng)));
                 self.ring.insert(id, node_ref);
-                self.stats.joins += 1;
                 return node_ref;
             }
         }
@@ -115,7 +100,6 @@ impl OverlaySim {
         if !self.nodes[node].alive {
             self.nodes[node].alive = true;
             self.ring.insert(self.nodes[node].id, node);
-            self.stats.joins += 1;
         }
     }
 
@@ -130,7 +114,6 @@ impl OverlaySim {
         let takeover = self.ring.takeover_on_failure(id);
         self.nodes[node].alive = false;
         self.ring.remove(id);
-        self.stats.failures += 1;
         takeover
     }
 
@@ -169,24 +152,6 @@ impl OverlaySim {
     /// Route a key without counting it as protocol traffic (internal queries).
     pub fn route_quiet(&self, key: Id) -> Option<NodeRef> {
         self.ring.route(key).map(|(_, n)| n)
-    }
-
-    /// The `k` live nodes numerically closest to a key (replica targets).
-    pub fn k_closest(&self, key: Id, k: usize) -> Vec<NodeRef> {
-        self.ring
-            .k_closest(key, k)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect()
-    }
-
-    /// The `k` live successors of a key (CFS replica placement).
-    pub fn successors(&self, key: Id, k: usize) -> Vec<NodeRef> {
-        self.ring
-            .successors(key, k)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect()
     }
 
     /// The leaf set of a live node.
@@ -232,8 +197,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let sim = OverlaySim::new(1000, &mut rng);
         assert_eq!(sim.node_count(), 1000);
-        assert_eq!(sim.alive_count(), 1000);
-        assert_eq!(sim.stats().joins, 1000);
+        assert_eq!(sim.alive_nodes().count(), 1000);
     }
 
     #[test]
@@ -244,8 +208,8 @@ mod tests {
             assert!(sim.route(Id::hash(&format!("file_{i}"))).is_some());
         }
         assert_eq!(sim.stats().lookups, 50);
-        sim.reset_stats();
-        assert_eq!(sim.stats().lookups, 0);
+        sim.route_quiet(Id::hash("quiet"));
+        assert_eq!(sim.stats().lookups, 50);
     }
 
     #[test]
@@ -254,7 +218,7 @@ mod tests {
         let mut sim = OverlaySim::new(200, &mut rng);
         let failed = sim.fail_random(50, &mut rng);
         assert_eq!(failed.len(), 50);
-        assert_eq!(sim.alive_count(), 150);
+        assert_eq!(sim.alive_nodes().count(), 150);
         for i in 0..200 {
             let target = sim.route(Id::hash(&format!("k{i}"))).unwrap();
             assert!(sim.is_alive(target), "lookups must land on live nodes");
@@ -269,11 +233,11 @@ mod tests {
         let takeover = sim.fail(victim);
         assert!(takeover.is_some());
         assert!(!sim.is_alive(victim));
-        assert_eq!(sim.alive_count(), 9);
+        assert_eq!(sim.alive_nodes().count(), 9);
         assert!(sim.fail(victim).is_none(), "double-fail is a no-op");
         sim.rejoin(victim);
         assert!(sim.is_alive(victim));
-        assert_eq!(sim.alive_count(), 10);
+        assert_eq!(sim.alive_nodes().count(), 10);
     }
 
     #[test]
@@ -305,20 +269,6 @@ mod tests {
         let max_sel = sim.proximity(from, *nearest.last().unwrap());
         for c in candidates.iter().filter(|c| !nearest.contains(c)) {
             assert!(sim.proximity(from, *c) >= max_sel - 1e-12);
-        }
-    }
-
-    #[test]
-    fn successors_and_k_closest_are_live() {
-        let mut rng = DetRng::new(8);
-        let mut sim = OverlaySim::new(300, &mut rng);
-        sim.fail_random(100, &mut rng);
-        let key = Id::hash("x");
-        for n in sim.k_closest(key, 5) {
-            assert!(sim.is_alive(n));
-        }
-        for n in sim.successors(key, 5) {
-            assert!(sim.is_alive(n));
         }
     }
 

@@ -5,10 +5,10 @@
 //!
 //! * `route(key)` — the live node numerically closest to a key (Pastry/PAST
 //!   placement semantics, Section 4.1 of the paper);
-//! * `k_closest(key, k)` — the `k` numerically closest live nodes (PAST replica
-//!   placement and our leaf-set replica placement);
-//! * `successors(key, k)` — the `k` nodes following the key clockwise (CFS
-//!   places a block's replicas on the `k` successors of its key);
+//! * `k_closest(key, k)` — the `k` numerically closest live nodes (the CAT's
+//!   leaf-set replica placement);
+//! * `successor(key)` — the first node at or after the key clockwise (CFS
+//!   places a block on the successor of its key);
 //! * `neighbors(id, l)` — the leaf set (l/2 counter-clockwise, l/2 clockwise);
 //! * takeover queries describing which neighbour inherits which part of a failed
 //!   node's key range (Section 4.4).
@@ -151,18 +151,6 @@ impl IdRing {
             }
         }
         result
-    }
-
-    /// The `k` members at or after `key`, clockwise with wrap-around, no duplicates.
-    pub fn successors(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)> {
-        let k = k.min(self.members.len());
-        let mut out = Vec::with_capacity(k);
-        out.extend(self.members.range(key..).take(k).map(|(i, n)| (*i, *n)));
-        if out.len() < k {
-            let remaining = k - out.len();
-            out.extend(self.members.iter().take(remaining).map(|(i, n)| (*i, *n)));
-        }
-        out
     }
 
     /// The member immediately clockwise of `id` (excluding `id` itself), wrapping.
@@ -420,15 +408,6 @@ mod tests {
         assert_eq!(ids, vec![300, 400, 200]);
         assert_eq!(ring.k_closest(Id(310), 10).len(), 5, "capped at ring size");
         assert!(ring.k_closest(Id(310), 0).is_empty());
-    }
-
-    #[test]
-    fn successors_wrap_and_dedup() {
-        let ring = ring_with(&[100, 200, 300]);
-        let succ = ring.successors(Id(250), 3);
-        let ids: Vec<u128> = succ.iter().map(|(i, _)| i.raw()).collect();
-        assert_eq!(ids, vec![300, 100, 200]);
-        assert_eq!(ring.successors(Id(0), 5).len(), 3);
     }
 
     #[test]

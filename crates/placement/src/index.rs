@@ -1,21 +1,20 @@
 //! The per-domain placement index a cluster keeps current.
 //!
 //! [`DomainSpread`](crate::DomainSpread) asks two questions per decision: on
-//! the store path, "which live member of this domain reports the most free
+//! the store path, "which live member of this domain has the most free
 //! space?", and on the repair path, "which live members of these domains have
 //! room for a block?".  Answered through [`ClusterView`](crate::ClusterView)
 //! one node at a time, either costs a walk over the whole cluster.  A
 //! [`DomainIndex`] holds the answers instead: every node of the topology has a
-//! slot — liveness, current `getCapacity` report, free room — laid out domain
-//! by domain in the topology's own member order.  The cluster that owns the
+//! slot — liveness and free room — laid out domain by domain in the topology's own member order.  The cluster that owns the
 //! index calls [`DomainIndex::update`] wherever a node's space or liveness
 //! changes; strategies borrow it through `ClusterView::domain_index`.
 //!
 //! A domain's freest member is the root of a max tree over the domain's slots
-//! in member order.  A leaf packs a live member's report above its inverted
-//! slot, `(report << 64) | (u64::MAX - slot)`, and is zero for a member that
-//! is down or reports nothing; so the largest leaf is the largest report, and
-//! on a tie the first member, exactly what a scan over the domain picks.  An
+//! in member order.  A leaf packs a live member's free room above its inverted
+//! slot, `(free << 64) | (u64::MAX - slot)`, and is zero for a member that is
+//! down or full; so the largest leaf is the most free room, and on a tie the
+//! first member, exactly what a scan over the domain picks.  An
 //! update climbs from its leaf while an entry changes: O(log d) at most for a
 //! domain of `d`, and about two levels on a simulated day of churn.  A store
 //! that fills a domain's freest member, which every fallback pick does, costs
@@ -34,7 +33,7 @@
 //! counted by a pass over its slots, as before.
 //!
 //! The index answers exactly what the scan over the same cluster answers —
-//! same node, same report, same order within a pool — so a decision does not
+//! same node, same free room, same order within a pool — so a decision does not
 //! depend on whether a view keeps one.
 
 use crate::topology::{Domain, Topology};
@@ -48,10 +47,8 @@ use std::sync::Arc;
 pub struct NodeState {
     /// Whether the node is live.
     pub alive: bool,
-    /// Its current `getCapacity` report (what the store path ranks by).
-    pub report: ByteSize,
-    /// Its free room (what `can_store` compares a block size against).  Not
-    /// the report: a node may advertise only a fraction of its free space.
+    /// Its free room: what a `getCapacity` probe answers, what the store path
+    /// ranks by, and what `can_store` compares a block size against.
     pub free: ByteSize,
 }
 
@@ -69,7 +66,6 @@ pub struct DomainIndex {
     spans: Vec<Range<usize>>,
     // Per slot.
     alive: Vec<bool>,
-    report: Vec<ByteSize>,
     free: Vec<ByteSize>,
     /// Fenwick tree over `alive`, one-based: entry `i` counts the live slots
     /// in `i - lowbit(i)..i`; entry 0 is unused.
@@ -115,7 +111,6 @@ impl DomainIndex {
             home: vec![(0, 0); nodes],
             spans: Vec::with_capacity(domains.len()),
             alive: Vec::with_capacity(nodes),
-            report: Vec::with_capacity(nodes),
             free: Vec::with_capacity(nodes),
             live: Vec::new(),
             freest: Vec::with_capacity(domains.len()),
@@ -125,14 +120,9 @@ impl DomainIndex {
         for d in 0..index.domains.len() {
             let start = index.alive.len();
             for &node in &index.domains[d].members {
-                let NodeState {
-                    alive,
-                    report,
-                    free,
-                } = state(node);
+                let NodeState { alive, free } = state(node);
                 *index.home.get_mut(node)? = (d, index.alive.len());
                 index.alive.push(alive);
-                index.report.push(report);
                 index.free.push(free);
             }
             index.spans.push(start..index.alive.len());
@@ -172,7 +162,6 @@ impl DomainIndex {
             self.count_live(slot, state.alive);
         }
         self.alive[slot] = state.alive;
-        self.report[slot] = state.report;
         self.free[slot] = state.free;
         let free = state.free;
         match self.tightest[d] {
@@ -205,8 +194,8 @@ impl DomainIndex {
         }
     }
 
-    /// The freest live member of `domain` outside `chosen`, with its report;
-    /// `None` when no such member reports any space.  The domain tree's root,
+    /// The freest live member of `domain` outside `chosen`, with its free
+    /// room; `None` when no such member has any.  The domain tree's root,
     /// unless that member is itself in `chosen`: then the best of the rest,
     /// by a walk over the domain.
     pub fn freest_in(&self, domain: usize, chosen: &[NodeRef]) -> Option<(NodeRef, ByteSize)> {
@@ -224,24 +213,24 @@ impl DomainIndex {
             .clone()
             .zip(&self.domains[domain].members)
         {
-            let report = self.report[slot];
+            let free = self.free[slot];
             if self.alive[slot]
-                && !report.is_zero()
-                && rest.is_none_or(|(_, most)| report > most)
+                && !free.is_zero()
+                && rest.is_none_or(|(_, most)| free > most)
                 && !chosen.contains(&node)
             {
-                rest = Some((node, report));
+                rest = Some((node, free));
             }
         }
         rest
     }
 
-    /// A slot's leaf in its domain's max tree: the report above the inverted
-    /// slot for a live member that reports space, so that the larger report
+    /// A slot's leaf in its domain's max tree: the free room above the
+    /// inverted slot for a live member that has any, so that the more room
     /// and then the earlier slot win; zero otherwise.
     fn leaf(&self, slot: usize) -> u128 {
-        if self.alive[slot] && !self.report[slot].is_zero() {
-            (u128::from(self.report[slot].as_u64()) << 64) | u128::from(u64::MAX - slot as u64)
+        if self.alive[slot] && !self.free[slot].is_zero() {
+            (u128::from(self.free[slot].as_u64()) << 64) | u128::from(u64::MAX - slot as u64)
         } else {
             0
         }
@@ -399,11 +388,10 @@ fn lowbit(i: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn state(alive: bool, report_mb: u64) -> NodeState {
+    fn state(alive: bool, free_mb: u64) -> NodeState {
         NodeState {
             alive,
-            report: ByteSize::mb(report_mb),
-            free: ByteSize::mb(report_mb),
+            free: ByteSize::mb(free_mb),
         }
     }
 
@@ -438,7 +426,6 @@ mod tests {
         // One domain of four, shuffled so member order is not node order.
         let topology = Topology::from_domains(vec![Domain {
             label: "lab".into(),
-            site: 0,
             members: vec![2, 0, 3, 1],
         }]);
         let mut index = DomainIndex::build(&topology, 4, |_| state(true, 10)).unwrap();
@@ -458,7 +445,7 @@ mod tests {
         for node in [0, 1, 3] {
             index.update(node, state(true, 0));
         }
-        assert_eq!(freest(&index), None, "a zero report is no target");
+        assert_eq!(freest(&index), None, "a full member is no target");
         assert_eq!(
             index.eligible_in(0, ByteSize::ZERO, &[]),
             3,
@@ -489,7 +476,6 @@ mod tests {
                     .into_iter()
                     .map(|members| Domain {
                         label: "lab".into(),
-                        site: 0,
                         members,
                     })
                     .collect(),

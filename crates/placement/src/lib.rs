@@ -7,9 +7,9 @@
 //! blocks than the erasure code tolerates.  This crate provides the placement
 //! subsystem that prevents that:
 //!
-//! * [`Topology`] — the site → rack/lab → node hierarchy with per-node domain
-//!   lookup, built synthetically from a seed or derived from trace
-//!   capacity/session data — plus [`DomainView`], the cheap shared membership
+//! * [`Topology`] — the rack/lab → node grouping with per-node domain
+//!   lookup, built synthetically from a seed or derived from a session trace
+//!   — plus [`DomainView`], the cheap shared membership
 //!   snapshot consumers like the outage-aware failure detector query without
 //!   owning the topology;
 //! * [`PlacementStrategy`] — the pluggable target-selection policy, with

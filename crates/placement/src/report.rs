@@ -83,15 +83,6 @@ impl SpreadReport {
             self.distinct_domains.mean()
         }
     }
-
-    /// Fraction of chunks violating the cap, in `[0, 1]`.
-    pub fn violation_fraction(&self) -> f64 {
-        if self.chunks == 0 {
-            0.0
-        } else {
-            self.cap_violations as f64 / self.chunks as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +103,6 @@ mod tests {
         assert_eq!(report.max_in_one_domain, 3);
         assert_eq!(report.cap_violations, 1);
         assert_eq!(report.undomained_blocks, 1);
-        assert!((report.violation_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!((report.mean_distinct_domains() - (2.0 + 2.0 + 1.0) / 3.0).abs() < 1e-12);
     }
 
@@ -122,6 +112,5 @@ mod tests {
         report.record_chunk(std::iter::empty());
         assert_eq!(report.chunks, 0);
         assert_eq!(report.mean_distinct_domains(), 0.0);
-        assert_eq!(report.violation_fraction(), 0.0);
     }
 }

@@ -641,7 +641,6 @@ mod tests {
         fn lend_index(&mut self, topology: &Topology) {
             self.index = DomainIndex::build(topology, self.free.len(), |n| crate::NodeState {
                 alive: self.alive[n],
-                report: self.free[n],
                 free: self.free[n],
             });
         }

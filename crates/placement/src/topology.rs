@@ -1,24 +1,21 @@
-//! The failure-domain topology: site → rack/lab → node.
+//! The failure-domain topology: domain (rack/lab) → node.
 //!
 //! Desktop-grid nodes do not fail independently — a lab powers down overnight,
 //! a switch dies, a building loses power over a weekend.  [`Topology`] models
-//! the physical hierarchy behind those correlated failures: every node belongs
-//! to exactly one *domain* (a rack, lab, or office), and domains are grouped
-//! into *sites* (buildings, campuses).  Placement strategies consult the
-//! topology to keep a chunk's blocks spread over enough domains that losing
+//! the grouping behind those correlated failures: every node belongs to
+//! exactly one *domain* (a rack, lab, or office).  Placement strategies
+//! consult the topology to keep a chunk's blocks spread over enough domains that losing
 //! any single one never costs more blocks than the coding tolerates, and the
 //! grouped-churn process in `peerstripe-repair` uses the same structure to
 //! draw whole-domain outage events.
 //!
 //! Topologies are built synthetically from a seed ([`Topology::synthetic`],
-//! [`Topology::uniform_groups`]) or derived from trace data: contributed
-//! capacities cluster machines bought in the same procurement round into the
-//! same lab ([`Topology::from_capacities`]), and session/downtime durations
-//! separate office machines, laptops and always-on lab nodes
-//! ([`Topology::from_sessions`]).
+//! [`Topology::uniform_groups`]) or derived from a session trace, whose
+//! session/downtime durations separate office machines, laptops and always-on
+//! lab nodes ([`Topology::from_sessions`]).
 
 use peerstripe_overlay::NodeRef;
-use peerstripe_sim::{ByteSize, DetRng};
+use peerstripe_sim::DetRng;
 use peerstripe_trace::SessionTrace;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -32,7 +29,7 @@ pub type DomainId = u32;
 /// The failure detector (and any other subsystem that only needs to answer
 /// "which lab is this node in, and who else is in it?") holds a `DomainView`
 /// instead of owning a [`Topology`]: cloning is a refcount bump, the placement
-/// layer keeps sole ownership of the full hierarchy (labels, sites, builders),
+/// layer keeps sole ownership of the full hierarchy (labels, builders),
 /// and both sides observe the same membership without copying it per
 /// consumer.  Obtain one with [`Topology::domain_view`], or use
 /// [`DomainView::unaffiliated`] where no topology is in play (every lookup
@@ -70,19 +67,9 @@ impl DomainView {
         &self.inner.members[domain as usize]
     }
 
-    /// Number of members in a domain.
-    pub fn domain_size(&self, domain: DomainId) -> usize {
-        self.inner.members[domain as usize].len()
-    }
-
     /// Number of domains in the view.
     pub fn domain_count(&self) -> usize {
         self.inner.members.len()
-    }
-
-    /// True if the view carries no domain information at all.
-    pub fn is_unaffiliated(&self) -> bool {
-        self.inner.members.is_empty()
     }
 }
 
@@ -91,13 +78,11 @@ impl DomainView {
 pub struct Domain {
     /// Human-readable label, e.g. `site1/lab3`.
     pub label: String,
-    /// The site (building, campus) the domain belongs to.
-    pub site: u32,
     /// The member nodes.
     pub members: Vec<NodeRef>,
 }
 
-/// The site → domain → node hierarchy with per-node domain lookup.
+/// The domain → node hierarchy with per-node domain lookup.
 ///
 /// Immutable once built, and its domain list is shared by every clone — which
 /// is what lets a [`crate::DomainIndex`] tell in one pointer comparison
@@ -110,7 +95,6 @@ pub struct Topology {
     /// Domain of every node, indexed by [`NodeRef`]; `None` for nodes outside
     /// the modelled hierarchy (late joiners, untracked contributors).
     domain_of: Vec<Option<DomainId>>,
-    sites: u32,
 }
 
 impl Topology {
@@ -124,9 +108,7 @@ impl Topology {
             .map(|&n| n + 1)
             .unwrap_or(0);
         let mut domain_of = vec![None; nodes];
-        let mut sites = 0;
         for (i, domain) in domains.iter().enumerate() {
-            sites = sites.max(domain.site + 1);
             for &node in &domain.members {
                 assert!(
                     domain_of[node].is_none(),
@@ -138,11 +120,10 @@ impl Topology {
         Topology {
             domains: Arc::new(domains),
             domain_of,
-            sites,
         }
     }
 
-    /// A single-site topology of consecutive groups of `group_size` nodes:
+    /// A topology of consecutive groups of `group_size` nodes:
     /// nodes `0..group_size` form domain 0, and so on.  The simplest grouped
     /// model — "every switch serves `group_size` desks" — and the one the
     /// grouped-churn sweeps use (node refs are uncorrelated with overlay ids,
@@ -154,7 +135,6 @@ impl Topology {
             .enumerate()
             .map(|(g, start)| Domain {
                 label: format!("site0/group{g}"),
-                site: 0,
                 members: (start..(start + group_size).min(nodes)).collect(),
             })
             .collect();
@@ -179,7 +159,7 @@ impl Topology {
         let mut domains = Vec::with_capacity(total_domains);
         let mut cursor = 0usize;
         for (d, weight) in weights.iter().enumerate() {
-            let site = (d / domains_per_site) as u32;
+            let site = d / domains_per_site;
             let take = if d == total_domains - 1 {
                 nodes - cursor
             } else {
@@ -187,32 +167,10 @@ impl Topology {
             };
             domains.push(Domain {
                 label: format!("site{site}/lab{}", d % domains_per_site),
-                site,
                 members: order[cursor..cursor + take].to_vec(),
             });
             cursor += take;
         }
-        Topology::from_domains(domains)
-    }
-
-    /// Derive domains from contributed capacities: machines bought in the same
-    /// procurement round contribute near-identical disks, so sorting nodes by
-    /// capacity and cutting the order into `domains` equal quantile slices
-    /// approximates the lab structure of a real pool.
-    pub fn from_capacities(capacities: &[ByteSize], domains: usize) -> Self {
-        assert!(domains > 0, "need at least one domain");
-        let mut order: Vec<NodeRef> = (0..capacities.len()).collect();
-        order.sort_by_key(|&n| (capacities[n], n));
-        let per = capacities.len().div_ceil(domains);
-        let domains = order
-            .chunks(per.max(1))
-            .enumerate()
-            .map(|(g, members)| Domain {
-                label: format!("site0/capacity{g}"),
-                site: 0,
-                members: members.to_vec(),
-            })
-            .collect();
         Topology::from_domains(domains)
     }
 
@@ -237,7 +195,7 @@ impl Topology {
         }
         let names = ["office", "laptop", "lab"];
         let mut domains = Vec::new();
-        for (site, (class, members)) in names.iter().zip(classes).enumerate() {
+        for (class, members) in names.iter().zip(classes) {
             if members.is_empty() {
                 continue;
             }
@@ -251,7 +209,6 @@ impl Topology {
                 }
                 domains.push(Domain {
                     label: format!("{class}/{g}"),
-                    site: site as u32,
                     members,
                 });
             }
@@ -262,11 +219,6 @@ impl Topology {
     /// Number of failure domains.
     pub fn domain_count(&self) -> usize {
         self.domains.len()
-    }
-
-    /// Number of sites.
-    pub fn site_count(&self) -> u32 {
-        self.sites
     }
 
     /// Number of nodes the topology covers (the highest member ref + 1).
@@ -289,11 +241,6 @@ impl Topology {
         &self.domains[domain as usize].label
     }
 
-    /// The site a domain belongs to.
-    pub fn site_of(&self, domain: DomainId) -> u32 {
-        self.domains[domain as usize].site
-    }
-
     /// Iterate over all domains.
     pub fn domains(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
         self.domains
@@ -304,7 +251,7 @@ impl Topology {
 
     /// Snapshot this topology's membership into a shareable [`DomainView`].
     ///
-    /// The view copies only the membership structure (not labels or sites), so
+    /// The view copies only the membership structure (not labels), so
     /// subsequent clones of the view are refcount bumps and the detector side
     /// never holds the placement layer's full hierarchy.
     pub fn domain_view(&self) -> DomainView {
@@ -345,33 +292,16 @@ mod tests {
         let b = Topology::synthetic(200, 3, 4, 7);
         assert_eq!(a, b);
         assert_eq!(a.domain_count(), 12);
-        assert_eq!(a.site_count(), 3);
         let covered: usize = a.domains().map(|(_, d)| d.members.len()).sum();
         assert_eq!(covered, 200);
         for n in 0..200 {
             let d = a.domain_of(n).expect("every node has a domain");
             assert!(a.members(d).contains(&n));
-            assert!(a.site_of(d) < 3);
+            assert!(a.label(d).starts_with("site"));
         }
         // Jitter produces unequal lab sizes.
         let sizes: Vec<usize> = a.domains().map(|(_, d)| d.members.len()).collect();
         assert!(sizes.iter().any(|&s| s != sizes[0]));
-    }
-
-    #[test]
-    fn capacity_domains_group_similar_disks() {
-        let caps: Vec<ByteSize> = (0..40)
-            .map(|i| ByteSize::gb(if i % 2 == 0 { 10 } else { 100 }))
-            .collect();
-        let topo = Topology::from_capacities(&caps, 4);
-        assert_eq!(topo.domain_count(), 4);
-        // Each domain is capacity-homogeneous: the two disk generations never
-        // share a lab (20 small + 20 large disks over 4 labs of 10).
-        for (_, d) in topo.domains() {
-            let caps_in: std::collections::BTreeSet<u64> =
-                d.members.iter().map(|&n| caps[n].as_u64()).collect();
-            assert_eq!(caps_in.len(), 1, "{}: mixed procurement rounds", d.label);
-        }
     }
 
     #[test]
@@ -392,13 +322,11 @@ mod tests {
         let topo = Topology::uniform_groups(23, 5);
         let view = topo.domain_view();
         assert_eq!(view.domain_count(), topo.domain_count());
-        assert!(!view.is_unaffiliated());
         for n in 0..23 {
             assert_eq!(view.domain_of(n), topo.domain_of(n));
         }
         for (d, domain) in topo.domains() {
             assert_eq!(view.members(d), &domain.members[..]);
-            assert_eq!(view.domain_size(d), domain.members.len());
         }
         assert_eq!(view.domain_of(100), None, "unknown nodes unaffiliated");
         // Clones share the same snapshot rather than copying it.
@@ -406,7 +334,6 @@ mod tests {
         assert!(std::ptr::eq(view.members(0), clone.members(0)));
 
         let empty = DomainView::unaffiliated();
-        assert!(empty.is_unaffiliated());
         assert_eq!(empty.domain_count(), 0);
         assert_eq!(empty.domain_of(0), None);
     }
@@ -417,12 +344,10 @@ mod tests {
         Topology::from_domains(vec![
             Domain {
                 label: "a".into(),
-                site: 0,
                 members: vec![0, 1],
             },
             Domain {
                 label: "b".into(),
-                site: 0,
                 members: vec![1, 2],
             },
         ]);

@@ -5,7 +5,6 @@ use crate::detection::DetectionKind;
 use peerstripe_placement::Topology;
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, DetRng};
-use peerstripe_trace::SessionTrace;
 use serde::{Deserialize, Serialize};
 
 /// Where the churn process draws node session/downtime lengths from.
@@ -18,40 +17,23 @@ pub enum SessionModel {
         /// Mean downtime between sessions, in seconds.
         mean_downtime_secs: f64,
     },
-    /// Empirical durations drawn from a [`SessionTrace`] (the trace-derived
-    /// mode: diurnal office machines, laptops, always-on lab nodes).
-    Trace(SessionTrace),
 }
 
 impl SessionModel {
-    /// The default desktop-grid parameters: 8 h mean sessions, 16 h mean
-    /// downtimes (machines are up a third of the time, as in the office-hours
-    /// regime the paper's Condor pool lives in).
-    pub fn desktop_grid_default() -> Self {
-        SessionModel::Synthetic {
-            mean_session_secs: 8.0 * 3_600.0,
-            mean_downtime_secs: 16.0 * 3_600.0,
-        }
-    }
-
     /// Draw one session (uptime) length in seconds.
     pub fn sample_session(&self, rng: &mut DetRng) -> f64 {
-        match self {
-            SessionModel::Synthetic {
-                mean_session_secs, ..
-            } => Exponential::new(1.0 / mean_session_secs).sample(rng),
-            SessionModel::Trace(trace) => trace.sample_session(rng),
-        }
+        let SessionModel::Synthetic {
+            mean_session_secs, ..
+        } = self;
+        Exponential::new(1.0 / mean_session_secs).sample(rng)
     }
 
     /// Draw one downtime length in seconds.
     pub fn sample_downtime(&self, rng: &mut DetRng) -> f64 {
-        match self {
-            SessionModel::Synthetic {
-                mean_downtime_secs, ..
-            } => Exponential::new(1.0 / mean_downtime_secs).sample(rng),
-            SessionModel::Trace(trace) => trace.sample_downtime(rng),
-        }
+        let SessionModel::Synthetic {
+            mean_downtime_secs, ..
+        } = self;
+        Exponential::new(1.0 / mean_downtime_secs).sample(rng)
     }
 }
 
@@ -102,27 +84,16 @@ pub struct ChurnProcess {
 }
 
 impl ChurnProcess {
-    /// Desktop-grid defaults with a 2 % permanent-departure rate.
-    pub fn desktop_grid_default() -> Self {
-        ChurnProcess {
-            sessions: SessionModel::desktop_grid_default(),
-            permanent_fraction: 0.02,
-            grouped: None,
-        }
-    }
-
     /// Flattened `key = value` entries for a
     /// [`peerstripe_telemetry::RunManifest`].
     pub fn manifest_entries(&self) -> Vec<(String, String)> {
+        let SessionModel::Synthetic {
+            mean_session_secs,
+            mean_downtime_secs,
+        } = &self.sessions;
         let mut entries = vec![(
             "churn.sessions".to_string(),
-            match &self.sessions {
-                SessionModel::Synthetic {
-                    mean_session_secs,
-                    mean_downtime_secs,
-                } => format!("synthetic(up={mean_session_secs}s,down={mean_downtime_secs}s)"),
-                SessionModel::Trace(_) => "trace".to_string(),
-            },
+            format!("synthetic(up={mean_session_secs}s,down={mean_downtime_secs}s)"),
         )];
         entries.push((
             "churn.permanent_fraction".to_string(),
@@ -195,6 +166,12 @@ impl RepairPolicy {
     }
 }
 
+/// Floor on the deferred-repair retry period, in seconds.  A repair that
+/// cannot run (no decode sources or placement targets) retries after
+/// `max(probe_period_secs, RETRY_FLOOR_SECS)`, so sub-minute probe
+/// configurations do not flood the event queue with retries.
+const RETRY_FLOOR_SECS: f64 = 60.0;
+
 /// Failure-detector timing.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -208,12 +185,6 @@ pub struct DetectorConfig {
     /// and its blocks are written off for regeneration.  The knob that trades
     /// false-positive repair traffic against the window of reduced redundancy.
     pub permanence_timeout_secs: f64,
-    /// Floor on the deferred-repair retry period, in seconds.  A repair that
-    /// cannot run (no decode sources or placement targets) retries after
-    /// `max(probe_period_secs, retry_floor_secs)` — the floor keeps sub-minute
-    /// probe configurations from flooding the event queue with retries, while
-    /// staying an explicit knob instead of a hard-coded constant.
-    pub retry_floor_secs: f64,
 }
 
 impl DetectorConfig {
@@ -225,7 +196,6 @@ impl DetectorConfig {
             probe_period_secs: 300.0,
             detection_lag_secs: 30.0,
             permanence_timeout_secs: 48.0 * 3_600.0,
-            retry_floor_secs: 60.0,
         }
     }
 
@@ -237,7 +207,7 @@ impl DetectorConfig {
 
     /// The effective deferred-repair retry period: the probe period, floored.
     pub fn retry_period_secs(&self) -> f64 {
-        self.probe_period_secs.max(self.retry_floor_secs)
+        self.probe_period_secs.max(RETRY_FLOOR_SECS)
     }
 
     /// Flattened `key = value` entries for a
@@ -258,7 +228,7 @@ impl DetectorConfig {
             ),
             (
                 "detector.retry_floor_secs".to_string(),
-                format!("{}", self.retry_floor_secs),
+                format!("{RETRY_FLOOR_SECS}"),
             ),
         ]
     }
@@ -312,12 +282,6 @@ impl RepairConfig {
         }
     }
 
-    /// Use the given failure-detection policy.
-    pub fn with_detection(mut self, detection: DetectionKind) -> Self {
-        self.detection = detection;
-        self
-    }
-
     /// The effective configuration, flattened for a
     /// [`peerstripe_telemetry::RunManifest`] — the header record that makes
     /// every trace and sweep JSON self-describing.
@@ -362,12 +326,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_mode_draws_from_the_trace() {
-        let trace = SessionTrace::new(vec![60.0], vec![30.0]);
-        let model = SessionModel::Trace(trace);
-        let mut rng = DetRng::new(2);
-        assert_eq!(model.sample_session(&mut rng), 60.0);
-        assert_eq!(model.sample_downtime(&mut rng), 30.0);
+    fn retry_period_is_the_probe_period_floored_at_a_minute() {
+        let slow = DetectorConfig::default_desktop_grid();
+        assert_eq!(slow.probe_period_secs, 300.0);
+        assert_eq!(slow.retry_period_secs(), 300.0);
+        let fast = DetectorConfig {
+            probe_period_secs: 5.0,
+            ..slow
+        };
+        assert_eq!(fast.retry_period_secs(), 60.0);
     }
 
     #[test]

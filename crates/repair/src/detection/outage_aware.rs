@@ -199,7 +199,6 @@ mod tests {
             probe_period_secs: 100.0,
             detection_lag_secs: 10.0,
             permanence_timeout_secs: timeout,
-            retry_floor_secs: 60.0,
         }
     }
 

@@ -80,7 +80,6 @@ mod tests {
                 probe_period_secs: 100.0,
                 detection_lag_secs: 10.0,
                 permanence_timeout_secs: 1_000.0,
-                retry_floor_secs: 60.0,
             },
         )
     }
@@ -107,7 +106,6 @@ mod tests {
                 probe_period_secs: 100.0,
                 detection_lag_secs: 10.0,
                 permanence_timeout_secs: 5.0,
-                retry_floor_secs: 60.0,
             },
         );
         let pending = d.node_down(0, SimTime::from_secs(250));

@@ -432,8 +432,7 @@ impl MaintenanceEngine {
 
     /// Queue a deferred-repair retry for `chunk` one retry period out (at most
     /// one pending retry per chunk, so deferrals cannot flood the queue).  The
-    /// period is the probe period floored by the configured
-    /// [`crate::DetectorConfig::retry_floor_secs`].
+    /// period is [`crate::DetectorConfig::retry_period_secs`].
     pub(super) fn schedule_retry(&mut self, q: &mut EventQueue<MaintenanceEvent>, chunk: u32) {
         let ci = chunk as usize;
         if self.retry_pending[ci] {

@@ -48,7 +48,6 @@ mod tests {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -71,7 +70,6 @@ mod tests {
                 probe_period_secs: 60.0,
                 detection_lag_secs: 10.0,
                 permanence_timeout_secs: timeout_secs,
-                retry_floor_secs: 60.0,
             },
             detection: DetectionKind::PerNodeTimeout,
             bandwidth: BandwidthBudget::symmetric(ByteSize::mb(8)),
@@ -308,7 +306,10 @@ mod tests {
                 ps.into_cluster(),
                 &manifests,
                 churn,
-                config(RepairPolicy::Eager, 2.0 * 3_600.0).with_detection(detection),
+                RepairConfig {
+                    detection,
+                    ..config(RepairPolicy::Eager, 2.0 * 3_600.0)
+                },
                 23,
             )
         };
@@ -357,7 +358,6 @@ mod tests {
                 probe_period_secs: 300.0,
                 detection_lag_secs: 30.0,
                 permanence_timeout_secs: 4.0 * 3_600.0,
-                retry_floor_secs: 60.0,
             },
             topology.domain_view(),
             OutageAwareConfig {
@@ -535,36 +535,5 @@ mod tests {
         b.run_for(SimTime::from_secs(24 * 3_600));
         assert_eq!(a.report().events, b.report().events);
         assert_eq!(a.report().repair_bytes, b.report().repair_bytes);
-    }
-
-    #[test]
-    fn sub_minute_probes_respect_the_configured_retry_floor() {
-        // Two configurations that differ only in the retry floor must diverge
-        // in event count when repairs defer: the floor is a real knob, not a
-        // hard-coded constant.  A 5 s probe with the default 60 s floor
-        // retries at 60 s; with a 5 s floor it retries at probe cadence.
-        let build = |retry_floor_secs: f64| {
-            let ps = loaded(30, 40, 31);
-            let manifests = ps.manifests().clone();
-            let mut cfg = config(RepairPolicy::Eager, 600.0);
-            cfg.detector.probe_period_secs = 5.0;
-            cfg.detector.retry_floor_secs = retry_floor_secs;
-            MaintenanceEngine::new(ps.into_cluster(), &manifests, churn(0.2), cfg, 31)
-        };
-        let mut floored = build(60.0);
-        let mut fast = build(5.0);
-        floored.run_for(SimTime::from_secs(24 * 3_600));
-        fast.run_for(SimTime::from_secs(24 * 3_600));
-        assert_eq!(
-            floored.report().detector,
-            fast.report().detector,
-            "same policy either way"
-        );
-        assert!(
-            fast.report().events > floored.report().events,
-            "a lower floor must retry more often: {} vs {}",
-            fast.report().events,
-            floored.report().events
-        );
     }
 }

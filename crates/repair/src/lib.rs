@@ -6,10 +6,9 @@
 //! crate is that sentence made continuous: a [`MaintenanceEngine`] drives a
 //! stored deployment through time on the shared discrete-event queue, with
 //!
-//! * a **churn process** ([`ChurnProcess`]) drawing node session/downtime
-//!   lengths from closed-form distributions or an empirical
-//!   [`peerstripe_trace::SessionTrace`], with a configurable fraction of
-//!   departures being permanent (the disk never returns);
+//! * a **churn process** ([`ChurnProcess`]) drawing exponential node
+//!   session/downtime lengths, with a configurable fraction of departures
+//!   being permanent (the disk never returns);
 //! * a pluggable **detection layer** ([`DetectionPolicy`]) that notices
 //!   departures at probe boundaries and decides when an absence becomes a
 //!   permanent-death declaration: [`PerNodeTimeout`] judges every node

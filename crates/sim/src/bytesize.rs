@@ -59,11 +59,6 @@ impl ByteSize {
         ByteSize(n * TB)
     }
 
-    /// Construct from a fractional number of mebibytes (clamped at zero).
-    pub fn mb_f64(mb: f64) -> Self {
-        ByteSize((mb.max(0.0) * MB as f64).round() as u64)
-    }
-
     /// Raw byte count.
     #[inline]
     pub const fn as_u64(self) -> u64 {
@@ -122,18 +117,6 @@ impl ByteSize {
     #[inline]
     pub fn max(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.max(rhs.0))
-    }
-
-    /// Multiply by a non-negative float (used for "report only a fraction of free
-    /// space per `getCapacity`" policies), rounding down, saturating.
-    pub fn scale(self, factor: f64) -> ByteSize {
-        debug_assert!(factor >= 0.0);
-        let scaled = (self.0 as f64 * factor).floor();
-        if scaled >= u64::MAX as f64 {
-            ByteSize(u64::MAX)
-        } else {
-            ByteSize(scaled as u64)
-        }
     }
 
     /// Integer division rounding up: how many `unit`-sized pieces cover `self`.
@@ -243,7 +226,6 @@ mod tests {
         assert_eq!(ByteSize::mb(1).as_u64(), 1024 * 1024);
         assert_eq!(ByteSize::gb(2).as_u64(), 2 * GB);
         assert_eq!(ByteSize::tb(1).as_u64(), TB);
-        assert_eq!(ByteSize::mb_f64(1.5).as_u64(), 3 * MB / 2);
     }
 
     #[test]
@@ -273,9 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_fraction() {
-        assert_eq!(ByteSize::gb(10).scale(0.5), ByteSize::gb(5));
-        assert_eq!(ByteSize::gb(10).scale(0.0), ByteSize::ZERO);
+    fn fraction_of() {
         let f = ByteSize::gb(1).fraction_of(ByteSize::gb(4));
         assert!((f - 0.25).abs() < 1e-12);
         assert_eq!(ByteSize::gb(1).fraction_of(ByteSize::ZERO), 0.0);

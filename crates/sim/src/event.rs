@@ -58,11 +58,6 @@ impl SimTime {
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl fmt::Debug for SimTime {

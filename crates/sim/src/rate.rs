@@ -49,16 +49,6 @@ impl RateLimiter {
         SimTime::from_secs_f64(bytes.as_u64() as f64 / self.bytes_per_sec)
     }
 
-    /// Pending work as a duration: how long after `now` the pipe stays busy.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.busy_until.saturating_sub(now)
-    }
-
-    /// True if nothing is queued at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Reserve the pipe for `bytes` starting no earlier than `now`; returns the
     /// occupied window and advances the drain front to its end.
     pub fn reserve(&mut self, bytes: ByteSize, now: SimTime) -> Reservation {
@@ -66,11 +56,6 @@ impl RateLimiter {
         let done = start + self.transfer_time(bytes);
         self.busy_until = done;
         Reservation { start, done }
-    }
-
-    /// Forget all queued work (e.g. the budget's owner failed).
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
     }
 }
 
@@ -90,8 +75,6 @@ mod tests {
         assert_eq!(second.start, SimTime::from_secs(12));
         assert_eq!(second.done, SimTime::from_secs(13));
         assert_eq!(rl.busy_until(), SimTime::from_secs(13));
-        assert_eq!(rl.backlog(now), SimTime::from_secs(3));
-        assert!(!rl.is_idle(now));
     }
 
     #[test]
@@ -100,19 +83,10 @@ mod tests {
         rl.reserve(ByteSize::kb(512), SimTime::ZERO);
         // After the backlog drains, a new reservation starts at `now`.
         let later = SimTime::from_secs(100);
-        assert!(rl.is_idle(later));
+        assert!(rl.busy_until() <= later);
         let r = rl.reserve(ByteSize::kb(256), later);
         assert_eq!(r.start, later);
         assert_eq!(r.done, later + SimTime::from_millis(500));
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let mut rl = RateLimiter::new(ByteSize::mb(1));
-        rl.reserve(ByteSize::mb(100), SimTime::ZERO);
-        assert!(rl.backlog(SimTime::ZERO) > SimTime::ZERO);
-        rl.reset();
-        assert_eq!(rl.backlog(SimTime::ZERO), SimTime::ZERO);
     }
 
     #[test]

@@ -134,20 +134,6 @@ impl DetRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        if lo == hi {
-            return lo;
-        }
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(span + 1)
-    }
-
     /// Uniform `usize` in `[0, bound)`.
     #[inline]
     pub fn index(&mut self, bound: usize) -> usize {
@@ -311,16 +297,6 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|s| *s), "all residues should appear");
-    }
-
-    #[test]
-    fn range_u64_inclusive_bounds() {
-        let mut rng = DetRng::new(13);
-        for _ in 0..1000 {
-            let x = rng.range_u64(5, 9);
-            assert!((5..=9).contains(&x));
-        }
-        assert_eq!(rng.range_u64(4, 4), 4);
     }
 
     #[test]

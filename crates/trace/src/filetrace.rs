@@ -119,11 +119,6 @@ pub struct TraceStats {
 }
 
 impl Trace {
-    /// Create a trace from explicit records.
-    pub fn from_files(files: Vec<FileRecord>) -> Self {
-        Trace { files }
-    }
-
     /// Number of files in the trace.
     pub fn len(&self) -> usize {
         self.files.len()
@@ -155,37 +150,11 @@ impl Trace {
         }
     }
 
-    /// Keep only files of at least `min_size` (the paper's 50 MB filter).
-    pub fn filter_min_size(&self, min_size: ByteSize) -> Trace {
-        Trace {
-            files: self
-                .files
-                .iter()
-                .filter(|f| f.size >= min_size)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// The first `n` files (prefix workload), cloned.
     pub fn take(&self, n: usize) -> Trace {
         Trace {
             files: self.files.iter().take(n).cloned().collect(),
         }
-    }
-
-    /// Serialise to JSON (one object; used to snapshot workloads for experiments).
-    #[expect(
-        clippy::expect_used,
-        reason = "serialising owned plain data cannot fail"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialisation cannot fail")
-    }
-
-    /// Parse a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -238,27 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_take() {
-        let trace = Trace::from_files(vec![
-            FileRecord::new("a", ByteSize::mb(10)),
-            FileRecord::new("b", ByteSize::mb(100)),
-            FileRecord::new("c", ByteSize::mb(60)),
-        ]);
-        let filtered = trace.filter_min_size(ByteSize::mb(50));
-        assert_eq!(filtered.len(), 2);
-        assert_eq!(filtered.files[0].name, "b");
+    fn take_is_a_prefix() {
+        let trace = TraceConfig::scaled(3).generate(5);
         let prefix = trace.take(2);
-        assert_eq!(prefix.len(), 2);
-        assert!(trace.take(100).len() == 3);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let trace = TraceConfig::scaled(50).generate(11);
-        let json = trace.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.files, trace.files);
-        assert!(Trace::from_json("not json").is_err());
+        assert_eq!(prefix.files[..], trace.files[..2]);
+        assert_eq!(trace.take(100).len(), 3);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! trace are published, so this crate synthesises workloads with matching
 //! statistics (see DESIGN.md, substitution table).
 //!
-//! * [`filetrace`] — [`TraceConfig`]/[`Trace`] generation, statistics, JSON
-//!   import/export;
+//! * [`filetrace`] — [`TraceConfig`]/[`Trace`] generation and statistics;
 //! * [`capacity`] — [`CapacityModel`] for per-node contributed storage;
-//! * [`sessions`] — [`SessionTrace`] empirical session/downtime durations for
-//!   the repair subsystem's trace-derived churn mode.
+//! * [`sessions`] — [`SessionTrace`] synthetic session/downtime durations,
+//!   from which `Topology::from_sessions` derives failure domains.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

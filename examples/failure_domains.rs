@@ -22,7 +22,6 @@ fn deploy(strategy: Box<dyn PlacementStrategy>, topology: &Topology) -> PeerStri
     let cluster = ClusterConfig {
         nodes: 64,
         capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng);

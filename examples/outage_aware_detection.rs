@@ -28,7 +28,6 @@ fn run(detection: DetectionKind) -> MaintenanceReport {
     let cluster = ClusterConfig {
         nodes: 60,
         capacity: CapacityModel::Fixed(ByteSize::gb(4)),
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng);

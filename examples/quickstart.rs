@@ -22,7 +22,6 @@ fn main() {
             lo: ByteSize::mb(64),
             hi: ByteSize::mb(256),
         },
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng);

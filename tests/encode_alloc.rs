@@ -56,7 +56,6 @@ fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
         let cluster = ClusterConfig {
             nodes: 24,
             capacity: CapacityModel::Fixed(ByteSize::mb(64)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut DetRng::new(7));

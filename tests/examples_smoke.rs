@@ -20,7 +20,6 @@ fn quickstart_store_retrieve_on_small_cluster() {
             lo: ByteSize::mb(64),
             hi: ByteSize::mb(256),
         },
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng);
@@ -198,13 +197,15 @@ fn placement_sweep_per_node_output_matches_pre_refactor_golden() {
     );
 }
 
-/// Figure 10 and Table 3 are pinned whole: the golden files are `repro fig10`
-/// and `repro table3 --scale small --seed 42` as printed (two header lines,
-/// then the experiment's section), so a change to the block bookkeeping under
-/// either cannot move a digit unnoticed.
+/// Figure 10, Table 3 and Table 4 are pinned whole: the golden files are
+/// `repro fig10|table3|table4 --scale small --seed 42` as printed (two header
+/// lines, then the experiment's section), so a change to the block
+/// bookkeeping or the comparison systems under any of them cannot move a
+/// digit unnoticed.  Figure 7 and Table 1 have goldens too, but take seconds
+/// in a release build; CI diffs those against the release `repro`.
 #[test]
-fn availability_outputs_match_their_golden_captures() {
-    for experiment in ["fig10", "table3"] {
+fn pinned_outputs_match_their_golden_captures() {
+    for experiment in ["fig10", "table3", "table4"] {
         let body = golden_body(&format!("{experiment}_small_seed42.txt"));
         let report = run_experiment(experiment, Scale::Small, 42).expect("known experiment");
         assert_eq!(
@@ -231,7 +232,6 @@ fn outage_aware_detection_example_logic() {
         let cluster = ClusterConfig {
             nodes: 60,
             capacity: CapacityModel::Fixed(ByteSize::gb(4)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);

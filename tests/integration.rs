@@ -14,7 +14,6 @@ fn cluster(nodes: usize, capacity: ByteSize, seed: u64) -> peerstripe::core::Sto
     ClusterConfig {
         nodes,
         capacity: CapacityModel::Fixed(capacity),
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng)

@@ -27,7 +27,6 @@ fn ledger_fixture() -> PeerStripe {
     let cluster = ClusterConfig {
         nodes: 50,
         capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut rng);
@@ -350,7 +349,6 @@ proptest! {
         let cluster = ClusterConfig {
             nodes: 24,
             capacity: CapacityModel::Fixed(ByteSize::mb(64)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -507,7 +505,6 @@ proptest! {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -553,7 +550,6 @@ proptest! {
         let cluster = ClusterConfig {
             nodes: 30,
             capacity: CapacityModel::Fixed(ByteSize::gb(1)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -591,7 +587,6 @@ proptest! {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -762,7 +757,6 @@ proptest! {
             let cluster = ClusterConfig {
                 nodes: 40,
                 capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-                report_fraction: 1.0,
                 track_objects: true,
             }
             .build(&mut rng);
@@ -830,7 +824,6 @@ proptest! {
         let cluster = ClusterConfig {
             nodes,
             capacity: CapacityModel::Fixed(ByteSize::gb(2)),
-            report_fraction: 1.0,
             track_objects: true,
         }
         .build(&mut rng);
@@ -993,7 +986,6 @@ proptest! {
     #[test]
     fn indexed_decisions_equal_the_scan(
         topology_kind in 0usize..3,
-        half_reports in any::<bool>(),
         equal_disks in any::<bool>(),
         seed in any::<u64>(),
         steps in 20usize..80,
@@ -1015,7 +1007,6 @@ proptest! {
             } else {
                 CapacityModel::Uniform { lo: ByteSize::mb(1), hi: ByteSize::mb(96) }
             },
-            report_fraction: if half_reports { 0.5 } else { 1.0 },
             track_objects: true,
         }
         .build(&mut rng);
@@ -1115,8 +1106,8 @@ proptest! {
 }
 
 /// A domain's freest member by its definition: the live member with the
-/// largest non-zero report, the first in member order on ties, and none of
-/// `chosen`.
+/// most free room, the first in member order on ties, none of `chosen`, and
+/// not full.
 fn freest_by_scan(
     domain: &Domain,
     states: &[NodeState],
@@ -1124,13 +1115,13 @@ fn freest_by_scan(
 ) -> Option<(NodeRef, ByteSize)> {
     let mut best: Option<(NodeRef, ByteSize)> = None;
     for &node in &domain.members {
-        let NodeState { alive, report, .. } = states[node];
+        let NodeState { alive, free } = states[node];
         if alive
-            && !report.is_zero()
+            && !free.is_zero()
             && !chosen.contains(&node)
-            && best.is_none_or(|(_, most)| report > most)
+            && best.is_none_or(|(_, most)| free > most)
         {
-            best = Some((node, report));
+            best = Some((node, free));
         }
     }
     best
@@ -1140,8 +1131,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Each domain's freest member, read off its max tree, is the scan's
-    /// answer after every update: liveness flips, reports that grow, shrink,
-    /// equal another's or drop to zero.  So is the best of the rest once that
+    /// answer after every update: liveness flips, free room that grows,
+    /// shrinks, equals another's or runs out (a full node).  So is the best of the rest once that
     /// member is chosen, and the maintained index equals a rebuild.
     #[test]
     fn the_freest_member_is_the_scan_after_every_update(
@@ -1152,10 +1143,10 @@ proptest! {
     ) {
         let topology = Topology::uniform_groups(nodes, group);
         let mut rng = DetRng::new(seed);
-        // Few report levels, so equal reports are common.
+        // Few levels of free room, so ties are common.
         let draw = |rng: &mut DetRng| {
-            let report = ByteSize::mb([0, 1, 2, 5][rng.index(4)]);
-            NodeState { alive: rng.chance(0.8), report, free: report }
+            let free = ByteSize::mb([0, 1, 2, 5][rng.index(4)]);
+            NodeState { alive: rng.chance(0.8), free }
         };
         let mut states: Vec<NodeState> = (0..nodes).map(|_| draw(&mut rng)).collect();
         let mut index = DomainIndex::build(&topology, nodes, |n| states[n]).unwrap();
@@ -1164,10 +1155,10 @@ proptest! {
             let was = states[node];
             states[node] = match rng.index(4) {
                 0 => NodeState { alive: !was.alive, ..was },
-                1 => NodeState { report: ByteSize::ZERO, ..was },
+                1 => NodeState { free: ByteSize::ZERO, ..was },
                 2 => {
                     let other = states[rng.index(nodes)];
-                    NodeState { report: other.report, free: other.free, ..was }
+                    NodeState { free: other.free, ..was }
                 }
                 _ => draw(&mut rng),
             };

@@ -125,7 +125,6 @@ fn cluster(nodes: usize, seed: u64) -> StorageCluster {
     ClusterConfig {
         nodes,
         capacity: CapacityModel::Fixed(ByteSize::mb(64)),
-        report_fraction: 1.0,
         track_objects: true,
     }
     .build(&mut DetRng::new(seed))
