@@ -376,7 +376,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let cluster = ClusterConfig::scaled(50).build(&mut rng);
         assert_eq!(cluster.node_count(), 50);
-        assert!(cluster.total_capacity() > ByteSize::tb(1));
+        assert!(cluster.total_capacity() > ByteSize::gb(1024));
         assert_eq!(cluster.total_used(), ByteSize::ZERO);
         assert_eq!(cluster.utilization(), 0.0);
     }

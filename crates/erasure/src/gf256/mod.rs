@@ -92,17 +92,6 @@ pub fn inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize] // LOG[a] <= 255 so 255-LOG[a] <= 255 < EXP.len()
 }
 
-/// Field division `a / b`.  Panics when `b` is zero.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        EXP[LOG[a as usize] as usize + 255 - LOG[b as usize] as usize] // log a + 255 - log b <= 509 < EXP.len()==510
-    }
-}
-
 /// Exponentiation `a^e` (with the convention `0⁰ = 1`).
 #[inline]
 pub fn pow(a: u8, e: usize) -> u8 {
@@ -319,11 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn inverse_and_division() {
+    fn every_nonzero_element_has_an_inverse() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1);
-            assert_eq!(div(a, a), 1);
-            assert_eq!(div(0, a), 0);
         }
     }
 

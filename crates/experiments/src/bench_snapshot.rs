@@ -30,8 +30,8 @@ use peerstripe_net::{Request, Response};
 use peerstripe_overlay::Id;
 use peerstripe_placement::{RepairRequest, StrategyKind, Topology};
 use peerstripe_repair::{
-    DeclarationVerdict, DetectionPolicy, DetectorConfig, OutageAware, OutageAwareConfig,
-    PerNodeTimeout,
+    DeclarationVerdict, DetectionKind, Detector, DetectorConfig, OutageAwareConfig,
+    PendingDeclaration,
 };
 use peerstripe_sim::{ByteSize, DetRng, SimTime};
 use serde::Deserialize;
@@ -195,14 +195,11 @@ pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
 
 /// Clustered-downtime setup shared by the decide rows: half of every domain
 /// down at t = 1000, the outage-aware worst case (it keeps re-classifying).
-fn take_half_down(
-    policy: &mut dyn DetectionPolicy,
-    nodes: usize,
-) -> Vec<peerstripe_repair::PendingDeclaration> {
+fn take_half_down(detector: &mut Detector, nodes: usize) -> Vec<PendingDeclaration> {
     let at = SimTime::from_secs(1_000);
     (0..nodes)
         .filter(|n| n % 2 == 0)
-        .map(|n| policy.node_down(n, at))
+        .map(|n| detector.node_down(n, at))
         .collect()
 }
 
@@ -210,28 +207,22 @@ fn detector_config() -> DetectorConfig {
     DetectorConfig::default_desktop_grid().with_timeout(4.0 * 3_600.0)
 }
 
-/// Detection-policy decide and down/up throughput for both policies.
+/// Detector decide and down/up throughput for both detection kinds.
 pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     let mut rows = Vec::new();
     for &nodes in &config.node_counts {
         let topology = Topology::uniform_groups(nodes, GROUP_SIZE);
-        let policies: Vec<(&str, Box<dyn DetectionPolicy>)> = vec![
-            (
-                "per-node",
-                Box::new(PerNodeTimeout::new(nodes, detector_config())),
-            ),
+        let kinds = [
+            ("per-node", DetectionKind::PerNodeTimeout),
             (
                 "outage-aware",
-                Box::new(OutageAware::new(
-                    nodes,
-                    detector_config(),
-                    topology.domain_view(),
-                    OutageAwareConfig::default_desktop_grid(),
-                )),
+                DetectionKind::OutageAware(OutageAwareConfig::default_desktop_grid()),
             ),
         ];
-        for (label, mut policy) in policies {
-            let pendings = take_half_down(policy.as_mut(), nodes);
+        for (label, kind) in kinds {
+            let mut detector =
+                Detector::new(nodes, detector_config(), kind, Some(topology.clone()));
+            let pendings = take_half_down(&mut detector, nodes);
             // Decide throughput: one verdict per down node per pass.
             let per_sec = best_rate(
                 PASS_SECS,
@@ -239,7 +230,7 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
                 |_| {
                     let mut verdicts = 0u64;
                     for (i, p) in pendings.iter().enumerate() {
-                        match policy.decide(i * 2, p.generation, p.declare_at) {
+                        match detector.decide(i * 2, p.generation, p.declare_at) {
                             DeclarationVerdict::Declare
                             | DeclarationVerdict::Hold { .. }
                             | DeclarationVerdict::Cancel => verdicts += 1,
@@ -261,8 +252,8 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
                 |_| {
                     t += 1;
                     for node in 0..nodes {
-                        let _ = policy.node_down(node, SimTime::from_secs(t));
-                        policy.node_up(node, SimTime::from_secs(t + 1));
+                        let _ = detector.node_down(node, SimTime::from_secs(t));
+                        detector.node_up(node);
                     }
                     nodes as u64
                 },

@@ -199,7 +199,7 @@ pub struct PlacementSweepRow {
     pub mean_distinct_domains: f64,
 }
 
-/// One detector-axis configuration's outcome: a detection policy (named by
+/// One detector-axis configuration's outcome: a detection kind (named by
 /// `report.detector`: `per-node` or `outage-aware(θ=…)`) driven over a
 /// grouped topology at fixed (domain-spread) placement.
 #[derive(Debug, Clone)]
@@ -334,7 +334,7 @@ fn measure_spread(manifests: &ManifestStore, cap: usize) -> SpreadReport {
 /// Run the detector axis: per grouped topology — the synthetic uniform
 /// grouping and a trace-derived [`Topology::from_sessions`] one — deploy once
 /// with domain-spread placement, then drive the identical deployment and
-/// churn schedule through every detection policy.  Placement and bandwidth
+/// churn schedule through every detection kind.  Placement and bandwidth
 /// are held fixed so the only variable is *when the detector declares*, and
 /// the repair bill (total and wasted) isolates what correlated-absence
 /// awareness saves.

@@ -321,7 +321,7 @@ pub fn render_placement_sweep(sweep: &PlacementSweep) -> String {
     out
 }
 
-/// Render the placement sweep's detector axis: detection policy × grouped
+/// Render the placement sweep's detector axis: detection kind × grouped
 /// topology at fixed domain-spread placement.
 fn render_detector_axis(sweep: &PlacementSweep) -> String {
     let mut t = TableBuilder::new(

@@ -174,7 +174,7 @@ pub struct TraceSummary {
     pub seed: u64,
     /// Repair policy label from the manifest header.
     pub policy: String,
-    /// Detection policy label from the manifest header.
+    /// Detection kind label from the manifest header.
     pub detection: String,
     /// Total records in the trace (including the manifest).
     pub records: u64,

@@ -29,12 +29,6 @@ impl Id {
     /// The maximum identifier.
     pub const MAX: Id = Id(u128::MAX);
 
-    /// Construct from a raw value.
-    #[inline]
-    pub const fn from_raw(v: u128) -> Self {
-        Id(v)
-    }
-
     /// Raw 128-bit value.
     #[inline]
     pub const fn raw(self) -> u128 {

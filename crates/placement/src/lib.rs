@@ -8,10 +8,9 @@
 //! subsystem that prevents that:
 //!
 //! * [`Topology`] — the rack/lab → node grouping with per-node domain
-//!   lookup, built synthetically from a seed or derived from a session trace
-//!   — plus [`DomainView`], the cheap shared membership
-//!   snapshot consumers like the outage-aware failure detector query without
-//!   owning the topology;
+//!   lookup, built synthetically from a seed or derived from a session trace;
+//!   clones share the domain list, so the failure detector in
+//!   `peerstripe-repair` holds its own;
 //! * [`PlacementStrategy`] — the pluggable target-selection policy, with
 //!   [`OverlayRandom`] (the paper's oblivious DHT behaviour, extracted),
 //!   [`DomainSpread`] (no chunk keeps more than its tolerable losses in any
@@ -21,7 +20,7 @@
 //!   achieved (worst per-domain concentration, cap violations);
 //! * [`ClusterView`] / [`ProbeView`] — the narrow cluster interface the
 //!   strategies consult, implemented by `peerstripe_core::StorageCluster`;
-//! * [`DomainIndex`] — per-node liveness, report and free room laid out by
+//! * [`DomainIndex`] — per-node liveness and free room laid out by
 //!   domain, with each domain's freest member at the root of a max tree,
 //!   which a cluster keeps current and lends to [`DomainSpread`] so its
 //!   decisions stop walking every node.
@@ -47,4 +46,4 @@ pub use strategy::{
     CapacityWeighted, ClusterView, DomainSpread, OverlayRandom, PlacementStrategy, ProbeView,
     RepairRequest, StrategyKind,
 };
-pub use topology::{Domain, DomainId, DomainView, Topology};
+pub use topology::{Domain, DomainId, Topology};

@@ -7,7 +7,8 @@
 //! consult the topology to keep a chunk's blocks spread over enough domains that losing
 //! any single one never costs more blocks than the coding tolerates, and the
 //! grouped-churn process in `peerstripe-repair` uses the same structure to
-//! draw whole-domain outage events.
+//! draw whole-domain outage events, and its failure detector to tell such an
+//! outage from independent departures.
 //!
 //! Topologies are built synthetically from a seed ([`Topology::synthetic`],
 //! [`Topology::uniform_groups`]) or derived from a session trace, whose
@@ -23,56 +24,6 @@ use std::sync::Arc;
 /// Index of a failure domain within a [`Topology`].
 pub type DomainId = u32;
 
-/// A cheap, shareable snapshot of domain membership: node → domain lookup and
-/// per-domain member lists behind one [`Arc`].
-///
-/// The failure detector (and any other subsystem that only needs to answer
-/// "which lab is this node in, and who else is in it?") holds a `DomainView`
-/// instead of owning a [`Topology`]: cloning is a refcount bump, the placement
-/// layer keeps sole ownership of the full hierarchy (labels, builders),
-/// and both sides observe the same membership without copying it per
-/// consumer.  Obtain one with [`Topology::domain_view`], or use
-/// [`DomainView::unaffiliated`] where no topology is in play (every lookup
-/// then answers `None`, which consumers must treat as "no correlation
-/// information").
-#[derive(Debug, Clone)]
-pub struct DomainView {
-    inner: Arc<DomainViewInner>,
-}
-
-#[derive(Debug)]
-struct DomainViewInner {
-    domain_of: Vec<Option<DomainId>>,
-    members: Vec<Vec<NodeRef>>,
-}
-
-impl DomainView {
-    /// A view with no domains at all: every node is unaffiliated.
-    pub fn unaffiliated() -> Self {
-        DomainView {
-            inner: Arc::new(DomainViewInner {
-                domain_of: Vec::new(),
-                members: Vec::new(),
-            }),
-        }
-    }
-
-    /// The failure domain of a node, or `None` for nodes outside the hierarchy.
-    pub fn domain_of(&self, node: NodeRef) -> Option<DomainId> {
-        self.inner.domain_of.get(node).copied().flatten()
-    }
-
-    /// A domain's member nodes.
-    pub fn members(&self, domain: DomainId) -> &[NodeRef] {
-        &self.inner.members[domain as usize]
-    }
-
-    /// Number of domains in the view.
-    pub fn domain_count(&self) -> usize {
-        self.inner.members.len()
-    }
-}
-
 /// One failure domain: a rack, lab, or office that fails as a unit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Domain {
@@ -85,10 +36,11 @@ pub struct Domain {
 /// The domain → node hierarchy with per-node domain lookup.
 ///
 /// Immutable once built, and its domain list is shared by every clone — which
-/// is what lets a [`crate::DomainIndex`] tell in one pointer comparison
-/// whether a decision is being made with the topology it was built for
-/// ([`crate::DomainIndex::serves`]); two topologies built separately are
-/// never the same to it, even when equal.
+/// keeps a clone cheap (the placement index, the grouped churn and the
+/// failure detector each hold one) and lets a [`crate::DomainIndex`] tell in
+/// one pointer comparison whether a decision is being made with the topology
+/// it was built for ([`crate::DomainIndex::serves`]); two topologies built
+/// separately are never the same to it, even when equal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     pub(crate) domains: Arc<Vec<Domain>>,
@@ -236,31 +188,12 @@ impl Topology {
         &self.domains[domain as usize].members
     }
 
-    /// A domain's label.
-    pub fn label(&self, domain: DomainId) -> &str {
-        &self.domains[domain as usize].label
-    }
-
     /// Iterate over all domains.
     pub fn domains(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
         self.domains
             .iter()
             .enumerate()
             .map(|(i, d)| (i as DomainId, d))
-    }
-
-    /// Snapshot this topology's membership into a shareable [`DomainView`].
-    ///
-    /// The view copies only the membership structure (not labels), so
-    /// subsequent clones of the view are refcount bumps and the detector side
-    /// never holds the placement layer's full hierarchy.
-    pub fn domain_view(&self) -> DomainView {
-        DomainView {
-            inner: Arc::new(DomainViewInner {
-                domain_of: self.domain_of.clone(),
-                members: self.domains.iter().map(|d| d.members.clone()).collect(),
-            }),
-        }
     }
 }
 
@@ -297,7 +230,7 @@ mod tests {
         for n in 0..200 {
             let d = a.domain_of(n).expect("every node has a domain");
             assert!(a.members(d).contains(&n));
-            assert!(a.label(d).starts_with("site"));
+            assert!(a.domains[d as usize].label.starts_with("site"));
         }
         // Jitter produces unequal lab sizes.
         let sizes: Vec<usize> = a.domains().map(|(_, d)| d.members.len()).collect();
@@ -312,30 +245,9 @@ mod tests {
         let covered: usize = topo.domains().map(|(_, d)| d.members.len()).sum();
         assert_eq!(covered, 300);
         // Labels carry the inferred class.
-        let labels: Vec<&str> = topo.domains().map(|(d, _)| topo.label(d)).collect();
+        let labels: Vec<&str> = topo.domains().map(|(_, d)| d.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.starts_with("office/")));
         assert!(labels.iter().any(|l| l.starts_with("lab/")));
-    }
-
-    #[test]
-    fn domain_view_mirrors_the_topology_and_shares_storage() {
-        let topo = Topology::uniform_groups(23, 5);
-        let view = topo.domain_view();
-        assert_eq!(view.domain_count(), topo.domain_count());
-        for n in 0..23 {
-            assert_eq!(view.domain_of(n), topo.domain_of(n));
-        }
-        for (d, domain) in topo.domains() {
-            assert_eq!(view.members(d), &domain.members[..]);
-        }
-        assert_eq!(view.domain_of(100), None, "unknown nodes unaffiliated");
-        // Clones share the same snapshot rather than copying it.
-        let clone = view.clone();
-        assert!(std::ptr::eq(view.members(0), clone.members(0)));
-
-        let empty = DomainView::unaffiliated();
-        assert_eq!(empty.domain_count(), 0);
-        assert_eq!(empty.domain_of(0), None);
     }
 
     #[test]

@@ -260,8 +260,8 @@ pub struct RepairConfig {
     pub policy: RepairPolicy,
     /// Failure-detector timing.
     pub detector: DetectorConfig,
-    /// Which failure-detection policy judges absences (per-node timeout or
-    /// the outage-aware correlated-absence classifier).
+    /// How the failure detector judges absences (per-node timeout or the
+    /// outage-aware correlated-absence classifier).
     pub detection: DetectionKind,
     /// Per-node repair bandwidth budgets.
     pub bandwidth: BandwidthBudget,

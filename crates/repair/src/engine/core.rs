@@ -4,11 +4,11 @@
 use super::accounting::WriteOffAccounting;
 use super::events::MaintenanceEvent;
 use crate::config::{ChurnProcess, RepairConfig};
-use crate::detection::DetectionPolicy;
+use crate::detection::Detector;
 use crate::scheduler::RepairScheduler;
 use peerstripe_core::{DamageLedger, ManifestStore, StorageCluster, Verdict};
 use peerstripe_overlay::NodeRef;
-use peerstripe_placement::{DomainView, OverlayRandom, PlacementStrategy, Topology};
+use peerstripe_placement::{OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, DetRng, EventQueue, OnlineStats, SimTime};
 use peerstripe_telemetry::{NullTracer, TraceEvent, TraceOutput, TraceRecord, Tracer};
@@ -55,12 +55,12 @@ pub struct MaintenanceReport {
     /// Nodes declared dead that later returned.
     pub false_declarations: u64,
     /// Down periods whose declaration the detector held at least once
-    /// (outage-aware policy classifying correlated absence).
+    /// (the outage-aware detector classifying correlated absence).
     pub declarations_held: u64,
     /// Held declarations cancelled by the node returning — each one a
     /// write-off (and its regeneration wave) that never happened.
     pub held_cancelled: u64,
-    /// The failure-detection policy's label.
+    /// The failure detector's label.
     pub detector: String,
 }
 
@@ -81,7 +81,7 @@ pub struct MaintenanceEngine {
     pub(super) cluster: StorageCluster,
     pub(super) ledger: DamageLedger,
     pub(super) queue: EventQueue<MaintenanceEvent>,
-    pub(super) detector: Box<dyn DetectionPolicy>,
+    pub(super) detector: Detector,
     pub(super) scheduler: RepairScheduler,
     pub(super) churn: ChurnProcess,
     pub(super) sample_period: SimTime,
@@ -125,10 +125,9 @@ impl MaintenanceEngine {
     ///
     /// `cluster` and `manifests` describe the system at time zero (every node
     /// up); `seed` makes the whole run — churn draws, permanence coin flips,
-    /// placement probes — reproducible.  The failure-detection policy comes
-    /// from `config.detection`; the outage-aware policy correlates over the
-    /// grouped-churn topology's [`DomainView`] when one is configured
-    /// (override with [`MaintenanceEngine::with_detector`]).
+    /// placement probes — reproducible.  The failure detector judges
+    /// absences as `config.detection` says, over the grouped-churn topology
+    /// when one is configured.
     pub fn new(
         cluster: StorageCluster,
         manifests: &ManifestStore,
@@ -147,15 +146,11 @@ impl MaintenanceEngine {
             .unwrap_or(0);
         // The grouped mode's topology doubles as the default placement
         // topology, so repair re-placement is domain-aware whenever the churn
-        // is (override with [`MaintenanceEngine::with_placement`]); its
-        // domain view likewise feeds the outage-aware detector.
+        // is (override with [`MaintenanceEngine::with_placement`]); the
+        // detector correlates absences over it too.
         let topology = churn.grouped.as_ref().map(|g| g.topology.clone());
-        let view = topology
-            .as_ref()
-            .map(|t| t.domain_view())
-            .unwrap_or_else(DomainView::unaffiliated);
         let mut engine = MaintenanceEngine {
-            detector: config.detection.build(nodes, config.detector, view),
+            detector: Detector::new(nodes, config.detector, config.detection, topology.clone()),
             scheduler: RepairScheduler::new(nodes, config.bandwidth, config.policy),
             sample_period: SimTime::from_secs_f64(config.sample_period_secs),
             queue: EventQueue::new(),
@@ -234,20 +229,6 @@ impl MaintenanceEngine {
             self.topology = topology;
             self.adopt_topology();
         }
-        self
-    }
-
-    /// Replace the failure-detection policy with an explicitly constructed
-    /// one — e.g. an [`crate::detection::OutageAware`] over a different
-    /// [`DomainView`] than the grouped-churn topology's.  Call before running:
-    /// detection state (who is down since when) does not carry over.
-    pub fn with_detector(mut self, detector: Box<dyn DetectionPolicy>) -> Self {
-        assert_eq!(
-            self.queue.processed(),
-            0,
-            "detector must be swapped before the run starts"
-        );
-        self.detector = detector;
         self
     }
 
@@ -335,11 +316,6 @@ impl MaintenanceEngine {
         self.group_down_until
             .get(group as usize)
             .is_some_and(|&until| self.queue.now() < until)
-    }
-
-    /// The topology rebuilt blocks are placed against, if any.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
     }
 
     /// Decide whether (and how much) to regenerate for `chunk`, and charge the

@@ -42,10 +42,10 @@ pub enum MaintenanceEvent {
         /// at outage start are *not* included — their own return drives them).
         members: Vec<NodeRef>,
     },
-    /// A scheduled declaration comes due for a node: the detection policy
-    /// decides whether to declare, cancel (stale generation — the node
-    /// returned), or hold and re-schedule this same event (outage-aware
-    /// policy riding out a correlated absence).
+    /// A scheduled declaration comes due for a node: the detector decides
+    /// whether to declare, cancel (stale generation — the node returned), or
+    /// hold and re-schedule this same event (the outage-aware detector riding
+    /// out a correlated absence).
     DeclareDead {
         /// The absent node.
         node: NodeRef,
@@ -175,9 +175,9 @@ impl MaintenanceEngine {
             self.down_outage[node] = Some(outage);
             self.report.group_departures += 1;
             self.ledger.node_down(node);
-            // The detection policy decides what the correlated absence means:
-            // the per-node timeout starts counting exactly as for any other
-            // departure, while the outage-aware policy will notice at
+            // The detector decides what the correlated absence means: the
+            // per-node timeout starts counting exactly as for any other
+            // departure, while the outage-aware detector will notice at
             // declaration time that the whole domain vanished together.
             let pending = self.detector.node_down(node, now);
             q.schedule_at(
@@ -284,7 +284,7 @@ impl MaintenanceEngine {
         }
         self.cluster.rejoin(node);
         self.ledger.node_up(node);
-        self.detector.node_up(node, now);
+        self.detector.node_up(node);
         if self.tracing() {
             let false_declaration = self.declared[node];
             self.trace(
@@ -347,7 +347,7 @@ impl MaintenanceEngine {
         );
     }
 
-    /// A declaration comes due: ask the detection policy for its verdict.
+    /// A declaration comes due: ask the detector for its verdict.
     /// `Cancel` drops a stale event, `Hold` re-schedules this declaration for
     /// a later re-decision (and counts the down period as held once), and
     /// `Declare` writes the node's blocks off and triggers regeneration.
@@ -408,7 +408,7 @@ impl MaintenanceEngine {
         }
     }
 
-    /// Trace the detection policy's verdict on `node`'s declaration.
+    /// Trace the detector's verdict on `node`'s declaration.
     fn trace_verdict(&mut self, now: SimTime, node: NodeRef, generation: u64, verdict: &str) {
         if self.tracing() {
             let record = TraceRecord::DeclarationVerdict {

@@ -2,7 +2,7 @@
 //!
 //! Drives a stored deployment through churn on the shared
 //! [`peerstripe_sim::EventQueue`]: nodes depart and return on sampled
-//! session/downtime lengths, the pluggable [`crate::DetectionPolicy`] turns
+//! session/downtime lengths, the [`crate::Detector`] turns
 //! long absences into permanent-death declarations (or holds them while a
 //! failure domain looks like it suffered an outage), and the
 //! [`crate::RepairScheduler`] regenerates the declared-lost blocks under
@@ -345,38 +345,39 @@ mod tests {
 
     #[test]
     fn outage_aware_still_declares_permanent_mass_departures() {
-        use crate::detection::{DetectionPolicy, OutageAware};
+        use crate::detection::{DeclarationVerdict, Detector};
         use peerstripe_placement::Topology;
         // A whole domain departs permanently (decommissioned, not rebooted):
         // the hold cap must eventually release the declarations so the data
-        // is regenerated.  Driven at the policy level for precision, and at
+        // is regenerated.  Driven at the detector level for precision, and at
         // the engine level by the property tests.
-        let topology = Topology::uniform_groups(20, 10);
-        let mut policy = OutageAware::new(
+        let mut detector = Detector::new(
             20,
             DetectorConfig {
                 probe_period_secs: 300.0,
                 detection_lag_secs: 30.0,
                 permanence_timeout_secs: 4.0 * 3_600.0,
             },
-            topology.domain_view(),
-            OutageAwareConfig {
+            DetectionKind::OutageAware(OutageAwareConfig {
                 domain_absence_threshold: 0.5,
                 outage_window_secs: 600.0,
                 hold_period_secs: 3_600.0,
                 hold_cap_secs: 12.0 * 3_600.0,
-            },
+            }),
+            Some(Topology::uniform_groups(20, 10)),
         );
         let down_at = SimTime::from_secs(1_000);
-        let pendings: Vec<_> = (0..10).map(|n| (n, policy.node_down(n, down_at))).collect();
+        let pendings: Vec<_> = (0..10)
+            .map(|n| (n, detector.node_down(n, down_at)))
+            .collect();
         let deadline = down_at + SimTime::from_secs((4 + 12) * 3_600);
         for (node, p) in pendings {
             let mut now = p.declare_at;
             loop {
-                match policy.decide(node, p.generation, now) {
-                    crate::detection::DeclarationVerdict::Hold { until } => now = until,
-                    crate::detection::DeclarationVerdict::Declare => break,
-                    crate::detection::DeclarationVerdict::Cancel => {
+                match detector.decide(node, p.generation, now) {
+                    DeclarationVerdict::Hold { until } => now = until,
+                    DeclarationVerdict::Declare => break,
+                    DeclarationVerdict::Cancel => {
                         panic!("node {node}: nothing returned")
                     }
                 }
@@ -390,7 +391,7 @@ mod tests {
 
     #[test]
     fn grouped_runs_are_deterministic_and_stack_with_individual_churn() {
-        use peerstripe_placement::{DomainSpread, Topology};
+        use peerstripe_placement::{ClusterView, DomainSpread, Topology};
         let build = || {
             let ps = loaded(80, 60, 29);
             let manifests = ps.manifests().clone();
@@ -425,7 +426,7 @@ mod tests {
         assert!(ra.transient_departures > 0);
         assert!(ra.group_departures > 0);
         assert!(
-            a.topology().is_some(),
+            a.cluster().domain_index().is_some(),
             "grouped topology auto-wires placement"
         );
         assert!(a.accounting_is_consistent());

@@ -9,14 +9,13 @@
 //! * a **churn process** ([`ChurnProcess`]) drawing exponential node
 //!   session/downtime lengths, with a configurable fraction of departures
 //!   being permanent (the disk never returns);
-//! * a pluggable **detection layer** ([`DetectionPolicy`]) that notices
-//!   departures at probe boundaries and decides when an absence becomes a
-//!   permanent-death declaration: [`PerNodeTimeout`] judges every node
-//!   independently, while [`OutageAware`] consults a shared
-//!   [`peerstripe_placement::DomainView`] and *holds* declarations while a
-//!   failure domain's members vanished together — the correlated-absence
-//!   signature of a lab powering down — cancelling them wholesale when the
-//!   domain returns;
+//! * a **failure detector** ([`Detector`]) that notices departures at probe
+//!   boundaries and decides when an absence becomes a permanent-death
+//!   declaration: [`DetectionKind::PerNodeTimeout`] judges every node
+//!   independently, while [`DetectionKind::OutageAware`] consults the churn
+//!   topology and *holds* declarations while a failure domain's members
+//!   vanished together — the correlated-absence signature of a lab powering
+//!   down — cancelling them wholesale when the domain returns;
 //! * a **repair scheduler** ([`RepairScheduler`]) that triggers regeneration
 //!   *eagerly* (on first confirmed loss) or *lazily* (only when a chunk's
 //!   surviving blocks sink to `needed + k_min`), and charges every transfer
@@ -49,8 +48,7 @@ pub use config::{
     SessionModel,
 };
 pub use detection::{
-    DeclarationVerdict, DetectionKind, DetectionPolicy, OutageAware, OutageAwareConfig,
-    PendingDeclaration, PerNodeTimeout,
+    DeclarationVerdict, DetectionKind, Detector, OutageAwareConfig, PendingDeclaration,
 };
 pub use engine::{MaintenanceEngine, MaintenanceEvent, MaintenanceReport};
 pub use scheduler::{PlannedRepair, RepairScheduler};

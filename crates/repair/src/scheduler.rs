@@ -32,7 +32,6 @@ pub struct RepairScheduler {
     upload: Vec<RateLimiter>,
     download: Vec<RateLimiter>,
     in_flight_blocks: u64,
-    scheduled_blocks: u64,
 }
 
 impl RepairScheduler {
@@ -43,7 +42,6 @@ impl RepairScheduler {
             upload: vec![RateLimiter::new(budget.upload); nodes],
             download: vec![RateLimiter::new(budget.download); nodes],
             in_flight_blocks: 0,
-            scheduled_blocks: 0,
         }
     }
 
@@ -55,11 +53,6 @@ impl RepairScheduler {
     /// Blocks currently being rebuilt across all chunks.
     pub fn in_flight(&self) -> u64 {
         self.in_flight_blocks
-    }
-
-    /// Total blocks ever scheduled.
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled_blocks
     }
 
     /// Charge the transfers for rebuilding `targets.len()` blocks of a chunk
@@ -91,7 +84,6 @@ impl RepairScheduler {
             traffic += block_size;
         }
         self.in_flight_blocks += targets.len() as u64;
-        self.scheduled_blocks += targets.len() as u64;
         PlannedRepair {
             traffic,
             done_at: done,
@@ -124,7 +116,6 @@ mod tests {
         assert_eq!(s.in_flight(), 1);
         s.complete(1);
         assert_eq!(s.in_flight(), 0);
-        assert_eq!(s.scheduled(), 1);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl ByteSize {
         ByteSize(n * GB)
     }
 
-    /// Construct from tebibytes.
-    #[inline]
-    pub const fn tb(n: u64) -> Self {
-        ByteSize(n * TB)
-    }
-
     /// Raw byte count.
     #[inline]
     pub const fn as_u64(self) -> u64 {
@@ -225,7 +219,6 @@ mod tests {
         assert_eq!(ByteSize::kb(1).as_u64(), 1024);
         assert_eq!(ByteSize::mb(1).as_u64(), 1024 * 1024);
         assert_eq!(ByteSize::gb(2).as_u64(), 2 * GB);
-        assert_eq!(ByteSize::tb(1).as_u64(), TB);
     }
 
     #[test]
@@ -234,7 +227,7 @@ mod tests {
         assert_eq!(format!("{}", ByteSize::kb(2)), "2.00 KB");
         assert_eq!(format!("{}", ByteSize::mb(243)), "243.00 MB");
         assert_eq!(format!("{}", ByteSize::gb(45)), "45.00 GB");
-        assert_eq!(format!("{}", ByteSize::tb(278)), "278.00 TB");
+        assert_eq!(format!("{}", ByteSize::bytes(278 * TB)), "278.00 TB");
     }
 
     #[test]

@@ -19,16 +19,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Construct from whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
-    /// Construct from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Construct from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
@@ -245,11 +235,10 @@ mod tests {
     fn simtime_conversions() {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
-        assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
         assert_eq!(format!("{}", SimTime::from_secs(3)), "3.000s");
         assert_eq!(format!("{}", SimTime::from_millis(3)), "3.000ms");
-        assert_eq!(format!("{}", SimTime::from_nanos(30)), "30ns");
+        assert_eq!(format!("{}", SimTime(30)), "30ns");
     }
 
     #[test]

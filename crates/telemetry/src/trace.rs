@@ -99,7 +99,7 @@ pub enum TraceRecord {
         /// The affected topology domain.
         group: u32,
     },
-    /// The detection policy ruled on a due declaration.
+    /// The failure detector ruled on a due declaration.
     DeclarationVerdict {
         /// The absent node.
         node: usize,

@@ -13,8 +13,8 @@ use peerstripe::placement::{
     RepairRequest, StrategyKind, Topology,
 };
 use peerstripe::repair::{
-    ChurnProcess, DeclarationVerdict, DetectionKind, DetectionPolicy, DetectorConfig, GroupedChurn,
-    MaintenanceEngine, OutageAware, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
+    ChurnProcess, DeclarationVerdict, DetectionKind, Detector, DetectorConfig, GroupedChurn,
+    MaintenanceEngine, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
 use peerstripe::sim::{ByteSize, DetRng, OnlineStats, SimTime};
 use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace};
@@ -693,23 +693,23 @@ proptest! {
         down_at_secs in 0.0f64..100_000.0,
     ) {
         let topo = Topology::uniform_groups(nodes, group_size);
-        let detector = DetectorConfig::default_desktop_grid()
+        let config = DetectorConfig::default_desktop_grid()
             .with_timeout(timeout_hours * 3_600.0);
-        let mut policy = OutageAware::new(
+        let mut detector = Detector::new(
             nodes,
-            detector,
-            topo.domain_view(),
-            OutageAwareConfig {
+            config,
+            DetectionKind::OutageAware(OutageAwareConfig {
                 domain_absence_threshold: theta,
                 outage_window_secs: 600.0,
                 hold_period_secs: hold_period_hours * 3_600.0,
                 hold_cap_secs: hold_cap_hours * 3_600.0,
-            },
+            }),
+            Some(topo),
         );
         // The worst case for outage classification: the entire population
         // departs at one instant and nobody ever returns.
         let down_at = SimTime::from_secs_f64(down_at_secs);
-        let pendings: Vec<_> = (0..nodes).map(|n| (n, policy.node_down(n, down_at))).collect();
+        let pendings: Vec<_> = (0..nodes).map(|n| (n, detector.node_down(n, down_at))).collect();
         let deadline = down_at
             + SimTime::from_secs_f64(timeout_hours * 3_600.0)
             + SimTime::from_secs_f64(hold_cap_hours * 3_600.0);
@@ -717,7 +717,7 @@ proptest! {
             let mut now = p.declare_at;
             let mut steps = 0;
             loop {
-                match policy.decide(node, p.generation, now) {
+                match detector.decide(node, p.generation, now) {
                     DeclarationVerdict::Hold { until } => {
                         prop_assert!(until > now, "node {}: hold must advance", node);
                         prop_assert!(
@@ -743,10 +743,10 @@ proptest! {
         }
     }
 
-    /// Equivalence of the extracted per-node policy: with no domain
-    /// information, the outage-aware policy can never classify an outage, so
-    /// an engine running it must reproduce the per-node engine event for
-    /// event — same declarations, same repair bill, same losses.
+    /// Equivalence of the two detection kinds without a topology: with no
+    /// domain information, the outage-aware detector can never classify an
+    /// outage, so an engine running it must reproduce the per-node engine
+    /// event for event — same declarations, same repair bill, same losses.
     #[test]
     fn unaffiliated_outage_aware_matches_per_node(
         seed in any::<u64>(),
@@ -776,8 +776,7 @@ proptest! {
                     mean_downtime_secs: 3.0 * 3_600.0,
                 },
                 permanent_fraction,
-                // No grouped churn: the engine wires an unaffiliated domain
-                // view into the detector.
+                // No grouped churn: the engine's detector has no topology.
                 grouped: None,
             };
             let config = RepairConfig {
