@@ -3,18 +3,18 @@
 //! Spawns a localhost ring of real `peerstripe-node` daemon processes,
 //! drives the unchanged `PeerStripe` client + placement + erasure stack
 //! against them through the TCP gateway, kills one daemon, and verifies the
-//! file survives a degraded read and the repair path.  A [`ClusterMonitor`]
-//! scrapes every daemon once before the kill and once after the repair, so
-//! the report is also the ring's cluster-health report: per-node
+//! file survives a degraded read and the repair path.  The gateway scrapes
+//! every daemon's `GetStats` once before the kill and once after the repair,
+//! so the report is also the ring's cluster-health report: per-node
 //! reachability and occupancy, and per-op calls, errors and p50 / p99 from
 //! both sides of the wire.
 
 use crate::Scale;
 use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{
-    node_binary, ClusterMonitor, GatewayConfig, LocalRing, MonitorConfig, NodeHealth, NodeStats,
+    node_binary, GatewayConfig, LocalRing, NodeEndpoint, NodeStats, RingGateway, WireError,
 };
-use peerstripe_overlay::NodeRef;
+use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::{ByteSize, DetRng, TableBuilder};
 use peerstripe_telemetry::RegistryExport;
 use serde::Serialize;
@@ -126,7 +126,27 @@ fn op_stats(export: &RegistryExport, names: &OpMetrics) -> Vec<OpStat> {
         .collect()
 }
 
-/// One daemon as the cluster monitor last saw it.
+/// One daemon's scrape health across the two rounds.
+#[derive(Debug, Clone, Serialize)]
+pub struct NodeHealth {
+    /// The node's reference (its index in the endpoint table).
+    pub node: NodeRef,
+    /// The node's name under the shared `node-<i>` convention.
+    pub name: String,
+    /// The node's overlay identifier.
+    pub id: Id,
+    /// True when the round after the repair reached the node.
+    pub live: bool,
+    /// True when neither round reached the node.
+    pub unreachable: bool,
+    /// True when the round before the kill reached the node and the one
+    /// after the repair did not.
+    pub stale: bool,
+    /// Rounds that reached the node.
+    pub scrapes: u64,
+}
+
+/// One daemon as the last round that reached it saw it.
 #[derive(Debug, Clone, Serialize)]
 pub struct NodeRow {
     /// Scrape health: live, stale (answered before, not in the latest
@@ -207,6 +227,47 @@ fn unattributed_count(gateway_log: &[peerstripe_net::OpLogEntry], nodes: &[NodeR
         .count() as u64
 }
 
+/// One scrape round: every endpoint's `GetStats` through the gateway.
+fn scrape(gateway: &RingGateway, endpoints: &[NodeEndpoint]) -> Vec<Result<NodeStats, WireError>> {
+    endpoints
+        .iter()
+        .map(|e| gateway.get_stats(e.node))
+        .collect()
+}
+
+/// Each node's row from its two scrapes, `before` the kill and `after` the
+/// repair (one per endpoint, in endpoint order); a row's snapshot is the
+/// newest answer.
+fn node_rows(
+    endpoints: &[NodeEndpoint],
+    before: Vec<Result<NodeStats, WireError>>,
+    after: Vec<Result<NodeStats, WireError>>,
+) -> Vec<NodeRow> {
+    endpoints
+        .iter()
+        .zip(before.into_iter().zip(after))
+        .map(|(e, (before, after))| {
+            let health = NodeHealth {
+                node: e.node,
+                name: format!("node-{}", e.node),
+                id: e.id,
+                live: after.is_ok(),
+                unreachable: before.is_err() && after.is_err(),
+                stale: before.is_ok() && after.is_err(),
+                scrapes: u64::from(before.is_ok()) + u64::from(after.is_ok()),
+            };
+            let stats = after.or(before).ok();
+            NodeRow {
+                ops: stats
+                    .as_ref()
+                    .map_or_else(Vec::new, |s| op_stats(&s.metrics, &NODE_METRICS)),
+                health,
+                stats,
+            }
+        })
+        .collect()
+}
+
 /// Milliseconds elapsed while running `f`, paired with its result.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     #[expect(
@@ -272,8 +333,9 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
     // One scrape round before the kill: the SIGKILL takes the victim's op
     // log and counters with it, so its server-side story must be captured
     // while it is still alive.
-    let mut monitor = ClusterMonitor::new(&ring.endpoints(), MonitorConfig::default());
-    let reached_before_kill = monitor.scrape_round();
+    let endpoints = ring.endpoints();
+    let before = scrape(client.backend(), &endpoints);
+    let reached_before_kill = before.iter().filter(|s| s.is_ok()).count();
     ring.kill(victim).map_err(|e| format!("kill: {e}"))?;
 
     let (degraded, degraded_fetch_ms) = timed(|| client.retrieve_data(name));
@@ -291,21 +353,8 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
     // One round after the repair: the survivors' logs now also cover the
     // degraded read and the repair; the victim fails it, keeps its pre-kill
     // snapshot and shows as stale.
-    monitor.scrape_round();
-    let node_health: Vec<NodeRow> = monitor
-        .health()
-        .into_iter()
-        .map(|health| {
-            let stats = monitor.latest(health.node).cloned();
-            NodeRow {
-                ops: stats
-                    .as_ref()
-                    .map_or_else(Vec::new, |s| op_stats(&s.metrics, &NODE_METRICS)),
-                health,
-                stats,
-            }
-        })
-        .collect();
+    let after = scrape(client.backend(), &endpoints);
+    let node_health = node_rows(&endpoints, before, after);
 
     let export = client.backend().export_metrics();
     let gateway_log = client.backend().op_log();
@@ -313,7 +362,7 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
 
     // Gracefully shut the survivors down (the ring's Drop kills whatever is
     // left).
-    for e in ring.endpoints() {
+    for e in &endpoints {
         if e.node != victim {
             client.backend().shutdown_node(e.node);
         }
@@ -447,6 +496,45 @@ mod tests {
                 b[i] != b' ' && (i == 0 || (i >= 2 && b[i - 1] == b' ' && b[i - 2] == b' '))
             })
             .collect()
+    }
+
+    #[test]
+    fn scrape_rounds_flag_unreachable_and_stale_nodes() {
+        use peerstripe_net::{NodeConfig, NodeServer, NodeService};
+        let mut nodes = Vec::new();
+        let mut endpoints = Vec::new();
+        for node in 0..3 {
+            let name = format!("node-{node}");
+            let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(16)));
+            let running = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
+            endpoints.push(NodeEndpoint {
+                node,
+                id: Id::hash(&name),
+                addr: running.local_addr(),
+            });
+            nodes.push(running);
+        }
+        let gateway = RingGateway::connect(&endpoints, GatewayConfig::default());
+        assert!(gateway.ping(1));
+        // Node 2 stops before the first round: never reached.
+        nodes.remove(2).stop().unwrap();
+        let before = scrape(&gateway, &endpoints);
+        let first = before[1].as_ref().unwrap().clone();
+        // Node 1 answered once, then stops: stale, on its first snapshot.
+        nodes.remove(1).stop().unwrap();
+        let after = scrape(&gateway, &endpoints);
+        let rows = node_rows(&endpoints, before, after);
+
+        let flags = |h: &NodeHealth| (h.live, h.unreachable, h.stale, h.scrapes);
+        assert_eq!(flags(&rows[0].health), (true, false, false, 2));
+        assert_eq!(flags(&rows[1].health), (false, false, true, 1));
+        assert_eq!(flags(&rows[2].health), (false, true, false, 0));
+        assert_eq!(rows[1].stats.as_ref(), Some(&first));
+        assert!(first.op_log.iter().any(|e| e.op == "ping"));
+        assert!(rows[2].stats.is_none() && rows[2].ops.is_empty());
+        for n in nodes {
+            n.stop().unwrap();
+        }
     }
 
     #[test]

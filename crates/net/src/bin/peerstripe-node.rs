@@ -14,31 +14,27 @@
 //! `NodeStats`.
 #![deny(clippy::indexing_slicing)]
 
-use peerstripe_net::{NodeConfig, NodeServer, NodeService, ServerConfig};
+use peerstripe_net::{NodeConfig, NodeServer, NodeService};
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use std::io::Write;
-use std::time::Duration;
 
 struct Args {
     listen: String,
     id: Id,
     capacity: ByteSize,
-    read_timeout: Duration,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: peerstripe-node [--listen ADDR] [--id NAME] [--capacity-mb N] \
-         [--read-timeout-ms N]\n\
+        "usage: peerstripe-node [--listen ADDR] [--id NAME] [--capacity-mb N]\n\
          \n\
          Serves one node's contributed storage over framed TCP; a GetStats\n\
          scrape returns its capacity, use, per-op metrics and last 1024\n\
          requests with their durations.\n\
-         --listen          bind address (default 127.0.0.1:0 = ephemeral port)\n\
-         --id              node name, hashed into the overlay id space (default node-0)\n\
-         --capacity-mb     contributed capacity in MiB (default 256)\n\
-         --read-timeout-ms idle-connection read timeout (default 30000)"
+         --listen      bind address (default 127.0.0.1:0 = ephemeral port)\n\
+         --id          node name, hashed into the overlay id space (default node-0)\n\
+         --capacity-mb contributed capacity in MiB (default 256)"
     );
     std::process::exit(2)
 }
@@ -49,7 +45,6 @@ fn parse_args() -> Args {
         listen: "127.0.0.1:0".to_string(),
         id: defaults.id,
         capacity: defaults.capacity,
-        read_timeout: Duration::from_secs(30),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -65,10 +60,6 @@ fn parse_args() -> Args {
             "--id" => args.id = Id::hash(&value("--id")),
             "--capacity-mb" => match value("--capacity-mb").parse::<u64>() {
                 Ok(mb) => args.capacity = ByteSize::mb(mb),
-                Err(_) => usage(),
-            },
-            "--read-timeout-ms" => match value("--read-timeout-ms").parse::<u64>() {
-                Ok(ms) => args.read_timeout = Duration::from_millis(ms),
                 Err(_) => usage(),
             },
             "--help" | "-h" => usage(),
@@ -87,11 +78,7 @@ fn main() {
         id: args.id,
         capacity: args.capacity,
     });
-    let config = ServerConfig {
-        read_timeout: args.read_timeout,
-        ..ServerConfig::default()
-    };
-    let server = match NodeServer::bind(args.listen.as_str(), service, config) {
+    let server = match NodeServer::bind(args.listen.as_str(), service) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot bind {}: {e}", args.listen);

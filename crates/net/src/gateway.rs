@@ -658,7 +658,7 @@ impl StorageBackend for RingGateway {
 mod tests {
     use super::*;
     use crate::node::{NodeConfig, NodeService};
-    use crate::server::{NodeServer, RunningNode, ServerConfig};
+    use crate::server::{NodeServer, RunningNode};
 
     fn ring_of(n: usize) -> (Vec<RunningNode>, RingGateway) {
         let mut nodes = Vec::new();
@@ -666,9 +666,7 @@ mod tests {
         for i in 0..n {
             let name = format!("node-{i}");
             let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(64)));
-            let running = NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
-                .unwrap()
-                .spawn();
+            let running = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
             endpoints.push(NodeEndpoint {
                 node: i,
                 id: Id::hash(&name),
@@ -1150,9 +1148,7 @@ mod tests {
             in_time
         });
         let service = NodeService::new(&NodeConfig::named("node-1", ByteSize::mb(64)));
-        let real = NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
-            .unwrap()
-            .spawn();
+        let real = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
         let endpoints = [
             NodeEndpoint {
                 node: 0,
@@ -1206,6 +1202,29 @@ mod tests {
             let rid = entry.request_id.expect("instrumented RPCs carry an id");
             assert!(node_rids.contains(&rid), "rid {rid} missing node-side");
         }
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    #[test]
+    fn two_scrapes_of_an_idle_ring_render_byte_identical_json() {
+        let (nodes, gw) = ring_of(3);
+        for n in 0..3 {
+            assert!(gw.ping(n));
+        }
+        let scrape = || -> Vec<String> {
+            (0..3)
+                .map(|n| serde_json::to_string(&gw.get_stats(n).unwrap()).unwrap())
+                .collect()
+        };
+        let (rpcs_before, log_before) = (gw.rpc_count(), gw.op_log());
+        let first = scrape();
+        let second = scrape();
+        assert_eq!(first, second, "scraping must not perturb what it reads");
+        assert!(first.iter().all(|s| s.contains("\"op\":\"ping\"")));
+        assert_eq!(gw.rpc_count(), rpcs_before);
+        assert_eq!(gw.op_log(), log_before);
         for n in nodes {
             n.stop().unwrap();
         }

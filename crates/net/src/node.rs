@@ -112,11 +112,6 @@ impl NodeService {
         }
     }
 
-    /// The node's store (for inspection in tests and reports).
-    pub fn store(&self) -> &peerstripe_core::StorageNode {
-        &self.store
-    }
-
     /// The wire label of a request, for metrics and the op log.
     fn op_name(req: &Request) -> &'static str {
         match req {
@@ -296,7 +291,7 @@ mod tests {
             svc.handle(Request::FetchBlock { name }),
             Response::Block { block: None }
         );
-        assert_eq!(svc.store().used(), ByteSize::ZERO);
+        assert_eq!(svc.stats().used, ByteSize::ZERO);
     }
 
     #[test]
@@ -338,8 +333,9 @@ mod tests {
             let reply = svc.handle(Request::RemoveBlock { name, size });
             assert_eq!(reply, Response::Removed);
         }
-        assert_eq!(svc.store().object_count(), 2);
-        assert_eq!(svc.store().used(), sizes[1] + sizes[2]);
+        let stats = svc.stats();
+        assert_eq!(stats.objects, 2);
+        assert_eq!(stats.used, sizes[1] + sizes[2]);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!
 //! A *name* is a tag, the file as a string, then the variant's `u32`s: `0`
 //! chunk (chunk), `1` block (chunk, ecb), `2` CAT (none), `3` whole file
-//! (salt).  `Stats` is the one kind whose fields are JSON: it is the
-//! monitor's scrape, not a data RPC, and its metrics export is open-ended.
+//! (salt).  `Stats` is the one kind whose fields are JSON: it is a
+//! health scrape, not a data RPC, and its metrics export is open-ended.
 //!
 //! A reader dispatches on the kind byte first, so an unknown kind is
 //! [`WireError::UnknownKind`] whatever its meta.  It then consumes the record

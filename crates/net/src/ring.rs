@@ -57,16 +57,6 @@ impl LocalRing {
         Ok(LocalRing { members })
     }
 
-    /// Number of daemons spawned (live or killed).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// The endpoint table for gateway construction.
     pub fn endpoints(&self) -> Vec<NodeEndpoint> {
         self.members.iter().map(|m| m.endpoint).collect()

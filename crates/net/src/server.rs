@@ -11,7 +11,6 @@
 use crate::node::NodeService;
 use crate::protocol::{
     read_request_traced, write_response, write_response_traced, RemoteError, Request, Response,
-    WireError,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -20,24 +19,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Tunables of one node server.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// How long a connection may sit idle before its read fails and the
-    /// connection is dropped (the gateway reconnects transparently).
-    pub read_timeout: Duration,
-    /// Upper bound on one framed write.
-    pub write_timeout: Duration,
-}
+/// How long a connection may sit idle before its read fails and the
+/// connection is dropped (the gateway reconnects transparently).
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// Upper bound on one framed write.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A bound, not-yet-running node server.
 pub struct NodeServer {
@@ -45,7 +32,6 @@ pub struct NodeServer {
     addr: SocketAddr,
     service: Arc<Mutex<NodeService>>,
     shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
 }
 
 /// Handle to a server running on a background thread (in-process rings and
@@ -64,11 +50,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 impl NodeServer {
     /// Bind to `addr` (use port 0 to let the OS pick) and prepare to serve.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        service: NodeService,
-        config: ServerConfig,
-    ) -> io::Result<NodeServer> {
+    pub fn bind(addr: impl ToSocketAddrs, service: NodeService) -> io::Result<NodeServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(NodeServer {
@@ -76,7 +58,6 @@ impl NodeServer {
             addr,
             service: Arc::new(Mutex::new(service)),
             shutdown: Arc::new(AtomicBool::new(false)),
-            config,
         })
     }
 
@@ -92,7 +73,6 @@ impl NodeServer {
             addr,
             service,
             shutdown,
-            config,
         } = self;
         let mut workers = Vec::new();
         // Open connections, keyed so each worker can deregister its own on
@@ -116,9 +96,8 @@ impl NodeServer {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             let peers = Arc::clone(&peers);
-            let config = config.clone();
             workers.push(std::thread::spawn(move || {
-                serve_connection(stream, addr, &service, &shutdown, &config);
+                serve_connection(stream, addr, &service, &shutdown);
                 lock(&peers).remove(&conn_id);
             }));
         }
@@ -171,10 +150,9 @@ fn serve_connection(
     server_addr: SocketAddr,
     service: &Mutex<NodeService>,
     shutdown: &AtomicBool,
-    config: &ServerConfig,
 ) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     loop {
         match read_request_traced(&mut stream) {
@@ -208,25 +186,24 @@ fn serve_connection(
     }
 }
 
-/// Convenience: one round-trip RPC over an existing stream.
-pub fn call(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
-    crate::protocol::write_request(stream, req)?;
-    crate::protocol::read_response(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::NodeConfig;
+    use crate::protocol::WireError;
     use peerstripe_core::ObjectName;
     use peerstripe_overlay::Id;
     use peerstripe_sim::ByteSize;
 
     fn start() -> RunningNode {
         let service = NodeService::new(&NodeConfig::named("node-0", ByteSize::mb(64)));
-        NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
-            .unwrap()
-            .spawn()
+        NodeServer::bind("127.0.0.1:0", service).unwrap().spawn()
+    }
+
+    /// One round-trip RPC over an existing stream.
+    fn call(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
+        crate::protocol::write_request(stream, req)?;
+        crate::protocol::read_response(stream)
     }
 
     #[test]

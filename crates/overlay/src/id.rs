@@ -12,9 +12,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Number of bits in an identifier.
-pub const ID_BITS: u32 = 128;
-
 /// A 128-bit identifier in the circular overlay id space.
 ///
 /// Used both for node identifiers (`nodeId`) and object keys (chunk names,
@@ -168,6 +165,9 @@ impl fmt::Display for Id {
 mod tests {
     use super::*;
     use peerstripe_sim::DetRng;
+
+    /// Number of bits in an identifier.
+    const ID_BITS: u32 = u128::BITS;
 
     #[test]
     fn hash_is_deterministic_and_spread() {

@@ -7,8 +7,7 @@
 //!   at 50 MB (Section 6.1) — modelled as a truncated normal,
 //! * Condor-pool contributed capacity ~ *Uniform(2 GB, 15 GB)* (Section 6.4).
 //!
-//! Zipf and exponential samplers are additionally provided for access-popularity
-//! and inter-arrival modelling in the extension experiments.
+//! An exponential sampler is additionally provided for inter-arrival modelling.
 
 use crate::rng::DetRng;
 
@@ -165,57 +164,6 @@ impl Distribution for Exponential {
     }
 }
 
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Sampling uses the precomputed cumulative distribution (O(log n) per draw),
-/// which is fine for the n ≤ 10⁶ populations used in the experiments.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-    mean: f64,
-}
-
-impl Zipf {
-    /// Create a Zipf distribution over `1..=n` with exponent `s > 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf support must be non-empty");
-        assert!(s > 0.0 && s.is_finite(), "Zipf exponent must be positive");
-        let mut weights = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(s);
-            total += w;
-            weights.push(total);
-        }
-        let mut mean = 0.0;
-        let mut prev = 0.0;
-        for (k, cum) in weights.iter().enumerate() {
-            mean += (k as f64 + 1.0) * (cum - prev) / total;
-            prev = *cum;
-        }
-        let cdf = weights.iter().map(|w| w / total).collect();
-        Zipf { cdf, mean }
-    }
-
-    /// Draw a rank in `1..=n`.
-    pub fn sample_rank(&self, rng: &mut DetRng) -> usize {
-        let u = rng.next_f64();
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
-    }
-}
-
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,25 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn zipf_rank_one_is_most_popular() {
-        let d = Zipf::new(100, 1.0);
-        let mut rng = DetRng::new(7);
-        let mut counts = vec![0usize; 101];
-        for _ in 0..50_000 {
-            let r = d.sample_rank(&mut rng);
-            assert!((1..=100).contains(&r));
-            counts[r] += 1;
-        }
-        assert!(counts[1] > counts[2]);
-        assert!(counts[2] > counts[10]);
-        assert!(counts[10] > counts[90]);
-    }
-
-    #[test]
     fn distribution_means_are_reported() {
         assert_eq!(Normal::new(5.0, 1.0).mean(), 5.0);
         assert_eq!(Uniform::new(0.0, 10.0).mean(), 5.0);
         assert_eq!(Exponential::new(0.5).mean(), 2.0);
-        assert!(Zipf::new(10, 1.0).mean() > 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! * [`rng::DetRng`] — a deterministic, forkable random-number generator so every
 //!   experiment is exactly reproducible from a single seed.
 //! * [`dist`] — the statistical distributions used to synthesise workloads
-//!   (normal, truncated normal, uniform, Zipf, exponential).
+//!   (normal, truncated normal, uniform, exponential).
 //! * [`bytesize::ByteSize`] — saturating byte-size arithmetic with human-readable
 //!   formatting, used for every capacity, file size, and transfer amount.
 //! * [`event`] — a discrete-event queue with virtual time, used by the multicast

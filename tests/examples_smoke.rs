@@ -294,7 +294,7 @@ fn outage_aware_detection_example_logic() {
 fn network_ring_store_kill_recover() {
     use peerstripe::net::{
         node_binary, GatewayConfig, LocalRing, NodeConfig, NodeEndpoint, NodeServer, NodeService,
-        RingGateway, ServerConfig,
+        RingGateway,
     };
     use peerstripe::overlay::Id;
 
@@ -316,7 +316,7 @@ fn network_ring_store_kill_recover() {
             .map(|i| {
                 let name = format!("node-{i}");
                 let service = NodeService::new(&NodeConfig::named(&name, capacity));
-                let server = NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
+                let server = NodeServer::bind("127.0.0.1:0", service)
                     .expect("bind")
                     .spawn();
                 let endpoint = NodeEndpoint {

@@ -13,7 +13,7 @@ mod counting_alloc;
 use counting_alloc::{counted, Counting, LARGE};
 use peerstripe::core::{CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe::net::{
-    GatewayConfig, NodeConfig, NodeEndpoint, NodeServer, NodeService, RingGateway, ServerConfig,
+    GatewayConfig, NodeConfig, NodeEndpoint, NodeServer, NodeService, RingGateway,
 };
 use peerstripe::overlay::Id;
 use peerstripe::sim::{ByteSize, DetRng};
@@ -29,7 +29,7 @@ fn a_whole_file_read_allocates_its_result_once_and_nothing_else_that_is_large() 
     for node in 0..8 {
         let name = format!("node-{node}");
         let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(64)));
-        let running = NodeServer::bind("127.0.0.1:0", service, ServerConfig::default())
+        let running = NodeServer::bind("127.0.0.1:0", service)
             .expect("binding a localhost daemon")
             .spawn();
         endpoints.push(NodeEndpoint {

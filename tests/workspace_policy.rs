@@ -10,6 +10,11 @@
 //!   carries `#[expect(<lint>, reason = "…")]`.  The count of those lines in
 //!   library code (`crates/*/src`, `src/`) may shrink, never grow: a change
 //!   that removes waivers lowers [`WAIVER_CEILING`] with them.
+//! * **One client dial** — in the non-test part of `crates/net/src`, only the
+//!   files in [`DIAL_SITES`] open a `TcpStream`: the gateway, the one client
+//!   of the daemons, and the server's accept-loop wake-ups.  A second client
+//!   would be a second path to the daemons and a second socket site for a
+//!   transport seam to wrap.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -17,6 +22,10 @@ use std::path::{Path, PathBuf};
 
 /// Committed ceiling on `#[expect(` / `#![expect(` lines in library code.
 const WAIVER_CEILING: usize = 9;
+
+/// The files under `crates/net/src` whose non-test part may call
+/// `TcpStream::connect`: the gateway's dial and the server's wake-ups.
+const DIAL_SITES: &[&str] = &["gateway.rs", "server.rs"];
 
 /// The allowed internal dependency edges: crate → the `peerstripe-*` crates
 /// it may depend on, named without the prefix (`peerstripe` is the facade).
@@ -156,6 +165,35 @@ fn library_waivers() -> io::Result<usize> {
     Ok(count)
 }
 
+/// Every file of `files` (`(path under crates/net/src, text)` pairs) outside
+/// [`DIAL_SITES`] whose non-test part, up to its first `#[cfg(test)]`, dials.
+fn dial_violations(files: &[(String, String)]) -> Vec<String> {
+    files
+        .iter()
+        .filter(|(path, _)| !DIAL_SITES.contains(&path.as_str()))
+        .filter(|(_, text)| {
+            let body = text.split("#[cfg(test)]").next().unwrap_or_default();
+            body.contains("TcpStream::connect")
+        })
+        .map(|(path, _)| format!("{path}: a client dial outside the gateway"))
+        .collect()
+}
+
+/// Every `.rs` under `crates/net/src`, as `(path relative to it, text)`.
+fn net_sources() -> io::Result<Vec<(String, String)>> {
+    let dir = root().join("crates/net/src");
+    let mut files = Vec::new();
+    collect_rs(&dir, &mut files)?;
+    files.sort();
+    files
+        .into_iter()
+        .map(|p| {
+            let rel = p.strip_prefix(&dir).unwrap_or(&p).display().to_string();
+            Ok((rel, std::fs::read_to_string(&p)?))
+        })
+        .collect()
+}
+
 #[test]
 fn the_workspace_follows_its_layering() {
     let manifests = member_manifests().unwrap();
@@ -193,4 +231,26 @@ fn one_waiver_over_the_ceiling_fails() {
     let source = waiver.repeat(WAIVER_CEILING + 1) + "//! #[expect( in a doc comment\n";
     assert_eq!(waivers(&source), WAIVER_CEILING + 1);
     assert!(check_inventory(waivers(&source), WAIVER_CEILING).is_err());
+}
+
+#[test]
+fn only_the_gateway_dials_a_daemon() {
+    let files = net_sources().unwrap();
+    assert!(files.iter().any(|(p, _)| p == "gateway.rs"), "{files:?}");
+    assert_eq!(dial_violations(&files), Vec::<String>::new());
+}
+
+#[test]
+fn a_second_client_dial_fails_the_check() {
+    let client = "fn scrape() { TcpStream::connect_timeout(&addr, t); }\n";
+    let test_only = "#[cfg(test)]\nmod tests {\n    fn f() { TcpStream::connect(addr); }\n}\n";
+    let files = [
+        ("gateway.rs".to_string(), client.to_string()),
+        ("monitor.rs".to_string(), client.to_string()),
+        ("node.rs".to_string(), test_only.to_string()),
+    ];
+    assert_eq!(
+        dial_violations(&files),
+        ["monitor.rs: a client dial outside the gateway"]
+    );
 }
