@@ -2,65 +2,33 @@
 //! against in the paper.
 //!
 //! PAST stores each file *in its entirety* on the node whose identifier is
-//! numerically closest to the file's key; the paper's simulations keep one
-//! copy.  When the chosen node lacks space, PAST retries by rehashing the
-//! file name with a new salt, which maps the file to a different node
-//! (Section 3 of the paper).  The consequence the paper highlights: no file
+//! numerically closest to the file's key (the key's root); the paper's
+//! simulations keep one copy.  The consequence the paper highlights: no file
 //! larger than the free space of some single node can ever be stored, and as
-//! utilization grows the retry budget is exhausted more and more often.
+//! utilization grows more and more roots are full.
+//!
+//! Here PAST makes one attempt per file: it probes the root of
+//! `ObjectName::whole_file(name, 0)` and stores there or fails.  Published
+//! PAST does not keep re-salting an insert that hit a full node (it diverts
+//! the file's replicas, then fails), and the paper's 36 % failure level is
+//! only reachable without a deep retry budget.
 
-use peerstripe_core::{
-    BlockPlacement, ChunkPlacement, FileManifest, ManifestStore, ObjectName, StorageCluster,
-    StorageSystem, StoreMetrics, StoreOutcome,
-};
+use peerstripe_core::{ObjectName, StorageCluster, StorageSystem, StoreMetrics, StoreOutcome};
 use peerstripe_trace::FileRecord;
-use serde::{Deserialize, Serialize};
-
-/// Configuration of the PAST baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PastConfig {
-    /// Number of salted retries after the first placement attempt fails.
-    pub retries: u32,
-    /// Whether per-file manifests are recorded.
-    pub track_manifests: bool,
-}
-
-impl Default for PastConfig {
-    fn default() -> Self {
-        PastConfig {
-            retries: 5,
-            track_manifests: true,
-        }
-    }
-}
 
 /// The PAST baseline storage system.
 pub struct Past {
     cluster: StorageCluster,
-    config: PastConfig,
-    manifests: ManifestStore,
     metrics: StoreMetrics,
 }
 
 impl Past {
     /// Create a PAST instance over an existing cluster.
-    pub fn new(cluster: StorageCluster, config: PastConfig) -> Self {
+    pub fn new(cluster: StorageCluster) -> Self {
         Past {
             cluster,
-            config,
-            manifests: ManifestStore::new(),
             metrics: StoreMetrics::new(),
         }
-    }
-
-    /// The instance's configuration.
-    pub fn config(&self) -> &PastConfig {
-        &self.config
-    }
-
-    /// Consume the system and return its cluster.
-    pub fn into_cluster(self) -> StorageCluster {
-        self.cluster
     }
 }
 
@@ -70,51 +38,24 @@ impl StorageSystem for Past {
     }
 
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
-        for salt in 0..=self.config.retries {
-            let name = ObjectName::whole_file(&file.name, salt);
-            let Some((primary, report)) = self.cluster.get_capacity(name.key()) else {
-                break;
-            };
-            if report < file.size {
-                continue;
-            }
-            // A refusal (space consumed since the probe) is treated like a
-            // failed probe: re-salt.
-            if self
+        let name = ObjectName::whole_file(&file.name, 0);
+        let key = name.key();
+        let stored = match self.cluster.get_capacity(key) {
+            Some((root, free)) if free >= file.size => self
                 .cluster
-                .store_object_at(primary, name.key(), name.clone(), file.size, None)
-                .is_err()
-            {
-                continue;
-            }
+                .store_object_at(root, key, name, file.size, None)
+                .is_ok(),
+            _ => false,
+        };
+        if stored {
             self.metrics
                 .record_success(file.size, &[file.size], file.size);
-            if self.config.track_manifests {
-                self.manifests.insert(FileManifest {
-                    name: file.name.clone(),
-                    size: file.size,
-                    chunks: vec![ChunkPlacement {
-                        chunk: 0,
-                        size: file.size,
-                        blocks: vec![BlockPlacement {
-                            name,
-                            node: primary,
-                            size: file.size,
-                            domain: None,
-                        }],
-                        min_blocks_needed: 1,
-                    }],
-                    cat_nodes: Vec::new(),
-                });
+            StoreOutcome::Stored
+        } else {
+            self.metrics.record_failure(file.size);
+            StoreOutcome::Failed {
+                reason: format!("the root of its key lacks {} free space", file.size),
             }
-            return StoreOutcome::Stored;
-        }
-        self.metrics.record_failure(file.size);
-        StoreOutcome::Failed {
-            reason: format!(
-                "no node with {} free space after {} salted retries",
-                file.size, self.config.retries
-            ),
         }
     }
 
@@ -124,18 +65,6 @@ impl StorageSystem for Past {
 
     fn cluster(&self) -> &StorageCluster {
         &self.cluster
-    }
-
-    fn cluster_mut(&mut self) -> &mut StorageCluster {
-        &mut self.cluster
-    }
-
-    fn manifest(&self, name: &str) -> Option<&FileManifest> {
-        self.manifests.get(name)
-    }
-
-    fn manifests(&self) -> &ManifestStore {
-        &self.manifests
     }
 }
 
@@ -156,17 +85,27 @@ mod tests {
         .build(&mut rng)
     }
 
+    fn root_of(past: &Past, file: &str) -> usize {
+        let key = ObjectName::whole_file(file, 0).key();
+        past.cluster().overlay().route_quiet(key).unwrap()
+    }
+
     #[test]
-    fn stores_whole_files_on_single_nodes() {
-        let mut past = Past::new(cluster(50, ByteSize::gb(1), 1), PastConfig::default());
+    fn a_file_is_placed_whole_once_on_its_keys_root() {
+        let mut past = Past::new(cluster(30, ByteSize::gb(1), 4));
+        let root = root_of(&past, "r");
         assert!(past
-            .store_file(&FileRecord::new("a", ByteSize::mb(400)))
+            .store_file(&FileRecord::new("r", ByteSize::mb(100)))
             .is_stored());
-        let manifest = past.manifest("a").unwrap();
-        assert_eq!(manifest.chunks.len(), 1);
-        assert_eq!(manifest.chunks[0].blocks.len(), 1);
-        assert_eq!(manifest.chunks[0].blocks[0].size, ByteSize::mb(400));
-        assert!(past.is_file_available("a"));
+        let cluster = past.cluster();
+        let key = ObjectName::whole_file("r", 0).key();
+        assert!(cluster.node(root).has(key));
+        assert_eq!(cluster.node(root).used(), ByteSize::mb(100));
+        let objects: u64 = (0..30).map(|n| cluster.node(n).object_count()).sum();
+        assert_eq!(objects, 1);
+        assert_eq!(cluster.total_used(), ByteSize::mb(100));
+        assert_eq!(past.metrics().bytes_placed, ByteSize::mb(100));
+        assert!((past.metrics().mean_chunks_per_file() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -174,47 +113,39 @@ mod tests {
         // The defining limitation the paper calls out: a file bigger than every
         // individual node's capacity can never be stored, even though the
         // aggregate capacity is ample.
-        let mut past = Past::new(cluster(50, ByteSize::gb(1), 2), PastConfig::default());
+        let mut past = Past::new(cluster(50, ByteSize::gb(1), 2));
         let outcome = past.store_file(&FileRecord::new("huge", ByteSize::gb(4)));
         assert!(!outcome.is_stored());
         assert_eq!(past.metrics().files_failed, 1);
+        assert_eq!(past.cluster().total_used(), ByteSize::ZERO);
     }
 
     #[test]
-    fn retries_rehash_to_other_nodes() {
-        // One nearly full node plus roomy others: the salted retry must find a
-        // node with space even if the first attempt lands on the full one.
-        let mut past = Past::new(cluster(10, ByteSize::gb(1), 3), PastConfig::default());
-        // Fill up a few nodes.
-        for i in 0..6 {
-            let _ = past.store_file(&FileRecord::new(format!("filler-{i}"), ByteSize::mb(900)));
-        }
-        let stored_before = past.metrics().files_attempted - past.metrics().files_failed;
-        assert!(stored_before > 0);
-        // This store may need retries; with 6 attempts over 10 nodes it should
-        // find one of the remaining roomy nodes.
+    fn a_full_root_fails_the_store_without_trying_another_node() {
+        let mut past = Past::new(cluster(10, ByteSize::gb(1), 3));
+        let root = root_of(&past, "late");
+        // Fill the root behind PAST's back; every other node stays empty.
+        past.cluster
+            .store_object_at(
+                root,
+                ObjectName::chunk("filler", 0).key(),
+                ObjectName::chunk("filler", 0),
+                ByteSize::mb(900),
+                None,
+            )
+            .unwrap();
         let outcome = past.store_file(&FileRecord::new("late", ByteSize::mb(500)));
-        assert!(outcome.is_stored());
-    }
-
-    #[test]
-    fn a_file_is_placed_once_on_the_node_its_probe_reached() {
-        let mut past = Past::new(cluster(30, ByteSize::gb(1), 4), PastConfig::default());
-        let name = ObjectName::whole_file("r", 0);
-        let probed = past.cluster().overlay().route_quiet(name.key()).unwrap();
-        assert!(past
-            .store_file(&FileRecord::new("r", ByteSize::mb(100)))
-            .is_stored());
-        let blocks = &past.manifest("r").unwrap().chunks[0].blocks;
-        assert_eq!(blocks.len(), 1);
-        assert_eq!((blocks[0].node, &blocks[0].name), (probed, &name));
-        assert!(past.cluster().node(probed).has(name.key()));
-        assert_eq!(past.metrics().bytes_placed, ByteSize::mb(100));
+        assert!(!outcome.is_stored());
+        assert_eq!(past.metrics().files_failed, 1);
+        let cluster = past.cluster();
+        assert_eq!(cluster.total_used(), ByteSize::mb(900));
+        let key = ObjectName::whole_file("late", 0).key();
+        assert!((0..10).all(|n| !cluster.node(n).has(key)));
     }
 
     #[test]
     fn failure_percentage_grows_as_system_fills() {
-        let mut past = Past::new(cluster(20, ByteSize::gb(1), 5), PastConfig::default());
+        let mut past = Past::new(cluster(20, ByteSize::gb(1), 5));
         let mut failures_early = 0;
         for i in 0..20 {
             if !past

@@ -41,7 +41,8 @@ use std::sync::Arc;
 /// replica on its closest leaf-set neighbour (Section 4.4).
 const CAT_REPLICAS: usize = 2;
 
-/// Configuration of a PeerStripe instance.
+/// Configuration of a PeerStripe instance.  Its default is the Figure 7–9
+/// simulations' configuration: no coding, zero-chunk limit 5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PeerStripeConfig {
     /// Erasure-coding policy applied per chunk.
@@ -74,12 +75,6 @@ impl Default for PeerStripeConfig {
 }
 
 impl PeerStripeConfig {
-    /// The configuration used for the Figure 7–9 simulations: no coding, zero
-    /// chunk limit 5, full-capacity reports.
-    pub fn paper_simulation() -> Self {
-        PeerStripeConfig::default()
-    }
-
     /// Use the given coding policy.
     pub fn with_coding(mut self, coding: CodingPolicy) -> Self {
         self.coding = coding;
@@ -1033,18 +1028,6 @@ impl StorageSystem for PeerStripe<StorageCluster> {
     fn cluster(&self) -> &StorageCluster {
         &self.backend
     }
-
-    fn cluster_mut(&mut self) -> &mut StorageCluster {
-        &mut self.backend
-    }
-
-    fn manifest(&self, name: &str) -> Option<&FileManifest> {
-        self.manifests.get(name)
-    }
-
-    fn manifests(&self) -> &ManifestStore {
-        &self.manifests
-    }
 }
 
 #[cfg(test)]
@@ -1179,7 +1162,7 @@ mod tests {
             .is_stored());
         // Fail one node holding a block of some chunk: file must stay available.
         let victim = ps.manifest("f").unwrap().chunks[0].blocks[0].node;
-        let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+        let takeover = ps.backend_mut().fail_node(victim).unwrap();
         assert!(ps.is_file_available("f"));
         // Regenerate, then fail another block of the same chunk: still available.
         let report = ps.handle_node_failure(victim, &takeover);
@@ -1204,7 +1187,7 @@ mod tests {
             .iter()
             .map(|c| c.blocks_on(victim).count())
             .sum();
-        let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+        let takeover = ps.backend_mut().fail_node(victim).unwrap();
         let report = ps.handle_node_failure(victim, &takeover);
         assert_eq!(report.blocks_regenerated as usize, lost_blocks);
         // After recovery no manifest block references the failed node.
@@ -1267,7 +1250,7 @@ mod tests {
         assert!(ps.store_data("img", &data).is_stored());
         // Fail one block-holding node per chunk's tolerance.
         let victim = ps.manifest("img").unwrap().chunks[0].blocks[2].node;
-        ps.cluster_mut().fail_node(victim);
+        ps.backend_mut().fail_node(victim);
         assert_eq!(ps.retrieve_data("img").unwrap(), data);
     }
 
@@ -1295,7 +1278,7 @@ mod tests {
             .iter()
             .map(|c| c.blocks_on(victim).count())
             .sum();
-        let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+        let takeover = ps.backend_mut().fail_node(victim).unwrap();
         assert_eq!(ps.retrieve_data("volume").unwrap(), data);
         let report = ps.handle_node_failure(victim, &takeover);
         assert_eq!(report.blocks_regenerated as usize, lost);
@@ -1533,7 +1516,7 @@ mod tests {
             .iter()
             .find(|&&n| chunk.blocks.iter().all(|b| b.node != n))
             .unwrap();
-        ps.cluster_mut().fail_node(victim).unwrap();
+        ps.backend_mut().fail_node(victim).unwrap();
         let id = Id::hash("the inheritor");
         let takeover = Takeover {
             failed: id,
@@ -1559,7 +1542,7 @@ mod tests {
         let inheritor = (0..40)
             .find(|n| chunk.blocks.iter().all(|b| b.node != *n))
             .unwrap();
-        ps.cluster_mut().fail_node(victim).unwrap();
+        ps.backend_mut().fail_node(victim).unwrap();
         let takeover = Takeover {
             failed: id,
             predecessor: (id, inheritor),
@@ -1618,7 +1601,7 @@ mod tests {
         assert!(!clean_before.is_empty());
         for round in 0..3 {
             let victim = ps.manifest("d").unwrap().chunks[0].blocks[round].node;
-            let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+            let takeover = ps.backend_mut().fail_node(victim).unwrap();
             ps.handle_node_failure(victim, &takeover);
         }
         let manifest = ps.manifest("d").unwrap();

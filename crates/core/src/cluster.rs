@@ -256,8 +256,8 @@ impl StorageCluster {
         removed
     }
 
-    /// Release an object's space when it cannot be identified by key (nodes
-    /// running without per-object tracking).  Used by store rollback.
+    /// Release bytes without naming an object: the inverse of
+    /// [`reserve`](Self::reserve).
     pub fn release_at(&mut self, node: NodeRef, size: ByteSize) {
         self.nodes[node].release(size);
         self.sync(node);

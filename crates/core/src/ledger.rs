@@ -448,7 +448,7 @@ mod tests {
         let mut rng = DetRng::new(2);
         for _ in 0..30 {
             let node = ps.cluster().overlay().random_alive(&mut rng).unwrap();
-            ps.cluster_mut().fail_node(node);
+            ps.backend_mut().fail_node(node);
             ledger.node_down(node);
             // Ground truth: recompute availability from the manifests.
             let direct = ps
@@ -475,7 +475,7 @@ mod tests {
             let mut ps = loaded_system(coding, 3, 400, 300);
             let mut ledger = DamageLedger::build(ps.manifests());
             let mut rng = DetRng::new(4);
-            let victims = ps.cluster_mut().fail_random(40, &mut rng);
+            let victims = ps.backend_mut().fail_random(40, &mut rng);
             for (node, _) in victims {
                 ledger.node_down(node);
             }

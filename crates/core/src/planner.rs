@@ -427,7 +427,7 @@ mod tests {
             for seed in 0..4 {
                 let (mut ps, mut ledger) = stored(coding, 8, seed);
                 let victim = DetRng::new(seed).index(8);
-                ps.cluster_mut().fail_node(victim);
+                ps.backend_mut().fail_node(victim);
                 // Chunks in ledger order: every non-empty chunk of every file.
                 let chunks = ps.manifests().iter().flat_map(|m| &m.chunks);
                 let chunks: Vec<&ChunkPlacement> = chunks.filter(|c| !c.size.is_zero()).collect();

@@ -164,7 +164,7 @@ impl CodingPolicy {
     /// For the online policy this is the *placement-level* overhead — the cost of
     /// spreading the check data over `placed` node-sized blocks of which
     /// `tolerable` may fail — which is larger than the ~3 % byte-level overhead
-    /// of the online code itself (Table 2); see DESIGN.md.
+    /// of the online code itself (Table 2).
     pub fn storage_overhead(&self) -> f64 {
         match *self {
             CodingPolicy::None => 1.0,

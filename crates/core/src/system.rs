@@ -1,10 +1,15 @@
 //! The common interface of the storage systems under evaluation.
 //!
 //! PeerStripe and the two baselines (PAST, CFS) all expose the same operations
-//! to the experiment drivers: insert a file, report metrics, and answer
-//! availability queries after churn.  [`StorageSystem`] captures that interface;
+//! to the experiment drivers that compare them (Figures 7–9, Tables 1 and 4):
+//! insert a file, report metrics, and show the cluster it filled.
+//! [`StorageSystem`] captures that interface and nothing more.
+//!
 //! [`FileManifest`] records where a file's pieces were placed so that
-//! availability can be evaluated as nodes fail (Figure 10, Table 3).
+//! availability can be evaluated as nodes fail (Figure 10, Table 3).  Only
+//! PeerStripe keeps manifests, and answering availability questions is its
+//! job (`PeerStripe::{manifest, manifests, is_file_available}`), not the
+//! trait's.
 
 use crate::cluster::StorageCluster;
 use crate::metrics::StoreMetrics;
@@ -142,11 +147,6 @@ impl ManifestStore {
         self.manifests.get_mut(name)
     }
 
-    /// Remove a manifest.
-    pub fn remove(&mut self, name: &str) -> Option<FileManifest> {
-        self.manifests.remove(name)
-    }
-
     /// Number of manifests.
     pub fn len(&self) -> usize {
         self.manifests.len()
@@ -160,11 +160,6 @@ impl ManifestStore {
     /// Iterate over all manifests.
     pub fn iter(&self) -> impl Iterator<Item = &FileManifest> {
         self.manifests.values()
-    }
-
-    /// Iterate mutably over all manifests.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut FileManifest> {
-        self.manifests.values_mut()
     }
 
     /// Count how many stored files are currently available.
@@ -190,25 +185,9 @@ pub trait StorageSystem {
     /// The underlying storage cluster.
     fn cluster(&self) -> &StorageCluster;
 
-    /// Mutable access to the underlying storage cluster (churn scripting).
-    fn cluster_mut(&mut self) -> &mut StorageCluster;
-
-    /// The manifest of a stored file, if manifests are being tracked.
-    fn manifest(&self, name: &str) -> Option<&FileManifest>;
-
-    /// All manifests (for availability sweeps).
-    fn manifests(&self) -> &ManifestStore;
-
     /// Overall utilization of the cluster, in `[0, 1]` (Figure 9's y-axis).
     fn utilization(&self) -> f64 {
         self.cluster().utilization()
-    }
-
-    /// True if a previously stored file is still retrievable.
-    fn is_file_available(&self, name: &str) -> bool {
-        self.manifest(name)
-            .map(|m| m.is_available(self.cluster()))
-            .unwrap_or(false)
     }
 }
 
@@ -290,8 +269,6 @@ mod tests {
         assert!(store.get("f").is_some());
         assert!(store.get("missing").is_none());
         assert_eq!(store.available_count(&cluster), 1);
-        assert!(store.remove("f").is_some());
-        assert!(store.is_empty());
     }
 
     #[test]

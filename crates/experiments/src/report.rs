@@ -1,6 +1,7 @@
 //! Plain-text rendering of every experiment result, in the paper's layout.
 //!
-//! The `repro` binary prints these renderings; EXPERIMENTS.md embeds them.
+//! The `repro` binary prints these renderings, and `tests/golden/` pins
+//! several of them byte for byte.
 
 use crate::availability::{AvailabilityResult, Table3Row};
 use crate::coding::{RsSweep, Table2};

@@ -14,7 +14,7 @@
 //! each) since they are completely independent.
 
 use crate::scale::Scale;
-use peerstripe_baselines::{Cfs, CfsConfig, Past, PastConfig};
+use peerstripe_baselines::{Cfs, Past};
 use peerstripe_core::{ClusterConfig, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe_sim::stats::Figure;
 use peerstripe_sim::{ByteSize, DetRng, Series};
@@ -192,37 +192,21 @@ pub fn run_single_system(kind: SystemKind, config: &StoreSimConfig, trace: &Trac
     let cluster = cluster_cfg.build(&mut rng);
 
     let mut system: Box<dyn StorageSystem> = match kind {
-        SystemKind::Past => Box::new(Past::new(
-            cluster,
-            PastConfig {
-                // Published PAST does not keep re-salting an insert that hit a
-                // full node (it diverts replicas, then fails); the paper's 36 %
-                // failure level is only reachable without a deep retry budget.
-                retries: 0,
-                track_manifests: false,
-            },
-        )),
-        SystemKind::Cfs => Box::new(Cfs::new(
-            cluster,
-            CfsConfig {
-                // CFS retries are per 4 MB block, and a block only needs a node
-                // with 4 MB free, so its effective retry budget is deeper than
-                // PAST's whole-file placement (see EXPERIMENTS.md calibration).
-                retries_per_block: 8,
-                track_manifests: false,
-                ..CfsConfig::paper_simulation()
-            },
-        )),
+        SystemKind::Past => Box::new(Past::new(cluster)),
+        // CFS retries are per 4 MB block, and a block only needs a node with
+        // 4 MB free, so its effective retry budget is deeper than PAST's
+        // whole-file placement.
+        SystemKind::Cfs => Box::new(Cfs::new(cluster, 8)),
         SystemKind::PeerStripe => Box::new(PeerStripe::new(
             cluster,
             PeerStripeConfig {
                 // Table 1 reports ~3.7 chunks of ~81 MB per 243 MB file, which
                 // implies the per-probe report was effectively bounded around
-                // 80–100 MB; we reproduce that with the Section 4.3 local policy
-                // of reporting only part of the free space per getCapacity.
+                // 80–100 MB; we reproduce that by capping each chunk at 96 MB
+                // (the Section 4.5 chunk-size knob).
                 max_chunk_size: Some(ByteSize::mb(96)),
                 track_manifests: false,
-                ..PeerStripeConfig::paper_simulation()
+                ..PeerStripeConfig::default()
             },
         )),
     };

@@ -17,14 +17,13 @@
 
 use crate::network::NetworkModel;
 use crate::pool::PoolConfig;
-use peerstripe_baselines::{Cfs, CfsConfig};
+use peerstripe_baselines::Cfs;
 use peerstripe_core::{PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe_sim::ByteSize;
 use peerstripe_trace::FileRecord;
-use serde::{Deserialize, Serialize};
 
 /// The storage back-end used by a `bigCopy` run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BigCopyScheme {
     /// Original Condor: the copy is stored whole on one machine.
     WholeFile,
@@ -46,7 +45,7 @@ impl BigCopyScheme {
 }
 
 /// Result of one `bigCopy` run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BigCopyResult {
     /// File size copied.
     pub size: ByteSize,
@@ -99,19 +98,12 @@ pub fn run_bigcopy(
             }
         }
         BigCopyScheme::FixedChunks => {
-            let mut cfs = Cfs::new(
-                pool_config.build(seed),
-                CfsConfig {
-                    // "enough retries were made … to ensure that all blocks can
-                    // be stored" — give the baseline a deep retry budget.
-                    retries_per_block: 64,
-                    track_manifests: false,
-                    ..CfsConfig::paper_simulation()
-                },
-            );
+            // "enough retries were made … to ensure that all blocks can be
+            // stored" — give the baseline a deep retry budget.
+            let mut cfs = Cfs::new(pool_config.build(seed), 64);
             let outcome = cfs.store_file(&file);
             let lookups = cfs.cluster().overlay().stats().lookups;
-            let chunks = cfs.blocks_for(size);
+            let chunks = Cfs::blocks_for(size);
             let elapsed = scheme_time(&net, size, chunks, lookups, false);
             BigCopyResult {
                 size,
@@ -126,8 +118,7 @@ pub fn run_bigcopy(
                 pool_config.build(seed),
                 PeerStripeConfig {
                     zero_chunk_limit: 64,
-                    track_manifests: true,
-                    ..PeerStripeConfig::paper_simulation()
+                    ..PeerStripeConfig::default()
                 },
             );
             let outcome = ps.store_file(&file);

@@ -18,10 +18,9 @@
 //! traverse it).
 
 use peerstripe_sim::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// Cost model for desktop-grid transfers and overlay lookups.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkModel {
     /// Effective end-to-end throughput for bulk data (bytes per second).
     pub effective_bandwidth: ByteSize,

@@ -7,7 +7,7 @@
 //! 128-bit space with a non-cryptographic but well-mixed hash: the experiments
 //! only rely on uniform distribution and collision-freeness of the mapping, not
 //! on cryptographic strength, and 128 bits keeps circular arithmetic on native
-//! integers.  This substitution is recorded in DESIGN.md.
+//! integers.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

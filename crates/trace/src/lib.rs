@@ -5,7 +5,7 @@
 //! from N(45 GB, 10 GB); the Condor case study uses a 32-node pool contributing
 //! Uniform(2 GB, 15 GB) each.  Only the aggregate statistics of the original
 //! trace are published, so this crate synthesises workloads with matching
-//! statistics (see DESIGN.md, substitution table).
+//! statistics.
 //!
 //! * [`filetrace`] — [`TraceConfig`]/[`Trace`] generation and statistics;
 //! * [`capacity`] — [`CapacityModel`] for per-node contributed storage;

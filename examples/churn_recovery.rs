@@ -38,7 +38,7 @@ fn main() {
         // node went down costs one step per block that node holds.
         let mut ledger = DamageLedger::build(ps.manifests());
         let mut rng = DetRng::new(seed ^ 0xfa11);
-        for (node, _) in ps.cluster_mut().fail_random(failures, &mut rng) {
+        for (node, _) in ps.backend_mut().fail_random(failures, &mut rng) {
             ledger.node_down(node);
         }
         println!(

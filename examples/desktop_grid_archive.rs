@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example desktop_grid_archive`
 
-use peerstripe::baselines::{Cfs, CfsConfig, Past, PastConfig};
+use peerstripe::baselines::{Cfs, Past};
 use peerstripe::core::{ClusterConfig, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::TraceConfig;
@@ -33,25 +33,13 @@ fn main() {
     };
 
     // The three systems run on identically seeded pools.
-    let mut past = Past::new(
-        build_cluster(),
-        PastConfig {
-            retries: 0,
-            ..PastConfig::default()
-        },
-    );
-    let mut cfs = Cfs::new(
-        build_cluster(),
-        CfsConfig {
-            retries_per_block: 8,
-            ..CfsConfig::paper_simulation()
-        },
-    );
+    let mut past = Past::new(build_cluster());
+    let mut cfs = Cfs::new(build_cluster(), 8);
     let mut ours = PeerStripe::new(
         build_cluster(),
         PeerStripeConfig {
             max_chunk_size: Some(ByteSize::mb(96)),
-            ..PeerStripeConfig::paper_simulation()
+            ..PeerStripeConfig::default()
         },
     );
 

@@ -69,7 +69,7 @@ fn main() {
 
         // A whole lab powers down.
         for &node in topology.members(3) {
-            ps.cluster_mut().fail_node(node);
+            ps.backend_mut().fail_node(node);
         }
         let available = (0..30)
             .filter(|i| ps.is_file_available(&format!("dataset-{i}")))

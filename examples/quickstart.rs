@@ -71,7 +71,7 @@ fn main() {
     // 5. Fail a node that holds one of the blocks; the file stays available and
     //    the lost block is regenerated elsewhere.
     let victim = manifest.chunks[0].blocks[0].node;
-    let takeover = storage.cluster_mut().fail_node(victim).expect("takeover");
+    let takeover = storage.backend_mut().fail_node(victim).expect("takeover");
     println!(
         "node {victim} failed; file still available: {}",
         storage.is_file_available("mri-scan-0007")

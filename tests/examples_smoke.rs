@@ -52,7 +52,7 @@ fn quickstart_store_retrieve_on_small_cluster() {
     // Fail a node holding a block: the file stays available, the lost blocks
     // are regenerated, and the payload still reads back bit-for-bit.
     let victim = manifest.chunks[0].blocks[0].node;
-    let takeover = storage.cluster_mut().fail_node(victim).expect("takeover");
+    let takeover = storage.backend_mut().fail_node(victim).expect("takeover");
     assert!(storage.is_file_available("mri-scan-0007"));
     storage.handle_node_failure(victim, &takeover);
     let restored = storage.retrieve_data("mri-scan-0007").expect("full read");

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full store → churn → recover → retrieve cycles
 //! and the paper's headline qualitative claims at small scale.
 
-use peerstripe::baselines::{Cfs, CfsConfig, Past, PastConfig};
+use peerstripe::baselines::{Cfs, Past};
 use peerstripe::core::{
     ClusterConfig, CodingPolicy, DamageLedger, PeerStripe, PeerStripeConfig, StorageSystem,
 };
@@ -24,7 +24,7 @@ fn peerstripe_stores_what_past_cannot() {
     // The headline capability: a file larger than any contributor.
     let file = FileRecord::new("telescope-run.raw", ByteSize::gb(5));
 
-    let mut past = Past::new(cluster(40, ByteSize::gb(1), 1), PastConfig::default());
+    let mut past = Past::new(cluster(40, ByteSize::gb(1), 1));
     assert!(
         !past.store_file(&file).is_stored(),
         "PAST cannot store a 5 GB file on 1 GB nodes"
@@ -37,10 +37,7 @@ fn peerstripe_stores_what_past_cannot() {
     );
     assert!(ours.is_file_available("telescope-run.raw"));
 
-    let mut cfs = Cfs::new(
-        cluster(40, ByteSize::gb(1), 1),
-        CfsConfig::paper_simulation(),
-    );
+    let mut cfs = Cfs::new(cluster(40, ByteSize::gb(1), 1), 5);
     assert!(
         cfs.store_file(&file).is_stored(),
         "CFS can also store it, with many more chunks"
@@ -73,7 +70,7 @@ fn full_lifecycle_store_fail_recover_retrieve() {
             .map(|b| b.node)
             .next()
             .unwrap();
-        let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+        let takeover = ps.backend_mut().fail_node(victim).unwrap();
         let report = ps.handle_node_failure(victim, &takeover);
         assert_eq!(
             report.chunks_lost, 0,
@@ -103,7 +100,7 @@ fn availability_ordering_matches_figure_10() {
         }
         let mut ledger = DamageLedger::build(ps.manifests());
         let mut fail_rng = DetRng::new(7);
-        for (node, _) in ps.cluster_mut().fail_random(nodes / 10, &mut fail_rng) {
+        for (node, _) in ps.backend_mut().fail_random(nodes / 10, &mut fail_rng) {
             ledger.node_down(node);
         }
         unavailable.push(ledger.unavailable_pct());
@@ -199,4 +196,38 @@ fn cat_reconstruction_survives_total_cat_loss() {
         .collect();
     assert_eq!(rebuilt_sizes, original);
     assert_eq!(rebuilt.file_size(), ByteSize::gb(2));
+}
+
+#[test]
+fn every_system_places_exactly_the_bytes_its_cluster_holds() {
+    // PAST, CFS and PeerStripe fill identically seeded, object-tracking
+    // clusters past capacity.  A refused store must leave nothing behind, so
+    // after every store the cluster holds exactly the bytes the system
+    // reports as placed.
+    let nodes = 24;
+    let trace = TraceConfig::scaled(nodes * 200).generate(3);
+    let build = || {
+        let mut rng = DetRng::new(3);
+        ClusterConfig::scaled(nodes).build(&mut rng)
+    };
+    let mut past = Past::new(build());
+    let mut cfs = Cfs::new(build(), 8);
+    let mut ours = PeerStripe::new(build(), PeerStripeConfig::default());
+    for system in [&mut past as &mut dyn StorageSystem, &mut cfs, &mut ours] {
+        for file in &trace.files {
+            let _ = system.store_file(file);
+            assert_eq!(
+                system.cluster().total_used(),
+                system.metrics().bytes_placed,
+                "{} after {}",
+                system.name(),
+                file.name
+            );
+        }
+        assert!(
+            system.metrics().files_failed > 0,
+            "{} never refused a store",
+            system.name()
+        );
+    }
 }

@@ -413,7 +413,7 @@ proptest! {
             // (possibly repeatedly), out-of-range ones must be no-ops.
             let node = f as usize;
             if node < ps.cluster().node_count() {
-                ps.cluster_mut().fail_node(node);
+                ps.backend_mut().fail_node(node);
             }
             ledger.node_down(node);
             let pct = ledger.unavailable_pct();

@@ -626,7 +626,7 @@ fn a_placement_only_repair_stores_sizes_and_counts_them() {
     let victim = before.chunks[0].blocks[0].node;
     let lost = before.all_blocks().filter(|b| b.node == victim).count();
 
-    let takeover = ps.cluster_mut().fail_node(victim).unwrap();
+    let takeover = ps.backend_mut().fail_node(victim).unwrap();
     let report = ps.handle_node_failure(victim, &takeover);
     assert_eq!(report.blocks_regenerated as usize, lost);
     assert_eq!((report.chunks_lost, report.bytes_lost), (0, ByteSize::ZERO));
