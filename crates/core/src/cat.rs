@@ -10,13 +10,12 @@
 //! reproduce.
 
 use peerstripe_sim::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// One CAT row: the half-open byte range `[start, end)` of the file stored in a chunk.
 ///
 /// Zero-sized chunks (failed placements that were retried under a new chunk
 /// number, Section 4.3) are represented by `start == end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkExtent {
     /// Chunk number (position in the file's chunk sequence).
     pub chunk: u32,
@@ -44,7 +43,7 @@ impl ChunkExtent {
 }
 
 /// The chunk allocation table of one file.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkAllocationTable {
     extents: Vec<ChunkExtent>,
 }

@@ -33,7 +33,6 @@ use peerstripe_overlay::{Id, NodeRef, Takeover};
 use peerstripe_placement::{OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -43,7 +42,7 @@ const CAT_REPLICAS: usize = 2;
 
 /// Configuration of a PeerStripe instance.  Its default is the Figure 7–9
 /// simulations' configuration: no coding, zero-chunk limit 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeerStripeConfig {
     /// Erasure-coding policy applied per chunk.
     pub coding: CodingPolicy,

@@ -13,11 +13,10 @@ use peerstripe_overlay::{Id, NodeRef, OverlaySim, Takeover};
 use peerstripe_placement::{ClusterView, DomainIndex, NodeState, ProbeView, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::CapacityModel;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of a storage cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of participating nodes.
     pub nodes: usize,

@@ -13,11 +13,10 @@
 //! nodes with high probability).
 
 use peerstripe_overlay::{Id, IdHasher};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed PeerStripe object name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ObjectName {
     /// A whole chunk (used when no erasure coding is configured).
     Chunk {

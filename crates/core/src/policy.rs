@@ -24,10 +24,9 @@
 
 use peerstripe_erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, XorCode};
 use peerstripe_sim::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// Placement-level description of how a chunk is erasure coded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CodingPolicy {
     /// Store each chunk as a single object (no redundancy).
     #[default]

@@ -14,7 +14,7 @@
 //! * [`Gf256Kernel::Scalar`] — the reference kernel: materialise the
 //!   256-entry product row of the constant coefficient (it lives comfortably
 //!   in L1) and stream the operand slices through it byte by byte.
-//! * [`Gf256Kernel::Nibble64`] — the fast kernel ([`nibble`]): split-nibble
+//! * [`Gf256Kernel::Nibble64`] — the fast kernel (`nibble`): split-nibble
 //!   (low/high 4-bit) product tables applied over wide lanes — `pshufb` table
 //!   shuffles on x86-64 (16 or 32 bytes per instruction), and a chunked-`u64`
 //!   SWAR evaluation of the same tables everywhere else — with a per-byte

@@ -18,9 +18,9 @@
 //! Every byte Reed–Solomon produces — an encoded row on the store path, a
 //! lost row on a degraded read, a regenerated row on repair — is a linear
 //! combination of source rows, and all of them run through one loop,
-//! [`combine_span`]: each coefficient's [`gf256`] kernel tables are prepared
-//! once per call ([`gf256::PreparedCoeff`]), then the output columns are
-//! walked in L1-sized tiles ([`TILE_BYTES`]) with the source tiles reused
+//! `combine_span`: each coefficient's [`gf256`](crate::gf256) kernel tables
+//! are prepared once per call ([`PreparedCoeff`]), then the output columns
+//! are walked in L1-sized tiles (`TILE_BYTES`) with the source tiles reused
 //! across all output rows while they are hot.  Source rows are read where
 //! they lie (the caller's chunk, the fetched payloads) and output rows are
 //! written where they are wanted (the caller's payload or read buffer):

@@ -6,7 +6,7 @@
 //! `wire_roundtrip` (the networked path's frame encode/decode) and
 //! `rs_encode` (in-place erasure-encode throughput, scalar vs `nibble64`
 //! kernel).  Each workload is defined here and nowhere else.  Every
-//! measurement is the best of a handful of short passes ([`best_rate`]) —
+//! measurement is the best of a handful of short passes (`best_rate`) —
 //! good enough to catch an order-of-magnitude regression in seconds.  Numbers are machine-dependent by nature; the
 //! committed files record the machine-independent *shape* (events processed,
 //! verdict counts) next to the throughput observed when they were captured.
@@ -521,7 +521,7 @@ impl RowArena {
 }
 
 /// Reed–Solomon encode throughput into caller-owned row buffers
-/// ([`RowArena`], the store path's shape): `scalar` kernel vs `nibble64`
+/// (`RowArena`, the store path's shape): `scalar` kernel vs `nibble64`
 /// kernel, at RS(5, 3) and RS(8, 4) over 1 MB and 4 MB chunks.  `per_sec` is
 /// source **bytes** per second; both are cross-checked against the blocks
 /// `ErasureCode::encode` returns before any number is recorded, so a kernel

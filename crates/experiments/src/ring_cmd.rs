@@ -12,7 +12,8 @@
 use crate::Scale;
 use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{
-    node_binary, GatewayConfig, LocalRing, NodeEndpoint, NodeStats, RingGateway, WireError,
+    node_binary, AccountNames, GatewayConfig, LocalRing, NodeEndpoint, NodeStats, RingGateway,
+    WireError,
 };
 use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::{ByteSize, DetRng, TableBuilder};
@@ -59,37 +60,17 @@ pub struct OpStat {
     pub op: String,
     /// Calls observed.
     pub calls: u64,
-    /// Calls that failed; `None` on a daemon, which counts its refusals by
-    /// kind, not by op (their total is the node table's errors column).
-    pub errors: Option<u64>,
+    /// Calls that failed.
+    pub errors: u64,
     /// Estimated median latency in milliseconds (bucket upper edge).
     pub p50_ms: f64,
     /// Estimated 99th-percentile latency in milliseconds.
     pub p99_ms: f64,
 }
 
-/// The metric names one side of the wire records its calls under.
-struct OpMetrics {
-    calls: &'static str,
-    errors: Option<&'static str>,
-    latency: &'static str,
-}
-
-const GATEWAY_METRICS: OpMetrics = OpMetrics {
-    calls: "gateway_rpc_total",
-    errors: Some("gateway_rpc_errors"),
-    latency: "gateway_rpc_latency_ms",
-};
-
-const NODE_METRICS: OpMetrics = OpMetrics {
-    calls: "node_requests_total",
-    errors: None,
-    latency: "node_request_latency_ms",
-};
-
 /// Per-op rows of a registry export, in op order; ops never called are
 /// dropped.
-fn op_stats(export: &RegistryExport, names: &OpMetrics) -> Vec<OpStat> {
+fn op_stats(export: &RegistryExport, names: &AccountNames) -> Vec<OpStat> {
     fn op_of(labels: &[(String, String)]) -> Option<&str> {
         labels
             .iter()
@@ -118,7 +99,7 @@ fn op_stats(export: &RegistryExport, names: &OpMetrics) -> Vec<OpStat> {
             OpStat {
                 op: op.to_string(),
                 calls: count(names.calls, op),
-                errors: names.errors.map(|name| count(name, op)),
+                errors: count(names.errors, op),
                 p50_ms: quantile(0.5),
                 p99_ms: quantile(0.99),
             }
@@ -260,7 +241,7 @@ fn node_rows(
             NodeRow {
                 ops: stats
                     .as_ref()
-                    .map_or_else(Vec::new, |s| op_stats(&s.metrics, &NODE_METRICS)),
+                    .map_or_else(Vec::new, |s| op_stats(&s.metrics, &AccountNames::NODE)),
                 health,
                 stats,
             }
@@ -380,7 +361,7 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
         chunks_lost: report.chunks_lost,
         recovered,
         reached_before_kill,
-        gateway_ops: op_stats(&export, &GATEWAY_METRICS),
+        gateway_ops: op_stats(&export, &AccountNames::GATEWAY),
         metrics: export,
         node_health,
         gateway_rpcs_logged: gateway_log.len() as u64,
@@ -440,7 +421,7 @@ pub fn render_ring_text(report: &RingReport) -> String {
                 side.to_string(),
                 s.op.clone(),
                 s.calls.to_string(),
-                s.errors.map_or("-".to_string(), |e| e.to_string()),
+                s.errors.to_string(),
                 format!("{:.3}", s.p50_ms),
                 format!("{:.3}", s.p99_ms),
             ]);
@@ -463,8 +444,8 @@ pub fn render_ring_text(report: &RingReport) -> String {
                     s.used.to_string(),
                     s.capacity.to_string(),
                     s.objects.to_string(),
-                    sum("node_requests_total").to_string(),
-                    sum("node_errors_total").to_string(),
+                    sum(AccountNames::NODE.calls).to_string(),
+                    sum(AccountNames::NODE.errors).to_string(),
                 ]);
             }
             None => cells.extend(std::iter::repeat_n("-".to_string(), 5)),
@@ -575,7 +556,6 @@ mod tests {
         let stored = |ops: &[OpStat]| ops.iter().any(|r| r.op == "store_block" && r.calls > 0);
         assert!(stored(&report.gateway_ops));
         assert!(report.node_health.iter().any(|n| stored(&n.ops)));
-        assert!(report.gateway_ops.iter().all(|r| r.errors.is_some()));
         for row in report
             .gateway_ops
             .iter()

@@ -8,10 +8,8 @@
 //! (the quantity that drives the failure and utilization curves) is preserved,
 //! so the qualitative shape of every figure is scale-invariant.
 
-use serde::{Deserialize, Serialize};
-
 /// Predefined experiment scales.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny runs for unit tests and CI (hundreds of nodes).
     Small,

@@ -30,11 +30,12 @@
 //! stale pooled stream re-dialled once, metrics and op log, stream pooled
 //! again).  A single RPC is one then the other; a wave is every send, then
 //! every finish.  Connections are pooled per node, and only a stream whose
-//! reply was read to its end goes back.  Every RPC is counted and its
-//! wall-clock latency recorded in a [`MetricsRegistry`] (`gateway_rpc_total`,
-//! `gateway_rpc_errors`, `gateway_rpc_latency_ms`, labelled by operation),
-//! which the ring harness exports into its JSON report.
+//! reply was read to its end goes back.  Every RPC is recorded in the
+//! gateway's `RpcAccount` under [`AccountNames::GATEWAY`] — its
+//! [`Request::op`], wall-clock latency and outcome, in the vocabulary a
+//! daemon's account uses — which the ring harness exports into its report.
 
+use crate::account::{AccountNames, RpcAccount, Started};
 use crate::protocol::{
     read_block_reply_into, read_response, write_request_traced, BlockReply, NodeStats, OpLogEntry,
     RemoteError, Request, Response, WireError,
@@ -45,8 +46,8 @@ use peerstripe_core::{
 use peerstripe_overlay::{Id, IdRing, NodeRef, Takeover};
 use peerstripe_placement::{ClusterView, ProbeView};
 use peerstripe_sim::ByteSize;
-use peerstripe_telemetry::{CounterHandle, HistogramHandle, MetricsRegistry, RegistryExport};
-use std::collections::{BTreeMap, VecDeque};
+use peerstripe_telemetry::RegistryExport;
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
@@ -76,28 +77,6 @@ impl Default for GatewayConfig {
             timeout: Duration::from_secs(5),
         }
     }
-}
-
-/// Latency histogram bucket bounds, in milliseconds: localhost RPCs sit in
-/// the sub-millisecond buckets, WAN deployments in the tail.
-pub const LATENCY_BUCKETS_MS: &[f64] = &[
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-];
-
-/// The RPC operations the gateway issues, as metric label values.
-const OPS: &[&str] = &[
-    "ping",
-    "get_capacity",
-    "store_block",
-    "fetch_block",
-    "remove_block",
-    "shutdown",
-];
-
-#[derive(Clone, Copy)]
-struct OpHandles {
-    total: CounterHandle,
-    latency: HistogramHandle,
 }
 
 /// Size of the one buffer the first gateway of a process allocates and frees,
@@ -133,12 +112,6 @@ struct OpHandles {
 /// median +21 %, fetch +29 %.  So it stays.
 const HEAP_HYSTERESIS_BYTES: usize = (32 << 20) - (64 << 10);
 
-/// How many finished RPCs the gateway's op log retains.
-const GATEWAY_OP_LOG_CAPACITY: usize = 4096;
-
-/// How many finished requests a node's op log retains.
-pub(crate) const NODE_OP_LOG_CAPACITY: usize = 1024;
-
 /// The networked backend: a membership ring over live node daemons.
 pub struct RingGateway {
     endpoints: BTreeMap<NodeRef, SocketAddr>,
@@ -150,13 +123,10 @@ pub struct RingGateway {
     /// ([`ClusterView::report_of`]) answer from this cache; live probes
     /// refresh it.
     reports: Mutex<BTreeMap<NodeRef, ByteSize>>,
-    metrics: Mutex<MetricsRegistry>,
-    handles: BTreeMap<&'static str, OpHandles>,
+    account: Mutex<RpcAccount>,
     /// Monotonic request-id source; every instrumented RPC carries one, so
     /// gateway and node op logs join on it.
     next_rid: AtomicU64,
-    /// Recent RPCs, oldest first, bounded at [`GATEWAY_OP_LOG_CAPACITY`].
-    op_log: Mutex<VecDeque<OpLogEntry>>,
 }
 
 /// A request written on a connection, or the error writing it hit.
@@ -171,11 +141,10 @@ struct Sent {
 /// [`RingGateway::send`] starts one, [`RingGateway::finish`] ends it.
 struct InFlight<'r> {
     node: NodeRef,
-    op: &'static str,
     /// Kept for the one resend a stale pooled stream earns.
     req: &'r Request,
     rid: u64,
-    start: std::time::Instant,
+    started: Started,
     sent: Sent,
 }
 
@@ -204,21 +173,6 @@ impl RingGateway {
             addr_map.insert(ep.node, ep.addr);
             ids.insert(ep.node, ep.id);
         }
-        let mut metrics = MetricsRegistry::new();
-        let mut handles = BTreeMap::new();
-        for op in OPS {
-            handles.insert(
-                *op,
-                OpHandles {
-                    total: metrics.counter("gateway_rpc_total", &[("op", op)]),
-                    latency: metrics.histogram(
-                        "gateway_rpc_latency_ms",
-                        &[("op", op)],
-                        LATENCY_BUCKETS_MS,
-                    ),
-                },
-            );
-        }
         RingGateway {
             endpoints: addr_map,
             ids,
@@ -226,10 +180,8 @@ impl RingGateway {
             timeout: config.timeout,
             conns: Mutex::new(BTreeMap::new()),
             reports: Mutex::new(BTreeMap::new()),
-            metrics: Mutex::new(metrics),
-            handles,
+            account: Mutex::new(RpcAccount::new(AccountNames::GATEWAY)),
             next_rid: AtomicU64::new(1),
-            op_log: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -246,24 +198,20 @@ impl RingGateway {
         Ok(stream)
     }
 
-    /// The failure kind of an RPC outcome: a [`WireError`] variant label for
-    /// transport/protocol errors, a `node_*` label for typed node refusals,
-    /// `None` for success — the `kind` label on `gateway_rpc_errors`.
+    /// The failure kind of an RPC outcome: a [`WireError::kind_label`] for
+    /// transport/protocol errors, a [`RemoteError::kind_label`] for typed
+    /// node refusals, `None` for success.
     fn outcome_kind(result: Result<Option<&Response>, &WireError>) -> Option<&'static str> {
         match result {
-            Ok(Some(Response::Error(refusal))) => Some(match refusal {
-                RemoteError::InsufficientSpace => "node_insufficient_space",
-                RemoteError::AlreadyStored => "node_already_stored",
-                RemoteError::BadRequest { .. } => "node_bad_request",
-            }),
+            Ok(Some(Response::Error(refusal))) => Some(refusal.kind_label()),
             Ok(_) => None,
             Err(e) => Some(e.kind_label()),
         }
     }
 
     /// One RPC against `node`, its reply parsed whole.
-    fn rpc(&self, node: NodeRef, op: &'static str, req: &Request) -> Result<Response, WireError> {
-        self.rpc_reading(node, op, req, read_response, |resp| Some(resp))
+    fn rpc(&self, node: NodeRef, req: &Request) -> Result<Response, WireError> {
+        self.rpc_reading(node, req, read_response, |resp| Some(resp))
     }
 
     /// One instrumented RPC against `node`: [`RingGateway::send`], then
@@ -271,12 +219,11 @@ impl RingGateway {
     fn rpc_reading<R>(
         &self,
         node: NodeRef,
-        op: &'static str,
         req: &Request,
         read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
-        let call = self.send(node, op, req);
+        let call = self.send(node, req);
         self.finish(call, read, parsed)
     }
 
@@ -285,26 +232,21 @@ impl RingGateway {
     /// clock started, and the request written on `node`'s pooled connection
     /// or a freshly dialled one.  A failed dial or write is left for
     /// [`RingGateway::finish`] to act on and record.
-    fn send<'r>(&self, node: NodeRef, op: &'static str, req: &'r Request) -> InFlight<'r> {
+    fn send<'r>(&self, node: NodeRef, req: &'r Request) -> InFlight<'r> {
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "measuring real RPC latency on the network path is the point of the gateway histograms"
-        )]
-        let start = std::time::Instant::now();
+        let started = Started::now();
         let sent = self.write_pooled(node, req, Some(rid));
         InFlight {
             node,
-            op,
             req,
             rid,
-            start,
+            started,
             sent,
         }
     }
 
     /// The second half: the reply read (a stale pooled stream re-dialled
-    /// once), latency and outcome recorded under the call's op, and the
+    /// once), latency and outcome recorded under the request's op, and the
     /// stream pooled again.  `read` takes the reply off the stream, and
     /// `parsed` shows the [`Response`] in what it read, if it kept one, for
     /// the outcome's label.
@@ -316,41 +258,15 @@ impl RingGateway {
     ) -> Result<R, WireError> {
         let InFlight {
             node,
-            op,
             req,
             rid,
-            start,
+            started,
             sent,
         } = call;
         let result = self.read_pooled(node, req, Some(rid), sent, read);
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+        let elapsed_ms = started.elapsed_ms();
         let kind = Self::outcome_kind(result.as_ref().map(parsed));
-        if let Some(h) = self.handles.get(op) {
-            let mut metrics = lock(&self.metrics);
-            metrics.inc(h.total, 1);
-            metrics.observe(h.latency, elapsed_ms);
-            if let Some(kind) = kind {
-                // Registered on first use: the kind space is open-ended, so
-                // eager registration would pin down kinds that never occur.
-                let errors = metrics.counter("gateway_rpc_errors", &[("op", op), ("kind", kind)]);
-                metrics.inc(errors, 1);
-            }
-        }
-        // Shutdown is intercepted by the server layer before dispatch, so the
-        // node never logs it; keeping it out of the gateway log preserves the
-        // invariant that every logged RPC can join a node-side entry.
-        if op != "shutdown" {
-            let mut log = lock(&self.op_log);
-            if log.len() == GATEWAY_OP_LOG_CAPACITY {
-                log.pop_front();
-            }
-            log.push_back(OpLogEntry {
-                request_id: Some(rid),
-                op: op.to_string(),
-                duration_ms: elapsed_ms,
-                outcome: kind.unwrap_or("ok").to_string(),
-            });
-        }
+        lock(&self.account).record(req.op(), Some(rid), elapsed_ms, kind);
         result
     }
 
@@ -417,13 +333,13 @@ impl RingGateway {
 
     /// Snapshot of the gateway's recent-RPC log, oldest first.
     pub fn op_log(&self) -> Vec<OpLogEntry> {
-        lock(&self.op_log).iter().cloned().collect()
+        lock(&self.account).log()
     }
 
     /// Probe one node's capacity over the wire, refreshing the report cache.
     fn capacity_rpc(&self, node: NodeRef) -> Option<ByteSize> {
         let req = Request::GetCapacity;
-        self.capacity_reply(self.send(node, "get_capacity", &req))
+        self.capacity_reply(self.send(node, &req))
     }
 
     /// Finish a capacity probe, refreshing the report cache.
@@ -440,16 +356,13 @@ impl RingGateway {
 
     /// Liveness-check one node.
     pub fn ping(&self, node: NodeRef) -> bool {
-        matches!(
-            self.rpc(node, "ping", &Request::Ping),
-            Ok(Response::Pong { .. })
-        )
+        matches!(self.rpc(node, &Request::Ping), Ok(Response::Pong { .. }))
     }
 
     /// Ask one daemon to shut down gracefully.
     pub fn shutdown_node(&self, node: NodeRef) -> bool {
         matches!(
-            self.rpc(node, "shutdown", &Request::Shutdown),
+            self.rpc(node, &Request::Shutdown),
             Ok(Response::ShuttingDown)
         )
     }
@@ -469,16 +382,12 @@ impl RingGateway {
 
     /// Snapshot of the per-RPC telemetry.
     pub fn export_metrics(&self) -> RegistryExport {
-        lock(&self.metrics).export()
+        lock(&self.account).export()
     }
 
     /// Total RPCs issued, across operations (for quick report lines).
     pub fn rpc_count(&self) -> u64 {
-        let metrics = lock(&self.metrics);
-        self.handles
-            .values()
-            .map(|h| metrics.counter_value(h.total))
-            .sum()
+        lock(&self.account).calls()
     }
 }
 
@@ -541,10 +450,7 @@ impl ProbeView for RingGateway {
             }
         }
         let req = Request::GetCapacity;
-        let wave: Vec<InFlight<'_>> = nodes
-            .iter()
-            .map(|&node| self.send(node, "get_capacity", &req))
-            .collect();
+        let wave: Vec<InFlight<'_>> = nodes.iter().map(|&node| self.send(node, &req)).collect();
         let free: BTreeMap<NodeRef, ByteSize> = wave
             .into_iter()
             .filter_map(|probe| Some((probe.node, self.capacity_reply(probe)?)))
@@ -574,7 +480,6 @@ impl StorageBackend for RingGateway {
         }
         match self.rpc(
             node,
-            "store_block",
             &Request::StoreBlock {
                 key,
                 name,
@@ -599,11 +504,7 @@ impl StorageBackend for RingGateway {
         if !self.is_alive(node) {
             return None;
         }
-        match self.rpc(
-            node,
-            "fetch_block",
-            &Request::FetchBlock { name: name.clone() },
-        ) {
+        match self.rpc(node, &Request::FetchBlock { name: name.clone() }) {
             Ok(Response::Block {
                 block: Some((size, payload)),
             }) => Some(FetchedBlock { size, payload }),
@@ -625,7 +526,7 @@ impl StorageBackend for RingGateway {
         }
         let req = Request::FetchBlock { name: name.clone() };
         let read = |stream: &mut TcpStream| read_block_reply_into(stream, head, tail);
-        match self.rpc_reading(node, "fetch_block", &req, read, BlockReply::response) {
+        match self.rpc_reading(node, &req, read, BlockReply::response) {
             Ok(BlockReply::Landed) => Ok(()),
             Ok(BlockReply::Short) => Err(FetchMiss::Short),
             Ok(BlockReply::Other(Response::Block { block: Some(_) })) => Err(FetchMiss::SizeOnly),
@@ -641,7 +542,6 @@ impl StorageBackend for RingGateway {
         }
         let _ = self.rpc(
             node,
-            "remove_block",
             &Request::RemoveBlock {
                 name: name.clone(),
                 size,
@@ -1250,6 +1150,42 @@ mod tests {
         let last = gw.op_log().pop().unwrap();
         assert_eq!(last.op, "ping");
         assert_eq!(last.outcome, "io");
+        for n in nodes {
+            n.stop().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_refusal_reads_the_same_at_the_gateway_and_the_daemon() {
+        let (nodes, mut gw) = ring_of(1);
+        let name = ObjectName::block("f", 0, 0);
+        let stored = gw.store_block(0, name.key(), name, ByteSize::mb(100), None);
+        assert!(matches!(
+            stored,
+            Err(ClusterStoreError::Refused(
+                NodeStoreError::InsufficientSpace
+            ))
+        ));
+        let stats = gw.get_stats(0).unwrap();
+        let refusals = |export: &RegistryExport, counter: &str| -> Vec<u64> {
+            let labels = [("kind", "insufficient_space"), ("op", "store_block")]
+                .map(|(k, v)| (k.to_string(), v.to_string()));
+            let counters = export.counters.iter();
+            let refused = counters.filter(|c| c.name == counter && c.labels == labels);
+            refused.map(|c| c.value).collect()
+        };
+        assert_eq!(refusals(&gw.export_metrics(), "gateway_rpc_errors"), [1]);
+        assert_eq!(refusals(&stats.metrics, "node_errors_total"), [1]);
+        // The two op-log entries of the request join on its id and agree.
+        let gw_entry = gw.op_log().pop().unwrap();
+        let node_entry = stats
+            .op_log
+            .iter()
+            .find(|e| e.request_id == gw_entry.request_id);
+        let seen = |e: &OpLogEntry| (e.op.clone(), e.outcome.clone());
+        let expected = ("store_block".to_string(), "insufficient_space".to_string());
+        assert_eq!(seen(&gw_entry), expected);
+        assert_eq!(node_entry.map(seen), Some(expected));
         for n in nodes {
             n.stop().unwrap();
         }

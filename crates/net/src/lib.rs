@@ -19,13 +19,13 @@
 //! and tests; `repro ring` stores and recovers a file across such a ring
 //! through a real node kill.
 //!
-//! Observability runs end-to-end across the wire: every instrumented gateway
-//! RPC carries a request id that the node echoes and records in its own
-//! bounded op log, and each [`NodeService`] keeps per-op metrics that a
-//! `GetStats` frame exposes.  [`RingGateway::get_stats`] is the one scrape
-//! (`repro ring` scrapes every daemon with it before the kill and after the
-//! repair); the gateway is the crate's one client, so it is also the one
-//! place that dials a daemon.
+//! Observability runs end-to-end across the wire: the gateway and every
+//! [`NodeService`] record each request in an `RpcAccount` (`account.rs`)
+//! under their own [`AccountNames`], and every gateway RPC carries a request
+//! id that the node echoes and logs, so the two op logs join on it.
+//! [`RingGateway::get_stats`] is the one scrape of a node's account (`repro
+//! ring` scrapes every daemon before the kill and after the repair); the
+//! gateway is the crate's one client, so it is the one place that dials.
 //!
 //! The crate is deliberately *not* in the deterministic-simulation set: it
 //! touches wall clocks and sockets, and says so via audited lint waivers
@@ -36,13 +36,15 @@
 // This crate decodes bytes off the wire: no index may panic on them.
 #![deny(clippy::indexing_slicing)]
 
+mod account;
 pub mod gateway;
 pub mod node;
 pub mod protocol;
 pub mod ring;
 pub mod server;
 
-pub use gateway::{GatewayConfig, NodeEndpoint, RingGateway, LATENCY_BUCKETS_MS};
+pub use account::AccountNames;
+pub use gateway::{GatewayConfig, NodeEndpoint, RingGateway};
 pub use node::{NodeConfig, NodeService};
 pub use protocol::{
     NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,

@@ -1,40 +1,24 @@
 //! The per-node daemon's service logic: a [`NodeService`] owns one
-//! [`StorageNode`] — the same node-local store the simulator gives every
-//! cluster member — and answers the wire protocol's requests against it.
+//! [`StorageNode`](peerstripe_core::StorageNode) — the same node-local store
+//! the simulator gives every cluster member — and answers the wire
+//! protocol's requests against it.
 //!
 //! Keeping the service separate from the TCP plumbing means the exact same
 //! request handling is exercised in-process by unit tests and over real
 //! sockets by the daemon.
 //!
 //! A node's one account of itself is its [`NodeStats`]: capacity, used and
-//! objects from the store, per-op request counters, latency histograms and
-//! typed-error counters from its registry, and a bounded op log whose
-//! per-request durations are the record of slow requests.
+//! objects from the store, and its `RpcAccount` under
+//! [`AccountNames::NODE`] — per-op request counters and latency histograms,
+//! error counters by op and kind, and a bounded op log whose per-request
+//! durations are the record of slow requests.
 
-use crate::gateway::{LATENCY_BUCKETS_MS, NODE_OP_LOG_CAPACITY};
-use crate::protocol::{NodeStats, OpLogEntry, RemoteError, Request, Response};
+use crate::account::{AccountNames, RpcAccount, Started};
+use crate::protocol::{NodeStats, RemoteError, Request, Response};
 use peerstripe_core::{NodeStoreError, StoredObject};
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
-use peerstripe_telemetry::{CounterHandle, HistogramHandle, MetricsRegistry};
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// The wire operations a node instruments, as metric label values.
-/// `get_stats` is deliberately absent: a stats scrape must not perturb the
-/// stats it reads, so repeated scrapes of an idle node are byte-identical.
-const OPS: &[&str] = &[
-    "ping",
-    "get_capacity",
-    "store_block",
-    "fetch_block",
-    "remove_block",
-    "shutdown",
-];
-
-/// The typed-error kinds a node counts, pre-registered so the registry's
-/// shape does not depend on which errors a run happened to hit.
-const ERROR_KINDS: &[&str] = &["insufficient_space", "already_stored", "bad_request"];
 
 /// Configuration of one node daemon.
 #[derive(Debug, Clone)]
@@ -57,81 +41,22 @@ impl NodeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct OpHandles {
-    total: CounterHandle,
-    latency: HistogramHandle,
-}
-
 /// The request handler a daemon serves: one node's storage and identity,
-/// plus its own observability: a metrics registry (per-op counters and
-/// latency histograms, typed-error counters) and a bounded log of recent
-/// requests.
+/// plus the account of every request it handled.
 #[derive(Debug)]
 pub struct NodeService {
     id: Id,
     store: peerstripe_core::StorageNode,
-    metrics: MetricsRegistry,
-    op_handles: BTreeMap<&'static str, OpHandles>,
-    error_handles: BTreeMap<&'static str, CounterHandle>,
-    op_log: VecDeque<OpLogEntry>,
+    account: RpcAccount,
 }
 
 impl NodeService {
     /// Create a service with an empty store.
     pub fn new(config: &NodeConfig) -> Self {
-        let mut metrics = MetricsRegistry::new();
-        let mut op_handles = BTreeMap::new();
-        for op in OPS {
-            op_handles.insert(
-                *op,
-                OpHandles {
-                    total: metrics.counter("node_requests_total", &[("op", op)]),
-                    latency: metrics.histogram(
-                        "node_request_latency_ms",
-                        &[("op", op)],
-                        LATENCY_BUCKETS_MS,
-                    ),
-                },
-            );
-        }
-        let mut error_handles = BTreeMap::new();
-        for kind in ERROR_KINDS {
-            error_handles.insert(
-                *kind,
-                metrics.counter("node_errors_total", &[("kind", kind)]),
-            );
-        }
         NodeService {
             id: config.id,
             store: peerstripe_core::StorageNode::new(config.capacity, true),
-            metrics,
-            op_handles,
-            error_handles,
-            op_log: VecDeque::new(),
-        }
-    }
-
-    /// The wire label of a request, for metrics and the op log.
-    fn op_name(req: &Request) -> &'static str {
-        match req {
-            Request::Ping => "ping",
-            Request::GetCapacity => "get_capacity",
-            Request::StoreBlock { .. } => "store_block",
-            Request::FetchBlock { .. } => "fetch_block",
-            Request::RemoveBlock { .. } => "remove_block",
-            Request::Shutdown => "shutdown",
-            Request::GetStats => "get_stats",
-        }
-    }
-
-    /// The op-log outcome string of a response: `"ok"` or the error kind.
-    fn outcome_of(resp: &Response) -> &'static str {
-        match resp {
-            Response::Error(RemoteError::InsufficientSpace) => "insufficient_space",
-            Response::Error(RemoteError::AlreadyStored) => "already_stored",
-            Response::Error(RemoteError::BadRequest { .. }) => "bad_request",
-            _ => "ok",
+            account: RpcAccount::new(AccountNames::NODE),
         }
     }
 
@@ -142,8 +67,8 @@ impl NodeService {
             capacity: self.store.capacity(),
             used: self.store.used(),
             objects: self.store.object_count(),
-            metrics: self.metrics.export(),
-            op_log: self.op_log.iter().cloned().collect(),
+            metrics: self.account.export(),
+            op_log: self.account.log(),
         }
     }
 
@@ -152,9 +77,9 @@ impl NodeService {
         self.handle_traced(req, None)
     }
 
-    /// Answer one request carrying an optional request id, recording per-op
-    /// metrics and an op-log entry.  `GetStats` is answered without touching
-    /// either, so a scrape observes the node instead of perturbing it.
+    /// Answer one request carrying an optional request id, recording it in
+    /// the node's account.  `GetStats` is answered without touching the
+    /// account, so a scrape observes the node instead of perturbing it.
     /// Never fails: malformed or refused operations produce typed
     /// [`Response::Error`] replies.
     pub fn handle_traced(&mut self, req: Request, rid: Option<u64>) -> Response {
@@ -163,33 +88,14 @@ impl NodeService {
                 stats: Box::new(self.stats()),
             };
         }
-        let op = Self::op_name(&req);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "node-side request latency is real service time on the network path"
-        )]
-        let start = std::time::Instant::now();
+        let op = req.op();
+        let started = Started::now();
         let resp = self.handle_inner(req);
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let outcome = Self::outcome_of(&resp);
-        if let Some(h) = self.op_handles.get(op) {
-            self.metrics.inc(h.total, 1);
-            self.metrics.observe(h.latency, elapsed_ms);
-        }
-        if outcome != "ok" {
-            if let Some(&h) = self.error_handles.get(outcome) {
-                self.metrics.inc(h, 1);
-            }
-        }
-        if self.op_log.len() == NODE_OP_LOG_CAPACITY {
-            self.op_log.pop_front();
-        }
-        self.op_log.push_back(OpLogEntry {
-            request_id: rid,
-            op: op.to_string(),
-            duration_ms: elapsed_ms,
-            outcome: outcome.to_string(),
-        });
+        let error = match &resp {
+            Response::Error(refusal) => Some(refusal.kind_label()),
+            _ => None,
+        };
+        self.account.record(op, rid, started.elapsed_ms(), error);
         resp
     }
 
@@ -336,22 +242,5 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.objects, 2);
         assert_eq!(stats.used, sizes[1] + sizes[2]);
-    }
-
-    #[test]
-    fn the_op_log_keeps_the_newest_requests() {
-        let mut svc = service();
-        let total = NODE_OP_LOG_CAPACITY + 5;
-        for rid in 0..total as u64 {
-            assert!(matches!(
-                svc.handle_traced(Request::Ping, Some(rid)),
-                Response::Pong { .. }
-            ));
-        }
-        let log = svc.stats().op_log;
-        assert_eq!(log.len(), NODE_OP_LOG_CAPACITY);
-        let kept: Vec<Option<u64>> = log.iter().map(|e| e.request_id).collect();
-        let newest: Vec<Option<u64>> = (5..total as u64).map(Some).collect();
-        assert_eq!(kept, newest, "oldest first, the first five evicted");
     }
 }

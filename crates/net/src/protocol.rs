@@ -170,9 +170,9 @@ impl WireError {
         matches!(self, WireError::Io(_) | WireError::Truncated)
     }
 
-    /// A stable label for the error's variant, used as the `kind` label on
-    /// `gateway_rpc_errors` so wire errors stay distinguishable from node
-    /// refusals in merged telemetry.
+    /// A stable label for the error's variant, the `kind` of a gateway error;
+    /// none shares a spelling with a [`RemoteError::kind_label`], so wire
+    /// errors stay distinguishable from node refusals in merged telemetry.
     pub fn kind_label(&self) -> &'static str {
         match self {
             WireError::Io(_) => "io",
@@ -226,6 +226,21 @@ pub enum Request {
     GetStats,
 }
 
+impl Request {
+    /// The `op` label of both sides' metrics and op logs.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::GetCapacity => "get_capacity",
+            Request::StoreBlock { .. } => "store_block",
+            Request::FetchBlock { .. } => "fetch_block",
+            Request::RemoveBlock { .. } => "remove_block",
+            Request::Shutdown => "shutdown",
+            Request::GetStats => "get_stats",
+        }
+    }
+}
+
 /// Why a node refused a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteError {
@@ -240,6 +255,18 @@ pub enum RemoteError {
     },
 }
 
+impl RemoteError {
+    /// A stable label for the refusal, its `kind` at both ends of the wire
+    /// (error counters and op-log `outcome`s).
+    pub fn kind_label(&self) -> &'static str {
+        match self {
+            RemoteError::InsufficientSpace => "insufficient_space",
+            RemoteError::AlreadyStored => "already_stored",
+            RemoteError::BadRequest { .. } => "bad_request",
+        }
+    }
+}
+
 impl std::fmt::Display for RemoteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -252,18 +279,18 @@ impl std::fmt::Display for RemoteError {
     }
 }
 
-/// One finished request in a node's bounded recent-request log.
+/// One finished request in a bounded op log, the gateway's or a daemon's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpLogEntry {
     /// The request id the caller threaded through the frame meta; `None`
     /// when the request was untraced.
     pub request_id: Option<u64>,
-    /// Wire operation name (`store_block`, `fetch_block`, ...).
+    /// The [`Request::op`] (`store_block`, `fetch_block`, ...).
     pub op: String,
-    /// How long handling took, in milliseconds: the record of slow
+    /// How long the request took, in milliseconds: the record of slow
     /// requests, at whatever threshold a reader picks.
     pub duration_ms: f64,
-    /// `"ok"` or a typed error kind (`insufficient_space`, ...).
+    /// `"ok"` or an error's kind label (`insufficient_space`, `io`, ...).
     pub outcome: String,
 }
 
@@ -287,8 +314,8 @@ pub struct NodeStats {
     pub used: ByteSize,
     /// Objects currently stored.
     pub objects: u64,
-    /// The node's metrics registry (per-op counters, latency histograms,
-    /// typed-error counters).
+    /// The node's account: per-op counters and latency histograms, and
+    /// error counters by op and kind.
     pub metrics: RegistryExport,
     /// The bounded recent-request log, oldest first.
     pub op_log: Vec<OpLogEntry>,

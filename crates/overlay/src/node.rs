@@ -9,10 +9,9 @@
 //! latency in overlay simulations.
 
 use crate::id::Id;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic network coordinate on the unit torus.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Coord {
     /// Horizontal position in `[0, 1)`.
     pub x: f64,
@@ -48,7 +47,7 @@ impl Coord {
 }
 
 /// State of one overlay participant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeInfo {
     /// The node's overlay identifier.
     pub id: Id,

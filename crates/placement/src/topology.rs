@@ -18,14 +18,13 @@
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::DetRng;
 use peerstripe_trace::SessionTrace;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Index of a failure domain within a [`Topology`].
 pub type DomainId = u32;
 
 /// One failure domain: a rack, lab, or office that fails as a unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domain {
     /// Human-readable label, e.g. `site1/lab3`.
     pub label: String,
@@ -41,7 +40,7 @@ pub struct Domain {
 /// one pointer comparison whether a decision is being made with the topology
 /// it was built for ([`crate::DomainIndex::serves`]); two topologies built
 /// separately are never the same to it, even when equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     pub(crate) domains: Arc<Vec<Domain>>,
     /// Domain of every node, indexed by [`NodeRef`]; `None` for nodes outside

@@ -5,7 +5,6 @@ use crate::detection::DetectionKind;
 use peerstripe_placement::Topology;
 use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, DetRng};
-use serde::{Deserialize, Serialize};
 
 /// Where the churn process draws node session/downtime lengths from.
 #[derive(Debug, Clone)]
@@ -118,7 +117,7 @@ impl ChurnProcess {
 }
 
 /// When regeneration is triggered for a damaged chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairPolicy {
     /// Regenerate every lost block as soon as its loss is confirmed.
     Eager,
@@ -173,7 +172,7 @@ impl RepairPolicy {
 const RETRY_FLOOR_SECS: f64 = 60.0;
 
 /// Failure-detector timing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
     /// Seconds between liveness probes; a departure is noticed at the next
     /// probe boundary after it happens.
@@ -235,7 +234,7 @@ impl DetectorConfig {
 }
 
 /// Per-node repair bandwidth budgets.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BandwidthBudget {
     /// Upload budget per node, bytes per second.
     pub upload: ByteSize,

@@ -41,7 +41,6 @@ use crate::config::DetectorConfig;
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::Topology;
 use peerstripe_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A pending declaration handed back by [`Detector::node_down`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +68,7 @@ pub enum DeclarationVerdict {
 }
 
 /// Tuning of the outage classifier and its hold behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageAwareConfig {
     /// θ: the fraction of a domain that must be absent (with departures inside
     /// one outage window of each other) for the absence to classify as an
@@ -112,7 +111,7 @@ impl OutageAwareConfig {
 }
 
 /// How a [`Detector`] judges a due declaration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DetectionKind {
     /// Every absence runs its own permanence timeout.
     PerNodeTimeout,

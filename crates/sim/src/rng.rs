@@ -6,7 +6,7 @@
 //! small xoshiro256++ generator seeded through SplitMix64.  It deliberately avoids
 //! depending on the `rand` crate's evolving API surface for its core state so that
 //! the bit streams produced by a given seed never change underneath an experiment;
-//! a [`rand::RngCore`] adapter is provided for interoperability (e.g. with
+//! a [`rand::Rng`] adapter is provided for interoperability (e.g. with
 //! `proptest` strategies or `rand`-based shuffles).
 
 use std::fmt;

@@ -10,11 +10,10 @@
 //! * [`Series`] and [`Figure`] — named x/y curves, with CSV/gnuplot-friendly dumps;
 //! * [`TableBuilder`] — aligned plain-text tables matching the paper's layout.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Single-pass mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -123,7 +122,7 @@ impl OnlineStats {
 }
 
 /// A single named x/y curve, one per scheme per figure.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Curve label (e.g. "PAST", "CFS", "Our System").
     pub name: String,
@@ -174,7 +173,7 @@ impl Series {
 }
 
 /// A figure: a titled collection of series with axis labels.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Figure {
     /// Figure title, e.g. "Figure 7: failed file stores".
     pub title: String,

@@ -11,10 +11,9 @@
 
 use peerstripe_sim::dist::{Distribution, TruncatedNormal, Uniform};
 use peerstripe_sim::{ByteSize, DetRng};
-use serde::{Deserialize, Serialize};
 
 /// A distribution of per-node contributed storage capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapacityModel {
     /// Normal distribution (truncated at zero and at `mean + 6σ`).
     Normal {

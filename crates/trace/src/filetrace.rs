@@ -11,10 +11,9 @@
 
 use peerstripe_sim::dist::{Distribution, TruncatedNormal};
 use peerstripe_sim::{ByteSize, DetRng, OnlineStats};
-use serde::{Deserialize, Serialize};
 
 /// One file in a workload trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRecord {
     /// Unique file name (the paper assumes globally unique names).
     pub name: String,
@@ -33,7 +32,7 @@ impl FileRecord {
 }
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Number of files to generate.
     pub file_count: usize,
@@ -95,14 +94,14 @@ impl TraceConfig {
 }
 
 /// A workload trace: an ordered list of files to insert into the storage system.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The files, in insertion order.
     pub files: Vec<FileRecord>,
 }
 
 /// Aggregate statistics of a trace, for comparison with the paper's numbers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceStats {
     /// Number of files.
     pub count: usize,

@@ -8,19 +8,19 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`core`](peerstripe_core) — the PeerStripe system itself;
-//! * [`overlay`](peerstripe_overlay) — the Pastry-semantics DHT simulator;
-//! * [`erasure`](peerstripe_erasure) — Null / XOR / online erasure codes;
-//! * [`placement`](peerstripe_placement) — failure-domain topology & placement strategies;
-//! * [`multicast`](peerstripe_multicast) — RanSub + Bullet replica dissemination;
-//! * [`net`](peerstripe_net) — the networked deployment path: framed wire
+//! * [`core`] — the PeerStripe system itself;
+//! * [`overlay`] — the Pastry-semantics DHT simulator;
+//! * [`erasure`] — Null / XOR / online erasure codes;
+//! * [`placement`] — failure-domain topology & placement strategies;
+//! * [`multicast`] — RanSub + Bullet replica dissemination;
+//! * [`net`] — the networked deployment path: framed wire
 //!   protocol, `peerstripe-node` daemon, and the TCP gateway backend;
-//! * [`trace`](peerstripe_trace) — workload and capacity generators;
-//! * [`baselines`](peerstripe_baselines) — PAST and CFS comparison systems;
-//! * [`gridsim`](peerstripe_gridsim) — the Condor `bigCopy` case study;
-//! * [`experiments`](peerstripe_experiments) — drivers for every table/figure;
-//! * [`telemetry`](peerstripe_telemetry) — metrics registry and event tracing;
-//! * [`sim`](peerstripe_sim) — deterministic RNG, distributions, statistics.
+//! * [`trace`] — workload and capacity generators;
+//! * [`baselines`] — PAST and CFS comparison systems;
+//! * [`gridsim`] — the Condor `bigCopy` case study;
+//! * [`experiments`] — drivers for every table/figure;
+//! * [`telemetry`] — metrics registry and event tracing;
+//! * [`sim`] — deterministic RNG, distributions, statistics.
 //!
 //! ## Quick start
 //!
