@@ -150,9 +150,10 @@ fn run_bench_snapshot(args: &Args) -> ! {
         args.scale, args.seed,
     );
     if args.check {
-        // Regression check: re-measure all three snapshot hot paths (repair
-        // engine, detector decide, placement decide) and compare against the
-        // committed snapshots instead of overwriting them.
+        // Regression check: re-measure all five snapshot hot paths (repair
+        // engine, detector decide, placement decide, RS encode, wire round
+        // trip) and compare against the committed snapshots instead of
+        // overwriting them.
         match peerstripe_experiments::bench_snapshot::check_snapshots(&dir, &config) {
             Ok(report) => {
                 print!("{report}");

@@ -68,8 +68,8 @@ pub struct OpStat {
     pub p99_ms: f64,
 }
 
-/// Per-op rows of a registry export, in op order; ops never called are
-/// dropped.
+/// Per-op rows of an account's metrics export, in op order; ops never
+/// called are dropped.
 fn op_stats(export: &RegistryExport, names: &AccountNames) -> Vec<OpStat> {
     fn op_of(labels: &[(String, String)]) -> Option<&str> {
         labels
@@ -167,7 +167,7 @@ pub struct RingReport {
     pub reached_before_kill: usize,
     /// The gateway's per-op rows.
     pub gateway_ops: Vec<OpStat>,
-    /// The gateway's full metrics-registry export (counters + histograms).
+    /// The gateway account's full metrics export (counters + histograms).
     pub metrics: RegistryExport,
     /// Every daemon, in node order: one scrape round before the kill, one
     /// after the repair.

@@ -5,11 +5,12 @@
 //! id.  The two sides differ only in the [`AccountNames`] they record under.
 
 use crate::protocol::OpLogEntry;
-use peerstripe_telemetry::{CounterHandle, HistogramHandle, MetricsRegistry, RegistryExport};
-use std::collections::VecDeque;
+use peerstripe_telemetry::{CounterExport, HistogramExport, RegistryExport};
+use std::collections::{BTreeMap, VecDeque};
 
-/// Latency histogram bucket bounds, in milliseconds: localhost RPCs sit in
-/// the sub-millisecond buckets, WAN deployments in the tail.
+/// Latency histogram bucket bounds, in milliseconds, each an inclusive upper
+/// edge: localhost RPCs sit in the sub-millisecond buckets, WAN deployments
+/// in the tail, and anything slower in one overflow bucket past the last.
 const LATENCY_BUCKETS_MS: &[f64] = &[
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 ];
@@ -76,35 +77,37 @@ impl Started {
     }
 }
 
-/// One side's record of its requests: counters, histograms and op log.
+/// One op's calls and their latency histogram: a count per bucket of
+/// [`LATENCY_BUCKETS_MS`], the overflow bucket last, and the sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpRecord {
+    calls: u64,
+    buckets: [u64; LATENCY_BUCKETS_MS.len() + 1],
+    sum_ms: f64,
+}
+
+/// One side's record of its requests: per-op calls and latency, errors and
+/// the op log.
 #[derive(Debug)]
 pub struct RpcAccount {
     names: AccountNames,
-    metrics: MetricsRegistry,
-    /// Each of [`OPS`] with its call counter and latency histogram.
-    ops: Vec<(&'static str, CounterHandle, HistogramHandle)>,
+    /// Each of [`OPS`]' record, in the same order.
+    ops: [OpRecord; OPS.len()],
+    /// Failed calls by `(kind, op)`, the order of their exported labels.
+    errors: BTreeMap<(&'static str, &'static str), u64>,
     /// Recent requests, oldest first, bounded at `names.log_capacity`.
     log: VecDeque<OpLogEntry>,
 }
 
 impl RpcAccount {
-    /// An empty account, every op's calls and latency registered up front
-    /// so the export's shape does not depend on which ops a run issued.
+    /// An empty account.  Every op's calls and latency are exported, even at
+    /// zero, so the export's shape does not depend on which ops a run
+    /// issued; an error counter appears with its first error.
     pub fn new(names: AccountNames) -> RpcAccount {
-        let mut metrics = MetricsRegistry::new();
-        let ops = OPS
-            .iter()
-            .map(|&op| {
-                let labels = [("op", op)];
-                let calls = metrics.counter(names.calls, &labels);
-                let latency = metrics.histogram(names.latency, &labels, LATENCY_BUCKETS_MS);
-                (op, calls, latency)
-            })
-            .collect();
         RpcAccount {
             names,
-            metrics,
-            ops,
+            ops: [OpRecord::default(); OPS.len()],
+            errors: BTreeMap::new(),
             log: VecDeque::new(),
         }
     }
@@ -121,16 +124,17 @@ impl RpcAccount {
         elapsed_ms: f64,
         error: Option<&'static str>,
     ) {
-        if let Some(&(_, calls, latency)) = self.ops.iter().find(|h| h.0 == op) {
-            self.metrics.inc(calls, 1);
-            self.metrics.observe(latency, elapsed_ms);
+        if let Some((_, record)) = OPS.iter().zip(&mut self.ops).find(|(o, _)| **o == op) {
+            let bucket = LATENCY_BUCKETS_MS.iter().position(|b| elapsed_ms <= *b);
+            let overflow = LATENCY_BUCKETS_MS.len();
+            if let Some(count) = record.buckets.get_mut(bucket.unwrap_or(overflow)) {
+                *count += 1;
+            }
+            record.calls += 1;
+            record.sum_ms += elapsed_ms;
         }
         if let Some(kind) = error {
-            // Registered on first use: the kind space is open-ended, so
-            // eager registration would pin down kinds that never occur.
-            let labels = [("op", op), ("kind", kind)];
-            let errors = self.metrics.counter(self.names.errors, &labels);
-            self.metrics.inc(errors, 1);
+            *self.errors.entry((kind, op)).or_default() += 1;
         }
         if op == "shutdown" {
             return;
@@ -146,9 +150,40 @@ impl RpcAccount {
         });
     }
 
-    /// Snapshot of the counters and histograms.
+    /// Snapshot of the counters and histograms, each list in `(name,
+    /// labels)` order with labels sorted by key.
     pub fn export(&self) -> RegistryExport {
-        self.metrics.export()
+        let label = |key: &str, value: &str| (key.to_string(), value.to_string());
+        let mut counters = Vec::new();
+        let mut histograms = Vec::new();
+        for (op, record) in OPS.iter().zip(&self.ops) {
+            counters.push(CounterExport {
+                name: self.names.calls.to_string(),
+                labels: vec![label("op", op)],
+                value: record.calls,
+            });
+            histograms.push(HistogramExport {
+                name: self.names.latency.to_string(),
+                labels: vec![label("op", op)],
+                count: record.calls,
+                sum: record.sum_ms,
+                bounds: LATENCY_BUCKETS_MS.to_vec(),
+                bucket_counts: record.buckets.to_vec(),
+            });
+        }
+        for (&(kind, op), &value) in &self.errors {
+            counters.push(CounterExport {
+                name: self.names.errors.to_string(),
+                labels: vec![label("kind", kind), label("op", op)],
+                value,
+            });
+        }
+        counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        histograms.sort_by(|a, b| a.labels.cmp(&b.labels));
+        RegistryExport {
+            counters,
+            histograms,
+        }
     }
 
     /// Snapshot of the op log, oldest first.
@@ -158,14 +193,14 @@ impl RpcAccount {
 
     /// Calls recorded, across ops.
     pub fn calls(&self) -> u64 {
-        let calls = self.ops.iter().map(|h| self.metrics.counter_value(h.1));
-        calls.sum()
+        self.ops.iter().map(|r| r.calls).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::NodeStats;
 
     #[test]
     fn the_op_log_keeps_the_newest_requests() {
@@ -204,5 +239,81 @@ mod tests {
             .map(|c| c.value)
             .collect();
         assert_eq!(shutdown_errors, [1]);
+    }
+
+    #[test]
+    fn latency_lands_on_its_inclusive_edge_and_overflows_past_the_last() {
+        let mut account = RpcAccount::new(AccountNames::NODE);
+        for ms in [0.05, 0.06, 250.0, 250.5] {
+            account.record("ping", None, ms, None);
+        }
+        let export = account.export();
+        let ping = vec![("op".to_string(), "ping".to_string())];
+        let histogram = export.histograms.iter().find(|h| h.labels == ping);
+        let histogram = histogram.unwrap();
+        assert_eq!(
+            histogram.bucket_counts,
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1]
+        );
+        assert_eq!(histogram.count, 4);
+        assert!((histogram.sum - 500.61).abs() < 1e-9);
+    }
+
+    /// One scripted run: every op, six error kinds (one on `shutdown`), a
+    /// latency on an inclusive bucket edge and one past the last edge.
+    fn scripted(names: AccountNames) -> RpcAccount {
+        let mut account = RpcAccount::new(names);
+        let script: &[(&str, Option<u64>, f64, Option<&str>)] = &[
+            ("ping", Some(1), 0.03, None),
+            ("get_capacity", Some(2), 0.1, None),
+            ("store_block", Some(3), 0.42, None),
+            ("store_block", Some(4), 0.07, Some("insufficient_space")),
+            ("fetch_block", Some(5), 0.2, None),
+            ("fetch_block", Some(6), 3.0, Some("io")),
+            ("remove_block", Some(7), 1.0, None),
+            ("store_block", None, 0.5, Some("already_stored")),
+            ("get_capacity", Some(9), 300.0, Some("version")),
+            ("shutdown", Some(10), 0.01, Some("truncated")),
+            ("remove_block", Some(11), 0.02, Some("bad_request")),
+        ];
+        for &(op, rid, ms, error) in script {
+            account.record(op, rid, ms, error);
+        }
+        account
+    }
+
+    /// The export, log and call count of [`scripted`], one per line.
+    fn pinned_lines(names: AccountNames) -> String {
+        let account = scripted(names);
+        let export = serde_json::to_string(&account.export()).unwrap();
+        let log = serde_json::to_string(&account.log()).unwrap();
+        format!("{export}\n{log}\n{}\n", account.calls())
+    }
+
+    /// What a daemon's `NodeStats` and the gateway's `export_metrics` carry
+    /// for [`scripted`]: a harness built against either side of a change
+    /// parses these bytes, so they must not move.
+    const PINNED_GATEWAY: &str = include_str!("../tests/golden/account_gateway.txt");
+    const PINNED_NODE: &str = include_str!("../tests/golden/account_node.txt");
+
+    #[test]
+    fn the_export_log_and_calls_match_their_pinned_bytes() {
+        assert_eq!(pinned_lines(AccountNames::GATEWAY), PINNED_GATEWAY);
+        assert_eq!(pinned_lines(AccountNames::NODE), PINNED_NODE);
+    }
+
+    #[test]
+    fn a_pinned_node_export_parses_as_a_scrape() {
+        let account = scripted(AccountNames::NODE);
+        let export = PINNED_NODE.lines().next().unwrap();
+        let stats = NodeStats {
+            node: peerstripe_overlay::Id::hash("node-0"),
+            capacity: peerstripe_sim::ByteSize::mb(8),
+            used: peerstripe_sim::ByteSize::bytes(0),
+            objects: 0,
+            metrics: serde_json::from_str(export).unwrap(),
+            op_log: account.log(),
+        };
+        assert_eq!(stats.metrics, account.export());
     }
 }

@@ -36,6 +36,7 @@
 //! daemon's account uses — which the ring harness exports into its report.
 
 use crate::account::{AccountNames, RpcAccount, Started};
+use crate::lock;
 use crate::protocol::{
     read_block_reply_into, read_response, write_request_traced, BlockReply, NodeStats, OpLogEntry,
     RemoteError, Request, Response, WireError,
@@ -146,11 +147,6 @@ struct InFlight<'r> {
     rid: u64,
     started: Started,
     sent: Sent,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    // Poisoning only marks a panicked peer thread; the maps stay usable.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl RingGateway {

@@ -51,3 +51,10 @@ pub use protocol::{
 };
 pub use ring::{node_binary, LocalRing};
 pub use server::{NodeServer, RunningNode};
+
+/// Lock `m` even if poisoned: poisoning only marks a thread that panicked
+/// while holding it (a gateway RPC, a daemon's connection), and the maps and
+/// the store it guards stay consistent enough to serve.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

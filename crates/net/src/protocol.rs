@@ -302,7 +302,7 @@ impl OpLogEntry {
 }
 
 /// A node daemon's one account of itself: identity, capacity and what is
-/// stored against it, the metrics-registry export, and the tail of its
+/// stored against it, its account's metrics export, and the tail of its
 /// recent-request log.  Carried by [`Response::Stats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeStats {
@@ -821,6 +821,7 @@ fn response_fields(kind_byte: u8) -> Result<Parse<Response>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peerstripe_telemetry::{CounterExport, HistogramExport};
     use std::io::Cursor;
 
     fn roundtrip_request(req: Request) -> Request {
@@ -868,17 +869,28 @@ mod tests {
     }
 
     fn sample_stats() -> NodeStats {
-        let mut reg = peerstripe_telemetry::MetricsRegistry::new();
-        let c = reg.counter("node_requests_total", &[("op", "ping")]);
-        reg.inc(c, 3);
-        let h = reg.histogram("node_request_latency_ms", &[("op", "ping")], &[1.0, 10.0]);
-        reg.observe(h, 0.2);
+        let ping = vec![("op".to_string(), "ping".to_string())];
+        let metrics = RegistryExport {
+            counters: vec![CounterExport {
+                name: "node_requests_total".to_string(),
+                labels: ping.clone(),
+                value: 3,
+            }],
+            histograms: vec![HistogramExport {
+                name: "node_request_latency_ms".to_string(),
+                labels: ping,
+                count: 1,
+                sum: 0.2,
+                bounds: vec![1.0, 10.0],
+                bucket_counts: vec![1, 0, 0],
+            }],
+        };
         NodeStats {
             node: Id::hash("node-0"),
             capacity: ByteSize::mb(64),
             used: ByteSize::kb(96),
             objects: 2,
-            metrics: reg.export(),
+            metrics,
             op_log: vec![
                 OpLogEntry {
                     request_id: Some(7),

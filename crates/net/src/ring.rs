@@ -29,9 +29,14 @@ pub struct LocalRing {
 
 impl LocalRing {
     /// Spawn `n` daemons of `capacity` each from the `peerstripe-node`
-    /// binary at `bin`.
+    /// binary at `bin`.  If one fails to start or to announce itself, it and
+    /// every daemon spawned before it are killed before the error returns.
     pub fn spawn(bin: &Path, n: usize, capacity: ByteSize) -> io::Result<LocalRing> {
-        let mut members = Vec::with_capacity(n);
+        // The ring is built as it goes, so an early return drops it and its
+        // `Drop` reaps the members already running.
+        let mut ring = LocalRing {
+            members: Vec::with_capacity(n),
+        };
         for i in 0..n {
             let name = format!("node-{i}");
             let mut child = Command::new(bin)
@@ -44,8 +49,14 @@ impl LocalRing {
                 .stdout(Stdio::piped())
                 .stderr(Stdio::null())
                 .spawn()?;
-            let addr = read_listen_line(&mut child)?;
-            members.push(RingMember {
+            let addr = match read_listen_line(&mut child) {
+                Ok(addr) => addr,
+                Err(e) => {
+                    reap(child);
+                    return Err(e);
+                }
+            };
+            ring.members.push(RingMember {
                 endpoint: NodeEndpoint {
                     node: i,
                     id: Id::hash(&name),
@@ -54,7 +65,7 @@ impl LocalRing {
                 child: Some(child),
             });
         }
-        Ok(LocalRing { members })
+        Ok(ring)
     }
 
     /// The endpoint table for gateway construction.
@@ -92,13 +103,16 @@ impl LocalRing {
 
 impl Drop for LocalRing {
     fn drop(&mut self) {
-        for member in &mut self.members {
-            if let Some(mut child) = member.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+        for child in self.members.iter_mut().filter_map(|m| m.child.take()) {
+            reap(child);
         }
     }
+}
+
+/// Kill a daemon and wait for it, ignoring errors: it may have exited.
+fn reap(mut child: Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 /// Read the daemon's `listening on ADDR` announcement from its stdout.

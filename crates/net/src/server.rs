@@ -8,6 +8,7 @@
 //! to unblock `accept` immediately — finishes in-flight connections, and
 //! exits.
 
+use crate::lock;
 use crate::node::NodeService;
 use crate::protocol::{
     read_request_traced, write_response, write_response_traced, RemoteError, Request, Response,
@@ -40,12 +41,6 @@ pub struct RunningNode {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: std::thread::JoinHandle<io::Result<()>>,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    // A poisoned service mutex only means another connection thread panicked
-    // mid-request; the store itself is still consistent enough to serve.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl NodeServer {

@@ -238,3 +238,53 @@ fn surviving_daemons_hold_the_regenerated_bytes() {
         "survivors must hold block bytes ({free_total} free of {full})"
     );
 }
+
+/// A daemon that fails to announce itself must not leave the ring's earlier
+/// daemons, or itself, running.  A stub stands in for the daemon binary: it
+/// logs its pid, then `exec`s the real daemon — except as `node-2`, where it
+/// prints a wrong line and sleeps.
+#[cfg(unix)]
+#[test]
+fn a_daemon_that_fails_to_start_takes_the_spawned_ring_down() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let dir = std::env::temp_dir().join(format!("peerstripe-ring-leak-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creating the stub's directory");
+    let log = dir.join("pids");
+    let stub = dir.join("stub-node");
+    let script = format!(
+        "#!/bin/sh\necho $$ >> '{log}'\ncase \" $* \" in\n  *\" node-2 \"*) echo 'not listening'; exec sleep 60 ;;\nesac\nexec '{bin}' \"$@\"\n",
+        log = log.display(),
+        bin = env!("CARGO_BIN_EXE_peerstripe-node"),
+    );
+    std::fs::write(&stub, script).expect("writing the stub");
+    std::fs::set_permissions(&stub, std::fs::Permissions::from_mode(0o755))
+        .expect("making the stub executable");
+
+    let spawned = LocalRing::spawn(&stub, 4, ByteSize::mb(8));
+
+    let pids = std::fs::read_to_string(&log).expect("reading the logged pids");
+    let pids: Vec<&str> = pids.split_whitespace().collect();
+    let leaked: Vec<&str> = pids
+        .iter()
+        .copied()
+        .filter(|pid| signal(pid, "-0"))
+        .collect();
+    for pid in &leaked {
+        signal(pid, "-9");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(spawned.is_err(), "node-2 never announced an address");
+    assert_eq!(pids.len(), 3, "node-0, node-1 and the stub as node-2");
+    assert_eq!(leaked, Vec::<&str>::new(), "daemons left running");
+}
+
+/// Send `pid` the signal `flag` (`-0` probes); true if it was delivered.
+#[cfg(unix)]
+fn signal(pid: &str, flag: &str) -> bool {
+    let kill = std::process::Command::new("kill")
+        .args([flag, pid])
+        .output();
+    kill.is_ok_and(|out| out.status.success())
+}

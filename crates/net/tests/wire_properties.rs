@@ -15,7 +15,7 @@ use peerstripe_net::{
 };
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
-use peerstripe_telemetry::MetricsRegistry;
+use peerstripe_telemetry::{CounterExport, HistogramExport, RegistryExport};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ fn every_response(payload: Vec<u8>) -> Vec<Response> {
         capacity: ByteSize::mb(64),
         used: ByteSize::kb(3),
         objects: 1,
-        metrics: MetricsRegistry::new().export(),
+        metrics: RegistryExport::default(),
         op_log: Vec::new(),
     };
     vec![
@@ -405,8 +405,8 @@ proptest! {
         prop_assert_eq!(read_response(&mut bytes.as_slice()).unwrap(), resp);
     }
 
-    /// Stats responses round-trip arbitrary telemetry snapshots: live
-    /// registry exports and op logs with arbitrary ids, durations (including
+    /// Stats responses round-trip arbitrary telemetry snapshots: exports
+    /// with arbitrary counts and op logs with arbitrary ids, durations (including
     /// non-finite ones, which JSON maps through null), and outcomes.
     #[test]
     fn stats_responses_round_trip_arbitrary_snapshots(
@@ -416,13 +416,22 @@ proptest! {
         counts in proptest::collection::vec(any::<u32>(), 0..4),
         entries in proptest::collection::vec(any::<u64>(), 0..8),
     ) {
-        let mut metrics = MetricsRegistry::new();
+        let mut metrics = RegistryExport::default();
         for (i, c) in counts.iter().enumerate() {
-            let op = format!("op-{i}");
-            let h = metrics.counter("node_requests_total", &[("op", &op)]);
-            metrics.inc(h, *c as u64);
-            let lat = metrics.histogram("node_request_latency_ms", &[("op", &op)], &[1.0, 10.0]);
-            metrics.observe(lat, *c as f64);
+            let labels = vec![("op".to_string(), format!("op-{i}"))];
+            metrics.counters.push(CounterExport {
+                name: "node_requests_total".to_string(),
+                labels: labels.clone(),
+                value: *c as u64,
+            });
+            metrics.histograms.push(HistogramExport {
+                name: "node_request_latency_ms".to_string(),
+                labels,
+                count: 1,
+                sum: *c as f64,
+                bounds: vec![1.0, 10.0],
+                bucket_counts: vec![0, 0, 1],
+            });
         }
         // Each seed expands into one op-log entry: traced/untraced, op,
         // duration, and outcome all derived from its bits.
@@ -442,7 +451,7 @@ proptest! {
                 capacity: ByteSize::bytes(capacity),
                 used: ByteSize::bytes(used),
                 objects,
-                metrics: metrics.export(),
+                metrics,
                 op_log,
             }),
         };

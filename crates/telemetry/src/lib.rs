@@ -3,11 +3,10 @@
 //! Every sim-facing crate may depend on this one; it depends only on the
 //! vendored serde.  Two pillars:
 //!
-//! * [`metrics`] — a deterministic [`MetricsRegistry`] of counters and
-//!   fixed-bucket histograms keyed by `(name, ordered label set)`.  Handles
-//!   are plain indices, so hot-path increments are an array write; the key map
-//!   is `BTreeMap`-backed so exports are byte-stable across runs.  A
-//!   `peerstripe-node` daemon and the ring gateway keep one each.
+//! * [`metrics`] — the records an RPC account exports over the wire:
+//!   [`CounterExport`]s and fixed-bucket [`HistogramExport`]s in a
+//!   [`RegistryExport`].  The ring gateway and each `peerstripe-node` daemon
+//!   keep the account itself (`peerstripe-net`'s `RpcAccount`).
 //! * [`trace`] — sim-time structured event tracing.  Engines emit typed
 //!   [`TraceRecord`]s through a [`Tracer`]; [`NullTracer`] is the zero-cost
 //!   default (`enabled()` is `false`, so call sites skip record construction
@@ -16,14 +15,12 @@
 //! Nothing in this crate touches simulation state: a tracer can be bolted
 //! onto any engine without changing its results, and the determinism tests
 //! assert exactly that.  The engine's account of a run is its
-//! `MaintenanceReport`, not a registry.
+//! `MaintenanceReport`.
 
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{
-    CounterExport, CounterHandle, HistogramExport, HistogramHandle, MetricsRegistry, RegistryExport,
-};
+pub use metrics::{CounterExport, HistogramExport, RegistryExport};
 pub use trace::{
     JsonlTracer, NullTracer, RunManifest, TraceEvent, TraceOutput, TraceRecord, Tracer,
 };

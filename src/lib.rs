@@ -19,7 +19,7 @@
 //! * [`baselines`] — PAST and CFS comparison systems;
 //! * [`gridsim`] — the Condor `bigCopy` case study;
 //! * [`experiments`] — drivers for every table/figure;
-//! * [`telemetry`] — metrics registry and event tracing;
+//! * [`telemetry`] — RPC metrics export records and event tracing;
 //! * [`sim`] — deterministic RNG, distributions, statistics.
 //!
 //! ## Quick start

@@ -1,4 +1,4 @@
-//! The two workspace rules no compiler lint expresses.
+//! The workspace rules no compiler lint expresses.
 //!
 //! * **Layering** — which `peerstripe-*` crate may depend on which.  The crate
 //!   DAG is an architectural decision; checking each member manifest's
@@ -15,6 +15,12 @@
 //!   of the daemons, and the server's accept-loop wake-ups.  A second client
 //!   would be a second path to the daemons and a second socket site for a
 //!   transport seam to wrap.
+//! * **No public fn without a caller** — a `pub`, `pub(crate)` or `pub const`
+//!   `fn` under `crates/*/src` must be named somewhere in the non-test part
+//!   of the program (`crates/*/src`, `src/`, `examples/`, `bench/src`)
+//!   other than its own `fn` line.  Tests do not count as callers: a
+//!   function only a test calls is surface nobody uses.  The few kept on
+//!   purpose are listed in [`KEPT`], each with its reason.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -47,14 +53,38 @@ const LAYERS: &[(&str, &[&str])] = &[
     ("baselines", &["sim", "trace", "core"]),
     ("gridsim", &["sim", "trace", "core", "baselines"]),
     // The networked deployment path reuses the cluster-facing traits
-    // (core/placement) and the metrics registry; it must never reach into
-    // the repair engine or the experiment drivers.
+    // (core/placement) and telemetry's export records; it must never reach
+    // into the repair engine or the experiment drivers.
     ("net", &["sim", "overlay", "placement", "core", "telemetry"]),
     ("experiments", &["sim", "trace", "overlay", "erasure", "multicast", "placement", "core",
                       "repair", "baselines", "gridsim", "telemetry", "net"]),
     // The facade re-exports everything below it by design.
     ("peerstripe", &["sim", "trace", "overlay", "erasure", "multicast", "placement", "core",
                      "repair", "baselines", "gridsim", "experiments", "telemetry", "net"]),
+];
+
+/// The public fns nothing in the program calls that stay on purpose, and why.
+#[rustfmt::skip]
+const KEPT: &[(&str, &str)] = &[
+    ("chunk_for_offset", "ROADMAP item 7: the CAT's range reads"),
+    ("chunks_for_range", "ROADMAP item 7: the CAT's range reads"),
+    ("reconstruct_cat", "ROADMAP item 7: rebuilding a lost CAT"),
+    ("stored_size", "ROADMAP item 11"),
+    ("store_object", "test oracle: StorageCluster"),
+    ("remove_from", "test oracle: StorageCluster"),
+    ("release_at", "test oracle: undoes `reserve` in tests/properties.rs"),
+    ("collocated_since", "test oracle: DamageLedger"),
+    ("rs_default", "test fixture: the RS geometry some twenty tests build"),
+    ("group_of", "test oracle: XorCode"),
+    ("run_experiment", "the smoke tests' entry point into the CLI"),
+    ("domain_spread_beats_oblivious", "the placement sweep's acceptance check"),
+    ("outage_aware_beats_per_node", "the placement sweep's acceptance check"),
+    ("lazy_beats_eager_somewhere", "the repair sweep's acceptance check"),
+    ("locality_aware", "test oracle: MulticastTree"),
+    ("is_running", "test oracle: LocalRing"),
+    ("group_outage_active", "test oracle: MaintenanceEngine"),
+    ("series_named", "test oracle: Figure"),
+    ("expected_mean", "test oracle: CapacityModel"),
 ];
 
 fn root() -> &'static Path {
@@ -153,16 +183,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Waiver lines under `src/` and every `crates/*/src`.
 fn library_waivers() -> io::Result<usize> {
-    let mut files = Vec::new();
-    collect_rs(&root().join("src"), &mut files)?;
-    for entry in std::fs::read_dir(root().join("crates"))? {
-        collect_rs(&entry?.path().join("src"), &mut files)?;
-    }
-    let mut count = 0;
-    for file in files {
-        count += waivers(&std::fs::read_to_string(file)?);
-    }
-    Ok(count)
+    let mut dirs = crate_srcs()?;
+    dirs.push(root().join("src"));
+    let files = sources(&dirs, root())?;
+    Ok(files.iter().map(|(_, text)| waivers(text)).sum())
 }
 
 /// Every file of `files` (`(path under crates/net/src, text)` pairs) outside
@@ -182,13 +206,98 @@ fn dial_violations(files: &[(String, String)]) -> Vec<String> {
 /// Every `.rs` under `crates/net/src`, as `(path relative to it, text)`.
 fn net_sources() -> io::Result<Vec<(String, String)>> {
     let dir = root().join("crates/net/src");
+    sources(std::slice::from_ref(&dir), &dir)
+}
+
+/// The non-test part of a source file: everything before its first
+/// `#[cfg(test)]`.
+fn non_test(text: &str) -> &str {
+    text.split("#[cfg(test)]").next().unwrap_or_default()
+}
+
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The name of the `pub`, `pub(<scope>)` or `pub const` fn `line` declares.
+fn declared_pub_fn(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub")?;
+    let rest = match rest.strip_prefix('(') {
+        Some(scoped) => {
+            let (scope, rest) = scoped.split_once(')')?;
+            let lowercase = !scope.is_empty() && scope.chars().all(|c| c.is_ascii_lowercase());
+            lowercase.then_some(rest)?
+        }
+        None => rest,
+    };
+    let rest = rest.strip_prefix(' ')?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let name = rest.strip_prefix("fn ")?.split(|c| !is_word(c)).next()?;
+    (!name.is_empty()).then_some(name)
+}
+
+/// Every public fn declared in `declaring` (`(path, text)` pairs) whose name
+/// appears in the non-test parts of `declaring` and `callers` only as a
+/// defined fn (`fn <name>`), as `(path:line, name)`.  Text is split into
+/// words on non-word characters, comments included, so a name shared by
+/// several fns reads as used if any one is.
+fn uncalled_pub_fns<'a>(
+    declaring: &'a [(String, String)],
+    callers: &[(String, String)],
+) -> Vec<(String, &'a str)> {
+    let mut words: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut defs: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, text) in declaring.iter().chain(callers) {
+        let body = non_test(text);
+        let mut after_fn = false;
+        let mut rest = body;
+        while let Some(start) = rest.find(is_word) {
+            let gap = &rest[..start];
+            let word = &rest[start..];
+            let end = word.find(|c| !is_word(c)).unwrap_or(word.len());
+            let (word, tail) = word.split_at(end);
+            *words.entry(word).or_default() += 1;
+            if after_fn && gap == " " {
+                *defs.entry(word).or_default() += 1;
+            }
+            after_fn = word == "fn";
+            rest = tail;
+        }
+    }
+    let mut uncalled = Vec::new();
+    for (path, text) in declaring {
+        for (n, line) in non_test(text).lines().enumerate() {
+            let Some(name) = declared_pub_fn(line) else {
+                continue;
+            };
+            if words.get(name) == defs.get(name) {
+                uncalled.push((format!("{path}:{}", n + 1), name));
+            }
+        }
+    }
+    uncalled
+}
+
+/// Every `crates/*/src`.
+fn crate_srcs() -> io::Result<Vec<PathBuf>> {
+    let mut dirs = Vec::new();
+    for entry in std::fs::read_dir(root().join("crates"))? {
+        dirs.push(entry?.path().join("src"));
+    }
+    Ok(dirs)
+}
+
+/// `(path relative to base, text)` of every `.rs` under `dirs`, sorted.
+fn sources(dirs: &[PathBuf], base: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    collect_rs(&dir, &mut files)?;
+    for dir in dirs {
+        collect_rs(dir, &mut files)?;
+    }
     files.sort();
     files
         .into_iter()
         .map(|p| {
-            let rel = p.strip_prefix(&dir).unwrap_or(&p).display().to_string();
+            let rel = p.strip_prefix(base).unwrap_or(&p).display().to_string();
             Ok((rel, std::fs::read_to_string(&p)?))
         })
         .collect()
@@ -253,4 +362,60 @@ fn a_second_client_dial_fails_the_check() {
         dial_violations(&files),
         ["monitor.rs: a client dial outside the gateway"]
     );
+}
+
+#[test]
+fn every_public_fn_has_a_caller() {
+    let declaring = sources(&crate_srcs().unwrap(), root()).unwrap();
+    let callers = ["src", "examples", "bench/src"].map(|d| root().join(d));
+    let callers = sources(&callers, root()).unwrap();
+    assert!(
+        declaring.len() > 50 && callers.len() > 5,
+        "the scan found too few sources"
+    );
+
+    let uncalled = uncalled_pub_fns(&declaring, &callers);
+    let kept = |name: &str| KEPT.iter().any(|(k, _)| *k == name);
+    let new: Vec<&String> = uncalled
+        .iter()
+        .filter(|(_, name)| !kept(name))
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(
+        new,
+        Vec::<&String>::new(),
+        "public fns nothing calls: delete them, or add them to KEPT with a reason"
+    );
+    let stale: Vec<&str> = KEPT
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| !uncalled.iter().any(|(_, n)| n == name))
+        .collect();
+    assert_eq!(
+        stale,
+        Vec::<&str>::new(),
+        "KEPT names a fn that has a caller now, or is gone"
+    );
+}
+
+#[test]
+fn an_uncalled_pub_fn_fails_the_check() {
+    let lib = "pub fn used() {}\n\
+               pub(crate) fn unused() {}\n\
+               pub const fn by_pointer() -> u8 { 0 }\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { super::unused(); }\n}\n";
+    let declaring = [("crates/x/src/lib.rs".to_string(), lib.to_string())];
+    let caller = |body: &str| {
+        [(
+            "examples/e.rs".to_string(),
+            format!("fn main() {{ {body} }}\n"),
+        )]
+    };
+    let uncalled = uncalled_pub_fns(
+        &declaring,
+        &caller("used(); let f: fn() -> u8 = by_pointer;"),
+    );
+    assert_eq!(uncalled, [("crates/x/src/lib.rs:2".to_string(), "unused")]);
+    let all = caller("used(); unused(); let f: fn() -> u8 = by_pointer;");
+    assert_eq!(uncalled_pub_fns(&declaring, &all), Vec::new());
 }
