@@ -93,8 +93,8 @@ impl StorageSystem for Cfs {
             placed.push((node, name, size));
             remaining -= size;
         }
-        let sizes: Vec<ByteSize> = placed.iter().map(|&(_, _, size)| size).collect();
-        self.metrics.record_success(file.size, &sizes, file.size);
+        let sizes = placed.iter().map(|&(_, _, size)| size);
+        self.metrics.record_success(file.size, sizes, file.size);
         StoreOutcome::Stored
     }
 

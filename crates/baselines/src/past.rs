@@ -49,7 +49,7 @@ impl StorageSystem for Past {
         };
         if stored {
             self.metrics
-                .record_success(file.size, &[file.size], file.size);
+                .record_success(file.size, [file.size], file.size);
             StoreOutcome::Stored
         } else {
             self.metrics.record_failure(file.size);

@@ -6,7 +6,9 @@
 //!    prospective target nodes report through `getCapacity` probes (Section 4.3);
 //! 2. every chunk is erasure coded into blocks named `file_chunk_ecb`, which the
 //!    DHT scatters over independent nodes (Section 4.2);
-//! 3. the chunk allocation table is stored (and replicated) under `file.CAT`;
+//! 3. the chunk allocation table is stored (and replicated) under `file.CAT`:
+//!    its copies are size-only records of the manifest's chunk rows (the
+//!    rows' payload is ROADMAP item 7);
 //! 4. placement retries are expressed as zero-sized chunks, bounded by a
 //!    consecutive-zero-chunk limit after which the store fails;
 //! 5. on node failure, lost blocks are regenerated from the surviving blocks of
@@ -19,7 +21,6 @@
 //! erasure codecs of `peerstripe-erasure`).
 
 use crate::backend::StorageBackend;
-use crate::cat::ChunkAllocationTable;
 use crate::cluster::StorageCluster;
 use crate::metrics::StoreMetrics;
 use crate::naming::ObjectName;
@@ -93,7 +94,7 @@ pub struct RecoveryReport {
     pub chunks_lost: u64,
     /// Bytes of user data in unrecoverable chunks.
     pub bytes_lost: ByteSize,
-    /// Number of CAT replicas re-created.
+    /// Number of CAT copies stored afresh for those the failed node held.
     pub cats_replicated: u64,
 }
 
@@ -439,51 +440,74 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
     }
 
-    /// Store the CAT object and its replicas; returns the nodes holding copies.
-    fn store_cat(&mut self, file: &str, cat: &ChunkAllocationTable) -> Vec<NodeRef> {
-        let name = ObjectName::cat(file);
-        let key = name.key();
-        let size = cat.serialized_size();
-        let mut nodes = Vec::new();
-        // Primary copy at the key's root, replicas on the numerically closest
-        // neighbours (the leaf-set replication of Section 4.4).
+    /// Store the CAT copies of `manifest`: the primary at the CAT key's root,
+    /// replicas on the numerically closest neighbours (the leaf-set
+    /// replication of Section 4.4), every copy under `file.CAT`'s own key.
+    /// Fills `cat_nodes` with the nodes that took one and returns the bytes
+    /// placed.
+    fn store_cat(&mut self, manifest: &mut FileManifest) -> ByteSize {
+        let name = ObjectName::cat(&manifest.name);
+        let (key, size) = (name.key(), manifest.cat_size());
         let targets = self.backend.replica_targets(key, CAT_REPLICAS);
-        for (i, (_, node)) in targets.into_iter().enumerate() {
-            // Each copy is an independent object so per-node keys stay unique;
-            // only the primary charge a lookup (the replicas ride the leaf set).
-            if i == 0 {
-                let _ = self.backend.route_lookup(key);
-            }
+        if !targets.is_empty() {
+            // Only the primary charges a lookup: the replicas ride the leaf set.
+            let _ = self.backend.route_lookup(key);
+        }
+        for (_, node) in targets {
             if self
                 .backend
-                .store_block(
-                    node,
-                    ObjectName::cat(format!("{file}#r{i}")).key(),
-                    name.clone(),
-                    size,
-                    None,
-                )
+                .store_block(node, key, name.clone(), size, None)
                 .is_ok()
             {
-                nodes.push(node);
+                manifest.cat_nodes.push(node);
             }
         }
-        nodes
+        size * manifest.cat_nodes.len() as u64
+    }
+
+    /// The CAT half of [`Self::handle_node_failure`]: every file whose CAT
+    /// copy was on `failed` gets a fresh one on the first leaf-set candidate
+    /// that holds none.  Returns the copies stored.
+    fn rehome_cats(&mut self, failed: NodeRef) -> u64 {
+        let mut stored = 0;
+        for manifest in self.manifests.iter_mut() {
+            if !manifest.cat_nodes.contains(&failed) {
+                continue;
+            }
+            manifest.cat_nodes.retain(|&n| n != failed);
+            let name = ObjectName::cat(&manifest.name);
+            let key = name.key();
+            let candidates = self.backend.replica_targets(key, CAT_REPLICAS + 1);
+            let Some((_, node)) = candidates
+                .into_iter()
+                .find(|(_, n)| !manifest.cat_nodes.contains(n))
+            else {
+                continue;
+            };
+            let size = manifest.cat_size();
+            if self
+                .backend
+                .store_block(node, key, name, size, None)
+                .is_ok()
+            {
+                manifest.cat_nodes.push(node);
+                stored += 1;
+            }
+        }
+        stored
     }
 
     /// Core store loop shared by the placement path and the byte path.
     fn store_internal(&mut self, file: &FileRecord, data: Option<&[u8]>) -> StoreOutcome {
         let mut remaining = file.size;
         let mut offset: u64 = 0;
-        let mut chunk_no: u32 = 0;
         let mut consecutive_zero: u32 = 0;
-        let mut chunk_sizes: Vec<ByteSize> = Vec::new();
-        let mut placements: Vec<ChunkPlacement> = Vec::new();
-        let mut placed_bytes = ByteSize::ZERO;
+        let mut chunks: Vec<ChunkPlacement> = Vec::new();
 
         while !remaining.is_zero() {
+            let chunk_no = chunks.len() as u32;
             if consecutive_zero > self.config.zero_chunk_limit {
-                self.rollback(&placements);
+                self.rollback(&chunks);
                 self.metrics.record_failure(file.size);
                 return StoreOutcome::Failed {
                     reason: format!(
@@ -493,60 +517,47 @@ impl<B: StorageBackend> PeerStripe<B> {
                 };
             }
             let (targets, chunk_size) = self.plan_chunk(&file.name, chunk_no, remaining);
-            if chunk_size.is_zero() || targets.is_empty() {
-                chunk_sizes.push(ByteSize::ZERO);
-                placements.push(ChunkPlacement {
-                    chunk: chunk_no,
-                    size: ByteSize::ZERO,
-                    blocks: Vec::new(),
-                    min_blocks_needed: self.config.coding.min_blocks_needed(),
+            let placed = if chunk_size.is_zero() || targets.is_empty() {
+                None
+            } else {
+                // Byte path: cut the actual chunk payload.
+                let chunk_data = data.map(|bytes| {
+                    let start = offset as usize;
+                    let end = (offset + chunk_size.as_u64()) as usize;
+                    &bytes[start..end.min(bytes.len())]
                 });
-                consecutive_zero += 1;
-                chunk_no += 1;
-                continue;
-            }
-            // Byte path: cut the actual chunk payload.
-            let chunk_data = data.map(|bytes| {
-                let start = offset as usize;
-                let end = (offset + chunk_size.as_u64()) as usize;
-                &bytes[start..end.min(bytes.len())]
+                self.place_chunk(&targets, chunk_no, chunk_size, chunk_data)
+            };
+            // A refused plan and a refused placement are both a zero-sized
+            // chunk (Section 4.3).
+            let chunk = placed.unwrap_or_else(|| ChunkPlacement {
+                chunk: chunk_no,
+                size: ByteSize::ZERO,
+                blocks: Vec::new(),
+                min_blocks_needed: self.config.coding.min_blocks_needed(),
             });
-            match self.place_chunk(&targets, chunk_no, chunk_size, chunk_data) {
-                Some(placement) => {
-                    placed_bytes += placement.blocks.iter().map(|b| b.size).sum();
-                    chunk_sizes.push(chunk_size);
-                    placements.push(placement);
-                    remaining -= chunk_size;
-                    offset += chunk_size.as_u64();
-                    consecutive_zero = 0;
-                    chunk_no += 1;
-                }
-                None => {
-                    chunk_sizes.push(ByteSize::ZERO);
-                    placements.push(ChunkPlacement {
-                        chunk: chunk_no,
-                        size: ByteSize::ZERO,
-                        blocks: Vec::new(),
-                        min_blocks_needed: self.config.coding.min_blocks_needed(),
-                    });
-                    consecutive_zero += 1;
-                    chunk_no += 1;
-                }
+            if chunk.size.is_zero() {
+                consecutive_zero += 1;
+            } else {
+                remaining -= chunk.size;
+                offset += chunk.size.as_u64();
+                consecutive_zero = 0;
             }
+            chunks.push(chunk);
         }
 
-        let cat = ChunkAllocationTable::from_chunk_sizes(&chunk_sizes);
-        let cat_nodes = self.store_cat(&file.name, &cat);
-        placed_bytes += cat.serialized_size() * cat_nodes.len() as u64;
-        self.metrics
-            .record_success(file.size, &chunk_sizes, placed_bytes);
+        let mut manifest = FileManifest {
+            name: file.name.clone(),
+            size: file.size,
+            chunks,
+            cat_nodes: Vec::new(),
+        };
+        let placed = manifest.all_blocks().map(|b| b.size).sum::<ByteSize>();
+        let placed = placed + self.store_cat(&mut manifest);
+        let sizes = manifest.chunks.iter().map(|c| c.size);
+        self.metrics.record_success(file.size, sizes, placed);
         if self.config.track_manifests {
-            self.manifests.insert(FileManifest {
-                name: file.name.clone(),
-                size: file.size,
-                chunks: placements,
-                cat_nodes,
-            });
+            self.manifests.insert(manifest);
         }
         StoreOutcome::Stored
     }
@@ -782,15 +793,12 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// A chunk that has enough live holders but whose blocks cannot be fetched
     /// and decoded is not repaired: nothing is stored for it, its manifest
     /// entry stays as it was, and it is counted once in `chunks_lost` /
-    /// `bytes_lost`, like a chunk with too few live holders.
+    /// `bytes_lost`, like a chunk with too few live holders.  The CAT copies
+    /// the node held are re-homed last (`rehome_cats`).
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         let mut damaged: Vec<(String, usize)> = Vec::new();
-        let mut cat_repairs: Vec<String> = Vec::new();
         for manifest in self.manifests.iter() {
-            if manifest.cat_nodes.contains(&failed) {
-                cat_repairs.push(manifest.name.clone());
-            }
             for (index, chunk) in manifest.chunks.iter().enumerate() {
                 if chunk.blocks_on(failed).next().is_some() {
                     damaged.push((manifest.name.clone(), index));
@@ -875,28 +883,16 @@ impl<B: StorageBackend> PeerStripe<B> {
             }
         }
 
-        for file in cat_repairs {
-            let cat_key = ObjectName::cat(&file).key();
-            let candidates = self.backend.replica_targets(cat_key, CAT_REPLICAS + 1);
-            if let Some(m) = self.manifests.get_mut(&file) {
-                m.cat_nodes.retain(|n| *n != failed);
-                for (_, node) in candidates {
-                    if !m.cat_nodes.contains(&node) {
-                        m.cat_nodes.push(node);
-                        report.cats_replicated += 1;
-                        break;
-                    }
-                }
-            }
-        }
+        report.cats_replicated = self.rehome_cats(failed);
         report
     }
 
     /// Reconstruct a file's CAT by probing chunk objects in order (Section 4.4:
     /// the CAT "can be re-created … by incrementally looking up chunks of a file
     /// and determining their size"), stopping after the configured number of
-    /// consecutive misses.
-    pub fn reconstruct_cat(&mut self, file: &str) -> ChunkAllocationTable {
+    /// consecutive misses.  Returns the chunk sizes in order, the trailing
+    /// misses trimmed.
+    pub fn reconstruct_cat(&mut self, file: &str) -> Vec<ByteSize> {
         let mut sizes = Vec::new();
         let mut consecutive_missing = 0u32;
         let mut chunk_no = 0u32;
@@ -933,7 +929,7 @@ impl<B: StorageBackend> PeerStripe<B> {
         while sizes.last().is_some_and(|s| s.is_zero()) {
             sizes.pop();
         }
-        ChunkAllocationTable::from_chunk_sizes(&sizes)
+        sizes
     }
 }
 
@@ -1128,6 +1124,50 @@ mod tests {
             manifest.cat_nodes.len(),
             "replicas on distinct nodes"
         );
+    }
+
+    #[test]
+    fn every_cat_copy_answers_to_its_name_and_rolls_back_by_it() {
+        let mut ps = system(30, ByteSize::gb(1), 5);
+        assert!(ps
+            .store_file(&FileRecord::new("f", ByteSize::mb(100)))
+            .is_stored());
+        let manifest = ps.manifest("f").unwrap().clone();
+        let size = manifest.cat_size();
+        assert!(!size.is_zero());
+        let name = ObjectName::cat("f");
+        for &node in &manifest.cat_nodes {
+            let copy = ps.backend().fetch_block(node, &name).map(|b| b.size);
+            assert_eq!(copy, Some(size), "node {node} answers to {name}");
+        }
+        let used = ps.cluster().total_used();
+        for &node in &manifest.cat_nodes {
+            let objects = ps.cluster().node(node).object_count();
+            ps.backend_mut().rollback_block(node, &name, size);
+            assert_eq!(ps.cluster().node(node).object_count(), objects - 1);
+            assert!(ps.backend().fetch_block(node, &name).is_none());
+        }
+        let copies = manifest.cat_nodes.len() as u64;
+        assert_eq!(ps.cluster().total_used(), used - size * copies);
+    }
+
+    #[test]
+    fn a_cat_holders_failure_stores_a_fresh_copy() {
+        let mut ps = system(30, ByteSize::gb(1), 5);
+        assert!(ps
+            .store_file(&FileRecord::new("f", ByteSize::mb(100)))
+            .is_stored());
+        let victim = ps.manifest("f").unwrap().cat_nodes[0];
+        let takeover = ps.backend_mut().fail_node(victim).unwrap();
+        let report = ps.handle_node_failure(victim, &takeover);
+        assert_eq!(report.cats_replicated, 1);
+        let manifest = ps.manifest("f").unwrap();
+        assert_eq!(manifest.cat_nodes.len(), CAT_REPLICAS);
+        assert!(!manifest.cat_nodes.contains(&victim));
+        for &node in &manifest.cat_nodes {
+            let copy = ps.backend().fetch_block(node, &ObjectName::cat("f"));
+            assert_eq!(copy.map(|b| b.size), Some(manifest.cat_size()));
+        }
     }
 
     #[test]
@@ -1434,7 +1474,6 @@ mod tests {
             .map(|c| c.size)
             .collect();
         let rebuilt = ps.reconstruct_cat("rebuild-me");
-        let rebuilt_sizes: Vec<ByteSize> = rebuilt.extents().iter().map(|e| e.size()).collect();
         // Trailing zero chunks are trimmed by reconstruction; compare the data prefix.
         let original_trimmed: Vec<ByteSize> = {
             let mut v = original.clone();
@@ -1443,7 +1482,7 @@ mod tests {
             }
             v
         };
-        assert_eq!(rebuilt_sizes, original_trimmed);
+        assert_eq!(rebuilt, original_trimmed);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! Crate layout:
 //!
 //! * [`naming`] — the `file_chunk_ecb` / `file.CAT` naming convention;
-//! * [`cat`] — the chunk allocation table (Figure 3);
 //! * [`policy`] — placement-level coding policies (none / XOR / online);
 //! * [`storage`] + [`cluster`] — the contributory storage substrate shared with
 //!   the PAST/CFS baselines;
 //! * [`backend`] — the [`StorageBackend`] seam the client drives, implemented
 //!   by the simulator here and by live TCP daemons in `peerstripe-net`;
 //! * [`client`] — the [`PeerStripe`] system itself (store, retrieve, recover);
-//! * [`system`] — the [`StorageSystem`] trait and placement manifests;
+//! * [`system`] — the [`StorageSystem`] trait and placement manifests (each
+//!   file's chunk allocation table, Figure 3);
 //! * [`ledger`] — the block ledger: holders, liveness, availability and loss (Figure 10, Table 3);
 //! * [`planner`] — the repair decision: which lost blocks are rebuilt, and where (Section 4.4);
 //! * [`metrics`] — store metrics behind Figures 7–9 and Table 1.
@@ -27,7 +27,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backend;
-pub mod cat;
 pub mod client;
 pub mod cluster;
 pub mod ledger;
@@ -39,7 +38,6 @@ pub mod storage;
 pub mod system;
 
 pub use backend::{FetchMiss, FetchedBlock, StorageBackend};
-pub use cat::{ChunkAllocationTable, ChunkExtent};
 pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};
 pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
 pub use ledger::{DamageLedger, NodeLoss};

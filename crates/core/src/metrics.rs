@@ -38,27 +38,28 @@ impl StoreMetrics {
         Self::default()
     }
 
-    /// Record a successful file store.
+    /// Record a successful file store: its chunk sizes in order, zero-sized
+    /// retries included.
     pub fn record_success(
         &mut self,
         file_size: ByteSize,
-        chunk_sizes: &[ByteSize],
+        chunk_sizes: impl IntoIterator<Item = ByteSize>,
         placed: ByteSize,
     ) {
         self.files_attempted += 1;
         self.bytes_attempted += file_size;
         self.bytes_stored += file_size;
         self.bytes_placed += placed;
-        let data_chunks: Vec<ByteSize> = chunk_sizes
-            .iter()
-            .copied()
-            .filter(|s| !s.is_zero())
-            .collect();
-        self.chunks_per_file.push(data_chunks.len() as f64);
-        for c in &data_chunks {
-            self.chunk_sizes.push(c.as_u64() as f64);
+        let mut data_chunks = 0u64;
+        for size in chunk_sizes {
+            if size.is_zero() {
+                self.zero_chunks += 1;
+            } else {
+                data_chunks += 1;
+                self.chunk_sizes.push(size.as_u64() as f64);
+            }
         }
-        self.zero_chunks += (chunk_sizes.len() - data_chunks.len()) as u64;
+        self.chunks_per_file.push(data_chunks as f64);
     }
 
     /// Record a failed file store.
@@ -117,7 +118,7 @@ mod tests {
         let mut m = StoreMetrics::new();
         m.record_success(
             ByteSize::mb(100),
-            &[ByteSize::mb(60), ByteSize::ZERO, ByteSize::mb(40)],
+            [ByteSize::mb(60), ByteSize::ZERO, ByteSize::mb(40)],
             ByteSize::mb(100),
         );
         m.record_failure(ByteSize::mb(300));
@@ -135,10 +136,10 @@ mod tests {
         let mut m = StoreMetrics::new();
         m.record_success(
             ByteSize::mb(100),
-            &[ByteSize::mb(50), ByteSize::mb(50), ByteSize::ZERO],
+            [ByteSize::mb(50), ByteSize::mb(50), ByteSize::ZERO],
             ByteSize::mb(100),
         );
-        m.record_success(ByteSize::mb(80), &[ByteSize::mb(80)], ByteSize::mb(80));
+        m.record_success(ByteSize::mb(80), [ByteSize::mb(80)], ByteSize::mb(80));
         assert!((m.mean_chunks_per_file() - 1.5).abs() < 1e-12);
         assert_eq!(m.chunk_sizes.count(), 3);
         assert!((m.mean_chunk_size().as_mb() - 60.0).abs() < 0.1);
@@ -156,7 +157,7 @@ mod tests {
     #[test]
     fn placed_bytes_include_redundancy() {
         let mut m = StoreMetrics::new();
-        m.record_success(ByteSize::mb(100), &[ByteSize::mb(100)], ByteSize::mb(150));
+        m.record_success(ByteSize::mb(100), [ByteSize::mb(100)], ByteSize::mb(150));
         assert_eq!(m.bytes_stored, ByteSize::mb(100));
         assert_eq!(m.bytes_placed, ByteSize::mb(150));
     }

@@ -6,7 +6,8 @@
 //! [`StorageSystem`] captures that interface and nothing more.
 //!
 //! [`FileManifest`] records where a file's pieces were placed so that
-//! availability can be evaluated as nodes fail (Figure 10, Table 3).  Only
+//! availability can be evaluated as nodes fail (Figure 10, Table 3); its
+//! chunk rows are also the file's chunk allocation table (CAT).  Only
 //! PeerStripe keeps manifests, and answering availability questions is its
 //! job (`PeerStripe::{manifest, manifests, is_file_available}`), not the
 //! trait's.
@@ -113,6 +114,13 @@ impl FileManifest {
     pub fn all_blocks(&self) -> impl Iterator<Item = &BlockPlacement> {
         self.chunks.iter().flat_map(|c| c.blocks.iter())
     }
+
+    /// Size of one copy of the file's chunk allocation table (CAT): one
+    /// Figure 3 row per chunk, zero-sized chunks included — "(1) 0,5242880"
+    /// is roughly 32 bytes.
+    pub fn cat_size(&self) -> ByteSize {
+        ByteSize::bytes(32 * self.chunks.len() as u64)
+    }
 }
 
 /// A catalogue of manifests, keyed by file name.
@@ -160,6 +168,11 @@ impl ManifestStore {
     /// Iterate over all manifests.
     pub fn iter(&self) -> impl Iterator<Item = &FileManifest> {
         self.manifests.values()
+    }
+
+    /// Iterate mutably over all manifests.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut FileManifest> {
+        self.manifests.values_mut()
     }
 
     /// Count how many stored files are currently available.

@@ -7,7 +7,10 @@
 //! the file back degraded, runs the repair path, and reads it again.
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
-use peerstripe_core::{ChunkPlacement, CodingPolicy, FileManifest, PeerStripe, PeerStripeConfig};
+use peerstripe_core::{
+    ChunkPlacement, CodingPolicy, FileManifest, ObjectName, PeerStripe, PeerStripeConfig,
+    StorageBackend,
+};
 use peerstripe_net::{GatewayConfig, LocalRing, RingGateway};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::ClusterView;
@@ -197,6 +200,66 @@ fn every_gateway_rpc_is_attributed_across_a_real_kill() {
         log.iter().any(|e| !e.is_ok()),
         "RPCs against the killed daemon must appear with an error outcome"
     );
+}
+
+/// Every CAT holder of every file answers a fetch of `file.CAT` with the
+/// CAT's size, and holds none of them twice.
+fn assert_cat_copies_answer(client: &PeerStripe<RingGateway>) {
+    for manifest in client.manifests().iter() {
+        let name = ObjectName::cat(&manifest.name);
+        assert_eq!(manifest.cat_nodes.len(), 2, "{name}: primary and replica");
+        assert_ne!(manifest.cat_nodes[0], manifest.cat_nodes[1]);
+        for &node in &manifest.cat_nodes {
+            let copy = client.backend().fetch_block(node, &name);
+            assert_eq!(
+                copy.map(|b| b.size),
+                Some(manifest.cat_size()),
+                "node {node} answers to {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cat_copies_answer_to_their_name_and_are_rehomed_on_a_real_kill() {
+    let mut ring = spawn_ring();
+    let mut client = client(&ring);
+    let files: Vec<(String, Vec<u8>)> = (0..6)
+        .map(|i| (format!("trace/cat-{i}.bin"), test_bytes(16 * 1024 + i)))
+        .collect();
+    for (name, data) in &files {
+        assert!(client.store_data(name, data).is_stored());
+    }
+    assert_cat_copies_answer(&client);
+
+    // Kill a CAT holder that no chunk needs more than the code tolerates.
+    let holds_cat = |n: NodeRef| {
+        let manifests = client.manifests().iter();
+        manifests.filter(|m| m.cat_nodes.contains(&n)).count() as u64
+    };
+    let safe = |n: NodeRef| {
+        let chunks = client.manifests().iter().flat_map(|m| m.chunks.iter());
+        chunks.map(|c| c.blocks_on(n).count()).all(|held| held <= 3)
+    };
+    let victim: NodeRef = (0..NODES)
+        .find(|&n| holds_cat(n) > 0 && safe(n))
+        .expect("some safe node holds a CAT copy");
+    let rehomed = holds_cat(victim);
+    ring.kill(victim).expect("killing the victim daemon");
+    let takeover = client
+        .backend_mut()
+        .mark_failed(victim)
+        .expect("victim was a ring member");
+    let report = client.handle_node_failure(victim, &takeover);
+    assert_eq!(report.chunks_lost, 0);
+    assert_eq!(report.cats_replicated, rehomed);
+
+    // The fresh copies are on live daemons (the dead one answers no
+    // fetch), under the name they answer to.
+    assert_cat_copies_answer(&client);
+    for (name, data) in &files {
+        assert_eq!(client.retrieve_data(name).as_deref(), Some(&data[..]));
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! hold for arbitrary inputs, not just the hand-picked cases of the unit tests.
 
 use peerstripe::core::{
-    ChunkAllocationTable, ClusterConfig, CodingPolicy, DamageLedger, ObjectName, PeerStripe,
-    PeerStripeConfig, StorageCluster, StorageSystem,
+    ClusterConfig, CodingPolicy, DamageLedger, ObjectName, PeerStripe, PeerStripeConfig,
+    StorageCluster, StorageSystem,
 };
 use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, XorCode};
 use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
@@ -249,7 +249,7 @@ proptest! {
         prop_assert_eq!(closest[0].0, ring.route(key).unwrap().0);
     }
 
-    // ---- naming & CAT --------------------------------------------------------
+    // ---- naming --------------------------------------------------------------
 
     /// Object names render/parse round-trip for any file name without the
     /// reserved separators.
@@ -268,32 +268,6 @@ proptest! {
         for n in names {
             prop_assert_eq!(ObjectName::parse(&n.render()), Some(n));
         }
-    }
-
-    /// A CAT built from arbitrary chunk sizes is contiguous, reports the exact
-    /// file size, maps every in-range offset to the chunk containing it, and
-    /// round-trips through its textual form.
-    #[test]
-    fn cat_invariants(sizes in proptest::collection::vec(0u64..50_000_000, 0..40)) {
-        let sizes: Vec<ByteSize> = sizes.into_iter().map(ByteSize::bytes).collect();
-        let cat = ChunkAllocationTable::from_chunk_sizes(&sizes);
-        let total: u64 = sizes.iter().map(|s| s.as_u64()).sum();
-        prop_assert_eq!(cat.file_size().as_u64(), total);
-        // Extents are contiguous and in order.
-        let mut expected_start = 0;
-        for e in cat.extents() {
-            prop_assert_eq!(e.start, expected_start);
-            expected_start = e.end;
-        }
-        // Offset lookup returns a chunk containing the offset.
-        if total > 0 {
-            for probe in [0, total / 2, total - 1] {
-                let extent = cat.chunk_for_offset(probe).unwrap();
-                prop_assert!(extent.contains(probe));
-            }
-            prop_assert!(cat.chunk_for_offset(total).is_none());
-        }
-        prop_assert_eq!(ChunkAllocationTable::parse(&cat.render()).unwrap(), cat);
     }
 
     // ---- statistics ----------------------------------------------------------

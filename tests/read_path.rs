@@ -668,14 +668,24 @@ fn a_chunk_refused_part_way_is_rolled_back_whole_and_stored_again() {
             assert!(manifest.chunks[0].size.is_zero() && manifest.chunks[0].blocks.is_empty());
             // Chunk 1 carries the file; nothing of chunk 0 is left behind.
             assert_eq!(manifest.chunks[1].blocks.len(), coding.placed_blocks());
+            // Besides the placed blocks, the cluster holds the CAT copies
+            // alone: 32 bytes a chunk row, the zero-sized chunk 0 included.
             let held: u64 = manifest.all_blocks().map(|b| b.size.as_u64()).sum();
             let cats = manifest.cat_nodes.len() as u64;
             let used = ps.backend().inner.total_used().as_u64();
-            assert!(
-                used >= held && used - held <= 64 * cats.max(1),
-                "{used} bytes used, {held} in placed blocks"
+            let rows = manifest.chunks.len() as u64;
+            assert_eq!(
+                used,
+                held + cats * 32 * rows,
+                "{held} bytes in placed blocks"
             );
             assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+            // No offset maps into the zero-sized chunk: a read from the first
+            // byte, the middle or the last one to the end is the file's own.
+            for offset in [0, len / 2, len - 1] {
+                let read = ps.retrieve_range_data("f", offset as u64, len as u64);
+                assert_eq!(read.as_deref(), Some(&data[offset..]), "from {offset}");
+            }
         }
     }
 }

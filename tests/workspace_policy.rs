@@ -66,8 +66,6 @@ const LAYERS: &[(&str, &[&str])] = &[
 /// The public fns nothing in the program calls that stay on purpose, and why.
 #[rustfmt::skip]
 const KEPT: &[(&str, &str)] = &[
-    ("chunk_for_offset", "ROADMAP item 7: the CAT's range reads"),
-    ("chunks_for_range", "ROADMAP item 7: the CAT's range reads"),
     ("reconstruct_cat", "ROADMAP item 7: rebuilding a lost CAT"),
     ("stored_size", "ROADMAP item 11"),
     ("store_object", "test oracle: StorageCluster"),
