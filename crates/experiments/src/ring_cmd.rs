@@ -149,6 +149,9 @@ pub struct RingReport {
     pub file_bytes: u64,
     /// Which daemon was killed.
     pub victim: NodeRef,
+    /// Wall-clock milliseconds to bring the ring up: every daemon started
+    /// and its address announced.
+    pub spawn_ms: f64,
     /// Wall-clock milliseconds to store the file.
     pub store_ms: f64,
     /// Wall-clock milliseconds to read it back with all daemons live.
@@ -253,7 +256,7 @@ fn node_rows(
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     #[expect(
         clippy::disallowed_methods,
-        reason = "the ring harness measures real store/fetch latency on live TCP daemons"
+        reason = "the ring harness measures real spawn, store and fetch latency on live TCP daemons"
     )]
     let start = std::time::Instant::now();
     let value = f();
@@ -275,8 +278,8 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
          or point PEERSTRIPE_NODE_BIN at it"
             .to_string()
     })?;
-    let mut ring = LocalRing::spawn(&bin, config.nodes, config.node_capacity)
-        .map_err(|e| format!("spawning {} daemons: {e}", config.nodes))?;
+    let (ring, spawn_ms) = timed(|| LocalRing::spawn(&bin, config.nodes, config.node_capacity));
+    let mut ring = ring.map_err(|e| format!("spawning {} daemons: {e}", config.nodes))?;
     let gateway = ring.gateway(GatewayConfig::default());
     let mut client = PeerStripe::new(
         gateway,
@@ -353,6 +356,7 @@ pub fn run_ring(config: &RingCmdConfig) -> Result<RingReport, String> {
         nodes: config.nodes,
         file_bytes: config.file_size.as_u64(),
         victim,
+        spawn_ms,
         store_ms,
         fetch_ms,
         degraded_fetch_ms,
@@ -390,8 +394,12 @@ pub fn render_ring_text(report: &RingReport) -> String {
         report.victim
     ));
     out.push_str(&format!(
-        "  store {:.1} ms | fetch {:.1} ms | degraded fetch {:.1} ms | repair {:.1} ms\n",
-        report.store_ms, report.fetch_ms, report.degraded_fetch_ms, report.repair_ms
+        "  spawn {:.1} ms | store {:.1} ms | fetch {:.1} ms | degraded fetch {:.1} ms | repair {:.1} ms\n",
+        report.spawn_ms,
+        report.store_ms,
+        report.fetch_ms,
+        report.degraded_fetch_ms,
+        report.repair_ms
     ));
     out.push_str(&format!(
         "  regenerated {} blocks, lost {} chunks, recovered: {}\n",

@@ -1,20 +1,23 @@
 //! A localhost ring of real `peerstripe-node` processes.
 //!
-//! [`LocalRing::spawn`] launches N daemons on ephemeral ports, reads each
-//! one's `listening on ADDR` line to learn where it landed, and hands out the
-//! matching [`NodeEndpoint`] table.  Node identifiers follow the shared
-//! convention `Id::hash("node-<i>")`, so the gateway's membership ring is
-//! reproducible from the node count alone.  [`LocalRing::kill`] terminates
-//! one daemon with a real signal — the failure the recovery path is then
-//! exercised against.
+//! [`LocalRing::spawn`] starts all N daemons on ephemeral ports first, then
+//! reads each one's `listening on ADDR` line, in node order, to learn where
+//! it landed, and hands out the matching [`NodeEndpoint`] table: the daemons
+//! come up side by side instead of each waiting for the one before it.  If
+//! any daemon fails to start or to announce itself, every daemon started so
+//! far is killed before the error returns.  Node identifiers follow the
+//! shared convention `Id::hash("node-<i>")`, so the gateway's membership
+//! ring is reproducible from the node count alone.  [`LocalRing::kill`]
+//! terminates one daemon with a real signal — the failure the recovery path
+//! is then exercised against.
 
 use crate::gateway::{GatewayConfig, NodeEndpoint, RingGateway};
 use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::ByteSize;
 use std::io::{self, BufRead, BufReader};
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 /// One spawned daemon process.
 struct RingMember {
@@ -29,17 +32,21 @@ pub struct LocalRing {
 
 impl LocalRing {
     /// Spawn `n` daemons of `capacity` each from the `peerstripe-node`
-    /// binary at `bin`.  If one fails to start or to announce itself, it and
-    /// every daemon spawned before it are killed before the error returns.
+    /// binary at `bin`.  Every daemon is started before any announcement is
+    /// read; the announcements are then read in node order.  If a daemon
+    /// fails to start or to announce itself, the error names it
+    /// (`node-<i>: …`), and every daemon started — before it or after it —
+    /// is killed before the error returns.
     pub fn spawn(bin: &Path, n: usize, capacity: ByteSize) -> io::Result<LocalRing> {
-        // The ring is built as it goes, so an early return drops it and its
-        // `Drop` reaps the members already running.
+        let named = |i: usize, e: io::Error| io::Error::new(e.kind(), format!("node-{i}: {e}"));
+        // Each daemon joins the ring as soon as it runs, so an early return
+        // drops the ring and its `Drop` reaps every daemon started.
         let mut ring = LocalRing {
             members: Vec::with_capacity(n),
         };
         for i in 0..n {
             let name = format!("node-{i}");
-            let mut child = Command::new(bin)
+            let child = Command::new(bin)
                 .arg("--listen")
                 .arg("127.0.0.1:0")
                 .arg("--id")
@@ -48,22 +55,21 @@ impl LocalRing {
                 .arg(capacity.as_u64().div_ceil(1024 * 1024).to_string())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::null())
-                .spawn()?;
-            let addr = match read_listen_line(&mut child) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    reap(child);
-                    return Err(e);
-                }
-            };
+                .spawn()
+                .map_err(|e| named(i, e))?;
             ring.members.push(RingMember {
                 endpoint: NodeEndpoint {
                     node: i,
                     id: Id::hash(&name),
-                    addr,
+                    // Filled in from the announcement below.
+                    addr: SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0)),
                 },
                 child: Some(child),
             });
+        }
+        for (i, member) in ring.members.iter_mut().enumerate() {
+            let stdout = member.child.as_mut().and_then(|c| c.stdout.take());
+            member.endpoint.addr = read_listen_line(stdout).map_err(|e| named(i, e))?;
         }
         Ok(ring)
     }
@@ -103,24 +109,20 @@ impl LocalRing {
 
 impl Drop for LocalRing {
     fn drop(&mut self) {
-        for child in self.members.iter_mut().filter_map(|m| m.child.take()) {
-            reap(child);
+        // Signal every live daemon before waiting on any, so they exit side
+        // by side.  Errors are ignored: a daemon may already have exited.
+        for child in self.members.iter_mut().filter_map(|m| m.child.as_mut()) {
+            let _ = child.kill();
+        }
+        for mut child in self.members.iter_mut().filter_map(|m| m.child.take()) {
+            let _ = child.wait();
         }
     }
 }
 
-/// Kill a daemon and wait for it, ignoring errors: it may have exited.
-fn reap(mut child: Child) {
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
-/// Read the daemon's `listening on ADDR` announcement from its stdout.
-fn read_listen_line(child: &mut Child) -> io::Result<SocketAddr> {
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| io::Error::other("daemon stdout not captured"))?;
+/// Read a daemon's `listening on ADDR` announcement from its stdout.
+fn read_listen_line(stdout: Option<ChildStdout>) -> io::Result<SocketAddr> {
+    let stdout = stdout.ok_or_else(|| io::Error::other("daemon stdout not captured"))?;
     let mut line = String::new();
     BufReader::new(stdout).read_line(&mut line)?;
     let addr = line

@@ -12,7 +12,7 @@ use peerstripe_core::{
     StorageBackend,
 };
 use peerstripe_net::{GatewayConfig, LocalRing, RingGateway};
-use peerstripe_overlay::NodeRef;
+use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_placement::ClusterView;
 use peerstripe_sim::{ByteSize, DetRng};
 use std::path::Path;
@@ -302,10 +302,33 @@ fn surviving_daemons_hold_the_regenerated_bytes() {
     );
 }
 
-/// A daemon that fails to announce itself must not leave the ring's earlier
-/// daemons, or itself, running.  A stub stands in for the daemon binary: it
-/// logs its pid, then `exec`s the real daemon — except as `node-2`, where it
-/// prints a wrong line and sleeps.
+/// Each endpoint is the daemon its id names: the announcement read for
+/// member `i` is `node-<i>`'s, whatever order the daemons came up in.
+#[test]
+fn every_endpoint_is_the_daemon_its_id_names() {
+    let ring = spawn_ring();
+    let endpoints = ring.endpoints();
+    let gateway = ring.gateway(GatewayConfig::default());
+    assert_eq!(endpoints.len(), NODES);
+    let addrs: std::collections::BTreeSet<_> = endpoints.iter().map(|e| e.addr).collect();
+    assert_eq!(
+        addrs.len(),
+        NODES,
+        "every daemon listens on its own address"
+    );
+    for (i, e) in endpoints.iter().enumerate() {
+        let id = Id::hash(&format!("node-{i}"));
+        assert_eq!((e.node, e.id), (i, id));
+        let stats = gateway.get_stats(i).expect("scraping the daemon");
+        assert_eq!(stats.node, id, "the daemon at {} is node-{i}", e.addr);
+    }
+}
+
+/// A daemon that fails to announce itself must not leave any daemon of the
+/// ring running — those started before it, itself, or those started after
+/// it.  A stub stands in for the daemon binary: it logs `pid name`, then
+/// `exec`s the real daemon — except as `node-2`, where it waits (up to 5 s)
+/// until `node-3` has logged, prints a wrong line and sleeps.
 #[cfg(unix)]
 #[test]
 fn a_daemon_that_fails_to_start_takes_the_spawned_ring_down() {
@@ -316,7 +339,18 @@ fn a_daemon_that_fails_to_start_takes_the_spawned_ring_down() {
     let log = dir.join("pids");
     let stub = dir.join("stub-node");
     let script = format!(
-        "#!/bin/sh\necho $$ >> '{log}'\ncase \" $* \" in\n  *\" node-2 \"*) echo 'not listening'; exec sleep 60 ;;\nesac\nexec '{bin}' \"$@\"\n",
+        r#"#!/bin/sh
+for arg in "$@"; do case $arg in node-*) name=$arg ;; esac; done
+echo "$$ $name" >> '{log}'
+if [ "$name" = node-2 ]; then
+  tries=0
+  while ! grep -q ' node-3$' '{log}' && [ $tries -lt 50 ]; do
+    sleep 0.1; tries=$((tries + 1))
+  done
+  echo 'not listening'; exec sleep 60
+fi
+exec '{bin}' "$@"
+"#,
         log = log.display(),
         bin = env!("CARGO_BIN_EXE_peerstripe-node"),
     );
@@ -326,11 +360,11 @@ fn a_daemon_that_fails_to_start_takes_the_spawned_ring_down() {
 
     let spawned = LocalRing::spawn(&stub, 4, ByteSize::mb(8));
 
-    let pids = std::fs::read_to_string(&log).expect("reading the logged pids");
-    let pids: Vec<&str> = pids.split_whitespace().collect();
-    let leaked: Vec<&str> = pids
+    let logged = std::fs::read_to_string(&log).expect("reading the logged pids");
+    let started: Vec<(&str, &str)> = logged.lines().filter_map(|l| l.split_once(' ')).collect();
+    let leaked: Vec<&str> = started
         .iter()
-        .copied()
+        .map(|&(pid, _)| pid)
         .filter(|pid| signal(pid, "-0"))
         .collect();
     for pid in &leaked {
@@ -338,9 +372,19 @@ fn a_daemon_that_fails_to_start_takes_the_spawned_ring_down() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    assert!(spawned.is_err(), "node-2 never announced an address");
-    assert_eq!(pids.len(), 3, "node-0, node-1 and the stub as node-2");
+    let error = spawned.err().expect("node-2 never announced an address");
+    let mut names: Vec<&str> = started.iter().map(|&(_, name)| name).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        ["node-0", "node-1", "node-2", "node-3"],
+        "every daemon started, node-3 too"
+    );
     assert_eq!(leaked, Vec::<&str>::new(), "daemons left running");
+    assert!(
+        error.to_string().starts_with("node-2: "),
+        "the error names its daemon: {error}"
+    );
 }
 
 /// Send `pid` the signal `flag` (`-0` probes); true if it was delivered.
