@@ -10,6 +10,8 @@
 //! The daemon announces `listening on ADDR` on stdout once bound (the ring
 //! harness parses this to learn ephemeral ports), then serves forever.  A
 //! `Shutdown` request drains in-flight connections and exits the process.
+//! If the OS refuses a connection thread, the daemon closes what is open
+//! and exits non-zero with that error.
 //! A `GetStats` request returns the node's one account of itself, its
 //! `NodeStats`.
 #![deny(clippy::indexing_slicing)]

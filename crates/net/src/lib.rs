@@ -8,8 +8,8 @@
 //!   versioned header, a max-frame limit, and a fixed binary meta record
 //!   per message kind;
 //! * [`node`] + [`server`] — the `peerstripe-node` daemon: one node's
-//!   contributed store served over TCP by a thread-per-connection server
-//!   with per-connection timeouts and graceful shutdown;
+//!   contributed store served over TCP, each connection handed to a worker
+//!   thread started before its `accept`, with timeouts and graceful shutdown;
 //! * [`gateway`] — a [`RingGateway`] implementing the same cluster-facing
 //!   traits as the simulator (`ClusterView` / `ProbeView` /
 //!   `StorageBackend`), so the `PeerStripe` client — store, read and

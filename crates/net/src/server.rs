@@ -1,12 +1,15 @@
-//! The daemon's TCP front: a small thread-per-connection server with
-//! per-connection read/write timeouts and graceful shutdown.
+//! The daemon's TCP front: one thread per connection, with per-connection
+//! read/write timeouts and graceful shutdown.
 //!
-//! Each accepted connection gets its own thread that reads framed requests,
-//! dispatches them to the shared [`NodeService`], and writes framed replies.
-//! A `Shutdown` request (or [`RunningNode::stop`]) raises the shutdown flag;
-//! the accept loop observes it on its next wakeup — a self-connection is made
-//! to unblock `accept` immediately — finishes in-flight connections, and
-//! exits.
+//! The accept loop keeps one worker started and parked on a channel, hands
+//! it each accepted connection, and only then starts the next: while other
+//! processes keep the CPUs busy, a thread just created can wait a scheduler
+//! tick (~4 ms) before it first runs. A worker reads framed requests,
+//! dispatches them to the shared [`NodeService`], and writes framed
+//! replies. A `Shutdown` request (or [`RunningNode::stop`]) raises the
+//! shutdown flag; the accept loop observes it on its next wakeup — a
+//! self-connection is made to unblock `accept` immediately — finishes
+//! in-flight connections, releases the parked worker, and exits.
 
 use crate::lock;
 use crate::node::NodeService;
@@ -17,7 +20,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// How long a connection may sit idle before its read fails and the
@@ -62,6 +65,9 @@ impl NodeServer {
     }
 
     /// Serve until shut down. Blocks the calling thread.
+    ///
+    /// If the OS refuses a connection worker, the server stops accepting,
+    /// closes and joins what is open as on shutdown, and returns that error.
     pub fn run(self) -> io::Result<()> {
         let NodeServer {
             listener,
@@ -74,37 +80,55 @@ impl NodeServer {
         // exit (a lingering clone would hold the peer's fd open past the
         // worker and hide the close from the client).
         let peers: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::new(Mutex::new(BTreeMap::new()));
+        // Start the worker for connection `id`, parked until it is handed
+        // its stream (or its sender is dropped).
+        let park = |id: u64| {
+            let (hand, parked) = mpsc::channel::<TcpStream>();
+            let service = Arc::clone(&service);
+            let shutdown = Arc::clone(&shutdown);
+            let peers = Arc::clone(&peers);
+            std::thread::Builder::new()
+                .name(format!("conn-{id}"))
+                .spawn(move || {
+                    if let Ok(stream) = parked.recv() {
+                        serve_connection(stream, addr, &service, &shutdown);
+                        lock(&peers).remove(&id);
+                    }
+                })
+                .map(|worker| (hand, worker))
+        };
         let mut next_conn: u64 = 0;
+        let mut waiting = park(next_conn)?;
+        let mut refused = Ok(());
         for conn in listener.incoming() {
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let conn_id = next_conn;
-            next_conn += 1;
+            let Ok(stream) = conn else { continue };
             if let Ok(clone) = stream.try_clone() {
-                lock(&peers).insert(conn_id, clone);
+                lock(&peers).insert(next_conn, clone);
             }
-            let service = Arc::clone(&service);
-            let shutdown = Arc::clone(&shutdown);
-            let peers = Arc::clone(&peers);
-            workers.push(std::thread::spawn(move || {
-                serve_connection(stream, addr, &service, &shutdown);
-                lock(&peers).remove(&conn_id);
-            }));
+            let _ = waiting.0.send(stream);
+            next_conn += 1;
+            match park(next_conn) {
+                Ok(next) => workers.push(std::mem::replace(&mut waiting, next).1),
+                Err(e) => {
+                    refused = Err(e);
+                    break;
+                }
+            }
         }
-        // Sever every still-open connection so workers blocked in a read
-        // return at once, then reap them.
+        // Release the parked worker, sever every still-open connection so
+        // workers blocked in a read return at once, then reap them all.
+        drop(waiting.0);
+        workers.push(waiting.1);
         for peer in lock(&peers).values() {
             let _ = peer.shutdown(std::net::Shutdown::Both);
         }
         for w in workers {
             let _ = w.join();
         }
-        Ok(())
+        refused
     }
 
     /// Run on a background thread, returning a [`RunningNode`] handle.
@@ -195,6 +219,15 @@ mod tests {
         NodeServer::bind("127.0.0.1:0", service).unwrap().spawn()
     }
 
+    /// Connect with a read timeout, so an unserved connection fails its
+    /// test instead of hanging it.
+    fn dial(addr: SocketAddr) -> TcpStream {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn
+    }
+
     /// One round-trip RPC over an existing stream.
     fn call(stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
         crate::protocol::write_request(stream, req)?;
@@ -238,34 +271,40 @@ mod tests {
     fn concurrent_connections_share_one_store() {
         let node = start();
         let addr = node.local_addr();
-        let mut threads = Vec::new();
-        for t in 0..4 {
-            threads.push(std::thread::spawn(move || {
-                let mut conn = TcpStream::connect(addr).unwrap();
-                for b in 0..4u32 {
-                    let name = ObjectName::block(format!("file-{t}"), 0, b);
-                    let resp = call(
-                        &mut conn,
-                        &Request::StoreBlock {
-                            key: name.key(),
-                            name,
-                            size: ByteSize::kb(1),
-                            payload: None,
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(resp, Response::Stored);
-                }
-            }));
-        }
+        let threads: Vec<_> = (0..16)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let mut conn = dial(addr);
+                    let name = ObjectName::block(format!("file-{t}"), 0, 0);
+                    let store = Request::StoreBlock {
+                        key: name.key(),
+                        name: name.clone(),
+                        size: ByteSize::kb(1),
+                        payload: Some(vec![t; 8]),
+                    };
+                    assert_eq!(call(&mut conn, &store).unwrap(), Response::Stored);
+                    assert_eq!(
+                        call(&mut conn, &Request::FetchBlock { name }).unwrap(),
+                        Response::Block {
+                            block: Some((ByteSize::kb(1), Some(Arc::new(vec![t; 8]))))
+                        }
+                    );
+                })
+            })
+            .collect();
+        // A connection that closes without sending a byte takes a worker
+        // and gives it back.
+        drop(TcpStream::connect(addr).unwrap());
         for t in threads {
             t.join().unwrap();
         }
-        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut conn = dial(addr);
         let Response::Stats { stats } = call(&mut conn, &Request::GetStats).unwrap() else {
             panic!("expected Stats");
         };
         assert_eq!(stats.objects, 16);
+        // `stop` returns only once every worker, the parked one included,
+        // has been joined.
         node.stop().unwrap();
     }
 
@@ -273,7 +312,15 @@ mod tests {
     fn shutdown_request_stops_the_server() {
         let node = start();
         let addr = node.local_addr();
-        let mut conn = TcpStream::connect(addr).unwrap();
+        // Every sequential connection is served, each by its own worker.
+        for _ in 0..32 {
+            let mut conn = dial(addr);
+            assert!(matches!(
+                call(&mut conn, &Request::Ping).unwrap(),
+                Response::Pong { .. }
+            ));
+        }
+        let mut conn = dial(addr);
         assert_eq!(
             call(&mut conn, &Request::Shutdown).unwrap(),
             Response::ShuttingDown
