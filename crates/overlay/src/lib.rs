@@ -7,9 +7,9 @@
 //! crate reproduces the pieces of Pastry the evaluation depends on:
 //!
 //! * [`id::Id`] — the circular identifier space and hashing;
-//! * [`ring::IdRing`] — live-membership ring with key-to-node routing
-//!   (numerically closest live id), replica-set, leaf-set and
-//!   failure-takeover queries;
+//! * [`ring::IdRing`] — the live-membership ring, a sorted id table with
+//!   liveness marks: key-to-node routing (numerically closest live id),
+//!   replica-set, leaf-set and failure-takeover queries;
 //! * [`node`] — participants with synthetic network coordinates (the proximity
 //!   metric behind Pastry's locality properties);
 //! * [`network::OverlaySim`] — the node-population simulator with join/failure

@@ -29,17 +29,35 @@ pub struct OverlaySim {
 }
 
 impl OverlaySim {
-    /// Create an overlay with `n` nodes with uniformly random ids and coordinates.
+    /// Create an overlay with `n` nodes with uniformly random ids and coordinates:
+    /// the overlay, and the draws from `rng`, of `n` [`OverlaySim::join`]s on an
+    /// empty one, its ring built in one sort (or join by join, should two ids collide).
     pub fn new(n: usize, rng: &mut DetRng) -> Self {
-        let mut sim = OverlaySim {
-            nodes: Vec::with_capacity(n),
-            ring: IdRing::new(),
+        let start = rng.clone();
+        let nodes = (0..n)
+            .map(|_| {
+                let id = Id::random(rng);
+                NodeInfo::new(id, Coord::random(rng))
+            })
+            .collect();
+        OverlaySim::from_table(nodes).unwrap_or_else(|| {
+            *rng = start;
+            let mut sim = OverlaySim::empty();
+            for _ in 0..n {
+                sim.join(rng);
+            }
+            sim
+        })
+    }
+
+    /// An overlay of `nodes`, all live; `None` if two share an id.
+    fn from_table(nodes: Vec<NodeInfo>) -> Option<Self> {
+        let members = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+        Some(OverlaySim {
+            ring: IdRing::from_members(members)?,
+            nodes,
             stats: OverlayStats::default(),
-        };
-        for _ in 0..n {
-            sim.join(rng);
-        }
-        sim
+        })
     }
 
     /// Create an empty overlay.
@@ -181,10 +199,13 @@ impl OverlaySim {
         with_dist.into_iter().take(k).map(|(_, c)| c).collect()
     }
 
-    /// A uniformly random live node, if any.
+    /// A uniformly random live node, if any: the same draw as
+    /// [`DetRng::choose`] over [`OverlaySim::alive_nodes`].
     pub fn random_alive(&self, rng: &mut DetRng) -> Option<NodeRef> {
-        let live: Vec<NodeRef> = self.alive_nodes().collect();
-        rng.choose(&live).copied()
+        if self.ring.is_empty() {
+            return None;
+        }
+        self.alive_nodes().nth(rng.index(self.ring.len()))
     }
 }
 
@@ -198,6 +219,59 @@ mod tests {
         let sim = OverlaySim::new(1000, &mut rng);
         assert_eq!(sim.node_count(), 1000);
         assert_eq!(sim.alive_nodes().count(), 1000);
+    }
+
+    /// `(id, coordinate, alive)` of every node, in node-table order.
+    fn table(sim: &OverlaySim) -> Vec<(Id, Coord, bool)> {
+        sim.nodes()
+            .iter()
+            .map(|n| (n.id, n.coord, n.alive))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_build_equals_one_join_at_a_time() {
+        for n in [0, 1, 2, 1000] {
+            let mut bulk_rng = DetRng::new(11);
+            let bulk = OverlaySim::new(n, &mut bulk_rng);
+            let mut joined_rng = DetRng::new(11);
+            let mut joined = OverlaySim::empty();
+            for i in 0..n {
+                assert_eq!(joined.join(&mut joined_rng), i);
+            }
+            assert_eq!(table(&bulk), table(&joined), "{n} nodes");
+            assert!(bulk.ring().iter().eq(joined.ring().iter()), "{n} nodes");
+            assert_eq!(bulk.ring().len(), n);
+            assert_eq!(bulk_rng.next_u64(), joined_rng.next_u64(), "{n} nodes");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_id_takes_the_sequential_path() {
+        let node = |id| NodeInfo::new(Id(id), Coord::new(0.5, 0.5));
+        assert!(OverlaySim::from_table(vec![node(3), node(9), node(3)]).is_none());
+        let sim = OverlaySim::from_table(vec![node(9), node(3)]).unwrap();
+        assert_eq!(
+            sim.ring().iter().collect::<Vec<_>>(),
+            [(Id(3), 1), (Id(9), 0)]
+        );
+    }
+
+    #[test]
+    fn random_alive_draws_like_choose_over_the_live_nodes() {
+        let mut rng = DetRng::new(12);
+        let mut sim = OverlaySim::new(300, &mut rng);
+        sim.fail_random(120, &mut rng);
+        let live: Vec<NodeRef> = sim.alive_nodes().collect();
+        for seed in 0..50 {
+            let mut a = DetRng::new(seed);
+            let mut b = DetRng::new(seed);
+            assert_eq!(sim.random_alive(&mut a), b.choose(&live).copied());
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut empty_rng = DetRng::new(1);
+        assert_eq!(OverlaySim::empty().random_alive(&mut empty_rng), None);
+        assert_eq!(empty_rng.next_u64(), DetRng::new(1).next_u64());
     }
 
     #[test]

@@ -9,12 +9,24 @@
 //!   leaf-set replica placement);
 //! * `successor(key)` — the first node at or after the key clockwise (CFS
 //!   places a block on the successor of its key);
-//! * `neighbors(id, l)` — the leaf set (l/2 counter-clockwise, l/2 clockwise);
+//! * `leaf_set(id, l)` — the leaf set (l/2 counter-clockwise, l/2 clockwise);
 //! * takeover queries describing which neighbour inherits which part of a failed
 //!   node's key range (Section 4.4).
+//!
+//! The ring is one sorted table: every id ever inserted, beside its
+//! [`NodeRef`] and a liveness mark.  Removing a node clears its mark and
+//! re-inserting a known id sets it again, which is all churn does: a
+//! simulated node rejoins with its old id.  The costs, with `n` slots:
+//!
+//! * a query is one binary search plus a walk over the dead slots next to
+//!   the key;
+//! * `remove`, and re-inserting a known id, are one binary search;
+//! * inserting a new id is an O(n) shift; [`IdRing::from_members`] is one sort.
+//!
+//! Dead slots are never compacted: no workload removes most of a ring, and
+//! the networked gateway's ring of a few daemons only shrinks.
 
 use crate::id::Id;
-use std::collections::BTreeMap;
 
 /// A reference to a node registered in the ring (index into the owner's node table).
 pub type NodeRef = usize;
@@ -22,73 +34,133 @@ pub type NodeRef = usize;
 /// The set of live node identifiers, ordered on the circular id space.
 #[derive(Debug, Clone, Default)]
 pub struct IdRing {
-    members: BTreeMap<Id, NodeRef>,
+    /// Every id ever inserted, sorted.
+    ids: Vec<Id>,
+    /// The node of each slot of `ids`.
+    nodes: Vec<NodeRef>,
+    /// Whether each slot of `ids` is a live member.
+    live: Vec<bool>,
+    /// The number of `true` marks in `live`.
+    len: usize,
 }
 
 impl IdRing {
     /// Create an empty ring.
     pub fn new() -> Self {
-        IdRing {
-            members: BTreeMap::new(),
+        IdRing::default()
+    }
+
+    /// A ring whose members, all live, are `members`, built in one sort.
+    /// `None` if two members share an id.
+    pub fn from_members(mut members: Vec<(Id, NodeRef)>) -> Option<Self> {
+        members.sort_unstable_by_key(|&(id, _)| id);
+        if members.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
         }
+        Some(IdRing {
+            ids: members.iter().map(|&(id, _)| id).collect(),
+            nodes: members.iter().map(|&(_, node)| node).collect(),
+            live: vec![true; members.len()],
+            len: members.len(),
+        })
     }
 
     /// Number of live members.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     /// True if the ring has no members.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
+    }
+
+    /// The number of slots whose id is below `key`.
+    fn below(&self, key: Id) -> usize {
+        self.ids.partition_point(|&id| id < key)
+    }
+
+    /// The number of slots whose id is at most `key`.
+    fn up_to(&self, key: Id) -> usize {
+        self.ids.partition_point(|&id| id <= key)
+    }
+
+    /// The slot of a live member `id`.
+    fn live_slot(&self, id: Id) -> Option<usize> {
+        self.ids
+            .binary_search(&id)
+            .ok()
+            .filter(|&slot| self.live[slot])
+    }
+
+    /// Live members clockwise from slot `from` on (wrapping), each once.
+    fn clockwise_from(&self, from: usize) -> impl Iterator<Item = (Id, NodeRef)> + '_ {
+        (from..self.ids.len())
+            .chain(0..from)
+            .filter(|&slot| self.live[slot])
+            .map(|slot| (self.ids[slot], self.nodes[slot]))
+    }
+
+    /// Live members counter-clockwise from the slot before `from` on
+    /// (wrapping), each once.
+    fn counter_clockwise_from(&self, from: usize) -> impl Iterator<Item = (Id, NodeRef)> + '_ {
+        (0..from)
+            .rev()
+            .chain((from..self.ids.len()).rev())
+            .filter(|&slot| self.live[slot])
+            .map(|slot| (self.ids[slot], self.nodes[slot]))
     }
 
     /// Insert a node. Returns `false` (and leaves the ring unchanged) if the id
     /// is already present — node ids must be unique.
     pub fn insert(&mut self, id: Id, node: NodeRef) -> bool {
-        if self.members.contains_key(&id) {
-            return false;
+        match self.ids.binary_search(&id) {
+            Ok(slot) if self.live[slot] => return false,
+            Ok(slot) => {
+                self.nodes[slot] = node;
+                self.live[slot] = true;
+            }
+            Err(slot) => {
+                self.ids.insert(slot, id);
+                self.nodes.insert(slot, node);
+                self.live.insert(slot, true);
+            }
         }
-        self.members.insert(id, node);
+        self.len += 1;
         true
     }
 
     /// Remove a node by id. Returns the node reference if it was present.
     pub fn remove(&mut self, id: Id) -> Option<NodeRef> {
-        self.members.remove(&id)
+        let slot = self.live_slot(id)?;
+        self.live[slot] = false;
+        self.len -= 1;
+        Some(self.nodes[slot])
     }
 
     /// True if the id is a live member.
     pub fn contains(&self, id: Id) -> bool {
-        self.members.contains_key(&id)
+        self.live_slot(id).is_some()
     }
 
     /// Look up the node reference for an exact member id.
     pub fn get(&self, id: Id) -> Option<NodeRef> {
-        self.members.get(&id).copied()
+        self.live_slot(id).map(|slot| self.nodes[slot])
     }
 
     /// Iterate over `(id, node)` pairs in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = (Id, NodeRef)> + '_ {
-        self.members.iter().map(|(k, v)| (*k, *v))
+        self.clockwise_from(0)
     }
 
     /// The first member at or after `key` (wrapping to the smallest id).
     pub fn successor(&self, key: Id) -> Option<(Id, NodeRef)> {
-        self.members
-            .range(key..)
-            .next()
-            .or_else(|| self.members.iter().next())
-            .map(|(k, v)| (*k, *v))
+        self.clockwise_from(self.below(key)).next()
     }
 
     /// The last member strictly before `key` (wrapping to the largest id).
     pub fn predecessor(&self, key: Id) -> Option<(Id, NodeRef)> {
-        self.members
-            .range(..key)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
-            .map(|(k, v)| (*k, *v))
+        self.counter_clockwise_from(self.below(key)).next()
     }
 
     /// The live node numerically closest to `key` on the circular space.
@@ -97,57 +169,36 @@ impl IdRing {
     /// which keeps the mapping deterministic.
     pub fn route(&self, key: Id) -> Option<(Id, NodeRef)> {
         // A member equal to the key is its successor, at distance 0.
-        let succ = self.successor(key)?;
-        let pred = self.predecessor(key)?;
-        if succ.0 == pred.0 {
-            return Some(succ);
-        }
-        let ds = key.distance(succ.0);
-        let dp = key.distance(pred.0);
-        Some(if ds <= dp { succ } else { pred })
+        let slot = self.below(key);
+        let succ = self.clockwise_from(slot).next()?;
+        let pred = self.counter_clockwise_from(slot).next()?;
+        Some(if key.distance(succ.0) <= key.distance(pred.0) {
+            succ
+        } else {
+            pred
+        })
     }
 
     /// The `k` live nodes numerically closest to `key`, ordered by circular distance.
     pub fn k_closest(&self, key: Id, k: usize) -> Vec<(Id, NodeRef)> {
-        let n = self.members.len();
-        let k = k.min(n);
-        if k == 0 {
-            return Vec::new();
-        }
-        // Walk outward from the key in both directions simultaneously.
+        let k = k.min(self.len);
+        // Walk outward from the key in both directions, taking the nearer
+        // head each step (clockwise on a tie).  Both walks see every member,
+        // and the two together reach `k <= len` distinct ones before they meet.
+        let slot = self.below(key);
+        let mut up = self.clockwise_from(slot).peekable();
+        let mut down = self.counter_clockwise_from(slot).peekable();
         let mut result = Vec::with_capacity(k);
-        let mut up = self.successor(key);
-        let mut down = self.predecessor(key);
-        let mut taken = std::collections::BTreeSet::new();
         while result.len() < k {
-            let du = up.map(|(id, _)| key.distance(id)).unwrap_or(u128::MAX);
-            let dd = down.map(|(id, _)| key.distance(id)).unwrap_or(u128::MAX);
-            let pick_up = du <= dd;
-            let Some((id, node)) = (if pick_up { up } else { down }) else {
+            let (Some(&u), Some(&d)) = (up.peek(), down.peek()) else {
                 break;
             };
-            if taken.insert(id) {
-                result.push((id, node));
-            } else if taken.len() >= n {
-                break;
-            }
-            if pick_up {
-                up = self.next_clockwise(id);
-                if let Some((uid, _)) = up {
-                    if taken.contains(&uid) {
-                        up = None;
-                    }
-                }
+            if key.distance(u.0) <= key.distance(d.0) {
+                up.next();
+                result.push(u);
             } else {
-                down = self.next_counter_clockwise(id);
-                if let Some((did, _)) = down {
-                    if taken.contains(&did) {
-                        down = None;
-                    }
-                }
-            }
-            if up.is_none() && down.is_none() {
-                break;
+                down.next();
+                result.push(d);
             }
         }
         result
@@ -155,64 +206,37 @@ impl IdRing {
 
     /// The member immediately clockwise of `id` (excluding `id` itself), wrapping.
     pub fn next_clockwise(&self, id: Id) -> Option<(Id, NodeRef)> {
-        if self.members.len() <= 1 {
-            return None;
-        }
-        self.members
-            .range(Id(id.0.wrapping_add(1))..)
+        self.clockwise_from(self.up_to(id))
             .next()
-            .or_else(|| self.members.iter().next())
-            .map(|(k, v)| (*k, *v))
-            .filter(|(k, _)| *k != id)
+            .filter(|_| self.len > 1)
     }
 
     /// The member immediately counter-clockwise of `id` (excluding `id`), wrapping.
     pub fn next_counter_clockwise(&self, id: Id) -> Option<(Id, NodeRef)> {
-        if self.members.len() <= 1 {
-            return None;
-        }
-        self.members
-            .range(..id)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
-            .map(|(k, v)| (*k, *v))
-            .filter(|(k, _)| *k != id)
+        self.predecessor(id).filter(|_| self.len > 1)
     }
 
     /// The leaf set of a member: up to `l/2` counter-clockwise and `l/2` clockwise
     /// neighbours, nearest first within each side, excluding the member itself.
     pub fn leaf_set(&self, id: Id, l: usize) -> LeafSet {
         let half = l / 2;
-        let mut cw = Vec::with_capacity(half);
-        let mut cursor = id;
-        for _ in 0..half {
-            match self.next_clockwise(cursor) {
-                Some((next, node)) if next != id && !cw.iter().any(|(i, _)| *i == next) => {
-                    cw.push((next, node));
-                    cursor = next;
-                }
-                _ => break,
-            }
-        }
-        let mut ccw = Vec::with_capacity(half);
-        cursor = id;
-        for _ in 0..half {
-            match self.next_counter_clockwise(cursor) {
-                Some((next, node))
-                    if next != id
-                        && !ccw.iter().any(|(i, _)| *i == next)
-                        && !cw.iter().any(|(i, _)| *i == next) =>
-                {
-                    ccw.push((next, node));
-                    cursor = next;
-                }
-                _ => break,
-            }
-        }
+        // The two sides never overlap: the counter-clockwise one takes only
+        // what the clockwise one left.
+        let (cw_len, ccw_len) = if self.len <= 1 {
+            (0, 0)
+        } else {
+            let others = self.len - usize::from(self.contains(id));
+            let cw_len = half.min(others);
+            (cw_len, half.min(others - cw_len))
+        };
+        let mut clockwise = Vec::with_capacity(cw_len);
+        clockwise.extend(self.clockwise_from(self.up_to(id)).take(cw_len));
+        let mut counter_clockwise = Vec::with_capacity(ccw_len);
+        counter_clockwise.extend(self.counter_clockwise_from(self.below(id)).take(ccw_len));
         LeafSet {
             owner: id,
-            clockwise: cw,
-            counter_clockwise: ccw,
+            clockwise,
+            counter_clockwise,
         }
     }
 
@@ -226,7 +250,7 @@ impl IdRing {
     ///
     /// Must be called *before* removing the node from the ring.
     pub fn takeover_on_failure(&self, failed: Id) -> Option<Takeover> {
-        if !self.contains(failed) || self.members.len() < 2 {
+        if !self.contains(failed) || self.len < 2 {
             return None;
         }
         let (pred, pred_node) = self.next_counter_clockwise(failed)?;
@@ -337,6 +361,41 @@ mod tests {
         assert!(!ring.contains(Id(20)));
         assert_eq!(ring.remove(Id(20)), None);
         assert_eq!(ring.len(), 2);
+    }
+
+    #[test]
+    fn from_members_sorts_and_rejects_a_duplicate_id() {
+        let ring = IdRing::from_members(vec![(Id(30), 0), (Id(10), 1), (Id(20), 2)]).unwrap();
+        let members: Vec<_> = ring.iter().collect();
+        assert_eq!(members, [(Id(10), 1), (Id(20), 2), (Id(30), 0)]);
+        assert_eq!(ring.len(), 3);
+        assert!(IdRing::from_members(vec![(Id(7), 0), (Id(9), 1), (Id(7), 2)]).is_none());
+        assert!(IdRing::from_members(Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_removed_id_keeps_its_slot_and_rejoins_under_a_new_node() {
+        let mut ring = ring_with(&[10, 20, 30]);
+        assert_eq!(ring.remove(Id(20)), Some(1));
+        assert_eq!(ring.get(Id(20)), None);
+        assert_eq!(
+            ring.route(Id(21)),
+            Some((Id(30), 2)),
+            "dead slots are skipped"
+        );
+        assert_eq!(ring.k_closest(Id(20), 5), [(Id(30), 2), (Id(10), 0)]);
+        assert!(ring.insert(Id(20), 7));
+        assert_eq!(ring.get(Id(20)), Some(7));
+        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.remove(Id(10)), Some(0));
+        assert_eq!(ring.remove(Id(30)), Some(2));
+        assert_eq!(
+            ring.successor(Id(25)),
+            Some((Id(20), 7)),
+            "wraps past dead slots"
+        );
+        assert_eq!(ring.predecessor(Id(15)), Some((Id(20), 7)));
+        assert!(ring.next_clockwise(Id(20)).is_none(), "one live member");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! A counting global allocator for the allocation-budget tests
-//! (`encode_alloc.rs`, `read_alloc.rs`).  The counters are process-wide, so a
-//! test binary that installs it holds one `#[test]` only: a second test
-//! running beside it would be counted too.
+//! (`encode_alloc.rs`, `read_alloc.rs`, `ring_alloc.rs`).  The counters are
+//! process-wide, so a test binary that installs it holds one `#[test]` only:
+//! a second test running beside it would be counted too.  So would the test
+//! harness's own thread, which allocates a few times while a test runs; a
+//! budget of single-threaded code reads [`Counts::this_thread`] instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Allocations of at least this many bytes are "large": far above every
@@ -15,12 +18,19 @@ static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static SMALL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static SMALL_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Every allocation and reallocation made by this thread.
+    static THIS_THREAD: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Forwards to [`System`], counting every allocation and reallocation by the
 /// size asked for.
 pub struct Counting;
 
 impl Counting {
     fn note(size: usize) {
+        // A const-initialised `Cell` has no destructor, so this never fails.
+        let _ = THIS_THREAD.try_with(|n| n.set(n.get() + 1));
         if size >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Relaxed);
         } else {
@@ -55,19 +65,22 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// `(large allocations, small allocations, small bytes)` made by `f`, by any
-/// thread of the process; a buffer reallocated to a large size counts as a
-/// large allocation.
-pub fn counted(f: impl FnOnce()) -> (usize, usize, usize) {
+/// `(large allocations, small allocations, small bytes, allocations on this
+/// thread)` made while `f` runs: the first three by any thread of the
+/// process (a buffer reallocated to a large size counts as a large
+/// allocation), the last, of any size, by the thread that called `counted`.
+pub fn counted(f: impl FnOnce()) -> (usize, usize, usize, usize) {
     let before = (
         LARGE_ALLOCS.load(Relaxed),
         SMALL_ALLOCS.load(Relaxed),
         SMALL_BYTES.load(Relaxed),
+        THIS_THREAD.with(Cell::get),
     );
     f();
     (
         LARGE_ALLOCS.load(Relaxed) - before.0,
         SMALL_ALLOCS.load(Relaxed) - before.1,
         SMALL_BYTES.load(Relaxed) - before.2,
+        THIS_THREAD.with(Cell::get) - before.3,
     )
 }

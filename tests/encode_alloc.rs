@@ -36,7 +36,7 @@ fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
         let chunk = seeded(len, 1);
         let mut bufs = vec![vec![0u8; codec.block_size(len)]; rows.len()];
         let mut out: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        let (large, small, small_bytes) =
+        let (large, small, small_bytes, _) =
             counted(|| codec.encode_rows_into(&chunk, &rows, &mut out));
         assert_eq!(large, 0, "encode_rows_into at {len} bytes");
         assert!(small_bytes < 16 * 1024, "{small_bytes} bytes at {len}");
@@ -61,7 +61,7 @@ fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
         .build(&mut DetRng::new(7));
         let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
         let data = seeded(len, 2);
-        let (large, small, _) = counted(|| assert!(ps.store_data("f", &data).is_stored()));
+        let (large, small, _, _) = counted(|| assert!(ps.store_data("f", &data).is_stored()));
         let manifest = ps.manifest("f").expect("stored");
         assert_eq!(manifest.chunks.len(), 1, "one chunk");
         assert_eq!(large, coding.placed_blocks(), "large allocations at {len}");

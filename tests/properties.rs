@@ -19,6 +19,7 @@ use peerstripe::repair::{
 use peerstripe::sim::{ByteSize, DetRng, OnlineStats, SimTime};
 use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Twenty 150 MB files under XOR(2,3) on fifty 1 GB contributors: the
 /// deployment the ledger properties run over.
@@ -1148,6 +1149,289 @@ proptest! {
                 }
             }
             prop_assert_eq!(index.rebuilt(|n| states[n]).as_ref(), Some(&index), "step {}", step);
+        }
+    }
+}
+
+// ---- identifier ring under churn -------------------------------------------
+
+/// A ring member: its id and node.
+type Member = (Id, NodeRef);
+
+/// The identifier ring as a `BTreeMap` of its live members: the reference
+/// `IdRing` is checked against.  Each query is the ring's definition written
+/// with the map's range lookups.
+#[derive(Default)]
+struct RingModel(BTreeMap<Id, NodeRef>);
+
+impl RingModel {
+    fn first(&self) -> Option<Member> {
+        self.0.iter().next().map(|(k, v)| (*k, *v))
+    }
+
+    fn last(&self) -> Option<Member> {
+        self.0.iter().next_back().map(|(k, v)| (*k, *v))
+    }
+
+    fn insert(&mut self, id: Id, node: NodeRef) -> bool {
+        if self.0.contains_key(&id) {
+            return false;
+        }
+        self.0.insert(id, node);
+        true
+    }
+
+    fn successor(&self, key: Id) -> Option<Member> {
+        let at_or_after = self.0.range(key..).next().map(|(k, v)| (*k, *v));
+        at_or_after.or_else(|| self.first())
+    }
+
+    fn predecessor(&self, key: Id) -> Option<Member> {
+        let before = self.0.range(..key).next_back().map(|(k, v)| (*k, *v));
+        before.or_else(|| self.last())
+    }
+
+    fn route(&self, key: Id) -> Option<Member> {
+        let succ = self.successor(key)?;
+        let pred = self.predecessor(key)?;
+        if succ.0 == pred.0 {
+            return Some(succ);
+        }
+        Some(if key.distance(succ.0) <= key.distance(pred.0) {
+            succ
+        } else {
+            pred
+        })
+    }
+
+    fn next_clockwise(&self, id: Id) -> Option<Member> {
+        if self.0.len() <= 1 {
+            return None;
+        }
+        self.successor(Id(id.0.wrapping_add(1)))
+            .filter(|(k, _)| *k != id)
+    }
+
+    fn next_counter_clockwise(&self, id: Id) -> Option<Member> {
+        if self.0.len() <= 1 {
+            return None;
+        }
+        self.predecessor(id).filter(|(k, _)| *k != id)
+    }
+
+    /// Two cursors walking outward from the key, the nearer taken first
+    /// (clockwise on a tie), each member at most once.
+    fn k_closest(&self, key: Id, k: usize) -> Vec<Member> {
+        let n = self.0.len();
+        let k = k.min(n);
+        let mut result = Vec::new();
+        let mut taken = BTreeSet::new();
+        let (mut up, mut down) = (self.successor(key), self.predecessor(key));
+        while result.len() < k {
+            let du = up.map_or(u128::MAX, |(id, _)| key.distance(id));
+            let dd = down.map_or(u128::MAX, |(id, _)| key.distance(id));
+            let pick_up = du <= dd;
+            let Some((id, node)) = (if pick_up { up } else { down }) else {
+                break;
+            };
+            if taken.insert(id) {
+                result.push((id, node));
+            } else if taken.len() >= n {
+                break;
+            }
+            let next = if pick_up {
+                self.next_clockwise(id)
+            } else {
+                self.next_counter_clockwise(id)
+            };
+            let next = next.filter(|(nid, _)| !taken.contains(nid));
+            if pick_up {
+                up = next;
+            } else {
+                down = next;
+            }
+            if up.is_none() && down.is_none() {
+                break;
+            }
+        }
+        result
+    }
+
+    /// `(clockwise, counter-clockwise)`: each side walks neighbour by
+    /// neighbour and stops at the owner or at a member already taken.
+    fn leaf_set(&self, id: Id, l: usize) -> (Vec<Member>, Vec<Member>) {
+        let mut cw: Vec<Member> = Vec::new();
+        let mut cursor = id;
+        for _ in 0..l / 2 {
+            match self.next_clockwise(cursor) {
+                Some((next, node)) if next != id && !cw.iter().any(|(i, _)| *i == next) => {
+                    cw.push((next, node));
+                    cursor = next;
+                }
+                _ => break,
+            }
+        }
+        let mut ccw: Vec<Member> = Vec::new();
+        cursor = id;
+        for _ in 0..l / 2 {
+            match self.next_counter_clockwise(cursor) {
+                Some((next, node))
+                    if next != id && !ccw.iter().chain(&cw).any(|(i, _)| *i == next) =>
+                {
+                    ccw.push((next, node));
+                    cursor = next;
+                }
+                _ => break,
+            }
+        }
+        (cw, ccw)
+    }
+
+    /// `(failed, predecessor, successor)`.
+    fn takeover(&self, failed: Id) -> Option<(Id, Member, Member)> {
+        if !self.0.contains_key(&failed) || self.0.len() < 2 {
+            return None;
+        }
+        let pred = self.next_counter_clockwise(failed)?;
+        let succ = self.next_clockwise(failed)?;
+        Some((failed, pred, succ))
+    }
+}
+
+/// Every query of `ring` equals the model's, at each of `keys` and each id
+/// of `pool` (members, dead members and never-inserted ids alike); the
+/// `k_closest` sweep over every `k` up to `len + 2` runs at `keys`.
+fn assert_ring_is_model(ring: &IdRing, model: &RingModel, pool: &[Id], keys: &[Id], at: &str) {
+    assert_eq!(ring.len(), model.0.len(), "{at}: len");
+    assert_eq!(ring.is_empty(), model.0.is_empty(), "{at}: is_empty");
+    let members: Vec<_> = model.0.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(ring.iter().collect::<Vec<_>>(), members, "{at}: iter");
+    for &key in keys.iter().chain(pool) {
+        assert_eq!(
+            ring.contains(key),
+            model.0.contains_key(&key),
+            "{at}: contains {key:?}"
+        );
+        assert_eq!(
+            ring.get(key),
+            model.0.get(&key).copied(),
+            "{at}: get {key:?}"
+        );
+        assert_eq!(ring.route(key), model.route(key), "{at}: route {key:?}");
+        assert_eq!(
+            ring.successor(key),
+            model.successor(key),
+            "{at}: successor {key:?}"
+        );
+        assert_eq!(
+            ring.predecessor(key),
+            model.predecessor(key),
+            "{at}: predecessor {key:?}"
+        );
+        assert_eq!(
+            ring.next_clockwise(key),
+            model.next_clockwise(key),
+            "{at}: cw {key:?}"
+        );
+        assert_eq!(
+            ring.next_counter_clockwise(key),
+            model.next_counter_clockwise(key),
+            "{at}: ccw {key:?}"
+        );
+        for l in [1, 2, 5, 2 * ring.len() + 4] {
+            let leaves = ring.leaf_set(key, l);
+            assert_eq!(leaves.owner, key, "{at}: leaf_set owner");
+            let (cw, ccw) = model.leaf_set(key, l);
+            assert_eq!(leaves.clockwise, cw, "{at}: leaf_set {key:?} {l} clockwise");
+            assert_eq!(
+                leaves.counter_clockwise, ccw,
+                "{at}: leaf_set {key:?} {l} counter-clockwise"
+            );
+        }
+        let takeover = ring
+            .takeover_on_failure(key)
+            .map(|t| (t.failed, t.predecessor, t.successor));
+        assert_eq!(takeover, model.takeover(key), "{at}: takeover {key:?}");
+    }
+    // The k sweep is the costly check: at the keys only.
+    for &key in keys {
+        for k in 0..=ring.len() + 2 {
+            assert_eq!(
+                ring.k_closest(key, k),
+                model.k_closest(key, k),
+                "{at}: k_closest {key:?} {k}"
+            );
+        }
+    }
+}
+
+/// An id near one of the ring's edges or anywhere: small and near-maximal
+/// ids make equidistant pairs and wrap-around neighbours common.
+fn ring_id(rng: &mut DetRng) -> Id {
+    match rng.index(3) {
+        0 => Id(rng.index(64) as u128),
+        1 => Id(u128::MAX - rng.index(64) as u128),
+        _ => Id::random(rng),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `IdRing` answers every query exactly as the `BTreeMap` model after each
+    /// insert, remove and re-insert of a churned id pool.  Each case then
+    /// kills the whole pool but one member, passing through rings at least
+    /// 90 % dead, and brings some of it back under new node refs.
+    #[test]
+    fn the_ring_is_its_model_under_churn(
+        pool_size in 1usize..40,
+        seed in any::<u64>(),
+        steps in 1usize..60,
+        kill_bias in 0usize..4,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let mut pool: Vec<Id> = (0..pool_size).map(|_| ring_id(&mut rng)).collect();
+        pool.sort_unstable();
+        pool.dedup();
+        // Random keys, and member ids (which may die and come back).
+        let mut keys: Vec<Id> = (0..4).map(|_| ring_id(&mut rng)).collect();
+        keys.extend((0..3).map(|_| pool[rng.index(pool.len())]));
+        let (mut ring, mut model) = (IdRing::new(), RingModel::default());
+        let mut next_node = 0;
+        assert_ring_is_model(&ring, &model, &pool, &keys, "empty");
+
+        for step in 0..steps {
+            let id = pool[rng.index(pool.len())];
+            // The higher the bias, the more removes: rings run mostly dead.
+            if rng.index(4) < kill_bias {
+                prop_assert_eq!(ring.remove(id), model.0.remove(&id), "step {}: remove", step);
+            } else {
+                next_node += 1;
+                prop_assert_eq!(
+                    ring.insert(id, next_node),
+                    model.insert(id, next_node),
+                    "step {}: insert", step
+                );
+            }
+            assert_ring_is_model(&ring, &model, &pool, &keys, &format!("step {step}"));
+        }
+
+        for &id in &pool {
+            next_node += 1;
+            prop_assert_eq!(ring.insert(id, next_node), model.insert(id, next_node));
+        }
+        assert_ring_is_model(&ring, &model, &pool, &keys, "full");
+        let survivor = pool[rng.index(pool.len())];
+        for &id in pool.iter().filter(|&&id| id != survivor) {
+            prop_assert_eq!(ring.remove(id), model.0.remove(&id));
+            assert_ring_is_model(&ring, &model, &pool, &keys, &format!("removed {id:?}"));
+        }
+        prop_assert_eq!(ring.len(), 1);
+        for _ in 0..pool.len().min(3) {
+            let id = pool[rng.index(pool.len())];
+            next_node += 1;
+            prop_assert_eq!(ring.insert(id, next_node), model.insert(id, next_node));
+            assert_ring_is_model(&ring, &model, &pool, &keys, &format!("rejoined {id:?}"));
         }
     }
 }

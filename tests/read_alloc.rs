@@ -63,7 +63,7 @@ fn a_whole_file_read_allocates_its_result_once_and_nothing_else_that_is_large() 
 
     // A buffer reallocated counts as one more large allocation.
     let mut read = None;
-    let (large, _, _) = counted(|| read = ps.retrieve_data("f"));
+    let (large, _, _, _) = counted(|| read = ps.retrieve_data("f"));
     assert_eq!(read.as_deref(), Some(&data[..]));
     assert_eq!(large, 1, "large allocations of a four-chunk read");
 
