@@ -12,12 +12,12 @@
 //! A read's blocks arrive through `fetch_block_into`, the one
 //! [`StorageBackend`] verb the gateway overrides: the `Block` reply's
 //! payload is read off the socket into the buffer the client hands in — its
-//! result — so a fetched row is written once and no reply buffer is
-//! allocated.  `fetch_block` (a reply
-//! read into a buffer of its own, payload shared out) serves the blocks a
-//! degraded read or a repair decodes from.  Both are the same `FetchBlock`
-//! frame to the daemon and the same `fetch_block` operation in the metrics
-//! and the op log.
+//! result — so no reply buffer is allocated and a fetched row is written
+//! once, apart from at most 8 KiB at each end of it that passes through the
+//! connection's buffer.  `fetch_block` (a reply read into a buffer of its
+//! own, payload shared out) serves the blocks a degraded read or a repair
+//! decodes from.  Both are the same `FetchBlock` frame to the daemon and the
+//! same `fetch_block` operation in the metrics and the op log.
 //!
 //! A chunk's capacity probes go out as one wave: `probe_all`, the one
 //! [`ProbeView`] verb the gateway overrides, routes every key, writes one
@@ -29,11 +29,15 @@
 //! fresh dial, request id, clock, frame written) and `finish` (reply read, a
 //! stale pooled stream re-dialled once, metrics and op log, stream pooled
 //! again).  A single RPC is one then the other; a wave is every send, then
-//! every finish.  Connections are pooled per node, and only a stream whose
-//! reply was read to its end goes back.  Every RPC is recorded in the
-//! gateway's `RpcAccount` under [`AccountNames::GATEWAY`] — its
-//! [`Request::op`], wall-clock latency and outcome, in the vocabulary a
-//! daemon's account uses — which the ring harness exports into its report.
+//! every finish.  Connections are pooled per node.  Each reads its replies
+//! through one buffer, so a reply's header, record and a small payload
+//! arrive in one `read`, and writes its requests to the socket beneath.
+//! Only a stream whose reply was read to its end, with nothing left in its
+//! buffer, goes back: a byte left over would be read as the start of the
+//! next reply.  Every RPC is recorded in the gateway's `RpcAccount` under
+//! [`AccountNames::GATEWAY`] — its [`Request::op`], wall-clock latency and
+//! outcome, in the vocabulary a daemon's account uses — which the ring
+//! harness exports into its report.
 
 use crate::account::{AccountNames, RpcAccount, Started};
 use crate::lock;
@@ -49,6 +53,7 @@ use peerstripe_placement::{ClusterView, ProbeView};
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
 use std::collections::BTreeMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
@@ -119,7 +124,7 @@ pub struct RingGateway {
     ids: BTreeMap<NodeRef, Id>,
     ring: IdRing,
     timeout: Duration,
-    conns: Mutex<BTreeMap<NodeRef, TcpStream>>,
+    conns: Mutex<BTreeMap<NodeRef, Conn>>,
     /// Last capacity report seen per node — the `&self` view methods
     /// ([`ClusterView::report_of`]) answer from this cache; live probes
     /// refresh it.
@@ -130,9 +135,13 @@ pub struct RingGateway {
     next_rid: AtomicU64,
 }
 
+/// A connection to a daemon: replies are read through its buffer, requests
+/// written to the stream beneath it.
+type Conn = BufReader<TcpStream>;
+
 /// A request written on a connection, or the error writing it hit.
 struct Sent {
-    stream: Result<TcpStream, WireError>,
+    stream: Result<Conn, WireError>,
     /// The stream came from the pool, so a transport error on it may only
     /// mean it went stale: worth one re-dial.
     pooled: bool,
@@ -182,7 +191,7 @@ impl RingGateway {
     }
 
     /// Dial a node fresh.
-    fn dial(&self, node: NodeRef) -> Result<TcpStream, WireError> {
+    fn dial(&self, node: NodeRef) -> Result<Conn, WireError> {
         let addr = self
             .endpoints
             .get(&node)
@@ -191,7 +200,7 @@ impl RingGateway {
         let _ = stream.set_read_timeout(Some(self.timeout));
         let _ = stream.set_write_timeout(Some(self.timeout));
         let _ = stream.set_nodelay(true);
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
     /// The failure kind of an RPC outcome: a [`WireError::kind_label`] for
@@ -216,7 +225,7 @@ impl RingGateway {
         &self,
         node: NodeRef,
         req: &Request,
-        read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
+        read: impl FnMut(&mut Conn) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
         let call = self.send(node, req);
@@ -249,7 +258,7 @@ impl RingGateway {
     fn finish<R>(
         &self,
         call: InFlight<'_>,
-        read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
+        read: impl FnMut(&mut Conn) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
         let InFlight {
@@ -276,7 +285,7 @@ impl RingGateway {
         let stream = pooled
             .map_or_else(|| self.dial(node), Ok)
             .and_then(|mut stream| {
-                write_request_traced(&mut stream, req, rid)?;
+                write_request_traced(stream.get_mut(), req, rid)?;
                 Ok(stream)
             });
         Sent {
@@ -288,27 +297,28 @@ impl RingGateway {
     /// Read the reply to what [`RingGateway::write_pooled`] sent.  A pooled
     /// stream that fails in transport went stale (daemon restarted, idle
     /// timeout), so the request goes again, once, on a fresh one.  Only a
-    /// stream whose reply was read to its end goes back to the pool.
+    /// stream whose reply was read to its end, its buffer empty, goes back.
     fn read_pooled<R>(
         &self,
         node: NodeRef,
         req: &Request,
         rid: Option<u64>,
         sent: Sent,
-        mut read: impl FnMut(&mut TcpStream) -> Result<R, WireError>,
+        mut read: impl FnMut(&mut Conn) -> Result<R, WireError>,
     ) -> Result<R, WireError> {
-        let mut reply_on = |mut stream: TcpStream| -> Result<(R, TcpStream), WireError> {
-            Ok((read(&mut stream)?, stream))
-        };
+        let mut reply_on =
+            |mut stream: Conn| -> Result<(R, Conn), WireError> { Ok((read(&mut stream)?, stream)) };
         let (reply, stream) = match sent.stream.and_then(&mut reply_on) {
             Err(e) if e.is_transport() && sent.pooled => {
                 let mut stream = self.dial(node)?;
-                write_request_traced(&mut stream, req, rid)?;
+                write_request_traced(stream.get_mut(), req, rid)?;
                 reply_on(stream)?
             }
             outcome => outcome?,
         };
-        lock(&self.conns).insert(node, stream);
+        if stream.buffer().is_empty() {
+            lock(&self.conns).insert(node, stream);
+        }
         Ok(reply)
     }
 
@@ -509,7 +519,8 @@ impl StorageBackend for RingGateway {
     }
 
     /// The `Block` reply's payload goes from the socket into `head` and
-    /// `tail`'s spare capacity: no reply buffer, and no copy out of one.
+    /// `tail`'s spare capacity: no reply buffer, and no copy out of one but
+    /// the connection buffer's, of at most 8 KiB at each end of the payload.
     fn fetch_block_into(
         &self,
         node: NodeRef,
@@ -521,7 +532,7 @@ impl StorageBackend for RingGateway {
             return Err(FetchMiss::Absent);
         }
         let req = Request::FetchBlock { name: name.clone() };
-        let read = |stream: &mut TcpStream| read_block_reply_into(stream, head, tail);
+        let read = |stream: &mut Conn| read_block_reply_into(stream, head, tail);
         match self.rpc_reading(node, &req, read, BlockReply::response) {
             Ok(BlockReply::Landed) => Ok(()),
             Ok(BlockReply::Short) => Err(FetchMiss::Short),
@@ -954,6 +965,44 @@ mod tests {
         stub.join().unwrap();
         assert_eq!(rpcs(&gw, "get_capacity"), 2);
         assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
+    }
+
+    #[test]
+    fn a_reply_followed_by_a_stray_byte_is_read_and_its_connection_dropped() {
+        use crate::protocol::{read_request_traced, write_response_traced};
+        use std::io::Write;
+        let free = ByteSize::mb(7);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The first connection's reply comes with one byte too many, in the
+        // same write; the second connection's reply is clean.
+        let stub = std::thread::spawn(move || {
+            let mut reused = false;
+            for stray in [&[0x53u8][..], &[]] {
+                let (mut conn, _) = listener.accept().unwrap();
+                let (_, rid) = read_request_traced(&mut conn).unwrap();
+                let mut reply = Vec::new();
+                write_response_traced(&mut reply, &Response::Capacity { free }, rid).unwrap();
+                conn.write_all(&[&reply[..], stray].concat()).unwrap();
+                if !stray.is_empty() {
+                    reused = read_request_traced(&mut conn).is_ok();
+                }
+            }
+            reused
+        });
+        let mut gw = stub_gateway(addr);
+        let key = Id::hash("k");
+        assert_eq!(gw.probe(key), Some((0, free)));
+        assert!(
+            lock(&gw.conns).is_empty(),
+            "a stream with bytes left is not pooled"
+        );
+        // The next RPC dials fresh and reads its own reply.
+        assert_eq!(gw.probe(key), Some((0, free)));
+        assert!(!stub.join().unwrap(), "no request followed the stray byte");
+        assert_eq!(rpcs(&gw, "get_capacity"), 2);
+        assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
+        assert_eq!(lock(&gw.conns).len(), 1, "the clean stream went back");
     }
 
     #[test]

@@ -47,6 +47,11 @@
 //! straight off the stream into a buffer the caller owns, so a fetched block
 //! is written once, where it is read.  The bytes on the wire are the same.
 //!
+//! On the socket a frame is one system call each way: one vectored write, and
+//! one `read` through the connection's `BufReader` (at both ends) for its
+//! header, record and a small payload.  A large payload goes on straight into
+//! its destination, past the buffer but for at most 8 KiB at each end.
+//!
 //! The message set is the paper's §3 primitive set: `GetCapacity` (the
 //! `getCapacity` probe), `StoreBlock` (chunk store) and `FetchBlock`
 //! (retrieval, and the reads a regeneration starts from), plus `Ping`,
@@ -58,7 +63,7 @@ use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// First two header bytes of every frame: `"PS"` little-endian.
@@ -361,8 +366,8 @@ pub enum Response {
     Error(RemoteError),
 }
 
-/// A frame's header and meta record, built in one buffer so both leave in
-/// one write.  Each field method appends one field of the module docs' layout.
+/// A frame's header and meta record, built in one buffer.  Each field method
+/// appends one field of the module docs' layout.
 struct Record(Vec<u8>);
 
 impl Record {
@@ -442,10 +447,17 @@ impl Record {
         if let Some(field) = self.0.get_mut(4..HEADER_LEN) {
             field.copy_from_slice(&lengths.to_le_bytes());
         }
-        // Header and record leave in one write: on a no-delay socket every
-        // write is a segment, and most frames have no payload at all.
-        w.write_all(&self.0)?;
-        w.write_all(payload)?;
+        // One vectored write a frame: one segment where it fits, one wakeup
+        // for the reader.  A short write goes on where it stopped.
+        let mut bufs: &mut [IoSlice<'_>] = &mut [IoSlice::new(&self.0), IoSlice::new(payload)];
+        while !bufs.is_empty() {
+            match w.write_vectored(bufs) {
+                Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         w.flush()?;
         Ok(())
     }

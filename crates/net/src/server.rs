@@ -4,12 +4,14 @@
 //! The accept loop keeps one worker started and parked on a channel, hands
 //! it each accepted connection, and only then starts the next: while other
 //! processes keep the CPUs busy, a thread just created can wait a scheduler
-//! tick (~4 ms) before it first runs. A worker reads framed requests,
-//! dispatches them to the shared [`NodeService`], and writes framed
-//! replies. A `Shutdown` request (or [`RunningNode::stop`]) raises the
-//! shutdown flag; the accept loop observes it on its next wakeup — a
-//! self-connection is made to unblock `accept` immediately — finishes
-//! in-flight connections, releases the parked worker, and exits.
+//! tick (~4 ms) before it first runs. A worker reads framed requests through
+//! one buffer per connection (one `read` for a request that fits it),
+//! dispatches them to the shared [`NodeService`], and writes each framed
+//! reply beneath the buffer in one call. A `Shutdown` request (or
+//! [`RunningNode::stop`]) raises the shutdown flag; the accept loop observes
+//! it on its next wakeup — a self-connection is made to unblock `accept`
+//! immediately — finishes in-flight connections, releases the parked worker,
+//! and exits.
 
 use crate::lock;
 use crate::node::NodeService;
@@ -17,7 +19,7 @@ use crate::protocol::{
     read_request_traced, write_response, write_response_traced, RemoteError, Request, Response,
 };
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -163,9 +165,10 @@ impl RunningNode {
     }
 }
 
-/// Serve one connection until the peer closes, errors, or asks for shutdown.
+/// Serve one TCP connection; after a `Shutdown`, unblock the accept loop so
+/// it observes the flag now.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     server_addr: SocketAddr,
     service: &Mutex<NodeService>,
     shutdown: &AtomicBool,
@@ -173,33 +176,44 @@ fn serve_connection(
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
+    if serve_frames(stream, service, shutdown) {
+        let _ = TcpStream::connect(server_addr);
+    }
+}
+
+/// Answer requests read through one buffer on `stream`, replies written
+/// beneath it, until the peer closes, errors, or asks for shutdown (true).
+fn serve_frames(
+    stream: impl Read + Write,
+    service: &Mutex<NodeService>,
+    shutdown: &AtomicBool,
+) -> bool {
+    let mut conn = BufReader::new(stream);
     loop {
-        match read_request_traced(&mut stream) {
+        match read_request_traced(&mut conn) {
             Ok((Request::Shutdown, rid)) => {
                 shutdown.store(true, Ordering::SeqCst);
-                let _ = write_response_traced(&mut stream, &Response::ShuttingDown, rid);
-                // Unblock the accept loop so it observes the flag now.
-                let _ = TcpStream::connect(server_addr);
-                break;
+                let _ = write_response_traced(conn.get_mut(), &Response::ShuttingDown, rid);
+                return true;
             }
             Ok((req, rid)) => {
                 // Echo the caller's request id so the reply is correlatable.
                 let resp = lock(service).handle_traced(req, rid);
-                if write_response_traced(&mut stream, &resp, rid).is_err() {
-                    break;
+                if write_response_traced(conn.get_mut(), &resp, rid).is_err() {
+                    return false;
                 }
             }
-            Err(e) if e.is_transport() => break,
+            Err(e) if e.is_transport() => return false,
             Err(e) => {
                 // A protocol violation: tell the peer why, then drop the
                 // connection — the stream may no longer be frame-aligned.
                 let _ = write_response(
-                    &mut stream,
+                    conn.get_mut(),
                     &Response::Error(RemoteError::BadRequest {
                         detail: e.to_string(),
                     }),
                 );
-                break;
+                return false;
             }
         }
     }
@@ -408,5 +422,112 @@ mod tests {
         conn.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "the connection closed after the reply");
         node.stop().unwrap();
+    }
+
+    /// A peer that hands the daemon one whole scripted frame per `read` — as
+    /// loopback does with a frame written in one call — then the end of the
+    /// stream, and keeps what the daemon writes.  Counts both kinds of call.
+    struct Scripted {
+        frames: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+        writes: usize,
+        sent: Vec<u8>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(frame) = self.frames.front_mut() else {
+                return Ok(0);
+            };
+            let n = frame.len().min(buf.len());
+            buf[..n].copy_from_slice(&frame[..n]);
+            frame.drain(..n);
+            if frame.is_empty() {
+                self.frames.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            bufs.iter().for_each(|b| self.sent.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serve `requests` as a peer that sent each in one write and then
+    /// closed; `(reads, writes, replies)`.
+    fn serve_script(requests: &[Request]) -> (usize, usize, Vec<Response>) {
+        let frames = requests.iter().map(|req| {
+            let mut frame = Vec::new();
+            crate::protocol::write_request_traced(&mut frame, req, Some(3)).unwrap();
+            frame
+        });
+        let mut peer = Scripted {
+            frames: frames.collect(),
+            reads: 0,
+            writes: 0,
+            sent: Vec::new(),
+        };
+        let service = Mutex::new(NodeService::new(&NodeConfig::named(
+            "node-0",
+            ByteSize::mb(64),
+        )));
+        assert!(!serve_frames(&mut peer, &service, &AtomicBool::new(false)));
+        let mut sent = peer.sent.as_slice();
+        let replies = requests.iter().map(|_| {
+            let (resp, rid) = crate::protocol::read_response_traced(&mut sent).unwrap();
+            assert_eq!(rid, Some(3));
+            resp
+        });
+        let replies = replies.collect();
+        assert!(sent.is_empty(), "one reply a request");
+        (peer.reads, peer.writes, replies)
+    }
+
+    /// The daemon's system calls per request: a request that fits the
+    /// connection's buffer is one `read`, and its reply one `write`.  The
+    /// last `read` of each run is the one that finds the peer gone.
+    #[test]
+    fn a_request_that_fits_the_buffer_costs_the_daemon_one_read_and_one_write() {
+        for k in [1, 2, 5] {
+            let pings = vec![Request::GetCapacity; k];
+            let (reads, writes, replies) = serve_script(&pings);
+            assert_eq!((reads, writes), (k + 1, k), "{k} payload-free requests");
+            assert!(replies.iter().all(|r| *r
+                == Response::Capacity {
+                    free: ByteSize::mb(64)
+                }));
+        }
+        let name = ObjectName::block("f", 0, 0);
+        let store = Request::StoreBlock {
+            key: name.key(),
+            name: name.clone(),
+            size: ByteSize::kb(1),
+            payload: Some(vec![7; 1024]),
+        };
+        let fetch = Request::FetchBlock { name };
+        let (reads, writes, replies) = serve_script(&[store, fetch]);
+        assert_eq!((reads, writes), (2 + 1, 2), "a 1 KiB store and its fetch");
+        assert_eq!(
+            replies,
+            [
+                Response::Stored,
+                Response::Block {
+                    block: Some((ByteSize::kb(1), Some(Arc::new(vec![7; 1024]))))
+                }
+            ]
+        );
     }
 }

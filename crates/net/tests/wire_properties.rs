@@ -1,14 +1,16 @@
 //! Property-based tests over the framed wire format: arbitrary payloads must
 //! round-trip exactly, and corrupted frames — truncations, oversized length
 //! fields, unknown kind bytes, cut or padded or arbitrary meta records — must
-//! be rejected with typed errors rather than panics or mis-parses.
+//! be rejected with typed errors rather than panics or mis-parses.  Frames
+//! also survive the socket's short writes and drip-fed reads, and the number
+//! of `write` and `read` calls a frame costs is pinned.
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe_core::ObjectName;
 use peerstripe_net::protocol::{
     kind, read_block_reply_into, read_request, read_request_traced, read_response,
     read_response_traced, write_request, write_request_traced, write_response,
-    write_response_traced, HEADER_LEN, MAGIC,
+    write_response_traced, BlockReply, HEADER_LEN, MAGIC,
 };
 use peerstripe_net::{
     NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
@@ -17,6 +19,7 @@ use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::{CounterExport, HistogramExport, RegistryExport};
 use proptest::prelude::*;
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Encode a request to bytes.
@@ -495,5 +498,368 @@ proptest! {
         prop_assert_eq!(&back, &resp);
         prop_assert_eq!(back_rid, rid);
         prop_assert_eq!(read_response(&mut bytes.as_slice()).unwrap(), resp);
+    }
+}
+
+/// A stream that counts the calls made on it: `read` on a source (the
+/// provided `read_buf` and `read_vectored` go through it), `write` and
+/// `write_vectored` on a sink.
+struct Counted<S> {
+    inner: S,
+    calls: usize,
+}
+
+impl<S> Counted<S> {
+    fn new(inner: S) -> Counted<S> {
+        Counted { inner, calls: 0 }
+    }
+}
+
+impl<S: Read> Read for Counted<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.inner.read(buf)
+    }
+}
+
+impl<S: Write> Write for Counted<S> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.inner.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.inner.write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// A frame's name in the count table: its message's variant.
+fn variant(message: &impl std::fmt::Debug) -> String {
+    let debug = format!("{message:?}");
+    debug
+        .split([' ', '(', '{'])
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The `write` calls that writing a frame costs, and the frame.
+fn written(write: impl FnOnce(&mut Counted<Vec<u8>>)) -> (usize, Vec<u8>) {
+    let mut sink = Counted::new(Vec::new());
+    write(&mut sink);
+    (sink.calls, sink.inner)
+}
+
+/// The `read` calls that reading `frame` costs, through a connection's
+/// buffer and off the bare stream, when the socket hands over as much of it
+/// as each call asks for — as loopback does with a frame written in one call.
+/// Both readings must agree on what they read.
+fn reads<T: PartialEq + std::fmt::Debug>(
+    frame: &[u8],
+    mut read: impl FnMut(&mut dyn Read) -> T,
+) -> (usize, usize, T) {
+    let mut conn = BufReader::new(Counted::new(frame));
+    let out = read(&mut conn);
+    assert!(conn.buffer().is_empty(), "the frame was read to its end");
+    let mut bare = Counted::new(frame);
+    assert_eq!(read(&mut bare), out);
+    (conn.get_ref().calls, bare.calls, out)
+}
+
+/// Every frame, traced or not, with payloads of 0 B, 1 KiB and 1 MiB, leaves
+/// in one `write` call.  Read through a connection's buffer, every frame that
+/// fits the buffer arrives in one `read` call, the reply to a `FetchBlock`
+/// read into the caller's buffers included, and no frame costs more reads
+/// than off the bare stream: an RPC without a payload costs four system
+/// calls, both ends together.  The table is printed, and the README quotes
+/// it: `cargo test -p peerstripe-net --test wire_properties -- --nocapture
+/// one_write`.
+#[test]
+fn every_frame_costs_one_write_and_one_buffered_read_if_it_fits() {
+    let capacity = BufReader::new(std::io::empty()).capacity();
+    let mut table = std::collections::BTreeMap::new();
+    let mut row = |side, name, frame: &[u8], writes, (buffered, bare)| {
+        let payload_len = frame.len() - split_frame(frame).1.len() - HEADER_LEN;
+        assert_eq!(writes, 1, "{name} with a {payload_len}-byte payload");
+        assert!(buffered <= bare, "{name} with a {payload_len}-byte payload");
+        if frame.len() <= capacity {
+            assert_eq!(buffered, 1, "{name} with a {payload_len}-byte payload");
+        }
+        let counts = (writes, buffered, bare);
+        let seen = table.insert((side, name, payload_len), counts);
+        assert!(
+            seen.is_none_or(|seen| seen == counts),
+            "traced or not, one cost"
+        );
+    };
+    for payload in [0, 1 << 10, 1 << 20].map(|len| vec![0xA5u8; len]) {
+        for rid in [None, Some(7)] {
+            for req in every_request(payload.clone()) {
+                let (writes, frame) =
+                    written(|w| write_request_traced(w, &req, rid).expect("a frame"));
+                let (buffered, bare, back) = reads(&frame, |mut r| {
+                    read_request_traced(&mut r).expect("a request")
+                });
+                assert_eq!(back, (req.clone(), rid));
+                row("request", variant(&req), &frame, writes, (buffered, bare));
+            }
+            for resp in every_response(payload.clone()) {
+                let (writes, frame) =
+                    written(|w| write_response_traced(w, &resp, rid).expect("a frame"));
+                let (buffered, bare, back) = reads(&frame, |mut r| {
+                    read_response_traced(&mut r).expect("a response")
+                });
+                assert_eq!(back, (resp.clone(), rid));
+                row("response", variant(&resp), &frame, writes, (buffered, bare));
+                if matches!(&resp, Response::Block { block: Some((_, Some(p))) } if p.len() >= 12) {
+                    // The gateway's read: the payload lands in the caller's
+                    // buffers, reserved as a read reserves its result.
+                    let land = |mut r: &mut dyn Read| {
+                        let (mut head, mut tail) = ([0u8; 12], Vec::with_capacity(payload.len()));
+                        let reply = read_block_reply_into(&mut r, &mut head, &mut tail);
+                        assert!(matches!(reply, Ok(BlockReply::Landed)), "{reply:?}");
+                        [&head[..], &tail].concat()
+                    };
+                    let (buffered, bare, landed) = reads(&frame, land);
+                    assert_eq!(landed, payload);
+                    row(
+                        "response",
+                        "Block, landed".to_string(),
+                        &frame,
+                        writes,
+                        (buffered, bare),
+                    );
+                }
+            }
+        }
+    }
+    println!("system calls per frame (reads through a {capacity}-byte buffer, and bare):");
+    println!("| frame | payload B | writes | reads | bare reads |\n|---|---|---|---|---|");
+    for ((side, name, payload_len), (writes, buffered, bare)) in &table {
+        println!("| {side} `{name}` | {payload_len} | {writes} | {buffered} | {bare} |");
+    }
+}
+
+/// A socket that takes or yields at most a scheduled number of bytes a call
+/// (cycling through `steps`), and answers `Interrupted` where `interrupts`
+/// says so, never twice in a row.
+struct Dribble<'a> {
+    data: &'a [u8],
+    out: Vec<u8>,
+    steps: Vec<usize>,
+    interrupts: Vec<bool>,
+    calls: usize,
+    interrupted: bool,
+}
+
+impl<'a> Dribble<'a> {
+    fn new(data: &'a [u8], steps: Vec<usize>, interrupts: Vec<bool>) -> Dribble<'a> {
+        Dribble {
+            data,
+            out: Vec::new(),
+            steps,
+            interrupts,
+            calls: 0,
+            interrupted: false,
+        }
+    }
+
+    /// This call's step, or `Interrupted`.
+    fn step(&mut self) -> std::io::Result<usize> {
+        let call = self.calls;
+        self.calls += 1;
+        self.interrupted = self.interrupts[call % self.interrupts.len()] && !self.interrupted;
+        if self.interrupted {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        Ok(self.steps[call % self.steps.len()])
+    }
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.step()?.min(buf.len()).min(self.data.len());
+        let (given, rest) = self.data.split_at(n);
+        buf[..n].copy_from_slice(given);
+        self.data = rest;
+        Ok(n)
+    }
+}
+
+impl Write for Dribble<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    /// Takes across slice boundaries, so a short write can end anywhere.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        let step = self.step()?;
+        let mut room = step;
+        for buf in bufs {
+            let n = room.min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            room -= n;
+        }
+        Ok(step - room)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Every frame of every kind, traced and untraced, with `payload` where a
+/// kind carries one, as `(frame, is a request)`.
+fn every_frame(payload: &[u8]) -> Vec<(Vec<u8>, bool)> {
+    let mut frames = Vec::new();
+    for rid in [None, Some(0x0102_0304)] {
+        for req in every_request(payload.to_vec()) {
+            let mut frame = Vec::new();
+            write_request_traced(&mut frame, &req, rid).expect("a frame");
+            frames.push((frame, true));
+        }
+        for resp in every_response(payload.to_vec()) {
+            let mut frame = Vec::new();
+            write_response_traced(&mut frame, &resp, rid).expect("a frame");
+            frames.push((frame, false));
+        }
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Written through a socket that takes 1–64 bytes a call and sometimes
+    /// answers `Interrupted`, every frame comes out as the bytes of a
+    /// one-shot encoding: a short write continues exactly where it stopped.
+    #[test]
+    fn short_and_interrupted_writes_send_the_one_shot_bytes(
+        steps in proptest::collection::vec(1usize..65, 1..16),
+        interrupts in proptest::collection::vec(any::<bool>(), 1..16),
+        traced in any::<bool>(),
+        rid in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let rid = traced.then_some(rid);
+        let sink = || Dribble::new(&[], steps.clone(), interrupts.clone());
+        for req in every_request(payload.clone()) {
+            let mut one_shot = Vec::new();
+            write_request_traced(&mut one_shot, &req, rid).expect("a frame");
+            let mut socket = sink();
+            write_request_traced(&mut socket, &req, rid).expect("a frame");
+            prop_assert_eq!(socket.out, one_shot);
+        }
+        for resp in every_response(payload.clone()) {
+            let mut one_shot = Vec::new();
+            write_response_traced(&mut one_shot, &resp, rid).expect("a frame");
+            let mut socket = sink();
+            write_response_traced(&mut socket, &resp, rid).expect("a frame");
+            prop_assert_eq!(socket.out, one_shot);
+        }
+    }
+
+    /// Frames read back to back through one `BufReader` over a socket that
+    /// yields 1–n bytes a call, and sometimes `Interrupted`, round-trip.
+    #[test]
+    fn frames_drip_fed_through_a_buffer_round_trip(
+        steps in proptest::collection::vec(1usize..9001, 1..16),
+        interrupts in proptest::collection::vec(any::<bool>(), 1..16),
+        payload in proptest::collection::vec(any::<u8>(), 0..20_000),
+    ) {
+        let frames = every_frame(&payload);
+        let stream: Vec<u8> = frames.iter().flat_map(|(frame, _)| frame.clone()).collect();
+        let mut conn = BufReader::new(Dribble::new(&stream, steps, interrupts));
+        for (frame, is_request) in &frames {
+            if *is_request {
+                let read = read_request_traced(&mut conn).expect("a request");
+                prop_assert_eq!(read, read_request_traced(&mut frame.as_slice()).expect("a request"));
+            } else {
+                let read = read_response_traced(&mut conn).expect("a response");
+                prop_assert_eq!(read, read_response_traced(&mut frame.as_slice()).expect("a response"));
+            }
+        }
+        let mut rest = Vec::new();
+        prop_assert_eq!(conn.read_to_end(&mut rest).expect("the end"), 0);
+    }
+}
+
+/// A socket that takes nothing (`Ok(0)`) fails the write with a typed
+/// `WriteZero` error instead of spinning.
+#[test]
+fn a_socket_that_takes_nothing_is_a_write_zero_error() {
+    let store = Request::StoreBlock {
+        key: Id::hash("k"),
+        name: ObjectName::block("f", 0, 0),
+        size: ByteSize::kb(1),
+        payload: Some(vec![1; 64]),
+    };
+    for req in [Request::Ping, store] {
+        let mut socket = Dribble::new(&[], vec![0], vec![false]);
+        let err = write_request(&mut socket, &req).expect_err("nothing was taken");
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::WriteZero),
+            "{err:?}"
+        );
+        assert!(err.is_transport());
+        assert!(socket.out.is_empty());
+    }
+}
+
+/// A `Block` reply read into the caller's buffers through a connection's
+/// buffer, its 12-byte row header and the row starting at every offset of a
+/// buffered read, and the row running past that read: `head` and `tail` get
+/// exactly the payload, and a reply cut short anywhere in the payload leaves
+/// `tail` as it was.  A reply before it in the stream moves the row through
+/// the first buffered read; a short first read moves the reply's own start
+/// to the second.
+#[test]
+fn a_block_reply_lands_whole_wherever_its_row_starts_in_the_buffer() {
+    let capacity = BufReader::new(std::io::empty()).capacity();
+    let payload: Vec<u8> = (0..capacity as u32 + 3000)
+        .map(|i| (i % 253) as u8)
+        .collect();
+    let mut reply = Vec::new();
+    let block = Some((ByteSize::kb(1), Some(Arc::new(payload.clone()))));
+    write_response(&mut reply, &Response::Block { block }).expect("a frame");
+    let row_at = reply.len() - payload.len();
+    let refusal = |len| {
+        encode_response(&Response::Error(RemoteError::BadRequest {
+            detail: "d".repeat(len),
+        }))
+    };
+    // (bytes before the reply, bytes the first read yields): behind the
+    // shortest reply before it, the row starts at every offset of the second
+    // read up to where it starts in the first; then a longer reply before it
+    // moves it on through the first read, up to straddling its end.
+    let start = refusal(0).len() + row_at;
+    let short_first = (1..=start).map(|first| (refusal(0), first));
+    let lead = (1..=capacity - start + 12).map(|len| (refusal(len), capacity));
+    for (before, first) in short_first.chain(lead) {
+        let stream = [&before[..], &reply].concat();
+        let start = before.len() + row_at;
+        let cut = start + (start * 7919 + first) % payload.len();
+        for end in [stream.len(), cut] {
+            let socket = Dribble::new(&stream[..end], vec![first, capacity], vec![false]);
+            let mut conn = BufReader::new(socket);
+            read_response(&mut conn).expect("the reply before");
+            let (mut head, mut tail) = ([0u8; 12], vec![0xEE]);
+            let landed = read_block_reply_into(&mut conn, &mut head, &mut tail);
+            let at = format!("row at byte {start}, first read {first} bytes, cut at {end}");
+            if end == stream.len() {
+                assert_eq!(landed.expect("a landed row"), BlockReply::Landed, "{at}");
+                assert_eq!(head[..], payload[..12], "{at}");
+                assert_eq!((tail[0], &tail[1..]), (0xEE, &payload[12..]), "{at}");
+            } else {
+                let err = landed.expect_err("a cut reply");
+                assert!(matches!(err, WireError::Truncated), "{at}: {err:?}");
+                assert_eq!(tail, [0xEE], "{at}");
+            }
+        }
     }
 }
