@@ -16,6 +16,7 @@
 use peerstripe_core::{ObjectName, StorageCluster, StorageSystem, StoreMetrics, StoreOutcome};
 use peerstripe_sim::ByteSize;
 use peerstripe_trace::FileRecord;
+use std::sync::Arc;
 
 /// The fixed size files are chopped into.
 pub const BLOCK_SIZE: ByteSize = ByteSize::mb(4);
@@ -45,15 +46,16 @@ impl Cfs {
 
     /// Place one block on the successor of its key, re-salting on a refusal.
     /// Returns the node it went to and its name, or `None` when every salt
-    /// failed (a full successor, or no live node at all).
+    /// failed (a full successor, or no live node at all).  Every name shares
+    /// `file`'s allocation.
     fn place_block(
         &mut self,
-        file: &str,
+        file: &Arc<str>,
         block: u32,
         size: ByteSize,
     ) -> Option<(usize, ObjectName)> {
         (0..=self.retries_per_block).find_map(|salt| {
-            let name = ObjectName::block(file, block, salt);
+            let name = ObjectName::block(Arc::clone(file), block, salt);
             let key = name.key();
             let (_, node) = self.cluster.overlay().ring().successor(key)?;
             // One routed lookup per placement attempt (accounting only).
@@ -73,11 +75,12 @@ impl StorageSystem for Cfs {
 
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
         let block_count = Self::blocks_for(file.size);
+        let file_name: Arc<str> = Arc::from(file.name.as_str());
         let mut placed = Vec::with_capacity(block_count as usize);
         let mut remaining = file.size;
         for block in 0..block_count as u32 {
             let size = remaining.min(BLOCK_SIZE);
-            let Some((node, name)) = self.place_block(&file.name, block, size) else {
+            let Some((node, name)) = self.place_block(&file_name, block, size) else {
                 // A single unplaceable block fails the whole file; roll back.
                 for (node, name, size) in &placed {
                     self.cluster.rollback_object(*node, name, *size);

@@ -38,7 +38,7 @@ impl StorageSystem for Past {
     }
 
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
-        let name = ObjectName::whole_file(&file.name, 0);
+        let name = ObjectName::whole_file(file.name.as_str(), 0);
         let key = name.key();
         let stored = match self.cluster.get_capacity(key) {
             Some((root, free)) if free >= file.size => self

@@ -11,9 +11,14 @@
 //! so two properties matter: names must be deterministic (the reader recomputes
 //! them) and distinct blocks must get distinct names (so they land on different
 //! nodes with high probability).
+//!
+//! The file part is one shared [`Arc<str>`]: a file's chunk, block and CAT
+//! names made from one `Arc` point at one allocation, so building or cloning
+//! any of them only bumps a reference count.
 
 use peerstripe_overlay::{Id, IdHasher};
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed PeerStripe object name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -21,14 +26,14 @@ pub enum ObjectName {
     /// A whole chunk (used when no erasure coding is configured).
     Chunk {
         /// File the chunk belongs to.
-        file: String,
+        file: Arc<str>,
         /// Zero-based chunk number.
         chunk: u32,
     },
     /// One erasure-coded block of a chunk.
     Block {
         /// File the block belongs to.
-        file: String,
+        file: Arc<str>,
         /// Zero-based chunk number.
         chunk: u32,
         /// Erasure-coded block number within the chunk (the paper's `ECB`).
@@ -37,13 +42,13 @@ pub enum ObjectName {
     /// The chunk-allocation table of a file.
     Cat {
         /// The file the CAT describes.
-        file: String,
+        file: Arc<str>,
     },
     /// A whole file stored as a single object (PAST-style placement); the salt
     /// counts the retry attempts (PAST rehashes the name with a new salt).
     WholeFile {
         /// File name.
-        file: String,
+        file: Arc<str>,
         /// Retry salt (0 for the first attempt).
         salt: u32,
     },
@@ -51,7 +56,7 @@ pub enum ObjectName {
 
 impl ObjectName {
     /// Create a chunk name.
-    pub fn chunk(file: impl Into<String>, chunk: u32) -> Self {
+    pub fn chunk(file: impl Into<Arc<str>>, chunk: u32) -> Self {
         ObjectName::Chunk {
             file: file.into(),
             chunk,
@@ -59,7 +64,7 @@ impl ObjectName {
     }
 
     /// Create an encoded-block name.
-    pub fn block(file: impl Into<String>, chunk: u32, ecb: u32) -> Self {
+    pub fn block(file: impl Into<Arc<str>>, chunk: u32, ecb: u32) -> Self {
         ObjectName::Block {
             file: file.into(),
             chunk,
@@ -68,12 +73,12 @@ impl ObjectName {
     }
 
     /// Create a CAT name.
-    pub fn cat(file: impl Into<String>) -> Self {
+    pub fn cat(file: impl Into<Arc<str>>) -> Self {
         ObjectName::Cat { file: file.into() }
     }
 
     /// Create a whole-file name with a retry salt.
-    pub fn whole_file(file: impl Into<String>, salt: u32) -> Self {
+    pub fn whole_file(file: impl Into<Arc<str>>, salt: u32) -> Self {
         ObjectName::WholeFile {
             file: file.into(),
             salt,

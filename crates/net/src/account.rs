@@ -95,8 +95,10 @@ pub struct RpcAccount {
     ops: [OpRecord; OPS.len()],
     /// Failed calls by `(kind, op)`, the order of their exported labels.
     errors: BTreeMap<(&'static str, &'static str), u64>,
-    /// Recent requests, oldest first, bounded at `names.log_capacity`.
-    log: VecDeque<OpLogEntry>,
+    /// Recent requests, oldest first, bounded at `names.log_capacity`: the
+    /// request id, op, milliseconds and outcome of an [`OpLogEntry`], which
+    /// [`RpcAccount::log`] builds, so that recording one allocates nothing.
+    log: VecDeque<(Option<u64>, &'static str, f64, &'static str)>,
 }
 
 impl RpcAccount {
@@ -142,12 +144,8 @@ impl RpcAccount {
         if self.log.len() == self.names.log_capacity {
             self.log.pop_front();
         }
-        self.log.push_back(OpLogEntry {
-            request_id,
-            op: op.to_string(),
-            duration_ms: elapsed_ms,
-            outcome: error.unwrap_or("ok").to_string(),
-        });
+        self.log
+            .push_back((request_id, op, elapsed_ms, error.unwrap_or("ok")));
     }
 
     /// Snapshot of the counters and histograms, each list in `(name,
@@ -188,7 +186,15 @@ impl RpcAccount {
 
     /// Snapshot of the op log, oldest first.
     pub fn log(&self) -> Vec<OpLogEntry> {
-        self.log.iter().cloned().collect()
+        self.log
+            .iter()
+            .map(|&(request_id, op, duration_ms, outcome)| OpLogEntry {
+                request_id,
+                op: op.to_string(),
+                duration_ms,
+                outcome: outcome.to_string(),
+            })
+            .collect()
     }
 
     /// Calls recorded, across ops.

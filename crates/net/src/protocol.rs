@@ -525,19 +525,19 @@ impl<'a> Fields<'a> {
     fn name(&mut self) -> Result<ObjectName, WireError> {
         Ok(match self.tag()? {
             0 => ObjectName::Chunk {
-                file: self.string()?.to_owned(),
+                file: self.string()?.into(),
                 chunk: self.u32()?,
             },
             1 => ObjectName::Block {
-                file: self.string()?.to_owned(),
+                file: self.string()?.into(),
                 chunk: self.u32()?,
                 ecb: self.u32()?,
             },
             2 => ObjectName::Cat {
-                file: self.string()?.to_owned(),
+                file: self.string()?.into(),
             },
             3 => ObjectName::WholeFile {
-                file: self.string()?.to_owned(),
+                file: self.string()?.into(),
                 salt: self.u32()?,
             },
             other => return Err(WireError::Body(format!("unknown name tag {other}"))),

@@ -206,7 +206,7 @@ fn every_gateway_rpc_is_attributed_across_a_real_kill() {
 /// CAT's size, and holds none of them twice.
 fn assert_cat_copies_answer(client: &PeerStripe<RingGateway>) {
     for manifest in client.manifests().iter() {
-        let name = ObjectName::cat(&manifest.name);
+        let name = ObjectName::cat(manifest.name.as_str());
         assert_eq!(manifest.cat_nodes.len(), 2, "{name}: primary and replica");
         assert_ne!(manifest.cat_nodes[0], manifest.cat_nodes[1]);
         for &node in &manifest.cat_nodes {

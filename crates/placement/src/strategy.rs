@@ -239,7 +239,7 @@ impl DomainSpread {
         chosen: &[NodeRef],
         cap: usize,
     ) -> Option<(NodeRef, ByteSize)> {
-        tiers(counts, cap).into_iter().find_map(|used| {
+        tiers(counts, cap).find_map(|used| {
             let mut best: Option<(NodeRef, ByteSize)> = None;
             for d in domains_at(counts, used) {
                 if let Some((node, report)) = index.freest_in(d, chosen) {
@@ -297,10 +297,11 @@ impl DomainSpread {
 
     /// [`DomainSpread::repair_pick`] without building the pool: count the
     /// eligible members of the least-used tier that has any, draw one position
-    /// (the draw `rng.choose` makes over the pool), and find the member there.
-    /// The count stays inside one tier unless that tier is wholly down, full,
-    /// or holding the chunk already; see [`DomainIndex::eligible_in`] for what
-    /// one domain's count costs.
+    /// (the draw `rng.choose` makes over the pool), and find the member there
+    /// by a second walk over the tier's domains.  The count stays inside one
+    /// tier unless that tier is wholly down, full, or holding the chunk
+    /// already; see [`DomainIndex::eligible_in`] for what one domain's count
+    /// costs.
     fn repair_pick_indexed(
         index: &DomainIndex,
         counts: &[usize],
@@ -311,15 +312,14 @@ impl DomainSpread {
     ) -> Option<NodeRef> {
         let size = request.size;
         let barred = index.barred(size, request.holders.iter().chain(chosen).copied());
-        let (tier, total) = tiers(counts, cap).into_iter().find_map(|used| {
-            let tier: Vec<(usize, usize)> = domains_at(counts, used)
-                .map(|d| (d, index.eligible_in(d, size, &barred)))
-                .collect();
-            let total: usize = tier.iter().map(|&(_, eligible)| eligible).sum();
-            (total > 0).then_some((tier, total))
+        let eligible = |d: usize| index.eligible_in(d, size, &barred);
+        let (tier, total) = tiers(counts, cap).find_map(|used| {
+            let total: usize = domains_at(counts, used).map(eligible).sum();
+            (total > 0).then_some((used, total))
         })?;
         let mut k = rng.index(total);
-        for (d, eligible) in tier {
+        for d in domains_at(counts, tier) {
+            let eligible = eligible(d);
             if k < eligible {
                 return index.nth_eligible_in(d, size, &barred, k);
             }
@@ -330,12 +330,18 @@ impl DomainSpread {
 }
 
 /// The distinct per-domain block counts below `cap`, least first: the tiers a
-/// round-robin over the domains works through.
-fn tiers(counts: &[usize], cap: usize) -> Vec<usize> {
-    let mut tiers: Vec<usize> = counts.iter().copied().filter(|&used| used < cap).collect();
-    tiers.sort_unstable();
-    tiers.dedup();
-    tiers
+/// round-robin over the domains works through.  Each tier is the least count
+/// above the one before, found by a pass over `counts`, so the walk allocates
+/// nothing; a walk rarely goes past its first tier or two.
+fn tiers(counts: &[usize], cap: usize) -> impl Iterator<Item = usize> + '_ {
+    let least_from = move |floor: usize| {
+        counts
+            .iter()
+            .copied()
+            .filter(|&used| floor <= used && used < cap)
+            .min()
+    };
+    std::iter::successors(least_from(0), move |&tier| least_from(tier + 1))
 }
 
 /// The domains of one tier, in domain order.
@@ -931,6 +937,22 @@ mod tests {
         );
         assert!(targets.is_empty());
         assert_eq!(rng.next_u64(), DetRng::new(4).next_u64(), "no draw");
+    }
+
+    #[test]
+    fn tiers_are_the_sorted_distinct_counts_below_the_cap() {
+        let mut rng = DetRng::new(11);
+        for _ in 0..2_000 {
+            let domains = rng.index(12);
+            let counts: Vec<usize> = (0..domains).map(|_| rng.index(6)).collect();
+            let cap = rng.index(8);
+            let mut oracle: Vec<usize> = counts.iter().copied().filter(|&c| c < cap).collect();
+            oracle.sort_unstable();
+            oracle.dedup();
+            let walked: Vec<usize> = tiers(&counts, cap).collect();
+            assert_eq!(walked, oracle, "counts {counts:?}, cap {cap}");
+        }
+        assert_eq!(tiers(&[usize::MAX - 1, 0], usize::MAX).count(), 2);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A counting global allocator for the allocation-budget tests
-//! (`encode_alloc.rs`, `read_alloc.rs`, `ring_alloc.rs`).  The counters are
-//! process-wide, so a test binary that installs it holds one `#[test]` only:
-//! a second test running beside it would be counted too.  So would the test
-//! harness's own thread, which allocates a few times while a test runs; a
-//! budget of single-threaded code reads [`Counts::this_thread`] instead.
+//! (`encode_alloc.rs`, `read_alloc.rs`, `ring_alloc.rs`, `sim_alloc.rs`).
+//! The counters are process-wide, so a test binary that installs it holds one
+//! `#[test]` only: a second test running beside it would be counted too.  So
+//! would the test harness's own thread, which allocates a few times while a
+//! test runs; a budget of single-threaded code reads the this-thread count
+//! of [`counted`] instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -253,21 +253,54 @@ proptest! {
     // ---- naming --------------------------------------------------------------
 
     /// Object names render/parse round-trip for any file name without the
-    /// reserved separators.
+    /// reserved separators, non-ASCII ones included.
     #[test]
     fn object_names_round_trip(
-        file in "[a-zA-Z][a-zA-Z0-9.-]{0,24}",
+        file in "[a-zA-Zé λ][a-zA-Z0-9.é λ-]{0,24}",
         chunk in 0u32..10_000,
         ecb in 0u32..10_000,
     ) {
         let names = [
-            ObjectName::chunk(&file, chunk),
-            ObjectName::block(&file, chunk, ecb),
-            ObjectName::cat(&file),
-            ObjectName::whole_file(&file, ecb),
+            ObjectName::chunk(file.as_str(), chunk),
+            ObjectName::block(file.as_str(), chunk, ecb),
+            ObjectName::cat(file.as_str()),
+            ObjectName::whole_file(file.as_str(), ecb),
         ];
         for n in names {
             prop_assert_eq!(ObjectName::parse(&n.render()), Some(n));
+        }
+    }
+
+    /// A name built from a shared `Arc<str>` is the name built from the same
+    /// `&str`, whatever the file name (non-ASCII, reserved separators, a
+    /// `_<digits>` suffix): equal, hashed, keyed and rendered alike, and
+    /// parsed back exactly when the `&str` one is.
+    #[test]
+    fn shared_and_borrowed_file_names_make_the_same_object_name(
+        file in "[a-zA-Z0-9_.#é λ-]{0,12}_?[0-9]{0,3}",
+        chunk in any::<u32>(),
+        ecb in any::<u32>(),
+    ) {
+        use std::hash::{BuildHasher, RandomState};
+        let shared: std::sync::Arc<str> = file.as_str().into();
+        let borrowed = file.as_str();
+        let pairs = [
+            (ObjectName::chunk(shared.clone(), chunk), ObjectName::chunk(borrowed, chunk)),
+            (ObjectName::block(shared.clone(), chunk, ecb), ObjectName::block(borrowed, chunk, ecb)),
+            (ObjectName::cat(shared.clone()), ObjectName::cat(borrowed)),
+            (ObjectName::whole_file(shared, ecb), ObjectName::whole_file(borrowed, ecb)),
+        ];
+        let state = RandomState::new();
+        for (from_arc, from_str) in pairs {
+            prop_assert_eq!(&from_arc, &from_str);
+            prop_assert_eq!(state.hash_one(&from_arc), state.hash_one(&from_str));
+            prop_assert_eq!(from_arc.key(), from_str.key());
+            prop_assert_eq!(from_arc.render(), from_str.render());
+            prop_assert_eq!(from_arc.to_string(), from_str.to_string());
+            prop_assert_eq!(from_arc.key(), Id::hash(&from_str.render()));
+            let parsed = ObjectName::parse(&from_arc.render());
+            prop_assert_eq!(&parsed, &ObjectName::parse(&from_str.render()));
+            prop_assert_eq!(parsed == Some(from_arc.clone()), parsed == Some(from_str));
         }
     }
 
