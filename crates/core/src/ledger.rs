@@ -29,11 +29,11 @@ use crate::planner::Damage;
 use crate::system::ManifestStore;
 use peerstripe_overlay::NodeRef;
 use peerstripe_sim::ByteSize;
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
 /// The blocks a chunk lost with one failed node, as reported by
 /// [`DamageLedger::remove_node`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLoss {
     /// The affected chunk's index in the ledger.
     pub chunk: u32,
@@ -60,7 +60,8 @@ struct Holder {
 /// 6.2: a file is available only if all its chunks can be retrieved).
 #[derive(Debug, Clone, Default)]
 pub struct DamageLedger {
-    chunk_blocks: Vec<Vec<(NodeRef, ByteSize)>>,
+    /// Per chunk: the holder of each registered block.
+    chunk_holders: Vec<Vec<NodeRef>>,
     chunk_needed: Vec<usize>,
     /// Per chunk: how many blocks it was stored with, and the size of one.
     chunk_geometry: Vec<(u32, ByteSize)>,
@@ -95,17 +96,16 @@ impl DamageLedger {
                 if chunk.size.is_zero() {
                     continue;
                 }
-                let chunk_idx = ledger.chunk_blocks.len() as u32;
-                let blocks: Vec<(NodeRef, ByteSize)> =
-                    chunk.blocks.iter().map(|b| (b.node, b.size)).collect();
-                for (node, _) in &blocks {
-                    ledger.holder_mut(*node).chunks.push(chunk_idx);
+                let chunk_idx = ledger.chunk_holders.len() as u32;
+                let holders: Vec<NodeRef> = chunk.blocks.iter().map(|b| b.node).collect();
+                for &node in &holders {
+                    ledger.holder_mut(node).chunks.push(chunk_idx);
                 }
-                ledger.chunk_live.push(blocks.len() as u32);
-                let size = blocks.first().map_or(ByteSize::bytes(1), |(_, size)| *size);
-                ledger.chunk_geometry.push((blocks.len() as u32, size));
+                ledger.chunk_live.push(holders.len() as u32);
+                let size = chunk.blocks.first().map_or(ByteSize::bytes(1), |b| b.size);
+                ledger.chunk_geometry.push((holders.len() as u32, size));
                 ledger.chunk_promised.push(Vec::new());
-                ledger.chunk_blocks.push(blocks);
+                ledger.chunk_holders.push(holders);
                 ledger.chunk_needed.push(chunk.min_blocks_needed);
                 ledger.chunk_size.push(chunk.size);
                 ledger.chunk_file.push(file_idx);
@@ -119,7 +119,7 @@ impl DamageLedger {
 
     /// Number of tracked (non-empty) chunks.
     pub fn chunk_count(&self) -> usize {
-        self.chunk_blocks.len()
+        self.chunk_holders.len()
     }
 
     /// Number of tracked files.
@@ -132,9 +132,10 @@ impl DamageLedger {
         self.chunk_size.iter().copied().sum()
     }
 
-    /// The blocks currently registered for a chunk.
-    pub fn blocks(&self, chunk: u32) -> &[(NodeRef, ByteSize)] {
-        &self.chunk_blocks[chunk as usize]
+    /// The holder of every block currently registered for a chunk, one per
+    /// block.
+    pub fn holders(&self, chunk: u32) -> &[NodeRef] {
+        &self.chunk_holders[chunk as usize]
     }
 
     /// Minimum number of surviving blocks the chunk needs.
@@ -142,12 +143,11 @@ impl DamageLedger {
         self.chunk_needed[chunk as usize]
     }
 
-    /// What the repair planner reads of the chunk.
-    pub fn damage(&self, chunk: u32) -> Damage {
-        let ci = chunk as usize;
+    /// What the repair planner reads of the chunk, borrowed from the ledger.
+    pub fn damage(&self, chunk: u32) -> Damage<'_> {
         Damage {
-            holders: self.chunk_blocks[ci].iter().map(|(n, _)| *n).collect(),
-            promised: self.promised(chunk).to_vec(),
+            holders: Cow::Borrowed(self.holders(chunk)),
+            promised: self.promised(chunk),
             needed: self.needed(chunk),
             placed: self.placed(chunk),
             block_size: self.block_size(chunk),
@@ -261,8 +261,8 @@ impl DamageLedger {
     /// Register a freshly placed (regenerated) block; it counts as live unless
     /// its holder is down.  Whether it may land there is for
     /// [`crate::planner::commit_rebuilt`] to say, the one caller outside tests.
-    pub fn place_block(&mut self, chunk: u32, node: NodeRef, size: ByteSize) {
-        self.chunk_blocks[chunk as usize].push((node, size));
+    pub fn place_block(&mut self, chunk: u32, node: NodeRef) {
+        self.chunk_holders[chunk as usize].push(node);
         let holder = self.holder_mut(node);
         holder.chunks.push(chunk);
         if !holder.down {
@@ -270,27 +270,31 @@ impl DamageLedger {
         }
     }
 
-    /// Remove every block `node` held and report the damage per affected chunk,
-    /// in first-placement order.  Chunks already written off are skipped (their
-    /// loss has been accounted; nothing further can change it).
-    pub fn remove_node(&mut self, node: NodeRef) -> Vec<NodeLoss> {
+    /// Remove every block `node` held and report the damage per affected chunk
+    /// into `losses` (cleared first), in first-placement order.  Chunks already
+    /// written off are skipped (their loss has been accounted; nothing further
+    /// can change it).  A caller that removes many nodes passes the same
+    /// buffer each time, and the removal allocates nothing.
+    pub fn remove_node(&mut self, node: NodeRef, losses: &mut Vec<NodeLoss>) {
+        losses.clear();
         let Some(holder) = self.node_index.get_mut(node) else {
-            return Vec::new();
+            return;
         };
         let was_up = !holder.down;
         let chunks = std::mem::take(&mut holder.chunks);
-        let mut dedup = BTreeSet::new();
-        let mut losses = Vec::new();
         for chunk_idx in chunks {
             let ci = chunk_idx as usize;
-            if self.chunk_lost[ci] || !dedup.insert(chunk_idx) {
-                // Either already written off, or already handled for this
-                // removal (a node can hold several blocks of one chunk).
+            if self.chunk_lost[ci] {
                 continue;
             }
-            let before = self.chunk_blocks[ci].len();
-            self.chunk_blocks[ci].retain(|(n, _)| *n != node);
-            let blocks = before - self.chunk_blocks[ci].len();
+            let before = self.chunk_holders[ci].len();
+            self.chunk_holders[ci].retain(|&n| n != node);
+            let blocks = before - self.chunk_holders[ci].len();
+            // A node can hold several blocks of one chunk: the first of its
+            // entries removes them all, and the others find none left.
+            if blocks == 0 {
+                continue;
+            }
             if was_up {
                 (0..blocks).for_each(|_| self.block_moved(chunk_idx, false));
             }
@@ -299,7 +303,6 @@ impl DamageLedger {
                 blocks,
             });
         }
-        losses
     }
 
     /// Recompute every count from the holder lists, with `alive` saying which
@@ -309,7 +312,7 @@ impl DamageLedger {
     pub fn is_consistent(&self, alive: impl Fn(NodeRef) -> bool) -> bool {
         let mut failed = vec![0u32; self.file_sizes.len()];
         let mut lost = vec![0u32; self.file_sizes.len()];
-        for ci in 0..self.chunk_blocks.len() {
+        for ci in 0..self.chunk_holders.len() {
             let fi = self.chunk_file[ci] as usize;
             if self.chunk_lost[ci] {
                 // Lost chunks freeze their live count; they stay failed forever.
@@ -317,10 +320,7 @@ impl DamageLedger {
                 lost[fi] += 1;
                 continue;
             }
-            let live = self.chunk_blocks[ci]
-                .iter()
-                .filter(|(n, _)| alive(*n))
-                .count();
+            let live = self.chunk_holders[ci].iter().filter(|&&n| alive(n)).count();
             if live != self.chunk_live[ci] as usize {
                 return false;
             }
@@ -339,12 +339,11 @@ impl DamageLedger {
     /// there.  The planner keeps this at zero; O(blocks), an oracle like
     /// [`DamageLedger::is_consistent`].
     pub fn collocated_since(&self, stored: &DamageLedger) -> usize {
-        let held = |blocks: &[(NodeRef, ByteSize)], node: NodeRef| {
-            blocks.iter().filter(|(n, _)| *n == node).count()
-        };
+        let held =
+            |holders: &[NodeRef], node: NodeRef| holders.iter().filter(|&&n| n == node).count();
         let mut gained = 0;
-        for (now, then) in self.chunk_blocks.iter().zip(&stored.chunk_blocks) {
-            let over = |i: &usize| held(&now[..=*i], now[*i].0) > held(then, now[*i].0).max(1);
+        for (now, then) in self.chunk_holders.iter().zip(&stored.chunk_holders) {
+            let over = |i: &usize| held(&now[..=*i], now[*i]) > held(then, now[*i]).max(1);
             gained += (0..now.len()).filter(over).count();
         }
         gained
@@ -502,10 +501,15 @@ mod tests {
         ledger.node_down(unknown);
         ledger.node_up(unknown);
         ledger.node_up(0);
-        assert!(ledger.remove_node(unknown + 1).is_empty());
+        let mut losses = vec![NodeLoss {
+            chunk: 0,
+            blocks: 1,
+        }];
+        ledger.remove_node(unknown + 1, &mut losses);
+        assert!(losses.is_empty(), "the buffer is cleared");
         assert!(ledger.is_consistent(|_| true));
         assert_eq!(ledger.files_unavailable(), 0);
-        let holder = ledger.blocks(0)[0].0;
+        let holder = ledger.holders(0)[0];
         ledger.node_down(holder);
         let after_one = ledger.files_unavailable();
         assert!(after_one > 0, "a single-copy chunk's only holder went down");
@@ -531,7 +535,7 @@ mod tests {
         // Every (2,3) chunk needs 2 of its 3 blocks.
         for chunk in 0..ledger.chunk_count() as u32 {
             assert_eq!(ledger.needed(chunk), 2);
-            assert_eq!(ledger.blocks(chunk).len(), 3);
+            assert_eq!(ledger.holders(chunk).len(), 3);
             assert!(!ledger.is_lost(chunk));
             assert!(ledger.file_size(ledger.file_of(chunk)) > ByteSize::ZERO);
         }
@@ -546,21 +550,23 @@ mod tests {
             .find(|n| !ledger.chunks_on(*n).is_empty())
             .expect("some node holds blocks");
         let held = ledger.chunks_on(node).to_vec();
-        let losses = ledger.remove_node(node);
+        let mut losses = Vec::new();
+        ledger.remove_node(node, &mut losses);
         assert!(!losses.is_empty());
         let removed_blocks: usize = losses.iter().map(|l| l.blocks).sum();
         assert_eq!(removed_blocks, held.len(), "one loss entry per held block");
         for loss in &losses {
-            assert!(ledger.blocks(loss.chunk).iter().all(|(n, _)| *n != node));
+            assert!(!ledger.holders(loss.chunk).contains(&node));
         }
         // The removed blocks no longer count as live, wherever the node is.
         assert!(ledger.is_consistent(|_| true));
         // Removing again is a no-op; re-placing restores the index.
-        assert!(ledger.remove_node(node).is_empty());
         let chunk = losses[0].chunk;
-        ledger.place_block(chunk, node, ByteSize::mb(1));
+        ledger.remove_node(node, &mut losses);
+        assert!(losses.is_empty());
+        ledger.place_block(chunk, node);
         assert_eq!(ledger.chunks_on(node), &[chunk]);
-        assert!(ledger.blocks(chunk).contains(&(node, ByteSize::mb(1))));
+        assert!(ledger.holders(chunk).contains(&node));
         assert!(ledger.is_consistent(|_| true));
         // A chunk written off makes its file unavailable for good, once, and
         // is skipped by removal (its loss is already accounted).
@@ -569,7 +575,8 @@ mod tests {
         assert!(!ledger.mark_lost(chunk));
         assert!(ledger.is_lost(chunk));
         assert_eq!(ledger.files_unavailable(), 1);
-        assert!(ledger.remove_node(node).is_empty());
+        ledger.remove_node(node, &mut losses);
+        assert!(losses.is_empty());
         assert!(ledger.is_consistent(|_| true));
     }
 }

@@ -29,15 +29,17 @@ use crate::system::ChunkPlacement;
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{ClusterView, PlacementStrategy, RepairRequest, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
+use std::borrow::Cow;
 
 /// What the planner reads of one damaged chunk, from a ledger
-/// ([`DamageLedger::damage`]) or a client's manifest ([`Damage::of_placement`]).
+/// ([`DamageLedger::damage`], borrowed) or a client's manifest
+/// ([`Damage::of_placement`], owned).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Damage {
+pub struct Damage<'a> {
     /// The holder of every block still registered, down or up, one per block.
-    pub holders: Vec<NodeRef>,
+    pub holders: Cow<'a, [NodeRef]>,
     /// The targets of rebuilds still in flight, one per promised block.
-    pub promised: Vec<NodeRef>,
+    pub promised: &'a [NodeRef],
     /// Blocks the chunk needs to decode.
     pub needed: usize,
     /// Blocks the chunk was stored with.
@@ -57,13 +59,13 @@ pub enum Verdict {
     Rebuild,
 }
 
-impl Damage {
+impl Damage<'_> {
     /// `chunk` as its manifest entry records it, with `failed`'s blocks gone.
-    pub fn of_placement(chunk: &ChunkPlacement, failed: NodeRef) -> Self {
+    pub fn of_placement(chunk: &ChunkPlacement, failed: NodeRef) -> Damage<'static> {
         let holders = chunk.blocks.iter().map(|b| b.node);
         Damage {
             holders: holders.filter(|&n| n != failed).collect(),
-            promised: Vec::new(),
+            promised: &[],
             needed: chunk.min_blocks_needed,
             placed: chunk.blocks.len(),
             block_size: chunk.blocks.first().map_or(ByteSize::ZERO, |b| b.size),
@@ -86,7 +88,8 @@ impl Damage {
     /// whose verdict is [`Verdict::Rebuild`].  `preferred` candidates come
     /// first, each taken only if it passes what a drawn target must — alive,
     /// room, outside the exclusion set, its domain under the cap; `strategy`
-    /// draws the rest, and its draws on `rng` are the only ones.
+    /// draws the rest, and its draws on `rng` are the only ones.  A preferred
+    /// candidate taken joins a copy of the promised targets, made only then.
     pub fn targets(
         &self,
         strategy: &mut dyn PlacementStrategy,
@@ -96,33 +99,34 @@ impl Damage {
         preferred: &[NodeRef],
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
-        let mut excluded = [&self.holders[..], &self.promised[..]].concat();
         let cap = domain_cap(topology, self.placed, self.needed);
         let domain = |node: NodeRef| topology.and_then(|t| t.domain_of(node));
-        let mut taken = Vec::new();
+        let mut promised = Cow::Borrowed(self.promised);
         for &candidate in preferred {
+            let excluded = || self.holders.iter().chain(promised.iter());
             let beside = |n: &&NodeRef| domain(**n).is_some() && domain(**n) == domain(candidate);
-            if taken.len() < want
+            if promised.len() - self.promised.len() < want
                 && view.is_alive(candidate)
-                && !excluded.contains(&candidate)
-                && excluded.iter().filter(beside).count() < cap
+                && !excluded().any(|&n| n == candidate)
+                && excluded().filter(beside).count() < cap
                 && view.can_store(candidate, self.block_size)
             {
-                excluded.push(candidate);
-                taken.push(candidate);
+                promised.to_mut().push(candidate);
             }
         }
+        let taken = &promised[self.promised.len()..];
         if taken.len() == want {
-            return taken;
+            return taken.to_vec();
         }
         let request = RepairRequest {
             want: want - taken.len(),
             size: self.block_size,
-            holders: &excluded,
+            holders: &self.holders,
+            promised: &promised,
             domain_cap: cap,
         };
         let mut targets = strategy.repair_targets(view, topology, &request, rng);
-        targets.splice(0..0, taken);
+        targets.splice(0..0, taken.iter().copied());
         targets
     }
 }
@@ -155,11 +159,11 @@ pub fn commit_rebuilt(
 ) -> bool {
     ledger.withdraw(chunk, target);
     let size = ledger.block_size(chunk);
-    let holders = ledger.blocks(chunk).iter().map(|(node, _)| *node);
+    let holders = ledger.holders(chunk).iter().copied();
     let reserve = |cluster: &mut StorageCluster| cluster.reserve(target, size).is_ok();
     let landed = !ledger.is_lost(chunk) && commit(cluster, holders, target, reserve);
     if landed {
-        ledger.place_block(chunk, target, size);
+        ledger.place_block(chunk, target);
     }
     landed
 }
@@ -235,7 +239,7 @@ mod tests {
             if rng.chance(0.5) {
                 ledger.node_down(node);
             } else {
-                ledger.remove_node(node);
+                ledger.remove_node(node, &mut Vec::new());
             }
         }
         for _ in 0..rng.index(12) {
@@ -254,9 +258,9 @@ mod tests {
         for (seed, coding, _, _) in cases() {
             let (cluster, ledger, _) = damaged(coding, seed, None);
             for chunk in 0..ledger.chunk_count() as u32 {
-                let registered = ledger.blocks(chunk).len();
-                let alive = |(n, _): &&(NodeRef, ByteSize)| cluster.is_alive(*n);
-                let live = ledger.blocks(chunk).iter().filter(alive).count();
+                let registered = ledger.holders(chunk).len();
+                let alive = |n: &&NodeRef| cluster.is_alive(**n);
+                let live = ledger.holders(chunk).iter().filter(alive).count();
                 let needed = ledger.needed(chunk);
                 let verdict = ledger.damage(chunk).verdict(&cluster);
                 assert_eq!(verdict == Verdict::WriteOff, registered < needed);
@@ -311,7 +315,7 @@ mod tests {
                     assert!(!targets[..i].contains(&target), "{label}: drawn twice");
                     if caps {
                         let held = in_domain_of(target, &damage.holders)
-                            + in_domain_of(target, &damage.promised)
+                            + in_domain_of(target, damage.promised)
                             + in_domain_of(target, &targets[..i]);
                         assert!(
                             held < cap,
@@ -333,10 +337,10 @@ mod tests {
     fn a_preferred_candidate_that_passes_is_taken_first() {
         let (ps, ledger) = stored(CodingPolicy::rs_default(), NODES, 1);
         let mut cluster = ps.into_cluster();
-        let victim = ledger.blocks(0)[0].0;
+        let victim = ledger.holders(0)[0];
         cluster.fail_node(victim);
         let mut ledger = ledger;
-        ledger.remove_node(victim);
+        ledger.remove_node(victim, &mut Vec::new());
         let damage = ledger.damage(0);
         let good = (0..NODES)
             .find(|n| cluster.is_alive(*n) && !damage.holders.contains(n))
@@ -371,7 +375,7 @@ mod tests {
     fn a_refused_commit_changes_nothing() {
         let (ps, mut ledger) = stored(CodingPolicy::rs_default(), NODES, 2);
         let mut cluster = ps.into_cluster();
-        let holder = ledger.blocks(0)[0].0;
+        let holder = ledger.holders(0)[0];
         let dead = (0..NODES).find(|n| !ledger.damage(0).holders.contains(n));
         let dead = dead.unwrap();
         cluster.fail_node(dead);
@@ -392,13 +396,13 @@ mod tests {
             (1, lost_target, "a written-off chunk"),
         ] {
             ledger.promise(chunk, &[target]);
-            let blocks = ledger.blocks(chunk).to_vec();
+            let holders = ledger.holders(chunk).to_vec();
             let used = cluster.node(target).used();
             assert!(
                 !commit_rebuilt(&mut ledger, &mut cluster, chunk, target),
                 "{why} took a block"
             );
-            assert_eq!(ledger.blocks(chunk), &blocks[..], "{why}");
+            assert_eq!(ledger.holders(chunk), &holders[..], "{why}");
             assert_eq!(cluster.node(target).used(), used, "{why}");
             assert!(
                 ledger.damage(chunk).promised.is_empty(),
@@ -407,14 +411,14 @@ mod tests {
             assert!(ledger.is_consistent(|n| cluster.is_alive(n)));
         }
         // And one that is let through is registered and charged.
-        let holders = ledger.damage(0).holders;
+        let holders = ledger.damage(0).holders.into_owned();
         let good = (0..NODES).find(|n| {
             cluster.is_alive(*n) && cluster.can_store(*n, ByteSize::mb(64)) && !holders.contains(n)
         });
         let good = good.expect("a live non-holder with room");
         let used = cluster.node(good).used();
         assert!(commit_rebuilt(&mut ledger, &mut cluster, 0, good));
-        assert_eq!(ledger.blocks(0).last(), Some(&(good, ledger.block_size(0))));
+        assert_eq!(ledger.holders(0).last(), Some(&good));
         assert_eq!(cluster.node(good).used(), used + ledger.block_size(0));
     }
 
@@ -439,7 +443,8 @@ mod tests {
                     })
                     .map(|(index, _)| index)
                     .collect();
-                let losses = ledger.remove_node(victim);
+                let mut losses = Vec::new();
+                ledger.remove_node(victim, &mut losses);
                 let from_ledger: Vec<u32> = losses
                     .iter()
                     .map(|loss| loss.chunk)

@@ -164,10 +164,12 @@ fn fail_wave(
     let mut data_lost = ByteSize::ZERO;
     let mut data_regenerated = ByteSize::ZERO;
     let mut per_failure = OnlineStats::new();
+    let mut losses = Vec::new();
     for node in order {
         cluster.fail_node(node);
         let mut regenerated = ByteSize::ZERO;
-        for loss in ledger.remove_node(node) {
+        ledger.remove_node(node, &mut losses);
+        for &loss in &losses {
             let damage = ledger.damage(loss.chunk);
             match damage.verdict(cluster) {
                 Verdict::WriteOff => {
@@ -176,10 +178,10 @@ fn fail_wave(
                 }
                 Verdict::Defer => {}
                 Verdict::Rebuild => {
-                    let strategy = &mut OverlayRandom::new();
+                    let (strategy, size) = (&mut OverlayRandom::new(), damage.block_size);
                     for target in damage.targets(strategy, None, cluster, loss.blocks, &[], rng) {
                         if commit_rebuilt(ledger, cluster, loss.chunk, target) {
-                            regenerated += damage.block_size;
+                            regenerated += size;
                         }
                     }
                 }

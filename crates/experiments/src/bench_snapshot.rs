@@ -342,6 +342,7 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
                 want: 1,
                 size: ByteSize::mb(8),
                 holders: &holders,
+                promised: &[],
                 domain_cap: DOMAIN_CAP,
             };
             let per_sec = best_rate(

@@ -379,8 +379,7 @@ impl RingGateway {
     /// the takeover to `PeerStripe::handle_node_failure` to drive recovery.
     pub fn mark_failed(&mut self, node: NodeRef) -> Option<Takeover> {
         let id = self.ids.get(&node).copied()?;
-        let takeover = self.ring.takeover_on_failure(id);
-        self.ring.remove(id)?;
+        let (_, takeover) = self.ring.remove_with_takeover(id)?;
         lock(&self.conns).remove(&node);
         lock(&self.reports).remove(&node);
         takeover

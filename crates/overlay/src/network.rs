@@ -128,11 +128,10 @@ impl OverlaySim {
         if !self.nodes[node].alive {
             return None;
         }
-        let id = self.nodes[node].id;
-        let takeover = self.ring.takeover_on_failure(id);
         self.nodes[node].alive = false;
-        self.ring.remove(id);
-        takeover
+        self.ring
+            .remove_with_takeover(self.nodes[node].id)
+            .and_then(|(_, takeover)| takeover)
     }
 
     /// Fail `count` distinct, uniformly chosen live nodes; returns the failed refs

@@ -10,8 +10,8 @@
 //! * `successor(key)` — the first node at or after the key clockwise (CFS
 //!   places a block on the successor of its key);
 //! * `leaf_set(id, l)` — the leaf set (l/2 counter-clockwise, l/2 clockwise);
-//! * takeover queries describing which neighbour inherits which part of a failed
-//!   node's key range (Section 4.4).
+//! * `remove_with_takeover(id)` — a failed node leaves, and the answer says
+//!   which neighbour inherits which part of its key range (Section 4.4).
 //!
 //! The ring is one sorted table: every id ever inserted, beside its
 //! [`NodeRef`] and a liveness mark.  Removing a node clears its mark and
@@ -20,7 +20,9 @@
 //!
 //! * a query is one binary search plus a walk over the dead slots next to
 //!   the key;
-//! * `remove`, and re-inserting a known id, are one binary search;
+//! * `remove_with_takeover` is one binary search plus the walks from the
+//!   failed slot to its nearest live neighbour on either side;
+//! * re-inserting a known id is one binary search;
 //! * inserting a new id is an O(n) shift; [`IdRing::from_members`] is one sort.
 //!
 //! Dead slots are never compacted: no workload removes most of a ring, and
@@ -130,12 +132,36 @@ impl IdRing {
         true
     }
 
-    /// Remove a node by id. Returns the node reference if it was present.
-    pub fn remove(&mut self, id: Id) -> Option<NodeRef> {
-        let slot = self.live_slot(id)?;
+    /// Remove the live member `failed`, returning its node reference and
+    /// which neighbours inherit its key range; `None` if `failed` is not a
+    /// live member, and no takeover when it was the last one.
+    ///
+    /// In Pastry the identifier space mapped to a failed node is split between
+    /// its two immediate neighbours: keys counter-clockwise of the failed id
+    /// (up to the old midpoint with the predecessor) now map to the
+    /// predecessor, keys clockwise map to the successor.  The [`Takeover`]
+    /// describes both inheritors; they are the nodes that must regenerate the
+    /// failed node's lost blocks.  One binary search finds the slot: both
+    /// walks start beside it and would reach it last, so with another member
+    /// live neither does.
+    pub fn remove_with_takeover(&mut self, failed: Id) -> Option<(NodeRef, Option<Takeover>)> {
+        let slot = self.live_slot(failed)?;
+        let takeover = if self.len > 1 {
+            let predecessor = self.counter_clockwise_from(slot).next();
+            let successor = self.clockwise_from(slot + 1).next();
+            predecessor
+                .zip(successor)
+                .map(|(predecessor, successor)| Takeover {
+                    failed,
+                    predecessor,
+                    successor,
+                })
+        } else {
+            None
+        };
         self.live[slot] = false;
         self.len -= 1;
-        Some(self.nodes[slot])
+        Some((self.nodes[slot], takeover))
     }
 
     /// True if the id is a live member.
@@ -211,11 +237,6 @@ impl IdRing {
             .filter(|_| self.len > 1)
     }
 
-    /// The member immediately counter-clockwise of `id` (excluding `id`), wrapping.
-    pub fn next_counter_clockwise(&self, id: Id) -> Option<(Id, NodeRef)> {
-        self.predecessor(id).filter(|_| self.len > 1)
-    }
-
     /// The leaf set of a member: up to `l/2` counter-clockwise and `l/2` clockwise
     /// neighbours, nearest first within each side, excluding the member itself.
     pub fn leaf_set(&self, id: Id, l: usize) -> LeafSet {
@@ -238,28 +259,6 @@ impl IdRing {
             clockwise,
             counter_clockwise,
         }
-    }
-
-    /// Which keys move where when the node `failed` leaves the ring.
-    ///
-    /// In Pastry the identifier space mapped to a failed node is split between its
-    /// two immediate neighbours: keys counter-clockwise of the failed id (up to the
-    /// old midpoint with the predecessor) now map to the predecessor, keys clockwise
-    /// map to the successor.  The returned [`Takeover`] describes both inheritors;
-    /// they are the nodes that must regenerate the failed node's lost blocks.
-    ///
-    /// Must be called *before* removing the node from the ring.
-    pub fn takeover_on_failure(&self, failed: Id) -> Option<Takeover> {
-        if !self.contains(failed) || self.len < 2 {
-            return None;
-        }
-        let (pred, pred_node) = self.next_counter_clockwise(failed)?;
-        let (succ, succ_node) = self.next_clockwise(failed)?;
-        Some(Takeover {
-            failed,
-            predecessor: (pred, pred_node),
-            successor: (succ, succ_node),
-        })
     }
 }
 
@@ -357,9 +356,12 @@ mod tests {
         assert_eq!(ring.len(), 3);
         assert!(ring.contains(Id(20)));
         assert!(!ring.insert(Id(20), 9), "duplicate ids rejected");
-        assert_eq!(ring.remove(Id(20)), Some(1));
+        assert_eq!(
+            ring.remove_with_takeover(Id(20)).map(|(node, _)| node),
+            Some(1)
+        );
         assert!(!ring.contains(Id(20)));
-        assert_eq!(ring.remove(Id(20)), None);
+        assert!(ring.remove_with_takeover(Id(20)).is_none());
         assert_eq!(ring.len(), 2);
     }
 
@@ -376,7 +378,8 @@ mod tests {
     #[test]
     fn a_removed_id_keeps_its_slot_and_rejoins_under_a_new_node() {
         let mut ring = ring_with(&[10, 20, 30]);
-        assert_eq!(ring.remove(Id(20)), Some(1));
+        let remove = |ring: &mut IdRing, id| ring.remove_with_takeover(Id(id)).map(|(n, _)| n);
+        assert_eq!(remove(&mut ring, 20), Some(1));
         assert_eq!(ring.get(Id(20)), None);
         assert_eq!(
             ring.route(Id(21)),
@@ -387,8 +390,8 @@ mod tests {
         assert!(ring.insert(Id(20), 7));
         assert_eq!(ring.get(Id(20)), Some(7));
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.remove(Id(10)), Some(0));
-        assert_eq!(ring.remove(Id(30)), Some(2));
+        assert_eq!(remove(&mut ring, 10), Some(0));
+        assert_eq!(remove(&mut ring, 30), Some(2));
         assert_eq!(
             ring.successor(Id(25)),
             Some((Id(20), 7)),
@@ -474,8 +477,8 @@ mod tests {
         let ring = ring_with(&[100, 200, 300]);
         assert_eq!(ring.next_clockwise(Id(100)).unwrap().0, Id(200));
         assert_eq!(ring.next_clockwise(Id(300)).unwrap().0, Id(100));
-        assert_eq!(ring.next_counter_clockwise(Id(100)).unwrap().0, Id(300));
-        assert_eq!(ring.next_counter_clockwise(Id(300)).unwrap().0, Id(200));
+        assert_eq!(ring.predecessor(Id(100)).unwrap().0, Id(300));
+        assert_eq!(ring.predecessor(Id(300)).unwrap().0, Id(200));
         let singleton = ring_with(&[42]);
         assert!(singleton.next_clockwise(Id(42)).is_none());
     }
@@ -499,14 +502,27 @@ mod tests {
 
     #[test]
     fn takeover_assigns_keys_to_nearest_survivor() {
-        let ring = ring_with(&[100, 200, 300]);
-        let t = ring.takeover_on_failure(Id(200)).unwrap();
+        let mut ring = ring_with(&[100, 200, 300]);
+        assert!(ring.remove_with_takeover(Id(999)).is_none());
+        let (node, t) = ring.remove_with_takeover(Id(200)).unwrap();
+        let t = t.unwrap();
+        assert_eq!(node, 1);
         assert_eq!(t.predecessor.0, Id(100));
         assert_eq!(t.successor.0, Id(300));
         // A key that used to map to 200 but is nearer 100 goes to the predecessor.
         assert_eq!(t.inheritor_of(Id(180)).0, Id(100));
         assert_eq!(t.inheritor_of(Id(260)).0, Id(300));
-        assert!(ring.takeover_on_failure(Id(999)).is_none());
+        // Across the wrap, and down to the last member, which has no heirs.
+        let (_, t) = ring.remove_with_takeover(Id(300)).unwrap();
+        assert_eq!(
+            t.map(|t| (t.predecessor.0, t.successor.0)),
+            Some((Id(100), Id(100)))
+        );
+        assert_eq!(
+            ring.remove_with_takeover(Id(100)).map(|(_, t)| t.is_none()),
+            Some(true)
+        );
+        assert!(ring.is_empty());
     }
 
     #[test]

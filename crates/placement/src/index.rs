@@ -305,22 +305,26 @@ impl DomainIndex {
         self.tightest[domain].is_none_or(|slot| size <= self.free[slot])
     }
 
-    /// The slots of `nodes` that [`DomainIndex::eligible_in`] would otherwise
-    /// count for a block of `size`, each once however often its node repeats.
-    pub fn barred(&self, size: ByteSize, nodes: impl IntoIterator<Item = NodeRef>) -> Vec<usize> {
-        let mut slots = Vec::new();
+    /// Add to `barred`, a buffer the caller keeps, the slots of `nodes` that
+    /// [`DomainIndex::eligible_in`] would otherwise count for a block of
+    /// `size`, each once however often its node repeats or if it is there.
+    pub fn bar(
+        &self,
+        size: ByteSize,
+        nodes: impl IntoIterator<Item = NodeRef>,
+        barred: &mut Vec<usize>,
+    ) {
         for node in nodes {
             if let Some(&(_, slot)) = self.home.get(node) {
-                if self.has_room(slot, size) && !slots.contains(&slot) {
-                    slots.push(slot);
+                if self.has_room(slot, size) && !barred.contains(&slot) {
+                    barred.push(slot);
                 }
             }
         }
-        slots
     }
 
     /// How many members of `domain` are live with room for a block of `size`,
-    /// not counting the `barred` slots (from [`DomainIndex::barred`] for the
+    /// not counting the `barred` slots (from [`DomainIndex::bar`] for the
     /// same `size`).  Two prefix sums while every live member has room, a
     /// pass over the domain's slots otherwise.
     pub fn eligible_in(&self, domain: usize, size: ByteSize, barred: &[usize]) -> usize {
@@ -514,7 +518,16 @@ mod tests {
         /// the brute-force list: members in member order that are live, have
         /// room, and are not `barred_nodes`.
         fn check(&self, size: ByteSize, barred_nodes: &[NodeRef]) {
-            let barred = self.index.barred(size, barred_nodes.iter().copied());
+            let mut barred = Vec::new();
+            self.index
+                .bar(size, barred_nodes.iter().copied(), &mut barred);
+            // Barring in two calls, as a repair decision does pick by pick,
+            // bars the same slots in the same order.
+            let (first, then) = barred_nodes.split_at(barred_nodes.len() / 2);
+            let mut stepwise = Vec::new();
+            self.index.bar(size, first.iter().copied(), &mut stepwise);
+            self.index.bar(size, then.iter().copied(), &mut stepwise);
+            assert_eq!(stepwise, barred, "size {size}, barred {barred_nodes:?}");
             for (d, domain) in self.topology.domains() {
                 let d = d as usize;
                 let want: Vec<NodeRef> = domain
@@ -573,7 +586,8 @@ mod tests {
         // Domain 0 is wholly down; domain 1's live members are all barred.
         let barred_nodes = [1, 2, 17, 10];
         fixture.check(size, &barred_nodes);
-        let barred = fixture.index.barred(size, barred_nodes);
+        let mut barred = vec![];
+        fixture.index.bar(size, barred_nodes, &mut barred);
         for d in 0..2 {
             assert_eq!(fixture.index.eligible_in(d, size, &barred), 0);
             assert_eq!(fixture.index.nth_eligible_in(d, size, &barred, 0), None);

@@ -85,12 +85,22 @@ pub struct RepairRequest<'a> {
     pub want: usize,
     /// Size each target must be able to store.
     pub size: ByteSize,
-    /// Holders of the chunk's registered blocks and targets already promised
-    /// one: a rebuilt block never collocates with another block of its chunk.
+    /// Holders of the chunk's registered blocks: a rebuilt block never
+    /// collocates with another block of its chunk.
     pub holders: &'a [NodeRef],
+    /// Targets already promised a block of the chunk, excluded like the
+    /// holders.
+    pub promised: &'a [NodeRef],
     /// Maximum blocks of this chunk any single failure domain may hold
     /// (`usize::MAX` disables the constraint).
     pub domain_cap: usize,
+}
+
+impl RepairRequest<'_> {
+    /// The nodes no target may be: the holders, then the promised targets.
+    pub fn excluded(&self) -> impl Iterator<Item = NodeRef> + '_ {
+        self.holders.iter().chain(self.promised).copied()
+    }
 }
 
 /// A pluggable target-selection policy for chunk placement and repair.
@@ -166,7 +176,7 @@ impl PlacementStrategy for OverlayRandom {
             let Some(candidate) = view.route_quiet(Id::random(rng)) else {
                 break;
             };
-            if !request.holders.contains(&candidate)
+            if !request.excluded().any(|n| n == candidate)
                 && !targets.contains(&candidate)
                 && view.can_store(candidate, request.size)
             {
@@ -180,13 +190,23 @@ impl PlacementStrategy for OverlayRandom {
 /// Failure-domain-aware spread: no chunk keeps more than its per-domain cap
 /// of blocks in any one domain, with a capacity-aware round-robin fallback
 /// when the routed domain is already at its cap (or out of space).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DomainSpread;
+///
+/// The strategy keeps its working vectors from one decision to the next
+/// instead of allocating them per decision.
+#[derive(Debug, Clone, Default)]
+pub struct DomainSpread {
+    /// Blocks of the chunk per domain.
+    counts: Vec<usize>,
+    /// The store path's targets so far.
+    chosen: Vec<NodeRef>,
+    /// The index slots a repair pick passes over ([`DomainIndex::bar`]).
+    barred: Vec<usize>,
+}
 
 impl DomainSpread {
     /// Create the strategy.
     pub fn new() -> Self {
-        DomainSpread
+        DomainSpread::default()
     }
 
     /// The best store-path target outside the saturated domains: domains with
@@ -266,9 +286,6 @@ impl DomainSpread {
         cap: usize,
         rng: &mut DetRng,
     ) -> Option<NodeRef> {
-        if let Some(index) = view.domain_index().filter(|index| index.serves(topology)) {
-            return Self::repair_pick_indexed(index, counts, chosen, request, cap, rng);
-        }
         let mut best_used = usize::MAX;
         let mut pool: Vec<NodeRef> = Vec::new();
         for (d, domain) in topology.domains() {
@@ -278,7 +295,7 @@ impl DomainSpread {
             }
             let eligible = domain.members.iter().copied().filter(|&node| {
                 view.is_alive(node)
-                    && !request.holders.contains(&node)
+                    && !request.excluded().any(|n| n == node)
                     && !chosen.contains(&node)
                     && view.can_store(node, request.size)
             });
@@ -298,21 +315,20 @@ impl DomainSpread {
     /// [`DomainSpread::repair_pick`] without building the pool: count the
     /// eligible members of the least-used tier that has any, draw one position
     /// (the draw `rng.choose` makes over the pool), and find the member there
-    /// by a second walk over the tier's domains.  The count stays inside one
-    /// tier unless that tier is wholly down, full, or holding the chunk
-    /// already; see [`DomainIndex::eligible_in`] for what one domain's count
-    /// costs.
+    /// by a second walk over the tier's domains.  `barred` holds the slots of
+    /// the excluded nodes and of the targets chosen so far.  The count stays
+    /// inside one tier unless that tier is wholly down, full, or holding the
+    /// chunk already; see [`DomainIndex::eligible_in`] for what one domain's
+    /// count costs.
     fn repair_pick_indexed(
         index: &DomainIndex,
         counts: &[usize],
-        chosen: &[NodeRef],
-        request: &RepairRequest<'_>,
+        barred: &[usize],
+        size: ByteSize,
         cap: usize,
         rng: &mut DetRng,
     ) -> Option<NodeRef> {
-        let size = request.size;
-        let barred = index.barred(size, request.holders.iter().chain(chosen).copied());
-        let eligible = |d: usize| index.eligible_in(d, size, &barred);
+        let eligible = |d: usize| index.eligible_in(d, size, barred);
         let (tier, total) = tiers(counts, cap).find_map(|used| {
             let total: usize = domains_at(counts, used).map(eligible).sum();
             (total > 0).then_some((used, total))
@@ -321,7 +337,7 @@ impl DomainSpread {
         for d in domains_at(counts, tier) {
             let eligible = eligible(d);
             if k < eligible {
-                return index.nth_eligible_in(d, size, &barred, k);
+                return index.nth_eligible_in(d, size, barred, k);
             }
             k -= eligible;
         }
@@ -369,8 +385,10 @@ impl PlacementStrategy for DomainSpread {
         // loudly rather than silently degrade to oblivious placement.
         let topology = topology?;
         let cap = domain_cap.max(1);
-        let mut counts = vec![0usize; topology.domain_count()];
-        let mut chosen: Vec<NodeRef> = Vec::with_capacity(keys.len());
+        let (counts, chosen) = (&mut self.counts, &mut self.chosen);
+        counts.clear();
+        counts.resize(topology.domain_count(), 0);
+        chosen.clear();
         let mut out = Vec::with_capacity(keys.len());
         for routed in view.probe_all(keys) {
             // Prefer the overlay's own answer (it keeps the DHT's lookup
@@ -389,7 +407,7 @@ impl PlacementStrategy for DomainSpread {
                 {
                     (node, report)
                 }
-                _ => Self::fallback(view, topology, &counts, &chosen, cap)?,
+                _ => Self::fallback(view, topology, counts, chosen, cap)?,
             };
             if let Some(d) = topology.domain_of(pick.0) {
                 counts[d as usize] += 1;
@@ -413,21 +431,35 @@ impl PlacementStrategy for DomainSpread {
             return OverlayRandom.repair_targets(view, None, request, rng);
         };
         let cap = request.domain_cap.max(1);
-        let mut counts = vec![0usize; topology.domain_count()];
-        for &holder in request.holders {
-            if let Some(d) = topology.domain_of(holder) {
+        let (counts, barred) = (&mut self.counts, &mut self.barred);
+        counts.clear();
+        counts.resize(topology.domain_count(), 0);
+        for excluded in request.excluded() {
+            if let Some(d) = topology.domain_of(excluded) {
                 counts[d as usize] += 1;
             }
         }
+        let index = view.domain_index().filter(|index| index.serves(topology));
+        barred.clear();
+        if let Some(index) = index {
+            index.bar(request.size, request.excluded(), barred);
+        }
         let mut targets: Vec<NodeRef> = Vec::with_capacity(request.want);
         while targets.len() < request.want {
-            let Some(node) =
-                Self::repair_pick(view, topology, &counts, &targets, request, cap, rng)
-            else {
+            let pick = match index {
+                Some(index) => {
+                    Self::repair_pick_indexed(index, counts, barred, request.size, cap, rng)
+                }
+                None => Self::repair_pick(view, topology, counts, &targets, request, cap, rng),
+            };
+            let Some(node) = pick else {
                 break;
             };
             if let Some(d) = topology.domain_of(node) {
                 counts[d as usize] += 1;
+            }
+            if let Some(index) = index {
+                index.bar(request.size, [node], barred);
             }
             targets.push(node);
         }
@@ -460,7 +492,7 @@ impl CapacityWeighted {
         topology: Option<&Topology>,
         counts: &mut [usize],
         chosen: &[NodeRef],
-        exclude: &[NodeRef],
+        exclude: [&[NodeRef]; 2],
         cap: usize,
         min_size: ByteSize,
         rng: &mut DetRng,
@@ -468,7 +500,7 @@ impl CapacityWeighted {
         let mut eligible: Vec<(NodeRef, ByteSize)> = Vec::new();
         let mut total = 0u128;
         for node in view.alive_nodes() {
-            if chosen.contains(&node) || exclude.contains(&node) {
+            if chosen.contains(&node) || exclude.iter().any(|nodes| nodes.contains(&node)) {
                 continue;
             }
             if let (Some(t), true) = (topology, cap != usize::MAX) {
@@ -528,7 +560,7 @@ impl PlacementStrategy for CapacityWeighted {
                 topology,
                 &mut counts,
                 &chosen,
-                &[],
+                [&[], &[]],
                 domain_cap,
                 ByteSize::ZERO,
                 &mut self.rng,
@@ -547,8 +579,8 @@ impl PlacementStrategy for CapacityWeighted {
         rng: &mut DetRng,
     ) -> Vec<NodeRef> {
         let mut counts = vec![0usize; topology.map(Topology::domain_count).unwrap_or(0)];
-        for &holder in request.holders {
-            if let Some(d) = topology.and_then(|t| t.domain_of(holder)) {
+        for excluded in request.excluded() {
+            if let Some(d) = topology.and_then(|t| t.domain_of(excluded)) {
                 counts[d as usize] += 1;
             }
         }
@@ -559,7 +591,7 @@ impl PlacementStrategy for CapacityWeighted {
                 topology,
                 &mut counts,
                 &targets,
-                request.holders,
+                [request.holders, request.promised],
                 request.domain_cap,
                 request.size,
                 rng,
@@ -822,6 +854,7 @@ mod tests {
                 want: 1,
                 size: ByteSize::mb(1),
                 holders: &holders,
+                promised: &[],
                 domain_cap: usize::MAX,
             },
             &mut rng,
@@ -882,6 +915,7 @@ mod tests {
                 want: 1,
                 size: ByteSize::kb(1),
                 holders: &[],
+                promised: &[],
                 domain_cap: 2,
             },
             &mut DetRng::new(1),
@@ -904,6 +938,7 @@ mod tests {
                 want: 2,
                 size: ByteSize::mb(1),
                 holders: &holders,
+                promised: &[],
                 domain_cap: 2,
             },
             &mut DetRng::new(1),
@@ -931,6 +966,7 @@ mod tests {
                 want: 2,
                 size: ByteSize::mb(1),
                 holders: &[0, 1, 2],
+                promised: &[],
                 domain_cap: usize::MAX,
             },
             &mut rng,

@@ -6,7 +6,7 @@ use super::events::MaintenanceEvent;
 use crate::config::{ChurnProcess, RepairConfig};
 use crate::detection::Detector;
 use crate::scheduler::RepairScheduler;
-use peerstripe_core::{DamageLedger, ManifestStore, StorageCluster, Verdict};
+use peerstripe_core::{DamageLedger, ManifestStore, NodeLoss, StorageCluster, Verdict};
 use peerstripe_overlay::NodeRef;
 use peerstripe_placement::{OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::dist::{Distribution, Exponential};
@@ -118,6 +118,9 @@ pub struct MaintenanceEngine {
     /// Per group: the id of its current (or most recent) outage.
     pub(super) group_outage_id: Vec<u64>,
     pub(super) next_outage_id: u64,
+    /// Buffers kept from one declaration, and one repair decision, to the next.
+    pub(super) losses: Vec<NodeLoss>,
+    pub(super) sources: Vec<NodeRef>,
 }
 
 impl MaintenanceEngine {
@@ -171,6 +174,8 @@ impl MaintenanceEngine {
             down_outage: vec![None; nodes],
             group_outage_id: vec![0; group_count],
             next_outage_id: 0,
+            losses: Vec::new(),
+            sources: Vec::new(),
             cluster,
             ledger,
             churn,
@@ -334,7 +339,7 @@ impl MaintenanceEngine {
             return;
         }
         let want = self.scheduler.policy().blocks_wanted(
-            self.ledger.blocks(chunk).len(),
+            self.ledger.holders(chunk).len(),
             self.ledger.promised(chunk).len(),
             self.ledger.needed(chunk),
             self.ledger.placed(chunk),
@@ -346,9 +351,10 @@ impl MaintenanceEngine {
         // Decode sources.  The scheduler's transfer model reads one block
         // from each uploader, so beyond the planner's threshold it wants
         // `needed` *distinct* live holders.
-        let mut sources: Vec<NodeRef> = Vec::with_capacity(damage.needed);
+        let sources = &mut self.sources;
+        sources.clear();
         if damage.verdict(&self.cluster) == Verdict::Rebuild {
-            for node in &damage.holders {
+            for node in damage.holders.iter() {
                 if self.cluster.overlay().is_alive(*node) && !sources.contains(node) {
                     sources.push(*node);
                     if sources.len() == damage.needed {
@@ -365,6 +371,7 @@ impl MaintenanceEngine {
         }
         let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
         let targets = damage.targets(strategy, topology, &self.cluster, want, &[], &mut self.rng);
+        let block_size = damage.block_size;
         if self.tracing() {
             let strategy = self.placement.name().to_string();
             self.trace(
@@ -383,7 +390,7 @@ impl MaintenanceEngine {
         }
         let plan = self
             .scheduler
-            .schedule(damage.block_size, &sources, &targets, now);
+            .schedule(block_size, &self.sources, &targets, now);
         self.ledger.promise(chunk, &targets);
         if self.tracing() {
             self.trace(
@@ -400,7 +407,7 @@ impl MaintenanceEngine {
             plan.done_at,
             MaintenanceEvent::RepairDone {
                 chunk,
-                targets,
+                targets: targets.into_boxed_slice(),
                 traffic: plan.traffic,
             },
         );

@@ -10,7 +10,7 @@ use peerstripe_sim::dist::{Distribution, Exponential};
 use peerstripe_sim::{ByteSize, EventQueue, SimTime};
 use peerstripe_telemetry::TraceRecord;
 
-/// Events the maintenance engine processes.
+/// Events the maintenance engine processes; boxed payloads keep one 32 bytes.
 #[derive(Debug, Clone)]
 pub enum MaintenanceEvent {
     /// A node leaves the overlay (transient or permanent; nobody knows yet).
@@ -40,7 +40,7 @@ pub enum MaintenanceEvent {
         group: u32,
         /// The members the outage took down (nodes already down individually
         /// at outage start are *not* included — their own return drives them).
-        members: Vec<NodeRef>,
+        members: Box<[NodeRef]>,
     },
     /// A scheduled declaration comes due for a node: the detector decides
     /// whether to declare, cancel (stale generation — the node returned), or
@@ -58,7 +58,7 @@ pub enum MaintenanceEvent {
         /// The repaired chunk.
         chunk: u32,
         /// Where the rebuilt blocks land.
-        targets: Vec<NodeRef>,
+        targets: Box<[NodeRef]>,
         /// Network bytes the repair moved.
         traffic: ByteSize,
     },
@@ -218,7 +218,7 @@ impl MaintenanceEngine {
             until,
             MaintenanceEvent::GroupReturn {
                 group,
-                members: taken,
+                members: taken.into_boxed_slice(),
             },
         );
     }
@@ -231,7 +231,7 @@ impl MaintenanceEngine {
         q: &mut EventQueue<MaintenanceEvent>,
         now: SimTime,
         group: u32,
-        members: Vec<NodeRef>,
+        members: Box<[NodeRef]>,
     ) {
         self.group_down_until[group as usize] = now;
         if self.tracing() {
@@ -242,7 +242,7 @@ impl MaintenanceEngine {
                 .unwrap_or(0);
             self.trace(now, TraceRecord::OutageEnd { outage, group });
         }
-        for node in members {
+        for &node in &members {
             self.return_node(q, now, node);
         }
         if let Some(grouped) = self.churn.grouped.as_ref() {
@@ -329,10 +329,12 @@ impl MaintenanceEngine {
             self.report.wasted_repair_bytes += wasted;
         } else {
             // Redundancy (and decode sources) came back: deferred repairs of
-            // the chunks this node participates in may be able to run now.
-            let mut seen = std::collections::BTreeSet::new();
-            for chunk in self.ledger.chunks_on(node).to_vec() {
-                if seen.insert(chunk) {
+            // the chunks this node participates in may be able to run now,
+            // each once.  A repair decision changes no node's chunk list.
+            for at in 0..self.ledger.chunks_on(node).len() {
+                let held = self.ledger.chunks_on(node);
+                let chunk = held[at];
+                if !held[..at].contains(&chunk) {
                     self.maybe_repair(q, now, chunk);
                 }
             }
@@ -387,7 +389,9 @@ impl MaintenanceEngine {
         // stopped looking correlated) is a declaration like any other.
         self.hold_active[node] = false;
         self.declared[node] = true;
-        for loss in self.ledger.remove_node(node) {
+        let mut losses = std::mem::take(&mut self.losses);
+        self.ledger.remove_node(node, &mut losses);
+        for &loss in &losses {
             for _ in 0..loss.blocks {
                 self.writeoffs.block_written_off(loss.chunk, node);
             }
@@ -406,6 +410,7 @@ impl MaintenanceEngine {
                 Verdict::Defer | Verdict::Rebuild => self.maybe_repair(q, now, loss.chunk),
             }
         }
+        self.losses = losses;
     }
 
     /// Trace the detector's verdict on `node`'s declaration.
@@ -426,7 +431,7 @@ impl MaintenanceEngine {
         q: &mut EventQueue<MaintenanceEvent>,
         now: SimTime,
         chunk: u32,
-        targets: Vec<NodeRef>,
+        targets: Box<[NodeRef]>,
         traffic: ByteSize,
     ) {
         let blocks = targets.len() as u64;
@@ -436,7 +441,7 @@ impl MaintenanceEngine {
         let share = ByteSize::bytes(traffic.as_u64() / blocks.max(1));
         let mut placed = 0u64;
         let mut dropped = 0u64;
-        for node in targets {
+        for &node in &targets {
             // The planner's commit: alive, still no holder, still room (the
             // block is charged to the node, so later can_store probes see
             // it), and the chunk not written off meanwhile.

@@ -63,6 +63,13 @@ mod tests {
         ps
     }
 
+    #[test]
+    fn an_event_is_four_words() {
+        // The variable-length payloads are boxed slices, so a queue entry is
+        // the event plus its time and sequence number: 48 bytes.
+        assert_eq!(std::mem::size_of::<MaintenanceEvent>(), 32);
+    }
+
     fn config(policy: RepairPolicy, timeout_secs: f64) -> RepairConfig {
         RepairConfig {
             policy,

@@ -16,7 +16,7 @@ use peerstripe::repair::{
     ChurnProcess, DeclarationVerdict, DetectionKind, Detector, DetectorConfig, GroupedChurn,
     MaintenanceEngine, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
-use peerstripe::sim::{ByteSize, DetRng, OnlineStats, SimTime};
+use peerstripe::sim::{ByteSize, DetRng, EventQueue, OnlineStats, SimTime};
 use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -445,6 +445,7 @@ proptest! {
         let mut ledger = DamageLedger::build(ps.manifests());
         let nodes = ps.cluster().node_count();
         let mut down = std::collections::BTreeSet::new();
+        let mut losses = Vec::new();
         for word in ops {
             // One word picks the call, the node and the chunk; a few node
             // references lie past the cluster, where the ledger never saw any.
@@ -461,9 +462,21 @@ proptest! {
                     ledger.node_up(node);
                 }
                 2 => {
-                    ledger.remove_node(node);
+                    // One loss per chunk the node held, in first-seen order,
+                    // counting its blocks there; written-off chunks skipped.
+                    let mut want: Vec<(u32, usize)> = Vec::new();
+                    for &c in ledger.chunks_on(node).iter().filter(|&&c| !ledger.is_lost(c)) {
+                        match want.iter_mut().find(|(seen, _)| *seen == c) {
+                            Some((_, blocks)) => *blocks += 1,
+                            None => want.push((c, 1)),
+                        }
+                    }
+                    ledger.remove_node(node, &mut losses);
+                    let got: Vec<(u32, usize)> = losses.iter().map(|l| (l.chunk, l.blocks)).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert!(ledger.chunks_on(node).is_empty());
                 }
-                3 => ledger.place_block(chunk, node, ByteSize::mb(1)),
+                3 => ledger.place_block(chunk, node),
                 _ => {
                     ledger.mark_lost(chunk);
                 }
@@ -973,6 +986,7 @@ fn assert_decisions_match(cluster: &mut StorageCluster, topology: &Topology, rng
         want: 1 + rng.index(4),
         size,
         holders: &holders,
+        promised: &[],
         domain_cap: cap,
     };
     let seed = rng.next_u64();
@@ -1366,11 +1380,6 @@ fn assert_ring_is_model(ring: &IdRing, model: &RingModel, pool: &[Id], keys: &[I
             model.next_clockwise(key),
             "{at}: cw {key:?}"
         );
-        assert_eq!(
-            ring.next_counter_clockwise(key),
-            model.next_counter_clockwise(key),
-            "{at}: ccw {key:?}"
-        );
         for l in [1, 2, 5, 2 * ring.len() + 4] {
             let leaves = ring.leaf_set(key, l);
             assert_eq!(leaves.owner, key, "{at}: leaf_set owner");
@@ -1381,10 +1390,33 @@ fn assert_ring_is_model(ring: &IdRing, model: &RingModel, pool: &[Id], keys: &[I
                 "{at}: leaf_set {key:?} {l} counter-clockwise"
             );
         }
-        let takeover = ring
-            .takeover_on_failure(key)
-            .map(|t| (t.failed, t.predecessor, t.successor));
-        assert_eq!(takeover, model.takeover(key), "{at}: takeover {key:?}");
+        // Removing a member hands its range to the neighbours the ring named
+        // before the removal; removing anything else changes nothing.
+        let mut after = ring.clone();
+        let removed = after
+            .remove_with_takeover(key)
+            .map(|(node, t)| (node, t.map(|t| (t.failed, t.predecessor, t.successor))));
+        let expected = model.0.get(&key).map(|&node| (node, model.takeover(key)));
+        assert_eq!(removed, expected, "{at}: remove_with_takeover {key:?}");
+        if let Some((_, Some((_, predecessor, successor)))) = removed {
+            assert_eq!(
+                Some(predecessor),
+                ring.predecessor(key),
+                "{at}: heir {key:?}"
+            );
+            assert_eq!(
+                Some(successor),
+                ring.next_clockwise(key),
+                "{at}: heir {key:?}"
+            );
+        }
+        let gone = usize::from(removed.is_some());
+        assert_eq!(
+            after.len(),
+            ring.len() - gone,
+            "{at}: len after removing {key:?}"
+        );
+        assert!(!after.contains(key), "{at}: {key:?} removed");
     }
     // The k sweep is the costly check: at the keys only.
     for &key in keys {
@@ -1414,7 +1446,9 @@ proptest! {
     /// `IdRing` answers every query exactly as the `BTreeMap` model after each
     /// insert, remove and re-insert of a churned id pool.  Each case then
     /// kills the whole pool but one member, passing through rings at least
-    /// 90 % dead, and brings some of it back under new node refs.
+    /// 90 % dead and rings of two and one, and brings some of it back under
+    /// new node refs.  At every step, removing each key from a copy of the
+    /// ring names the heirs the ring named before.
     #[test]
     fn the_ring_is_its_model_under_churn(
         pool_size in 1usize..40,
@@ -1430,6 +1464,7 @@ proptest! {
         let mut keys: Vec<Id> = (0..4).map(|_| ring_id(&mut rng)).collect();
         keys.extend((0..3).map(|_| pool[rng.index(pool.len())]));
         let (mut ring, mut model) = (IdRing::new(), RingModel::default());
+        let remove = |ring: &mut IdRing, id| ring.remove_with_takeover(id).map(|(node, _)| node);
         let mut next_node = 0;
         assert_ring_is_model(&ring, &model, &pool, &keys, "empty");
 
@@ -1437,7 +1472,7 @@ proptest! {
             let id = pool[rng.index(pool.len())];
             // The higher the bias, the more removes: rings run mostly dead.
             if rng.index(4) < kill_bias {
-                prop_assert_eq!(ring.remove(id), model.0.remove(&id), "step {}: remove", step);
+                prop_assert_eq!(remove(&mut ring, id), model.0.remove(&id), "step {}: remove", step);
             } else {
                 next_node += 1;
                 prop_assert_eq!(
@@ -1456,7 +1491,7 @@ proptest! {
         assert_ring_is_model(&ring, &model, &pool, &keys, "full");
         let survivor = pool[rng.index(pool.len())];
         for &id in pool.iter().filter(|&&id| id != survivor) {
-            prop_assert_eq!(ring.remove(id), model.0.remove(&id));
+            prop_assert_eq!(remove(&mut ring, id), model.0.remove(&id));
             assert_ring_is_model(&ring, &model, &pool, &keys, &format!("removed {id:?}"));
         }
         prop_assert_eq!(ring.len(), 1);
@@ -1466,5 +1501,116 @@ proptest! {
             prop_assert_eq!(ring.insert(id, next_node), model.insert(id, next_node));
             assert_ring_is_model(&ring, &model, &pool, &keys, &format!("rejoined {id:?}"));
         }
+    }
+}
+
+// ---- event queue -------------------------------------------------------------
+
+/// The follow-up the handler schedules for event `e` popped at `t`, if any:
+/// at the same time, a little later, or in the past (clamped to now).  Only
+/// the first few hundred events have one, so every run drains.
+fn follow_up(e: u64, t: SimTime) -> Option<SimTime> {
+    match e % 4 {
+        _ if e >= 400 => None,
+        0 => Some(t),
+        1 => Some(t + SimTime(1_000 * (e % 3))),
+        2 => Some(SimTime(t.as_nanos().saturating_sub(5_000))),
+        _ => None,
+    }
+}
+
+/// The queue's model: the pending `(time, seq)` pairs, each event's payload
+/// its seq, and the clock.
+#[derive(Default)]
+struct QueueModel {
+    pending: Vec<(SimTime, u64)>,
+    now: SimTime,
+    next: u64,
+}
+
+impl QueueModel {
+    fn schedule_at(&mut self, at: SimTime) {
+        self.pending.push((at.max(self.now), self.next));
+        self.next += 1;
+    }
+
+    /// `run_until` over a sorted vector: the least `(time, seq)` pops while
+    /// its time is at most `deadline`, and schedules its follow-up.
+    fn run_until(&mut self, deadline: SimTime) -> Vec<(SimTime, u64)> {
+        let mut popped = Vec::new();
+        loop {
+            self.pending.sort_unstable();
+            match self.pending.first() {
+                Some(&(t, e)) if t <= deadline => {
+                    self.pending.remove(0);
+                    self.now = t;
+                    popped.push((t, e));
+                    if let Some(at) = follow_up(e, t) {
+                        self.schedule_at(at);
+                    }
+                }
+                _ => return popped,
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `EventQueue::run_until` pops in `(time, seq)` order, as a sorted
+    /// vector does, over random interleavings of schedules and runs:
+    /// schedules in the past (clamped to now), many at equal times,
+    /// follow-ups scheduled from inside the handler, and deadlines that fall
+    /// exactly on a pending event, on now, or before it.
+    #[test]
+    fn the_event_queue_pops_in_time_then_insertion_order(
+        seed in any::<u64>(),
+        rounds in 1usize..16,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = QueueModel::default();
+        for round in 0..rounds {
+            for _ in 0..rng.index(24) {
+                let now = queue.now().as_nanos();
+                let at = match rng.index(4) {
+                    0 => now.saturating_sub(1_000 * rng.index(8) as u64),
+                    _ => now + 1_000 * rng.index(12) as u64,
+                };
+                queue.schedule_at(SimTime(at), model.next);
+                model.schedule_at(SimTime(at));
+            }
+            let now = queue.now().as_nanos();
+            let deadline = SimTime(match rng.index(4) {
+                0 if !model.pending.is_empty() => {
+                    model.pending[rng.index(model.pending.len())].0.as_nanos()
+                }
+                1 => now,
+                2 => now.saturating_sub(1_000),
+                _ => now + 1_000 * rng.index(16) as u64,
+            });
+            let mut popped = Vec::new();
+            let mut next = model.next;
+            let ran = queue.run_until(deadline, |q, t, e| {
+                popped.push((t, e));
+                if let Some(at) = follow_up(e, t) {
+                    q.schedule_at(at, next);
+                    next += 1;
+                }
+            });
+            let want = model.run_until(deadline);
+            prop_assert_eq!(&popped, &want, "round {}, deadline {:?}", round, deadline);
+            prop_assert_eq!(ran as usize, popped.len());
+            prop_assert_eq!(queue.now(), model.now);
+            prop_assert_eq!(queue.len(), model.pending.len());
+            let first = model.pending.iter().min().map(|&(t, _)| t);
+            prop_assert_eq!(queue.peek_time(), first);
+        }
+        let mut rest = Vec::new();
+        queue.run_until(SimTime(u64::MAX), |_, t, e| rest.push((t, e)));
+        model.pending.sort_unstable();
+        prop_assert_eq!(rest, model.pending);
+        prop_assert!(queue.is_empty());
     }
 }

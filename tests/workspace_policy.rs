@@ -72,6 +72,7 @@ const KEPT: &[(&str, &str)] = &[
     ("remove_from", "test oracle: StorageCluster"),
     ("release_at", "test oracle: undoes `reserve` in tests/properties.rs"),
     ("collocated_since", "test oracle: DamageLedger"),
+    ("next_clockwise", "test oracle: the heir IdRing::remove_with_takeover names"),
     ("rs_default", "test fixture: the RS geometry some twenty tests build"),
     ("group_of", "test oracle: XorCode"),
     ("run_experiment", "the smoke tests' entry point into the CLI"),
