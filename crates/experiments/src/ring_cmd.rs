@@ -13,7 +13,7 @@ use crate::Scale;
 use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{
     node_binary, AccountNames, GatewayConfig, LocalRing, NodeEndpoint, NodeStats, RingGateway,
-    WireError,
+    Transport, WireError,
 };
 use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::{ByteSize, DetRng, TableBuilder};
@@ -212,7 +212,10 @@ fn unattributed_count(gateway_log: &[peerstripe_net::OpLogEntry], nodes: &[NodeR
 }
 
 /// One scrape round: every endpoint's `GetStats` through the gateway.
-fn scrape(gateway: &RingGateway, endpoints: &[NodeEndpoint]) -> Vec<Result<NodeStats, WireError>> {
+fn scrape<T: Transport>(
+    gateway: &RingGateway<T>,
+    endpoints: &[NodeEndpoint],
+) -> Vec<Result<NodeStats, WireError>> {
     endpoints
         .iter()
         .map(|e| gateway.get_stats(e.node))
@@ -489,28 +492,22 @@ mod tests {
 
     #[test]
     fn scrape_rounds_flag_unreachable_and_stale_nodes() {
-        use peerstripe_net::{NodeConfig, NodeServer, NodeService};
-        let mut nodes = Vec::new();
-        let mut endpoints = Vec::new();
-        for node in 0..3 {
-            let name = format!("node-{node}");
-            let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(16)));
-            let running = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
-            endpoints.push(NodeEndpoint {
+        let (wire, gateway) = peerstripe_net::MemWire::ring_of(3, ByteSize::mb(16));
+        // The wire dials by node: the address is never used.
+        let endpoints: Vec<NodeEndpoint> = (0..3)
+            .map(|node| NodeEndpoint {
                 node,
-                id: Id::hash(&name),
-                addr: running.local_addr(),
-            });
-            nodes.push(running);
-        }
-        let gateway = RingGateway::connect(&endpoints, GatewayConfig::default());
+                id: Id::hash(&format!("node-{node}")),
+                addr: ([127, 0, 0, 1], 0).into(),
+            })
+            .collect();
         assert!(gateway.ping(1));
         // Node 2 stops before the first round: never reached.
-        nodes.remove(2).stop().unwrap();
+        wire.stop(2);
         let before = scrape(&gateway, &endpoints);
         let first = before[1].as_ref().unwrap().clone();
         // Node 1 answered once, then stops: stale, on its first snapshot.
-        nodes.remove(1).stop().unwrap();
+        wire.stop(1);
         let after = scrape(&gateway, &endpoints);
         let rows = node_rows(&endpoints, before, after);
 
@@ -521,9 +518,6 @@ mod tests {
         assert_eq!(rows[1].stats.as_ref(), Some(&first));
         assert!(first.op_log.iter().any(|e| e.op == "ping"));
         assert!(rows[2].stats.is_none() && rows[2].ops.is_empty());
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]

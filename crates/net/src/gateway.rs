@@ -9,6 +9,9 @@
 //! block bytes off the wire, and recovery reads surviving blocks from live
 //! daemons the same way.
 //!
+//! Every RPC goes over the gateway's [`Transport`]: TCP for a plain
+//! `RingGateway`, the in-memory wire for a `RingGateway<MemWire>`.
+//!
 //! A read's blocks arrive through `fetch_block_into`, the one
 //! [`StorageBackend`] verb the gateway overrides: the `Block` reply's
 //! payload is read off the socket into the buffer the client hands in — its
@@ -45,6 +48,7 @@ use crate::protocol::{
     read_block_reply_into, read_response, write_request_traced, BlockReply, NodeStats, OpLogEntry,
     RemoteError, Request, Response, WireError,
 };
+use crate::transport::{Tcp, Transport};
 use peerstripe_core::{
     ClusterStoreError, FetchMiss, FetchedBlock, NodeStoreError, ObjectName, StorageBackend,
 };
@@ -54,7 +58,7 @@ use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
 use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Duration;
@@ -119,12 +123,11 @@ impl Default for GatewayConfig {
 const HEAP_HYSTERESIS_BYTES: usize = (32 << 20) - (64 << 10);
 
 /// The networked backend: a membership ring over live node daemons.
-pub struct RingGateway {
-    endpoints: BTreeMap<NodeRef, SocketAddr>,
+pub struct RingGateway<T: Transport = Tcp> {
+    transport: T,
     ids: BTreeMap<NodeRef, Id>,
     ring: IdRing,
-    timeout: Duration,
-    conns: Mutex<BTreeMap<NodeRef, Conn>>,
+    conns: Mutex<BTreeMap<NodeRef, Conn<T>>>,
     /// Last capacity report seen per node — the `&self` view methods
     /// ([`ClusterView::report_of`]) answer from this cache; live probes
     /// refresh it.
@@ -137,11 +140,11 @@ pub struct RingGateway {
 
 /// A connection to a daemon: replies are read through its buffer, requests
 /// written to the stream beneath it.
-type Conn = BufReader<TcpStream>;
+type Conn<T> = BufReader<<T as Transport>::Stream>;
 
 /// A request written on a connection, or the error writing it hit.
-struct Sent {
-    stream: Result<Conn, WireError>,
+struct Sent<T: Transport> {
+    stream: Result<Conn<T>, WireError>,
     /// The stream came from the pool, so a transport error on it may only
     /// mean it went stale: worth one re-dial.
     pooled: bool,
@@ -149,13 +152,13 @@ struct Sent {
 
 /// An instrumented RPC whose request is out and whose reply is not yet read:
 /// [`RingGateway::send`] starts one, [`RingGateway::finish`] ends it.
-struct InFlight<'r> {
+struct InFlight<'r, T: Transport> {
     node: NodeRef,
     /// Kept for the one resend a stale pooled stream earns.
     req: &'r Request,
     rid: u64,
     started: Started,
-    sent: Sent,
+    sent: Sent<T>,
 }
 
 impl RingGateway {
@@ -170,19 +173,26 @@ impl RingGateway {
                 HEAP_HYSTERESIS_BYTES,
             )));
         });
+        let tcp = Tcp {
+            addrs: endpoints.iter().map(|ep| (ep.node, ep.addr)).collect(),
+            timeout: config.timeout,
+        };
+        RingGateway::over(tcp, endpoints.iter().map(|ep| (ep.node, ep.id)).collect())
+    }
+}
+
+impl<T: Transport> RingGateway<T> {
+    /// Build a gateway over the daemons `ids` names (node → overlay id),
+    /// reached through `transport`.  No stream is opened until the first RPC.
+    pub fn over(transport: T, ids: BTreeMap<NodeRef, Id>) -> Self {
         let mut ring = IdRing::new();
-        let mut addr_map = BTreeMap::new();
-        let mut ids = BTreeMap::new();
-        for ep in endpoints {
-            ring.insert(ep.id, ep.node);
-            addr_map.insert(ep.node, ep.addr);
-            ids.insert(ep.node, ep.id);
+        for (&node, &id) in &ids {
+            ring.insert(id, node);
         }
         RingGateway {
-            endpoints: addr_map,
+            transport,
             ids,
             ring,
-            timeout: config.timeout,
             conns: Mutex::new(BTreeMap::new()),
             reports: Mutex::new(BTreeMap::new()),
             account: Mutex::new(RpcAccount::new(AccountNames::GATEWAY)),
@@ -191,16 +201,10 @@ impl RingGateway {
     }
 
     /// Dial a node fresh.
-    fn dial(&self, node: NodeRef) -> Result<Conn, WireError> {
-        let addr = self
-            .endpoints
-            .get(&node)
-            .ok_or_else(|| WireError::Body(format!("unknown node {node}")))?;
-        let stream = TcpStream::connect_timeout(addr, self.timeout).map_err(WireError::Io)?;
-        let _ = stream.set_read_timeout(Some(self.timeout));
-        let _ = stream.set_write_timeout(Some(self.timeout));
-        let _ = stream.set_nodelay(true);
-        Ok(BufReader::new(stream))
+    fn dial(&self, node: NodeRef) -> Result<Conn<T>, WireError> {
+        Ok(BufReader::new(
+            self.transport.dial(node).map_err(WireError::Io)?,
+        ))
     }
 
     /// The failure kind of an RPC outcome: a [`WireError::kind_label`] for
@@ -225,7 +229,7 @@ impl RingGateway {
         &self,
         node: NodeRef,
         req: &Request,
-        read: impl FnMut(&mut Conn) -> Result<R, WireError>,
+        read: impl FnMut(&mut Conn<T>) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
         let call = self.send(node, req);
@@ -237,7 +241,7 @@ impl RingGateway {
     /// clock started, and the request written on `node`'s pooled connection
     /// or a freshly dialled one.  A failed dial or write is left for
     /// [`RingGateway::finish`] to act on and record.
-    fn send<'r>(&self, node: NodeRef, req: &'r Request) -> InFlight<'r> {
+    fn send<'r>(&self, node: NodeRef, req: &'r Request) -> InFlight<'r, T> {
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
         let started = Started::now();
         let sent = self.write_pooled(node, req, Some(rid));
@@ -257,8 +261,8 @@ impl RingGateway {
     /// the outcome's label.
     fn finish<R>(
         &self,
-        call: InFlight<'_>,
-        read: impl FnMut(&mut Conn) -> Result<R, WireError>,
+        call: InFlight<'_, T>,
+        read: impl FnMut(&mut Conn<T>) -> Result<R, WireError>,
         parsed: fn(&R) -> Option<&Response>,
     ) -> Result<R, WireError> {
         let InFlight {
@@ -276,7 +280,7 @@ impl RingGateway {
     }
 
     /// Write `req` on `node`'s pooled connection, or on a fresh one.
-    fn write_pooled(&self, node: NodeRef, req: &Request, rid: Option<u64>) -> Sent {
+    fn write_pooled(&self, node: NodeRef, req: &Request, rid: Option<u64>) -> Sent<T> {
         // The pool lock is held only to take a stream out and to put it
         // back, never across a dial or a round trip: RPCs to different nodes
         // overlap, and a dead endpoint stalls nobody but its own caller.
@@ -303,11 +307,12 @@ impl RingGateway {
         node: NodeRef,
         req: &Request,
         rid: Option<u64>,
-        sent: Sent,
-        mut read: impl FnMut(&mut Conn) -> Result<R, WireError>,
+        sent: Sent<T>,
+        mut read: impl FnMut(&mut Conn<T>) -> Result<R, WireError>,
     ) -> Result<R, WireError> {
-        let mut reply_on =
-            |mut stream: Conn| -> Result<(R, Conn), WireError> { Ok((read(&mut stream)?, stream)) };
+        let mut reply_on = |mut stream: Conn<T>| -> Result<(R, Conn<T>), WireError> {
+            Ok((read(&mut stream)?, stream))
+        };
         let (reply, stream) = match sent.stream.and_then(&mut reply_on) {
             Err(e) if e.is_transport() && sent.pooled => {
                 let mut stream = self.dial(node)?;
@@ -349,7 +354,7 @@ impl RingGateway {
     }
 
     /// Finish a capacity probe, refreshing the report cache.
-    fn capacity_reply(&self, probe: InFlight<'_>) -> Option<ByteSize> {
+    fn capacity_reply(&self, probe: InFlight<'_, T>) -> Option<ByteSize> {
         let node = probe.node;
         match self.finish(probe, read_response, |resp| Some(resp)) {
             Ok(Response::Capacity { free }) => {
@@ -396,7 +401,7 @@ impl RingGateway {
     }
 }
 
-impl ClusterView for RingGateway {
+impl<T: Transport> ClusterView for RingGateway<T> {
     fn route_quiet(&self, key: Id) -> Option<NodeRef> {
         self.ring.route(key).map(|(_, node)| node)
     }
@@ -428,7 +433,7 @@ impl ClusterView for RingGateway {
     }
 
     fn node_count(&self) -> usize {
-        self.endpoints.len()
+        self.ids.len()
     }
 
     fn alive_nodes(&self) -> Vec<NodeRef> {
@@ -436,7 +441,7 @@ impl ClusterView for RingGateway {
     }
 }
 
-impl ProbeView for RingGateway {
+impl<T: Transport> ProbeView for RingGateway<T> {
     fn probe(&mut self, key: Id) -> Option<(NodeRef, ByteSize)> {
         let (_, node) = self.ring.route(key)?;
         let free = self.capacity_rpc(node)?;
@@ -455,7 +460,7 @@ impl ProbeView for RingGateway {
             }
         }
         let req = Request::GetCapacity;
-        let wave: Vec<InFlight<'_>> = nodes.iter().map(|&node| self.send(node, &req)).collect();
+        let wave: Vec<InFlight<'_, T>> = nodes.iter().map(|&node| self.send(node, &req)).collect();
         let free: BTreeMap<NodeRef, ByteSize> = wave
             .into_iter()
             .filter_map(|probe| Some((probe.node, self.capacity_reply(probe)?)))
@@ -467,7 +472,7 @@ impl ProbeView for RingGateway {
     }
 }
 
-impl StorageBackend for RingGateway {
+impl<T: Transport> StorageBackend for RingGateway<T> {
     fn route_lookup(&mut self, key: Id) -> Option<NodeRef> {
         self.ring.route(key).map(|(_, node)| node)
     }
@@ -531,7 +536,7 @@ impl StorageBackend for RingGateway {
             return Err(FetchMiss::Absent);
         }
         let req = Request::FetchBlock { name: name.clone() };
-        let read = |stream: &mut Conn| read_block_reply_into(stream, head, tail);
+        let read = |stream: &mut Conn<T>| read_block_reply_into(stream, head, tail);
         match self.rpc_reading(node, &req, read, BlockReply::response) {
             Ok(BlockReply::Landed) => Ok(()),
             Ok(BlockReply::Short) => Err(FetchMiss::Short),
@@ -564,29 +569,20 @@ impl StorageBackend for RingGateway {
 mod tests {
     use super::*;
     use crate::node::{NodeConfig, NodeService};
-    use crate::server::{NodeServer, RunningNode};
+    use crate::protocol::{write_response_traced, VERSION};
+    use crate::server::NodeServer;
+    use crate::transport::{MemWire, WireStream};
+    use std::collections::VecDeque;
+    use std::io::{self, IoSlice, Read, Write};
+    use std::sync::Arc;
 
-    fn ring_of(n: usize) -> (Vec<RunningNode>, RingGateway) {
-        let mut nodes = Vec::new();
-        let mut endpoints = Vec::new();
-        for i in 0..n {
-            let name = format!("node-{i}");
-            let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(64)));
-            let running = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
-            endpoints.push(NodeEndpoint {
-                node: i,
-                id: Id::hash(&name),
-                addr: running.local_addr(),
-            });
-            nodes.push(running);
-        }
-        let gateway = RingGateway::connect(&endpoints, GatewayConfig::default());
-        (nodes, gateway)
+    fn wire(n: usize) -> (MemWire, RingGateway<MemWire>) {
+        MemWire::ring_of(n, ByteSize::mb(64))
     }
 
     #[test]
     fn gateway_round_trips_blocks_through_live_daemons() {
-        let (nodes, mut gw) = ring_of(4);
+        let (_wire, mut gw) = wire(4);
         let name = ObjectName::block("f", 0, 0);
         let node = gw.route_lookup(name.key()).unwrap();
         gw.store_block(
@@ -602,9 +598,6 @@ mod tests {
         assert_eq!(fetched.payload.as_deref(), Some(&vec![1u8, 2, 3]));
         gw.rollback_block(node, &name, ByteSize::mb(1));
         assert!(gw.fetch_block(node, &name).is_none());
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     /// A one-row payload as the byte path stores it: the 12-byte record
@@ -618,7 +611,7 @@ mod tests {
         payload
     }
 
-    fn rpcs(gw: &RingGateway, op: &str) -> u64 {
+    fn rpcs<T: Transport>(gw: &RingGateway<T>, op: &str) -> u64 {
         let export = gw.export_metrics();
         let labelled = |c: &&peerstripe_telemetry::CounterExport| {
             c.name == "gateway_rpc_total" && c.labels.iter().any(|l| l.1 == op)
@@ -633,7 +626,7 @@ mod tests {
 
     #[test]
     fn fetch_block_into_lands_a_payload_in_the_callers_buffers_and_types_every_miss() {
-        let (nodes, mut gw) = ring_of(2);
+        let (_wire, mut gw) = wire(2);
         let row: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
         let stored = [
             (ObjectName::block("f", 0, 0), Some(row_payload(&row))),
@@ -686,74 +679,100 @@ mod tests {
         gw_log.retain(|e| e.op == "fetch_block");
         assert_eq!(gw_log.len(), 5);
         assert!(gw_log.iter().all(|e| e.is_ok() && logged(e.request_id)));
-        for n in nodes {
-            n.stop().unwrap();
+    }
+
+    /// One daemon played from a script, for the replies no daemon sends: the
+    /// n-th dial opens a stream that answers its k-th request with
+    /// `conns[n][k]`, and ends once those run out.  `requests[n]` counts the
+    /// request frames written on it.
+    #[derive(Default)]
+    struct Script {
+        conns: Mutex<VecDeque<VecDeque<Vec<u8>>>>,
+        requests: Arc<Mutex<Vec<usize>>>,
+    }
+
+    struct Played {
+        replies: VecDeque<Vec<u8>>,
+        out: VecDeque<u8>,
+        conn: usize,
+        requests: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Read for Played {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.out.read(buf)
         }
     }
 
-    /// A stub daemon that answers every request with a `Block` from a
-    /// script: one list per connection it accepts, one `(payload, cut)` per
-    /// request on it.  Each reply's header says protocol `version`.  With
-    /// `cut` the reply stops after that many bytes and the stub's sending
-    /// side is closed; the connection then ends.  Returns how many requests
-    /// arrived on a connection after its reply was cut.
-    fn stub_daemon(
-        version: u8,
-        script: Vec<Vec<(Vec<u8>, Option<usize>)>>,
-    ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
-        use crate::protocol::{read_request_traced, write_response_traced};
-        use std::io::Write;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stub = std::thread::spawn(move || {
-            let mut reused = 0;
-            for requests in script {
-                let (mut conn, _) = listener.accept().unwrap();
-                for (payload, cut) in requests {
-                    let (_, rid) = read_request_traced(&mut conn).unwrap();
-                    let block = Some((ByteSize::kb(1), Some(std::sync::Arc::new(payload))));
-                    let mut reply = Vec::new();
-                    write_response_traced(&mut reply, &Response::Block { block }, rid).unwrap();
-                    reply[2] = version;
-                    let Some(cut) = cut else {
-                        conn.write_all(&reply).unwrap();
-                        continue;
-                    };
-                    conn.write_all(&reply[..cut]).unwrap();
-                    conn.shutdown(std::net::Shutdown::Write).unwrap();
-                    reused += usize::from(read_request_traced(&mut conn).is_ok());
-                    break;
-                }
-            }
-            reused
-        });
-        (addr, stub)
+    impl Write for Played {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        /// A frame is written whole: release its reply.
+        fn flush(&mut self) -> io::Result<()> {
+            lock(&self.requests)[self.conn] += 1;
+            self.out
+                .extend(self.replies.pop_front().unwrap_or_default());
+            Ok(())
+        }
     }
 
-    fn stub_gateway(addr: SocketAddr) -> RingGateway {
-        let endpoint = NodeEndpoint {
-            node: 0,
-            id: Id::hash("stub"),
-            addr,
+    impl Transport for Script {
+        type Stream = Played;
+
+        fn dial(&self, _: NodeRef) -> io::Result<Played> {
+            let replies = lock(&self.conns).pop_front().unwrap_or_default();
+            let mut requests = lock(&self.requests);
+            requests.push(0);
+            Ok(Played {
+                replies,
+                out: VecDeque::new(),
+                conn: requests.len() - 1,
+                requests: Arc::clone(&self.requests),
+            })
+        }
+    }
+
+    /// A gateway to one scripted daemon (see [`Script`]).
+    fn scripted(conns: Vec<Vec<Vec<u8>>>) -> RingGateway<Script> {
+        let conns = conns.into_iter().map(VecDeque::from).collect();
+        let script = Script {
+            conns: Mutex::new(conns),
+            ..Script::default()
         };
-        RingGateway::connect(&[endpoint], GatewayConfig::default())
+        RingGateway::over(script, BTreeMap::from([(0, Id::hash("stub"))]))
+    }
+
+    /// The request frames written on each stream the gateway opened.
+    fn requests(gw: &RingGateway<Script>) -> Vec<usize> {
+        lock(&gw.transport.requests).clone()
+    }
+
+    /// `resp` framed by a daemon that speaks protocol `version`.
+    fn framed(resp: &Response, version: u8) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_response_traced(&mut frame, resp, None).unwrap();
+        frame[2] = version;
+        frame
+    }
+
+    fn block_frame(payload: Vec<u8>, version: u8) -> Vec<u8> {
+        let block = Some((ByteSize::kb(1), Some(Arc::new(payload))));
+        framed(&Response::Block { block }, version)
     }
 
     #[test]
     fn a_reply_cut_short_on_a_pooled_connection_is_fetched_again_on_a_fresh_one() {
         let rows: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; 100_000]).collect();
-        let payload = |i: usize| row_payload(&rows[i]);
+        let reply = |i: usize| block_frame(row_payload(&rows[i]), VERSION);
         // The second reply stops in the middle of its payload, the third
         // before its first byte (the daemon went away between two calls).
-        let (addr, stub) = stub_daemon(
-            crate::protocol::VERSION,
-            vec![
-                vec![(payload(0), None), (payload(1), Some(50_000))],
-                vec![(payload(1), None), (payload(2), Some(0))],
-                vec![(payload(2), None)],
-            ],
-        );
-        let gw = stub_gateway(addr);
+        let gw = scripted(vec![
+            vec![reply(0), reply(1)[..50_000].to_vec()],
+            vec![reply(1), vec![]],
+            vec![reply(2)],
+        ]);
         let name = ObjectName::block("f", 0, 0);
         let mut tail = Vec::new();
         for row in &rows {
@@ -763,7 +782,8 @@ mod tests {
         }
         // The half-read payload of the first attempt left nothing behind.
         assert_eq!(tail, rows.concat());
-        assert_eq!(stub.join().unwrap(), 0);
+        // No request followed a cut reply on its connection.
+        assert_eq!(requests(&gw), [2, 2, 1]);
         // One RPC a call, re-dials included, and none of them an error.
         assert_eq!(rpcs(&gw, "fetch_block"), 3);
         assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
@@ -772,14 +792,8 @@ mod tests {
     #[test]
     fn a_reply_cut_short_on_a_fresh_connection_is_a_miss_and_the_connection_is_dropped() {
         let row = vec![7u8; 100_000];
-        let (addr, stub) = stub_daemon(
-            crate::protocol::VERSION,
-            vec![
-                vec![(row_payload(&row), Some(60_000))],
-                vec![(row_payload(&row), None)],
-            ],
-        );
-        let gw = stub_gateway(addr);
+        let reply = block_frame(row_payload(&row), VERSION);
+        let gw = scripted(vec![vec![reply[..60_000].to_vec()], vec![reply]]);
         let name = ObjectName::block("f", 0, 0);
         let mut tail = vec![0xEE];
         let mut head = [0u8; 12];
@@ -791,15 +805,14 @@ mod tests {
         // dials, and no request ever follows the cut reply on its connection.
         assert_eq!(gw.fetch_block_into(0, &name, &mut head, &mut tail), Ok(()));
         assert_eq!(&tail[1..], &row[..]);
-        assert_eq!(stub.join().unwrap(), 0);
+        assert_eq!(requests(&gw), [1, 1]);
     }
 
     #[test]
     fn a_daemon_of_another_protocol_version_fails_typed_and_nothing_is_pooled() {
         // A daemon that speaks protocol v1: every reply's header says so.
-        let row = row_payload(&[5u8; 64]);
-        let (addr, stub) = stub_daemon(1, vec![vec![(row.clone(), None)], vec![(row, None)]]);
-        let mut gw = stub_gateway(addr);
+        let reply = block_frame(row_payload(&[5u8; 64]), 1);
+        let mut gw = scripted(vec![vec![reply.clone()], vec![reply]]);
         let name = ObjectName::block("f", 0, 0);
         let (mut head, mut tail) = ([0u8; 12], Vec::new());
         let fetched = gw.fetch_block_into(0, &name, &mut head, &mut tail);
@@ -810,7 +823,7 @@ mod tests {
         assert!(matches!(stored, Err(ClusterStoreError::NoLiveNodes)));
         // Neither stream went back: each RPC dialled its own connection.
         assert!(lock(&gw.conns).is_empty());
-        assert_eq!(stub.join().unwrap(), 0);
+        assert_eq!(requests(&gw), [1, 1]);
 
         let export = gw.export_metrics();
         let version_errors: Vec<(String, u64)> = export
@@ -830,24 +843,29 @@ mod tests {
 
     #[test]
     fn probe_reaches_the_daemon_and_caches_the_report() {
-        let (nodes, mut gw) = ring_of(3);
+        let (_wire, mut gw) = wire(3);
         let key = Id::hash("some-key");
         let (node, free) = gw.probe(key).unwrap();
         assert_eq!(free, ByteSize::mb(64));
         assert_eq!(gw.report_of(node), ByteSize::mb(64));
         assert!(gw.can_store(node, ByteSize::mb(1)));
         assert!(!gw.can_store(node, ByteSize::gb(1)));
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     fn keys(n: usize) -> Vec<Id> {
         (0..n).map(|i| Id::hash(&format!("wave-key-{i}"))).collect()
     }
 
+    /// The distinct daemons `keys` route to, in node order.
+    fn routed<T: Transport>(gw: &RingGateway<T>, keys: &[Id]) -> Vec<NodeRef> {
+        let mut routed: Vec<NodeRef> = keys.iter().filter_map(|&k| gw.route_quiet(k)).collect();
+        routed.sort_unstable();
+        routed.dedup();
+        routed
+    }
+
     /// The request ids of every op-log entry node `n` holds for `op`.
-    fn node_rids(gw: &RingGateway, n: NodeRef, op: &str) -> Vec<Option<u64>> {
+    fn node_rids(gw: &RingGateway<MemWire>, n: NodeRef, op: &str) -> Vec<Option<u64>> {
         let log = gw.get_stats(n).unwrap().op_log;
         log.iter()
             .filter(|e| e.op == op)
@@ -857,11 +875,9 @@ mod tests {
 
     #[test]
     fn a_probe_wave_asks_each_distinct_daemon_once_and_joins_every_node_log() {
-        let (nodes, mut gw) = ring_of(4);
+        let (_wire, mut gw) = wire(4);
         let keys = keys(24);
-        let mut routed: Vec<NodeRef> = keys.iter().filter_map(|&k| gw.route_quiet(k)).collect();
-        routed.sort_unstable();
-        routed.dedup();
+        let routed = routed(&gw, &keys);
         assert!(routed.len() > 1, "the keys spread over several daemons");
 
         let answers = gw.probe_all(&keys);
@@ -879,14 +895,11 @@ mod tests {
         assert!(wave
             .iter()
             .all(|e| e.is_ok() && logged.contains(&e.request_id)));
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn a_probe_wave_answers_what_per_key_probes_answer_and_refreshes_reports() {
-        let (nodes, mut gw) = ring_of(3);
+        let (_wire, mut gw) = wire(3);
         let keys = keys(12);
         let first = gw.probe_all(&keys);
         // Space taken behind the cache's back: only a probe can see it.
@@ -900,20 +913,17 @@ mod tests {
         assert_eq!(gw.report_of(node), ByteSize::mb(59));
         let one_by_one: Vec<_> = keys.iter().map(|&k| gw.probe(k)).collect();
         assert_eq!(wave, one_by_one);
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn a_stopped_daemon_answers_none_for_its_own_keys_only() {
-        let (mut nodes, mut gw) = ring_of(4);
+        let (wire, mut gw) = wire(4);
         let keys = keys(24);
         // Every daemon's stream is pooled by a first wave.
         assert!(gw.probe_all(&keys).iter().all(Option::is_some));
         // Stopped without telling the gateway: its pooled stream is severed.
         let dead = gw.route_quiet(keys[0]).unwrap();
-        nodes.remove(dead).stop().unwrap();
+        wire.stop(dead);
 
         let answers = gw.probe_all(&keys);
         for (&key, answer) in keys.iter().zip(&answers) {
@@ -923,73 +933,34 @@ mod tests {
         let pooled: Vec<NodeRef> = lock(&gw.conns).keys().copied().collect();
         let live: Vec<NodeRef> = (0..4).filter(|&n| n != dead).collect();
         assert_eq!(pooled, live, "every stream whose reply was read went back");
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
-    /// A stub daemon that answers `GetCapacity` with `free`: `answers[i]`
-    /// requests on the i-th connection it accepts, then it closes that
-    /// connection.
-    fn capacity_stub(
-        free: ByteSize,
-        answers: Vec<usize>,
-    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
-        use crate::protocol::{read_request_traced, write_response_traced};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stub = std::thread::spawn(move || {
-            for count in answers {
-                let (mut conn, _) = listener.accept().unwrap();
-                for _ in 0..count {
-                    let (req, rid) = read_request_traced(&mut conn).unwrap();
-                    assert_eq!(req, Request::GetCapacity);
-                    write_response_traced(&mut conn, &Response::Capacity { free }, rid).unwrap();
-                }
-            }
-        });
-        (addr, stub)
+    fn capacity_frame(free: ByteSize) -> Vec<u8> {
+        framed(&Response::Capacity { free }, VERSION)
     }
 
     #[test]
     fn a_wave_redials_a_closed_pooled_stream_once_and_counts_one_rpc() {
         let free = ByteSize::mb(7);
-        let (addr, stub) = capacity_stub(free, vec![1, 1]);
-        let mut gw = stub_gateway(addr);
+        // Each connection answers one probe, then closes.
+        let mut gw = scripted(vec![vec![capacity_frame(free)]; 2]);
         let keys = keys(8);
-        // The first probe pools a stream, which the stub then closes.
+        // The first probe pools a stream, which the daemon then closes.
         assert_eq!(gw.probe(keys[0]), Some((0, free)));
         let answers = gw.probe_all(&keys);
         assert!(answers.iter().all(|a| *a == Some((0, free))));
-        stub.join().unwrap();
+        assert_eq!(requests(&gw), [2, 1]);
         assert_eq!(rpcs(&gw, "get_capacity"), 2);
         assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
     }
 
     #[test]
     fn a_reply_followed_by_a_stray_byte_is_read_and_its_connection_dropped() {
-        use crate::protocol::{read_request_traced, write_response_traced};
-        use std::io::Write;
         let free = ByteSize::mb(7);
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The first connection's reply comes with one byte too many, in the
-        // same write; the second connection's reply is clean.
-        let stub = std::thread::spawn(move || {
-            let mut reused = false;
-            for stray in [&[0x53u8][..], &[]] {
-                let (mut conn, _) = listener.accept().unwrap();
-                let (_, rid) = read_request_traced(&mut conn).unwrap();
-                let mut reply = Vec::new();
-                write_response_traced(&mut reply, &Response::Capacity { free }, rid).unwrap();
-                conn.write_all(&[&reply[..], stray].concat()).unwrap();
-                if !stray.is_empty() {
-                    reused = read_request_traced(&mut conn).is_ok();
-                }
-            }
-            reused
-        });
-        let mut gw = stub_gateway(addr);
+        // The first connection's reply comes with one byte too many; the
+        // second connection's reply is clean.
+        let stray = [capacity_frame(free), vec![0x53]].concat();
+        let mut gw = scripted(vec![vec![stray], vec![capacity_frame(free)]]);
         let key = Id::hash("k");
         assert_eq!(gw.probe(key), Some((0, free)));
         assert!(
@@ -998,7 +969,7 @@ mod tests {
         );
         // The next RPC dials fresh and reads its own reply.
         assert_eq!(gw.probe(key), Some((0, free)));
-        assert!(!stub.join().unwrap(), "no request followed the stray byte");
+        assert_eq!(requests(&gw), [1, 1], "no request followed the stray byte");
         assert_eq!(rpcs(&gw, "get_capacity"), 2);
         assert!(gw.op_log().iter().all(OpLogEntry::is_ok));
         assert_eq!(lock(&gw.conns).len(), 1, "the clean stream went back");
@@ -1006,7 +977,7 @@ mod tests {
 
     #[test]
     fn a_wave_over_failed_nodes_or_no_keys_costs_no_rpc() {
-        let (nodes, mut gw) = ring_of(3);
+        let (_wire, mut gw) = wire(3);
         assert!(gw.probe_all(&[]).is_empty());
         gw.mark_failed(1).unwrap();
         let answers = gw.probe_all(&keys(12));
@@ -1019,14 +990,11 @@ mod tests {
         assert!(gw.alive_nodes().is_empty());
         assert_eq!(gw.probe_all(&keys(12)), vec![None; 12]);
         assert_eq!(rpcs(&gw, "get_capacity"), before);
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn mark_failed_removes_the_node_and_yields_a_takeover() {
-        let (nodes, mut gw) = ring_of(4);
+        let (_wire, mut gw) = wire(4);
         assert_eq!(gw.alive_nodes().len(), 4);
         let takeover = gw.mark_failed(2).unwrap();
         assert_eq!(takeover.failed, Id::hash("node-2"));
@@ -1038,16 +1006,13 @@ mod tests {
             let n = gw.route_quiet(Id::hash(&format!("k{i}"))).unwrap();
             assert_ne!(n, 2);
         }
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn dead_nodes_fail_rpcs_gracefully() {
-        let (mut nodes, mut gw) = ring_of(3);
-        // Kill node 1's server for real, without telling the gateway.
-        nodes.remove(1).stop().unwrap();
+        let (wire, mut gw) = wire(3);
+        // Stop node 1's daemon, without telling the gateway.
+        wire.stop(1);
         assert!(!gw.ping(1));
         assert!(!gw.can_store(1, ByteSize::kb(1)));
         let name = ObjectName::block("f", 0, 0);
@@ -1064,14 +1029,37 @@ mod tests {
             .map(|c| c.value)
             .sum();
         assert!(errs >= 2, "expected error counters, got {errs}");
-        for n in nodes {
-            n.stop().unwrap();
+    }
+
+    /// A node missing from the transport's table is unreachable, not a
+    /// protocol violation: every RPC to it reads `io`, on either transport.
+    #[test]
+    fn an_rpc_to_a_node_with_no_endpoint_fails_in_transport() {
+        fn unreachable<T: Transport>(gw: &RingGateway<T>) {
+            assert!(!gw.ping(99));
+            assert!(!gw.shutdown_node(99));
+            let export = gw.export_metrics();
+            let errors = export
+                .counters
+                .iter()
+                .filter(|c| c.name == "gateway_rpc_errors");
+            let errors: Vec<Vec<&str>> = errors
+                .filter(|c| c.value > 0)
+                .map(|c| c.labels.iter().map(|l| l.1.as_str()).collect())
+                .collect();
+            assert_eq!(errors, [["io", "ping"], ["io", "shutdown"]]);
+            let Err(WireError::Io(e)) = gw.get_stats(99) else {
+                panic!("the scrape of an unknown node fails in transport");
+            };
+            assert_eq!(e.kind(), io::ErrorKind::NotFound);
         }
+        unreachable(&wire(1).1);
+        unreachable(&RingGateway::connect(&[], GatewayConfig::default()));
     }
 
     #[test]
     fn rpcs_to_different_nodes_do_not_wait_for_each_other() {
-        use crate::protocol::{read_request_traced, write_response_traced};
+        use crate::protocol::read_request_traced;
         use std::sync::mpsc;
         // Node 0 is a stub that reads a request and then withholds its reply
         // until it is told to answer (or two seconds pass); node 1 is a real
@@ -1092,7 +1080,9 @@ mod tests {
             in_time
         });
         let service = NodeService::new(&NodeConfig::named("node-1", ByteSize::mb(64)));
-        let real = NodeServer::bind("127.0.0.1:0", service).unwrap().spawn();
+        let real = NodeServer::bind("127.0.0.1:0", service).unwrap();
+        let real_addr = real.local_addr();
+        let serving = std::thread::spawn(move || real.run());
         let endpoints = [
             NodeEndpoint {
                 node: 0,
@@ -1102,7 +1092,7 @@ mod tests {
             NodeEndpoint {
                 node: 1,
                 id: Id::hash("node-1"),
-                addr: real.local_addr(),
+                addr: real_addr,
             },
         ];
         let gw = RingGateway::connect(&endpoints, GatewayConfig::default());
@@ -1119,12 +1109,13 @@ mod tests {
             stub.join().unwrap(),
             "the second node's RPC waited for the first node's reply"
         );
-        real.stop().unwrap();
+        assert!(gw.shutdown_node(1));
+        serving.join().unwrap().unwrap();
     }
 
     #[test]
     fn request_ids_join_gateway_and_node_op_logs() {
-        let (nodes, gw) = ring_of(2);
+        let (_wire, gw) = wire(2);
         assert!(gw.ping(0));
         assert!(gw.ping(1));
         assert!(gw.ping(0));
@@ -1146,14 +1137,11 @@ mod tests {
             let rid = entry.request_id.expect("instrumented RPCs carry an id");
             assert!(node_rids.contains(&rid), "rid {rid} missing node-side");
         }
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn two_scrapes_of_an_idle_ring_render_byte_identical_json() {
-        let (nodes, gw) = ring_of(3);
+        let (_wire, gw) = wire(3);
         for n in 0..3 {
             assert!(gw.ping(n));
         }
@@ -1169,15 +1157,12 @@ mod tests {
         assert!(first.iter().all(|s| s.contains("\"op\":\"ping\"")));
         assert_eq!(gw.rpc_count(), rpcs_before);
         assert_eq!(gw.op_log(), log_before);
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn error_counters_carry_the_failure_kind() {
-        let (mut nodes, gw) = ring_of(2);
-        nodes.remove(1).stop().unwrap();
+        let (wire, gw) = wire(2);
+        wire.stop(1);
         assert!(!gw.ping(1));
         let export = gw.export_metrics();
         let io_errs: u64 = export
@@ -1194,14 +1179,11 @@ mod tests {
         let last = gw.op_log().pop().unwrap();
         assert_eq!(last.op, "ping");
         assert_eq!(last.outcome, "io");
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn a_refusal_reads_the_same_at_the_gateway_and_the_daemon() {
-        let (nodes, mut gw) = ring_of(1);
+        let (_wire, mut gw) = wire(1);
         let name = ObjectName::block("f", 0, 0);
         let stored = gw.store_block(0, name.key(), name, ByteSize::mb(100), None);
         assert!(matches!(
@@ -1230,14 +1212,11 @@ mod tests {
         let expected = ("store_block".to_string(), "insufficient_space".to_string());
         assert_eq!(seen(&gw_entry), expected);
         assert_eq!(node_entry.map(seen), Some(expected));
-        for n in nodes {
-            n.stop().unwrap();
-        }
     }
 
     #[test]
     fn rpc_metrics_accumulate_counts_and_latency() {
-        let (nodes, gw) = ring_of(2);
+        let (_wire, gw) = wire(2);
         assert!(gw.ping(0));
         assert!(gw.ping(0));
         assert!(gw.ping(1));
@@ -1250,8 +1229,92 @@ mod tests {
             .expect("ping latency histogram");
         assert_eq!(hist.count, 3);
         assert_eq!(gw.rpc_count(), 3);
-        for n in nodes {
-            n.stop().unwrap();
+    }
+
+    /// The wire, with every `read` and `write` call the gateway makes on a
+    /// stream logged as `(node, 'r' | 'w')`.
+    struct Counted {
+        wire: MemWire,
+        calls: Arc<Mutex<Vec<(NodeRef, char)>>>,
+    }
+
+    struct CountedStream {
+        stream: WireStream,
+        node: NodeRef,
+        calls: Arc<Mutex<Vec<(NodeRef, char)>>>,
+    }
+
+    impl Read for CountedStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            lock(&self.calls).push((self.node, 'r'));
+            self.stream.read(buf)
         }
+    }
+
+    impl Write for CountedStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            lock(&self.calls).push((self.node, 'w'));
+            self.stream.write_vectored(bufs)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.stream.flush()
+        }
+    }
+
+    impl Transport for Counted {
+        type Stream = CountedStream;
+
+        fn dial(&self, node: NodeRef) -> io::Result<CountedStream> {
+            Ok(CountedStream {
+                stream: self.wire.dial(node)?,
+                node,
+                calls: Arc::clone(&self.calls),
+            })
+        }
+    }
+
+    /// The gateway's own I/O calls, which on TCP are its system calls: an
+    /// RPC is one write and one read, and a probe wave writes to every
+    /// daemon before it reads from any.
+    #[test]
+    fn an_rpc_is_one_write_and_one_read_and_a_wave_writes_before_it_reads() {
+        let (wire, plain) = wire(4);
+        let counted = Counted {
+            wire,
+            calls: Arc::default(),
+        };
+        let mut gw = RingGateway::over(counted, plain.ids.clone());
+        let calls = |gw: &RingGateway<Counted>| std::mem::take(&mut *lock(&gw.transport.calls));
+
+        assert!(gw.ping(0));
+        assert_eq!(calls(&gw), [(0, 'w'), (0, 'r')], "a payload-free RPC");
+
+        let keys = keys(24);
+        let routed = routed(&gw, &keys);
+        assert!(gw.probe_all(&keys).iter().all(Option::is_some));
+        let wave = calls(&gw);
+        let (writes, reads) = wave.split_at(routed.len());
+        let mut written: Vec<NodeRef> = writes.iter().map(|&(n, _)| n).collect();
+        written.sort_unstable();
+        assert_eq!(written, routed, "one write to each daemon of the wave");
+        assert!(writes.iter().all(|&(_, call)| call == 'w'), "{wave:?}");
+        assert_eq!(reads.len(), routed.len(), "{wave:?}");
+        assert!(reads.iter().all(|&(_, call)| call == 'r'), "{wave:?}");
+
+        let row = vec![9u8; 1024];
+        let name = ObjectName::block("f", 0, 0);
+        let payload = Some(row_payload(&row));
+        gw.store_block(0, name.key(), name.clone(), ByteSize::kb(1), payload)
+            .unwrap();
+        calls(&gw);
+        let (mut head, mut tail) = ([0u8; 12], Vec::new());
+        assert_eq!(gw.fetch_block_into(0, &name, &mut head, &mut tail), Ok(()));
+        assert_eq!(tail, row);
+        assert_eq!(calls(&gw), [(0, 'w'), (0, 'r')], "a 1 KiB row fetched");
     }
 }

@@ -1,7 +1,7 @@
 //! # peerstripe-net — the networked deployment path
 //!
 //! Everything else in this workspace runs against the in-process simulator;
-//! this crate turns the reproduction into a system.  It has three layers:
+//! this crate turns the reproduction into a system.  It has four layers:
 //!
 //! * [`protocol`] — a small length-prefixed framed wire format for the
 //!   paper's §3 primitives (`getCapacity` probes, block store/fetch) with a
@@ -10,6 +10,8 @@
 //! * [`node`] + [`server`] — the `peerstripe-node` daemon: one node's
 //!   contributed store served over TCP, each connection handed to a worker
 //!   thread started before its `accept`, with timeouts and graceful shutdown;
+//! * [`transport`] — how the gateway reaches a daemon: [`Tcp`], or for tests
+//!   [`MemWire`], in-process daemons behind an in-memory wire;
 //! * [`gateway`] — a [`RingGateway`] implementing the same cluster-facing
 //!   traits as the simulator (`ClusterView` / `ProbeView` /
 //!   `StorageBackend`), so the `PeerStripe` client — store, read and
@@ -25,11 +27,12 @@
 //! id that the node echoes and logs, so the two op logs join on it.
 //! [`RingGateway::get_stats`] is the one scrape of a node's account (`repro
 //! ring` scrapes every daemon before the kill and after the repair); the
-//! gateway is the crate's one client, so it is the one place that dials.
+//! gateway is the crate's one client, and [`Tcp`] the one place that dials.
 //!
-//! The crate is deliberately *not* in the deterministic-simulation set: it
-//! touches wall clocks and sockets, and says so via audited lint waivers
-//! instead of a blanket exemption.
+//! The crate is deliberately *not* in the deterministic-simulation set: its
+//! accounts read wall clocks, and say so via audited lint waivers instead of
+//! a blanket exemption, and the server, [`Tcp`] and [`ring`] touch sockets
+//! and processes.  Over the [`MemWire`] only the recorded latencies vary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,6 +45,7 @@ pub mod node;
 pub mod protocol;
 pub mod ring;
 pub mod server;
+pub mod transport;
 
 pub use account::AccountNames;
 pub use gateway::{GatewayConfig, NodeEndpoint, RingGateway};
@@ -50,7 +54,8 @@ pub use protocol::{
     NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
 };
 pub use ring::{node_binary, LocalRing};
-pub use server::{NodeServer, RunningNode};
+pub use server::NodeServer;
+pub use transport::{MemWire, Tcp, Transport};
 
 /// Lock `m` even if poisoned: poisoning only marks a thread that panicked
 /// while holding it (a gateway RPC, a daemon's connection), and the maps and

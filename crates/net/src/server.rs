@@ -7,11 +7,10 @@
 //! tick (~4 ms) before it first runs. A worker reads framed requests through
 //! one buffer per connection (one `read` for a request that fits it),
 //! dispatches them to the shared [`NodeService`], and writes each framed
-//! reply beneath the buffer in one call. A `Shutdown` request (or
-//! [`RunningNode::stop`]) raises the shutdown flag; the accept loop observes
-//! it on its next wakeup — a self-connection is made to unblock `accept`
-//! immediately — finishes in-flight connections, releases the parked worker,
-//! and exits.
+//! reply beneath the buffer in one call. A `Shutdown` request raises the
+//! shutdown flag; the accept loop observes it on its next wakeup — a
+//! self-connection is made to unblock `accept` immediately — finishes
+//! in-flight connections, releases the parked worker, and exits.
 
 use crate::lock;
 use crate::node::NodeService;
@@ -38,14 +37,6 @@ pub struct NodeServer {
     addr: SocketAddr,
     service: Arc<Mutex<NodeService>>,
     shutdown: Arc<AtomicBool>,
-}
-
-/// Handle to a server running on a background thread (in-process rings and
-/// tests; the daemon binary calls [`NodeServer::run`] on its main thread).
-pub struct RunningNode {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<io::Result<()>>,
 }
 
 impl NodeServer {
@@ -132,37 +123,6 @@ impl NodeServer {
         }
         refused
     }
-
-    /// Run on a background thread, returning a [`RunningNode`] handle.
-    pub fn spawn(self) -> RunningNode {
-        let addr = self.addr;
-        let shutdown = Arc::clone(&self.shutdown);
-        let handle = std::thread::spawn(move || self.run());
-        RunningNode {
-            addr,
-            shutdown,
-            handle,
-        }
-    }
-}
-
-impl RunningNode {
-    /// The address the server is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Raise the shutdown flag, unblock the accept loop, and join the server
-    /// thread.
-    pub fn stop(self) -> io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        match self.handle.join() {
-            Ok(result) => result,
-            Err(_) => Err(io::Error::other("server thread panicked")),
-        }
-    }
 }
 
 /// Serve one TCP connection; after a `Shutdown`, unblock the accept loop so
@@ -176,45 +136,56 @@ fn serve_connection(
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    if serve_frames(stream, service, shutdown) {
+    if serve_frames(&stream, &stream, service, shutdown) {
         let _ = TcpStream::connect(server_addr);
     }
 }
 
-/// Answer requests read through one buffer on `stream`, replies written
-/// beneath it, until the peer closes, errors, or asks for shutdown (true).
+/// Answer requests read through one buffer, each reply in one write, until
+/// the peer closes, errors, or asks for shutdown (true).
 fn serve_frames(
-    stream: impl Read + Write,
+    requests: impl Read,
+    mut replies: impl Write,
     service: &Mutex<NodeService>,
     shutdown: &AtomicBool,
 ) -> bool {
-    let mut conn = BufReader::new(stream);
+    let mut requests = BufReader::new(requests);
     loop {
-        match read_request_traced(&mut conn) {
-            Ok((Request::Shutdown, rid)) => {
-                shutdown.store(true, Ordering::SeqCst);
-                let _ = write_response_traced(conn.get_mut(), &Response::ShuttingDown, rid);
-                return true;
-            }
-            Ok((req, rid)) => {
-                // Echo the caller's request id so the reply is correlatable.
-                let resp = lock(service).handle_traced(req, rid);
-                if write_response_traced(conn.get_mut(), &resp, rid).is_err() {
-                    return false;
-                }
-            }
-            Err(e) if e.is_transport() => return false,
-            Err(e) => {
-                // A protocol violation: tell the peer why, then drop the
-                // connection — the stream may no longer be frame-aligned.
-                let _ = write_response(
-                    conn.get_mut(),
-                    &Response::Error(RemoteError::BadRequest {
-                        detail: e.to_string(),
-                    }),
-                );
-                return false;
-            }
+        if let Some(shut_down) = serve_request(&mut requests, &mut replies, service, shutdown) {
+            return shut_down;
+        }
+    }
+}
+
+/// Answer one request: the step server connections and the in-memory wire
+/// share.  `Some` once the connection ends, `true` if by a `Shutdown`.
+pub(crate) fn serve_request(
+    requests: &mut impl Read,
+    replies: &mut impl Write,
+    service: &Mutex<NodeService>,
+    shutdown: &AtomicBool,
+) -> Option<bool> {
+    match read_request_traced(requests) {
+        Ok((Request::Shutdown, rid)) => {
+            shutdown.store(true, Ordering::SeqCst);
+            let _ = write_response_traced(replies, &Response::ShuttingDown, rid);
+            Some(true)
+        }
+        Ok((req, rid)) => {
+            // Echo the caller's request id so the reply is correlatable.
+            let resp = lock(service).handle_traced(req, rid);
+            let written = write_response_traced(replies, &resp, rid);
+            written.is_err().then_some(false)
+        }
+        Err(e) if e.is_transport() => Some(false),
+        Err(e) => {
+            // A protocol violation: tell the peer why, then drop the
+            // connection — the stream may no longer be frame-aligned.
+            let bad = RemoteError::BadRequest {
+                detail: e.to_string(),
+            };
+            let _ = write_response(replies, &Response::Error(bad));
+            Some(false)
         }
     }
 }
@@ -228,9 +199,27 @@ mod tests {
     use peerstripe_overlay::Id;
     use peerstripe_sim::ByteSize;
 
-    fn start() -> RunningNode {
+    /// A daemon serving on a thread of its own.
+    struct Running {
+        addr: SocketAddr,
+        serving: std::thread::JoinHandle<io::Result<()>>,
+    }
+
+    fn start() -> Running {
         let service = NodeService::new(&NodeConfig::named("node-0", ByteSize::mb(64)));
-        NodeServer::bind("127.0.0.1:0", service).unwrap().spawn()
+        let server = NodeServer::bind("127.0.0.1:0", service).unwrap();
+        let addr = server.local_addr();
+        let serving = std::thread::spawn(move || server.run());
+        Running { addr, serving }
+    }
+
+    impl Running {
+        /// Ask the daemon to shut down, and wait for its server to return.
+        fn stop(self) -> io::Result<()> {
+            let reply = call(&mut dial(self.addr), &Request::Shutdown);
+            assert_eq!(reply.unwrap(), Response::ShuttingDown);
+            self.serving.join().unwrap()
+        }
     }
 
     /// Connect with a read timeout, so an unserved connection fails its
@@ -251,7 +240,7 @@ mod tests {
     #[test]
     fn serves_ping_and_store_fetch_over_tcp() {
         let node = start();
-        let mut conn = TcpStream::connect(node.local_addr()).unwrap();
+        let mut conn = TcpStream::connect(node.addr).unwrap();
         assert_eq!(
             call(&mut conn, &Request::Ping).unwrap(),
             Response::Pong {
@@ -284,7 +273,7 @@ mod tests {
     #[test]
     fn concurrent_connections_share_one_store() {
         let node = start();
-        let addr = node.local_addr();
+        let addr = node.addr;
         let threads: Vec<_> = (0..16)
             .map(|t| {
                 std::thread::spawn(move || {
@@ -325,7 +314,7 @@ mod tests {
     #[test]
     fn shutdown_request_stops_the_server() {
         let node = start();
-        let addr = node.local_addr();
+        let addr = node.addr;
         // Every sequential connection is served, each by its own worker.
         for _ in 0..32 {
             let mut conn = dial(addr);
@@ -334,11 +323,6 @@ mod tests {
                 Response::Pong { .. }
             ));
         }
-        let mut conn = dial(addr);
-        assert_eq!(
-            call(&mut conn, &Request::Shutdown).unwrap(),
-            Response::ShuttingDown
-        );
         node.stop().unwrap();
         // The listener is gone (give the OS a beat to tear it down).
         let gone = (0..50).any(|_| {
@@ -351,7 +335,7 @@ mod tests {
     #[test]
     fn request_ids_echo_through_a_live_server_and_land_in_the_op_log() {
         let node = start();
-        let mut conn = TcpStream::connect(node.local_addr()).unwrap();
+        let mut conn = TcpStream::connect(node.addr).unwrap();
         let mut rpc = |req: &Request, rid: Option<u64>| {
             crate::protocol::write_request_traced(&mut conn, req, rid).unwrap();
             crate::protocol::read_response_traced(&mut conn).unwrap()
@@ -382,7 +366,7 @@ mod tests {
     fn malformed_frames_get_a_typed_error_reply() {
         use std::io::{Read, Write};
         let node = start();
-        let mut conn = TcpStream::connect(node.local_addr()).unwrap();
+        let mut conn = TcpStream::connect(node.addr).unwrap();
         // Valid header with an unknown kind byte and empty body.
         let mut header = [0u8; crate::protocol::HEADER_LEN];
         header[0..2].copy_from_slice(&crate::protocol::MAGIC.to_le_bytes());
@@ -405,7 +389,7 @@ mod tests {
     fn a_request_of_another_protocol_version_gets_a_typed_error_reply() {
         use std::io::{Read, Write};
         let node = start();
-        let mut conn = TcpStream::connect(node.local_addr()).unwrap();
+        let mut conn = TcpStream::connect(node.addr).unwrap();
         // An untraced protocol-v1 `Ping`: a header and no meta.
         let mut header = [0u8; crate::protocol::HEADER_LEN];
         header[0..2].copy_from_slice(&crate::protocol::MAGIC.to_le_bytes());
@@ -426,12 +410,10 @@ mod tests {
 
     /// A peer that hands the daemon one whole scripted frame per `read` — as
     /// loopback does with a frame written in one call — then the end of the
-    /// stream, and keeps what the daemon writes.  Counts both kinds of call.
+    /// stream.  Counts its reads.
     struct Scripted {
         frames: std::collections::VecDeque<Vec<u8>>,
         reads: usize,
-        writes: usize,
-        sent: Vec<u8>,
     }
 
     impl Read for Scripted {
@@ -450,7 +432,14 @@ mod tests {
         }
     }
 
-    impl Write for Scripted {
+    /// What the daemon writes back to the peer, and in how many calls.
+    #[derive(Default)]
+    struct Kept {
+        writes: usize,
+        sent: Vec<u8>,
+    }
+
+    impl Write for Kept {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.write_vectored(&[io::IoSlice::new(buf)])
         }
@@ -477,15 +466,15 @@ mod tests {
         let mut peer = Scripted {
             frames: frames.collect(),
             reads: 0,
-            writes: 0,
-            sent: Vec::new(),
         };
+        let mut kept = Kept::default();
         let service = Mutex::new(NodeService::new(&NodeConfig::named(
             "node-0",
             ByteSize::mb(64),
         )));
-        assert!(!serve_frames(&mut peer, &service, &AtomicBool::new(false)));
-        let mut sent = peer.sent.as_slice();
+        let shutdown = AtomicBool::new(false);
+        assert!(!serve_frames(&mut peer, &mut kept, &service, &shutdown));
+        let mut sent = kept.sent.as_slice();
         let replies = requests.iter().map(|_| {
             let (resp, rid) = crate::protocol::read_response_traced(&mut sent).unwrap();
             assert_eq!(rid, Some(3));
@@ -493,7 +482,7 @@ mod tests {
         });
         let replies = replies.collect();
         assert!(sent.is_empty(), "one reply a request");
-        (peer.reads, peer.writes, replies)
+        (peer.reads, kept.writes, replies)
     }
 
     /// The daemon's system calls per request: a request that fits the

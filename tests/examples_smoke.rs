@@ -7,8 +7,10 @@
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::experiments::cli::run_experiment;
 use peerstripe::experiments::Scale;
+use peerstripe::net::{RingGateway, Transport};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
+use std::collections::BTreeMap;
 
 #[test]
 fn quickstart_store_retrieve_on_small_cluster() {
@@ -281,56 +283,53 @@ fn outage_aware_detection_example_logic() {
     assert!(aware.files_lost <= per_node.files_lost);
 }
 
-/// The socket path's tier-1 coverage, the cycle `repro ring` runs with
-/// rid-joined telemetry: store a file through the TCP gateway against eight
-/// live node servers, take one away, and verify the degraded read and the
-/// repair path — the same client/placement/erasure stack as the simulator,
-/// over real sockets.
+/// The networked path's tier-1 coverage, the cycle `repro ring` runs: store
+/// a file through the gateway to eight daemons, take a block holder away,
+/// and verify the degraded read and the repair path — the same
+/// client/placement/erasure stack as the simulator, with rid-joined
+/// telemetry on both ends.
 ///
-/// Uses the real `peerstripe-node` daemon processes when the binary is built
-/// (CI builds it first); otherwise serves the same wire protocol from
-/// in-process TCP servers so the networked logic cannot silently rot.
+/// The cycle runs over the in-memory wire always, twice (a run replays byte
+/// for byte), and over real `peerstripe-node` processes too when the binary
+/// is built (CI builds it first).  Each run renders the work of each phase,
+/// and no timings: the gateway's RPCs by op and outcome, each daemon's
+/// objects and bytes as a scrape finds them, and the recovery report.  Every
+/// rendering must equal `tests/golden/ring_cycle_counts.txt`; a failure
+/// prints the rendering to re-pin from.
 #[test]
 fn network_ring_store_kill_recover() {
-    use peerstripe::net::{
-        node_binary, GatewayConfig, LocalRing, NodeConfig, NodeEndpoint, NodeServer, NodeService,
-        RingGateway,
-    };
-    use peerstripe::overlay::Id;
+    use peerstripe::net::{node_binary, GatewayConfig, LocalRing, MemWire};
 
-    const NODES: usize = 8;
+    let golden = include_str!("golden/ring_cycle_counts.txt");
+    let pinned = |counts: String, ring: &str| {
+        assert!(counts == golden, "{ring} did other work:\n{counts}");
+    };
     let capacity = ByteSize::mb(64);
-
-    // Either a ring of real daemon processes or a set of in-process servers;
-    // both serve the same framed protocol on localhost TCP.
-    let mut process_ring: Option<LocalRing> = None;
-    let mut in_process = Vec::new();
-    let endpoints: Vec<NodeEndpoint> = match node_binary() {
-        Some(bin) => {
-            let ring = LocalRing::spawn(&bin, NODES, capacity).expect("spawn daemons");
-            let endpoints = ring.endpoints();
-            process_ring = Some(ring);
-            endpoints
-        }
-        None => (0..NODES)
-            .map(|i| {
-                let name = format!("node-{i}");
-                let service = NodeService::new(&NodeConfig::named(&name, capacity));
-                let server = NodeServer::bind("127.0.0.1:0", service)
-                    .expect("bind")
-                    .spawn();
-                let endpoint = NodeEndpoint {
-                    node: i,
-                    id: Id::hash(&name),
-                    addr: server.local_addr(),
-                };
-                in_process.push(server);
-                endpoint
-            })
-            .collect(),
+    let over_wire = || {
+        let (wire, gateway) = MemWire::ring_of(RING_NODES, capacity);
+        ring_cycle(gateway, |victim| wire.stop(victim))
     };
+    let first = over_wire();
+    assert_eq!(
+        over_wire(),
+        first,
+        "a second run over the wire did other work"
+    );
+    pinned(first, "the in-memory wire");
+    if let Some(bin) = node_binary() {
+        let mut ring = LocalRing::spawn(&bin, RING_NODES, capacity).expect("spawn daemons");
+        let gateway = ring.gateway(GatewayConfig::default());
+        let counts = ring_cycle(gateway, |victim| ring.kill(victim).expect("kill daemon"));
+        pinned(counts, "the ring of daemon processes");
+    }
+}
 
-    let gateway = RingGateway::connect(&endpoints, GatewayConfig::default());
+const RING_NODES: usize = 8;
+
+/// One store → fetch → stop → degraded fetch → repair → fetch cycle over
+/// `gateway`, `stop` taking away the first daemon that holds a block; the
+/// work of each phase, rendered.
+fn ring_cycle<T: Transport>(gateway: RingGateway<T>, stop: impl FnOnce(usize)) -> String {
     let mut storage = PeerStripe::new(
         gateway,
         PeerStripeConfig {
@@ -338,84 +337,70 @@ fn network_ring_store_kill_recover() {
             ..PeerStripeConfig::default()
         },
     );
-
     let mut rng = DetRng::new(42);
     let data: Vec<u8> = (0..128 * 1024).map(|_| rng.next_u64() as u8).collect();
-    assert!(storage.store_data("telemetry.parquet", &data).is_stored());
-
-    // The store's RPCs: one capacity probe per distinct daemon its one
-    // chunk's eight keys route to (the probes go out as one wave), then the
-    // eight blocks and two CAT copies.
-    let rpcs = |storage: &PeerStripe<RingGateway>, op: &str| -> u64 {
-        let export = storage.backend().export_metrics();
-        export
-            .counters
-            .iter()
-            .filter(|c| c.name == "gateway_rpc_total" && c.labels.iter().any(|(_, v)| v == op))
-            .map(|c| c.value)
-            .sum()
+    let file = "telemetry.parquet";
+    let (mut counts, mut logged) = (String::new(), 0);
+    let mut phase = |storage: &PeerStripe<RingGateway<T>>, name: &str| {
+        phase_counts(&mut counts, &mut logged, storage.backend(), name);
     };
-    let manifest = storage.manifest("telemetry.parquet").expect("manifest");
-    assert_eq!(manifest.chunks.len(), 1);
-    let mut targets: Vec<usize> = manifest.all_blocks().map(|b| b.node).collect();
-    targets.sort_unstable();
-    targets.dedup();
-    assert_eq!(rpcs(&storage, "get_capacity"), targets.len() as u64);
-    assert_eq!(rpcs(&storage, "store_block"), 8 + 2);
 
+    assert!(storage.store_data(file, &data).is_stored());
+    phase(&storage, "store");
+    let manifest = storage.manifest(file).expect("manifest");
+    let victim = manifest
+        .all_blocks()
+        .map(|b| b.node)
+        .min()
+        .expect("a holder");
+
+    assert_eq!(storage.retrieve_data(file).as_deref(), Some(&data[..]));
+    phase(&storage, "fetch");
+    stop(victim);
     assert_eq!(
-        storage.retrieve_data("telemetry.parquet").as_deref(),
-        Some(&data[..])
-    );
-
-    // Take away a node that holds blocks: SIGKILL for the daemon ring,
-    // server stop for the in-process one — either way its port goes dead.
-    let victim = {
-        let manifest = storage.manifest("telemetry.parquet").expect("manifest");
-        (0..NODES)
-            .find(|&n| {
-                manifest
-                    .chunks
-                    .iter()
-                    .any(|c| c.blocks_on(n).next().is_some())
-            })
-            .expect("some node holds a block")
-    };
-    match &mut process_ring {
-        Some(ring) => ring.kill(victim).expect("kill daemon"),
-        None => {
-            // Servers were pushed in node order; stop() severs open
-            // connections and closes the listener.
-            in_process.remove(victim).stop().expect("stop server");
-        }
-    }
-
-    // Degraded read, then declared failure + repair, then a whole read.
-    assert_eq!(
-        storage.retrieve_data("telemetry.parquet").as_deref(),
+        storage.retrieve_data(file).as_deref(),
         Some(&data[..]),
         "degraded read with node {victim} gone"
     );
-    let takeover = storage
-        .backend_mut()
-        .mark_failed(victim)
-        .expect("victim was a member");
+    phase(&storage, "degraded fetch");
+    let takeover = storage.backend_mut().mark_failed(victim).expect("a member");
     let report = storage.handle_node_failure(victim, &takeover);
     assert_eq!(report.chunks_lost, 0);
     assert!(report.blocks_regenerated > 0);
-    assert_eq!(
-        storage.retrieve_data("telemetry.parquet").as_deref(),
-        Some(&data[..])
-    );
-    assert!(storage.is_file_available("telemetry.parquet"));
+    phase(&storage, "repair");
+    assert_eq!(storage.retrieve_data(file).as_deref(), Some(&data[..]));
+    assert!(storage.is_file_available(file));
+    phase(&storage, "fetch");
+    counts + &format!("{report:?}\n")
+}
 
-    // Every RPC was counted.
-    let export = storage.backend().export_metrics();
-    let total: u64 = export
-        .counters
-        .iter()
-        .filter(|c| c.name == "gateway_rpc_total")
-        .map(|c| c.value)
-        .sum();
-    assert!(total > 0, "gateway telemetry must count RPCs");
+/// Append one phase's work to `counts`: the gateway's RPCs since its first
+/// `*logged` op-log entries, by op and outcome, then each daemon's objects
+/// and bytes, or `down` if its scrape fails.
+fn phase_counts<T: Transport>(
+    counts: &mut String,
+    logged: &mut usize,
+    gateway: &RingGateway<T>,
+    name: &str,
+) {
+    let log = gateway.op_log();
+    let mut rpcs: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for e in log.iter().skip(*logged) {
+        *rpcs.entry((&e.op, &e.outcome)).or_default() += 1;
+    }
+    *logged = log.len();
+    counts.push_str(&format!("{name}\n"));
+    for ((op, outcome), n) in rpcs {
+        counts.push_str(&format!("  rpc {op:<12} {outcome:<3} {n:>2}\n"));
+    }
+    for node in 0..RING_NODES {
+        counts.push_str(&match gateway.get_stats(node) {
+            Ok(s) => format!(
+                "  node-{node} {} objects {} bytes\n",
+                s.objects,
+                s.used.as_u64()
+            ),
+            Err(_) => format!("  node-{node} down\n"),
+        });
+    }
 }

@@ -29,15 +29,13 @@ fn a_whole_file_read_allocates_its_result_once_and_nothing_else_that_is_large() 
     for node in 0..8 {
         let name = format!("node-{node}");
         let service = NodeService::new(&NodeConfig::named(&name, ByteSize::mb(64)));
-        let running = NodeServer::bind("127.0.0.1:0", service)
-            .expect("binding a localhost daemon")
-            .spawn();
+        let server = NodeServer::bind("127.0.0.1:0", service).expect("binding a localhost daemon");
         endpoints.push(NodeEndpoint {
             node,
             id: Id::hash(&name),
-            addr: running.local_addr(),
+            addr: server.local_addr(),
         });
-        nodes.push(running);
+        nodes.push(std::thread::spawn(move || server.run()));
     }
     // Four chunks of 1 MiB: five rows of 209 716 bytes are the chunk and four
     // bytes of padding, so a result reserved at the file's exact size would
@@ -67,7 +65,11 @@ fn a_whole_file_read_allocates_its_result_once_and_nothing_else_that_is_large() 
     assert_eq!(read.as_deref(), Some(&data[..]));
     assert_eq!(large, 1, "large allocations of a four-chunk read");
 
-    for node in nodes {
-        node.stop().expect("stopping a daemon");
+    for (node, serving) in nodes.into_iter().enumerate() {
+        assert!(ps.backend().shutdown_node(node), "stopping a daemon");
+        serving
+            .join()
+            .expect("a daemon's thread")
+            .expect("a daemon's server");
     }
 }

@@ -11,10 +11,10 @@
 //!   library code (`crates/*/src`, `src/`) may shrink, never grow: a change
 //!   that removes waivers lowers [`WAIVER_CEILING`] with them.
 //! * **One client dial** — in the non-test part of `crates/net/src`, only the
-//!   files in [`DIAL_SITES`] open a `TcpStream`: the gateway, the one client
-//!   of the daemons, and the server's accept-loop wake-ups.  A second client
-//!   would be a second path to the daemons and a second socket site for a
-//!   transport seam to wrap.
+//!   files in [`DIAL_SITES`] open a `TcpStream`: the TCP transport that the
+//!   gateway, the one client of the daemons, dials through, and the server's
+//!   accept-loop wake-ups.  A second client would be a second path to the
+//!   daemons, around the transport seam.
 //! * **No public fn without a caller** — a `pub`, `pub(crate)` or `pub const`
 //!   `fn` under `crates/*/src` must be named somewhere in the non-test part
 //!   of the program (`crates/*/src`, `src/`, `examples/`, `bench/src`)
@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 const WAIVER_CEILING: usize = 8;
 
 /// The files under `crates/net/src` whose non-test part may call
-/// `TcpStream::connect`: the gateway's dial and the server's wake-ups.
-const DIAL_SITES: &[&str] = &["gateway.rs", "server.rs"];
+/// `TcpStream::connect`: the TCP transport's dial and the server's wake-ups.
+const DIAL_SITES: &[&str] = &["server.rs", "transport.rs"];
 
 /// The allowed internal dependency edges: crate → the `peerstripe-*` crates
 /// it may depend on, named without the prefix (`peerstripe` is the facade).
@@ -84,6 +84,7 @@ const KEPT: &[(&str, &str)] = &[
     ("group_outage_active", "test oracle: MaintenanceEngine"),
     ("series_named", "test oracle: Figure"),
     ("expected_mean", "test oracle: CapacityModel"),
+    ("ring_of", "test wire: ROADMAP item 5"),
 ];
 
 fn root() -> &'static Path {
@@ -353,7 +354,7 @@ fn a_second_client_dial_fails_the_check() {
     let client = "fn scrape() { TcpStream::connect_timeout(&addr, t); }\n";
     let test_only = "#[cfg(test)]\nmod tests {\n    fn f() { TcpStream::connect(addr); }\n}\n";
     let files = [
-        ("gateway.rs".to_string(), client.to_string()),
+        ("transport.rs".to_string(), client.to_string()),
         ("monitor.rs".to_string(), client.to_string()),
         ("node.rs".to_string(), test_only.to_string()),
     ];
