@@ -192,11 +192,6 @@ impl DamageLedger {
         self.chunk_file[chunk as usize]
     }
 
-    /// Size of a tracked file.
-    pub fn file_size(&self, file: u32) -> ByteSize {
-        self.file_sizes[file as usize]
-    }
-
     /// True if the chunk has been written off as unrecoverable.
     pub fn is_lost(&self, chunk: u32) -> bool {
         self.chunk_lost[chunk as usize]
@@ -537,7 +532,7 @@ mod tests {
             assert_eq!(ledger.needed(chunk), 2);
             assert_eq!(ledger.holders(chunk).len(), 3);
             assert!(!ledger.is_lost(chunk));
-            assert!(ledger.file_size(ledger.file_of(chunk)) > ByteSize::ZERO);
+            assert!(ledger.file_sizes[ledger.file_of(chunk) as usize] > ByteSize::ZERO);
         }
     }
 

@@ -20,7 +20,7 @@
 //!   SWAR evaluation of the same tables everywhere else — with a per-byte
 //!   scalar tail for the last `len % lane` bytes.
 //!
-//! [`mul_slice`] / [`mul_add_slice`] use the best kernel for the host;
+//! [`mul_add_slice`] uses the best kernel for the host;
 //! [`mul_slice_with`] / [`mul_add_slice_with`] pin one explicitly (the scalar
 //! kernel stays live as the property-test reference — the workspace pins
 //! byte-identical output across kernels for all 256 coefficients).  Encoders
@@ -240,12 +240,6 @@ impl PreparedCoeff {
     }
 }
 
-/// Slice kernel `dst[i] = c · src[i]` through the best kernel for this host.
-/// Both slices must have equal length.
-pub fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    mul_slice_with(Gf256Kernel::best(), c, src, dst);
-}
-
 /// Slice kernel `dst[i] ^= c · src[i]` through the best kernel for this host
 /// — the Reed–Solomon encode/decode hot loop.  Both slices must have equal
 /// length.
@@ -253,7 +247,8 @@ pub fn mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     mul_add_slice_with(Gf256Kernel::best(), c, src, dst);
 }
 
-/// [`mul_slice`] with an explicit kernel choice — the single dispatch point.
+/// Slice kernel `dst[i] = c · src[i]` through `kernel` — the single dispatch
+/// point.  Both slices must have equal length.
 pub fn mul_slice_with(kernel: Gf256Kernel, c: u8, src: &[u8], dst: &mut [u8]) {
     PreparedCoeff::new(kernel, c).mul(src, dst);
 }
@@ -337,7 +332,7 @@ mod tests {
         let src: Vec<u8> = (0..=255).collect();
         for c in [0u8, 1, 2, 77, 255] {
             let mut product = vec![0xAA; src.len()];
-            mul_slice(c, &src, &mut product);
+            mul_slice_with(Gf256Kernel::best(), c, &src, &mut product);
             let mut accum = src.clone();
             mul_add_slice(c, &src, &mut accum);
             for (i, &s) in src.iter().enumerate() {

@@ -23,15 +23,6 @@ impl GfMatrix {
         }
     }
 
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = GfMatrix::zero(n, n);
-        for i in 0..n {
-            m.set(i, i, 1);
-        }
-        m
-    }
-
     /// The `rows × cols` Vandermonde matrix with evaluation points
     /// `0, 1, …, rows − 1`: entry `(r, c)` is `r^c` (with `0⁰ = 1`).
     ///
@@ -51,16 +42,6 @@ impl GfMatrix {
             }
         }
         m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Entry at `(r, c)`.
@@ -182,11 +163,20 @@ impl GfMatrix {
 mod tests {
     use super::*;
 
+    /// The `n × n` identity matrix.
+    fn identity(n: usize) -> GfMatrix {
+        let mut m = GfMatrix::zero(n, n);
+        for i in 0..n {
+            m.set(i, i, 1);
+        }
+        m
+    }
+
     #[test]
     fn identity_is_multiplicative_unit() {
         let v = GfMatrix::vandermonde(5, 3);
-        assert_eq!(GfMatrix::identity(5).mul(&v), v);
-        assert_eq!(v.mul(&GfMatrix::identity(3)), v);
+        assert_eq!(identity(5).mul(&v), v);
+        assert_eq!(v.mul(&identity(3)), v);
     }
 
     #[test]
@@ -206,8 +196,8 @@ mod tests {
         for n in [1usize, 2, 3, 5, 8, 16] {
             let m = GfMatrix::vandermonde(n, n);
             let inv = m.invert().expect("Vandermonde is invertible");
-            assert_eq!(m.mul(&inv), GfMatrix::identity(n));
-            assert_eq!(inv.mul(&m), GfMatrix::identity(n));
+            assert_eq!(m.mul(&inv), identity(n));
+            assert_eq!(inv.mul(&m), identity(n));
         }
     }
 

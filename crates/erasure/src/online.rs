@@ -84,16 +84,6 @@ impl OnlineCode {
         Self::aux_count(self.n, self.epsilon, self.q)
     }
 
-    /// The ε quality parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The q quality parameter (aux blocks touched per source block).
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
     fn aux_count(n: usize, epsilon: f64, q: usize) -> usize {
         ((0.55 * q as f64 * epsilon * n as f64).ceil() as usize).max(1)
     }

@@ -26,6 +26,7 @@
 //!   ring                    spawn localhost peerstripe-node daemons, store and
 //!                           recover a file through a real node kill, and
 //!                           report cluster health scraped before and after
+//!                           and each phase's RPCs and daemon contents
 //! ```
 
 use peerstripe_experiments::cli::run_experiment_with;

@@ -23,8 +23,9 @@
 //!
 //! Beyond the paper's figures, [`ring_cmd`] (`repro ring`) drives the same
 //! client/placement/erasure stack against a localhost ring of real
-//! `peerstripe-node` daemon processes over TCP, and reports the ring's
-//! cluster health from a scrape before the kill and one after the repair.
+//! `peerstripe-node` daemon processes over TCP, and reports each phase's
+//! work and the ring's cluster health from a scrape before the kill and one
+//! after the repair.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -63,11 +63,6 @@ impl RanSub {
         RanSub::new(size)
     }
 
-    /// Configured subset size.
-    pub fn subset_size(&self) -> usize {
-        self.subset_size
-    }
-
     /// Run one epoch (collect then distribute) and return every node's view.
     pub fn epoch(&self, tree: &MulticastTree, rng: &mut DetRng) -> RanSubViews {
         let n = tree.len();
@@ -141,7 +136,7 @@ mod tests {
     fn views_have_requested_size_and_exclude_self() {
         let tree = MulticastTree::binary(5);
         let engine = RanSub::with_fraction(tree.len(), 0.16);
-        assert_eq!(engine.subset_size(), 10);
+        assert_eq!(engine.subset_size, 10);
         let mut rng = DetRng::new(1);
         let views = engine.epoch(&tree, &mut rng);
         assert_eq!(views.len(), 63);
@@ -160,9 +155,9 @@ mod tests {
     #[test]
     fn fraction_parameterisation_matches_paper_range() {
         // 3% of 63 nodes ≈ 2 members, 16% ≈ 10 members.
-        assert_eq!(RanSub::with_fraction(63, 0.03).subset_size(), 2);
-        assert_eq!(RanSub::with_fraction(63, 0.08).subset_size(), 5);
-        assert_eq!(RanSub::with_fraction(63, 0.16).subset_size(), 10);
+        assert_eq!(RanSub::with_fraction(63, 0.03).subset_size, 2);
+        assert_eq!(RanSub::with_fraction(63, 0.08).subset_size, 5);
+        assert_eq!(RanSub::with_fraction(63, 0.16).subset_size, 10);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl RateLimiter {
         }
     }
 
-    /// The time at which the currently reserved work drains.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// How long a transfer of `bytes` occupies the pipe (independent of queueing).
     pub fn transfer_time(&self, bytes: ByteSize) -> SimTime {
         SimTime::from_secs_f64(bytes.as_u64() as f64 / self.bytes_per_sec)
@@ -74,7 +69,7 @@ mod tests {
         let second = rl.reserve(ByteSize::mb(1), now);
         assert_eq!(second.start, SimTime::from_secs(12));
         assert_eq!(second.done, SimTime::from_secs(13));
-        assert_eq!(rl.busy_until(), SimTime::from_secs(13));
+        assert_eq!(rl.busy_until, SimTime::from_secs(13));
     }
 
     #[test]
@@ -83,7 +78,7 @@ mod tests {
         rl.reserve(ByteSize::kb(512), SimTime::ZERO);
         // After the backlog drains, a new reservation starts at `now`.
         let later = SimTime::from_secs(100);
-        assert!(rl.busy_until() <= later);
+        assert!(rl.busy_until <= later);
         let r = rl.reserve(ByteSize::kb(256), later);
         assert_eq!(r.start, later);
         assert_eq!(r.done, later + SimTime::from_millis(500));

@@ -4,10 +4,8 @@
 //! seed: the paper averages ten simulation runs per data point, which we reproduce
 //! by running the same experiment with seeds `base..base + 10`.  [`DetRng`] is a
 //! small xoshiro256++ generator seeded through SplitMix64.  It deliberately avoids
-//! depending on the `rand` crate's evolving API surface for its core state so that
-//! the bit streams produced by a given seed never change underneath an experiment;
-//! a [`rand::Rng`] adapter is provided for interoperability (e.g. with
-//! `proptest` strategies or `rand`-based shuffles).
+//! depending on the `rand` crate's evolving API surface so that the bit streams
+//! produced by a given seed never change underneath an experiment.
 
 use std::fmt;
 
@@ -198,33 +196,6 @@ impl DetRng {
     }
 }
 
-/// Adapter implementing the `rand` crate's infallible [`rand::Rng`] trait (via
-/// `TryRng<Error = Infallible>`) so a [`DetRng`] can drive `rand`-based APIs.
-pub struct RandAdapter<'a>(pub &'a mut DetRng);
-
-impl rand::rand_core::TryRng for RandAdapter<'_> {
-    type Error = std::convert::Infallible;
-
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        Ok(self.0.next_u32())
-    }
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        Ok(self.0.next_u64())
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Self::Error> {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.0.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.0.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,15 +313,6 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.03, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn rand_adapter_fill_bytes() {
-        use rand::Rng;
-        let mut rng = DetRng::new(29);
-        let mut buf = [0u8; 37];
-        RandAdapter(&mut rng).fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

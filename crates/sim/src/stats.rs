@@ -311,15 +311,6 @@ impl TableBuilder {
     }
 }
 
-/// Percentage helper: `part / whole * 100`, 0 when the whole is zero.
-pub fn percent(part: f64, whole: f64) -> f64 {
-    if whole == 0.0 {
-        0.0
-    } else {
-        100.0 * part / whole
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,11 +400,5 @@ mod tests {
         assert!(out.lines().count() >= 4);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn percent_helper() {
-        assert_eq!(percent(1.0, 4.0), 25.0);
-        assert_eq!(percent(1.0, 0.0), 0.0);
     }
 }

@@ -256,18 +256,12 @@ impl Tracer for NullTracer {
 #[derive(Debug, Clone, Default)]
 pub struct JsonlTracer {
     lines: String,
-    records: u64,
 }
 
 impl JsonlTracer {
     /// An empty JSONL tracer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records buffered so far.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 }
 
@@ -279,7 +273,6 @@ impl Tracer for JsonlTracer {
     fn record(&mut self, event: TraceEvent) {
         self.lines.push_str(&event.to_jsonl());
         self.lines.push('\n');
-        self.records += 1;
     }
 
     fn finish(self: Box<Self>) -> TraceOutput {
@@ -342,7 +335,6 @@ mod tests {
         let mut tracer = JsonlTracer::new();
         tracer.record(sample_event(1));
         tracer.record(sample_event(2));
-        assert_eq!(tracer.records(), 2);
         let TraceOutput::Jsonl(text) = Box::new(tracer).finish() else {
             panic!("expected jsonl output");
         };

@@ -7,10 +7,8 @@
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::experiments::cli::run_experiment;
 use peerstripe::experiments::Scale;
-use peerstripe::net::{RingGateway, Transport};
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
-use std::collections::BTreeMap;
 
 #[test]
 fn quickstart_store_retrieve_on_small_cluster() {
@@ -283,124 +281,130 @@ fn outage_aware_detection_example_logic() {
     assert!(aware.files_lost <= per_node.files_lost);
 }
 
-/// The networked path's tier-1 coverage, the cycle `repro ring` runs: store
-/// a file through the gateway to eight daemons, take a block holder away,
-/// and verify the degraded read and the repair path — the same
-/// client/placement/erasure stack as the simulator, with rid-joined
-/// telemetry on both ends.
+/// The networked path's tier-1 coverage: `repro ring`'s own cycle at small
+/// scale, seed 42 — store a file through the gateway to eight daemons, take
+/// the lowest-numbered block holder away, and verify the degraded read and
+/// the repair path, with rid-joined telemetry on both ends.
 ///
 /// The cycle runs over the in-memory wire always, twice (a run replays byte
 /// for byte), and over real `peerstripe-node` processes too when the binary
-/// is built (CI builds it first).  Each run renders the work of each phase,
-/// and no timings: the gateway's RPCs by op and outcome, each daemon's
-/// objects and bytes as a scrape finds them, and the recovery report.  Every
-/// rendering must equal `tests/golden/ring_cycle_counts.txt`; a failure
+/// is built (CI builds it first).  Every run's per-phase work, which has no
+/// timings, must equal `tests/golden/ring_cycle_counts.txt`; a failure
 /// prints the rendering to re-pin from.
 #[test]
 fn network_ring_store_kill_recover() {
-    use peerstripe::net::{node_binary, GatewayConfig, LocalRing, MemWire};
+    use peerstripe::experiments::ring_cmd::{
+        render_phases, run_cycle, run_ring, RingCmdConfig, NODE_CAPACITY,
+    };
+    use peerstripe::net::{node_binary, MemWire};
 
     let golden = include_str!("golden/ring_cycle_counts.txt");
-    let pinned = |counts: String, ring: &str| {
-        assert!(counts == golden, "{ring} did other work:\n{counts}");
-    };
-    let capacity = ByteSize::mb(64);
+    let config = RingCmdConfig::at_scale(Scale::Small, 42);
     let over_wire = || {
-        let (wire, gateway) = MemWire::ring_of(RING_NODES, capacity);
-        ring_cycle(gateway, |victim| wire.stop(victim))
+        let (wire, gateway) = MemWire::ring_of(config.nodes, NODE_CAPACITY);
+        run_cycle(gateway, |victim| wire.stop(victim), &config).expect("the cycle over the wire")
     };
     let first = over_wire();
+    let counts = render_phases(&first);
     assert_eq!(
-        over_wire(),
-        first,
+        render_phases(&over_wire()),
+        counts,
         "a second run over the wire did other work"
     );
-    pinned(first, "the in-memory wire");
-    if let Some(bin) = node_binary() {
-        let mut ring = LocalRing::spawn(&bin, RING_NODES, capacity).expect("spawn daemons");
-        let gateway = ring.gateway(GatewayConfig::default());
-        let counts = ring_cycle(gateway, |victim| ring.kill(victim).expect("kill daemon"));
-        pinned(counts, "the ring of daemon processes");
+    assert!(
+        counts == golden,
+        "the in-memory wire did other work:\n{counts}"
+    );
+    check_ring_report(&first);
+    if node_binary().is_some() {
+        let report = run_ring(&config).expect("the cycle over daemon processes");
+        let counts = render_phases(&report);
+        assert!(
+            counts == golden,
+            "the daemon processes did other work:\n{counts}"
+        );
+        check_ring_report(&report);
     }
 }
 
-const RING_NODES: usize = 8;
+/// What a ring report must show whatever the transport: the file recovered
+/// with every RPC attributed, exactly the victim stale, per-op rows on both
+/// sides of the wire, and a JSON and text rendering that carry them.
+fn check_ring_report(report: &peerstripe::experiments::ring_cmd::RingReport) {
+    use peerstripe::experiments::ring_cmd::{render_ring_json, render_ring_text, OpStat};
 
-/// One store → fetch → stop → degraded fetch → repair → fetch cycle over
-/// `gateway`, `stop` taking away the first daemon that holds a block; the
-/// work of each phase, rendered.
-fn ring_cycle<T: Transport>(gateway: RingGateway<T>, stop: impl FnOnce(usize)) -> String {
-    let mut storage = PeerStripe::new(
-        gateway,
-        PeerStripeConfig {
-            coding: CodingPolicy::ReedSolomon { data: 5, parity: 3 },
-            ..PeerStripeConfig::default()
-        },
-    );
-    let mut rng = DetRng::new(42);
-    let data: Vec<u8> = (0..128 * 1024).map(|_| rng.next_u64() as u8).collect();
-    let file = "telemetry.parquet";
-    let (mut counts, mut logged) = (String::new(), 0);
-    let mut phase = |storage: &PeerStripe<RingGateway<T>>, name: &str| {
-        phase_counts(&mut counts, &mut logged, storage.backend(), name);
-    };
-
-    assert!(storage.store_data(file, &data).is_stored());
-    phase(&storage, "store");
-    let manifest = storage.manifest(file).expect("manifest");
-    let victim = manifest
-        .all_blocks()
-        .map(|b| b.node)
-        .min()
-        .expect("a holder");
-
-    assert_eq!(storage.retrieve_data(file).as_deref(), Some(&data[..]));
-    phase(&storage, "fetch");
-    stop(victim);
-    assert_eq!(
-        storage.retrieve_data(file).as_deref(),
-        Some(&data[..]),
-        "degraded read with node {victim} gone"
-    );
-    phase(&storage, "degraded fetch");
-    let takeover = storage.backend_mut().mark_failed(victim).expect("a member");
-    let report = storage.handle_node_failure(victim, &takeover);
+    assert!(report.recovered, "every read returned the file");
     assert_eq!(report.chunks_lost, 0);
     assert!(report.blocks_regenerated > 0);
-    phase(&storage, "repair");
-    assert_eq!(storage.retrieve_data(file).as_deref(), Some(&data[..]));
-    assert!(storage.is_file_available(file));
-    phase(&storage, "fetch");
-    counts + &format!("{report:?}\n")
+    // Every successful RPC joins a node op-log entry by request id, and the
+    // victim's RPCs are logged with an error outcome, not as silent gaps.
+    assert_eq!(report.unattributed_rpcs, 0);
+    let degraded = &report.phases[2].rpcs;
+    assert!(degraded.iter().any(|((_, outcome), _)| outcome != "ok"));
+
+    // Cluster health: every daemon answered before the kill; afterwards
+    // exactly the victim is stale, holding its pre-kill op log.
+    assert_eq!(report.reached_before_kill, report.nodes);
+    assert_eq!(report.node_health.len(), report.nodes);
+    assert!(report.unhealthy_nodes().is_empty());
+    for row in &report.node_health {
+        let h = &row.health;
+        assert!(!h.unreachable, "{}", h.name);
+        assert_eq!(h.stale, h.node == report.victim, "{}", h.name);
+        assert_eq!(h.scrapes, if h.stale { 1 } else { 2 }, "{}", h.name);
+        let stats = row.stats.as_ref().expect("every node was scraped");
+        if h.stale {
+            assert!(!stats.op_log.is_empty(), "the victim's pre-kill op log");
+        }
+    }
+
+    // Per-op rows on both sides of the wire saw the stores; quantiles come
+    // from the shared bucket edges.
+    let stored = |ops: &[OpStat]| ops.iter().any(|r| r.op == "store_block" && r.calls > 0);
+    assert!(stored(&report.gateway_ops));
+    assert!(report.node_health.iter().any(|n| stored(&n.ops)));
+    let node_ops = report.node_health.iter().flat_map(|n| &n.ops);
+    for row in report.gateway_ops.iter().chain(node_ops) {
+        assert!(row.p50_ms <= row.p99_ms, "{row:?}");
+    }
+
+    let json = render_ring_json(report);
+    for key in [
+        "gateway_rpc_latency_ms",
+        "node_requests_total",
+        "\"stale\":true",
+    ] {
+        assert!(json.contains(key), "{json}");
+    }
+
+    // Both tables are aligned: every row starts its columns where the
+    // header does.
+    let text = render_ring_text(report);
+    let lines: Vec<&str> = text.lines().collect();
+    let mut tables = 0;
+    for (i, line) in lines.iter().enumerate() {
+        if !line.starts_with("---") {
+            continue;
+        }
+        tables += 1;
+        let header = column_starts(lines[i - 1]);
+        let rows: Vec<&&str> = lines[i + 1..]
+            .iter()
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert!(!rows.is_empty(), "{text}");
+        for row in rows {
+            assert_eq!(column_starts(row), header, "{row}\n{text}");
+        }
+    }
+    assert_eq!(tables, 2, "{text}");
 }
 
-/// Append one phase's work to `counts`: the gateway's RPCs since its first
-/// `*logged` op-log entries, by op and outcome, then each daemon's objects
-/// and bytes, or `down` if its scrape fails.
-fn phase_counts<T: Transport>(
-    counts: &mut String,
-    logged: &mut usize,
-    gateway: &RingGateway<T>,
-    name: &str,
-) {
-    let log = gateway.op_log();
-    let mut rpcs: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    for e in log.iter().skip(*logged) {
-        *rpcs.entry((&e.op, &e.outcome)).or_default() += 1;
-    }
-    *logged = log.len();
-    counts.push_str(&format!("{name}\n"));
-    for ((op, outcome), n) in rpcs {
-        counts.push_str(&format!("  rpc {op:<12} {outcome:<3} {n:>2}\n"));
-    }
-    for node in 0..RING_NODES {
-        counts.push_str(&match gateway.get_stats(node) {
-            Ok(s) => format!(
-                "  node-{node} {} objects {} bytes\n",
-                s.objects,
-                s.used.as_u64()
-            ),
-            Err(_) => format!("  node-{node} down\n"),
-        });
-    }
+/// Where each column of a rendered table line starts: after a run of two or
+/// more spaces (a cell may hold a single space, `51.21 KB`).
+fn column_starts(line: &str) -> Vec<usize> {
+    let b = line.as_bytes();
+    (0..b.len())
+        .filter(|&i| b[i] != b' ' && (i == 0 || (i >= 2 && b[i - 1] == b' ' && b[i - 2] == b' ')))
+        .collect()
 }

@@ -16,13 +16,14 @@
 //!   accept-loop wake-ups.  A second client would be a second path to the
 //!   daemons, around the transport seam.
 //! * **No public fn without a caller** — a `pub`, `pub(crate)` or `pub const`
-//!   `fn` under `crates/*/src` must be named somewhere in the non-test part
-//!   of the program (`crates/*/src`, `src/`, `examples/`, `bench/src`)
-//!   other than its own `fn` line.  Tests do not count as callers: a
-//!   function only a test calls is surface nobody uses.  The few kept on
-//!   purpose are listed in [`KEPT`], each with its reason.
+//!   `fn` under `crates/*/src` must be used somewhere in the non-test part
+//!   of the program (`crates/*/src`, `src/`, `examples/`, `bench/src`) in a
+//!   call shape — `name(`, `.name(`, `Type::name` — or a `use` item; a field,
+//!   a local or a comment of the same name is no caller.  Tests do not count
+//!   as callers: a function only a test calls is surface nobody uses.  The
+//!   few kept on purpose are listed in [`KEPT`], each with its reason.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -80,11 +81,19 @@ const KEPT: &[(&str, &str)] = &[
     ("outage_aware_beats_per_node", "the placement sweep's acceptance check"),
     ("lazy_beats_eager_somewhere", "the repair sweep's acceptance check"),
     ("locality_aware", "test oracle: MulticastTree"),
-    ("is_running", "test oracle: LocalRing"),
     ("group_outage_active", "test oracle: MaintenanceEngine"),
     ("series_named", "test oracle: Figure"),
     ("expected_mean", "test oracle: CapacityModel"),
     ("ring_of", "test wire: ROADMAP item 5"),
+    ("stop", "test wire: ROADMAP item 5"),
+    ("ping", "test oracle: a daemon answers"),
+    ("leaves", "test oracle: MulticastTree"),
+    ("height", "test oracle: MulticastTree"),
+    ("proximity", "test oracle: OverlaySim"),
+    ("predecessor", "test oracle: IdRing"),
+    ("accounting_is_consistent", "test oracle: MaintenanceEngine"),
+    ("chance", "test fixture: random choices in property tests"),
+    ("mul_slice_with", "test oracle: the GF(2^8) kernels agree"),
 ];
 
 fn root() -> &'static Path {
@@ -236,41 +245,105 @@ fn declared_pub_fn(line: &str) -> Option<&str> {
     (!name.is_empty()).then_some(name)
 }
 
-/// Every public fn declared in `declaring` (`(path, text)` pairs) whose name
-/// appears in the non-test parts of `declaring` and `callers` only as a
-/// defined fn (`fn <name>`), as `(path:line, name)`.  Text is split into
-/// words on non-word characters, comments included, so a name shared by
-/// several fns reads as used if any one is.
+/// `text` with its comments and the insides of its string and character
+/// literals blanked out (newlines kept), so a word in either reads as no use.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while let Some(&c) = chars.get(i) {
+        let next = chars.get(i + 1).copied();
+        // Where the comment or literal starting at `i` ends, if one does.
+        let skip_to = match (c, next) {
+            ('/', Some('/')) => chars[i..].iter().position(|&c| c == '\n').map(|n| i + n),
+            ('/', Some('*')) => (i + 3..chars.len())
+                .find(|&k| chars[k - 1] == '*' && chars[k] == '/')
+                .map(|k| k + 1),
+            ('"', _) => {
+                let mut k = i + 1;
+                while let Some(&c) = chars.get(k) {
+                    match c {
+                        '\\' => k += 1,
+                        '"' => break,
+                        _ => {}
+                    }
+                    k += 1;
+                }
+                Some(k + 1)
+            }
+            ('\'', Some('\\')) => (i + 3..chars.len())
+                .find(|&k| chars[k] == '\'')
+                .map(|k| k + 1),
+            ('\'', Some(_)) if chars.get(i + 2) == Some(&'\'') => Some(i + 3),
+            _ => None,
+        };
+        match skip_to {
+            Some(end) => {
+                let end = end.min(chars.len());
+                out.extend(chars[i..end].iter().filter(|&&c| c == '\n'));
+                out.push(' ');
+                i = end;
+            }
+            None => {
+                out.push(c);
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The words `code` (comments and literals blanked) uses as a fn: in a call
+/// (`name(`, `.name(`, `Type::name(`, `name::<T>(`, but not `fn name(`), as a
+/// path (`Type::name` as a fn pointer), or in a `use` item.  A struct field,
+/// a local or a word in prose never counts.
+fn used_names(code: &str) -> BTreeSet<&str> {
+    let mut tokens = Vec::new();
+    let mut rest = code;
+    while let Some(start) = rest.find(is_word) {
+        let (gap, word) = rest.split_at(start);
+        let end = word.find(|c| !is_word(c)).unwrap_or(word.len());
+        let (word, tail) = word.split_at(end);
+        tokens.push((gap, word));
+        rest = tail;
+    }
+    let mut used = BTreeSet::new();
+    let mut in_use = false;
+    let mut prev = "";
+    for (k, &(gap, word)) in tokens.iter().enumerate() {
+        in_use &= !gap.contains(';');
+        let after = tokens.get(k + 1).map_or(rest, |&(gap, _)| gap).trim_start();
+        let called = prev != "fn" && (after.starts_with('(') || after.starts_with("::<"));
+        if in_use || called || gap.trim_end().ends_with("::") {
+            used.insert(word);
+        }
+        in_use |= word == "use";
+        prev = word;
+    }
+    used
+}
+
+/// Every public fn declared in `declaring` (`(path, text)` pairs) that the
+/// non-test parts of `declaring` and `callers` never use in a call shape
+/// (see [`used_names`]), as `(path:line, name)`.  A name shared by several
+/// fns reads as used if any one is.
 fn uncalled_pub_fns<'a>(
     declaring: &'a [(String, String)],
     callers: &[(String, String)],
 ) -> Vec<(String, &'a str)> {
-    let mut words: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut defs: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, text) in declaring.iter().chain(callers) {
-        let body = non_test(text);
-        let mut after_fn = false;
-        let mut rest = body;
-        while let Some(start) = rest.find(is_word) {
-            let gap = &rest[..start];
-            let word = &rest[start..];
-            let end = word.find(|c| !is_word(c)).unwrap_or(word.len());
-            let (word, tail) = word.split_at(end);
-            *words.entry(word).or_default() += 1;
-            if after_fn && gap == " " {
-                *defs.entry(word).or_default() += 1;
-            }
-            after_fn = word == "fn";
-            rest = tail;
-        }
-    }
+    let code: Vec<String> = declaring
+        .iter()
+        .chain(callers)
+        .map(|(_, text)| code_only(non_test(text)))
+        .collect();
+    let used: BTreeSet<&str> = code.iter().flat_map(|c| used_names(c)).collect();
     let mut uncalled = Vec::new();
     for (path, text) in declaring {
         for (n, line) in non_test(text).lines().enumerate() {
             let Some(name) = declared_pub_fn(line) else {
                 continue;
             };
-            if words.get(name) == defs.get(name) {
+            if !used.contains(name) {
                 uncalled.push((format!("{path}:{}", n + 1), name));
             }
         }
@@ -413,9 +486,43 @@ fn an_uncalled_pub_fn_fails_the_check() {
     };
     let uncalled = uncalled_pub_fns(
         &declaring,
-        &caller("used(); let f: fn() -> u8 = by_pointer;"),
+        &caller("used(); let f: fn() -> u8 = x::by_pointer;"),
     );
     assert_eq!(uncalled, [("crates/x/src/lib.rs:2".to_string(), "unused")]);
-    let all = caller("used(); unused(); let f: fn() -> u8 = by_pointer;");
+    let all = caller("used(); unused(); let f: fn() -> u8 = x::by_pointer;");
     assert_eq!(uncalled_pub_fns(&declaring, &all), Vec::new());
+}
+
+/// A method only a test calls is flagged even though its name is a common
+/// word: a field, a local, a doc comment, a string and a macro say `stop`,
+/// but only a call shape or a `use` counts.
+#[test]
+fn a_test_only_stop_is_flagged() {
+    let lib = "/// Stops the spinners: `self.stop()`.\n\
+               pub struct Awake { stop: bool }\n\
+               impl Awake {\n    pub fn stop(&mut self) { self.stop = true; }\n}\n\
+               pub fn run(stop: bool) -> bool { let s = \"stop(\"; println!(\"{s}\"); !stop }\n\
+               /* a.stop() */\n\
+               #[cfg(test)]\nmod tests {\n    fn t(a: &mut super::Awake) { a.stop(); }\n}\n";
+    let declaring = [("crates/x/src/lib.rs".to_string(), lib.to_string())];
+    let caller = |body: &str| [("bench/src/b.rs".to_string(), body.to_string())];
+    let flagged = |body: &str| {
+        let uncalled = uncalled_pub_fns(&declaring, &caller(body));
+        uncalled
+            .into_iter()
+            .map(|(_, name)| name)
+            .collect::<Vec<_>>()
+    };
+    let run = "fn main() { x::run(true); }\n";
+    assert_eq!(flagged(run), ["stop"]);
+    let stop = "fn main() { let stop = x::run(false); }\n";
+    assert_eq!(flagged(&(run.to_string() + stop)), ["stop"]);
+    for call in [
+        "a.stop();",
+        "x::Awake::stop(a);",
+        "use x::{run, Awake::stop};",
+    ] {
+        let body = format!("{run}fn f(a: &mut x::Awake) {{ {call} }}\n");
+        assert_eq!(flagged(&body), Vec::<&str>::new(), "{call}");
+    }
 }
