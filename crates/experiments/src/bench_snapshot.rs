@@ -1,8 +1,9 @@
-//! `repro bench-snapshot` — one-shot, in-process perf snapshots of five hot
-//! paths, written as small JSON files under `benchmarks/` so perf regressions
+//! `repro bench-snapshot` — one-shot, in-process perf snapshots of six hot
+//! paths in five small JSON files under `benchmarks/`, so perf regressions
 //! show up in review as a diff and `--check` can gate them in CI:
-//! `repair_schedule` (maintenance-engine event throughput), `detector_decide`
-//! and `placement_decide` (decision throughput per policy / strategy),
+//! `repair_schedule` (maintenance-engine event throughput, and its event
+//! queue's alone), `detector_decide` and `placement_decide` (decision
+//! throughput per policy / strategy),
 //! `wire_roundtrip` (the networked path's frame encode/decode) and
 //! `rs_encode` (in-place erasure-encode throughput, scalar vs `nibble64`
 //! kernel).  Each workload is defined here and nowhere else.  Every
@@ -33,7 +34,7 @@ use peerstripe_repair::{
     DeclarationVerdict, DetectionKind, Detector, DetectorConfig, OutageAwareConfig,
     PendingDeclaration,
 };
-use peerstripe_sim::{ByteSize, DetRng, SimTime};
+use peerstripe_sim::{ByteSize, DetRng, EventQueue, SimTime};
 use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -160,6 +161,7 @@ impl BenchSnapshot {
 /// Maintenance-engine event throughput over 24 h of churn (1 % of departures
 /// permanent, 24 h permanence timeout), on a cluster under a light per-node
 /// file load: fast to set up, same per-event code paths as the full sweep.
+/// Then the engine's event queue alone, in [`event_queue_hold_row`].
 pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     let cell = Cell::independent(0.01, 24.0, 24.0);
     let mut rows = Vec::new();
@@ -186,10 +188,56 @@ pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
             per_sec,
         });
     }
+    rows.push(event_queue_hold_row(config.seed));
     BenchSnapshot {
         name: "repair_schedule".to_string(),
         seed: config.seed,
         rows,
+    }
+}
+
+/// Events pending in the event-queue row: about as many as the maintenance
+/// engine holds in the `sim_churn_10k` cell.
+const HOLD_PENDING: usize = 12_288;
+
+/// A delay like the maintenance engine's: a random 1–2 s scaled by a random
+/// power of two up to 2^17, so from one second to about three days.
+fn hold_delay(rng: &mut DetRng) -> SimTime {
+    let secs = SimTime(1_000_000_000 + rng.next_below(1_000_000_000));
+    SimTime(secs.as_nanos() << rng.next_below(18))
+}
+
+/// The event queue alone under the hold model (Jones, CACM 1986):
+/// [`HOLD_PENDING`] events pending, and each hold pops the earliest and
+/// schedules one more after a [`hold_delay`].  An event is 32 bytes, the
+/// maintenance engine's size.  The work units are the pops of one batch of
+/// [`HOLD_PENDING`] holds.
+fn event_queue_hold_row(seed: u64) -> BenchRow {
+    let per_sec = best_rate(
+        PASS_SECS,
+        || {
+            let mut rng = DetRng::new(seed);
+            let mut queue = EventQueue::new();
+            for i in 0..HOLD_PENDING as u64 {
+                queue.schedule_after(hold_delay(&mut rng), [i; 4]);
+            }
+            (queue, rng)
+        },
+        |(queue, rng)| {
+            for _ in 0..HOLD_PENDING {
+                let Some((_, mut event)) = queue.pop() else {
+                    break;
+                };
+                event[0] += 1;
+                queue.schedule_after(hold_delay(rng), event);
+            }
+            HOLD_PENDING as u64
+        },
+    );
+    BenchRow {
+        id: format!("event_queue/hold/{HOLD_PENDING}_pending"),
+        work_units: HOLD_PENDING as u64,
+        per_sec,
     }
 }
 
@@ -717,9 +765,12 @@ mod tests {
             seed: 7,
         };
         let repair = run_repair_schedule_snapshot(&config);
-        assert_eq!(repair.rows.len(), 1);
+        assert_eq!(repair.rows.len(), 2);
         assert!(repair.rows[0].work_units > 0, "engine processed events");
         assert!(repair.rows[0].per_sec > 0.0);
+        assert_eq!(repair.rows[1].id, "event_queue/hold/12288_pending");
+        assert_eq!(repair.rows[1].work_units, 12_288);
+        assert!(repair.rows[1].per_sec > 0.0);
     }
 
     #[test]
@@ -871,6 +922,7 @@ mod tests {
         let report = check_against(&dir, &fresh, 0.0).unwrap();
         for needle in [
             "repair_schedule/churn_24h/50_nodes",
+            "repair_schedule/event_queue/hold/12288_pending",
             "detector_decide/",
             "placement_decide/plan_chunk/overlay-random/50_nodes",
             "wire_roundtrip/store_block/256_kib",

@@ -65,9 +65,10 @@ mod tests {
 
     #[test]
     fn an_event_is_four_words() {
-        // The variable-length payloads are boxed slices, so a queue entry is
-        // the event plus its time and sequence number: 48 bytes.
+        // The variable-length payloads are boxed slices, so a pending event
+        // costs the queue one 16-byte key plus one slab slot of four words.
         assert_eq!(std::mem::size_of::<MaintenanceEvent>(), 32);
+        assert_eq!(std::mem::size_of::<Option<MaintenanceEvent>>(), 32);
     }
 
     fn config(policy: RepairPolicy, timeout_secs: f64) -> RepairConfig {

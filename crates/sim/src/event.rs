@@ -1,14 +1,12 @@
 //! Discrete-event simulation core.
 //!
-//! The multicast experiments (Figures 11 and 12) advance in *epochs*, the
-//! Condor case study (Table 4) models transfer and lookup latencies, and the
-//! maintenance engine of `peerstripe-repair` drives churn and regeneration;
-//! all are driven by a simple discrete-event queue with a virtual clock.
-//! Events are ordered by `(time, sequence-number)` so simultaneous events fire
-//! in insertion order, which keeps the simulation deterministic.
+//! The maintenance engine of `peerstripe-repair` drives churn, detection and
+//! regeneration through this queue and its virtual clock.  (The multicast
+//! experiments of Figures 11 and 12 advance in epochs and the Condor case
+//! study of Table 4 sums a network cost model; neither uses it.)  Events are
+//! ordered by `(time, sequence-number)` so simultaneous events fire in
+//! insertion order, which keeps the simulation deterministic.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -90,30 +88,42 @@ impl Sub for SimTime {
     }
 }
 
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+/// Four heap keys on one 64-byte cache line: the children of one node.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Line([u128; 4]);
+
+/// A key no event has: it fills the lanes past the heap's end, so a node's
+/// missing children never win a comparison.
+const VACANT: u128 = u128::MAX;
+
+/// Heap position `p` is stored at flat index `p + PAD`: the children of `p`,
+/// positions `4p + 1 ..= 4p + 4`, are then exactly line `p + 1`.
+const PAD: usize = 3;
+
+/// The packed key of an event: time in the high 64 bits, then its sequence
+/// number, then its slab slot, so integer order is `(time, seq)` order.
+fn pack(time: SimTime, seq: u32, slot: u32) -> u128 {
+    u128::from(time.0) << 64 | u128::from(seq) << 32 | u128::from(slot)
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// The least of four keys and its lane, by a tournament of selects.
+#[inline]
+fn least_lane(keys: &[u128; 4]) -> (u128, usize) {
+    let (low_key, low) = if keys[1] < keys[0] {
+        (keys[1], 1)
+    } else {
+        (keys[0], 0)
+    };
+    let (high_key, high) = if keys[3] < keys[2] {
+        (keys[3], 3)
+    } else {
+        (keys[2], 2)
+    };
+    if high_key < low_key {
+        (high_key, high)
+    } else {
+        (low_key, low)
     }
 }
 
@@ -122,13 +132,25 @@ impl<E> Ord for Scheduled<E> {
 /// Events of type `E` are scheduled at absolute or relative virtual times and
 /// popped in non-decreasing time order; ties are broken by insertion order.
 ///
-/// A binary heap of `(time, seq, event)` entries: a push or pop moves O(log n)
-/// whole entries, so a large queue is cheaper the smaller its events (the
-/// maintenance engine's are 32 bytes, about ten thousand pending).
+/// A 4-ary min-heap of 16-byte keys (`time`, `seq`, slab slot) over a slab of
+/// the events themselves: a push or pop moves O(log₄ n) keys and never an
+/// event, and a node's four children share one 64-byte cache line, so a pop
+/// reads about log₄ n lines plus its event's slot (the maintenance engine
+/// holds about twelve thousand pending events: seven levels).  The
+/// sequence number is 32 bits; when it would wrap, the pending keys are
+/// renumbered by rank, which keeps their order.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// The heap's keys in lines; lanes past position `len` hold [`VACANT`].
+    lines: Vec<Line>,
+    /// Number of pending events.
+    len: usize,
+    /// Events by slot; `None` for a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, the most recently freed last.
+    free: Vec<u32>,
     now: SimTime,
-    seq: u64,
+    /// Sequence number of the next scheduled event.
+    seq: u32,
     processed: u64,
 }
 
@@ -142,7 +164,10 @@ impl<E> EventQueue<E> {
     /// Create an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            lines: Vec::new(),
+            len: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
@@ -161,12 +186,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedule an event at an absolute virtual time.
@@ -175,9 +200,24 @@ impl<E> EventQueue<E> {
     /// this matches the usual discrete-event convention and avoids time warps.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
         let time = time.max(self.now);
-        let seq = self.seq;
+        if self.seq == u32::MAX {
+            self.renumber();
+        }
+        // A slot index fits 32 bits: 2^32 pending events would fill 64 GiB
+        // of keys alone.
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let key = pack(time, self.seq, slot);
         self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        self.sift_up(key);
     }
 
     /// Schedule an event `delay` after the current time.
@@ -187,29 +227,28 @@ impl<E> EventQueue<E> {
 
     /// Pop the next event, advancing the virtual clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let next = self.heap.pop()?;
-        self.now = next.time;
+        if self.len == 0 {
+            return None;
+        }
+        let top = self.key(0);
+        self.len -= 1;
+        let last = self.key(self.len);
+        self.set(self.len, VACANT);
+        if self.len > 0 {
+            self.sift_down(last);
+        }
+        let slot = top as u32;
+        let event = self.slots[slot as usize].take()?;
+        self.free.push(slot);
+        let time = SimTime((top >> 64) as u64);
+        self.now = time;
         self.processed += 1;
-        Some((next.time, next.event))
+        Some((time, event))
     }
 
     /// Peek at the time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Drive the queue to completion, calling `handler` for each event.
-    ///
-    /// The handler receives a mutable reference to the queue so it can schedule
-    /// follow-up events.  Returns the final virtual time.
-    pub fn run<F>(&mut self, mut handler: F) -> SimTime
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        while let Some((t, e)) = self.pop() {
-            handler(self, t, e);
-        }
-        self.now
+        (self.len > 0).then(|| SimTime((self.key(0) >> 64) as u64))
     }
 
     /// Drive the queue until the virtual clock would exceed `deadline`.
@@ -229,6 +268,68 @@ impl<E> EventQueue<E> {
             handler(self, t, e);
         }
         self.processed - start
+    }
+
+    /// The key at heap position `p`.
+    #[inline]
+    fn key(&self, p: usize) -> u128 {
+        let i = p + PAD;
+        self.lines[i / 4].0[i % 4]
+    }
+
+    /// Store `key` at heap position `p`.
+    #[inline]
+    fn set(&mut self, p: usize, key: u128) {
+        let i = p + PAD;
+        self.lines[i / 4].0[i % 4] = key;
+    }
+
+    /// Append `key` at the heap's end and move it up past every greater
+    /// parent.
+    fn sift_up(&mut self, key: u128) {
+        let mut p = self.len;
+        self.len += 1;
+        if (p + PAD) / 4 == self.lines.len() {
+            self.lines.push(Line([VACANT; 4]));
+        }
+        while p > 0 {
+            let parent = (p - 1) / 4;
+            let above = self.key(parent);
+            if above < key {
+                break;
+            }
+            self.set(p, above);
+            p = parent;
+        }
+        self.set(p, key);
+    }
+
+    /// Put `key` in the root's place and move it down past every lesser
+    /// child.
+    fn sift_down(&mut self, key: u128) {
+        let mut p = 0;
+        while let Some(Line(children)) = self.lines.get(p + 1) {
+            let (child, lane) = least_lane(children);
+            if key < child {
+                break;
+            }
+            self.set(p, child);
+            p = 4 * p + 1 + lane;
+        }
+        self.set(p, key);
+    }
+
+    /// Renumber the pending keys by rank, so the sequence numbers restart
+    /// just past them.  Ranks keep the `(time, seq)` order, and a sorted
+    /// array is already a heap.
+    fn renumber(&mut self) {
+        let mut keys: Vec<u128> = (0..self.len).map(|p| self.key(p)).collect();
+        keys.sort_unstable();
+        for (rank, key) in keys.into_iter().enumerate() {
+            let time = SimTime((key >> 64) as u64);
+            self.set(rank, pack(time, rank as u32, key as u32));
+        }
+        self.seq = self.len as u32;
     }
 }
 
@@ -285,14 +386,41 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(1), 0u32);
         let mut fired = Vec::new();
-        q.run(|q, t, depth| {
+        let n = q.run_until(SimTime(u64::MAX), |q, t, depth| {
             fired.push((t, depth));
             if depth < 3 {
                 q.schedule_after(SimTime::from_secs(1), depth + 1);
             }
         });
+        assert_eq!(n, 4);
         assert_eq!(fired.len(), 4);
         assert_eq!(fired.last().unwrap().0, SimTime::from_secs(4));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn insertion_order_survives_the_sequence_wrap() {
+        let mut q = EventQueue::new();
+        q.seq = u32::MAX - 4;
+        let (early, late) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        // Ten ties at each of two times, scheduled across the wrap and in
+        // alternation, with one pop in between.
+        for i in 0..10u32 {
+            q.schedule_at(late, 100 + i);
+            q.schedule_at(early, i);
+        }
+        assert_eq!(q.pop(), Some((early, 0)));
+        for i in 10..16u32 {
+            q.schedule_at(early, i);
+            q.schedule_at(late, 100 + i);
+        }
+        assert!(q.seq < 100, "renumbered past the wrap: {}", q.seq);
+        let order: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
+        let want: Vec<(SimTime, u32)> = (1..16)
+            .map(|i| (early, i))
+            .chain((100..116).map(|i| (late, i)))
+            .collect();
+        assert_eq!(order, want);
     }
 
     #[test]

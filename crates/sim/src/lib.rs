@@ -11,8 +11,8 @@
 //!   (normal, truncated normal, uniform, exponential).
 //! * [`bytesize::ByteSize`] — saturating byte-size arithmetic with human-readable
 //!   formatting, used for every capacity, file size, and transfer amount.
-//! * [`event`] — a discrete-event queue with virtual time, used by the multicast
-//!   and desktop-grid simulators.
+//! * [`event`] — a discrete-event queue with virtual time, used by the repair
+//!   subsystem's maintenance engine.
 //! * [`rate`] — FIFO bandwidth budgets over virtual time, used by the repair
 //!   subsystem to make concurrent regenerations queue and interfere.
 //! * [`stats`] — online statistics (Welford), x/y series and formatted tables

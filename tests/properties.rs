@@ -1555,6 +1555,30 @@ impl QueueModel {
     }
 }
 
+/// A delay like the maintenance engine's, log-uniform from one second to
+/// about eleven days, or now and then one that saturates the clock at
+/// `u64::MAX` nanoseconds.
+fn deep_delay(rng: &mut DetRng) -> SimTime {
+    if rng.chance(0.01) {
+        SimTime(u64::MAX - rng.next_below(1 << 40))
+    } else {
+        SimTime::from_secs_f64(10f64.powf(rng.range_f64(0.0, 6.0)))
+    }
+}
+
+/// Schedule event `next` after `delay` on both the queue and its model, the
+/// set of pending `(time, seq)` pairs.
+fn schedule_deep(
+    queue: &mut EventQueue<u64>,
+    model: &mut BTreeSet<(SimTime, u64)>,
+    next: &mut u64,
+    delay: SimTime,
+) {
+    queue.schedule_after(delay, *next);
+    model.insert((queue.now() + delay, *next));
+    *next += 1;
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1612,5 +1636,42 @@ proptest! {
         model.pending.sort_unstable();
         prop_assert_eq!(rest, model.pending);
         prop_assert!(queue.is_empty());
+    }
+
+    /// The same order with thousands of events pending (a 4-ary heap six or
+    /// seven levels deep), against a `BTreeSet` model: a fill, a hold phase
+    /// of one pop and about one push at a time, then a drain whose pops
+    /// schedule fewer and fewer follow-ups.  Delays run from a second to
+    /// days, and some saturate the clock, so the drain schedules ties at
+    /// `u64::MAX` nanoseconds.
+    #[test]
+    fn a_deep_event_queue_pops_in_time_then_insertion_order(
+        seed in any::<u64>(),
+        pending in 2_000usize..6_000,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = BTreeSet::new();
+        let mut next = 0u64;
+        for _ in 0..pending {
+            schedule_deep(&mut queue, &mut model, &mut next, deep_delay(&mut rng));
+        }
+        for hold in 0..2 * pending {
+            prop_assert_eq!(queue.pop(), model.pop_first());
+            for _ in 0..rng.index(3) {
+                schedule_deep(&mut queue, &mut model, &mut next, deep_delay(&mut rng));
+            }
+            prop_assert_eq!(queue.len(), model.len(), "hold {}", hold);
+            prop_assert_eq!(queue.peek_time(), model.first().map(|&(t, _)| t));
+        }
+        while let Some(want) = model.pop_first() {
+            prop_assert_eq!(queue.pop(), Some(want));
+            prop_assert_eq!(queue.now(), want.0);
+            if rng.chance(0.25) {
+                schedule_deep(&mut queue, &mut model, &mut next, deep_delay(&mut rng));
+            }
+        }
+        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.processed(), next);
     }
 }
