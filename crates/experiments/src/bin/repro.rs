@@ -6,17 +6,9 @@
 //! repro trace [--scenario NAME] [--scale ...] [--seed N] [--out DIR]
 //! repro trace-summary FILE [--format text|json]
 //!
-//! experiments:
-//!   fig7 fig8 fig9 table1   file-insertion comparison (PAST vs CFS vs PeerStripe)
-//!   fig10                   availability under node failures (coding policies)
-//!   table2                  erasure-code cost (Null / XOR / Online / Reed-Solomon)
-//!   rs-sweep                Reed-Solomon (n, m) sweep: encode/decode throughput + minimal-subset recovery
-//!   table3                  data lost & regenerated under 10% / 20% churn
-//!   repair-sweep            continuous churn: repair policy × timeout × bandwidth
-//!   placement-sweep         grouped churn: placement strategy × domain size × outage rate
-//!   fig11 fig12             Bullet/RanSub replica dissemination
-//!   table4                  Condor bigCopy case study
-//!   all                     everything above
+//! experiments (`cli::DRIVERS` is their one list; `repro --help` prints it):
+//!   <section>               one section of one driver
+//!   all                     every driver once, in table order
 //!
 //! tooling:
 //!   bench-snapshot          capture BENCH_*.json perf snapshots under benchmarks/
@@ -29,7 +21,7 @@
 //!                           and each phase's RPCs and daemon contents
 //! ```
 
-use peerstripe_experiments::cli::run_experiment_with;
+use peerstripe_experiments::cli::{self, run_experiment_with};
 use peerstripe_experiments::Scale;
 use std::io::Write as _;
 
@@ -106,13 +98,19 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
+    let experiments: String = cli::DRIVERS
+        .iter()
+        .flat_map(|driver| driver.sections)
+        .map(|(name, artefact)| format!("\n  {name:<17}{artefact}"))
+        .collect();
     format!(
-        "usage: repro <{}|all> [--scale small|medium|paper] [--seed N]\n\
+        "usage: repro <experiment|all> [--scale small|medium|paper] [--seed N]\n\
                 repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N] [--check]\n\
                 repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--out DIR]\n\
                 repro trace-summary FILE [--format text|json]\n\
-                repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]",
-        peerstripe_experiments::cli::EXPERIMENTS.join("|"),
+                repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]\n\
+         \n\
+         experiments (`all` runs every driver once):{experiments}",
         peerstripe_experiments::trace_cmd::SCENARIOS.join("|"),
     )
 }
@@ -362,18 +360,16 @@ fn main() {
         "ring" => run_ring(&args),
         _ => {}
     }
-    println!(
-        "# PeerStripe reproduction — experiment '{}' at scale '{}' (seed {})\n",
-        args.experiment, args.scale, args.seed
-    );
-    // Stream each section as its experiment finishes (an `all --scale paper`
+    if !cli::is_experiment(&args.experiment) {
+        eprintln!("unknown experiment '{}'\n{}", args.experiment, usage());
+        std::process::exit(2);
+    }
+    print!("{}", cli::header(&args.experiment, args.scale, args.seed));
+    // Stream each driver's sections as it finishes (an `all --scale paper`
     // run takes hours; buffering would hide every result until the end).
     let mut emit = |section: &str| {
         print!("{section}");
         let _ = std::io::stdout().flush();
     };
-    if !run_experiment_with(&args.experiment, args.scale, args.seed, &mut emit) {
-        eprintln!("unknown experiment '{}'\n{}", args.experiment, usage());
-        std::process::exit(2);
-    }
+    run_experiment_with(&args.experiment, args.scale, args.seed, &mut emit);
 }

@@ -1,21 +1,8 @@
 //! Experiment drivers reproducing every table and figure of the paper's
 //! evaluation (Section 6).
 //!
-//! | Paper artefact | Driver | `repro` sub-command |
-//! |---|---|---|
-//! | Figure 7 (failed stores)       | [`storesim::run_store_comparison`] | `fig7` |
-//! | Figure 8 (failed data)         | [`storesim::run_store_comparison`] | `fig8` |
-//! | Figure 9 (utilization)         | [`storesim::run_store_comparison`] | `fig9` |
-//! | Table 1 (chunk statistics)     | [`storesim::StoreComparison::table1`] | `table1` |
-//! | Figure 10 (availability)       | [`availability::run_availability`] | `fig10` |
-//! | Table 2 (erasure-code cost)    | [`coding::run_table2`] (cells through `measure_code`) | `table2` |
-//! | RS (n, m) sweep (optimal code) | [`coding::run_rs_sweep`] (cells through `measure_code`) | `rs-sweep` |
-//! | Table 3 (churn regeneration)   | [`availability::run_regeneration`] | `table3` |
-//! | Continuous churn & repair policies | [`repair_sweep::run_repair_sweep`] | `repair-sweep` |
-//! | Grouped churn & placement strategies | [`placement_sweep::run_placement_sweep`] | `placement-sweep` |
-//! | Figure 11 (RanSub sweep)       | [`multicast_fig::run_ransub_sweep`] | `fig11` |
-//! | Figure 12 (packet spread)      | [`multicast_fig::run_spread`] | `fig12` |
-//! | Table 4 (Condor bigCopy)       | [`condor::run_table4`] | `table4` |
+//! [`cli::DRIVERS`] is the one list of them: each driver, the paper artefact
+//! of each section it renders and the `repro` sub-command that prints it.
 //!
 //! Every driver is parameterised by [`scale::Scale`]: `small` for tests and
 //! CI, `medium` for the default `repro` run, `paper` for the published

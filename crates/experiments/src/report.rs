@@ -1,7 +1,8 @@
 //! Plain-text rendering of every experiment result, in the paper's layout.
 //!
-//! The `repro` binary prints these renderings, and `tests/golden/` pins
-//! several of them byte for byte.
+//! The `repro` binary prints these renderings, and `tests/golden/` pins every
+//! untimed one byte for byte: `<name>_small_seed42.txt` is
+//! `repro <name> --scale small --seed 42`.
 
 use crate::availability::{AvailabilityResult, Table3Row};
 use crate::coding::{RsSweep, Table2};
@@ -29,25 +30,16 @@ pub fn render_figure(fig: &Figure) -> String {
     out
 }
 
-/// Render Figures 7–9 and Table 1 from a store comparison.
-pub fn render_store_comparison(cmp: &StoreComparison) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Inserted {} files ({}) into {} of contributed capacity (offered load {:.1}%)\n",
+/// The line `repro all` prints ahead of Figures 7–9 and Table 1: the load the
+/// store comparison offered.
+pub fn render_insertion_load(cmp: &StoreComparison) -> String {
+    format!(
+        "Inserted {} files ({}) into {} of contributed capacity (offered load {:.1}%)\n\n",
         cmp.files_offered,
         cmp.bytes_offered,
         cmp.capacity,
         100.0 * cmp.bytes_offered.as_u64() as f64 / cmp.capacity.as_u64() as f64,
-    );
-    out.push_str(&render_figure(&cmp.figure7()));
-    out.push('\n');
-    out.push_str(&render_figure(&cmp.figure8()));
-    out.push('\n');
-    out.push_str(&render_figure(&cmp.figure9()));
-    out.push('\n');
-    out.push_str(&render_table1(cmp));
-    out
+    )
 }
 
 /// Render Table 1.

@@ -34,7 +34,7 @@ pub enum SystemKind {
 
 impl SystemKind {
     /// Every system, in [`StoreComparison::runs`] order.
-    const ALL: [SystemKind; 3] = [SystemKind::Past, SystemKind::Cfs, SystemKind::PeerStripe];
+    pub const ALL: [SystemKind; 3] = [SystemKind::Past, SystemKind::Cfs, SystemKind::PeerStripe];
 
     /// Legend label used in the paper's figures.
     pub fn label(&self) -> &'static str {

@@ -5,7 +5,7 @@
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
-use peerstripe::experiments::cli::run_experiment;
+use peerstripe::experiments::cli::{header, run_experiment, DRIVERS};
 use peerstripe::experiments::Scale;
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
@@ -100,29 +100,12 @@ fn repro_table2_and_rs_sweep_at_small_scale() {
     );
 }
 
-/// The continuous-churn repair sweep keeps producing its report through the
-/// `repro` dispatch: every swept policy appears, and the headline eager-vs-lazy
-/// comparison lines are rendered.  This is the same code path
-/// `repro repair-sweep --scale small` (run in CI as part of `repro all`) takes.
-#[test]
-fn repro_repair_sweep_at_small_scale() {
-    let report = run_experiment("repair-sweep", Scale::Small, 42)
-        .expect("repair-sweep is a known experiment");
-    assert!(report.contains("Repair sweep"), "report:\n{report}");
-    for needle in ["eager", "lazy(k=0)", "lazy(k=2)", "vs eager @ timeout"] {
-        assert!(report.contains(needle), "missing '{needle}':\n{report}");
-    }
-    assert!(
-        report.contains("Repair/useful"),
-        "maintenance-bill column missing:\n{report}"
-    );
-}
-
-/// The grouped-churn placement sweep keeps producing its report through the
-/// `repro` dispatch — the same code path `repro placement-sweep --scale small`
-/// (run in CI as part of `repro all`) takes — and keeps demonstrating its
-/// headline: domain-aware placement beats oblivious placement on files lost
-/// under correlated whole-domain outages at equal repair bandwidth.
+/// The grouped-churn placement sweep keeps demonstrating its headline:
+/// domain-aware placement beats oblivious placement on files lost under
+/// correlated whole-domain outages at equal repair bandwidth.  Its rendering
+/// must also equal the golden capture that
+/// [`pinned_outputs_match_their_golden_captures`] compares the driver's own
+/// run with: a second run in one process renders the same bytes.
 #[test]
 fn repro_placement_sweep_at_small_scale() {
     use peerstripe::experiments::placement_sweep::{run_placement_sweep, PlacementSweepConfig};
@@ -144,75 +127,59 @@ fn repro_placement_sweep_at_small_scale() {
         "outage-aware detection must halve repair bytes at equal durability: {:#?}",
         sweep.detector_rows
     );
-    let report = render_placement_sweep(&sweep);
-    for needle in [
-        "Placement sweep",
-        "overlay-random",
-        "domain-spread",
-        "capacity-weighted",
-        "domain-spread vs overlay-random @ group",
-        "total over matched configurations",
-        "Cap viol.",
-        "Detector sweep",
-        "per-node",
-        "outage-aware(θ=0.50)",
-        "sessions(",
-        "vs per-node @",
-        "Wasted%",
-    ] {
-        assert!(report.contains(needle), "missing '{needle}':\n{report}");
-    }
-    // The dispatcher path agrees with the direct call.
-    let dispatched = run_experiment("placement-sweep", Scale::Small, 42)
-        .expect("placement-sweep is a known experiment");
-    assert!(dispatched.contains("Placement sweep"));
+    let name = "placement-sweep";
+    let printed = header(name, Scale::Small, 42) + &render_placement_sweep(&sweep) + "\n";
+    assert!(printed == golden(name), "a second run rendered:\n{printed}");
 }
 
-/// A `repro <experiment> --scale small --seed 42` capture under
-/// `tests/golden/`, minus the binary's header (its first two lines): what
-/// `run_experiment` returns for the same experiment.
-fn golden_body(file: &str) -> String {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    let golden = std::fs::read_to_string(path).expect("golden capture present");
-    golden.lines().skip(2).map(|l| format!("{l}\n")).collect()
-}
-
-/// The per-node detection path is byte-identical to the pre-refactor engine:
-/// the golden file was captured from `repro placement-sweep --scale small
-/// --seed 42` *before* detection became pluggable, and the placement-strategy
-/// table (which runs entirely under per-node detection) must still render
-/// byte for byte.  The refactor adds the detector axis strictly below it.
-#[test]
-fn placement_sweep_per_node_output_matches_pre_refactor_golden() {
-    // The rendered placement-sweep section exactly as the seed-42 small run
-    // produced it pre-refactor.
-    let body = golden_body("placement_sweep_small_seed42.txt");
-    assert!(!body.is_empty(), "golden file must carry the table");
-    let report = run_experiment("placement-sweep", Scale::Small, 42)
-        .expect("placement-sweep is a known experiment");
-    assert!(
-        report.starts_with(&body),
-        "per-node placement-sweep output diverged from the pre-refactor \
-         golden capture.\n--- golden ---\n{body}\n--- current ---\n{report}"
+/// `tests/golden/<name>_small_seed42.txt`: what `repro <name> --scale small
+/// --seed 42` prints.
+fn golden(name: &str) -> String {
+    let path = format!(
+        "{}/tests/golden/{name}_small_seed42.txt",
+        env!("CARGO_MANIFEST_DIR")
     );
+    std::fs::read_to_string(path).expect("golden capture present")
 }
 
-/// Figure 10, Table 3 and Table 4 are pinned whole: the golden files are
-/// `repro fig10|table3|table4 --scale small --seed 42` as printed (two header
-/// lines, then the experiment's section), so a change to the block
-/// bookkeeping or the comparison systems under any of them cannot move a
-/// digit unnoticed.  Figure 7 and Table 1 have goldens too, but take seconds
-/// in a release build; CI diffs those against the release `repro`.
+/// Every untimed section `repro` prints is pinned whole by its golden
+/// capture, so no change to a driver or a renderer can move a digit
+/// unnoticed.  Each driver runs once for all of its sections (the store
+/// comparison renders Figures 7–9 and Table 1 from one run).  A failure
+/// prints the section as it now renders; re-pin with
+/// `repro <name> --scale small --seed 42 > tests/golden/<name>_small_seed42.txt`,
+/// and only for a change that means to move it.
 #[test]
 fn pinned_outputs_match_their_golden_captures() {
-    for experiment in ["fig10", "table3", "table4"] {
-        let body = golden_body(&format!("{experiment}_small_seed42.txt"));
-        let report = run_experiment(experiment, Scale::Small, 42).expect("known experiment");
-        assert_eq!(
-            report, body,
-            "{experiment} diverged from its golden capture"
-        );
+    for driver in DRIVERS.iter().filter(|driver| !driver.timed) {
+        let rendered = (driver.run)(Scale::Small, 42);
+        for (&(name, _), text) in driver.sections.iter().zip(&rendered.sections) {
+            let printed = header(name, Scale::Small, 42) + text;
+            assert!(
+                printed == golden(name),
+                "{name} diverged from its golden capture; it now prints:\n{printed}"
+            );
+        }
     }
+}
+
+/// README's paper → code mapping is [`DRIVERS`] rendered, a row per section
+/// in table order, so the README cannot name an experiment the table lacks
+/// or map one to another driver.
+#[test]
+fn readme_mapping_is_the_driver_table() {
+    let mut table =
+        String::from("| Paper artefact | Driver | `repro` sub-command |\n|---|---|---|\n");
+    for driver in DRIVERS {
+        for (name, artefact) in driver.sections {
+            table += &format!("| {artefact} | `{}` | `{name}` |\n", driver.path);
+        }
+    }
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&format!("## Paper → code mapping\n\n{table}\n")),
+        "README's mapping table must read:\n{table}"
+    );
 }
 
 /// Smoke for `examples/outage_aware_detection.rs`: the per-node vs
