@@ -18,6 +18,17 @@
 //! and only a backend that can do better (the gateway reads the reply off the
 //! socket into the caller's buffer) overrides it.
 //!
+//! A block is stored the same two ways.  [`StorageBackend::store_block`]
+//! takes the payload by value; every backend implements it, and a backend
+//! that keeps the bytes it is handed (the simulator) keeps that buffer.
+//! [`StorageBackend::store_block_from`] is the byte path's verb: the payload
+//! is borrowed as parts written one after the other — a systematic row goes
+//! as its header, the row where the caller's data holds it, and a few bytes
+//! of zero padding — so a store need not first copy a row into a payload of
+//! its own.  It is provided — the parts concatenated, then `store_block` —
+//! and only a backend that sends the bytes on (the gateway writes the frame
+//! from the parts in one vectored write) overrides it.
+//!
 //! [`PeerStripe`]: crate::client::PeerStripe
 
 use crate::cluster::{ClusterStoreError, StorageCluster};
@@ -76,6 +87,25 @@ pub trait StorageBackend: ProbeView {
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError>;
+
+    /// Store an object whose payload is `parts`, concatenated, on an explicit
+    /// node under `key`: the same object [`StorageBackend::store_block`]
+    /// stores with that payload.
+    ///
+    /// The provided body concatenates the parts into one buffer and calls
+    /// `store_block`; a backend that writes the bytes somewhere itself (a
+    /// socket) overrides it to write them from the parts.
+    fn store_block_from(
+        &mut self,
+        node: NodeRef,
+        key: Id,
+        name: &ObjectName,
+        size: ByteSize,
+        parts: &[&[u8]],
+    ) -> Result<NodeRef, ClusterStoreError> {
+        let payload = parts.concat();
+        self.store_block(node, key, name.clone(), size, Some(payload))
+    }
 
     /// Fetch an object from a specific node, by value.
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock>;
@@ -192,6 +222,25 @@ mod tests {
         assert_eq!(fetched.payload.as_deref(), Some(&vec![7u8, 8, 9]));
         backend.rollback_block(node, &name, ByteSize::mb(1));
         assert!(backend.fetch_block(node, &name).is_none());
+    }
+
+    #[test]
+    fn store_block_from_stores_the_parts_concatenated() {
+        let mut backend = cluster();
+        let size = ByteSize::kb(1);
+        for (ecb, parts) in [
+            (1, &[&[1u8, 2][..], &[], &[3, 4, 5]][..]),
+            (2, &[&[6u8, 7, 8][..]][..]),
+            (3, &[][..]),
+        ] {
+            let name = ObjectName::block("f", 0, ecb);
+            let node = backend.route_lookup(name.key()).unwrap();
+            let stored = backend.store_block_from(node, name.key(), &name, size, parts);
+            assert_eq!(stored.unwrap(), node);
+            let fetched = backend.fetch_block(node, &name).unwrap();
+            assert_eq!(fetched.size, size);
+            assert_eq!(fetched.payload.as_deref(), Some(&parts.concat()));
+        }
     }
 
     #[test]

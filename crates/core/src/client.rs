@@ -35,7 +35,7 @@ use peerstripe_placement::{OverlayRandom, PlacementStrategy, Topology};
 use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Total number of CAT copies kept: the primary at the CAT key's root and a
 /// replica on its closest leaf-set neighbour (Section 4.4).
@@ -115,33 +115,49 @@ pub struct PeerStripe<B: StorageBackend = StorageCluster> {
 }
 
 /// Parity work (bytes of the trailing, redundancy-bearing payloads of a
-/// chunk) at and above which the store path encodes those payloads on a
-/// scoped worker while the calling thread pushes the leading ones.
+/// chunk) at and above which the store path encodes those payloads on the
+/// store's encode worker while the calling thread pushes the leading ones.
 ///
-/// The threshold is load-bearing: below it, starting the worker costs more
+/// The threshold is load-bearing: below it, handing the work over costs more
 /// than the overlap saves.  With both CPUs of a 2-vCPU VM held by the
-/// benchmark harness's spinners, an instrumented build saw a chunk's encode
-/// worker first run p50 2.1 ms and p90 3.9 ms after its spawn
-/// (`ring_large_file`), and giving every chunk the worker moved
-/// `ring_node_loss`'s store p50 from 2.30 to 3.30 ms over 3 pairs of runs.
+/// benchmark harness's spinners, giving every chunk a worker of its own
+/// moved `ring_node_loss`'s store p50 from 2.30 to 3.30 ms over 3 pairs of
+/// runs.  So the worker is spawned once a store, at the first chunk that
+/// reaches the threshold, and waits on its hand-off between chunks: its
+/// start lag is paid once a file, not once a chunk.  Instrumented on
+/// `ring_large_file` (3 passes a side, seed 42), a worker spawned for each
+/// chunk first ran p50 1.98 ms (p90 3.92) after its spawn, a waiting one
+/// p50 0.02 ms after its hand-off; the calling thread's wait for a chunk's
+/// parity fell from a mean of 0.19 ms (p90 0.75) to 0.13 ms (p90 0.23).
 const OVERLAP_MIN_BYTES: usize = 1 << 20;
 
-/// What the byte path needs of the coding policy, built once per client.
+/// Zero padding a systematic row is sent with when the chunk ends inside or
+/// before it: fewer than `k` bytes, `k` the source rows, and a layout whose
+/// leading blocks are the source rows is GF(256) Reed–Solomon's, `k < 256`.
+static ZERO_PAD: [u8; 256] = [0; 256];
+
+/// What the byte path needs of the coding policy, built once per client, and
+/// the payload buffers it keeps from chunk to chunk.
 struct BytePath {
-    codec: Box<dyn ErasureCode>,
+    codec: Arc<dyn ErasureCode>,
     /// The codec rows each placed block carries ([`placed_block_of`]
     /// inverted, rows ascending).
-    rows_of: Vec<Vec<u32>>,
+    rows_of: Arc<[Vec<u32>]>,
     /// How many leading placed blocks a healthy read needs — in a systematic
     /// layout the chunk's own bytes; the blocks after them are its redundancy.
     lead: usize,
     /// Whether leading placed block `i` carries source row `i` and nothing
-    /// else, for every `i`: the chunk's rows, whole and in order.
+    /// else, for every `i`: the chunk's rows, whole and in order, fewer than
+    /// [`ZERO_PAD`] has bytes.  Such a block is sent from the chunk's own
+    /// bytes, never computed.
     rows_in_order: bool,
+    /// One buffer per computed leading payload (none when the leading blocks
+    /// are sent from the chunk), kept from chunk to chunk.
+    lead_kept: Vec<Vec<u8>>,
+    /// One buffer per trailing payload, kept from chunk to chunk; they go to
+    /// the store's encode worker and come back by value.
+    tail_kept: Vec<Vec<u8>>,
 }
-
-/// A rebuilt block: its size, and its payload unless it is stored as a size.
-type Replacement = (ByteSize, Option<Vec<u8>>);
 
 /// Bytes of the `[count][index][len]` words in front of a payload's first row.
 const ROW_HEADER_BYTES: usize = 12;
@@ -156,9 +172,197 @@ fn row_header(index: usize, len: usize) -> [u8; ROW_HEADER_BYTES] {
     header
 }
 
+/// Encode, for each `(rows, payload)` of `jobs`, rows `rows` of `chunk`
+/// straight into `payload`, in the [`pack_payload`] format.  Each payload is
+/// cut or grown to its size and never cleared: its `[count][index, len]`
+/// headers are written, and the codec overwrites every byte of the row slots
+/// in place.
+fn fill_payloads<'a>(
+    codec: &dyn ErasureCode,
+    chunk: &[u8],
+    jobs: impl Iterator<Item = (&'a [u32], &'a mut Vec<u8>)>,
+) {
+    let block_size = codec.block_size(chunk.len());
+    let mut rows: Vec<u32> = Vec::new();
+    let mut slots: Vec<&mut [u8]> = Vec::new();
+    for (block_rows, payload) in jobs {
+        payload.resize(4 + block_rows.len() * (8 + block_size), 0);
+        let (count, records) = payload.split_at_mut(4);
+        count.copy_from_slice(&(block_rows.len() as u32).to_le_bytes());
+        for (&index, record) in block_rows
+            .iter()
+            .zip(records.chunks_exact_mut(8 + block_size))
+        {
+            let (header, slot) = record.split_at_mut(8);
+            header[..4].copy_from_slice(&index.to_le_bytes());
+            header[4..].copy_from_slice(&(block_size as u32).to_le_bytes());
+            rows.push(index);
+            slots.push(slot);
+        }
+    }
+    codec.encode_rows_into(chunk, &rows, &mut slots);
+}
+
+/// What sits between a store and its encode worker: a job on its way over
+/// (a chunk's bytes and the trailing payload buffers to fill from them), the
+/// buffers on their way back, or neither.
+enum Slot<'env> {
+    Idle,
+    Job(&'env [u8], Vec<Vec<u8>>),
+    Filled(Vec<Vec<u8>>),
+    /// The store is done with the worker, or the worker stopped (it
+    /// panicked, which the store's scope re-raises at its end).
+    Closed,
+}
+
+/// The hand-off between a store and its encode worker: one slot under a lock
+/// and a condition variable both sides wait on.  Neither allocates, so what
+/// a store allocates does not depend on which side waits for the other.
+struct Handoff<'env> {
+    slot: Mutex<Slot<'env>>,
+    changed: Condvar,
+}
+
+impl<'env> Handoff<'env> {
+    fn new() -> Self {
+        Handoff {
+            slot: Mutex::new(Slot::Idle),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The slot, locked.  Every update of it is one assignment, so a lock
+    /// poisoned by a panic on the other side still guards a valid slot.
+    fn lock(&self) -> MutexGuard<'_, Slot<'env>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Put `slot` in, unless the other side has closed, and wake it; whether
+    /// it went in.
+    fn put(&self, slot: Slot<'env>) -> bool {
+        let mut held = self.lock();
+        let open = !matches!(*held, Slot::Closed);
+        if open {
+            *held = slot;
+            self.changed.notify_all();
+        }
+        open
+    }
+
+    /// Wait for what `take` accepts, leaving the slot idle; closed, `None`.
+    fn wait<T>(&self, take: impl Fn(Slot<'env>) -> Result<T, Slot<'env>>) -> Option<T> {
+        let mut held = self.lock();
+        loop {
+            if matches!(*held, Slot::Closed) {
+                return None;
+            }
+            match take(std::mem::replace(&mut *held, Slot::Idle)) {
+                Ok(taken) => return Some(taken),
+                Err(other) => *held = other,
+            }
+            held = self
+                .changed
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Close the hand-off for both sides.
+    fn close(&self) {
+        *self.lock() = Slot::Closed;
+        self.changed.notify_all();
+    }
+}
+
+/// Closes a hand-off when dropped: a worker that ends, however it ends,
+/// never leaves the store waiting.
+struct CloseOnDrop<'h, 'env>(&'h Handoff<'env>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The encode worker of one byte-path store: a scoped thread spawned at the
+/// first chunk whose trailing payloads reach [`OVERLAP_MIN_BYTES`], waiting
+/// on its [`Handoff`] between chunks, and told to stop, then joined, when the
+/// store's scope ends.  It fills the trailing payload buffers it is handed
+/// and hands them back by value.
+struct EncodeWorker<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    /// The spawned worker's hand-off; `None` until the first job.
+    handoff: Option<Arc<Handoff<'env>>>,
+}
+
+impl<'scope, 'env> EncodeWorker<'scope, 'env> {
+    /// A worker of `scope`, not yet spawned.
+    fn new(scope: &'scope std::thread::Scope<'scope, 'env>) -> Self {
+        EncodeWorker {
+            scope,
+            handoff: None,
+        }
+    }
+
+    /// Hand the worker `chunk` and `path`'s trailing buffers, spawning it on
+    /// the first call.  False if the worker has stopped.
+    fn start(&mut self, path: &mut BytePath, chunk: &'env [u8]) -> bool {
+        let handoff = self.handoff.get_or_insert_with(|| {
+            let handoff = Arc::new(Handoff::new());
+            let (codec, rows_of) = (Arc::clone(&path.codec), Arc::clone(&path.rows_of));
+            let (lead, ours) = (path.lead, Arc::clone(&handoff));
+            self.scope.spawn(move || {
+                let _closed = CloseOnDrop(&ours);
+                let job = |slot| match slot {
+                    Slot::Job(chunk, bufs) => Ok((chunk, bufs)),
+                    other => Err(other),
+                };
+                while let Some((chunk, mut bufs)) = ours.wait(job) {
+                    let rows = rows_of[lead..].iter().map(Vec::as_slice);
+                    fill_payloads(&*codec, chunk, rows.zip(&mut bufs));
+                    ours.put(Slot::Filled(bufs));
+                }
+            });
+            handoff
+        });
+        let handed = handoff.put(Slot::Job(chunk, std::mem::take(&mut path.tail_kept)));
+        if !handed {
+            path.lose_tail();
+        }
+        handed
+    }
+
+    /// Wait for the job [`Self::start`] handed out and put its buffers back
+    /// in `path`, filled.  False if the worker stopped on it.
+    fn finish(&mut self, path: &mut BytePath) -> bool {
+        let wait = |handoff: &Arc<Handoff<'env>>| {
+            handoff.wait(|slot| match slot {
+                Slot::Filled(bufs) => Ok(bufs),
+                other => Err(other),
+            })
+        };
+        let filled = self.handoff.as_ref().and_then(wait);
+        let back = filled.is_some();
+        match filled {
+            Some(bufs) => path.tail_kept = bufs,
+            None => path.lose_tail(),
+        }
+        back
+    }
+}
+
+impl Drop for EncodeWorker<'_, '_> {
+    /// Tell a spawned worker to stop, so the scope can join it.
+    fn drop(&mut self) {
+        if let Some(handoff) = &self.handoff {
+            handoff.close();
+        }
+    }
+}
+
 impl BytePath {
     fn new(config: &PeerStripeConfig) -> Self {
-        let codec = config.coding.codec(config.data_path_blocks);
+        let codec: Arc<dyn ErasureCode> = config.coding.codec(config.data_path_blocks).into();
         let total = codec.encoded_blocks();
         let mut rows_of = vec![Vec::new(); config.coding.placed_blocks()];
         for index in 0..total {
@@ -167,12 +371,17 @@ impl BytePath {
             }
         }
         let lead = config.coding.min_blocks_needed().min(rows_of.len());
+        let k = codec.source_blocks();
+        let rows_in_order = lead == k
+            && k <= ZERO_PAD.len()
+            && rows_of[..lead].iter().zip(0u32..).all(|(r, i)| r == &[i]);
         BytePath {
-            rows_in_order: lead == codec.source_blocks()
-                && rows_of[..lead].iter().zip(0u32..).all(|(r, i)| r == &[i]),
+            lead_kept: vec![Vec::new(); if rows_in_order { 0 } else { lead }],
+            tail_kept: vec![Vec::new(); rows_of.len() - lead],
+            rows_of: rows_of.into(),
+            rows_in_order,
             codec,
             lead,
-            rows_of,
         }
     }
 
@@ -188,68 +397,97 @@ impl BytePath {
         (self.rows_in_order && rows.iter().all(|b| b.size == stored)).then_some(block_size)
     }
 
-    /// Encode rows `rows_of[i]` of `chunk` straight into `payloads[i]`, in the
-    /// [`pack_payload`] format: each payload is allocated once at its exact
-    /// size, its `[count][index, len]` headers are written, and the codec
-    /// fills the row slots in place.
-    fn fill_payloads(&self, chunk: &[u8], rows_of: &[Vec<u32>], payloads: &mut [Vec<u8>]) {
-        let block_size = self.codec.block_size(chunk.len());
-        let mut rows: Vec<u32> = Vec::new();
-        let mut slots: Vec<&mut [u8]> = Vec::new();
-        for (block_rows, payload) in rows_of.iter().zip(payloads.iter_mut()) {
-            *payload = vec![0u8; 4 + block_rows.len() * (8 + block_size)];
-            let (count, records) = payload.split_at_mut(4);
-            count.copy_from_slice(&(block_rows.len() as u32).to_le_bytes());
-            for (&index, record) in block_rows
-                .iter()
-                .zip(records.chunks_exact_mut(8 + block_size))
-            {
-                let (header, slot) = record.split_at_mut(8);
-                header[..4].copy_from_slice(&index.to_le_bytes());
-                header[4..].copy_from_slice(&(block_size as u32).to_le_bytes());
-                rows.push(index);
-                slots.push(slot);
-            }
-        }
-        self.codec.encode_rows_into(chunk, &rows, &mut slots);
+    /// Replace the trailing buffers a stopped worker kept with empty ones.
+    fn lose_tail(&mut self) {
+        self.tail_kept = vec![Vec::new(); self.rows_of.len() - self.lead];
     }
 
-    /// Encode `chunk` into one payload per placed block and hand each, in
-    /// placement order, to `push`; stops at the first refusal.
-    ///
-    /// When the trailing, redundancy-bearing payloads are `overlap_min_bytes`
-    /// or more, one scoped worker computes them while this thread fills (a
-    /// bounded copy for a systematic code) and pushes the leading blocks; the
-    /// worker is joined before the first trailing block is pushed, and also
-    /// when a leading push is refused.
-    fn encode_and_push<E>(
-        &self,
-        chunk: &[u8],
-        overlap_min_bytes: usize,
-        mut push: impl FnMut(usize, Vec<u8>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let (lead_rows, tail_rows) = self.rows_of.split_at(self.lead);
-        let tail_bytes =
-            tail_rows.iter().map(Vec::len).sum::<usize>() * self.codec.block_size(chunk.len());
-        let mut payloads = vec![Vec::new(); self.rows_of.len()];
-        let mut push_all = |first: usize, payloads: &mut [Vec<u8>]| {
-            payloads
-                .iter_mut()
-                .enumerate()
-                .try_for_each(|(i, p)| push(first + i, std::mem::take(p)))
-        };
-        if tail_bytes == 0 || tail_bytes < overlap_min_bytes {
-            self.fill_payloads(chunk, &self.rows_of, &mut payloads);
-            return push_all(0, &mut payloads);
+    /// Whether placed block `position` is sent from the chunk's own bytes.
+    fn sends_row(&self, position: usize) -> bool {
+        self.rows_in_order && position < self.lead
+    }
+
+    /// The payload length of placed block `position` for a chunk of
+    /// `chunk_len` bytes.
+    fn payload_len(&self, position: usize, chunk_len: usize) -> usize {
+        let rows = self.rows_of.get(position).map_or(0, Vec::len);
+        4 + rows * (8 + self.codec.block_size(chunk_len))
+    }
+
+    /// Call `send` with placed block `position`'s payload for `chunk`, as the
+    /// parts it is written from: a row sent from the chunk is its header, its
+    /// bytes where `chunk` holds them, and its zero padding; any other
+    /// payload is its kept buffer, filled beforehand.
+    fn with_parts<R>(&self, chunk: &[u8], position: usize, send: impl FnOnce(&[&[u8]]) -> R) -> R {
+        if self.sends_row(position) {
+            let block_size = self.codec.block_size(chunk.len());
+            let start = (position * block_size).min(chunk.len());
+            let row = &chunk[start..(start + block_size).min(chunk.len())];
+            let pad = &ZERO_PAD[..block_size - row.len()];
+            return send(&[&row_header(position, block_size), row, pad]);
         }
-        let (lead_payloads, tail_payloads) = payloads.split_at_mut(self.lead);
-        // Leaving the scope joins the worker (and re-raises its panic).
-        std::thread::scope(|s| {
-            s.spawn(|| self.fill_payloads(chunk, tail_rows, tail_payloads));
-            self.fill_payloads(chunk, lead_rows, lead_payloads);
-            push_all(0, lead_payloads)
-        })?;
-        push_all(self.lead, tail_payloads)
+        let kept = match position.checked_sub(self.lead) {
+            None => self.lead_kept.get(position),
+            Some(tail) => self.tail_kept.get(tail),
+        };
+        send(&[kept.map_or(&[][..], Vec::as_slice)])
+    }
+
+    /// Compute into their kept buffers the payloads for `chunk` of the
+    /// placed blocks `wanted` accepts (those sent from the chunk have none).
+    fn fill_kept(&mut self, chunk: &[u8], wanted: impl Fn(usize) -> bool) {
+        let BytePath {
+            codec,
+            rows_of,
+            lead,
+            lead_kept,
+            tail_kept,
+            ..
+        } = self;
+        let lead = *lead;
+        let tail = tail_kept.iter_mut().enumerate();
+        let kept = lead_kept.iter_mut().enumerate();
+        let jobs = kept
+            .chain(tail.map(|(i, buf)| (lead + i, buf)))
+            .filter(|(position, _)| wanted(*position))
+            .map(|(position, buf)| (rows_of[position].as_slice(), buf));
+        fill_payloads(&**codec, chunk, jobs);
+    }
+
+    /// Encode `chunk` and hand each placed block's payload, in placement
+    /// order, to `push` as the parts it is written from; stops at the first
+    /// refusal.
+    ///
+    /// Leading rows of a systematic layout go from `chunk` itself; every
+    /// other payload is computed into a kept buffer.  When the trailing,
+    /// redundancy-bearing payloads are `overlap_min_bytes` or more, `worker`
+    /// computes them while this thread pushes the leading blocks; their
+    /// buffers are back before the first trailing block is pushed, and also
+    /// when a leading push is refused.
+    fn encode_and_push<'env, E>(
+        &mut self,
+        chunk: &'env [u8],
+        worker: &mut EncodeWorker<'_, 'env>,
+        overlap_min_bytes: usize,
+        mut push: impl FnMut(usize, &[&[u8]]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (lead, placed) = (self.lead, self.rows_of.len());
+        let tail_rows = self.rows_of[lead..].iter().map(Vec::len).sum::<usize>();
+        let tail_bytes = tail_rows * self.codec.block_size(chunk.len());
+        let overlap =
+            tail_bytes > 0 && tail_bytes >= overlap_min_bytes && worker.start(self, chunk);
+        self.fill_kept(chunk, |position| position < lead || !overlap);
+        let mut push_from = |path: &Self, positions: Range<usize>| {
+            positions.into_iter().try_for_each(|position| {
+                path.with_parts(chunk, position, |parts| push(position, parts))
+            })
+        };
+        let pushed = push_from(self, 0..lead);
+        if overlap && !worker.finish(self) {
+            self.fill_kept(chunk, |position| position >= lead);
+        }
+        pushed?;
+        push_from(self, lead..placed)
     }
 }
 
@@ -384,45 +622,46 @@ impl<B: StorageBackend> PeerStripe<B> {
     }
 
     /// Place the blocks of a chunk on their probed targets; on the byte path
-    /// `data` is the chunk's bytes, encoded straight into the payloads that
-    /// are pushed.  On any refusal the chunk is rolled back and treated as
+    /// `data` is the chunk's bytes, each block's payload sent from them or
+    /// from a buffer the chunk was encoded into, and the store's encode
+    /// worker.  On any refusal the chunk is rolled back and treated as
     /// zero-sized (the capacity changed between the probe and the store,
     /// Section 4.3).
-    fn place_chunk(
+    fn place_chunk<'env>(
         &mut self,
         targets: &[(ObjectName, Id, NodeRef)],
         chunk: u32,
         chunk_size: ByteSize,
-        data: Option<&[u8]>,
+        data: Option<(&'env [u8], &mut EncodeWorker<'_, 'env>)>,
     ) -> Option<ChunkPlacement> {
         let block_size = self.config.coding.block_size(chunk_size);
         let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
         let (backend, topology) = (&mut self.backend, &self.topology);
-        let mut push = |position: usize, payload: Option<Vec<u8>>| -> Result<(), ()> {
-            let (name, key, node) = targets.get(position).ok_or(())?;
-            let size = match &payload {
-                Some(p) => ByteSize::bytes(p.len() as u64),
-                None => block_size,
-            };
-            backend
-                .store_block(*node, *key, name.clone(), size, payload)
-                .map_err(|_| ())?;
-            placed.push(BlockPlacement {
-                name: name.clone(),
-                node: *node,
-                size,
-                domain: topology.as_ref().and_then(|t| t.domain_of(*node)),
-            });
-            Ok(())
+        let placement = |(name, _, node): &(ObjectName, Id, NodeRef), size| BlockPlacement {
+            name: name.clone(),
+            node: *node,
+            size,
+            domain: topology.as_ref().and_then(|t| t.domain_of(*node)),
         };
-        let outcome = match data {
-            Some(bytes) => {
+        let outcome: Result<(), ()> = match data {
+            Some((bytes, worker)) => {
+                let push = |position: usize, parts: &[&[u8]]| {
+                    let target @ (name, key, node) = targets.get(position).ok_or(())?;
+                    let size = ByteSize::bytes(parts.iter().map(|p| p.len() as u64).sum());
+                    let stored = backend.store_block_from(*node, *key, name, size, parts);
+                    stored.map_err(|_| ())?;
+                    placed.push(placement(target, size));
+                    Ok(())
+                };
                 self.byte_path
-                    .encode_and_push(bytes, OVERLAP_MIN_BYTES, |position, payload| {
-                        push(position, Some(payload))
-                    })
+                    .encode_and_push(bytes, worker, OVERLAP_MIN_BYTES, push)
             }
-            None => (0..targets.len()).try_for_each(|position| push(position, None)),
+            None => targets.iter().try_for_each(|target @ (name, key, node)| {
+                let stored = backend.store_block(*node, *key, name.clone(), block_size, None);
+                stored.map_err(|_| ())?;
+                placed.push(placement(target, block_size));
+                Ok(())
+            }),
         };
         if outcome.is_err() {
             // Roll back the blocks already placed for this chunk.
@@ -505,10 +744,28 @@ impl<B: StorageBackend> PeerStripe<B> {
         stored
     }
 
-    /// Core store loop shared by the placement path and the byte path.  The
-    /// file's name is allocated once, and every chunk, block and CAT name of
-    /// the file shares it.
+    /// Core store loop shared by the placement path and the byte path.  A
+    /// byte-path store runs in a thread scope its encode worker may be
+    /// spawned in, and returns once that worker is joined; the placement
+    /// path carries no bytes and enters no scope.
     fn store_internal(&mut self, file: &FileRecord, data: Option<&[u8]>) -> StoreOutcome {
+        match data {
+            None => self.store_chunks(file, None),
+            Some(bytes) => std::thread::scope(|scope| {
+                let mut worker = EncodeWorker::new(scope);
+                self.store_chunks(file, Some((bytes, &mut worker)))
+            }),
+        }
+    }
+
+    /// Cut `file` into chunks, place each, and store its CAT.  The file's
+    /// name is allocated once, and every chunk, block and CAT name of the
+    /// file shares it.
+    fn store_chunks<'env>(
+        &mut self,
+        file: &FileRecord,
+        mut data: Option<(&'env [u8], &mut EncodeWorker<'_, 'env>)>,
+    ) -> StoreOutcome {
         let file_name: Arc<str> = Arc::from(file.name.as_str());
         let mut remaining = file.size;
         let mut offset: u64 = 0;
@@ -532,10 +789,10 @@ impl<B: StorageBackend> PeerStripe<B> {
                 None
             } else {
                 // Byte path: cut the actual chunk payload.
-                let chunk_data = data.map(|bytes| {
+                let chunk_data = data.as_mut().map(|(bytes, worker)| {
                     let start = offset as usize;
                     let end = (offset + chunk_size.as_u64()) as usize;
-                    &bytes[start..end.min(bytes.len())]
+                    (&bytes[start..end.min(bytes.len())], &mut **worker)
                 });
                 self.place_chunk(&targets, chunk_no, chunk_size, chunk_data)
             };
@@ -765,30 +1022,29 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
     }
 
-    /// One replacement for each lost block at positions `lost` of `chunk`'s
-    /// block list — its size, and its payload unless the chunk was stored as
-    /// sizes (holders answer, none carries bytes) — from one read of the
-    /// chunk: each payload re-encodes exactly the codec blocks the lost
-    /// placement carried.  A chunk the survivors do not decode is the error
+    /// The replacements of the lost blocks at positions `lost` of `chunk`'s
+    /// block list, from one read of the chunk: each one's size, and the
+    /// chunk's bytes unless it was stored as sizes (holders answer, none
+    /// carries bytes).  Each replacement re-encodes exactly the codec blocks
+    /// the lost placement carried ([`BytePath::with_parts`] sends it).  A
+    /// chunk the survivors do not decode is the error
     /// [`Self::read_chunk_into`] gives, never a payload-less replacement.
     fn rebuild_blocks(
         &self,
         chunk: &ChunkPlacement,
         lost: &[usize],
-    ) -> Result<Vec<Replacement>, DecodeError> {
+    ) -> Result<(Vec<ByteSize>, Option<Vec<u8>>), DecodeError> {
         let mut bytes = Vec::new();
         if !self.read_chunk_into(chunk, 0..chunk.size.as_u64() as usize, &mut bytes)? {
-            return Ok(lost.iter().map(|&p| (chunk.blocks[p].size, None)).collect());
+            return Ok((lost.iter().map(|&p| chunk.blocks[p].size).collect(), None));
         }
-        let rows_of = |&p: &usize| {
-            let rows = self.byte_path.rows_of.get(p).cloned();
-            rows.ok_or(DecodeError::CorruptBlock { index: p as u32 })
+        let path = &self.byte_path;
+        let size_of = |&p: &usize| match path.rows_of.get(p) {
+            Some(_) => Ok(ByteSize::bytes(path.payload_len(p, bytes.len()) as u64)),
+            None => Err(DecodeError::CorruptBlock { index: p as u32 }),
         };
-        let rows = lost.iter().map(rows_of).collect::<Result<Vec<_>, _>>()?;
-        let mut payloads = vec![Vec::new(); lost.len()];
-        self.byte_path.fill_payloads(&bytes, &rows, &mut payloads);
-        let sized = |p: Vec<u8>| (ByteSize::bytes(p.len() as u64), Some(p));
-        Ok(payloads.into_iter().map(sized).collect())
+        let sizes = lost.iter().map(size_of).collect::<Result<_, _>>()?;
+        Ok((sizes, Some(bytes)))
     }
 
     /// Handle the failure of a node: regenerate the encoded blocks it held from
@@ -830,12 +1086,15 @@ impl<B: StorageBackend> PeerStripe<B> {
                 Verdict::Rebuild => self.rebuild_blocks(chunk, &lost).ok(),
                 Verdict::WriteOff | Verdict::Defer => None,
             };
-            let Some(replacements) = rebuilt else {
+            let Some((sizes, bytes)) = rebuilt else {
                 report.chunks_lost += 1;
                 report.bytes_lost += chunk.size;
                 continue;
             };
-            let largest = replacements.iter().map(|(size, _)| *size).max();
+            if let Some(bytes) = &bytes {
+                self.byte_path.fill_kept(bytes, |p| lost.contains(&p));
+            }
+            let largest = sizes.iter().copied().max();
             damage.block_size = largest.unwrap_or(ByteSize::ZERO);
             let next_ecb = chunk
                 .blocks
@@ -865,13 +1124,20 @@ impl<B: StorageBackend> PeerStripe<B> {
                 damage.targets(strategy, topology, view, lost.len(), &inheritors, &mut rng);
 
             let mut replaced: Vec<(usize, BlockPlacement)> = Vec::new();
-            for (((position, name), (size, payload)), node) in
-                lost.into_iter().zip(names).zip(replacements).zip(targets)
+            for (((position, name), size), node) in
+                lost.into_iter().zip(names).zip(sizes).zip(targets)
             {
                 let beside = damage.holders.iter().copied();
+                let path = &self.byte_path;
                 let stored = planner::commit(&mut self.backend, beside, node, |backend| {
-                    let stored = backend.store_block(node, name.key(), name.clone(), size, payload);
-                    stored.is_ok()
+                    let key = name.key();
+                    match &bytes {
+                        Some(bytes) => path.with_parts(bytes, position, |parts| {
+                            backend.store_block_from(node, key, &name, size, parts)
+                        }),
+                        None => backend.store_block(node, key, name.clone(), size, None),
+                    }
+                    .is_ok()
                 });
                 if stored {
                     report.blocks_regenerated += 1;
@@ -977,8 +1243,9 @@ fn placed_block_of(policy: &CodingPolicy, codec_blocks: usize, index: usize) -> 
 /// Serialise a group of encoded blocks into one payload: `[count][index, len, bytes]*`.
 ///
 /// This is the on-node payload format of every block object PeerStripe places.
-/// The store and repair paths write it in place (`BytePath::fill_payloads`);
-/// this is the reference they are tested against.
+/// The store and repair paths write it in place (`fill_payloads`), or send a
+/// systematic row as its header, its bytes and its padding; this is the
+/// reference they are tested against.
 pub fn pack_payload(blocks: &[EncodedBlock]) -> Vec<u8> {
     let bytes: usize = blocks.iter().map(|b| 8 + b.data.len()).sum();
     let mut out = Vec::with_capacity(4 + bytes);
@@ -1434,16 +1701,73 @@ mod tests {
         let rs = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
         let positions: Vec<usize> = (0..8).map(|i| placed_block_of(&rs, 8, i)).collect();
         assert_eq!(positions, (0..8).collect::<Vec<_>>());
+        // The same table says which blocks are sent from the chunk: the
+        // source rows, as a header, the row where the chunk holds it and
+        // its padding — row 4 of a chunk five does not divide is one byte
+        // short, row 3 of a 6-byte chunk is padding alone.
+        let mut path = BytePath::new(&PeerStripeConfig::default().with_coding(rs));
+        let sent: Vec<bool> = (0..8).map(|p| path.sends_row(p)).collect();
+        assert_eq!(sent, [true, true, true, true, true, false, false, false]);
+        for (len, row, want) in [(4usize << 20, 4usize, 1usize), (6, 3, 2), (6, 2, 0)] {
+            let chunk = vec![7u8; len];
+            let block_size = path.codec.block_size(len);
+            let (header, at, pad) = path.with_parts(&chunk, row, |parts| {
+                let at = offset_in(&chunk, parts[1]).unwrap_or(usize::MAX);
+                (parts[0].to_vec(), at, parts[2].len())
+            });
+            assert_eq!(header, row_header(row, block_size));
+            assert_eq!(pad, want, "row {row} of {len} bytes");
+            if pad < block_size {
+                assert_eq!(at, row * block_size);
+            }
+            std::thread::scope(|scope| {
+                let mut worker = EncodeWorker::new(scope);
+                let got = pushed_payloads(&mut path, &mut worker, 0, &chunk);
+                assert_eq!(got.len(), 8);
+            });
+        }
     }
 
-    /// The payloads `encode_and_push` hands out for `chunk`, in push order.
-    fn pushed_payloads(path: &BytePath, min: usize, chunk: &[u8]) -> Vec<Vec<u8>> {
+    /// Where `part` lies in `chunk`, if it is a view of `chunk`'s bytes.
+    fn offset_in(chunk: &[u8], part: &[u8]) -> Option<usize> {
+        let start = (part.as_ptr() as usize).checked_sub(chunk.as_ptr() as usize)?;
+        (!part.is_empty() && start + part.len() <= chunk.len()).then_some(start)
+    }
+
+    /// The payloads `encode_and_push` hands out for `chunk` through
+    /// `worker`, in push order, each checked for how it is sent: a row sent
+    /// from the chunk is its header, its bytes where `chunk` holds them and
+    /// fewer zero bytes than the chunk has rows; a computed payload is one
+    /// part, a buffer of the path's own.
+    fn pushed_payloads<'env>(
+        path: &mut BytePath,
+        worker: &mut EncodeWorker<'_, 'env>,
+        min: usize,
+        chunk: &'env [u8],
+    ) -> Vec<Vec<u8>> {
+        let block_size = path.codec.block_size(chunk.len());
+        let k = path.codec.source_blocks();
+        let sends: Vec<bool> = (0..path.rows_of.len()).map(|p| path.sends_row(p)).collect();
         let mut pushed = Vec::new();
-        let outcome: Result<(), ()> = path.encode_and_push(chunk, min, |position, p| {
-            assert_eq!(position, pushed.len(), "placement order");
-            pushed.push(p);
-            Ok(())
-        });
+        let outcome: Result<(), ()> =
+            path.encode_and_push(chunk, worker, min, |position, parts| {
+                assert_eq!(position, pushed.len(), "placement order");
+                if sends[position] {
+                    let [header, row, pad] = parts else {
+                        panic!("row {position} in {} parts", parts.len());
+                    };
+                    assert_eq!(*header, row_header(position, block_size));
+                    if !row.is_empty() {
+                        assert_eq!(offset_in(chunk, row), Some(position * block_size));
+                    }
+                    assert!(pad.len() < k && pad.iter().all(|&b| b == 0));
+                } else {
+                    assert_eq!(parts.len(), 1, "a computed payload is one buffer");
+                    assert_eq!(offset_in(chunk, parts[0]), None);
+                }
+                pushed.push(parts.concat());
+                Ok(())
+            });
         assert!(outcome.is_ok());
         pushed
     }
@@ -1458,58 +1782,89 @@ mod tests {
             CodingPolicy::ReedSolomon { data: 5, parity: 3 },
         ];
         // Shorter than `data` bytes, not divisible by it, around a tile
-        // boundary, plus arbitrary lengths.
+        // boundary, plus arbitrary lengths: one path, so its kept buffers
+        // grow and shrink from chunk to chunk and are never cleared.
         let mut rng = DetRng::new(0x5eed);
         let mut lengths = vec![1usize, 2, 3, 4, 5, 7, 16, 17, 4096, 81_919, 81_920, 81_921];
         lengths.extend((0..24).map(|_| 1 + rng.index(200_000)));
+        let chunks: Vec<Vec<u8>> = lengths
+            .iter()
+            .map(|&len| (0..len).map(|_| rng.next_u32() as u8).collect())
+            .collect();
         for policy in policies {
             let config = PeerStripeConfig::default().with_coding(policy);
-            let path = BytePath::new(&config);
+            let mut path = BytePath::new(&config);
             let total = path.codec.encoded_blocks();
-            for &len in &lengths {
-                let chunk: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
-                // The reference: encode into owned blocks, group them by the
-                // layout function, pack each group.
-                let mut groups = vec![Vec::new(); policy.placed_blocks()];
-                for b in path.codec.encode(&chunk) {
-                    groups[placed_block_of(&policy, total, b.index as usize)].push(b);
-                }
-                let want: Vec<Vec<u8>> = groups.iter().map(|g| pack_payload(g)).collect();
-                for (min, worker) in [(0, "on"), (usize::MAX, "off")] {
-                    let got = pushed_payloads(&path, min, &chunk);
-                    assert!(
-                        got == want,
-                        "{} at {len} bytes, worker {worker}",
-                        policy.label()
-                    );
-                    assert!(got.iter().all(|p| p.len() == p.capacity()), "sized exactly");
-                }
+            // The reference: encode into owned blocks, group them by the
+            // layout function, pack each group.
+            let want: Vec<Vec<Vec<u8>>> = chunks
+                .iter()
+                .map(|chunk| {
+                    let mut groups = vec![Vec::new(); policy.placed_blocks()];
+                    for b in path.codec.encode(chunk) {
+                        groups[placed_block_of(&policy, total, b.index as usize)].push(b);
+                    }
+                    groups.iter().map(|g| pack_payload(g)).collect()
+                })
+                .collect();
+            // One worker serves every chunk of a store, waiting in between.
+            for (min, worker) in [(0, "on"), (usize::MAX, "off")] {
+                std::thread::scope(|scope| {
+                    let mut encoder = EncodeWorker::new(scope);
+                    for (chunk, want) in chunks.iter().zip(&want) {
+                        let got = pushed_payloads(&mut path, &mut encoder, min, chunk);
+                        assert!(
+                            &got == want,
+                            "{} at {} bytes, worker {worker}",
+                            policy.label(),
+                            chunk.len()
+                        );
+                    }
+                    let spawned = encoder.handoff.is_some();
+                    let trailing = path.rows_of.len() > path.lead;
+                    assert_eq!(spawned, min == 0 && trailing, "{}", policy.label());
+                });
             }
         }
     }
 
     #[test]
     fn a_refused_push_stops_the_chunk_with_the_worker_on_and_off() {
-        let config = PeerStripeConfig::default()
-            .with_coding(CodingPolicy::ReedSolomon { data: 5, parity: 3 });
-        let path = BytePath::new(&config);
-        let chunk = vec![7u8; 50_000];
+        let policy = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+        let mut path = BytePath::new(&PeerStripeConfig::default().with_coding(policy));
+        let chunk: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let want: Vec<Vec<u8>> = path
+            .codec
+            .encode(&chunk)
+            .iter()
+            .map(|b| pack_payload(std::slice::from_ref(b)))
+            .collect();
         for min in [0, usize::MAX] {
-            // Refusals at a leading block (worker still running) and at the
-            // first trailing one (worker already joined).
-            for refuse_at in [2usize, 5] {
-                let mut seen = Vec::new();
-                let outcome = path.encode_and_push(&chunk, min, |position, _| {
-                    seen.push(position);
-                    if position == refuse_at {
-                        Err(position)
-                    } else {
-                        Ok(())
-                    }
-                });
-                assert_eq!(outcome, Err(refuse_at));
-                assert_eq!(seen, (0..=refuse_at).collect::<Vec<_>>());
-            }
+            std::thread::scope(|scope| {
+                let mut worker = EncodeWorker::new(scope);
+                // Refusals at a leading block (worker still running) and at
+                // the first trailing one (buffers already back).
+                for refuse_at in [2usize, 5] {
+                    let mut seen = Vec::new();
+                    let outcome = path.encode_and_push(&chunk, &mut worker, min, |position, _| {
+                        seen.push(position);
+                        if position == refuse_at {
+                            Err(position)
+                        } else {
+                            Ok(())
+                        }
+                    });
+                    assert_eq!(outcome, Err(refuse_at));
+                    assert_eq!(seen, (0..=refuse_at).collect::<Vec<_>>());
+                    // The trailing buffers came back from the worker, filled.
+                    let filled = want[5..].iter().map(Vec::len);
+                    let back = path.tail_kept.iter().map(Vec::len);
+                    assert!(back.eq(filled), "refused at {refuse_at}");
+                }
+                // The next chunk goes through the same worker whole.
+                let got = pushed_payloads(&mut path, &mut worker, min, &chunk);
+                assert_eq!(got, want, "after the refusals, min {min}");
+            });
         }
     }
 

@@ -161,7 +161,8 @@ impl BenchSnapshot {
 /// Maintenance-engine event throughput over 24 h of churn (1 % of departures
 /// permanent, 24 h permanence timeout), on a cluster under a light per-node
 /// file load: fast to set up, same per-event code paths as the full sweep.
-/// Then the engine's event queue alone, in [`event_queue_hold_row`].
+/// Then the engine's event queue alone: the `event_queue/hold/12288_pending`
+/// row.
 pub fn run_repair_schedule_snapshot(config: &BenchSnapshotConfig) -> BenchSnapshot {
     let cell = Cell::independent(0.01, 24.0, 24.0);
     let mut rows = Vec::new();

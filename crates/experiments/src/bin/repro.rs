@@ -75,14 +75,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--check" => check = true,
             "--help" | "-h" => {
-                println!("{}", usage());
+                println!("{}", cli::usage());
                 std::process::exit(0);
             }
             other if experiment.is_none() => experiment = Some(other.to_string()),
             other if experiment.as_deref() == Some("trace-summary") && path.is_none() => {
                 path = Some(std::path::PathBuf::from(other));
             }
-            other => return Err(format!("unexpected argument '{other}'\n{}", usage())),
+            other => return Err(format!("unexpected argument '{other}'\n{}", cli::usage())),
         }
     }
     Ok(Args {
@@ -95,24 +95,6 @@ fn parse_args() -> Result<Args, String> {
         check,
         path,
     })
-}
-
-fn usage() -> String {
-    let experiments: String = cli::DRIVERS
-        .iter()
-        .flat_map(|driver| driver.sections)
-        .map(|(name, artefact)| format!("\n  {name:<17}{artefact}"))
-        .collect();
-    format!(
-        "usage: repro <experiment|all> [--scale small|medium|paper] [--seed N]\n\
-                repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N] [--check]\n\
-                repro trace [--scenario <{}>] [--scale small|medium|paper] [--seed N] [--out DIR]\n\
-                repro trace-summary FILE [--format text|json]\n\
-                repro ring [--scale small|medium|paper] [--seed N] [--format text|json] [--out DIR]\n\
-         \n\
-         experiments (`all` runs every driver once):{experiments}",
-        peerstripe_experiments::trace_cmd::SCENARIOS.join("|"),
-    )
 }
 
 /// The workspace root: walk up from the current directory to the first
@@ -313,7 +295,10 @@ fn run_ring(args: &Args) -> ! {
 /// `repro trace-summary FILE`: digest an existing trace.
 fn run_trace_summary(args: &Args) -> ! {
     let Some(path) = &args.path else {
-        eprintln!("repro trace-summary: a trace file is required\n{}", usage());
+        eprintln!(
+            "repro trace-summary: a trace file is required\n{}",
+            cli::usage()
+        );
         std::process::exit(2);
     };
     let jsonl = match std::fs::read_to_string(path) {
@@ -361,7 +346,7 @@ fn main() {
         _ => {}
     }
     if !cli::is_experiment(&args.experiment) {
-        eprintln!("unknown experiment '{}'\n{}", args.experiment, usage());
+        eprintln!("unknown experiment '{}'\n{}", args.experiment, cli::usage());
         std::process::exit(2);
     }
     print!("{}", cli::header(&args.experiment, args.scale, args.seed));

@@ -150,6 +150,30 @@ fn find(name: &str) -> Option<(&'static Driver, usize)> {
     })
 }
 
+/// `repro --help`: every form of the command, each `repro` in the same
+/// column, then every experiment section with its paper artefact.
+pub fn usage() -> String {
+    let scale = "[--scale small|medium|paper] [--seed N]";
+    let scenarios = crate::trace_cmd::SCENARIOS.join("|");
+    let forms = [
+        format!("<experiment|all> {scale}"),
+        format!("bench-snapshot [--out DIR] {scale} [--check]"),
+        format!("trace [--scenario <{scenarios}>] {scale} [--out DIR]"),
+        "trace-summary FILE [--format text|json]".to_string(),
+        format!("ring {scale} [--format text|json] [--out DIR]"),
+    ];
+    let forms: Vec<String> = forms.iter().map(|form| format!("repro {form}")).collect();
+    let experiments: String = DRIVERS
+        .iter()
+        .flat_map(|driver| driver.sections)
+        .map(|(name, artefact)| format!("\n  {name:<17}{artefact}"))
+        .collect();
+    format!(
+        "usage: {}\n\nexperiments (`all` runs every driver once):{experiments}",
+        forms.join("\n       ")
+    )
+}
+
 /// Whether `repro <exp>` runs an experiment: a section's name, or `all`.
 pub fn is_experiment(exp: &str) -> bool {
     exp == "all" || find(exp).is_some()

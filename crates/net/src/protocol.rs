@@ -45,7 +45,9 @@
 //! [`read_response`]) with one exception: [`read_block_reply_into`] reads the
 //! payload of a `Block` reply — the one large thing a read receives —
 //! straight off the stream into a buffer the caller owns, so a fetched block
-//! is written once, where it is read.  The bytes on the wire are the same.
+//! is written once, where it is read.  The store's twin is
+//! [`write_store_block_from`], which writes a `StoreBlock` whose payload is
+//! in parts, from where they are.  The bytes on the wire are the same.
 //!
 //! On the socket a frame is one system call each way: one vectored write, and
 //! one `read` through the connection's `BufReader` (at both ends) for its
@@ -435,10 +437,11 @@ impl Record {
         }
     }
 
-    /// Fill in the header's lengths and write the frame.
-    fn write(mut self, w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    /// Fill in the header's lengths and write the frame: the record, then
+    /// the payload, `parts` one after the other.
+    fn write(mut self, w: &mut impl Write, parts: &[&[u8]]) -> Result<(), WireError> {
         let meta_len = (self.0.len() - HEADER_LEN) as u64;
-        let payload_len = payload.len() as u64;
+        let payload_len: u64 = parts.iter().map(|part| part.len() as u64).sum();
         if meta_len + payload_len > MAX_FRAME {
             return Err(WireError::Oversized(meta_len + payload_len));
         }
@@ -447,20 +450,56 @@ impl Record {
         if let Some(field) = self.0.get_mut(4..HEADER_LEN) {
             field.copy_from_slice(&lengths.to_le_bytes());
         }
-        // One vectored write a frame: one segment where it fits, one wakeup
-        // for the reader.  A short write goes on where it stopped.
-        let mut bufs: &mut [IoSlice<'_>] = &mut [IoSlice::new(&self.0), IoSlice::new(payload)];
-        while !bufs.is_empty() {
-            match w.write_vectored(bufs) {
-                Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero.into())),
-                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        write_all_vectored(
+            w,
+            std::iter::once(self.0.as_slice()).chain(parts.iter().copied()),
+        )?;
         w.flush()?;
         Ok(())
     }
+}
+
+/// Write `parts` one after the other: one vectored write of up to eight of
+/// them, so a frame is one segment where it fits and one wakeup for the
+/// reader.  A short write goes on where it stopped.
+fn write_all_vectored<'a>(
+    w: &mut impl Write,
+    parts: impl Iterator<Item = &'a [u8]> + Clone,
+) -> Result<(), WireError> {
+    const SLICES: usize = 8;
+    let mut parts = parts.filter(|part| !part.is_empty());
+    // The unwritten bytes of the part the next write starts in.
+    let mut first = parts.next();
+    while let Some(head) = first {
+        let mut slices = [IoSlice::new(&[]); SLICES];
+        let mut used = 0;
+        for (slice, part) in slices
+            .iter_mut()
+            .zip(std::iter::once(head).chain(parts.clone()))
+        {
+            *slice = IoSlice::new(part);
+            used += 1;
+        }
+        match w.write_vectored(slices.get(..used).unwrap_or_default()) {
+            Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero.into())),
+            Ok(mut written) => {
+                let mut part = head;
+                first = loop {
+                    match part.get(written..) {
+                        Some(rest) if !rest.is_empty() => break Some(rest),
+                        _ => written = written.saturating_sub(part.len()),
+                    }
+                    match parts.next() {
+                        Some(next) => part = next,
+                        None => break None,
+                    }
+                };
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// A meta record being consumed front to back, one field of the module docs'
@@ -643,7 +682,7 @@ pub fn write_request_traced(
             .name(name)
             .size(*size)
             .flag(payload.is_some())
-            .write(w, payload.as_deref().unwrap_or(&[])),
+            .write(w, &[payload.as_deref().unwrap_or(&[])]),
         Request::FetchBlock { name } => record(kind::FETCH_BLOCK).name(name).write(w, &[]),
         Request::RemoveBlock { name, size } => record(kind::REMOVE_BLOCK)
             .name(name)
@@ -652,6 +691,25 @@ pub fn write_request_traced(
         Request::Shutdown => record(kind::SHUTDOWN).write(w, &[]),
         Request::GetStats => record(kind::GET_STATS).write(w, &[]),
     }
+}
+
+/// Write one `StoreBlock` request frame whose payload is `parts`, one after
+/// the other: the bytes [`write_request_traced`] writes for the request that
+/// carries them concatenated, written from where they are.
+pub fn write_store_block_from(
+    w: &mut impl Write,
+    key: Id,
+    name: &ObjectName,
+    size: ByteSize,
+    parts: &[&[u8]],
+    rid: Option<u64>,
+) -> Result<(), WireError> {
+    Record::new(kind::STORE_BLOCK, rid)
+        .id(key)
+        .name(name)
+        .size(size)
+        .flag(true)
+        .write(w, parts)
 }
 
 /// Read and parse one request frame, dropping any request id.
@@ -716,7 +774,7 @@ pub fn write_response_traced(
                 .flag(block.is_some())
                 .size(block.as_ref().map_or(ByteSize::ZERO, |(size, _)| *size))
                 .flag(payload.is_some())
-                .write(w, payload.map_or(&[], Vec::as_slice))
+                .write(w, &[payload.map_or(&[], Vec::as_slice)])
         }
         Response::Removed => record(kind::REMOVED).write(w, &[]),
         Response::ShuttingDown => record(kind::SHUTTING_DOWN).write(w, &[]),

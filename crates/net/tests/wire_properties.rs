@@ -10,7 +10,7 @@ use peerstripe_core::ObjectName;
 use peerstripe_net::protocol::{
     kind, read_block_reply_into, read_request, read_request_traced, read_response,
     read_response_traced, write_request, write_request_traced, write_response,
-    write_response_traced, BlockReply, HEADER_LEN, MAGIC,
+    write_response_traced, write_store_block_from, BlockReply, HEADER_LEN, MAGIC,
 };
 use peerstripe_net::{
     NodeStats, OpLogEntry, RemoteError, Request, Response, WireError, MAX_FRAME, VERSION,
@@ -134,8 +134,70 @@ fn read_every_way(frame: &[u8]) -> Vec<Result<(), WireError>> {
     ]
 }
 
+/// The ways a `StoreBlock` payload is handed over in parts: none at all
+/// (an empty payload), `payload` cut at `cuts` (empty parts among them
+/// where cuts repeat), a systematic row's header, row and short zero pad,
+/// and `payload` as one part.
+fn store_parts<'a>(payload: &'a [u8], cuts: &[usize], pad: usize) -> Vec<Vec<&'a [u8]>> {
+    const HEADER: [u8; 12] = [1, 0, 0, 0, 4, 0, 0, 0, 9, 0, 0, 0];
+    const ZEROS: [u8; 4] = [0; 4];
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (payload.len() + 1)).collect();
+    at.sort_unstable();
+    let mut cut = Vec::new();
+    let mut start = 0;
+    for end in at {
+        cut.push(&payload[start..end]);
+        start = end;
+    }
+    cut.push(&payload[start..]);
+    vec![
+        Vec::new(),
+        cut,
+        vec![&HEADER[..], payload, &ZEROS[..pad.min(ZEROS.len())]],
+        vec![payload],
+    ]
+}
+
+/// The request a `StoreBlock` written from `parts` stands for.
+fn stored_from(key: Id, name: &ObjectName, parts: &[&[u8]]) -> Request {
+    Request::StoreBlock {
+        key,
+        name: name.clone(),
+        size: ByteSize::bytes(parts.concat().len() as u64),
+        payload: Some(parts.concat()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `StoreBlock` written from parts is, byte for byte, the frame of the
+    /// request that carries them concatenated, written in one `write` call,
+    /// and reads back as that request, traced or not.
+    #[test]
+    fn a_store_block_from_parts_is_the_frame_of_the_concatenated_payload(
+        traced in any::<bool>(),
+        rid in any::<u64>(),
+        key in any::<u128>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..4096),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        pad in 0usize..5,
+    ) {
+        let rid = traced.then_some(rid);
+        let name = ObjectName::block("f", 3, 7);
+        for parts in store_parts(&payload, &cuts, pad) {
+            let want = stored_from(Id(key), &name, &parts);
+            let size = ByteSize::bytes(parts.concat().len() as u64);
+            let mut owned = Vec::new();
+            write_request_traced(&mut owned, &want, rid).unwrap();
+            let (writes, frame) = written(|sink| {
+                write_store_block_from(sink, Id(key), &name, size, &parts, rid).unwrap();
+            });
+            prop_assert_eq!(writes, 1);
+            prop_assert_eq!(&frame, &owned, "{} parts", parts.len());
+            prop_assert_eq!(read_request_traced(&mut frame.as_slice()).unwrap(), (want, rid));
+        }
+    }
 
     /// Every strict prefix of a valid meta record, and the record plus one
     /// trailing byte, is a typed `Body` error on every kind — the header's
@@ -760,6 +822,18 @@ proptest! {
             write_response_traced(&mut one_shot, &resp, rid).expect("a frame");
             let mut socket = sink();
             write_response_traced(&mut socket, &resp, rid).expect("a frame");
+            prop_assert_eq!(socket.out, one_shot);
+        }
+        // A short write of a frame written from parts goes on in the part it
+        // stopped in.
+        let (key, name) = (Id::hash("k"), ObjectName::block("f", 0, 1));
+        for parts in store_parts(&payload, &steps, interrupts.len()) {
+            let req = stored_from(key, &name, &parts);
+            let mut one_shot = Vec::new();
+            write_request_traced(&mut one_shot, &req, rid).expect("a frame");
+            let mut socket = sink();
+            let size = ByteSize::bytes(parts.concat().len() as u64);
+            write_store_block_from(&mut socket, key, &name, size, &parts, rid).expect("a frame");
             prop_assert_eq!(socket.out, one_shot);
         }
     }

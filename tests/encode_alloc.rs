@@ -1,8 +1,10 @@
 //! Allocation budget of the store path's encode, pinned with the counting
-//! global allocator of `counting_alloc`: a chunk's bytes land directly in the
-//! payloads that are pushed, so storing a 4 MiB RS(5, 3) chunk makes one
-//! large allocation per placed block and nothing else that grows with the
-//! chunk.
+//! global allocator of `counting_alloc`: a systematic row is sent from the
+//! caller's bytes and every computed payload is encoded into a buffer the
+//! client keeps from chunk to chunk, so over the simulator — which keeps a
+//! copy of what it is handed — a 4 MiB RS(5, 3) store makes one large
+//! allocation per placed block for the cluster, one per parity payload the
+//! first time only, and nothing else that grows with the chunk.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! running beside it would be counted too.
@@ -23,7 +25,7 @@ fn seeded(len: usize, seed: u64) -> Vec<u8> {
 }
 
 #[test]
-fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
+fn a_store_allocates_the_clusters_copies_and_its_parity_buffers_once() {
     let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
 
     // The codec alone, into buffers the caller owns: no allocation that
@@ -47,11 +49,14 @@ fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
         "small allocations grew with the chunk"
     );
 
-    // The client: one 4 MiB chunk through `store_data`, with the parity
-    // blocks computed on the scoped worker.  Exactly `placed_blocks` large
-    // allocations — the payloads, sized exactly and handed to the backend as
-    // they are — and small ones that do not depend on the chunk's size.
-    let mut stores = Vec::new();
+    // The client: one chunk a file through `store_data`, the parity blocks
+    // computed on the store's encode worker.  The simulator takes the
+    // provided `store_block_from`, which gathers each payload's parts into
+    // the cluster's copy: `placed_blocks` large allocations a store.  The
+    // client's own are its parity buffers, allocated by its first store and
+    // kept: a second store of the same size makes the cluster's copies only.
+    let parity = coding.placed_blocks() - coding.min_blocks_needed();
+    let (mut firsts, mut seconds) = (Vec::new(), Vec::new());
     for len in [2usize << 20, 4 << 20] {
         let cluster = ClusterConfig {
             nodes: 24,
@@ -60,20 +65,29 @@ fn a_chunk_is_encoded_into_one_allocation_per_placed_block() {
         }
         .build(&mut DetRng::new(7));
         let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
-        let data = seeded(len, 2);
-        let (large, small, _, _) = counted(|| assert!(ps.store_data("f", &data).is_stored()));
-        let manifest = ps.manifest("f").expect("stored");
-        assert_eq!(manifest.chunks.len(), 1, "one chunk");
-        assert_eq!(large, coding.placed_blocks(), "large allocations at {len}");
         let block = codec.block_size(len) as u64;
-        assert!(manifest
-            .all_blocks()
-            .all(|b| b.size.as_u64() == 4 + 8 + block));
-        assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
-        stores.push(small);
+        for (file, seed, large_allocs, small_allocs) in [
+            ("f", 2, coding.placed_blocks() + parity, &mut firsts),
+            ("g", 3, coding.placed_blocks(), &mut seconds),
+        ] {
+            let data = seeded(len, seed);
+            let (large, small, _, _) = counted(|| assert!(ps.store_data(file, &data).is_stored()));
+            let manifest = ps.manifest(file).expect("stored");
+            assert_eq!(manifest.chunks.len(), 1, "one chunk");
+            assert_eq!(large, large_allocs, "large allocations of {file} at {len}");
+            assert!(manifest
+                .all_blocks()
+                .all(|b| b.size.as_u64() == 4 + 8 + block));
+            assert_eq!(ps.retrieve_data(file).as_deref(), Some(&data[..]));
+            small_allocs.push(small);
+        }
     }
     assert_eq!(
-        stores[0], stores[1],
-        "small allocations grew with the chunk"
+        firsts[0], firsts[1],
+        "small allocations of a first store grew with the chunk"
+    );
+    assert_eq!(
+        seconds[0], seconds[1],
+        "small allocations of a second store grew with the chunk"
     );
 }

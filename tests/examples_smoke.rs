@@ -182,6 +182,23 @@ fn readme_mapping_is_the_driver_table() {
     );
 }
 
+/// `repro --help` lists every form of the command one under the other:
+/// each `repro` starts in the column of the first, after `usage: `.
+#[test]
+fn repro_help_aligns_every_form_of_the_command() {
+    let help = peerstripe::experiments::cli::usage();
+    let columns: Vec<usize> = help
+        .lines()
+        .filter(|line| line.starts_with("usage: ") || line.trim_start().starts_with("repro "))
+        .filter_map(|line| line.find("repro "))
+        .collect();
+    assert_eq!(columns.len(), 5, "{help}");
+    assert!(
+        columns.iter().all(|&column| column == "usage: ".len()),
+        "{columns:?}\n{help}"
+    );
+}
+
 /// Smoke for `examples/outage_aware_detection.rs`: the per-node vs
 /// outage-aware comparison the example walks through must keep demonstrating
 /// the saving — same logic, smaller cluster.

@@ -226,3 +226,111 @@ fn every_system_places_exactly_the_bytes_its_cluster_holds() {
         );
     }
 }
+
+/// Over the in-memory wire, where the gateway writes each `StoreBlock` from
+/// the parts the client hands it — a systematic row from the caller's bytes,
+/// a parity row from a buffer the client keeps — every placed block holds
+/// `pack_payload` of its codec row, one `store_block` RPC each.  So do the
+/// blocks rebuilt after a daemon that held both kinds stops.  The file
+/// is two 2 MiB chunks and a 1234-byte one: five rows divide none of them,
+/// so each chunk's last rows carry padding.
+#[test]
+fn every_block_sent_over_the_wire_holds_its_packed_codec_row() {
+    use peerstripe::core::client::pack_payload;
+    use peerstripe::core::{FileManifest, StorageBackend};
+    use peerstripe::net::{MemWire, RingGateway};
+    use peerstripe::placement::ClusterView;
+
+    let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+    let (wire, gateway) = MemWire::ring_of(8, ByteSize::mb(64));
+    let config = PeerStripeConfig {
+        coding,
+        max_chunk_size: Some(ByteSize::mb(2)),
+        ..PeerStripeConfig::default()
+    };
+    let mut ps = PeerStripe::new(gateway, config);
+    let mut rng = DetRng::new(11);
+    let data: Vec<u8> = (0..(4 << 20) + 1234)
+        .map(|_| rng.next_u32() as u8)
+        .collect();
+    assert!(ps.store_data("f", &data).is_stored());
+
+    let codec = coding.codec(16);
+    // Every block on a live daemon, checked; the manifest returned.
+    let check = |ps: &PeerStripe<RingGateway<MemWire>>| -> FileManifest {
+        let manifest = ps.manifest("f").expect("stored").clone();
+        let mut start = 0;
+        for chunk in &manifest.chunks {
+            let len = chunk.size.as_u64() as usize;
+            assert_ne!(len % 5, 0, "a chunk its rows divide");
+            let rows = codec.encode(&data[start..start + len]);
+            assert_eq!(chunk.blocks.len(), rows.len());
+            for (position, (block, row)) in chunk.blocks.iter().zip(&rows).enumerate() {
+                if !ps.backend().is_alive(block.node) {
+                    continue;
+                }
+                let want = pack_payload(std::slice::from_ref(row));
+                let held = ps.backend().fetch_block(block.node, &block.name);
+                let held = held.and_then(|b| b.payload).expect("a payload");
+                assert!(*held == want, "chunk {} position {position}", chunk.chunk);
+                assert_eq!(block.size.as_u64(), want.len() as u64);
+            }
+            start += len;
+        }
+        assert_eq!(start, data.len());
+        manifest
+    };
+    let manifest = check(&ps);
+    let store_rpcs: u64 = ps
+        .backend()
+        .export_metrics()
+        .counters
+        .iter()
+        .filter(|c| c.name == "gateway_rpc_total" && c.labels.iter().any(|l| l.1 == "store_block"))
+        .map(|c| c.value)
+        .sum();
+    let placed = manifest.all_blocks().count() + manifest.cat_nodes.len();
+    assert_eq!(
+        store_rpcs, placed as u64,
+        "one store_block RPC a placed block"
+    );
+
+    // A daemon that holds a source row and a parity row, and no more of any
+    // chunk than it tolerates losing.
+    let positions = |n| {
+        let held = manifest
+            .chunks
+            .iter()
+            .flat_map(|c| c.blocks.iter().enumerate());
+        held.filter(move |(_, b)| b.node == n).map(|(p, _)| p)
+    };
+    let victim = (0..8)
+        .find(|&n| {
+            let tolerated = manifest
+                .chunks
+                .iter()
+                .all(|c| c.blocks_on(n).count() <= coding.tolerable_losses());
+            tolerated && positions(n).any(|p| p < 5) && positions(n).any(|p| p >= 5)
+        })
+        .expect("a daemon holding both kinds of row");
+    wire.stop(victim);
+    let takeover = ps.backend_mut().mark_failed(victim).expect("a ring member");
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!(report.chunks_lost, 0);
+    let repaired = check(&ps);
+    let rebuilt: Vec<usize> = manifest
+        .chunks
+        .iter()
+        .zip(&repaired.chunks)
+        .flat_map(|(before, after)| {
+            let pairs = before.blocks.iter().zip(&after.blocks).enumerate();
+            pairs.filter(|(_, (b, a))| b.name != a.name).map(|(p, _)| p)
+        })
+        .collect();
+    assert_eq!(rebuilt.len() as u64, report.blocks_regenerated);
+    assert!(
+        rebuilt.iter().any(|&p| p < 5) && rebuilt.iter().any(|&p| p >= 5),
+        "rebuilt positions {rebuilt:?}"
+    );
+    assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+}

@@ -7,8 +7,9 @@
 //! wrong bytes), that repair hands each replacement exactly the lost
 //! placement's codec blocks, in its place, that a repair which cannot
 //! rebuild a chunk says so and stores nothing, and that a chunk refused
-//! part-way is rolled back whole.  The wrapper implements `fetch_block` only,
-//! so the read path's `fetch_block_into` reaches it through the provided body.
+//! part-way is rolled back whole.  The wrapper implements `fetch_block` and
+//! `store_block` only, so the read path's `fetch_block_into` and the store
+//! path's `store_block_from` reach it through the provided bodies.
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe::core::client::unpack_payload;
@@ -643,10 +644,37 @@ fn a_placement_only_repair_stores_sizes_and_counts_them() {
 }
 
 #[test]
+fn a_chunk_refused_after_the_first_is_rolled_back_and_the_next_store_works() {
+    // RS(5, 3) in 2 MiB chunks: every chunk computes its 1.2 MiB of parity
+    // on the store's one encode worker.  The 11th payload push — the third
+    // of chunk 1 — is refused while the worker holds that chunk's parity
+    // buffers; the store collects them, rolls the chunk back and goes on.
+    let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
+    let mut ps = client_with_chunks(coding, 24, 81, Some(ByteSize::mb(2)));
+    ps.backend_mut().refuse_store = Some(coding.placed_blocks() + 3);
+    let data = seeded(5 << 20, 9);
+    assert!(ps.store_data("f", &data).is_stored());
+    let rolled_back: Vec<ObjectName> = (0..2).map(|ecb| ObjectName::block("f", 1, ecb)).collect();
+    assert_eq!(ps.backend().rolled_back, rolled_back);
+    let manifest = ps.manifest("f").expect("stored");
+    let sizes: Vec<u64> = manifest.chunks.iter().map(|c| c.size.as_u64()).collect();
+    assert_eq!(sizes, [2 << 20, 0, 2 << 20, 1 << 20]);
+    assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+
+    // `store_data` returned, so its scope joined that worker; the next
+    // store spawns a worker of its own and stores every chunk.
+    let next = seeded(5 << 20, 10);
+    assert!(ps.store_data("g", &next).is_stored());
+    let manifest = ps.manifest("g").expect("stored");
+    assert!(manifest.chunks.iter().all(|c| !c.size.is_zero()));
+    assert_eq!(ps.retrieve_data("g").as_deref(), Some(&next[..]));
+}
+
+#[test]
 fn a_chunk_refused_part_way_is_rolled_back_whole_and_stored_again() {
     // RS(5, 3), one chunk a file.  The small file encodes on the calling
-    // thread; the 4 MiB one computes its three parity blocks on a scoped
-    // worker while the five data blocks are pushed.  Refusing the 3rd push
+    // thread; the 4 MiB one computes its three parity blocks on the store's
+    // encode worker while the five data blocks are pushed.  Refusing the 3rd push
     // catches that worker mid-flight, refusing the 6th — the first parity
     // block — comes right after it was joined.
     let coding = CodingPolicy::ReedSolomon { data: 5, parity: 3 };
