@@ -60,9 +60,7 @@ impl Cfs {
             let (_, node) = self.cluster.overlay().ring().successor(key)?;
             // One routed lookup per placement attempt (accounting only).
             let _ = self.cluster.locate(&name);
-            self.cluster
-                .store_object_at(node, key, name.clone(), size, None)
-                .ok()?;
+            self.cluster.store_object_at(node, key, size, None).ok()?;
             Some((node, name))
         })
     }

@@ -38,12 +38,11 @@ impl StorageSystem for Past {
     }
 
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
-        let name = ObjectName::whole_file(file.name.as_str(), 0);
-        let key = name.key();
+        let key = ObjectName::whole_file(file.name.as_str(), 0).key();
         let stored = match self.cluster.get_capacity(key) {
             Some((root, free)) if free >= file.size => self
                 .cluster
-                .store_object_at(root, key, name, file.size, None)
+                .store_object_at(root, key, file.size, None)
                 .is_ok(),
             _ => false,
         };
@@ -125,14 +124,9 @@ mod tests {
         let mut past = Past::new(cluster(10, ByteSize::gb(1), 3));
         let root = root_of(&past, "late");
         // Fill the root behind PAST's back; every other node stays empty.
+        let filler = ObjectName::chunk("filler", 0).key();
         past.cluster
-            .store_object_at(
-                root,
-                ObjectName::chunk("filler", 0).key(),
-                ObjectName::chunk("filler", 0),
-                ByteSize::mb(900),
-                None,
-            )
+            .store_object_at(root, filler, ByteSize::mb(900), None)
             .unwrap();
         let outcome = past.store_file(&FileRecord::new("late", ByteSize::mb(500)));
         assert!(!outcome.is_stored());

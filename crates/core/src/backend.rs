@@ -163,7 +163,8 @@ impl StorageBackend for StorageCluster {
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
-        self.store_object_at(node, key, name, size, payload)
+        debug_assert_eq!(key, name.key(), "a block is stored under its name's key");
+        self.store_object_at(node, key, size, payload)
     }
 
     fn fetch_block(&self, node: NodeRef, name: &ObjectName) -> Option<FetchedBlock> {

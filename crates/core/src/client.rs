@@ -595,11 +595,10 @@ impl<B: StorageBackend> PeerStripe<B> {
         chunk: u32,
         remaining: ByteSize,
     ) -> (Vec<(ObjectName, Id, NodeRef)>, ByteSize) {
-        let m = self.config.coding.placed_blocks();
-        let names: Vec<ObjectName> = (0..m as u32)
-            .map(|ecb| self.block_name(file, chunk, ecb))
+        let m = self.config.coding.placed_blocks() as u32;
+        let keys: Vec<Id> = (0..m)
+            .map(|ecb| self.block_name(file, chunk, ecb).key())
             .collect();
-        let keys: Vec<Id> = names.iter().map(ObjectName::key).collect();
         let cap = self.domain_cap();
         let Some(picks) =
             self.placement
@@ -607,12 +606,12 @@ impl<B: StorageBackend> PeerStripe<B> {
         else {
             return (Vec::new(), ByteSize::ZERO);
         };
-        debug_assert_eq!(picks.len(), names.len());
+        debug_assert_eq!(picks.len(), keys.len());
         let mut min_report = ByteSize(u64::MAX);
-        let mut targets = Vec::with_capacity(m);
-        for ((name, key), (node, report)) in names.into_iter().zip(keys).zip(picks) {
+        let mut targets = Vec::with_capacity(keys.len());
+        for ((ecb, key), (node, report)) in (0..m).zip(keys).zip(picks) {
             min_report = min_report.min(report);
-            targets.push((name, key, node));
+            targets.push((self.block_name(file, chunk, ecb), key, node));
         }
         let mut chunk_size = self.config.coding.chunk_size_for_report(min_report);
         if let Some(cap) = self.config.max_chunk_size {
@@ -692,8 +691,8 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// replication of Section 4.4), every copy under `file.CAT`'s own key.
     /// Fills `cat_nodes` with the nodes that took one and returns the bytes
     /// placed.
-    fn store_cat(&mut self, file: &Arc<str>, manifest: &mut FileManifest) -> ByteSize {
-        let name = ObjectName::cat(Arc::clone(file));
+    fn store_cat(&mut self, manifest: &mut FileManifest) -> ByteSize {
+        let name = ObjectName::cat(Arc::clone(&manifest.name));
         let (key, size) = (name.key(), manifest.cat_size());
         let targets = self.backend.replica_targets(key, CAT_REPLICAS);
         if !targets.is_empty() {
@@ -722,7 +721,7 @@ impl<B: StorageBackend> PeerStripe<B> {
                 continue;
             }
             manifest.cat_nodes.retain(|&n| n != failed);
-            let name = ObjectName::cat(manifest.name.as_str());
+            let name = ObjectName::cat(Arc::clone(&manifest.name));
             let key = name.key();
             let candidates = self.backend.replica_targets(key, CAT_REPLICAS + 1);
             let Some((_, node)) = candidates
@@ -815,13 +814,13 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
 
         let mut manifest = FileManifest {
-            name: file.name.clone(),
+            name: file_name,
             size: file.size,
             chunks,
             cat_nodes: Vec::new(),
         };
         let placed = manifest.all_blocks().map(|b| b.size).sum::<ByteSize>();
-        let placed = placed + self.store_cat(&file_name, &mut manifest);
+        let placed = placed + self.store_cat(&mut manifest);
         let sizes = manifest.chunks.iter().map(|c| c.size);
         self.metrics.record_success(file.size, sizes, placed);
         if self.config.track_manifests {
@@ -1064,11 +1063,11 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// the node held are re-homed last (`rehome_cats`).
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let mut damaged: Vec<(String, usize)> = Vec::new();
+        let mut damaged: Vec<(Arc<str>, usize)> = Vec::new();
         for manifest in self.manifests.iter() {
             for (index, chunk) in manifest.chunks.iter().enumerate() {
                 if chunk.blocks_on(failed).next().is_some() {
-                    damaged.push((manifest.name.clone(), index));
+                    damaged.push((Arc::clone(&manifest.name), index));
                 }
             }
         }
@@ -1077,7 +1076,6 @@ impl<B: StorageBackend> PeerStripe<B> {
             let Some(chunk) = self.manifests.get(&file).map(|m| &m.chunks[index]) else {
                 continue;
             };
-            let file_name: Arc<str> = Arc::from(file.as_str());
             let lost: Vec<usize> = (0..chunk.blocks.len())
                 .filter(|&position| chunk.blocks[position].node == failed)
                 .collect();
@@ -1108,7 +1106,7 @@ impl<B: StorageBackend> PeerStripe<B> {
                 .max(self.config.coding.placed_blocks() as u32);
             let names: Vec<ObjectName> = (next_ecb..)
                 .take(lost.len())
-                .map(|ecb| ObjectName::block(Arc::clone(&file_name), chunk.chunk, ecb))
+                .map(|ecb| ObjectName::block(Arc::clone(&file), chunk.chunk, ecb))
                 .collect();
             let inheritors: Vec<NodeRef> = names
                 .iter()
@@ -1432,7 +1430,7 @@ mod tests {
     }
 
     #[test]
-    fn a_files_block_and_cat_names_share_one_allocation() {
+    fn a_files_manifest_and_block_names_share_one_allocation() {
         let file_of = |name: &ObjectName| match name {
             ObjectName::Chunk { file, .. }
             | ObjectName::Block { file, .. }
@@ -1448,25 +1446,12 @@ mod tests {
                 .store_file(&FileRecord::new("shared", ByteSize::gb(3)))
                 .is_stored());
             let manifest = ps.manifest("shared").unwrap();
+            assert_eq!(&*manifest.name, "shared");
             let blocks: Vec<&BlockPlacement> = manifest.all_blocks().collect();
             assert!(blocks.len() > 1, "{coding:?}");
-            let file = file_of(&blocks[0].name);
-            assert_eq!(&*file, "shared");
-            let cat = ObjectName::cat("shared");
-            let stored = blocks
-                .iter()
-                .map(|b| ps.cluster().fetch_from(b.node, &b.name).unwrap())
-                .chain(manifest.cat_nodes.iter().map(|&node| {
-                    let copy = ps.cluster().fetch_from(node, &cat).unwrap();
-                    assert_eq!(copy.name, cat);
-                    copy
-                }));
-            let names = blocks
-                .iter()
-                .map(|b| &b.name)
-                .chain(stored.map(|o| &o.name));
-            for name in names {
-                assert!(Arc::ptr_eq(&file_of(name), &file), "{name} in {coding:?}");
+            for block in blocks {
+                let (name, file) = (&block.name, file_of(&block.name));
+                assert!(Arc::ptr_eq(&file, &manifest.name), "{name} in {coding:?}");
             }
         }
     }

@@ -193,13 +193,13 @@ impl StorageCluster {
     /// over IP and is not overlay traffic (Section 4.1).
     pub fn store_object(
         &mut self,
-        name: ObjectName,
+        name: &ObjectName,
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
         let key = name.key();
         let target = self.route(key).ok_or(ClusterStoreError::NoLiveNodes)?;
-        self.store_object_at(target, key, name, size, payload)
+        self.store_object_at(target, key, size, payload)
     }
 
     /// Store an object on an explicit node (replica placement, takeover
@@ -208,22 +208,15 @@ impl StorageCluster {
         &mut self,
         node: NodeRef,
         key: Id,
-        name: ObjectName,
         size: ByteSize,
         payload: Option<Vec<u8>>,
     ) -> Result<NodeRef, ClusterStoreError> {
         if !self.overlay.is_alive(node) {
             return Err(ClusterStoreError::NoLiveNodes);
         }
+        let payload = payload.map(Arc::new);
         self.nodes[node]
-            .store(
-                key,
-                StoredObject {
-                    name,
-                    size,
-                    payload: payload.map(Arc::new),
-                },
-            )
+            .store(key, StoredObject { size, payload })
             .map_err(ClusterStoreError::Refused)?;
         self.sync(node);
         Ok(node)
@@ -385,7 +378,7 @@ mod tests {
         let mut cluster = small_cluster(2);
         let name = ObjectName::block("genome", 0, 1);
         let node = cluster
-            .store_object(name.clone(), ByteSize::mb(100), Some(vec![1, 2, 3]))
+            .store_object(&name, ByteSize::mb(100), Some(vec![1, 2, 3]))
             .unwrap();
         assert!(cluster.holds(node, &name));
         let fetched = cluster.fetch_from(node, &name).unwrap();
@@ -404,13 +397,7 @@ mod tests {
         assert_eq!(report, ByteSize::gb(1));
         // Fill the node behind the report's back; the report was not a reservation.
         cluster
-            .store_object_at(
-                node,
-                Id(42),
-                ObjectName::chunk("other", 0),
-                ByteSize::gb(1),
-                None,
-            )
+            .store_object_at(node, Id(42), ByteSize::gb(1), None)
             .unwrap();
         let (_, report2) = cluster.get_capacity(name.key()).unwrap();
         assert_eq!(report2, ByteSize::ZERO);
@@ -421,7 +408,7 @@ mod tests {
         let mut cluster = small_cluster(4);
         let name = ObjectName::chunk("huge", 0);
         let err = cluster
-            .store_object(name, ByteSize::gb(2), None)
+            .store_object(&name, ByteSize::gb(2), None)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -433,9 +420,7 @@ mod tests {
     fn failed_nodes_lose_objects_for_lookup_purposes() {
         let mut cluster = small_cluster(5);
         let name = ObjectName::chunk("data", 0);
-        let node = cluster
-            .store_object(name.clone(), ByteSize::mb(10), None)
-            .unwrap();
+        let node = cluster.store_object(&name, ByteSize::mb(10), None).unwrap();
         let takeover = cluster.fail_node(node).unwrap();
         assert!(!cluster.holds(node, &name));
         assert!(cluster.fetch_from(node, &name).is_none());
@@ -448,7 +433,9 @@ mod tests {
     fn utilization_counts_only_live_nodes() {
         let mut cluster = small_cluster(6);
         let name = ObjectName::chunk("x", 0);
-        let node = cluster.store_object(name, ByteSize::mb(500), None).unwrap();
+        let node = cluster
+            .store_object(&name, ByteSize::mb(500), None)
+            .unwrap();
         assert!(cluster.utilization() > 0.0);
         cluster.fail_node(node);
         assert_eq!(cluster.total_used(), ByteSize::ZERO);
@@ -463,7 +450,9 @@ mod tests {
         assert!(cluster.domain_index().unwrap().serves(&topology));
         // Space and liveness changes reach it.
         let name = ObjectName::chunk("x", 0);
-        let node = cluster.store_object(name, ByteSize::mb(500), None).unwrap();
+        let node = cluster
+            .store_object(&name, ByteSize::mb(500), None)
+            .unwrap();
         cluster.fail_node((node + 1) % 100);
         assert!(cluster.index_is_consistent());
         // An equal topology built apart is not the adopted one.
@@ -483,7 +472,7 @@ mod tests {
         let mut cluster = small_cluster(7);
         let before = cluster.overlay().stats().lookups;
         let _ = cluster.get_capacity(Id::hash("a"));
-        let _ = cluster.store_object(ObjectName::chunk("a", 0), ByteSize::mb(1), None);
+        let _ = cluster.store_object(&ObjectName::chunk("a", 0), ByteSize::mb(1), None);
         let _ = cluster.locate(&ObjectName::chunk("a", 0));
         assert_eq!(cluster.overlay().stats().lookups, before + 3);
     }

@@ -8,17 +8,15 @@
 //! * the space is *not reserved* by a reply; a later store can still fail if
 //!   the space was consumed in the meantime.
 
-use crate::naming::ObjectName;
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-/// An object stored on a node.
+/// An object stored on a node, under its key: no name, which the key
+/// already stands for, so a node's table holds 16 bytes a value.
 #[derive(Debug, Clone)]
 pub struct StoredObject {
-    /// The object's name (block, chunk, CAT, or whole file).
-    pub name: ObjectName,
     /// Size charged against the node's capacity.
     pub size: ByteSize,
     /// Optional real payload (only the byte-level data path fills this in),
@@ -110,18 +108,17 @@ impl StorageNode {
 
     /// Store an object under the given key.
     pub fn store(&mut self, key: Id, object: StoredObject) -> Result<(), NodeStoreError> {
-        if !self.can_store(object.size) {
+        let size = object.size;
+        if !self.can_store(size) {
             return Err(NodeStoreError::InsufficientSpace);
         }
         if self.track_objects {
-            if self.objects.contains_key(&key) {
+            let Entry::Vacant(slot) = self.objects.entry(key) else {
                 return Err(NodeStoreError::AlreadyStored);
-            }
-            self.used += object.size;
-            self.objects.insert(key, object);
-        } else {
-            self.used += object.size;
+            };
+            slot.insert(object);
         }
+        self.used += size;
         self.object_count += 1;
         Ok(())
     }
@@ -176,10 +173,10 @@ impl StorageNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naming::ObjectName;
 
-    fn obj(name: &str, size: ByteSize) -> StoredObject {
+    fn obj(size: ByteSize) -> StoredObject {
         StoredObject {
-            name: ObjectName::chunk(name, 0),
             size,
             payload: None,
         }
@@ -189,7 +186,7 @@ mod tests {
     fn store_and_accounting() {
         let mut node = StorageNode::new(ByteSize::gb(10), true);
         assert_eq!(node.free(), ByteSize::gb(10));
-        node.store(Id(1), obj("a", ByteSize::gb(4))).unwrap();
+        node.store(Id(1), obj(ByteSize::gb(4))).unwrap();
         assert_eq!(node.used(), ByteSize::gb(4));
         assert_eq!(node.free(), ByteSize::gb(6));
         assert!((node.utilization() - 0.4).abs() < 1e-12);
@@ -202,12 +199,12 @@ mod tests {
     fn rejects_oversized_and_duplicate_stores() {
         let mut node = StorageNode::new(ByteSize::gb(1), true);
         assert_eq!(
-            node.store(Id(1), obj("big", ByteSize::gb(2))),
+            node.store(Id(1), obj(ByteSize::gb(2))),
             Err(NodeStoreError::InsufficientSpace)
         );
-        node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
+        node.store(Id(1), obj(ByteSize::mb(100))).unwrap();
         assert_eq!(
-            node.store(Id(1), obj("a", ByteSize::mb(100))),
+            node.store(Id(1), obj(ByteSize::mb(100))),
             Err(NodeStoreError::AlreadyStored)
         );
     }
@@ -216,7 +213,7 @@ mod tests {
     fn store_errors_propagate_with_question_mark() {
         // `?`-propagation through a boxed error: the point of the Error impl.
         fn try_store(node: &mut StorageNode) -> Result<(), Box<dyn std::error::Error>> {
-            node.store(Id(1), obj("big", ByteSize::gb(2)))?;
+            node.store(Id(1), obj(ByteSize::gb(2)))?;
             Ok(())
         }
         let mut node = StorageNode::new(ByteSize::gb(1), true);
@@ -245,7 +242,7 @@ mod tests {
     #[test]
     fn remove_frees_space() {
         let mut node = StorageNode::new(ByteSize::gb(1), true);
-        node.store(Id(7), obj("x", ByteSize::mb(300))).unwrap();
+        node.store(Id(7), obj(ByteSize::mb(300))).unwrap();
         assert_eq!(node.remove(Id(7)), Some(ByteSize::mb(300)));
         assert_eq!(node.used(), ByteSize::ZERO);
         assert_eq!(node.remove(Id(7)), None);
@@ -265,7 +262,7 @@ mod tests {
         // A report does not reserve: a store can still consume the space, and
         // the next probe answers what is left.
         cluster
-            .store_object(ObjectName::chunk("a", 0), ByteSize::gb(9), None)
+            .store_object(&ObjectName::chunk("a", 0), ByteSize::gb(9), None)
             .unwrap();
         assert_eq!(cluster.get_capacity(Id(1)), Some((node, ByteSize::gb(1))));
         assert_eq!(cluster.node(node).free(), ByteSize::gb(1));
@@ -274,8 +271,8 @@ mod tests {
     #[test]
     fn untracked_mode_only_counts_bytes() {
         let mut node = StorageNode::new(ByteSize::gb(1), false);
-        node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
-        node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
+        node.store(Id(1), obj(ByteSize::mb(100))).unwrap();
+        node.store(Id(1), obj(ByteSize::mb(100))).unwrap();
         assert_eq!(node.used(), ByteSize::mb(200));
         assert_eq!(node.object_count(), 2);
         assert!(!node.has(Id(1)), "objects are not tracked");
@@ -285,8 +282,8 @@ mod tests {
     #[test]
     fn wipe_clears_everything() {
         let mut node = StorageNode::new(ByteSize::gb(1), true);
-        node.store(Id(1), obj("a", ByteSize::mb(100))).unwrap();
-        node.store(Id(2), obj("b", ByteSize::mb(200))).unwrap();
+        node.store(Id(1), obj(ByteSize::mb(100))).unwrap();
+        node.store(Id(2), obj(ByteSize::mb(200))).unwrap();
         node.wipe();
         assert_eq!(node.used(), ByteSize::ZERO);
         assert_eq!(node.object_count(), 0);
@@ -298,7 +295,6 @@ mod tests {
     fn payloads_are_preserved() {
         let mut node = StorageNode::new(ByteSize::gb(1), true);
         let stored = StoredObject {
-            name: ObjectName::block("f", 0, 1),
             size: ByteSize::bytes(4),
             payload: Some(Arc::new(vec![1, 2, 3, 4])),
         };

@@ -20,6 +20,7 @@ use peerstripe_placement::ClusterView;
 use peerstripe_sim::ByteSize;
 use peerstripe_trace::FileRecord;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Result of attempting to store one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +92,9 @@ impl ChunkPlacement {
 /// Where every piece of a stored file ended up.
 #[derive(Debug, Clone)]
 pub struct FileManifest {
-    /// File name.
-    pub name: String,
+    /// File name: the one allocation the catalogue key and every chunk,
+    /// block and CAT name of the file share.
+    pub name: Arc<str>,
     /// File size.
     pub size: ByteSize,
     /// Chunk placements, in chunk order (zero-sized chunks included with no blocks).
@@ -131,7 +133,7 @@ impl FileManifest {
 /// fixed-seed reproducibility of the churn experiments.
 #[derive(Debug, Clone, Default)]
 pub struct ManifestStore {
-    manifests: BTreeMap<String, FileManifest>,
+    manifests: BTreeMap<Arc<str>, FileManifest>,
 }
 
 impl ManifestStore {
@@ -142,7 +144,7 @@ impl ManifestStore {
 
     /// Insert (or replace) a manifest.
     pub fn insert(&mut self, manifest: FileManifest) {
-        self.manifests.insert(manifest.name.clone(), manifest);
+        self.manifests.insert(Arc::clone(&manifest.name), manifest);
     }
 
     /// Look up a manifest by file name.
@@ -223,7 +225,7 @@ mod tests {
 
     fn manifest_with_blocks(nodes: &[NodeRef], min_needed: usize) -> FileManifest {
         FileManifest {
-            name: "f".to_string(),
+            name: "f".into(),
             size: ByteSize::mb(10),
             chunks: vec![ChunkPlacement {
                 chunk: 0,
@@ -277,8 +279,12 @@ mod tests {
         let cluster = cluster();
         let mut store = ManifestStore::new();
         assert!(store.is_empty());
-        store.insert(manifest_with_blocks(&[0, 1], 1));
+        let manifest = manifest_with_blocks(&[0, 1], 1);
+        let name = Arc::clone(&manifest.name);
+        store.insert(manifest);
         assert_eq!(store.len(), 1);
+        let key = store.manifests.keys().next().unwrap();
+        assert!(Arc::ptr_eq(key, &name), "the key is the manifest's name");
         assert!(store.get("f").is_some());
         assert!(store.get("missing").is_none());
         assert_eq!(store.available_count(&cluster), 1);

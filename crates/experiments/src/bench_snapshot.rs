@@ -366,15 +366,12 @@ pub fn run_placement_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnaps
                 || (base.clone(), kind.build(7), 0u32),
                 |(cluster, strategy, chunk)| {
                     *chunk += 1;
-                    let names: Vec<ObjectName> = (0..BLOCKS_PER_CHUNK as u32)
-                        .map(|ecb| ObjectName::block("bench-file", *chunk, ecb))
+                    let keys: Vec<Id> = (0..BLOCKS_PER_CHUNK as u32)
+                        .map(|ecb| ObjectName::block("bench-file", *chunk, ecb).key())
                         .collect();
-                    let keys: Vec<Id> = names.iter().map(ObjectName::key).collect();
                     let picks = strategy.plan_chunk(cluster, Some(&topology), &keys, DOMAIN_CAP);
-                    for ((name, key), (node, _)) in
-                        names.into_iter().zip(keys).zip(picks.into_iter().flatten())
-                    {
-                        let _ = cluster.store_object_at(node, key, name, BLOCK_SIZE, None);
+                    for (key, (node, _)) in keys.into_iter().zip(picks.into_iter().flatten()) {
+                        let _ = cluster.store_object_at(node, key, BLOCK_SIZE, None);
                     }
                     1
                 },

@@ -117,6 +117,9 @@ pub struct Phase {
     pub name: &'static str,
     /// RPC count per `(op, outcome)`, in that order.
     pub rpcs: Vec<((String, String), u64)>,
+    /// The nodes the phase's failed RPCs went to, as the gateway's op log
+    /// names them, each once and in order.
+    pub failed_on: Vec<Option<NodeRef>>,
     /// `(objects, bytes)` per daemon, in node order.
     pub held: Vec<Option<(u64, u64)>>,
 }
@@ -270,15 +273,23 @@ fn phase<T: Transport>(
     name: &'static str,
 ) -> (Phase, Round) {
     let log = gateway.op_log();
-    let mut rpcs = BTreeMap::new();
+    let (mut rpcs, mut failed_on) = (BTreeMap::new(), BTreeSet::new());
     for e in log.iter().skip(*logged) {
         *rpcs.entry((e.op.clone(), e.outcome.clone())).or_default() += 1;
+        if !e.is_ok() {
+            failed_on.insert(e.node);
+        }
     }
     *logged = log.len();
     let round: Round = (0..nodes).map(|node| gateway.get_stats(node)).collect();
     let held = |s: &Result<NodeStats, _>| s.as_ref().ok().map(|s| (s.objects, s.used.as_u64()));
-    let (rpcs, held) = (rpcs.into_iter().collect(), round.iter().map(held).collect());
-    (Phase { name, rpcs, held }, round)
+    let phase = Phase {
+        name,
+        rpcs: rpcs.into_iter().collect(),
+        failed_on: failed_on.into_iter().collect(),
+        held: round.iter().map(held).collect(),
+    };
+    (phase, round)
 }
 
 /// Milliseconds elapsed while running `f`, paired with its result.

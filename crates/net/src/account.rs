@@ -5,6 +5,7 @@
 //! id.  The two sides differ only in the [`AccountNames`] they record under.
 
 use crate::protocol::OpLogEntry;
+use peerstripe_overlay::NodeRef;
 use peerstripe_telemetry::{CounterExport, HistogramExport, RegistryExport};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -86,6 +87,15 @@ struct OpRecord {
     sum_ms: f64,
 }
 
+/// An op-log entry as recorded: [`OpLogEntry`]'s fields, unallocated.
+type LogRecord = (
+    Option<u64>,
+    Option<NodeRef>,
+    &'static str,
+    f64,
+    &'static str,
+);
+
 /// One side's record of its requests: per-op calls and latency, errors and
 /// the op log.
 #[derive(Debug)]
@@ -96,9 +106,10 @@ pub struct RpcAccount {
     /// Failed calls by `(kind, op)`, the order of their exported labels.
     errors: BTreeMap<(&'static str, &'static str), u64>,
     /// Recent requests, oldest first, bounded at `names.log_capacity`: the
-    /// request id, op, milliseconds and outcome of an [`OpLogEntry`], which
-    /// [`RpcAccount::log`] builds, so that recording one allocates nothing.
-    log: VecDeque<(Option<u64>, &'static str, f64, &'static str)>,
+    /// request id, node, op, milliseconds and outcome of an [`OpLogEntry`],
+    /// which [`RpcAccount::log`] builds, so that recording one allocates
+    /// nothing.
+    log: VecDeque<LogRecord>,
 }
 
 impl RpcAccount {
@@ -114,7 +125,8 @@ impl RpcAccount {
         }
     }
 
-    /// Record one finished request: `op` took `elapsed_ms` and failed with
+    /// Record one finished request: `op`, sent to `node` (the gateway's
+    /// side; a daemon records `None`), took `elapsed_ms` and failed with
     /// `error` (a kind label), or succeeded when `error` is `None`.
     ///
     /// `shutdown` is counted but never logged: the server answers it before
@@ -123,6 +135,7 @@ impl RpcAccount {
         &mut self,
         op: &'static str,
         request_id: Option<u64>,
+        node: Option<NodeRef>,
         elapsed_ms: f64,
         error: Option<&'static str>,
     ) {
@@ -144,8 +157,9 @@ impl RpcAccount {
         if self.log.len() == self.names.log_capacity {
             self.log.pop_front();
         }
+        let outcome = error.unwrap_or("ok");
         self.log
-            .push_back((request_id, op, elapsed_ms, error.unwrap_or("ok")));
+            .push_back((request_id, node, op, elapsed_ms, outcome));
     }
 
     /// Snapshot of the counters and histograms, each list in `(name,
@@ -188,8 +202,9 @@ impl RpcAccount {
     pub fn log(&self) -> Vec<OpLogEntry> {
         self.log
             .iter()
-            .map(|&(request_id, op, duration_ms, outcome)| OpLogEntry {
+            .map(|&(request_id, node, op, duration_ms, outcome)| OpLogEntry {
                 request_id,
+                node,
                 op: op.to_string(),
                 duration_ms,
                 outcome: outcome.to_string(),
@@ -214,7 +229,7 @@ mod tests {
         let capacity = AccountNames::NODE.log_capacity;
         let total = capacity as u64 + 5;
         for rid in 0..total {
-            account.record("ping", Some(rid), 0.01, None);
+            account.record("ping", Some(rid), None, 0.01, None);
         }
         let log = account.log();
         assert_eq!(log.len(), capacity);
@@ -227,8 +242,8 @@ mod tests {
     #[test]
     fn shutdown_is_counted_but_not_logged() {
         let mut account = RpcAccount::new(AccountNames::GATEWAY);
-        account.record("ping", Some(1), 0.01, None);
-        account.record("shutdown", Some(2), 0.01, Some("io"));
+        account.record("ping", Some(1), Some(0), 0.01, None);
+        account.record("shutdown", Some(2), Some(0), 0.01, Some("io"));
         assert_eq!(account.calls(), 2);
         let log = account.log();
         let logged: Vec<&str> = log.iter().map(|e| e.op.as_str()).collect();
@@ -251,7 +266,7 @@ mod tests {
     fn latency_lands_on_its_inclusive_edge_and_overflows_past_the_last() {
         let mut account = RpcAccount::new(AccountNames::NODE);
         for ms in [0.05, 0.06, 250.0, 250.5] {
-            account.record("ping", None, ms, None);
+            account.record("ping", None, None, ms, None);
         }
         let export = account.export();
         let ping = vec![("op".to_string(), "ping".to_string())];
@@ -266,24 +281,32 @@ mod tests {
     }
 
     /// One scripted run: every op, six error kinds (one on `shutdown`), a
-    /// latency on an inclusive bucket edge and one past the last edge.
+    /// latency on an inclusive bucket edge and one past the last edge, and
+    /// requests with and without a node.
     fn scripted(names: AccountNames) -> RpcAccount {
         let mut account = RpcAccount::new(names);
-        let script: &[(&str, Option<u64>, f64, Option<&str>)] = &[
-            ("ping", Some(1), 0.03, None),
-            ("get_capacity", Some(2), 0.1, None),
-            ("store_block", Some(3), 0.42, None),
-            ("store_block", Some(4), 0.07, Some("insufficient_space")),
-            ("fetch_block", Some(5), 0.2, None),
-            ("fetch_block", Some(6), 3.0, Some("io")),
-            ("remove_block", Some(7), 1.0, None),
-            ("store_block", None, 0.5, Some("already_stored")),
-            ("get_capacity", Some(9), 300.0, Some("version")),
-            ("shutdown", Some(10), 0.01, Some("truncated")),
-            ("remove_block", Some(11), 0.02, Some("bad_request")),
+        type Step<'a> = (&'a str, Option<u64>, Option<NodeRef>, f64, Option<&'a str>);
+        let script: &[Step<'_>] = &[
+            ("ping", Some(1), Some(0), 0.03, None),
+            ("get_capacity", Some(2), Some(1), 0.1, None),
+            ("store_block", Some(3), Some(2), 0.42, None),
+            (
+                "store_block",
+                Some(4),
+                Some(2),
+                0.07,
+                Some("insufficient_space"),
+            ),
+            ("fetch_block", Some(5), Some(3), 0.2, None),
+            ("fetch_block", Some(6), Some(4), 3.0, Some("io")),
+            ("remove_block", Some(7), None, 1.0, None),
+            ("store_block", None, Some(2), 0.5, Some("already_stored")),
+            ("get_capacity", Some(9), None, 300.0, Some("version")),
+            ("shutdown", Some(10), Some(5), 0.01, Some("truncated")),
+            ("remove_block", Some(11), Some(5), 0.02, Some("bad_request")),
         ];
-        for &(op, rid, ms, error) in script {
-            account.record(op, rid, ms, error);
+        for &(op, rid, node, ms, error) in script {
+            account.record(op, rid, node, ms, error);
         }
         account
     }
@@ -298,7 +321,10 @@ mod tests {
 
     /// What a daemon's `NodeStats` and the gateway's `export_metrics` carry
     /// for [`scripted`]: a harness built against either side of a change
-    /// parses these bytes, so they must not move.
+    /// parses these bytes, so they move only with the record itself.  A
+    /// reader ignores a field it does not know, but needs every field it
+    /// does: a harness that knows the op log's `node` cannot read a daemon
+    /// built before it.
     const PINNED_GATEWAY: &str = include_str!("../tests/golden/account_gateway.txt");
     const PINNED_NODE: &str = include_str!("../tests/golden/account_node.txt");
 

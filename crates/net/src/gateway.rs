@@ -328,7 +328,7 @@ impl<T: Transport> RingGateway<T> {
         let result = self.read_pooled(node, req, Some(rid), sent, read);
         let elapsed_ms = started.elapsed_ms();
         let kind = Self::outcome_kind(result.as_ref().map(parsed));
-        lock(&self.account).record(req.op(), Some(rid), elapsed_ms, kind);
+        lock(&self.account).record(req.op(), Some(rid), Some(node), elapsed_ms, kind);
         result
     }
 

@@ -95,7 +95,8 @@ impl NodeService {
             Response::Error(refusal) => Some(refusal.kind_label()),
             _ => None,
         };
-        self.account.record(op, rid, started.elapsed_ms(), error);
+        self.account
+            .record(op, rid, None, started.elapsed_ms(), error);
         resp
     }
 
@@ -106,25 +107,27 @@ impl NodeService {
             Request::GetCapacity => Response::Capacity {
                 free: self.store.free(),
             },
+            // A block under any key but its name's is one no fetch or
+            // remove could reach: refused, nothing stored or charged.
+            Request::StoreBlock { key, name, .. } if key != name.key() => {
+                Response::Error(RemoteError::BadRequest {
+                    detail: format!("{name} is stored under its own key, not {key}"),
+                })
+            }
             Request::StoreBlock {
-                key,
-                name,
-                size,
-                payload,
-            } => match self.store.store(
-                key,
-                StoredObject {
-                    name,
-                    size,
-                    payload: payload.map(Arc::new),
-                },
-            ) {
-                Ok(()) => Response::Stored,
-                Err(NodeStoreError::InsufficientSpace) => {
-                    Response::Error(RemoteError::InsufficientSpace)
+                key, size, payload, ..
+            } => {
+                let payload = payload.map(Arc::new);
+                match self.store.store(key, StoredObject { size, payload }) {
+                    Ok(()) => Response::Stored,
+                    Err(NodeStoreError::InsufficientSpace) => {
+                        Response::Error(RemoteError::InsufficientSpace)
+                    }
+                    Err(NodeStoreError::AlreadyStored) => {
+                        Response::Error(RemoteError::AlreadyStored)
+                    }
                 }
-                Err(NodeStoreError::AlreadyStored) => Response::Error(RemoteError::AlreadyStored),
-            },
+            }
             Request::FetchBlock { name } => Response::Block {
                 block: self
                     .store
@@ -213,6 +216,34 @@ mod tests {
             }),
             Response::Error(RemoteError::InsufficientSpace)
         );
+    }
+
+    #[test]
+    fn a_block_under_another_names_key_is_refused() {
+        let mut svc = service();
+        let name = ObjectName::block("f", 0, 1);
+        let other = ObjectName::block("f", 0, 2).key();
+        let reply = svc.handle(Request::StoreBlock {
+            key: other,
+            name: name.clone(),
+            size: ByteSize::mb(2),
+            payload: Some(vec![5, 6]),
+        });
+        assert!(
+            matches!(reply, Response::Error(RemoteError::BadRequest { .. })),
+            "{reply:?}"
+        );
+        let stats = svc.stats();
+        assert_eq!((stats.objects, stats.used), (0, ByteSize::ZERO));
+        assert_eq!(
+            svc.handle(Request::FetchBlock { name }),
+            Response::Block { block: None }
+        );
+        let refused = stats
+            .op_log
+            .iter()
+            .map(|e| (e.op.as_str(), e.outcome.as_str()));
+        assert!(refused.eq([("store_block", "bad_request")]));
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! replies.
 
 use peerstripe_core::ObjectName;
-use peerstripe_overlay::Id;
+use peerstripe_overlay::{Id, NodeRef};
 use peerstripe_sim::ByteSize;
 use peerstripe_telemetry::RegistryExport;
 use serde::{Deserialize, Serialize};
@@ -292,6 +292,9 @@ pub struct OpLogEntry {
     /// The request id the caller threaded through the frame meta; `None`
     /// when the request was untraced.
     pub request_id: Option<u64>,
+    /// The node the gateway sent the request to; `None` in a daemon's own
+    /// log, which is that node's.
+    pub node: Option<NodeRef>,
     /// The [`Request::op`] (`store_block`, `fetch_block`, ...).
     pub op: String,
     /// How long the request took, in milliseconds: the record of slow
@@ -964,18 +967,21 @@ mod tests {
             op_log: vec![
                 OpLogEntry {
                     request_id: Some(7),
+                    node: None,
                     op: "store_block".to_string(),
                     duration_ms: 0.31,
                     outcome: "ok".to_string(),
                 },
                 OpLogEntry {
                     request_id: None,
+                    node: None,
                     op: "fetch_block".to_string(),
                     duration_ms: 120.5,
                     outcome: "ok".to_string(),
                 },
                 OpLogEntry {
                     request_id: Some(9),
+                    node: None,
                     op: "store_block".to_string(),
                     duration_ms: 0.02,
                     outcome: "insufficient_space".to_string(),

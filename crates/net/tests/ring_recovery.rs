@@ -132,7 +132,7 @@ fn file_survives_a_real_node_kill_via_degraded_read_and_repair() {
 /// CAT's size, and holds none of them twice.
 fn assert_cat_copies_answer(client: &PeerStripe<RingGateway>) {
     for manifest in client.manifests().iter() {
-        let name = ObjectName::cat(manifest.name.as_str());
+        let name = ObjectName::cat(manifest.name.clone());
         assert_eq!(manifest.cat_nodes.len(), 2, "{name}: primary and replica");
         assert_ne!(manifest.cat_nodes[0], manifest.cat_nodes[1]);
         for &node in &manifest.cat_nodes {

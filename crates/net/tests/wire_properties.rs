@@ -505,6 +505,7 @@ proptest! {
             .iter()
             .map(|seed| OpLogEntry {
                 request_id: (seed & 1 == 0).then_some(seed >> 3),
+                node: (seed & 2 == 0).then_some((seed >> 5) as usize % 64),
                 op: ops[(*seed as usize >> 2) % ops.len()].to_string(),
                 duration_ms: (seed >> 16) as f64 / 128.0,
                 outcome: if seed & 2 != 0 { "bad_request" } else { "ok" }.to_string(),

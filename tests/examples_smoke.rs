@@ -321,10 +321,15 @@ fn check_ring_report(report: &peerstripe::experiments::ring_cmd::RingReport) {
     assert_eq!(report.chunks_lost, 0);
     assert!(report.blocks_regenerated > 0);
     // Every successful RPC joins a node op-log entry by request id, and the
-    // victim's RPCs are logged with an error outcome, not as silent gaps.
+    // victim's RPCs are logged with an error outcome, not as silent gaps:
+    // the degraded read's failed RPCs all went to the victim.
     assert_eq!(report.unattributed_rpcs, 0);
-    let degraded = &report.phases[2].rpcs;
-    assert!(degraded.iter().any(|((_, outcome), _)| outcome != "ok"));
+    let degraded = &report.phases[2];
+    assert!(degraded
+        .rpcs
+        .iter()
+        .any(|((_, outcome), _)| outcome != "ok"));
+    assert_eq!(degraded.failed_on, [Some(report.victim)]);
 
     // Cluster health: every daemon answered before the kill; afterwards
     // exactly the victim is stale, holding its pre-kill op log.

@@ -1052,7 +1052,7 @@ proptest! {
                 0..=1 => {
                     let name = ObjectName::block("f", step as u32, 0);
                     let size = ByteSize::mb(1 + rng.index(32) as u64);
-                    if cluster.store_object_at(node, name.key(), name.clone(), size, None).is_ok() {
+                    if cluster.store_object_at(node, name.key(), size, None).is_ok() {
                         objects.push((node, name, size));
                     }
                 }

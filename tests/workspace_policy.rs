@@ -19,7 +19,10 @@
 //!   `fn` under `crates/*/src` must be used somewhere in the non-test part
 //!   of the program (`crates/*/src`, `src/`, `examples/`, `bench/src`) in a
 //!   call shape — `name(`, `.name(`, `Type::name` — or a `use` item; a field,
-//!   a local or a comment of the same name is no caller.  Tests do not count
+//!   a local or a comment of the same name is no caller.  A bare `name(`
+//!   calls only a free fn (one declared at the start of a line): a method
+//!   needs `.name(`, `Self::name` or `Type::name`, so a called closure or
+//!   local of a method's name hides nothing.  Tests do not count
 //!   as callers: a function only a test calls is surface nobody uses.  The
 //!   few kept on purpose are listed in [`KEPT`], each with its reason.
 
@@ -293,11 +296,13 @@ fn code_only(text: &str) -> String {
     out
 }
 
-/// The words `code` (comments and literals blanked) uses as a fn: in a call
-/// (`name(`, `.name(`, `Type::name(`, `name::<T>(`, but not `fn name(`), as a
-/// path (`Type::name` as a fn pointer), or in a `use` item.  A struct field,
-/// a local or a word in prose never counts.
-fn used_names(code: &str) -> BTreeSet<&str> {
+/// The words `code` (comments and literals blanked) uses as a fn, as
+/// `(bare, qualified)`: `bare` called as `name(` or `name::<T>(` (but not
+/// `fn name(`), which only a free fn can be; `qualified` called as
+/// `.name(`, named by a path (`Type::name`, `Self::name(`) or in a `use`
+/// item, which a method can be too.  A struct field, a local or a word in
+/// prose never counts.
+fn used_names(code: &str) -> (BTreeSet<&str>, BTreeSet<&str>) {
     let mut tokens = Vec::new();
     let mut rest = code;
     while let Some(start) = rest.find(is_word) {
@@ -307,26 +312,30 @@ fn used_names(code: &str) -> BTreeSet<&str> {
         tokens.push((gap, word));
         rest = tail;
     }
-    let mut used = BTreeSet::new();
+    let (mut bare, mut qualified) = (BTreeSet::new(), BTreeSet::new());
     let mut in_use = false;
     let mut prev = "";
     for (k, &(gap, word)) in tokens.iter().enumerate() {
         in_use &= !gap.contains(';');
         let after = tokens.get(k + 1).map_or(rest, |&(gap, _)| gap).trim_start();
         let called = prev != "fn" && (after.starts_with('(') || after.starts_with("::<"));
-        if in_use || called || gap.trim_end().ends_with("::") {
-            used.insert(word);
+        let gap = gap.trim_end();
+        if in_use || gap.ends_with("::") || (called && gap.ends_with('.')) {
+            qualified.insert(word);
+        } else if called {
+            bare.insert(word);
         }
         in_use |= word == "use";
         prev = word;
     }
-    used
+    (bare, qualified)
 }
 
 /// Every public fn declared in `declaring` (`(path, text)` pairs) that the
 /// non-test parts of `declaring` and `callers` never use in a call shape
-/// (see [`used_names`]), as `(path:line, name)`.  A name shared by several
-/// fns reads as used if any one is.
+/// (see [`used_names`]; a bare call counts for a free fn only), as
+/// `(path:line, name)`.  A name shared by several fns of a kind reads as
+/// used if any one is.
 fn uncalled_pub_fns<'a>(
     declaring: &'a [(String, String)],
     callers: &[(String, String)],
@@ -336,14 +345,20 @@ fn uncalled_pub_fns<'a>(
         .chain(callers)
         .map(|(_, text)| code_only(non_test(text)))
         .collect();
-    let used: BTreeSet<&str> = code.iter().flat_map(|c| used_names(c)).collect();
+    let (mut bare, mut qualified) = (BTreeSet::new(), BTreeSet::new());
+    for (b, q) in code.iter().map(|c| used_names(c)) {
+        bare.extend(b);
+        qualified.extend(q);
+    }
     let mut uncalled = Vec::new();
     for (path, text) in declaring {
         for (n, line) in non_test(text).lines().enumerate() {
             let Some(name) = declared_pub_fn(line) else {
                 continue;
             };
-            if !used.contains(name) {
+            let free = line.starts_with("pub");
+            let called = qualified.contains(name) || (free && bare.contains(name));
+            if !called {
                 uncalled.push((format!("{path}:{}", n + 1), name));
             }
         }
@@ -494,8 +509,9 @@ fn an_uncalled_pub_fn_fails_the_check() {
 }
 
 /// A method only a test calls is flagged even though its name is a common
-/// word: a field, a local, a doc comment, a string and a macro say `stop`,
-/// but only a call shape or a `use` counts.
+/// word: a field, a local, a called closure parameter, a doc comment, a
+/// string and a macro say `stop`, but only a method's call shape or a `use`
+/// counts.
 #[test]
 fn a_test_only_stop_is_flagged() {
     let lib = "/// Stops the spinners: `self.stop()`.\n\
@@ -517,6 +533,9 @@ fn a_test_only_stop_is_flagged() {
     assert_eq!(flagged(run), ["stop"]);
     let stop = "fn main() { let stop = x::run(false); }\n";
     assert_eq!(flagged(&(run.to_string() + stop)), ["stop"]);
+    // A called closure parameter is no call of the method it is named like.
+    let closure = "fn cycle(stop: impl FnOnce()) { stop(); }\n";
+    assert_eq!(flagged(&(run.to_string() + closure)), ["stop"]);
     for call in [
         "a.stop();",
         "x::Awake::stop(a);",
