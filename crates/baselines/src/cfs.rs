@@ -59,7 +59,7 @@ impl Cfs {
             let key = name.key();
             let (_, node) = self.cluster.overlay().ring().successor(key)?;
             // One routed lookup per placement attempt (accounting only).
-            let _ = self.cluster.locate(&name);
+            self.cluster.charge_lookup();
             self.cluster.store_object_at(node, key, size, None).ok()?;
             Some((node, name))
         })
@@ -67,10 +67,6 @@ impl Cfs {
 }
 
 impl StorageSystem for Cfs {
-    fn name(&self) -> &str {
-        "CFS"
-    }
-
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
         let block_count = Self::blocks_for(file.size);
         let file_name: Arc<str> = Arc::from(file.name.as_str());
@@ -125,10 +121,26 @@ mod tests {
         .build(&mut rng)
     }
 
-    fn object_count(cluster: &StorageCluster) -> u64 {
-        (0..cluster.node_count())
-            .map(|n| cluster.node(n).object_count())
-            .sum()
+    /// Every `(node, block)` the cluster holds of `file`'s first `blocks`
+    /// blocks under any salt up to `retries`.
+    fn placed(
+        cluster: &StorageCluster,
+        file: &str,
+        blocks: u32,
+        retries: u32,
+    ) -> Vec<(usize, ObjectName)> {
+        let mut found = Vec::new();
+        for block in 0..blocks {
+            for salt in 0..=retries {
+                let name = ObjectName::block(file, block, salt);
+                for n in 0..cluster.node_count() {
+                    if cluster.fetch_from(n, &name).is_some() {
+                        found.push((n, name.clone()));
+                    }
+                }
+            }
+        }
+        found
     }
 
     #[test]
@@ -138,7 +150,7 @@ mod tests {
             .store_file(&FileRecord::new("f", ByteSize::mb(243)))
             .is_stored());
         // 243 MB / 4 MB = 60.75 → 61 blocks, matching Table 1's ~61 chunks per file.
-        assert_eq!(object_count(cfs.cluster()), 61);
+        assert_eq!(placed(cfs.cluster(), "f", 61, 5).len(), 61);
         assert_eq!(cfs.cluster().total_used(), ByteSize::mb(243));
         assert!((cfs.metrics().mean_chunks_per_file() - 61.0).abs() < 1e-9);
         assert!(cfs.metrics().mean_chunk_size() <= BLOCK_SIZE);
@@ -153,10 +165,11 @@ mod tests {
             .store_file(&FileRecord::new("big", ByteSize::gb(2)))
             .is_stored());
         let cluster = cfs.cluster();
-        let holders = (0..cluster.node_count())
-            .filter(|&n| !cluster.node(n).used().is_zero())
-            .count();
-        assert!(holders > 10, "blocks must be spread over many nodes");
+        let holders: std::collections::BTreeSet<usize> = placed(cluster, "big", 512, 5)
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert!(holders.len() > 10, "blocks must be spread over many nodes");
         assert_eq!(cluster.total_used(), ByteSize::gb(2));
     }
 
@@ -178,19 +191,8 @@ mod tests {
         assert_eq!(cfs.metrics().files_failed, 1);
         let cluster = cfs.cluster();
         assert_eq!(cluster.total_used(), ByteSize::ZERO, "rollback frees bytes");
-        assert_eq!(object_count(cluster), 0);
         // The rollback removes the objects themselves, not just their bytes.
-        for block in 0..16 {
-            for salt in 0..=retries {
-                let key = ObjectName::block("toobig", block, salt).key();
-                for n in 0..cluster.node_count() {
-                    assert!(
-                        !cluster.node(n).has(key),
-                        "node {n} keeps block {block}/{salt}"
-                    );
-                }
-            }
-        }
+        assert_eq!(placed(cluster, "toobig", 16, retries), []);
     }
 
     #[test]
@@ -213,15 +215,15 @@ mod tests {
             .store_file(&FileRecord::new("r", ByteSize::mb(10)))
             .is_stored());
         let cluster = cfs.cluster();
-        assert_eq!(object_count(cluster), 3);
+        assert_eq!(placed(cluster, "r", 3, 5).len(), 3);
         for (block, size) in [
             (0, ByteSize::mb(4)),
             (1, ByteSize::mb(4)),
             (2, ByteSize::mb(2)),
         ] {
-            let key = ObjectName::block("r", block, 0).key();
-            let (_, successor) = cluster.overlay().ring().successor(key).unwrap();
-            assert_eq!(cluster.node(successor).get(key).unwrap().size, size);
+            let name = ObjectName::block("r", block, 0);
+            let (_, successor) = cluster.overlay().ring().successor(name.key()).unwrap();
+            assert_eq!(cluster.fetch_from(successor, &name).unwrap().size, size);
         }
         assert_eq!(cfs.metrics().bytes_placed, ByteSize::mb(10));
     }

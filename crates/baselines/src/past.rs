@@ -33,10 +33,6 @@ impl Past {
 }
 
 impl StorageSystem for Past {
-    fn name(&self) -> &str {
-        "PAST"
-    }
-
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
         let key = ObjectName::whole_file(file.name.as_str(), 0).key();
         let stored = match self.cluster.get_capacity(key) {
@@ -97,11 +93,11 @@ mod tests {
             .store_file(&FileRecord::new("r", ByteSize::mb(100)))
             .is_stored());
         let cluster = past.cluster();
-        let key = ObjectName::whole_file("r", 0).key();
-        assert!(cluster.node(root).has(key));
-        assert_eq!(cluster.node(root).used(), ByteSize::mb(100));
-        let objects: u64 = (0..30).map(|n| cluster.node(n).object_count()).sum();
-        assert_eq!(objects, 1);
+        let name = ObjectName::whole_file("r", 0);
+        let stored = cluster.fetch_from(root, &name).map(|o| o.size);
+        assert_eq!(stored, Some(ByteSize::mb(100)));
+        let holders = (0..30).filter(|&n| cluster.fetch_from(n, &name).is_some());
+        assert_eq!(holders.count(), 1);
         assert_eq!(cluster.total_used(), ByteSize::mb(100));
         assert_eq!(past.metrics().bytes_placed, ByteSize::mb(100));
         assert!((past.metrics().mean_chunks_per_file() - 1.0).abs() < 1e-9);
@@ -133,8 +129,8 @@ mod tests {
         assert_eq!(past.metrics().files_failed, 1);
         let cluster = past.cluster();
         assert_eq!(cluster.total_used(), ByteSize::mb(900));
-        let key = ObjectName::whole_file("late", 0).key();
-        assert!((0..10).all(|n| !cluster.node(n).has(key)));
+        let name = ObjectName::whole_file("late", 0);
+        assert!((0..10).all(|n| cluster.fetch_from(n, &name).is_none()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use peerstripe_overlay::{Id, IdHasher};
 use std::fmt;
 use std::sync::Arc;
 
-/// A parsed PeerStripe object name.
+/// A PeerStripe object name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ObjectName {
     /// A whole chunk (used when no erasure coding is configured).
@@ -96,52 +96,6 @@ impl ObjectName {
         }
     }
 
-    /// Parse a canonical textual form produced by [`ObjectName::render`].
-    ///
-    /// Parsing is conservative: a trailing `_<number>` suffix is interpreted as
-    /// chunk/block numbering only if the digits parse; otherwise the whole string
-    /// is rejected (file names used with PeerStripe must not end in `_<digits>`
-    /// themselves, a documented constraint of the naming convention).
-    pub fn parse(s: &str) -> Option<ObjectName> {
-        if let Some(file) = s.strip_suffix(".CAT") {
-            if file.is_empty() {
-                return None;
-            }
-            return Some(ObjectName::cat(file));
-        }
-        if let Some((file, salt)) = s.rsplit_once('#') {
-            if file.is_empty() {
-                return None;
-            }
-            return salt
-                .parse()
-                .ok()
-                .map(|salt| ObjectName::whole_file(file, salt));
-        }
-        let mut parts: Vec<&str> = s.rsplitn(3, '_').collect();
-        parts.reverse();
-        match parts.as_slice() {
-            [file, a, b] if !file.is_empty() => {
-                match (a.parse::<u32>(), b.parse::<u32>()) {
-                    (Ok(chunk), Ok(ecb)) => Some(ObjectName::block(*file, chunk, ecb)),
-                    _ => {
-                        // `file_name_3` where `file_name` contains an underscore:
-                        // re-join and try the chunk form.
-                        let joined = format!("{file}_{a}");
-                        b.parse::<u32>()
-                            .ok()
-                            .map(|chunk| ObjectName::chunk(joined, chunk))
-                    }
-                }
-            }
-            [file, a] if !file.is_empty() => a
-                .parse::<u32>()
-                .ok()
-                .map(|chunk| ObjectName::chunk(*file, chunk)),
-            _ => None,
-        }
-    }
-
     /// The overlay key this object is routed by (the SHA-1 of the paper, our
     /// deterministic 128-bit hash): the hash of [`ObjectName::render`]'s
     /// form, fed to the hasher piece by piece rather than built first.
@@ -211,37 +165,6 @@ mod tests {
         // "stores it in the p2p storage under the name filename.CAT"
         assert_eq!(ObjectName::cat("myTestFile").render(), "myTestFile.CAT");
         assert_eq!(format!("{}", ObjectName::chunk("f", 1)), "f_1");
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        let names = vec![
-            ObjectName::chunk("weather-2020", 0),
-            ObjectName::chunk("weather-2020", 17),
-            ObjectName::block("mri-scan", 3, 12),
-            ObjectName::cat("mri-scan"),
-            ObjectName::whole_file("genome.dat", 4),
-        ];
-        for n in names {
-            assert_eq!(ObjectName::parse(&n.render()), Some(n));
-        }
-    }
-
-    #[test]
-    fn parse_handles_underscores_in_file_names() {
-        let n = ObjectName::chunk("my_test_file", 3);
-        assert_eq!(ObjectName::parse(&n.render()), Some(n));
-        let b = ObjectName::block("my_file", 3, 7);
-        assert_eq!(ObjectName::parse(&b.render()), Some(b));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(ObjectName::parse(""), None);
-        assert_eq!(ObjectName::parse(".CAT"), None);
-        assert_eq!(ObjectName::parse("plainname"), None);
-        assert_eq!(ObjectName::parse("file_abc"), None);
-        assert_eq!(ObjectName::parse("#3"), None);
     }
 
     #[test]

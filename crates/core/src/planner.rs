@@ -247,7 +247,7 @@ mod tests {
             ledger.promise(chunk, &[rng.index(NODES)]);
         }
         let full = rng.index(NODES);
-        let free = cluster.node(full).free();
+        let free = cluster.report_of(full);
         cluster.reserve(full, free).unwrap();
         (cluster, ledger, rng)
     }
@@ -383,7 +383,7 @@ mod tests {
         let full = (0..NODES)
             .find(|n| *n != dead && !ledger.damage(0).holders.contains(n))
             .unwrap();
-        let free = cluster.node(full).free();
+        let free = cluster.report_of(full);
         cluster.reserve(full, free).unwrap();
         ledger.mark_lost(1);
         let lost_target = (0..NODES)
@@ -397,13 +397,13 @@ mod tests {
         ] {
             ledger.promise(chunk, &[target]);
             let holders = ledger.holders(chunk).to_vec();
-            let used = cluster.node(target).used();
+            let free = cluster.report_of(target);
             assert!(
                 !commit_rebuilt(&mut ledger, &mut cluster, chunk, target),
                 "{why} took a block"
             );
             assert_eq!(ledger.holders(chunk), &holders[..], "{why}");
-            assert_eq!(cluster.node(target).used(), used, "{why}");
+            assert_eq!(cluster.report_of(target), free, "{why}");
             assert!(
                 ledger.damage(chunk).promised.is_empty(),
                 "the promise is settled"
@@ -416,10 +416,10 @@ mod tests {
             cluster.is_alive(*n) && cluster.can_store(*n, ByteSize::mb(64)) && !holders.contains(n)
         });
         let good = good.expect("a live non-holder with room");
-        let used = cluster.node(good).used();
+        let free = cluster.report_of(good);
         assert!(commit_rebuilt(&mut ledger, &mut cluster, 0, good));
         assert_eq!(ledger.holders(0).last(), Some(&good));
-        assert_eq!(cluster.node(good).used(), used + ledger.block_size(0));
+        assert_eq!(cluster.report_of(good), free - ledger.block_size(0));
     }
 
     #[test]

@@ -307,7 +307,6 @@ mod tests {
             let rs = policy.codec(source_blocks);
             assert_eq!(rs.encoded_blocks(), policy.placed_blocks());
             assert_eq!(rs.min_decode_blocks(), policy.min_blocks_needed());
-            assert_eq!(rs.tolerable_losses(), policy.tolerable_losses());
         }
     }
 

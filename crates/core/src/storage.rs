@@ -91,11 +91,6 @@ impl StorageNode {
         self.capacity.saturating_sub(self.used)
     }
 
-    /// Fraction of the capacity in use, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        self.used.fraction_of(self.capacity)
-    }
-
     /// Number of objects stored (counted even when object tracking is off).
     pub fn object_count(&self) -> u64 {
         self.object_count
@@ -151,11 +146,6 @@ impl StorageNode {
         Ok(())
     }
 
-    /// True if the node currently stores the object (requires object tracking).
-    pub fn has(&self, key: Id) -> bool {
-        self.objects.contains_key(&key)
-    }
-
     /// Access a stored object (requires object tracking).
     pub fn get(&self, key: Id) -> Option<&StoredObject> {
         self.objects.get(&key)
@@ -189,10 +179,9 @@ mod tests {
         node.store(Id(1), obj(ByteSize::gb(4))).unwrap();
         assert_eq!(node.used(), ByteSize::gb(4));
         assert_eq!(node.free(), ByteSize::gb(6));
-        assert!((node.utilization() - 0.4).abs() < 1e-12);
         assert_eq!(node.object_count(), 1);
-        assert!(node.has(Id(1)));
-        assert!(!node.has(Id(2)));
+        assert!(node.get(Id(1)).is_some());
+        assert!(node.get(Id(2)).is_none());
     }
 
     #[test]
@@ -265,7 +254,6 @@ mod tests {
             .store_object(&ObjectName::chunk("a", 0), ByteSize::gb(9), None)
             .unwrap();
         assert_eq!(cluster.get_capacity(Id(1)), Some((node, ByteSize::gb(1))));
-        assert_eq!(cluster.node(node).free(), ByteSize::gb(1));
     }
 
     #[test]
@@ -275,7 +263,7 @@ mod tests {
         node.store(Id(1), obj(ByteSize::mb(100))).unwrap();
         assert_eq!(node.used(), ByteSize::mb(200));
         assert_eq!(node.object_count(), 2);
-        assert!(!node.has(Id(1)), "objects are not tracked");
+        assert!(node.get(Id(1)).is_none(), "objects are not tracked");
         assert_eq!(node.remove(Id(1)), None);
     }
 
@@ -287,7 +275,7 @@ mod tests {
         node.wipe();
         assert_eq!(node.used(), ByteSize::ZERO);
         assert_eq!(node.object_count(), 0);
-        assert!(!node.has(Id(1)));
+        assert!(node.get(Id(1)).is_none());
         assert_eq!(node.capacity(), ByteSize::gb(1));
     }
 

@@ -188,9 +188,6 @@ impl ManifestStore {
 
 /// The interface shared by PeerStripe and the baseline systems.
 pub trait StorageSystem {
-    /// System name as used in figure legends ("Our System", "PAST", "CFS").
-    fn name(&self) -> &str;
-
     /// Attempt to store a file described by a trace record.
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome;
 

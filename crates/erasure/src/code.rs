@@ -112,18 +112,6 @@ pub trait ErasureCode: Send + Sync {
     /// probability, not certainty.
     fn min_decode_blocks(&self) -> usize;
 
-    /// Number of encoded-block losses the codec tolerates while still meeting
-    /// [`ErasureCode::min_decode_blocks`].
-    fn tolerable_losses(&self) -> usize {
-        self.encoded_blocks()
-            .saturating_sub(self.min_decode_blocks())
-    }
-
-    /// Storage overhead: encoded size over original size, e.g. 1.5 for (2,3) XOR.
-    fn storage_overhead(&self) -> f64 {
-        self.encoded_blocks() as f64 / self.source_blocks() as f64
-    }
-
     /// Size of every encoded block of a chunk of `chunk_len` bytes: the chunk
     /// cut into [`ErasureCode::source_blocks`] equal rows, the last one padded.
     fn block_size(&self, chunk_len: usize) -> usize {
@@ -434,7 +422,8 @@ mod tests {
             for len in [0usize, 1, 7, 999, 4096] {
                 let data: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
                 let mut blocks = code.encode(&data);
-                if code.tolerable_losses() > 0 {
+                let redundant = code.encoded_blocks() > code.min_decode_blocks();
+                if redundant {
                     blocks.remove(0);
                 }
                 let views: Vec<_> = blocks.iter().map(EncodedBlock::view).collect();
@@ -442,7 +431,7 @@ mod tests {
                 code.decode_into(&views, &mut out).unwrap();
                 assert_eq!(out, data, "{} at {len}", code.name());
                 assert_eq!(code.decode(&blocks, len).unwrap(), data);
-                if code.tolerable_losses() > 0 && len > 0 {
+                if redundant && len > 0 {
                     // Fewer blocks than sources decode under no codec: the
                     // borrowed decode fails exactly as the owning one does.
                     let few = &blocks[blocks.len() + 1 - code.source_blocks()..];

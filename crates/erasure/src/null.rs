@@ -94,8 +94,8 @@ mod tests {
     #[test]
     fn no_redundancy() {
         let code = NullCode::new(8);
-        assert_eq!(code.tolerable_losses(), 0);
-        assert_eq!(code.storage_overhead(), 1.0);
+        assert_eq!(code.encoded_blocks(), code.source_blocks());
+        assert_eq!(code.min_decode_blocks(), code.encoded_blocks());
         let chunk = sample_chunk(999);
         let mut blocks = code.encode(&chunk);
         blocks.remove(3);

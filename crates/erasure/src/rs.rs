@@ -456,8 +456,6 @@ mod tests {
         assert_eq!(code.source_blocks(), 10);
         assert_eq!(code.encoded_blocks(), 14);
         assert_eq!(code.min_decode_blocks(), 10, "optimal: exactly n of m");
-        assert_eq!(code.tolerable_losses(), 4);
-        assert!((code.storage_overhead() - 1.4).abs() < 1e-12);
     }
 
     #[test]

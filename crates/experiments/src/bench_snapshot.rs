@@ -301,7 +301,7 @@ pub fn run_detector_decide_snapshot(config: &BenchSnapshotConfig) -> BenchSnapsh
                 |_| {
                     t += 1;
                     for node in 0..nodes {
-                        let _ = detector.node_down(node, SimTime::from_secs(t));
+                        std::hint::black_box(detector.node_down(node, SimTime::from_secs(t)));
                         detector.node_up(node);
                     }
                     nodes as u64

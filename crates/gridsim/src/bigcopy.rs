@@ -33,17 +33,6 @@ pub enum BigCopyScheme {
     VaryingChunks,
 }
 
-impl BigCopyScheme {
-    /// Column label used in Table 4.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BigCopyScheme::WholeFile => "Whole file",
-            BigCopyScheme::FixedChunks => "Fixed size chunks",
-            BigCopyScheme::VaryingChunks => "Varying size chunks",
-        }
-    }
-}
-
 /// Result of one `bigCopy` run.
 #[derive(Debug, Clone, Copy)]
 pub struct BigCopyResult {
@@ -212,13 +201,6 @@ pub fn table4_sizes() -> Vec<ByteSize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scheme_labels() {
-        assert_eq!(BigCopyScheme::WholeFile.label(), "Whole file");
-        assert_eq!(BigCopyScheme::FixedChunks.label(), "Fixed size chunks");
-        assert_eq!(BigCopyScheme::VaryingChunks.label(), "Varying size chunks");
-    }
 
     #[test]
     fn whole_file_fails_past_submit_disk() {

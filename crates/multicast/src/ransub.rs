@@ -29,16 +29,6 @@ impl RanSubViews {
     pub fn view(&self, slot: usize) -> &[usize] {
         &self.views[slot]
     }
-
-    /// Number of members with views (tree size).
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// True when no views exist.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
 }
 
 /// The RanSub engine: runs one distribute/collect cycle per epoch.
@@ -139,7 +129,7 @@ mod tests {
         assert_eq!(engine.subset_size, 10);
         let mut rng = DetRng::new(1);
         let views = engine.epoch(&tree, &mut rng);
-        assert_eq!(views.len(), 63);
+        assert_eq!(views.views.len(), 63);
         for slot in 0..tree.len() {
             let v = views.view(slot);
             assert!(v.len() <= 10);

@@ -116,11 +116,6 @@ impl MulticastTree {
         0
     }
 
-    /// The overlay node behind a member slot.
-    pub fn node(&self, slot: usize) -> NodeRef {
-        self.nodes[slot]
-    }
-
     /// Parent slot of a member (None for the root).
     pub fn parent(&self, slot: usize) -> Option<usize> {
         self.parents[slot]
@@ -217,7 +212,7 @@ mod tests {
         let replicas: Vec<NodeRef> = (1..33).collect();
         let tree = MulticastTree::locality_aware(&overlay, source, &replicas, 2);
         assert_eq!(tree.len(), 33);
-        let mut members: Vec<NodeRef> = (0..tree.len()).map(|s| tree.node(s)).collect();
+        let mut members: Vec<NodeRef> = (0..tree.len()).map(|s| tree.nodes[s]).collect();
         members.sort_unstable();
         let mut expected: Vec<NodeRef> = std::iter::once(source).chain(replicas.clone()).collect();
         expected.sort_unstable();
@@ -236,7 +231,7 @@ mod tests {
         let replicas: Vec<NodeRef> = (10..74).collect();
         let tree = MulticastTree::locality_aware(&overlay, source, &replicas, 2);
         // The root's children must be the proximity-closest replicas overall.
-        let child_nodes: Vec<NodeRef> = tree.children(0).iter().map(|&c| tree.node(c)).collect();
+        let child_nodes: Vec<NodeRef> = tree.children(0).iter().map(|&c| tree.nodes[c]).collect();
         let best = overlay.closest_by_proximity(source, &replicas, 2);
         assert_eq!(child_nodes, best);
         // Average parent-child proximity must beat average all-pairs proximity
@@ -245,7 +240,7 @@ mod tests {
         let mut tree_edges = 0usize;
         for s in 1..tree.len() {
             let p = tree.parent(s).unwrap();
-            tree_dist += overlay.proximity(tree.node(p), tree.node(s));
+            tree_dist += overlay.proximity(tree.nodes[p], tree.nodes[s]);
             tree_edges += 1;
         }
         let mut rng2 = DetRng::new(3);

@@ -999,6 +999,34 @@ mod tests {
         assert_eq!(roundtrip_request(Request::GetStats), Request::GetStats);
     }
 
+    /// A daemon built before the op log named each entry's node sends no
+    /// `node`: the entry reads as `None`.  A missing field of any other type
+    /// is still refused, so a missing `duration_ms` never becomes NaN.
+    #[test]
+    fn a_missing_option_field_reads_as_none_and_any_other_is_refused() {
+        let mut stats = sample_stats();
+        stats.op_log[0].node = Some(3);
+        let json = serde_json::to_string(&stats).unwrap();
+        let read = |json: &str| {
+            let mut frame = Vec::new();
+            Record::new(kind::STATS, None)
+                .string(json)
+                .write(&mut frame, &[])
+                .unwrap();
+            read_response(&mut frame.as_slice())
+        };
+        let without_node = json.replacen(r#""request_id":7,"node":3,"#, r#""request_id":7,"#, 1);
+        assert_ne!(without_node, json);
+        stats.op_log[0].node = None;
+        let expected = Response::Stats {
+            stats: Box::new(stats),
+        };
+        assert_eq!(read(&without_node).unwrap(), expected);
+        let without_duration = json.replacen(r#""duration_ms":0.31,"#, "", 1);
+        assert_ne!(without_duration, json);
+        assert!(matches!(read(&without_duration), Err(WireError::Body(_))));
+    }
+
     #[test]
     fn request_ids_round_trip_on_every_kind() {
         let reqs = vec![

@@ -216,7 +216,7 @@ fn surviving_daemons_hold_the_regenerated_bytes() {
         if fresh.ping(e.node) {
             live += 1;
         }
-        free_total = free_total.saturating_add(fresh.report_of(e.node));
+        free_total += fresh.report_of(e.node);
     }
     assert_eq!(live, NODES - 1);
     // With nothing stored the survivors would report their full contributed

@@ -471,8 +471,9 @@ proptest! {
     }
 
     /// Stats responses round-trip arbitrary telemetry snapshots: exports
-    /// with arbitrary counts and op logs with arbitrary ids, durations (including
-    /// non-finite ones, which JSON maps through null), and outcomes.
+    /// with arbitrary counts and op logs with arbitrary ids, finite durations
+    /// and outcomes.  (A non-finite duration goes to JSON as `null` and reads
+    /// back as NaN, not as itself.)
     #[test]
     fn stats_responses_round_trip_arbitrary_snapshots(
         capacity in any::<u64>(),

@@ -21,17 +21,6 @@ use std::fmt;
 pub struct Id(pub u128);
 
 impl Id {
-    /// The zero identifier.
-    pub const ZERO: Id = Id(0);
-    /// The maximum identifier.
-    pub const MAX: Id = Id(u128::MAX);
-
-    /// Raw 128-bit value.
-    #[inline]
-    pub const fn raw(self) -> u128 {
-        self.0
-    }
-
     /// Hash an arbitrary name into the id space.
     ///
     /// This stands in for the SHA-1 of the paper: a double-width

@@ -9,7 +9,7 @@
 //! * [`id::Id`] — the circular identifier space and hashing;
 //! * [`ring::IdRing`] — the live-membership ring, a sorted id table with
 //!   liveness marks: key-to-node routing (numerically closest live id),
-//!   replica-set, leaf-set and failure-takeover queries;
+//!   replica-set and failure-takeover queries;
 //! * [`node`] — participants with synthetic network coordinates (the proximity
 //!   metric behind Pastry's locality properties);
 //! * [`network::OverlaySim`] — the node-population simulator with join/failure
@@ -29,4 +29,4 @@ pub mod ring;
 pub use id::{Id, IdHasher};
 pub use network::{OverlaySim, OverlayStats};
 pub use node::{Coord, NodeInfo};
-pub use ring::{IdRing, LeafSet, NodeRef, Takeover};
+pub use ring::{IdRing, NodeRef, Takeover};

@@ -3,14 +3,15 @@
 //! [`OverlaySim`] plays the role of FreePastry's "simulator mode" used in the
 //! paper (Section 6.1): a population of directly connected nodes, each running
 //! an instance of the protocol code, with instantaneous message delivery but
-//! faithful *routing semantics* (key → numerically closest live node), leaf-set
-//! maintenance, proximity, and scripted churn.  The storage systems (PeerStripe,
-//! PAST, CFS) are layered on top of this simulator; it records lookup-message
-//! statistics so the experiments can charge per-lookup overheads.
+//! faithful *routing semantics* (key → numerically closest live node),
+//! neighbour takeover, proximity, and scripted churn.  The storage systems
+//! (PeerStripe, PAST, CFS) are layered on top of this simulator; it records
+//! lookup-message statistics so the experiments can charge per-lookup
+//! overheads.
 
 use crate::id::Id;
 use crate::node::{Coord, NodeInfo};
-use crate::ring::{IdRing, LeafSet, NodeRef, Takeover};
+use crate::ring::{IdRing, NodeRef, Takeover};
 use peerstripe_sim::DetRng;
 
 /// Statistics about overlay traffic accumulated by a simulation run.
@@ -67,21 +68,6 @@ impl OverlaySim {
             ring: IdRing::new(),
             stats: OverlayStats::default(),
         }
-    }
-
-    /// Total number of nodes ever joined (live and failed).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Access a node's info.
-    pub fn node(&self, node: NodeRef) -> &NodeInfo {
-        &self.nodes[node]
-    }
-
-    /// All node infos (live and failed), indexed by [`NodeRef`].
-    pub fn nodes(&self) -> &[NodeInfo] {
-        &self.nodes
     }
 
     /// Iterator over the [`NodeRef`]s of live nodes.
@@ -162,18 +148,18 @@ impl OverlaySim {
     /// Increments the lookup-message counter: every chunk/block store or retrieve
     /// in the storage systems costs one routed `lookUp` message (Section 4.1).
     pub fn route(&mut self, key: Id) -> Option<NodeRef> {
+        self.charge_lookup();
+        self.route_quiet(key)
+    }
+
+    /// Count one lookup message for a node the caller found without routing.
+    pub fn charge_lookup(&mut self) {
         self.stats.lookups += 1;
-        self.ring.route(key).map(|(_, n)| n)
     }
 
     /// Route a key without counting it as protocol traffic (internal queries).
     pub fn route_quiet(&self, key: Id) -> Option<NodeRef> {
         self.ring.route(key).map(|(_, n)| n)
-    }
-
-    /// The leaf set of a live node.
-    pub fn leaf_set(&self, node: NodeRef, l: usize) -> LeafSet {
-        self.ring.leaf_set(self.nodes[node].id, l)
     }
 
     /// Proximity (synthetic latency metric) between two nodes.
@@ -216,16 +202,13 @@ mod tests {
     fn creates_requested_population() {
         let mut rng = DetRng::new(1);
         let sim = OverlaySim::new(1000, &mut rng);
-        assert_eq!(sim.node_count(), 1000);
+        assert_eq!(sim.nodes.len(), 1000);
         assert_eq!(sim.alive_nodes().count(), 1000);
     }
 
     /// `(id, coordinate, alive)` of every node, in node-table order.
     fn table(sim: &OverlaySim) -> Vec<(Id, Coord, bool)> {
-        sim.nodes()
-            .iter()
-            .map(|n| (n.id, n.coord, n.alive))
-            .collect()
+        sim.nodes.iter().map(|n| (n.id, n.coord, n.alive)).collect()
     }
 
     #[test]
@@ -247,7 +230,7 @@ mod tests {
 
     #[test]
     fn a_duplicate_id_takes_the_sequential_path() {
-        let node = |id| NodeInfo::new(Id(id), Coord::new(0.5, 0.5));
+        let node = |id| NodeInfo::new(Id(id), Coord { x: 0.5, y: 0.5 });
         assert!(OverlaySim::from_table(vec![node(3), node(9), node(3)]).is_none());
         let sim = OverlaySim::from_table(vec![node(9), node(3)]).unwrap();
         assert_eq!(
@@ -343,14 +326,5 @@ mod tests {
         for c in candidates.iter().filter(|c| !nearest.contains(c)) {
             assert!(sim.proximity(from, *c) >= max_sel - 1e-12);
         }
-    }
-
-    #[test]
-    fn leaf_set_from_sim() {
-        let mut rng = DetRng::new(9);
-        let sim = OverlaySim::new(64, &mut rng);
-        let ls = sim.leaf_set(5, 8);
-        assert_eq!(ls.len(), 8);
-        assert!(!ls.contains(sim.node(5).id));
     }
 }

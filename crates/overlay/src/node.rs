@@ -20,14 +20,6 @@ pub struct Coord {
 }
 
 impl Coord {
-    /// Create a coordinate, wrapping values into `[0, 1)`.
-    pub fn new(x: f64, y: f64) -> Self {
-        Coord {
-            x: x.rem_euclid(1.0),
-            y: y.rem_euclid(1.0),
-        }
-    }
-
     /// Draw a uniformly random coordinate.
     pub fn random(rng: &mut peerstripe_sim::DetRng) -> Self {
         Coord {
@@ -74,16 +66,9 @@ mod tests {
     use peerstripe_sim::DetRng;
 
     #[test]
-    fn coord_wraps_into_unit_square() {
-        let c = Coord::new(1.25, -0.25);
-        assert!((c.x - 0.25).abs() < 1e-12);
-        assert!((c.y - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn torus_distance_wraps() {
-        let a = Coord::new(0.05, 0.5);
-        let b = Coord::new(0.95, 0.5);
+        let a = Coord { x: 0.05, y: 0.5 };
+        let b = Coord { x: 0.95, y: 0.5 };
         assert!((a.distance(&b) - 0.1).abs() < 1e-12, "wraps the short way");
         assert_eq!(a.distance(&a), 0.0);
         // Symmetry.
@@ -103,7 +88,7 @@ mod tests {
 
     #[test]
     fn node_info_starts_alive() {
-        let n = NodeInfo::new(Id(7), Coord::new(0.1, 0.2));
+        let n = NodeInfo::new(Id(7), Coord { x: 0.1, y: 0.2 });
         assert!(n.alive);
         assert_eq!(n.id, Id(7));
     }

@@ -9,7 +9,6 @@
 //!   leaf-set replica placement);
 //! * `successor(key)` — the first node at or after the key clockwise (CFS
 //!   places a block on the successor of its key);
-//! * `leaf_set(id, l)` — the leaf set (l/2 counter-clockwise, l/2 clockwise);
 //! * `remove_with_takeover(id)` — a failed node leaves, and the answer says
 //!   which neighbour inherits which part of its key range (Section 4.4).
 //!
@@ -169,11 +168,6 @@ impl IdRing {
         self.live_slot(id).is_some()
     }
 
-    /// Look up the node reference for an exact member id.
-    pub fn get(&self, id: Id) -> Option<NodeRef> {
-        self.live_slot(id).map(|slot| self.nodes[slot])
-    }
-
     /// Iterate over `(id, node)` pairs in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = (Id, NodeRef)> + '_ {
         self.clockwise_from(0)
@@ -235,80 +229,6 @@ impl IdRing {
         self.clockwise_from(self.up_to(id))
             .next()
             .filter(|_| self.len > 1)
-    }
-
-    /// The leaf set of a member: up to `l/2` counter-clockwise and `l/2` clockwise
-    /// neighbours, nearest first within each side, excluding the member itself.
-    pub fn leaf_set(&self, id: Id, l: usize) -> LeafSet {
-        let half = l / 2;
-        // The two sides never overlap: the counter-clockwise one takes only
-        // what the clockwise one left.
-        let (cw_len, ccw_len) = if self.len <= 1 {
-            (0, 0)
-        } else {
-            let others = self.len - usize::from(self.contains(id));
-            let cw_len = half.min(others);
-            (cw_len, half.min(others - cw_len))
-        };
-        let mut clockwise = Vec::with_capacity(cw_len);
-        clockwise.extend(self.clockwise_from(self.up_to(id)).take(cw_len));
-        let mut counter_clockwise = Vec::with_capacity(ccw_len);
-        counter_clockwise.extend(self.counter_clockwise_from(self.below(id)).take(ccw_len));
-        LeafSet {
-            owner: id,
-            clockwise,
-            counter_clockwise,
-        }
-    }
-}
-
-/// A member's leaf set: its nearest neighbours on each side of the ring.
-#[derive(Debug, Clone)]
-pub struct LeafSet {
-    /// The node the leaf set belongs to.
-    pub owner: Id,
-    /// Clockwise neighbours, nearest first.
-    pub clockwise: Vec<(Id, NodeRef)>,
-    /// Counter-clockwise neighbours, nearest first.
-    pub counter_clockwise: Vec<(Id, NodeRef)>,
-}
-
-impl LeafSet {
-    /// All leaf-set members (both sides), nearest-first interleaved clockwise-first.
-    pub fn all(&self) -> Vec<(Id, NodeRef)> {
-        let mut out = Vec::with_capacity(self.clockwise.len() + self.counter_clockwise.len());
-        let mut cw = self.clockwise.iter();
-        let mut ccw = self.counter_clockwise.iter();
-        loop {
-            match (cw.next(), ccw.next()) {
-                (None, None) => break,
-                (a, b) => {
-                    if let Some(x) = a {
-                        out.push(*x);
-                    }
-                    if let Some(x) = b {
-                        out.push(*x);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of members across both sides.
-    pub fn len(&self) -> usize {
-        self.clockwise.len() + self.counter_clockwise.len()
-    }
-
-    /// True if the leaf set is empty (singleton ring).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if `id` is in the leaf set.
-    pub fn contains(&self, id: Id) -> bool {
-        self.clockwise.iter().any(|(i, _)| *i == id)
-            || self.counter_clockwise.iter().any(|(i, _)| *i == id)
     }
 }
 
@@ -380,7 +300,7 @@ mod tests {
         let mut ring = ring_with(&[10, 20, 30]);
         let remove = |ring: &mut IdRing, id| ring.remove_with_takeover(Id(id)).map(|(n, _)| n);
         assert_eq!(remove(&mut ring, 20), Some(1));
-        assert_eq!(ring.get(Id(20)), None);
+        assert!(!ring.contains(Id(20)));
         assert_eq!(
             ring.route(Id(21)),
             Some((Id(30), 2)),
@@ -388,7 +308,7 @@ mod tests {
         );
         assert_eq!(ring.k_closest(Id(20), 5), [(Id(30), 2), (Id(10), 0)]);
         assert!(ring.insert(Id(20), 7));
-        assert_eq!(ring.get(Id(20)), Some(7));
+        assert_eq!(ring.route(Id(20)), Some((Id(20), 7)));
         assert_eq!(ring.len(), 3);
         assert_eq!(remove(&mut ring, 10), Some(0));
         assert_eq!(remove(&mut ring, 30), Some(2));
@@ -443,7 +363,7 @@ mod tests {
             let best = ids
                 .iter()
                 .copied()
-                .min_by_key(|id| (key.distance(*id), id.raw()))
+                .min_by_key(|id| (key.distance(*id), id.0))
                 .unwrap();
             assert_eq!(
                 key.distance(got),
@@ -466,7 +386,7 @@ mod tests {
     fn k_closest_ordering_and_size() {
         let ring = ring_with(&[100, 200, 300, 400, 500]);
         let close = ring.k_closest(Id(310), 3);
-        let ids: Vec<u128> = close.iter().map(|(i, _)| i.raw()).collect();
+        let ids: Vec<u128> = close.iter().map(|(i, _)| i.0).collect();
         assert_eq!(ids, vec![300, 400, 200]);
         assert_eq!(ring.k_closest(Id(310), 10).len(), 5, "capped at ring size");
         assert!(ring.k_closest(Id(310), 0).is_empty());
@@ -481,23 +401,6 @@ mod tests {
         assert_eq!(ring.predecessor(Id(300)).unwrap().0, Id(200));
         let singleton = ring_with(&[42]);
         assert!(singleton.next_clockwise(Id(42)).is_none());
-    }
-
-    #[test]
-    fn leaf_set_sizes_and_membership() {
-        let ring = ring_with(&[10, 20, 30, 40, 50, 60, 70, 80]);
-        let ls = ring.leaf_set(Id(40), 4);
-        assert_eq!(ls.len(), 4);
-        assert!(ls.contains(Id(50)) && ls.contains(Id(60)));
-        assert!(ls.contains(Id(30)) && ls.contains(Id(20)));
-        assert!(!ls.contains(Id(40)));
-        assert!(!ls.contains(Id(80)));
-        assert_eq!(ls.all().len(), 4);
-        // Small ring: leaf set never duplicates or includes the owner.
-        let small = ring_with(&[1, 2, 3]);
-        let ls = small.leaf_set(Id(2), 8);
-        assert_eq!(ls.len(), 2);
-        assert!(ls.contains(Id(1)) && ls.contains(Id(3)));
     }
 
     #[test]

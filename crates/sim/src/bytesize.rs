@@ -89,30 +89,6 @@ impl ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_add(rhs.0))
-    }
-
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: ByteSize) -> Option<ByteSize> {
-        self.0.checked_sub(rhs.0).map(ByteSize)
-    }
-
-    /// The smaller of two sizes.
-    #[inline]
-    pub fn min(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.min(rhs.0))
-    }
-
-    /// The larger of two sizes.
-    #[inline]
-    pub fn max(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.max(rhs.0))
-    }
-
     /// Integer division rounding up: how many `unit`-sized pieces cover `self`.
     pub fn div_ceil(self, unit: ByteSize) -> u64 {
         assert!(!unit.is_zero(), "division by zero-sized unit");
@@ -236,15 +212,6 @@ mod tests {
         assert_eq!(max + ByteSize::gb(1), max);
         assert_eq!(ByteSize::gb(1) - ByteSize::gb(2), ByteSize::ZERO);
         assert_eq!(max * 2, max);
-    }
-
-    #[test]
-    fn checked_sub_behaviour() {
-        assert_eq!(
-            ByteSize::gb(2).checked_sub(ByteSize::gb(1)),
-            Some(ByteSize::gb(1))
-        );
-        assert_eq!(ByteSize::gb(1).checked_sub(ByteSize::gb(2)), None);
     }
 
     #[test]

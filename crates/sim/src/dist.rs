@@ -15,9 +15,6 @@ use crate::rng::DetRng;
 pub trait Distribution {
     /// Draw one sample.
     fn sample(&self, rng: &mut DetRng) -> f64;
-
-    /// The distribution's mean (exact where known, otherwise the target mean).
-    fn mean(&self) -> f64;
 }
 
 /// Normal distribution parameterised by mean and standard deviation.
@@ -44,9 +41,6 @@ impl Normal {
 impl Distribution for Normal {
     fn sample(&self, rng: &mut DetRng) -> f64 {
         self.mean + self.std_dev * rng.standard_normal()
-    }
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -89,16 +83,6 @@ impl TruncatedNormal {
         }
         TruncatedNormal { inner, lo, hi }
     }
-
-    /// Lower truncation bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper truncation bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
 }
 
 impl Distribution for TruncatedNormal {
@@ -109,9 +93,6 @@ impl Distribution for TruncatedNormal {
                 return x;
             }
         }
-    }
-    fn mean(&self) -> f64 {
-        self.inner.mean
     }
 }
 
@@ -134,9 +115,6 @@ impl Distribution for Uniform {
     fn sample(&self, rng: &mut DetRng) -> f64 {
         rng.range_f64(self.lo, self.hi)
     }
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
 }
 
 /// Exponential distribution with the given rate (events per unit time).
@@ -158,9 +136,6 @@ impl Distribution for Exponential {
         // Inverse CDF; guard against ln(0).
         let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
         -u.ln() / self.rate
-    }
-    fn mean(&self) -> f64 {
-        1.0 / self.rate
     }
 }
 
@@ -227,12 +202,5 @@ mod tests {
         let d = Exponential::new(0.25);
         let (mean, _) = sample_stats(&d, 200_000, 6);
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn distribution_means_are_reported() {
-        assert_eq!(Normal::new(5.0, 1.0).mean(), 5.0);
-        assert_eq!(Uniform::new(0.0, 10.0).mean(), 5.0);
-        assert_eq!(Exponential::new(0.5).mean(), 2.0);
     }
 }

@@ -18,11 +18,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Construct from whole milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
@@ -184,16 +179,6 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Schedule an event at an absolute virtual time.
     ///
     /// Scheduling in the past is clamped to `now` (the event fires immediately);
@@ -340,10 +325,9 @@ mod tests {
     #[test]
     fn simtime_conversions() {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
         assert_eq!(format!("{}", SimTime::from_secs(3)), "3.000s");
-        assert_eq!(format!("{}", SimTime::from_millis(3)), "3.000ms");
+        assert_eq!(format!("{}", SimTime(3_000_000)), "3.000ms");
         assert_eq!(format!("{}", SimTime(30)), "30ns");
     }
 
@@ -395,7 +379,7 @@ mod tests {
         assert_eq!(n, 4);
         assert_eq!(fired.len(), 4);
         assert_eq!(fired.last().unwrap().0, SimTime::from_secs(4));
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -433,13 +417,12 @@ mod tests {
         let n = q.run_until(SimTime::from_secs(4), |_, _, e| seen.push(e));
         assert_eq!(n, 4);
         assert_eq!(seen, vec![1, 2, 3, 4]);
-        assert_eq!(q.len(), 6);
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 6);
     }
 
     #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.now(), SimTime::ZERO);

@@ -81,7 +81,7 @@ mod tests {
         assert!(rl.busy_until <= later);
         let r = rl.reserve(ByteSize::kb(256), later);
         assert_eq!(r.start, later);
-        assert_eq!(r.done, later + SimTime::from_millis(500));
+        assert_eq!(r.done, later + SimTime::from_secs_f64(0.5));
     }
 
     #[test]

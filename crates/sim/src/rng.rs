@@ -51,11 +51,6 @@ impl DetRng {
         DetRng { s, seed }
     }
 
-    /// The seed this generator (or its fork chain root) was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent generator for a named sub-component.
     ///
     /// The child stream depends only on the parent's *seed* and the label, not on

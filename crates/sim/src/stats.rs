@@ -19,12 +19,10 @@ pub struct OnlineStats {
     mean: f64,
     m2: f64,
     min: f64,
-    max: f64,
-    sum: f64,
 }
 
-/// The empty accumulator: the same as [`OnlineStats::new`], whose min/max
-/// sentinels are ±∞ so the first observation sets both.
+/// The empty accumulator: the same as [`OnlineStats::new`], whose min
+/// sentinel is +∞ so the first observation sets it.
 impl Default for OnlineStats {
     fn default() -> Self {
         Self::new()
@@ -39,30 +37,21 @@ impl OnlineStats {
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Arithmetic mean (0 when empty).
@@ -108,15 +97,6 @@ impl OnlineStats {
             None
         } else {
             Some(self.min)
-        }
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.max)
         }
     }
 }
@@ -262,16 +242,6 @@ impl TableBuilder {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self
@@ -325,8 +295,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -347,15 +315,10 @@ mod tests {
         assert_eq!(default.count(), new.count());
         assert_eq!(default.mean(), new.mean());
         assert_eq!(default.min(), new.min());
-        assert_eq!(default.max(), new.max());
         let mut s = OnlineStats::default();
         s.push(5.0);
         s.push(7.0);
         assert_eq!(s.min(), Some(5.0));
-        assert_eq!(s.max(), Some(7.0));
-        let mut negative = OnlineStats::default();
-        negative.push(-3.0);
-        assert_eq!(negative.max(), Some(-3.0));
     }
 
     #[test]
@@ -398,7 +361,5 @@ mod tests {
         assert!(out.contains("Table 1"));
         assert!(out.contains("Our System"));
         assert!(out.lines().count() >= 4);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 }

@@ -10,7 +10,7 @@
 //! numbers.
 
 use peerstripe_sim::dist::{Distribution, TruncatedNormal};
-use peerstripe_sim::{ByteSize, DetRng, OnlineStats};
+use peerstripe_sim::{ByteSize, DetRng};
 
 /// One file in a workload trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,23 +100,6 @@ pub struct Trace {
     pub files: Vec<FileRecord>,
 }
 
-/// Aggregate statistics of a trace, for comparison with the paper's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceStats {
-    /// Number of files.
-    pub count: usize,
-    /// Total bytes across all files.
-    pub total: ByteSize,
-    /// Mean file size.
-    pub mean: ByteSize,
-    /// Standard deviation of file size.
-    pub std_dev: ByteSize,
-    /// Smallest file.
-    pub min: ByteSize,
-    /// Largest file.
-    pub max: ByteSize,
-}
-
 impl Trace {
     /// Number of files in the trace.
     pub fn len(&self) -> usize {
@@ -132,47 +115,28 @@ impl Trace {
     pub fn total_size(&self) -> ByteSize {
         self.files.iter().map(|f| f.size).sum()
     }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> TraceStats {
-        let mut acc = OnlineStats::new();
-        for f in &self.files {
-            acc.push(f.size.as_u64() as f64);
-        }
-        TraceStats {
-            count: self.files.len(),
-            total: self.total_size(),
-            mean: ByteSize::bytes(acc.mean().round() as u64),
-            std_dev: ByteSize::bytes(acc.std_dev().round() as u64),
-            min: ByteSize::bytes(acc.min().unwrap_or(0.0) as u64),
-            max: ByteSize::bytes(acc.max().unwrap_or(0.0) as u64),
-        }
-    }
-
-    /// The first `n` files (prefix workload), cloned.
-    pub fn take(&self, n: usize) -> Trace {
-        Trace {
-            files: self.files.iter().take(n).cloned().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peerstripe_sim::OnlineStats;
 
     #[test]
     fn generated_trace_matches_paper_statistics() {
         // 20 000 files keep the test fast while pinning the distribution.
         let trace = TraceConfig::scaled(20_000).generate(7);
-        let stats = trace.stats();
-        assert_eq!(stats.count, 20_000);
-        let mean_mb = stats.mean.as_mb();
-        let sd_mb = stats.std_dev.as_mb();
+        assert_eq!(trace.len(), 20_000);
+        let mut stats = OnlineStats::new();
+        for f in &trace.files {
+            stats.push(f.size.as_u64() as f64);
+        }
+        let mb = ByteSize::mb(1).as_u64() as f64;
+        let (mean_mb, sd_mb) = (stats.mean() / mb, stats.std_dev() / mb);
         assert!((mean_mb - 243.0).abs() < 5.0, "mean {mean_mb} MB");
         assert!((sd_mb - 55.0).abs() < 5.0, "sd {sd_mb} MB");
-        assert!(stats.min >= ByteSize::mb(50));
-        assert!(stats.max <= ByteSize::gb(2));
+        assert!(stats.min() >= Some(ByteSize::mb(50).as_u64() as f64));
+        assert!(trace.files.iter().all(|f| f.size <= ByteSize::gb(2)));
     }
 
     #[test]
@@ -206,19 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn take_is_a_prefix() {
-        let trace = TraceConfig::scaled(3).generate(5);
-        let prefix = trace.take(2);
-        assert_eq!(prefix.files[..], trace.files[..2]);
-        assert_eq!(trace.take(100).len(), 3);
-    }
-
-    #[test]
-    fn empty_trace_stats() {
+    fn empty_trace() {
         let t = Trace::default();
         assert!(t.is_empty());
-        let s = t.stats();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.total, ByteSize::ZERO);
+        assert_eq!(t.total_size(), ByteSize::ZERO);
     }
 }

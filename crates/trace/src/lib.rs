@@ -20,5 +20,5 @@ pub mod filetrace;
 pub mod sessions;
 
 pub use capacity::{total_capacity, CapacityModel};
-pub use filetrace::{FileRecord, Trace, TraceConfig, TraceStats};
+pub use filetrace::{FileRecord, Trace, TraceConfig};
 pub use sessions::SessionTrace;

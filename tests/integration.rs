@@ -208,21 +208,24 @@ fn every_system_places_exactly_the_bytes_its_cluster_holds() {
     let mut past = Past::new(build());
     let mut cfs = Cfs::new(build(), 8);
     let mut ours = PeerStripe::new(build(), PeerStripeConfig::default());
-    for system in [&mut past as &mut dyn StorageSystem, &mut cfs, &mut ours] {
+    let systems = [
+        ("PAST", &mut past as &mut dyn StorageSystem),
+        ("CFS", &mut cfs),
+        ("PeerStripe", &mut ours),
+    ];
+    for (label, system) in systems {
         for file in &trace.files {
             let _ = system.store_file(file);
             assert_eq!(
                 system.cluster().total_used(),
                 system.metrics().bytes_placed,
-                "{} after {}",
-                system.name(),
+                "{label} after {}",
                 file.name
             );
         }
         assert!(
             system.metrics().files_failed > 0,
-            "{} never refused a store",
-            system.name()
+            "{label} never refused a store"
         );
     }
 }

@@ -252,29 +252,9 @@ proptest! {
 
     // ---- naming --------------------------------------------------------------
 
-    /// Object names render/parse round-trip for any file name without the
-    /// reserved separators, non-ASCII ones included.
-    #[test]
-    fn object_names_round_trip(
-        file in "[a-zA-Zé λ][a-zA-Z0-9.é λ-]{0,24}",
-        chunk in 0u32..10_000,
-        ecb in 0u32..10_000,
-    ) {
-        let names = [
-            ObjectName::chunk(file.as_str(), chunk),
-            ObjectName::block(file.as_str(), chunk, ecb),
-            ObjectName::cat(file.as_str()),
-            ObjectName::whole_file(file.as_str(), ecb),
-        ];
-        for n in names {
-            prop_assert_eq!(ObjectName::parse(&n.render()), Some(n));
-        }
-    }
-
     /// A name built from a shared `Arc<str>` is the name built from the same
     /// `&str`, whatever the file name (non-ASCII, reserved separators, a
-    /// `_<digits>` suffix): equal, hashed, keyed and rendered alike, and
-    /// parsed back exactly when the `&str` one is.
+    /// `_<digits>` suffix): equal, hashed, keyed and rendered alike.
     #[test]
     fn shared_and_borrowed_file_names_make_the_same_object_name(
         file in "[a-zA-Z0-9_.#é λ-]{0,12}_?[0-9]{0,3}",
@@ -298,9 +278,6 @@ proptest! {
             prop_assert_eq!(from_arc.render(), from_str.render());
             prop_assert_eq!(from_arc.to_string(), from_str.to_string());
             prop_assert_eq!(from_arc.key(), Id::hash(&from_str.render()));
-            let parsed = ObjectName::parse(&from_arc.render());
-            prop_assert_eq!(&parsed, &ObjectName::parse(&from_str.render()));
-            prop_assert_eq!(parsed == Some(from_arc.clone()), parsed == Some(from_str));
         }
     }
 
@@ -1059,7 +1036,7 @@ proptest! {
                 2 => {
                     // To the last byte: a full node reports zero (no
                     // store-path target) yet still has room for nothing.
-                    let size = cluster.node(node).free();
+                    let size = cluster.report_of(node);
                     if cluster.reserve(node, size).is_ok() {
                         reserved.push((node, size));
                     }
@@ -1304,36 +1281,6 @@ impl RingModel {
         result
     }
 
-    /// `(clockwise, counter-clockwise)`: each side walks neighbour by
-    /// neighbour and stops at the owner or at a member already taken.
-    fn leaf_set(&self, id: Id, l: usize) -> (Vec<Member>, Vec<Member>) {
-        let mut cw: Vec<Member> = Vec::new();
-        let mut cursor = id;
-        for _ in 0..l / 2 {
-            match self.next_clockwise(cursor) {
-                Some((next, node)) if next != id && !cw.iter().any(|(i, _)| *i == next) => {
-                    cw.push((next, node));
-                    cursor = next;
-                }
-                _ => break,
-            }
-        }
-        let mut ccw: Vec<Member> = Vec::new();
-        cursor = id;
-        for _ in 0..l / 2 {
-            match self.next_counter_clockwise(cursor) {
-                Some((next, node))
-                    if next != id && !ccw.iter().chain(&cw).any(|(i, _)| *i == next) =>
-                {
-                    ccw.push((next, node));
-                    cursor = next;
-                }
-                _ => break,
-            }
-        }
-        (cw, ccw)
-    }
-
     /// `(failed, predecessor, successor)`.
     fn takeover(&self, failed: Id) -> Option<(Id, Member, Member)> {
         if !self.0.contains_key(&failed) || self.0.len() < 2 {
@@ -1359,11 +1306,6 @@ fn assert_ring_is_model(ring: &IdRing, model: &RingModel, pool: &[Id], keys: &[I
             model.0.contains_key(&key),
             "{at}: contains {key:?}"
         );
-        assert_eq!(
-            ring.get(key),
-            model.0.get(&key).copied(),
-            "{at}: get {key:?}"
-        );
         assert_eq!(ring.route(key), model.route(key), "{at}: route {key:?}");
         assert_eq!(
             ring.successor(key),
@@ -1380,16 +1322,6 @@ fn assert_ring_is_model(ring: &IdRing, model: &RingModel, pool: &[Id], keys: &[I
             model.next_clockwise(key),
             "{at}: cw {key:?}"
         );
-        for l in [1, 2, 5, 2 * ring.len() + 4] {
-            let leaves = ring.leaf_set(key, l);
-            assert_eq!(leaves.owner, key, "{at}: leaf_set owner");
-            let (cw, ccw) = model.leaf_set(key, l);
-            assert_eq!(leaves.clockwise, cw, "{at}: leaf_set {key:?} {l} clockwise");
-            assert_eq!(
-                leaves.counter_clockwise, ccw,
-                "{at}: leaf_set {key:?} {l} counter-clockwise"
-            );
-        }
         // Removing a member hands its range to the neighbours the ring named
         // before the removal; removing anything else changes nothing.
         let mut after = ring.clone();
@@ -1627,7 +1559,6 @@ proptest! {
             prop_assert_eq!(&popped, &want, "round {}, deadline {:?}", round, deadline);
             prop_assert_eq!(ran as usize, popped.len());
             prop_assert_eq!(queue.now(), model.now);
-            prop_assert_eq!(queue.len(), model.pending.len());
             let first = model.pending.iter().min().map(|&(t, _)| t);
             prop_assert_eq!(queue.peek_time(), first);
         }
@@ -1635,7 +1566,7 @@ proptest! {
         queue.run_until(SimTime(u64::MAX), |_, t, e| rest.push((t, e)));
         model.pending.sort_unstable();
         prop_assert_eq!(rest, model.pending);
-        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.peek_time(), None);
     }
 
     /// The same order with thousands of events pending (a 4-ary heap six or
@@ -1661,8 +1592,7 @@ proptest! {
             for _ in 0..rng.index(3) {
                 schedule_deep(&mut queue, &mut model, &mut next, deep_delay(&mut rng));
             }
-            prop_assert_eq!(queue.len(), model.len(), "hold {}", hold);
-            prop_assert_eq!(queue.peek_time(), model.first().map(|&(t, _)| t));
+            prop_assert_eq!(queue.peek_time(), model.first().map(|&(t, _)| t), "hold {}", hold);
         }
         while let Some(want) = model.pop_first() {
             prop_assert_eq!(queue.pop(), Some(want));
@@ -1671,7 +1601,7 @@ proptest! {
                 schedule_deep(&mut queue, &mut model, &mut next, deep_delay(&mut rng));
             }
         }
-        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.pop(), None);
         prop_assert_eq!(queue.processed(), next);
     }
 }

@@ -544,13 +544,9 @@ fn a_repair_reads_a_damaged_chunk_once() {
     assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
 }
 
-/// Objects held by the live nodes of the nine.
-fn live_objects(ps: &PeerStripe<Probe>) -> u64 {
-    let cluster = &ps.backend().inner;
-    (0..9)
-        .filter(|&n| cluster.is_alive(n))
-        .map(|n| cluster.node(n).object_count())
-        .sum()
+/// Bytes held by the live nodes.
+fn live_bytes(ps: &PeerStripe<Probe>) -> ByteSize {
+    ps.backend().inner.total_used()
 }
 
 #[test]
@@ -575,14 +571,14 @@ fn a_repair_that_cannot_rebuild_says_so_and_stores_nothing() {
     let takeover = ps.backend_mut().inner.fail_node(victim).unwrap();
     ps.backend_mut().lost = BTreeSet::from([refusing.name.key()]);
     ps.backend_mut().payloads_only = true;
-    let objects = live_objects(&ps);
+    let bytes = live_bytes(&ps);
     let report = ps.handle_node_failure(victim, &takeover);
     // The stuck chunk: counted once although two of its blocks were due,
     // nothing stored for it, its manifest entry untouched.  The others:
     // repaired as ever.
     assert_eq!(report.blocks_regenerated, lost - 2);
     assert_eq!((report.chunks_lost, report.bytes_lost), (1, stuck.size));
-    assert_eq!(live_objects(&ps), objects + report.blocks_regenerated);
+    assert_eq!(live_bytes(&ps), bytes + report.bytes_regenerated);
     let placed = |c: &ChunkPlacement| -> Vec<(ObjectName, NodeRef, ByteSize)> {
         let blocks = c.blocks.iter();
         blocks.map(|b| (b.name.clone(), b.node, b.size)).collect()
@@ -607,10 +603,10 @@ fn a_repair_that_cannot_rebuild_says_so_and_stores_nothing() {
         last = Some((node, ps.backend_mut().inner.fail_node(node).unwrap()));
     }
     let (node, takeover) = last.expect("three holders");
-    let objects = live_objects(&ps);
+    let bytes = live_bytes(&ps);
     let report = ps.handle_node_failure(node, &takeover);
     assert!(report.chunks_lost >= 1 && report.bytes_lost >= stuck.size);
-    assert_eq!(live_objects(&ps), objects + report.blocks_regenerated);
+    assert_eq!(live_bytes(&ps), bytes + report.bytes_regenerated);
     assert!(entry(&ps).iter().any(|&(_, at, _)| at == node));
 }
 
