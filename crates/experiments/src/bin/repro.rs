@@ -1,13 +1,13 @@
 //! `repro` — regenerate the paper's tables and figures from the command line.
 //!
 //! ```text
-//! repro <experiment> [--scale small|medium|paper] [--seed N]
+//! repro <experiment>... [--scale small|medium|paper] [--seed N]
 //! repro bench-snapshot [--out DIR] [--scale small|medium|paper] [--seed N]
 //! repro trace [--scenario NAME] [--scale ...] [--seed N] [--out DIR]
 //! repro trace-summary FILE [--format text|json]
 //!
 //! experiments (`cli::DRIVERS` is their one list; `repro --help` prints it):
-//!   <section>               one section of one driver
+//!   <section>...            named sections, each driver run once
 //!   all                     every driver once, in table order
 //!
 //! tooling:
@@ -21,12 +21,14 @@
 //!                           and each phase's RPCs and daemon contents
 //! ```
 
-use peerstripe_experiments::cli::{self, run_experiment_with};
+use peerstripe_experiments::cli::{self, run_experiments_with};
 use peerstripe_experiments::Scale;
 use std::io::Write as _;
 
 struct Args {
     experiment: String,
+    /// `repro <section> <section>...`: the sections after the first.
+    more: Vec<String>,
     scale: Scale,
     seed: u64,
     /// `--format json` (`repro ring`, `repro trace-summary`)
@@ -43,6 +45,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut experiment: Option<String> = None;
+    let mut more = Vec::new();
     let mut scale = Scale::Medium;
     let mut seed = 42u64;
     let mut json = false;
@@ -82,11 +85,15 @@ fn parse_args() -> Result<Args, String> {
             other if experiment.as_deref() == Some("trace-summary") && path.is_none() => {
                 path = Some(std::path::PathBuf::from(other));
             }
+            other if experiment.as_deref().is_some_and(cli::is_experiment) => {
+                more.push(other.to_string());
+            }
             other => return Err(format!("unexpected argument '{other}'\n{}", cli::usage())),
         }
     }
     Ok(Args {
         experiment: experiment.unwrap_or_else(|| "all".to_string()),
+        more,
         scale,
         seed,
         json,
@@ -345,16 +352,19 @@ fn main() {
         "ring" => run_ring(&args),
         _ => {}
     }
-    if !cli::is_experiment(&args.experiment) {
-        eprintln!("unknown experiment '{}'\n{}", args.experiment, cli::usage());
+    let experiments: Vec<&str> = std::iter::once(&args.experiment)
+        .chain(&args.more)
+        .map(String::as_str)
+        .collect();
+    if let Some(unknown) = experiments.iter().find(|exp| !cli::is_experiment(exp)) {
+        eprintln!("unknown experiment '{unknown}'\n{}", cli::usage());
         std::process::exit(2);
     }
-    print!("{}", cli::header(&args.experiment, args.scale, args.seed));
     // Stream each driver's sections as it finishes (an `all --scale paper`
     // run takes hours; buffering would hide every result until the end).
     let mut emit = |section: &str| {
         print!("{section}");
         let _ = std::io::stdout().flush();
     };
-    run_experiment_with(&args.experiment, args.scale, args.seed, &mut emit);
+    run_experiments_with(&experiments, args.scale, args.seed, &mut emit);
 }

@@ -156,7 +156,7 @@ pub fn usage() -> String {
     let scale = "[--scale small|medium|paper] [--seed N]";
     let scenarios = crate::trace_cmd::SCENARIOS.join("|");
     let forms = [
-        format!("<experiment|all> {scale}"),
+        format!("<experiment...|all> {scale}"),
         format!("bench-snapshot [--out DIR] {scale} [--check]"),
         format!("trace [--scenario <{scenarios}>] {scale} [--out DIR]"),
         "trace-summary FILE [--format text|json]".to_string(),
@@ -184,11 +184,32 @@ pub fn header(exp: &str, scale: Scale, seed: u64) -> String {
     format!("# PeerStripe reproduction — experiment '{exp}' at scale '{scale}' (seed {seed})\n\n")
 }
 
-/// Run the named experiment (or `all`, every driver once), handing each
-/// finished driver's output to `emit` as soon as it is ready — so an
-/// hours-long `all --scale paper` run streams its reports incrementally
-/// instead of buffering them to the end.  An unknown name emits nothing.
-pub fn run_experiment_with(exp: &str, scale: Scale, seed: u64, emit: &mut dyn FnMut(&str)) {
+/// Run the named experiments in order, handing `emit` each one's
+/// [`header`] and then its output, each driver's as soon as it finishes — so
+/// an hours-long `all --scale paper` run streams its reports incrementally
+/// instead of buffering them to the end.  A name is a section or `all`
+/// (every driver once); a driver that renders several of the named sections
+/// runs once, so `repro fig7 fig8` prints what `repro fig7` and `repro fig8`
+/// print, for one store comparison.  An unknown name emits nothing.
+pub fn run_experiments_with(exps: &[&str], scale: Scale, seed: u64, emit: &mut dyn FnMut(&str)) {
+    let mut runs = Vec::new();
+    for &exp in exps {
+        if is_experiment(exp) {
+            emit(&header(exp, scale, seed));
+            report(exp, scale, seed, &mut runs, emit);
+        }
+    }
+}
+
+/// Emit experiment `exp`'s output, reusing a driver run from `runs` or
+/// adding one to it.
+fn report(
+    exp: &str,
+    scale: Scale,
+    seed: u64,
+    runs: &mut Vec<(&'static Driver, Rendered)>,
+    emit: &mut dyn FnMut(&str),
+) {
     if exp == "all" {
         for driver in DRIVERS {
             let rendered = (driver.run)(scale, seed);
@@ -198,17 +219,24 @@ pub fn run_experiment_with(exp: &str, scale: Scale, seed: u64, emit: &mut dyn Fn
             }
         }
     } else if let Some((driver, at)) = find(exp) {
-        emit(&(driver.run)(scale, seed).sections[at]);
+        let run = match runs.iter().position(|(ran, _)| std::ptr::eq(*ran, driver)) {
+            Some(run) => run,
+            None => {
+                runs.push((driver, (driver.run)(scale, seed)));
+                runs.len() - 1
+            }
+        };
+        emit(&runs[run].1.sections[at]);
     }
 }
 
-/// Run the named experiment (or `all`) and return its full rendered report,
-/// or `None` when the name is unknown.  Buffered convenience wrapper around
-/// [`run_experiment_with`] for tests and library callers.
+/// Run the named experiment (or `all`) and return its full rendered report
+/// without the header, or `None` when the name is unknown.  The buffered
+/// entry point for tests and library callers.
 pub fn run_experiment(exp: &str, scale: Scale, seed: u64) -> Option<String> {
     is_experiment(exp).then(|| {
         let mut out = String::new();
-        run_experiment_with(exp, scale, seed, &mut |s| out.push_str(s));
+        report(exp, scale, seed, &mut Vec::new(), &mut |s| out.push_str(s));
         out
     })
 }
@@ -221,5 +249,19 @@ mod tests {
     fn unknown_experiment_is_rejected() {
         assert!(!is_experiment("bogus"));
         assert!(run_experiment("bogus", Scale::Small, 1).is_none());
+    }
+
+    #[test]
+    fn several_sections_print_what_each_prints_alone() {
+        let names = ["table4", "fig12", "table4"];
+        let mut together = String::new();
+        run_experiments_with(&names, Scale::Small, 42, &mut |s| together.push_str(s));
+        let alone: String = names
+            .iter()
+            .map(|name| {
+                header(name, Scale::Small, 42) + &run_experiment(name, Scale::Small, 42).unwrap()
+            })
+            .collect();
+        assert_eq!(together, alone);
     }
 }

@@ -71,6 +71,10 @@ pub struct SystemRun {
     pub final_failed_bytes_pct: f64,
     /// Final utilization percentage.
     pub final_utilization_pct: f64,
+    /// Routed lookups the system charged its overlay over the whole sweep:
+    /// a deterministic count of its placement work (CFS charges one per
+    /// block placement attempt).
+    pub lookups: u64,
 }
 
 /// The full result of the insertion comparison.
@@ -232,6 +236,7 @@ pub fn run_single_system(kind: SystemKind, config: &StoreSimConfig, trace: &Trac
         final_failed_pct: m.failed_store_pct(),
         final_failed_bytes_pct: m.failed_bytes_pct(),
         final_utilization_pct: system.utilization() * 100.0,
+        lookups: system.cluster().overlay().stats().lookups,
         chunk_count_mean: m.mean_chunks_per_file(),
         chunk_count_sd: m.sd_chunks_per_file(),
         chunk_size_mean: m.mean_chunk_size(),

@@ -8,8 +8,9 @@
 //!
 //! * [`id::Id`] — the circular identifier space and hashing;
 //! * [`ring::IdRing`] — the live-membership ring, a sorted id table with
-//!   liveness marks: key-to-node routing (numerically closest live id),
-//!   replica-set and failure-takeover queries;
+//!   liveness marks and a radix index that finds a key's slot in one read:
+//!   key-to-node routing (numerically closest live id), replica-set and
+//!   failure-takeover queries;
 //! * [`node`] — participants with synthetic network coordinates (the proximity
 //!   metric behind Pastry's locality properties);
 //! * [`network::OverlaySim`] — the node-population simulator with join/failure

@@ -15,14 +15,21 @@
 //! The ring is one sorted table: every id ever inserted, beside its
 //! [`NodeRef`] and a liveness mark.  Removing a node clears its mark and
 //! re-inserting a known id sets it again, which is all churn does: a
-//! simulated node rejoins with its old id.  The costs, with `n` slots:
+//! simulated node rejoins with its old id.
 //!
-//! * a query is one binary search plus a walk over the dead slots next to
-//!   the key;
-//! * `remove_with_takeover` is one binary search plus the walks from the
-//!   failed slot to its nearest live neighbour on either side;
-//! * re-inserting a known id is one binary search;
-//! * inserting a new id is an O(n) shift; [`IdRing::from_members`] is one sort.
+//! A radix index over the sorted ids finds a key's slot.  With `n` slots it
+//! has 2^⌈log₂ n⌉ + 1 entries; entry `j` is the first slot whose id's top
+//! ⌈log₂ n⌉ bits are at least `j`.  Node ids are uniform, so the slots
+//! between entries `j` and `j + 1` hold about one id, and a search reads two
+//! entries and compares the key with the ids between them.  The costs:
+//!
+//! * a query is one index read plus a walk over the dead slots next to the
+//!   key;
+//! * `remove_with_takeover` is one index read plus the walks from the failed
+//!   slot to its nearest live neighbour on either side;
+//! * re-inserting a known id is one index read;
+//! * inserting a new id is an O(n) shift and an O(n) rebuild of the index;
+//!   [`IdRing::from_members`] is one sort and one build.
 //!
 //! Dead slots are never compacted: no workload removes most of a ring, and
 //! the networked gateway's ring of a few daemons only shrinks.
@@ -43,6 +50,12 @@ pub struct IdRing {
     live: Vec<bool>,
     /// The number of `true` marks in `live`.
     len: usize,
+    /// The radix index over `ids`: entry `j` is the first slot whose id's
+    /// top `bits` bits are at least `j`, and the last entry is `ids.len()`.
+    /// Slot numbers fit in a `u32`: no ring holds 2^32 ids.
+    starts: Vec<u32>,
+    /// ⌈log₂ ids.len()⌉: the number of leading id bits `starts` indexes.
+    bits: u32,
 }
 
 impl IdRing {
@@ -58,12 +71,43 @@ impl IdRing {
         if members.windows(2).any(|w| w[0].0 == w[1].0) {
             return None;
         }
-        Some(IdRing {
+        let mut ring = IdRing {
             ids: members.iter().map(|&(id, _)| id).collect(),
             nodes: members.iter().map(|&(_, node)| node).collect(),
             live: vec![true; members.len()],
             len: members.len(),
-        })
+            starts: Vec::new(),
+            bits: 0,
+        };
+        ring.index();
+        Some(ring)
+    }
+
+    /// Rebuild `starts` for the current `ids`: count the ids of each bucket
+    /// into the entry after it, then sum the counts up.  Both passes are
+    /// branch-free.
+    fn index(&mut self) {
+        self.bits = self.ids.len().next_power_of_two().trailing_zeros();
+        self.starts.clear();
+        self.starts.resize((1 << self.bits) + 1, 0);
+        for &id in &self.ids {
+            self.starts[bucket(id, self.bits) + 1] += 1;
+        }
+        for j in 1..self.starts.len() {
+            self.starts[j] += self.starts[j - 1];
+        }
+    }
+
+    /// The first slot of `key`'s bucket, and the slots of that bucket: every
+    /// slot before them holds an id below `key`, and every slot after them
+    /// one above it.
+    fn bucket_of(&self, key: Id) -> (usize, &[Id]) {
+        let j = bucket(key, self.bits);
+        // An empty ring's index is empty.
+        let (Some(&lo), Some(&hi)) = (self.starts.get(j), self.starts.get(j + 1)) else {
+            return (0, &[]);
+        };
+        (lo as usize, &self.ids[lo as usize..hi as usize])
     }
 
     /// Number of live members.
@@ -78,20 +122,28 @@ impl IdRing {
 
     /// The number of slots whose id is below `key`.
     fn below(&self, key: Id) -> usize {
-        self.ids.partition_point(|&id| id < key)
+        let (lo, bucket) = self.bucket_of(key);
+        lo + bucket.partition_point(|&id| id < key)
     }
 
     /// The number of slots whose id is at most `key`.
     fn up_to(&self, key: Id) -> usize {
-        self.ids.partition_point(|&id| id <= key)
+        let (lo, bucket) = self.bucket_of(key);
+        lo + bucket.partition_point(|&id| id <= key)
+    }
+
+    /// The slot of `id` if it has one, else the slot it would be inserted at.
+    fn search(&self, id: Id) -> Result<usize, usize> {
+        let (lo, bucket) = self.bucket_of(id);
+        bucket
+            .binary_search(&id)
+            .map(|slot| lo + slot)
+            .map_err(|slot| lo + slot)
     }
 
     /// The slot of a live member `id`.
     fn live_slot(&self, id: Id) -> Option<usize> {
-        self.ids
-            .binary_search(&id)
-            .ok()
-            .filter(|&slot| self.live[slot])
+        self.search(id).ok().filter(|&slot| self.live[slot])
     }
 
     /// Live members clockwise from slot `from` on (wrapping), each once.
@@ -115,7 +167,7 @@ impl IdRing {
     /// Insert a node. Returns `false` (and leaves the ring unchanged) if the id
     /// is already present — node ids must be unique.
     pub fn insert(&mut self, id: Id, node: NodeRef) -> bool {
-        match self.ids.binary_search(&id) {
+        match self.search(id) {
             Ok(slot) if self.live[slot] => return false,
             Ok(slot) => {
                 self.nodes[slot] = node;
@@ -125,6 +177,7 @@ impl IdRing {
                 self.ids.insert(slot, id);
                 self.nodes.insert(slot, node);
                 self.live.insert(slot, true);
+                self.index();
             }
         }
         self.len += 1;
@@ -140,7 +193,7 @@ impl IdRing {
     /// (up to the old midpoint with the predecessor) now map to the
     /// predecessor, keys clockwise map to the successor.  The [`Takeover`]
     /// describes both inheritors; they are the nodes that must regenerate the
-    /// failed node's lost blocks.  One binary search finds the slot: both
+    /// failed node's lost blocks.  One index read finds the slot: both
     /// walks start beside it and would reach it last, so with another member
     /// live neither does.
     pub fn remove_with_takeover(&mut self, failed: Id) -> Option<(NodeRef, Option<Takeover>)> {
@@ -230,6 +283,14 @@ impl IdRing {
             .next()
             .filter(|_| self.len > 1)
     }
+}
+
+/// The bucket of `id` in an index over its top `bits` bits (at most 64).
+fn bucket(id: Id, bits: u32) -> usize {
+    // Shifting the top half right by 64 - bits keeps its top `bits` bits;
+    // with no bits the shift would be 64, out of range, and every id is in
+    // bucket 0.
+    ((id.0 >> 64) as u64).checked_shr(64 - bits).unwrap_or(0) as usize
 }
 
 /// Result of a node failure: which neighbours inherit the failed node's key range.
@@ -426,6 +487,70 @@ mod tests {
             Some(true)
         );
         assert!(ring.is_empty());
+    }
+
+    /// Rings of 0 to 3 members index 0, 0, 1 and 2 leading bits.  Built in
+    /// one sort or joined id by id, each answers every query at its bucket
+    /// edges, and at and beside its members, as a scan of its members would.
+    #[test]
+    fn rings_of_up_to_three_members_index_their_buckets() {
+        let ids = [1 << 127, u128::MAX, 5];
+        let indexes: [(u32, &[u32]); 4] = [
+            (0, &[0, 0]),
+            (0, &[0, 1]),
+            (1, &[0, 0, 2]),
+            (2, &[0, 1, 1, 2, 3]),
+        ];
+        for (n, (bits, starts)) in indexes.into_iter().enumerate() {
+            let members: Vec<(Id, NodeRef)> = ids[..n].iter().map(|&v| Id(v)).zip(0..).collect();
+            let built = IdRing::from_members(members.clone()).unwrap();
+            assert_eq!(
+                (built.bits, &built.starts[..]),
+                (bits, starts),
+                "{n} members"
+            );
+            let joined = ring_with(&ids[..n]);
+            if n > 0 {
+                assert_eq!(
+                    (joined.bits, &joined.starts[..]),
+                    (bits, starts),
+                    "{n} joined"
+                );
+            }
+            let mut sorted = members;
+            sorted.sort_unstable();
+            let successor = |key: Id| sorted.iter().find(|m| m.0 >= key).or(sorted.first());
+            let predecessor = |key: Id| sorted.iter().rev().find(|m| m.0 < key).or(sorted.last());
+            let mut keys = vec![0, u128::MAX];
+            for j in 0..1u128 << bits {
+                let edge = j.checked_shl(128 - bits).unwrap_or(0);
+                keys.extend([edge, edge.wrapping_sub(1)]);
+            }
+            for &v in &ids[..n] {
+                keys.extend([v.wrapping_sub(1), v, v.wrapping_add(1)]);
+            }
+            for ring in [&built, &joined] {
+                for key in keys.iter().map(|&v| Id(v)) {
+                    let route = successor(key).zip(predecessor(key)).map(|(s, p)| {
+                        if key.distance(s.0) <= key.distance(p.0) {
+                            *s
+                        } else {
+                            *p
+                        }
+                    });
+                    let next = sorted.iter().find(|m| m.0 > key).or(sorted.first());
+                    assert_eq!(ring.contains(key), sorted.iter().any(|m| m.0 == key));
+                    assert_eq!(ring.successor(key), successor(key).copied(), "{key:?}");
+                    assert_eq!(ring.predecessor(key), predecessor(key).copied(), "{key:?}");
+                    assert_eq!(ring.route(key), route, "{n} members: route {key:?}");
+                    assert_eq!(
+                        ring.next_clockwise(key),
+                        next.copied().filter(|_| n > 1),
+                        "{key:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

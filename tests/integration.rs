@@ -337,3 +337,17 @@ fn every_block_sent_over_the_wire_holds_its_packed_codec_row() {
     );
     assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
 }
+
+/// CFS's placement work in the small-scale, seed-42 store comparison, as an
+/// exact count: every block placement attempt (each salt of each 4 MB block)
+/// charges one routed lookup, so the count is what CFS's Figure 7 curve
+/// cost.  A count does not flake the way a timing does: a change to the
+/// overlay's search may make an attempt cheaper, never add or drop one.
+#[test]
+fn cfs_placement_attempts_are_pinned_at_small_scale() {
+    use peerstripe::experiments::storesim::{run_store_comparison, StoreSimConfig, SystemKind};
+    use peerstripe::experiments::Scale;
+
+    let cmp = run_store_comparison(&StoreSimConfig::at_scale(Scale::Small, 42));
+    assert_eq!(cmp.run(SystemKind::Cfs).lookups, 2_532_659, "CFS lookups");
+}

@@ -1376,29 +1376,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `IdRing` answers every query exactly as the `BTreeMap` model after each
-    /// insert, remove and re-insert of a churned id pool.  Each case then
-    /// kills the whole pool but one member, passing through rings at least
-    /// 90 % dead and rings of two and one, and brings some of it back under
-    /// new node refs.  At every step, removing each key from a copy of the
-    /// ring names the heirs the ring named before.
+    /// insert, remove and re-insert of a churned id pool.  Half the cases
+    /// start from an empty ring, the other half from one built in one sort
+    /// over at most half the pool, so its radix index is built whole and then
+    /// outgrows a power of two under churn.  Each case then kills the whole
+    /// pool but one member, passing through rings at least 90 % dead and
+    /// rings of two and one, and brings some of it back under new node refs.
+    /// At every step, removing each key from a copy of the ring names the
+    /// heirs the ring named before.  The keys include the first id of a
+    /// bucket and the id below it for each index width up to 6 bits.
     #[test]
     fn the_ring_is_its_model_under_churn(
         pool_size in 1usize..40,
         seed in any::<u64>(),
         steps in 1usize..60,
         kill_bias in 0usize..4,
+        built in any::<bool>(),
     ) {
         let mut rng = DetRng::new(seed);
         let mut pool: Vec<Id> = (0..pool_size).map(|_| ring_id(&mut rng)).collect();
         pool.sort_unstable();
         pool.dedup();
-        // Random keys, and member ids (which may die and come back).
+        // Random keys, member ids (which may die and come back), and a bucket
+        // edge of each index width.
         let mut keys: Vec<Id> = (0..4).map(|_| ring_id(&mut rng)).collect();
         keys.extend((0..3).map(|_| pool[rng.index(pool.len())]));
-        let (mut ring, mut model) = (IdRing::new(), RingModel::default());
-        let remove = |ring: &mut IdRing, id| ring.remove_with_takeover(id).map(|(node, _)| node);
+        for bits in 1..=6u32 {
+            let edge = (rng.index(1 << bits) as u128) << (128 - bits);
+            keys.extend([Id(edge), Id(edge.wrapping_sub(1))]);
+        }
         let mut next_node = 0;
-        assert_ring_is_model(&ring, &model, &pool, &keys, "empty");
+        let mut members = Vec::new();
+        if built {
+            for &id in &pool {
+                if members.len() < pool.len() / 2 && rng.index(2) == 0 {
+                    next_node += 1;
+                    members.push((id, next_node));
+                }
+            }
+            rng.shuffle(&mut members);
+        }
+        // Every id the ring has held: its slots, which size the index.
+        let mut held: BTreeSet<Id> = members.iter().map(|&(id, _)| id).collect();
+        let mut model = RingModel(members.iter().copied().collect());
+        let mut ring = if built {
+            IdRing::from_members(members).expect("pool ids are distinct")
+        } else {
+            IdRing::new()
+        };
+        let remove = |ring: &mut IdRing, id| ring.remove_with_takeover(id).map(|(node, _)| node);
+        assert_ring_is_model(&ring, &model, &pool, &keys, "start");
 
         for step in 0..steps {
             let id = pool[rng.index(pool.len())];
@@ -1407,6 +1434,7 @@ proptest! {
                 prop_assert_eq!(remove(&mut ring, id), model.0.remove(&id), "step {}: remove", step);
             } else {
                 next_node += 1;
+                held.insert(id);
                 prop_assert_eq!(
                     ring.insert(id, next_node),
                     model.insert(id, next_node),
@@ -1419,6 +1447,10 @@ proptest! {
         for &id in &pool {
             next_node += 1;
             prop_assert_eq!(ring.insert(id, next_node), model.insert(id, next_node));
+            // One slot past a power of two: the index just gained a bit.
+            if held.insert(id) && (held.len() - 1).is_power_of_two() {
+                assert_ring_is_model(&ring, &model, &pool, &keys, &format!("{} slots", held.len()));
+            }
         }
         assert_ring_is_model(&ring, &model, &pool, &keys, "full");
         let survivor = pool[rng.index(pool.len())];

@@ -28,12 +28,13 @@ fn the_ring_allocates_its_tables_and_results_only() {
     let keys: Vec<Id> = (0..1_000).map(|_| Id::random(&mut rng)).collect();
     let victims: Vec<usize> = (0..1_000).map(|_| rng.index(10_000)).collect();
 
-    // The node table, the members handed to the sort, and the ring's three
-    // columns (ids, nodes, liveness marks): five, at any size.
+    // The node table, the members handed to the sort, the ring's three
+    // columns (ids, nodes, liveness marks) and its radix index over the
+    // sorted ids: six, at any size.
     for n in [1_000, 10_000] {
         let mut rng = DetRng::new(42);
         let built = allocations(|| drop(black_box(OverlaySim::new(n, &mut rng))));
-        assert_eq!(built, 5, "OverlaySim::new at {n} nodes");
+        assert_eq!(built, 6, "OverlaySim::new at {n} nodes");
     }
 
     // Churn clears and sets liveness marks in place.
