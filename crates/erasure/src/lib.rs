@@ -26,9 +26,6 @@
 //! caller's chunk and writes the requested encoded rows into caller-owned
 //! buffers.  [`ErasureCode::encode`], [`ErasureCode::encode_rows`] and
 //! [`ErasureCode::reencode`] are provided wrappers that allocate the buffers.
-//!
-//! [`measure`] provides the timing/size harness behind Table 2, including
-//! decode timing from an exactly-minimal block subset.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,7 +33,6 @@
 pub mod code;
 pub mod gf256;
 pub mod matrix;
-pub mod measure;
 pub mod null;
 pub mod online;
 pub mod rs;
@@ -45,7 +41,6 @@ pub mod xor;
 pub use code::{DecodeError, EncodedBlock, ErasureCode};
 pub use gf256::{Gf256Kernel, PreparedCoeff};
 pub use matrix::GfMatrix;
-pub use measure::{measure_code, CodeCost};
 pub use null::NullCode;
 pub use online::OnlineCode;
 pub use rs::ReedSolomonCode;

@@ -7,18 +7,13 @@
 //! `wire_roundtrip` (the networked path's frame encode/decode) and
 //! `rs_encode` (in-place erasure-encode throughput, scalar vs `nibble64`
 //! kernel).  Each workload is defined here and nowhere else.  Every
-//! measurement is the best of a handful of short passes (`best_rate`) —
-//! good enough to catch an order-of-magnitude regression in seconds.  Numbers are machine-dependent by nature; the
-//! committed files record the machine-independent *shape* (events processed,
-//! verdict counts) next to the throughput observed when they were captured.
-//!
-//! Measuring elapsed wall time is this file's whole job, so it reads the host
-//! clock; nothing here feeds simulation results.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "perf snapshots measure wall time; nothing here feeds simulation results"
-)]
+//! measurement is the best of a handful of short passes (`clock::best_rate`)
+//! — good enough to catch an order-of-magnitude regression in seconds.
+//! Numbers are machine-dependent by nature; the committed files record the
+//! machine-independent *shape* (events processed, verdict counts) next to
+//! the throughput observed when they were captured.
 
+use crate::clock::best_rate;
 use crate::deployment::{Cell, Deployment};
 use crate::Scale;
 use peerstripe_core::{ClusterConfig, CodingPolicy, ObjectName};
@@ -39,12 +34,9 @@ use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Domain size of the detector snapshot's topology.
 const GROUP_SIZE: usize = 25;
-/// Timed passes per measurement; the best one is kept.
-const REPS: usize = 3;
 /// Seconds a pass keeps repeating a sub-millisecond operation.
 const PASS_SECS: f64 = 0.1;
 /// Pass length for an operation long enough to be timed on its own.
@@ -55,31 +47,6 @@ const BLOCKS_PER_CHUNK: usize = 8;
 const DOMAIN_CAP: usize = 4;
 /// Size of each block the placement snapshot's `store_chunk` rows commit.
 const BLOCK_SIZE: ByteSize = ByteSize::mb(8);
-
-/// The best rate of [`REPS`] timed passes, in work units per second.  Each
-/// pass takes a fresh `setup()` outside the clock, then calls `work` — which
-/// returns the units it completed — until `pass_secs` have elapsed.
-fn best_rate<S>(
-    pass_secs: f64,
-    mut setup: impl FnMut() -> S,
-    mut work: impl FnMut(&mut S) -> u64,
-) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..REPS {
-        let mut state = setup();
-        let started = Instant::now();
-        let mut units = 0u64;
-        let elapsed = loop {
-            units += work(&mut state);
-            let elapsed = started.elapsed().as_secs_f64();
-            if elapsed >= pass_secs {
-                break elapsed;
-            }
-        };
-        best = best.max(units as f64 / elapsed.max(1e-9));
-    }
-    best
-}
 
 /// Parameters of a snapshot run.
 #[derive(Debug, Clone)]
@@ -653,9 +620,10 @@ pub const CHECK_TOLERANCE: f64 = 0.5;
 /// `detector_decide`, `placement_decide`, `wire_roundtrip`, and `rs_encode`
 /// — and compare each against its `BENCH_*.json` under `dir`.  Rows without
 /// a committed baseline (e.g. the 200-node rows of a `--scale small` run
-/// against medium-scale baselines) are reported but skipped; any measured
-/// row below [`CHECK_TOLERANCE`] of its committed throughput fails the
-/// check.
+/// against medium-scale baselines) are reported but skipped, and so are the
+/// committed rows the run did not measure (at `--scale small`, those at
+/// each file's largest node count); any measured row below
+/// [`CHECK_TOLERANCE`] of its committed throughput fails the check.
 pub fn check_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<String, String> {
     check_against(dir, &measure_all(config)?, CHECK_TOLERANCE)
 }
@@ -673,8 +641,8 @@ fn measure_all(config: &BenchSnapshotConfig) -> Result<[BenchSnapshot; 5], Strin
 
 /// Compare measured snapshots against the committed `BENCH_<name>.json`
 /// files under `dir`: a row fails when it reaches less than `tolerance` of
-/// its committed throughput.  The per-row report, or the report plus every
-/// failing row.
+/// its committed throughput.  The per-row report, with each file's
+/// committed rows that `fresh` lacks, or the report plus every failing row.
 fn check_against(dir: &Path, fresh: &[BenchSnapshot], tolerance: f64) -> Result<String, String> {
     let mut report = String::new();
     let mut failures = Vec::new();
@@ -717,6 +685,19 @@ fn check_against(dir: &Path, fresh: &[BenchSnapshot], tolerance: f64) -> Result<
                     snapshot.name, row.id, ratio
                 ));
             }
+        }
+        let unmeasured: Vec<&str> = (committed.rows.iter())
+            .filter(|committed| snapshot.rows.iter().all(|row| row.id != committed.id))
+            .map(|committed| committed.id.as_str())
+            .collect();
+        if !unmeasured.is_empty() {
+            let _ = writeln!(
+                report,
+                "{}: {} committed rows not measured (not compared): {}",
+                snapshot.name,
+                unmeasured.len(),
+                unmeasured.join(", ")
+            );
         }
     }
     if failures.is_empty() {
@@ -928,6 +909,20 @@ mod tests {
         ] {
             assert!(report.contains(needle), "missing {needle}:\n{report}");
         }
+        assert!(!report.contains("not measured"), "{report}");
+
+        // A committed row the fresh run lacks is named, not compared.
+        let path = dir.join("BENCH_detector_decide.json");
+        let committed = std::fs::read_to_string(&path).unwrap().replace(
+            "\"rows\": [\n",
+            "\"rows\": [\n    { \"id\": \"decide/per-node/9_nodes\", \"work_units\": 1, \"per_sec\": 1.0 },\n",
+        );
+        std::fs::write(&path, committed).unwrap();
+        let report = check_against(&dir, &fresh, 0.0).unwrap();
+        assert!(
+            report.contains("detector_decide: 1 committed rows not measured (not compared): decide/per-node/9_nodes\n"),
+            "{report}"
+        );
 
         // Sabotage one committed baseline: an inflated committed throughput
         // must fail the check and name the regressed row.

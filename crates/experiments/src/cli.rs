@@ -1,10 +1,12 @@
-//! The `repro` experiments, as one table: [`DRIVERS`] lists every driver,
-//! the `repro` sections each renders and the paper artefact of each.
-//! `repro`'s dispatch, `repro all` and `repro --help` read it, and so do the
-//! tier-1 tests that pin each untimed section to its golden capture under
-//! `tests/golden/` and README's paper → code mapping to the table.
+//! The `repro` command line, as two tables.  [`DRIVERS`] lists every
+//! experiment driver, the `repro` sections each renders and the paper
+//! artefact of each; `repro all` reads it, and so do the tier-1 tests that
+//! pin each untimed section to its golden capture under `tests/golden/` and
+//! README's paper → code mapping to the table.  [`TOOLS`] lists `repro`'s
+//! other commands.  `repro`'s dispatch and `repro --help` read both.
 
 use crate::availability::{run_availability, run_regeneration, ChurnConfig};
+use crate::bench_snapshot::{check_snapshots, write_snapshots, BenchSnapshotConfig};
 use crate::coding::{run_rs_sweep, run_table2, CodingConfig, RsSweepConfig};
 use crate::condor::{run_table4, CondorConfig};
 use crate::multicast_fig::{run_ransub_sweep, run_spread, MulticastConfig};
@@ -15,8 +17,13 @@ use crate::report::{
     render_placement_sweep, render_repair_sweep, render_rs_sweep, render_table1, render_table2,
     render_table3, render_table4,
 };
+use crate::ring_cmd::{render_ring_json, render_ring_text, run_ring, RingCmdConfig};
 use crate::scale::Scale;
 use crate::storesim::{run_store_comparison, StoreSimConfig};
+use crate::trace_cmd::{
+    render_summary_json, render_summary_text, run_trace, summarize, TraceCmdConfig, SCENARIOS,
+};
+use std::path::{Path, PathBuf};
 
 /// One experiment driver: a run renders every one of its sections.
 pub struct Driver {
@@ -150,19 +157,241 @@ fn find(name: &str) -> Option<(&'static Driver, usize)> {
     })
 }
 
+/// The options of a `repro` command line; each tool reads the ones it takes.
+pub struct Options {
+    /// `--scale small|medium|paper`.
+    pub scale: Scale,
+    /// `--seed N`.
+    pub seed: u64,
+    /// `--format json` (or `text`, the default).
+    pub json: bool,
+    /// `--out DIR`.
+    pub out_dir: Option<PathBuf>,
+    /// `--scenario NAME`, one of [`SCENARIOS`].
+    pub scenario: String,
+    /// `--check`.
+    pub check: bool,
+    /// The trailing `FILE` of a tool that takes one.
+    pub path: Option<PathBuf>,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            scale: Scale::Medium,
+            seed: 42,
+            json: false,
+            out_dir: None,
+            scenario: SCENARIOS[0].0.to_string(),
+            check: false,
+            path: None,
+        }
+    }
+}
+
+/// One `repro` command that is not an experiment.
+pub struct Tool {
+    /// `repro <name>`.
+    pub name: &'static str,
+    /// What `repro --help` lists after the name.  A leading `FILE` is a
+    /// positional path the tool takes ([`Options::path`]).
+    pub args: fn() -> String,
+    /// Run the tool: `Ok(true)` when it passed, `Ok(false)` when the run
+    /// found a fault (exit 1), `Err` when it could not run (exit 2, printed
+    /// once as `repro <name>: …`).
+    pub run: fn(&Options) -> Result<bool, String>,
+}
+
+impl Tool {
+    /// Whether the command line gives the tool a `FILE`.
+    pub fn takes_file(&self) -> bool {
+        (self.args)().starts_with("FILE")
+    }
+}
+
+/// The `--scale` and `--seed` options, as `repro --help` lists them.
+const SCALE: &str = "[--scale small|medium|paper] [--seed N]";
+
+/// Every `repro` command other than the experiments, in `--help` order.
+pub const TOOLS: &[Tool] = &[
+    Tool {
+        name: "bench-snapshot",
+        args: || format!("[--out DIR] {SCALE} [--check]"),
+        run: bench_snapshot_tool,
+    },
+    Tool {
+        name: "trace",
+        args: || {
+            let scenarios: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
+            format!("[--scenario <{}>] {SCALE} [--out DIR]", scenarios.join("|"))
+        },
+        run: trace_tool,
+    },
+    Tool {
+        name: "trace-summary",
+        args: || "FILE [--format text|json]".to_string(),
+        run: trace_summary_tool,
+    },
+    Tool {
+        name: "ring",
+        args: || format!("{SCALE} [--format text|json] [--out DIR]"),
+        run: ring_tool,
+    },
+];
+
+/// The tool `repro <name>` runs, if `name` is one.
+pub fn tool(name: &str) -> Option<&'static Tool> {
+    TOOLS.iter().find(|tool| tool.name == name)
+}
+
+/// `--out DIR`, or else `under_root` in the workspace root: the first
+/// directory up from the current one whose `Cargo.toml` lists `members`
+/// (`bench/`'s stand-alone empty `[workspace]` does not count), falling
+/// back to the location this crate was compiled from (covers `cargo run`
+/// from anywhere inside the tree and from the target dir).
+fn out_dir(options: &Options, under_root: &str) -> Result<PathBuf, String> {
+    if let Some(dir) = &options.out_dir {
+        return Ok(dir.clone());
+    }
+    let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
+    let compiled_from = Path::new(env!("CARGO_MANIFEST_DIR"));
+    cwd.ancestors()
+        .chain(compiled_from.ancestors())
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.starts_with("members")))
+        })
+        .map(|root| root.join(under_root))
+        .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))
+}
+
+/// Write `contents` to `name` in `dir`, creating `dir` first; the file's
+/// path.
+fn write_in(dir: &Path, name: String, contents: &str) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let file = dir.join(name);
+    std::fs::write(&file, contents).map_err(|e| format!("write {}: {e}", file.display()))?;
+    Ok(file)
+}
+
+/// Write the BENCH_*.json perf snapshots under `<root>/benchmarks/` (or
+/// `--out`); with `--check`, re-measure them and compare against the
+/// committed ones instead, failing on a regressed row.
+fn bench_snapshot_tool(options: &Options) -> Result<bool, String> {
+    let dir = out_dir(options, "benchmarks")?;
+    let config = BenchSnapshotConfig::at_scale(options.scale, options.seed);
+    if options.check {
+        return Ok(match check_snapshots(&dir, &config) {
+            Ok(report) => {
+                print!("{report}");
+                println!("bench-snapshot check passed");
+                true
+            }
+            Err(msg) => {
+                eprintln!("repro bench-snapshot --check: {msg}");
+                false
+            }
+        });
+    }
+    eprintln!(
+        "# capturing perf snapshots at {:?} nodes (seed {}) into {}",
+        config.node_counts,
+        config.seed,
+        dir.display()
+    );
+    for path in write_snapshots(&dir, &config)? {
+        println!("wrote {}", path.display());
+    }
+    Ok(true)
+}
+
+/// Run a scenario with the JSONL tracer and write the trace and its summary
+/// next to each other, under `<root>/target/traces/` (or `--out`).
+fn trace_tool(options: &Options) -> Result<bool, String> {
+    let dir = out_dir(options, "target/traces")?;
+    let artifacts = run_trace(&TraceCmdConfig {
+        scenario: options.scenario.clone(),
+        scale: options.scale,
+        seed: options.seed,
+    })?;
+    let summary = summarize(&artifacts.jsonl)?;
+    let stem = format!(
+        "trace_{}_{}_seed{}",
+        options.scenario, options.scale, options.seed
+    );
+    let summary_json = render_summary_json(&summary);
+    for (name, contents) in [("jsonl", &artifacts.jsonl), ("summary.json", &summary_json)] {
+        let file = write_in(&dir, format!("{stem}.{name}"), contents)?;
+        println!("wrote {}", file.display());
+    }
+    print!("\n{}", render_summary_text(&summary));
+    Ok(true)
+}
+
+/// Digest an existing trace into its causal loss breakdown.
+fn trace_summary_tool(options: &Options) -> Result<bool, String> {
+    let path =
+        (options.path.as_ref()).ok_or_else(|| format!("a trace file is required\n{}", usage()))?;
+    let jsonl =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let summary = summarize(&jsonl)?;
+    if options.json {
+        println!("{}", render_summary_json(&summary));
+    } else {
+        print!("{}", render_summary_text(&summary));
+    }
+    Ok(true)
+}
+
+/// Spawn a localhost ring of real daemons, store a file through the
+/// gateway, kill one daemon, and verify degraded read + repair.  Writes the
+/// JSON report (per-RPC telemetry and cluster health) under `--out` when it
+/// is given.  A lost chunk, an unattributed RPC, or a node the scrapes flag
+/// (never reached, or a survivor gone stale) is a fault.
+fn ring_tool(options: &Options) -> Result<bool, String> {
+    let config = RingCmdConfig::at_scale(options.scale, options.seed);
+    eprintln!(
+        "# spawning {} localhost daemons, storing {} through the gateway",
+        config.nodes, config.file_size
+    );
+    let report = run_ring(&config)?;
+    if options.json {
+        println!("{}", render_ring_json(&report));
+    } else {
+        print!("{}", render_ring_text(&report));
+    }
+    if let Some(dir) = &options.out_dir {
+        let name = format!("ring_{}_seed{}.json", options.scale, options.seed);
+        let file = write_in(dir, name, &render_ring_json(&report))?;
+        eprintln!("wrote {}", file.display());
+    }
+    if report.unattributed_rpcs > 0 {
+        eprintln!(
+            "repro ring: {} of {} gateway RPCs unattributed (no node op-log entry joins their request id)",
+            report.unattributed_rpcs, report.gateway_rpcs_logged
+        );
+    }
+    let unhealthy = report.unhealthy_nodes();
+    if !unhealthy.is_empty() {
+        eprintln!("repro ring: unhealthy nodes: {}", unhealthy.join(" "));
+    }
+    Ok(report.recovered
+        && report.chunks_lost == 0
+        && report.unattributed_rpcs == 0
+        && unhealthy.is_empty())
+}
+
 /// `repro --help`: every form of the command, each `repro` in the same
 /// column, then every experiment section with its paper artefact.
 pub fn usage() -> String {
-    let scale = "[--scale small|medium|paper] [--seed N]";
-    let scenarios = crate::trace_cmd::SCENARIOS.join("|");
-    let forms = [
-        format!("<experiment...|all> {scale}"),
-        format!("bench-snapshot [--out DIR] {scale} [--check]"),
-        format!("trace [--scenario <{scenarios}>] {scale} [--out DIR]"),
-        "trace-summary FILE [--format text|json]".to_string(),
-        format!("ring {scale} [--format text|json] [--out DIR]"),
-    ];
-    let forms: Vec<String> = forms.iter().map(|form| format!("repro {form}")).collect();
+    let forms: Vec<String> = std::iter::once(format!("<experiment...|all> {SCALE}"))
+        .chain(
+            TOOLS
+                .iter()
+                .map(|tool| format!("{} {}", tool.name, (tool.args)())),
+        )
+        .map(|form| format!("repro {form}"))
+        .collect();
     let experiments: String = DRIVERS
         .iter()
         .flat_map(|driver| driver.sections)
@@ -263,5 +492,50 @@ mod tests {
             })
             .collect();
         assert_eq!(together, alone);
+    }
+
+    fn run_tool(name: &str, options: &Options) -> Result<bool, String> {
+        (tool(name).unwrap().run)(options)
+    }
+
+    #[test]
+    fn a_tool_that_cannot_run_returns_its_message() {
+        let bogus = Options {
+            scenario: "bogus".to_string(),
+            ..Options::default()
+        };
+        assert_eq!(
+            run_tool("trace", &bogus),
+            Err("unknown trace scenario 'bogus' \
+                 (expected one of [\"placement-outage\", \"repair-mini\"])"
+                .to_string())
+        );
+        assert_eq!(
+            run_tool("trace-summary", &Options::default()),
+            Err(format!("a trace file is required\n{}", usage()))
+        );
+
+        let dir = std::env::temp_dir().join(format!("repro_tools_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.jsonl");
+        let not_found = std::fs::read_to_string(&missing).unwrap_err();
+        let summarize = |path: &Path| {
+            let options = Options {
+                path: Some(path.to_path_buf()),
+                ..Options::default()
+            };
+            run_tool("trace-summary", &options)
+        };
+        assert_eq!(
+            summarize(&missing),
+            Err(format!("read {}: {not_found}", missing.display()))
+        );
+        let headerless = dir.join("headerless.jsonl");
+        std::fs::write(&headerless, "").unwrap();
+        assert_eq!(
+            summarize(&headerless),
+            Err("trace has no manifest header record".to_string())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,6 +3,7 @@
 //!
 //! [`cli::DRIVERS`] is the one list of them: each driver, the paper artefact
 //! of each section it renders and the `repro` sub-command that prints it.
+//! [`cli::TOOLS`] lists `repro`'s other commands.
 //!
 //! Every driver is parameterised by [`scale::Scale`]: `small` for tests and
 //! CI, `medium` for the default `repro` run, `paper` for the published
@@ -20,6 +21,7 @@
 pub mod availability;
 pub mod bench_snapshot;
 pub mod cli;
+mod clock;
 pub mod coding;
 pub mod condor;
 mod deployment;

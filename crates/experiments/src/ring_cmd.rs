@@ -10,6 +10,7 @@
 //! kill and after the repair, and per-op calls, errors and p50 / p99 from
 //! both sides of the wire.
 
+use crate::clock::timed;
 use crate::Scale;
 use peerstripe_core::{CodingPolicy, PeerStripe, PeerStripeConfig};
 use peerstripe_net::{
@@ -290,17 +291,6 @@ fn phase<T: Transport>(
         held: round.iter().map(held).collect(),
     };
     (phase, round)
-}
-
-/// Milliseconds elapsed while running `f`, paired with its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the ring harness measures real spawn, store and fetch latency on live TCP daemons"
-    )]
-    let start = std::time::Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Run the store → fetch → stop → degraded fetch → repair → fetch cycle over

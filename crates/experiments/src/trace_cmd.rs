@@ -13,14 +13,12 @@
 //! chain the placement sweep only shows in aggregate: *this* outage, under
 //! *this* timeout, cost *these* files.
 //!
-//! Two scenarios are built in:
-//!
-//! * `placement-outage` (default): the placement sweep's first
-//!   `overlay-random` cell — oblivious placement over uniform failure domains
-//!   with grouped churn and an aggressive permanence timeout, the regime
-//!   where every lost file traces back to a whole-domain outage.
-//! * `repair-mini`: a tiny fixed-size independent-churn run, small enough to
-//!   keep a byte-identical golden trace under `tests/golden/`.
+//! [`SCENARIOS`] lists the built-in scenarios, the default first: the
+//! placement sweep's first `overlay-random` cell — oblivious placement over
+//! uniform failure domains with grouped churn and an aggressive permanence
+//! timeout, the regime where every lost file traces back to a whole-domain
+//! outage — and a tiny fixed-size independent-churn run, small enough to
+//! keep a byte-identical golden trace under `tests/golden/`.
 
 use crate::deployment::{Cell, Deployment, SWEEP_CODING};
 use crate::placement_sweep::PlacementSweepConfig;
@@ -33,8 +31,14 @@ use peerstripe_telemetry::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Every scenario `repro trace` understands.
-pub const SCENARIOS: &[&str] = &["placement-outage", "repair-mini"];
+/// A `repro trace` scenario: its name and the traced engine run it builds.
+pub type Scenario = (&'static str, fn(&TraceCmdConfig) -> MaintenanceEngine);
+
+/// Every scenario `repro trace` understands, the default first.
+pub const SCENARIOS: &[Scenario] = &[
+    ("placement-outage", placement_outage),
+    ("repair-mini", repair_mini),
+];
 
 /// Configuration of one `repro trace` run.
 #[derive(Debug, Clone)]
@@ -60,15 +64,14 @@ pub struct TraceArtifacts {
 
 /// Run the named scenario with the JSONL tracer attached.
 pub fn run_trace(config: &TraceCmdConfig) -> Result<TraceArtifacts, String> {
-    let mut engine = match config.scenario.as_str() {
-        "placement-outage" => placement_outage(config),
-        "repair-mini" => repair_mini(config),
-        other => {
-            return Err(format!(
-                "unknown trace scenario '{other}' (expected one of {SCENARIOS:?})"
-            ))
-        }
+    let Some((_, scenario)) = SCENARIOS.iter().find(|(name, _)| *name == config.scenario) else {
+        let names: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown trace scenario '{}' (expected one of {names:?})",
+            config.scenario
+        ));
     };
+    let mut engine = scenario(config);
     let report = engine.report();
     let jsonl = match engine.finish_trace() {
         TraceOutput::Jsonl(jsonl) => jsonl,
@@ -111,7 +114,7 @@ fn placement_outage(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     let topology = Topology::uniform_groups(config.nodes, group_size);
     let deployment = config.deploy(&config.trace(), kind, &topology);
 
-    let mut manifest = RunManifest::new("placement-outage", cmd.seed, &cmd.scale.to_string());
+    let mut manifest = RunManifest::new(&cmd.scenario, cmd.seed, &cmd.scale.to_string());
     manifest.push("nodes", config.nodes.to_string());
     manifest.push("files", config.files.to_string());
     manifest.push("sim_hours", format!("{}", config.sim_hours));
@@ -133,7 +136,7 @@ fn repair_mini(cmd: &TraceCmdConfig) -> MaintenanceEngine {
     // 5 % of departures permanent, against a 6 h permanence timeout.
     let cell = Cell::independent(0.05, 6.0, sim_hours);
 
-    let mut manifest = RunManifest::new("repair-mini", cmd.seed, "fixed");
+    let mut manifest = RunManifest::new(&cmd.scenario, cmd.seed, "fixed");
     manifest.push("nodes", nodes.to_string());
     manifest.push("files", files.to_string());
     manifest.push("sim_hours", format!("{sim_hours}"));

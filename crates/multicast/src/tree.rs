@@ -106,9 +106,9 @@ impl MulticastTree {
         self.nodes.len()
     }
 
-    /// True when the tree has only its root.
+    /// Whether the tree holds no member: never, as it always holds its root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.len() == 0
     }
 
     /// The root slot (always 0).
@@ -199,7 +199,7 @@ mod tests {
     fn single_node_tree() {
         let tree = MulticastTree::binary(0);
         assert_eq!(tree.len(), 1);
-        assert!(tree.is_empty());
+        assert!(!tree.is_empty());
         assert_eq!(tree.leaves(), vec![0]);
         assert_eq!(tree.height(), 0);
     }

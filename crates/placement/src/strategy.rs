@@ -482,17 +482,13 @@ impl CapacityWeighted {
         }
     }
 
-    /// One weighted draw over the eligible nodes.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one draw reads the whole plan state; a struct would only rename it"
-    )]
+    /// One weighted draw over the eligible nodes: those in no `exclude`
+    /// list (the plan's picks so far first) and under `cap` in their domain.
     fn draw(
         view: &dyn ClusterView,
         topology: Option<&Topology>,
         counts: &mut [usize],
-        chosen: &[NodeRef],
-        exclude: [&[NodeRef]; 2],
+        exclude: [&[NodeRef]; 3],
         cap: usize,
         min_size: ByteSize,
         rng: &mut DetRng,
@@ -500,7 +496,7 @@ impl CapacityWeighted {
         let mut eligible: Vec<(NodeRef, ByteSize)> = Vec::new();
         let mut total = 0u128;
         for node in view.alive_nodes() {
-            if chosen.contains(&node) || exclude.iter().any(|nodes| nodes.contains(&node)) {
+            if exclude.iter().any(|nodes| nodes.contains(&node)) {
                 continue;
             }
             if let (Some(t), true) = (topology, cap != usize::MAX) {
@@ -559,8 +555,7 @@ impl PlacementStrategy for CapacityWeighted {
                 view,
                 topology,
                 &mut counts,
-                &chosen,
-                [&[], &[]],
+                [&chosen, &[], &[]],
                 domain_cap,
                 ByteSize::ZERO,
                 &mut self.rng,
@@ -590,8 +585,7 @@ impl PlacementStrategy for CapacityWeighted {
                 view,
                 topology,
                 &mut counts,
-                &targets,
-                [request.holders, request.promised],
+                [&targets, request.holders, request.promised],
                 request.domain_cap,
                 request.size,
                 rng,

@@ -5,7 +5,7 @@
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
-use peerstripe::experiments::cli::{header, run_experiment, DRIVERS};
+use peerstripe::experiments::cli::{header, run_experiment, DRIVERS, TOOLS};
 use peerstripe::experiments::Scale;
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
@@ -183,19 +183,30 @@ fn readme_mapping_is_the_driver_table() {
 }
 
 /// `repro --help` lists every form of the command one under the other:
-/// each `repro` starts in the column of the first, after `usage: `.
+/// each `repro` starts in the column of the first, after `usage: `.  The
+/// experiments come first, then every tool of [`TOOLS`] once, in table
+/// order.
 #[test]
 fn repro_help_aligns_every_form_of_the_command() {
     let help = peerstripe::experiments::cli::usage();
-    let columns: Vec<usize> = help
+    let forms: Vec<(usize, &str)> = help
         .lines()
         .filter(|line| line.starts_with("usage: ") || line.trim_start().starts_with("repro "))
-        .filter_map(|line| line.find("repro "))
+        .filter_map(|line| {
+            let column = line.find("repro ")?;
+            let command = line[column..].split(' ').nth(1)?;
+            Some((column, command))
+        })
         .collect();
-    assert_eq!(columns.len(), 5, "{help}");
+    let commands: Vec<&str> = forms.iter().map(|&(_, command)| command).collect();
+    let tools = TOOLS.iter().map(|tool| tool.name);
+    let expected: Vec<&str> = std::iter::once("<experiment...|all>")
+        .chain(tools)
+        .collect();
+    assert_eq!(commands, expected, "{help}");
     assert!(
-        columns.iter().all(|&column| column == "usage: ".len()),
-        "{columns:?}\n{help}"
+        forms.iter().all(|&(column, _)| column == "usage: ".len()),
+        "{forms:?}\n{help}"
     );
 }
 

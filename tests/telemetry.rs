@@ -52,7 +52,7 @@ fn repair_mini_seed42_matches_the_golden_trace() {
 /// trace and summary; different seed → different trace.
 #[test]
 fn trace_scenarios_are_seed_stable() {
-    for scenario in trace_cmd::SCENARIOS {
+    for &(scenario, _) in trace_cmd::SCENARIOS {
         let first = trace_cmd::run_trace(&trace_config(scenario, 42)).expect("known scenario");
         let second = trace_cmd::run_trace(&trace_config(scenario, 42)).expect("known scenario");
         assert_eq!(
