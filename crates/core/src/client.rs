@@ -1,19 +1,23 @@
 //! The PeerStripe storage system (the paper's contribution).
 //!
-//! [`PeerStripe`] implements the store/retrieve protocol of Section 4:
+//! [`PeerStripe`] implements the store/retrieve protocol of Section 4.  A
+//! store is a [`StoreCursor`], advanced one step at a time:
 //!
-//! 1. a file is split into **varying-size chunks**, each sized by what the
-//!    prospective target nodes report through `getCapacity` probes (Section 4.3);
-//! 2. every chunk is erasure coded into blocks named `file_chunk_ecb`, which the
-//!    DHT scatters over independent nodes (Section 4.2);
-//! 3. the chunk allocation table is stored (and replicated) under `file.CAT`:
-//!    its copies are size-only records of the manifest's chunk rows (the
-//!    rows' payload is ROADMAP item 7);
-//! 4. placement retries are expressed as zero-sized chunks, bounded by a
-//!    consecutive-zero-chunk limit after which the store fails;
-//! 5. on node failure, lost blocks are regenerated from the surviving blocks of
-//!    their chunk and placed on the inheriting neighbour — or elsewhere if that
-//!    neighbour is short on space (the paper's "drop and recreate" policy).
+//! 1. a probe sizes the next **varying-size chunk** by what its prospective
+//!    target nodes report through `getCapacity` (Section 4.3);
+//! 2. the next step erasure codes the chunk into blocks named
+//!    `file_chunk_ecb` and places all of them, scattered by the DHT over
+//!    independent nodes (Section 4.2);
+//! 3. the replies reserve nothing, so a placement refused since its probe is
+//!    rolled back into a zero-sized chunk, as is a refused probe; past a
+//!    consecutive-zero-chunk limit the whole store is rolled back and fails;
+//! 4. the last step stores the chunk allocation table (and its replica) under
+//!    `file.CAT`: its copies are size-only records of the manifest's chunk
+//!    rows (the rows' payload is ROADMAP item 7);
+//! 5. on node failure, lost blocks are regenerated chunk by chunk from the
+//!    surviving blocks of their chunk and placed on the inheriting neighbour
+//!    — or elsewhere if that neighbour is short on space (the paper's "drop
+//!    and recreate" policy).
 //!
 //! Two data paths are provided: the *placement* path used by the large-scale
 //! simulations (sizes only, no payload bytes) and the *byte* path used by the
@@ -36,6 +40,7 @@ use peerstripe_sim::{ByteSize, DetRng};
 use peerstripe_trace::FileRecord;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 
 /// Total number of CAT copies kept: the primary at the CAT key's root and a
 /// replica on its closest leaf-set neighbour (Section 4.4).
@@ -130,6 +135,10 @@ pub struct PeerStripe<B: StorageBackend = StorageCluster> {
 /// p50 0.02 ms after its hand-off; the calling thread's wait for a chunk's
 /// parity fell from a mean of 0.19 ms (p90 0.75) to 0.13 ms (p90 0.23).
 const OVERLAP_MIN_BYTES: usize = 1 << 20;
+
+/// A chunk's plan: each block's name, key and target node, and the size
+/// the chunk may have.
+type Plan = (Vec<(ObjectName, Id, NodeRef)>, ByteSize);
 
 /// Zero padding a systematic row is sent with when the chunk ends inside or
 /// before it: fewer than `k` bytes, `k` the source rows, and a layout whose
@@ -579,12 +588,7 @@ impl<B: StorageBackend> PeerStripe<B> {
     /// chunk size, which is zero when any selected node reports no space — or
     /// when the strategy refuses the chunk outright (e.g. domain-aware
     /// placement cannot satisfy its spread constraint right now).
-    fn plan_chunk(
-        &mut self,
-        file: &Arc<str>,
-        chunk: u32,
-        remaining: ByteSize,
-    ) -> (Vec<(ObjectName, Id, NodeRef)>, ByteSize) {
+    fn plan_chunk(&mut self, file: &Arc<str>, chunk: u32, remaining: ByteSize) -> Plan {
         let m = self.config.coding.placed_blocks() as u32;
         let keys: Vec<Id> = (0..m)
             .map(|ecb| self.block_name(file, chunk, ecb).key())
@@ -610,219 +614,55 @@ impl<B: StorageBackend> PeerStripe<B> {
         (targets, chunk_size.min(remaining))
     }
 
-    /// Place the blocks of a chunk on their probed targets; on the byte path
-    /// `data` is the chunk's bytes, each block's payload sent from them or
-    /// from a buffer the chunk was encoded into, and the store's encode
-    /// worker.  On any refusal the chunk is rolled back and treated as
-    /// zero-sized (the capacity changed between the probe and the store,
-    /// Section 4.3).
+    /// Place every block of a planned chunk on its probed target: on the
+    /// byte path `data` is the chunk's bytes, each block's payload sent from
+    /// them or from a buffer the chunk was encoded into, and the store's
+    /// encode worker.  `None` for a refused plan, and for a placement refused
+    /// since its probe (the capacity changed in between, Section 4.3), whose
+    /// blocks already placed are rolled back.
     fn place_chunk<'env>(
         &mut self,
         targets: &[(ObjectName, Id, NodeRef)],
-        chunk: u32,
         chunk_size: ByteSize,
         data: Option<(&'env [u8], &mut EncodeWorker<'_, 'env>)>,
-    ) -> Option<ChunkPlacement> {
+    ) -> Option<Vec<BlockPlacement>> {
+        if chunk_size.is_zero() || targets.is_empty() {
+            return None;
+        }
         let block_size = self.config.coding.block_size(chunk_size);
         let mut placed: Vec<BlockPlacement> = Vec::with_capacity(targets.len());
-        let (backend, topology) = (&mut self.backend, &self.topology);
-        let placement = |(name, _, node): &(ObjectName, Id, NodeRef), size| BlockPlacement {
-            name: name.clone(),
-            node: *node,
-            size,
-            domain: topology.as_ref().and_then(|t| t.domain_of(*node)),
+        let (backend, topology) = (&mut self.backend, self.topology.as_ref());
+        let mut put = |position: usize, parts: Option<&[&[u8]]>| {
+            let (name, key, node) = targets.get(position).ok_or(())?;
+            let target = (name.clone(), *key, *node);
+            placed.push(put_block(backend, topology, target, block_size, parts).ok_or(())?);
+            Ok(())
         };
         let outcome: Result<(), ()> = match data {
             Some((bytes, worker)) => {
-                let push = |position: usize, parts: &[&[u8]]| {
-                    let target @ (name, key, node) = targets.get(position).ok_or(())?;
-                    let size = ByteSize::bytes(parts.iter().map(|p| p.len() as u64).sum());
-                    let stored = backend.store_block_from(*node, *key, name, size, parts);
-                    stored.map_err(|_| ())?;
-                    placed.push(placement(target, size));
-                    Ok(())
-                };
+                let push = |position, parts: &[&[u8]]| put(position, Some(parts));
                 self.byte_path
                     .encode_and_push(bytes, worker, OVERLAP_MIN_BYTES, push)
             }
-            None => targets.iter().try_for_each(|target @ (name, key, node)| {
-                let stored = backend.store_block(*node, *key, name.clone(), block_size, None);
-                stored.map_err(|_| ())?;
-                placed.push(placement(target, block_size));
-                Ok(())
-            }),
+            None => (0..targets.len()).try_for_each(|position| put(position, None)),
         };
         if outcome.is_err() {
-            // Roll back the blocks already placed for this chunk.
-            for b in &placed {
-                self.backend.rollback_block(b.node, &b.name, b.size);
-            }
+            self.roll_back(&placed);
             return None;
         }
-        Some(ChunkPlacement {
-            chunk,
-            size: chunk_size,
-            blocks: placed,
-            min_blocks_needed: self.config.coding.min_blocks_needed(),
-        })
+        Some(placed)
     }
 
-    /// Roll back every block of a partially stored file.
-    fn rollback(&mut self, chunks: &[ChunkPlacement]) {
-        for c in chunks {
-            for b in &c.blocks {
-                self.backend.rollback_block(b.node, &b.name, b.size);
-            }
+    /// Roll back `blocks`, each as it was placed.
+    fn roll_back<'a>(&mut self, blocks: impl IntoIterator<Item = &'a BlockPlacement>) {
+        for b in blocks {
+            self.backend.rollback_block(b.node, &b.name, b.size);
         }
-    }
-
-    /// Store the CAT copies of `manifest`: the primary at the CAT key's root,
-    /// replicas on the numerically closest neighbours (the leaf-set
-    /// replication of Section 4.4), every copy under `file.CAT`'s own key.
-    /// Fills `cat_nodes` with the nodes that took one and returns the bytes
-    /// placed.
-    fn store_cat(&mut self, manifest: &mut FileManifest) -> ByteSize {
-        let name = ObjectName::cat(Arc::clone(&manifest.name));
-        let (key, size) = (name.key(), manifest.cat_size());
-        let targets = self.backend.replica_targets(key, CAT_REPLICAS);
-        if !targets.is_empty() {
-            // Only the primary charges a lookup: the replicas ride the leaf set.
-            let _ = self.backend.route_lookup(key);
-        }
-        for (_, node) in targets {
-            if self
-                .backend
-                .store_block(node, key, name.clone(), size, None)
-                .is_ok()
-            {
-                manifest.cat_nodes.push(node);
-            }
-        }
-        size * manifest.cat_nodes.len() as u64
-    }
-
-    /// The CAT half of [`Self::handle_node_failure`]: every file whose CAT
-    /// copy was on `failed` gets a fresh one on the first leaf-set candidate
-    /// that holds none.  Returns the copies stored.
-    fn rehome_cats(&mut self, failed: NodeRef) -> u64 {
-        let mut stored = 0;
-        for manifest in self.manifests.iter_mut() {
-            if !manifest.cat_nodes.contains(&failed) {
-                continue;
-            }
-            manifest.cat_nodes.retain(|&n| n != failed);
-            let name = ObjectName::cat(Arc::clone(&manifest.name));
-            let key = name.key();
-            let candidates = self.backend.replica_targets(key, CAT_REPLICAS + 1);
-            let Some((_, node)) = candidates
-                .into_iter()
-                .find(|(_, n)| !manifest.cat_nodes.contains(n))
-            else {
-                continue;
-            };
-            let size = manifest.cat_size();
-            if self
-                .backend
-                .store_block(node, key, name, size, None)
-                .is_ok()
-            {
-                manifest.cat_nodes.push(node);
-                stored += 1;
-            }
-        }
-        stored
-    }
-
-    /// Core store loop shared by the placement path and the byte path.  A
-    /// byte-path store runs in a thread scope its encode worker may be
-    /// spawned in, and returns once that worker is joined; the placement
-    /// path carries no bytes and enters no scope.
-    fn store_internal(&mut self, file: &FileRecord, data: Option<&[u8]>) -> StoreOutcome {
-        match data {
-            None => self.store_chunks(file, None),
-            Some(bytes) => std::thread::scope(|scope| {
-                let mut worker = EncodeWorker::new(scope);
-                self.store_chunks(file, Some((bytes, &mut worker)))
-            }),
-        }
-    }
-
-    /// Cut `file` into chunks, place each, and store its CAT.  The file's
-    /// name is allocated once, and every chunk, block and CAT name of the
-    /// file shares it.
-    fn store_chunks<'env>(
-        &mut self,
-        file: &FileRecord,
-        mut data: Option<(&'env [u8], &mut EncodeWorker<'_, 'env>)>,
-    ) -> StoreOutcome {
-        let file_name: Arc<str> = Arc::from(file.name.as_str());
-        let mut remaining = file.size;
-        let mut offset: u64 = 0;
-        let mut consecutive_zero: u32 = 0;
-        let mut chunks: Vec<ChunkPlacement> = Vec::new();
-
-        while !remaining.is_zero() {
-            let chunk_no = chunks.len() as u32;
-            if consecutive_zero > self.config.zero_chunk_limit {
-                self.rollback(&chunks);
-                self.metrics.record_failure(file.size);
-                return StoreOutcome::Failed {
-                    reason: format!(
-                        "exceeded {} consecutive zero-sized chunks at chunk {}",
-                        self.config.zero_chunk_limit, chunk_no
-                    ),
-                };
-            }
-            let (targets, chunk_size) = self.plan_chunk(&file_name, chunk_no, remaining);
-            let placed = if chunk_size.is_zero() || targets.is_empty() {
-                None
-            } else {
-                // Byte path: cut the actual chunk payload.
-                let chunk_data = data.as_mut().map(|(bytes, worker)| {
-                    let start = offset as usize;
-                    let end = (offset + chunk_size.as_u64()) as usize;
-                    (&bytes[start..end.min(bytes.len())], &mut **worker)
-                });
-                self.place_chunk(&targets, chunk_no, chunk_size, chunk_data)
-            };
-            // A refused plan and a refused placement are both a zero-sized
-            // chunk (Section 4.3).
-            let chunk = placed.unwrap_or_else(|| ChunkPlacement {
-                chunk: chunk_no,
-                size: ByteSize::ZERO,
-                blocks: Vec::new(),
-                min_blocks_needed: self.config.coding.min_blocks_needed(),
-            });
-            if chunk.size.is_zero() {
-                consecutive_zero += 1;
-            } else {
-                remaining -= chunk.size;
-                offset += chunk.size.as_u64();
-                consecutive_zero = 0;
-            }
-            chunks.push(chunk);
-        }
-
-        let mut manifest = FileManifest {
-            name: file_name,
-            size: file.size,
-            chunks,
-            cat_nodes: Vec::new(),
-        };
-        let placed = manifest.all_blocks().map(|b| b.size).sum::<ByteSize>();
-        let placed = placed + self.store_cat(&mut manifest);
-        let sizes = manifest.chunks.iter().map(|c| c.size);
-        self.metrics.record_success(file.size, sizes, placed);
-        if self.config.track_manifests {
-            self.manifests.insert(manifest);
-        }
-        StoreOutcome::Stored
     }
 
     /// Store real bytes under a name; the returned outcome mirrors [`StorageSystem::store_file`].
     pub fn store_data(&mut self, name: &str, data: &[u8]) -> StoreOutcome {
-        let record = FileRecord::new(name, ByteSize::bytes(data.len() as u64));
-        self.store_internal(&record, Some(data))
+        std::thread::scope(|scope| StoreCursor::with_bytes(name, data, scope).run(self))
     }
 
     /// Retrieve the full contents of a file previously stored with
@@ -1011,46 +851,10 @@ impl<B: StorageBackend> PeerStripe<B> {
         }
     }
 
-    /// The replacements of the lost blocks at positions `lost` of `chunk`'s
-    /// block list, from one read of the chunk: each one's size, and the
-    /// chunk's bytes unless it was stored as sizes (holders answer, none
-    /// carries bytes).  Each replacement re-encodes exactly the codec blocks
-    /// the lost placement carried ([`BytePath::with_parts`] sends it).  A
-    /// chunk the survivors do not decode is the error
-    /// [`Self::read_chunk_into`] gives, never a payload-less replacement.
-    fn rebuild_blocks(
-        &self,
-        chunk: &ChunkPlacement,
-        lost: &[usize],
-    ) -> Result<(Vec<ByteSize>, Option<Vec<u8>>), DecodeError> {
-        let mut bytes = Vec::new();
-        if !self.read_chunk_into(chunk, 0..chunk.size.as_u64() as usize, &mut bytes)? {
-            return Ok((lost.iter().map(|&p| chunk.blocks[p].size).collect(), None));
-        }
-        let path = &self.byte_path;
-        let size_of = |&p: &usize| match path.rows_of.get(p) {
-            Some(_) => Ok(ByteSize::bytes(path.payload_len(p, bytes.len()) as u64)),
-            None => Err(DecodeError::CorruptBlock { index: p as u32 }),
-        };
-        let sizes = lost.iter().map(size_of).collect::<Result<_, _>>()?;
-        Ok((sizes, Some(bytes)))
-    }
-
     /// Handle the failure of a node: regenerate the encoded blocks it held from
-    /// the surviving blocks of each affected chunk (Section 4.4).
-    ///
-    /// Which chunks can be rebuilt and where their blocks may go is the
-    /// planner's decision ([`crate::planner`]); the bytes are this function's.
-    /// Regenerated blocks get a fresh ECB number (the paper notes the recreated
-    /// block "may not be exactly the same … but it is functionally equal") and
-    /// the takeover inheritors of their keys are offered as preferred targets,
-    /// with normal placement as the fall-back ("drop and recreate elsewhere").
-    ///
-    /// A chunk that has enough live holders but whose blocks cannot be fetched
-    /// and decoded is not repaired: nothing is stored for it, its manifest
-    /// entry stays as it was, and it is counted once in `chunks_lost` /
-    /// `bytes_lost`, like a chunk with too few live holders.  The CAT copies
-    /// the node held are re-homed last (`rehome_cats`).
+    /// the surviving blocks of each affected chunk, one chunk a step
+    /// (`rebuild_chunk`), then re-home the CAT copies it held on the
+    /// first leaf-set candidate that holds none (Section 4.4).
     pub fn handle_node_failure(&mut self, failed: NodeRef, takeover: &Takeover) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         let mut damaged: Vec<(Arc<str>, usize)> = Vec::new();
@@ -1061,96 +865,125 @@ impl<B: StorageBackend> PeerStripe<B> {
                 }
             }
         }
-
         for (file, index) in damaged {
-            let Some(chunk) = self.manifests.get(&file).map(|m| &m.chunks[index]) else {
-                continue;
-            };
-            let lost: Vec<usize> = (0..chunk.blocks.len())
-                .filter(|&position| chunk.blocks[position].node == failed)
-                .collect();
-            let mut damage = Damage::of_placement(chunk, failed);
-            let rebuilt = match damage.verdict(&self.backend) {
-                Verdict::Rebuild => self.rebuild_blocks(chunk, &lost).ok(),
-                Verdict::WriteOff | Verdict::Defer => None,
-            };
-            let Some((sizes, bytes)) = rebuilt else {
-                report.chunks_lost += 1;
-                report.bytes_lost += chunk.size;
-                continue;
-            };
-            if let Some(bytes) = &bytes {
-                self.byte_path.fill_kept(bytes, |p| lost.contains(&p));
-            }
-            let largest = sizes.iter().copied().max();
-            damage.block_size = largest.unwrap_or(ByteSize::ZERO);
-            let next_ecb = chunk
-                .blocks
-                .iter()
-                .map(|b| match &b.name {
-                    ObjectName::Block { ecb, .. } => *ecb + 1,
-                    _ => 1,
-                })
-                .max()
-                .unwrap_or(0)
-                .max(self.config.coding.placed_blocks() as u32);
-            let names: Vec<ObjectName> = (next_ecb..)
-                .take(lost.len())
-                .map(|ecb| ObjectName::block(Arc::clone(&file), chunk.chunk, ecb))
-                .collect();
-            let inheritors: Vec<NodeRef> = names
-                .iter()
-                .map(|name| takeover.inheritor_of(name.key()).1)
-                .collect();
-            // Inheritors are taken in name order, so whatever is left to draw
-            // for includes the newest name: its key seeds the draws.
-            let newest = names.last().map_or(0, |name| name.key().seed());
-            let mut rng = DetRng::new(newest);
-            let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
-            let view = &self.backend;
-            let targets =
-                damage.targets(strategy, topology, view, lost.len(), &inheritors, &mut rng);
-
-            let mut replaced: Vec<(usize, BlockPlacement)> = Vec::new();
-            for (((position, name), size), node) in
-                lost.into_iter().zip(names).zip(sizes).zip(targets)
-            {
-                let beside = damage.holders.iter().copied();
-                let path = &self.byte_path;
-                let stored = planner::commit(&mut self.backend, beside, node, |backend| {
-                    let key = name.key();
-                    match &bytes {
-                        Some(bytes) => path.with_parts(bytes, position, |parts| {
-                            backend.store_block_from(node, key, &name, size, parts)
-                        }),
-                        None => backend.store_block(node, key, name.clone(), size, None),
-                    }
-                    .is_ok()
-                });
-                if stored {
-                    report.blocks_regenerated += 1;
-                    report.bytes_regenerated += size;
-                    let domain = self.topology.as_ref().and_then(|t| t.domain_of(node));
-                    let block = BlockPlacement {
-                        name,
-                        node,
-                        size,
-                        domain,
-                    };
-                    replaced.push((position, block));
-                }
-            }
-            if let Some(m) = self.manifests.get_mut(&file) {
-                // A replacement takes the lost block's place, so a chunk's
-                // block list keeps its layout order.
-                for (position, block) in replaced {
-                    m.chunks[index].blocks[position] = block;
-                }
+            self.rebuild_chunk(&file, index, failed, takeover, &mut report);
+        }
+        for manifest in self.manifests.iter_mut() {
+            if manifest.cat_nodes.contains(&failed) {
+                manifest.cat_nodes.retain(|&n| n != failed);
+                report.cats_replicated += store_cats(&mut self.backend, manifest, false);
             }
         }
-
-        report.cats_replicated = self.rehome_cats(failed);
         report
+    }
+
+    /// One step of a failure's repair: rebuild the blocks `failed` held of
+    /// chunk `index` of `file` from one read of the chunk, each in its lost
+    /// block's place in the manifest.  Whether the chunk can be rebuilt and
+    /// where its blocks may go is the planner's decision ([`crate::planner`]).
+    ///
+    /// A replacement re-encodes the codec blocks the lost one carried
+    /// ([`BytePath::with_parts`] sends it), or keeps its size if the chunk
+    /// was stored as sizes, under a fresh ECB number: "functionally equal"
+    /// to the lost block.  The takeover inheritors of the new names are the
+    /// preferred targets, with normal placement as the fall-back ("drop and
+    /// recreate elsewhere").  A chunk whose blocks cannot be fetched and
+    /// decoded stores nothing and, like one with too few live holders,
+    /// counts once in `chunks_lost` / `bytes_lost`.
+    fn rebuild_chunk(
+        &mut self,
+        file: &Arc<str>,
+        index: usize,
+        failed: NodeRef,
+        takeover: &Takeover,
+        report: &mut RecoveryReport,
+    ) {
+        let Some(chunk) = self.manifests.get(file).map(|m| &m.chunks[index]) else {
+            return;
+        };
+        let lost: Vec<usize> = (0..chunk.blocks.len())
+            .filter(|&position| chunk.blocks[position].node == failed)
+            .collect();
+        let mut damage = Damage::of_placement(chunk, failed);
+        let mut bytes = Vec::new();
+        let rebuild = damage.verdict(&self.backend) == Verdict::Rebuild;
+        let whole = 0..chunk.size.as_u64() as usize;
+        let read = rebuild
+            .then(|| self.read_chunk_into(chunk, whole, &mut bytes).ok())
+            .flatten();
+        let path = &self.byte_path;
+        let size_of = |&p: &usize| match read {
+            Some(true) => (p < path.rows_of.len()).then(|| path.payload_len(p, bytes.len()) as u64),
+            _ => Some(chunk.blocks[p].size.as_u64()),
+        };
+        let sizes = read.and_then(|_| lost.iter().map(size_of).collect::<Option<Vec<_>>>());
+        let Some(sizes) = sizes else {
+            report.chunks_lost += 1;
+            report.bytes_lost += chunk.size;
+            return;
+        };
+        let bytes = (read == Some(true)).then_some(bytes);
+        if let Some(bytes) = &bytes {
+            self.byte_path.fill_kept(bytes, |p| lost.contains(&p));
+        }
+        let largest = sizes.iter().copied().max();
+        damage.block_size = ByteSize::bytes(largest.unwrap_or(0));
+        let next_ecb = chunk
+            .blocks
+            .iter()
+            .map(|b| match &b.name {
+                ObjectName::Block { ecb, .. } => *ecb + 1,
+                _ => 1,
+            })
+            .max()
+            .unwrap_or(0)
+            .max(self.config.coding.placed_blocks() as u32);
+        let names: Vec<ObjectName> = (next_ecb..)
+            .take(lost.len())
+            .map(|ecb| ObjectName::block(Arc::clone(file), chunk.chunk, ecb))
+            .collect();
+        let inheritors: Vec<NodeRef> = names
+            .iter()
+            .map(|name| takeover.inheritor_of(name.key()).1)
+            .collect();
+        // Inheritors are taken in name order, so whatever is left to draw
+        // for includes the newest name: its key seeds the draws.
+        let newest = names.last().map_or(0, |name| name.key().seed());
+        let mut rng = DetRng::new(newest);
+        let (strategy, topology) = (self.placement.as_mut(), self.topology.as_ref());
+        let view = &self.backend;
+        let targets = damage.targets(strategy, topology, view, lost.len(), &inheritors, &mut rng);
+
+        let mut replaced: Vec<(usize, BlockPlacement)> = Vec::new();
+        for (((position, name), size), node) in lost.into_iter().zip(names).zip(sizes).zip(targets)
+        {
+            let (beside, size) = (damage.holders.iter().copied(), ByteSize::bytes(size));
+            let (path, topology) = (&self.byte_path, self.topology.as_ref());
+            let mut block = None;
+            planner::commit(&mut self.backend, beside, node, |backend| {
+                let key = name.key();
+                let target = (name, key, node);
+                block = match &bytes {
+                    Some(bytes) => path.with_parts(bytes, position, |parts| {
+                        put_block(backend, topology, target, size, Some(parts))
+                    }),
+                    None => put_block(backend, topology, target, size, None),
+                };
+                block.is_some()
+            });
+            if let Some(block) = block {
+                report.blocks_regenerated += 1;
+                report.bytes_regenerated += size;
+                replaced.push((position, block));
+            }
+        }
+        if let Some(m) = self.manifests.get_mut(file) {
+            // A replacement takes the lost block's place, so a chunk's
+            // block list keeps its layout order.
+            for (position, block) in replaced {
+                m.chunks[index].blocks[position] = block;
+            }
+        }
     }
 
     /// Reconstruct a file's CAT by probing chunk objects in order (Section 4.4:
@@ -1197,6 +1030,210 @@ impl<B: StorageBackend> PeerStripe<B> {
             sizes.pop();
         }
         sizes
+    }
+}
+
+/// Store one block on `node` — from `parts` on the byte path, as large as
+/// they are together, or as `size` on the placement path — and return its
+/// manifest record, or `None` if the node refused it.
+fn put_block<B: StorageBackend>(
+    backend: &mut B,
+    topology: Option<&Topology>,
+    (name, key, node): (ObjectName, Id, NodeRef),
+    size: ByteSize,
+    parts: Option<&[&[u8]]>,
+) -> Option<BlockPlacement> {
+    let size = parts.map_or(size, |p| {
+        ByteSize::bytes(p.iter().map(|b| b.len() as u64).sum())
+    });
+    match parts {
+        Some(parts) => backend.store_block_from(node, key, &name, size, parts),
+        None => backend.store_block(node, key, name.clone(), size, None),
+    }
+    .ok()?;
+    Some(BlockPlacement {
+        domain: topology.and_then(|t| t.domain_of(node)),
+        name,
+        node,
+        size,
+    })
+}
+
+/// Store CAT copies of `manifest` under `file.CAT`'s own key on the ring
+/// members closest to it that hold none, adding each node that takes one to
+/// `cat_nodes`; returns how many did.  A `fresh` CAT tries each of the
+/// [`CAT_REPLICAS`] closest and charges one route lookup, the primary's (the
+/// replicas ride the leaf set, Section 4.4); a re-homed copy tries the first
+/// of the `CAT_REPLICAS + 1` closest that holds none.
+fn store_cats<B: StorageBackend>(backend: &mut B, manifest: &mut FileManifest, fresh: bool) -> u64 {
+    let name = ObjectName::cat(Arc::clone(&manifest.name));
+    let (key, size) = (name.key(), manifest.cat_size());
+    let mut targets = backend.replica_targets(key, CAT_REPLICAS + usize::from(!fresh));
+    if fresh && !targets.is_empty() {
+        let _ = backend.route_lookup(key);
+    }
+    targets.retain(|(_, node)| !manifest.cat_nodes.contains(node));
+    targets.truncate(if fresh { CAT_REPLICAS } else { 1 });
+    let held = manifest.cat_nodes.len();
+    for (_, node) in targets {
+        let stored = backend.store_block(node, key, name.clone(), size, None);
+        if stored.is_ok() {
+            manifest.cat_nodes.push(node);
+        }
+    }
+    (manifest.cat_nodes.len() - held) as u64
+}
+
+/// What one [`StoreCursor::step`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreStep {
+    /// The next chunk's targets were probed: the chunk may be this large
+    /// (zero: a target reported no room or the strategy refused the chunk).
+    Probed(ByteSize),
+    /// The probed chunk was placed at this size, or — its plan refused, or
+    /// its placement refused since the probe and rolled back — recorded as a
+    /// zero-sized chunk (Section 4.3).
+    Placed(ByteSize),
+    /// The store is over: stored, with its CAT copies and metrics recorded,
+    /// or failed, with every block it placed rolled back.
+    Done(StoreOutcome),
+}
+
+/// One store in progress, advanced one step at a time by whoever holds the
+/// [`PeerStripe`] it stores through: a probe of the next chunk's targets
+/// ([`StoreStep::Probed`]); that chunk's placement, every block of it at
+/// once, or its rollback as a zero-sized chunk ([`StoreStep::Placed`]); and
+/// a last step that stores the CAT copies and records the metrics
+/// ([`StoreStep::Done`]).  The probes' capacity replies reserve nothing, so
+/// another cursor's placement between a probe and its placement can make the
+/// chunk zero-sized.  Past the consecutive-zero-chunk limit every block the
+/// store placed is rolled back and it fails.
+///
+/// A byte-path cursor ([`Self::with_bytes`]) lives inside the
+/// `std::thread::scope` its encode worker may be spawned in, and the worker
+/// stops when the cursor is dropped; a size-only cursor ([`Self::new`])
+/// needs no scope.
+pub struct StoreCursor<'scope, 'env> {
+    /// The file's name, shared by every chunk, block and CAT name of it;
+    /// `None` once the store is done.
+    file: Option<Arc<str>>,
+    remaining: ByteSize,
+    /// Bytes stored so far: the next chunk's offset in the file.
+    offset: u64,
+    consecutive_zero: u32,
+    chunks: Vec<ChunkPlacement>,
+    /// The probed chunk's targets and size, until its placement.
+    probed: Option<Plan>,
+    /// The file's bytes and the store's encode worker (the byte path).
+    data: Option<(&'env [u8], EncodeWorker<'scope, 'env>)>,
+}
+
+impl<'scope, 'env> StoreCursor<'scope, 'env> {
+    /// A size-only store of `size` bytes under `name` (the placement path).
+    pub fn new(name: &str, size: ByteSize) -> Self {
+        StoreCursor {
+            file: Some(Arc::from(name)),
+            remaining: size,
+            offset: 0,
+            consecutive_zero: 0,
+            chunks: Vec::new(),
+            probed: None,
+            data: None,
+        }
+    }
+
+    /// A store of `data` under `name` (the byte path), whose encode worker
+    /// is spawned in `scope` if a chunk needs one.
+    pub fn with_bytes(name: &str, data: &'env [u8], scope: &'scope Scope<'scope, 'env>) -> Self {
+        let mut cursor = Self::new(name, ByteSize::bytes(data.len() as u64));
+        cursor.data = Some((data, EncodeWorker::new(scope)));
+        cursor
+    }
+
+    /// Advance the store by one step through `ps`.  Stepped again once
+    /// done, the cursor does nothing and answers with a failure.
+    pub fn step<B: StorageBackend>(&mut self, ps: &mut PeerStripe<B>) -> StoreStep {
+        let Some(file) = &self.file else {
+            let reason = "the store is already done".to_string();
+            return StoreStep::Done(StoreOutcome::Failed { reason });
+        };
+        if let Some(plan) = self.probed.take() {
+            return StoreStep::Placed(self.place(ps, plan));
+        }
+        let chunk_no = self.chunks.len() as u32;
+        if !self.remaining.is_zero() && self.consecutive_zero <= ps.config.zero_chunk_limit {
+            let probed = self
+                .probed
+                .insert(ps.plan_chunk(file, chunk_no, self.remaining));
+            return StoreStep::Probed(probed.1);
+        }
+        // Done: every byte placed, or too many zero-sized chunks in a row.
+        let size = self.remaining + ByteSize::bytes(self.offset);
+        let chunks = std::mem::take(&mut self.chunks);
+        let Some(name) = self.file.take().filter(|_| self.remaining.is_zero()) else {
+            ps.roll_back(chunks.iter().flat_map(|c| &c.blocks));
+            ps.metrics.record_failure(size);
+            let limit = ps.config.zero_chunk_limit;
+            let reason =
+                format!("exceeded {limit} consecutive zero-sized chunks at chunk {chunk_no}");
+            return StoreStep::Done(StoreOutcome::Failed { reason });
+        };
+        let mut manifest = FileManifest {
+            name,
+            size,
+            chunks,
+            cat_nodes: Vec::new(),
+        };
+        let placed = manifest.all_blocks().map(|b| b.size).sum::<ByteSize>();
+        let cats = manifest.cat_size() * store_cats(&mut ps.backend, &mut manifest, true);
+        let sizes = manifest.chunks.iter().map(|c| c.size);
+        ps.metrics.record_success(size, sizes, placed + cats);
+        if ps.config.track_manifests {
+            ps.manifests.insert(manifest);
+        }
+        StoreStep::Done(StoreOutcome::Stored)
+    }
+
+    /// Place the probed chunk and record it: at its size, or — refused — as
+    /// a zero-sized chunk.  Returns the size recorded.
+    fn place<B: StorageBackend>(
+        &mut self,
+        ps: &mut PeerStripe<B>,
+        (targets, size): Plan,
+    ) -> ByteSize {
+        let start = self.offset as usize;
+        let data = self.data.as_mut().map(|(bytes, worker)| {
+            let bytes: &'env [u8] = bytes;
+            (
+                &bytes[start..(start + size.as_u64() as usize).min(bytes.len())],
+                worker,
+            )
+        });
+        let blocks = ps.place_chunk(&targets, size, data);
+        let (size, blocks) = blocks.map_or((ByteSize::ZERO, Vec::new()), |b| (size, b));
+        self.chunks.push(ChunkPlacement {
+            chunk: self.chunks.len() as u32,
+            size,
+            blocks,
+            min_blocks_needed: ps.config.coding.min_blocks_needed(),
+        });
+        self.consecutive_zero = if size.is_zero() {
+            self.consecutive_zero + 1
+        } else {
+            0
+        };
+        self.remaining -= size;
+        self.offset += size.as_u64();
+        size
+    }
+
+    /// Step until done.
+    fn run<B: StorageBackend>(mut self, ps: &mut PeerStripe<B>) -> StoreOutcome {
+        loop {
+            if let StoreStep::Done(outcome) = self.step(ps) {
+                return outcome;
+            }
+        }
     }
 }
 
@@ -1277,7 +1314,7 @@ impl PeerStripe<StorageCluster> {
 
 impl StorageSystem for PeerStripe<StorageCluster> {
     fn store_file(&mut self, file: &FileRecord) -> StoreOutcome {
-        self.store_internal(file, None)
+        StoreCursor::new(&file.name, file.size).run(self)
     }
 
     fn metrics(&self) -> &StoreMetrics {

@@ -38,7 +38,7 @@ pub mod storage;
 pub mod system;
 
 pub use backend::{FetchMiss, FetchedBlock, StorageBackend};
-pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport};
+pub use client::{PeerStripe, PeerStripeConfig, RecoveryReport, StoreCursor, StoreStep};
 pub use cluster::{ClusterConfig, ClusterStoreError, StorageCluster};
 pub use ledger::{DamageLedger, NodeLoss};
 pub use metrics::StoreMetrics;

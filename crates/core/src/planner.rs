@@ -2,7 +2,8 @@
 //!
 //! "Failed participants trigger regeneration of the lost blocks" (Section
 //! 4.4) is one decision, made here for everything that repairs: the engine
-//! of `peerstripe-repair`, the client's [`handle_node_failure`] and Table 3's
+//! of `peerstripe-repair`, the client's per-chunk repair step (`rebuild_chunk`,
+//! which [`handle_node_failure`] runs once per damaged chunk) and Table 3's
 //! failure wave.  Four rules, each stated once:
 //!
 //! 1. **Threshold** ([`Damage::verdict`]): fewer registered blocks than the

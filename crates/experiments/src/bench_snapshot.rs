@@ -610,27 +610,41 @@ struct SnapshotFileRow {
 }
 
 /// The fraction of a committed row's throughput a fresh measurement must
-/// reach for [`check_snapshots`] to pass.  Generous on purpose: the
-/// committed numbers are machine-dependent, so only an order-of-magnitude
-/// collapse (e.g. tracing overhead leaking into the `NullTracer` hot path)
-/// should fail the check.
+/// reach for [`check_snapshots`] to pass.  Generous on purpose, because the
+/// committed numbers are machine-dependent: a row fails only when it runs at
+/// less than half its committed rate (a 2x drop, e.g. tracing overhead
+/// leaking into the `NullTracer` hot path).
 pub const CHECK_TOLERANCE: f64 = 0.5;
+
+/// The five snapshots, in the order [`measure_all`] measures them; each is
+/// committed as `BENCH_<name>.json`.
+const SNAPSHOT_NAMES: [&str; 5] = [
+    "repair_schedule",
+    "detector_decide",
+    "placement_decide",
+    "wire_roundtrip",
+    "rs_encode",
+];
 
 /// Re-measure **all five** committed snapshots — `repair_schedule`,
 /// `detector_decide`, `placement_decide`, `wire_roundtrip`, and `rs_encode`
-/// — and compare each against its `BENCH_*.json` under `dir`.  Rows without
-/// a committed baseline (e.g. the 200-node rows of a `--scale small` run
-/// against medium-scale baselines) are reported but skipped, and so are the
-/// committed rows the run did not measure (at `--scale small`, those at
-/// each file's largest node count); any measured row below
-/// [`CHECK_TOLERANCE`] of its committed throughput fails the check.
-pub fn check_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<String, String> {
-    check_against(dir, &measure_all(config)?, CHECK_TOLERANCE)
+/// — and compare each against its `BENCH_*.json` under `dir`.
+///
+/// Every committed file is read first: a missing, unparseable or mislabelled
+/// one is the error, before anything is measured.  Otherwise the per-row
+/// report, and whether every measured row reached [`CHECK_TOLERANCE`] of its
+/// committed throughput (a failing report ends with the failing rows).  Rows
+/// without a committed baseline (e.g. the 200-node rows of a `--scale small`
+/// run against medium-scale baselines) are reported but skipped, and so are
+/// the committed rows the run did not measure (at `--scale small`, those at
+/// each file's largest node count).
+pub fn check_snapshots(dir: &Path, config: &BenchSnapshotConfig) -> Result<(bool, String), String> {
+    check_against(dir, || measure_all(config), CHECK_TOLERANCE)
 }
 
 /// Freshly measure all five snapshots.
-fn measure_all(config: &BenchSnapshotConfig) -> Result<[BenchSnapshot; 5], String> {
-    Ok([
+fn measure_all(config: &BenchSnapshotConfig) -> Result<Vec<BenchSnapshot>, String> {
+    Ok(vec![
         run_repair_schedule_snapshot(config),
         run_detector_decide_snapshot(config),
         run_placement_decide_snapshot(config),
@@ -639,27 +653,38 @@ fn measure_all(config: &BenchSnapshotConfig) -> Result<[BenchSnapshot; 5], Strin
     ])
 }
 
-/// Compare measured snapshots against the committed `BENCH_<name>.json`
-/// files under `dir`: a row fails when it reaches less than `tolerance` of
-/// its committed throughput.  The per-row report, with each file's
-/// committed rows that `fresh` lacks, or the report plus every failing row.
-fn check_against(dir: &Path, fresh: &[BenchSnapshot], tolerance: f64) -> Result<String, String> {
-    let mut report = String::new();
-    let mut failures = Vec::new();
-    for snapshot in fresh {
-        let path = dir.join(format!("BENCH_{}.json", snapshot.name));
+/// Read the committed `BENCH_<name>.json` of every snapshot under `dir`,
+/// then compare what `measure` returns against them: a row fails when it
+/// reaches less than `tolerance` of its committed throughput.  Whether no
+/// row failed, and the per-row report, with each file's committed rows that
+/// the measurement lacks and, at its end, every failing row.
+fn check_against(
+    dir: &Path,
+    measure: impl FnOnce() -> Result<Vec<BenchSnapshot>, String>,
+    tolerance: f64,
+) -> Result<(bool, String), String> {
+    let mut committed = Vec::new();
+    for name in SNAPSHOT_NAMES {
+        let path = dir.join(format!("BENCH_{name}.json"));
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let committed: SnapshotFile =
+        let file: SnapshotFile =
             serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-        if committed.benchmark != snapshot.name {
+        if file.benchmark != name {
             return Err(format!(
-                "{} is a '{}' snapshot, expected {}",
+                "{} is a '{}' snapshot, expected {name}",
                 path.display(),
-                committed.benchmark,
-                snapshot.name
+                file.benchmark
             ));
         }
+        committed.push(file);
+    }
+    let mut report = String::new();
+    let mut failures = Vec::new();
+    for snapshot in measure()? {
+        let Some(committed) = committed.iter().find(|c| c.benchmark == snapshot.name) else {
+            return Err(format!("no committed snapshot named {}", snapshot.name));
+        };
         for row in &snapshot.rows {
             let Some(baseline) = committed.rows.iter().find(|r| r.id == row.id) else {
                 let _ = writeln!(
@@ -701,9 +726,9 @@ fn check_against(dir: &Path, fresh: &[BenchSnapshot], tolerance: f64) -> Result<
         }
     }
     if failures.is_empty() {
-        Ok(report)
+        Ok((true, report))
     } else {
-        Err(format!("{report}\n{}", failures.join("\n")))
+        Ok((false, format!("{report}\n{}", failures.join("\n"))))
     }
 }
 
@@ -880,8 +905,9 @@ mod tests {
         // tolerance is zero: two wall-clock measurements moments apart differ
         // by whatever else the machine is doing, which is not under test.
         write_snapshots(&dir, &config).unwrap();
-        let fresh = [run_repair_schedule_snapshot(&config)];
-        let report = check_against(&dir, &fresh, 0.0).unwrap();
+        let fresh = || Ok(vec![run_repair_schedule_snapshot(&config)]);
+        let (passed, report) = check_against(&dir, fresh, 0.0).unwrap();
+        assert!(passed, "{report}");
         assert!(report.contains("churn_24h/50_nodes"), "{report}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -898,7 +924,13 @@ mod tests {
         // zero first (every row is reported, machine jitter cannot fail it),
         // then 0.01 against a baseline inflated ten-thousand-fold.
         let fresh = measure_all(&config).unwrap();
-        let report = check_against(&dir, &fresh, 0.0).unwrap();
+        let names: Vec<&str> = fresh.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names, SNAPSHOT_NAMES,
+            "measured in the order of SNAPSHOT_NAMES"
+        );
+        let (passed, report) = check_against(&dir, || Ok(fresh.clone()), 0.0).unwrap();
+        assert!(passed, "{report}");
         for needle in [
             "repair_schedule/churn_24h/50_nodes",
             "repair_schedule/event_queue/hold/12288_pending",
@@ -918,7 +950,7 @@ mod tests {
             "\"rows\": [\n    { \"id\": \"decide/per-node/9_nodes\", \"work_units\": 1, \"per_sec\": 1.0 },\n",
         );
         std::fs::write(&path, committed).unwrap();
-        let report = check_against(&dir, &fresh, 0.0).unwrap();
+        let (_, report) = check_against(&dir, || Ok(fresh.clone()), 0.0).unwrap();
         assert!(
             report.contains("detector_decide: 1 committed rows not measured (not compared): decide/per-node/9_nodes\n"),
             "{report}"
@@ -932,9 +964,10 @@ mod tests {
             .unwrap()
             .replace("\"per_sec\": ", "\"per_sec\": 9999");
         std::fs::write(&path, inflated).unwrap();
-        let err = check_against(&dir, &fresh, 0.01).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        assert!(err.contains("placement_decide/"), "{err}");
+        let (passed, report) = check_against(&dir, || Ok(fresh), 0.01).unwrap();
+        assert!(!passed, "{report}");
+        assert!(report.contains("regressed"), "{report}");
+        assert!(report.contains("placement_decide/"), "{report}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -945,7 +978,15 @@ mod tests {
             seed: 7,
         };
         let dir = std::env::temp_dir().join("bench_check_missing_dir_nonexistent");
-        let fresh = [run_repair_schedule_snapshot(&config)];
-        assert!(check_against(&dir, &fresh, CHECK_TOLERANCE).is_err());
+        // The committed files are read before anything is measured: a
+        // missing one is the error, and no snapshot runs.
+        let mut ran = false;
+        let measure = || {
+            ran = true;
+            Ok(vec![run_repair_schedule_snapshot(&config)])
+        };
+        let err = check_against(&dir, measure, CHECK_TOLERANCE).unwrap_err();
+        assert!(err.contains("BENCH_repair_schedule.json"), "{err}");
+        assert!(!ran, "a snapshot ran before the committed files were read");
     }
 }

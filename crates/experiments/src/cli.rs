@@ -276,22 +276,20 @@ fn write_in(dir: &Path, name: String, contents: &str) -> Result<PathBuf, String>
 
 /// Write the BENCH_*.json perf snapshots under `<root>/benchmarks/` (or
 /// `--out`); with `--check`, re-measure them and compare against the
-/// committed ones instead, failing on a regressed row.
+/// committed ones instead: a regressed row is a fault (exit 1), a committed
+/// file that cannot be read an error (exit 2, before anything is measured).
 fn bench_snapshot_tool(options: &Options) -> Result<bool, String> {
     let dir = out_dir(options, "benchmarks")?;
     let config = BenchSnapshotConfig::at_scale(options.scale, options.seed);
     if options.check {
-        return Ok(match check_snapshots(&dir, &config) {
-            Ok(report) => {
-                print!("{report}");
-                println!("bench-snapshot check passed");
-                true
-            }
-            Err(msg) => {
-                eprintln!("repro bench-snapshot --check: {msg}");
-                false
-            }
-        });
+        let (passed, report) = check_snapshots(&dir, &config)?;
+        if passed {
+            print!("{report}");
+            println!("bench-snapshot check passed");
+        } else {
+            eprintln!("repro bench-snapshot --check: {report}");
+        }
+        return Ok(passed);
     }
     eprintln!(
         "# capturing perf snapshots at {:?} nodes (seed {}) into {}",

@@ -6,6 +6,7 @@
 
 use peerstripe::core::{ClusterConfig, CodingPolicy, PeerStripe, PeerStripeConfig, StorageSystem};
 use peerstripe::experiments::cli::{header, run_experiment, DRIVERS, TOOLS};
+use peerstripe::experiments::coding::{run_table2, CodingConfig};
 use peerstripe::experiments::Scale;
 use peerstripe::sim::{ByteSize, DetRng};
 use peerstripe::trace::{CapacityModel, FileRecord};
@@ -89,6 +90,31 @@ fn repro_table2_and_rs_sweep_at_small_scale() {
     assert!(
         table2.contains("Min-decode"),
         "minimal-subset column missing"
+    );
+    // The columns that do not time anything are pinned: each row's encoded
+    // size, its overhead over the chunk, and its minimal-subset decodes
+    // (successes, attempts).
+    let rows = run_table2(&CodingConfig::at_scale(Scale::Small, 42)).rows;
+    let pinned: Vec<_> = rows
+        .iter()
+        .map(|r| {
+            let subsets = (r.min_subset_successes, r.min_subset_attempts);
+            (
+                r.name,
+                r.encoded_size.as_u64(),
+                r.size_overhead_pct(),
+                subsets,
+            )
+        })
+        .collect();
+    assert_eq!(
+        pinned,
+        [
+            ("Null", 262_144, 0.0, (2, 2)),
+            ("XOR", 393_216, 50.0, (2, 2)),
+            ("Online", 274_432, 4.6875, (2, 2)),
+            ("ReedSolomon", 270_480, 3.179931640625, (2, 2)),
+        ]
     );
 
     let sweep =

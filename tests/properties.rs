@@ -3,7 +3,7 @@
 
 use peerstripe::core::{
     ClusterConfig, CodingPolicy, DamageLedger, ObjectName, PeerStripe, PeerStripeConfig,
-    StorageCluster, StorageSystem,
+    StorageCluster, StorageSystem, StoreCursor, StoreOutcome, StoreStep,
 };
 use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, XorCode};
 use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
@@ -309,6 +309,97 @@ proptest! {
         prop_assert_eq!(x.max(y).as_u64(), a.max(b));
         prop_assert_eq!(x < y, a < b);
     }
+}
+
+/// Two byte-path stores whose steps interleave in a seeded order over one
+/// client, on a cluster too small for both: a probe's capacity replies
+/// reserve nothing, so the other store's placement can take the room a
+/// probe found, and the chunk placed after it is refused and rolled back as
+/// a zero-sized one.  Across seeds, every file that stored reads back
+/// byte-exact, and the cluster holds exactly the stored files' blocks and
+/// CAT copies: no refused chunk or failed store leaks a byte.
+#[test]
+fn interleaved_store_cursors_read_back_and_leak_nothing() {
+    let coding = CodingPolicy::ReedSolomon { data: 2, parity: 2 };
+    let (mut stale, mut stored, mut failed) = (0, 0, 0);
+    for seed in 0..16u64 {
+        let mut rng = DetRng::new(seed);
+        let cluster = ClusterConfig {
+            nodes: 12,
+            capacity: CapacityModel::Uniform {
+                lo: ByteSize::kb(256),
+                hi: ByteSize::mb(2),
+            },
+            track_objects: true,
+        }
+        .build(&mut rng);
+        // Chunks of up to 1.5 MB: a file spans several, and a chunk's
+        // parity can reach the size at which its store spawns an encode
+        // worker, both stores' in the one scope.
+        let config = PeerStripeConfig {
+            max_chunk_size: Some(ByteSize::kb(1_500)),
+            ..PeerStripeConfig::default().with_coding(coding)
+        };
+        let mut ps = PeerStripe::new(cluster, config);
+        let files: Vec<(String, Vec<u8>)> = (0..2)
+            .map(|i| {
+                let (len, salt) = (500_000 + rng.index(4_000_000), rng.next_u32());
+                let byte = |j: usize| ((j as u32 ^ salt).wrapping_mul(0x9e37_79b1) >> 24) as u8;
+                (format!("f{seed}-{i}"), (0..len).map(byte).collect())
+            })
+            .collect();
+        let mut outcomes: [Option<StoreOutcome>; 2] = [None, None];
+        std::thread::scope(|scope| {
+            let mut cursors: Vec<StoreCursor<'_, '_>> = files
+                .iter()
+                .map(|(name, data)| StoreCursor::with_bytes(name, data, scope))
+                .collect();
+            // Per store: the size its last probe found, and whether the
+            // other store placed a chunk since.
+            let mut probed = [(ByteSize::ZERO, false); 2];
+            loop {
+                let active: Vec<usize> = (0..2).filter(|&i| outcomes[i].is_none()).collect();
+                let Some(&i) = active.get(rng.index(active.len().max(1))) else {
+                    break;
+                };
+                match cursors[i].step(&mut ps) {
+                    StoreStep::Probed(size) => probed[i] = (size, false),
+                    StoreStep::Placed(size) if size.is_zero() => {
+                        stale += usize::from(!probed[i].0.is_zero() && probed[i].1);
+                    }
+                    StoreStep::Placed(_) => probed[1 - i].1 = true,
+                    StoreStep::Done(outcome) => outcomes[i] = Some(outcome),
+                }
+            }
+        });
+        let mut held = ByteSize::ZERO;
+        for ((name, data), outcome) in files.iter().zip(&outcomes) {
+            if outcome.as_ref().is_some_and(StoreOutcome::is_stored) {
+                stored += 1;
+                assert_eq!(
+                    ps.retrieve_data(name).as_ref(),
+                    Some(data),
+                    "seed {seed}: {name}"
+                );
+                let manifest = ps.manifest(name).expect("a stored file has a manifest");
+                held += manifest.all_blocks().map(|b| b.size).sum::<ByteSize>();
+                held += manifest.cat_size() * manifest.cat_nodes.len() as u64;
+            } else {
+                failed += 1;
+                assert!(ps.manifest(name).is_none(), "seed {seed}: {name}");
+            }
+        }
+        assert_eq!(
+            ps.cluster().total_used(),
+            held,
+            "seed {seed}: a rollback leaked"
+        );
+    }
+    assert!(
+        stale > 0,
+        "no placement was refused after its probe went stale"
+    );
+    assert!(stored > 0 && failed > 0, "{stored} stored, {failed} failed");
 }
 
 proptest! {
