@@ -423,6 +423,15 @@ impl BytePath {
         4 + rows * (8 + self.codec.block_size(chunk_len))
     }
 
+    /// The largest chunk whose every payload ([`Self::payload_len`]) fits in
+    /// `report` bytes: the byte path's chunk size for the probes' smallest
+    /// report (Section 4.3).
+    fn chunk_size_for_report(&self, report: ByteSize) -> ByteSize {
+        let rows = self.rows_of.iter().map(Vec::len).max().unwrap_or(0).max(1) as u64;
+        let block_size = (report.as_u64().saturating_sub(4) / rows).saturating_sub(8);
+        ByteSize::bytes(block_size.saturating_mul(self.codec.source_blocks() as u64))
+    }
+
     /// Call `send` with placed block `position`'s payload for `chunk`, as the
     /// parts it is written from: a row sent from the chunk is its header, its
     /// bytes where `chunk` holds them, and its zero padding; any other
@@ -582,13 +591,20 @@ impl<B: StorageBackend> PeerStripe<B> {
 
     /// Select the target nodes of the next chunk's blocks through the
     /// placement strategy and derive the chunk size from their capacity
-    /// reports.
+    /// reports: on the byte path (`bytes`) so that every payload fits the
+    /// smallest report, on the placement path by the policy's block size.
     ///
     /// Returns the selected `(name, key, node)` triples and the achievable
     /// chunk size, which is zero when any selected node reports no space — or
     /// when the strategy refuses the chunk outright (e.g. domain-aware
     /// placement cannot satisfy its spread constraint right now).
-    fn plan_chunk(&mut self, file: &Arc<str>, chunk: u32, remaining: ByteSize) -> Plan {
+    fn plan_chunk(
+        &mut self,
+        file: &Arc<str>,
+        chunk: u32,
+        remaining: ByteSize,
+        bytes: bool,
+    ) -> Plan {
         let m = self.config.coding.placed_blocks() as u32;
         let keys: Vec<Id> = (0..m)
             .map(|ecb| self.block_name(file, chunk, ecb).key())
@@ -607,7 +623,11 @@ impl<B: StorageBackend> PeerStripe<B> {
             min_report = min_report.min(report);
             targets.push((self.block_name(file, chunk, ecb), key, node));
         }
-        let mut chunk_size = self.config.coding.chunk_size_for_report(min_report);
+        let mut chunk_size = if bytes {
+            self.byte_path.chunk_size_for_report(min_report)
+        } else {
+            self.config.coding.chunk_size_for_report(min_report)
+        };
         if let Some(cap) = self.config.max_chunk_size {
             chunk_size = chunk_size.min(cap);
         }
@@ -1162,9 +1182,8 @@ impl<'scope, 'env> StoreCursor<'scope, 'env> {
         }
         let chunk_no = self.chunks.len() as u32;
         if !self.remaining.is_zero() && self.consecutive_zero <= ps.config.zero_chunk_limit {
-            let probed = self
-                .probed
-                .insert(ps.plan_chunk(file, chunk_no, self.remaining));
+            let plan = ps.plan_chunk(file, chunk_no, self.remaining, self.data.is_some());
+            let probed = self.probed.insert(plan);
             return StoreStep::Probed(probed.1);
         }
         // Done: every byte placed, or too many zero-sized chunks in a row.

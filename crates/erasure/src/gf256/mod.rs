@@ -9,24 +9,24 @@
 //! lookups and an add.
 //!
 //! The encoder hot loop never multiplies byte-by-byte through the log tables.
-//! Two slice kernels are available behind one dispatch point ([`Gf256Kernel`]):
+//! Two slice kernels are available behind one entry point, [`PreparedCoeff`]:
 //!
 //! * [`Gf256Kernel::Scalar`] — the reference kernel: materialise the
 //!   256-entry product row of the constant coefficient (it lives comfortably
 //!   in L1) and stream the operand slices through it byte by byte.
 //! * [`Gf256Kernel::Nibble64`] — the fast kernel (`nibble`): split-nibble
-//!   (low/high 4-bit) product tables applied over wide lanes — `pshufb` table
-//!   shuffles on x86-64 (16 or 32 bytes per instruction), and a chunked-`u64`
-//!   SWAR evaluation of the same tables everywhere else — with a per-byte
-//!   scalar tail for the last `len % lane` bytes.
+//!   (low/high 4-bit) product tables applied over wide lanes — AVX2
+//!   `vpshufb` table shuffles on x86-64 (32 bytes per instruction), and a
+//!   chunked-`u64` SWAR evaluation of the same tables everywhere else — with
+//!   a per-byte scalar tail for the last `len % lane` bytes.
 //!
-//! [`mul_add_slice`] uses the best kernel for the host;
-//! [`mul_slice_with`] / [`mul_add_slice_with`] pin one explicitly (the scalar
-//! kernel stays live as the property-test reference — the workspace pins
-//! byte-identical output across kernels for all 256 coefficients).  Encoders
-//! that apply a whole coefficient matrix should build a [`PreparedCoeff`] per
-//! coefficient once and reuse it across tiles, hoisting table construction
-//! out of the cache-blocked inner loops.
+//! A caller prepares a coefficient for a kernel once ([`PreparedCoeff::new`],
+//! usually with [`Gf256Kernel::best`]) and streams slices through its
+//! [`PreparedCoeff::mul`] / [`PreparedCoeff::mul_add`]; encoders that apply a
+//! whole coefficient matrix reuse each prepared coefficient across tiles,
+//! hoisting table construction out of the cache-blocked inner loops.  The
+//! scalar kernel stays live as the property-test reference: the workspace
+//! pins byte-identical output across kernels for all 256 coefficients.
 
 use crate::code::xor_into;
 
@@ -145,7 +145,7 @@ impl Gf256Kernel {
     }
 
     /// The wide-lane implementation the `nibble64` kernel resolved to on this
-    /// host (`avx2` / `ssse3` / `swar64`); `scalar` for the scalar kernel.
+    /// host (`avx2` / `swar64`); `scalar` for the scalar kernel.
     pub fn lane_label(self) -> &'static str {
         match self {
             Gf256Kernel::Scalar => "scalar",
@@ -234,25 +234,6 @@ impl PreparedCoeff {
     }
 }
 
-/// Slice kernel `dst[i] ^= c · src[i]` through the best kernel for this host
-/// — the Reed–Solomon encode/decode hot loop.  Both slices must have equal
-/// length.
-pub fn mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    mul_add_slice_with(Gf256Kernel::best(), c, src, dst);
-}
-
-/// Slice kernel `dst[i] = c · src[i]` through `kernel` — the single dispatch
-/// point.  Both slices must have equal length.
-pub fn mul_slice_with(kernel: Gf256Kernel, c: u8, src: &[u8], dst: &mut [u8]) {
-    PreparedCoeff::new(kernel, c).mul(src, dst);
-}
-
-/// [`mul_add_slice`] with an explicit kernel choice — the single dispatch
-/// point.
-pub fn mul_add_slice_with(kernel: Gf256Kernel, c: u8, src: &[u8], dst: &mut [u8]) {
-    PreparedCoeff::new(kernel, c).mul_add(src, dst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,14 +305,18 @@ mod tests {
     #[test]
     fn slice_kernels_match_scalar_ops() {
         let src: Vec<u8> = (0..=255).collect();
-        for c in [0u8, 1, 2, 77, 255] {
-            let mut product = vec![0xAA; src.len()];
-            mul_slice_with(Gf256Kernel::best(), c, &src, &mut product);
-            let mut accum = src.clone();
-            mul_add_slice(c, &src, &mut accum);
-            for (i, &s) in src.iter().enumerate() {
-                assert_eq!(product[i], mul(c, s));
-                assert_eq!(accum[i], s ^ mul(c, s));
+        for kernel in Gf256Kernel::ALL {
+            for c in [0u8, 1, 2, 77, 142, 255] {
+                let prepared = PreparedCoeff::new(kernel, c);
+                assert_eq!(prepared.is_zero(), c == 0);
+                let mut product = vec![0xAA; src.len()];
+                prepared.mul(&src, &mut product);
+                let mut accum = src.clone();
+                prepared.mul_add(&src, &mut accum);
+                for (i, &s) in src.iter().enumerate() {
+                    assert_eq!(product[i], mul(c, s), "{kernel} c = {c}");
+                    assert_eq!(accum[i], s ^ mul(c, s), "{kernel} c = {c}");
+                }
             }
         }
     }
@@ -343,38 +328,19 @@ mod tests {
         for len in [0usize, 1, 7, 8, 9, 16, 31, 32, 33, 100] {
             let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             for c in 0..=255u8 {
-                let mut scalar = vec![0u8; len];
-                mul_slice_with(Gf256Kernel::Scalar, c, &src, &mut scalar);
-                let mut fast = vec![0xCCu8; len];
-                mul_slice_with(Gf256Kernel::Nibble64, c, &src, &mut fast);
-                assert_eq!(scalar, fast, "mul c = {c}, len = {len}");
+                let scalar = PreparedCoeff::new(Gf256Kernel::Scalar, c);
+                let fast = PreparedCoeff::new(Gf256Kernel::Nibble64, c);
+                let mut scalar_mul = vec![0u8; len];
+                scalar.mul(&src, &mut scalar_mul);
+                let mut fast_mul = vec![0xCCu8; len];
+                fast.mul(&src, &mut fast_mul);
+                assert_eq!(scalar_mul, fast_mul, "mul c = {c}, len = {len}");
 
                 let mut scalar_acc = src.clone();
-                mul_add_slice_with(Gf256Kernel::Scalar, c, &src, &mut scalar_acc);
+                scalar.mul_add(&src, &mut scalar_acc);
                 let mut fast_acc = src.clone();
-                mul_add_slice_with(Gf256Kernel::Nibble64, c, &src, &mut fast_acc);
+                fast.mul_add(&src, &mut fast_acc);
                 assert_eq!(scalar_acc, fast_acc, "mul_add c = {c}, len = {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_coeff_matches_one_shot_kernels() {
-        let src: Vec<u8> = (0..200).map(|i| (i * 7 + 3) as u8).collect();
-        for kernel in Gf256Kernel::ALL {
-            for c in [0u8, 1, 2, 142, 255] {
-                let prepared = PreparedCoeff::new(kernel, c);
-                assert_eq!(prepared.is_zero(), c == 0);
-                let mut via_prepared = vec![0u8; src.len()];
-                prepared.mul(&src, &mut via_prepared);
-                let mut direct = vec![0u8; src.len()];
-                mul_slice_with(kernel, c, &src, &mut direct);
-                assert_eq!(via_prepared, direct);
-                let mut acc_prepared = src.clone();
-                prepared.mul_add(&src, &mut acc_prepared);
-                let mut acc_direct = src.clone();
-                mul_add_slice_with(kernel, c, &src, &mut acc_direct);
-                assert_eq!(acc_prepared, acc_direct);
             }
         }
     }
@@ -386,6 +352,6 @@ mod tests {
         }
         assert_eq!(Gf256Kernel::best(), Gf256Kernel::Nibble64);
         assert_eq!(Gf256Kernel::Scalar.lane_label(), "scalar");
-        assert!(["swar64", "ssse3", "avx2"].contains(&Gf256Kernel::Nibble64.lane_label()));
+        assert!(["swar64", "avx2"].contains(&Gf256Kernel::Nibble64.lane_label()));
     }
 }

@@ -11,15 +11,14 @@
 //!
 //! where `LO` and `HI` are 16-entry product tables built once per coefficient
 //! ([`NibbleTables`]).  Both tables fit in a single SIMD register, which is
-//! what makes the split worthwhile: a 16-lane (SSSE3 `pshufb`) or 32-lane
-//! (AVX2 `vpshufb`) shuffle performs sixteen/thirty-two table lookups per
-//! instruction.  Where no shuffle unit is available the same tables are
+//! what makes the split worthwhile: a 32-lane AVX2 `vpshufb` shuffle performs
+//! thirty-two table lookups per instruction.  Without AVX2 the same tables are
 //! evaluated 8 bytes at a time in a `u64` ([`swar64`]): each nibble lookup is
 //! itself linear in its 4 input bits, so it unrolls into four broadcast-mask
 //! column XORs over the lane — branch-free, load-free chunked-`u64` code.
 //!
-//! The lane is picked once per process by [`lane`] (AVX2 → SSSE3 → SWAR) via
-//! runtime CPU-feature detection; every lane produces byte-identical output
+//! The lane is picked once per process by [`lane`] (AVX2, else SWAR) via
+//! runtime CPU-feature detection; both lanes produce byte-identical output
 //! to the scalar reference kernel, which the workspace property tests pin for
 //! all 256 coefficients and arbitrary slice lengths (including the
 //! non-multiple-of-lane tails, which fall back to per-byte table lookups).
@@ -58,9 +57,6 @@ impl NibbleTables {
 enum Lane {
     /// Portable 8-byte `u64` SWAR evaluation of the nibble tables.
     Swar64,
-    /// 16-byte SSSE3 `pshufb` table shuffles.
-    #[cfg(target_arch = "x86_64")]
-    Ssse3,
     /// 32-byte AVX2 `vpshufb` table shuffles.
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -74,8 +70,6 @@ fn lane() -> Lane {
         *LANE.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx2") {
                 Lane::Avx2
-            } else if std::arch::is_x86_feature_detected!("ssse3") {
-                Lane::Ssse3
             } else {
                 Lane::Swar64
             }
@@ -92,8 +86,6 @@ pub(super) fn active_lane_label() -> &'static str {
     match lane() {
         Lane::Swar64 => "swar64",
         #[cfg(target_arch = "x86_64")]
-        Lane::Ssse3 => "ssse3",
-        #[cfg(target_arch = "x86_64")]
         Lane::Avx2 => "avx2",
     }
 }
@@ -106,8 +98,6 @@ pub(super) fn apply<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8
     debug_assert_eq!(src.len(), dst.len());
     match lane() {
         Lane::Swar64 => swar64::<ACC>(t, src, dst),
-        #[cfg(target_arch = "x86_64")]
-        Lane::Ssse3 => x86::ssse3::<ACC>(t, src, dst),
         #[cfg(target_arch = "x86_64")]
         Lane::Avx2 => x86::avx2::<ACC>(t, src, dst),
     }
@@ -162,7 +152,7 @@ fn swar64<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
     tail::<ACC>(t, src_tail, dst_tail);
 }
 
-/// The x86-64 shuffle lanes: `pshufb` performs sixteen 16-entry table
+/// The x86-64 shuffle lane: `vpshufb` performs thirty-two 16-entry table
 /// lookups per instruction, so both nibble tables live in registers and each
 /// loop iteration multiplies a full SIMD register of bytes.
 ///
@@ -181,17 +171,8 @@ mod x86 {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
         _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
-        _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
+        _mm256_xor_si256, _mm_loadu_si128,
     };
-
-    /// SSSE3 entry point: dispatch into the `#[target_feature]` body.
-    #[inline]
-    pub(in crate::gf256) fn ssse3<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        // SAFETY: reached only when `lane()` returned `Lane::Ssse3`, which
-        // requires `is_x86_feature_detected!("ssse3")` to have succeeded.
-        unsafe { ssse3_impl::<ACC>(t, src, dst) }
-    }
 
     /// AVX2 entry point: dispatch into the `#[target_feature]` body.
     #[inline]
@@ -199,42 +180,6 @@ mod x86 {
         // SAFETY: reached only when `lane()` returned `Lane::Avx2`, which
         // requires `is_x86_feature_detected!("avx2")` to have succeeded.
         unsafe { avx2_impl::<ACC>(t, src, dst) }
-    }
-
-    #[target_feature(enable = "ssse3")]
-    fn ssse3_impl<const ACC: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        debug_assert_eq!(src.len(), dst.len());
-        // SAFETY: NibbleTables is repr(Rust) [u8; 16] pairs; reading 16 bytes
-        // from each table pointer stays inside the struct's fields.
-        let (table_lo, table_hi) = unsafe {
-            (
-                _mm_loadu_si128(t.lo().as_ptr().cast::<__m128i>()),
-                _mm_loadu_si128(t.hi().as_ptr().cast::<__m128i>()),
-            )
-        };
-        let mask = _mm_set1_epi8(0x0f);
-        let n = src.len() - src.len() % 16;
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 16 <= n <= len of both slices, so every 16-byte
-            // unaligned load/store below stays in bounds.
-            unsafe {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-                let lo = _mm_and_si128(s, mask);
-                let hi = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                let mut product = _mm_xor_si128(
-                    _mm_shuffle_epi8(table_lo, lo),
-                    _mm_shuffle_epi8(table_hi, hi),
-                );
-                let d = dst.as_mut_ptr().add(i).cast::<__m128i>();
-                if ACC {
-                    product = _mm_xor_si128(product, _mm_loadu_si128(d));
-                }
-                _mm_storeu_si128(d, product);
-            }
-            i += 16;
-        }
-        tail::<ACC>(t, &src[n..], &mut dst[n..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -350,7 +295,7 @@ mod tests {
     #[test]
     fn lane_label_is_stable() {
         let label = active_lane_label();
-        assert!(["swar64", "ssse3", "avx2"].contains(&label), "{label}");
+        assert!(["swar64", "avx2"].contains(&label), "{label}");
         assert_eq!(label, active_lane_label(), "detection is cached");
     }
 }

@@ -2,7 +2,7 @@
 //! codec: Vandermonde construction, multiplication, systematic-form
 //! conversion for encoding, and Gauss–Jordan inversion for decoding.
 
-use crate::gf256;
+use crate::gf256::{self, Gf256Kernel, PreparedCoeff};
 
 /// A dense `rows × cols` matrix over GF(2⁸), stored row-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +90,8 @@ impl GfMatrix {
         let mut out = GfMatrix::zero(self.rows, other.cols);
         for r in 0..self.rows {
             for k in 0..self.cols {
-                gf256::mul_add_slice(self.get(r, k), other.row(k), out.row_mut(r));
+                PreparedCoeff::new(Gf256Kernel::best(), self.get(r, k))
+                    .mul_add(other.row(k), out.row_mut(r));
             }
         }
         out

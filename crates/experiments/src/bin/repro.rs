@@ -7,7 +7,8 @@
 //!
 //! The experiments are `cli::DRIVERS`' sections, and `all` runs every driver
 //! once; the tools are `cli::TOOLS`.  `repro --help` prints both lists, with
-//! each tool's options.  This file only parses the command line: an
+//! each tool's options, and a command takes only the options its form there
+//! lists (`cli::takes_option`).  This file only parses the command line: an
 //! argument error exits 2, a tool exits as its `run` says.
 
 use peerstripe_experiments::cli::{self, run_experiments_with, Options};
@@ -25,8 +26,12 @@ fn parse_args() -> Result<Args, String> {
     let mut command: Option<String> = None;
     let mut more = Vec::new();
     let mut options = Options::default();
+    let mut given = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if arg.starts_with("--") {
+            given.push(arg.clone());
+        }
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
@@ -69,8 +74,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unexpected argument '{other}'\n{}", cli::usage())),
         }
     }
+    let command = command.unwrap_or_else(|| "all".to_string());
+    let known = cli::tool(&command).is_some() || cli::is_experiment(&command);
+    let refused = given.iter().find(|o| !cli::takes_option(&command, o));
+    if let Some(option) = refused.filter(|_| known) {
+        let usage = cli::usage();
+        return Err(format!("repro {command} takes no {option}\n{usage}"));
+    }
     Ok(Args {
-        command: command.unwrap_or_else(|| "all".to_string()),
+        command,
         more,
         options,
     })

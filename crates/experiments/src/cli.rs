@@ -244,6 +244,17 @@ pub fn tool(name: &str) -> Option<&'static Tool> {
     TOOLS.iter().find(|tool| tool.name == name)
 }
 
+/// Whether `repro <command>` takes `option`, read from its `--help` form: an
+/// experiment takes `--scale` and `--seed`, a tool the `--` words of its
+/// [`Tool::args`].
+pub fn takes_option(command: &str, option: &str) -> bool {
+    let form = tool(command).map_or_else(|| SCALE.to_string(), |tool| (tool.args)());
+    let mut words = form
+        .split_whitespace()
+        .map(|word| word.trim_matches(['[', ']']));
+    option.starts_with("--") && words.any(|word| word == option)
+}
+
 /// `--out DIR`, or else `under_root` in the workspace root: the first
 /// directory up from the current one whose `Cargo.toml` lists `members`
 /// (`bench/`'s stand-alone empty `[workspace]` does not count), falling
@@ -490,6 +501,41 @@ mod tests {
             })
             .collect();
         assert_eq!(together, alone);
+    }
+
+    #[test]
+    fn a_command_takes_the_options_its_help_form_lists() {
+        let all = [
+            "--scale",
+            "--seed",
+            "--format",
+            "--out",
+            "--scenario",
+            "--check",
+        ];
+        let takes: [(&str, &[&str]); 5] = [
+            ("bench-snapshot", &["--out", "--scale", "--seed", "--check"]),
+            ("trace", &["--scenario", "--scale", "--seed", "--out"]),
+            ("trace-summary", &["--format"]),
+            ("ring", &["--scale", "--seed", "--format", "--out"]),
+            ("table4", &["--scale", "--seed"]),
+        ];
+        let named: Vec<&str> = takes.iter().map(|&(command, _)| command).collect();
+        assert!(TOOLS.iter().all(|tool| named.contains(&tool.name)));
+        assert!(is_experiment("table4"));
+        for (command, options) in takes {
+            for option in all {
+                assert_eq!(
+                    takes_option(command, option),
+                    options.contains(&option),
+                    "repro {command} {option}"
+                );
+            }
+            assert!(
+                !takes_option(command, "FILE"),
+                "{command}: FILE is no option"
+            );
+        }
     }
 
     fn run_tool(name: &str, options: &Options) -> Result<bool, String> {

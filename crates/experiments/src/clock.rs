@@ -1,23 +1,20 @@
-//! The one wall clock of the experiment drivers.  Table 2 and the RS sweep
-//! time encode and decode, `repro ring` times its phases on live daemons,
-//! and `repro bench-snapshot` times its passes; each reads the host clock
-//! through this module and nowhere else.  No figure of a simulation run
-//! reads it.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "measuring elapsed wall time is this module's whole job; nothing here feeds simulation results"
-)]
+//! The experiment drivers' timings.  Table 2 and the RS sweep time encode
+//! and decode, `repro ring` times its phases on live daemons, and `repro
+//! bench-snapshot` times its passes; each goes through [`timed`] or
+//! [`best_rate`], which read the workspace's one wall clock
+//! ([`peerstripe_telemetry::Started`]).  No figure of a simulation run reads
+//! it.
 
-use std::time::Instant;
+use peerstripe_telemetry::Started;
 
 /// Timed passes per [`best_rate`] measurement; the best one is kept.
 const REPS: usize = 3;
 
 /// Milliseconds elapsed while running `f`, paired with its result.
 pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
+    let started = Started::now();
     let value = f();
-    (value, start.elapsed().as_secs_f64() * 1e3)
+    (value, started.elapsed_ms())
 }
 
 /// The best rate of [`REPS`] timed passes, in work units per second.  Each
@@ -31,11 +28,11 @@ pub(crate) fn best_rate<S>(
     let mut best = 0.0f64;
     for _ in 0..REPS {
         let mut state = setup();
-        let started = Instant::now();
+        let started = Started::now();
         let mut units = 0u64;
         let elapsed = loop {
             units += work(&mut state);
-            let elapsed = started.elapsed().as_secs_f64();
+            let elapsed = started.elapsed_ms() / 1e3;
             if elapsed >= pass_secs {
                 break elapsed;
             }

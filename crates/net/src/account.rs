@@ -59,25 +59,6 @@ impl AccountNames {
     };
 }
 
-/// When a request began, on either side of the wire.
-pub struct Started(std::time::Instant);
-
-impl Started {
-    /// Start the clock.
-    pub fn now() -> Started {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "real request latency on the network path is what the RPC account records"
-        )]
-        Started(std::time::Instant::now())
-    }
-
-    /// Milliseconds since the clock started.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.0.elapsed().as_secs_f64() * 1e3
-    }
-}
-
 /// One op's calls and their latency histogram: a count per bucket of
 /// [`LATENCY_BUCKETS_MS`], the overflow bucket last, and the sum.
 #[derive(Debug, Clone, Copy, Default)]

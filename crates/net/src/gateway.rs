@@ -55,7 +55,7 @@
 //! outcome, in the vocabulary a daemon's account uses — which the ring
 //! harness exports into its report.
 
-use crate::account::{AccountNames, RpcAccount, Started};
+use crate::account::{AccountNames, RpcAccount};
 use crate::lock;
 use crate::protocol::{
     read_block_reply_into, read_response, write_request_traced, write_store_block_from, BlockReply,
@@ -68,7 +68,7 @@ use peerstripe_core::{
 use peerstripe_overlay::{Id, IdRing, NodeRef, Takeover};
 use peerstripe_placement::{ClusterView, ProbeView};
 use peerstripe_sim::ByteSize;
-use peerstripe_telemetry::RegistryExport;
+use peerstripe_telemetry::{RegistryExport, Started};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::SocketAddr;

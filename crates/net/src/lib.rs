@@ -30,9 +30,9 @@
 //! gateway is the crate's one client, and [`Tcp`] the one place that dials.
 //!
 //! The crate is deliberately *not* in the deterministic-simulation set: its
-//! accounts read wall clocks, and say so via audited lint waivers instead of
-//! a blanket exemption, and the server, [`Tcp`] and [`ring`] touch sockets
-//! and processes.  Over the [`MemWire`] only the recorded latencies vary.
+//! accounts read the wall clock (`peerstripe_telemetry::Started`, the
+//! workspace's one), and the server, [`Tcp`] and [`ring`] touch sockets and
+//! processes.  Over the [`MemWire`] only the recorded latencies vary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

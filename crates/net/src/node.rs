@@ -13,11 +13,12 @@
 //! error counters by op and kind, and a bounded op log whose per-request
 //! durations are the record of slow requests.
 
-use crate::account::{AccountNames, RpcAccount, Started};
+use crate::account::{AccountNames, RpcAccount};
 use crate::protocol::{NodeStats, RemoteError, Request, Response};
 use peerstripe_core::{NodeStoreError, StoredObject};
 use peerstripe_overlay::Id;
 use peerstripe_sim::ByteSize;
+use peerstripe_telemetry::Started;
 use std::sync::Arc;
 
 /// Configuration of one node daemon.

@@ -149,28 +149,30 @@ proptest! {
 
     /// The wide-lane `nibble64` GF(256) kernel is byte-identical to the scalar
     /// reference kernel for **all** 256 coefficients over arbitrary slice
-    /// lengths — including empty slices and non-multiple-of-8/16/32 tails,
-    /// which exercise every lane's scalar tail path.
+    /// lengths, through `PreparedCoeff` — including empty slices and
+    /// non-multiple-of-8/32 tails, which exercise every lane's scalar tail path.
     #[test]
     fn nibble64_kernel_matches_scalar_for_all_coefficients(
         src in proptest::collection::vec(any::<u8>(), 0..1024),
         acc in proptest::collection::vec(any::<u8>(), 0..1024),
     ) {
-        use peerstripe::erasure::gf256::{mul_add_slice_with, mul_slice_with};
+        use peerstripe::erasure::gf256::PreparedCoeff;
         use peerstripe::erasure::Gf256Kernel;
         let len = src.len().min(acc.len());
         let (src, acc) = (&src[..len], &acc[..len]);
         for c in 0..=255u8 {
-            let mut scalar = vec![0u8; len];
-            mul_slice_with(Gf256Kernel::Scalar, c, src, &mut scalar);
-            let mut fast = vec![0xA5u8; len];
-            mul_slice_with(Gf256Kernel::Nibble64, c, src, &mut fast);
-            prop_assert_eq!(&scalar, &fast, "mul c = {}", c);
+            let scalar = PreparedCoeff::new(Gf256Kernel::Scalar, c);
+            let fast = PreparedCoeff::new(Gf256Kernel::Nibble64, c);
+            let mut scalar_mul = vec![0u8; len];
+            scalar.mul(src, &mut scalar_mul);
+            let mut fast_mul = vec![0xA5u8; len];
+            fast.mul(src, &mut fast_mul);
+            prop_assert_eq!(&scalar_mul, &fast_mul, "mul c = {}", c);
 
             let mut scalar_acc = acc.to_vec();
-            mul_add_slice_with(Gf256Kernel::Scalar, c, src, &mut scalar_acc);
+            scalar.mul_add(src, &mut scalar_acc);
             let mut fast_acc = acc.to_vec();
-            mul_add_slice_with(Gf256Kernel::Nibble64, c, src, &mut fast_acc);
+            fast.mul_add(src, &mut fast_acc);
             prop_assert_eq!(&scalar_acc, &fast_acc, "mul_add c = {}", c);
         }
     }

@@ -6,8 +6,9 @@
 //! stored bytes, whole and in part (and one more loss reads nothing, never
 //! wrong bytes), that repair hands each replacement exactly the lost
 //! placement's codec blocks, in its place, that a repair which cannot
-//! rebuild a chunk says so and stores nothing, and that a chunk refused
-//! part-way is rolled back whole.  The wrapper implements `fetch_block` and
+//! rebuild a chunk says so and stores nothing, that a chunk refused
+//! part-way is rolled back whole, and that a chunk sized by the probes'
+//! reports fits every node it goes to.  The wrapper implements `fetch_block` and
 //! `store_block` only, so the read path's `fetch_block_into` and the store
 //! path's `store_block_from` reach it through the provided bodies.
 #![expect(clippy::expect_used, reason = "test helpers fail by panicking")]
@@ -122,23 +123,37 @@ fn client(coding: CodingPolicy, nodes: usize, seed: u64) -> PeerStripe<Probe> {
     client_with_chunks(coding, nodes, seed, Some(ByteSize::kb(16)))
 }
 
-fn cluster(nodes: usize, seed: u64) -> StorageCluster {
+fn cluster(nodes: usize, capacity: ByteSize, seed: u64) -> StorageCluster {
     ClusterConfig {
         nodes,
-        capacity: CapacityModel::Fixed(ByteSize::mb(64)),
+        capacity: CapacityModel::Fixed(capacity),
         track_objects: true,
     }
     .build(&mut DetRng::new(seed))
 }
 
+/// A client over `nodes` simulated nodes of 64 MB: room to spare, so a
+/// chunk is bounded by `max_chunk_size` or by the file, never by a report.
 fn client_with_chunks(
     coding: CodingPolicy,
     nodes: usize,
     seed: u64,
     max_chunk_size: Option<ByteSize>,
 ) -> PeerStripe<Probe> {
+    client_over(
+        coding,
+        cluster(nodes, ByteSize::mb(64), seed),
+        max_chunk_size,
+    )
+}
+
+fn client_over(
+    coding: CodingPolicy,
+    inner: StorageCluster,
+    max_chunk_size: Option<ByteSize>,
+) -> PeerStripe<Probe> {
     let probe = Probe {
-        inner: cluster(nodes, seed),
+        inner,
         fetched: RefCell::new(Vec::new()),
         lost: BTreeSet::new(),
         payload_stores: 0,
@@ -411,6 +426,47 @@ fn a_healthy_read_fetches_only_the_blocks_a_chunk_needs() {
     }
 }
 
+#[test]
+fn a_chunk_the_probes_size_fits_every_holder() {
+    // Nodes of 32–128 KB and no chunk cap: every chunk of the file but its
+    // last is as large as the smallest report of its targets allows, and
+    // each of its payloads — rows, their headers and their padding — must
+    // still fit that target.
+    let data = seeded(300_000, 6);
+    for coding in POLICIES {
+        let nodes = ClusterConfig {
+            nodes: 64,
+            capacity: CapacityModel::Uniform {
+                lo: ByteSize::kb(32),
+                hi: ByteSize::kb(128),
+            },
+            track_objects: true,
+        };
+        let inner = nodes.build(&mut DetRng::new(83));
+        let capacity: Vec<ByteSize> = (0..64).map(|n| inner.report_of(n)).collect();
+        let mut ps = client_over(coding, inner, None);
+        let outcome = ps.store_data("f", &data);
+        assert!(outcome.is_stored(), "{}: {outcome:?}", coding.label());
+        let manifest = ps.manifest("f").expect("stored");
+        assert!(manifest.chunks.len() > 1, "{}: one chunk", coding.label());
+        for block in manifest.all_blocks() {
+            let object = ps.backend().inner.fetch_from(block.node, &block.name);
+            let payload = object.and_then(|o| o.payload.as_ref()).expect("byte path");
+            assert!(
+                payload.len() as u64 <= capacity[block.node].as_u64(),
+                "{}: {} holds a {} byte payload",
+                coding.label(),
+                block.name,
+                payload.len()
+            );
+        }
+        assert_eq!(ps.retrieve_data("f").as_deref(), Some(&data[..]));
+        let (from, len) = (70_001, 150_000);
+        let range = ps.retrieve_range_data("f", from as u64, len as u64);
+        assert_eq!(range.as_deref(), Some(&data[from..from + len]));
+    }
+}
+
 /// The codec-block indices stored under `name` on `node`.
 fn stored_rows(ps: &PeerStripe<Probe>, node: NodeRef, name: &ObjectName) -> Vec<u32> {
     let object = ps.backend().inner.fetch_from(node, name).expect("stored");
@@ -615,7 +671,7 @@ fn a_placement_only_repair_stores_sizes_and_counts_them() {
     // The other way to rebuild no payload: holders answer and none carries
     // one.  That is no loss — the replacement is a size, and it is counted.
     let config = PeerStripeConfig::default().with_coding(CodingPolicy::rs_default());
-    let mut ps = PeerStripe::new(cluster(9, 79), config);
+    let mut ps = PeerStripe::new(cluster(9, ByteSize::mb(64), 79), config);
     assert!(ps
         .store_file(&FileRecord::new("f", ByteSize::kb(60)))
         .is_stored());
