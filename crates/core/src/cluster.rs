@@ -22,18 +22,21 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Distribution of contributed capacity.
     pub capacity: CapacityModel,
-    /// Whether nodes keep per-object bookkeeping (needed for availability,
-    /// retrieval, and recovery experiments; off for the largest insert sweeps).
+    /// Whether nodes record size-only objects, for the callers that read a
+    /// block's size back (a size-only repair, CAT reconstruction).  Objects
+    /// with a payload are recorded either way; see [`StorageNode::new`].
     pub track_objects: bool,
 }
 
 impl ClusterConfig {
-    /// The paper's 10 000-node simulation population.
+    /// The paper's 10 000-node simulation population.  Its nodes keep no
+    /// record of size-only objects: the paper's experiments ask a node only
+    /// how much it holds and whether it is up.
     pub fn paper_desktop_grid() -> Self {
         ClusterConfig {
             nodes: 10_000,
             capacity: CapacityModel::paper_desktop_grid(),
-            track_objects: true,
+            track_objects: false,
         }
     }
 
@@ -101,6 +104,11 @@ impl StorageCluster {
     /// Number of nodes (live and failed).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Read-only access to one node's storage.
+    pub fn node(&self, node: NodeRef) -> &StorageNode {
+        &self.nodes[node]
     }
 
     /// Serve placement decisions made with `topology` from a per-domain
@@ -223,7 +231,8 @@ impl StorageCluster {
         Ok(node)
     }
 
-    /// Fetch an object from a specific node (requires object tracking).
+    /// Fetch a recorded object from a specific node: one with a payload, or
+    /// a size-only one on a tracking node.
     pub fn fetch_from(&self, node: NodeRef, name: &ObjectName) -> Option<&StoredObject> {
         if !self.overlay.is_alive(node) {
             return None;
@@ -245,7 +254,7 @@ impl StorageCluster {
         self.sync(node);
     }
 
-    /// Roll back a stored object: remove it if tracked, otherwise release its size.
+    /// Roll back a stored object: remove it if recorded, otherwise release its size.
     pub fn rollback_object(&mut self, node: NodeRef, name: &ObjectName, size: ByteSize) {
         if self.nodes[node].remove(name.key()).is_none() {
             self.nodes[node].release(size);

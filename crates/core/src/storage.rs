@@ -1,8 +1,9 @@
 //! Per-node contributed storage.
 //!
 //! Every overlay participant contributes disk space.  [`StorageNode`] tracks the
-//! contributed capacity, the space in use, and (optionally) the objects stored,
-//! and implements the node-local policies the paper describes:
+//! contributed capacity, the space in use, and a record of each stored object
+//! a read can ask back, and implements the node-local policies the paper
+//! describes:
 //!
 //! * a `getCapacity` reply reports the node's free space (Section 4.3);
 //! * the space is *not reserved* by a reply; a later store can still fail if
@@ -61,9 +62,15 @@ pub struct StorageNode {
 impl StorageNode {
     /// Create a node contributing `capacity` bytes.
     ///
-    /// `track_objects` enables per-object bookkeeping (needed for availability
-    /// and recovery experiments; disabled for the very large store-throughput
-    /// sweeps to bound memory).
+    /// A record is what a read asks back: an object that carries a payload
+    /// is always recorded, and `track_objects` records size-only objects too,
+    /// for the callers that read a block's size back ([`StorageNode::get`]:
+    /// a size-only repair, CAT reconstruction).  Untracked, a size-only
+    /// object is counted in [`used`](Self::used) and
+    /// [`object_count`](Self::object_count) but not keyed, so it cannot be
+    /// fetched, removed or refused as a duplicate.  How much a node holds
+    /// and whether it is up, all the paper's simulations ask of it, read
+    /// the same either way.
     pub fn new(capacity: ByteSize, track_objects: bool) -> Self {
         StorageNode {
             capacity,
@@ -91,7 +98,7 @@ impl StorageNode {
         self.capacity.saturating_sub(self.used)
     }
 
-    /// Number of objects stored (counted even when object tracking is off).
+    /// Number of objects stored, recorded or not.
     pub fn object_count(&self) -> u64 {
         self.object_count
     }
@@ -107,7 +114,7 @@ impl StorageNode {
         if !self.can_store(size) {
             return Err(NodeStoreError::InsufficientSpace);
         }
-        if self.track_objects {
+        if self.track_objects || object.payload.is_some() {
             let Entry::Vacant(slot) = self.objects.entry(key) else {
                 return Err(NodeStoreError::AlreadyStored);
             };
@@ -118,7 +125,7 @@ impl StorageNode {
         Ok(())
     }
 
-    /// Remove an object, returning its size (only possible with object tracking).
+    /// Remove a recorded object, returning its size.
     pub fn remove(&mut self, key: Id) -> Option<ByteSize> {
         let obj = self.objects.remove(&key)?;
         self.used -= obj.size;
@@ -127,7 +134,7 @@ impl StorageNode {
     }
 
     /// Release `size` bytes without identifying the object — the rollback path
-    /// used when per-object tracking is disabled.
+    /// of an object that was counted but not recorded.
     pub fn release(&mut self, size: ByteSize) {
         self.used -= size;
         self.object_count = self.object_count.saturating_sub(1);
@@ -146,7 +153,7 @@ impl StorageNode {
         Ok(())
     }
 
-    /// Access a stored object (requires object tracking).
+    /// Access a recorded object.
     pub fn get(&self, key: Id) -> Option<&StoredObject> {
         self.objects.get(&key)
     }
@@ -265,6 +272,24 @@ mod tests {
         assert_eq!(node.object_count(), 2);
         assert!(node.get(Id(1)).is_none(), "objects are not tracked");
         assert_eq!(node.remove(Id(1)), None);
+    }
+
+    #[test]
+    fn an_untracked_node_records_what_carries_a_payload() {
+        let mut node = StorageNode::new(ByteSize::gb(1), false);
+        let bytes = StoredObject {
+            size: ByteSize::bytes(3),
+            payload: Some(Arc::new(vec![5, 6, 7])),
+        };
+        node.store(Id(1), bytes.clone()).unwrap();
+        node.store(Id(2), obj(ByteSize::mb(100))).unwrap();
+        assert_eq!(node.object_count(), 2);
+        let kept = node.get(Id(1)).and_then(|o| o.payload.as_deref());
+        assert_eq!(kept, Some(&vec![5u8, 6, 7]));
+        assert!(node.get(Id(2)).is_none(), "a size-only object is not keyed");
+        assert_eq!(node.store(Id(1), bytes), Err(NodeStoreError::AlreadyStored));
+        assert_eq!(node.remove(Id(1)), Some(ByteSize::bytes(3)));
+        assert_eq!(node.used(), ByteSize::mb(100));
     }
 
     #[test]

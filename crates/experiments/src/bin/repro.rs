@@ -9,11 +9,11 @@
 //! once; the tools are `cli::TOOLS`.  `repro --help` prints both lists, with
 //! each tool's options, and a command takes only the options its form there
 //! lists (`cli::takes_option`).  This file only parses the command line: an
-//! argument error exits 2, a tool exits as its `run` says.
+//! argument error exits 2, a tool exits as its `run` says, and a reader that
+//! closes the pipe early ends the run quietly (`cli::out`).
 
 use peerstripe_experiments::cli::{self, run_experiments_with, Options};
 use peerstripe_experiments::Scale;
-use std::io::Write as _;
 
 struct Args {
     command: String,
@@ -55,7 +55,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--check" => options.check = true,
             "--help" | "-h" => {
-                println!("{}", cli::usage());
+                cli::out(&(cli::usage() + "\n"));
                 std::process::exit(0);
             }
             other if command.is_none() => command = Some(other.to_string()),
@@ -116,14 +116,10 @@ fn main() {
     }
     // Stream each driver's sections as it finishes (an `all --scale paper`
     // run takes hours; buffering would hide every result until the end).
-    let mut emit = |section: &str| {
-        print!("{section}");
-        let _ = std::io::stdout().flush();
-    };
     run_experiments_with(
         &experiments,
         args.options.scale,
         args.options.seed,
-        &mut emit,
+        &mut cli::out,
     );
 }

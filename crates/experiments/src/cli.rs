@@ -23,6 +23,7 @@ use crate::storesim::{run_store_comparison, StoreSimConfig};
 use crate::trace_cmd::{
     render_summary_json, render_summary_text, run_trace, summarize, TraceCmdConfig, SCENARIOS,
 };
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 
 /// One experiment driver: a run renders every one of its sections.
@@ -295,8 +296,7 @@ fn bench_snapshot_tool(options: &Options) -> Result<bool, String> {
     if options.check {
         let (passed, report) = check_snapshots(&dir, &config)?;
         if passed {
-            print!("{report}");
-            println!("bench-snapshot check passed");
+            out(&format!("{report}bench-snapshot check passed\n"));
         } else {
             eprintln!("repro bench-snapshot --check: {report}");
         }
@@ -309,7 +309,7 @@ fn bench_snapshot_tool(options: &Options) -> Result<bool, String> {
         dir.display()
     );
     for path in write_snapshots(&dir, &config)? {
-        println!("wrote {}", path.display());
+        out(&format!("wrote {}\n", path.display()));
     }
     Ok(true)
 }
@@ -331,9 +331,9 @@ fn trace_tool(options: &Options) -> Result<bool, String> {
     let summary_json = render_summary_json(&summary);
     for (name, contents) in [("jsonl", &artifacts.jsonl), ("summary.json", &summary_json)] {
         let file = write_in(&dir, format!("{stem}.{name}"), contents)?;
-        println!("wrote {}", file.display());
+        out(&format!("wrote {}\n", file.display()));
     }
-    print!("\n{}", render_summary_text(&summary));
+    out(&format!("\n{}", render_summary_text(&summary)));
     Ok(true)
 }
 
@@ -345,9 +345,9 @@ fn trace_summary_tool(options: &Options) -> Result<bool, String> {
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let summary = summarize(&jsonl)?;
     if options.json {
-        println!("{}", render_summary_json(&summary));
+        out(&(render_summary_json(&summary) + "\n"));
     } else {
-        print!("{}", render_summary_text(&summary));
+        out(&render_summary_text(&summary));
     }
     Ok(true)
 }
@@ -365,9 +365,9 @@ fn ring_tool(options: &Options) -> Result<bool, String> {
     );
     let report = run_ring(&config)?;
     if options.json {
-        println!("{}", render_ring_json(&report));
+        out(&(render_ring_json(&report) + "\n"));
     } else {
-        print!("{}", render_ring_text(&report));
+        out(&render_ring_text(&report));
     }
     if let Some(dir) = &options.out_dir {
         let name = format!("ring_{}_seed{}.json", options.scale, options.seed);
@@ -388,6 +388,26 @@ fn ring_tool(options: &Options) -> Result<bool, String> {
         && report.chunks_lost == 0
         && report.unattributed_rpcs == 0
         && unhealthy.is_empty())
+}
+
+/// Write `text` to standard output, where every `repro` command prints
+/// what it found.  A reader that stops early (`repro … | head`) closes the
+/// pipe, and nothing printed after that can reach anyone: the process ends
+/// there, quietly and with status 0, where `print!` would panic.  Any other
+/// write error ends it with status 2 and one line on stderr.
+pub fn out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("repro: writing to stdout: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// `repro --help`: every form of the command, each `repro` in the same

@@ -11,11 +11,12 @@
 //!
 //! and at the end we report the chunk-count / chunk-size statistics of CFS and
 //! PeerStripe (Table 1).  The three systems run in parallel threads (one cluster
-//! each) since they are completely independent.
+//! each) since they are completely independent.  The comparison reads only how
+//! much each node holds, so its nodes keep no per-object records at any scale.
 
 use crate::scale::Scale;
 use peerstripe_baselines::{Cfs, Past};
-use peerstripe_core::{ClusterConfig, PeerStripe, PeerStripeConfig, StorageSystem};
+use peerstripe_core::{ClusterConfig, PeerStripe, PeerStripeConfig, StorageCluster, StorageSystem};
 use peerstripe_sim::stats::Figure;
 use peerstripe_sim::{ByteSize, DetRng, Series};
 use peerstripe_trace::{Trace, TraceConfig};
@@ -141,8 +142,6 @@ pub struct StoreSimConfig {
     pub files: usize,
     /// Number of sample points along the insertion.
     pub samples: usize,
-    /// Whether per-object/manifest tracking is enabled (off for paper scale).
-    pub track_objects: bool,
     /// Base random seed.
     pub seed: u64,
 }
@@ -154,7 +153,6 @@ impl StoreSimConfig {
             nodes: scale.nodes(),
             files: scale.trace_files(),
             samples: scale.sample_points(),
-            track_objects: !matches!(scale, Scale::Paper),
             seed,
         }
     }
@@ -190,11 +188,18 @@ pub fn run_store_comparison(config: &StoreSimConfig) -> StoreComparison {
 
 /// Run the insertion sweep for one system.
 pub fn run_single_system(kind: SystemKind, config: &StoreSimConfig, trace: &Trace) -> SystemRun {
-    let mut rng = DetRng::new(config.seed);
-    let mut cluster_cfg = ClusterConfig::scaled(config.nodes);
-    cluster_cfg.track_objects = config.track_objects;
-    let cluster = cluster_cfg.build(&mut rng);
+    let cluster = ClusterConfig::scaled(config.nodes).build(&mut DetRng::new(config.seed));
+    run_system_on(kind, cluster, config, trace)
+}
 
+/// Run the insertion sweep for one system on `cluster`, which stands for
+/// the one [`run_single_system`] builds from `config`.
+pub fn run_system_on(
+    kind: SystemKind,
+    cluster: StorageCluster,
+    config: &StoreSimConfig,
+    trace: &Trace,
+) -> SystemRun {
     let mut system: Box<dyn StorageSystem> = match kind {
         SystemKind::Past => Box::new(Past::new(cluster)),
         // CFS retries are per 4 MB block, and a block only needs a node with
@@ -281,7 +286,6 @@ mod tests {
             nodes: 150,
             files: 150 * 120,
             samples: 6,
-            track_objects: true,
             seed: 11,
         })
     }

@@ -18,7 +18,6 @@ fn main() {
         nodes: 300,
         files: 36_000,
         samples: 1,
-        track_objects: true,
         seed: 99,
     };
     let trace = TraceConfig::scaled(config.files).generate(config.seed);

@@ -195,39 +195,72 @@ fn cat_reconstruction_survives_total_cat_loss() {
 
 #[test]
 fn every_system_places_exactly_the_bytes_its_cluster_holds() {
-    // PAST, CFS and PeerStripe fill identically seeded, object-tracking
-    // clusters past capacity.  A refused store must leave nothing behind, so
-    // after every store the cluster holds exactly the bytes the system
-    // reports as placed.
+    // PAST, CFS and PeerStripe fill identically seeded clusters past
+    // capacity, once with nodes that record every object and once with the
+    // paper population's, which record none.  A refused store must leave
+    // nothing behind either way, so after every store the cluster holds
+    // exactly the bytes the system reports as placed.
     let nodes = 24;
     let trace = TraceConfig::scaled(nodes * 200).generate(3);
-    let build = || {
-        let mut rng = DetRng::new(3);
-        ClusterConfig::scaled(nodes).build(&mut rng)
-    };
-    let mut past = Past::new(build());
-    let mut cfs = Cfs::new(build(), 8);
-    let mut ours = PeerStripe::new(build(), PeerStripeConfig::default());
-    let systems = [
-        ("PAST", &mut past as &mut dyn StorageSystem),
-        ("CFS", &mut cfs),
-        ("PeerStripe", &mut ours),
-    ];
-    for (label, system) in systems {
-        for file in &trace.files {
-            let _ = system.store_file(file);
-            assert_eq!(
-                system.cluster().total_used(),
-                system.metrics().bytes_placed,
-                "{label} after {}",
-                file.name
+    for track_objects in [true, false] {
+        let build = || {
+            let config = ClusterConfig {
+                track_objects,
+                ..ClusterConfig::scaled(nodes)
+            };
+            config.build(&mut DetRng::new(3))
+        };
+        let mut past = Past::new(build());
+        let mut cfs = Cfs::new(build(), 8);
+        let mut ours = PeerStripe::new(build(), PeerStripeConfig::default());
+        let systems = [
+            ("PAST", &mut past as &mut dyn StorageSystem),
+            ("CFS", &mut cfs),
+            ("PeerStripe", &mut ours),
+        ];
+        for (label, system) in systems {
+            for file in &trace.files {
+                let _ = system.store_file(file);
+                assert_eq!(
+                    system.cluster().total_used(),
+                    system.metrics().bytes_placed,
+                    "{label} (tracking {track_objects}) after {}",
+                    file.name
+                );
+            }
+            assert!(
+                system.metrics().files_failed > 0,
+                "{label} (tracking {track_objects}) never refused a store"
             );
         }
-        assert!(
-            system.metrics().files_failed > 0,
-            "{label} never refused a store"
-        );
     }
+}
+
+/// A node that keeps no record of size-only objects still keeps every
+/// object that carries bytes: a file stored through the byte path on the
+/// paper population reads back whole, before and after a holder fails and
+/// its blocks are rebuilt from what the survivors hold.
+#[test]
+fn an_untracked_cluster_keeps_the_bytes_it_is_given() {
+    let cluster = ClusterConfig {
+        track_objects: false,
+        ..ClusterConfig::scaled(24)
+    }
+    .build(&mut DetRng::new(11));
+    let coding = CodingPolicy::rs_default();
+    let mut ps = PeerStripe::new(cluster, PeerStripeConfig::default().with_coding(coding));
+    let mut rng = DetRng::new(12);
+    let data: Vec<u8> = (0..700_000).map(|_| rng.next_u32() as u8).collect();
+    assert!(ps.store_data("survey.h5", &data).is_stored());
+    assert_eq!(ps.retrieve_data("survey.h5").as_deref(), Some(&data[..]));
+
+    let manifest = ps.manifest("survey.h5").unwrap();
+    let victim = manifest.all_blocks().map(|b| b.node).next().unwrap();
+    let takeover = ps.backend_mut().fail_node(victim).unwrap();
+    let report = ps.handle_node_failure(victim, &takeover);
+    assert_eq!(report.chunks_lost, 0, "the survivors' bytes decode");
+    assert!(report.blocks_regenerated > 0);
+    assert_eq!(ps.retrieve_data("survey.h5").as_deref(), Some(&data[..]));
 }
 
 /// Over the in-memory wire, where the gateway writes each `StoreBlock` from

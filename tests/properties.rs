@@ -7,17 +7,20 @@ use peerstripe::core::{
 };
 use peerstripe::erasure::{ErasureCode, NullCode, OnlineCode, ReedSolomonCode, XorCode};
 use peerstripe::experiments::availability::{run_regeneration, ChurnConfig};
+use peerstripe::experiments::storesim::{
+    run_single_system, run_system_on, StoreSimConfig, SystemKind,
+};
 use peerstripe::overlay::{Id, IdRing, NodeRef};
 use peerstripe::placement::{
     ClusterView, Domain, DomainIndex, DomainSpread, NodeState, PlacementStrategy, ProbeView,
     RepairRequest, StrategyKind, Topology,
 };
 use peerstripe::repair::{
-    ChurnProcess, DeclarationVerdict, DetectionKind, Detector, DetectorConfig, GroupedChurn,
-    MaintenanceEngine, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
+    BandwidthBudget, ChurnProcess, DeclarationVerdict, DetectionKind, Detector, DetectorConfig,
+    GroupedChurn, MaintenanceEngine, OutageAwareConfig, RepairConfig, RepairPolicy, SessionModel,
 };
 use peerstripe::sim::{ByteSize, DetRng, EventQueue, OnlineStats, SimTime};
-use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace};
+use peerstripe::trace::{CapacityModel, FileRecord, SessionTrace, TraceConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1728,5 +1731,92 @@ proptest! {
         }
         prop_assert_eq!(queue.pop(), None);
         prop_assert_eq!(queue.processed(), next);
+    }
+}
+
+// ---- object records ----------------------------------------------------------
+
+/// The `sim_churn_10k` cell at a tenth of its size, as `tests/sim_alloc.rs`
+/// runs it: 200 trace files deployed on `config`'s 1 000 nodes in
+/// domain-spread placement, then six simulated hours of grouped churn and
+/// eager repair.  Returns what the run answers: the manifests, each node's
+/// `(used, object_count)` after the deploy and the engine's report, the
+/// first and last as their `Debug` text.
+fn tenth_cell(config: &ClusterConfig, seed: u64) -> (String, Vec<(ByteSize, u64)>, String) {
+    let topology = Topology::uniform_groups(config.nodes, 100);
+    let coding = CodingPolicy::Online {
+        placed: 8,
+        tolerable: 4,
+        overhead: 1.03,
+    };
+    let mut ps = PeerStripe::with_placement(
+        config.build(&mut DetRng::new(seed)),
+        PeerStripeConfig::default().with_coding(coding),
+        StrategyKind::DomainSpread.build(0),
+        Some(topology.clone()),
+    );
+    for file in &TraceConfig::scaled(200).generate(seed ^ 0xd0a7).files {
+        let _ = ps.store_file(file);
+    }
+    let cluster = ps.cluster();
+    let nodes = (0..cluster.node_count())
+        .map(|n| (cluster.node(n).used(), cluster.node(n).object_count()))
+        .collect();
+    let manifests = ps.manifests().clone();
+    let churn = ChurnProcess {
+        sessions: SessionModel::Synthetic {
+            mean_session_secs: 24.0 * 3_600.0,
+            mean_downtime_secs: 2.0 * 3_600.0,
+        },
+        permanent_fraction: 0.002,
+        grouped: Some(GroupedChurn::new(topology.clone(), 48.0, 12.0)),
+    };
+    let repair = RepairConfig {
+        policy: RepairPolicy::Eager,
+        detector: DetectorConfig::default_desktop_grid().with_timeout(4.0 * 3_600.0),
+        detection: DetectionKind::PerNodeTimeout,
+        bandwidth: BandwidthBudget::symmetric(ByteSize::mb(4)),
+        sample_period_secs: 1_800.0,
+    };
+    let mut engine = MaintenanceEngine::new(ps.into_cluster(), &manifests, churn, repair, seed)
+        .with_placement(StrategyKind::DomainSpread.build(0), Some(topology));
+    engine.run_for(SimTime::from_secs_f64(6.0 * 3_600.0));
+    (
+        format!("{manifests:?}"),
+        nodes,
+        format!("{:?}", engine.report()),
+    )
+}
+
+proptest! {
+    // Each case deploys and churns two clusters and runs the store
+    // comparison twice, so few cases.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Whether nodes record size-only objects changes no answer a
+    /// simulation gives: from one seed, tracking and untracked clusters
+    /// place the same blocks, hold the same bytes and objects on every
+    /// node, repair the same way, and give the same three store-comparison
+    /// rows.
+    #[test]
+    fn tracking_records_changes_no_answer(seed in any::<u64>()) {
+        let untracked = ClusterConfig::scaled(1_000);
+        prop_assert!(!untracked.track_objects, "the paper population records nothing");
+        let tracked = ClusterConfig { track_objects: true, ..untracked.clone() };
+        let (manifests, nodes, report) = tenth_cell(&untracked, seed);
+        let (tracked_manifests, tracked_nodes, tracked_report) = tenth_cell(&tracked, seed);
+        prop_assert!(manifests == tracked_manifests, "the manifests differ");
+        prop_assert_eq!(nodes, tracked_nodes);
+        prop_assert_eq!(report, tracked_report);
+
+        let config = StoreSimConfig { nodes: 60, files: 60 * 120, samples: 4, seed };
+        let trace = TraceConfig::scaled(config.files).generate(seed);
+        for kind in SystemKind::ALL {
+            let cluster = ClusterConfig { track_objects: true, ..ClusterConfig::scaled(config.nodes) }
+                .build(&mut DetRng::new(seed));
+            let on_tracked = run_system_on(kind, cluster, &config, &trace);
+            let row = run_single_system(kind, &config, &trace);
+            prop_assert_eq!(format!("{row:?}"), format!("{on_tracked:?}"), "{}", kind.label());
+        }
     }
 }
